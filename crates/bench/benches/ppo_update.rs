@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use rlsched_bench::alloc::count_allocs;
-use rlsched_rl::{collect_episodes, collect_rollouts, Env, PpoConfig, RolloutBuffer, VecEnv};
+use rlsched_rl::{collect_episodes, collect_rollouts_vec, Env, PpoConfig, RolloutBuffer, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -41,15 +41,24 @@ fn bench_update(c: &mut Criterion) {
         .map(|_| SchedulingEnv::new(trace.clone(), 128, SimConfig::default(), encoder, objective))
         .collect();
     let seeds: Vec<u64> = (0..8).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+    let rollout = |agent: &Agent, envs: &mut [SchedulingEnv]| {
+        collect_rollouts_vec(
+            agent.ppo(),
+            &mut VecEnv::new(envs.iter_mut().collect()),
+            &seeds,
+        )
+    };
+    let (batch, _stats) = rollout(&agent, &mut envs);
 
     // Allocation profile, measured after one warm run of each path so
-    // graph pools and scratch buffers are at steady state.
+    // graph pools and scratch buffers are at steady state. The fused
+    // update is counted on the one-worker budget: spawning workers
+    // allocates per fan-out, which is thread bring-up, not the update.
     let _ = agent.ppo_mut().update(&batch);
-    let update_allocs = count_allocs(|| agent.ppo_mut().update(&batch));
+    let update_allocs = count_allocs(|| rayon::with_threads(1, || agent.ppo_mut().update(&batch)));
     let _ = agent.ppo_mut().update_tape(&batch);
     let tape_update_allocs = count_allocs(|| agent.ppo_mut().update_tape(&batch));
-    let rollout_allocs = count_allocs(|| collect_rollouts(agent.ppo(), &mut envs, &seeds));
+    let rollout_allocs = count_allocs(|| rollout(&agent, &mut envs));
     let (obs, mask) = {
         let mut env = envs[0].clone();
         let (mut o, mut m) = (Vec::new(), Vec::new());
@@ -69,9 +78,8 @@ fn bench_update(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ppo");
     group.sample_size(10);
-    // The dispatching update (fused tape-free backward for this kernel
-    // agent) vs the pinned tape arm it replaced — the two are
-    // bit-identical in results, so the delta is pure bookkeeping.
+    // The update training runs (chunked fused backward for this kernel
+    // agent) vs the tape oracle it replaced.
     group.bench_function("update_5x5_iters_mb512", |b| {
         b.iter(|| std::hint::black_box(agent.ppo_mut().update(&batch)))
     });
@@ -84,7 +92,7 @@ fn bench_update(c: &mut Criterion) {
     // (8 sequential single-env rollouts; bit-identical trajectories).
     group.bench_function("rollout_8x128", |b| {
         b.iter(|| {
-            let (batch, _s) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+            let (batch, _s) = rollout(&agent, &mut envs);
             std::hint::black_box(batch.len())
         })
     });

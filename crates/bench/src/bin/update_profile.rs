@@ -1,7 +1,7 @@
 //! Phase profiler for the PPO update loop (sibling of
 //! `lockstep_profile`): attributes update wall time to minibatch gather /
-//! forward / backward / optimizer on both dispatch arms, so regressions
-//! in any one phase are attributable.
+//! forward / backward / optimizer on the fused path and its tape oracle,
+//! so regressions in any one phase are attributable.
 //!
 //! ```text
 //! cargo run --release -p rlsched-bench --bin update_profile -- [reps]
@@ -14,7 +14,7 @@
 //! `crates/bench/PROFILE_update_phases.txt` — regenerate it alongside
 //! the BENCH_*.json files when the update path changes.
 
-use rlsched_rl::{collect_rollouts, PpoConfig, UpdateProfile};
+use rlsched_rl::{collect_rollouts_vec, PpoConfig, UpdateProfile, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -71,28 +71,29 @@ fn main() {
     let mut agent = Agent::new(cfg);
     let encoder = *agent.encoder();
     let objective = agent.objective();
-    let mut envs: Vec<SchedulingEnv> = (0..8)
+    let envs: Vec<SchedulingEnv> = (0..8)
         .map(|_| SchedulingEnv::new(trace.clone(), 128, SimConfig::default(), encoder, objective))
         .collect();
     let seeds: Vec<u64> = (0..8).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+    let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut VecEnv::new(envs), &seeds);
     println!(
-        "batch: {} transitions, minibatch 512, 5 pi + 5 v iters, kernel@64, reps {reps}\n",
-        batch.len()
+        "batch: {} transitions, minibatch 512, 5 pi + 5 v iters, kernel@64, reps {reps}, {} cores\n",
+        batch.len(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 
-    // Warm both arms (graph pools, fused scratch, optimizer state).
-    let _ = agent.ppo_mut().update_fused(&batch);
+    // Warm both paths (graph pools, fused scratch, optimizer state).
+    let _ = agent.ppo_mut().update(&batch);
     let _ = agent.ppo_mut().update_tape(&batch);
 
     let mut fused = UpdateProfile::default();
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        let _ = agent.ppo_mut().update_fused_profiled(&batch, &mut fused);
+        let _ = agent.ppo_mut().update_profiled(&batch, &mut fused);
     }
     let fused_wall = t0.elapsed();
     print_profile(
-        "fused (tape-free analytic backward)",
+        "fused (tape-free chunked analytic backward)",
         &fused,
         reps,
         fused_wall,

@@ -7,7 +7,7 @@
 
 use rlsched_bench::alloc::count_allocs;
 use rlsched_rl::{
-    collect_rollouts, ActorScratch, Env, MaskedCategorical, PolicyModel, PpoConfig, ValueModel,
+    collect_rollouts_vec, ActorScratch, Env, MaskedCategorical, PolicyModel, PpoConfig, ValueModel,
     VecEnv,
 };
 use rlsched_serve::{ScorerSlot, ShardEngine};
@@ -167,49 +167,33 @@ fn fast_paths_do_not_regress_allocations() {
     let greedy_allocs = count_allocs(|| agent.ppo().greedy_with(&obs, &mask, &mut scratch));
     assert_eq!(greedy_allocs, 0, "greedy fast path must not allocate");
 
-    // ---- PPO update, fused fast path: ZERO allocations at steady
-    // state. The first call warms the minibatch gather buffers, the
-    // per-layer activation stashes and the Adam moment state; every
-    // later update must not touch the heap at all — the whole point of
-    // the tape-free analytic backward. `update_fused` is pinned
-    // directly so the bound holds regardless of the RLSCHED_FORCE_TAPE
-    // dispatch arm CI sets. ----
-    let mut envs: Vec<SchedulingEnv> = (0..4).map(|_| env.clone()).collect();
+    // ---- PPO update (the chunked fused path for this kernel agent):
+    // ZERO allocations at steady state. The first call warms the
+    // minibatch gather buffers, the per-chunk activation stashes and
+    // gradient partials, and the Adam moment state; every later update
+    // must not touch the heap at all — the whole point of the tape-free
+    // analytic backward. Worker spawns allocate per fan-out by design,
+    // so the pin runs on the one-worker budget (what `train()` uses by
+    // default): it isolates the update's own buffer discipline from
+    // thread bring-up. ----
+    let mut rollout_envs = VecEnv::new((0..4).map(|_| env.clone()).collect::<Vec<_>>());
     let seeds: Vec<u64> = (0..4).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
-    let _ = agent
-        .ppo_mut()
-        .update_fused(&batch)
-        .expect("kernel policy is fused-eligible"); // warm-up iteration
+    let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut rollout_envs, &seeds);
+    assert!(
+        agent.ppo().fused_supported(),
+        "kernel policy is fused-eligible"
+    );
+    let _ = rayon::with_threads(1, || agent.ppo_mut().update(&batch)); // warm-up iteration
     let fused_allocs = count_allocs(|| {
-        agent.ppo_mut().update_fused(&batch);
+        rayon::with_threads(1, || agent.ppo_mut().update(&batch));
     });
     assert_eq!(
         fused_allocs, 0,
-        "fused Ppo::update must not allocate at steady state \
-         ({fused_allocs} allocations after warm-up)"
+        "Ppo::update must not allocate at steady state on the one-worker \
+         budget ({fused_allocs} allocations after warm-up)"
     );
 
-    // ---- PPO update, sharded multi-core arm: ZERO allocations at
-    // steady state on the inline (1-worker) path — per-chunk scratches,
-    // the stitched diagnostics and the tree-merge all reuse persistent
-    // buffers. Worker spawns allocate per fan-out by design, so the pin
-    // runs under `with_threads(1)`: the bound isolates the sharded
-    // arm's own buffer discipline from thread bring-up. ----
-    let _ = rayon::with_threads(1, || agent.ppo_mut().update_fused_sharded(&batch))
-        .expect("kernel policy is fused-eligible"); // warm-up iteration
-    let sharded_allocs = count_allocs(|| {
-        rayon::with_threads(1, || {
-            agent.ppo_mut().update_fused_sharded(&batch);
-        });
-    });
-    assert_eq!(
-        sharded_allocs, 0,
-        "sharded Ppo::update must not allocate at steady state on the \
-         inline path ({sharded_allocs} allocations after warm-up)"
-    );
-
-    // ---- PPO update, tape fallback: bounded by the measured baseline ----
+    // ---- PPO update, tape oracle: bounded by the measured baseline ----
     let _ = agent.ppo_mut().update_tape(&batch); // warm graph pools + optimizer state
     let update_allocs = count_allocs(|| agent.ppo_mut().update_tape(&batch));
     // Measured baseline for this configuration (3+3 iterations,
@@ -219,7 +203,7 @@ fn fast_paths_do_not_regress_allocations() {
     // graph buffer pool) is an order of magnitude.
     assert!(
         update_allocs <= 300,
-        "Ppo::update allocations regressed: {update_allocs} > 300"
+        "Ppo::update_tape allocations regressed: {update_allocs} > 300"
     );
 
     // ---- rollout collection: with the per-step terms gone, a whole
@@ -228,10 +212,11 @@ fn fast_paths_do_not_regress_allocations() {
     // tightens from the historical 600 (measured ~561 on the old path)
     // to 400: what remains is per-episode RolloutBuffer growth plus the
     // one-time lockstep scratch, not per-step or per-thread work. ----
-    let rollout_allocs = count_allocs(|| collect_rollouts(agent.ppo(), &mut envs, &seeds));
+    let rollout_allocs =
+        count_allocs(|| collect_rollouts_vec(agent.ppo(), &mut rollout_envs, &seeds));
     assert!(
         rollout_allocs <= 400,
-        "collect_rollouts allocations regressed: {rollout_allocs} > 400 \
+        "collect_rollouts_vec allocations regressed: {rollout_allocs} > 400 \
          (per-step allocations must stay out of the lockstep loop)"
     );
 

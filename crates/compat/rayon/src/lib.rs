@@ -26,7 +26,7 @@
 //! The worker budget comes from, in priority order: a scoped
 //! [`with_threads`] override on the calling thread, the
 //! `RLSCHED_THREADS` environment variable (read once, like
-//! `RLSCHED_FORCE_SCALAR` / `RLSCHED_FORCE_TAPE` in `rlsched-nn`), and
+//! `RLSCHED_FORCE_SCALAR` in `rlsched-nn`), and
 //! `available_parallelism`. A fan-out issued from *inside* a shim
 //! worker runs inline (thread-local guard) so nested parallelism never
 //! oversubscribes to `workers²` threads.
@@ -182,7 +182,7 @@ where
 /// [`task_ranges`]) and return the per-range outputs in range order.
 /// Because the ranges depend only on `n`, folding the outputs in order
 /// is bit-identical at every thread count — this is the primitive the
-/// parallel rollout and sharded backward build on.
+/// parallel rollout and chunked backward build on.
 pub fn fan_out<R, F>(n: usize, per_range: F) -> Vec<R>
 where
     R: Send,

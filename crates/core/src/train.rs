@@ -9,7 +9,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use rlsched_obs::{Counter, Gauge, Histogram, Registry};
-use rlsched_rl::{collect_rollouts_par, collect_rollouts_vec, UpdateProfile, UpdateStats, VecEnv};
+use rlsched_rl::{collect_rollouts_par, UpdateProfile, UpdateStats};
 use rlsched_sim::SimConfig;
 use rlsched_swf::JobTrace;
 
@@ -64,25 +64,21 @@ pub struct TrainConfig {
     pub filter: FilterMode,
     /// Base seed; every epoch/trajectory derives its own stream.
     pub seed: u64,
-    /// Lockstep width: how many environment slots step in parallel
-    /// through the vectorized sampler (clamped to
-    /// `trajectories_per_epoch`). Slots auto-reset onto the next
-    /// trajectory seed as episodes finish, so the epoch's trajectory set
-    /// — and, thanks to row-count-invariant batched forwards, every
-    /// collected bit — is independent of this knob; it only trades
-    /// per-tick batch size against env-slot memory.
+    /// Lockstep width cap: the epoch's seed schedule is split into the
+    /// rayon shim's fixed contiguous ranges (a function of
+    /// `trajectories_per_epoch` alone) and each range steps at most this
+    /// many environment slots in lockstep, slots auto-resetting onto the
+    /// range's next seed as episodes finish. With ≤ 32 trajectories per
+    /// epoch every range holds one seed, so the knob has no effect there;
+    /// above that it trades per-tick batch size against env-slot memory.
+    /// Thanks to row-count-invariant batched forwards every collected bit
+    /// is independent of it.
     pub n_envs: usize,
-    /// Worker threads for rollout collection and the PPO update. `0`/`1`
-    /// run the exact single-core paths; `>= 2` partitions each epoch's
-    /// seed schedule across per-worker `VecEnv`s
-    /// ([`collect_rollouts_par`]) and shards the fused backward. The
-    /// parallel arms are deterministic at *any* worker count — rerunning
-    /// with a different `n_threads >= 2` reproduces the curve bit for
-    /// bit — but the sharded update is a different deterministic
-    /// trajectory from `n_threads <= 1` for minibatches over
-    /// `fused::SHARD_ROWS` rows (chunked f32 gradient reductions), so
-    /// pick the arm per run, not mid-stream. `RLSCHED_THREADS` caps the
-    /// actual worker pool.
+    /// Worker-thread cap for rollout collection and the PPO update
+    /// (`0` reads as `1`; `RLSCHED_THREADS` does not apply inside
+    /// `train`). Work is partitioned by input size alone and merged in
+    /// index order, so the curve and the checkpoint are bit-identical at
+    /// every value — it only bounds how many cores an epoch may use.
     pub n_threads: usize,
 }
 
@@ -211,22 +207,6 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
         }
     };
 
-    // Lockstep env slots: far fewer than trajectories_per_epoch — slots
-    // auto-reset onto the next trajectory seed as episodes finish, and
-    // every tick scores all live slots through one stacked forward.
-    let n_slots = cfg.n_envs.max(1).min(cfg.trajectories_per_epoch);
-    let parallel = cfg.n_threads >= 2;
-    let mut envs: Vec<SchedulingEnv> = if parallel {
-        Vec::new() // the parallel sampler builds per-worker slots instead
-    } else {
-        (0..n_slots)
-            .map(|_| SchedulingEnv::new(trace.clone(), cfg.seq_len, cfg.sim, encoder, objective))
-            .collect()
-    };
-    if parallel {
-        agent.ppo_mut().set_update_threads(cfg.n_threads);
-    }
-
     let metrics = TrainMetrics::register(rlsched_obs::global());
     let mut curve = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
@@ -236,9 +216,11 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
             FilterMode::TwoPhase { phase1_epochs, .. } => epoch < phase1_epochs,
         };
         let epoch_filter = if filtered { filter.clone() } else { None };
-        for e in &mut envs {
+        let make_env = || {
+            let mut e = SchedulingEnv::new(trace.clone(), cfg.seq_len, cfg.sim, encoder, objective);
             e.set_filter(epoch_filter.clone());
-        }
+            e
+        };
 
         let seeds: Vec<u64> = (0..cfg.trajectories_per_epoch as u64)
             .map(|i| {
@@ -246,34 +228,13 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
             })
             .collect();
         let mut prof = UpdateProfile::default();
-        let (stats, update) = if parallel {
-            // Partitioned seed schedule over per-worker VecEnvs, then the
-            // sharded fused update — all under the configured worker
-            // pool. Identical bits at any n_threads >= 2.
-            rayon::with_threads(cfg.n_threads, || {
-                let make_env = || {
-                    let mut e =
-                        SchedulingEnv::new(trace.clone(), cfg.seq_len, cfg.sim, encoder, objective);
-                    e.set_filter(epoch_filter.clone());
-                    e
-                };
-                let (batch, stats) = {
-                    rlsched_obs::span!("train.rollout");
-                    collect_rollouts_par(agent.ppo(), make_env, n_slots, &seeds)
-                };
-                (stats, agent.ppo_mut().update_profiled(&batch, &mut prof))
-            })
-        } else {
-            let mut venv: VecEnv<&mut SchedulingEnv> = VecEnv::new(envs.iter_mut().collect());
+        let (stats, update) = rayon::with_threads(cfg.n_threads, || {
             let (batch, stats) = {
                 rlsched_obs::span!("train.rollout");
-                collect_rollouts_vec(agent.ppo(), &mut venv, &seeds)
+                collect_rollouts_par(agent.ppo(), make_env, cfg.n_envs.max(1), &seeds)
             };
-            drop(venv);
-            // Safety: collect_rollouts borrows the agent immutably; the
-            // update needs it mutably. The borrow ends before this line.
             (stats, agent.ppo_mut().update_profiled(&batch, &mut prof))
-        };
+        });
         metrics.record_epoch(&stats, &update, &prof);
 
         curve.push(EpochStats {

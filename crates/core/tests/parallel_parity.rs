@@ -5,12 +5,12 @@
 //!    sequential `collect_rollouts_vec` — partitioned seed schedules,
 //!    per-worker `VecEnv`s and the seed-ordered arena merge are
 //!    invisible in the batch.
-//! 2. The sharded fused update is bit-identical at any worker count,
-//!    and bit-identical to the monolithic fused update whenever the
-//!    minibatch fits in one `SHARD_ROWS` chunk.
-//! 3. `train()` with `n_threads >= 2` reproduces the same curve and
-//!    checkpoint at every thread count (and, under single-chunk
-//!    minibatches, the exact single-core curve).
+//! 2. `Ppo::update` (the chunked fused pass) is bit-identical at worker
+//!    budgets 1, 2, 3 and 7.
+//! 3. `train()` reproduces the same curve and checkpoint at every
+//!    `n_threads`, at single-chunk and multi-chunk minibatch sizes, and
+//!    an agent carries nothing over from the `n_threads` of an earlier
+//!    run.
 //!
 //! CI runs this suite on both kernel dispatch arms (default SIMD and
 //! `RLSCHED_FORCE_SCALAR=1`) and under `RLSCHED_THREADS=4`.
@@ -22,6 +22,7 @@ use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{
     train, Agent, AgentConfig, FilterMode, ObsConfig, PolicyKind, SchedulingEnv, TrainConfig,
+    TrainingCurve,
 };
 
 fn agent_of(kind: PolicyKind, ppo: PpoConfig) -> Agent {
@@ -99,11 +100,10 @@ fn batch_for(agent: &Agent, episodes: usize, seq_len: usize) -> Batch {
     batch
 }
 
-/// The sharded update must produce identical stats and checkpoints at
-/// every worker count (multi-chunk minibatches: the sharded arm's own
-/// deterministic trajectory).
+/// The update must produce identical stats and checkpoints at every
+/// worker budget (multi-chunk minibatches, so the gradient merge runs).
 #[test]
-fn sharded_update_is_thread_count_invariant() {
+fn update_is_thread_count_invariant() {
     let ppo = PpoConfig {
         train_pi_iters: 4,
         train_v_iters: 4,
@@ -118,11 +118,7 @@ fn sharded_update_is_thread_count_invariant() {
         let mut a = Agent::load_json(&proto.save_json()).expect("clone");
         let stats = rayon::with_threads(threads, || {
             (0..3)
-                .map(|_| {
-                    a.ppo_mut()
-                        .update_fused_sharded(&batch)
-                        .expect("kernel policy is fused-eligible")
-                })
+                .map(|_| a.ppo_mut().update(&batch))
                 .collect::<Vec<_>>()
         });
         (stats, a.save_json())
@@ -136,38 +132,11 @@ fn sharded_update_is_thread_count_invariant() {
     }
 }
 
-/// Minibatches of at most `SHARD_ROWS` rows are one chunk: the sharded
-/// arm must reproduce the monolithic fused update bit for bit — stats,
-/// gradients, Adam state, weights (pinned through the checkpoint).
-#[test]
-fn single_chunk_sharded_update_matches_monolithic_exactly() {
-    let ppo = PpoConfig {
-        train_pi_iters: 4,
-        train_v_iters: 4,
-        minibatch: Some(37), // < SHARD_ROWS: one (ragged) chunk
-        ent_coef: 0.01,
-        ..PpoConfig::default()
-    };
-    let proto = agent_of(PolicyKind::Kernel, ppo);
-    let batch = batch_for(&proto, 4, 40);
-    let mut mono = Agent::load_json(&proto.save_json()).expect("clone");
-    let mut shard = Agent::load_json(&proto.save_json()).expect("clone");
-    for step in 0..3 {
-        let sm = mono.ppo_mut().update_fused(&batch).expect("fused");
-        let ss = rayon::with_threads(3, || {
-            shard.ppo_mut().update_fused_sharded(&batch).expect("fused")
-        });
-        assert_eq!(sm, ss, "stats diverged at update {step}");
-    }
-    assert_eq!(
-        mono.save_json(),
-        shard.save_json(),
-        "single-chunk sharded updates must walk the monolithic trajectory"
-    );
-}
-
-fn tiny_cfg(minibatch_rows: usize, n_threads: usize) -> (AgentConfig, TrainConfig) {
-    let agent_cfg = AgentConfig {
+/// Train one fresh agent once per entry of `n_threads`, back to back;
+/// returns every run's curve and the final checkpoint.
+fn train_runs(minibatch_rows: usize, n_threads: &[usize]) -> (Vec<TrainingCurve>, String) {
+    let trace = NamedWorkload::Lublin1.generate(300, 13);
+    let mut agent = Agent::new(AgentConfig {
         policy: PolicyKind::Kernel,
         obs: ObsConfig {
             max_obsv: 8,
@@ -181,69 +150,70 @@ fn tiny_cfg(minibatch_rows: usize, n_threads: usize) -> (AgentConfig, TrainConfi
             ..PpoConfig::default()
         },
         seed: 5,
-    };
-    let train_cfg = TrainConfig {
-        epochs: 2,
-        trajectories_per_epoch: 6,
-        seq_len: 20,
-        sim: SimConfig::default(),
-        filter: FilterMode::Off,
-        seed: 11,
-        n_envs: 4,
-        n_threads,
-    };
-    (agent_cfg, train_cfg)
+    });
+    let curves = n_threads
+        .iter()
+        .map(|&n_threads| {
+            let cfg = TrainConfig {
+                epochs: 2,
+                trajectories_per_epoch: 6,
+                seq_len: 20,
+                sim: SimConfig::default(),
+                filter: FilterMode::Off,
+                seed: 11,
+                n_envs: 4,
+                n_threads,
+            };
+            train(&mut agent, &trace, &cfg)
+        })
+        .collect();
+    (curves, agent.save_json())
 }
 
-/// End-to-end: the multi-core `train()` walks the same curve and lands
-/// on the same checkpoint at every `n_threads >= 2`; with single-chunk
-/// minibatches it reproduces the exact single-core run too.
+fn assert_runs_identical(
+    got: &(Vec<TrainingCurve>, String),
+    want: &(Vec<TrainingCurve>, String),
+    what: &str,
+) {
+    for (a, b) in got.0.iter().flatten().zip(want.0.iter().flatten()) {
+        let epoch = a.epoch;
+        assert_eq!(
+            a.mean_metric.to_bits(),
+            b.mean_metric.to_bits(),
+            "{what}: mean metric, epoch {epoch}"
+        );
+        assert_eq!(
+            a.mean_return.to_bits(),
+            b.mean_return.to_bits(),
+            "{what}: mean return, epoch {epoch}"
+        );
+        assert_eq!(a.update, b.update, "{what}: update stats, epoch {epoch}");
+    }
+    assert_eq!(got.1, want.1, "{what}: checkpoint");
+}
+
+/// End-to-end: `train()` walks the same curve and lands on the same
+/// checkpoint at every `n_threads`, for single-chunk (48-row) and
+/// multi-chunk (150-row) minibatches alike.
 #[test]
 fn training_curve_is_invariant_across_thread_counts() {
-    let trace = NamedWorkload::Lublin1.generate(300, 13);
-
-    // Single-chunk minibatches: n_threads=1 and every n_threads>=2 must
-    // agree bit for bit.
-    let mut curves = Vec::new();
-    for threads in [1usize, 2, 3] {
-        let (acfg, tcfg) = tiny_cfg(48, threads);
-        let mut agent = Agent::new(acfg);
-        let curve = train(&mut agent, &trace, &tcfg);
-        curves.push((threads, curve, agent.save_json()));
-    }
-    let (_, base_curve, base_ckpt) = &curves[0];
-    for (threads, curve, ckpt) in &curves[1..] {
-        for (a, b) in curve.iter().zip(base_curve) {
-            assert_eq!(
-                a.mean_metric.to_bits(),
-                b.mean_metric.to_bits(),
-                "mean metric at {threads} threads, epoch {}",
-                a.epoch
-            );
-            assert_eq!(
-                a.mean_return.to_bits(),
-                b.mean_return.to_bits(),
-                "mean return at {threads} threads, epoch {}",
-                a.epoch
-            );
-            assert_eq!(a.update, b.update, "update stats at {threads} threads");
+    for rows in [48usize, 150] {
+        let base = train_runs(rows, &[1]);
+        for threads in [2usize, 3, 7] {
+            let what = format!("minibatch {rows} at {threads} threads");
+            assert_runs_identical(&train_runs(rows, &[threads]), &base, &what);
         }
-        assert_eq!(ckpt, base_ckpt, "checkpoint at {threads} threads");
     }
+}
 
-    // Multi-chunk minibatches: the parallel runs still agree with each
-    // other (the sharded arm's own deterministic trajectory).
-    let run = |threads: usize| {
-        let (acfg, tcfg) = tiny_cfg(150, threads);
-        let mut agent = Agent::new(acfg);
-        let curve = train(&mut agent, &trace, &tcfg);
-        (curve, agent.save_json())
-    };
-    let (c2, k2) = run(2);
-    let (c7, k7) = run(7);
-    for (a, b) in c2.iter().zip(&c7) {
-        assert_eq!(a.update, b.update, "multi-chunk update stats");
-        assert_eq!(a.mean_metric.to_bits(), b.mean_metric.to_bits());
-    }
-    assert_eq!(k2, k7, "multi-chunk checkpoints across thread counts");
+/// `n_threads` is a per-run worker cap, not agent state: a one-thread
+/// run after a four-thread run on the same agent must walk the curve it
+/// walks after a one-thread run.
+#[test]
+fn n_threads_of_an_earlier_run_does_not_stick_to_the_agent() {
+    assert_runs_identical(
+        &train_runs(150, &[4, 1]),
+        &train_runs(150, &[1, 1]),
+        "train(4) then train(1) vs train(1) twice",
+    );
 }

@@ -18,20 +18,32 @@
 //! no graph nodes, no buffer-pool bookkeeping, no per-op dispatch, and no
 //! heap allocation at steady state.
 //!
-//! # Bit-identity contract
+//! # Chunking and the bit-identity contract
 //!
-//! The fused pass is **bit-identical to the tape** on whichever kernel
-//! dispatch arm is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`): every
+//! Every pass splits the minibatch into fixed [`SHARD_ROWS`]-row chunks
+//! (a function of the batch size alone), runs each chunk's
+//! forward/backward into its own buffers on the rayon shim's workers,
+//! and reduces the per-chunk gradient partials with a chunk-index-ordered
+//! tree merge — so every output is a pure function of the *minibatch*,
+//! **bit-identical at any worker count** on whichever kernel dispatch arm
+//! is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`).
+//!
+//! Within a chunk the pass is **bit-identical to the tape**: every
 //! matmul goes through the same [`crate::simd`] entry points with the
 //! same shapes, every elementwise pass replicates the tape's accumulation
 //! order (including the needs-grad pruning that skips `dX` into the
 //! observation matrix, the bias row-accumulation order, and the
-//! `exp`-underflow short-circuit of the log-softmax backward). The
-//! fused-vs-tape parity property tests (`tests/fused_parity_prop.rs` and
-//! `rlscheduler`'s update-level suite) pin this with exact `==`
-//! comparisons, so N epochs of fused updates reproduce the tape's
-//! training trajectory bit for bit — checkpoints and Adam state are
-//! interchangeable between the two paths.
+//! `exp`-underflow short-circuit of the log-softmax backward). So on
+//! batches of at most [`SHARD_ROWS`] rows (one chunk) loss, selected
+//! log-probs and every gradient equal the tape's with exact `==`, and N
+//! such updates reproduce the tape's training trajectory bit for bit
+//! (`tests/fused_parity_prop.rs` and `rlscheduler`'s update-level suite).
+//! Forward outputs are row-local and the kernels row-count invariant, so
+//! the per-row diagnostics ([`FusedScratch::logp_all`] /
+//! [`FusedScratch::selected_logp`]) match the tape at *every* batch size;
+//! across chunk boundaries only the f32 association of the dW/db row
+//! reductions and the loss fold changes, which stays within f32
+//! tolerance of the tape.
 //!
 //! # Supported architectures
 //!
@@ -47,6 +59,8 @@
 //!
 //! Anything else (the LeNet CNN baseline) keeps using the tape — the
 //! dispatch lives in `rlsched-rl`'s `Ppo::update`.
+
+use rayon::prelude::*;
 
 use crate::graph::Act;
 use crate::infer;
@@ -96,17 +110,21 @@ impl FusedPolicy<'_> {
     }
 }
 
-/// Reusable buffers for the fused pass. One per network (the PPO trainer
-/// holds one for the actor and one for the critic); every buffer only
-/// grows to its high-water mark, so steady-state updates allocate
-/// nothing.
+/// Rows (transitions) per chunk. Chunk boundaries are a pure function of
+/// the batch size and this constant — never of the machine or the worker
+/// count — so the chunk-index-ordered gradient merge makes the pass
+/// bit-identical at every thread count.
+pub const SHARD_ROWS: usize = 64;
+
+/// One chunk's buffers and loss partial sums. Chunks share no mutable
+/// state, so they run on the rayon shim's workers unsynchronised.
 #[derive(Debug, Default)]
-pub struct FusedScratch {
+struct Chunk {
     /// Post-activation output of every layer (`acts[i]` = layer `i`).
     acts: Vec<Vec<f32>>,
     /// Masked log-probabilities, `[n, width]`.
     logp: Vec<f32>,
-    /// Selected (per-action) log-probs, `[n]` — the KL diagnostic input.
+    /// Selected (per-action) log-probs, `[n]`.
     sel: Vec<f32>,
     /// Gradient ping buffer (holds `dY` of the layer being processed).
     dy: Vec<f32>,
@@ -117,8 +135,78 @@ pub struct FusedScratch {
     /// Transposed weights for the `dX` gemm (mirrors the tape's pooled
     /// transpose).
     wt: Vec<f32>,
-    /// Parameter gradients in bind order (`w0, b0, w1, b1, …`).
+    /// Parameter-gradient partials in bind order (`w0, b0, w1, b1, …`).
     grads: Vec<Tensor>,
+    /// `Σ min(s1,s2)` over the chunk's rows (policy side).
+    obj: f32,
+    /// `Σ p·logp` over the chunk's rows (policy side).
+    ent: f32,
+    /// `Σ (v−R)²` over the chunk's rows (value side).
+    sq: f32,
+}
+
+impl Chunk {
+    /// Size every buffer for `n` transitions stacked as `rows` layer
+    /// rows. Runs on the calling thread before the fan-out, so workers
+    /// only write into buffers that already have their final size:
+    /// letting them grow on first use instead (step by step, and on
+    /// short-lived workers out of per-thread allocator arenas) cost ~5 %
+    /// peak RSS on the `train_epochs` benchmark. A no-op once the
+    /// high-water mark is reached.
+    fn presize(&mut self, mlp: &Mlp, n: usize, rows: usize) {
+        fn fit(v: &mut Vec<f32>, cap: usize) {
+            v.clear();
+            v.reserve(cap);
+        }
+        self.acts.resize_with(mlp.layers.len(), Vec::new);
+        // Every gradient buffer holds `rows × some layer's output width`
+        // (a dX is as wide as the previous layer's output).
+        let mut widest = 0;
+        let mut wt = 0;
+        for (l, (layer, act)) in mlp.layers.iter().zip(&mut self.acts).enumerate() {
+            fit(act, rows * layer.out_dim());
+            widest = widest.max(layer.out_dim());
+            if l > 0 {
+                wt = wt.max(layer.in_dim() * layer.out_dim());
+            }
+        }
+        fit(&mut self.logp, rows * mlp.out_dim());
+        fit(&mut self.sel, n);
+        fit(&mut self.dy, rows * widest);
+        fit(&mut self.dy2, rows * widest);
+        fit(&mut self.dpre, rows * widest);
+        fit(&mut self.wt, wt);
+        if self.grads.is_empty() {
+            self.grads = mlp
+                .layers
+                .iter()
+                .flat_map(|l| [Tensor::zeros(l.w.shape()), Tensor::zeros(l.b.shape())])
+                .collect();
+        }
+        assert_eq!(
+            self.grads.len(),
+            mlp.layers.len() * 2,
+            "scratch bound to a different architecture"
+        );
+    }
+}
+
+/// Reusable buffers for the fused pass: one [`Chunk`] per
+/// [`SHARD_ROWS`]-row slice of the minibatch plus the stitched
+/// whole-batch diagnostics. One per network (the PPO trainer holds one
+/// for the actor and one for the critic); every buffer only grows to its
+/// high-water mark, so steady-state updates allocate nothing on the
+/// inline (one-worker) path.
+#[derive(Debug, Default)]
+pub struct FusedScratch {
+    chunks: Vec<Chunk>,
+    /// Concatenated masked log-probs `[n, width]` (chunk order == row
+    /// order).
+    logp: Vec<f32>,
+    /// Concatenated selected log-probs `[n]`.
+    sel: Vec<f32>,
+    /// Transitions (policy) or rows (value) in the last forward.
+    n: usize,
 }
 
 impl FusedScratch {
@@ -139,31 +227,70 @@ impl FusedScratch {
         &self.sel
     }
 
-    /// Parameter gradients of the last backward, in the network's bind
-    /// order (`w0, b0, w1, b1, …`) — index-aligned with
+    /// Merged parameter gradients of the last backward, in the network's
+    /// bind order (`w0, b0, w1, b1, …`) — index-aligned with
     /// `Mlp::params()`.
     pub fn grads(&self) -> &[Tensor] {
-        &self.grads
+        &self.chunks.first().expect("run a backward first").grads
     }
 
     /// Mutable gradient access (for global-norm clipping).
     pub fn grads_mut(&mut self) -> &mut [Tensor] {
-        &mut self.grads
+        &mut self.chunks.first_mut().expect("run a backward first").grads
     }
 
-    fn ensure_grads(&mut self, mlp: &Mlp) {
-        if self.grads.is_empty() {
-            self.grads = mlp
-                .layers
-                .iter()
-                .flat_map(|l| [Tensor::zeros(l.w.shape()), Tensor::zeros(l.b.shape())])
-                .collect();
+    /// Bind the scratch to an `n`-transition pass (`rows_per` layer rows
+    /// each) and size every chunk on the calling thread; returns the
+    /// live chunks.
+    fn begin(&mut self, mlp: &Mlp, n: usize, rows_per: usize) -> &mut [Chunk] {
+        let n_chunks = n.div_ceil(SHARD_ROWS);
+        if self.chunks.len() < n_chunks {
+            self.chunks.resize_with(n_chunks, Chunk::default);
         }
-        assert_eq!(
-            self.grads.len(),
-            mlp.layers.len() * 2,
-            "scratch bound to a different architecture"
-        );
+        self.n = n;
+        for (c, chunk) in self.chunks[..n_chunks].iter_mut().enumerate() {
+            let len = SHARD_ROWS.min(n - c * SHARD_ROWS);
+            chunk.presize(mlp, len, len * rows_per);
+        }
+        &mut self.chunks[..n_chunks]
+    }
+
+    /// The chunks of the last forward over `n` transitions.
+    fn live(&mut self, n: usize, forward: &str) -> &mut [Chunk] {
+        assert_eq!(self.n, n, "run {forward} first");
+        &mut self.chunks[..n.div_ceil(SHARD_ROWS)]
+    }
+}
+
+/// Run `f(chunk, lo, hi)` for every chunk of an `n`-row batch on the
+/// rayon shim's workers; `[lo, hi)` are the chunk's transition bounds.
+fn for_each_chunk(chunks: &mut [Chunk], n: usize, f: impl Fn(&mut Chunk, usize, usize) + Sync) {
+    chunks.par_chunks_mut(1).enumerate().for_each(|(c, cs)| {
+        let lo = c * SHARD_ROWS;
+        f(&mut cs[0], lo, (lo + SHARD_ROWS).min(n));
+    });
+}
+
+/// Reduce the chunks' gradient partials into chunk 0 with a
+/// chunk-index-ordered binary tree (level 0 merges (0,1),(2,3),…; level
+/// 1 merges (0,2),(4,6),…). The association is fixed by chunk index
+/// alone, so the merged bits are independent of how many workers ran the
+/// chunks.
+fn merge_chunk_grads(chunks: &mut [Chunk]) {
+    let n = chunks.len();
+    let mut stride = 1;
+    while stride < n {
+        let mut i = 0;
+        while i + stride < n {
+            let (head, tail) = chunks.split_at_mut(i + stride);
+            for (d, src) in head[i].grads.iter_mut().zip(&tail[0].grads) {
+                for (dv, &sv) in d.data_mut().iter_mut().zip(src.data()) {
+                    *dv += sv;
+                }
+            }
+            i += stride * 2;
+        }
+        stride *= 2;
     }
 }
 
@@ -172,11 +299,8 @@ impl FusedScratch {
 /// them all — this is the only state the fused pass keeps, where the tape
 /// keeps a node per op). Uses the same [`simd::dense_any`] dispatch as
 /// the tape's `Graph::linear`, so the values are bit-identical to it.
-fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut Vec<Vec<f32>>) {
+fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
     debug_assert_eq!(x0.len(), rows * mlp.in_dim(), "input volume");
-    if acts.len() != mlp.layers.len() {
-        acts.resize_with(mlp.layers.len(), Vec::new);
-    }
     let last = mlp.layers.len() - 1;
     for i in 0..mlp.layers.len() {
         let layer = &mlp.layers[i];
@@ -206,8 +330,7 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut Vec<Vec<f32>>) 
 /// (scalar NT fallback) — including the needs-grad pruning that never
 /// computes `dX` of the first layer (its input is the constant
 /// observation matrix).
-fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut FusedScratch) {
-    s.ensure_grads(mlp);
+fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut Chunk) {
     let last = mlp.layers.len() - 1;
     for l in (0..=last).rev() {
         let layer = &mlp.layers[l];
@@ -296,23 +419,35 @@ pub fn policy_forward(
     assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
     assert_eq!(masks.len(), n * width, "mask volume");
     assert_eq!(actions.len(), n, "one action per transition");
-    forward_layers(p.mlp, obs, rows, &mut s.acts);
-    let logits = s.acts.last().expect("non-empty MLP");
-    debug_assert_eq!(logits.len(), n * width, "logits volume");
-    s.logp.clear();
-    s.logp.extend_from_slice(logits);
-    for (row, mrow) in s.logp.chunks_mut(width).zip(masks.chunks(width)) {
-        for (o, &m) in row.iter_mut().zip(mrow) {
-            *o += m;
+    let rpt = rows / n; // layer-stack rows per transition (1 or window)
+    let od = rpt * p.mlp.in_dim();
+    let chunks = s.begin(p.mlp, n, rpt);
+    for_each_chunk(chunks, n, |c, lo, hi| {
+        forward_layers(p.mlp, &obs[lo * od..hi * od], (hi - lo) * rpt, &mut c.acts);
+        c.logp.clear();
+        c.logp
+            .extend_from_slice(c.acts.last().expect("non-empty MLP"));
+        let mrows = masks[lo * width..hi * width].chunks(width);
+        for (row, mrow) in c.logp.chunks_mut(width).zip(mrows) {
+            for (o, &m) in row.iter_mut().zip(mrow) {
+                *o += m;
+            }
+            infer::log_softmax_inplace(row);
         }
-        infer::log_softmax_inplace(row);
+        let Chunk { logp, sel, .. } = c;
+        sel.clear();
+        sel.extend(actions[lo..hi].iter().enumerate().map(|(i, &a)| {
+            assert!(a < width, "action {a} out of range");
+            logp[i * width + a]
+        }));
+    });
+    // Stitch the diagnostics back in chunk (== row) order.
+    s.logp.clear();
+    s.sel.clear();
+    for c in &s.chunks[..n.div_ceil(SHARD_ROWS)] {
+        s.logp.extend_from_slice(&c.logp);
+        s.sel.extend_from_slice(&c.sel);
     }
-    let FusedScratch { logp, sel, .. } = s;
-    sel.clear();
-    sel.extend(actions.iter().enumerate().map(|(i, &a)| {
-        assert!(a < width, "action {a} out of range");
-        logp[i * width + a]
-    }));
 }
 
 /// The PPO clipped-surrogate loss and its analytic backward, after a
@@ -320,13 +455,10 @@ pub fn policy_forward(
 /// (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ p·logp)`);
 /// parameter gradients land in [`FusedScratch::grads`].
 ///
-/// The dlogits kernel fuses, per transition row: ratio / clip / min
-/// gradient routing (ties to the unclipped side, exactly like the tape's
-/// `min_elem`), the optional entropy-bonus term (in the tape's
-/// accumulation order), the gather scatter, and the log-softmax backward
-/// `dx = dy − softmax(x)·rowsum(dy)` with the exp-underflow
-/// short-circuit. One pass over `[n, n_actions]` replaces the tape's
-/// five separate gradient buffers.
+/// Each chunk fuses its dlogits pass and walks the layers into its own
+/// gradient partial (seeded by the *batch* mean, so partials sum to the
+/// batch gradient); partials then reduce through the chunk-index-ordered
+/// tree merge and loss partials fold in chunk order.
 #[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
 pub fn policy_loss_and_grads(
     p: &FusedPolicy<'_>,
@@ -339,9 +471,30 @@ pub fn policy_loss_and_grads(
     n: usize,
     s: &mut FusedScratch,
 ) -> f32 {
-    let (obj_sum, ent_sum) = policy_backward_scaled(
-        p, obs, actions, advantages, logp_old, clip_ratio, ent_coef, n, n, s,
-    );
+    let (rows, _) = p.dims(n);
+    assert_eq!(advantages.len(), n, "one advantage per transition");
+    assert_eq!(logp_old.len(), n, "one old log-prob per transition");
+    let od = rows / n * p.mlp.in_dim();
+    let chunks = s.live(n, "policy_forward");
+    for_each_chunk(chunks, n, |c, lo, hi| {
+        (c.obj, c.ent) = policy_backward_chunk(
+            p,
+            &obs[lo * od..hi * od],
+            &actions[lo..hi],
+            &advantages[lo..hi],
+            &logp_old[lo..hi],
+            clip_ratio,
+            ent_coef,
+            n,
+            c,
+        );
+    });
+    let (mut obj_sum, mut ent_sum) = (0.0f32, 0.0f32);
+    for c in chunks.iter() {
+        obj_sum += c.obj;
+        ent_sum += c.ent;
+    }
+    merge_chunk_grads(chunks);
     let mean_obj = obj_sum / n as f32;
     let mut loss = -mean_obj; // == the tape's scale(mean_obj, −1) bit for bit
     if ent_coef != 0.0 {
@@ -351,14 +504,21 @@ pub fn policy_loss_and_grads(
     loss
 }
 
-/// The dlogits fuse + layer backward of [`policy_loss_and_grads`], with
-/// the mean-gradient seeds scaled by `total_n` instead of the local row
-/// count — the sharded arm runs this per chunk with the *batch* size as
-/// `total_n`, so per-chunk gradients are exact partials of the whole
-/// batch's gradient. Returns the raw `(Σ min(s1,s2), Σ p·logp)` partial
-/// sums (row-ascending f32 folds over this call's rows).
-#[allow(clippy::too_many_arguments)] // the PPO term list + both row counts
-fn policy_backward_scaled(
+/// One chunk of [`policy_loss_and_grads`]: the dlogits fuse + layer
+/// backward over the chunk's rows, with the mean-gradient seeds scaled
+/// by the *batch* size `total_n` so the chunk's gradients are exact
+/// partials of the whole batch's. Returns the raw
+/// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds).
+///
+/// The dlogits kernel fuses, per transition row: ratio / clip / min
+/// gradient routing (ties to the unclipped side, exactly like the tape's
+/// `min_elem`), the optional entropy-bonus term (in the tape's
+/// accumulation order), the gather scatter, and the log-softmax backward
+/// `dx = dy − softmax(x)·rowsum(dy)` with the exp-underflow
+/// short-circuit. One pass over `[n, n_actions]` replaces the tape's
+/// five separate gradient buffers.
+#[allow(clippy::too_many_arguments)] // the PPO term list + the batch size
+fn policy_backward_chunk(
     p: &FusedPolicy<'_>,
     obs: &[f32],
     actions: &[usize],
@@ -366,15 +526,11 @@ fn policy_backward_scaled(
     logp_old: &[f32],
     clip_ratio: f32,
     ent_coef: f32,
-    n: usize,
     total_n: usize,
-    s: &mut FusedScratch,
+    s: &mut Chunk,
 ) -> (f32, f32) {
+    let n = actions.len();
     let (rows, width) = p.dims(n);
-    assert_eq!(s.logp.len(), n * width, "run policy_forward first");
-    assert_eq!(advantages.len(), n, "one advantage per transition");
-    assert_eq!(logp_old.len(), n, "one old log-prob per transition");
-    s.ensure_grads(p.mlp);
 
     // Loss-tail gradient seeds, exactly as the tape's backward computes
     // them: d(mean surrogate) = −1/n per element, d(plogp) = ent_coef/n.
@@ -382,7 +538,7 @@ fn policy_backward_scaled(
     let dplogp = ent_coef / total_n as f32;
     let (lo, hi) = (1.0 - clip_ratio, 1.0 + clip_ratio);
 
-    let FusedScratch { logp, dy, .. } = s;
+    let Chunk { logp, dy, .. } = s;
     dy.clear();
     dy.resize(n * width, 0.0);
     let mut obj_sum = 0.0f32;
@@ -449,12 +605,18 @@ fn policy_backward_scaled(
 pub fn value_forward(mlp: &Mlp, obs: &[f32], rows: usize, s: &mut FusedScratch) {
     assert!(rows > 0, "fused value forward needs at least one row");
     assert_eq!(mlp.out_dim(), 1, "critic must emit one value per row");
-    forward_layers(mlp, obs, rows, &mut s.acts);
+    assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
+    let od = mlp.in_dim();
+    let chunks = s.begin(mlp, rows, 1);
+    for_each_chunk(chunks, rows, |c, lo, hi| {
+        forward_layers(mlp, &obs[lo * od..hi * od], hi - lo, &mut c.acts);
+    });
 }
 
 /// The value squared-error loss `mean((v − R)²)` and its analytic
 /// backward, after a [`value_forward`] on the same observations. Returns
-/// the loss; gradients land in [`FusedScratch::grads`].
+/// the loss; gradients land in [`FusedScratch::grads`]. Chunked and
+/// merged exactly like [`policy_loss_and_grads`].
 pub fn value_loss_and_grads(
     mlp: &Mlp,
     obs: &[f32],
@@ -462,338 +624,34 @@ pub fn value_loss_and_grads(
     rows: usize,
     s: &mut FusedScratch,
 ) -> f32 {
-    let sq_sum = value_backward_scaled(mlp, obs, returns, rows, rows, s);
-    sq_sum / rows as f32
-}
-
-/// The squared-error backward of [`value_loss_and_grads`] with the mean
-/// gradient seeded by `total_rows` — the sharded arm's per-chunk form.
-/// Returns the raw `Σ (v−R)²` partial over this call's rows.
-fn value_backward_scaled(
-    mlp: &Mlp,
-    obs: &[f32],
-    returns: &[f32],
-    rows: usize,
-    total_rows: usize,
-    s: &mut FusedScratch,
-) -> f32 {
-    assert_eq!(returns.len(), rows, "one return target per row");
-    s.ensure_grads(mlp);
-    let FusedScratch { acts, dy, .. } = s;
-    let v = acts.last().expect("run value_forward first");
-    assert_eq!(v.len(), rows, "prediction volume");
-    // d(mean) = 1/n; the squared term contributes g·d twice (the tape's
-    // `mul(d, d)` accumulates both factor sides).
-    let g = 1.0f32 / total_rows as f32;
-    let mut sq_sum = 0.0f32;
-    dy.clear();
-    for (&vi, &ri) in v.iter().zip(returns) {
-        let d = vi - ri;
-        sq_sum += d * d;
-        let t = g * d;
-        dy.push(t + t);
-    }
-    backward_layers(mlp, obs, rows, s);
-    sq_sum
-}
-
-/// Rows (transitions) per shard chunk of the sharded backward. Chunk
-/// boundaries are a pure function of the batch size and this constant —
-/// never of the machine or the worker count — so the chunk-index-ordered
-/// gradient merge makes the sharded arm bit-identical at every thread
-/// count.
-pub const SHARD_ROWS: usize = 64;
-
-/// `[lo, hi)` transition bounds of shard chunk `c` of an `n`-row batch.
-fn chunk_bounds(c: usize, n: usize) -> (usize, usize) {
-    let lo = c * SHARD_ROWS;
-    (lo, (lo + SHARD_ROWS).min(n))
-}
-
-/// One shard chunk's scratch plus its loss partial sums.
-#[derive(Debug, Default)]
-struct ChunkScratch {
-    s: FusedScratch,
-    /// `Σ min(s1,s2)` over the chunk's rows (policy side).
-    obj: f32,
-    /// `Σ p·logp` over the chunk's rows (policy side).
-    ent: f32,
-    /// `Σ (v−R)²` over the chunk's rows (value side).
-    sq: f32,
-}
-
-/// Reusable buffers for the **sharded** fused pass: one [`FusedScratch`]
-/// per fixed [`SHARD_ROWS`]-row chunk (so chunks can run on the rayon
-/// shim's workers with no shared mutable state), plus the stitched
-/// whole-batch diagnostics. Buffers persist across updates — at a fixed
-/// minibatch size the steady-state sharded update allocates nothing on
-/// the inline (1-worker) path.
-///
-/// # Determinism contract
-///
-/// The sharded arm is **worker-count invariant**, not bit-identical to
-/// the monolithic [`policy_loss_and_grads`]: chunking changes the f32
-/// association of the dW/db row reductions (for batches over
-/// [`SHARD_ROWS`] rows), which no summation order can reconcile with the
-/// monolithic fold. Instead every quantity here is a pure function of
-/// the *batch*: forward activations and dlogits are row-local (and
-/// bit-equal to the monolithic pass by row-count invariance — so
-/// [`ShardedScratch::logp_all`] / [`selected_logp`](Self::selected_logp)
-/// diagnostics match the unsharded arm exactly), per-chunk gradient
-/// partials depend only on fixed chunk contents and are reduced by a
-/// chunk-index-ordered binary tree, and loss partials fold in chunk
-/// order. Batches of ≤ [`SHARD_ROWS`] rows are one chunk, where the
-/// sharded arm IS bit-identical to the monolithic one.
-#[derive(Debug, Default)]
-pub struct ShardedScratch {
-    chunks: Vec<ChunkScratch>,
-    /// Concatenated masked log-probs `[n, width]` (chunk order == row
-    /// order).
-    logp: Vec<f32>,
-    /// Concatenated selected log-probs `[n]`.
-    sel: Vec<f32>,
-    /// Transitions (policy) or rows (value) in the last sharded forward.
-    n: usize,
-}
-
-impl ShardedScratch {
-    /// Fresh, empty scratch space.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure_chunks(&mut self, n_chunks: usize) {
-        if self.chunks.len() < n_chunks {
-            self.chunks.resize_with(n_chunks, ChunkScratch::default);
-        }
-    }
-
-    /// The full masked log-prob matrix of the last
-    /// [`policy_forward_sharded`] (`[n, width]` row-major) — bit-equal
-    /// to the monolithic [`FusedScratch::logp_all`].
-    pub fn logp_all(&self) -> &[f32] {
-        &self.logp
-    }
-
-    /// The selected per-transition log-probs of the last
-    /// [`policy_forward_sharded`] — bit-equal to the monolithic
-    /// [`FusedScratch::selected_logp`].
-    pub fn selected_logp(&self) -> &[f32] {
-        &self.sel
-    }
-
-    /// Merged parameter gradients of the last sharded backward, in bind
-    /// order (`w0, b0, w1, b1, …`).
-    pub fn grads(&self) -> &[Tensor] {
-        self.chunks
-            .first()
-            .expect("run a sharded backward first")
-            .s
-            .grads()
-    }
-
-    /// Mutable merged-gradient access (for global-norm clipping).
-    pub fn grads_mut(&mut self) -> &mut [Tensor] {
-        self.chunks
-            .first_mut()
-            .expect("run a sharded backward first")
-            .s
-            .grads_mut()
-    }
-}
-
-/// Reduce the chunks' gradient partials into chunk 0 with a
-/// chunk-index-ordered binary tree (level 0 merges (0,1),(2,3),…; level
-/// 1 merges (0,2),(4,6),…). The association is fixed by chunk index
-/// alone, so the merged bits are independent of how many workers ran the
-/// chunks.
-fn merge_chunk_grads(chunks: &mut [ChunkScratch]) {
-    let n = chunks.len();
-    let mut stride = 1;
-    while stride < n {
-        let mut i = 0;
-        while i + stride < n {
-            let (head, tail) = chunks.split_at_mut(i + stride);
-            for (d, src) in head[i].s.grads.iter_mut().zip(&tail[0].s.grads) {
-                for (dv, &sv) in d.data_mut().iter_mut().zip(src.data()) {
-                    *dv += sv;
-                }
-            }
-            i += stride * 2;
-        }
-        stride *= 2;
-    }
-}
-
-/// [`policy_forward`] sharded over fixed [`SHARD_ROWS`]-row chunks on
-/// the rayon shim's workers. Per-row outputs are bit-equal to the
-/// monolithic forward (row-count-invariant kernels); the stitched
-/// [`ShardedScratch::logp_all`] / [`ShardedScratch::selected_logp`]
-/// diagnostics are available before committing to a backward.
-pub fn policy_forward_sharded(
-    p: &FusedPolicy<'_>,
-    obs: &[f32],
-    masks: &[f32],
-    actions: &[usize],
-    n: usize,
-    sh: &mut ShardedScratch,
-) {
-    use rayon::prelude::*;
-    assert!(n > 0, "fused forward needs at least one transition");
-    let (rows, width) = p.dims(n);
-    assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
-    assert_eq!(masks.len(), n * width, "mask volume");
-    assert_eq!(actions.len(), n, "one action per transition");
-    let rpt = rows / n; // layer-stack rows per transition (1 or window)
-    let od = rpt * p.mlp.in_dim();
-    let n_chunks = n.div_ceil(SHARD_ROWS);
-    sh.ensure_chunks(n_chunks);
-    sh.n = n;
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, n);
-            policy_forward(
-                p,
-                &obs[lo * od..hi * od],
-                &masks[lo * width..hi * width],
-                &actions[lo..hi],
-                hi - lo,
-                &mut cs[0].s,
-            );
-        });
-    // Stitch the diagnostics back in chunk (== row) order.
-    sh.logp.clear();
-    sh.sel.clear();
-    for c in &sh.chunks[..n_chunks] {
-        sh.logp.extend_from_slice(&c.s.logp);
-        sh.sel.extend_from_slice(&c.s.sel);
-    }
-}
-
-/// [`policy_loss_and_grads`] sharded over the same fixed chunks as
-/// [`policy_forward_sharded`] (which must run first): each chunk fuses
-/// its dlogits pass and walks the layers into its own gradient partial
-/// (seeded by the *batch* mean, so partials sum to the batch gradient),
-/// then partials reduce through the chunk-index-ordered tree merge and
-/// loss partials fold in chunk order. See [`ShardedScratch`] for the
-/// determinism contract. Returns the loss; merged gradients land in
-/// [`ShardedScratch::grads`].
-#[allow(clippy::too_many_arguments)] // mirrors policy_loss_and_grads
-pub fn policy_loss_and_grads_sharded(
-    p: &FusedPolicy<'_>,
-    obs: &[f32],
-    actions: &[usize],
-    advantages: &[f32],
-    logp_old: &[f32],
-    clip_ratio: f32,
-    ent_coef: f32,
-    n: usize,
-    sh: &mut ShardedScratch,
-) -> f32 {
-    use rayon::prelude::*;
-    let (rows, width) = p.dims(n);
-    assert_eq!(sh.n, n, "run policy_forward_sharded first");
-    assert_eq!(sh.logp.len(), n * width, "run policy_forward_sharded first");
-    assert_eq!(advantages.len(), n, "one advantage per transition");
-    assert_eq!(logp_old.len(), n, "one old log-prob per transition");
-    let rpt = rows / n;
-    let od = rpt * p.mlp.in_dim();
-    let n_chunks = n.div_ceil(SHARD_ROWS);
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, n);
-            let chunk = &mut cs[0];
-            let (obj, ent) = policy_backward_scaled(
-                p,
-                &obs[lo * od..hi * od],
-                &actions[lo..hi],
-                &advantages[lo..hi],
-                &logp_old[lo..hi],
-                clip_ratio,
-                ent_coef,
-                hi - lo,
-                n,
-                &mut chunk.s,
-            );
-            chunk.obj = obj;
-            chunk.ent = ent;
-        });
-    // Loss partials fold in chunk-index order (worker-count invariant;
-    // identical to the monolithic fold when the batch is one chunk).
-    let mut obj_sum = 0.0f32;
-    let mut ent_sum = 0.0f32;
-    for c in &sh.chunks[..n_chunks] {
-        obj_sum += c.obj;
-        ent_sum += c.ent;
-    }
-    let mean_obj = obj_sum / n as f32;
-    let mut loss = -mean_obj;
-    if ent_coef != 0.0 {
-        let ent_mean = ent_sum / n as f32;
-        loss += ent_mean * ent_coef;
-    }
-    merge_chunk_grads(&mut sh.chunks[..n_chunks]);
-    loss
-}
-
-/// [`value_forward`] sharded over fixed [`SHARD_ROWS`]-row chunks.
-pub fn value_forward_sharded(mlp: &Mlp, obs: &[f32], rows: usize, sh: &mut ShardedScratch) {
-    use rayon::prelude::*;
-    assert!(rows > 0, "fused value forward needs at least one row");
-    assert_eq!(mlp.out_dim(), 1, "critic must emit one value per row");
-    assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
-    let od = mlp.in_dim();
-    let n_chunks = rows.div_ceil(SHARD_ROWS);
-    sh.ensure_chunks(n_chunks);
-    sh.n = rows;
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, rows);
-            value_forward(mlp, &obs[lo * od..hi * od], hi - lo, &mut cs[0].s);
-        });
-}
-
-/// [`value_loss_and_grads`] sharded over the same fixed chunks as
-/// [`value_forward_sharded`] (which must run first); same contract as
-/// [`policy_loss_and_grads_sharded`].
-pub fn value_loss_and_grads_sharded(
-    mlp: &Mlp,
-    obs: &[f32],
-    returns: &[f32],
-    rows: usize,
-    sh: &mut ShardedScratch,
-) -> f32 {
-    use rayon::prelude::*;
-    assert_eq!(sh.n, rows, "run value_forward_sharded first");
     assert_eq!(returns.len(), rows, "one return target per row");
     let od = mlp.in_dim();
-    let n_chunks = rows.div_ceil(SHARD_ROWS);
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, rows);
-            let chunk = &mut cs[0];
-            chunk.sq = value_backward_scaled(
-                mlp,
-                &obs[lo * od..hi * od],
-                &returns[lo..hi],
-                hi - lo,
-                rows,
-                &mut chunk.s,
-            );
-        });
+    // d(mean) = 1/n over the *batch*; the squared term contributes g·d
+    // twice (the tape's `mul(d, d)` accumulates both factor sides).
+    let g = 1.0f32 / rows as f32;
+    let chunks = s.live(rows, "value_forward");
+    for_each_chunk(chunks, rows, |c, lo, hi| {
+        let Chunk { acts, dy, sq, .. } = c;
+        *sq = 0.0;
+        dy.clear();
+        for (&vi, &ri) in acts
+            .last()
+            .expect("non-empty MLP")
+            .iter()
+            .zip(&returns[lo..hi])
+        {
+            let d = vi - ri;
+            *sq += d * d;
+            let t = g * d;
+            dy.push(t + t);
+        }
+        backward_layers(mlp, &obs[lo * od..hi * od], hi - lo, c);
+    });
     let mut sq_sum = 0.0f32;
-    for c in &sh.chunks[..n_chunks] {
+    for c in chunks.iter() {
         sq_sum += c.sq;
     }
-    merge_chunk_grads(&mut sh.chunks[..n_chunks]);
+    merge_chunk_grads(chunks);
     sq_sum / rows as f32
 }
 
@@ -914,75 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn single_chunk_sharded_matches_monolithic_bitwise() {
-        // Batches of ≤ SHARD_ROWS transitions are one chunk, where the
-        // sharded arm must be bit-identical to the monolithic one.
-        let net = mlp(&[4, 16, 8, 1], 11);
-        let n = SHARD_ROWS; // exactly one full chunk
-        let window = 6;
-        let c = policy_case(n, 4, window, window);
-        let p = FusedPolicy {
-            mlp: &net,
-            head: FusedHead::Kernel { window },
-        };
-
-        let mut mono = FusedScratch::new();
-        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut mono);
-        let lm = policy_loss_and_grads(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut mono,
-        );
-
-        let mut sh = ShardedScratch::new();
-        policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-        assert_eq!(sh.logp_all(), mono.logp_all(), "stitched logp diagnostics");
-        assert_eq!(sh.selected_logp(), mono.selected_logp(), "selected logp");
-        let ls = policy_loss_and_grads_sharded(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut sh,
-        );
-
-        assert_eq!(ls, lm, "single-chunk sharded loss must equal monolithic");
-        for (i, (a, b)) in sh.grads().iter().zip(mono.grads()).enumerate() {
-            assert_eq!(a.data(), b.data(), "policy grad {i}");
-        }
-
-        // Value side on the same batch size.
-        let vnet = mlp(&[5, 16, 1], 13);
-        let vobs = filled(n * 5, 0.7, 0.2);
-        let rets = filled(n, 2.0, 1.3);
-        let mut vm = FusedScratch::new();
-        value_forward(&vnet, &vobs, n, &mut vm);
-        let vlm = value_loss_and_grads(&vnet, &vobs, &rets, n, &mut vm);
-        let mut vs = ShardedScratch::new();
-        value_forward_sharded(&vnet, &vobs, n, &mut vs);
-        let vls = value_loss_and_grads_sharded(&vnet, &vobs, &rets, n, &mut vs);
-        assert_eq!(vls, vlm, "single-chunk sharded value loss");
-        for (i, (a, b)) in vs.grads().iter().zip(vm.grads()).enumerate() {
-            assert_eq!(a.data(), b.data(), "value grad {i}");
-        }
-    }
-
-    #[test]
-    fn sharded_forward_diagnostics_match_monolithic_across_chunks() {
-        // Row-count-invariant kernels: even when the batch spans several
-        // chunks, the stitched per-row forward diagnostics are bit-equal
-        // to the monolithic forward.
-        let net = mlp(&[6, 16, 9], 17);
-        let n = 2 * SHARD_ROWS + 19; // three chunks, last ragged
-        let c = policy_case(n, 6, 9, 1);
-        let p = FusedPolicy {
-            mlp: &net,
-            head: FusedHead::Flat,
-        };
-        let mut mono = FusedScratch::new();
-        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut mono);
-        let mut sh = ShardedScratch::new();
-        policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-        assert_eq!(sh.logp_all(), mono.logp_all(), "stitched logp matrix");
-        assert_eq!(sh.selected_logp(), mono.selected_logp(), "selected logp");
-    }
-
-    #[test]
-    fn sharded_backward_is_thread_count_invariant() {
+    fn chunked_pass_is_thread_count_invariant() {
         // The determinism contract: identical bits (loss, every gradient,
         // diagnostics) at every worker count, pinned against 1 worker.
         let pnet = mlp(&[4, 16, 8, 1], 23);
@@ -999,16 +789,16 @@ mod tests {
 
         let run = |threads: usize| {
             rayon::with_threads(threads, || {
-                let mut sh = ShardedScratch::new();
-                policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-                let pl = policy_loss_and_grads_sharded(
-                    &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut sh,
+                let mut s = FusedScratch::new();
+                policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut s);
+                let pl = policy_loss_and_grads(
+                    &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut s,
                 );
-                let pg: Vec<Vec<f32>> = sh.grads().iter().map(|t| t.data().to_vec()).collect();
-                let diag = (sh.logp_all().to_vec(), sh.selected_logp().to_vec());
-                let mut vs = ShardedScratch::new();
-                value_forward_sharded(&vnet, &vobs, n, &mut vs);
-                let vl = value_loss_and_grads_sharded(&vnet, &vobs, &rets, n, &mut vs);
+                let pg: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
+                let diag = (s.logp_all().to_vec(), s.selected_logp().to_vec());
+                let mut vs = FusedScratch::new();
+                value_forward(&vnet, &vobs, n, &mut vs);
+                let vl = value_loss_and_grads(&vnet, &vobs, &rets, n, &mut vs);
                 let vg: Vec<Vec<f32>> = vs.grads().iter().map(|t| t.data().to_vec()).collect();
                 (pl, pg, diag, vl, vg)
             })
@@ -1030,40 +820,6 @@ mod tests {
                 "value loss at {k} workers"
             );
             assert_eq!(got.4, base.4, "value grads at {k} workers");
-        }
-    }
-
-    #[test]
-    fn chunk_partials_sum_to_monolithic_gradient_numerically() {
-        // Across chunk boundaries only the f32 association changes: the
-        // sharded gradient must agree with the monolithic one to fp
-        // tolerance (bit-equality across arms is only promised ≤ one
-        // chunk).
-        let net = mlp(&[5, 16, 4], 31);
-        let n = SHARD_ROWS + 21;
-        let c = policy_case(n, 5, 4, 1);
-        let p = FusedPolicy {
-            mlp: &net,
-            head: FusedHead::Flat,
-        };
-        let mut mono = FusedScratch::new();
-        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut mono);
-        let lm = policy_loss_and_grads(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.0, n, &mut mono,
-        );
-        let mut sh = ShardedScratch::new();
-        policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-        let ls = policy_loss_and_grads_sharded(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.0, n, &mut sh,
-        );
-        assert!((ls - lm).abs() <= 1e-6, "loss drifted: {ls} vs {lm}");
-        for (i, (a, b)) in sh.grads().iter().zip(mono.grads()).enumerate() {
-            for (x, y) in a.data().iter().zip(b.data()) {
-                assert!(
-                    (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
-                    "grad {i}: {x} vs {y}"
-                );
-            }
         }
     }
 

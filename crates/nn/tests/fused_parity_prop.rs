@@ -2,7 +2,10 @@
 //! policies (flat and kernel heads), random PPO batches and random
 //! hyperparameters, the tape-free fused forward+backward must produce the
 //! **same bits** as the autodiff tape building the exact `Ppo::update`
-//! op pipeline — loss, selected log-probs, and every parameter gradient.
+//! op pipeline — loss, selected log-probs, and every parameter gradient —
+//! on batches of up to `SHARD_ROWS` rows (one chunk, which is how every
+//! ≤ 64-row minibatch runs); a multi-chunk case pins exact forward
+//! diagnostics and bounds the gradient re-association drift.
 //! CI runs this on both kernel dispatch arms (default SIMD and
 //! `RLSCHED_FORCE_SCALAR=1`); the contract holds on each arm separately.
 
@@ -10,7 +13,7 @@ use proptest::prelude::*;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlsched_nn::fused::{self, FusedHead, FusedPolicy, FusedScratch};
+use rlsched_nn::fused::{self, FusedHead, FusedPolicy, FusedScratch, SHARD_ROWS};
 use rlsched_nn::{Activation, Graph, Mlp, Network, ParamBinds, Tensor};
 
 /// Build the exact policy-loss graph `Ppo::update` builds on the tape
@@ -82,7 +85,7 @@ proptest! {
 
     #[test]
     fn policy_grads_match_tape_bitwise(
-        n in 1usize..13,
+        n in 1usize..=SHARD_ROWS,
         width in 2usize..9,
         hidden in prop::collection::vec(prop_oneof![Just(4usize), Just(8), Just(16), Just(32)], 1..3),
         kernel_head in any::<bool>(),
@@ -135,7 +138,7 @@ proptest! {
 
     #[test]
     fn value_grads_match_tape_bitwise(
-        n in 1usize..17,
+        n in 1usize..=SHARD_ROWS,
         obs_dim in 4usize..40,
         h in prop_oneof![Just(8usize), Just(16), Just(32)],
         net_seed in any::<u64>(),
@@ -166,6 +169,76 @@ proptest! {
         prop_assert_eq!(fused_loss, tape_loss, "value loss");
         for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
             prop_assert_eq!(f.data(), t.data(), "value grad {} diverged", i);
+        }
+    }
+}
+
+/// Across chunk boundaries the forward stays exact (row-local outputs on
+/// row-count-invariant kernels) while dW/db and the loss re-associate
+/// their f32 row sums per chunk: loss within 1e-6, every gradient within
+/// 1e-4 relative of the tape's.
+#[test]
+fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
+    let n = 2 * SHARD_ROWS + 19; // three chunks, last ragged
+    for (head, dims, width) in [
+        (FusedHead::Flat, vec![6, 16, 9], 9),
+        (FusedHead::Kernel { window: 5 }, vec![4, 16, 8, 1], 5),
+    ] {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mlp = Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng);
+        let obs_dim = match head {
+            FusedHead::Flat => dims[0],
+            FusedHead::Kernel { window } => window * dims[0],
+        };
+        let mut s = 0x5eed;
+        let obs: Vec<f32> = (0..n * obs_dim).map(|_| lcg(&mut s) * 2.0).collect();
+        let masks: Vec<f32> = (0..n * width)
+            .map(|i| {
+                if lcg(&mut s) > 0.35 && i % width != 0 {
+                    -1.0e9
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let actions: Vec<usize> = (0..n)
+            .map(|i| if masks[i * width + 1] == 0.0 { 1 } else { 0 })
+            .collect();
+        let adv: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
+        let old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
+
+        let (tape_loss, tape_sel, tape_grads) =
+            tape_policy_grads(&mlp, head, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, n);
+        let p = FusedPolicy { mlp: &mlp, head };
+        let mut scratch = FusedScratch::new();
+        fused::policy_forward(&p, &obs, &masks, &actions, n, &mut scratch);
+        assert_eq!(
+            scratch.selected_logp(),
+            tape_sel.as_slice(),
+            "{head:?}: selected logp"
+        );
+        let loss = fused::policy_loss_and_grads(
+            &p,
+            &obs,
+            &actions,
+            &adv,
+            &old,
+            0.2,
+            0.01,
+            n,
+            &mut scratch,
+        );
+        assert!(
+            (loss - tape_loss).abs() <= 1e-6,
+            "{head:?}: {loss} vs {tape_loss}"
+        );
+        for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
+            for (x, y) in f.data().iter().zip(t.data()) {
+                assert!(
+                    (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
+                    "{head:?} grad {i}: {x} vs {y}"
+                );
+            }
         }
     }
 }

@@ -34,7 +34,5 @@ pub use buffer::{ArrivalArena, Batch, RolloutBuffer};
 pub use categorical::MaskedCategorical;
 pub use env::{Env, StepOutcome};
 pub use ppo::{ActorScratch, PolicyModel, Ppo, PpoConfig, UpdateProfile, UpdateStats, ValueModel};
-pub use sampler::{
-    collect_episodes, collect_rollouts, collect_rollouts_par, collect_rollouts_vec, RolloutStats,
-};
+pub use sampler::{collect_episodes, collect_rollouts_par, collect_rollouts_vec, RolloutStats};
 pub use vecenv::{greedy_batch, BatchPolicy, SlotOutcome, VecEnv};

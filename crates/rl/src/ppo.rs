@@ -16,16 +16,6 @@ use rlsched_nn::{clip_global_norm, fused, Adam, Graph, Mlp, ParamBinds, Scratch,
 use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
 
-/// True when `RLSCHED_FORCE_TAPE` pins [`Ppo::update`] to the autodiff
-/// tape even for fused-eligible architectures (read once, cached — CI
-/// runs the whole suite once with it set so the fallback stays green).
-fn force_tape() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var_os("RLSCHED_FORCE_TAPE").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
 /// The actor: maps observations + additive masks to per-action
 /// log-probabilities.
 pub trait PolicyModel {
@@ -320,14 +310,6 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     pi_fused: fused::FusedScratch,
     /// Fused-update scratch for the critic.
     vf_fused: fused::FusedScratch,
-    /// Sharded-update scratch for the actor (the multi-core arm).
-    pi_shard: fused::ShardedScratch,
-    /// Sharded-update scratch for the critic.
-    vf_shard: fused::ShardedScratch,
-    /// Worker-count hint for [`Ppo::update`]: `>= 2` routes the fused
-    /// update through the sharded arm. Not serialized — a runtime knob,
-    /// not part of the agent's state.
-    update_threads: usize,
     /// Reusable minibatch gather buffers, shared by both update arms.
     mb: MiniBuf,
 }
@@ -348,23 +330,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             update_rng,
             pi_fused: fused::FusedScratch::new(),
             vf_fused: fused::FusedScratch::new(),
-            pi_shard: fused::ShardedScratch::new(),
-            vf_shard: fused::ShardedScratch::new(),
-            update_threads: 0,
             mb: MiniBuf::default(),
         }
-    }
-
-    /// Route [`Ppo::update`] through the sharded multi-core fused arm
-    /// when `n >= 2` (and the architecture is fused-eligible); `0` or
-    /// `1` keeps the monolithic dispatch byte-for-byte unchanged. The
-    /// sharded arm is deterministic at any worker count (see
-    /// [`rlsched_nn::fused::ShardedScratch`] for the contract) but is a
-    /// *different* deterministic arm from the monolithic one for batches
-    /// over [`fused::SHARD_ROWS`] rows — toggle it per training run, not
-    /// mid-stream.
-    pub fn set_update_threads(&mut self, n: usize) {
-        self.update_threads = n;
     }
 
     /// Forward the policy on a single observation via the inference fast
@@ -465,23 +432,23 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     }
 
     /// True when both networks expose fused-eligible architectures, so
-    /// [`Ppo::update`] takes the tape-free fast path (unless
-    /// `RLSCHED_FORCE_TAPE` pins the fallback).
+    /// [`Ppo::update`] takes the tape-free fast path.
     pub fn fused_supported(&self) -> bool {
         self.policy.fused().is_some() && self.value.fused().is_some()
     }
 
     /// One PPO update over a collected batch.
     ///
-    /// Dispatches to the tape-free fused forward+backward
-    /// ([`rlsched_nn::fused`]) when both networks support it — no graph
-    /// nodes, no buffer-pool bookkeeping, zero heap allocation at steady
-    /// state — and otherwise (or under `RLSCHED_FORCE_TAPE=1`) to the
-    /// reusable-[`Graph`] tape path. The two arms are bit-identical:
-    /// gradients, Adam state, diagnostics and the minibatch RNG stream
-    /// all match exactly, so checkpoints are interchangeable and a
-    /// training run may switch arms mid-stream without perturbing a bit
-    /// (pinned by the fused-parity suites).
+    /// Runs the tape-free chunked forward+backward ([`rlsched_nn::fused`])
+    /// when both networks support it — no graph nodes, no buffer-pool
+    /// bookkeeping, zero heap allocation at steady state, and the same
+    /// bits at any rayon worker budget — and otherwise (the LeNet CNN
+    /// baseline) the reusable-[`Graph`] tape path. On minibatches of at
+    /// most [`fused::SHARD_ROWS`] rows the two are bit-identical
+    /// (gradients, Adam state, diagnostics, the minibatch RNG stream);
+    /// on larger ones they agree to f32 tolerance (see
+    /// [`rlsched_nn::fused`]'s contract; pinned by the fused-parity
+    /// suites against [`Ppo::update_tape`]).
     pub fn update(&mut self, batch: &Batch) -> UpdateStats {
         self.update_profiled(batch, &mut UpdateProfile::default())
     }
@@ -490,31 +457,18 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// forward / backward / optimizer) accumulated into `prof`.
     pub fn update_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
         rlsched_obs::span!("ppo.update");
-        if self.fused_supported() && !force_tape() {
-            if self.update_threads >= 2 {
-                self.update_fused_sharded_profiled(batch, prof)
-                    .expect("fused_supported() checked")
-            } else {
-                self.update_fused_profiled(batch, prof)
-                    .expect("fused_supported() checked")
-            }
+        if self.fused_supported() {
+            self.fused_update(batch, prof)
         } else {
             self.update_tape_profiled(batch, prof)
         }
     }
 
-    /// The tape arm of [`Ppo::update`], pinned regardless of
-    /// architecture support or `RLSCHED_FORCE_TAPE` — the parity
-    /// baseline the fused arm is tested and benchmarked against.
+    /// The tape path of [`Ppo::update`], pinned regardless of
+    /// architecture support — the oracle the fused path is tested and
+    /// benchmarked against.
     pub fn update_tape(&mut self, batch: &Batch) -> UpdateStats {
         self.update_tape_profiled(batch, &mut UpdateProfile::default())
-    }
-
-    /// The fused arm of [`Ppo::update`], pinned regardless of
-    /// `RLSCHED_FORCE_TAPE`; `None` when either network has no fused
-    /// description (e.g. the LeNet CNN baseline).
-    pub fn update_fused(&mut self, batch: &Batch) -> Option<UpdateStats> {
-        self.update_fused_profiled(batch, &mut UpdateProfile::default())
     }
 
     /// [`Ppo::update_tape`] with phase attribution.
@@ -660,20 +614,16 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         }
     }
 
-    /// [`Ppo::update_fused`] with phase attribution: the tape-free fast
-    /// path. Forward passes run the same SIMD kernels as the tape but
-    /// stash only the per-layer activations the analytic backward needs;
-    /// the backward is one fused dlogits pass plus the layer walk; the
+    /// The fused path of [`Ppo::update_profiled`]. Forward passes run the
+    /// same SIMD kernels as the tape but stash only the per-layer
+    /// activations the analytic backward needs; the backward is one fused
+    /// dlogits pass plus the layer walk, both over fixed
+    /// [`fused::SHARD_ROWS`]-row chunks on the rayon shim's workers; the
     /// optimizer steps the network's layers in place. Zero heap
-    /// allocation at steady state (pinned by `alloc_regression`).
-    pub fn update_fused_profiled(
-        &mut self,
-        batch: &Batch,
-        prof: &mut UpdateProfile,
-    ) -> Option<UpdateStats> {
-        if !self.fused_supported() {
-            return None;
-        }
+    /// allocation at steady state on the one-worker budget (pinned by
+    /// `alloc_regression`). Gather, clipping, Adam steps and the
+    /// minibatch RNG stream are shared with the tape path unchanged.
+    fn fused_update(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
         assert!(!batch.is_empty(), "cannot update on an empty batch");
         let n_actions = batch.masks.cols();
 
@@ -783,7 +733,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             prof.optimizer += t3.elapsed();
         }
 
-        Some(UpdateStats {
+        UpdateStats {
             pi_loss_before,
             pi_loss_after,
             v_loss_before,
@@ -791,155 +741,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             approx_kl,
             entropy,
             pi_iters,
-        })
-    }
-
-    /// The sharded multi-core arm of the fused update, pinned regardless
-    /// of the [`Ppo::set_update_threads`] knob; `None` when either
-    /// network has no fused description.
-    pub fn update_fused_sharded(&mut self, batch: &Batch) -> Option<UpdateStats> {
-        self.update_fused_sharded_profiled(batch, &mut UpdateProfile::default())
-    }
-
-    /// [`Ppo::update_fused_sharded`] with phase attribution: the fused
-    /// update with forward/backward split over fixed
-    /// [`fused::SHARD_ROWS`]-row chunks running on the rayon shim's
-    /// workers. Bit-identical at any worker count (chunk boundaries and
-    /// the gradient-merge order depend only on the minibatch size — see
-    /// [`rlsched_nn::fused::ShardedScratch`]); per-row forward
-    /// diagnostics (KL, entropy) are bit-equal to the monolithic arm,
-    /// and single-chunk batches reproduce it exactly. Gather, clipping,
-    /// Adam steps and the minibatch RNG stream are shared with the other
-    /// arms unchanged.
-    pub fn update_fused_sharded_profiled(
-        &mut self,
-        batch: &Batch,
-        prof: &mut UpdateProfile,
-    ) -> Option<UpdateStats> {
-        if !self.fused_supported() {
-            return None;
         }
-        assert!(!batch.is_empty(), "cannot update on an empty batch");
-        let n_actions = batch.masks.cols();
-
-        let mut pi_loss_before = 0.0;
-        let mut pi_loss_after = 0.0;
-        let mut entropy = 0.0;
-        let mut approx_kl = 0.0;
-        let mut pi_iters = 0;
-
-        let Ppo {
-            policy,
-            value,
-            cfg,
-            pi_opt,
-            vf_opt,
-            update_rng,
-            pi_shard,
-            vf_shard,
-            mb,
-            ..
-        } = self;
-
-        for it in 0..cfg.train_pi_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            {
-                let fp = policy.fused().expect("fused_supported checked");
-                fused::policy_forward_sharded(&fp, view.obs, view.masks, view.actions, n, pi_shard);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-
-                // Diagnostics before committing to a backward pass — the
-                // stitched per-row outputs are bit-equal to the
-                // monolithic forward, so this fold matches it exactly.
-                let kl: f64 = view
-                    .logp_old
-                    .iter()
-                    .zip(pi_shard.selected_logp())
-                    .map(|(&o, &nw)| (o - nw) as f64)
-                    .sum::<f64>()
-                    / n as f64;
-                approx_kl = kl;
-                if kl > 1.5 * cfg.target_kl && it > 0 {
-                    break;
-                }
-                let loss = fused::policy_loss_and_grads_sharded(
-                    &fp,
-                    view.obs,
-                    view.actions,
-                    view.advantages,
-                    view.logp_old,
-                    cfg.clip_ratio,
-                    cfg.ent_coef,
-                    n,
-                    pi_shard,
-                );
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    pi_loss_before = loss;
-                    entropy = mean_entropy(pi_shard.logp_all(), n_actions);
-                }
-                pi_loss_after = loss;
-            }
-            let t3 = Instant::now();
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(pi_shard.grads_mut(), mx);
-            }
-            let mlp = policy.fused_mut().expect("fused_mut must pair with fused");
-            pi_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                pi_shard.grads(),
-            );
-            prof.optimizer += t3.elapsed();
-            pi_iters = it + 1;
-        }
-
-        let mut v_loss_before = 0.0;
-        let mut v_loss_after = 0.0;
-        for it in 0..cfg.train_v_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            {
-                let vm = value.fused().expect("fused_supported checked");
-                fused::value_forward_sharded(vm, view.obs, n, vf_shard);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-                let loss =
-                    fused::value_loss_and_grads_sharded(vm, view.obs, view.returns, n, vf_shard);
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    v_loss_before = loss;
-                }
-                v_loss_after = loss;
-            }
-            let t3 = Instant::now();
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(vf_shard.grads_mut(), mx);
-            }
-            let mlp = value.fused_mut().expect("fused_mut must pair with fused");
-            vf_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                vf_shard.grads(),
-            );
-            prof.optimizer += t3.elapsed();
-        }
-
-        Some(UpdateStats {
-            pi_loss_before,
-            pi_loss_after,
-            v_loss_before,
-            v_loss_after,
-            approx_kl,
-            entropy,
-            pi_iters,
-        })
     }
 }
 

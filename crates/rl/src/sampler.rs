@@ -239,27 +239,6 @@ where
     (arena.into_batch(), stats)
 }
 
-/// Collect one episode per `(env, seed)` pair and merge into a training
-/// batch — the historical entry point, now driven through a [`VecEnv`]
-/// borrowing the caller's environments so all live episodes score in one
-/// stacked forward per tick. Results are bit-identical to the old
-/// sequential per-env collection (see the module docs on parity).
-pub fn collect_rollouts<E, P, V>(
-    ppo: &Ppo<P, V>,
-    envs: &mut [E],
-    seeds: &[u64],
-) -> (Batch, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
-    assert_eq!(envs.len(), seeds.len(), "one seed per environment");
-    assert!(!envs.is_empty(), "need at least one environment");
-    let mut venv: VecEnv<&mut E> = VecEnv::new(envs.iter_mut().collect());
-    collect_rollouts_vec(ppo, &mut venv, seeds)
-}
-
 /// Parallel rollout: partition the seed schedule into the rayon shim's
 /// **fixed** contiguous ranges (a function of `seeds.len()` alone, never
 /// the worker count), run one private [`VecEnv`] per range — envs built
@@ -275,8 +254,8 @@ where
 /// the same per-episode sums in the same seed order. Pinned by this
 /// module's tests and `rlscheduler`'s `parallel_parity` suite.
 ///
-/// `n_envs` caps each range's lockstep width (the per-worker analogue of
-/// `TrainConfig::n_envs`); the worker-thread budget comes from the shim
+/// `n_envs` caps each range's lockstep width (`TrainConfig::n_envs` in
+/// `rlscheduler`); the worker-thread budget comes from the shim
 /// (`rayon::with_threads` override, else `RLSCHED_THREADS`, else
 /// `available_parallelism`).
 pub fn collect_rollouts_par<E, P, V, F>(
@@ -368,12 +347,19 @@ mod tests {
         )
     }
 
+    fn bandits(n: usize, steps: usize, masked: Vec<usize>) -> VecEnv<BanditEnv> {
+        VecEnv::new(
+            (0..n)
+                .map(|_| BanditEnv::new(3, steps, masked.clone()))
+                .collect(),
+        )
+    }
+
     #[test]
-    fn collects_one_episode_per_env() {
+    fn collects_one_episode_per_seed() {
         let ppo = make_ppo();
-        let mut envs: Vec<BanditEnv> = (0..6).map(|_| BanditEnv::new(3, 5, vec![])).collect();
         let seeds: Vec<u64> = (0..6).collect();
-        let (batch, stats) = collect_rollouts(&ppo, &mut envs, &seeds);
+        let (batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(6, 5, vec![]), &seeds);
         assert_eq!(stats.episodes, 6);
         assert_eq!(stats.steps, 30, "6 episodes x 5 steps");
         assert_eq!(batch.len(), 30);
@@ -384,9 +370,8 @@ mod tests {
     fn deterministic_given_seeds() {
         let ppo = make_ppo();
         let run = || {
-            let mut envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(3, 4, vec![])).collect();
             let seeds: Vec<u64> = (10..14).collect();
-            collect_rollouts(&ppo, &mut envs, &seeds)
+            collect_rollouts_vec(&ppo, &mut bandits(4, 4, vec![]), &seeds)
         };
         let (b1, s1) = run();
         let (b2, s2) = run();
@@ -402,11 +387,8 @@ mod tests {
         // only on the episode seed.
         let ppo = make_ppo();
         let seeds: Vec<u64> = (20..26).collect();
-        let run = |n_slots: usize| {
-            let mut venv =
-                VecEnv::new((0..n_slots).map(|_| BanditEnv::new(3, 5, vec![])).collect());
-            collect_rollouts_vec(&ppo, &mut venv, &seeds)
-        };
+        let run =
+            |n_slots: usize| collect_rollouts_vec(&ppo, &mut bandits(n_slots, 5, vec![]), &seeds);
         let (wide, ws) = run(6);
         let (narrow, ns) = run(2);
         assert_eq!(wide.actions, narrow.actions);
@@ -425,8 +407,7 @@ mod tests {
         // sequential lockstep collection at every thread count.
         let ppo = make_ppo();
         let seeds: Vec<u64> = (40..53).collect();
-        let mut venv = VecEnv::new((0..4).map(|_| BanditEnv::new(3, 5, vec![])).collect());
-        let (base, bs) = collect_rollouts_vec(&ppo, &mut venv, &seeds);
+        let (base, bs) = collect_rollouts_vec(&ppo, &mut bandits(4, 5, vec![]), &seeds);
         for k in [1usize, 2, 3, 7] {
             let (b, s) = rayon::with_threads(k, || {
                 collect_rollouts_par(&ppo, || BanditEnv::new(3, 5, vec![]), 3, &seeds)
@@ -452,18 +433,9 @@ mod tests {
     fn respects_masks_during_collection() {
         let ppo = make_ppo();
         // Arm 2 is masked; BanditEnv panics if a masked arm is selected.
-        let mut envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(3, 6, vec![2])).collect();
         let seeds: Vec<u64> = (0..4).collect();
-        let (_batch, stats) = collect_rollouts(&ppo, &mut envs, &seeds);
+        let (_batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(4, 6, vec![2]), &seeds);
         assert_eq!(stats.episodes, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "one seed per environment")]
-    fn seed_count_must_match() {
-        let ppo = make_ppo();
-        let mut envs: Vec<BanditEnv> = vec![BanditEnv::new(3, 4, vec![])];
-        let _ = collect_rollouts(&ppo, &mut envs, &[1, 2]);
     }
 
     #[test]

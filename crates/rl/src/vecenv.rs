@@ -40,8 +40,8 @@
 //! caller-owned buffers and need no edits. What moved is the *driver*:
 //! code that looped `env.reset(..); loop { env.step(..) }` per episode
 //! should construct a `VecEnv` (borrowed envs work via the blanket
-//! `impl Env for &mut E`) and use the lockstep loop, or call
-//! `sampler::collect_rollouts`, which now does exactly that internally.
+//! `impl Env for &mut E`) and call `sampler::collect_rollouts_vec`,
+//! which drives the lockstep loop.
 
 use rlsched_nn::Scratch;
 

@@ -9,12 +9,12 @@
 //! cargo run --release --example quickstart -- --threads 4      # multi-core training
 //! ```
 //!
-//! `--threads N` (N ≥ 2) trains multi-core: rollout collection fans the
-//! epoch's seed schedule out over per-worker env groups and the PPO
-//! update shards its backward into fixed chunks. Results are
-//! deterministic at *any* N — rerunning with a different `--threads`
-//! value reproduces the same curve bit for bit (`RLSCHED_THREADS` caps
-//! the pool; see crates/compat/README.md for the threading model).
+//! `--threads N` caps the worker threads training may use (default 1):
+//! rollout collection fans the epoch's seed schedule out over per-range
+//! env groups and the PPO update runs its forward/backward over fixed
+//! 64-row chunks. The cap never changes a result — every `--threads`
+//! value reproduces the same curve and checkpoint bit for bit (see
+//! crates/compat/README.md for the threading model).
 //!
 //! With `--serve`, the trained agent is additionally stood up behind the
 //! sharded `rlsched-serve` tier and every held-out window is scheduled
