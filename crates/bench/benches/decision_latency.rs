@@ -8,11 +8,17 @@
 //! inference fast path (`*_fast`, `nn::infer` via `Agent::as_policy`
 //! buffers). The gap between the two is the price of carrying training
 //! machinery onto the serving path.
+//!
+//! The queue-scaling group also prices one streaming SJF *tick* (a
+//! decision and the `StreamSession::step` it feeds) at the same depths,
+//! through the ranked head (`sjf_ranked_{n}`) and through the full
+//! rescoring it replaced (`sjf_scan_{n}`, the base to read the ranked
+//! rows against).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use rlsched_sched::{HeuristicKind, PriorityScheduler};
-use rlsched_sim::{MetricKind, Policy, QueueView, WaitingJob};
+use rlsched_sched::{select_streaming, HeuristicKind, PriorityScheduler};
+use rlsched_sim::{MetricKind, Policy, QueueView, SimConfig, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
 
@@ -122,7 +128,50 @@ fn bench_queue_scaling(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(policy.select(&view)))
         });
     }
+    // One streaming SJF tick at a stationary queue depth of n: the head's
+    // share is the order's push (in admission), the pop of the previous
+    // pick and one ordinal→rank lookup for `sjf_ranked`, a rescoring of
+    // all n waiting jobs for `sjf_scan`; the rest of the tick is the same
+    // `step`.
+    for n in [16usize, 64, 128, 256] {
+        for ranked in [true, false] {
+            let mut s = StreamSession::new(backlog_of(n), 1, SimConfig::no_backfill())
+                .expect("the stream is never empty");
+            let arm = if ranked {
+                s.rank_by(
+                    HeuristicKind::Sjf
+                        .static_key()
+                        .expect("SJF ranks statically"),
+                );
+                "sjf_ranked"
+            } else {
+                "sjf_scan"
+            };
+            group.bench_function(format!("{arm}_{n}"), |b| {
+                b.iter(|| {
+                    let pos = if ranked {
+                        s.ranked_head()
+                    } else {
+                        select_streaming(HeuristicKind::Sjf, s.waiting())
+                    }
+                    .expect("the backlog never drains");
+                    s.step(pos).expect("the stream is submit-sorted");
+                    std::hint::black_box(pos)
+                })
+            });
+        }
+    }
     group.finish();
+}
+
+/// An endless stream that holds a one-processor cluster's queue at `n`:
+/// `n` jobs at time zero, then one arrival per second against one
+/// one-second job started per decision.
+fn backlog_of(n: usize) -> impl Iterator<Item = Job> {
+    (0u32..).map(move |i| {
+        let submit = i.saturating_sub(n as u32) as f64;
+        Job::new(i + 1, submit, 1.0, 1, 60.0 + (i % 29) as f64 * 180.0)
+    })
 }
 
 /// Short, CI-friendly measurement settings: these are latency gauges, not

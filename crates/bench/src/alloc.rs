@@ -62,10 +62,21 @@ mod tests {
         let n = count_allocs(|| Vec::<u64>::with_capacity(32));
         assert!(n >= 1, "a fresh Vec must register at least one allocation");
         let mut buf: Vec<u64> = Vec::with_capacity(8);
-        let reuse = count_allocs(|| {
-            buf.clear();
-            buf.extend(0..8);
-        });
-        assert_eq!(reuse, 0, "refilling within capacity must not allocate");
+        // The sibling tests of this binary allocate on their own threads
+        // and the counter is process-global: they can only add to a
+        // measurement, so the least of several is this closure's own.
+        let reuse = (0..32)
+            .map(|_| {
+                count_allocs(|| {
+                    buf.clear();
+                    buf.extend(0..8);
+                })
+            })
+            .min();
+        assert_eq!(
+            reuse,
+            Some(0),
+            "refilling within capacity must not allocate"
+        );
     }
 }

@@ -109,14 +109,16 @@ fn fast_paths_do_not_regress_allocations() {
 
     // ---- streaming replay tick: 0 heap allocations at steady state.
     // The one-pass StreamSession exists to make multi-million-job
-    // replays cheap, so its hot loop (streaming heuristic selection +
-    // step: admission, indexed-calendar ops, backfill, metric folding)
-    // must not touch the heap once the slab, calendar, running heap and
+    // replays cheap, so its hot loop (the ranked SJF head + step:
+    // admission, indexed-calendar ops, backfill, metric folding) must
+    // not touch the heap once the slab, calendar and its ordinals, the
+    // ranked order's heap (which EASY backfill litters with stale
+    // entries and admission rebuilds in place), running heap and
     // per-user table have warmed to their high-water marks. The job
     // source is a formula (no per-job state), arrivals are paced just
     // under the cluster's capacity so the queue depth is stationary. ----
     {
-        use rlsched_sched::select_streaming;
+        use rlsched_sched::{select_streaming, HeuristicKind};
         use rlsched_sim::StreamSession;
         let source = (0..10_000u32).map(|i| {
             rlsched_swf::Job::new(
@@ -130,21 +132,24 @@ fn fast_paths_do_not_regress_allocations() {
         });
         let mut s = StreamSession::new(source, 32, SimConfig::with_backfill())
             .expect("synthetic stream is schedulable");
+        s.rank_by(
+            HeuristicKind::Sjf
+                .static_key()
+                .expect("SJF ranks statically"),
+        );
+        let ranked_tick = |s: &mut StreamSession<_>| {
+            let pos = s.ranked_head().expect("decision point has waiting jobs");
+            s.step(pos).expect("synthetic stream replays cleanly");
+        };
         // Warm: most of the episode, growing every buffer to its
         // high-water mark.
         while !s.done() && s.started_count() < 9_000 {
-            let pos = select_streaming(rlsched_sched::HeuristicKind::Sjf, s.waiting())
-                .expect("decision point has waiting jobs");
-            s.step(pos).expect("synthetic stream replays cleanly");
+            ranked_tick(&mut s);
         }
         let mut replay_ticks = 0u64;
         let mut replay_allocs = 0u64;
         while !s.done() && replay_ticks < 400 {
-            replay_allocs += count_allocs(|| {
-                let pos = select_streaming(rlsched_sched::HeuristicKind::Sjf, s.waiting())
-                    .expect("decision point has waiting jobs");
-                s.step(pos).expect("synthetic stream replays cleanly");
-            });
+            replay_allocs += count_allocs(|| ranked_tick(&mut s));
             replay_ticks += 1;
         }
         assert!(
@@ -156,6 +161,15 @@ fn fast_paths_do_not_regress_allocations() {
             "streaming replay tick must not allocate at steady state \
              ({replay_allocs} allocations over {replay_ticks} ticks)"
         );
+        // The scan arm (what WFP3 and UNICEP replay through) stays
+        // pinned as well.
+        assert!(!s.done(), "a decision is left for the scan arm");
+        let scan_allocs = count_allocs(|| {
+            let pos = select_streaming(HeuristicKind::Wfp3, s.waiting())
+                .expect("decision point has waiting jobs");
+            s.step(pos).expect("synthetic stream replays cleanly");
+        });
+        assert_eq!(scan_allocs, 0, "select_streaming tick must not allocate");
     }
 
     // ---- greedy decision fast path: 0 allocations ----

@@ -14,7 +14,7 @@
 //! * the three decision heads a replay can drive, unified by
 //!   [`ReplayPolicy`]:
 //!   [`Heuristic`](ReplayPolicy::Heuristic) (Table III priority
-//!   functions via `rlsched_sched::select_streaming`),
+//!   functions),
 //!   [`Agent`](ReplayPolicy::Agent) (an in-process
 //!   [`rlscheduler::StreamDecider`]), and
 //!   [`Remote`](ReplayPolicy::Remote) (every decision over the wire to
@@ -26,10 +26,20 @@
 //! quantiles (the serving tier's [`LatencyHistogram`]), peak queue
 //! depth, and the folded [`StreamMetrics`].
 //!
-//! Decisions are **bit-identical** to the materialized path: heuristic
-//! replays match `PriorityScheduler` episodes and agent replays match
-//! `Agent::as_policy` episodes outcome-for-outcome (pinned by
-//! `tests/replay_parity.rs`).
+//! How a heuristic picks is a function of its [`HeuristicKind`] alone.
+//! A score that never reads the waiting time (FCFS, SJF, F1, and the LJF
+//! and SmallestFirst ablations — `HeuristicKind::static_key`) fixes a
+//! job's key at admission, so the session keeps the waiting jobs ranked
+//! and a decision is O(log n) (`StreamSession::ranked_head`); FCFS needs
+//! not even that, its pick is the head of the submit-sorted queue. WFP3
+//! and UNICEP age their jobs between decisions and rescore the queue each
+//! time (`rlsched_sched::select_streaming`), O(n) per decision.
+//!
+//! Decisions are **bit-identical** to the materialized path on either
+//! arm: heuristic replays match `PriorityScheduler` episodes and agent
+//! replays match `Agent::as_policy` episodes outcome-for-outcome (pinned
+//! by `tests/replay_parity.rs`; `tests/ranked_head_prop.rs` holds the
+//! ranked head to the scan at every decision point).
 
 use std::cell::Cell;
 use std::fs::File;
@@ -318,8 +328,12 @@ impl<S: Transport> RemoteDecider<S> {
 /// The decision head a [`ReplayEngine`] drives — one variant per way
 /// the paper's policies can answer "which waiting job starts next".
 pub enum ReplayPolicy<'a, S: Transport = TcpStream> {
-    /// A Table III priority function, evaluated on the fly
-    /// (`select_streaming`; bit-identical to `PriorityScheduler`).
+    /// A Table III priority function. Kinds with a
+    /// `HeuristicKind::static_key` (FCFS, SJF, F1, LJF, SmallestFirst)
+    /// pick from an order the session keeps as jobs arrive and leave;
+    /// WFP3 and UNICEP rescore the queue at every decision
+    /// (`select_streaming`). Both are bit-identical to
+    /// `PriorityScheduler`.
     Heuristic(HeuristicKind),
     /// A trained agent in-process (bit-identical to `Agent::as_policy`).
     Agent(StreamDecider<'a>),
@@ -336,21 +350,46 @@ impl<S: Transport> ReplayPolicy<'_, S> {
             ReplayPolicy::Remote(_) => "RL-remote",
         }
     }
+}
 
-    fn decide<I: Iterator<Item = Job>>(
-        &mut self,
-        s: &StreamSession<I>,
-    ) -> Result<usize, ReplayError> {
-        match self {
-            ReplayPolicy::Heuristic(kind) => Ok(select_streaming(*kind, s.waiting())
-                .expect("decision points always have waiting jobs")),
-            ReplayPolicy::Agent(dec) => {
-                Ok(dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting()))
+/// How one heuristic stream finds its next job: chosen once per stream,
+/// from the kind alone.
+#[derive(Debug, Clone, Copy)]
+enum HeuristicHead {
+    /// FCFS. The session rejects non-monotone arrivals, so the front of
+    /// the wait queue *is* the `(submit, submit, seq)` minimum.
+    Front,
+    /// A static key: the session keeps the queue ranked by it.
+    Ranked,
+    /// A wait-dependent score: rescore the queue at every decision.
+    Scan(HeuristicKind),
+}
+
+impl HeuristicHead {
+    /// Pick the head for `kind`, switching on the session's ranked order
+    /// when that is what it reads.
+    fn install<I: Iterator<Item = Job>>(
+        kind: HeuristicKind,
+        session: &mut StreamSession<I>,
+    ) -> Self {
+        match (kind, kind.static_key()) {
+            (HeuristicKind::Fcfs, _) => HeuristicHead::Front,
+            (_, Some(key)) => {
+                session.rank_by(key);
+                HeuristicHead::Ranked
             }
-            ReplayPolicy::Remote(dec) => {
-                dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting())
-            }
+            (_, None) => HeuristicHead::Scan(kind),
         }
+    }
+
+    /// The queue rank to start next. Only called at decision points.
+    fn pick<I: Iterator<Item = Job>>(self, session: &mut StreamSession<I>) -> usize {
+        match self {
+            HeuristicHead::Front => Some(0),
+            HeuristicHead::Ranked => session.ranked_head(),
+            HeuristicHead::Scan(kind) => select_streaming(kind, session.waiting()),
+        }
+        .expect("decision points always have waiting jobs")
     }
 }
 
@@ -471,10 +510,28 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
         &mut self,
         policy: &mut ReplayPolicy<'_, S>,
     ) -> Result<ReplayReport, ReplayError> {
+        match policy {
+            ReplayPolicy::Heuristic(kind) => {
+                let head = HeuristicHead::install(*kind, &mut self.session);
+                self.drive(|s| Ok(head.pick(s)))
+            }
+            ReplayPolicy::Agent(dec) => self.drive(|s| {
+                Ok(dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting()))
+            }),
+            ReplayPolicy::Remote(dec) => self
+                .drive(|s| dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting())),
+        }
+    }
+
+    /// The replay loop: time `decide` at every decision point, step.
+    fn drive(
+        &mut self,
+        mut decide: impl FnMut(&mut StreamSession<I>) -> Result<usize, ReplayError>,
+    ) -> Result<ReplayReport, ReplayError> {
         let start = Instant::now();
         while !self.session.done() {
             let t0 = Instant::now();
-            let pos = policy.decide(&self.session)?;
+            let pos = decide(&mut self.session)?;
             let spent = t0.elapsed();
             self.hist.record(spent);
             if let Some(m) = &self.metrics {
@@ -516,6 +573,7 @@ pub fn collect_timed_requests<I: Iterator<Item = Job>>(
     window: usize,
 ) -> Result<Vec<TimedRequest>, ReplayError> {
     let mut session = StreamSession::new(source, total_procs, cfg)?;
+    let head = HeuristicHead::install(kind, &mut session);
     let t0 = session.time();
     let mut requests = Vec::new();
     while !session.done() {
@@ -538,8 +596,7 @@ pub fn collect_timed_requests<I: Iterator<Item = Job>>(
             offset: session.time() - t0,
             snapshot,
         });
-        let pos = select_streaming(kind, session.waiting())
-            .expect("decision points always have waiting jobs");
+        let pos = head.pick(&mut session);
         session.step(pos)?;
     }
     Ok(requests)

@@ -33,7 +33,10 @@ fn heuristic_replay_matches_materialized_episode() {
     let model = lublin();
     let trace = model.generate(400, 11);
     for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
-        for kind in HeuristicKind::table3() {
+        // Table III plus the two ablation kinds: every head the engine
+        // has (front, ranked, scan) under every key it can rank by.
+        let ablations = [HeuristicKind::Ljf, HeuristicKind::SmallestFirst];
+        for kind in HeuristicKind::table3().into_iter().chain(ablations) {
             let want = run_episode(&trace, cfg, &mut PriorityScheduler::new(kind)).unwrap();
             let mut engine = ReplayEngine::new(model.stream(400, 11), trace.max_procs(), cfg)
                 .unwrap()

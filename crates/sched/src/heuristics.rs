@@ -2,6 +2,7 @@
 //! in tests and ablations.
 
 use rlsched_sim::{Policy, QueueView, WaitingJob};
+use rlsched_swf::Job;
 
 /// Which priority function a [`PriorityScheduler`] applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +68,35 @@ impl HeuristicKind {
             HeuristicKind::F1 => rt.log10() * nt + 870.0 * st.max(1.0).log10(),
             HeuristicKind::Ljf => -rt,
             HeuristicKind::SmallestFirst => nt,
+        }
+    }
+
+    /// The score as a function of the job alone, for the kinds whose score
+    /// never reads the waiting time (every kind but WFP3 and UNICEP, which
+    /// return `None`). A job's `(score, submit, index)` key is then fixed
+    /// when it is admitted, so an order over the keys can be kept
+    /// incrementally (`rlsched_sim::StreamSession::rank_by`) instead of
+    /// rescoring the queue at every decision.
+    ///
+    /// Each function calls [`HeuristicKind::score`] on the job with a zero
+    /// wait, so its bits cannot drift from what [`select_streaming`]
+    /// compares. Never NaN: [`Job::time_bound`] clamps through `f64::max`.
+    pub fn static_key(self) -> Option<fn(&Job) -> f64> {
+        fn at_admission(kind: HeuristicKind, job: &Job) -> f64 {
+            kind.score(&WaitingJob {
+                job,
+                job_index: 0,
+                wait: 0.0,
+                can_run_now: false,
+            })
+        }
+        match self {
+            HeuristicKind::Fcfs => Some(|j| at_admission(HeuristicKind::Fcfs, j)),
+            HeuristicKind::Sjf => Some(|j| at_admission(HeuristicKind::Sjf, j)),
+            HeuristicKind::F1 => Some(|j| at_admission(HeuristicKind::F1, j)),
+            HeuristicKind::Ljf => Some(|j| at_admission(HeuristicKind::Ljf, j)),
+            HeuristicKind::SmallestFirst => Some(|j| at_admission(HeuristicKind::SmallestFirst, j)),
+            HeuristicKind::Wfp3 | HeuristicKind::Unicep => None,
         }
     }
 
@@ -140,9 +170,14 @@ pub fn select_parts(
 
 /// Select the best queue rank from a *stream* of waiting jobs, using the
 /// exact `(score, submit_time, job_index)` key (and strict-less tie
-/// chain) of [`PriorityScheduler::select`] — one-pass replay engines walk
-/// the wait queue without materializing a [`QueueView`], and this keeps
-/// their decisions bit-identical to the materialized path. Never
+/// chain) of [`PriorityScheduler::select`], without materializing a
+/// [`QueueView`]. One O(n) rescoring of the queue per call.
+///
+/// In a streaming replay this is the decision head of the wait-dependent
+/// kinds only (WFP3, UNICEP: their scores change between decisions, so
+/// there is nothing to keep). Kinds with a [`HeuristicKind::static_key`]
+/// are ranked incrementally instead, and this function is the reference
+/// those ranked heads are tested against, decision for decision. Never
 /// allocates. Returns `None` on an empty queue.
 pub fn select_streaming<'a>(
     kind: HeuristicKind,
@@ -214,7 +249,6 @@ impl Policy for PriorityScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlsched_swf::Job;
 
     fn view_of(jobs: &[Job], time: f64, free: u32, total: u32) -> QueueView<'_> {
         QueueView {
@@ -418,6 +452,33 @@ mod tests {
             select_streaming(HeuristicKind::Sjf, std::iter::empty()),
             None
         );
+    }
+
+    #[test]
+    fn static_key_is_the_score_wherever_the_score_ignores_the_wait() {
+        let jobs = vec![
+            Job::new(1, 0.0, 0.4, 1, 0.2),
+            Job::new(2, 5.0, 30.0, 2, 120.0),
+            Job::new(3, 86_400.0, 30.0, 64, 36_000.0),
+        ];
+        for kind in HeuristicKind::table3()
+            .into_iter()
+            .chain([HeuristicKind::Ljf, HeuristicKind::SmallestFirst])
+        {
+            let at = |time: f64| -> Vec<u64> {
+                let v = view_of(&jobs, time, 8, 64);
+                v.waiting.iter().map(|w| kind.score(w).to_bits()).collect()
+            };
+            let waits_ignored = at(86_400.0) == at(1e7);
+            match kind.static_key() {
+                Some(key) => {
+                    assert!(waits_ignored, "{} reads the wait", kind.name());
+                    let keys: Vec<u64> = jobs.iter().map(|j| key(j).to_bits()).collect();
+                    assert_eq!(keys, at(86_400.0), "{} key drifted", kind.name());
+                }
+                None => assert!(!waits_ignored, "{} could be ranked", kind.name()),
+            }
+        }
     }
 
     #[test]

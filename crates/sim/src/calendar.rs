@@ -17,6 +17,14 @@
 //! Both backends present the queue in identical FCFS order, so a session
 //! is bit-identical regardless of backend (pinned by the calendar-parity
 //! suite).
+//!
+//! [`IndexedQueue`] also stamps every push with a strictly increasing
+//! *ordinal* — a name for the entry that, unlike its rank, does not change
+//! as earlier entries leave and, unlike its job index, is never reused.
+//! [`IndexedQueue::rank_of_ord`] turns an ordinal back into the entry's
+//! current rank in O(log n), or `None` once the entry was removed: what an
+//! ordering kept *beside* the queue (the streaming session's ranked head)
+//! needs to find its minimum in the queue and to recognise stale entries.
 
 /// A wait queue of job indices in FCFS (push) order, addressable by rank.
 pub trait QueueBackend: Clone + std::fmt::Debug + Default {
@@ -99,6 +107,11 @@ pub struct IndexedQueue {
     slots: Vec<usize>,
     /// `live[i]` is true while `slots[i]` is still queued.
     live: Vec<bool>,
+    /// `ords[i]` is the push ordinal of `slots[i]`: strictly increasing, so
+    /// an ordinal is found again by binary search.
+    ords: Vec<u64>,
+    /// The ordinal the next push gets.
+    next_ord: u64,
     /// 1-based Fenwick tree over the live flags; `tree[0]` is unused.
     tree: Vec<u32>,
     n_live: usize,
@@ -134,6 +147,42 @@ impl IndexedQueue {
         pos // 1-based pos of the last index with prefix < target == 0-based slot
     }
 
+    /// Append a job index at the back and return its push ordinal.
+    pub fn push(&mut self, job_index: usize) -> u64 {
+        if self.tree.is_empty() {
+            self.tree.push(0);
+        }
+        let ord = self.next_ord;
+        self.next_ord += 1;
+        self.slots.push(job_index);
+        self.live.push(true);
+        self.ords.push(ord);
+        self.n_live += 1;
+        // Appending Fenwick node i: it covers slots (i - lowbit(i), i], all
+        // already final, so its value is 1 (the new slot) plus the live
+        // count of the rest of its range.
+        let i = self.slots.len();
+        let low = i & i.wrapping_neg();
+        let range_rest = self.prefix(i - 1) - self.prefix(i - low);
+        self.tree.push(1 + range_rest);
+        ord
+    }
+
+    /// Current rank of the entry pushed with ordinal `ord`, or `None` once
+    /// it was removed. O(log n): a binary search for the slot, then the
+    /// count of live slots before it.
+    pub fn rank_of_ord(&self, ord: u64) -> Option<usize> {
+        let slot = self.ords.binary_search(&ord).ok()?;
+        self.live[slot].then(|| self.prefix(slot) as usize)
+    }
+
+    /// The queued `(ordinal, job index)` pairs in FCFS order.
+    pub(crate) fn iter_ords(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        (0..self.slots.len())
+            .filter(|&i| self.live[i])
+            .map(|i| (self.ords[i], self.slots[i]))
+    }
+
     /// Drop dead slots in place, preserving FCFS order. Runs in O(n) but
     /// only after O(n) removals, so removal stays O(log n) amortized; uses
     /// only the existing buffers (no allocation).
@@ -142,12 +191,14 @@ impl IndexedQueue {
         for r in 0..self.slots.len() {
             if self.live[r] {
                 self.slots[w] = self.slots[r];
+                self.ords[w] = self.ords[r];
                 w += 1;
             }
         }
         debug_assert_eq!(w, self.n_live);
         self.slots.truncate(w);
         self.live.truncate(w);
+        self.ords.truncate(w);
         for l in &mut self.live {
             *l = true;
         }
@@ -191,25 +242,15 @@ impl QueueBackend for IndexedQueue {
         IndexedQueue {
             slots: Vec::with_capacity(cap),
             live: Vec::with_capacity(cap),
+            ords: Vec::with_capacity(cap),
+            next_ord: 0,
             tree: Vec::with_capacity(cap + 1),
             n_live: 0,
         }
     }
 
     fn push_back(&mut self, job_index: usize) {
-        if self.tree.is_empty() {
-            self.tree.push(0);
-        }
-        self.slots.push(job_index);
-        self.live.push(true);
-        self.n_live += 1;
-        // Appending Fenwick node i: it covers slots (i - lowbit(i), i], all
-        // already final, so its value is 1 (the new slot) plus the live
-        // count of the rest of its range.
-        let i = self.slots.len();
-        let low = i & i.wrapping_neg();
-        let range_rest = self.prefix(i - 1) - self.prefix(i - low);
-        self.tree.push(1 + range_rest);
+        self.push(job_index);
     }
 
     fn len(&self) -> usize {
@@ -347,6 +388,12 @@ mod tests {
             "dead slots bounded: {} physical for {} live",
             q.slots.len(),
             q.n_live
+        );
+        assert_eq!(q.ords.len(), q.slots.len(), "ordinals compact with slots");
+        assert_eq!(
+            q.iter_ords().collect::<Vec<_>>(),
+            (9_900..10_000).map(|i| (i as u64, i)).collect::<Vec<_>>(),
+            "survivors keep the ordinals they were pushed with"
         );
         assert_eq!(
             q.iter().collect::<Vec<_>>(),

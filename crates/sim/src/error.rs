@@ -34,8 +34,9 @@ pub enum SimError {
     /// The episode trace has no jobs.
     EmptyTrace,
     /// A streaming trace yielded a job whose submit time precedes its
-    /// predecessor's. One-pass replay relies on arrival order; sort the
-    /// trace (SWF archives are sorted) or materialize it first.
+    /// predecessor's (or is NaN, which no order can place). One-pass
+    /// replay relies on arrival order; sort the trace (SWF archives are
+    /// sorted) or materialize it first.
     NonMonotoneArrival {
         /// Admission-order index (0-based) of the offending job.
         seq: usize,

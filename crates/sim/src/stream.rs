@@ -23,12 +23,39 @@
 //! (SWF archives are). A regression yields
 //! [`SimError::NonMonotoneArrival`] instead of silently reordering.
 //!
+//! # The ranked head
+//!
+//! A priority function that never reads the waiting time (FCFS, SJF, F1)
+//! gives a job its `(score, submit, seq)` key once, at admission, so "the
+//! best waiting job" is the minimum of a set that only changes by insert
+//! and remove. [`StreamSession::rank_by`] switches on an order over those
+//! keys — a binary heap beside the wait queue, fed by every admission —
+//! and [`StreamSession::ranked_head`] answers in O(log n) what a full
+//! rescoring of the queue would.
+//!
+//! Deletion is lazy. Jobs leave the queue in the middle (the policy's
+//! pick, or EASY backfill starting whatever fits), and a binary heap
+//! cannot remove from the middle; their entries stay behind and are
+//! popped when they surface. That is safe because an entry names its job
+//! by the queue's push *ordinal*, which is never reused:
+//! [`IndexedQueue::rank_of_ord`] says `None` for a job that left, whatever
+//! has since been admitted into its slab slot, so a stale entry is
+//! recognised and can never be mistaken for a live one — and the first
+//! live entry to surface is the minimum of the live set, since every live
+//! job has exactly one entry. The heap costs 32 bytes per entry and the
+//! queue 8 bytes per slot for the ordinals; on admission the heap is
+//! rebuilt from the live queue whenever it has grown past
+//! `2 · queue_len + 64`, so it never holds more than
+//! `2 · peak_queue_depth + 65` entries and the session stays bounded by
+//! the peak queue depth.
+//!
 //! Averages accumulated here sum in *start* order while
 //! [`crate::EpisodeMetrics`] sums in trace order, so the two agree only
 //! to floating-point tolerance. For bit-exact parity checks, enable
 //! [`StreamSession::with_outcome_log`] and rebuild an `EpisodeMetrics`
 //! from the logged outcomes via [`StreamSession::log_metrics`].
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
@@ -107,6 +134,68 @@ impl<I: Iterator<Item = Job>> Admission<I> {
     fn is_empty(&mut self) -> bool {
         self.fill();
         self.pending.is_none()
+    }
+}
+
+/// One waiting job in the ranked order: the `(score, submit, seq)` key a
+/// full scan of the queue would compare, plus the queue ordinal that finds
+/// the job again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Ranked {
+    score: f64,
+    submit: f64,
+    seq: usize,
+    ord: u64,
+}
+
+impl Eq for Ranked {}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed so the BinaryHeap's top is the scan's pick. IEEE
+        // comparison on purpose (not `total_cmp`): the scan's `<`/`==`
+        // chain treats -0.0 and 0.0 as equal and falls through to the
+        // next field, and so must this.
+        other
+            .score
+            .partial_cmp(&self.score)
+            .expect("static keys are never NaN")
+            .then_with(|| {
+                other
+                    .submit
+                    .partial_cmp(&self.submit)
+                    .expect("admission rejects NaN submit times")
+            })
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Heap entries tolerated beyond twice the live queue before a rebuild.
+const RANKED_SLACK: usize = 64;
+
+/// The order behind [`StreamSession::ranked_head`]: every waiting job's
+/// key, plus the stale entries of jobs that left the queue and have not
+/// surfaced yet.
+#[derive(Debug)]
+struct RankedOrder {
+    key: fn(&Job) -> f64,
+    heap: BinaryHeap<Ranked>,
+}
+
+impl RankedOrder {
+    fn entry(&self, seq: usize, job: &Job, ord: u64) -> Ranked {
+        Ranked {
+            score: (self.key)(job),
+            submit: job.submit_time,
+            seq,
+            ord,
+        }
     }
 }
 
@@ -256,6 +345,8 @@ pub struct StreamSession<I: Iterator<Item = Job>> {
     peak_running: usize,
     /// Reused scratch for the EASY shadow-time computation.
     release_buf: Vec<(f64, u32)>,
+    /// The ranked head's order, once [`StreamSession::rank_by`] asked for it.
+    ranked: Option<RankedOrder>,
 }
 
 impl<I: Iterator<Item = Job>> StreamSession<I> {
@@ -281,6 +372,7 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
             peak_queue: 0,
             peak_running: 0,
             release_buf: Vec::with_capacity(64),
+            ranked: None,
         };
         match s.source.peek_submit() {
             None => return Err(SimError::EmptyTrace),
@@ -371,9 +463,64 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         })
     }
 
+    /// Keep the waiting jobs ordered by `(key(job), submit, seq)` from now
+    /// on, so [`StreamSession::ranked_head`] can name the minimum without
+    /// rescoring the queue. `key` must depend on the job alone — a score
+    /// that reads the waiting time changes between decisions and cannot
+    /// be ranked this way — and must never return NaN. Jobs already
+    /// waiting are ranked too, so this may be called mid-episode; calling
+    /// it again replaces the key.
+    pub fn rank_by(&mut self, key: fn(&Job) -> f64) {
+        self.ranked = Some(RankedOrder {
+            key,
+            heap: BinaryHeap::with_capacity(self.queue.len()),
+        });
+        self.rebuild_ranked();
+    }
+
+    /// Queue rank of the waiting job with the smallest
+    /// `(key, submit, seq)` — the rank a scan of [`waiting`] under the
+    /// same key would pick — in O(log n) amortized. `None` when no job
+    /// waits or [`rank_by`] was never called.
+    ///
+    /// [`waiting`]: StreamSession::waiting
+    /// [`rank_by`]: StreamSession::rank_by
+    pub fn ranked_head(&mut self) -> Option<usize> {
+        let heap = &mut self.ranked.as_mut()?.heap;
+        while let Some(top) = heap.peek() {
+            match self.queue.rank_of_ord(top.ord) {
+                Some(rank) => return Some(rank),
+                // Started by an earlier pick or by backfill.
+                None => heap.pop(),
+            };
+        }
+        None
+    }
+
+    /// Entries the ranked order holds, stale ones included (0 when off).
+    #[doc(hidden)]
+    pub fn ranked_len(&self) -> usize {
+        self.ranked.as_ref().map_or(0, |o| o.heap.len())
+    }
+
+    /// Refill the ranked order from the jobs waiting now, dropping every
+    /// stale entry. Reuses the heap's buffer.
+    fn rebuild_ranked(&mut self) {
+        let Some(order) = &mut self.ranked else {
+            return;
+        };
+        order.heap.clear();
+        for (ord, key) in self.queue.iter_ords() {
+            let (seq, job) = self.slab[key].as_ref().expect("queued slab slot is live");
+            order.heap.push(order.entry(*seq, job, ord));
+        }
+    }
+
     /// Admit one job into the slab and wait queue.
     fn admit(&mut self, seq: usize, job: Job) -> Result<(), SimError> {
-        if job.submit_time < self.last_submit {
+        // A NaN submit time has no place in any order, the queue's or the
+        // ranked head's, and `<` alone would let it through.
+        if job.submit_time.is_nan() || job.submit_time < self.last_submit {
             return Err(SimError::NonMonotoneArrival { seq });
         }
         self.last_submit = job.submit_time;
@@ -387,8 +534,15 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
                 self.slab.len() - 1
             }
         };
-        self.queue.push_back(key);
+        let ord = self.queue.push(key);
         self.peak_queue = self.peak_queue.max(self.queue.len());
+        if let Some(order) = &mut self.ranked {
+            let (_, job) = self.slab[key].as_ref().expect("slot was just filled");
+            order.heap.push(order.entry(seq, job, ord));
+            if order.heap.len() > 2 * self.queue.len() + RANKED_SLACK {
+                self.rebuild_ranked();
+            }
+        }
         Ok(())
     }
 
@@ -693,6 +847,48 @@ mod tests {
             }
         };
         assert_eq!(err, SimError::NonMonotoneArrival { seq: 2 });
+        // NaN compares false with everything, so `<` alone would admit it.
+        let jobs = vec![
+            Job::new(1, 0.0, 10.0, 1, 10.0),
+            Job::new(2, f64::NAN, 10.0, 1, 10.0),
+        ];
+        assert_eq!(
+            StreamSession::new(jobs.into_iter(), 4, SimConfig::default()).unwrap_err(),
+            SimError::NonMonotoneArrival { seq: 1 }
+        );
+    }
+
+    #[test]
+    fn ranked_head_names_the_minimum_key_among_the_waiting() {
+        // Shortest request first, switched on a few decisions in, with
+        // backfill starting jobs behind the order's back.
+        let mut s = StreamSession::new(
+            random_jobs(5, 400).into_iter(),
+            8,
+            SimConfig::with_backfill(),
+        )
+        .unwrap();
+        assert_eq!(s.ranked_head(), None, "no order until rank_by");
+        for _ in 0..10 {
+            s.step(0).unwrap();
+        }
+        s.rank_by(Job::time_bound);
+        while !s.done() {
+            let want = s
+                .waiting()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    let key = |w: &WaitingJob| (w.job.time_bound(), w.job.submit_time, w.job_index);
+                    key(a).partial_cmp(&key(b)).unwrap()
+                })
+                .map(|(rank, _)| rank);
+            let got = s.ranked_head();
+            assert_eq!(got, want);
+            assert!(s.ranked_len() <= 2 * s.peak_queue_depth() + RANKED_SLACK + 1);
+            s.step(got.unwrap()).unwrap();
+        }
+        assert_eq!(s.ranked_head(), None);
+        assert_eq!(s.started_count(), 400);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use rand::prelude::*;
 use rlsched_sim::{
-    EpisodeMetrics, LinearSession, QueueBackend, SchedSession, SimConfig, WaitingJob,
+    EpisodeMetrics, IndexedQueue, LinearQueue, LinearSession, QueueBackend, SchedSession,
+    SimConfig, WaitingJob,
 };
 use rlsched_swf::{Job, JobTrace};
 
@@ -48,8 +49,8 @@ fn assert_parity(
     cfg: SimConfig,
     mut pick: impl FnMut(usize, &mut dyn Iterator<Item = WaitingJob>) -> usize + Clone,
 ) {
-    let linear = run::<rlsched_sim::LinearQueue>(trace, cfg, &mut pick);
-    let indexed = run::<rlsched_sim::IndexedQueue>(trace, cfg, &mut pick);
+    let linear = run::<LinearQueue>(trace, cfg, &mut pick);
+    let indexed = run::<IndexedQueue>(trace, cfg, &mut pick);
     assert_eq!(linear, indexed);
 }
 
@@ -96,16 +97,63 @@ fn random_policy_parity() {
         let trace = random_trace(200 + seed, 300, 8);
         for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
             let picks = std::cell::RefCell::new(StdRng::seed_from_u64(seed ^ 0xbeef));
-            let linear = run::<rlsched_sim::LinearQueue>(&trace, cfg, |len, _| {
-                picks.borrow_mut().gen_range(0..len)
-            });
+            let linear =
+                run::<LinearQueue>(&trace, cfg, |len, _| picks.borrow_mut().gen_range(0..len));
             let picks2 = std::cell::RefCell::new(StdRng::seed_from_u64(seed ^ 0xbeef));
-            let indexed = run::<rlsched_sim::IndexedQueue>(&trace, cfg, |len, _| {
-                picks2.borrow_mut().gen_range(0..len)
-            });
+            let indexed =
+                run::<IndexedQueue>(&trace, cfg, |len, _| picks2.borrow_mut().gen_range(0..len));
             assert_eq!(linear, indexed);
         }
     }
+}
+
+/// `rank_of_ord` against the `Vec` reference: pushing the ordinal itself as
+/// the job index makes an entry's rank its position in the `Vec`.
+#[test]
+fn rank_of_ord_matches_linear_positions_across_compactions() {
+    let mut rng = StdRng::seed_from_u64(0x07d);
+    let mut linear = LinearQueue::default();
+    let mut indexed = IndexedQueue::with_capacity(16);
+    let mut pushed = 0u64;
+    let check_all = |linear: &LinearQueue, indexed: &IndexedQueue, pushed: u64| {
+        let mut rank_of = vec![None; pushed as usize];
+        for (rank, ord) in linear.iter().enumerate() {
+            rank_of[ord] = Some(rank);
+        }
+        for ord in 0..pushed {
+            assert_eq!(
+                indexed.rank_of_ord(ord),
+                rank_of[ord as usize],
+                "ordinal {ord} of {pushed}"
+            );
+        }
+        assert_eq!(indexed.rank_of_ord(pushed), None, "not pushed yet");
+    };
+    for op in 0..20_000 {
+        if linear.len() < 2 || rng.gen_bool(0.52) {
+            linear.push_back(pushed as usize);
+            assert_eq!(
+                indexed.push(pushed as usize),
+                pushed,
+                "ordinals count pushes"
+            );
+            assert_eq!(indexed.rank_of_ord(pushed), Some(linear.len() - 1));
+            pushed += 1;
+        } else {
+            let rank = rng.gen_range(0..linear.len());
+            let ord = linear.remove_at(rank) as u64;
+            assert_eq!(indexed.rank_of_ord(ord), Some(rank));
+            assert_eq!(indexed.remove_at(rank) as u64, ord);
+            assert_eq!(indexed.rank_of_ord(ord), None, "removed");
+        }
+        if op % 101 == 0 {
+            check_all(&linear, &indexed, pushed);
+        }
+    }
+    check_all(&linear, &indexed, pushed);
+    // Compaction fires whenever dead slots outnumber live ones by 64, so
+    // this many removals against this few survivors crossed it many times.
+    assert!(pushed as usize > 8 * linear.len());
 }
 
 #[test]
