@@ -120,7 +120,7 @@ fn bench_serving_throughput(c: &mut Criterion) {
 }
 
 /// Wire-protocol cost in isolation: a synchronous score_raw round trip
-/// against a live 1-shard server with a tiny coalesce window, for every
+/// against a live 1-shard server with a zero coalesce window, for every
 /// {JSON, binary} × {TCP, UDS} cell. The scoring work is identical in
 /// every cell (same kernel scorer, same row), so the spread between
 /// arms is encode + transport + decode — the thing the binary format
@@ -144,10 +144,10 @@ fn bench_serving_wire(c: &mut Criterion) {
                 *agent.encoder(),
                 ServeConfig {
                     shards: 1,
-                    // A near-zero window: a lone synchronous client's
+                    // A zero window: a lone synchronous client's
                     // latency is wire + one rows=1 forward, not waiting
                     // for batch-mates that never come.
-                    coalesce_window: std::time::Duration::from_micros(5),
+                    coalesce_window: std::time::Duration::ZERO,
                     addr: listen(),
                     ..ServeConfig::default()
                 },

@@ -51,12 +51,12 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 use rlsched_replay::{
-    collect_timed_requests, open_swf, open_swf_mmap, RemoteDecider, ReplayEngine, ReplayMetrics,
-    ReplayPolicy, ReplayReport, SwfSource,
+    collect_timed_requests, open_swf, open_swf_mmap, ReplayEngine, ReplayMetrics, ReplayPolicy,
+    ReplayReport, SwfSource,
 };
 use rlsched_sched::HeuristicKind;
 use rlsched_serve::{
-    ListenAddr, LoadGen, LoadGenConfig, ServeConfig, Server, Transport, WireProtocol,
+    ListenAddr, LoadGen, LoadGenConfig, RemotePolicy, ServeConfig, Server, Transport, WireProtocol,
 };
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::{LublinModel, LublinParams};
@@ -305,7 +305,7 @@ fn run(args: Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         let client = handle.connect().map_err(|e| e.to_string())?;
         let mut policy = ReplayPolicy::Remote(
-            RemoteDecider::new(client, 16).with_local_fallback(HeuristicKind::Sjf),
+            RemotePolicy::new(client, 16).with_local_fallback(HeuristicKind::Sjf),
         );
         let r = replay_arm(&agent_path, cfg, args.mmap, "RL-served", &mut policy)?;
         print_report("RL-served", &r);

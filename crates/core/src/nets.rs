@@ -92,22 +92,9 @@ impl PolicyKind {
 
 /// Batched kernel scoring processes this many views per dispatch (each
 /// view contributes `max_obsv` job rows, so a block is ~a thousand rows
-/// at the paper's K = 128). Tunable via `RLSCHED_KERNEL_VIEW_BLOCK` for
-/// experiments (read once, cached); see
-/// `KernelPolicy::log_probs_fast_batch` for why blocks beat one
-/// monolithic stack.
+/// at the paper's K = 128); see `KernelPolicy::log_probs_fast_batch` for
+/// why blocks beat one monolithic stack.
 const KERNEL_VIEW_BLOCK: usize = 8;
-
-fn kernel_view_block() -> usize {
-    static BLOCK: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *BLOCK.get_or_init(|| {
-        std::env::var("RLSCHED_KERNEL_VIEW_BLOCK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(KERNEL_VIEW_BLOCK)
-    })
-}
 
 /// The kernel-based policy network (Fig 5).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -173,13 +160,12 @@ impl PolicyModel for KernelPolicy {
         // ~a thousand job rows per dispatch. Row-count invariance of the
         // dense kernels makes the blocking invisible: every row computes
         // the same bits at any block size.
-        let chunk = kernel_view_block();
         let k = self.max_obsv;
         let obs_per_view = obs.len() / rows;
         out.clear();
         let mut tmp = std::mem::take(infer::scratch_extra(scratch));
-        for start in (0..rows).step_by(chunk) {
-            let n_views = chunk.min(rows - start);
+        for start in (0..rows).step_by(KERNEL_VIEW_BLOCK) {
+            let n_views = KERNEL_VIEW_BLOCK.min(rows - start);
             infer::mlp_forward(
                 &self.kernel,
                 &obs[start * obs_per_view..(start + n_views) * obs_per_view],

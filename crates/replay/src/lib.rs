@@ -18,8 +18,8 @@
 //!   [`Agent`](ReplayPolicy::Agent) (an in-process
 //!   [`rlscheduler::StreamDecider`]), and
 //!   [`Remote`](ReplayPolicy::Remote) (every decision over the wire to
-//!   a live `rlsched-serve` tier, mirroring
-//!   `rlsched_serve::RemotePolicy`'s shed/fallback semantics).
+//!   a live `rlsched-serve` tier through [`rlsched_serve::RemotePolicy`],
+//!   the same head — and shed/fallback semantics — `run_episode` uses).
 //!
 //! [`ReplayEngine::run`] drives the episode to completion and returns a
 //! [`ReplayReport`]: decision throughput, per-decision latency
@@ -50,10 +50,8 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use rlsched_obs::{Counter, Gauge, Histogram, Registry};
-use rlsched_sched::{select_parts, select_streaming, HeuristicKind};
-use rlsched_serve::{
-    ClientError, LatencyHistogram, ServeClient, ServedBy, TimedRequest, Transport,
-};
+use rlsched_sched::{select_streaming, HeuristicKind};
+use rlsched_serve::{ClientError, LatencyHistogram, RemotePolicy, TimedRequest, Transport};
 use rlsched_sim::{EpisodeMetrics, SimConfig, SimError, StreamMetrics, StreamSession};
 use rlsched_swf::{Job, MmapFile, StreamReader, SwfError};
 use rlscheduler::{QueueSnapshot, SnapshotJob, StreamDecider};
@@ -196,137 +194,11 @@ pub fn open_swf_mmap(path: impl AsRef<Path>) -> Result<SwfSource<Cursor<MmapFile
     source_from_reader(StreamReader::new(Cursor::new(mapped)))
 }
 
-/// A decision head for replay over a live `rlsched-serve` tier: builds
-/// a [`QueueSnapshot`] straight from the streaming wait queue (into
-/// reused buffers) and asks the server to score it. Shed/failure
-/// semantics mirror `rlsched_serve::RemotePolicy`: a shed is answered
-/// by the local fallback heuristic (or FCFS without one); a transport
-/// failure past the retry budget is answered locally too when a
-/// fallback is configured, and surfaces as
-/// [`ReplayError::Client`] otherwise.
-pub struct RemoteDecider<S: Transport = TcpStream> {
-    client: ServeClient<S>,
-    /// Snapshot truncation window (the serving agent's `max_obsv`).
-    window: usize,
-    fallback: Option<HeuristicKind>,
-    /// Reused decision-point buffer.
-    snap: QueueSnapshot,
-    sheds: u64,
-    local_decisions: u64,
-    remote_fallbacks: u64,
-}
-
-impl<S: Transport> RemoteDecider<S> {
-    /// Wrap a connected client. `window` must equal the serving agent's
-    /// observation window.
-    pub fn new(client: ServeClient<S>, window: usize) -> Self {
-        RemoteDecider {
-            client,
-            window,
-            fallback: None,
-            snap: QueueSnapshot {
-                free_procs: 0,
-                total_procs: 0,
-                queue_len: 0,
-                jobs: Vec::with_capacity(window),
-            },
-            sheds: 0,
-            local_decisions: 0,
-            remote_fallbacks: 0,
-        }
-    }
-
-    /// Answer sheds *and* exhausted-retry transport failures with this
-    /// local heuristic instead of erroring. Must be wire-scorable.
-    pub fn with_local_fallback(mut self, kind: HeuristicKind) -> Self {
-        assert!(
-            kind.wire_scorable(),
-            "{} is not computable from a decision-point view",
-            kind.name()
-        );
-        self.fallback = Some(kind);
-        self
-    }
-
-    /// Decisions the server shed (answered locally).
-    pub fn sheds(&self) -> u64 {
-        self.sheds
-    }
-
-    /// Decisions answered by the local heuristic.
-    pub fn local_decisions(&self) -> u64 {
-        self.local_decisions
-    }
-
-    /// Decisions the *server* answered via its fallback arm.
-    pub fn remote_fallbacks(&self) -> u64 {
-        self.remote_fallbacks
-    }
-
-    /// Recover the client (e.g. to query stats after a replay).
-    pub fn into_client(self) -> ServeClient<S> {
-        self.client
-    }
-
-    fn decide_locally(&mut self) -> usize {
-        self.local_decisions += 1;
-        match self.fallback {
-            Some(kind) => select_parts(
-                kind,
-                self.snap
-                    .jobs
-                    .iter()
-                    .map(|j| (j.wait, j.time_bound, j.procs)),
-            )
-            .unwrap_or(0),
-            None => 0, // FCFS: schedule the head of the queue
-        }
-    }
-
-    fn decide<'j>(
-        &mut self,
-        free_procs: u32,
-        total_procs: u32,
-        queue_len: usize,
-        waiting: impl Iterator<Item = rlsched_sim::WaitingJob<'j>>,
-    ) -> Result<usize, ReplayError> {
-        self.snap.free_procs = free_procs;
-        self.snap.total_procs = total_procs;
-        self.snap.queue_len = queue_len as u32;
-        self.snap.jobs.clear();
-        self.snap
-            .jobs
-            .extend(waiting.take(self.window).map(|w| SnapshotJob {
-                wait: w.wait,
-                time_bound: w.job.time_bound(),
-                procs: w.job.procs(),
-                can_run_now: w.can_run_now,
-            }));
-        let bound = queue_len.saturating_sub(1);
-        match self.client.score_snapshot(&self.snap) {
-            Ok(d) => {
-                if d.served_by == ServedBy::Fallback {
-                    self.remote_fallbacks += 1;
-                }
-                Ok(d.action.min(bound))
-            }
-            Err(ClientError::Shed) => {
-                self.sheds += 1;
-                Ok(self.decide_locally().min(bound))
-            }
-            Err(e) => {
-                if self.fallback.is_some() {
-                    Ok(self.decide_locally().min(bound))
-                } else {
-                    Err(ReplayError::Client(e))
-                }
-            }
-        }
-    }
-}
-
 /// The decision head a [`ReplayEngine`] drives — one variant per way
 /// the paper's policies can answer "which waiting job starts next".
+// One policy exists per replay and is only ever borrowed: the remote
+// head's frame buffers are not worth a `Box` at every construction site.
+#[allow(clippy::large_enum_variant)]
 pub enum ReplayPolicy<'a, S: Transport = TcpStream> {
     /// A Table III priority function. Kinds with a
     /// `HeuristicKind::static_key` (FCFS, SJF, F1, LJF, SmallestFirst)
@@ -337,8 +209,11 @@ pub enum ReplayPolicy<'a, S: Transport = TcpStream> {
     Heuristic(HeuristicKind),
     /// A trained agent in-process (bit-identical to `Agent::as_policy`).
     Agent(StreamDecider<'a>),
-    /// Every decision over the wire to a live serving tier.
-    Remote(RemoteDecider<S>),
+    /// Every decision over the wire to a live serving tier: the
+    /// snapshot is built straight from the streaming wait queue. A
+    /// transport failure with no local fallback configured surfaces as
+    /// [`ReplayError::Client`].
+    Remote(RemotePolicy<S>),
 }
 
 impl<S: Transport> ReplayPolicy<'_, S> {
@@ -518,8 +393,10 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
             ReplayPolicy::Agent(dec) => self.drive(|s| {
                 Ok(dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting()))
             }),
-            ReplayPolicy::Remote(dec) => self
-                .drive(|s| dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting())),
+            ReplayPolicy::Remote(dec) => self.drive(|s| {
+                dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting())
+                    .map_err(ReplayError::Client)
+            }),
         }
     }
 

@@ -4,9 +4,9 @@
 //! served replays match the in-process agent (the serving tier's own
 //! parity guarantee composes).
 
-use rlsched_replay::{collect_timed_requests, RemoteDecider, ReplayEngine, ReplayPolicy};
+use rlsched_replay::{collect_timed_requests, ReplayEngine, ReplayPolicy};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};
-use rlsched_serve::{LoadGen, LoadGenConfig, ServeConfig, Server};
+use rlsched_serve::{LoadGen, LoadGenConfig, RemotePolicy, ServeConfig, Server};
 use rlsched_sim::{run_episode, MetricKind, SimConfig};
 use rlsched_workload::{LublinModel, LublinParams};
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
@@ -102,7 +102,7 @@ fn served_replay_matches_in_process_agent() {
         .unwrap()
         .with_outcome_log();
     let mut policy = ReplayPolicy::Remote(
-        RemoteDecider::new(client, window).with_local_fallback(HeuristicKind::Sjf),
+        RemotePolicy::new(client, window).with_local_fallback(HeuristicKind::Sjf),
     );
     let report = remote.run(&mut policy).unwrap();
     handle.shutdown();

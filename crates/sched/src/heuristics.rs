@@ -148,6 +148,12 @@ impl HeuristicKind {
 /// submit ascending ⇔ wait descending, and the FCFS queue order makes
 /// the slot index the final `(submit, trace-index)` tie-break.
 ///
+/// Stateless over one snapshot: every call rescores the `jobs` it is
+/// handed, O(n), for static-key kinds too. It does not inherit a
+/// streaming replay's ranked head (`StreamSession::ranked_head`) — a
+/// wire request carries at most one observation window of jobs and no
+/// queue history to keep an order over.
+///
 /// Returns `None` when the iterator is empty or `kind` is not
 /// wire-scorable (F1). Never allocates.
 pub fn select_parts(

@@ -1,8 +1,9 @@
-//! The resilient blocking client, plus [`RemotePolicy`]: a
-//! [`rlsched_sim::Policy`] whose every decision goes over the wire —
-//! plug it into `run_episode` and the simulator schedules through the
-//! serving tier exactly as it would through `Agent::as_policy` (the
-//! parity suite pins that the decisions are bit-identical).
+//! The resilient blocking client, plus [`RemotePolicy`]: the decision
+//! head whose every decision goes over the wire — plug it into
+//! `run_episode` (it is a [`rlsched_sim::Policy`]) or a streaming replay
+//! and the simulator schedules through the serving tier exactly as it
+//! would through `Agent::as_policy` (the parity suites pin that the
+//! decisions are bit-identical).
 //!
 //! The client is generic over the [`Transport`] (TCP by default, Unix
 //! domain sockets via [`ServeClient::connect_uds`]) and speaks either
@@ -37,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use rlsched_obs::RegistrySnapshot;
 use rlsched_sched::{select_parts, HeuristicKind};
-use rlsched_sim::{Policy, QueueView};
-use rlscheduler::QueueSnapshot;
+use rlsched_sim::{Policy, QueueView, WaitingJob};
+use rlscheduler::{QueueSnapshot, SnapshotJob};
 
 use crate::protocol::{
     encode_binary_frame, encode_json_frame, encode_score_raw_frame, read_frame_any_into, Request,
@@ -467,21 +468,26 @@ impl<S: Transport> ServeClient<S> {
     }
 }
 
-/// A simulator policy that asks the serving tier for every decision.
+/// The remote decision head: every decision goes over the wire to a
+/// live serving tier. It is a simulator [`Policy`] (plug it into
+/// `run_episode`) and, through [`RemotePolicy::decide`], the head a
+/// streaming replay drives straight from its wait queue.
 ///
 /// With a local fallback configured
 /// ([`RemotePolicy::with_local_fallback`]), a shed or a transport
 /// failure that survived the client's retry budget is answered by the
 /// local heuristic — the same kind-for-kind decision the server-side
 /// fallback arm computes — and counted. Without one, a shed schedules
-/// the head of the queue (FCFS) and a transport failure panics: a
-/// scheduling loop cannot silently skip decisions.
+/// the head of the queue (FCFS) and a transport failure is the caller's
+/// error: [`RemotePolicy::decide`] returns it, [`Policy::select`]
+/// panics (a scheduling loop cannot silently skip decisions).
 pub struct RemotePolicy<S: Transport = TcpStream> {
     client: ServeClient<S>,
     /// Snapshot truncation window (the encoder's `max_obsv`).
     window: usize,
     local_fallback: Option<HeuristicKind>,
-    name: String,
+    /// Reused decision-point buffer.
+    snap: QueueSnapshot,
     sheds: u64,
     local_decisions: u64,
     remote_decisions: u64,
@@ -496,7 +502,12 @@ impl<S: Transport> RemotePolicy<S> {
             client,
             window,
             local_fallback: None,
-            name: "RL-remote".to_string(),
+            snap: QueueSnapshot {
+                free_procs: 0,
+                total_procs: 0,
+                queue_len: 0,
+                jobs: Vec::with_capacity(window),
+            },
             sheds: 0,
             local_decisions: 0,
             remote_decisions: 0,
@@ -505,7 +516,7 @@ impl<S: Transport> RemotePolicy<S> {
     }
 
     /// Answer sheds *and* exhausted-retry transport failures with this
-    /// local heuristic instead of panicking. Must be wire-scorable.
+    /// local heuristic instead of failing. Must be wire-scorable.
     pub fn with_local_fallback(mut self, kind: HeuristicKind) -> Self {
         assert!(
             kind.wire_scorable(),
@@ -544,46 +555,75 @@ impl<S: Transport> RemotePolicy<S> {
         self.client
     }
 
-    fn decide_locally(&mut self, snap: &QueueSnapshot) -> usize {
+    /// The heuristic's pick over the decision point in `self.snap`.
+    fn decide_locally(&mut self) -> usize {
         self.local_decisions += 1;
         match self.local_fallback {
             Some(kind) => select_parts(
                 kind,
-                snap.jobs.iter().map(|j| (j.wait, j.time_bound, j.procs)),
+                self.snap
+                    .jobs
+                    .iter()
+                    .map(|j| (j.wait, j.time_bound, j.procs)),
             )
             .unwrap_or(0),
             None => 0, // FCFS: schedule the head of the queue
         }
     }
-}
 
-impl<S: Transport> Policy for RemotePolicy<S> {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        let snap = QueueSnapshot::from_view(view, self.window);
-        let bound = view.waiting.len().saturating_sub(1);
-        match self.client.score_snapshot(&snap) {
+    /// Ask the tier which of `queue_len` waiting jobs starts next. The
+    /// first `window` jobs of `waiting` are snapshotted into a reused
+    /// buffer; the answer is a queue position `< queue_len`.
+    pub fn decide<'j>(
+        &mut self,
+        free_procs: u32,
+        total_procs: u32,
+        queue_len: usize,
+        waiting: impl Iterator<Item = WaitingJob<'j>>,
+    ) -> Result<usize, ClientError> {
+        self.snap.free_procs = free_procs;
+        self.snap.total_procs = total_procs;
+        self.snap.queue_len = queue_len as u32;
+        self.snap.jobs.clear();
+        self.snap
+            .jobs
+            .extend(waiting.take(self.window).map(|w| SnapshotJob {
+                wait: w.wait,
+                time_bound: w.job.time_bound(),
+                procs: w.job.procs(),
+                can_run_now: w.can_run_now,
+            }));
+        let pick = match self.client.score_snapshot(&self.snap) {
             Ok(d) => {
                 self.remote_decisions += 1;
                 if d.served_by == ServedBy::Fallback {
                     self.remote_fallbacks += 1;
                 }
-                d.action.min(bound)
+                d.action
             }
             Err(ClientError::Shed) => {
                 self.sheds += 1;
-                self.decide_locally(&snap).min(bound)
+                self.decide_locally()
             }
-            Err(e) => {
-                if self.local_fallback.is_some() {
-                    self.decide_locally(&snap).min(bound)
-                } else {
-                    panic!("serving tier unreachable mid-episode: {e}")
-                }
-            }
-        }
+            Err(_) if self.local_fallback.is_some() => self.decide_locally(),
+            Err(e) => return Err(e),
+        };
+        Ok(pick.min(queue_len.saturating_sub(1)))
+    }
+}
+
+impl<S: Transport> Policy for RemotePolicy<S> {
+    fn select(&mut self, view: &QueueView<'_>) -> usize {
+        self.decide(
+            view.free_procs,
+            view.total_procs,
+            view.waiting.len(),
+            view.waiting.iter().copied(),
+        )
+        .unwrap_or_else(|e| panic!("serving tier unreachable mid-episode: {e}"))
     }
 
     fn name(&self) -> &str {
-        &self.name
+        "RL-remote"
     }
 }

@@ -43,7 +43,9 @@
 //!   of queueing unbounded work.
 //! * **Coalescing**: a shard blocks for its first request, then drains
 //!   arrivals until the configured window elapses or the batch cap is
-//!   reached, and scores the whole stack through one forward.
+//!   reached, and scores the whole stack through one forward. What is
+//!   already waiting when the window closes rides along, so a zero
+//!   window means "never sleep for companions", not "never batch".
 //! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag, the accept
 //!   loop notices it, parked connection readers are unblocked by
 //!   shutting their streams down, shards drain and exit when every
@@ -87,6 +89,8 @@ pub struct ServeConfig {
     /// Max rows per coalesced batch.
     pub batch_cap: usize,
     /// How long a shard holds its first request open for companions.
+    /// Zero never waits: the shard scores what is already in its inbox,
+    /// so a lone request costs one forward and a backlog still batches.
     pub coalesce_window: Duration,
     /// Bounded per-shard inbox depth; arrivals beyond it take the
     /// fallback arm (or are shed when no fallback is configured).
@@ -1103,26 +1107,18 @@ fn shard_loop(
             reply: r.reply,
         });
     };
-    loop {
-        let first = match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+    // `recv` fails only once every sender is gone and the inbox is empty.
+    while let Ok(first) = rx.recv() {
         let window_closes = Instant::now() + sup.window;
         admit(engine, pending, first);
+        // A closed window still takes what is already waiting (a zero
+        // timeout is a `try_recv`), so a zero window never sleeps and a
+        // backlog batches itself all the same.
         while !engine.is_full() {
-            let now = Instant::now();
-            let Some(remaining) = window_closes
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
+            let remaining = window_closes.saturating_duration_since(Instant::now());
             match rx.recv_timeout(remaining) {
                 Ok(r) => admit(engine, pending, r),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
+                Err(_) => break,
             }
         }
         if pending.is_empty() {

@@ -26,12 +26,12 @@ use std::time::Duration;
 
 use rlsched_rl::PpoConfig;
 use rlsched_serve::{
-    ClientError, ListenAddr, RemotePolicy, ServeClient, ServeConfig, ServedBy, Server, ServerAddr,
-    WireProtocol,
+    ClientError, FaultPlan, ListenAddr, RemotePolicy, ServeClient, ServeConfig, ServedBy, Server,
+    ServerAddr, WireProtocol,
 };
 use rlsched_sim::{run_episode, MetricKind, SimConfig};
 use rlsched_swf::{Job, JobTrace};
-use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
+use rlscheduler::{Agent, AgentConfig, CanaryBatch, ObsConfig, PolicyKind};
 
 /// A toy trace with enough queue contention that policies differ.
 fn toy_trace() -> JobTrace {
@@ -238,26 +238,29 @@ fn hot_swap_serves_new_weights_without_dropping_requests() {
     assert!(stats.served > 0);
 }
 
-/// Backpressure: a depth-1 inbox behind a slow coalescing window must
-/// shed — and every request still gets exactly one response.
+/// Backpressure: a depth-1 inbox behind a busy shard must shed — and
+/// every request still gets exactly one response.
 #[test]
 fn full_inboxes_shed_and_every_request_is_answered() {
     use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
     use std::io::BufReader;
 
     let agent = agent_for(PolicyKind::Kernel, 31);
+    // The shard sits in a scripted stall with its first batch while the
+    // burst arrives, so the depth-1 inbox must overflow however fast or
+    // slowly the reader decodes the frames behind it.
+    let faults = Arc::new(FaultPlan::new());
+    faults.stall_at(0, 0, Duration::from_millis(100));
     let handle = Server::spawn(
         agent.scorer_snapshot(),
         *agent.encoder(),
         ServeConfig {
             shards: 1,
             batch_cap: 4,
-            // Drain is throttled to ≤ 4 rows / 5 ms, so a burst of
-            // back-to-back requests must overflow the depth-1 inbox.
-            coalesce_window: Duration::from_millis(5),
             queue_depth: 1,
             // No fallback: this test pins the bare-shed semantics.
             fallback: None,
+            faults: Some(faults),
             // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
@@ -313,6 +316,96 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     assert_eq!(stats.shed, sheds);
     assert!(stats.p99_us >= stats.p50_us);
     assert!(stats.max_us > 0.0);
+}
+
+/// A zero window never sleeps for companions, yet a backlog still
+/// batches: the shard scores what is already waiting, in stacked batches
+/// of at most `batch_cap` rows. One request occupies the shard (a
+/// scripted stall, standing in for a slow forward) while nine more queue
+/// behind it; they come back as 1 + 4 + 4 + 1, each row carrying the
+/// in-process agent's action whatever batch it rode in.
+#[test]
+fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
+    use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
+    use std::io::BufReader;
+
+    const N: usize = 10;
+    let agent = agent_for(PolicyKind::Kernel, 71);
+    let canary = CanaryBatch::probe(&agent, N, 73);
+    let faults = Arc::new(FaultPlan::new());
+    faults.stall_at(0, 0, Duration::from_millis(200));
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            shards: 1,
+            batch_cap: 4,
+            coalesce_window: Duration::ZERO,
+            faults: Some(faults),
+            // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+            addr: ListenAddr::Tcp("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let score = |id: usize| {
+        let (obs, mask, queue_len, _) = canary.row(id);
+        Request::ScoreRaw {
+            id: id as u64,
+            obs: obs.to_vec(),
+            mask: mask.to_vec(),
+            queue_len: queue_len as u64,
+        }
+    };
+
+    write_frame(&mut writer, &score(0)).unwrap();
+    // Scrape on the same connection: its reader handles frames in order,
+    // so every scrape sees request 0 enqueued, and an inbox depth of 0
+    // means the shard has taken it — into batch 0, which stalls.
+    loop {
+        write_frame(&mut writer, &Request::Metrics { id: 100 }).unwrap();
+        let Response::Metrics { metrics, .. } = read_frame(&mut reader).unwrap().unwrap() else {
+            panic!("request 0 was answered before the backlog could be sent");
+        };
+        if metrics.gauge("rlsched_serve_inbox_depth", &[("shard", "0")]) == Some(0.0) {
+            break;
+        }
+    }
+    for id in 1..N {
+        write_frame(&mut writer, &score(id)).unwrap();
+    }
+
+    let mut seen = [false; N];
+    for _ in 0..N {
+        match read_frame::<Response, _>(&mut reader).unwrap().unwrap() {
+            Response::Action {
+                id,
+                action,
+                served_by,
+                ..
+            } => {
+                assert!(!std::mem::replace(&mut seen[id as usize], true));
+                let (_, _, _, expected) = canary.row(id as usize);
+                assert_eq!(
+                    (action as usize, served_by),
+                    (expected, ServedBy::Model),
+                    "id {id}: batch composition must not change a bit"
+                );
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    let batch_max = handle
+        .registry()
+        .gauge("rlsched_serve_batch_max_rows", &[("shard", "0")]);
+    assert_eq!(batch_max.get(), 4.0, "batches stop at batch_cap");
+    let stats = handle.shutdown();
+    assert_eq!(stats.served, N as u64);
+    assert_eq!(stats.batches, 4, "1 + 4 + 4 + 1: the backlog was stacked");
 }
 
 /// Protocol robustness: a malformed line gets an error report and the
@@ -397,7 +490,10 @@ fn stats_are_queryable_over_the_wire() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.served, 10);
     assert_eq!(stats.shed, 0);
-    assert!(stats.batches >= 1 && stats.batches <= 10);
+    assert_eq!(
+        stats.batches, 10,
+        "one synchronous client never has a companion"
+    );
     assert!(stats.mean_batch() >= 1.0);
     assert!(stats.p50_us > 0.0 && stats.p50_us <= stats.p99_us);
     let final_stats = handle.shutdown();
