@@ -2,9 +2,10 @@
 //!
 //! Generates a deterministic synthetic SWF trace (Lublin model) on disk,
 //! streams it back through the one-pass [`rlsched_replay::ReplayEngine`],
-//! and reports per-policy decision throughput (sim-ticks/sec), decision
-//! latency quantiles (p50/p99), and the peak queue depth that bounds the
-//! replay's resident memory.
+//! and reports per-policy job and decision throughput (jobs/s, sim-ticks/s),
+//! the share of jobs EASY backfilled without a decision, decision latency
+//! quantiles (p50/p99), and the peak queue depth that bounds the replay's
+//! resident memory.
 //!
 //! ```text
 //! replay                         # full run: 1,000,000 jobs, FCFS + SJF (+ agent at 1/20 scale)
@@ -16,29 +17,15 @@
 //! replay --smoke --metrics-dump  # also print both telemetry registries: the serve tier's
 //!                                # (scraped over the wire via Request::Metrics) and the
 //!                                # process-global replay registry, in exposition text format
-//! replay --stretch 1.0           # raw calibrated arrivals (the backlog grows with the trace)
 //! ```
 //!
-//! The calibrated Lublin model is slightly *overloaded* on long horizons
-//! (offered load ≈ 1), so a raw multi-hundred-thousand-job replay grows
-//! its queue linearly with trace length. The decision head is no longer
-//! what that makes quadratic: FCFS, SJF and F1 pick from an order kept as
-//! jobs arrive and leave, O(log n) per decision whatever the backlog
-//! (`replay/sjf/decision_p99` fell from 38 µs to under 3 µs at a peak
-//! queue of 2 347). EASY backfilling still is: every blocked reservation
-//! walks the whole wait queue rank by rank through the Fenwick tree
-//! (`StreamSession::backfill_pass`, O(n log n) per pass), which is why
-//! SJF still replays at ~3 000 ticks/s here against FCFS's ~50 000 and
-//! why a growing backlog still turns the pass quadratic. So `--stretch F`
-//! stays until that scan is incremental too: it multiplies every submit
-//! time by `F` when the trace is written, keeping queue depth stationary
-//! so the bench measures engine throughput, not backlog pathology. The
-//! default 1.5 puts offered load ≈ 0.65 — comfortably under EASY-FCFS's
-//! effective capacity, which fragmentation holds well below 1 (at 1.25 /
-//! offered ≈ 0.8, FCFS still sits at its critical point and the queue
-//! random-walks upward over million-job horizons). `--stretch 1.0`
-//! reproduces the raw model; with `--no-backfill` it is the native-load
-//! run the ranked heads make affordable.
+//! The trace is replayed on the model's own arrivals. The calibrated
+//! Lublin model offers a load of about 1, so the backlog grows with the
+//! trace (FCFS peaks at a queue of ~226 000 over a million jobs): that is
+//! the regime the engine is meant to survive: neither the decision head
+//! (FCFS, SJF and F1 pick from a kept order, O(log n)) nor EASY
+//! backfilling (one first-fit descent per started job,
+//! `IndexedQueue::first_fit`) walks the queue.
 //!
 //! Results are appended to `BENCH_replay.json` (in `$BENCH_OUT_DIR` or
 //! the working directory) in the same `{"id": {"median_ns": …,
@@ -65,7 +52,6 @@ use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
 struct Args {
     jobs: usize,
     seed: u64,
-    stretch: f64,
     smoke: bool,
     serve_load: bool,
     backfill: bool,
@@ -73,14 +59,13 @@ struct Args {
     metrics_dump: bool,
 }
 
-const USAGE: &str = "usage: replay [--jobs N] [--seed N] [--stretch F] [--smoke] [--serve-load] \
+const USAGE: &str = "usage: replay [--jobs N] [--seed N] [--smoke] [--serve-load] \
      [--no-backfill] [--mmap] [--metrics-dump]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         jobs: 1_000_000,
         seed: 1,
-        stretch: 1.5,
         smoke: false,
         serve_load: false,
         backfill: true,
@@ -101,14 +86,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--stretch" => {
-                args.stretch = next("--stretch")?
-                    .parse()
-                    .map_err(|e| format!("--stretch: {e}"))?;
-                if !(args.stretch.is_finite() && args.stretch > 0.0) {
-                    return Err("--stretch must be a positive finite factor".into());
-                }
-            }
             "--smoke" => args.smoke = true,
             "--serve-load" => args.serve_load = true,
             "--no-backfill" => args.backfill = false,
@@ -124,14 +101,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Write the trace once, streaming straight to disk — the generator side
-/// never materializes it either. `stretch` dilates submit times by a
-/// constant factor (1.0 = the raw calibrated model) so long replays run
-/// at stationary rather than critically-loaded utilization.
-fn write_trace(jobs: usize, seed: u64, stretch: f64) -> std::io::Result<std::path::PathBuf> {
-    let path = std::env::temp_dir().join(format!(
-        "rlsched_replay_{jobs}_{seed}_x{}.swf",
-        stretch.to_bits()
-    ));
+/// never materializes it either.
+fn write_trace(jobs: usize, seed: u64) -> std::io::Result<std::path::PathBuf> {
+    let path = std::env::temp_dir().join(format!("rlsched_replay_{jobs}_{seed}.swf"));
     let params = LublinParams::lublin1();
     let cluster = params.cluster_size;
     let model = LublinModel::new(params);
@@ -140,12 +112,13 @@ fn write_trace(jobs: usize, seed: u64, stretch: f64) -> std::io::Result<std::pat
     header
         .fields
         .insert("MaxProcs".to_string(), cluster.to_string());
-    let jobs_iter = model.stream(jobs, seed).map(|mut j| {
-        j.submit_time *= stretch;
-        j
-    });
-    rlsched_swf::write_jobs(&header, cluster, jobs_iter, BufWriter::new(file))
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    rlsched_swf::write_jobs(
+        &header,
+        cluster,
+        model.stream(jobs, seed),
+        BufWriter::new(file),
+    )
+    .map_err(|e| std::io::Error::other(e.to_string()))?;
     Ok(path)
 }
 
@@ -182,11 +155,13 @@ fn replay_arm<S: Transport>(
 
 fn print_report(label: &str, r: &ReplayReport) {
     println!(
-        "{label:>10}: {:>9} jobs, {:>8} decisions, {:>10.0} ticks/s, \
-         p50 {:>7} ns, p99 {:>8} ns, peak queue {:>6}, peak running {:>5}, \
-         bsld {:.3}, util {:.3}",
+        "{label:>10}: {:>9} jobs, {:>8} decisions, {:>5.1}% backfilled, {:>9.0} jobs/s, \
+         {:>9.0} ticks/s, p50 {:>7} ns, p99 {:>8} ns, peak queue {:>6}, \
+         peak running {:>5}, bsld {:.3}, util {:.3}",
         r.metrics.count(),
         r.decisions,
+        100.0 * r.backfilled() as f64 / r.metrics.count().max(1) as f64,
+        r.jobs_per_sec(),
         r.decisions_per_sec(),
         r.p50_ns(),
         r.p99_ns(),
@@ -239,10 +214,10 @@ fn run(args: Args) -> Result<(), String> {
         SimConfig::no_backfill()
     };
     println!(
-        "generating {} Lublin jobs (seed {}, arrival stretch ×{}) to a temporary SWF…",
-        args.jobs, args.seed, args.stretch
+        "generating {} Lublin jobs (seed {}) to a temporary SWF…",
+        args.jobs, args.seed
     );
-    let path = write_trace(args.jobs, args.seed, args.stretch).map_err(|e| e.to_string())?;
+    let path = write_trace(args.jobs, args.seed).map_err(|e| e.to_string())?;
     let mut entries: Vec<(String, f64, u64)> = Vec::new();
     let mut record = |tag: &str, r: &ReplayReport| {
         let per_decision = if r.decisions == 0 {
@@ -285,7 +260,7 @@ fn run(args: Args) -> Result<(), String> {
     let agent_path = if agent_jobs == args.jobs {
         path.clone()
     } else {
-        write_trace(agent_jobs, args.seed, args.stretch).map_err(|e| e.to_string())?
+        write_trace(agent_jobs, args.seed).map_err(|e| e.to_string())?
     };
     let agent = small_agent(args.seed);
     let mut agent_policy: ReplayPolicy = ReplayPolicy::Agent(agent.stream_decider());

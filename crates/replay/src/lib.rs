@@ -22,9 +22,11 @@
 //!   the same head — and shed/fallback semantics — `run_episode` uses).
 //!
 //! [`ReplayEngine::run`] drives the episode to completion and returns a
-//! [`ReplayReport`]: decision throughput, per-decision latency
-//! quantiles (the serving tier's [`LatencyHistogram`]), peak queue
-//! depth, and the folded [`StreamMetrics`].
+//! [`ReplayReport`]: job and decision throughput (with EASY on, backfill
+//! starts jobs the policy never decided on, so the two differ),
+//! per-decision latency quantiles (the serving tier's
+//! [`LatencyHistogram`]), peak queue depth, and the folded
+//! [`StreamMetrics`].
 //!
 //! How a heuristic picks is a function of its [`HeuristicKind`] alone.
 //! A score that never reads the waiting time (FCFS, SJF, F1, and the LJF
@@ -271,7 +273,10 @@ impl HeuristicHead {
 /// What one completed replay measured.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// Scheduling decisions made (== jobs started).
+    /// Scheduling decisions made: the jobs the policy started. With EASY
+    /// on, the rest of `metrics.count()` were started by backfill without
+    /// a decision ([`ReplayReport::backfilled`]) — on an overloaded FCFS
+    /// replay that is most of them.
     pub decisions: u64,
     /// Wall-clock duration of the pass.
     pub elapsed: Duration,
@@ -287,13 +292,29 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Decision throughput (sim-ticks per wall-clock second).
-    pub fn decisions_per_sec(&self) -> f64 {
+    fn per_sec(&self, n: u64) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
         }
-        self.decisions as f64 / secs
+        n as f64 / secs
+    }
+
+    /// Decision throughput (sim-ticks per wall-clock second).
+    pub fn decisions_per_sec(&self) -> f64 {
+        self.per_sec(self.decisions)
+    }
+
+    /// Job throughput (jobs started per wall-clock second, whoever
+    /// started them): the number to compare across backfill modes, where
+    /// decisions per second is not.
+    pub fn jobs_per_sec(&self) -> f64 {
+        self.per_sec(self.metrics.count())
+    }
+
+    /// Jobs EASY backfill started without asking the policy.
+    pub fn backfilled(&self) -> u64 {
+        self.metrics.count() - self.decisions
     }
 
     /// Median per-decision latency in nanoseconds.
@@ -319,6 +340,7 @@ pub struct ReplayMetrics {
     latency: Histogram,
     ticks_per_sec: Gauge,
     peak_queue: Gauge,
+    backfilled: Counter,
 }
 
 impl ReplayMetrics {
@@ -330,6 +352,7 @@ impl ReplayMetrics {
             latency: reg.histogram("rlsched_replay_decision_ns", labels),
             ticks_per_sec: reg.gauge("rlsched_replay_ticks_per_sec", labels),
             peak_queue: reg.gauge("rlsched_replay_peak_queue", labels),
+            backfilled: reg.counter("rlsched_replay_backfilled_total", labels),
         }
     }
 }
@@ -355,8 +378,8 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
     }
 
     /// Mirror every tick into registry handles (and the end-of-run
-    /// throughput/peak-queue gauges). Decisions and the report are
-    /// unchanged — telemetry never steers.
+    /// throughput/peak-queue gauges and backfilled-jobs counter).
+    /// Decisions and the report are unchanged — telemetry never steers.
     pub fn instrument(&mut self, metrics: ReplayMetrics) {
         self.metrics = Some(metrics);
     }
@@ -429,6 +452,7 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
         if let Some(m) = &self.metrics {
             m.ticks_per_sec.set(report.decisions_per_sec());
             m.peak_queue.set_max(report.peak_queue as f64);
+            m.backfilled.add(report.backfilled());
         }
         Ok(report)
     }

@@ -7,7 +7,7 @@
 use rlsched_replay::{collect_timed_requests, ReplayEngine, ReplayPolicy};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};
 use rlsched_serve::{LoadGen, LoadGenConfig, RemotePolicy, ServeConfig, Server};
-use rlsched_sim::{run_episode, MetricKind, SimConfig};
+use rlsched_sim::{run_episode, BackfillMode, MetricKind, SimConfig};
 use rlsched_workload::{LublinModel, LublinParams};
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
 
@@ -53,6 +53,10 @@ fn heuristic_replay_matches_materialized_episode() {
             // decisions ≤ jobs; every job must still start and finish.
             assert_eq!(report.metrics.count(), trace.len() as u64);
             assert!(report.decisions <= trace.len() as u64);
+            assert_eq!(report.decisions + report.backfilled(), trace.len() as u64);
+            if cfg.backfill == BackfillMode::None {
+                assert_eq!(report.backfilled(), 0, "every start is a decision");
+            }
             assert_eq!(report.hist.count(), report.decisions);
             assert!(report.peak_queue < trace.len());
         }

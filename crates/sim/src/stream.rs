@@ -49,6 +49,32 @@
 //! `2 · peak_queue_depth + 65` entries and the session stays bounded by
 //! the peak queue depth.
 //!
+//! # The backfill index
+//!
+//! While a reservation is blocked, every completion and every arrival is
+//! followed by an EASY pass: start, in FCFS order, each waiting job that
+//! fits the idle processors now and whose request ends by the shadow time.
+//! The materialized session answers by walking every rank, which over a
+//! deep queue costs more than everything else in a replay together, most
+//! of it in passes that start nothing. Under EASY this session instead
+//! builds its queue [`IndexedQueue::with_first_fit`] and admits through
+//! [`IndexedQueue::push_fit`], so the queue keeps, beside its Fenwick tree,
+//! a segment tree whose nodes hold the smallest `procs` and the smallest
+//! `time_bound` of the live jobs below them (`calendar`'s module docs have
+//! the layout and the argument that pruning on those minima is exact).
+//! `backfill_pass` is then one [`IndexedQueue::first_fit`] descent per job
+//! it *starts*, each resuming at the rank the last one vacated, and a pass
+//! that starts nothing is one comparison at the root. The visit order and
+//! the arithmetic at each job are the scan's, so the schedule is the same
+//! bit for bit — `SchedSession::backfill_pass` remains that scan, and the
+//! parity suites hold the two together.
+//!
+//! One pass is the whole pass: within it `time` and the shadow are fixed
+//! and the idle processors only fall, so a job refused once would be
+//! refused again, and the scan's "walk again if anything started" has
+//! nothing to find. Without EASY no pass ever runs, the queue is built
+//! `with_capacity` and fed by `push`, and no index exists.
+//!
 //! Averages accumulated here sum in *start* order while
 //! [`crate::EpisodeMetrics`] sums in trace order, so the two agree only
 //! to floating-point tolerance. For bit-exact parity checks, enable
@@ -363,7 +389,11 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
             free_procs: total_procs,
             slab: Vec::with_capacity(1024),
             free_slots: Vec::with_capacity(1024),
-            queue: IndexedQueue::with_capacity(1024),
+            // Only a session that backfills pays for the backfill index.
+            queue: match cfg.backfill {
+                BackfillMode::Easy => IndexedQueue::with_first_fit(1024),
+                BackfillMode::None => IndexedQueue::with_capacity(1024),
+            },
             running: BinaryHeap::with_capacity(64),
             started: 0,
             metrics: StreamMetrics::new(total_procs),
@@ -524,6 +554,9 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
             return Err(SimError::NonMonotoneArrival { seq });
         }
         self.last_submit = job.submit_time;
+        // What the backfill index reads, if this session keeps one.
+        let fit =
+            (self.cfg.backfill == BackfillMode::Easy).then(|| (job.procs(), job.time_bound()));
         let key = match self.free_slots.pop() {
             Some(k) => {
                 self.slab[k] = Some((seq, job));
@@ -534,7 +567,10 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
                 self.slab.len() - 1
             }
         };
-        let ord = self.queue.push(key);
+        let ord = match fit {
+            Some((procs, time_bound)) => self.queue.push_fit(key, procs, time_bound),
+            None => self.queue.push(key),
+        };
         self.peak_queue = self.peak_queue.max(self.queue.len());
         if let Some(order) = &mut self.ranked {
             let (_, job) = self.slab[key].as_ref().expect("slot was just filled");
@@ -662,27 +698,24 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         })
     }
 
-    /// EASY backfilling pass, identical to the materialized session's.
+    /// EASY backfilling pass: starts the jobs the materialized session's
+    /// scan would, in its order, by one first-fit descent per started job.
+    /// A single left-to-right pass is complete: `time` and `shadow_start`
+    /// do not change in here and `free_procs` only falls, so a job refused
+    /// once stays refused and the scan's restart would start nothing.
+    /// Out of line: `step` runs for every job of every replay, this only
+    /// under EASY.
+    #[inline(never)]
     fn backfill_pass(&mut self, shadow_start: f64) {
-        loop {
-            let mut started_any = false;
-            let mut rank = 0;
-            while rank < self.queue.len() {
-                let key = self.queue.get(rank).expect("rank < len");
-                let (_, job) = self.slab[key].as_ref().expect("queued slab slot is live");
-                let fits = job.procs() <= self.free_procs;
-                let finishes_in_hole = self.time + job.time_bound() <= shadow_start;
-                if fits && finishes_in_hole {
-                    self.queue.remove_at(rank);
-                    self.start_job(key);
-                    started_any = true;
-                } else {
-                    rank += 1;
-                }
-            }
-            if !started_any {
-                break;
-            }
+        let mut rank = 0;
+        while let Some(fit) = self
+            .queue
+            .first_fit(rank, self.free_procs, self.time, shadow_start)
+        {
+            let key = self.queue.remove_at(fit);
+            self.start_job(key);
+            // The next waiting job moved into the rank just vacated.
+            rank = fit;
         }
     }
 

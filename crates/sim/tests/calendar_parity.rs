@@ -1,12 +1,15 @@
 //! Calendar parity: a session on the indexed (Fenwick) wait queue must be
 //! bit-identical to one on the seed `Vec` queue — same trajectories, same
 //! metrics — across seeded traces, both backfill modes, and selection
-//! policies that exercise out-of-order removal.
+//! policies that exercise out-of-order removal. The backfill index is held
+//! to a linear scan of the same `(procs, bound)` pairs, and the streaming
+//! session that backfills through it to the materialized session that
+//! scans, at queue depths the other suites do not reach.
 
 use rand::prelude::*;
 use rlsched_sim::{
     EpisodeMetrics, IndexedQueue, LinearQueue, LinearSession, QueueBackend, SchedSession,
-    SimConfig, WaitingJob,
+    SimConfig, StreamSession, WaitingJob,
 };
 use rlsched_swf::{Job, JobTrace};
 
@@ -154,6 +157,152 @@ fn rank_of_ord_matches_linear_positions_across_compactions() {
     // Compaction fires whenever dead slots outnumber live ones by 64, so
     // this many removals against this few survivors crossed it many times.
     assert!(pushed as usize > 8 * linear.len());
+}
+
+/// `first_fit` against a scan of the same `(procs, bound)` pairs in a `Vec`.
+///
+/// The queue is pumped up to 2 500 entries from an index built for 16 (eight
+/// doublings, past 1 024 slots) and drained to 40, three times over, so the
+/// index is re-derived by many compactions, most of them far below its peak
+/// capacity. The mix is built to defeat pruning on the minima: narrow-long
+/// and wide-short decoys put `(1, 1.0)` on almost every node, so a query
+/// that only a rare *needle* — narrow and short — satisfies has to back out
+/// of subtree after subtree, and usually finds the needle behind a refused
+/// prefix hundreds of entries long.
+#[test]
+fn first_fit_matches_a_linear_scan_across_growth_and_compactions() {
+    let mut rng = StdRng::seed_from_u64(0xf17);
+    let mut reference: Vec<(usize, u32, f64)> = Vec::new();
+    let mut indexed = IndexedQueue::with_first_fit(16);
+    let scan = |reference: &[(usize, u32, f64)], from: usize, free: u32, time: f64, shadow: f64| {
+        (from..reference.len()).find(|&r| {
+            let (_, procs, bound) = reference[r];
+            procs <= free && time + bound <= shadow
+        })
+    };
+    let (mut pushed, mut needles, mut behind_a_prefix) = (0usize, 0usize, 0usize);
+    for target in [2_500, 40, 2_500, 40, 2_500, 40] {
+        while reference.len() != target {
+            let grow = reference.len() < target;
+            if reference.len() < 2 || rng.gen_bool(if grow { 0.9 } else { 0.1 }) {
+                let (procs, bound) = match rng.gen_range(0..400) {
+                    0 => (1, 1.0),
+                    1..=60 => (1, rng.gen_range(500.0..1000.0)),
+                    61..=120 => (64, 1.0),
+                    _ => (rng.gen_range(2..=64), rng.gen_range(10.0..1000.0)),
+                };
+                reference.push((pushed, procs, bound));
+                assert_eq!(indexed.push_fit(pushed, procs, bound), pushed as u64);
+                pushed += 1;
+            } else {
+                let rank = rng.gen_range(0..reference.len());
+                assert_eq!(indexed.remove_at(rank), reference.remove(rank).0);
+            }
+            if pushed % 7 != 0 {
+                continue;
+            }
+            let len = reference.len();
+            let from = rng.gen_range(0..=len);
+            let time = rng.gen_range(0.0..1e6);
+            // A shadow some waiting job meets exactly, rounding included.
+            let exact = time + reference[rng.gen_range(0..len)].2;
+            let queries = [
+                // Nothing: no processor idle, or no hole at all.
+                (0, time, f64::INFINITY),
+                (u32::MAX, time, time),
+                // Everything.
+                (u32::MAX, time, f64::INFINITY),
+                // Needles only, by either dimension and by both.
+                (1, time, time + 1.0),
+                (1, time, time + 499.0),
+                (63, time, time + 1.0),
+                // Anything in between.
+                (rng.gen_range(1..=64), time, exact),
+                (
+                    rng.gen_range(1..=64),
+                    time,
+                    time + rng.gen_range(0.0..1000.0),
+                ),
+            ];
+            for (free, time, shadow) in queries {
+                let want = scan(&reference, from, free, time, shadow);
+                assert_eq!(
+                    indexed.first_fit(from, free, time, shadow),
+                    want,
+                    "from {from} of {len}, free {free}, time {time}, shadow {shadow}"
+                );
+                if (free, shadow) == (1, time + 1.0) {
+                    needles += want.is_some() as usize;
+                    behind_a_prefix += want.is_some_and(|r| r >= from + 200) as usize;
+                }
+            }
+            assert_eq!(indexed.first_fit(0, u32::MAX, time, f64::INFINITY), Some(0));
+            assert_eq!(indexed.first_fit(len, u32::MAX, time, f64::INFINITY), None);
+        }
+        assert!(indexed.iter().eq(reference.iter().map(|e| e.0)));
+    }
+    assert!(pushed > 8_000, "{pushed} pushes");
+    assert!(
+        needles > 100 && behind_a_prefix > 30,
+        "{needles} needle queries answered, {behind_a_prefix} behind 200+ refused entries"
+    );
+}
+
+/// Bursts of same-instant jobs, so EASY backfills over a queue thousands
+/// deep that compacts several times as it drains, under seeded random
+/// picks: the streaming session (first-fit descents) must reproduce the
+/// materialized session (rank-by-rank scan) outcome for outcome. The
+/// reference runs on the `Vec` queue, whose scan costs no Fenwick descent
+/// per rank, to keep this affordable unoptimized.
+#[test]
+fn deep_burst_backfill_matches_the_scanning_session() {
+    let procs = 64;
+    for seed in 0..2 {
+        let mut rng = StdRng::seed_from_u64(0xb0b + seed);
+        let jobs: Vec<Job> = (0..6_400)
+            .map(|i| {
+                let run: f64 = rng.gen_range(1.0..300.0);
+                Job::new(
+                    i as u32 + 1,
+                    // Two bursts; the second lands on the first's backlog.
+                    if i < 3_200 { 0.0 } else { 20_000.0 },
+                    run,
+                    // Wide jobs to block on, narrow ones for a pass to
+                    // start by the run of neighbours.
+                    if rng.gen_bool(0.5) {
+                        rng.gen_range(1..=4)
+                    } else {
+                        rng.gen_range(24..=procs)
+                    },
+                    run * rng.gen_range(1.0..3.0),
+                )
+                .with_user(rng.gen_range(0..7))
+            })
+            .collect();
+        let cfg = SimConfig::with_backfill();
+        let trace = JobTrace::new(jobs.clone(), procs);
+        let mut sess = LinearSession::with_queue(&trace, cfg).unwrap();
+        let mut picks = Vec::new();
+        while !sess.done() {
+            let p = rng.gen_range(0..sess.queue_len());
+            picks.push(p);
+            sess.step(p).unwrap();
+        }
+        let mut stream = StreamSession::new(jobs.into_iter(), procs, cfg)
+            .unwrap()
+            .with_outcome_log();
+        for &p in &picks {
+            stream.step(p).unwrap();
+        }
+        assert!(stream.done());
+        assert!(stream.peak_queue_depth() >= 3_000);
+        assert!(
+            picks.len() < 6_400 / 2,
+            "most jobs were backfilled: {} decisions",
+            picks.len()
+        );
+        assert_eq!(sess.metrics().unwrap(), stream.log_metrics().unwrap());
+    }
 }
 
 #[test]
