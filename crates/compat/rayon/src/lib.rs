@@ -179,7 +179,7 @@ where
 }
 
 /// Run `per_range` over the fixed task partition of `n` items (see
-/// [`task_ranges`]) and return the per-range outputs in range order.
+/// `task_ranges`) and return the per-range outputs in range order.
 /// Because the ranges depend only on `n`, folding the outputs in order
 /// is bit-identical at every thread count — this is the primitive the
 /// parallel rollout and chunked backward build on.

@@ -480,7 +480,8 @@ mod tests {
     fn stream_decider_matches_policy_adapter() {
         // Every architecture, including the packed flat-MLP path: the
         // streaming decision head must pick the same slot as RlPolicy on
-        // the equivalent materialized view, for a full replayed episode.
+        // the equivalent materialized view, for a full replayed episode
+        // (one event loop under both: this compares the heads).
         use rlsched_sim::{SchedSession, StreamSession};
         for kind in PolicyKind::all() {
             let mut cfg = AgentConfig {

@@ -191,7 +191,7 @@ impl Chunk {
     }
 }
 
-/// Reusable buffers for the fused pass: one [`Chunk`] per
+/// Reusable buffers for the fused pass: one `Chunk` per
 /// [`SHARD_ROWS`]-row slice of the minibatch plus the stitched
 /// whole-batch diagnostics. One per network (the PPO trainer holds one
 /// for the actor and one for the critic); every buffer only grows to its

@@ -14,7 +14,7 @@
 //! * The registry's [`Histogram`](crate::Histogram) handle — striped
 //!   `AtomicU64` counters recorded into concurrently and read as a
 //!   [`HistogramSnapshot`](crate::HistogramSnapshot) without stopping
-//!   writers. Built in this module ([`AtomicHistogramCore`]) on the same
+//!   writers. Built in this module (`AtomicHistogramCore`) on the same
 //!   `bucket_of`/`bucket_upper` pair.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

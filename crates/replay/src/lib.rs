@@ -8,9 +8,10 @@
 //!
 //! * [`rlsched_swf::StreamReader`] — jobs off disk one line at a time
 //!   (wrapped here by [`open_swf`] / [`SwfJobs`]);
-//! * [`rlsched_sim::StreamSession`] — the one-pass mirror of the
-//!   materialized `SchedSession` event loop (indexed-calendar queue,
-//!   EASY backfilling, metrics folded at start time);
+//! * [`rlsched_sim::StreamSession`] — the simulator's one event loop
+//!   (indexed-calendar queue, EASY backfilling, metrics folded at start
+//!   time; `SchedSession`, which training and `run_episode` use, is the
+//!   same loop keeping a per-job table);
 //! * the three decision heads a replay can drive, unified by
 //!   [`ReplayPolicy`]:
 //!   [`Heuristic`](ReplayPolicy::Heuristic) (Table III priority
@@ -41,7 +42,11 @@
 //! arm: heuristic replays match `PriorityScheduler` episodes and agent
 //! replays match `Agent::as_policy` episodes outcome-for-outcome (pinned
 //! by `tests/replay_parity.rs`; `tests/ranked_head_prop.rs` holds the
-//! ranked head to the scan at every decision point).
+//! ranked head to the scan at every decision point). Both sides run the
+//! same event loop, so what these compare is the decision *heads* —
+//! `ranked_head`, `select_streaming`, `StreamDecider` against
+//! `Policy::select` over a `QueueView`; the loop itself answers to the
+//! reference simulator in `rlsched-sim`'s tests.
 
 use std::cell::Cell;
 use std::fs::File;
@@ -397,8 +402,8 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
     }
 
     /// Rebuild an [`EpisodeMetrics`] from the outcome log, for bit-exact
-    /// parity against a materialized session. `None` unless
-    /// [`ReplayEngine::with_outcome_log`] was enabled.
+    /// parity against `run_episode` under the equivalent `Policy`. `None`
+    /// unless [`ReplayEngine::with_outcome_log`] was enabled.
     pub fn log_metrics(&self) -> Option<EpisodeMetrics> {
         self.session.log_metrics()
     }

@@ -2,7 +2,9 @@
 //! path, head for head: heuristic replays match `PriorityScheduler`
 //! episodes, agent replays match `Agent::as_policy` episodes, and
 //! served replays match the in-process agent (the serving tier's own
-//! parity guarantee composes).
+//! parity guarantee composes). The materialized `SchedSession` behind
+//! `run_episode` is the replay's own event loop with a per-job table, so
+//! these are comparisons of decision heads, not of simulators.
 
 use rlsched_replay::{collect_timed_requests, ReplayEngine, ReplayPolicy};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};

@@ -328,7 +328,7 @@ impl ArrivalArena {
     }
 
     /// Close `episode`, computing its GAE-λ advantages and reward-to-go
-    /// returns over its rows through the same [`gae_and_returns`]
+    /// returns over its rows through the same `gae_and_returns`
     /// recurrence [`RolloutBuffer::finish_path`] runs.
     pub fn finish_episode(&mut self, episode: usize, last_value: f64) {
         let rows = &self.rows[episode];

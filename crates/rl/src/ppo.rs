@@ -1,5 +1,5 @@
 //! Proximal Policy Optimization with the clipped surrogate objective —
-//! the algorithm of Schulman et al. [30] as packaged by OpenAI Spinning Up,
+//! the algorithm of Schulman et al. \[30\] as packaged by OpenAI Spinning Up,
 //! which the paper builds RLScheduler on (§V-A).
 //!
 //! One [`Ppo`] owns an actor (any [`PolicyModel`]) and a critic (any

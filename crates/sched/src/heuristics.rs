@@ -11,11 +11,11 @@ pub enum HeuristicKind {
     Fcfs,
     /// Shortest Job First (by requested runtime): `score = r_t`.
     Sjf,
-    /// `score = -(w_t/r_t)^3 * n_t` (Tang et al. [3]).
+    /// `score = -(w_t/r_t)^3 * n_t` (Tang et al. \[3\]).
     Wfp3,
-    /// `score = -w_t / (log2(n_t) * r_t)` (Tang et al. [3]).
+    /// `score = -w_t / (log2(n_t) * r_t)` (Tang et al. \[3\]).
     Unicep,
-    /// `score = log10(r_t)*n_t + 870*log10(s_t)` (Carastan-Santos et al. [4]).
+    /// `score = log10(r_t)*n_t + 870*log10(s_t)` (Carastan-Santos et al. \[4\]).
     F1,
     /// Longest Job First — the SJF mirror, used in tests/ablations only.
     Ljf,

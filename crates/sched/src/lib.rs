@@ -15,8 +15,8 @@
 //! where `w_t` is the current waiting time, `r_t` the requested runtime,
 //! `n_t` the requested processors and `s_t` the submit time. WFP3 and
 //! UNICEP favor jobs that wait long, run short and request few processors
-//! (expert-tweaked priority families [3]); F1 is the best
-//! simulation+regression scheduler from Carastan-Santos et al. [4].
+//! (expert-tweaked priority families \[3\]); F1 is the best
+//! simulation+regression scheduler from Carastan-Santos et al. \[4\].
 //!
 //! All of them implement [`rlsched_sim::Policy`], so they plug into the
 //! same episode driver as the RL agent. A seeded [`RandomPolicy`] and two

@@ -1,6 +1,6 @@
 //! The shard's scoring engine: coalesce encoded request rows into one
 //! stacked `[n, obs_dim]` matrix, score it through a single
-//! [`BatchPolicy`] forward, and hand back one clamped action per row.
+//! [`rlsched_rl::BatchPolicy`] forward, and hand back one clamped action per row.
 //!
 //! This is the allocation-free core the network layer wraps: all
 //! buffers (the stacked observations/masks, the network scratch, the

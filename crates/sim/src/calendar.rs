@@ -1,30 +1,25 @@
-//! Queue backends for the wait-queue "event calendar".
+//! The wait-queue "event calendar".
 //!
-//! [`crate::SchedSession`] keeps the waiting jobs in FCFS (arrival) order
-//! and addresses them by *rank* — the position a policy sees. The seed
-//! implementation was a plain `Vec<usize>`: `remove(pos)` shifts the tail,
-//! so EASY backfilling over a deep queue (100k+ waiting jobs in a
-//! trace-scale replay) degrades to O(n) per removal and O(n²) per pass.
+//! The session keeps the waiting jobs in FCFS (arrival) order and addresses
+//! them by *rank* — the position a policy sees. A plain `Vec<usize>` would
+//! do that, but `remove(pos)` shifts the tail, so EASY backfilling over a
+//! deep queue (100k+ waiting jobs in a trace-scale replay) degrades to O(n)
+//! per removal and O(n²) per pass.
 //!
-//! [`QueueBackend`] abstracts the container; two implementations exist:
-//!
-//! * [`LinearQueue`] — the original `Vec`, kept as the parity reference.
-//! * [`IndexedQueue`] — an append-only slot array with a Fenwick tree over
-//!   the live flags: rank→slot lookup and removal are O(log n), pushes are
-//!   amortized O(1), and dead slots are compacted in place (no allocation
-//!   in steady state) once they outnumber the live ones.
-//!
-//! Both backends present the queue in identical FCFS order, so a session
-//! is bit-identical regardless of backend (pinned by the calendar-parity
-//! suite).
+//! [`IndexedQueue`] is an append-only slot array with a Fenwick tree over
+//! the live flags: rank→slot lookup and removal are O(log n), pushes are
+//! amortized O(1), and dead slots are compacted in place (no allocation in
+//! steady state) once they outnumber the live ones. It presents the queue
+//! exactly as the `Vec` would — the unit and calendar-parity tests hold it
+//! to one, operation for operation.
 //!
 //! [`IndexedQueue`] also stamps every push with a strictly increasing
 //! *ordinal* — a name for the entry that, unlike its rank, does not change
 //! as earlier entries leave and, unlike its job index, is never reused.
 //! [`IndexedQueue::rank_of_ord`] turns an ordinal back into the entry's
 //! current rank in O(log n), or `None` once the entry was removed: what an
-//! ordering kept *beside* the queue (the streaming session's ranked head)
-//! needs to find its minimum in the queue and to recognise stale entries.
+//! ordering kept *beside* the queue (the session's ranked head) needs to
+//! find its minimum in the queue and to recognise stale entries.
 //!
 //! # The backfill index
 //!
@@ -55,78 +50,15 @@
 //!   starts nothing because nothing is small enough, or nothing short
 //!   enough, is one comparison at the root.
 //! * **Who maintains it.** Only a queue constructed `with_first_fit`, fed
-//!   through `push_fit`: the streaming session under EASY. Every other
-//!   queue (`with_capacity`, `push`, [`QueueBackend::push_back`]) carries
-//!   no index and runs the code it ran before there was one. The index
-//!   lives in this struct, beside the Fenwick tree rather than instead of
-//!   it, because compaction renumbers slots for both, while rank ↔ slot —
-//!   the decision head's hot path — stays a walk over 4-byte counters.
-//!   It grows by doubling, is re-derived on compaction over the slots that
-//!   were in use (not over a capacity left behind by an old peak), and
-//!   costs two 16-byte nodes per slot of capacity.
-
-/// A wait queue of job indices in FCFS (push) order, addressable by rank.
-pub trait QueueBackend: Clone + std::fmt::Debug + Default {
-    /// Iterator over the queued job indices in FCFS order.
-    type Iter<'a>: Iterator<Item = usize> + 'a
-    where
-        Self: 'a;
-
-    /// An empty queue with room for roughly `cap` entries.
-    fn with_capacity(cap: usize) -> Self;
-
-    /// Append a job index at the back (it becomes the highest rank).
-    fn push_back(&mut self, job_index: usize);
-
-    /// Number of queued jobs.
-    fn len(&self) -> usize;
-
-    /// True when no job is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The job index at `rank` (0-based FCFS position), if any.
-    fn get(&self, rank: usize) -> Option<usize>;
-
-    /// Remove and return the job index at `rank`. Panics when out of range.
-    fn remove_at(&mut self, rank: usize) -> usize;
-
-    /// Walk the queued job indices in FCFS order.
-    fn iter(&self) -> Self::Iter<'_>;
-}
-
-/// The seed `Vec` backend: O(n) removal, kept as the parity reference.
-#[derive(Debug, Clone, Default)]
-pub struct LinearQueue(Vec<usize>);
-
-impl QueueBackend for LinearQueue {
-    type Iter<'a> = std::iter::Copied<std::slice::Iter<'a, usize>>;
-
-    fn with_capacity(cap: usize) -> Self {
-        LinearQueue(Vec::with_capacity(cap))
-    }
-
-    fn push_back(&mut self, job_index: usize) {
-        self.0.push(job_index);
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn get(&self, rank: usize) -> Option<usize> {
-        self.0.get(rank).copied()
-    }
-
-    fn remove_at(&mut self, rank: usize) -> usize {
-        self.0.remove(rank)
-    }
-
-    fn iter(&self) -> Self::Iter<'_> {
-        self.0.iter().copied()
-    }
-}
+//!   through `push_fit`: a session under EASY. A queue built
+//!   `with_capacity` and fed by `push` carries no index and pays nothing
+//!   for one. The index lives in this struct, beside the Fenwick tree
+//!   rather than instead of it, because compaction renumbers slots for
+//!   both, while rank ↔ slot — the decision head's hot path — stays a walk
+//!   over 4-byte counters. It grows by doubling, is re-derived on
+//!   compaction over the slots that were in use (not over a capacity left
+//!   behind by an old peak), and costs two 16-byte nodes per slot of
+//!   capacity.
 
 /// Dead slots tolerated beyond the live count before an in-place compaction.
 /// The slack keeps tiny queues from compacting on every removal.
@@ -342,6 +274,19 @@ impl IndexedQueue {
         pos // 1-based pos of the last index with prefix < target == 0-based slot
     }
 
+    /// An empty queue with room for roughly `cap` entries.
+    pub fn with_capacity(cap: usize) -> Self {
+        IndexedQueue {
+            slots: Vec::with_capacity(cap),
+            live: Vec::with_capacity(cap),
+            ords: Vec::with_capacity(cap),
+            next_ord: 0,
+            tree: Vec::with_capacity(cap + 1),
+            n_live: 0,
+            fit: None,
+        }
+    }
+
     /// An empty queue with room for roughly `cap` entries that also keeps
     /// the backfill index (see the module docs). Every entry of such a
     /// queue must arrive through [`IndexedQueue::push_fit`].
@@ -410,6 +355,55 @@ impl IndexedQueue {
         let range_rest = self.prefix(i - 1) - self.prefix(i - low);
         self.tree.push(1 + range_rest);
         ord
+    }
+
+    /// Number of queued jobs.
+    pub fn len(&self) -> usize {
+        self.n_live
+    }
+
+    /// True when no job is queued.
+    pub fn is_empty(&self) -> bool {
+        self.n_live == 0
+    }
+
+    /// The job index at `rank` (0-based FCFS position), if any.
+    pub fn get(&self, rank: usize) -> Option<usize> {
+        if rank >= self.n_live {
+            return None;
+        }
+        Some(self.slots[self.select(rank)])
+    }
+
+    /// Remove and return the job index at `rank`. Panics when out of range.
+    pub fn remove_at(&mut self, rank: usize) -> usize {
+        assert!(rank < self.n_live, "rank {rank} out of {}", self.n_live);
+        let slot = self.select(rank);
+        let job_index = self.slots[slot];
+        self.live[slot] = false;
+        self.n_live -= 1;
+        let n = self.slots.len();
+        let mut i = slot + 1;
+        while i <= n {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+        if let Some(fit) = &mut self.fit {
+            fit.clear(slot);
+        }
+        if n - self.n_live > self.n_live + COMPACT_SLACK {
+            self.compact();
+        }
+        job_index
+    }
+
+    /// Walk the queued job indices in FCFS order.
+    pub fn iter(&self) -> IndexedIter<'_> {
+        IndexedIter {
+            slots: &self.slots,
+            live: &self.live,
+            pos: 0,
+        }
     }
 
     /// Current rank of the entry pushed with ordinal `ord`, or `None` once
@@ -482,71 +476,11 @@ impl Iterator for IndexedIter<'_> {
     }
 }
 
-impl QueueBackend for IndexedQueue {
-    type Iter<'a> = IndexedIter<'a>;
-
-    fn with_capacity(cap: usize) -> Self {
-        IndexedQueue {
-            slots: Vec::with_capacity(cap),
-            live: Vec::with_capacity(cap),
-            ords: Vec::with_capacity(cap),
-            next_ord: 0,
-            tree: Vec::with_capacity(cap + 1),
-            n_live: 0,
-            fit: None,
-        }
-    }
-
-    fn push_back(&mut self, job_index: usize) {
-        self.push(job_index);
-    }
-
-    fn len(&self) -> usize {
-        self.n_live
-    }
-
-    fn get(&self, rank: usize) -> Option<usize> {
-        if rank >= self.n_live {
-            return None;
-        }
-        Some(self.slots[self.select(rank)])
-    }
-
-    fn remove_at(&mut self, rank: usize) -> usize {
-        assert!(rank < self.n_live, "rank {rank} out of {}", self.n_live);
-        let slot = self.select(rank);
-        let job_index = self.slots[slot];
-        self.live[slot] = false;
-        self.n_live -= 1;
-        let n = self.slots.len();
-        let mut i = slot + 1;
-        while i <= n {
-            self.tree[i] -= 1;
-            i += i & i.wrapping_neg();
-        }
-        if let Some(fit) = &mut self.fit {
-            fit.clear(slot);
-        }
-        if n - self.n_live > self.n_live + COMPACT_SLACK {
-            self.compact();
-        }
-        job_index
-    }
-
-    fn iter(&self) -> Self::Iter<'_> {
-        IndexedIter {
-            slots: &self.slots,
-            live: &self.live,
-            pos: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain_fcfs<Q: QueueBackend>(q: &mut Q) -> Vec<usize> {
+    fn drain_fcfs(q: &mut IndexedQueue) -> Vec<usize> {
         let mut out = Vec::new();
         while !q.is_empty() {
             out.push(q.remove_at(0));
@@ -558,7 +492,7 @@ mod tests {
     fn fcfs_order_preserved() {
         let mut q = IndexedQueue::default();
         for i in [7, 3, 9, 1] {
-            q.push_back(i);
+            q.push(i);
         }
         assert_eq!(q.len(), 4);
         assert_eq!(q.iter().collect::<Vec<_>>(), vec![7, 3, 9, 1]);
@@ -569,7 +503,7 @@ mod tests {
     fn get_and_remove_by_rank() {
         let mut q = IndexedQueue::default();
         for i in 0..10 {
-            q.push_back(i * 10);
+            q.push(i * 10);
         }
         assert_eq!(q.get(3), Some(30));
         assert_eq!(q.remove_at(3), 30);
@@ -582,15 +516,15 @@ mod tests {
     #[test]
     fn interleaved_push_remove() {
         let mut q = IndexedQueue::default();
-        q.push_back(1);
-        q.push_back(2);
+        q.push(1);
+        q.push(2);
         assert_eq!(q.remove_at(0), 1);
-        q.push_back(3);
+        q.push(3);
         assert_eq!(q.iter().collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(q.remove_at(1), 3);
         assert_eq!(q.remove_at(0), 2);
         assert!(q.is_empty());
-        q.push_back(4);
+        q.push(4);
         assert_eq!(q.get(0), Some(4));
     }
 
@@ -600,34 +534,34 @@ mod tests {
     fn matches_linear_reference_under_random_ops() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(42);
-        let mut linear = LinearQueue::default();
+        let mut linear: Vec<usize> = Vec::new();
         let mut indexed = IndexedQueue::with_capacity(16);
         let mut next = 0usize;
         for _ in 0..20_000 {
             let push = linear.len() < 2 || rng.gen_bool(0.55);
             if push {
-                linear.push_back(next);
-                indexed.push_back(next);
+                linear.push(next);
+                indexed.push(next);
                 next += 1;
             } else {
                 let rank = rng.gen_range(0..linear.len());
-                assert_eq!(linear.remove_at(rank), indexed.remove_at(rank));
+                assert_eq!(linear.remove(rank), indexed.remove_at(rank));
             }
             assert_eq!(linear.len(), indexed.len());
             if next.is_multiple_of(97) {
-                assert!(linear.iter().eq(indexed.iter()));
+                assert!(linear.iter().copied().eq(indexed.iter()));
                 let rank = rng.gen_range(0..linear.len().max(1));
-                assert_eq!(linear.get(rank), indexed.get(rank));
+                assert_eq!(linear.get(rank).copied(), indexed.get(rank));
             }
         }
-        assert!(linear.iter().eq(indexed.iter()));
+        assert!(linear.iter().copied().eq(indexed.iter()));
     }
 
     #[test]
     fn compaction_keeps_order_and_bounds_memory() {
         let mut q = IndexedQueue::default();
         for i in 0..10_000 {
-            q.push_back(i);
+            q.push(i);
         }
         // Remove from the front until compaction must have fired.
         for i in 0..9_900 {
@@ -695,7 +629,7 @@ mod tests {
     #[should_panic(expected = "rank")]
     fn remove_out_of_range_panics() {
         let mut q = IndexedQueue::default();
-        q.push_back(1);
+        q.push(1);
         q.remove_at(1);
     }
 }

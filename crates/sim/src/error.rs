@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised by [`crate::SchedSession`] and the episode driver.
+/// Errors raised by the sessions and the episode driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// `step` was called with no job waiting.
@@ -13,16 +13,6 @@ pub enum SimError {
         pos: usize,
         /// Current queue length.
         queue_len: usize,
-    },
-    /// A job requests more processors than the whole cluster owns, so it can
-    /// never be scheduled. Clamp the trace first (`JobTrace::clamp_to_cluster`).
-    JobTooLarge {
-        /// Trace-order index of the job.
-        job_index: usize,
-        /// Processors requested.
-        procs: u32,
-        /// Cluster size.
-        cluster: u32,
     },
     /// Metrics were requested before every job was scheduled.
     NotDone {
@@ -53,14 +43,6 @@ impl fmt::Display for SimError {
                     "queue position {pos} out of range (queue has {queue_len} jobs)"
                 )
             }
-            SimError::JobTooLarge {
-                job_index,
-                procs,
-                cluster,
-            } => write!(
-                f,
-                "job #{job_index} requests {procs} processors but the cluster has only {cluster}"
-            ),
             SimError::NotDone { scheduled, total } => write!(
                 f,
                 "episode not finished: {scheduled}/{total} jobs scheduled"
@@ -88,13 +70,6 @@ mod tests {
         };
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains('3'));
-        let e = SimError::JobTooLarge {
-            job_index: 1,
-            procs: 100,
-            cluster: 64,
-        };
-        assert!(e.to_string().contains("100"));
-        assert!(e.to_string().contains("64"));
         let e = SimError::NotDone {
             scheduled: 2,
             total: 5,

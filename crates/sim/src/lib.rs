@@ -8,12 +8,19 @@
 //! insufficient — reserves it and advances virtual time, optionally
 //! backfilling smaller jobs into the holes (EASY backfilling, §II-A4).
 //!
-//! Two views are provided:
+//! There is one event loop, one materialized view of it, and a driver:
 //!
-//! * [`SchedSession`] — a gym-style `reset`/`observe`/`step` interface used
-//!   by the RL trainer, which needs to interleave decisions with learning.
-//! * [`run_episode`] — a driver that runs a [`Policy`] over an entire trace
-//!   and returns the [`EpisodeMetrics`] the paper's tables report.
+//! * [`StreamSession`] — the loop. It pulls jobs from any iterator as
+//!   virtual time reaches them and hands each started job's outcome to a
+//!   sink ([`Outcomes`]): running aggregates ([`StreamMetrics`]) for
+//!   trace-scale replays, whose memory must not grow with the trace.
+//! * [`SchedSession`] — the materialized view: the same loop over a
+//!   [`rlsched_swf::JobTrace`], keeping every outcome, with the gym-style
+//!   `reset`/`observe`/`step` shape the RL trainer needs to interleave
+//!   decisions with learning and the [`EpisodeMetrics`] the paper's tables
+//!   report.
+//! * [`run_episode`] — the episode driver: runs a [`Policy`] over a
+//!   `SchedSession` to the end and returns its metrics.
 //!
 //! Scheduling-relevant knowledge is strictly separated: policies observe
 //! only submit-time attributes and the user's *requested* runtime
@@ -29,10 +36,10 @@ pub mod policy;
 pub mod session;
 pub mod stream;
 
-pub use calendar::{IndexedQueue, LinearQueue, QueueBackend};
+pub use calendar::IndexedQueue;
 pub use episode::run_episode;
 pub use error::SimError;
 pub use metrics::{EpisodeMetrics, JobOutcome, MetricKind, BSLD_THRESHOLD};
 pub use policy::{Policy, QueueView, WaitingJob};
-pub use session::{BackfillMode, LinearSession, SchedSession, SimConfig};
-pub use stream::{StreamMetrics, StreamSession};
+pub use session::{BackfillMode, SchedSession, SimConfig};
+pub use stream::{Outcomes, StreamMetrics, StreamSession};

@@ -1,29 +1,21 @@
-//! The gym-style scheduling session: the heart of SchedGym.
+//! The gym-style scheduling session over a materialized trace.
 //!
-//! One [`SchedSession`] replays one job sequence ("episode" in RL terms).
-//! The control flow mirrors the reference environment of the paper:
-//!
-//! 1. Virtual time starts at the first job's submission; arrivals enter the
-//!    wait queue in submit order.
-//! 2. Whenever the wait queue is non-empty the caller picks one waiting job
-//!    ([`SchedSession::step`]).
-//! 3. If the job fits it starts immediately. Otherwise it becomes the
-//!    *reservation*: time advances through completion/arrival events until
-//!    the job fits, and — with [`BackfillMode::Easy`] — queued jobs that
-//!    finish (by their *requested* runtime) before the reservation's
-//!    estimated start are backfilled in FCFS order.
-//! 4. The episode is done when every job has started; completion times then
-//!    follow deterministically from actual runtimes.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! One [`SchedSession`] replays one job sequence ("episode" in RL terms):
+//! the shape the trainer, [`crate::run_episode`] and every table of the
+//! paper want — a [`JobTrace`] in, a decision protocol
+//! ([`SchedSession::waiting_jobs`] / [`SchedSession::step`]), and at the
+//! end an [`EpisodeMetrics`] with one [`JobOutcome`] per job in trace
+//! order. It has no event loop of its own: it is a [`StreamSession`] whose
+//! source is the trace's job list and whose outcome sink is a table, so the
+//! rules of the simulation (arrivals, reservations, EASY backfilling — see
+//! `stream`'s module docs) are written once.
 
 use rlsched_swf::{Job, JobTrace};
 
-use crate::calendar::{IndexedQueue, LinearQueue, QueueBackend};
 use crate::error::SimError;
 use crate::metrics::{EpisodeMetrics, JobOutcome};
 use crate::policy::{QueueView, WaitingJob};
+use crate::stream::{trace_order_metrics, StreamSession};
 
 /// Whether the simulator backfills around a blocked reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -62,154 +54,54 @@ impl SimConfig {
     }
 }
 
-/// A running job, ordered by its *actual* completion time (simulator-private
-/// knowledge). Shared with the streaming session, whose event loop must
-/// order completions identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RunningJob {
-    pub(crate) end_time: f64,
-    /// Estimated completion per the user's request — what EASY uses.
-    pub(crate) est_end_time: f64,
-    pub(crate) job_index: usize,
-    pub(crate) procs: u32,
-}
-
-impl Eq for RunningJob {}
-
-impl Ord for RunningJob {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so the BinaryHeap pops the earliest completion first;
-        // tie-break on job index for determinism.
-        other
-            .end_time
-            .partial_cmp(&self.end_time)
-            .expect("finite end times")
-            .then_with(|| other.job_index.cmp(&self.job_index))
-    }
-}
-
-impl PartialOrd for RunningJob {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One scheduling episode over a job sequence.
-///
-/// Generic over the wait-queue backend: the default [`IndexedQueue`] keeps
-/// rank addressing O(log n) at trace-scale queue depths, while
-/// [`LinearSession`] pins the seed `Vec` behavior for parity tests. Both
-/// produce bit-identical trajectories.
+/// One scheduling episode over a job sequence: a [`StreamSession`] fed from
+/// the trace, keeping every job's outcome.
 #[derive(Debug, Clone)]
-pub struct SchedSession<Q: QueueBackend = IndexedQueue> {
-    jobs: Vec<Job>,
-    total_procs: u32,
-    cfg: SimConfig,
-
-    time: f64,
-    free_procs: u32,
-    next_arrival: usize,
-    /// Wait queue in arrival (FCFS) order, as indices into `jobs`.
-    queue: Q,
-    running: BinaryHeap<RunningJob>,
-    /// `start[i]` is `Some(t)` once job `i` has started.
-    start_times: Vec<Option<f64>>,
-    scheduled: usize,
-    /// Reused scratch for `estimated_start`'s release schedule, so
-    /// blocked-reservation steps stay allocation-free.
-    release_buf: Vec<(f64, u32)>,
+pub struct SchedSession {
+    inner: StreamSession<std::vec::IntoIter<Job>, Vec<JobOutcome>>,
+    /// Jobs the episode schedules: the trace's schedulable records.
+    jobs: usize,
 }
-
-/// A session on the seed `Vec` wait queue — the calendar-parity reference.
-pub type LinearSession = SchedSession<LinearQueue>;
 
 impl SchedSession {
-    /// Start an episode over `trace` with the default indexed wait queue.
-    /// The trace is sanitized and clamped to the cluster size so every job
-    /// is schedulable.
+    /// Start an episode over `trace`. Unschedulable records are dropped and
+    /// the rest sanitized and clamped to the cluster size as they are
+    /// admitted, so every job can run and `job_index` counts the jobs of
+    /// `trace.sanitized()`.
     pub fn new(trace: &JobTrace, cfg: SimConfig) -> Result<Self, SimError> {
-        Self::with_queue(trace, cfg)
-    }
-}
-
-impl<Q: QueueBackend> SchedSession<Q> {
-    /// Start an episode over `trace` on an explicit queue backend.
-    pub fn with_queue(trace: &JobTrace, cfg: SimConfig) -> Result<Self, SimError> {
-        let trace = trace.sanitized().clamp_to_cluster();
-        if trace.is_empty() {
-            return Err(SimError::EmptyTrace);
-        }
-        let total_procs = trace.max_procs();
-        for (i, j) in trace.jobs().iter().enumerate() {
-            if j.procs() > total_procs {
-                return Err(SimError::JobTooLarge {
-                    job_index: i,
-                    procs: j.procs(),
-                    cluster: total_procs,
-                });
-            }
-        }
-        let jobs = trace.jobs().to_vec();
-        let n = jobs.len();
-        let first_arrival = jobs[0].submit_time;
-        let mut s = SchedSession {
-            jobs,
-            total_procs,
+        let jobs = trace.jobs().iter().filter(|j| j.is_schedulable()).count();
+        let inner = StreamSession::with_outcomes(
+            trace.jobs().to_vec().into_iter(),
+            trace.max_procs(),
             cfg,
-            time: first_arrival,
-            free_procs: total_procs,
-            next_arrival: 0,
-            queue: Q::with_capacity(n.min(1024)),
-            running: BinaryHeap::with_capacity(64),
-            start_times: vec![None; n],
-            scheduled: 0,
-            // Sized with the running heap so the first blocked-reservation
-            // step doesn't have to grow it mid-episode.
-            release_buf: Vec::with_capacity(64),
-        };
-        s.absorb_arrivals();
-        s.advance_to_decision();
-        Ok(s)
+            Vec::with_capacity(jobs),
+        )?;
+        Ok(SchedSession { inner, jobs })
     }
 
     /// Current virtual time (seconds from episode start).
     pub fn time(&self) -> f64 {
-        self.time
+        self.inner.time()
     }
 
     /// Processors currently idle.
     pub fn free_procs(&self) -> u32 {
-        self.free_procs
+        self.inner.free_procs()
     }
 
     /// Total processors in the cluster.
     pub fn total_procs(&self) -> u32 {
-        self.total_procs
-    }
-
-    /// Number of jobs in the episode.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Jobs scheduled (started) so far.
-    pub fn scheduled_count(&self) -> usize {
-        self.scheduled
+        self.inner.total_procs()
     }
 
     /// True once every job has been started.
     pub fn done(&self) -> bool {
-        self.scheduled == self.jobs.len()
+        self.inner.done()
     }
 
     /// Number of jobs currently waiting in the queue.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Access a job record by its trace index.
-    pub fn job(&self, index: usize) -> &Job {
-        &self.jobs[index]
+        self.inner.queue_len()
     }
 
     /// The waiting jobs as a policy would see them, in FCFS order,
@@ -217,15 +109,7 @@ impl<Q: QueueBackend> SchedSession<Q> {
     /// walk the queue each decision (observation encoders stream this
     /// straight into their buffers).
     pub fn waiting_jobs(&self) -> impl Iterator<Item = WaitingJob<'_>> + '_ {
-        self.queue.iter().map(move |i| {
-            let job = &self.jobs[i];
-            WaitingJob {
-                job,
-                job_index: i,
-                wait: self.time - job.submit_time,
-                can_run_now: job.procs() <= self.free_procs,
-            }
-        })
+        self.inner.waiting()
     }
 
     /// A policy-facing snapshot of the current decision point. Allocates
@@ -233,145 +117,10 @@ impl<Q: QueueBackend> SchedSession<Q> {
     /// [`SchedSession::waiting_jobs`] instead.
     pub fn view(&self) -> QueueView<'_> {
         QueueView {
-            time: self.time,
-            free_procs: self.free_procs,
-            total_procs: self.total_procs,
+            time: self.time(),
+            free_procs: self.free_procs(),
+            total_procs: self.total_procs(),
             waiting: self.waiting_jobs().collect(),
-        }
-    }
-
-    /// Pull every arrival with `submit_time <= self.time` into the queue.
-    fn absorb_arrivals(&mut self) {
-        while self.next_arrival < self.jobs.len()
-            && self.jobs[self.next_arrival].submit_time <= self.time
-        {
-            self.queue.push_back(self.next_arrival);
-            self.next_arrival += 1;
-        }
-    }
-
-    /// Advance through events until a decision is pending (a job waits in
-    /// the queue) or the episode is done. Between decisions the simulator
-    /// needs no scheduler: running jobs complete and arrivals accumulate.
-    fn advance_to_decision(&mut self) {
-        while self.queue.is_empty() && !self.done() {
-            let advanced = self.advance_one_event();
-            debug_assert!(advanced, "undone episode must still have pending arrivals");
-            if !advanced {
-                break;
-            }
-        }
-    }
-
-    /// Start `job_index` at the current time.
-    fn start_job(&mut self, job_index: usize) {
-        let job = &self.jobs[job_index];
-        let procs = job.procs();
-        debug_assert!(
-            procs <= self.free_procs,
-            "start_job must only run when the job fits"
-        );
-        self.free_procs -= procs;
-        self.running.push(RunningJob {
-            end_time: self.time + job.actual_runtime(),
-            est_end_time: self.time + job.time_bound(),
-            job_index,
-            procs,
-        });
-        self.start_times[job_index] = Some(self.time);
-        self.scheduled += 1;
-        debug_assert!(self.free_procs <= self.total_procs);
-    }
-
-    /// Advance to the next event (earliest of: next completion, next
-    /// arrival), process everything at that instant, completions first so
-    /// the freed processors are visible to same-instant arrivals.
-    ///
-    /// Returns `false` when no event remains (queue drained, nothing
-    /// running, no future arrivals).
-    fn advance_one_event(&mut self) -> bool {
-        let next_completion = self.running.peek().map(|r| r.end_time);
-        let next_arrival = self.jobs.get(self.next_arrival).map(|j| j.submit_time);
-        let t = match (next_completion, next_arrival) {
-            (Some(c), Some(a)) => c.min(a),
-            (Some(c), None) => c,
-            (None, Some(a)) => a,
-            (None, None) => return false,
-        };
-        self.time = self.time.max(t);
-        while let Some(r) = self.running.peek() {
-            if r.end_time <= self.time {
-                let r = self.running.pop().expect("peeked entry exists");
-                self.free_procs += r.procs;
-                debug_assert!(self.free_procs <= self.total_procs);
-            } else {
-                break;
-            }
-        }
-        self.absorb_arrivals();
-        true
-    }
-
-    /// Estimated earliest start time of the job at `job_index`, assuming
-    /// running jobs release their processors at their *requested*
-    /// completion times. This is the EASY "shadow time": backfilled jobs
-    /// must finish (by request) before it. Uses the session's reusable
-    /// release buffer, so repeated blocked steps allocate nothing.
-    fn estimated_start(&mut self, job_index: usize) -> f64 {
-        let needed = self.jobs[job_index].procs();
-        if needed <= self.free_procs {
-            return self.time;
-        }
-        let mut releases = std::mem::take(&mut self.release_buf);
-        releases.clear();
-        releases.extend(self.running.iter().map(|r| (r.est_end_time, r.procs)));
-        // Unstable sort (no allocation); ties on time yield the same
-        // shadow value regardless of their relative order.
-        releases.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimates"));
-        let mut free = self.free_procs;
-        let mut shadow = None;
-        for &(t, p) in &releases {
-            free += p;
-            if free >= needed {
-                shadow = Some(t);
-                break;
-            }
-        }
-        self.release_buf = releases;
-        // The fallback is unreachable for clamped traces (every job fits
-        // in an empty cluster), but stay total: never before all running
-        // jobs end.
-        shadow.unwrap_or_else(|| {
-            self.running
-                .iter()
-                .map(|r| r.est_end_time)
-                .fold(self.time, f64::max)
-        })
-    }
-
-    /// EASY backfilling pass: start queued jobs (FCFS order) that fit now
-    /// and whose *requested* completion does not cross `shadow_start`.
-    fn backfill_pass(&mut self, shadow_start: f64) {
-        loop {
-            let mut started_any = false;
-            let mut rank = 0;
-            while rank < self.queue.len() {
-                let job_index = self.queue.get(rank).expect("rank < len");
-                let job = &self.jobs[job_index];
-                let fits = job.procs() <= self.free_procs;
-                let finishes_in_hole = self.time + job.time_bound() <= shadow_start;
-                if fits && finishes_in_hole {
-                    self.queue.remove_at(rank);
-                    self.start_job(job_index);
-                    started_any = true;
-                    // continue at the same rank: the tail shifted into it
-                } else {
-                    rank += 1;
-                }
-            }
-            if !started_any {
-                break;
-            }
         }
     }
 
@@ -381,72 +130,22 @@ impl<Q: QueueBackend> SchedSession<Q> {
     /// advanced past arrivals and completions, and (with EASY) other queued
     /// jobs may have been backfilled.
     pub fn step(&mut self, pos: usize) -> Result<(), SimError> {
-        if self.queue.is_empty() {
-            return Err(SimError::EmptyQueue);
-        }
-        if pos >= self.queue.len() {
-            return Err(SimError::BadQueuePosition {
-                pos,
-                queue_len: self.queue.len(),
-            });
-        }
-        let job_index = self.queue.remove_at(pos);
-
-        if self.jobs[job_index].procs() <= self.free_procs {
-            self.start_job(job_index);
-        } else {
-            // The selected job becomes the reservation; compute its shadow
-            // start once from requested runtimes, as EASY does.
-            let shadow = self.estimated_start(job_index);
-            while self.jobs[job_index].procs() > self.free_procs {
-                if self.cfg.backfill == BackfillMode::Easy {
-                    self.backfill_pass(shadow);
-                }
-                if self.jobs[job_index].procs() <= self.free_procs {
-                    break;
-                }
-                let advanced = self.advance_one_event();
-                debug_assert!(
-                    advanced || self.jobs[job_index].procs() <= self.free_procs,
-                    "reserved job must eventually fit: events exhausted while blocked"
-                );
-                if !advanced {
-                    break;
-                }
-            }
-            self.start_job(job_index);
-        }
-
-        // Move on to the next decision point (or to completion).
-        self.advance_to_decision();
-        Ok(())
+        self.inner.step(pos)
     }
 
-    /// Final metrics; errors until [`SchedSession::done`].
+    /// Final metrics, outcomes in trace order; errors until
+    /// [`SchedSession::done`].
     pub fn metrics(&self) -> Result<EpisodeMetrics, SimError> {
         if !self.done() {
             return Err(SimError::NotDone {
-                scheduled: self.scheduled,
-                total: self.jobs.len(),
+                scheduled: self.inner.outcomes().len(),
+                total: self.jobs,
             });
         }
-        let outcomes = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let start = self.start_times[i].expect("done implies every job started");
-                JobOutcome {
-                    job_index: i,
-                    submit: j.submit_time,
-                    start,
-                    end: start + j.actual_runtime(),
-                    procs: j.procs(),
-                    user: j.user_id,
-                }
-            })
-            .collect();
-        Ok(EpisodeMetrics::new(outcomes, self.total_procs))
+        Ok(trace_order_metrics(
+            self.inner.outcomes(),
+            self.total_procs(),
+        ))
     }
 }
 
@@ -681,11 +380,9 @@ mod tests {
         let mut s = SchedSession::new(&t, SimConfig::with_backfill()).unwrap();
         s.step(0).unwrap(); // A starts
         s.step(0).unwrap(); // B reserved; during wait, C arrives & backfills
-        assert!(s.done() || s.queue_len() == 0 || !s.done());
-        while !s.done() {
-            s.step(0).unwrap();
-        }
+        assert!(s.done(), "C was started by the pass, not by a decision");
         let m = s.metrics().unwrap();
+        assert_eq!(m.outcomes()[1].start, 100.0);
         assert_eq!(m.outcomes()[2].start, 10.0);
     }
 

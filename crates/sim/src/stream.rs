@@ -1,27 +1,44 @@
-//! One-pass streaming simulation for trace-scale replays.
+//! The event loop: one pass over a job stream, whatever its length.
 //!
-//! [`crate::SchedSession`] materializes the whole trace up front — the
-//! right shape for the paper's 256/1024-job training windows, but fatal
-//! for replaying a multi-year archive of millions of jobs. A
-//! [`StreamSession`] instead *pulls* jobs from any `Iterator<Item = Job>`
-//! as virtual time passes their submit times, so resident memory is
-//! bounded by the peak number of waiting jobs (plus the running set), not
-//! the trace length.
+//! A [`StreamSession`] *pulls* jobs from any `Iterator<Item = Job>` as
+//! virtual time passes their submit times, so resident memory is bounded by
+//! the peak number of waiting jobs (plus the running set), not the trace
+//! length — a 256-job training window and a multi-year archive of millions
+//! of jobs run the same code. It is the only simulator in the workspace;
+//! [`crate::SchedSession`] is this session over a materialized trace with a
+//! per-job outcome table.
 //!
-//! The event loop is a line-for-line mirror of [`crate::SchedSession`]:
-//! per-job sanitation and cluster clamping happen at admission (the
-//! streaming equivalents of `JobTrace::sanitized().clamp_to_cluster()`),
-//! completions at an instant are processed before same-instant arrivals,
-//! EASY backfilling uses the same shadow-time rule, and the wait queue is
-//! the same [`IndexedQueue`] calendar. A job's outcome is fully
-//! determined the moment it starts (start, end, submit, procs, user are
-//! all known), so outcomes fold into the [`StreamMetrics`] accumulators
-//! at start time and the job's record is dropped — nothing grows with
-//! trace length.
+//! The control flow is the reference environment's of the paper (§IV-D):
 //!
-//! The one semantic difference: the source must be sorted by submit time
-//! (SWF archives are). A regression yields
-//! [`SimError::NonMonotoneArrival`] instead of silently reordering.
+//! 1. Virtual time starts at the first job's submission; arrivals enter the
+//!    wait queue (an [`IndexedQueue`]) in submit order. Unschedulable
+//!    records are dropped and the rest sanitized and clamped to the cluster
+//!    at admission — `JobTrace::sanitized().clamp_to_cluster()`, one job at
+//!    a time — and a job's `job_index` is its position among the admitted.
+//! 2. Whenever the wait queue is non-empty the caller picks one waiting job
+//!    ([`StreamSession::step`]).
+//! 3. If the job fits it starts immediately. Otherwise it becomes the
+//!    *reservation*: time advances through completion/arrival events —
+//!    completions at an instant before same-instant arrivals — until the
+//!    job fits, and with [`BackfillMode::Easy`] queued jobs that fit now
+//!    and finish (by their *requested* runtime) by the reservation's
+//!    estimated start are backfilled in FCFS order.
+//! 4. The episode is done when every job has started; completion times then
+//!    follow deterministically from actual runtimes.
+//!
+//! The source must be sorted by submit time (SWF archives and `JobTrace`s
+//! are). A regression yields [`SimError::NonMonotoneArrival`] instead of
+//! silently reordering.
+//!
+//! # Where outcomes go
+//!
+//! A job's outcome is fully determined the moment it starts (start, end,
+//! submit, procs, user are all known), so the loop hands a [`JobOutcome`]
+//! to the session's [`Outcomes`] sink at start time and drops the job's
+//! record. The default sink is [`StreamMetrics`], which folds it into
+//! running aggregates — nothing grows with trace length. `Vec<JobOutcome>`
+//! is the other: a per-job table, what [`crate::SchedSession`] builds its
+//! [`EpisodeMetrics`] from. The sink is the only thing the two differ in.
 //!
 //! # The ranked head
 //!
@@ -54,10 +71,10 @@
 //! While a reservation is blocked, every completion and every arrival is
 //! followed by an EASY pass: start, in FCFS order, each waiting job that
 //! fits the idle processors now and whose request ends by the shadow time.
-//! The materialized session answers by walking every rank, which over a
-//! deep queue costs more than everything else in a replay together, most
-//! of it in passes that start nothing. Under EASY this session instead
-//! builds its queue [`IndexedQueue::with_first_fit`] and admits through
+//! Walking every rank to find them costs, over a deep queue, more than
+//! everything else in a replay together, most of it in passes that start
+//! nothing. Under EASY the session instead builds its queue
+//! [`IndexedQueue::with_first_fit`] and admits through
 //! [`IndexedQueue::push_fit`], so the queue keeps, beside its Fenwick tree,
 //! a segment tree whose nodes hold the smallest `procs` and the smallest
 //! `time_bound` of the live jobs below them (`calendar`'s module docs have
@@ -65,21 +82,24 @@
 //! `backfill_pass` is then one [`IndexedQueue::first_fit`] descent per job
 //! it *starts*, each resuming at the rank the last one vacated, and a pass
 //! that starts nothing is one comparison at the root. The visit order and
-//! the arithmetic at each job are the scan's, so the schedule is the same
-//! bit for bit — `SchedSession::backfill_pass` remains that scan, and the
-//! parity suites hold the two together.
+//! the arithmetic at each job are the walk's, so the schedule is the same
+//! bit for bit: the walk survives as `reference_starts` in
+//! `tests/common/mod.rs` — the whole loop over a `Vec` queue, sharing
+//! nothing with this file — and the parity and property suites hold every
+//! start time of this session to it.
 //!
 //! One pass is the whole pass: within it `time` and the shadow are fixed
 //! and the idle processors only fall, so a job refused once would be
-//! refused again, and the scan's "walk again if anything started" has
-//! nothing to find. Without EASY no pass ever runs, the queue is built
+//! refused again, and a "walk again if anything started" has nothing to
+//! find. Without EASY no pass ever runs, the queue is built
 //! `with_capacity` and fed by `push`, and no index exists.
 //!
-//! Averages accumulated here sum in *start* order while
+//! Averages accumulated in [`StreamMetrics`] sum in *start* order while
 //! [`crate::EpisodeMetrics`] sums in trace order, so the two agree only
-//! to floating-point tolerance. For bit-exact parity checks, enable
-//! [`StreamSession::with_outcome_log`] and rebuild an `EpisodeMetrics`
-//! from the logged outcomes via [`StreamSession::log_metrics`].
+//! to floating-point tolerance. For bit-exact checks of a streaming
+//! replay, enable [`StreamSession::with_outcome_log`] and rebuild an
+//! `EpisodeMetrics` from the logged outcomes via
+//! [`StreamSession::log_metrics`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -87,20 +107,50 @@ use std::collections::HashMap;
 
 use rlsched_swf::Job;
 
-use crate::calendar::{IndexedQueue, QueueBackend};
+use crate::calendar::IndexedQueue;
 use crate::error::SimError;
 use crate::metrics::{EpisodeMetrics, JobOutcome, MetricKind};
 use crate::policy::WaitingJob;
-use crate::session::RunningJob;
 use crate::session::{BackfillMode, SimConfig};
+
+/// A running job, ordered by its *actual* completion time (simulator-private
+/// knowledge).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RunningJob {
+    end_time: f64,
+    /// Estimated completion per the user's request — what EASY uses.
+    est_end_time: f64,
+    job_index: usize,
+    procs: u32,
+}
+
+impl Eq for RunningJob {}
+
+impl Ord for RunningJob {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse so the BinaryHeap pops the earliest completion first;
+        // tie-break on job index for determinism.
+        other
+            .end_time
+            .partial_cmp(&self.end_time)
+            .expect("finite end times")
+            .then_with(|| other.job_index.cmp(&self.job_index))
+    }
+}
+
+impl PartialOrd for RunningJob {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// Streaming admission: filters unschedulable records, sanitizes and
 /// clamps the rest, and hands out admission sequence numbers — exactly
 /// what `JobTrace::sanitized().clamp_to_cluster()` does up front, applied
 /// one job at a time. The sequence number equals the job's index in that
-/// materialized trace, which is what makes stream-vs-session parity
-/// checks possible.
-#[derive(Debug)]
+/// materialized trace, which is what lets a per-job outcome table be read
+/// in trace order.
+#[derive(Debug, Clone)]
 struct Admission<I: Iterator<Item = Job>> {
     inner: I,
     total_procs: u32,
@@ -208,7 +258,7 @@ const RANKED_SLACK: usize = 64;
 /// The order behind [`StreamSession::ranked_head`]: every waiting job's
 /// key, plus the stale entries of jobs that left the queue and have not
 /// surfaced yet.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RankedOrder {
     key: fn(&Job) -> f64,
     heap: BinaryHeap<Ranked>,
@@ -252,21 +302,6 @@ impl StreamMetrics {
             last_end: f64::NEG_INFINITY,
             ..Default::default()
         }
-    }
-
-    /// Fold one finished-by-construction outcome into the aggregates.
-    fn record(&mut self, o: &JobOutcome) {
-        self.n += 1;
-        self.sum_wait += o.wait();
-        self.sum_turnaround += o.turnaround();
-        self.sum_slowdown += o.slowdown();
-        self.sum_bounded += o.bounded_slowdown();
-        self.busy += o.exec() * o.procs as f64;
-        self.first_submit = self.first_submit.min(o.submit);
-        self.last_end = self.last_end.max(o.end);
-        let e = self.per_user.entry(o.user).or_insert((0.0, 0));
-        e.0 += o.bounded_slowdown();
-        e.1 += 1;
     }
 
     /// Jobs folded in so far.
@@ -341,14 +376,53 @@ impl StreamMetrics {
     }
 }
 
+/// Where a session puts the outcome of each job it starts (see the module
+/// docs, "Where outcomes go").
+pub trait Outcomes {
+    /// Take the outcome of a job that has just started; its end is already
+    /// known.
+    fn record(&mut self, outcome: &JobOutcome);
+}
+
+/// Fold the outcome into the aggregates.
+impl Outcomes for StreamMetrics {
+    fn record(&mut self, o: &JobOutcome) {
+        self.n += 1;
+        self.sum_wait += o.wait();
+        self.sum_turnaround += o.turnaround();
+        self.sum_slowdown += o.slowdown();
+        self.sum_bounded += o.bounded_slowdown();
+        self.busy += o.exec() * o.procs as f64;
+        self.first_submit = self.first_submit.min(o.submit);
+        self.last_end = self.last_end.max(o.end);
+        let e = self.per_user.entry(o.user).or_insert((0.0, 0));
+        e.0 += o.bounded_slowdown();
+        e.1 += 1;
+    }
+}
+
+/// Keep the outcome: a per-job table in start order.
+impl Outcomes for Vec<JobOutcome> {
+    fn record(&mut self, o: &JobOutcome) {
+        self.push(*o);
+    }
+}
+
+/// `outcomes` (any order) as the metrics of an episode, in trace order.
+pub(crate) fn trace_order_metrics(outcomes: &[JobOutcome], total_procs: u32) -> EpisodeMetrics {
+    let mut outcomes = outcomes.to_vec();
+    outcomes.sort_unstable_by_key(|o| o.job_index);
+    EpisodeMetrics::new(outcomes, total_procs)
+}
+
 /// A one-pass scheduling episode over a job stream.
 ///
-/// Same decision protocol as [`crate::SchedSession`] — whenever at least
-/// one job waits, the caller picks a queue rank via
-/// [`StreamSession::step`] — but the trace flows through: arrivals are
-/// pulled on demand and a started job's record is dropped immediately.
-#[derive(Debug)]
-pub struct StreamSession<I: Iterator<Item = Job>> {
+/// Whenever at least one job waits, the caller picks a queue rank via
+/// [`StreamSession::step`]; the trace flows through: arrivals are pulled
+/// on demand and a started job's record is dropped as soon as its outcome
+/// has gone to the `O` sink.
+#[derive(Debug, Clone)]
+pub struct StreamSession<I: Iterator<Item = Job>, O = StreamMetrics> {
     source: Admission<I>,
     total_procs: u32,
     cfg: SimConfig,
@@ -362,7 +436,7 @@ pub struct StreamSession<I: Iterator<Item = Job>> {
     queue: IndexedQueue,
     running: BinaryHeap<RunningJob>,
     started: u64,
-    metrics: StreamMetrics,
+    outcomes: O,
     /// Optional per-job log for parity tests; unbounded, so off by default.
     outcome_log: Option<Vec<JobOutcome>>,
     /// Submit time of the last admitted job, for the monotonicity check.
@@ -380,6 +454,27 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
     /// a cluster of `total_procs` processors. Errors with
     /// [`SimError::EmptyTrace`] when the stream holds no schedulable job.
     pub fn new(source: I, total_procs: u32, cfg: SimConfig) -> Result<Self, SimError> {
+        let metrics = StreamMetrics::new(total_procs.max(1));
+        Self::with_outcomes(source, total_procs, cfg, metrics)
+    }
+
+    /// The metric aggregates folded so far (complete once [`done`]).
+    ///
+    /// [`done`]: StreamSession::done
+    pub fn metrics(&self) -> &StreamMetrics {
+        &self.outcomes
+    }
+}
+
+impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
+    /// [`StreamSession::new`] with the sink that takes the outcome of every
+    /// started job.
+    pub fn with_outcomes(
+        source: I,
+        total_procs: u32,
+        cfg: SimConfig,
+        outcomes: O,
+    ) -> Result<Self, SimError> {
         let total_procs = total_procs.max(1);
         let mut s = StreamSession {
             source: Admission::new(source, total_procs),
@@ -396,7 +491,7 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
             },
             running: BinaryHeap::with_capacity(64),
             started: 0,
-            metrics: StreamMetrics::new(total_procs),
+            outcomes,
             outcome_log: None,
             last_submit: f64::NEG_INFINITY,
             peak_queue: 0,
@@ -460,11 +555,9 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         self.queue.is_empty() && self.source.pending.is_none() && self.source.exhausted
     }
 
-    /// The metric aggregates folded so far (complete once [`done`]).
-    ///
-    /// [`done`]: StreamSession::done
-    pub fn metrics(&self) -> &StreamMetrics {
-        &self.metrics
+    /// The sink, holding the outcome of every job started so far.
+    pub(crate) fn outcomes(&self) -> &O {
+        &self.outcomes
     }
 
     /// Rebuild an [`EpisodeMetrics`] from the outcome log (sorted into
@@ -473,9 +566,7 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
     /// was enabled.
     pub fn log_metrics(&self) -> Option<EpisodeMetrics> {
         let log = self.outcome_log.as_ref()?;
-        let mut outcomes = log.clone();
-        outcomes.sort_unstable_by_key(|o| o.job_index);
-        Some(EpisodeMetrics::new(outcomes, self.total_procs))
+        Some(trace_order_metrics(log, self.total_procs))
     }
 
     /// The waiting jobs as a policy sees them, FCFS order. `job_index` is
@@ -623,7 +714,7 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
             procs,
             user: job.user_id,
         };
-        self.metrics.record(&outcome);
+        self.outcomes.record(&outcome);
         if let Some(log) = &mut self.outcome_log {
             log.push(outcome);
         }
@@ -632,8 +723,9 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
     }
 
     /// Advance to the next event (earliest of next completion and next
-    /// arrival); completions first, as in `SchedSession`. Returns `false`
-    /// when no event remains.
+    /// arrival), processing everything at that instant, completions first
+    /// so the freed processors are visible to same-instant arrivals.
+    /// Returns `false` when no event remains.
     fn advance_one_event(&mut self) -> Result<bool, SimError> {
         let next_completion = self.running.peek().map(|r| r.end_time);
         let next_arrival = self.source.peek_submit();
@@ -671,7 +763,9 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
     }
 
     /// EASY shadow time for a blocked job needing `needed` processors:
-    /// earliest time enough processors free up by *requested* completions.
+    /// earliest time enough processors free up by *requested* completions;
+    /// backfilled jobs must finish (by request) by then. Works in the
+    /// session's reusable release buffer, so blocked steps allocate nothing.
     fn estimated_start(&mut self, needed: u32) -> f64 {
         if needed <= self.free_procs {
             return self.time;
@@ -679,6 +773,8 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         let mut releases = std::mem::take(&mut self.release_buf);
         releases.clear();
         releases.extend(self.running.iter().map(|r| (r.est_end_time, r.procs)));
+        // Unstable sort (no allocation); ties on time yield the same
+        // shadow value regardless of their relative order.
         releases.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimates"));
         let mut free = self.free_procs;
         let mut shadow = None;
@@ -690,6 +786,8 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
             }
         }
         self.release_buf = releases;
+        // Unreachable once admission has clamped every job to the cluster,
+        // but stay total: never before all running jobs end.
         shadow.unwrap_or_else(|| {
             self.running
                 .iter()
@@ -698,11 +796,12 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         })
     }
 
-    /// EASY backfilling pass: starts the jobs the materialized session's
-    /// scan would, in its order, by one first-fit descent per started job.
+    /// EASY backfilling pass: starts, in FCFS order, every waiting job that
+    /// fits now and whose *requested* completion does not cross
+    /// `shadow_start`, by one first-fit descent per started job.
     /// A single left-to-right pass is complete: `time` and `shadow_start`
     /// do not change in here and `free_procs` only falls, so a job refused
-    /// once stays refused and the scan's restart would start nothing.
+    /// once stays refused and a second look would start nothing.
     /// Out of line: `step` runs for every job of every replay, this only
     /// under EASY.
     #[inline(never)]
@@ -719,8 +818,11 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         }
     }
 
-    /// Schedule the waiting job at queue rank `pos` (FCFS order), exactly
-    /// as [`crate::SchedSession::step`] would.
+    /// Schedule the waiting job at queue rank `pos` (FCFS order).
+    ///
+    /// On return the selected job has started; virtual time may have
+    /// advanced past arrivals and completions, and (with EASY) other queued
+    /// jobs may have been backfilled.
     pub fn step(&mut self, pos: usize) -> Result<(), SimError> {
         if self.queue.is_empty() {
             return Err(SimError::EmptyQueue);
@@ -741,6 +843,8 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
         if needed <= self.free_procs {
             self.start_job(key);
         } else {
+            // The selected job becomes the reservation; compute its shadow
+            // start once from requested runtimes, as EASY does.
             let shadow = self.estimated_start(needed);
             while needed > self.free_procs {
                 if self.cfg.backfill == BackfillMode::Easy {
@@ -765,8 +869,15 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
     }
 }
 
+/// The reference simulator the parity tests answer to; it lives with the
+/// integration tests, which use it too.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod reference;
+
 #[cfg(test)]
 mod tests {
+    use super::reference::reference_starts;
     use super::*;
     use crate::session::SchedSession;
     use rand::prelude::*;
@@ -790,6 +901,13 @@ mod tests {
             .collect()
     }
 
+    /// Start times in trace order, as `reference_starts` reports them.
+    /// (`random_jobs` are schedulable, sane and no wider than the cluster:
+    /// admission leaves them as they are, and so the reference reads them.)
+    fn starts(m: &EpisodeMetrics) -> Vec<f64> {
+        m.outcomes().iter().map(|o| o.start).collect()
+    }
+
     fn run_both_fcfs(
         jobs: Vec<Job>,
         procs: u32,
@@ -800,17 +918,19 @@ mod tests {
         while !sess.done() {
             sess.step(0).unwrap();
         }
-        let mut stream = StreamSession::new(jobs.into_iter(), procs, cfg)
+        let mut stream = StreamSession::new(jobs.iter().cloned(), procs, cfg)
             .unwrap()
             .with_outcome_log();
+        let mut decisions = 0;
         while !stream.done() {
             stream.step(0).unwrap();
+            decisions += 1;
         }
-        (
-            sess.metrics().unwrap(),
-            stream.log_metrics().unwrap(),
-            stream.metrics().clone(),
-        )
+        let log = stream.log_metrics().unwrap();
+        let easy = cfg.backfill == BackfillMode::Easy;
+        let want = reference_starts(&jobs, procs, easy, &vec![0; decisions]);
+        assert_eq!(starts(&log), want, "{cfg:?}");
+        (sess.metrics().unwrap(), log, stream.metrics().clone())
     }
 
     #[test]
@@ -819,6 +939,7 @@ mod tests {
             for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
                 let jobs = random_jobs(seed, 300);
                 let (sess_m, stream_m, acc) = run_both_fcfs(jobs, 8, cfg);
+                // The table sink against the log: the view adds nothing.
                 assert_eq!(sess_m, stream_m, "seed {seed}, cfg {cfg:?}");
                 // The accumulators fold in start order, so only to tolerance.
                 let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
@@ -975,14 +1096,17 @@ mod tests {
                 picks.push(p);
                 sess.step(p).unwrap();
             }
-            let mut stream = StreamSession::new(jobs.into_iter(), 8, cfg)
+            let mut stream = StreamSession::new(jobs.iter().cloned(), 8, cfg)
                 .unwrap()
                 .with_outcome_log();
             for &p in &picks {
                 stream.step(p).unwrap();
             }
             assert!(stream.done());
-            assert_eq!(sess.metrics().unwrap(), stream.log_metrics().unwrap());
+            let log = stream.log_metrics().unwrap();
+            assert_eq!(sess.metrics().unwrap(), log);
+            let easy = cfg.backfill == BackfillMode::Easy;
+            assert_eq!(starts(&log), reference_starts(&jobs, 8, easy, &picks));
         }
     }
 }

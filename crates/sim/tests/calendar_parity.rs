@@ -1,16 +1,17 @@
-//! Calendar parity: a session on the indexed (Fenwick) wait queue must be
-//! bit-identical to one on the seed `Vec` queue — same trajectories, same
-//! metrics — across seeded traces, both backfill modes, and selection
-//! policies that exercise out-of-order removal. The backfill index is held
-//! to a linear scan of the same `(procs, bound)` pairs, and the streaming
-//! session that backfills through it to the materialized session that
-//! scans, at queue depths the other suites do not reach.
+//! Calendar parity. The wait queue (`IndexedQueue`: Fenwick ranks, push
+//! ordinals, the backfill index) is held to a plain `Vec` of the same
+//! entries, operation for operation. The session that runs on it is held to
+//! the reference simulator in `common` — a `Vec` queue scanned rank by rank,
+//! written from the paper and sharing no code with the crate — start time
+//! for start time, across seeded traces, both backfill modes, selection
+//! policies that exercise out-of-order removal, and bursts that queue
+//! thousands deep.
 
+mod common;
+
+use common::reference_starts;
 use rand::prelude::*;
-use rlsched_sim::{
-    EpisodeMetrics, IndexedQueue, LinearQueue, LinearSession, QueueBackend, SchedSession,
-    SimConfig, StreamSession, WaitingJob,
-};
+use rlsched_sim::{BackfillMode, IndexedQueue, SchedSession, SimConfig, StreamSession, WaitingJob};
 use rlsched_swf::{Job, JobTrace};
 
 fn random_trace(seed: u64, n: usize, procs: u32) -> JobTrace {
@@ -32,29 +33,29 @@ fn random_trace(seed: u64, n: usize, procs: u32) -> JobTrace {
     JobTrace::new(jobs, procs)
 }
 
-/// Run one episode on a given backend, choosing ranks with `pick`.
-fn run<Q: QueueBackend>(
-    trace: &JobTrace,
-    cfg: SimConfig,
-    mut pick: impl FnMut(usize, &mut dyn Iterator<Item = WaitingJob>) -> usize,
-) -> EpisodeMetrics {
-    let mut s = SchedSession::<Q>::with_queue(trace, cfg).unwrap();
-    while !s.done() {
-        let len = s.queue_len();
-        let pos = pick(len, &mut s.waiting_jobs());
-        s.step(pos).unwrap();
-    }
-    s.metrics().unwrap()
-}
-
+/// Run one episode choosing ranks with `pick`, and hold every start time
+/// to the reference simulator under the same picks.
 fn assert_parity(
     trace: &JobTrace,
     cfg: SimConfig,
-    mut pick: impl FnMut(usize, &mut dyn Iterator<Item = WaitingJob>) -> usize + Clone,
+    mut pick: impl FnMut(usize, &mut dyn Iterator<Item = WaitingJob>) -> usize,
 ) {
-    let linear = run::<LinearQueue>(trace, cfg, &mut pick);
-    let indexed = run::<IndexedQueue>(trace, cfg, &mut pick);
-    assert_eq!(linear, indexed);
+    let mut s = SchedSession::new(trace, cfg).unwrap();
+    let mut picks = Vec::new();
+    while !s.done() {
+        let pos = pick(s.queue_len(), &mut s.waiting_jobs());
+        picks.push(pos);
+        s.step(pos).unwrap();
+    }
+    let metrics = s.metrics().unwrap();
+    let starts: Vec<f64> = metrics.outcomes().iter().map(|o| o.start).collect();
+    let sane = trace.sanitized().clamp_to_cluster();
+    let easy = cfg.backfill == BackfillMode::Easy;
+    assert_eq!(
+        starts,
+        reference_starts(sane.jobs(), sane.max_procs(), easy, &picks),
+        "{cfg:?}"
+    );
 }
 
 #[test]
@@ -93,19 +94,13 @@ fn sjf_like_parity() {
 
 #[test]
 fn random_policy_parity() {
-    // Seeded random rank picks: both sessions see identical queue lengths
-    // at every decision (or the pick sequences would diverge), which this
-    // test implicitly verifies as well.
+    // Seeded random rank picks: the reference panics on a rank past the
+    // end of its queue, so the queue lengths agree at every decision too.
     for seed in 0..3 {
         let trace = random_trace(200 + seed, 300, 8);
         for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
-            let picks = std::cell::RefCell::new(StdRng::seed_from_u64(seed ^ 0xbeef));
-            let linear =
-                run::<LinearQueue>(&trace, cfg, |len, _| picks.borrow_mut().gen_range(0..len));
-            let picks2 = std::cell::RefCell::new(StdRng::seed_from_u64(seed ^ 0xbeef));
-            let indexed =
-                run::<IndexedQueue>(&trace, cfg, |len, _| picks2.borrow_mut().gen_range(0..len));
-            assert_eq!(linear, indexed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+            assert_parity(&trace, cfg, |len, _| rng.gen_range(0..len));
         }
     }
 }
@@ -115,12 +110,12 @@ fn random_policy_parity() {
 #[test]
 fn rank_of_ord_matches_linear_positions_across_compactions() {
     let mut rng = StdRng::seed_from_u64(0x07d);
-    let mut linear = LinearQueue::default();
+    let mut linear: Vec<usize> = Vec::new();
     let mut indexed = IndexedQueue::with_capacity(16);
     let mut pushed = 0u64;
-    let check_all = |linear: &LinearQueue, indexed: &IndexedQueue, pushed: u64| {
+    let check_all = |linear: &[usize], indexed: &IndexedQueue, pushed: u64| {
         let mut rank_of = vec![None; pushed as usize];
-        for (rank, ord) in linear.iter().enumerate() {
+        for (rank, &ord) in linear.iter().enumerate() {
             rank_of[ord] = Some(rank);
         }
         for ord in 0..pushed {
@@ -134,7 +129,7 @@ fn rank_of_ord_matches_linear_positions_across_compactions() {
     };
     for op in 0..20_000 {
         if linear.len() < 2 || rng.gen_bool(0.52) {
-            linear.push_back(pushed as usize);
+            linear.push(pushed as usize);
             assert_eq!(
                 indexed.push(pushed as usize),
                 pushed,
@@ -144,7 +139,7 @@ fn rank_of_ord_matches_linear_positions_across_compactions() {
             pushed += 1;
         } else {
             let rank = rng.gen_range(0..linear.len());
-            let ord = linear.remove_at(rank) as u64;
+            let ord = linear.remove(rank) as u64;
             assert_eq!(indexed.rank_of_ord(ord), Some(rank));
             assert_eq!(indexed.remove_at(rank) as u64, ord);
             assert_eq!(indexed.rank_of_ord(ord), None, "removed");
@@ -250,10 +245,8 @@ fn first_fit_matches_a_linear_scan_across_growth_and_compactions() {
 
 /// Bursts of same-instant jobs, so EASY backfills over a queue thousands
 /// deep that compacts several times as it drains, under seeded random
-/// picks: the streaming session (first-fit descents) must reproduce the
-/// materialized session (rank-by-rank scan) outcome for outcome. The
-/// reference runs on the `Vec` queue, whose scan costs no Fenwick descent
-/// per rank, to keep this affordable unoptimized.
+/// picks: the session (first-fit descents) must reproduce the reference
+/// simulator (rank-by-rank scan of a `Vec`) start for start.
 #[test]
 fn deep_burst_backfill_matches_the_scanning_session() {
     let procs = 64;
@@ -279,38 +272,26 @@ fn deep_burst_backfill_matches_the_scanning_session() {
                 .with_user(rng.gen_range(0..7))
             })
             .collect();
-        let cfg = SimConfig::with_backfill();
-        let trace = JobTrace::new(jobs.clone(), procs);
-        let mut sess = LinearSession::with_queue(&trace, cfg).unwrap();
+        let mut stream =
+            StreamSession::new(jobs.iter().cloned(), procs, SimConfig::with_backfill())
+                .unwrap()
+                .with_outcome_log();
         let mut picks = Vec::new();
-        while !sess.done() {
-            let p = rng.gen_range(0..sess.queue_len());
+        while !stream.done() {
+            let p = rng.gen_range(0..stream.queue_len());
             picks.push(p);
-            sess.step(p).unwrap();
-        }
-        let mut stream = StreamSession::new(jobs.into_iter(), procs, cfg)
-            .unwrap()
-            .with_outcome_log();
-        for &p in &picks {
             stream.step(p).unwrap();
         }
-        assert!(stream.done());
         assert!(stream.peak_queue_depth() >= 3_000);
         assert!(
             picks.len() < 6_400 / 2,
             "most jobs were backfilled: {} decisions",
             picks.len()
         );
-        assert_eq!(sess.metrics().unwrap(), stream.log_metrics().unwrap());
+        let metrics = stream.log_metrics().unwrap();
+        let starts: Vec<f64> = metrics.outcomes().iter().map(|o| o.start).collect();
+        // Every job is schedulable, sane and narrower than the cluster, so
+        // the trace needs no sanitizing before the reference reads it.
+        assert_eq!(starts, reference_starts(&jobs, procs, true, &picks));
     }
-}
-
-#[test]
-fn linear_session_alias_still_works() {
-    let trace = random_trace(7, 50, 8);
-    let mut s = LinearSession::with_queue(&trace, SimConfig::with_backfill()).unwrap();
-    while !s.done() {
-        s.step(0).unwrap();
-    }
-    assert_eq!(s.metrics().unwrap().outcomes().len(), 50);
 }

@@ -1,9 +1,11 @@
 //! EASY backfilling against a schedule worked out by hand.
 //!
 //! Every other suite compares one implementation with another. This one
-//! compares both sessions with start times derived on paper from the rules
-//! in `session.rs`'s module docs, on a seven-job trace small enough to
-//! follow and built to sit on the edges of the backfill rule:
+//! compares the session — through its materialized view and directly — and
+//! the reference simulator the parity suites answer to (`common`) with
+//! start times derived on paper from the rules in `stream.rs`'s module
+//! docs, on a seven-job trace small enough to follow and built to sit on
+//! the edges of the backfill rule:
 //!
 //! * a job that fits the idle processors but whose *request* crosses the
 //!   shadow time (not started);
@@ -25,7 +27,9 @@
 //! | 5   | 5      | 1     | 4   | 4   |
 //! | 6   | 5      | 3     | 1   | 1   |
 
-use rlsched_sim::{SchedSession, SimConfig, StreamSession, WaitingJob};
+mod common;
+
+use rlsched_sim::{BackfillMode, SchedSession, SimConfig, StreamSession, WaitingJob};
 use rlsched_swf::{Job, JobTrace};
 
 const PROCS: u32 = 4;
@@ -66,16 +70,19 @@ fn sjf(waiting: &mut dyn Iterator<Item = WaitingJob>) -> usize {
         .expect("decision points have waiting jobs")
 }
 
-/// Start time of every job, in trace order, from the materialized session.
-fn session_starts(cfg: SimConfig, pick: Pick) -> Vec<f64> {
+/// Start time of every job, in trace order, from the materialized session,
+/// and the rank picked at each decision.
+fn session_starts(cfg: SimConfig, pick: Pick) -> (Vec<f64>, Vec<usize>) {
     let trace = JobTrace::new(jobs(), PROCS);
     let mut s: SchedSession = SchedSession::new(&trace, cfg).unwrap();
+    let mut picks = Vec::new();
     while !s.done() {
         let pos = pick(&mut s.waiting_jobs());
+        picks.push(pos);
         s.step(pos).unwrap();
     }
     let m = s.metrics().unwrap();
-    m.outcomes().iter().map(|o| o.start).collect()
+    (m.outcomes().iter().map(|o| o.start).collect(), picks)
 }
 
 /// The same from the streaming session.
@@ -92,8 +99,12 @@ fn stream_starts(cfg: SimConfig, pick: Pick) -> Vec<f64> {
 }
 
 fn assert_schedule(cfg: SimConfig, pick: Pick, want: [f64; 7]) {
-    assert_eq!(session_starts(cfg, pick), want, "SchedSession");
+    let (starts, picks) = session_starts(cfg, pick);
+    assert_eq!(starts, want, "SchedSession");
     assert_eq!(stream_starts(cfg, pick), want, "StreamSession");
+    let easy = cfg.backfill == BackfillMode::Easy;
+    let reference = common::reference_starts(&jobs(), PROCS, easy, &picks);
+    assert_eq!(reference, want, "the reference simulator");
 }
 
 #[test]

@@ -1,9 +1,13 @@
 //! Property tests of the SchedGym conservation invariants under random
-//! traces, random scheduling orders, and both backfilling modes.
+//! traces, random scheduling orders, and both backfilling modes — and of
+//! the session against the reference simulator in `common`, on traces built
+//! to hit what admission and the event loop treat specially.
+
+mod common;
 
 use proptest::prelude::*;
 
-use rlsched_sim::{BackfillMode, SchedSession, SimConfig};
+use rlsched_sim::{BackfillMode, SchedSession, SimConfig, SimError};
 use rlsched_swf::{Job, JobTrace};
 
 prop_compose! {
@@ -26,21 +30,49 @@ fn trace_of(jobs: Vec<(f64, f64, u32, f64)>) -> JobTrace {
     JobTrace::new(jobs, 8)
 }
 
-/// Drive a whole episode choosing queue positions from `picks` (wrapped
-/// into range), verifying machine invariants at every step.
+prop_compose! {
+    /// A raw record as an archive might hold it: submit times on a coarse
+    /// grid (many ties), zero and sub-second runtimes, requests wider than
+    /// the 8-processor cluster, requested times below the actual runtime or
+    /// unrecorded, and one in seven unschedulable (no processor count).
+    fn arb_raw_job()(
+        submit in prop_oneof![(0u32..12).prop_map(|k| k as f64 * 40.0), 0.0f64..500.0],
+        run in prop_oneof![Just(0.0f64), 0.0f64..1.0, 1.0f64..300.0],
+        procs in 1u32..=12,
+        req_factor in prop_oneof![Just(-1.0f64), 0.1f64..1.0, 1.0f64..3.0],
+        unschedulable in (0u32..7).prop_map(|k| k == 0),
+    ) -> Job {
+        let mut job = Job::new(0, submit, run, procs, run * req_factor);
+        if unschedulable {
+            job.requested_procs = -1;
+            job.used_procs = -1;
+        }
+        job
+    }
+}
+
+/// Take up to `limit` decisions on `s`, decision `d` (counted from `from`)
+/// choosing rank `picks[d]` (cycled, wrapped into range), verifying machine
+/// invariants at every step; returns the ranks actually picked.
+fn drive(s: &mut SchedSession, picks: &[usize], from: usize, limit: usize) -> Vec<usize> {
+    let mut taken = Vec::new();
+    while !s.done() && taken.len() < limit {
+        let pos = picks[(from + taken.len()) % picks.len()] % s.queue_len();
+        taken.push(pos);
+        s.step(pos).unwrap();
+        assert!(s.free_procs() <= s.total_procs());
+    }
+    taken
+}
+
+/// Drive a whole episode choosing queue positions from `picks`.
 fn run_with_picks(
     trace: &JobTrace,
     cfg: SimConfig,
     picks: &[usize],
 ) -> rlsched_sim::EpisodeMetrics {
     let mut s = SchedSession::new(trace, cfg).unwrap();
-    let mut i = 0;
-    while !s.done() {
-        let pos = picks[i % picks.len()] % s.queue_len();
-        i += 1;
-        s.step(pos).unwrap();
-        assert!(s.free_procs() <= s.total_procs());
-    }
+    drive(&mut s, picks, 0, usize::MAX);
     s.metrics().unwrap()
 }
 
@@ -106,6 +138,55 @@ proptest! {
                 .sum();
             prop_assert!(used <= 8, "{used} procs in use at t={t}");
         }
+    }
+
+    #[test]
+    fn session_matches_the_reference_simulator(
+        jobs in prop::collection::vec(arb_raw_job(), 1..60),
+        picks in prop::collection::vec(0usize..64, 1..32),
+        easy in any::<bool>(),
+    ) {
+        let trace = JobTrace::new(jobs, 8);
+        let cfg = SimConfig {
+            backfill: if easy { BackfillMode::Easy } else { BackfillMode::None },
+        };
+        // What the session is documented to admit: the schedulable records,
+        // sanitized and clamped, indexed by their position among themselves.
+        let sane = trace.sanitized().clamp_to_cluster();
+        let mut s = match SchedSession::new(&trace, cfg) {
+            Ok(s) => s,
+            Err(e) => {
+                prop_assert_eq!(e, SimError::EmptyTrace);
+                prop_assert!(sane.is_empty());
+                return Ok(());
+            }
+        };
+        let taken = drive(&mut s, &picks, 0, usize::MAX);
+        let m = s.metrics().unwrap();
+        let starts: Vec<f64> = m.outcomes().iter().map(|o| o.start).collect();
+        prop_assert_eq!(starts, common::reference_starts(sane.jobs(), 8, easy, &taken));
+        for (o, job) in m.outcomes().iter().zip(sane.jobs()) {
+            prop_assert_eq!((o.submit, o.procs), (job.submit_time, job.procs()));
+        }
+    }
+
+    #[test]
+    fn a_cloned_session_continues_to_the_same_metrics(
+        jobs in prop::collection::vec(arb_sim_job(), 2..50),
+        picks in prop::collection::vec(0usize..64, 1..32),
+        easy in any::<bool>(),
+        split in 0usize..25,
+    ) {
+        let trace = trace_of(jobs);
+        let cfg = SimConfig {
+            backfill: if easy { BackfillMode::Easy } else { BackfillMode::None },
+        };
+        let mut original = SchedSession::new(&trace, cfg).unwrap();
+        let before = drive(&mut original, &picks, 0, split).len();
+        let mut clone = original.clone();
+        let rest = drive(&mut original, &picks, before, usize::MAX);
+        prop_assert_eq!(drive(&mut clone, &picks, before, usize::MAX), rest);
+        prop_assert_eq!(clone.metrics().unwrap(), original.metrics().unwrap());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`Job`] — the job record with the attributes of Table I of the paper
 //!   (submit time, requested processors, requested time, user/group ids, …).
-//! * [`parse`] / [`write`] — a lossless SWF v2.2 reader and writer, including
+//! * [`parse`] / [`mod@write`] — a lossless SWF v2.2 reader and writer, including
 //!   header comment handling.
 //! * [`JobTrace`] — an owned trace with slicing, windowing and random
 //!   sequence-sampling used by the trainer and the evaluation harness.

@@ -23,7 +23,7 @@ pub fn two_stage_uniform<R: Rng + ?Sized>(
 
 /// A hyper-gamma distribution: a two-component gamma mixture whose mixing
 /// weight can depend on the job size (larger jobs run longer in the Lublin
-/// model — the `p = pa·n + pb` coupling of [18]).
+/// model — the `p = pa·n + pb` coupling of \[18\]).
 #[derive(Debug, Clone)]
 pub struct HyperGamma {
     g1: Gamma<f64>,

@@ -3,7 +3,7 @@
 //! The paper evaluates on six traces (Table II): four real traces from the
 //! Parallel Workloads Archive (SDSC-SP2, HPC2N, PIK-IPLEX-2009, ANL
 //! Intrepid) and two synthetic traces generated with the Lublin–Feitelson
-//! model [18] (Lublin-1, Lublin-2). The real archives are not redistributed
+//! model \[18\] (Lublin-1, Lublin-2). The real archives are not redistributed
 //! here; instead this crate provides *trace-alike* generators calibrated to
 //! the Table II statistics and to the qualitative properties the paper's
 //! experiments depend on:

@@ -1,4 +1,4 @@
-//! The Lublin–Feitelson workload model [18] ("The workload on parallel
+//! The Lublin–Feitelson workload model \[18\] ("The workload on parallel
 //! supercomputers: modeling the characteristics of rigid jobs", JPDC 2003),
 //! the generative model behind the paper's Lublin-1 and Lublin-2 traces.
 //!
