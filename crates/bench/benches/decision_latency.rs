@@ -17,10 +17,20 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use rlsched_sched::{select_streaming, HeuristicKind, PriorityScheduler};
-use rlsched_sim::{MetricKind, Policy, QueueView, SimConfig, StreamSession, WaitingJob};
+use rlsched_sched::{select_streaming, HeuristicKind};
+use rlsched_sim::{MetricKind, QueueView, SimConfig, StreamSession, WaitingJob};
 use rlsched_swf::Job;
-use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
+use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, RlPolicy};
+
+/// The agent head's decision over a snapshot.
+fn decide(policy: &mut RlPolicy<'_>, view: &QueueView<'_>) -> usize {
+    policy.decide(
+        view.free_procs,
+        view.total_procs,
+        view.waiting.len(),
+        view.waiting.iter().copied(),
+    )
+}
 
 fn decision_view(jobs: &[Job]) -> QueueView<'_> {
     QueueView {
@@ -72,9 +82,13 @@ fn bench_decisions(c: &mut Criterion) {
     let view = decision_view(&jobs);
 
     let mut group = c.benchmark_group("decision_128_jobs");
-    let mut sjf = PriorityScheduler::new(HeuristicKind::Sjf);
     group.bench_function("sjf_sort_pick", |b| {
-        b.iter(|| std::hint::black_box(sjf.select(&view)))
+        b.iter(|| {
+            std::hint::black_box(select_streaming(
+                HeuristicKind::Sjf,
+                view.waiting.iter().copied(),
+            ))
+        })
     });
 
     let kernel = agent_of(PolicyKind::Kernel);
@@ -83,7 +97,7 @@ fn bench_decisions(c: &mut Criterion) {
     });
     group.bench_function("rl_kernel_dnn_fast", |b| {
         let mut policy = kernel.as_policy();
-        b.iter(|| std::hint::black_box(policy.select(&view)))
+        b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
     });
 
     let mlp = agent_of(PolicyKind::MlpV1);
@@ -92,7 +106,7 @@ fn bench_decisions(c: &mut Criterion) {
     });
     group.bench_function("rl_mlp_v1_dnn_fast", |b| {
         let mut policy = mlp.as_policy();
-        b.iter(|| std::hint::black_box(policy.select(&view)))
+        b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
     });
 
     // Batched multi-view scoring: 16 concurrent scheduling requests
@@ -125,7 +139,7 @@ fn bench_queue_scaling(c: &mut Criterion) {
         // Past MAX_OBSV (128) the cost must plateau: extra jobs are cut off.
         group.bench_function(format!("queue_{n}"), |b| {
             let mut policy = kernel.as_policy();
-            b.iter(|| std::hint::black_box(policy.select(&view)))
+            b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
         });
     }
     // One streaming SJF tick at a stationary queue depth of n: the head's

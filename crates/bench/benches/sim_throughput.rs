@@ -1,6 +1,8 @@
-//! SchedGym throughput: full-episode simulation cost with and without
-//! EASY backfilling, across workload shapes. Training cost (Table IX) is
-//! bounded below by this — every trajectory is one simulated episode.
+//! SchedGym throughput: full-episode simulation cost through `run_episode`
+//! — the evaluation path of every `repro` table cell — with and without
+//! EASY backfilling, per decision head, and workload generation across
+//! workload shapes. Training cost (Table IX) is bounded below by this —
+//! every trajectory is one simulated episode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -12,28 +14,24 @@ fn bench_episode(c: &mut Criterion) {
     let trace = NamedWorkload::Lublin1.generate(512, 7);
     let window = trace.window(0, 256).expect("window");
 
+    // Without backfilling every job is a decision over a queue that only
+    // drains as fast as the cluster does, so the `*_nobf` rows price the
+    // three ways a head finds its job: the front (FCFS), the ranked order
+    // (SJF) and the scan (WFP3). The `*_easy` rows add the backfill pass.
+    let (nobf, easy) = (SimConfig::no_backfill(), SimConfig::with_backfill());
     let mut group = c.benchmark_group("episode_256_jobs");
-    for (name, cfg) in [
-        ("fcfs_nobf", SimConfig::no_backfill()),
-        ("fcfs_easy", SimConfig::with_backfill()),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut fcfs = PriorityScheduler::new(HeuristicKind::Fcfs);
-                std::hint::black_box(run_episode(&window, cfg, &mut fcfs).expect("episode"))
-            })
-        });
-    }
-    for (name, kind) in [
-        ("sjf_easy", HeuristicKind::Sjf),
-        ("f1_easy", HeuristicKind::F1),
+    for (name, kind, cfg) in [
+        ("fcfs_nobf", HeuristicKind::Fcfs, nobf),
+        ("sjf_nobf", HeuristicKind::Sjf, nobf),
+        ("wfp3_nobf", HeuristicKind::Wfp3, nobf),
+        ("fcfs_easy", HeuristicKind::Fcfs, easy),
+        ("sjf_easy", HeuristicKind::Sjf, easy),
+        ("f1_easy", HeuristicKind::F1, easy),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut sched = PriorityScheduler::new(kind);
-                std::hint::black_box(
-                    run_episode(&window, SimConfig::with_backfill(), &mut sched).expect("episode"),
-                )
+                std::hint::black_box(run_episode(&window, cfg, &mut sched).expect("episode"))
             })
         });
     }

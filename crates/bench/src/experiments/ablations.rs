@@ -1,5 +1,5 @@
 //! Ablation benches beyond the paper: sensitivity of the two design
-//! choices DESIGN.md calls out — the observation window (MAX_OBSV_SIZE)
+//! choices §IV of the paper calls out — the observation window (MAX_OBSV_SIZE)
 //! and the trajectory-filter acceptance range.
 
 use serde_json::json;

@@ -1,5 +1,5 @@
-//! One module per experiment family; see `DESIGN.md` §4 for the paper ↔
-//! code index.
+//! One module per experiment family; the `repro` binary's header lists
+//! which paper table or figure each experiment name regenerates.
 
 pub mod ablations;
 pub mod figures;

@@ -4,8 +4,8 @@ use std::time::Instant;
 
 use serde_json::json;
 
-use rlsched_sched::{HeuristicKind, PriorityScheduler};
-use rlsched_sim::{MetricKind, Policy, QueueView, SimConfig, WaitingJob};
+use rlsched_sched::{select_streaming, HeuristicKind};
+use rlsched_sim::{MetricKind, QueueView, SimConfig, WaitingJob};
 use rlsched_swf::{Job, TraceStats};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{evaluate_policy, mean_metric, sample_eval_windows, FilterMode, PolicyKind};
@@ -271,11 +271,13 @@ pub fn table9(p: &Profile, report: &mut Report) {
             .collect(),
     };
 
-    let mut sjf = PriorityScheduler::new(HeuristicKind::Sjf);
     let reps = 2000;
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(sjf.select(&view));
+        std::hint::black_box(select_streaming(
+            HeuristicKind::Sjf,
+            view.waiting.iter().copied(),
+        ));
     }
     let sjf_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
 

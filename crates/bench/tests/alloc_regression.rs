@@ -172,6 +172,56 @@ fn fast_paths_do_not_regress_allocations() {
         assert_eq!(scan_allocs, 0, "select_streaming tick must not allocate");
     }
 
+    // ---- evaluation episode: what a `run_episode` allocates is set-up
+    // (the job list, the outcome table, the session's buffers, the head's
+    // scratch), never a decision — the heads read the wait queue in
+    // place. Every job of these windows is submitted at time zero (so
+    // the ranked order is sized once, for all of them) and, without
+    // backfilling, started by a decision of its own: the long window
+    // makes eight times the decisions of the short one over an eight
+    // times deeper queue, through each way a head finds its job — the
+    // ranked order (SJF), the scan (WFP3) and the kernel network. ----
+    {
+        use rlsched_sched::{HeuristicKind, PriorityScheduler};
+        use rlsched_sim::run_episode;
+        let burst = |n: u32| {
+            let jobs = (0..n)
+                .map(|i| {
+                    rlsched_swf::Job::new(
+                        i + 1,
+                        0.0,
+                        10.0 + (i as f64 * 37.0) % 100.0,
+                        1 + (i % 4),
+                        20.0 + (i as f64 * 53.0) % 150.0,
+                    )
+                })
+                .collect();
+            rlsched_swf::JobTrace::new(jobs, 8)
+        };
+        let (short, long) = (burst(64), burst(512));
+        let cfg = SimConfig::no_backfill();
+        let episode_allocs = |trace: &rlsched_swf::JobTrace, head: &str| {
+            count_allocs(|| {
+                let m = match head {
+                    "agent" => run_episode(trace, cfg, &mut agent.as_policy()),
+                    "sjf" => {
+                        run_episode(trace, cfg, &mut PriorityScheduler::new(HeuristicKind::Sjf))
+                    }
+                    _ => run_episode(trace, cfg, &mut PriorityScheduler::new(HeuristicKind::Wfp3)),
+                }
+                .expect("the burst is schedulable");
+                assert_eq!(m.outcomes().len(), trace.len());
+            })
+        };
+        for head in ["sjf", "wfp3", "agent"] {
+            let (few, many) = (episode_allocs(&short, head), episode_allocs(&long, head));
+            assert_eq!(
+                few, many,
+                "{head}: a run_episode of 512 decisions allocated {many} times, one of 64 {few}"
+            );
+        }
+    }
+
     // ---- greedy decision fast path: 0 allocations ----
     obs.clear();
     mask.clear();

@@ -1,11 +1,16 @@
 //! The RLScheduler agent: policy + value networks behind a PPO trainer,
-//! with checkpointing and a [`rlsched_sim::Policy`] adapter so a trained
-//! model schedules jobs exactly like any heuristic (Tables V–XI).
+//! with checkpointing and one decision head ([`RlPolicy`], a
+//! [`rlsched_sim::Policy`]) so a trained model is asked for its next job
+//! exactly like any heuristic, by the episode driver and the replay engine
+//! alike (Tables V–XI).
+
+use std::convert::Infallible;
 
 use serde::{Deserialize, Serialize};
 
 use rlsched_rl::{greedy_batch, ActorScratch, PolicyModel, Ppo, PpoConfig};
-use rlsched_sim::{MetricKind, Policy, QueueView, WaitingJob};
+use rlsched_sim::{MetricKind, Outcomes, Policy, QueueView, StreamSession, WaitingJob};
+use rlsched_swf::Job;
 
 use crate::nets::{PackedScorer, PolicyKind, PolicyNet, ScorerSnapshot, ValueNet};
 use crate::obs::{ObsConfig, ObsEncoder};
@@ -112,15 +117,15 @@ impl Agent {
         self.ppo.greedy_with(obs, mask, scratch)
     }
 
-    /// Masking guarantees the chosen slot `< waiting.len()`; clamp
+    /// Masking guarantees the chosen slot `< queue_len`; clamp
     /// defensively anyway (shared by every decision entry point).
-    fn clamp_to_queue(view: &QueueView<'_>, a: usize) -> usize {
-        a.min(view.waiting.len().saturating_sub(1))
+    fn clamp_to_queue(queue_len: usize, a: usize) -> usize {
+        a.min(queue_len.saturating_sub(1))
     }
 
-    /// Greedy (test-time) action for a raw queue view through
-    /// caller-owned buffers: encode, score, clamp — the single decision
-    /// path every other entry point delegates to.
+    /// Greedy (test-time) action for a queue snapshot through
+    /// caller-owned buffers: encode, score, clamp — the unpacked decision
+    /// path, which [`RlPolicy::decide`] runs on a session's live queue.
     pub fn greedy_select_with(
         &self,
         view: &QueueView<'_>,
@@ -129,7 +134,7 @@ impl Agent {
         scratch: &mut ActorScratch,
     ) -> usize {
         self.encoder.encode_into(view, obs, mask);
-        Self::clamp_to_queue(view, self.score(obs, mask, scratch))
+        Self::clamp_to_queue(view.waiting.len(), self.score(obs, mask, scratch))
     }
 
     /// Greedy (test-time) action for a raw queue view. Allocates per
@@ -172,7 +177,7 @@ impl Agent {
         self.ppo
             .greedy_batch_with(obs, mask, views.len(), scratch, actions);
         for (a, view) in actions.iter_mut().zip(views) {
-            *a = Self::clamp_to_queue(view, *a);
+            *a = Self::clamp_to_queue(view.waiting.len(), *a);
         }
     }
 
@@ -212,16 +217,18 @@ impl Agent {
     /// baseline the fast path is measured against (`decision_latency`).
     pub fn greedy_select_tape(&self, view: &QueueView<'_>) -> usize {
         let (obs, mask) = self.encoder.encode(view);
-        Self::clamp_to_queue(view, self.ppo.greedy_tape(&obs, &mask))
+        Self::clamp_to_queue(view.waiting.len(), self.ppo.greedy_tape(&obs, &mask))
     }
 
-    /// Borrow the agent as a simulator policy (inference only). The
-    /// returned policy owns encode and network scratch buffers, so
-    /// repeated decisions allocate nothing. Flat-MLP policies also take a
-    /// weight-transposed [`PackedScorer`] snapshot here (safe: the borrow
-    /// freezes the agent's weights for the policy's lifetime) so their
-    /// decisions run the cache-friendly transposed layout — through the
-    /// same [`rlsched_rl::BatchPolicy`] scoring path as batch serving.
+    /// Borrow the agent as its decision head (inference only): a
+    /// [`Policy`] for `run_episode` and the replay engine. The head owns
+    /// encode and network scratch buffers and reads the session's wait
+    /// queue in place, so repeated decisions allocate nothing. Flat-MLP
+    /// policies also take a weight-transposed [`PackedScorer`] snapshot
+    /// here (safe: the borrow freezes the agent's weights for the head's
+    /// lifetime) so their decisions run the cache-friendly transposed
+    /// layout — through the same [`rlsched_rl::BatchPolicy`] scoring path
+    /// as batch serving.
     pub fn as_policy(&self) -> RlPolicy<'_> {
         RlPolicy {
             agent: self,
@@ -234,22 +241,10 @@ impl Agent {
         }
     }
 
-    /// Borrow the agent as a *streaming* decision head: the same frozen
-    /// weights, packed-scorer fast path, and owned buffers as
-    /// [`Agent::as_policy`], but fed straight from a waiting-job iterator
-    /// (no [`QueueView`] is ever materialized) — what a one-pass
-    /// trace-scale replay drives. Decisions are bit-identical to
-    /// [`RlPolicy::select`] on the equivalent view: both funnel through
-    /// the same encode loop and scoring kernels.
-    pub fn stream_decider(&self) -> StreamDecider<'_> {
-        StreamDecider {
-            agent: self,
-            scratch: ActorScratch::new(),
-            obs: Vec::new(),
-            mask: Vec::new(),
-            packed: self.ppo.policy.packed_scorer(),
-            actions: Vec::new(),
-        }
+    /// [`Agent::as_policy`] under the name replay callers know it by: the
+    /// same head, there is only one.
+    pub fn stream_decider(&self) -> RlPolicy<'_> {
+        self.as_policy()
     }
 
     /// Serialize configuration and weights to JSON.
@@ -278,12 +273,12 @@ impl Agent {
     }
 }
 
-/// A trained agent plugged into the episode driver: selects greedily, no
-/// exploration (§IV-B1's test path). Owns the encode and inference
-/// buffers, so steady-state decisions are allocation-free. For flat-MLP
-/// agents it also carries a weight-transposed [`PackedScorer`] snapshot
-/// (taken while the agent borrow freezes the weights) and serves
-/// decisions through it as 1-row [`rlsched_rl::BatchPolicy`] scoring calls.
+/// A trained agent's decision head: selects greedily, no exploration
+/// (§IV-B1's test path). Owns the encode and inference buffers, so
+/// steady-state decisions are allocation-free. For flat-MLP agents it also
+/// carries a weight-transposed [`PackedScorer`] snapshot (taken while the
+/// agent borrow freezes the weights) and serves decisions through it as
+/// 1-row [`rlsched_rl::BatchPolicy`] scoring calls.
 pub struct RlPolicy<'a> {
     agent: &'a Agent,
     name: String,
@@ -294,59 +289,12 @@ pub struct RlPolicy<'a> {
     actions: Vec<usize>,
 }
 
-impl Policy for RlPolicy<'_> {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        let Some(packed) = &self.packed else {
-            return self.agent.greedy_select_with(
-                view,
-                &mut self.obs,
-                &mut self.mask,
-                &mut self.scratch,
-            );
-        };
-        // Transposed-layout serving path: same encode, same masked
-        // log-softmax tail, but the dense forwards read `[out, in]`
-        // weights as contiguous dot products (NT kernel), batch size 1.
-        // The packed accumulation order can differ from the tape's in
-        // the last few ulps, so decisions match the unpacked path except
-        // on floating-point near-ties.
-        self.agent
-            .encoder
-            .encode_into(view, &mut self.obs, &mut self.mask);
-        greedy_batch(
-            packed,
-            &self.obs,
-            &self.mask,
-            1,
-            &mut self.scratch,
-            &mut self.actions,
-        );
-        Agent::clamp_to_queue(view, self.actions[0])
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A trained agent's decision head for streaming replay: encodes a
-/// decision point directly from a waiting-job iterator and scores it
-/// greedily, reusing owned buffers so steady-state decisions are
-/// allocation-free. Mirrors [`RlPolicy::select`] bit for bit (same
-/// encoder loop, same packed/unpacked scoring split, same clamp).
-pub struct StreamDecider<'a> {
-    agent: &'a Agent,
-    scratch: ActorScratch,
-    obs: Vec<f32>,
-    mask: Vec<f32>,
-    packed: Option<PackedScorer>,
-    actions: Vec<usize>,
-}
-
-impl StreamDecider<'_> {
-    /// Pick a queue rank for one decision point. `queue_len` must be the
-    /// number of jobs `waiting` yields (FCFS order, as the simulator
-    /// streams them).
+impl RlPolicy<'_> {
+    /// Pick a queue rank for one decision point given as plain data.
+    /// `queue_len` must be the number of jobs `waiting` yields (FCFS
+    /// order, as the simulator streams them) — [`Policy::pick`] passes the
+    /// session's own; a caller holding a snapshot passes
+    /// `view.waiting.iter().copied()`.
     pub fn decide<'j>(
         &mut self,
         free_procs: u32,
@@ -365,6 +313,12 @@ impl StreamDecider<'_> {
             &mut self.mask,
         );
         let action = match &self.packed {
+            // Transposed-layout serving path: same encode, same masked
+            // log-softmax tail, but the dense forwards read `[out, in]`
+            // weights as contiguous dot products (NT kernel), batch size
+            // 1. The packed accumulation order can differ from the tape's
+            // in the last few ulps, so decisions match the unpacked path
+            // except on floating-point near-ties.
             Some(packed) => {
                 greedy_batch(
                     packed,
@@ -378,12 +332,27 @@ impl StreamDecider<'_> {
             }
             None => self.agent.score(&self.obs, &self.mask, &mut self.scratch),
         };
-        action.min(queue_len.saturating_sub(1))
+        Agent::clamp_to_queue(queue_len, action)
+    }
+}
+
+impl Policy for RlPolicy<'_> {
+    type Error = Infallible;
+
+    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        &mut self,
+        session: &mut StreamSession<I, O>,
+    ) -> Result<usize, Infallible> {
+        Ok(self.decide(
+            session.free_procs(),
+            session.total_procs(),
+            session.queue_len(),
+            session.waiting(),
+        ))
     }
 
-    /// Name tag matching the policy adapter's.
-    pub fn metric_name(&self) -> &'static str {
-        self.agent.cfg.metric.name()
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -474,55 +443,5 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(Agent::load_json("{}").is_err());
-    }
-
-    #[test]
-    fn stream_decider_matches_policy_adapter() {
-        // Every architecture, including the packed flat-MLP path: the
-        // streaming decision head must pick the same slot as RlPolicy on
-        // the equivalent materialized view, for a full replayed episode
-        // (one event loop under both: this compares the heads).
-        use rlsched_sim::{SchedSession, StreamSession};
-        for kind in PolicyKind::all() {
-            let mut cfg = AgentConfig {
-                policy: kind,
-                ..small_cfg()
-            };
-            if kind == PolicyKind::LeNet {
-                // The CNN needs the full-size observation window.
-                cfg.obs.max_obsv = 64;
-            }
-            let agent = Agent::new(cfg);
-            let t = toy_trace();
-            let mut sess = SchedSession::new(&t, SimConfig::with_backfill()).unwrap();
-            let mut policy = agent.as_policy();
-            let mut stream = StreamSession::new(
-                t.jobs().iter().cloned(),
-                t.max_procs(),
-                SimConfig::with_backfill(),
-            )
-            .unwrap()
-            .with_outcome_log();
-            let mut decider = agent.stream_decider();
-            while !sess.done() {
-                let view = sess.view();
-                let a = policy.select(&view);
-                let b = decider.decide(
-                    stream.free_procs(),
-                    stream.total_procs(),
-                    stream.queue_len(),
-                    stream.waiting(),
-                );
-                assert_eq!(a, b, "{kind:?} diverged at t={}", sess.time());
-                sess.step(a).unwrap();
-                stream.step(b).unwrap();
-            }
-            assert!(stream.done());
-            assert_eq!(
-                sess.metrics().unwrap(),
-                stream.log_metrics().unwrap(),
-                "{kind:?} episode metrics diverged"
-            );
-        }
     }
 }

@@ -109,10 +109,10 @@ impl SchedulingEnv {
     /// **appending** one observation row and one mask row to the caller
     /// buffers (the [`Env`] append contract — a `VecEnv` passes its
     /// stacked matrix here directly): the waiting jobs stream through
-    /// [`rlsched_sim::SchedSession::waiting_jobs`] without materializing
-    /// a `QueueView`, so a steady-state step allocates nothing. The session
-    /// is the replay engine's own event loop over this window, so the
-    /// replay parity suites compare decision heads, not loops.
+    /// [`rlsched_sim::SchedSession::waiting_jobs`] straight off the queue,
+    /// so a steady-state step allocates nothing. The session is the one
+    /// event loop — `run_episode`'s and the replay engine's — over this
+    /// window.
     fn observe_into(&self, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
         let session = self.session.as_ref().expect("reset before observe");
         self.encoder.encode_jobs_extend(

@@ -38,6 +38,8 @@ pub fn sample_eval_windows(trace: &JobTrace, n: usize, seq_len: usize, seed: u64
 }
 
 /// Run one policy over every window; returns per-window episode metrics.
+/// Panics on an empty window or a policy that fails to pick (a serving
+/// tier lost mid-evaluation): a table cell has no use for half an answer.
 pub fn evaluate_policy<P: Policy>(
     windows: &[JobTrace],
     sim: SimConfig,
@@ -45,7 +47,7 @@ pub fn evaluate_policy<P: Policy>(
 ) -> Vec<EpisodeMetrics> {
     windows
         .iter()
-        .map(|w| run_episode(w, sim, policy).expect("window is schedulable"))
+        .map(|w| run_episode(w, sim, policy).expect("window is schedulable and the policy picks"))
         .collect()
 }
 

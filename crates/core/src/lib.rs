@@ -20,6 +20,10 @@
 //!   controls training variance on bursty workloads by restricting early
 //!   epochs to sequences whose SJF metric falls in `(median, 2·mean)`.
 //!
+//! A trained [`Agent`] answers through one decision head, [`RlPolicy`]
+//! ([`Agent::as_policy`]): the `rlsched_sim::Policy` that the episode
+//! driver and the replay engine ask exactly as they ask a heuristic's.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -66,7 +70,7 @@ pub mod obs;
 pub mod reward;
 pub mod train;
 
-pub use agent::{Agent, AgentConfig, RlPolicy, StreamDecider};
+pub use agent::{Agent, AgentConfig, RlPolicy};
 pub use canary::{CanaryBatch, CanaryError};
 pub use env::SchedulingEnv;
 pub use eval::{evaluate_agent, evaluate_policy, mean_metric, sample_eval_windows};

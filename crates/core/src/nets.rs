@@ -576,7 +576,7 @@ impl BatchPolicy for PackedScorer {
 /// serve through the weight-transposed [`PackedScorer`], the kernel
 /// policy and the CNN through their unpacked fast paths — so decisions
 /// scored through a snapshot are **bit-identical** to the in-process
-/// policy adapter's, batch by batch, row by row (the forward kernels are
+/// decision head's, batch by batch, row by row (the forward kernels are
 /// row-count invariant).
 ///
 /// Like a [`PackedScorer`] pack, a snapshot does not track later weight
@@ -851,6 +851,107 @@ mod tests {
         let v2 = PolicyNet::build(PolicyKind::MlpV2, k, 0).param_count();
         assert!(kernel < v2, "kernel {kernel} smaller than MLP v2 {v2}");
         assert!(v2 < v1, "MLP v2 {v2} smaller than MLP v1 {v1}");
+    }
+
+    #[test]
+    fn table4_layer_shapes_and_param_counts_are_the_papers() {
+        // Table IV, written out: MLP v1 has hidden layers 128/128/128, v2
+        // 32/16/8, v3 five of 32, LeNet is 2 x (conv2d 5x5, max-pool 2) and
+        // a dense layer, RLScheduler's kernel is 32/16/8 over one job. At
+        // the paper's window of 128 jobs, with this encoder's 7 features
+        // per job, a flat network reads 128·7 = 896 inputs and scores 128
+        // slots; the kernel reads 7 and scores 1. Weights are `[in, out]`
+        // (conv: `[out_c, in_c, kh, kw]`), each followed by its bias.
+        let table: [(PolicyKind, &[&[usize]], usize); 5] = [
+            (
+                PolicyKind::Kernel,
+                &[
+                    &[7, 32],
+                    &[32],
+                    &[32, 16],
+                    &[16],
+                    &[16, 8],
+                    &[8],
+                    &[8, 1],
+                    &[1],
+                ],
+                // 256 + 528 + 136 + 9
+                929,
+            ),
+            (
+                PolicyKind::MlpV1,
+                &[
+                    &[896, 128],
+                    &[128],
+                    &[128, 128],
+                    &[128],
+                    &[128, 128],
+                    &[128],
+                    &[128, 128],
+                    &[128],
+                ],
+                // 114 816 + 3 · 16 512
+                164_352,
+            ),
+            (
+                PolicyKind::MlpV2,
+                &[
+                    &[896, 32],
+                    &[32],
+                    &[32, 16],
+                    &[16],
+                    &[16, 8],
+                    &[8],
+                    &[8, 128],
+                    &[128],
+                ],
+                // 28 704 + 528 + 136 + 1 152
+                30_520,
+            ),
+            (
+                PolicyKind::MlpV3,
+                &[
+                    &[896, 32],
+                    &[32],
+                    &[32, 32],
+                    &[32],
+                    &[32, 32],
+                    &[32],
+                    &[32, 32],
+                    &[32],
+                    &[32, 32],
+                    &[32],
+                    &[32, 128],
+                    &[128],
+                ],
+                // 28 704 + 4 · 1 056 + 4 224
+                37_152,
+            ),
+            (
+                // The window as a 32 x 28 image: 5x5 conv and 2x2 pool
+                // twice leave 16 maps of 5 x 4, 320 values, for the dense
+                // layers.
+                PolicyKind::LeNet,
+                &[
+                    &[6, 1, 5, 5],
+                    &[6],
+                    &[16, 6, 5, 5],
+                    &[16],
+                    &[320, 120],
+                    &[120],
+                    &[120, 128],
+                    &[128],
+                ],
+                // 156 + 2 416 + 38 520 + 15 488
+                56_580,
+            ),
+        ];
+        for (kind, shapes, count) in table {
+            let net = PolicyNet::build(kind, 128, 0);
+            let got: Vec<&[usize]> = net.params().iter().map(|t| t.shape()).collect();
+            assert_eq!(got, shapes, "{} layer shapes", kind.name());
+            assert_eq!(net.param_count(), count, "{} parameters", kind.name());
+        }
     }
 
     #[test]

@@ -120,12 +120,7 @@ impl ObsEncoder {
             free_procs,
             total_procs,
             queue_len,
-            waiting.map(|w| SnapshotJob {
-                wait: w.wait,
-                time_bound: w.job.time_bound(),
-                procs: w.job.procs(),
-                can_run_now: w.can_run_now,
-            }),
+            waiting.map(SnapshotJob::from),
             obs,
             mask,
         );
@@ -204,6 +199,20 @@ pub struct SnapshotJob {
     pub can_run_now: bool,
 }
 
+impl From<WaitingJob<'_>> for SnapshotJob {
+    // Runs once per waiting job per decision, from loops instantiated in
+    // other crates (no LTO): without the hint it is a call each time.
+    #[inline]
+    fn from(w: WaitingJob<'_>) -> Self {
+        SnapshotJob {
+            wait: w.wait,
+            time_bound: w.job.time_bound(),
+            procs: w.job.procs(),
+            can_run_now: w.can_run_now,
+        }
+    }
+}
+
 /// A serializable decision point: the owned, wire-friendly form of
 /// [`QueueView`] that a remote client sends to a policy-serving tier.
 ///
@@ -235,12 +244,7 @@ impl QueueSnapshot {
                 .waiting
                 .iter()
                 .take(window)
-                .map(|w| SnapshotJob {
-                    wait: w.wait,
-                    time_bound: w.job.time_bound(),
-                    procs: w.job.procs(),
-                    can_run_now: w.can_run_now,
-                })
+                .map(|&w| w.into())
                 .collect(),
         }
     }

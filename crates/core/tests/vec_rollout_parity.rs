@@ -103,7 +103,7 @@ fn lockstep_width_does_not_change_trajectories() {
 }
 
 /// The batched greedy evaluator must schedule exactly like the
-/// per-decision `Policy` adapter for unpacked architectures (the kernel
+/// per-decision `Policy` head for unpacked architectures (the kernel
 /// policy serves unpacked, so the two paths share every bit).
 #[test]
 fn batched_greedy_eval_matches_sequential_protocol() {

@@ -12,43 +12,40 @@
 //!   (indexed-calendar queue, EASY backfilling, metrics folded at start
 //!   time; `SchedSession`, which training and `run_episode` use, is the
 //!   same loop keeping a per-job table);
-//! * the three decision heads a replay can drive, unified by
-//!   [`ReplayPolicy`]:
+//! * the decision heads a replay can drive, named by [`ReplayPolicy`]:
 //!   [`Heuristic`](ReplayPolicy::Heuristic) (Table III priority
-//!   functions),
+//!   functions, [`rlsched_sched::PriorityScheduler`]),
 //!   [`Agent`](ReplayPolicy::Agent) (an in-process
-//!   [`rlscheduler::StreamDecider`]), and
+//!   [`rlscheduler::RlPolicy`]), and
 //!   [`Remote`](ReplayPolicy::Remote) (every decision over the wire to
-//!   a live `rlsched-serve` tier through [`rlsched_serve::RemotePolicy`],
-//!   the same head — and shed/fallback semantics — `run_episode` uses).
+//!   a live `rlsched-serve` tier through [`rlsched_serve::RemotePolicy`]).
+//!   Each is the one [`rlsched_sim::Policy`] its policy has — the very
+//!   head `run_episode` asks — so there is nothing for a replay and an
+//!   evaluation episode to disagree on but the source they read and the
+//!   sink they write.
 //!
 //! [`ReplayEngine::run`] drives the episode to completion and returns a
 //! [`ReplayReport`]: job and decision throughput (with EASY on, backfill
 //! starts jobs the policy never decided on, so the two differ),
 //! per-decision latency quantiles (the serving tier's
 //! [`LatencyHistogram`]), peak queue depth, and the folded
-//! [`StreamMetrics`].
+//! [`StreamMetrics`]. Its loop is `run_episode`'s — attach the head, then
+//! pick and step until done — with a clock around each pick.
 //!
-//! How a heuristic picks is a function of its [`HeuristicKind`] alone.
-//! A score that never reads the waiting time (FCFS, SJF, F1, and the LJF
-//! and SmallestFirst ablations — `HeuristicKind::static_key`) fixes a
-//! job's key at admission, so the session keeps the waiting jobs ranked
-//! and a decision is O(log n) (`StreamSession::ranked_head`); FCFS needs
-//! not even that, its pick is the head of the submit-sorted queue. WFP3
-//! and UNICEP age their jobs between decisions and rescore the queue each
-//! time (`rlsched_sched::select_streaming`), O(n) per decision.
+//! How a heuristic picks is a function of its [`HeuristicKind`] alone
+//! (`PriorityScheduler`'s docs): the front of the queue for FCFS, an
+//! order the session keeps for the kinds with a static key, O(log n), a
+//! rescoring of the queue for WFP3 and UNICEP, O(n).
 //!
-//! Decisions are **bit-identical** to the materialized path on either
-//! arm: heuristic replays match `PriorityScheduler` episodes and agent
-//! replays match `Agent::as_policy` episodes outcome-for-outcome (pinned
-//! by `tests/replay_parity.rs`; `tests/ranked_head_prop.rs` holds the
-//! ranked head to the scan at every decision point). Both sides run the
-//! same event loop, so what these compare is the decision *heads* —
-//! `ranked_head`, `select_streaming`, `StreamDecider` against
-//! `Policy::select` over a `QueueView`; the loop itself answers to the
-//! reference simulator in `rlsched-sim`'s tests.
+//! What the suites here still compare: `tests/replay_parity.rs` holds the
+//! streaming outcome log to the materialized outcome table and
+//! `LublinModel::stream` to `generate`, under every head;
+//! `tests/ranked_head_prop.rs` holds the ranked head to the
+//! `select_streaming` scan at every decision point. The loop itself
+//! answers to the reference simulator in `rlsched-sim`'s tests.
 
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Cursor};
 use std::net::TcpStream;
@@ -57,11 +54,11 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use rlsched_obs::{Counter, Gauge, Histogram, Registry};
-use rlsched_sched::{select_streaming, HeuristicKind};
+use rlsched_sched::{HeuristicKind, PriorityScheduler};
 use rlsched_serve::{ClientError, LatencyHistogram, RemotePolicy, TimedRequest, Transport};
-use rlsched_sim::{EpisodeMetrics, SimConfig, SimError, StreamMetrics, StreamSession};
+use rlsched_sim::{EpisodeMetrics, Policy, SimConfig, SimError, StreamMetrics, StreamSession};
 use rlsched_swf::{Job, MmapFile, StreamReader, SwfError};
-use rlscheduler::{QueueSnapshot, SnapshotJob, StreamDecider};
+use rlscheduler::{QueueSnapshot, RlPolicy, SnapshotJob};
 
 /// Why a replay stopped short of the end of the trace.
 #[derive(Debug)]
@@ -97,6 +94,19 @@ impl From<SimError> for ReplayError {
 impl From<SwfError> for ReplayError {
     fn from(e: SwfError) -> Self {
         ReplayError::Swf(e)
+    }
+}
+
+impl From<ClientError> for ReplayError {
+    fn from(e: ClientError) -> Self {
+        ReplayError::Client(e)
+    }
+}
+
+/// In-process heads cannot fail to pick.
+impl From<Infallible> for ReplayError {
+    fn from(never: Infallible) -> Self {
+        match never {}
     }
 }
 
@@ -201,21 +211,18 @@ pub fn open_swf_mmap(path: impl AsRef<Path>) -> Result<SwfSource<Cursor<MmapFile
     source_from_reader(StreamReader::new(Cursor::new(mapped)))
 }
 
-/// The decision head a [`ReplayEngine`] drives — one variant per way
+/// Which decision head a [`ReplayEngine`] drives — one variant per way
 /// the paper's policies can answer "which waiting job starts next".
+/// [`ReplayEngine::run`] looks at the variant once, before the first
+/// decision, and runs the whole replay against the head inside.
 // One policy exists per replay and is only ever borrowed: the remote
 // head's frame buffers are not worth a `Box` at every construction site.
 #[allow(clippy::large_enum_variant)]
 pub enum ReplayPolicy<'a, S: Transport = TcpStream> {
-    /// A Table III priority function. Kinds with a
-    /// `HeuristicKind::static_key` (FCFS, SJF, F1, LJF, SmallestFirst)
-    /// pick from an order the session keeps as jobs arrive and leave;
-    /// WFP3 and UNICEP rescore the queue at every decision
-    /// (`select_streaming`). Both are bit-identical to
-    /// `PriorityScheduler`.
+    /// A Table III priority function, through a [`PriorityScheduler`].
     Heuristic(HeuristicKind),
-    /// A trained agent in-process (bit-identical to `Agent::as_policy`).
-    Agent(StreamDecider<'a>),
+    /// A trained agent in-process.
+    Agent(RlPolicy<'a>),
     /// Every decision over the wire to a live serving tier: the
     /// snapshot is built straight from the streaming wait queue. A
     /// transport failure with no local fallback configured surfaces as
@@ -231,47 +238,6 @@ impl<S: Transport> ReplayPolicy<'_, S> {
             ReplayPolicy::Agent(_) => "RL-agent",
             ReplayPolicy::Remote(_) => "RL-remote",
         }
-    }
-}
-
-/// How one heuristic stream finds its next job: chosen once per stream,
-/// from the kind alone.
-#[derive(Debug, Clone, Copy)]
-enum HeuristicHead {
-    /// FCFS. The session rejects non-monotone arrivals, so the front of
-    /// the wait queue *is* the `(submit, submit, seq)` minimum.
-    Front,
-    /// A static key: the session keeps the queue ranked by it.
-    Ranked,
-    /// A wait-dependent score: rescore the queue at every decision.
-    Scan(HeuristicKind),
-}
-
-impl HeuristicHead {
-    /// Pick the head for `kind`, switching on the session's ranked order
-    /// when that is what it reads.
-    fn install<I: Iterator<Item = Job>>(
-        kind: HeuristicKind,
-        session: &mut StreamSession<I>,
-    ) -> Self {
-        match (kind, kind.static_key()) {
-            (HeuristicKind::Fcfs, _) => HeuristicHead::Front,
-            (_, Some(key)) => {
-                session.rank_by(key);
-                HeuristicHead::Ranked
-            }
-            (_, None) => HeuristicHead::Scan(kind),
-        }
-    }
-
-    /// The queue rank to start next. Only called at decision points.
-    fn pick<I: Iterator<Item = Job>>(self, session: &mut StreamSession<I>) -> usize {
-        match self {
-            HeuristicHead::Front => Some(0),
-            HeuristicHead::Ranked => session.ranked_head(),
-            HeuristicHead::Scan(kind) => select_streaming(kind, session.waiting()),
-        }
-        .expect("decision points always have waiting jobs")
     }
 }
 
@@ -402,7 +368,7 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
     }
 
     /// Rebuild an [`EpisodeMetrics`] from the outcome log, for bit-exact
-    /// parity against `run_episode` under the equivalent `Policy`. `None`
+    /// parity against `run_episode` under the same `Policy`. `None`
     /// unless [`ReplayEngine::with_outcome_log`] was enabled.
     pub fn log_metrics(&self) -> Option<EpisodeMetrics> {
         self.session.log_metrics()
@@ -414,29 +380,22 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
         policy: &mut ReplayPolicy<'_, S>,
     ) -> Result<ReplayReport, ReplayError> {
         match policy {
-            ReplayPolicy::Heuristic(kind) => {
-                let head = HeuristicHead::install(*kind, &mut self.session);
-                self.drive(|s| Ok(head.pick(s)))
-            }
-            ReplayPolicy::Agent(dec) => self.drive(|s| {
-                Ok(dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting()))
-            }),
-            ReplayPolicy::Remote(dec) => self.drive(|s| {
-                dec.decide(s.free_procs(), s.total_procs(), s.queue_len(), s.waiting())
-                    .map_err(ReplayError::Client)
-            }),
+            ReplayPolicy::Heuristic(kind) => self.drive(&mut PriorityScheduler::new(*kind)),
+            ReplayPolicy::Agent(head) => self.drive(head),
+            ReplayPolicy::Remote(head) => self.drive(head),
         }
     }
 
-    /// The replay loop: time `decide` at every decision point, step.
-    fn drive(
-        &mut self,
-        mut decide: impl FnMut(&mut StreamSession<I>) -> Result<usize, ReplayError>,
-    ) -> Result<ReplayReport, ReplayError> {
+    /// The replay loop — `run_episode`'s, with a clock around each pick.
+    fn drive<P: Policy>(&mut self, head: &mut P) -> Result<ReplayReport, ReplayError>
+    where
+        ReplayError: From<P::Error>,
+    {
         let start = Instant::now();
+        head.attach(&mut self.session);
         while !self.session.done() {
             let t0 = Instant::now();
-            let pos = decide(&mut self.session)?;
+            let pos = head.pick(&mut self.session)?;
             let spent = t0.elapsed();
             self.hist.record(spent);
             if let Some(m) = &self.metrics {
@@ -479,7 +438,8 @@ pub fn collect_timed_requests<I: Iterator<Item = Job>>(
     window: usize,
 ) -> Result<Vec<TimedRequest>, ReplayError> {
     let mut session = StreamSession::new(source, total_procs, cfg)?;
-    let head = HeuristicHead::install(kind, &mut session);
+    let mut head = PriorityScheduler::new(kind);
+    head.attach(&mut session);
     let t0 = session.time();
     let mut requests = Vec::new();
     while !session.done() {
@@ -490,19 +450,14 @@ pub fn collect_timed_requests<I: Iterator<Item = Job>>(
             jobs: session
                 .waiting()
                 .take(window)
-                .map(|w| SnapshotJob {
-                    wait: w.wait,
-                    time_bound: w.job.time_bound(),
-                    procs: w.job.procs(),
-                    can_run_now: w.can_run_now,
-                })
+                .map(SnapshotJob::from)
                 .collect(),
         };
         requests.push(TimedRequest {
             offset: session.time() - t0,
             snapshot,
         });
-        let pos = head.pick(&mut session);
+        let pos = head.pick(&mut session)?;
         session.step(pos)?;
     }
     Ok(requests)

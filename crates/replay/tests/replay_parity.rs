@@ -1,10 +1,21 @@
-//! The replay engine's decisions are bit-identical to the materialized
-//! path, head for head: heuristic replays match `PriorityScheduler`
-//! episodes, agent replays match `Agent::as_policy` episodes, and
-//! served replays match the in-process agent (the serving tier's own
-//! parity guarantee composes). The materialized `SchedSession` behind
-//! `run_episode` is the replay's own event loop with a per-job table, so
-//! these are comparisons of decision heads, not of simulators.
+//! A replay and an evaluation episode of the same jobs under the same
+//! policy end in the same per-job outcomes, bit for bit.
+//!
+//! Both sides run one event loop and ask one head — `run_episode` and
+//! `ReplayEngine::run` reach `PriorityScheduler`, `RlPolicy` and
+//! `RemotePolicy` through the same `Policy` trait — so these tests do not
+//! compare decision heads, and they cannot see a fault in the loop (the
+//! reference simulator in `rlsched-sim`'s tests does that; the ranked head
+//! answers to the scan in `ranked_head_prop.rs`). What they still compare:
+//!
+//! * the materialized outcome table (`SchedSession`, a `Vec<JobOutcome>`
+//!   sink read in trace order) against the streaming outcome log
+//!   (`StreamSession::with_outcome_log` beside the `StreamMetrics` sink);
+//! * `LublinModel::stream`, which the replays pull from, against
+//!   `LublinModel::generate`, which built the materialized trace;
+//! * a served replay against the in-process agent (the serving tier's own
+//!   parity guarantee composes);
+//! * and that the report's counts add up (decisions + backfilled = jobs).
 
 use rlsched_replay::{collect_timed_requests, ReplayEngine, ReplayPolicy};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};

@@ -1,7 +1,9 @@
 //! The priority functions of Table III, plus two auxiliary heuristics used
 //! in tests and ablations.
 
-use rlsched_sim::{Policy, QueueView, WaitingJob};
+use std::convert::Infallible;
+
+use rlsched_sim::{Outcomes, Policy, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
 /// Which priority function a [`PriorityScheduler`] applies.
@@ -141,9 +143,9 @@ impl HeuristicKind {
 /// from wire-visible job parts `(wait, time_bound, procs)` in FCFS queue
 /// order — the serving-tier fallback selector.
 ///
-/// Decision-equivalent to [`PriorityScheduler::select`] on the same
-/// queue: scores come from [`HeuristicKind::score_parts`] (identical
-/// orderings, see there), and the tie-break mirrors `select`'s
+/// Decision-equivalent to [`select_streaming`] on the same queue:
+/// scores come from [`HeuristicKind::score_parts`] (identical
+/// orderings, see there), and the tie-break mirrors its
 /// `(score, submit_time, job_index)` key — within one decision point
 /// submit ascending ⇔ wait descending, and the FCFS queue order makes
 /// the slot index the final `(submit, trace-index)` tie-break.
@@ -174,17 +176,18 @@ pub fn select_parts(
     best
 }
 
-/// Select the best queue rank from a *stream* of waiting jobs, using the
-/// exact `(score, submit_time, job_index)` key (and strict-less tie
-/// chain) of [`PriorityScheduler::select`], without materializing a
-/// [`QueueView`]. One O(n) rescoring of the queue per call.
+/// The queue rank with the smallest `(score, submit_time, job_index)` —
+/// ties by submit time, then trace index — among a stream of waiting jobs:
+/// the definition of what a priority function picks. One O(n) rescoring of
+/// the queue per call.
 ///
-/// In a streaming replay this is the decision head of the wait-dependent
+/// [`PriorityScheduler`] asks it at every decision of the wait-dependent
 /// kinds only (WFP3, UNICEP: their scores change between decisions, so
 /// there is nothing to keep). Kinds with a [`HeuristicKind::static_key`]
 /// are ranked incrementally instead, and this function is the reference
-/// those ranked heads are tested against, decision for decision. Never
-/// allocates. Returns `None` on an empty queue.
+/// those ranked heads are tested against, decision for decision; it is
+/// also how a snapshot (`QueueView::waiting`) is scored. Never allocates.
+/// Returns `None` on an empty queue.
 pub fn select_streaming<'a>(
     kind: HeuristicKind,
     jobs: impl Iterator<Item = WaitingJob<'a>>,
@@ -207,6 +210,13 @@ pub fn select_streaming<'a>(
 
 /// A [`Policy`] that schedules the waiting job with the smallest priority
 /// score, breaking ties by submit time then trace index (deterministic).
+///
+/// How it finds that job is a function of the kind alone. FCFS takes the
+/// front of the wait queue (the session rejects non-monotone arrivals, so
+/// the front *is* the `(submit, submit, index)` minimum). A kind with a
+/// [`HeuristicKind::static_key`] has the session keep the queue ranked by
+/// it and reads the head, O(log n). WFP3 and UNICEP age their jobs between
+/// decisions and rescore the queue each time ([`select_streaming`]), O(n).
 #[derive(Debug, Clone, Copy)]
 pub struct PriorityScheduler {
     kind: HeuristicKind,
@@ -230,21 +240,27 @@ impl PriorityScheduler {
 }
 
 impl Policy for PriorityScheduler {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        debug_assert!(!view.waiting.is_empty());
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, usize::MAX);
-        for (i, w) in view.waiting.iter().enumerate() {
-            let key = (self.kind.score(w), w.job.submit_time, w.job_index);
-            if key.0 < best_key.0
-                || (key.0 == best_key.0
-                    && (key.1 < best_key.1 || (key.1 == best_key.1 && key.2 < best_key.2)))
-            {
-                best_key = key;
-                best = i;
-            }
+    type Error = Infallible;
+
+    fn attach<I: Iterator<Item = Job>, O: Outcomes>(&mut self, session: &mut StreamSession<I, O>) {
+        if self.kind == HeuristicKind::Fcfs {
+            return; // reads the front of the queue, not an order
         }
-        best
+        if let Some(key) = self.kind.static_key() {
+            session.rank_by(key);
+        }
+    }
+
+    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        &mut self,
+        session: &mut StreamSession<I, O>,
+    ) -> Result<usize, Infallible> {
+        let rank = match self.kind {
+            HeuristicKind::Fcfs => Some(0),
+            kind if kind.static_key().is_some() => session.ranked_head(),
+            kind => select_streaming(kind, session.waiting()),
+        };
+        Ok(rank.expect("decision points always have waiting jobs"))
     }
 
     fn name(&self) -> &str {
@@ -255,6 +271,7 @@ impl Policy for PriorityScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlsched_sim::QueueView;
 
     fn view_of(jobs: &[Job], time: f64, free: u32, total: u32) -> QueueView<'_> {
         QueueView {
@@ -274,6 +291,11 @@ mod tests {
         }
     }
 
+    /// The slot `kind` schedules out of the snapshot `v`.
+    fn pick(kind: HeuristicKind, v: &QueueView<'_>) -> usize {
+        select_streaming(kind, v.waiting.iter().copied()).expect("a job waits")
+    }
+
     #[test]
     fn fcfs_picks_earliest_submit() {
         let jobs = vec![
@@ -282,7 +304,7 @@ mod tests {
             Job::new(3, 20.0, 10.0, 1, 10.0),
         ];
         let v = view_of(&jobs, 40.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Fcfs).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::Fcfs, &v), 1);
     }
 
     #[test]
@@ -293,7 +315,7 @@ mod tests {
             Job::new(3, 0.0, 5000.0, 1, 5000.0),
         ];
         let v = view_of(&jobs, 0.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Sjf).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::Sjf, &v), 1);
     }
 
     #[test]
@@ -305,7 +327,7 @@ mod tests {
             Job::new(2, 0.0, 500.0, 1, 10.0),
         ];
         let v = view_of(&jobs, 0.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Sjf).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::Sjf, &v), 1);
     }
 
     #[test]
@@ -316,7 +338,7 @@ mod tests {
             Job::new(2, 0.0, 10.0, 2, 100.0),
         ];
         let v = view_of(&jobs, 100.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Wfp3).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::Wfp3, &v), 1);
     }
 
     #[test]
@@ -328,7 +350,7 @@ mod tests {
             Job::new(2, 0.0, 10.0, 8, 100.0),
         ];
         let v = view_of(&jobs, 50.0, 8, 8);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Wfp3).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::Wfp3, &v), 1);
     }
 
     #[test]
@@ -339,7 +361,7 @@ mod tests {
             Job::new(2, 0.0, 10.0, 4, 100.0),
         ];
         let v = view_of(&jobs, 50.0, 16, 16);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Unicep).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::Unicep, &v), 1);
     }
 
     #[test]
@@ -349,7 +371,7 @@ mod tests {
             Job::new(2, 0.0, 10.0, 4, 100.0),
         ];
         let v = view_of(&jobs, 50.0, 4, 4);
-        let pick = PriorityScheduler::new(HeuristicKind::Unicep).select(&v);
+        let pick = pick(HeuristicKind::Unicep, &v);
         assert_eq!(pick, 0, "1-proc job gets top priority under the clamp");
     }
 
@@ -360,7 +382,7 @@ mod tests {
             Job::new(2, 0.0, 10.0, 1, 60.0),
         ];
         let v = view_of(&jobs, 0.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::F1).select(&v), 1);
+        assert_eq!(pick(HeuristicKind::F1, &v), 1);
         // Submit time dominates via the 870x weight: a much later job loses
         // even with a shorter runtime.
         let jobs = vec![
@@ -368,7 +390,7 @@ mod tests {
             Job::new(2, 100000.0, 10.0, 1, 60.0),
         ];
         let v = view_of(&jobs, 100000.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::F1).select(&v), 0);
+        assert_eq!(pick(HeuristicKind::F1, &v), 0);
     }
 
     #[test]
@@ -386,11 +408,8 @@ mod tests {
             Job::new(2, 0.0, 50.0, 1, 50.0),
         ];
         let v = view_of(&jobs, 0.0, 4, 4);
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Ljf).select(&v), 0);
-        assert_eq!(
-            PriorityScheduler::new(HeuristicKind::SmallestFirst).select(&v),
-            0
-        );
+        assert_eq!(pick(HeuristicKind::Ljf, &v), 0);
+        assert_eq!(pick(HeuristicKind::SmallestFirst, &v), 0);
     }
 
     #[test]
@@ -401,14 +420,15 @@ mod tests {
         ];
         let v = view_of(&jobs, 10.0, 4, 4);
         // Equal SJF scores and submit times: the lower trace index wins.
-        assert_eq!(PriorityScheduler::new(HeuristicKind::Sjf).select(&v), 0);
+        assert_eq!(pick(HeuristicKind::Sjf, &v), 0);
     }
 
     #[test]
     fn select_parts_matches_priority_scheduler_on_views() {
         // The wire-visible selector must pick the same slot as the full
-        // PriorityScheduler for every wire-scorable kind, including under
-        // score ties (equal runtimes) and wait ties (equal submits).
+        // key (what PriorityScheduler schedules by) for every
+        // wire-scorable kind, including under score ties (equal runtimes)
+        // and wait ties (equal submits).
         let jobs = vec![
             Job::new(1, 0.0, 30.0, 4, 120.0),
             Job::new(2, 5.0, 30.0, 2, 120.0),
@@ -426,7 +446,7 @@ mod tests {
             HeuristicKind::SmallestFirst,
         ] {
             assert!(kind.wire_scorable());
-            let want = PriorityScheduler::new(kind).select(&v);
+            let want = pick(kind, &v);
             let got = select_parts(
                 kind,
                 v.waiting
@@ -435,29 +455,6 @@ mod tests {
             );
             assert_eq!(got, Some(want), "{} diverged", kind.name());
         }
-    }
-
-    #[test]
-    fn select_streaming_matches_priority_scheduler() {
-        // The streaming selector must agree with the materialized one for
-        // every Table III kind, including under score and submit ties.
-        let jobs = vec![
-            Job::new(1, 0.0, 30.0, 4, 120.0),
-            Job::new(2, 5.0, 30.0, 2, 120.0),
-            Job::new(3, 5.0, 30.0, 2, 120.0),
-            Job::new(4, 9.0, 80.0, 1, 90.0),
-            Job::new(5, 12.0, 10.0, 8, 500.0),
-        ];
-        let v = view_of(&jobs, 40.0, 8, 8);
-        for kind in HeuristicKind::table3() {
-            let want = PriorityScheduler::new(kind).select(&v);
-            let got = select_streaming(kind, v.waiting.iter().copied());
-            assert_eq!(got, Some(want), "{} diverged", kind.name());
-        }
-        assert_eq!(
-            select_streaming(HeuristicKind::Sjf, std::iter::empty()),
-            None
-        );
     }
 
     #[test]
@@ -496,6 +493,10 @@ mod tests {
             None
         );
         assert_eq!(select_parts(HeuristicKind::Sjf, std::iter::empty()), None);
+        assert_eq!(
+            select_streaming(HeuristicKind::Sjf, std::iter::empty()),
+            None
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! A seeded random policy: the "no knowledge" floor used in tests and as a
 //! sanity baseline for RL training (a trained agent must beat it).
 
+use std::convert::Infallible;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlsched_sim::{Policy, QueueView};
+use rlsched_sim::{Outcomes, Policy, StreamSession};
+use rlsched_swf::Job;
 
 /// Picks a uniformly random waiting job; reproducible from its seed.
 #[derive(Debug, Clone)]
@@ -21,8 +24,13 @@ impl RandomPolicy {
 }
 
 impl Policy for RandomPolicy {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        self.rng.gen_range(0..view.waiting.len())
+    type Error = Infallible;
+
+    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        &mut self,
+        session: &mut StreamSession<I, O>,
+    ) -> Result<usize, Infallible> {
+        Ok(self.rng.gen_range(0..session.queue_len()))
     }
 
     fn name(&self) -> &str {

@@ -1,9 +1,15 @@
-//! Table III against schedules worked out by hand: F1, WFP3 and UNICEP.
+//! Table III against schedules worked out by hand, every start time a
+//! literal derived in a comment.
 //!
-//! `crates/sim/tests/easy_by_hand.rs` does FCFS and SJF (and EASY); this is
-//! the rest of the table — the three priority functions whose scores need
-//! arithmetic — on one five-job trace, without backfilling, with every
-//! start time a literal derived in a comment from
+//! `crates/sim/tests/easy_by_hand.rs` holds the event loop (and EASY) to
+//! FCFS and SJF picks it computes itself; this file holds
+//! [`PriorityScheduler`] — the one head every driver asks — to all five
+//! rows of the table on one five-job trace, without backfilling, each
+//! through the way it finds its job and again through the
+//! [`select_streaming`] scan that defines the pick: FCFS from the front of
+//! the queue, SJF and F1 from the order the session keeps ranked, WFP3 and
+//! UNICEP from the scan itself. The three functions whose scores need
+//! arithmetic are
 //!
 //! | name   | score (smallest first)                        |
 //! |--------|-----------------------------------------------|
@@ -60,9 +66,9 @@ fn jobs() -> Vec<Job> {
     .collect()
 }
 
-/// Both ways a heuristic reaches the simulator: as a `Policy` over a
-/// `QueueView` through the episode driver, and as the streaming head over
-/// the session's waiting-job iterator.
+/// The schedule of `kind` twice: from `PriorityScheduler` under the episode
+/// driver (front, ranked head or scan, as the kind has it), and from a
+/// bare session asked by the scan at every decision.
 fn assert_schedule(kind: HeuristicKind, want: [f64; 5]) {
     let cfg = SimConfig::no_backfill();
     let trace = JobTrace::new(jobs(), PROCS);
@@ -80,6 +86,34 @@ fn assert_schedule(kind: HeuristicKind, want: [f64; 5]) {
     let m = s.log_metrics().unwrap();
     let starts: Vec<f64> = m.outcomes().iter().map(|o| o.start).collect();
     assert_eq!(starts, want, "{kind:?}: StreamSession + select_streaming");
+}
+
+#[test]
+fn fcfs() {
+    // t=0    jobs 0 and 1 wait; job 0 is first: starts on all 4 until 100.
+    //        Job 1 is all that waits: picked, needs 2, blocked.
+    // t=100  job 0 ends, job 1 starts (2 idle) until 150. Jobs 2, 3, 4
+    //        arrived at 20, 50, 75; job 2 is first, needs 4: blocked.
+    // t=150  job 1 ends, job 2 starts on all 4 until 170. Job 3: blocked.
+    // t=170  job 2 ends, job 3 starts (3 idle) until 176. Job 4 needs 4.
+    // t=176  job 3 ends, job 4 starts.
+    assert_schedule(HeuristicKind::Fcfs, [0.0, 100.0, 150.0, 170.0, 176.0]);
+}
+
+#[test]
+fn sjf() {
+    // t=0    job 0 asks for 100, job 1 for 1000 (it will run 50, which SJF
+    //        may not know): job 0 starts on all 4 until 100. Job 1: blocked.
+    // t=100  job 0 ends, job 1 starts (2 idle) until 150. Jobs 2, 3, 4 ask
+    //        for 5, 10, 10: job 2, needs 4: blocked.
+    // t=150  job 1 ends, job 2 starts on all 4 until 170. Jobs 3 and 4 both
+    //        ask for 10; the tie goes to the earlier submit (50 before 75):
+    //        job 3, blocked.
+    // t=170  job 2 ends, job 3 starts (3 idle) until 176. Job 4 needs 4.
+    // t=176  job 3 ends, job 4 starts.
+    // On this trace the shortest request is also the oldest at every
+    // decision, so SJF ends where FCFS does; F1 below does not.
+    assert_schedule(HeuristicKind::Sjf, [0.0, 100.0, 150.0, 170.0, 176.0]);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! The resilient blocking client, plus [`RemotePolicy`]: the decision
-//! head whose every decision goes over the wire — plug it into
-//! `run_episode` (it is a [`rlsched_sim::Policy`]) or a streaming replay
-//! and the simulator schedules through the serving tier exactly as it
-//! would through `Agent::as_policy` (the parity suites pin that the
-//! decisions are bit-identical).
+//! head whose every decision goes over the wire. It is a
+//! [`rlsched_sim::Policy`] like every other head, so `run_episode` and the
+//! replay engine schedule through the serving tier exactly as they would
+//! through `Agent::as_policy` (the parity suites pin that the decisions
+//! are bit-identical), and a tier that stays unreachable is an `Err` from
+//! the driver, never a panic.
 //!
 //! The client is generic over the [`Transport`] (TCP by default, Unix
 //! domain sockets via [`ServeClient::connect_uds`]) and speaks either
@@ -38,7 +39,8 @@ use std::time::{Duration, Instant};
 
 use rlsched_obs::RegistrySnapshot;
 use rlsched_sched::{select_parts, HeuristicKind};
-use rlsched_sim::{Policy, QueueView, WaitingJob};
+use rlsched_sim::{Outcomes, Policy, StreamSession};
+use rlsched_swf::Job;
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
 use crate::protocol::{
@@ -469,9 +471,8 @@ impl<S: Transport> ServeClient<S> {
 }
 
 /// The remote decision head: every decision goes over the wire to a
-/// live serving tier. It is a simulator [`Policy`] (plug it into
-/// `run_episode`) and, through [`RemotePolicy::decide`], the head a
-/// streaming replay drives straight from its wait queue.
+/// live serving tier. It is a simulator [`Policy`]: `run_episode` and a
+/// streaming replay drive it straight from the session's wait queue.
 ///
 /// With a local fallback configured
 /// ([`RemotePolicy::with_local_fallback`]), a shed or a transport
@@ -479,8 +480,8 @@ impl<S: Transport> ServeClient<S> {
 /// local heuristic — the same kind-for-kind decision the server-side
 /// fallback arm computes — and counted. Without one, a shed schedules
 /// the head of the queue (FCFS) and a transport failure is the caller's
-/// error: [`RemotePolicy::decide`] returns it, [`Policy::select`]
-/// panics (a scheduling loop cannot silently skip decisions).
+/// error: [`Policy::pick`] returns it and the driver stops the episode
+/// with it (a scheduling loop cannot silently skip decisions).
 pub struct RemotePolicy<S: Transport = TcpStream> {
     client: ServeClient<S>,
     /// Snapshot truncation window (the encoder's `max_obsv`).
@@ -570,29 +571,26 @@ impl<S: Transport> RemotePolicy<S> {
             None => 0, // FCFS: schedule the head of the queue
         }
     }
+}
 
-    /// Ask the tier which of `queue_len` waiting jobs starts next. The
-    /// first `window` jobs of `waiting` are snapshotted into a reused
-    /// buffer; the answer is a queue position `< queue_len`.
-    pub fn decide<'j>(
+impl<S: Transport> Policy for RemotePolicy<S> {
+    type Error = ClientError;
+
+    /// Ask the tier which waiting job starts next. The first `window`
+    /// waiting jobs are snapshotted into a reused buffer; the answer is a
+    /// queue position `< queue_len`.
+    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
         &mut self,
-        free_procs: u32,
-        total_procs: u32,
-        queue_len: usize,
-        waiting: impl Iterator<Item = WaitingJob<'j>>,
+        session: &mut StreamSession<I, O>,
     ) -> Result<usize, ClientError> {
-        self.snap.free_procs = free_procs;
-        self.snap.total_procs = total_procs;
+        let queue_len = session.queue_len();
+        self.snap.free_procs = session.free_procs();
+        self.snap.total_procs = session.total_procs();
         self.snap.queue_len = queue_len as u32;
         self.snap.jobs.clear();
         self.snap
             .jobs
-            .extend(waiting.take(self.window).map(|w| SnapshotJob {
-                wait: w.wait,
-                time_bound: w.job.time_bound(),
-                procs: w.job.procs(),
-                can_run_now: w.can_run_now,
-            }));
+            .extend(session.waiting().take(self.window).map(SnapshotJob::from));
         let pick = match self.client.score_snapshot(&self.snap) {
             Ok(d) => {
                 self.remote_decisions += 1;
@@ -609,18 +607,6 @@ impl<S: Transport> RemotePolicy<S> {
             Err(e) => return Err(e),
         };
         Ok(pick.min(queue_len.saturating_sub(1)))
-    }
-}
-
-impl<S: Transport> Policy for RemotePolicy<S> {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        self.decide(
-            view.free_procs,
-            view.total_procs,
-            view.waiting.len(),
-            view.waiting.iter().copied(),
-        )
-        .unwrap_or_else(|e| panic!("serving tier unreachable mid-episode: {e}"))
     }
 
     fn name(&self) -> &str {

@@ -14,7 +14,7 @@
 //! The engine scores through a [`ScorerSnapshot`], whose representation
 //! matches `Agent::as_policy` per architecture, and the forward kernels
 //! are row-count invariant — so row `i` of a coalesced batch computes
-//! exactly the bits the in-process policy adapter would for the same
+//! exactly the bits the in-process decision head would for the same
 //! decision point, regardless of what else landed in the batch, which
 //! shard scored it, or how the coalescing window happened to cut. The
 //! serve parity suite pins this for every `PolicyKind` on both dispatch

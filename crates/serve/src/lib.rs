@@ -29,8 +29,9 @@
 //!   via `Request::Metrics` (and summarised by `Request::Stats`).
 //! * [`client`] — [`ServeClient`] (blocking, single in-flight, typed
 //!   [`ClientError`]s, reconnect + deadline + safe retry) and
-//!   [`RemotePolicy`] (a `rlsched_sim::Policy` that schedules through
-//!   the server — every simulator decision goes over the wire).
+//!   [`RemotePolicy`] (the `rlsched_sim::Policy` that schedules through
+//!   the server — every simulator decision goes over the wire, and a
+//!   failure that outlives the retry budget is the driver's `Err`).
 //! * [`histogram`] — re-export shim for the log-linear
 //!   [`LatencyHistogram`], which now lives in `rlsched-obs` so every
 //!   subsystem shares one latency bucketing scheme.

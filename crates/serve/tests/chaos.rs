@@ -12,7 +12,8 @@
 //!
 //! * **Exactly one resolution per request**: a model decision, a
 //!   fallback decision, or a typed client error. Never silence, never
-//!   a duplicate.
+//!   a duplicate — and under `run_episode` the typed error is the
+//!   driver's `Err`, never an unwind.
 //! * **Model answers stay bit-identical** to in-process scoring even
 //!   while the tier is degrading and recovering around them (canary
 //!   rows carry their expected actions; CI replays this file on both
@@ -32,9 +33,11 @@ use rlsched_sched::{HeuristicKind, PriorityScheduler};
 use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
 use rlsched_serve::{
     ClientConfig, ClientError, FaultPlan, ListenAddr, ProposeError, RemotePolicy, ServeClient,
-    ServeConfig, ServedBy, Server, ShardState,
+    ServeConfig, ServedBy, Server, ServerHandle, ShardState, Transport,
 };
-use rlsched_sim::{run_episode, MetricKind, SimConfig};
+use rlsched_sim::{
+    run_episode, EpisodeError, MetricKind, Outcomes, Policy, SimConfig, StreamSession,
+};
 use rlsched_swf::{Job, JobTrace};
 use rlscheduler::{
     Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind, PolicyNet, ScorerSnapshot,
@@ -254,6 +257,68 @@ fn failed_tier_fallback_equals_priority_scheduler_episode() {
     );
     assert_eq!(policy.sheds(), 0, "fallback, not shed");
     handle.shutdown();
+}
+
+/// A head that takes the serving tier down once it has answered `after`
+/// decisions: what `run_episode` sees when the tier dies mid-episode.
+struct TierGoesDown<S: Transport> {
+    head: RemotePolicy<S>,
+    after: u64,
+    handle: Option<ServerHandle>,
+}
+
+impl<S: Transport> Policy for TierGoesDown<S> {
+    type Error = ClientError;
+
+    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        &mut self,
+        session: &mut StreamSession<I, O>,
+    ) -> Result<usize, ClientError> {
+        if self.head.remote_decisions() == self.after {
+            if let Some(handle) = self.handle.take() {
+                handle.shutdown();
+            }
+        }
+        self.head.pick(session)
+    }
+
+    fn name(&self) -> &str {
+        self.head.name()
+    }
+}
+
+/// A tier that becomes unreachable mid-episode, with no local fallback
+/// to decide instead, ends `run_episode` with the client's error — the
+/// driver returns it; nothing unwinds.
+#[test]
+fn tier_lost_mid_episode_is_an_error_from_the_driver_not_a_panic() {
+    let trace = toy_trace();
+    let agent = agent_for(64, 7);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        chaos_config(Arc::new(FaultPlan::new())),
+    )
+    .expect("server spawns");
+    let client = handle.connect().unwrap().with_config(ClientConfig {
+        max_retries: 1,
+        backoff: Duration::from_millis(1),
+        ..ClientConfig::default()
+    });
+    let mut policy = TierGoesDown {
+        head: RemotePolicy::new(client, 64),
+        after: 5,
+        handle: Some(handle),
+    };
+    let err = run_episode(&trace, SimConfig::default(), &mut policy)
+        .expect_err("no tier, no fallback: the episode cannot go on");
+    assert!(
+        matches!(err, EpisodeError::Policy(ClientError::Io(_))),
+        "{err}"
+    );
+    assert!(policy.handle.is_none(), "the tier went down on schedule");
+    assert_eq!(policy.head.remote_decisions(), 5);
+    assert_eq!(policy.head.local_decisions(), 0);
 }
 
 /// Checkpoint validation: a NaN-poisoned snapshot and a wrong-agent

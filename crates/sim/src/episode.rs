@@ -4,40 +4,46 @@
 
 use rlsched_swf::JobTrace;
 
-use crate::error::SimError;
+use crate::config::SimConfig;
+use crate::error::EpisodeError;
 use crate::metrics::EpisodeMetrics;
 use crate::policy::Policy;
-use crate::session::{SchedSession, SimConfig};
+use crate::session::SchedSession;
 
-/// Run `policy` over the whole `trace` and return the episode metrics.
-pub fn run_episode<P: Policy + ?Sized>(
+/// Run `policy` over the whole `trace` and return the episode metrics:
+/// attach the policy to the session, then pick and step until every job has
+/// started. The replay engine runs the same loop with a clock around each
+/// pick; this one carries none.
+pub fn run_episode<P: Policy>(
     trace: &JobTrace,
     cfg: SimConfig,
     policy: &mut P,
-) -> Result<EpisodeMetrics, SimError> {
+) -> Result<EpisodeMetrics, EpisodeError<P::Error>> {
     let mut session = SchedSession::new(trace, cfg)?;
-    while !session.done() {
-        let view = session.view();
-        debug_assert!(
-            !view.waiting.is_empty(),
-            "decision points always have waiting jobs"
-        );
-        let pos = policy.select(&view);
-        session.step(pos)?;
+    let stream = &mut session.inner;
+    policy.attach(stream);
+    while !stream.done() {
+        let pos = policy.pick(stream).map_err(EpisodeError::Policy)?;
+        stream.step(pos)?;
     }
-    session.metrics()
+    Ok(session.metrics()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::QueueView;
+    use crate::stream::{Outcomes, StreamSession};
     use rlsched_swf::Job;
+    use std::convert::Infallible;
 
     struct Fcfs;
     impl Policy for Fcfs {
-        fn select(&mut self, _: &QueueView<'_>) -> usize {
-            0
+        type Error = Infallible;
+        fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+            &mut self,
+            _: &mut StreamSession<I, O>,
+        ) -> Result<usize, Infallible> {
+            Ok(0)
         }
         fn name(&self) -> &str {
             "FCFS"
@@ -48,15 +54,19 @@ mod tests {
     /// independent of the sched crate.
     struct Sjf;
     impl Policy for Sjf {
-        fn select(&mut self, view: &QueueView<'_>) -> usize {
-            view.waiting
-                .iter()
+        type Error = Infallible;
+        fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+            &mut self,
+            session: &mut StreamSession<I, O>,
+        ) -> Result<usize, Infallible> {
+            Ok(session
+                .waiting()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| {
                     a.job.time_bound().partial_cmp(&b.job.time_bound()).unwrap()
                 })
                 .map(|(i, _)| i)
-                .unwrap()
+                .unwrap())
         }
         fn name(&self) -> &str {
             "SJF"

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised by the sessions and the episode driver.
+/// Errors raised by the sessions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// `step` was called with no job waiting.
@@ -57,6 +57,33 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// Why [`crate::run_episode`] stopped short: the simulator refused the
+/// trace or a step, or the policy could not pick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EpisodeError<E> {
+    /// The simulator's error.
+    Sim(SimError),
+    /// The policy's ([`crate::Policy::Error`]).
+    Policy(E),
+}
+
+impl<E: fmt::Display> fmt::Display for EpisodeError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EpisodeError::Sim(e) => e.fmt(f),
+            EpisodeError::Policy(e) => write!(f, "policy failed mid-episode: {e}"),
+        }
+    }
+}
+
+impl<E: std::error::Error> std::error::Error for EpisodeError<E> {}
+
+impl<E> From<SimError> for EpisodeError<E> {
+    fn from(e: SimError) -> Self {
+        EpisodeError::Sim(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,16 @@
 //! The policy abstraction: anything that can pick the next job to run.
 //!
-//! Both the heuristic priority schedulers (Table III of the paper) and the
-//! trained RLScheduler agent implement [`Policy`]; the episode driver and
-//! the evaluation harness treat them uniformly, which is exactly how the
-//! paper compares them (Tables V–XI).
+//! The heuristic priority schedulers (Table III of the paper), the trained
+//! RLScheduler agent and the client of a serving tier all implement
+//! [`Policy`], once each; the episode driver and the replay engine ask them
+//! the same way, which is exactly how the paper compares them (Tables
+//! V–XI). [`QueueView`] is plain data: a decision point copied out of a
+//! session, for the callers whose input really is a snapshot (the wire, the
+//! canary, the latency benches).
 
 use rlsched_swf::Job;
+
+use crate::stream::{Outcomes, StreamSession};
 
 /// One waiting job as a policy sees it: the job's submit-time attributes
 /// plus its current wait and whether it fits in the free processors.
@@ -41,47 +46,40 @@ impl QueueView<'_> {
     }
 }
 
-/// A scheduling policy: selects which waiting job runs next.
+/// A scheduling policy: the decision head the event loop asks, at every
+/// decision point, which waiting job starts next.
+///
+/// A head reads the session it is asked about — the free processors, the
+/// wait queue ([`StreamSession::waiting`]), or an order it had the session
+/// keep ([`StreamSession::rank_by`] in `attach`,
+/// [`StreamSession::ranked_head`] in `pick`) — so nothing is copied out of
+/// the queue to ask the question. The drivers ([`crate::run_episode`], the
+/// replay engine) call `attach` once, then `pick` before every
+/// [`StreamSession::step`].
 pub trait Policy {
-    /// Pick a queue position in `view.waiting`. Must be `< view.waiting.len()`.
-    fn select(&mut self, view: &QueueView<'_>) -> usize;
+    /// Why a pick can fail. In-process heads never do
+    /// ([`std::convert::Infallible`]); a head that decides over a wire does.
+    type Error: std::error::Error;
+
+    /// Called once, before the first `pick` on `session`: install whatever
+    /// order the head reads. The default installs nothing.
+    fn attach<I: Iterator<Item = Job>, O: Outcomes>(&mut self, _session: &mut StreamSession<I, O>) {
+    }
+
+    /// The queue rank (FCFS order, `< session.queue_len()`) to start next.
+    /// Only called at decision points, where at least one job waits.
+    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        &mut self,
+        session: &mut StreamSession<I, O>,
+    ) -> Result<usize, Self::Error>;
 
     /// Human-readable name for tables and logs.
     fn name(&self) -> &str;
 }
 
-impl<P: Policy + ?Sized> Policy for &mut P {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        (**self).select(view)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
-impl<P: Policy + ?Sized> Policy for Box<P> {
-    fn select(&mut self, view: &QueueView<'_>) -> usize {
-        (**self).select(view)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlsched_swf::Job;
-
-    struct Head;
-    impl Policy for Head {
-        fn select(&mut self, _: &QueueView<'_>) -> usize {
-            0
-        }
-        fn name(&self) -> &str {
-            "head"
-        }
-    }
 
     #[test]
     fn free_fraction() {
@@ -92,28 +90,5 @@ mod tests {
             waiting: vec![],
         };
         assert!((v.free_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn policy_blanket_impls_delegate() {
-        let job = Job::new(1, 0.0, 1.0, 1, 1.0);
-        let view = QueueView {
-            time: 0.0,
-            free_procs: 1,
-            total_procs: 1,
-            waiting: vec![WaitingJob {
-                job: &job,
-                job_index: 0,
-                wait: 0.0,
-                can_run_now: true,
-            }],
-        };
-        let mut p = Head;
-        let by_ref: &mut Head = &mut p;
-        assert_eq!(by_ref.select(&view), 0);
-        assert_eq!(by_ref.name(), "head");
-        let mut boxed: Box<dyn Policy> = Box::new(Head);
-        assert_eq!(boxed.select(&view), 0);
-        assert_eq!(boxed.name(), "head");
     }
 }

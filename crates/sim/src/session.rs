@@ -12,53 +12,18 @@
 
 use rlsched_swf::{Job, JobTrace};
 
+use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::{EpisodeMetrics, JobOutcome};
-use crate::policy::{QueueView, WaitingJob};
+use crate::policy::WaitingJob;
 use crate::stream::{trace_order_metrics, StreamSession};
-
-/// Whether the simulator backfills around a blocked reservation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum BackfillMode {
-    /// No backfilling: while the selected job waits for resources, the queue
-    /// simply waits with it.
-    #[default]
-    None,
-    /// EASY backfilling: queued jobs may start out of order if, by their
-    /// requested runtimes, they cannot delay the reserved job's estimated
-    /// start (§II-A4 of the paper).
-    Easy,
-}
-
-/// Simulator configuration.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-pub struct SimConfig {
-    /// Backfilling mode. The paper evaluates every scheduler both with and
-    /// without backfilling (Tables V–XI).
-    pub backfill: BackfillMode,
-}
-
-impl SimConfig {
-    /// Configuration with EASY backfilling enabled.
-    pub fn with_backfill() -> Self {
-        SimConfig {
-            backfill: BackfillMode::Easy,
-        }
-    }
-
-    /// Configuration without backfilling.
-    pub fn no_backfill() -> Self {
-        SimConfig {
-            backfill: BackfillMode::None,
-        }
-    }
-}
 
 /// One scheduling episode over a job sequence: a [`StreamSession`] fed from
 /// the trace, keeping every job's outcome.
 #[derive(Debug, Clone)]
 pub struct SchedSession {
-    inner: StreamSession<std::vec::IntoIter<Job>, Vec<JobOutcome>>,
+    /// The loop itself; [`crate::run_episode`] hands it to the policy.
+    pub(crate) inner: StreamSession<std::vec::IntoIter<Job>, Vec<JobOutcome>>,
     /// Jobs the episode schedules: the trace's schedulable records.
     jobs: usize,
 }
@@ -104,24 +69,11 @@ impl SchedSession {
         self.inner.queue_len()
     }
 
-    /// The waiting jobs as a policy would see them, in FCFS order,
-    /// without materializing a [`QueueView`] — the allocation-free way to
-    /// walk the queue each decision (observation encoders stream this
-    /// straight into their buffers).
+    /// The waiting jobs as a policy would see them, in FCFS order, straight
+    /// off the queue: walking them allocates nothing (observation encoders
+    /// stream this into their buffers).
     pub fn waiting_jobs(&self) -> impl Iterator<Item = WaitingJob<'_>> + '_ {
         self.inner.waiting()
-    }
-
-    /// A policy-facing snapshot of the current decision point. Allocates
-    /// the waiting vector; per-step hot paths should iterate
-    /// [`SchedSession::waiting_jobs`] instead.
-    pub fn view(&self) -> QueueView<'_> {
-        QueueView {
-            time: self.time(),
-            free_procs: self.free_procs(),
-            total_procs: self.total_procs(),
-            waiting: self.waiting_jobs().collect(),
-        }
     }
 
     /// Schedule the waiting job at queue position `pos` (FCFS order view).
@@ -359,11 +311,12 @@ mod tests {
         );
         let mut s = SchedSession::new(&t, SimConfig::default()).unwrap();
         s.step(0).unwrap(); // big job takes everything at t=0
-        let v = s.view();
-        assert_eq!(v.waiting.len(), 2);
-        assert_eq!(v.free_procs, 0);
-        assert!(!v.waiting[0].can_run_now);
-        assert_eq!(v.time, 0.0);
+        let waiting: Vec<WaitingJob<'_>> = s.waiting_jobs().collect();
+        assert_eq!(waiting.len(), 2);
+        assert_eq!(s.free_procs(), 0);
+        assert!(!waiting[0].can_run_now);
+        assert_eq!(waiting[0].wait, 0.0);
+        assert_eq!(s.time(), 0.0);
     }
 
     #[test]

@@ -108,10 +108,10 @@ use std::collections::HashMap;
 use rlsched_swf::Job;
 
 use crate::calendar::IndexedQueue;
+use crate::config::{BackfillMode, SimConfig};
 use crate::error::SimError;
 use crate::metrics::{EpisodeMetrics, JobOutcome, MetricKind};
 use crate::policy::WaitingJob;
-use crate::session::{BackfillMode, SimConfig};
 
 /// A running job, ordered by its *actual* completion time (simulator-private
 /// knowledge).

@@ -19,8 +19,9 @@
 //! * **ANL Intrepid** — Blue Gene/P scale (163 840 cores, partition-sized
 //!   allocations), used in the Table VII transfer study.
 //!
-//! See `DESIGN.md` §3 for the substitution argument. Every generator emits
-//! an ordinary [`rlsched_swf::JobTrace`], so the rest of the system cannot
+//! [`tracealike`] is the machinery and [`named`] the per-trace parameters
+//! and the calibration to Table II's moments. Every generator emits an
+//! ordinary [`rlsched_swf::JobTrace`], so the rest of the system cannot
 //! tell synthetic jobs from parsed ones.
 
 pub mod dist;

@@ -127,9 +127,10 @@ fn main() {
 
     // 4. Evaluate on held-out sequences — the *same* sequences for every
     //    scheduler, as the paper's protocol requires. The RL agent is
-    //    evaluated twice: through the per-decision Policy adapter (like
-    //    any heuristic) and through the lockstep batched evaluator, which
-    //    scores all windows' decision points in one forward per tick.
+    //    evaluated twice: through its `Policy` head, asked by the episode
+    //    driver at every decision exactly as a heuristic's is, and through
+    //    the lockstep batched evaluator, which scores all windows' decision
+    //    points in one forward per tick.
     let windows = sample_eval_windows(&trace, scale.eval_windows, scale.eval_len, 99);
     println!(
         "\nscheduling {} held-out sequences of {} jobs (avg bounded slowdown):",

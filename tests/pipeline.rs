@@ -2,8 +2,8 @@
 //! simulation → heuristic scheduling, over all six named workloads.
 
 use rlsched_repro::sched::{HeuristicKind, PriorityScheduler, RandomPolicy};
-use rlsched_repro::sim::{run_episode, MetricKind, SimConfig};
-use rlsched_repro::swf::{parse_str, write_string, TraceStats};
+use rlsched_repro::sim::{run_episode, MetricKind, Policy, SimConfig};
+use rlsched_repro::swf::{parse_str, write_string, JobTrace, TraceStats};
 use rlsched_repro::workload::NamedWorkload;
 
 #[test]
@@ -89,7 +89,7 @@ fn backfilling_helps_fcfs_on_congested_traces() {
 fn informed_heuristics_beat_random_on_average() {
     let t = NamedWorkload::Lublin1.generate(600, 8);
     let windows: Vec<_> = (0..4).map(|i| t.window(i * 120, 150).unwrap()).collect();
-    let mean_of = |policy: &mut dyn rlsched_repro::sim::Policy| -> f64 {
+    fn mean_of<P: Policy>(windows: &[JobTrace], policy: &mut P) -> f64 {
         windows
             .iter()
             .map(|w| {
@@ -99,11 +99,11 @@ fn informed_heuristics_beat_random_on_average() {
             })
             .sum::<f64>()
             / windows.len() as f64
-    };
+    }
     let mut sjf = PriorityScheduler::new(HeuristicKind::Sjf);
     let mut rnd = RandomPolicy::new(3);
-    let sjf_score = mean_of(&mut sjf);
-    let rnd_score = mean_of(&mut rnd);
+    let sjf_score = mean_of(&windows, &mut sjf);
+    let rnd_score = mean_of(&windows, &mut rnd);
     assert!(
         sjf_score < rnd_score,
         "SJF ({sjf_score:.2}) should beat Random ({rnd_score:.2}) on bsld"
