@@ -98,6 +98,25 @@ fn main() {
         reps,
         fused_wall,
     );
+    // The fused path interleaves forward and backward per chunk and
+    // apportions each pass's wall time between them: if that attribution
+    // goes dark, fail here (CI smoke-runs this binary).
+    assert!(
+        !fused.forward.is_zero() && !fused.backward.is_zero(),
+        "fused forward/backward attribution went dark: {fused:?}"
+    );
+    let coverage = fused.total().as_secs_f64() / fused_wall.as_secs_f64();
+    assert!(
+        (0.95..=1.05).contains(&coverage),
+        "fused phases cover {:.1}% of the measured wall",
+        100.0 * coverage
+    );
+    let (pi, vf) = agent.ppo().fused_scratch();
+    println!(
+        "  scratch   : {:.2} MB per-worker + {:.2} MB per-chunk partials (actor + critic)",
+        (pi.worker_bytes() + vf.worker_bytes()) as f64 / 1e6,
+        (pi.partial_bytes() + vf.partial_bytes()) as f64 / 1e6,
+    );
     println!();
 
     let mut tape = UpdateProfile::default();

@@ -199,3 +199,57 @@ fn multi_chunk_update_matches_tape_within_f32_tolerance() {
         );
     }
 }
+
+#[test]
+fn kl_early_stop_discards_the_tripping_iteration() {
+    // The fused sweep has already computed an iteration's gradients when
+    // its approximate KL trips the early stop; they must be dropped
+    // unapplied, exactly where the tape breaks before its backward. Full
+    // batch (4 × 15 rows, one chunk): every iteration sees the same rows,
+    // so the KL climbs with each applied step — 2.5e-4, 6.5e-4, 9.6e-4 at
+    // it = 1, 2, 3 on both dispatch arms — and 1.5 × 5.5e-4 falls between
+    // the last two.
+    let ppo = PpoConfig {
+        train_pi_iters: 20,
+        train_v_iters: 3,
+        minibatch: None,
+        target_kl: 5.5e-4,
+        ..PpoConfig::default()
+    };
+    let proto = agent_for(PolicyKind::Kernel, 16, ppo);
+    let batch = batch_for(&proto, 4, 15);
+    let mut tape = Agent::load_json(&proto.save_json()).expect("clone");
+    let mut fused = Agent::load_json(&proto.save_json()).expect("clone");
+    // The second update starts from a scratch that still holds the
+    // discarded gradients, and stops early itself (at it = 1).
+    for step in 0..2 {
+        let st = tape.ppo_mut().update_tape(&batch);
+        let sf = fused.ppo_mut().update(&batch);
+        assert!(
+            (1..20).contains(&st.pi_iters),
+            "update {step}: the tape must stop early at some it >= 1, ran {}",
+            st.pi_iters
+        );
+        assert!(
+            st.approx_kl > 1.5 * 5.5e-4,
+            "update {step}: the stop is the KL's"
+        );
+        assert_eq!(sf, st, "update {step}: stats");
+        assert_eq!(
+            fused.save_json(),
+            tape.save_json(),
+            "update {step}: weights"
+        );
+        assert_eq!(
+            fused.ppo().optimizers(),
+            tape.ppo().optimizers(),
+            "update {step}: Adam step counts and moments"
+        );
+        if step == 0 {
+            // Three applied steps: `pi_loss_after` is the third's loss,
+            // not the tripping fourth's and not the first's.
+            assert_eq!(st.pi_iters, 3);
+            assert_ne!(st.pi_loss_after, st.pi_loss_before);
+        }
+    }
+}

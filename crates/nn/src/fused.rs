@@ -8,7 +8,7 @@
 //! `infer.rs` already does it for the forward-only scoring path; this is
 //! its training-side sibling.
 //!
-//! One forward pass runs the batched layer chain on the shared
+//! The forward runs the batched layer chain on the shared
 //! [`crate::simd`] kernels while stashing only the per-layer activations
 //! the analytic backward needs (in a caller-owned [`FusedScratch`]); the
 //! backward fuses masked-log-softmax + gather + PPO clip/entropy (or the
@@ -21,12 +21,26 @@
 //! # Chunking and the bit-identity contract
 //!
 //! Every pass splits the minibatch into fixed [`SHARD_ROWS`]-row chunks
-//! (a function of the batch size alone), runs each chunk's
-//! forward/backward into its own buffers on the rayon shim's workers,
-//! and reduces the per-chunk gradient partials with a chunk-index-ordered
-//! tree merge — so every output is a pure function of the *minibatch*,
-//! **bit-identical at any worker count** on whichever kernel dispatch arm
-//! is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`).
+//! (a function of the batch size alone) and runs each chunk's forward,
+//! loss tail and backward **back to back** on one of the rayon shim's
+//! workers, while the chunk's rows are still in cache. State is split by
+//! who needs it:
+//!
+//! * a per-**worker** scratch (every layer's activations plus the
+//!   gradient ping/pong buffers — megabytes for the kernel network)
+//!   serves a worker's whole contiguous run of chunks, one after the
+//!   other, so at most `rayon::current_num_threads()` of them exist
+//!   however large the minibatch is;
+//! * a per-**chunk** partial (parameter gradients, loss partial sums
+//!   and the chunk's log-prob rows — kilobytes) is all that outlives the
+//!   chunk.
+//!
+//! The gradient partials then reduce through a chunk-index-ordered tree
+//! merge and the loss partials fold in chunk order — so every output is
+//! a pure function of the *minibatch*, **bit-identical at any worker
+//! count** (which worker's scratch a chunk ran in never shows: every
+//! buffer is overwritten before it is read) on whichever kernel dispatch
+//! arm is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`).
 //!
 //! Within a chunk the pass is **bit-identical to the tape**: every
 //! matmul goes through the same [`crate::simd`] entry points with the
@@ -59,6 +73,9 @@
 //!
 //! Anything else (the LeNet CNN baseline) keeps using the tape — the
 //! dispatch lives in `rlsched-rl`'s `Ppo::update`.
+
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
@@ -116,16 +133,21 @@ impl FusedPolicy<'_> {
 /// bit-identical at every thread count.
 pub const SHARD_ROWS: usize = 64;
 
-/// One chunk's buffers and loss partial sums. Chunks share no mutable
-/// state, so they run on the rayon shim's workers unsynchronised.
+/// Empty `v` and give it room for `cap` elements (a no-op once the
+/// high-water mark is reached).
+fn fit(v: &mut Vec<f32>, cap: usize) {
+    v.clear();
+    v.reserve(cap);
+}
+
+/// The buffers one chunk needs *while it runs*: every layer's
+/// activations and the backward's gradient ping/pong. A worker reuses
+/// one set for every chunk of its run, so there are never more of these
+/// than workers.
 #[derive(Debug, Default)]
-struct Chunk {
+struct WorkerScratch {
     /// Post-activation output of every layer (`acts[i]` = layer `i`).
     acts: Vec<Vec<f32>>,
-    /// Masked log-probabilities, `[n, width]`.
-    logp: Vec<f32>,
-    /// Selected (per-action) log-probs, `[n]`.
-    sel: Vec<f32>,
     /// Gradient ping buffer (holds `dY` of the layer being processed).
     dy: Vec<f32>,
     /// Gradient pong buffer (receives `dX`).
@@ -135,29 +157,19 @@ struct Chunk {
     /// Transposed weights for the `dX` gemm (mirrors the tape's pooled
     /// transpose).
     wt: Vec<f32>,
-    /// Parameter-gradient partials in bind order (`w0, b0, w1, b1, …`).
-    grads: Vec<Tensor>,
-    /// `Σ min(s1,s2)` over the chunk's rows (policy side).
-    obj: f32,
-    /// `Σ p·logp` over the chunk's rows (policy side).
-    ent: f32,
-    /// `Σ (v−R)²` over the chunk's rows (value side).
-    sq: f32,
 }
 
-impl Chunk {
-    /// Size every buffer for `n` transitions stacked as `rows` layer
-    /// rows. Runs on the calling thread before the fan-out, so workers
-    /// only write into buffers that already have their final size:
-    /// letting them grow on first use instead (step by step, and on
-    /// short-lived workers out of per-thread allocator arenas) cost ~5 %
-    /// peak RSS on the `train_epochs` benchmark. A no-op once the
-    /// high-water mark is reached.
-    fn presize(&mut self, mlp: &Mlp, n: usize, rows: usize) {
-        fn fit(v: &mut Vec<f32>, cap: usize) {
-            v.clear();
-            v.reserve(cap);
-        }
+impl WorkerScratch {
+    /// Size every buffer for a chunk of `rows` layer rows. Runs on the
+    /// calling thread before the fan-out, so workers only write into
+    /// buffers that already have their final size instead of growing
+    /// them step by step out of a short-lived thread's allocator arena,
+    /// and a no-op once the high-water mark is reached. A set belongs to
+    /// a worker, not to a chunk, so the resident footprint is
+    /// `workers × one chunk` (~4.9 MB each for the 32/16/8 kernel net at
+    /// 64 × 128 job rows) whatever the minibatch size — one per chunk
+    /// would be 157 MB for a 2 048-row minibatch.
+    fn presize(&mut self, mlp: &Mlp, rows: usize) {
         self.acts.resize_with(mlp.layers.len(), Vec::new);
         // Every gradient buffer holds `rows × some layer's output width`
         // (a dX is as wide as the previous layer's output).
@@ -170,12 +182,52 @@ impl Chunk {
                 wt = wt.max(layer.in_dim() * layer.out_dim());
             }
         }
-        fit(&mut self.logp, rows * mlp.out_dim());
-        fit(&mut self.sel, n);
         fit(&mut self.dy, rows * widest);
         fit(&mut self.dy2, rows * widest);
         fit(&mut self.dpre, rows * widest);
         fit(&mut self.wt, wt);
+    }
+
+    fn bytes(&self) -> usize {
+        let floats = self.acts.iter().map(Vec::capacity).sum::<usize>()
+            + self.dy.capacity()
+            + self.dy2.capacity()
+            + self.dpre.capacity()
+            + self.wt.capacity();
+        floats * size_of::<f32>()
+    }
+}
+
+/// What one chunk leaves behind for the merge and the diagnostics:
+/// `O(params + SHARD_ROWS × width)`, one per chunk of the minibatch.
+#[derive(Debug, Default)]
+struct Partial {
+    /// Masked log-probabilities of the chunk's rows, `[n, width]`
+    /// (policy side).
+    logp: Vec<f32>,
+    /// Selected (per-action) log-probs, `[n]` (policy side).
+    sel: Vec<f32>,
+    /// Parameter-gradient partials in bind order (`w0, b0, w1, b1, …`).
+    grads: Vec<Tensor>,
+    /// `Σ min(s1,s2)` over the chunk's rows (policy side).
+    obj: f32,
+    /// `Σ p·logp` over the chunk's rows (policy side).
+    ent: f32,
+    /// `Σ (v−R)²` over the chunk's rows (value side).
+    sq: f32,
+    /// Time the chunk spent in its forward.
+    forward: Duration,
+    /// Time the chunk spent in its loss tail + backward.
+    backward: Duration,
+}
+
+impl Partial {
+    /// Size the buffers for `n` transitions of `width` logits each
+    /// (`width` 0 on the value side), on the calling thread like
+    /// [`WorkerScratch::presize`].
+    fn presize(&mut self, mlp: &Mlp, n: usize, width: usize) {
+        fit(&mut self.logp, n * width);
+        fit(&mut self.sel, n);
         if self.grads.is_empty() {
             self.grads = mlp
                 .layers
@@ -189,24 +241,47 @@ impl Chunk {
             "scratch bound to a different architecture"
         );
     }
+
+    fn bytes(&self) -> usize {
+        let floats = self.logp.capacity()
+            + self.sel.capacity()
+            + self.grads.iter().map(Tensor::len).sum::<usize>();
+        floats * size_of::<f32>()
+    }
 }
 
-/// Reusable buffers for the fused pass: one `Chunk` per
-/// [`SHARD_ROWS`]-row slice of the minibatch plus the stitched
-/// whole-batch diagnostics. One per network (the PPO trainer holds one
-/// for the actor and one for the critic); every buffer only grows to its
-/// high-water mark, so steady-state updates allocate nothing on the
-/// inline (one-worker) path.
+/// What one fused pass over a minibatch reports: the loss, and the
+/// pass's wall time split into its forward and backward shares.
+///
+/// Forward and backward interleave chunk by chunk, so neither has a wall
+/// time of its own: each chunk times its two halves, and the pass's wall
+/// time (sizing and merge included) is apportioned in the ratio of the
+/// summed halves — `forward + backward` is the wall time of the call at
+/// any worker count.
+#[derive(Debug, Clone, Copy)]
+pub struct FusedPass {
+    /// The loss value.
+    pub loss: f32,
+    /// The forward share of the pass's wall time.
+    pub forward: Duration,
+    /// The loss-tail + backward share of the pass's wall time.
+    pub backward: Duration,
+}
+
+/// Reusable buffers for the fused pass: one activation-and-gradient
+/// scratch per worker in flight and one partial (gradients, loss sums,
+/// log-prob rows) per [`SHARD_ROWS`]-row slice of the minibatch. One per network (the PPO trainer holds one for the actor
+/// and one for the critic); every buffer only grows to its high-water
+/// mark, so steady-state updates allocate nothing on the inline
+/// (one-worker) path.
 #[derive(Debug, Default)]
 pub struct FusedScratch {
-    chunks: Vec<Chunk>,
-    /// Concatenated masked log-probs `[n, width]` (chunk order == row
-    /// order).
-    logp: Vec<f32>,
-    /// Concatenated selected log-probs `[n]`.
-    sel: Vec<f32>,
-    /// Transitions (policy) or rows (value) in the last forward.
-    n: usize,
+    /// One scratch set per worker of the widest pass so far; a worker
+    /// holds its lock for the length of its run of chunks.
+    workers: Vec<Mutex<WorkerScratch>>,
+    partials: Vec<Partial>,
+    /// Chunks of the last pass (`partials[..live]`).
+    live: usize,
 }
 
 impl FusedScratch {
@@ -215,60 +290,119 @@ impl FusedScratch {
         Self::default()
     }
 
-    /// The full masked log-prob matrix of the last
-    /// [`policy_forward`] (`[n, width]` row-major).
-    pub fn logp_all(&self) -> &[f32] {
-        &self.logp
+    /// The full masked log-prob matrix of the last [`policy_pass`]
+    /// (`[n, width]` row-major) as one block of whole rows per chunk, in
+    /// transition order.
+    pub fn logp_all(&self) -> impl Iterator<Item = &[f32]> {
+        self.partials[..self.live].iter().map(|p| &p.logp[..])
     }
 
-    /// The selected per-transition log-probs of the last
-    /// [`policy_forward`].
-    pub fn selected_logp(&self) -> &[f32] {
-        &self.sel
+    /// The selected per-transition log-probs of the last [`policy_pass`],
+    /// in transition order.
+    pub fn selected_logp(&self) -> impl Iterator<Item = f32> + '_ {
+        self.partials[..self.live]
+            .iter()
+            .flat_map(|p| p.sel.iter().copied())
     }
 
-    /// Merged parameter gradients of the last backward, in the network's
+    /// Merged parameter gradients of the last pass, in the network's
     /// bind order (`w0, b0, w1, b1, …`) — index-aligned with
     /// `Mlp::params()`.
     pub fn grads(&self) -> &[Tensor] {
-        &self.chunks.first().expect("run a backward first").grads
+        &self.partials.first().expect("run a pass first").grads
     }
 
     /// Mutable gradient access (for global-norm clipping).
     pub fn grads_mut(&mut self) -> &mut [Tensor] {
-        &mut self.chunks.first_mut().expect("run a backward first").grads
+        &mut self.partials.first_mut().expect("run a pass first").grads
     }
 
-    /// Bind the scratch to an `n`-transition pass (`rows_per` layer rows
-    /// each) and size every chunk on the calling thread; returns the
-    /// live chunks.
-    fn begin(&mut self, mlp: &Mlp, n: usize, rows_per: usize) -> &mut [Chunk] {
+    /// Bytes of per-worker scratch held (buffer capacities): at most
+    /// `workers × one chunk's need`, whatever the minibatch size.
+    pub fn worker_bytes(&self) -> usize {
+        let bytes = |w: &Mutex<WorkerScratch>| unpoisoned(w.lock()).bytes();
+        self.workers.iter().map(bytes).sum()
+    }
+
+    /// Bytes of per-chunk state held (buffer capacities): grows with the
+    /// minibatch, `O(params + SHARD_ROWS × width)` per chunk.
+    pub fn partial_bytes(&self) -> usize {
+        self.partials.iter().map(Partial::bytes).sum()
+    }
+
+    /// Run every chunk of an `n`-transition minibatch (`rows_per` layer
+    /// rows and `width` logits per transition) on the rayon shim's
+    /// workers: `forward(scratch, partial, lo, hi)` then
+    /// `backward(scratch, partial, lo, hi)` back to back in the worker's
+    /// scratch, `[lo, hi)` being the chunk's transition bounds. Then
+    /// tree-merge the gradient partials into chunk 0. Returns the live
+    /// partials and the call's wall time apportioned to
+    /// (forward, backward).
+    fn sweep(
+        &mut self,
+        mlp: &Mlp,
+        n: usize,
+        rows_per: usize,
+        width: usize,
+        forward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
+        backward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
+    ) -> (&[Partial], Duration, Duration) {
+        let start = Instant::now();
         let n_chunks = n.div_ceil(SHARD_ROWS);
-        if self.chunks.len() < n_chunks {
-            self.chunks.resize_with(n_chunks, Chunk::default);
+        self.live = n_chunks;
+        if self.partials.len() < n_chunks {
+            self.partials.resize_with(n_chunks, Partial::default);
         }
-        self.n = n;
-        for (c, chunk) in self.chunks[..n_chunks].iter_mut().enumerate() {
-            let len = SHARD_ROWS.min(n - c * SHARD_ROWS);
-            chunk.presize(mlp, len, len * rows_per);
+        let partials = &mut self.partials[..n_chunks];
+        for (c, part) in partials.iter_mut().enumerate() {
+            part.presize(mlp, SHARD_ROWS.min(n - c * SHARD_ROWS), width);
         }
-        &mut self.chunks[..n_chunks]
-    }
+        // One scratch per worker, each big enough for a full chunk of
+        // this batch. A worker takes a contiguous run of chunks and keeps
+        // its scratch for all of them, so the buffers stay in that core's
+        // cache from one chunk to the next. (How chunks group onto workers
+        // depends on the budget; nothing a chunk computes does.)
+        let in_flight = rayon::current_num_threads().min(n_chunks);
+        if self.workers.len() < in_flight {
+            self.workers.resize_with(in_flight, Mutex::default);
+        }
+        for w in &mut self.workers {
+            unpoisoned(w.get_mut()).presize(mlp, SHARD_ROWS.min(n) * rows_per);
+        }
 
-    /// The chunks of the last forward over `n` transitions.
-    fn live(&mut self, n: usize, forward: &str) -> &mut [Chunk] {
-        assert_eq!(self.n, n, "run {forward} first");
-        &mut self.chunks[..n.div_ceil(SHARD_ROWS)]
+        let run = n_chunks.div_ceil(in_flight);
+        let workers = &self.workers;
+        partials
+            .par_chunks_mut(run)
+            .enumerate()
+            .for_each(|(g, parts)| {
+                let w = &mut *unpoisoned(workers[g].lock());
+                for (c, part) in (g * run..).zip(parts) {
+                    let lo = c * SHARD_ROWS;
+                    let hi = (lo + SHARD_ROWS).min(n);
+                    let t0 = Instant::now();
+                    forward(w, part, lo, hi);
+                    let t1 = Instant::now();
+                    backward(w, part, lo, hi);
+                    part.forward = t1 - t0;
+                    part.backward = t1.elapsed();
+                }
+            });
+        merge_grads(partials);
+
+        let fwd: Duration = partials.iter().map(|p| p.forward).sum();
+        let bwd: Duration = partials.iter().map(|p| p.backward).sum();
+        let wall = start.elapsed();
+        let share = fwd.as_secs_f64() / (fwd + bwd).as_secs_f64().max(f64::MIN_POSITIVE);
+        let forward = wall.mul_f64(share);
+        (partials, forward, wall.saturating_sub(forward))
     }
 }
 
-/// Run `f(chunk, lo, hi)` for every chunk of an `n`-row batch on the
-/// rayon shim's workers; `[lo, hi)` are the chunk's transition bounds.
-fn for_each_chunk(chunks: &mut [Chunk], n: usize, f: impl Fn(&mut Chunk, usize, usize) + Sync) {
-    chunks.par_chunks_mut(1).enumerate().for_each(|(c, cs)| {
-        let lo = c * SHARD_ROWS;
-        f(&mut cs[0], lo, (lo + SHARD_ROWS).min(n));
-    });
+/// A scratch whose last chunk panicked is as good as any other: every
+/// buffer is overwritten before it is read.
+fn unpoisoned<G>(lock: std::sync::LockResult<G>) -> G {
+    lock.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Reduce the chunks' gradient partials into chunk 0 with a
@@ -276,7 +410,7 @@ fn for_each_chunk(chunks: &mut [Chunk], n: usize, f: impl Fn(&mut Chunk, usize, 
 /// 1 merges (0,2),(4,6),…). The association is fixed by chunk index
 /// alone, so the merged bits are independent of how many workers ran the
 /// chunks.
-fn merge_chunk_grads(chunks: &mut [Chunk]) {
+fn merge_grads(chunks: &mut [Partial]) {
     let n = chunks.len();
     let mut stride = 1;
     while stride < n {
@@ -321,7 +455,7 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
 }
 
 /// Walk the layers last-to-first given `dY` of the final layer in
-/// `s.dy`, writing parameter gradients into `s.grads`.
+/// `s.dy`, writing parameter gradients into `grads`.
 ///
 /// Replicates the tape's `Linear` backward exactly: the per-activation
 /// `dpre` loops, `dW` through the TN kernel dispatch
@@ -330,7 +464,13 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
 /// (scalar NT fallback) — including the needs-grad pruning that never
 /// computes `dX` of the first layer (its input is the constant
 /// observation matrix).
-fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut Chunk) {
+fn backward_layers(
+    mlp: &Mlp,
+    x0: &[f32],
+    rows: usize,
+    s: &mut WorkerScratch,
+    grads: &mut [Tensor],
+) {
     let last = mlp.layers.len() - 1;
     for l in (0..=last).rev() {
         let layer = &mlp.layers[l];
@@ -376,13 +516,13 @@ fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut Chunk) {
         // dW = Xᵀ · dpre (the TN kernel fills its output, no pre-zero
         // needed — same call chain as `Tensor::matmul_tn_into`).
         let x = if l == 0 { x0 } else { &s.acts[l - 1] };
-        let dw = s.grads[2 * l].data_mut();
+        let dw = grads[2 * l].data_mut();
         if !simd::gemm_tn(x, rows, din, &s.dpre, dout, dw) {
             simd::gemm_tn_scalar(x, rows, din, &s.dpre, dout, dw);
         }
 
         // db = column sums of dpre, rows ascending (the tape's order).
-        let db = s.grads[2 * l + 1].data_mut();
+        let db = grads[2 * l + 1].data_mut();
         db.fill(0.0);
         for row in s.dpre.chunks_exact(dout) {
             for (d, &v) in db.iter_mut().zip(row) {
@@ -396,73 +536,29 @@ fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut Chunk) {
     }
 }
 
-/// Batched policy forward: layer chain + masked log-softmax + per-action
-/// gather, stashing what the backward and the PPO diagnostics need.
+/// One PPO policy pass over a minibatch: per chunk, the layer chain +
+/// masked log-softmax + per-action gather, then the clipped-surrogate
+/// loss tail and its analytic backward while the chunk's activations are
+/// hot.
 ///
 /// `obs` is the stacked `[n, obs_dim]` minibatch, `masks` the additive
 /// `[n, n_actions]` masks, `actions` the chosen action per transition.
-/// After the call, [`FusedScratch::logp_all`] holds the `[n, n_actions]`
-/// masked log-probabilities (bit-identical to the tape's
-/// `add` + `log_softmax`) and [`FusedScratch::selected_logp`] the
-/// gathered per-action row — the approximate-KL input, available
-/// *before* committing to a backward pass.
-pub fn policy_forward(
+/// Returns the loss
+/// (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ p·logp)`);
+/// parameter gradients land in [`FusedScratch::grads`],
+/// [`FusedScratch::logp_all`] holds the `[n, n_actions]` masked
+/// log-probabilities (bit-identical to the tape's `add` + `log_softmax`)
+/// and [`FusedScratch::selected_logp`] the gathered per-action row — the
+/// approximate-KL input.
+///
+/// Each chunk's gradient partial is seeded by the *batch* mean, so
+/// partials sum to the batch gradient; they reduce through the
+/// chunk-index-ordered tree merge and loss partials fold in chunk order.
+#[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
+pub fn policy_pass(
     p: &FusedPolicy<'_>,
     obs: &[f32],
     masks: &[f32],
-    actions: &[usize],
-    n: usize,
-    s: &mut FusedScratch,
-) {
-    assert!(n > 0, "fused forward needs at least one transition");
-    let (rows, width) = p.dims(n);
-    assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
-    assert_eq!(masks.len(), n * width, "mask volume");
-    assert_eq!(actions.len(), n, "one action per transition");
-    let rpt = rows / n; // layer-stack rows per transition (1 or window)
-    let od = rpt * p.mlp.in_dim();
-    let chunks = s.begin(p.mlp, n, rpt);
-    for_each_chunk(chunks, n, |c, lo, hi| {
-        forward_layers(p.mlp, &obs[lo * od..hi * od], (hi - lo) * rpt, &mut c.acts);
-        c.logp.clear();
-        c.logp
-            .extend_from_slice(c.acts.last().expect("non-empty MLP"));
-        let mrows = masks[lo * width..hi * width].chunks(width);
-        for (row, mrow) in c.logp.chunks_mut(width).zip(mrows) {
-            for (o, &m) in row.iter_mut().zip(mrow) {
-                *o += m;
-            }
-            infer::log_softmax_inplace(row);
-        }
-        let Chunk { logp, sel, .. } = c;
-        sel.clear();
-        sel.extend(actions[lo..hi].iter().enumerate().map(|(i, &a)| {
-            assert!(a < width, "action {a} out of range");
-            logp[i * width + a]
-        }));
-    });
-    // Stitch the diagnostics back in chunk (== row) order.
-    s.logp.clear();
-    s.sel.clear();
-    for c in &s.chunks[..n.div_ceil(SHARD_ROWS)] {
-        s.logp.extend_from_slice(&c.logp);
-        s.sel.extend_from_slice(&c.sel);
-    }
-}
-
-/// The PPO clipped-surrogate loss and its analytic backward, after a
-/// [`policy_forward`] on the same inputs. Returns the loss value
-/// (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ p·logp)`);
-/// parameter gradients land in [`FusedScratch::grads`].
-///
-/// Each chunk fuses its dlogits pass and walks the layers into its own
-/// gradient partial (seeded by the *batch* mean, so partials sum to the
-/// batch gradient); partials then reduce through the chunk-index-ordered
-/// tree merge and loss partials fold in chunk order.
-#[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
-pub fn policy_loss_and_grads(
-    p: &FusedPolicy<'_>,
-    obs: &[f32],
     actions: &[usize],
     advantages: &[f32],
     logp_old: &[f32],
@@ -470,45 +566,78 @@ pub fn policy_loss_and_grads(
     ent_coef: f32,
     n: usize,
     s: &mut FusedScratch,
-) -> f32 {
-    let (rows, _) = p.dims(n);
+) -> FusedPass {
+    assert!(n > 0, "fused pass needs at least one transition");
+    let (rows, width) = p.dims(n);
+    assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
+    assert_eq!(masks.len(), n * width, "mask volume");
+    assert_eq!(actions.len(), n, "one action per transition");
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");
-    let od = rows / n * p.mlp.in_dim();
-    let chunks = s.live(n, "policy_forward");
-    for_each_chunk(chunks, n, |c, lo, hi| {
-        (c.obj, c.ent) = policy_backward_chunk(
-            p,
-            &obs[lo * od..hi * od],
-            &actions[lo..hi],
-            &advantages[lo..hi],
-            &logp_old[lo..hi],
-            clip_ratio,
-            ent_coef,
-            n,
-            c,
-        );
-    });
+    let rpt = rows / n; // layer-stack rows per transition (1 or window)
+    let od = rpt * p.mlp.in_dim();
+    let (partials, forward, backward) = s.sweep(
+        p.mlp,
+        n,
+        rpt,
+        width,
+        |w, part, lo, hi| {
+            forward_layers(p.mlp, &obs[lo * od..hi * od], (hi - lo) * rpt, &mut w.acts);
+            let Partial { logp, sel, .. } = part;
+            logp.clear();
+            logp.extend_from_slice(w.acts.last().expect("non-empty MLP"));
+            let mrows = masks[lo * width..hi * width].chunks(width);
+            for (row, mrow) in logp.chunks_mut(width).zip(mrows) {
+                for (o, &m) in row.iter_mut().zip(mrow) {
+                    *o += m;
+                }
+                infer::log_softmax_inplace(row);
+            }
+            sel.clear();
+            sel.extend(actions[lo..hi].iter().enumerate().map(|(i, &a)| {
+                assert!(a < width, "action {a} out of range");
+                logp[i * width + a]
+            }));
+        },
+        |w, part, lo, hi| {
+            policy_backward_chunk(
+                p,
+                &obs[lo * od..hi * od],
+                &actions[lo..hi],
+                &advantages[lo..hi],
+                &logp_old[lo..hi],
+                clip_ratio,
+                ent_coef,
+                n,
+                w,
+                part,
+            );
+        },
+    );
     let (mut obj_sum, mut ent_sum) = (0.0f32, 0.0f32);
-    for c in chunks.iter() {
+    for c in partials {
         obj_sum += c.obj;
         ent_sum += c.ent;
     }
-    merge_chunk_grads(chunks);
     let mean_obj = obj_sum / n as f32;
     let mut loss = -mean_obj; // == the tape's scale(mean_obj, −1) bit for bit
     if ent_coef != 0.0 {
         let ent_mean = ent_sum / n as f32;
         loss += ent_mean * ent_coef;
     }
-    loss
+    FusedPass {
+        loss,
+        forward,
+        backward,
+    }
 }
 
-/// One chunk of [`policy_loss_and_grads`]: the dlogits fuse + layer
-/// backward over the chunk's rows, with the mean-gradient seeds scaled
-/// by the *batch* size `total_n` so the chunk's gradients are exact
-/// partials of the whole batch's. Returns the raw
-/// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds).
+/// The backward half of one [`policy_pass`] chunk: the dlogits fuse +
+/// layer backward over the chunk's rows, with the mean-gradient seeds
+/// scaled by the *batch* size `total_n` so the chunk's gradients are
+/// exact partials of the whole batch's. Leaves the raw
+/// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds) in
+/// `part.obj` / `part.ent`.
 ///
 /// The dlogits kernel fuses, per transition row: ratio / clip / min
 /// gradient routing (ties to the unclipped side, exactly like the tape's
@@ -527,8 +656,9 @@ fn policy_backward_chunk(
     clip_ratio: f32,
     ent_coef: f32,
     total_n: usize,
-    s: &mut Chunk,
-) -> (f32, f32) {
+    s: &mut WorkerScratch,
+    part: &mut Partial,
+) {
     let n = actions.len();
     let (rows, width) = p.dims(n);
 
@@ -538,7 +668,8 @@ fn policy_backward_chunk(
     let dplogp = ent_coef / total_n as f32;
     let (lo, hi) = (1.0 - clip_ratio, 1.0 + clip_ratio);
 
-    let Chunk { logp, dy, .. } = s;
+    let logp = &part.logp;
+    let dy = &mut s.dy;
     dy.clear();
     dy.resize(n * width, 0.0);
     let mut obj_sum = 0.0f32;
@@ -596,63 +727,63 @@ fn policy_backward_chunk(
 
     // `dy` now holds dlogits: `[n, width]` for the flat head, which the
     // kernel head reads as `[n·window, 1]` — the reshape is a view.
-    backward_layers(p.mlp, obs, rows, s);
-    (obj_sum, ent_sum)
+    backward_layers(p.mlp, obs, rows, s, &mut part.grads);
+    (part.obj, part.ent) = (obj_sum, ent_sum);
 }
 
-/// Batched critic forward over `[rows, obs_dim]` stacked observations;
-/// predictions stash in the scratch for [`value_loss_and_grads`].
-pub fn value_forward(mlp: &Mlp, obs: &[f32], rows: usize, s: &mut FusedScratch) {
-    assert!(rows > 0, "fused value forward needs at least one row");
-    assert_eq!(mlp.out_dim(), 1, "critic must emit one value per row");
-    assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
-    let od = mlp.in_dim();
-    let chunks = s.begin(mlp, rows, 1);
-    for_each_chunk(chunks, rows, |c, lo, hi| {
-        forward_layers(mlp, &obs[lo * od..hi * od], hi - lo, &mut c.acts);
-    });
-}
-
-/// The value squared-error loss `mean((v − R)²)` and its analytic
-/// backward, after a [`value_forward`] on the same observations. Returns
-/// the loss; gradients land in [`FusedScratch::grads`]. Chunked and
-/// merged exactly like [`policy_loss_and_grads`].
-pub fn value_loss_and_grads(
+/// One critic pass over `[rows, obs_dim]` stacked observations: per
+/// chunk, the layer chain, then the squared-error loss
+/// `mean((v − R)²)` and its analytic backward. Returns the loss;
+/// gradients land in [`FusedScratch::grads`]. Chunked and merged exactly
+/// like [`policy_pass`].
+pub fn value_pass(
     mlp: &Mlp,
     obs: &[f32],
     returns: &[f32],
     rows: usize,
     s: &mut FusedScratch,
-) -> f32 {
+) -> FusedPass {
+    assert!(rows > 0, "fused value pass needs at least one row");
+    assert_eq!(mlp.out_dim(), 1, "critic must emit one value per row");
+    assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
     assert_eq!(returns.len(), rows, "one return target per row");
     let od = mlp.in_dim();
     // d(mean) = 1/n over the *batch*; the squared term contributes g·d
     // twice (the tape's `mul(d, d)` accumulates both factor sides).
     let g = 1.0f32 / rows as f32;
-    let chunks = s.live(rows, "value_forward");
-    for_each_chunk(chunks, rows, |c, lo, hi| {
-        let Chunk { acts, dy, sq, .. } = c;
-        *sq = 0.0;
-        dy.clear();
-        for (&vi, &ri) in acts
-            .last()
-            .expect("non-empty MLP")
-            .iter()
-            .zip(&returns[lo..hi])
-        {
-            let d = vi - ri;
-            *sq += d * d;
-            let t = g * d;
-            dy.push(t + t);
-        }
-        backward_layers(mlp, &obs[lo * od..hi * od], hi - lo, c);
-    });
+    let (partials, forward, backward) = s.sweep(
+        mlp,
+        rows,
+        1,
+        0,
+        |w, _, lo, hi| forward_layers(mlp, &obs[lo * od..hi * od], hi - lo, &mut w.acts),
+        |w, part, lo, hi| {
+            let WorkerScratch { acts, dy, .. } = w;
+            part.sq = 0.0;
+            dy.clear();
+            for (&vi, &ri) in acts
+                .last()
+                .expect("non-empty MLP")
+                .iter()
+                .zip(&returns[lo..hi])
+            {
+                let d = vi - ri;
+                part.sq += d * d;
+                let t = g * d;
+                dy.push(t + t);
+            }
+            backward_layers(mlp, &obs[lo * od..hi * od], hi - lo, w, &mut part.grads);
+        },
+    );
     let mut sq_sum = 0.0f32;
-    for c in chunks.iter() {
+    for c in partials {
         sq_sum += c.sq;
     }
-    merge_chunk_grads(chunks);
-    sq_sum / rows as f32
+    FusedPass {
+        loss: sq_sum / rows as f32,
+        forward,
+        backward,
+    }
 }
 
 #[cfg(test)]
@@ -696,8 +827,7 @@ mod tests {
         let tape_grads = binds.take_grads(&mut g);
 
         let mut s = FusedScratch::new();
-        value_forward(&net, &obs, n, &mut s);
-        let fused_loss = value_loss_and_grads(&net, &obs, &returns, n, &mut s);
+        let fused_loss = value_pass(&net, &obs, &returns, n, &mut s).loss;
 
         assert_eq!(fused_loss, tape_loss, "loss value");
         assert_eq!(tape_grads.len(), s.grads().len());
@@ -723,12 +853,10 @@ mod tests {
             head: FusedHead::Flat,
         };
         let mut s = FusedScratch::new();
-        policy_forward(&p, &obs, &masks, &actions, n, &mut s);
-        let l0 = policy_loss_and_grads(&p, &obs, &actions, &adv, &old, 0.2, 0.0, n, &mut s);
+        let l0 = policy_pass(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.0, n, &mut s).loss;
         let g0: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
         for _ in 0..3 {
-            policy_forward(&p, &obs, &masks, &actions, n, &mut s);
-            let l = policy_loss_and_grads(&p, &obs, &actions, &adv, &old, 0.2, 0.0, n, &mut s);
+            let l = policy_pass(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.0, n, &mut s).loss;
             assert_eq!(l, l0, "loss must not drift across scratch reuse");
             for (a, b) in s.grads().iter().zip(&g0) {
                 assert_eq!(a.data(), b.as_slice(), "grads must not drift");
@@ -790,15 +918,17 @@ mod tests {
         let run = |threads: usize| {
             rayon::with_threads(threads, || {
                 let mut s = FusedScratch::new();
-                policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut s);
-                let pl = policy_loss_and_grads(
-                    &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut s,
-                );
+                let pl = policy_pass(
+                    &p, &c.obs, &c.masks, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut s,
+                )
+                .loss;
                 let pg: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
-                let diag = (s.logp_all().to_vec(), s.selected_logp().to_vec());
+                let diag: (Vec<f32>, Vec<f32>) = (
+                    s.logp_all().flatten().copied().collect(),
+                    s.selected_logp().collect(),
+                );
                 let mut vs = FusedScratch::new();
-                value_forward(&vnet, &vobs, n, &mut vs);
-                let vl = value_loss_and_grads(&vnet, &vobs, &rets, n, &mut vs);
+                let vl = value_pass(&vnet, &vobs, &rets, n, &mut vs).loss;
                 let vg: Vec<Vec<f32>> = vs.grads().iter().map(|t| t.data().to_vec()).collect();
                 (pl, pg, diag, vl, vg)
             })
@@ -821,27 +951,5 @@ mod tests {
             );
             assert_eq!(got.4, base.4, "value grads at {k} workers");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "run policy_forward first")]
-    fn backward_requires_forward() {
-        let net = mlp(&[4, 8, 2], 1);
-        let p = FusedPolicy {
-            mlp: &net,
-            head: FusedHead::Flat,
-        };
-        let mut s = FusedScratch::new();
-        let _ = policy_loss_and_grads(
-            &p,
-            &[0.0; 8],
-            &[0, 1],
-            &[0.1, 0.2],
-            &[-1.0, -1.0],
-            0.2,
-            0.0,
-            2,
-            &mut s,
-        );
     }
 }

@@ -13,7 +13,9 @@
 use crate::tensor::Tensor;
 
 /// Adam optimizer (Kingma & Ba) with per-parameter moment state.
-#[derive(Debug, Clone)]
+/// Equality compares the whole state — hyperparameters, step count and
+/// both moment sets — which is what the update-parity suites pin.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     lr: f32,
     beta1: f32,

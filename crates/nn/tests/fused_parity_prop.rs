@@ -122,12 +122,12 @@ proptest! {
 
         let p = FusedPolicy { mlp: &mlp, head };
         let mut scratch = FusedScratch::new();
-        fused::policy_forward(&p, &obs, &masks, &actions, n, &mut scratch);
-        prop_assert_eq!(scratch.selected_logp(), tape_sel.as_slice(),
+        let fused_loss = fused::policy_pass(
+            &p, &obs, &masks, &actions, &advantages, &logp_old, clip, ent_coef, n, &mut scratch,
+        )
+        .loss;
+        prop_assert_eq!(scratch.selected_logp().collect::<Vec<_>>(), tape_sel,
             "selected log-probs must match the tape exactly");
-        let fused_loss = fused::policy_loss_and_grads(
-            &p, &obs, &actions, &advantages, &logp_old, clip, ent_coef, n, &mut scratch,
-        );
         prop_assert_eq!(fused_loss, tape_loss, "loss value");
         prop_assert_eq!(scratch.grads().len(), tape_grads.len());
         for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
@@ -164,8 +164,7 @@ proptest! {
         let tape_grads = binds.take_grads(&mut g);
 
         let mut scratch = FusedScratch::new();
-        fused::value_forward(&mlp, &obs, n, &mut scratch);
-        let fused_loss = fused::value_loss_and_grads(&mlp, &obs, &returns, n, &mut scratch);
+        let fused_loss = fused::value_pass(&mlp, &obs, &returns, n, &mut scratch).loss;
         prop_assert_eq!(fused_loss, tape_loss, "value loss");
         for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
             prop_assert_eq!(f.data(), t.data(), "value grad {} diverged", i);
@@ -211,15 +210,10 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
             tape_policy_grads(&mlp, head, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, n);
         let p = FusedPolicy { mlp: &mlp, head };
         let mut scratch = FusedScratch::new();
-        fused::policy_forward(&p, &obs, &masks, &actions, n, &mut scratch);
-        assert_eq!(
-            scratch.selected_logp(),
-            tape_sel.as_slice(),
-            "{head:?}: selected logp"
-        );
-        let loss = fused::policy_loss_and_grads(
+        let loss = fused::policy_pass(
             &p,
             &obs,
+            &masks,
             &actions,
             &adv,
             &old,
@@ -227,6 +221,12 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
             0.01,
             n,
             &mut scratch,
+        )
+        .loss;
+        assert_eq!(
+            scratch.selected_logp().collect::<Vec<_>>(),
+            tape_sel,
+            "{head:?}: selected logp"
         );
         assert!(
             (loss - tape_loss).abs() <= 1e-6,

@@ -274,14 +274,22 @@ pub struct UpdateStats {
 /// backward/gradient work, and the optimizer step. Filled by
 /// [`Ppo::update_profiled`] on either dispatch arm (the phases map 1:1
 /// between the fused and tape paths, so regressions are attributable).
+///
+/// The tape runs forward and backward one after the other and times each.
+/// The fused path interleaves them chunk by chunk, so it times the two
+/// halves inside every chunk and splits each pass's wall time in the
+/// ratio of the summed halves ([`fused::FusedPass`]): the phases still
+/// sum to the update's wall time at any worker count.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
     /// Minibatch row gather into the reusable staging buffers.
     pub gather: Duration,
-    /// Actor/critic forward passes (tape: graph build + eager eval).
+    /// Actor/critic forward passes (tape: graph build + eager eval;
+    /// fused: the forward share of every chunked pass).
     pub forward: Duration,
     /// Loss tail + backward gradient computation (tape: `backward` +
-    /// gradient extraction).
+    /// gradient extraction; fused: the backward share of every chunked
+    /// pass, sizing and gradient merge included).
     pub backward: Duration,
     /// Gradient clipping + Adam step.
     pub optimizer: Duration,
@@ -431,6 +439,19 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         MaskedCategorical::new(&logp).argmax()
     }
 
+    /// The `(actor, critic)` optimizers, read-only: their step counts and
+    /// Adam moments are training state no checkpoint carries, so parity
+    /// suites compare them here.
+    pub fn optimizers(&self) -> (&Adam, &Adam) {
+        (&self.pi_opt, &self.vf_opt)
+    }
+
+    /// The `(actor, critic)` fused-update scratch, read-only — the phase
+    /// profiler reports its footprint.
+    pub fn fused_scratch(&self) -> (&fused::FusedScratch, &fused::FusedScratch) {
+        (&self.pi_fused, &self.vf_fused)
+    }
+
     /// True when both networks expose fused-eligible architectures, so
     /// [`Ppo::update`] takes the tape-free fast path.
     pub fn fused_supported(&self) -> bool {
@@ -552,7 +573,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             if it == 0 {
                 pi_loss_before = g.value(loss).item();
                 let lp = g.value(logp_all);
-                entropy = mean_entropy(lp.data(), lp.cols());
+                entropy = mean_entropy(lp.data().chunks_exact(lp.cols()));
             }
             if kl > 1.5 * cfg.target_kl && it > 0 {
                 break;
@@ -614,15 +635,22 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         }
     }
 
-    /// The fused path of [`Ppo::update_profiled`]. Forward passes run the
-    /// same SIMD kernels as the tape but stash only the per-layer
-    /// activations the analytic backward needs; the backward is one fused
-    /// dlogits pass plus the layer walk, both over fixed
-    /// [`fused::SHARD_ROWS`]-row chunks on the rayon shim's workers; the
-    /// optimizer steps the network's layers in place. Zero heap
-    /// allocation at steady state on the one-worker budget (pinned by
-    /// `alloc_regression`). Gather, clipping, Adam steps and the
-    /// minibatch RNG stream are shared with the tape path unchanged.
+    /// The fused path of [`Ppo::update_profiled`]. Every iteration is one
+    /// sweep over fixed [`fused::SHARD_ROWS`]-row chunks on the rayon
+    /// shim's workers: a chunk's forward runs the same SIMD kernels as the
+    /// tape, stashing only the per-layer activations the analytic backward
+    /// needs in a per-worker scratch, and its fused dlogits pass and layer
+    /// walk follow at once; the optimizer then steps the network's layers
+    /// in place. Zero heap allocation at steady state on the one-worker
+    /// budget (pinned by `alloc_regression`). Gather, clipping, Adam steps
+    /// and the minibatch RNG stream are shared with the tape path
+    /// unchanged.
+    ///
+    /// The approximate-KL early stop reads the sweep's selected log-probs,
+    /// so the iteration that trips it has already computed its gradients:
+    /// they are discarded, nothing is stepped and `pi_loss_after` keeps
+    /// the last *applied* iteration's loss, exactly as on the tape — an
+    /// early stop costs one wasted chunked backward per update.
     fn fused_update(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
         assert!(!batch.is_empty(), "cannot update on an empty batch");
         let n_actions = batch.masks.cols();
@@ -652,42 +680,39 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             let n = view.actions.len();
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            {
-                let fp = policy.fused().expect("fused_supported checked");
-                fused::policy_forward(&fp, view.obs, view.masks, view.actions, n, pi_fused);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
+            let fp = policy.fused().expect("fused_supported checked");
+            let pass = fused::policy_pass(
+                &fp,
+                view.obs,
+                view.masks,
+                view.actions,
+                view.advantages,
+                view.logp_old,
+                cfg.clip_ratio,
+                cfg.ent_coef,
+                n,
+                pi_fused,
+            );
+            prof.forward += pass.forward;
+            prof.backward += pass.backward;
 
-                // Diagnostics before committing to a backward pass.
-                let kl: f64 = view
-                    .logp_old
-                    .iter()
-                    .zip(pi_fused.selected_logp())
-                    .map(|(&o, &nw)| (o - nw) as f64)
-                    .sum::<f64>()
-                    / n as f64;
-                approx_kl = kl;
-                if kl > 1.5 * cfg.target_kl && it > 0 {
-                    break;
-                }
-                let loss = fused::policy_loss_and_grads(
-                    &fp,
-                    view.obs,
-                    view.actions,
-                    view.advantages,
-                    view.logp_old,
-                    cfg.clip_ratio,
-                    cfg.ent_coef,
-                    n,
-                    pi_fused,
-                );
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    pi_loss_before = loss;
-                    entropy = mean_entropy(pi_fused.logp_all(), n_actions);
-                }
-                pi_loss_after = loss;
+            let kl: f64 = view
+                .logp_old
+                .iter()
+                .zip(pi_fused.selected_logp())
+                .map(|(&o, nw)| (o - nw) as f64)
+                .sum::<f64>()
+                / n as f64;
+            approx_kl = kl;
+            if it == 0 {
+                pi_loss_before = pass.loss;
+                let rows = pi_fused.logp_all();
+                entropy = mean_entropy(rows.flat_map(|b| b.chunks_exact(n_actions)));
             }
+            if kl > 1.5 * cfg.target_kl && it > 0 {
+                break; // this iteration's gradients are dropped unapplied
+            }
+            pi_loss_after = pass.loss;
             let t3 = Instant::now();
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(pi_fused.grads_mut(), mx);
@@ -709,18 +734,14 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             let n = view.actions.len();
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            {
-                let vm = value.fused().expect("fused_supported checked");
-                fused::value_forward(vm, view.obs, n, vf_fused);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-                let loss = fused::value_loss_and_grads(vm, view.obs, view.returns, n, vf_fused);
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    v_loss_before = loss;
-                }
-                v_loss_after = loss;
+            let vm = value.fused().expect("fused_supported checked");
+            let pass = fused::value_pass(vm, view.obs, view.returns, n, vf_fused);
+            prof.forward += pass.forward;
+            prof.backward += pass.backward;
+            if it == 0 {
+                v_loss_before = pass.loss;
             }
+            v_loss_after = pass.loss;
             let t3 = Instant::now();
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(vf_fused.grads_mut(), mx);
@@ -829,13 +850,14 @@ impl MiniBuf {
     }
 }
 
-/// Mean per-row entropy of a `[m, n]` row-major log-prob matrix (shared
-/// by both update arms' diagnostics).
-fn mean_entropy(logp_all: &[f32], n: usize) -> f32 {
-    let m = logp_all.len() / n;
+/// Mean entropy over the rows of a log-prob matrix (shared by both
+/// update arms' diagnostics).
+fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>) -> f32 {
     let mut total = 0.0;
-    for row in logp_all.chunks_exact(n) {
+    let mut m = 0;
+    for row in rows {
         total += MaskedCategorical::new(row).entropy();
+        m += 1;
     }
     total / m as f32
 }
