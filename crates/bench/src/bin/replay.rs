@@ -13,7 +13,6 @@
 //! replay --smoke                 # small trace, all three heads: heuristic + agent + served
 //! replay --serve-load            # fire replayed decision points at live servers, one
 //!                                # open-loop run per {JSON, binary} × {TCP, UDS} cell
-//! replay --mmap                  # read the trace through the memory-mapped SWF reader
 //! replay --smoke --metrics-dump  # also print both telemetry registries: the serve tier's
 //!                                # (scraped over the wire via Request::Metrics) and the
 //!                                # process-global replay registry, in exposition text format
@@ -38,8 +37,7 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 use rlsched_replay::{
-    collect_timed_requests, open_swf, open_swf_mmap, ReplayEngine, ReplayMetrics, ReplayPolicy,
-    ReplayReport, SwfSource,
+    collect_timed_requests, open_swf, ReplayEngine, ReplayMetrics, ReplayPolicy, ReplayReport,
 };
 use rlsched_sched::HeuristicKind;
 use rlsched_serve::{
@@ -55,12 +53,11 @@ struct Args {
     smoke: bool,
     serve_load: bool,
     backfill: bool,
-    mmap: bool,
     metrics_dump: bool,
 }
 
 const USAGE: &str = "usage: replay [--jobs N] [--seed N] [--smoke] [--serve-load] \
-     [--no-backfill] [--mmap] [--metrics-dump]";
+     [--no-backfill] [--metrics-dump]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -69,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         serve_load: false,
         backfill: true,
-        mmap: false,
         metrics_dump: false,
     };
     let mut it = std::env::args().skip(1);
@@ -89,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--serve-load" => args.serve_load = true,
             "--no-backfill" => args.backfill = false,
-            "--mmap" => args.mmap = true,
             "--metrics-dump" => args.metrics_dump = true,
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
@@ -122,12 +117,13 @@ fn write_trace(jobs: usize, seed: u64) -> std::io::Result<std::path::PathBuf> {
     Ok(path)
 }
 
-fn run_source<R: std::io::BufRead, S: Transport>(
-    src: SwfSource<R>,
+fn replay_arm<S: Transport>(
+    path: &std::path::Path,
     cfg: SimConfig,
     head: &str,
     policy: &mut ReplayPolicy<'_, S>,
 ) -> Result<ReplayReport, String> {
+    let src = open_swf(path).map_err(|e| e.to_string())?;
     let mut engine = ReplayEngine::new(src.jobs, src.max_procs, cfg).map_err(|e| e.to_string())?;
     engine.instrument(ReplayMetrics::register(rlsched_obs::global(), head));
     let report = engine.run(policy).map_err(|e| e.to_string())?;
@@ -135,22 +131,6 @@ fn run_source<R: std::io::BufRead, S: Transport>(
         return Err(format!("trace cut short: {e}"));
     }
     Ok(report)
-}
-
-fn replay_arm<S: Transport>(
-    path: &std::path::Path,
-    cfg: SimConfig,
-    mmap: bool,
-    head: &str,
-    policy: &mut ReplayPolicy<'_, S>,
-) -> Result<ReplayReport, String> {
-    if mmap {
-        let src = open_swf_mmap(path).map_err(|e| e.to_string())?;
-        run_source(src, cfg, head, policy)
-    } else {
-        let src = open_swf(path).map_err(|e| e.to_string())?;
-        run_source(src, cfg, head, policy)
-    }
 }
 
 fn print_report(label: &str, r: &ReplayReport) {
@@ -237,14 +217,10 @@ fn run(args: Args) -> Result<(), String> {
         ));
     };
 
-    if args.mmap {
-        println!("[reading the trace through the memory-mapped SWF reader]");
-    }
-
     // Heuristic arms: the full trace, one pass each.
     for kind in [HeuristicKind::Fcfs, HeuristicKind::Sjf] {
         let mut policy: ReplayPolicy = ReplayPolicy::Heuristic(kind);
-        let r = replay_arm(&path, cfg, args.mmap, kind.name(), &mut policy)?;
+        let r = replay_arm(&path, cfg, kind.name(), &mut policy)?;
         print_report(kind.name(), &r);
         record(&kind.name().to_lowercase(), &r);
     }
@@ -264,7 +240,7 @@ fn run(args: Args) -> Result<(), String> {
     };
     let agent = small_agent(args.seed);
     let mut agent_policy: ReplayPolicy = ReplayPolicy::Agent(agent.stream_decider());
-    let r = replay_arm(&agent_path, cfg, args.mmap, "RL-agent", &mut agent_policy)?;
+    let r = replay_arm(&agent_path, cfg, "RL-agent", &mut agent_policy)?;
     print_report("RL-agent", &r);
     record("agent", &r);
 
@@ -282,7 +258,7 @@ fn run(args: Args) -> Result<(), String> {
         let mut policy = ReplayPolicy::Remote(
             RemotePolicy::new(client, 16).with_local_fallback(HeuristicKind::Sjf),
         );
-        let r = replay_arm(&agent_path, cfg, args.mmap, "RL-served", &mut policy)?;
+        let r = replay_arm(&agent_path, cfg, "RL-served", &mut policy)?;
         print_report("RL-served", &r);
         record("served", &r);
         if args.metrics_dump {

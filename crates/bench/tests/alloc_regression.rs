@@ -172,6 +172,52 @@ fn fast_paths_do_not_regress_allocations() {
         assert_eq!(scan_allocs, 0, "select_streaming tick must not allocate");
     }
 
+    // ---- SWF record scanner: a record is scanned in place inside the
+    // reader's buffer, and only a line that straddles a refill is copied,
+    // into a carry buffer that warms to the longest line once. Over a
+    // 64-byte buffer nearly every (~70-byte) record straddles, so
+    // streaming 10 000 records must allocate exactly as often as
+    // streaming 100: the reader's buffer, the carry's growth and the
+    // header, never a record. ----
+    {
+        use rlsched_swf::{Job, StreamReader, SwfHeader};
+        use std::io::BufReader;
+        // Every line has the same width, so the longest line is among
+        // the first hundred.
+        let swf = |n: u32| {
+            let jobs = (0..n).map(|i| {
+                Job::new(
+                    100_000 + i,
+                    1_000_000.0 + f64::from(i) * 7.0,
+                    1_000.0 + f64::from(i % 9_000),
+                    1 + i % 4,
+                    3_600.5,
+                )
+            });
+            let mut bytes = Vec::new();
+            rlsched_swf::write_jobs(&SwfHeader::default(), 64, jobs, &mut bytes)
+                .expect("writing to a Vec cannot fail");
+            bytes
+        };
+        let (short, long) = (swf(100), swf(10_000));
+        let stream_allocs = |bytes: &[u8]| {
+            count_allocs(|| {
+                let reader = StreamReader::new(BufReader::with_capacity(64, bytes));
+                let mut read = 0;
+                for job in reader {
+                    job.expect("well-formed record");
+                    read += 1;
+                }
+                assert!(read == 100 || read == 10_000);
+            })
+        };
+        let (few, many) = (stream_allocs(&short), stream_allocs(&long));
+        assert_eq!(
+            few, many,
+            "StreamReader: 10 000 records allocated {many} times, 100 records {few}"
+        );
+    }
+
     // ---- evaluation episode: what a `run_episode` allocates is set-up
     // (the job list, the outcome table, the session's buffers, the head's
     // scratch), never a decision — the heads read the wait queue in
@@ -200,6 +246,12 @@ fn fast_paths_do_not_regress_allocations() {
         };
         let (short, long) = (burst(64), burst(512));
         let cfg = SimConfig::no_backfill();
+        // `rlsched_nn::simd::simd_enabled` caches its dispatch decision
+        // in a process-wide `OnceLock` on first use, and reading
+        // `RLSCHED_FORCE_SCALAR` allocates an `OsString` when the
+        // variable is set: nothing before this block touches the network,
+        // so on the scalar arm the agent's first episode would pay it.
+        rlsched_nn::simd::simd_enabled();
         let episode_allocs = |trace: &rlsched_swf::JobTrace, head: &str| {
             count_allocs(|| {
                 let m = match head {

@@ -6,8 +6,9 @@
 //!
 //! The crate glues together the streaming substrates grown elsewhere:
 //!
-//! * [`rlsched_swf::StreamReader`] — jobs off disk one line at a time
-//!   (wrapped here by [`open_swf`] / [`SwfJobs`]);
+//! * [`rlsched_swf::StreamReader`] — jobs scanned in place out of the
+//!   file reader's buffer, one record at a time (wrapped here by
+//!   [`open_swf`] / [`SwfJobs`]);
 //! * [`rlsched_sim::StreamSession`] — the simulator's one event loop
 //!   (indexed-calendar queue, EASY backfilling, metrics folded at start
 //!   time; `SchedSession`, which training and `run_episode` use, is the
@@ -47,7 +48,7 @@
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Cursor};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 use std::rc::Rc;
@@ -57,7 +58,7 @@ use rlsched_obs::{Counter, Gauge, Histogram, Registry};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};
 use rlsched_serve::{ClientError, LatencyHistogram, RemotePolicy, TimedRequest, Transport};
 use rlsched_sim::{EpisodeMetrics, Policy, SimConfig, SimError, StreamMetrics, StreamSession};
-use rlsched_swf::{Job, MmapFile, StreamReader, SwfError};
+use rlsched_swf::{Job, StreamReader, SwfError};
 use rlscheduler::{QueueSnapshot, RlPolicy, SnapshotJob};
 
 /// Why a replay stopped short of the end of the trace.
@@ -132,18 +133,16 @@ impl SwfErrorSlot {
     }
 }
 
-/// An `Iterator<Item = Job>` over an SWF byte source that parks parse
-/// errors in its [`SwfErrorSlot`] and fuses, instead of panicking
-/// mid-replay. Generic over the underlying reader: a buffered file by
-/// default, a memory map via [`open_swf_mmap`].
+/// An `Iterator<Item = Job>` over an SWF file that parks parse errors in
+/// its [`SwfErrorSlot`] and fuses, instead of panicking mid-replay.
 #[derive(Debug)]
-pub struct SwfJobs<R: BufRead = BufReader<File>> {
+pub struct SwfJobs {
     first: Option<Job>,
-    reader: StreamReader<R>,
+    reader: StreamReader<BufReader<File>>,
     errors: SwfErrorSlot,
 }
 
-impl<R: BufRead> Iterator for SwfJobs<R> {
+impl Iterator for SwfJobs {
     type Item = Job;
 
     fn next(&mut self) -> Option<Job> {
@@ -164,25 +163,24 @@ impl<R: BufRead> Iterator for SwfJobs<R> {
 /// An opened SWF trace, ready to stream: the cluster size, the job
 /// iterator, and the mid-stream error slot.
 #[derive(Debug)]
-pub struct SwfSource<R: BufRead = BufReader<File>> {
+pub struct SwfSource {
     /// Cluster size: the header's `MaxProcs`/`MaxNodes`, or the first
     /// job's request when the header carries none.
     pub max_procs: u32,
     /// The jobs, one at a time off the source.
-    pub jobs: SwfJobs<R>,
+    pub jobs: SwfJobs,
     /// Check after the replay: a parked error means a truncated pass.
     pub errors: SwfErrorSlot,
 }
 
-/// Reader-generic tail of [`open_swf`] / [`open_swf_mmap`]: read up to
-/// the first job record (so the conventional header-then-records
-/// layout has settled `MaxProcs`) and wrap the stream.
-fn source_from_reader<R: BufRead>(mut reader: StreamReader<R>) -> Result<SwfSource<R>, SwfError> {
-    let first = match reader.next() {
-        None => None,
-        Some(Ok(j)) => Some(j),
-        Some(Err(e)) => return Err(e),
-    };
+/// Open an SWF file for streaming replay through a buffered reader, and
+/// read up to the first job record (so the conventional
+/// header-then-records layout has settled `MaxProcs`). Errors on an
+/// unreadable file or a malformed first record.
+pub fn open_swf(path: impl AsRef<Path>) -> Result<SwfSource, SwfError> {
+    let file = File::open(path).map_err(SwfError::Io)?;
+    let mut reader = StreamReader::new(BufReader::new(file));
+    let first = reader.next().transpose()?;
     let errors = SwfErrorSlot::default();
     Ok(SwfSource {
         max_procs: reader.max_procs(),
@@ -193,22 +191,6 @@ fn source_from_reader<R: BufRead>(mut reader: StreamReader<R>) -> Result<SwfSour
         },
         errors,
     })
-}
-
-/// Open an SWF file for streaming replay through a buffered reader.
-/// Errors on an unreadable file or a malformed first record.
-pub fn open_swf(path: impl AsRef<Path>) -> Result<SwfSource, SwfError> {
-    let file = File::open(path).map_err(SwfError::Io)?;
-    source_from_reader(StreamReader::new(BufReader::new(file)))
-}
-
-/// Open an SWF file for streaming replay over a memory map: the parser
-/// walks the page cache directly, with no read syscalls or buffer
-/// copies on the replay's hot path. Parity with [`open_swf`] (jobs,
-/// cluster size, error line numbers) is pinned by the tests.
-pub fn open_swf_mmap(path: impl AsRef<Path>) -> Result<SwfSource<Cursor<MmapFile>>, SwfError> {
-    let mapped = MmapFile::open(path).map_err(SwfError::Io)?;
-    source_from_reader(StreamReader::new(Cursor::new(mapped)))
 }
 
 /// Which decision head a [`ReplayEngine`] drives — one variant per way
@@ -506,48 +488,5 @@ mod tests {
     #[test]
     fn open_swf_rejects_missing_file() {
         assert!(open_swf("/nonexistent/definitely/not.swf").is_err());
-    }
-
-    #[test]
-    fn mmap_source_matches_buffered_source() {
-        let dir = std::env::temp_dir().join("rlsched-replay-test-mmap");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pair.swf");
-        let mut f = File::create(&path).unwrap();
-        writeln!(f, "; MaxProcs: 64").unwrap();
-        writeln!(f, "1 0 5 100 4 -1 -1 4 120 -1 1 3 2 7 1 0 -1 -1").unwrap();
-        writeln!(f, "2 10 1 50 2 -1 -1 2 60 -1 1 4 2 7 1 0 -1 -1").unwrap();
-        drop(f);
-        let buffered = open_swf(&path).unwrap();
-        let mapped = open_swf_mmap(&path).unwrap();
-        assert_eq!(buffered.max_procs, mapped.max_procs);
-        let a: Vec<Job> = buffered.jobs.collect();
-        let b: Vec<Job> = mapped.jobs.collect();
-        assert_eq!(a, b);
-        assert!(buffered.errors.take().is_none());
-        assert!(mapped.errors.take().is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_source_parks_mid_stream_errors_identically() {
-        let dir = std::env::temp_dir().join("rlsched-replay-test-mmap-err");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cut.swf");
-        let mut f = File::create(&path).unwrap();
-        writeln!(f, "1 0 5 100 4 -1 -1 4 120 -1 1 3 2 7 1 0 -1 -1").unwrap();
-        writeln!(f, "garbage line").unwrap();
-        drop(f);
-        let describe = |src_err: Option<SwfError>| format!("{:?}", src_err);
-        let buffered = open_swf(&path).unwrap();
-        assert_eq!(buffered.jobs.count(), 1);
-        let mapped = open_swf_mmap(&path).unwrap();
-        assert_eq!(mapped.jobs.count(), 1);
-        assert_eq!(
-            describe(buffered.errors.take()),
-            describe(mapped.errors.take()),
-            "same error at the same line from both sources"
-        );
-        std::fs::remove_file(&path).ok();
     }
 }

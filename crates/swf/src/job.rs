@@ -131,14 +131,14 @@ impl Job {
 
     /// The processor count the *scheduler* must provision: requested procs,
     /// falling back to allocated procs when the request is unrecorded.
-    /// Always at least 1.
+    /// Always at least 1 (and at most `u32::MAX`, not a wrapped remainder).
     pub fn procs(&self) -> u32 {
         let p = if self.requested_procs > 0 {
             self.requested_procs
         } else {
             self.used_procs
         };
-        p.max(1) as u32
+        p.clamp(1, i64::from(u32::MAX)) as u32
     }
 
     /// The runtime bound the *scheduler* may use: the user estimate, falling
@@ -226,6 +226,13 @@ mod tests {
         j.requested_procs = -1;
         j.used_procs = -1;
         assert_eq!(j.procs(), 1);
+    }
+
+    #[test]
+    fn procs_saturates_instead_of_wrapping() {
+        let mut j = Job::new(1, 0.0, 10.0, 1, 20.0);
+        j.requested_procs = 1 << 53;
+        assert_eq!(j.procs(), u32::MAX);
     }
 
     #[test]

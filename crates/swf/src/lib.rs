@@ -9,6 +9,12 @@
 //!   (submit time, requested processors, requested time, user/group ids, …).
 //! * [`parse`] / [`mod@write`] — a lossless SWF v2.2 reader and writer, including
 //!   header comment handling.
+//! * [`StreamReader`] — the one line loop every reader runs
+//!   ([`parse_reader`] and [`parse_str`] collect it): records are scanned
+//!   in place inside the source's buffer by a byte-level fast path with
+//!   integer accumulation, and any line it declines (headers, blanks,
+//!   anything unusual) falls back to [`parse::parse_line`], so values and
+//!   errors are the seed parser's.
 //! * [`JobTrace`] — an owned trace with slicing, windowing and random
 //!   sequence-sampling used by the trainer and the evaluation harness.
 //! * [`stats`] — the per-trace characteristics reported in Table II
@@ -18,7 +24,6 @@
 
 pub mod error;
 pub mod job;
-pub mod mmap;
 pub mod parse;
 pub mod stats;
 pub mod stream;
@@ -27,7 +32,6 @@ pub mod write;
 
 pub use error::SwfError;
 pub use job::{Job, JobStatus};
-pub use mmap::{stream_mmap, MmapFile, MmapReader};
 pub use parse::{parse_reader, parse_str, SwfHeader};
 pub use stats::TraceStats;
 pub use stream::StreamReader;

@@ -1,23 +1,28 @@
 //! Streaming SWF reader: an iterator of [`Job`]s over any [`BufRead`]
 //! source that never materializes the trace.
 //!
-//! [`crate::parse_reader`] builds one big `Vec<Job>` — fine for the
-//! paper's sampled windows, fatal for replaying multi-year archives with
-//! millions of records. [`StreamReader`] reads one line at a time into a
-//! reused buffer and yields each job as it is parsed: memory stays
-//! constant in the trace length, and a well-formed line allocates
-//! nothing beyond the (warm) line buffer.
+//! This is the one line loop of the crate; [`crate::parse_reader`] and
+//! [`crate::parse_str`] collect it. [`StreamReader`] scans complete lines
+//! in place, inside the reader's own buffer (`fill_buf`), finds each
+//! line's end a `u64` word at a time, and `consume`s the line once it is
+//! read. Only a line that straddles a refill is copied, into a carry
+//! buffer bounded by the longest line, so memory stays constant in the
+//! trace length and a warm reader allocates nothing per record.
 //!
-//! The two readers agree exactly: header directives and prose comments
-//! are folded into the same [`SwfHeader`], blank lines are skipped, and
-//! a malformed line produces the same [`SwfError`] at the same 1-based
-//! line number (pinned by the stream-parity suite).
+//! Each line goes through [`crate::parse`]'s fast path first; a line it
+//! declines is UTF-8-validated (invalid UTF-8 is an
+//! [`std::io::ErrorKind::InvalidData`] I/O error, as `read_line` raises),
+//! trimmed, and then skipped when blank, folded into the [`SwfHeader`]
+//! when it starts with `;`, and otherwise parsed by
+//! [`crate::parse::parse_line`] — so a malformed line produces the
+//! [`SwfError`] the seed's parser produced, at the same 1-based line
+//! number (pinned by `tests/hostile_prop.rs`).
 
-use std::io::BufRead;
+use std::io::{self, BufRead, ErrorKind};
 
 use crate::error::SwfError;
 use crate::job::Job;
-use crate::parse::{parse_header_line, parse_line, SwfHeader};
+use crate::parse::{parse_header_line, parse_line, scan_record, SwfHeader};
 
 /// An iterator of `Result<Job, SwfError>` over an SWF byte stream.
 ///
@@ -31,11 +36,10 @@ use crate::parse::{parse_header_line, parse_line, SwfHeader};
 #[derive(Debug)]
 pub struct StreamReader<R: BufRead> {
     reader: R,
-    header: SwfHeader,
-    /// Reused line buffer; its capacity warms to the longest line.
-    line: String,
-    /// 1-based number of the last line read.
-    lineno: usize,
+    lines: Lines,
+    /// The head of a line that straddles a refill of `reader`'s buffer;
+    /// its capacity warms to the longest such line.
+    carry: Vec<u8>,
     /// Largest `Job::procs()` among the jobs yielded so far.
     observed_procs: u32,
     /// Set once an error has been yielded or the stream ended; the
@@ -43,14 +47,76 @@ pub struct StreamReader<R: BufRead> {
     done: bool,
 }
 
+/// What reading a line updates, kept apart from the reader so a line can
+/// be read while it is still borrowed from the reader's buffer.
+#[derive(Debug, Default)]
+struct Lines {
+    header: SwfHeader,
+    /// 1-based number of the last line read.
+    lineno: usize,
+}
+
+impl Lines {
+    /// Read one line (without its `'\n'`): a job or an error, or `None`
+    /// for a blank or header line.
+    fn read(&mut self, line: &[u8]) -> Option<Result<Job, SwfError>> {
+        if let Some(job) = scan_record(line) {
+            self.lineno += 1;
+            return Some(Ok(job));
+        }
+        let Ok(text) = std::str::from_utf8(line) else {
+            return Some(Err(SwfError::Io(invalid_utf8())));
+        };
+        self.lineno += 1;
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            return None;
+        }
+        if trimmed.starts_with(';') {
+            parse_header_line(trimmed, &mut self.header);
+            return None;
+        }
+        Some(parse_line(trimmed, self.lineno))
+    }
+}
+
+/// The error `BufRead::read_line` raises on a line that is not UTF-8,
+/// made by `read_line` itself so its kind, message and `Debug` output
+/// stay what a reader got before the scanner.
+fn invalid_utf8() -> io::Error {
+    (&b"\xff"[..])
+        .read_line(&mut String::new())
+        .expect_err("0xFF is not UTF-8")
+}
+
+/// Index of the first `'\n'` in `buf`, eight bytes at a time: a byte of
+/// `w ^ NL` is zero exactly where `w` holds a newline, and the lowest set
+/// bit of the classic has-zero-byte mask marks the first such byte.
+fn find_newline(buf: &[u8]) -> Option<usize> {
+    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HI: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NL: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = buf.chunks_exact(8);
+    let mut at = 0;
+    for word in words.by_ref() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NL;
+        let zero = x.wrapping_sub(LO) & !x & HI;
+        if zero != 0 {
+            return Some(at + zero.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|i| at + i)
+}
+
 impl<R: BufRead> StreamReader<R> {
     /// Wrap a buffered reader positioned at the start of an SWF document.
     pub fn new(reader: R) -> Self {
         StreamReader {
             reader,
-            header: SwfHeader::default(),
-            line: String::new(),
-            lineno: 0,
+            lines: Lines::default(),
+            carry: Vec::new(),
             observed_procs: 0,
             done: false,
         }
@@ -59,12 +125,12 @@ impl<R: BufRead> StreamReader<R> {
     /// Header metadata accumulated so far (complete once the first job
     /// has been yielded, for the conventional header-then-records layout).
     pub fn header(&self) -> &SwfHeader {
-        &self.header
+        &self.lines.header
     }
 
     /// 1-based number of the last line read (0 before the first read).
     pub fn line_number(&self) -> usize {
-        self.lineno
+        self.lines.lineno
     }
 
     /// The cluster size: the header's `MaxProcs`/`MaxNodes` directive, or
@@ -72,7 +138,7 @@ impl<R: BufRead> StreamReader<R> {
     /// header carries none — the same fallback [`crate::parse_reader`]
     /// applies over the whole trace.
     pub fn max_procs(&self) -> u32 {
-        self.header
+        self.header()
             .max_procs()
             .unwrap_or(self.observed_procs.max(1))
     }
@@ -82,42 +148,54 @@ impl<R: BufRead> Iterator for StreamReader<R> {
     type Item = Result<Job, SwfError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => {
-                    self.done = true;
-                    return None;
-                }
-                Ok(_) => {}
+        while !self.done {
+            let buf = match self.reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => {
                     self.done = true;
                     return Some(Err(SwfError::Io(e)));
                 }
-            }
-            self.lineno += 1;
-            let trimmed = self.line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if trimmed.starts_with(';') {
-                parse_header_line(trimmed, &mut self.header);
-                continue;
-            }
-            return match parse_line(trimmed, self.lineno) {
-                Ok(job) => {
-                    self.observed_procs = self.observed_procs.max(job.procs());
-                    Some(Ok(job))
-                }
-                Err(e) => {
-                    self.done = true;
-                    Some(Err(e))
-                }
             };
+            let read = if buf.is_empty() {
+                // End of input: a last line without a '\n' is in the carry.
+                self.done = true;
+                if self.carry.is_empty() {
+                    return None;
+                }
+                let read = self.lines.read(&self.carry);
+                self.carry.clear();
+                read
+            } else if let Some(end) = find_newline(buf) {
+                let read = if self.carry.is_empty() {
+                    self.lines.read(&buf[..end])
+                } else {
+                    self.carry.extend_from_slice(&buf[..end]);
+                    let read = self.lines.read(&self.carry);
+                    self.carry.clear();
+                    read
+                };
+                self.reader.consume(end + 1);
+                read
+            } else {
+                let len = buf.len();
+                self.carry.extend_from_slice(buf);
+                self.reader.consume(len);
+                continue;
+            };
+            match read {
+                None => {}
+                Some(Ok(job)) => {
+                    self.observed_procs = self.observed_procs.max(job.procs());
+                    return Some(Ok(job));
+                }
+                Some(Err(e)) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
         }
+        None
     }
 }
 
@@ -188,5 +266,25 @@ mod tests {
         let mut s = StreamReader::new("".as_bytes());
         assert!(s.next().is_none());
         assert_eq!(s.max_procs(), 1);
+    }
+
+    #[test]
+    fn find_newline_matches_a_byte_scan() {
+        let mut buf = vec![b'x'; 40];
+        assert_eq!(find_newline(&buf), None);
+        for at in 0..buf.len() {
+            buf[at] = b'\n';
+            // A 0x0B just above the newline is the has-zero mask's
+            // borrow case; 0x8A shares every bit but the top one.
+            for &(i, b) in &[(at + 1, 0x0B), (at + 2, 0x8A)] {
+                if i < buf.len() {
+                    buf[i] = b;
+                }
+            }
+            for start in 0..=at {
+                assert_eq!(find_newline(&buf[start..]), Some(at - start));
+            }
+            buf.fill(b'x');
+        }
     }
 }

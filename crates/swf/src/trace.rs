@@ -22,7 +22,8 @@ pub struct JobTrace {
 
 impl JobTrace {
     /// Build a trace from jobs and a cluster size. Jobs are sorted by submit
-    /// time (stable, so equal-time jobs keep trace order). Records are kept
+    /// time (stable, so equal-time jobs keep trace order; a `NaN` submit,
+    /// which an SWF line can spell, sorts last). Records are kept
     /// verbatim — including `-1` unknown markers — so that parse/write round
     /// trips are lossless; call [`JobTrace::sanitized`] before simulating.
     pub fn new(jobs: Vec<Job>, max_procs: u32) -> Self {
@@ -32,9 +33,9 @@ impl JobTrace {
     /// Like [`JobTrace::new`] but keeps parsed header metadata.
     pub fn with_header(mut jobs: Vec<Job>, max_procs: u32, header: SwfHeader) -> Self {
         jobs.sort_by(|a, b| {
-            a.submit_time
-                .partial_cmp(&b.submit_time)
-                .expect("submit times must be finite")
+            let (x, y) = (a.submit_time, b.submit_time);
+            x.partial_cmp(&y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
         });
         JobTrace {
             jobs,
@@ -215,6 +216,18 @@ mod tests {
         let t = JobTrace::new(jobs, 4);
         assert_eq!(t.jobs()[0].id, 1);
         assert_eq!(t.jobs()[1].id, 2);
+    }
+
+    #[test]
+    fn a_nan_submit_sorts_last_instead_of_panicking() {
+        let jobs = vec![
+            Job::new(1, f64::NAN, 1.0, 1, 1.0),
+            Job::new(2, 50.0, 1.0, 1, 1.0),
+            Job::new(3, f64::NAN, 1.0, 1, 1.0),
+            Job::new(4, 10.0, 1.0, 1, 1.0),
+        ];
+        let ids: Vec<u32> = JobTrace::new(jobs, 4).jobs().iter().map(|j| j.id).collect();
+        assert_eq!(ids, [4, 2, 1, 3]);
     }
 
     #[test]
