@@ -1,13 +1,8 @@
 //! Table IX microbenchmarks: scheduling-decision latency for 128 pending
 //! jobs — SJF's sort-and-pick vs the RLScheduler DNN forward pass — plus
-//! the MLP v1 baseline for architecture comparison.
-//!
-//! Every network decision is measured twice: through the autodiff tape
-//! (`*_tape`, the seed's only path: fresh graph + parameter copies +
-//! node bookkeeping per decision) and through the allocation-free
-//! inference fast path (`*_fast`, `nn::infer` via `Agent::as_policy`
-//! buffers). The gap between the two is the price of carrying training
-//! machinery onto the serving path.
+//! the MLP v1 baseline for architecture comparison. Every network
+//! decision runs the allocation-free inference fast path (`*_fast`,
+//! `nn::infer` via `Agent::as_policy` buffers).
 //!
 //! The queue-scaling group also prices one streaming SJF *tick* (a
 //! decision and the `StreamSession::step` it feeds) at the same depths,
@@ -92,18 +87,12 @@ fn bench_decisions(c: &mut Criterion) {
     });
 
     let kernel = agent_of(PolicyKind::Kernel);
-    group.bench_function("rl_kernel_dnn_tape", |b| {
-        b.iter(|| std::hint::black_box(kernel.greedy_select_tape(&view)))
-    });
     group.bench_function("rl_kernel_dnn_fast", |b| {
         let mut policy = kernel.as_policy();
         b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
     });
 
     let mlp = agent_of(PolicyKind::MlpV1);
-    group.bench_function("rl_mlp_v1_dnn_tape", |b| {
-        b.iter(|| std::hint::black_box(mlp.greedy_select_tape(&view)))
-    });
     group.bench_function("rl_mlp_v1_dnn_fast", |b| {
         let mut policy = mlp.as_policy();
         b.iter(|| std::hint::black_box(decide(&mut policy, &view)))

@@ -2,10 +2,10 @@
 //! the other half of the Table IX epoch time (sampling being the first).
 //!
 //! Besides wall-clock medians, this bench counts **heap allocations** via
-//! a wrapping global allocator: the reusable-`Graph` update loop and the
-//! fast-path rollouts exist to drive allocations/iteration toward zero,
-//! so the count is printed next to each measurement (`allocs/call`) and
-//! is the number to watch across PRs.
+//! a wrapping global allocator: the fused update and the fast-path
+//! rollouts exist to drive allocations/iteration toward zero, so the
+//! count is printed next to each measurement (`allocs/call`) and is the
+//! number to watch across PRs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -51,13 +51,11 @@ fn bench_update(c: &mut Criterion) {
     let (batch, _stats) = rollout(&agent, &mut envs);
 
     // Allocation profile, measured after one warm run of each path so
-    // graph pools and scratch buffers are at steady state. The fused
-    // update is counted on the one-worker budget: spawning workers
-    // allocates per fan-out, which is thread bring-up, not the update.
+    // scratch buffers are at steady state. The update is counted on the
+    // one-worker budget: spawning workers allocates per fan-out, which is
+    // thread bring-up, not the update.
     let _ = agent.ppo_mut().update(&batch);
     let update_allocs = count_allocs(|| rayon::with_threads(1, || agent.ppo_mut().update(&batch)));
-    let _ = agent.ppo_mut().update_tape(&batch);
-    let tape_update_allocs = count_allocs(|| agent.ppo_mut().update_tape(&batch));
     let rollout_allocs = count_allocs(|| rollout(&agent, &mut envs));
     let (obs, mask) = {
         let mut env = envs[0].clone();
@@ -68,23 +66,16 @@ fn bench_update(c: &mut Criterion) {
     let mut scratch = rlsched_rl::ActorScratch::new();
     let _ = agent.ppo().greedy_with(&obs, &mask, &mut scratch);
     let fast_allocs = count_allocs(|| agent.ppo().greedy_with(&obs, &mask, &mut scratch));
-    let tape_allocs = count_allocs(|| agent.ppo().greedy_tape(&obs, &mask));
     println!("\nallocation profile (heap allocations per call):");
-    println!("  ppo_update fused (5+5, mb512):   {update_allocs}");
-    println!("  ppo_update tape  (5+5, mb512):   {tape_update_allocs}");
+    println!("  ppo_update (5+5, mb512):         {update_allocs}");
     println!("  rollout_8x128:                   {rollout_allocs}");
     println!("  greedy decision, fast path:      {fast_allocs}");
-    println!("  greedy decision, tape path:      {tape_allocs}");
 
     let mut group = c.benchmark_group("ppo");
     group.sample_size(10);
-    // The update training runs (chunked fused backward for this kernel
-    // agent) vs the tape oracle it replaced.
+    // The update training runs (the chunked fused backward).
     group.bench_function("update_5x5_iters_mb512", |b| {
         b.iter(|| std::hint::black_box(agent.ppo_mut().update(&batch)))
-    });
-    group.bench_function("update_5x5_iters_mb512_tape", |b| {
-        b.iter(|| std::hint::black_box(agent.ppo_mut().update_tape(&batch)))
     });
 
     // Lockstep batched collection (all 8 envs scored through one stacked
@@ -112,11 +103,7 @@ fn bench_update(c: &mut Criterion) {
         })
     });
 
-    // One action selection: the tape path (fresh graph + parameter
-    // copies, the seed's only option) vs the allocation-free fast path.
-    group.bench_function("select_tape_single", |b| {
-        b.iter(|| std::hint::black_box(agent.ppo().greedy_tape(&obs, &mask)))
-    });
+    // One action selection through the allocation-free fast path.
     group.bench_function("select_fast_single", |b| {
         b.iter(|| std::hint::black_box(agent.ppo().greedy_with(&obs, &mask, &mut scratch)))
     });

@@ -1,18 +1,19 @@
 //! Phase profiler for the PPO update loop (sibling of
 //! `lockstep_profile`): attributes update wall time to minibatch gather /
-//! forward / backward / optimizer on the fused path and its tape oracle,
+//! forward / backward / optimizer, for the kernel network and for the
+//! LeNet CNN (whose conv and pool backward run in the same fused sweep),
 //! so regressions in any one phase are attributable.
 //!
 //! ```text
 //! cargo run --release -p rlsched-bench --bin update_profile -- [reps]
 //! ```
 //!
-//! Uses the `ppo_update` bench configuration (kernel policy @ 64-job
-//! window, 5+5 iterations, minibatch 512 over an 8×128-step batch) so
-//! the phase sums line up with `BENCH_ppo_update.json`'s
+//! Uses the `ppo_update` bench configuration (64-job window, 5+5
+//! iterations, minibatch 512 over an 8×128-step batch) so the kernel's
+//! phase sums line up with `BENCH_ppo_update.json`'s
 //! `update_5x5_iters_mb512` median. A committed reference run lives at
-//! `crates/bench/PROFILE_update_phases.txt` — regenerate it alongside
-//! the BENCH_*.json files when the update path changes.
+//! `crates/bench/PROFILE_update_phases.txt` — regenerate it when the
+//! update path changes.
 
 use rlsched_rl::{collect_rollouts_vec, PpoConfig, UpdateProfile, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
@@ -47,14 +48,12 @@ fn print_profile(name: &str, p: &UpdateProfile, reps: u32, wall: std::time::Dura
     println!("  attributed: {total:7.2} ms");
 }
 
-fn main() {
-    let reps: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+/// Profile `reps` updates of a fresh `kind` agent on one collected batch
+/// and check that the fused attribution covers the wall.
+fn profile(kind: PolicyKind, reps: u32) {
     let trace = std::sync::Arc::new(NamedWorkload::Lublin1.generate(1024, 3));
     let cfg = AgentConfig {
-        policy: PolicyKind::Kernel,
+        policy: kind,
         obs: ObsConfig {
             max_obsv: 64,
             ..ObsConfig::default()
@@ -77,38 +76,35 @@ fn main() {
     let seeds: Vec<u64> = (0..8).collect();
     let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut VecEnv::new(envs), &seeds);
     println!(
-        "batch: {} transitions, minibatch 512, 5 pi + 5 v iters, kernel@64, reps {reps}, {} cores\n",
+        "batch: {} transitions, minibatch 512, 5 pi + 5 v iters, {}@64, reps {reps}, {} cores\n",
         batch.len(),
+        kind.name(),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 
-    // Warm both paths (graph pools, fused scratch, optimizer state).
+    // Warm the fused scratch and the optimizer state.
     let _ = agent.ppo_mut().update(&batch);
-    let _ = agent.ppo_mut().update_tape(&batch);
 
-    let mut fused = UpdateProfile::default();
+    let mut prof = UpdateProfile::default();
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        let _ = agent.ppo_mut().update_profiled(&batch, &mut fused);
+        let _ = agent.ppo_mut().update_profiled(&batch, &mut prof);
     }
-    let fused_wall = t0.elapsed();
-    print_profile(
-        "fused (tape-free chunked analytic backward)",
-        &fused,
-        reps,
-        fused_wall,
-    );
+    let wall = t0.elapsed();
+    print_profile(&format!("{} (fused sweep)", kind.name()), &prof, reps, wall);
     // The fused path interleaves forward and backward per chunk and
     // apportions each pass's wall time between them: if that attribution
     // goes dark, fail here (CI smoke-runs this binary).
     assert!(
-        !fused.forward.is_zero() && !fused.backward.is_zero(),
-        "fused forward/backward attribution went dark: {fused:?}"
+        !prof.forward.is_zero() && !prof.backward.is_zero(),
+        "{}: fused forward/backward attribution went dark: {prof:?}",
+        kind.name()
     );
-    let coverage = fused.total().as_secs_f64() / fused_wall.as_secs_f64();
+    let coverage = prof.total().as_secs_f64() / wall.as_secs_f64();
     assert!(
         (0.95..=1.05).contains(&coverage),
-        "fused phases cover {:.1}% of the measured wall",
+        "{}: fused phases cover {:.1}% of the measured wall",
+        kind.name(),
         100.0 * coverage
     );
     let (pi, vf) = agent.ppo().fused_scratch();
@@ -118,18 +114,13 @@ fn main() {
         (pi.partial_bytes() + vf.partial_bytes()) as f64 / 1e6,
     );
     println!();
+}
 
-    let mut tape = UpdateProfile::default();
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        let _ = agent.ppo_mut().update_tape_profiled(&batch, &mut tape);
-    }
-    let tape_wall = t0.elapsed();
-    print_profile("tape (autodiff graph)", &tape, reps, tape_wall);
-    println!(
-        "\nspeedup: {:.2}x wall ({:.2} -> {:.2} ms)",
-        tape_wall.as_secs_f64() / fused_wall.as_secs_f64(),
-        tape_wall.as_secs_f64() * 1e3 / reps as f64,
-        fused_wall.as_secs_f64() * 1e3 / reps as f64,
-    );
+fn main() {
+    let reps: u32 = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20);
+    profile(PolicyKind::Kernel, reps);
+    profile(PolicyKind::LeNet, reps);
 }

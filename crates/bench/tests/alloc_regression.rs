@@ -17,18 +17,18 @@ use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
 
 const SEQ_LEN: usize = 48;
 
-fn agent() -> Agent {
+fn agent_of(policy: PolicyKind, max_obsv: usize, iters: usize, minibatch: usize) -> Agent {
     Agent::new(AgentConfig {
-        policy: PolicyKind::Kernel,
+        policy,
         obs: ObsConfig {
-            max_obsv: 16,
+            max_obsv,
             ..ObsConfig::default()
         },
         metric: MetricKind::BoundedSlowdown,
         ppo: PpoConfig {
-            train_pi_iters: 3,
-            train_v_iters: 3,
-            minibatch: Some(256),
+            train_pi_iters: iters,
+            train_v_iters: iters,
+            minibatch: Some(minibatch),
             ..PpoConfig::default()
         },
         seed: 5,
@@ -89,7 +89,7 @@ fn steady_state_step_allocs(
 
 #[test]
 fn fast_paths_do_not_regress_allocations() {
-    let mut agent = agent();
+    let mut agent = agent_of(PolicyKind::Kernel, 16, 3, 256);
     let (mut obs, mut mask) = (Vec::new(), Vec::new());
 
     // ---- env stepping: 0 heap allocations per step at steady state ----
@@ -283,22 +283,17 @@ fn fast_paths_do_not_regress_allocations() {
     let greedy_allocs = count_allocs(|| agent.ppo().greedy_with(&obs, &mask, &mut scratch));
     assert_eq!(greedy_allocs, 0, "greedy fast path must not allocate");
 
-    // ---- PPO update (the chunked fused path for this kernel agent):
-    // ZERO allocations at steady state. The first call warms the
-    // minibatch gather buffers, the per-chunk activation stashes and
-    // gradient partials, and the Adam moment state; every later update
-    // must not touch the heap at all — the whole point of the tape-free
-    // analytic backward. Worker spawns allocate per fan-out by design,
-    // so the pin runs on the one-worker budget (what `train()` uses by
-    // default): it isolates the update's own buffer discipline from
-    // thread bring-up. ----
+    // ---- PPO update (the chunked fused sweep): ZERO allocations at
+    // steady state. The first call warms the minibatch gather buffers,
+    // the per-chunk activation stashes and gradient partials, and the
+    // Adam moment state; every later update must not touch the heap at
+    // all — the whole point of the analytic backward. Worker spawns
+    // allocate per fan-out by design, so the pin runs on the one-worker
+    // budget (what `train()` uses by default): it isolates the update's
+    // own buffer discipline from thread bring-up. ----
     let mut rollout_envs = VecEnv::new((0..4).map(|_| env.clone()).collect::<Vec<_>>());
     let seeds: Vec<u64> = (0..4).collect();
     let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut rollout_envs, &seeds);
-    assert!(
-        agent.ppo().fused_supported(),
-        "kernel policy is fused-eligible"
-    );
     let _ = rayon::with_threads(1, || agent.ppo_mut().update(&batch)); // warm-up iteration
     let fused_allocs = count_allocs(|| {
         rayon::with_threads(1, || agent.ppo_mut().update(&batch));
@@ -309,17 +304,21 @@ fn fast_paths_do_not_regress_allocations() {
          budget ({fused_allocs} allocations after warm-up)"
     );
 
-    // ---- PPO update, tape oracle: bounded by the measured baseline ----
-    let _ = agent.ppo_mut().update_tape(&batch); // warm graph pools + optimizer state
-    let update_allocs = count_allocs(|| agent.ppo_mut().update_tape(&batch));
-    // Measured baseline for this configuration (3+3 iterations,
-    // minibatch 256) is ~200 allocations — op metadata (`SelectCols`
-    // index vectors) and per-iteration gradient collections. The bound
-    // leaves ~50% headroom for noise; a real regression (e.g. losing the
-    // graph buffer pool) is an order of magnitude.
-    assert!(
-        update_allocs <= 300,
-        "Ppo::update_tape allocations regressed: {update_allocs} > 300"
+    // Same pin for the LeNet baseline: its conv and pool stages stash
+    // their activations and gradients in the same per-worker scratch
+    // (128-row minibatches: two chunks, so the merge runs too).
+    let mut lenet = agent_of(PolicyKind::LeNet, 64, 2, 128);
+    let lenet_env = env_for(&lenet, SimConfig::default());
+    let mut lenet_envs = VecEnv::new((0..4).map(|_| lenet_env.clone()).collect::<Vec<_>>());
+    let (lenet_batch, _stats) = collect_rollouts_vec(lenet.ppo(), &mut lenet_envs, &seeds);
+    let _ = rayon::with_threads(1, || lenet.ppo_mut().update(&lenet_batch));
+    let lenet_allocs = count_allocs(|| {
+        rayon::with_threads(1, || lenet.ppo_mut().update(&lenet_batch));
+    });
+    assert_eq!(
+        lenet_allocs, 0,
+        "LeNet Ppo::update must not allocate at steady state on the \
+         one-worker budget ({lenet_allocs} allocations after warm-up)"
     );
 
     // ---- rollout collection: with the per-step terms gone, a whole
@@ -488,6 +487,28 @@ fn fast_paths_do_not_regress_allocations() {
         engine_allocs, 0,
         "ShardEngine push+flush must not allocate at steady state \
          ({engine_allocs} allocations for an 8-row batch)"
+    );
+
+    // The CNN has no stacked forward: a LeNet shard scores its batch one
+    // image at a time through the shard's scratch, and allocates nothing
+    // either.
+    let mut lenet_engine = ShardEngine::new(ScorerSlot::new(lenet.scorer_snapshot()), 8);
+    let (mut lenet_obs, mut lenet_mask) = (Vec::new(), Vec::new());
+    let mut lenet_env = lenet_env;
+    lenet_env.reset(5, &mut lenet_obs, &mut lenet_mask);
+    let mut lenet_cycle = || {
+        for _ in 0..8 {
+            lenet_engine.push_row(&lenet_obs, &lenet_mask, 3);
+        }
+        std::hint::black_box(lenet_engine.flush().len());
+    };
+    lenet_cycle(); // warm the stacked matrices, scratch and output rows
+    lenet_cycle();
+    let lenet_engine_allocs = count_allocs(lenet_cycle);
+    assert_eq!(
+        lenet_engine_allocs, 0,
+        "a LeNet ShardEngine push+flush must not allocate at steady state \
+         ({lenet_engine_allocs} allocations for an 8-row batch)"
     );
 
     // ---- telemetry recording: the whole point of rlsched-obs is that

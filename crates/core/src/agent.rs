@@ -8,7 +8,8 @@ use std::convert::Infallible;
 
 use serde::{Deserialize, Serialize};
 
-use rlsched_rl::{greedy_batch, ActorScratch, PolicyModel, Ppo, PpoConfig};
+use rlsched_nn::fused::{FusedHead, FusedPolicy};
+use rlsched_rl::{greedy_batch, ActorScratch, PolicyModel, Ppo, PpoConfig, ValueModel};
 use rlsched_sim::{MetricKind, Outcomes, Policy, QueueView, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
@@ -111,8 +112,8 @@ impl Agent {
     }
 
     /// Inference entry point: greedy action for an already-encoded
-    /// observation window, through the allocation-free fast path (no
-    /// autodiff tape). Implemented for every Table IV `PolicyKind`.
+    /// observation window, through the allocation-free fast path.
+    /// Implemented for every Table IV `PolicyKind`.
     pub fn score(&self, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
         self.ppo.greedy_with(obs, mask, scratch)
     }
@@ -154,12 +155,11 @@ impl Agent {
     /// so the policy's weight stream is amortized across all of them —
     /// what a sharded scheduling server wants for simultaneous requests.
     /// The scoring runs through the same [`rlsched_rl::BatchPolicy`] path as training
-    /// rollouts and greedy evaluation. All buffers are caller-owned; for
-    /// the kernel and flat-MLP policies the call is allocation-free at
-    /// steady state (the CNN has no batched forward and loops per view
-    /// with a temporary row buffer). Since the forward kernels are
-    /// row-count invariant, row `i` of `actions` is exactly
-    /// [`Agent::score`] on view `i` alone.
+    /// rollouts and greedy evaluation. All buffers are caller-owned and
+    /// the call is allocation-free at steady state for every policy (the
+    /// CNN scores its views one image at a time through the same
+    /// scratch). Since the forward kernels are row-count invariant, row
+    /// `i` of `actions` is exactly [`Agent::score`] on view `i` alone.
     pub fn score_batch_with(
         &self,
         views: &[QueueView<'_>],
@@ -213,13 +213,6 @@ impl Agent {
         )
     }
 
-    /// Greedy action through the full autodiff tape — the benchmark
-    /// baseline the fast path is measured against (`decision_latency`).
-    pub fn greedy_select_tape(&self, view: &QueueView<'_>) -> usize {
-        let (obs, mask) = self.encoder.encode(view);
-        Self::clamp_to_queue(view.waiting.len(), self.ppo.greedy_tape(&obs, &mask))
-    }
-
     /// Borrow the agent as its decision head (inference only): a
     /// [`Policy`] for `run_episode` and the replay engine. The head owns
     /// encode and network scratch buffers and reads the session's wait
@@ -258,10 +251,23 @@ impl Agent {
     }
 
     /// Restore an agent (fresh optimizer state) from [`Agent::save_json`]
-    /// output.
+    /// output. Both networks are held to the encoder's widths first — the
+    /// first layer's input, the head's width, a CNN's image against its
+    /// dense input — so a checkpoint that would fail at its first decision
+    /// is an error here instead.
     pub fn load_json(s: &str) -> Result<Agent, serde_json::Error> {
         let ckpt: Checkpoint = serde_json::from_str(s)?;
         let encoder = ObsEncoder::new(ckpt.cfg.obs);
+        let (obs_dim, n_actions) = (encoder.obs_dim(), encoder.n_actions());
+        let critic = FusedPolicy {
+            mlp: ckpt.value.fused(),
+            head: FusedHead::Flat,
+        };
+        let fits = |what: &str, r: Result<(), String>| {
+            r.map_err(|e| serde_json::Error::custom(format!("checkpoint {what}: {e}")))
+        };
+        fits("policy", ckpt.policy.fused().check(obs_dim, n_actions))?;
+        fits("value net", critic.check(obs_dim, 1))?;
         let mut ppo_cfg = ckpt.cfg.ppo;
         ppo_cfg.update_seed = ckpt.cfg.seed;
         let ppo = Ppo::new(ckpt.policy, ckpt.value, ppo_cfg);
@@ -316,9 +322,9 @@ impl RlPolicy<'_> {
             // Transposed-layout serving path: same encode, same masked
             // log-softmax tail, but the dense forwards read `[out, in]`
             // weights as contiguous dot products (NT kernel), batch size
-            // 1. The packed accumulation order can differ from the tape's
-            // in the last few ulps, so decisions match the unpacked path
-            // except on floating-point near-ties.
+            // 1. The packed accumulation order can differ from the
+            // unpacked one in the last few ulps, so decisions match the
+            // unpacked path except on floating-point near-ties.
             Some(packed) => {
                 greedy_batch(
                     packed,

@@ -18,22 +18,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use rlsched_nn::fused::{FusedHead, FusedPolicy};
+use rlsched_nn::fused::{FusedHead, FusedPolicy, FusedPolicyMut};
 use rlsched_nn::infer;
-use rlsched_nn::{
-    Activation, Conv2dLayer, Dense, Graph, Mlp, Network, PackedMlp, ParamBinds, Scratch, Tensor,
-    Var,
-};
+use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp, PackedMlp, Scratch};
 use rlsched_rl::{BatchPolicy, PolicyModel, ValueModel};
 
 use crate::obs::JOB_FEATURES;
 
 /// Shared tail of every policy's fast path: add the additive mask onto
-/// the logits and log-softmax in place (same arithmetic as the tape's
-/// `add` + `log_softmax`).
+/// the logits and log-softmax in place (the fused training pass's
+/// arithmetic).
 pub(crate) fn mask_and_log_softmax(out: &mut [f32], mask: &[f32]) {
-    // Hard assert (the tape path panics on shape mismatch too): a short
-    // mask must never silently leave padding logits unmasked.
+    // Hard assert: a short mask must never silently leave padding logits
+    // unmasked.
     assert_eq!(out.len(), mask.len(), "mask length must equal logit width");
     for (o, &m) in out.iter_mut().zip(mask) {
         *o += m;
@@ -123,17 +120,6 @@ impl KernelPolicy {
 }
 
 impl PolicyModel for KernelPolicy {
-    fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-        let batch = g.value(obs).rows();
-        // Slide the kernel over the job axis: [batch, K*F] -> [batch*K, F],
-        // shared-weight score per job, back to [batch, K].
-        let per_job = g.reshape(obs, &[batch * self.max_obsv, JOB_FEATURES]);
-        let scores = self.kernel.forward(g, per_job, binds);
-        let logits = g.reshape(scores, &[batch, self.max_obsv]);
-        let masked = g.add(logits, mask);
-        g.log_softmax(masked)
-    }
-
     fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
         // The whole job window is one batched matmul: the [K, F] job
         // matrix flows through the shared kernel in a single pass, so one
@@ -179,28 +165,23 @@ impl PolicyModel for KernelPolicy {
         mask_and_log_softmax_rows(out, masks, rows, self.max_obsv);
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        self.kernel.params()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.kernel.params_mut()
-    }
-
-    // Fused-update eligibility: the kernel head scores `[n·K, F]` job
-    // rows through the shared MLP — exactly what `log_probs` builds on
-    // the tape (the reshapes are views).
-    fn fused(&self) -> Option<FusedPolicy<'_>> {
-        Some(FusedPolicy {
+    // Slide the kernel over the job axis: `[n, K·F]` observations score
+    // as `[n·K, F]` job rows through the shared MLP, read back as
+    // `[n, K]` logits (the reshapes are views).
+    fn fused(&self) -> FusedPolicy<'_> {
+        FusedPolicy {
             mlp: &self.kernel,
             head: FusedHead::Kernel {
                 window: self.max_obsv,
             },
-        })
+        }
     }
 
-    fn fused_mut(&mut self) -> Option<&mut Mlp> {
-        Some(&mut self.kernel)
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
+        FusedPolicyMut {
+            convs: &mut [],
+            mlp: &mut self.kernel,
+        }
     }
 }
 
@@ -233,12 +214,6 @@ impl FlatMlpPolicy {
 }
 
 impl PolicyModel for FlatMlpPolicy {
-    fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-        let logits = self.net.forward(g, obs, binds);
-        let masked = g.add(logits, mask);
-        g.log_softmax(masked)
-    }
-
     fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
         infer::mlp_forward(&self.net, obs, 1, scratch, out);
         mask_and_log_softmax(out, mask);
@@ -259,23 +234,18 @@ impl PolicyModel for FlatMlpPolicy {
         mask_and_log_softmax_rows(out, masks, rows, n);
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        self.net.params()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.net.params_mut()
-    }
-
-    fn fused(&self) -> Option<FusedPolicy<'_>> {
-        Some(FusedPolicy {
+    fn fused(&self) -> FusedPolicy<'_> {
+        FusedPolicy {
             mlp: &self.net,
             head: FusedHead::Flat,
-        })
+        }
     }
 
-    fn fused_mut(&mut self) -> Option<&mut Mlp> {
-        Some(&mut self.net)
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
+        FusedPolicyMut {
+            convs: &mut [],
+            mlp: &mut self.net,
+        }
     }
 }
 
@@ -283,10 +253,23 @@ impl PolicyModel for FlatMlpPolicy {
 ///
 /// The flat observation reshapes to a near-square single-channel image
 /// `[batch, 1, max_obsv/4, JOB_FEATURES*4]`, then LeNet's classic stack:
-/// two (conv 5×5 → max-pool 2) stages, a dense hidden layer, and a dense
-/// head over the `max_obsv` action slots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// two (conv 5×5 → ReLU → max-pool 2) stages, a dense ReLU hidden layer,
+/// and a dense head over the `max_obsv` action slots.
+#[derive(Debug, Clone)]
 pub struct LeNetPolicy {
+    /// The two conv stages.
+    convs: [Conv2dLayer; 2],
+    /// The dense hidden layer and head (`fc1`, `fc2`).
+    fc: Mlp,
+    max_obsv: usize,
+    h: usize,
+    w: usize,
+}
+
+/// A LeNet checkpoint's JSON layout: one object with `conv1, conv2, fc1,
+/// fc2, max_obsv, h, w`.
+#[derive(Serialize, Deserialize)]
+struct LeNetJson {
     conv1: Conv2dLayer,
     conv2: Conv2dLayer,
     fc1: Dense,
@@ -294,6 +277,41 @@ pub struct LeNetPolicy {
     max_obsv: usize,
     h: usize,
     w: usize,
+}
+
+impl Serialize for LeNetPolicy {
+    fn to_value(&self) -> serde::Value {
+        let [conv1, conv2] = self.convs.clone();
+        let [fc1, fc2]: [Dense; 2] = self.fc.layers.clone().try_into().expect("fc1 and fc2");
+        let (max_obsv, h, w) = (self.max_obsv, self.h, self.w);
+        LeNetJson {
+            conv1,
+            conv2,
+            fc1,
+            fc2,
+            max_obsv,
+            h,
+            w,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for LeNetPolicy {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let j = LeNetJson::from_value(v)?;
+        Ok(LeNetPolicy {
+            convs: [j.conv1, j.conv2],
+            fc: Mlp {
+                layers: vec![j.fc1, j.fc2],
+                hidden: Activation::Relu,
+                output: Activation::Identity,
+            },
+            max_obsv: j.max_obsv,
+            h: j.h,
+            w: j.w,
+        })
+    }
 }
 
 impl LeNetPolicy {
@@ -311,43 +329,28 @@ impl LeNetPolicy {
         let (h1, w1) = ((h - 4) / 2, (w - 4) / 2); // conv1 + pool
         let (h2, w2) = ((h1 - 4) / 2, (w1 - 4) / 2); // conv2 + pool
         let flat = 16 * h2 * w2;
-        let fc1 = Dense::new(flat, 120, &mut rng);
-        let fc2 = Dense::new(120, max_obsv, &mut rng);
+        let fc = Mlp::new(
+            &[flat, 120, max_obsv],
+            Activation::Relu,
+            Activation::Identity,
+            &mut rng,
+        );
         LeNetPolicy {
-            conv1,
-            conv2,
-            fc1,
-            fc2,
+            convs: [conv1, conv2],
+            fc,
             max_obsv,
             h,
             w,
         }
     }
-}
 
-impl PolicyModel for LeNetPolicy {
-    fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-        let batch = g.value(obs).rows();
-        let img = g.reshape(obs, &[batch, 1, self.h, self.w]);
-        let c1 = self.conv1.forward(g, img, binds);
-        let c1 = g.relu(c1);
-        let p1 = g.max_pool2d(c1, 2);
-        let c2 = self.conv2.forward(g, p1, binds);
-        let c2 = g.relu(c2);
-        let p2 = g.max_pool2d(c2, 2);
-        let shape = g.value(p2).shape().to_vec();
-        let flat = g.reshape(p2, &[batch, shape[1] * shape[2] * shape[3]]);
-        let h = self.fc1.forward(g, flat, binds);
-        let h = g.relu(h);
-        let logits = self.fc2.forward(g, h, binds);
-        let masked = g.add(logits, mask);
-        g.log_softmax(masked)
-    }
-
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
+    /// One image through both conv/pool stages and the dense layers,
+    /// rotating through the scratch's three buffers: the logits land in
+    /// the third.
+    fn logits<'s>(&self, obs: &[f32], scratch: &'s mut Scratch) -> &'s [f32] {
         let (buf_a, buf_b, buf_c) = infer::scratch_triple(scratch);
         // conv1 + relu + pool
-        let c1 = &self.conv1;
+        let c1 = &self.convs[0];
         let (o1, kh1, kw1) = (c1.w.shape()[0], c1.w.shape()[2], c1.w.shape()[3]);
         let (h1c, w1c) = infer::conv2d_forward(
             obs,
@@ -366,7 +369,7 @@ impl PolicyModel for LeNetPolicy {
         infer::relu_inplace(buf_a);
         let (h1, w1) = infer::max_pool2d_forward(buf_a, 1, o1, h1c, w1c, 2, buf_b);
         // conv2 + relu + pool
-        let c2 = &self.conv2;
+        let c2 = &self.convs[1];
         let (o2, kh2, kw2) = (c2.w.shape()[0], c2.w.shape()[2], c2.w.shape()[3]);
         let (h2c, w2c) = infer::conv2d_forward(
             buf_b,
@@ -385,28 +388,57 @@ impl PolicyModel for LeNetPolicy {
         infer::relu_inplace(buf_c);
         infer::max_pool2d_forward(buf_c, 1, o2, h2c, w2c, 2, buf_a);
         // dense head
-        infer::dense_layer_forward(&self.fc1, buf_a, 1, Activation::Relu, buf_b);
-        infer::dense_layer_forward(&self.fc2, buf_b, 1, Activation::Identity, out);
+        let [fc1, fc2] = &self.fc.layers[..] else {
+            unreachable!("LeNet has two dense layers")
+        };
+        infer::dense_layer_forward(fc1, buf_a, 1, Activation::Relu, buf_b);
+        infer::dense_layer_forward(fc2, buf_b, 1, Activation::Identity, buf_c);
+        buf_c
+    }
+}
+
+impl PolicyModel for LeNetPolicy {
+    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(self.logits(obs, scratch));
         mask_and_log_softmax(out, mask);
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        let mut p = vec![&self.conv1.w, &self.conv1.b, &self.conv2.w, &self.conv2.b];
-        p.extend([&self.fc1.w, &self.fc1.b, &self.fc2.w, &self.fc2.b]);
-        p
+    fn log_probs_fast_batch(
+        &self,
+        obs: &[f32],
+        masks: &[f32],
+        rows: usize,
+        scratch: &mut Scratch,
+        out: &mut Vec<f32>,
+    ) {
+        // The CNN forward is per image: each row runs the single-image
+        // path through the scratch and appends its masked log-probs.
+        let (obs_dim, n) = (obs.len() / rows, masks.len() / rows);
+        out.clear();
+        for (x, mask) in obs.chunks(obs_dim).zip(masks.chunks(n)) {
+            out.extend_from_slice(self.logits(x, scratch));
+            let row = out.len() - n;
+            mask_and_log_softmax(&mut out[row..], mask);
+        }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![
-            &mut self.conv1.w,
-            &mut self.conv1.b,
-            &mut self.conv2.w,
-            &mut self.conv2.b,
-            &mut self.fc1.w,
-            &mut self.fc1.b,
-            &mut self.fc2.w,
-            &mut self.fc2.b,
-        ]
+    fn fused(&self) -> FusedPolicy<'_> {
+        FusedPolicy {
+            mlp: &self.fc,
+            head: FusedHead::Conv {
+                convs: &self.convs,
+                h: self.h,
+                w: self.w,
+            },
+        }
+    }
+
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
+        FusedPolicyMut {
+            convs: &mut self.convs,
+            mlp: &mut self.fc,
+        }
     }
 }
 
@@ -459,14 +491,6 @@ impl PolicyNet {
 }
 
 impl PolicyModel for PolicyNet {
-    fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-        match self {
-            PolicyNet::Kernel(p) => p.log_probs(g, obs, mask, binds),
-            PolicyNet::Mlp(p) => p.log_probs(g, obs, mask, binds),
-            PolicyNet::LeNet(p) => p.log_probs(g, obs, mask, binds),
-        }
-    }
-
     fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
         match self {
             PolicyNet::Kernel(p) => p.log_probs_fast(obs, mask, scratch, out),
@@ -486,44 +510,26 @@ impl PolicyModel for PolicyNet {
         match self {
             PolicyNet::Kernel(p) => p.log_probs_fast_batch(obs, masks, rows, scratch, out),
             PolicyNet::Mlp(p) => p.log_probs_fast_batch(obs, masks, rows, scratch, out),
-            // The CNN forward is per-image; rows loop through the single
-            // fast path (the trait default's behavior).
             PolicyNet::LeNet(p) => p.log_probs_fast_batch(obs, masks, rows, scratch, out),
         }
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        match self {
-            PolicyNet::Kernel(p) => p.params(),
-            PolicyNet::Mlp(p) => p.params(),
-            PolicyNet::LeNet(p) => p.params(),
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        match self {
-            PolicyNet::Kernel(p) => p.params_mut(),
-            PolicyNet::Mlp(p) => p.params_mut(),
-            PolicyNet::LeNet(p) => p.params_mut(),
-        }
-    }
-
-    // The kernel and flat-MLP architectures train through the fused
-    // tape-free update; the CNN has conv/pool layers the analytic
-    // backward does not cover, so it stays on the tape.
-    fn fused(&self) -> Option<FusedPolicy<'_>> {
+    // Every architecture trains through the same fused update: the
+    // kernel and flat-MLP nets as dense chains under their logits heads,
+    // the CNN as its conv stages ahead of its dense layers.
+    fn fused(&self) -> FusedPolicy<'_> {
         match self {
             PolicyNet::Kernel(p) => p.fused(),
             PolicyNet::Mlp(p) => p.fused(),
-            PolicyNet::LeNet(_) => None,
+            PolicyNet::LeNet(p) => p.fused(),
         }
     }
 
-    fn fused_mut(&mut self) -> Option<&mut Mlp> {
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
         match self {
             PolicyNet::Kernel(p) => p.fused_mut(),
             PolicyNet::Mlp(p) => p.fused_mut(),
-            PolicyNet::LeNet(_) => None,
+            PolicyNet::LeNet(p) => p.fused_mut(),
         }
     }
 }
@@ -694,10 +700,6 @@ impl ValueNet {
 }
 
 impl ValueModel for ValueNet {
-    fn values(&self, g: &mut Graph, obs: Var, binds: &mut ParamBinds) -> Var {
-        self.net.forward(g, obs, binds)
-    }
-
     fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
         // Borrow the third scratch buffer as the output row (the MLP's
         // internal ping-pong uses the first two).
@@ -726,20 +728,12 @@ impl ValueModel for ValueNet {
         *infer::scratch_extra(scratch) = tmp;
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        self.net.params()
+    fn fused(&self) -> &Mlp {
+        &self.net
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.net.params_mut()
-    }
-
-    fn fused(&self) -> Option<&Mlp> {
-        Some(&self.net)
-    }
-
-    fn fused_mut(&mut self) -> Option<&mut Mlp> {
-        Some(&mut self.net)
+    fn fused_mut(&mut self) -> &mut Mlp {
+        &mut self.net
     }
 }
 
@@ -748,13 +742,11 @@ mod tests {
     use super::*;
     use rlsched_rl::categorical::MASK_OFF;
 
-    fn forward(policy: &dyn PolicyModel, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input(Tensor::from_vec(obs.to_vec(), &[1, obs.len()]));
-        let m = g.input(Tensor::from_vec(mask.to_vec(), &[1, k]));
-        let lp = policy.log_probs(&mut g, o, m, &mut binds);
-        g.value(lp).data().to_vec()
+    fn forward(policy: &impl PolicyModel, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
+        assert_eq!(mask.len(), k);
+        let mut out = Vec::new();
+        policy.log_probs_fast(obs, mask, &mut Scratch::new(), &mut out);
+        out
     }
 
     fn random_obs(k: usize, valid: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
@@ -958,11 +950,14 @@ mod tests {
     fn value_net_emits_one_scalar_per_row() {
         let k = 32;
         let v = ValueNet::new(k, 1);
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input(Tensor::zeros(&[5, k * JOB_FEATURES]));
-        let out = v.values(&mut g, o, &mut binds);
-        assert_eq!(g.value(out).shape(), &[5, 1]);
+        let mut out = Vec::new();
+        v.value_fast_batch(
+            &[0.0; 5 * 32 * JOB_FEATURES],
+            5,
+            &mut Scratch::new(),
+            &mut out,
+        );
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
@@ -989,19 +984,15 @@ mod tests {
         let single1 = forward(&p, &obs1, &mask1, k);
         let single2 = forward(&p, &obs2, &mask2, k);
         // Batch the two observations together.
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
         let mut obs = obs1.clone();
         obs.extend_from_slice(&obs2);
         let mut mask = mask1.clone();
         mask.extend_from_slice(&mask2);
-        let o = g.input(Tensor::from_vec(obs, &[2, k * JOB_FEATURES]));
-        let m = g.input(Tensor::from_vec(mask, &[2, k]));
-        let lp = p.log_probs(&mut g, o, m, &mut binds);
-        let batched = g.value(lp);
+        let mut batched = Vec::new();
+        p.log_probs_fast_batch(&obs, &mask, 2, &mut Scratch::new(), &mut batched);
         for j in 0..k {
-            assert!((batched.at(0, j) - single1[j]).abs() < 1e-5);
-            assert!((batched.at(1, j) - single2[j]).abs() < 1e-5);
+            assert!((batched[j] - single1[j]).abs() < 1e-5);
+            assert!((batched[k + j] - single2[j]).abs() < 1e-5);
         }
     }
 }

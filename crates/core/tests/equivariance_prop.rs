@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use rlsched_nn::{Graph, ParamBinds, Tensor};
+use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
 use rlsched_rl::PolicyModel;
 use rlsched_sim::{QueueView, WaitingJob};
@@ -12,10 +12,11 @@ use rlscheduler::{KernelPolicy, ObsConfig, ObsEncoder, JOB_FEATURES};
 
 fn forward(policy: &KernelPolicy, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
     let mut g = Graph::new();
-    let mut binds = ParamBinds::new();
-    let o = g.input(Tensor::from_vec(obs.to_vec(), &[1, obs.len()]));
-    let m = g.input(Tensor::from_vec(mask.to_vec(), &[1, k]));
-    let lp = policy.log_probs(&mut g, o, m, &mut binds);
+    let o = g.input_from(obs, &[1, obs.len()]);
+    let m = g.input_from(mask, &[1, k]);
+    let (logits, _) = rlsched_nn_ref::forward(&mut g, &policy.fused(), o, 1);
+    let masked = g.add(logits, m);
+    let lp = g.log_softmax(masked);
     g.value(lp).data().to_vec()
 }
 

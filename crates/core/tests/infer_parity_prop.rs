@@ -1,5 +1,6 @@
 //! Property tests: the allocation-free inference fast path must agree
-//! with the autodiff tape for every Table IV architecture.
+//! with the reference tape running the network each policy describes for
+//! training (`fused()`), for every Table IV architecture.
 //!
 //! The SIMD microkernel reorders float accumulation (FMA), so log-probs
 //! are compared within tolerance and the greedy *decision* (masked
@@ -8,7 +9,9 @@
 
 use proptest::prelude::*;
 
-use rlsched_nn::{Graph, ParamBinds, Scratch, Tensor};
+use rlsched_nn::fused::{FusedHead, FusedPolicy};
+use rlsched_nn::Scratch;
+use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
 use rlsched_rl::{PolicyModel, ValueModel};
 use rlscheduler::{PolicyKind, PolicyNet, ValueNet, JOB_FEATURES};
@@ -19,10 +22,11 @@ const K: usize = 64;
 
 fn tape_log_probs(policy: &PolicyNet, obs: &[f32], mask: &[f32]) -> Vec<f32> {
     let mut g = Graph::new();
-    let mut binds = ParamBinds::new();
-    let o = g.input(Tensor::from_vec(obs.to_vec(), &[1, obs.len()]));
-    let m = g.input(Tensor::from_vec(mask.to_vec(), &[1, mask.len()]));
-    let lp = policy.log_probs(&mut g, o, m, &mut binds);
+    let o = g.input_from(obs, &[1, obs.len()]);
+    let m = g.input_from(mask, &[1, mask.len()]);
+    let (logits, _) = rlsched_nn_ref::forward(&mut g, &policy.fused(), o, 1);
+    let masked = g.add(logits, m);
+    let lp = g.log_softmax(masked);
     g.value(lp).data().to_vec()
 }
 
@@ -75,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole acceptance property: for all five `PolicyKind`s, the
-    /// `score` fast path and the tape's `log_probs` argmax pick the same
+    /// `score` fast path and the reference tape's argmax pick the same
     /// job on random observations.
     #[test]
     fn fast_score_agrees_with_tape_argmax_all_kinds(
@@ -174,9 +178,9 @@ proptest! {
         let net = ValueNet::new(K, seed);
 
         let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input(Tensor::from_vec(obs.clone(), &[1, obs.len()]));
-        let v = net.values(&mut g, o, &mut binds);
+        let o = g.input_from(&obs, &[1, obs.len()]);
+        let critic = FusedPolicy { mlp: net.fused(), head: FusedHead::Flat };
+        let (v, _) = rlsched_nn_ref::forward(&mut g, &critic, o, 1);
         let tape = g.value(v).data()[0] as f64;
 
         let fast = net.value_fast(&obs, &mut Scratch::new());

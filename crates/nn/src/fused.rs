@@ -1,22 +1,21 @@
-//! Tape-free fused forward+backward for the PPO update.
+//! The PPO update's forward and analytic backward, fused into one pass.
 //!
-//! The autodiff tape ([`crate::Graph`]) exists so *any* op pipeline can be
-//! differentiated; the PPO update differentiates the **same** pipeline
-//! thousands of times per epoch: an MLP chain, a masked log-softmax, a
-//! categorical gather, and the clipped-surrogate / entropy / value-loss
-//! scalar tail. This module hand-writes that forward+backward once —
-//! `infer.rs` already does it for the forward-only scoring path; this is
-//! its training-side sibling.
+//! The PPO update differentiates the **same** pipeline thousands of times
+//! per epoch: a policy network, a masked log-softmax, a categorical
+//! gather, and the clipped-surrogate / entropy / value-loss scalar tail.
+//! This module hand-writes that forward+backward once — [`crate::infer`]
+//! does it for the forward-only scoring path; this is its training-side
+//! sibling, and the only gradient code the system runs.
 //!
-//! The forward runs the batched layer chain on the shared
-//! [`crate::simd`] kernels while stashing only the per-layer activations
-//! the analytic backward needs (in a caller-owned [`FusedScratch`]); the
+//! The forward runs the layer stack on the shared [`crate::simd`] kernels
+//! and `infer`'s conv/pool loops while stashing only the activations the
+//! analytic backward needs (in a caller-owned [`FusedScratch`]); the
 //! backward fuses masked-log-softmax + gather + PPO clip/entropy (or the
 //! value squared-error) gradients into a single dlogits pass, then walks
-//! the layers with the same TN (`dW = Xᵀ·dpre`) and transposed-W
-//! (`dX = dpre·Wᵀ`) kernel dispatches the tape's `Linear` backward uses —
-//! no graph nodes, no buffer-pool bookkeeping, no per-op dispatch, and no
-//! heap allocation at steady state.
+//! the stack back: per dense layer the TN (`dW = Xᵀ·dpre`) and
+//! transposed-W (`dX = dpre·Wᵀ`) kernel dispatches, per conv stage the
+//! pool scatter, the ReLU mask and the convolution's own loops — no graph
+//! nodes, no per-op dispatch, and no heap allocation at steady state.
 //!
 //! # Chunking and the bit-identity contract
 //!
@@ -42,52 +41,61 @@
 //! buffer is overwritten before it is read) on whichever kernel dispatch
 //! arm is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`).
 //!
-//! Within a chunk the pass is **bit-identical to the tape**: every
-//! matmul goes through the same [`crate::simd`] entry points with the
-//! same shapes, every elementwise pass replicates the tape's accumulation
-//! order (including the needs-grad pruning that skips `dX` into the
-//! observation matrix, the bias row-accumulation order, and the
-//! `exp`-underflow short-circuit of the log-softmax backward). So on
-//! batches of at most [`SHARD_ROWS`] rows (one chunk) loss, selected
-//! log-probs and every gradient equal the tape's with exact `==`, and N
-//! such updates reproduce the tape's training trajectory bit for bit
+//! Within a chunk the pass is **bit-identical to the reference tape** (the
+//! test-only `rlsched-nn-ref` crate): every matmul goes through the same
+//! [`crate::simd`] entry points with the same shapes, and every
+//! elementwise pass replicates the reference's accumulation order
+//! (including the `dX` it never needs into the observation matrix, the
+//! bias row-accumulation order, the conv loop nest with its skip of zero
+//! gradients, the pool's first-maximum argmax, and the `exp`-underflow
+//! short-circuit of the log-softmax backward). So on batches of at most
+//! [`SHARD_ROWS`] rows (one chunk) loss, selected log-probs and every
+//! gradient equal the reference's with exact `==`, and N such updates
+//! reproduce its training trajectory bit for bit
 //! (`tests/fused_parity_prop.rs` and `rlscheduler`'s update-level suite).
 //! Forward outputs are row-local and the kernels row-count invariant, so
 //! the per-row diagnostics ([`FusedScratch::logp_all`] /
-//! [`FusedScratch::selected_logp`]) match the tape at *every* batch size;
-//! across chunk boundaries only the f32 association of the dW/db row
-//! reductions and the loss fold changes, which stays within f32
-//! tolerance of the tape.
+//! [`FusedScratch::selected_logp`]) match the reference at *every* batch
+//! size; across chunk boundaries only the f32 association of the
+//! parameter-gradient reductions and the loss fold changes, which stays
+//! within f32 tolerance of it.
 //!
 //! # Supported architectures
 //!
-//! Exactly the paper's trainable policies: a dense [`Mlp`] chain under
-//! either logits head —
+//! Every policy of the paper's Table IV, as a dense [`Mlp`] chain under
+//! one of three logits heads ([`FusedPolicy`]):
 //!
 //! * [`FusedHead::Flat`]: `logits = mlp(obs)`, one row per transition
-//!   (the MLP v1–v3 baselines of Table IV, and every critic).
+//!   (the MLP v1–v3 baselines, and every critic).
 //! * [`FusedHead::Kernel`]: the kernel network of Fig 5 — the `[n, K·F]`
 //!   observation stacks to `[n·K, F]` job rows, the shared-weight kernel
 //!   scores each row, and the `[n·K, 1]` scores read back as `[n, K]`
 //!   logits. (The reshapes are views; no data moves.)
+//! * [`FusedHead::Conv`]: the LeNet baseline — each observation is a
+//!   one-channel image, every conv stage runs conv → ReLU → 2 × 2
+//!   max-pool, and the flattened maps of the last stage feed the MLP.
 //!
-//! Anything else (the LeNet CNN baseline) keeps using the tape — the
-//! dispatch lives in `rlsched-rl`'s `Ppo::update`.
+//! [`FusedPolicy::check`] holds a description to the observation and
+//! action widths it will be fed, so a checkpoint that does not fit is an
+//! error before any forward trusts its shapes.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use crate::graph::Act;
-use crate::infer;
-use crate::layers::Mlp;
+use crate::infer::{self, idx4};
+use crate::layers::{Act, Conv2dLayer, Mlp};
 use crate::simd;
 use crate::tensor::Tensor;
 
-/// How the policy turns MLP outputs into `[n, n_actions]` logits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusedHead {
+/// Window and stride of every conv stage's max-pool.
+pub const POOL: usize = 2;
+
+/// How the policy turns its layer stack's outputs into `[n, n_actions]`
+/// logits.
+#[derive(Debug, Clone, Copy)]
+pub enum FusedHead<'a> {
     /// `logits = mlp(obs)`: one MLP row per transition; the MLP's output
     /// width is the action count.
     Flat,
@@ -98,32 +106,212 @@ pub enum FusedHead {
         /// Jobs per observation window (== action count).
         window: usize,
     },
+    /// The LeNet baseline: the observation is a one-channel `h × w`
+    /// image, each of `convs` runs conv → ReLU → [`POOL`] × [`POOL`]
+    /// max-pool, and the last stage's flattened maps are the MLP's input;
+    /// its output width is the action count.
+    Conv {
+        /// The conv stages, first to last.
+        convs: &'a [Conv2dLayer],
+        /// Image height.
+        h: usize,
+        /// Image width.
+        w: usize,
+    },
 }
 
-/// A borrowed description of a policy the fused update supports: the
-/// trainable MLP chain plus its logits head.
+/// A borrowed description of a policy network for the fused update: the
+/// trainable dense chain plus its logits head.
 #[derive(Debug, Clone, Copy)]
 pub struct FusedPolicy<'a> {
-    /// The trainable layer chain.
+    /// The trainable dense chain (the whole network, or what follows the
+    /// conv stages).
     pub mlp: &'a Mlp,
-    /// The logits head on top of it.
-    pub head: FusedHead,
+    /// The logits head around it.
+    pub head: FusedHead<'a>,
 }
 
-impl FusedPolicy<'_> {
-    /// `(layer-stack rows, logits width)` for an `n`-transition batch.
-    fn dims(&self, n: usize) -> (usize, usize) {
-        match self.head {
-            FusedHead::Flat => (n, self.mlp.out_dim()),
-            FusedHead::Kernel { window } => {
-                assert_eq!(
-                    self.mlp.out_dim(),
-                    1,
-                    "kernel head needs a scalar-score MLP"
-                );
-                (n * window, window)
-            }
+/// The trainable layers behind a [`FusedPolicy`], borrowed mutably: what
+/// the optimizer steps in place.
+#[derive(Debug)]
+pub struct FusedPolicyMut<'a> {
+    /// The conv stages of a [`FusedHead::Conv`] policy; empty otherwise.
+    pub convs: &'a mut [Conv2dLayer],
+    /// The dense chain.
+    pub mlp: &'a mut Mlp,
+}
+
+impl<'a> FusedPolicyMut<'a> {
+    /// Every parameter in bind order (see [`FusedPolicy::params`]).
+    pub fn params(self) -> impl Iterator<Item = &'a mut Tensor> {
+        let convs = self.convs.iter_mut().flat_map(|c| [&mut c.w, &mut c.b]);
+        convs.chain(
+            self.mlp
+                .layers
+                .iter_mut()
+                .flat_map(|l| [&mut l.w, &mut l.b]),
+        )
+    }
+}
+
+/// The shapes of one conv → ReLU → max-pool stage, per observation.
+#[derive(Debug, Clone, Copy)]
+struct Stage<'a> {
+    conv: &'a Conv2dLayer,
+    /// Input maps: channels, height, width.
+    c: usize,
+    h: usize,
+    w: usize,
+    /// Output channels and kernel size.
+    o: usize,
+    kh: usize,
+    kw: usize,
+    /// Convolution output height and width (before the pool).
+    ch: usize,
+    cw: usize,
+}
+
+impl Stage<'_> {
+    fn conv_len(&self) -> usize {
+        self.o * self.ch * self.cw
+    }
+
+    fn pool_len(&self) -> usize {
+        self.o * (self.ch / POOL) * (self.cw / POOL)
+    }
+}
+
+impl<'a> FusedPolicy<'a> {
+    /// Every parameter in bind order — each conv stage's weight and bias,
+    /// then each dense layer's — which is the order of
+    /// [`FusedScratch::grads`].
+    pub fn params(&self) -> impl Iterator<Item = &'a Tensor> {
+        let mlp = self.mlp;
+        let convs = self.convs().iter().flat_map(|c| [&c.w, &c.b]);
+        convs.chain(mlp.layers.iter().flat_map(|l| [&l.w, &l.b]))
+    }
+
+    /// Hold the description to the widths it will be fed: `obs_dim`
+    /// observation values in, `n_actions` logits out per transition. Every
+    /// shape a forward trusts — weight ranks, bias lengths, each conv
+    /// stage's fit into its input maps, each dense layer's input against
+    /// the previous output — is compared here, so a network that passes
+    /// runs without a shape panic.
+    pub fn check(&self, obs_dim: usize, n_actions: usize) -> Result<(), String> {
+        if n_actions == 0 {
+            return Err("a policy needs at least one action slot".into());
         }
+        let (mut width, out) = match self.head {
+            FusedHead::Flat => (obs_dim, n_actions),
+            FusedHead::Kernel { window } => {
+                if window != n_actions || !obs_dim.is_multiple_of(window) {
+                    return Err(format!(
+                        "a {window}-job kernel window cannot read {obs_dim} inputs into {n_actions} slots"
+                    ));
+                }
+                (obs_dim / window, 1)
+            }
+            FusedHead::Conv { convs, h, w } => {
+                if h * w != obs_dim {
+                    return Err(format!("a {h} x {w} image is not {obs_dim} inputs"));
+                }
+                let (mut c, mut h, mut w) = (1, h, w);
+                for (i, conv) in convs.iter().enumerate() {
+                    let (ws, bs) = (conv.w.shape(), conv.b.shape());
+                    let &[o, ci, kh, kw] = ws else {
+                        return Err(format!("conv {i}: weight {ws:?} is not [out, in, kh, kw]"));
+                    };
+                    if ci != c || bs != [o] || conv.stride == 0 || kh > h || kw > w {
+                        return Err(format!(
+                            "conv {i}: weight {ws:?}, bias {bs:?} and stride {} do not fit {c} maps of {h} x {w}",
+                            conv.stride
+                        ));
+                    }
+                    let stride = conv.stride;
+                    (c, h, w) = (
+                        o,
+                        ((h - kh) / stride + 1) / POOL,
+                        ((w - kw) / stride + 1) / POOL,
+                    );
+                    if h == 0 || w == 0 {
+                        return Err(format!("conv {i}: its max-pool leaves no maps"));
+                    }
+                }
+                (c * h * w, n_actions)
+            }
+        };
+        if self.mlp.layers.is_empty() {
+            return Err("the dense chain has no layers".into());
+        }
+        for (i, layer) in self.mlp.layers.iter().enumerate() {
+            let (ws, bs) = (layer.w.shape(), layer.b.shape());
+            let &[din, dout] = ws else {
+                return Err(format!("dense {i}: weight {ws:?} is not [in, out]"));
+            };
+            if din != width || bs != [dout] {
+                return Err(format!(
+                    "dense {i}: weight {ws:?} and bias {bs:?} do not take {width} inputs"
+                ));
+            }
+            width = dout;
+        }
+        if width != out {
+            return Err(format!(
+                "the network emits {width} values per row, not {out}"
+            ));
+        }
+        Ok(())
+    }
+
+    fn convs(&self) -> &'a [Conv2dLayer] {
+        match self.head {
+            FusedHead::Conv { convs, .. } => convs,
+            _ => &[],
+        }
+    }
+
+    /// Dense-chain rows per transition (the kernel head scores `window`
+    /// job rows each).
+    fn rows_per(&self) -> usize {
+        match self.head {
+            FusedHead::Kernel { window } => window,
+            _ => 1,
+        }
+    }
+
+    /// The conv stages' shapes, first to last (none for the dense heads).
+    fn stages(&self) -> impl Iterator<Item = Stage<'a>> {
+        let (h, w) = match self.head {
+            FusedHead::Conv { h, w, .. } => (h, w),
+            _ => (0, 0),
+        };
+        self.convs().iter().scan((1, h, w), |(c, h, w), conv| {
+            let (o, kh, kw) = (conv.w.shape()[0], conv.w.shape()[2], conv.w.shape()[3]);
+            let ch = (*h - kh) / conv.stride + 1;
+            let cw = (*w - kw) / conv.stride + 1;
+            let stage = Stage {
+                conv,
+                c: *c,
+                h: *h,
+                w: *w,
+                o,
+                kh,
+                kw,
+                ch,
+                cw,
+            };
+            (*c, *h, *w) = (o, ch / POOL, cw / POOL);
+            Some(stage)
+        })
+    }
+
+    /// Per-transition width of every activation a pass stashes, in stack
+    /// order: each conv stage's ReLU output and pooled maps, then each
+    /// dense layer's output.
+    fn act_widths(&self) -> impl Iterator<Item = usize> + 'a {
+        let (mlp, rows) = (self.mlp, self.rows_per());
+        let convs = self.stages().flat_map(|s| [s.conv_len(), s.pool_len()]);
+        convs.chain(mlp.layers.iter().map(move |l| rows * l.out_dim()))
     }
 }
 
@@ -140,27 +328,32 @@ fn fit(v: &mut Vec<f32>, cap: usize) {
     v.reserve(cap);
 }
 
-/// The buffers one chunk needs *while it runs*: every layer's
-/// activations and the backward's gradient ping/pong. A worker reuses
-/// one set for every chunk of its run, so there are never more of these
-/// than workers.
+/// The buffers one chunk needs *while it runs*: every stashed activation
+/// and the backward's gradient buffers. A worker reuses one set for every
+/// chunk of its run, so there are never more of these than workers.
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    /// Post-activation output of every layer (`acts[i]` = layer `i`).
+    /// Every stashed activation, in stack order (`acts[i]` holds
+    /// `FusedPolicy::act_widths`'s `i`-th width per transition).
     acts: Vec<Vec<f32>>,
+    g: GradBufs,
+}
+
+/// The backward's working buffers.
+#[derive(Debug, Default)]
+struct GradBufs {
     /// Gradient ping buffer (holds `dY` of the layer being processed).
     dy: Vec<f32>,
     /// Gradient pong buffer (receives `dX`).
     dy2: Vec<f32>,
     /// Pre-activation gradient of the current layer.
     dpre: Vec<f32>,
-    /// Transposed weights for the `dX` gemm (mirrors the tape's pooled
-    /// transpose).
+    /// Transposed weights for the `dX` gemm.
     wt: Vec<f32>,
 }
 
 impl WorkerScratch {
-    /// Size every buffer for a chunk of `rows` layer rows. Runs on the
+    /// Size every buffer for a chunk of `n` transitions. Runs on the
     /// calling thread before the fan-out, so workers only write into
     /// buffers that already have their final size instead of growing
     /// them step by step out of a short-lived thread's allocator arena,
@@ -169,31 +362,33 @@ impl WorkerScratch {
     /// `workers × one chunk` (~4.9 MB each for the 32/16/8 kernel net at
     /// 64 × 128 job rows) whatever the minibatch size — one per chunk
     /// would be 157 MB for a 2 048-row minibatch.
-    fn presize(&mut self, mlp: &Mlp, rows: usize) {
-        self.acts.resize_with(mlp.layers.len(), Vec::new);
-        // Every gradient buffer holds `rows × some layer's output width`
-        // (a dX is as wide as the previous layer's output).
+    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize) {
+        self.acts.resize_with(p.act_widths().count(), Vec::new);
+        // Every gradient buffer holds `n × some activation's width` (a dX
+        // is as wide as the activation that fed the layer).
         let mut widest = 0;
-        let mut wt = 0;
-        for (l, (layer, act)) in mlp.layers.iter().zip(&mut self.acts).enumerate() {
-            fit(act, rows * layer.out_dim());
-            widest = widest.max(layer.out_dim());
-            if l > 0 {
-                wt = wt.max(layer.in_dim() * layer.out_dim());
-            }
+        for (act, width) in self.acts.iter_mut().zip(p.act_widths()) {
+            fit(act, n * width);
+            widest = widest.max(width);
         }
-        fit(&mut self.dy, rows * widest);
-        fit(&mut self.dy2, rows * widest);
-        fit(&mut self.dpre, rows * widest);
-        fit(&mut self.wt, wt);
+        let dx0 = !p.convs().is_empty();
+        let wt = p.mlp.layers.iter().enumerate();
+        let wt = wt.filter(|&(l, _)| l > 0 || dx0);
+        let wt = wt.map(|(_, l)| l.in_dim() * l.out_dim()).max();
+        let g = &mut self.g;
+        fit(&mut g.dy, n * widest);
+        fit(&mut g.dy2, n * widest);
+        fit(&mut g.dpre, n * widest);
+        fit(&mut g.wt, wt.unwrap_or(0));
     }
 
     fn bytes(&self) -> usize {
+        let g = &self.g;
         let floats = self.acts.iter().map(Vec::capacity).sum::<usize>()
-            + self.dy.capacity()
-            + self.dy2.capacity()
-            + self.dpre.capacity()
-            + self.wt.capacity();
+            + g.dy.capacity()
+            + g.dy2.capacity()
+            + g.dpre.capacity()
+            + g.wt.capacity();
         floats * size_of::<f32>()
     }
 }
@@ -207,7 +402,7 @@ struct Partial {
     logp: Vec<f32>,
     /// Selected (per-action) log-probs, `[n]` (policy side).
     sel: Vec<f32>,
-    /// Parameter-gradient partials in bind order (`w0, b0, w1, b1, …`).
+    /// Parameter-gradient partials in bind order.
     grads: Vec<Tensor>,
     /// `Σ min(s1,s2)` over the chunk's rows (policy side).
     obj: f32,
@@ -225,19 +420,15 @@ impl Partial {
     /// Size the buffers for `n` transitions of `width` logits each
     /// (`width` 0 on the value side), on the calling thread like
     /// [`WorkerScratch::presize`].
-    fn presize(&mut self, mlp: &Mlp, n: usize, width: usize) {
+    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, width: usize) {
         fit(&mut self.logp, n * width);
         fit(&mut self.sel, n);
         if self.grads.is_empty() {
-            self.grads = mlp
-                .layers
-                .iter()
-                .flat_map(|l| [Tensor::zeros(l.w.shape()), Tensor::zeros(l.b.shape())])
-                .collect();
+            self.grads = p.params().map(|t| Tensor::zeros(t.shape())).collect();
         }
         assert_eq!(
             self.grads.len(),
-            mlp.layers.len() * 2,
+            p.params().count(),
             "scratch bound to a different architecture"
         );
     }
@@ -270,10 +461,10 @@ pub struct FusedPass {
 
 /// Reusable buffers for the fused pass: one activation-and-gradient
 /// scratch per worker in flight and one partial (gradients, loss sums,
-/// log-prob rows) per [`SHARD_ROWS`]-row slice of the minibatch. One per network (the PPO trainer holds one for the actor
-/// and one for the critic); every buffer only grows to its high-water
-/// mark, so steady-state updates allocate nothing on the inline
-/// (one-worker) path.
+/// log-prob rows) per [`SHARD_ROWS`]-row slice of the minibatch. One per
+/// network (the PPO trainer holds one for the actor and one for the
+/// critic); every buffer only grows to its high-water mark, so
+/// steady-state updates allocate nothing on the inline (one-worker) path.
 #[derive(Debug, Default)]
 pub struct FusedScratch {
     /// One scratch set per worker of the widest pass so far; a worker
@@ -305,9 +496,8 @@ impl FusedScratch {
             .flat_map(|p| p.sel.iter().copied())
     }
 
-    /// Merged parameter gradients of the last pass, in the network's
-    /// bind order (`w0, b0, w1, b1, …`) — index-aligned with
-    /// `Mlp::params()`.
+    /// Merged parameter gradients of the last pass, in the network's bind
+    /// order — index-aligned with [`FusedPolicy::params`].
     pub fn grads(&self) -> &[Tensor] {
         &self.partials.first().expect("run a pass first").grads
     }
@@ -330,19 +520,17 @@ impl FusedScratch {
         self.partials.iter().map(Partial::bytes).sum()
     }
 
-    /// Run every chunk of an `n`-transition minibatch (`rows_per` layer
-    /// rows and `width` logits per transition) on the rayon shim's
-    /// workers: `forward(scratch, partial, lo, hi)` then
-    /// `backward(scratch, partial, lo, hi)` back to back in the worker's
-    /// scratch, `[lo, hi)` being the chunk's transition bounds. Then
-    /// tree-merge the gradient partials into chunk 0. Returns the live
-    /// partials and the call's wall time apportioned to
-    /// (forward, backward).
+    /// Run every chunk of an `n`-transition minibatch (`width` logits per
+    /// transition) on the rayon shim's workers: `forward(scratch,
+    /// partial, lo, hi)` then `backward(scratch, partial, lo, hi)` back to
+    /// back in the worker's scratch, `[lo, hi)` being the chunk's
+    /// transition bounds. Then tree-merge the gradient partials into chunk
+    /// 0. Returns the live partials and the call's wall time apportioned
+    /// to (forward, backward).
     fn sweep(
         &mut self,
-        mlp: &Mlp,
+        p: &FusedPolicy<'_>,
         n: usize,
-        rows_per: usize,
         width: usize,
         forward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
         backward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
@@ -355,7 +543,7 @@ impl FusedScratch {
         }
         let partials = &mut self.partials[..n_chunks];
         for (c, part) in partials.iter_mut().enumerate() {
-            part.presize(mlp, SHARD_ROWS.min(n - c * SHARD_ROWS), width);
+            part.presize(p, SHARD_ROWS.min(n - c * SHARD_ROWS), width);
         }
         // One scratch per worker, each big enough for a full chunk of
         // this batch. A worker takes a contiguous run of chunks and keeps
@@ -367,7 +555,7 @@ impl FusedScratch {
             self.workers.resize_with(in_flight, Mutex::default);
         }
         for w in &mut self.workers {
-            unpoisoned(w.get_mut()).presize(mlp, SHARD_ROWS.min(n) * rows_per);
+            unpoisoned(w.get_mut()).presize(p, SHARD_ROWS.min(n));
         }
 
         let run = n_chunks.div_ceil(in_flight);
@@ -428,11 +616,42 @@ fn merge_grads(chunks: &mut [Partial]) {
     }
 }
 
-/// Forward the layer chain over `rows` stacked inputs, stashing every
-/// layer's post-activation output in `acts` (the analytic backward needs
-/// them all — this is the only state the fused pass keeps, where the tape
-/// keeps a node per op). Uses the same [`simd::dense_any`] dispatch as
-/// the tape's `Graph::linear`, so the values are bit-identical to it.
+/// Forward the whole stack over `n` transitions' observations, stashing
+/// every activation in `acts` (the analytic backward needs them all —
+/// this is the only state the fused pass keeps, where a tape keeps a node
+/// per op). Conv stages run `infer`'s conv, ReLU and pool loops and dense
+/// layers [`infer::dense_forward`], the scoring path's own arithmetic.
+fn forward_stack(p: &FusedPolicy<'_>, obs: &[f32], n: usize, acts: &mut [Vec<f32>]) {
+    for (i, st) in p.stages().enumerate() {
+        let (done, rest) = acts.split_at_mut(2 * i);
+        let x = done.last().map_or(obs, |v| &v[..]);
+        let (conv, rest) = rest.split_first_mut().expect("a conv activation per stage");
+        let c = st.conv;
+        let (o, kh, kw) = (st.o, st.kh, st.kw);
+        infer::conv2d_forward(
+            x,
+            c.w.data(),
+            c.b.data(),
+            n,
+            st.c,
+            st.h,
+            st.w,
+            o,
+            kh,
+            kw,
+            c.stride,
+            conv,
+        );
+        infer::relu_inplace(conv);
+        infer::max_pool2d_forward(conv, n, o, st.ch, st.cw, POOL, &mut rest[0]);
+    }
+    let (convs, dense) = acts.split_at_mut(2 * p.convs().len());
+    let x = convs.last().map_or(obs, |v| &v[..]);
+    forward_layers(p.mlp, x, n * p.rows_per(), dense);
+}
+
+/// Forward the dense chain over `rows` stacked inputs, stashing every
+/// layer's post-activation output in `acts`.
 fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
     debug_assert_eq!(x0.len(), rows * mlp.in_dim(), "input volume");
     let last = mlp.layers.len() - 1;
@@ -454,89 +673,227 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
     }
 }
 
-/// Walk the layers last-to-first given `dY` of the final layer in
-/// `s.dy`, writing parameter gradients into `grads`.
+/// Walk the stack last-to-first from the logits' gradient in `s.g.dy`,
+/// writing every parameter gradient into `grads` (bind order). The
+/// observation itself needs no gradient, so the first layer's `dX` is
+/// never computed.
+fn backward_stack(
+    p: &FusedPolicy<'_>,
+    obs: &[f32],
+    n: usize,
+    s: &mut WorkerScratch,
+    grads: &mut [Tensor],
+) {
+    // A conv stage stashes two activations and owns two parameters.
+    let k = 2 * p.convs().len();
+    let WorkerScratch { acts, g } = s;
+    let (conv_acts, dense_acts) = acts.split_at(k);
+    let (conv_grads, dense_grads) = grads.split_at_mut(k);
+    let x = conv_acts.last().map_or(obs, |v| &v[..]);
+    backward_layers(
+        p.mlp,
+        x,
+        n * p.rows_per(),
+        dense_acts,
+        g,
+        dense_grads,
+        k > 0,
+    );
+
+    // `g.dy` now holds the gradient of the last stage's pooled maps.
+    for i in (0..k / 2).rev() {
+        let st = p.stages().nth(i).expect("one stage per conv");
+        let y = &conv_acts[2 * i];
+        let dconv = &mut g.dpre;
+        dconv.clear();
+        dconv.resize(n * st.conv_len(), 0.0);
+        pool_backward(y, &g.dy, n, &st, dconv);
+        // ReLU: the stashed output is positive exactly where its input
+        // was.
+        for (d, &yv) in dconv.iter_mut().zip(y) {
+            if yv <= 0.0 {
+                *d = 0.0;
+            }
+        }
+        let x = if i == 0 { obs } else { &conv_acts[2 * i - 1] };
+        let dx = (i > 0).then(|| {
+            g.dy2.clear();
+            g.dy2.resize(n * st.c * st.h * st.w, 0.0);
+            &mut g.dy2[..]
+        });
+        let (dw, db) = conv_grads[2 * i..].split_at_mut(1);
+        conv_backward(x, &g.dpre, n, &st, dw[0].data_mut(), db[0].data_mut(), dx);
+        if i > 0 {
+            std::mem::swap(&mut g.dy, &mut g.dy2);
+        }
+    }
+}
+
+/// Walk the dense layers last-to-first given `dY` of the final layer in
+/// `g.dy`, writing parameter gradients into `grads`; with `dx0`, `g.dy`
+/// ends holding `dX` of the first layer.
 ///
-/// Replicates the tape's `Linear` backward exactly: the per-activation
-/// `dpre` loops, `dW` through the TN kernel dispatch
-/// (`Tensor::matmul_tn_into`'s exact calls), `db` as ascending-row
-/// column sums, and `dX` through the transpose-W + broadcast-gemm path
-/// (scalar NT fallback) — including the needs-grad pruning that never
-/// computes `dX` of the first layer (its input is the constant
-/// observation matrix).
+/// Replicates the reference tape's dense backward exactly: the
+/// per-activation `dpre` loops, `dW` through the TN kernel dispatch, `db`
+/// as ascending-row column sums, and `dX` through the transpose-W +
+/// broadcast-gemm path (scalar NT fallback).
 fn backward_layers(
     mlp: &Mlp,
     x0: &[f32],
     rows: usize,
-    s: &mut WorkerScratch,
+    acts: &[Vec<f32>],
+    g: &mut GradBufs,
     grads: &mut [Tensor],
+    dx0: bool,
 ) {
     let last = mlp.layers.len() - 1;
     for l in (0..=last).rev() {
         let layer = &mlp.layers[l];
         let act = if l == last { mlp.output } else { mlp.hidden };
         let (din, dout) = (layer.in_dim(), layer.out_dim());
-        debug_assert_eq!(s.dy.len(), rows * dout, "dY volume at layer {l}");
+        debug_assert_eq!(g.dy.len(), rows * dout, "dY volume at layer {l}");
 
         // dpre = dY ∘ act'(Y): one loop per activation, expressed through
-        // the stashed output — the same derivative-from-output forms the
-        // tape uses.
-        let y = &s.acts[l];
-        s.dpre.clear();
-        let pairs = s.dy.iter().zip(y.iter());
+        // the stashed output.
+        let y = &acts[l];
+        g.dpre.clear();
+        let pairs = g.dy.iter().zip(y.iter());
         match act.to_act() {
-            Act::Identity => s.dpre.extend_from_slice(&s.dy),
-            Act::Relu => s
+            Act::Identity => g.dpre.extend_from_slice(&g.dy),
+            Act::Relu => g
                 .dpre
                 .extend(pairs.map(|(&g, &yv)| if yv > 0.0 { g } else { 0.0 })),
-            Act::Tanh => s.dpre.extend(pairs.map(|(&g, &yv)| g * (1.0 - yv * yv))),
-            Act::Sigmoid => s.dpre.extend(pairs.map(|(&g, &yv)| g * yv * (1.0 - yv))),
+            Act::Tanh => g.dpre.extend(pairs.map(|(&g, &yv)| g * (1.0 - yv * yv))),
+            Act::Sigmoid => g.dpre.extend(pairs.map(|(&g, &yv)| g * yv * (1.0 - yv))),
         }
 
-        // dX = dpre · Wᵀ — skipped for layer 0 (the observation input
-        // needs no gradient: the tape's needs-grad pruning). The NT dot
-        // kernel is hsum-bound at these widths, so transpose W (tiny)
-        // and run the broadcast gemm, exactly like the tape.
-        if l > 0 {
-            let dx = &mut s.dy2;
+        // dX = dpre · Wᵀ. The NT dot kernel is hsum-bound at these widths,
+        // so transpose W (tiny) and run the broadcast gemm.
+        let dx_needed = l > 0 || dx0;
+        if dx_needed {
+            let dx = &mut g.dy2;
             dx.clear();
             dx.resize(rows * din, 0.0);
             let mut dispatched = false;
             if simd::simd_enabled() && din >= 8 {
-                s.wt.clear();
-                s.wt.resize(din * dout, 0.0);
-                simd::transpose(layer.w.data(), din, dout, &mut s.wt);
-                dispatched = simd::gemm(&s.dpre, rows, dout, &s.wt, din, None, dx);
+                g.wt.clear();
+                g.wt.resize(din * dout, 0.0);
+                simd::transpose(layer.w.data(), din, dout, &mut g.wt);
+                dispatched = simd::gemm(&g.dpre, rows, dout, &g.wt, din, None, dx);
             }
             if !dispatched {
-                simd::gemm_nt_scalar(&s.dpre, rows, dout, layer.w.data(), din, dx);
+                simd::gemm_nt_scalar(&g.dpre, rows, dout, layer.w.data(), din, dx);
             }
         }
 
         // dW = Xᵀ · dpre (the TN kernel fills its output, no pre-zero
-        // needed — same call chain as `Tensor::matmul_tn_into`).
-        let x = if l == 0 { x0 } else { &s.acts[l - 1] };
+        // needed).
+        let x = if l == 0 { x0 } else { &acts[l - 1] };
         let dw = grads[2 * l].data_mut();
-        if !simd::gemm_tn(x, rows, din, &s.dpre, dout, dw) {
-            simd::gemm_tn_scalar(x, rows, din, &s.dpre, dout, dw);
+        if !simd::gemm_tn(x, rows, din, &g.dpre, dout, dw) {
+            simd::gemm_tn_scalar(x, rows, din, &g.dpre, dout, dw);
         }
 
-        // db = column sums of dpre, rows ascending (the tape's order).
+        // db = column sums of dpre, rows ascending.
         let db = grads[2 * l + 1].data_mut();
         db.fill(0.0);
-        for row in s.dpre.chunks_exact(dout) {
+        for row in g.dpre.chunks_exact(dout) {
             for (d, &v) in db.iter_mut().zip(row) {
                 *d += v;
             }
         }
 
-        if l > 0 {
-            std::mem::swap(&mut s.dy, &mut s.dy2);
+        if dx_needed {
+            std::mem::swap(&mut g.dy, &mut g.dy2);
         }
     }
 }
 
-/// One PPO policy pass over a minibatch: per chunk, the layer chain +
+/// Max-pool backward: each pooled gradient in `dp` goes to the first
+/// maximum of its window in the pooled activations `y` (ties to the
+/// earlier element, like the reference), accumulated into the zeroed
+/// `dy`.
+fn pool_backward(y: &[f32], dp: &[f32], n: usize, st: &Stage<'_>, dy: &mut [f32]) {
+    let (o, ch, cw) = (st.o, st.ch, st.cw);
+    let (ph, pw) = (ch / POOL, cw / POOL);
+    for bi in 0..n {
+        for ci in 0..o {
+            for py in 0..ph {
+                for px in 0..pw {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_i = idx4(bi, ci, py * POOL, px * POOL, o, ch, cw);
+                    for ky in 0..POOL {
+                        for kx in 0..POOL {
+                            let i = idx4(bi, ci, py * POOL + ky, px * POOL + kx, o, ch, cw);
+                            if y[i] > best {
+                                best = y[i];
+                                best_i = i;
+                            }
+                        }
+                    }
+                    dy[best_i] += dp[idx4(bi, ci, py, px, o, ph, pw)];
+                }
+            }
+        }
+    }
+}
+
+/// One conv stage's backward from `dy`, the gradient of its pre-ReLU
+/// output: overwrites `dw` and `db`, and accumulates into the zeroed `dx`
+/// when the input needs a gradient. The loop nest and its accumulation
+/// order are the reference tape's, including its skip of zero gradients
+/// (ReLU and the pool leave most of them zero).
+fn conv_backward(
+    x: &[f32],
+    dy: &[f32],
+    n: usize,
+    st: &Stage<'_>,
+    dw: &mut [f32],
+    db: &mut [f32],
+    mut dx: Option<&mut [f32]>,
+) {
+    let Stage {
+        conv,
+        c,
+        h,
+        w,
+        o,
+        kh,
+        kw,
+        ch,
+        cw,
+    } = *st;
+    let (wv, stride) = (conv.w.data(), conv.stride);
+    dw.fill(0.0);
+    db.fill(0.0);
+    for bi in 0..n {
+        for oi in 0..o {
+            for y in 0..ch {
+                for xj in 0..cw {
+                    let g = dy[idx4(bi, oi, y, xj, o, ch, cw)];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    db[oi] += g;
+                    for ci in 0..c {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let xi = idx4(bi, ci, y * stride + ky, xj * stride + kx, c, h, w);
+                                let wi = idx4(oi, ci, ky, kx, c, kh, kw);
+                                if let Some(dx) = dx.as_deref_mut() {
+                                    dx[xi] += g * wv[wi];
+                                }
+                                dw[wi] += g * x[xi];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One PPO policy pass over a minibatch: per chunk, the layer stack +
 /// masked log-softmax + per-action gather, then the clipped-surrogate
 /// loss tail and its analytic backward while the chunk's activations are
 /// hot.
@@ -547,13 +904,14 @@ fn backward_layers(
 /// (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ p·logp)`);
 /// parameter gradients land in [`FusedScratch::grads`],
 /// [`FusedScratch::logp_all`] holds the `[n, n_actions]` masked
-/// log-probabilities (bit-identical to the tape's `add` + `log_softmax`)
-/// and [`FusedScratch::selected_logp`] the gathered per-action row — the
-/// approximate-KL input.
+/// log-probabilities and [`FusedScratch::selected_logp`] the gathered
+/// per-action row — the approximate-KL input.
 ///
 /// Each chunk's gradient partial is seeded by the *batch* mean, so
 /// partials sum to the batch gradient; they reduce through the
 /// chunk-index-ordered tree merge and loss partials fold in chunk order.
+/// Panics when `p` does not [`FusedPolicy::check`] against the batch's
+/// widths.
 #[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
 pub fn policy_pass(
     p: &FusedPolicy<'_>,
@@ -568,21 +926,20 @@ pub fn policy_pass(
     s: &mut FusedScratch,
 ) -> FusedPass {
     assert!(n > 0, "fused pass needs at least one transition");
-    let (rows, width) = p.dims(n);
-    assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
+    let (od, width) = (obs.len() / n, masks.len() / n);
+    p.check(od, width)
+        .unwrap_or_else(|e| panic!("fused policy pass: {e}"));
+    assert_eq!(obs.len(), n * od, "observation volume");
     assert_eq!(masks.len(), n * width, "mask volume");
     assert_eq!(actions.len(), n, "one action per transition");
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");
-    let rpt = rows / n; // layer-stack rows per transition (1 or window)
-    let od = rpt * p.mlp.in_dim();
     let (partials, forward, backward) = s.sweep(
-        p.mlp,
+        p,
         n,
-        rpt,
         width,
         |w, part, lo, hi| {
-            forward_layers(p.mlp, &obs[lo * od..hi * od], (hi - lo) * rpt, &mut w.acts);
+            forward_stack(p, &obs[lo * od..hi * od], hi - lo, &mut w.acts);
             let Partial { logp, sel, .. } = part;
             logp.clear();
             logp.extend_from_slice(w.acts.last().expect("non-empty MLP"));
@@ -620,7 +977,7 @@ pub fn policy_pass(
         ent_sum += c.ent;
     }
     let mean_obj = obj_sum / n as f32;
-    let mut loss = -mean_obj; // == the tape's scale(mean_obj, −1) bit for bit
+    let mut loss = -mean_obj; // == the reference's scale(mean_obj, −1) bit for bit
     if ent_coef != 0.0 {
         let ent_mean = ent_sum / n as f32;
         loss += ent_mean * ent_coef;
@@ -633,18 +990,18 @@ pub fn policy_pass(
 }
 
 /// The backward half of one [`policy_pass`] chunk: the dlogits fuse +
-/// layer backward over the chunk's rows, with the mean-gradient seeds
+/// stack backward over the chunk's rows, with the mean-gradient seeds
 /// scaled by the *batch* size `total_n` so the chunk's gradients are
 /// exact partials of the whole batch's. Leaves the raw
 /// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds) in
 /// `part.obj` / `part.ent`.
 ///
 /// The dlogits kernel fuses, per transition row: ratio / clip / min
-/// gradient routing (ties to the unclipped side, exactly like the tape's
-/// `min_elem`), the optional entropy-bonus term (in the tape's
-/// accumulation order), the gather scatter, and the log-softmax backward
-/// `dx = dy − softmax(x)·rowsum(dy)` with the exp-underflow
-/// short-circuit. One pass over `[n, n_actions]` replaces the tape's
+/// gradient routing (ties to the unclipped side, exactly like the
+/// reference's `min_elem`), the optional entropy-bonus term (in the
+/// reference's accumulation order), the gather scatter, and the
+/// log-softmax backward `dx = dy − softmax(x)·rowsum(dy)` with the
+/// exp-underflow short-circuit. One pass over `[n, n_actions]` replaces
 /// five separate gradient buffers.
 #[allow(clippy::too_many_arguments)] // the PPO term list + the batch size
 fn policy_backward_chunk(
@@ -660,16 +1017,16 @@ fn policy_backward_chunk(
     part: &mut Partial,
 ) {
     let n = actions.len();
-    let (rows, width) = p.dims(n);
+    let width = part.logp.len() / n;
 
-    // Loss-tail gradient seeds, exactly as the tape's backward computes
-    // them: d(mean surrogate) = −1/n per element, d(plogp) = ent_coef/n.
+    // Loss-tail gradient seeds: d(mean surrogate) = −1/n per element,
+    // d(plogp) = ent_coef/n.
     let gm = -1.0f32 / total_n as f32;
     let dplogp = ent_coef / total_n as f32;
     let (lo, hi) = (1.0 - clip_ratio, 1.0 + clip_ratio);
 
     let logp = &part.logp;
-    let dy = &mut s.dy;
+    let dy = &mut s.g.dy;
     dy.clear();
     dy.resize(n * width, 0.0);
     let mut obj_sum = 0.0f32;
@@ -700,7 +1057,8 @@ fn policy_backward_chunk(
         if ent_coef != 0.0 {
             // Entropy bonus: dlogp gets dplogp·p (from p·logp's logp
             // side) then (dplogp·logp)·p (through exp's backward), in
-            // the tape's accumulation order, before the gather scatter.
+            // the reference's accumulation order, before the gather
+            // scatter.
             let mut row_plogp = 0.0f32;
             for (o, &lpj) in out.iter_mut().zip(row) {
                 let pj = infer::exp_or_zero(lpj);
@@ -716,7 +1074,7 @@ fn policy_backward_chunk(
         } else {
             // Without entropy the incoming gradient row is the gather
             // scatter alone; the ascending rowsum fold over it matches
-            // the tape bit for bit.
+            // the reference bit for bit.
             let rowsum = 0.0f32 + d_sel;
             for (j, (o, &lpj)) in out.iter_mut().zip(row).enumerate() {
                 let rj = if j == a { d_sel } else { 0.0 };
@@ -725,9 +1083,10 @@ fn policy_backward_chunk(
         }
     }
 
-    // `dy` now holds dlogits: `[n, width]` for the flat head, which the
-    // kernel head reads as `[n·window, 1]` — the reshape is a view.
-    backward_layers(p.mlp, obs, rows, s, &mut part.grads);
+    // `dy` now holds dlogits: `[n, width]` for the flat and conv heads,
+    // which the kernel head reads as `[n·window, 1]` — the reshape is a
+    // view.
+    backward_stack(p, obs, n, s, &mut part.grads);
     (part.obj, part.ent) = (obj_sum, ent_sum);
 }
 
@@ -744,35 +1103,34 @@ pub fn value_pass(
     s: &mut FusedScratch,
 ) -> FusedPass {
     assert!(rows > 0, "fused value pass needs at least one row");
-    assert_eq!(mlp.out_dim(), 1, "critic must emit one value per row");
+    let p = FusedPolicy {
+        mlp,
+        head: FusedHead::Flat,
+    };
+    p.check(obs.len() / rows, 1)
+        .unwrap_or_else(|e| panic!("fused value pass: {e}"));
     assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
     assert_eq!(returns.len(), rows, "one return target per row");
     let od = mlp.in_dim();
     // d(mean) = 1/n over the *batch*; the squared term contributes g·d
-    // twice (the tape's `mul(d, d)` accumulates both factor sides).
+    // twice (the reference's `mul(d, d)` accumulates both factor sides).
     let g = 1.0f32 / rows as f32;
     let (partials, forward, backward) = s.sweep(
-        mlp,
+        &p,
         rows,
-        1,
         0,
-        |w, _, lo, hi| forward_layers(mlp, &obs[lo * od..hi * od], hi - lo, &mut w.acts),
+        |w, _, lo, hi| forward_stack(&p, &obs[lo * od..hi * od], hi - lo, &mut w.acts),
         |w, part, lo, hi| {
-            let WorkerScratch { acts, dy, .. } = w;
             part.sq = 0.0;
-            dy.clear();
-            for (&vi, &ri) in acts
-                .last()
-                .expect("non-empty MLP")
-                .iter()
-                .zip(&returns[lo..hi])
-            {
+            w.g.dy.clear();
+            let values = w.acts.last().expect("non-empty MLP");
+            for (&vi, &ri) in values.iter().zip(&returns[lo..hi]) {
                 let d = vi - ri;
                 part.sq += d * d;
                 let t = g * d;
-                dy.push(t + t);
+                w.g.dy.push(t + t);
             }
-            backward_layers(mlp, &obs[lo * od..hi * od], hi - lo, w, &mut part.grads);
+            backward_stack(&p, &obs[lo * od..hi * od], hi - lo, w, &mut part.grads);
         },
     );
     let mut sq_sum = 0.0f32;
@@ -789,8 +1147,7 @@ pub fn value_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
-    use crate::layers::{Activation, Network, ParamBinds};
+    use crate::layers::Activation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -808,27 +1165,37 @@ mod tests {
 
     #[test]
     fn value_grads_match_tape_bitwise() {
-        let net = mlp(&[6, 16, 8, 1], 3);
+        // The reference tape links the non-test copy of this crate, so its
+        // network is built from that copy's types, from the same seed.
+        use rlsched_nn_ref::nn as ext;
+        let dims = [6, 16, 8, 1];
+        let net = mlp(&dims, 3);
+        let mut rng = StdRng::seed_from_u64(3);
+        let ref_net = ext::Mlp::new(
+            &dims,
+            ext::Activation::Relu,
+            ext::Activation::Identity,
+            &mut rng,
+        );
         let n = 12;
         let obs = filled(n * 6, 0.8, 0.3);
         let returns = filled(n, 2.0, 1.1);
 
-        // Tape arm: exactly the value-loss graph `Ppo::update` builds.
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input_from(&obs, &[n, 6]);
-        let v = net.forward(&mut g, o, &mut binds);
-        let r = g.input_from(&returns, &[n, 1]);
-        let d = g.sub(v, r);
-        let sq = g.mul(d, d);
-        let loss = g.mean(sq);
+        // Tape arm: exactly the value-loss graph `Ppo::update` minimizes.
+        let mut g = rlsched_nn_ref::Graph::new();
+        let (loss, params) = rlsched_nn_ref::value_loss(&mut g, &ref_net, &obs, &returns);
         g.backward(loss);
         let tape_loss = g.value(loss).item();
-        let tape_grads = binds.take_grads(&mut g);
+        let tape_grads = g.grads(&params);
 
         let mut s = FusedScratch::new();
         let fused_loss = value_pass(&net, &obs, &returns, n, &mut s).loss;
 
+        let weights = net.layers.iter().flat_map(|l| [&l.w, &l.b]);
+        let ref_weights = ref_net.layers.iter().flat_map(|l| [&l.w, &l.b]);
+        for (a, b) in weights.zip(ref_weights) {
+            assert_eq!(a.data(), b.data(), "both copies must start from one net");
+        }
         assert_eq!(fused_loss, tape_loss, "loss value");
         assert_eq!(tape_grads.len(), s.grads().len());
         for (i, (t, f)) in tape_grads.iter().zip(s.grads()).enumerate() {

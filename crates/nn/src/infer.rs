@@ -1,27 +1,22 @@
 //! Allocation-free inference: plain forward passes over `&[f32]` scratch
-//! buffers, with no tape bookkeeping at all.
+//! buffers.
 //!
-//! # Tape vs fast path
-//!
-//! The [`crate::Graph`] tape exists for *training*: every op records
-//! itself so `backward` can run, every intermediate stays alive for the
-//! reverse scan, and parameters are copied onto the tape each forward so
-//! the optimizer can match gradients back to storage. None of that is
-//! needed to *act*: scheduling decisions (RLScheduler §IV-B1's test path,
-//! Table IX's latency comparison vs SJF) and rollout sampling only need
-//! output values. This module touches no memory beyond a caller-owned
-//! [`Scratch`].
+//! Scheduling decisions (RLScheduler §IV-B1's test path, Table IX's
+//! latency comparison vs SJF) and rollout sampling only need output
+//! values, so this module touches no memory beyond a caller-owned
+//! [`Scratch`]. The training side, [`crate::fused`], runs these same
+//! layer forwards and keeps what its analytic backward needs.
 //!
 //! # Dispatch and layout rules
 //!
 //! Dense layers run through the runtime-dispatched microkernels in
-//! [`crate::simd`] — the *same* kernels the tape's `Graph::linear` and
-//! `Tensor::matmul*` use — so tape and fast path compute bit-identical
-//! values on whichever dispatch arm (AVX2/FMA or scalar) is active.
-//! Dispatch is per shape: ≥8 output columns vectorize on the broadcast
-//! kernel, `out_dim == 1` heads take a scalar-dot specialization, and
-//! everything else falls back to the tape-order portable loop. Setting
-//! `RLSCHED_FORCE_SCALAR` pins every caller to the scalar arm.
+//! [`crate::simd`] — the *same* kernels the fused training pass uses — so
+//! a decision and a training forward compute bit-identical values on
+//! whichever dispatch arm (AVX2/FMA or scalar) is active. Dispatch is per
+//! shape: ≥8 output columns vectorize on the broadcast kernel,
+//! `out_dim == 1` heads take a scalar-dot specialization, and everything
+//! else falls back to the portable loop. Setting `RLSCHED_FORCE_SCALAR`
+//! pins every caller to the scalar arm.
 //!
 //! Weight layout is `[in, out]` row-major everywhere. That layout is
 //! ideal with many input rows (each weight row broadcasts across the row
@@ -69,9 +64,9 @@ impl Scratch {
 /// Dense layer forward: `out = act(x @ w + b)` where `x` is `[rows, in]`
 /// row-major, `w` `[in, out_dim]`, `b` `[out_dim]`.
 ///
-/// Runs [`crate::simd::dense_any`] — the exact kernel dispatch the tape's
-/// [`crate::Graph::linear`] uses — so fast path and tape agree
-/// bit-for-bit on either dispatch arm.
+/// Runs [`crate::simd::dense_any`], so every caller — decisions, the fused
+/// training pass, the reference tape — agrees bit-for-bit on either
+/// dispatch arm.
 #[allow(clippy::too_many_arguments)] // mirrors the raw (x, w, b, dims) BLAS-style signature
 pub fn dense_forward(
     x: &[f32],
@@ -251,7 +246,8 @@ pub fn dense_layer_forward(
 }
 
 /// Valid (unpadded) conv2d into a zero-filled output slice. Shared by the
-/// tape op and the fast path so both compute identical values.
+/// fast path and the fused training forward so both compute identical
+/// values.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_into(
     x: &[f32],
@@ -293,7 +289,7 @@ pub fn conv2d_into(
 }
 
 /// Non-overlapping max-pool into an output slice (window = stride =
-/// `size`). Shared by the tape op and the fast path.
+/// `size`). Shared by the fast path and the fused training forward.
 pub fn max_pool2d_into(
     x: &[f32],
     bs: usize,
@@ -380,7 +376,7 @@ pub(crate) const EXP_UNDERFLOW: f32 = -104.0;
 /// `exp(x)` with the underflow short-circuit (bit-identical to
 /// `x.exp()` for every input).
 #[inline]
-pub(crate) fn exp_or_zero(x: f32) -> f32 {
+pub fn exp_or_zero(x: f32) -> f32 {
     if x <= EXP_UNDERFLOW {
         0.0
     } else {
@@ -388,8 +384,9 @@ pub(crate) fn exp_or_zero(x: f32) -> f32 {
     }
 }
 
-/// Numerically-stabilized log-softmax of one row, in place. Matches the
-/// tape's [`crate::Graph::log_softmax`] arithmetic exactly.
+/// Numerically-stabilized log-softmax of one row, in place: the one
+/// log-softmax every policy head, the fused pass and the reference tape
+/// run.
 pub fn log_softmax_inplace(row: &mut [f32]) {
     let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let lse = mx + row.iter().map(|&x| exp_or_zero(x - mx)).sum::<f32>().ln();
@@ -411,7 +408,7 @@ pub fn scratch_triple(scratch: &mut Scratch) -> (&mut Vec<f32>, &mut Vec<f32>, &
 }
 
 /// Row-major 4-D index, shared by the conv/pool forward kernels here and
-/// their backward passes in [`crate::graph`] so layouts cannot diverge.
+/// their backward passes in [`crate::fused`] so layouts cannot diverge.
 #[inline]
 pub(crate) fn idx4(
     a: usize,
@@ -428,75 +425,9 @@ pub(crate) fn idx4(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
-    use crate::layers::{Activation, Mlp, Network, ParamBinds};
-    use crate::tensor::Tensor;
+    use crate::layers::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn mlp_fast_path_matches_tape() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mlp = Mlp::new(
-            &[7, 32, 16, 8, 1],
-            Activation::Relu,
-            Activation::Identity,
-            &mut rng,
-        );
-        let rows = 128;
-        let x: Vec<f32> = (0..rows * 7)
-            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.02)
-            .collect();
-
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let xin = g.input(Tensor::from_vec(x.clone(), &[rows, 7]));
-        let y = mlp.forward(&mut g, xin, &mut binds);
-        let tape_out = g.value(y).data().to_vec();
-
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        mlp_forward(&mlp, &x, rows, &mut scratch, &mut out);
-        assert_eq!(out.len(), tape_out.len());
-        // The SIMD microkernel fuses multiply-adds, so allow ulp-scale
-        // drift; the portable fallback is exactly the tape's order.
-        for (a, b) in out.iter().zip(&tape_out) {
-            assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn dispatched_kernel_matches_tape_bitwise() {
-        // Tape (`Graph::linear`) and fast path (`dense_forward`) share the
-        // same `simd::dense_any` dispatch, so on EITHER dispatch arm the
-        // two must agree bit-for-bit — including the ragged out_dim 4
-        // (portable) and SIMD-eligible out_dim 16 layers here.
-        let mut rng = StdRng::seed_from_u64(9);
-        let mlp = Mlp::new(
-            &[5, 16, 4],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        );
-        let rows = 6;
-        let x: Vec<f32> = (0..rows * 5)
-            .map(|i| ((i * 13 % 29) as f32 - 14.0) * 0.05)
-            .collect();
-
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let xin = g.input(Tensor::from_vec(x.clone(), &[rows, 5]));
-        let y = mlp.forward(&mut g, xin, &mut binds);
-
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        mlp_forward(&mlp, &x, rows, &mut scratch, &mut out);
-        assert_eq!(
-            out.as_slice(),
-            g.value(y).data(),
-            "tape and fast path share one kernel dispatch"
-        );
-    }
 
     #[test]
     fn packed_mlp_matches_unpacked_forward() {
@@ -593,40 +524,5 @@ mod tests {
         }
         assert_eq!(scratch.a.capacity(), cap_a, "ping buffer must not regrow");
         assert_eq!(scratch.b.capacity(), cap_b, "pong buffer must not regrow");
-    }
-
-    #[test]
-    fn log_softmax_inplace_matches_tape() {
-        let logits = vec![1.5f32, -0.5, 3.0, 0.0];
-        let mut fast = logits.clone();
-        log_softmax_inplace(&mut fast);
-
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(logits, &[1, 4]));
-        let ls = g.log_softmax(x);
-        assert_eq!(fast.as_slice(), g.value(ls).data());
-    }
-
-    #[test]
-    fn conv_and_pool_match_tape() {
-        let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.7).sin()).collect();
-        let w: Vec<f32> = (0..16).map(|i| (i as f32 * 0.3).cos()).collect();
-        let b = vec![0.1f32, -0.2];
-
-        let mut g = Graph::new();
-        let xv = g.input(Tensor::from_vec(x.clone(), &[1, 2, 4, 4]));
-        let wv = g.input(Tensor::from_vec(w.clone(), &[2, 2, 2, 2]));
-        let bv = g.input(Tensor::from_vec(b.clone(), &[2]));
-        let c = g.conv2d(xv, wv, bv, 1); // [1,2,3,3]
-        let p = g.max_pool2d(c, 3); // [1,2,1,1]
-
-        let mut conv_out = Vec::new();
-        let (oh, ow) = conv2d_forward(&x, &w, &b, 1, 2, 4, 4, 2, 2, 2, 1, &mut conv_out);
-        assert_eq!((oh, ow), (3, 3));
-        assert_eq!(conv_out.as_slice(), g.value(c).data());
-
-        let mut pool_out = Vec::new();
-        max_pool2d_forward(&conv_out, 1, 2, 3, 3, 3, &mut pool_out);
-        assert_eq!(pool_out.as_slice(), g.value(p).data());
     }
 }

@@ -1,15 +1,12 @@
-//! Network building blocks: dense and convolutional layers, activations,
-//! and the [`Network`] trait that ties parameter storage to tape bindings.
+//! Network building blocks: dense and convolutional layers, their
+//! activations, and the [`Network`] trait over parameter storage.
 //!
-//! Parameters live *outside* the tape (plain [`Tensor`]s owned by the
-//! layer); each forward pass copies them onto a fresh [`Graph`] and records
-//! the binding order in a [`ParamBinds`], so the optimizer can match
-//! gradients back to storage. With networks of <10k parameters (Table IV of
-//! the paper) the copies are negligible next to the matmuls.
+//! Parameters are plain [`Tensor`]s owned by the layer. The forwards live
+//! in [`crate::infer`] (inference) and [`crate::fused`] (training), which
+//! read the layers in place.
 
 use rand::Rng;
 
-use crate::graph::{Graph, Var};
 use crate::tensor::Tensor;
 
 /// Elementwise nonlinearity.
@@ -26,79 +23,61 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply on the tape.
-    pub fn apply(self, g: &mut Graph, x: Var) -> Var {
+    /// The kernel-side activation code the [`crate::infer`] and
+    /// [`crate::fused`] loops dispatch on.
+    pub fn to_act(self) -> Act {
         match self {
-            Activation::Relu => g.relu(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Sigmoid => g.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-
-    /// The fused-op activation code for [`Graph::linear`] and the
-    /// allocation-free [`crate::infer`] forwards.
-    pub fn to_act(self) -> crate::graph::Act {
-        match self {
-            Activation::Relu => crate::graph::Act::Relu,
-            Activation::Tanh => crate::graph::Act::Tanh,
-            Activation::Sigmoid => crate::graph::Act::Sigmoid,
-            Activation::Identity => crate::graph::Act::Identity,
+            Activation::Relu => Act::Relu,
+            Activation::Tanh => Act::Tanh,
+            Activation::Sigmoid => Act::Sigmoid,
+            Activation::Identity => Act::Identity,
         }
     }
 }
 
-/// Records, in order, the tape vars bound to each parameter tensor during
-/// one forward pass.
-#[derive(Debug, Default)]
-pub struct ParamBinds {
-    vars: Vec<Var>,
+/// Activation code fused into a dense layer's forward and backward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Act {
+    /// y = x
+    Identity,
+    /// y = max(x, 0)
+    Relu,
+    /// y = tanh(x)
+    Tanh,
+    /// y = 1/(1+e^{-x})
+    Sigmoid,
 }
 
-impl ParamBinds {
-    /// Fresh empty binding list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bind one parameter tensor onto the tape.
-    pub fn bind(&mut self, g: &mut Graph, t: &Tensor) -> Var {
-        let v = g.param(t.clone());
-        self.vars.push(v);
-        v
-    }
-
-    /// The bound vars, in [`Network::params`] order.
-    pub fn vars(&self) -> &[Var] {
-        &self.vars
-    }
-
-    /// Collect (clone) the gradient of every bound parameter after
-    /// `backward`. Prefer [`ParamBinds::take_grads`] in hot loops.
-    pub fn grads(&self, g: &Graph) -> Vec<Tensor> {
-        self.vars.iter().map(|&v| g.grad_or_zeros(v)).collect()
-    }
-
-    /// Move the gradients of every bound parameter out of the tape
-    /// without copying. Each gradient is consumed exactly once per
-    /// backward pass; combined with [`Graph::reset`] this makes the
-    /// update loop allocation-free at steady state.
-    pub fn take_grads(&self, g: &mut Graph) -> Vec<Tensor> {
-        self.vars.iter().map(|&v| g.take_grad(v)).collect()
-    }
-
-    /// Forget all bindings (for graph reuse across iterations).
-    pub fn clear(&mut self) {
-        self.vars.clear();
+impl Act {
+    /// Apply in place.
+    #[inline]
+    pub fn apply_slice(self, xs: &mut [f32]) {
+        match self {
+            Act::Identity => {}
+            Act::Relu => {
+                for x in xs {
+                    // Branchless (maxss) so the loop vectorizes.
+                    *x = x.max(0.0);
+                }
+            }
+            Act::Tanh => {
+                for x in xs {
+                    *x = x.tanh();
+                }
+            }
+            Act::Sigmoid => {
+                for x in xs {
+                    *x = 1.0 / (1.0 + (-*x).exp());
+                }
+            }
+        }
     }
 }
 
-/// Anything with trainable parameters and a tape-forward.
+/// Anything with trainable parameters.
 pub trait Network {
-    /// Run the forward pass, binding parameters through `binds`.
-    fn forward(&self, g: &mut Graph, x: Var, binds: &mut ParamBinds) -> Var;
-
-    /// Parameter tensors, in a stable order matching `forward`'s binds.
+    /// Parameter tensors, in a stable order (each layer's weight, then
+    /// its bias).
     fn params(&self) -> Vec<&Tensor>;
 
     /// Mutable access in the same order.
@@ -144,25 +123,6 @@ impl Dense {
     /// Output width.
     pub fn out_dim(&self) -> usize {
         self.w.shape()[1]
-    }
-
-    /// Tape-forward through this layer (no activation).
-    pub fn forward(&self, g: &mut Graph, x: Var, binds: &mut ParamBinds) -> Var {
-        self.forward_fused(g, x, binds, Activation::Identity)
-    }
-
-    /// Tape-forward with the activation fused into the dense node: one
-    /// tape node and one output allocation instead of three.
-    pub fn forward_fused(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        binds: &mut ParamBinds,
-        act: Activation,
-    ) -> Var {
-        let w = binds.bind(g, &self.w);
-        let b = binds.bind(g, &self.b);
-        g.linear(x, w, b, act.to_act())
     }
 }
 
@@ -221,16 +181,6 @@ impl Mlp {
 }
 
 impl Network for Mlp {
-    fn forward(&self, g: &mut Graph, x: Var, binds: &mut ParamBinds) -> Var {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i == last { self.output } else { self.hidden };
-            h = layer.forward_fused(g, h, binds, act);
-        }
-        h
-    }
-
     fn params(&self) -> Vec<&Tensor> {
         self.layers.iter().flat_map(|l| [&l.w, &l.b]).collect()
     }
@@ -278,13 +228,6 @@ impl Conv2dLayer {
             stride,
         }
     }
-
-    /// Tape-forward through this layer.
-    pub fn forward(&self, g: &mut Graph, x: Var, binds: &mut ParamBinds) -> Var {
-        let w = binds.bind(g, &self.w);
-        let b = binds.bind(g, &self.b);
-        g.conv2d(x, w, b, self.stride)
-    }
 }
 
 #[cfg(test)]
@@ -302,12 +245,16 @@ mod tests {
         let d = Dense::new(4, 3, &mut rng());
         assert_eq!(d.w.shape(), &[4, 3]);
         assert_eq!(d.b.shape(), &[3]);
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let x = g.input(Tensor::zeros(&[2, 4]));
-        let y = d.forward(&mut g, x, &mut binds);
-        assert_eq!(g.value(y).shape(), &[2, 3]);
-        assert_eq!(binds.vars().len(), 2);
+        let mut out = Vec::new();
+        crate::infer::dense_layer_forward(&d, &[0.0; 8], 2, Activation::Identity, &mut out);
+        assert_eq!(out.len(), 2 * 3);
+        let m = Mlp {
+            layers: vec![d],
+            hidden: Activation::Relu,
+            output: Activation::Identity,
+        };
+        let shapes: Vec<&[usize]> = m.params().iter().map(|t| t.shape()).collect();
+        assert_eq!(shapes, [&[4, 3][..], &[3]], "weight, then bias");
     }
 
     #[test]
@@ -333,12 +280,10 @@ mod tests {
             Activation::Identity,
             &mut rng(),
         );
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let x = g.input(Tensor::zeros(&[3, 5]));
-        let y = m.forward(&mut g, x, &mut binds);
-        assert_eq!(g.value(y).shape(), &[3, 2]);
-        assert_eq!(binds.vars().len(), 4, "2 layers x (w, b)");
+        let mut out = Vec::new();
+        crate::infer::mlp_forward(&m, &[0.0; 15], 3, &mut crate::Scratch::new(), &mut out);
+        assert_eq!(out.len(), 3 * 2);
+        assert_eq!(m.params().len(), 4, "2 layers x (w, b)");
     }
 
     #[test]
@@ -349,40 +294,33 @@ mod tests {
             Activation::Identity,
             &mut rng(),
         );
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let x = g.input(Tensor::zeros(&[1, 3]));
-        let _ = m.forward(&mut g, x, &mut binds);
-        let params = m.params();
-        assert_eq!(params.len(), binds.vars().len());
-        for (p, &v) in params.iter().zip(binds.vars()) {
-            assert_eq!(p.shape(), g.value(v).shape());
-        }
+        let mut m = m;
+        let shapes: Vec<Vec<usize>> = m.params().iter().map(|t| t.shape().to_vec()).collect();
+        let shapes_mut: Vec<Vec<usize>> =
+            m.params_mut().iter().map(|t| t.shape().to_vec()).collect();
+        assert_eq!(shapes, shapes_mut);
+        assert_eq!(shapes, [vec![3, 4], vec![4], vec![4, 2], vec![2]]);
     }
 
     #[test]
     fn mlp_trains_xor_with_manual_sgd() {
-        // End-to-end sanity: a tiny MLP fits XOR, proving forward+backward
-        // wiring through layers is correct.
-        let mut r = rng();
-        let mut m = Mlp::new(&[2, 8, 1], Activation::Tanh, Activation::Identity, &mut r);
-        let xs = Tensor::from_vec(vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0], &[4, 2]);
-        let ys = Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[4, 1]);
+        // End-to-end sanity: a tiny MLP fits XOR through the fused
+        // squared-error pass and Adam, proving forward+backward wiring
+        // through layers is correct.
+        let mut m = Mlp::new(
+            &[2, 8, 1],
+            Activation::Tanh,
+            Activation::Identity,
+            &mut rng(),
+        );
+        let xs = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
+        let ys = [0.0, 1.0, 1.0, 0.0];
         let mut opt = crate::optim::Adam::new(0.05);
+        let mut s = crate::fused::FusedScratch::new();
         let mut final_loss = f32::MAX;
         for _ in 0..800 {
-            let mut g = Graph::new();
-            let mut binds = ParamBinds::new();
-            let x = g.input(xs.clone());
-            let y = g.input(ys.clone());
-            let pred = m.forward(&mut g, x, &mut binds);
-            let d = g.sub(pred, y);
-            let sq = g.mul(d, d);
-            let loss = g.mean(sq);
-            g.backward(loss);
-            final_loss = g.value(loss).item();
-            let grads = binds.grads(&g);
-            opt.step(&mut m.params_mut(), &grads);
+            final_loss = crate::fused::value_pass(&m, &xs, &ys, 4, &mut s).loss;
+            opt.step_params(m.params_mut().into_iter(), s.grads());
         }
         assert!(final_loss < 0.05, "XOR did not converge: loss {final_loss}");
     }
@@ -390,11 +328,24 @@ mod tests {
     #[test]
     fn conv_layer_shapes() {
         let c = Conv2dLayer::new(1, 2, 3, 3, 1, &mut rng());
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let x = g.input(Tensor::zeros(&[2, 1, 8, 8]));
-        let y = c.forward(&mut g, x, &mut binds);
-        assert_eq!(g.value(y).shape(), &[2, 2, 6, 6]);
+        assert_eq!(c.w.shape(), &[2, 1, 3, 3]);
+        let mut out = Vec::new();
+        let (oh, ow) = crate::infer::conv2d_forward(
+            &[0.0; 2 * 64],
+            c.w.data(),
+            c.b.data(),
+            2,
+            1,
+            8,
+            8,
+            2,
+            3,
+            3,
+            c.stride,
+            &mut out,
+        );
+        assert_eq!((oh, ow), (6, 6));
+        assert_eq!(out.len(), 2 * 2 * 6 * 6);
     }
 
     #[test]

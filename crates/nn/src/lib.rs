@@ -3,30 +3,31 @@
 //! The paper implements its networks in TensorFlow; no equivalent is
 //! available offline in Rust, and the models are tiny (the kernel policy
 //! network stays under 1 000 parameters, §IV-B1), so this crate provides a
-//! self-contained substrate:
+//! self-contained substrate with one forward per purpose and one
+//! backward:
 //!
-//! * [`Tensor`] — dense row-major `f32` tensors.
-//! * [`Graph`] — tape-based reverse-mode autodiff (define-by-run, arena
-//!   tape, single reverse scan). The op set covers the dense nets of
-//!   Figs 5–6, the LeNet CNN baseline of Table IV (`conv2d`,
-//!   `max_pool2d`), and the PPO objective (`log_softmax`, `select_cols`,
-//!   `clamp`, `min_elem`).
-//! * [`layers`] — `Dense`, `Mlp`, `Conv2dLayer`, the [`Network`] trait and
-//!   parameter-binding machinery.
+//! * [`Tensor`] — dense row-major `f32` tensors; parameter storage and the
+//!   unit of a checkpoint.
+//! * [`layers`] — `Dense`, `Mlp`, `Conv2dLayer` and their activations.
+//! * [`infer`] — allocation-free forwards over caller-owned scratch: what
+//!   every scheduling decision, rollout step and serving shard runs.
+//! * [`fused`] — the PPO update's forward and analytic backward in one
+//!   chunked, allocation-free pass, for every Table IV policy (kernel,
+//!   flat MLPs, the LeNet CNN) and the critic: the only gradient code in
+//!   the system.
 //! * [`simd`] — runtime-dispatched AVX2/FMA dense microkernels shared by
-//!   the tape, its backward passes, and the inference fast path.
-//! * [`fused`] — hand-written, allocation-free forward+backward for the
-//!   PPO objective over MLP-chain policies (bit-identical to the tape;
-//!   the training-side sibling of [`infer`]).
-//! * [`optim`] — Adam / SGD / global-norm clipping (SIMD-dispatched
-//!   fused m/v/param step).
+//!   all of the above.
+//! * [`optim`] — Adam and global-norm clipping (SIMD-dispatched fused
+//!   m/v/param step).
 //! * [`serialize`] — JSON checkpoints for the Table VII transfer study.
 //!
-//! Gradient correctness is enforced by finite-difference tests on every op
-//! (see `graph::tests` and `tests/gradcheck_prop.rs`).
+//! Gradient correctness is enforced twice, outside this crate: the
+//! test-only reference tape (`rlsched-nn-ref`, a reverse-mode autodiff
+//! over the same kernels) must match [`fused`] bit for bit, and
+//! finite-difference checks hold both to the calculus
+//! (`tests/gradcheck_prop.rs`).
 
 pub mod fused;
-pub mod graph;
 pub mod infer;
 pub mod layers;
 pub mod optim;
@@ -34,10 +35,9 @@ pub mod serialize;
 pub mod simd;
 pub mod tensor;
 
-pub use graph::{Act, Graph, Var};
 pub use infer::{PackedMlp, Scratch};
-pub use layers::{Activation, Conv2dLayer, Dense, Mlp, Network, ParamBinds};
-pub use optim::{clip_global_norm, Adam, Sgd};
+pub use layers::{Act, Activation, Conv2dLayer, Dense, Mlp, Network};
+pub use optim::{clip_global_norm, Adam};
 pub use tensor::Tensor;
 
 // Serving tiers replicate weight snapshots across shard threads

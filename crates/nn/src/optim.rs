@@ -1,5 +1,5 @@
-//! First-order optimizers: Adam (the paper trains with learning rate 1e-3,
-//! §V-A) and plain SGD, plus global-norm gradient clipping.
+//! The first-order optimizer: Adam (the paper trains with learning rate
+//! 1e-3, §V-A), plus global-norm gradient clipping.
 //!
 //! The Adam inner loop is SIMD-dispatched ([`crate::simd::simd_enabled`]
 //! gates an AVX2 kernel): it runs once per update iteration over every
@@ -50,18 +50,12 @@ impl Adam {
         self.lr = lr;
     }
 
-    /// Apply one update step. `params` and `grads` must be index-aligned
-    /// and keep the same shapes across calls.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
-        assert_eq!(params.len(), grads.len(), "params/grads must align");
-        self.step_params(params.iter_mut().map(|p| &mut **p), grads);
-    }
-
-    /// [`Adam::step`] over a parameter *iterator* — the allocation-free
-    /// entry point for callers that can walk their parameter tensors in
-    /// place (the fused PPO update iterates MLP layers directly instead
-    /// of collecting a `Vec<&mut Tensor>` per iteration). The iterator
-    /// must yield exactly `grads.len()` tensors in bind order.
+    /// Apply one update step to the tensors a parameter iterator yields —
+    /// allocation-free for callers that walk their layers in place (the
+    /// fused PPO update steps its networks this way instead of collecting
+    /// a `Vec<&mut Tensor>` per iteration). The iterator must yield
+    /// exactly `grads.len()` tensors, index-aligned with `grads` and
+    /// keeping the same shapes across calls.
     pub fn step_params<'a>(
         &mut self,
         mut params: impl Iterator<Item = &'a mut Tensor>,
@@ -229,27 +223,6 @@ unsafe fn adam_update_avx2(
     );
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with fixed learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Apply one descent step.
-    pub fn step(&self, params: &mut [&mut Tensor], grads: &[Tensor]) {
-        assert_eq!(params.len(), grads.len());
-        for (p, g) in params.iter_mut().zip(grads) {
-            p.axpy(-self.lr, g);
-        }
-    }
-}
-
 /// Scale all gradients down so their joint L2 norm is at most `max_norm`.
 /// Returns the pre-clip norm.
 pub fn clip_global_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
@@ -280,23 +253,10 @@ mod tests {
         let mut opt = Adam::new(0.1);
         for _ in 0..500 {
             let g = quadratic_grad(&p);
-            opt.step(&mut [&mut p], &[g]);
+            opt.step_params([&mut p].into_iter(), &[g]);
         }
         for &x in p.data() {
             assert!((x - 3.0).abs() < 1e-2, "x={x}");
-        }
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Tensor::from_vec(vec![-5.0, 10.0], &[2]);
-        let opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            let g = quadratic_grad(&p);
-            opt.step(&mut [&mut p], &[g]);
-        }
-        for &x in p.data() {
-            assert!((x - 3.0).abs() < 1e-3, "x={x}");
         }
     }
 
@@ -305,7 +265,7 @@ mod tests {
         // With a constant gradient, the very first Adam step is ~lr.
         let mut p = Tensor::from_vec(vec![0.0], &[1]);
         let mut opt = Adam::new(0.01);
-        opt.step(&mut [&mut p], &[Tensor::from_vec(vec![42.0], &[1])]);
+        opt.step_params([&mut p].into_iter(), &[Tensor::from_vec(vec![42.0], &[1])]);
         assert!(
             (p.data()[0] + 0.01).abs() < 1e-4,
             "step was {}",
@@ -321,7 +281,7 @@ mod tests {
         for _ in 0..400 {
             let ga = quadratic_grad(&a);
             let gb = quadratic_grad(&b);
-            opt.step(&mut [&mut a, &mut b], &[ga, gb]);
+            opt.step_params([&mut a, &mut b].into_iter(), &[ga, gb]);
         }
         assert!((a.data()[0] - 3.0).abs() < 1e-2);
         assert!((b.data()[0] - 3.0).abs() < 1e-2);
@@ -331,7 +291,7 @@ mod tests {
     #[should_panic(expected = "align")]
     fn mismatched_lengths_rejected() {
         let mut p = Tensor::zeros(&[1]);
-        Adam::new(0.1).step(&mut [&mut p], &[]);
+        Adam::new(0.1).step_params([&mut p].into_iter(), &[]);
     }
 
     #[test]
@@ -378,32 +338,6 @@ mod tests {
         let mut opt = Adam::new(0.1);
         opt.set_lr(0.5);
         assert_eq!(opt.lr(), 0.5);
-    }
-
-    #[test]
-    fn step_params_matches_step() {
-        // The iterator entry point must walk the same update as the
-        // slice-of-refs one (it is the same kernel underneath).
-        let grads: Vec<Tensor> = (0..3)
-            .map(|k| {
-                Tensor::from_vec(
-                    (0..5 + k).map(|i| ((i + k) as f32 * 0.7).sin()).collect(),
-                    &[5 + k],
-                )
-            })
-            .collect();
-        let mut a: Vec<Tensor> = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
-        let mut b = a.clone();
-        let mut oa = Adam::new(0.05);
-        let mut ob = Adam::new(0.05);
-        for _ in 0..7 {
-            let mut refs: Vec<&mut Tensor> = a.iter_mut().collect();
-            oa.step(&mut refs, &grads);
-            ob.step_params(b.iter_mut(), &grads);
-        }
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.data(), y.data(), "step and step_params diverged");
-        }
     }
 
     /// The forced-scalar parity contract of the fused m/v/param kernel:

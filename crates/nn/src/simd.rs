@@ -1,11 +1,12 @@
 //! Runtime-dispatched dense microkernels shared by the whole stack.
 //!
 //! One set of register-blocked AVX2/FMA kernels serves the inference fast
-//! path ([`crate::infer`]), the autodiff tape forward
-//! ([`crate::Graph::linear`], [`crate::Tensor::matmul_into`]) and the
-//! backward passes (`dA = dC·Bᵀ` via [`gemm_nt`], `dB = Aᵀ·dC` via
-//! [`gemm_tn`]). Keeping every caller on the same kernels means the tape
-//! and the fast path compute *bit-identical* values on both dispatch arms.
+//! path ([`crate::infer`]), the fused training forward and its analytic
+//! backward ([`crate::fused`]: `dA = dC·Bᵀ` through a transposed-weight
+//! [`gemm`], `dB = Aᵀ·dC` via [`gemm_tn`]), and the test-only reference
+//! tape. Keeping every caller on the same kernels means a decision, a
+//! training pass and the reference compute *bit-identical* values on both
+//! dispatch arms.
 //!
 //! # Dispatch rules
 //!
@@ -33,7 +34,7 @@
 //!
 //! # Numerics
 //!
-//! The scalar kernels accumulate in the same order as the original tape
+//! The scalar kernels accumulate in the same order as the original scalar
 //! loops, so the scalar arm is bit-for-bit the pre-SIMD behavior. The
 //! AVX2 kernels fuse multiply-adds (no intermediate rounding) and widen
 //! the accumulation, so values can drift by a few ulps; see
@@ -107,7 +108,7 @@ pub fn gemm(
     }
 }
 
-/// Scalar reference for [`gemm`] (zero-seed variant): the tape's original
+/// Scalar reference for [`gemm`] (zero-seed variant): the original
 /// `i-k-j` loop, zero-contribution rows skipped. Bit-identical to the
 /// pre-SIMD [`crate::Tensor::matmul`].
 pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
@@ -726,7 +727,7 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
 
 /// Transpose a `[rows, cols]` row-major matrix into `dst` as
 /// `[cols, rows]`. Shared by the packed serving layout
-/// ([`crate::infer::PackedMlp`]) and the Linear backward's
+/// ([`crate::infer::PackedMlp`]) and the dense backward's
 /// dX-via-transposed-W gemm, so the layout convention lives in one place.
 pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     debug_assert!(src.len() >= rows * cols, "transpose source volume");
@@ -740,7 +741,7 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 
 // ------------------------------------------------- shared dense forward
 
-/// Portable dense-layer kernel: bias-seeded rows, k ascending — the tape's
+/// Portable dense-layer kernel: bias-seeded rows, k ascending — the
 /// original accumulation order, kept as the scalar arm of [`dense_any`].
 pub fn dense_portable(
     x: &[f32],
@@ -764,9 +765,10 @@ pub fn dense_portable(
     }
 }
 
-/// The one dense forward both the tape ([`crate::Graph::linear`]) and the
-/// inference fast path (`infer::dense_forward`) call, so the two compute
-/// bit-identical values on whichever dispatch arm is active:
+/// The one dense forward every caller runs (through
+/// `infer::dense_forward`: the fast path, the fused training pass and the
+/// reference tape alike), so they compute bit-identical values on
+/// whichever dispatch arm is active:
 /// `out = x @ w + b` (no activation), `x` `[rows, in]`, `w` `[in, out]`.
 ///
 /// `out_dim == 1` heads take a scalar-dot specialization (same

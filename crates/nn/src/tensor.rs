@@ -1,13 +1,13 @@
-//! Dense row-major f32 tensors.
+//! Dense row-major f32 tensors: the parameter storage of every layer and
+//! the unit of a checkpoint.
 //!
-//! Networks are small in this system (the paper's kernel policy network
-//! has fewer than 1 000 parameters) but PPO batches are not: the update
-//! is matmul-bound, so the three matmul flavors the tape needs — plain
-//! (`A·B`), NT (`A·Bᵀ`, the `dX = dY·Wᵀ` backward) and TN (`Aᵀ·B`, the
-//! `dW = Xᵀ·dY` backward) — dispatch to the register-blocked AVX2/FMA
-//! kernels in [`crate::simd`] when the shape allows, and otherwise run
-//! the original scalar loops (`i-k-j` so the innermost loop walks both
-//! operands contiguously).
+//! The three matmul flavors — plain (`A·B`), NT (`A·Bᵀ`, a `dX = dY·Wᵀ`
+//! backward) and TN (`Aᵀ·B`, a `dW = Xᵀ·dY` backward) — dispatch to the
+//! register-blocked AVX2/FMA kernels in [`crate::simd`] when the shape
+//! allows, and otherwise run the scalar loops (`i-k-j` so the innermost
+//! loop walks both operands contiguously). The training and inference
+//! paths call the kernels on raw slices; these wrappers serve the
+//! test-only reference tape and the SIMD parity suite.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,12 +17,8 @@ use crate::simd;
 /// shapes in the system).
 pub const MAX_RANK: usize = 4;
 
-/// An inline (non-allocating) shape: up to [`MAX_RANK`] dimensions.
-///
-/// Shapes used to be `Vec<usize>`, which made every gradient temporary
-/// pay a second heap allocation its data buffer pool couldn't absorb;
-/// inlining them is what lets the reused-graph training loop reach zero
-/// steady-state allocations.
+/// An inline (non-allocating) shape: up to [`MAX_RANK`] dimensions, so a
+/// gradient tensor costs one heap allocation (its data), not two.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
@@ -82,10 +78,36 @@ impl Deserialize for Shape {
 }
 
 /// A dense row-major tensor of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+/// A tensor as it reads from JSON, before its data is held to its shape.
+#[derive(Deserialize)]
+struct RawTensor {
+    data: Vec<f32>,
+    shape: Shape,
+}
+
+/// A checkpoint whose data disagrees with its shape is an error here,
+/// not a panic at the first forward that trusts the shape.
+impl Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let RawTensor { data, shape } = RawTensor::from_value(v)?;
+        let volume = shape
+            .as_slice()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d));
+        if volume != Some(data.len()) {
+            return Err(serde::Error::custom(format!(
+                "tensor of shape {shape:?} holds {} values",
+                data.len()
+            )));
+        }
+        Ok(Tensor { data, shape })
+    }
 }
 
 impl Tensor {
@@ -196,20 +218,6 @@ impl Tensor {
         }
     }
 
-    /// Consume the tensor, handing its backing buffer to the caller (the
-    /// [`crate::Graph`] arena recycles buffers through this).
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Reinterpret in place with a different shape (volume preserved; no
-    /// copy — the owned-buffer counterpart of [`Tensor::reshaped`]).
-    pub fn set_shape(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.len(), "set_shape must preserve volume");
-        self.shape = Shape::new(shape);
-    }
-
     /// Matrix product of two 2-D tensors.
     ///
     /// The `i-k-j` loop order walks both operands contiguously; large
@@ -225,7 +233,7 @@ impl Tensor {
     }
 
     /// [`Tensor::matmul`] into a caller-supplied buffer (cleared and
-    /// resized), so arena-managed graphs can recycle allocations.
+    /// resized).
     ///
     /// Dispatches to the AVX2/FMA kernel ([`simd::gemm`]) when the shape
     /// allows, the scalar `i-k-j` loop otherwise; large products split
@@ -471,6 +479,21 @@ mod tests {
         let mut buf = vec![99.0; 16];
         a.matmul_into(&b, &mut buf);
         assert_eq!(buf, vec![19.0, 22.0, 43.0, 50.0]);
+    }
+
+    #[test]
+    fn deserialize_holds_data_to_its_shape() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(serde_json::from_str::<Tensor>(&json).unwrap(), t);
+        for bad in [
+            r#"{"data":[1,2,3,4,5],"shape":[2,3]}"#,
+            r#"{"data":[1,2,3,4,5,6,7],"shape":[2,3]}"#,
+            r#"{"data":[],"shape":[4294967296,4294967296,16]}"#,
+            r#"{"data":[1],"shape":[1,1,1,1,1]}"#,
+        ] {
+            assert!(serde_json::from_str::<Tensor>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

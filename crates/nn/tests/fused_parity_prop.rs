@@ -1,11 +1,12 @@
-//! Property-based fused ≡ tape gradient parity: for random MLP-chain
-//! policies (flat and kernel heads), random PPO batches and random
-//! hyperparameters, the tape-free fused forward+backward must produce the
-//! **same bits** as the autodiff tape building the exact `Ppo::update`
-//! op pipeline — loss, selected log-probs, and every parameter gradient —
-//! on batches of up to `SHARD_ROWS` rows (one chunk, which is how every
-//! ≤ 64-row minibatch runs); a multi-chunk case pins exact forward
-//! diagnostics and bounds the gradient re-association drift.
+//! Property-based fused ≡ reference gradient parity: for random
+//! policies under every head (flat and kernel MLP chains, the LeNet conv
+//! stack), random PPO batches and random hyperparameters, the fused
+//! forward+backward must produce the **same bits** as the reference tape
+//! (`rlsched-nn-ref`) building the exact `Ppo::update` objective — loss,
+//! selected log-probs, and every parameter gradient — on batches of up
+//! to `SHARD_ROWS` rows (one chunk, which is how every ≤ 64-row minibatch
+//! runs); multi-chunk cases pin exact forward diagnostics, bound the
+//! gradient re-association drift and pin worker-count invariance.
 //! CI runs this on both kernel dispatch arms (default SIMD and
 //! `RLSCHED_FORCE_SCALAR=1`); the contract holds on each arm separately.
 
@@ -14,14 +15,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::fused::{self, FusedHead, FusedPolicy, FusedScratch, SHARD_ROWS};
-use rlsched_nn::{Activation, Graph, Mlp, Network, ParamBinds, Tensor};
+use rlsched_nn::{Activation, Conv2dLayer, Mlp, Tensor};
+use rlsched_nn_ref::Graph;
 
-/// Build the exact policy-loss graph `Ppo::update` builds on the tape
-/// and return `(loss, selected logp, grads in bind order)`.
+/// Build the exact policy loss `Ppo::update` minimizes on the reference
+/// tape and return `(loss, selected logp, grads in bind order)`.
 #[allow(clippy::too_many_arguments)]
 fn tape_policy_grads(
-    mlp: &Mlp,
-    head: FusedHead,
+    p: &FusedPolicy<'_>,
     obs: &[f32],
     masks: &[f32],
     actions: &[usize],
@@ -29,47 +30,14 @@ fn tape_policy_grads(
     logp_old: &[f32],
     clip: f32,
     ent_coef: f32,
-    n: usize,
 ) -> (f32, Vec<f32>, Vec<Tensor>) {
-    let width = masks.len() / n;
     let mut g = Graph::new();
-    let mut binds = ParamBinds::new();
-    let o = g.input_from(obs, &[n, obs.len() / n]);
-    let m = g.input_from(masks, &[n, width]);
-    let logits = match head {
-        FusedHead::Flat => mlp.forward(&mut g, o, &mut binds),
-        FusedHead::Kernel { window } => {
-            let per_job = g.reshape(o, &[n * window, mlp.in_dim()]);
-            let scores = mlp.forward(&mut g, per_job, &mut binds);
-            g.reshape(scores, &[n, window])
-        }
-    };
-    let masked = g.add(logits, m);
-    let logp_all = g.log_softmax(masked);
-    let logp = g.select_cols(logp_all, actions);
-    let old = g.input_from(logp_old, &[n]);
-    let diff = g.sub(logp, old);
-    let ratio = g.exp(diff);
-    let advv = g.input_from(advantages, &[n]);
-    let surr1 = g.mul(ratio, advv);
-    let clipped = g.clamp(ratio, 1.0 - clip, 1.0 + clip);
-    let surr2 = g.mul(clipped, advv);
-    let obj = g.min_elem(surr1, surr2);
-    let mean_obj = g.mean(obj);
-    let mut loss = g.scale(mean_obj, -1.0);
-    if ent_coef != 0.0 {
-        let p = g.exp(logp_all);
-        let plogp = g.mul(p, logp_all);
-        let row = g.sum_rows(plogp);
-        let ent = g.mean(row);
-        let weighted = g.scale(ent, ent_coef);
-        loss = g.add(loss, weighted);
-    }
-    g.backward(loss);
-    let sel = g.value(logp).data().to_vec();
-    let loss_v = g.value(loss).item();
-    let grads = binds.take_grads(&mut g);
-    (loss_v, sel, grads)
+    let l = rlsched_nn_ref::policy_loss(
+        &mut g, p, obs, masks, actions, advantages, logp_old, clip, ent_coef,
+    );
+    g.backward(l.loss);
+    let sel = g.value(l.logp).data().to_vec();
+    (g.value(l.loss).item(), sel, g.grads(&l.params))
 }
 
 fn lcg(seed: &mut u64) -> f32 {
@@ -116,11 +84,11 @@ proptest! {
         let advantages: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
         let logp_old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
 
+        let p = FusedPolicy { mlp: &mlp, head };
         let (tape_loss, tape_sel, tape_grads) = tape_policy_grads(
-            &mlp, head, &obs, &masks, &actions, &advantages, &logp_old, clip, ent_coef, n,
+            &p, &obs, &masks, &actions, &advantages, &logp_old, clip, ent_coef,
         );
 
-        let p = FusedPolicy { mlp: &mlp, head };
         let mut scratch = FusedScratch::new();
         let fused_loss = fused::policy_pass(
             &p, &obs, &masks, &actions, &advantages, &logp_old, clip, ent_coef, n, &mut scratch,
@@ -150,18 +118,12 @@ proptest! {
         let obs: Vec<f32> = (0..n * obs_dim).map(|_| lcg(&mut s) * 2.0).collect();
         let returns: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 10.0).collect();
 
-        // The exact value-loss graph Ppo::update builds.
+        // The exact value loss Ppo::update minimizes.
         let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input_from(&obs, &[n, obs_dim]);
-        let v = mlp.forward(&mut g, o, &mut binds);
-        let r = g.input_from(&returns, &[n, 1]);
-        let d = g.sub(v, r);
-        let sq = g.mul(d, d);
-        let loss = g.mean(sq);
+        let (loss, params) = rlsched_nn_ref::value_loss(&mut g, &mlp, &obs, &returns);
         g.backward(loss);
         let tape_loss = g.value(loss).item();
-        let tape_grads = binds.take_grads(&mut g);
+        let tape_grads = g.grads(&params);
 
         let mut scratch = FusedScratch::new();
         let fused_loss = fused::value_pass(&mlp, &obs, &returns, n, &mut scratch).loss;
@@ -186,8 +148,8 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
         let mut rng = StdRng::seed_from_u64(17);
         let mlp = Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng);
         let obs_dim = match head {
-            FusedHead::Flat => dims[0],
             FusedHead::Kernel { window } => window * dims[0],
+            _ => dims[0],
         };
         let mut s = 0x5eed;
         let obs: Vec<f32> = (0..n * obs_dim).map(|_| lcg(&mut s) * 2.0).collect();
@@ -206,9 +168,9 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
         let adv: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
         let old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
 
-        let (tape_loss, tape_sel, tape_grads) =
-            tape_policy_grads(&mlp, head, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, n);
         let p = FusedPolicy { mlp: &mlp, head };
+        let (tape_loss, tape_sel, tape_grads) =
+            tape_policy_grads(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01);
         let mut scratch = FusedScratch::new();
         let loss = fused::policy_pass(
             &p,
@@ -238,6 +200,137 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
                     (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
                     "{head:?} grad {i}: {x} vs {y}"
                 );
+            }
+        }
+    }
+}
+
+/// The LeNet baseline of Table IV at the smallest window it takes: 64
+/// jobs of 7 features as a 16 x 28 image, two conv 5 x 5 stages of 6 and
+/// 16 maps (1 x 4 each after the second pool), a 120-unit dense layer and
+/// the 64-slot head.
+fn lenet(seed: u64) -> (Vec<Conv2dLayer>, Mlp) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let convs = vec![
+        Conv2dLayer::new(1, 6, 5, 5, 1, &mut rng),
+        Conv2dLayer::new(6, 16, 5, 5, 1, &mut rng),
+    ];
+    let mlp = Mlp::new(
+        &[64, 120, 64],
+        Activation::Relu,
+        Activation::Identity,
+        &mut rng,
+    );
+    (convs, mlp)
+}
+
+/// An `n`-transition LeNet batch: observations in `[0, 1)` like the
+/// encoder's, a third of the slots masked, every action valid.
+#[allow(clippy::type_complexity)]
+fn lenet_batch(n: usize, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<usize>, Vec<f32>, Vec<f32>) {
+    let mut s = seed | 1;
+    let obs: Vec<f32> = (0..n * 16 * 28).map(|_| lcg(&mut s) + 0.5).collect();
+    let masks: Vec<f32> = (0..n * 64)
+        .map(|i| if i % 3 == 1 { -1.0e9 } else { 0.0 })
+        .collect();
+    let actions: Vec<usize> = (0..n).map(|i| (i * 7) % 64 / 3 * 3).collect();
+    let adv: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
+    let old: Vec<f32> = (0..n).map(|_| -3.0 - lcg(&mut s).abs()).collect();
+    (obs, masks, actions, adv, old)
+}
+
+/// One chunk: the LeNet policy's fused loss, selected log-probs and
+/// every gradient (both conv stages included) equal the reference's bit
+/// for bit, with and without the entropy term.
+#[test]
+fn lenet_grads_match_tape_bitwise_in_one_chunk() {
+    let (convs, mlp) = lenet(41);
+    let p = FusedPolicy {
+        mlp: &mlp,
+        head: FusedHead::Conv {
+            convs: &convs,
+            h: 16,
+            w: 28,
+        },
+    };
+    for n in [1usize, 63, 64] {
+        for ent_coef in [0.0f32, 0.01] {
+            let (obs, masks, actions, adv, old) = lenet_batch(n, n as u64);
+            let (tape_loss, tape_sel, tape_grads) =
+                tape_policy_grads(&p, &obs, &masks, &actions, &adv, &old, 0.2, ent_coef);
+            let mut scratch = FusedScratch::new();
+            let loss = fused::policy_pass(
+                &p,
+                &obs,
+                &masks,
+                &actions,
+                &adv,
+                &old,
+                0.2,
+                ent_coef,
+                n,
+                &mut scratch,
+            )
+            .loss;
+            let what = format!("n = {n}, ent_coef = {ent_coef}");
+            assert_eq!(loss, tape_loss, "{what}: loss");
+            let sel: Vec<f32> = scratch.selected_logp().collect();
+            assert_eq!(sel, tape_sel, "{what}: selected logp");
+            assert_eq!(scratch.grads().len(), 8, "{what}: two convs + two dense");
+            for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
+                assert_eq!(f.data(), t.data(), "{what}: grad {i}");
+            }
+        }
+    }
+}
+
+/// Across chunk boundaries: at 65 rows (two chunks) the forward stays
+/// exact and the re-associated gradients stay within f32 tolerance of
+/// the reference; at 65 and 193 rows every output is the same bits at 1,
+/// 2, 3 and 7 workers.
+#[test]
+fn lenet_across_chunks_matches_tape_and_is_thread_count_invariant() {
+    let (convs, mlp) = lenet(43);
+    let p = FusedPolicy {
+        mlp: &mlp,
+        head: FusedHead::Conv {
+            convs: &convs,
+            h: 16,
+            w: 28,
+        },
+    };
+    for n in [SHARD_ROWS + 1, 3 * SHARD_ROWS + 1] {
+        let (obs, masks, actions, adv, old) = lenet_batch(n, 7 + n as u64);
+        let run = |threads: usize| {
+            rayon::with_threads(threads, || {
+                let mut s = FusedScratch::new();
+                let loss = fused::policy_pass(
+                    &p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, n, &mut s,
+                )
+                .loss;
+                let grads: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
+                let logp: Vec<f32> = s.logp_all().flatten().copied().collect();
+                let sel: Vec<f32> = s.selected_logp().collect();
+                (loss.to_bits(), grads, logp, sel)
+            })
+        };
+        let base = run(1);
+        for threads in [2usize, 3, 7] {
+            assert_eq!(run(threads), base, "n = {n} at {threads} workers");
+        }
+        if n == SHARD_ROWS + 1 {
+            let (tape_loss, tape_sel, tape_grads) =
+                tape_policy_grads(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01);
+            assert_eq!(base.3, tape_sel, "selected logp");
+            let loss = f32::from_bits(base.0);
+            assert!((loss - tape_loss).abs() <= 1e-6, "{loss} vs {tape_loss}");
+            for (i, (f, t)) in base.1.iter().zip(&tape_grads).enumerate() {
+                for (x, y) in f.iter().zip(t.data()) {
+                    assert!(
+                        (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
+                        "grad {i}: {x} vs {y}"
+                    );
+                }
             }
         }
     }

@@ -1,11 +1,17 @@
-//! Property-based gradient checks: for random tensors and random op
-//! pipelines, the tape's analytic gradients must match central finite
-//! differences. This is the load-bearing correctness test for everything
-//! PPO-side.
+//! Property-based gradient checks against central finite differences:
+//! for random tensors and random op pipelines, the reference tape's
+//! analytic gradients; and for random LeNet-shaped conv stacks, the fused
+//! pass's conv and pool backward on its own, with no tape involved. With
+//! the bit-parity suites, this is the load-bearing correctness test for
+//! everything PPO-side.
 
 use proptest::prelude::*;
 
-use rlsched_nn::{Graph, Tensor, Var};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rlsched_nn::fused::{self, FusedHead, FusedPolicy, FusedScratch, POOL};
+use rlsched_nn::{infer, Act, Activation, Conv2dLayer, Mlp, Tensor};
+use rlsched_nn_ref::{Graph, Var};
 
 fn finite_diff_check<F>(input: Tensor, build: F, tol: f32) -> Result<(), TestCaseError>
 where
@@ -55,7 +61,7 @@ proptest! {
             move |g, xv| {
                 let wv = g.input(w.clone());
                 let h = g.matmul(xv, wv);
-                let r = g.tanh(h); // tanh: smooth, no kink issues at random points
+                let r = g.act(h, Act::Tanh); // tanh: smooth, no kink issues at random points
                 g.mean(r)
             },
             0.05,
@@ -69,7 +75,7 @@ proptest! {
             move |g, wv| {
                 let xv = g.input(x.clone());
                 let h = g.matmul(xv, wv);
-                let s = g.sigmoid(h);
+                let s = g.act(h, Act::Sigmoid);
                 g.sum(s)
             },
             0.05,
@@ -186,4 +192,137 @@ proptest! {
             prop_assert!((p - q).abs() < 1e-4);
         }
     }
+}
+
+/// Where a conv stack is not differentiable, as a pattern: the sign of
+/// every conv output and the position of every pool window's first
+/// maximum, stage by stage. A finite difference is only meaningful
+/// between parameters that leave this pattern unchanged.
+fn kinks(convs: &[Conv2dLayer], h: usize, w: usize, obs: &[f32], n: usize) -> Vec<usize> {
+    let (mut x, mut c, mut h, mut w) = (obs.to_vec(), 1, h, w);
+    let mut pattern = Vec::new();
+    for conv in convs {
+        let (o, k) = (conv.w.shape()[0], conv.w.shape()[2]);
+        let mut y = Vec::new();
+        let (ch, cw) = infer::conv2d_forward(
+            &x,
+            conv.w.data(),
+            conv.b.data(),
+            n,
+            c,
+            h,
+            w,
+            o,
+            k,
+            k,
+            1,
+            &mut y,
+        );
+        pattern.extend(y.iter().map(|&v| usize::from(v > 0.0)));
+        infer::relu_inplace(&mut y);
+        for map in y.chunks(ch * cw) {
+            for py in 0..ch / POOL {
+                for px in 0..cw / POOL {
+                    let at = |i: usize| map[(py * POOL + i / POOL) * cw + px * POOL + i % POOL];
+                    let first_max =
+                        (0..POOL * POOL).fold(0, |b, i| if at(i) > at(b) { i } else { b });
+                    pattern.push(first_max);
+                }
+            }
+        }
+        infer::max_pool2d_forward(&y, n, o, ch, cw, POOL, &mut x);
+        (c, h, w) = (o, ch / POOL, cw / POOL);
+    }
+    pattern
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused conv/pool backward against finite differences of the
+    /// fused loss, on random two-stage stacks (1..=3 maps each, kernels
+    /// 3..=5, stride 1, 2 x 2 pool) under a linear head. The clip radius
+    /// is out of reach, so the loss is smooth away from ReLU and pool
+    /// kinks, and a parameter whose ±eps moves any kink is skipped.
+    /// `tied` images repeat each row's value across it, so every pool
+    /// window ties horizontally at both stages (the first maximum must
+    /// take the whole gradient); `zero_adv` zeroes every upstream
+    /// gradient, which must come back exactly zero.
+    #[test]
+    fn conv_stack_grads_match_finite_differences(
+        o1 in 1usize..=3,
+        o2 in 1usize..=3,
+        k1 in 3usize..=5,
+        k2 in 3usize..=5,
+        extra_h in 0usize..=3,
+        extra_w in 0usize..=3,
+        n in 1usize..=3,
+        width in 2usize..=4,
+        tied in any::<bool>(),
+        zero_adv in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (h, w) = (k1 - 1 + 2 * (k2 + 1) + extra_h, k1 - 1 + 2 * (k2 + 1) + extra_w);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut convs = vec![
+            Conv2dLayer::new(1, o1, k1, k1, 1, &mut rng),
+            Conv2dLayer::new(o1, o2, k2, k2, 1, &mut rng),
+        ];
+        for conv in &mut convs {
+            conv.b = Tensor::from_vec((0..conv.b.len()).map(|i| 0.1 - 0.07 * i as f32).collect(), conv.b.shape());
+        }
+        let flat = o2 * ((2 + extra_h / 2) / POOL) * ((2 + extra_w / 2) / POOL);
+        let mlp = Mlp::new(&[flat, width], Activation::Identity, Activation::Identity, &mut rng);
+        let mut s = seed | 1;
+        let obs: Vec<f32> = (0..n * h * w)
+            .map(|i| if tied { (i / w) as f32 * 0.37 % 1.0 } else { lcg(&mut s) + 0.5 })
+            .collect();
+        let masks = vec![0.0f32; n * width];
+        let actions: Vec<usize> = (0..n).map(|i| i % width).collect();
+        let adv: Vec<f32> = (0..n).map(|_| if zero_adv { 0.0 } else { lcg(&mut s) * 4.0 }).collect();
+        let old: Vec<f32> = (0..n).map(|_| -(width as f32).ln()).collect();
+        let ent_coef = if zero_adv { 0.0 } else { 0.01 };
+        let loss_of = |convs: &[Conv2dLayer], mlp: &Mlp, scratch: &mut FusedScratch| {
+            let p = FusedPolicy { mlp, head: FusedHead::Conv { convs, h, w } };
+            fused::policy_pass(&p, &obs, &masks, &actions, &adv, &old, 1e3, ent_coef, n, scratch).loss
+        };
+
+        let mut scratch = FusedScratch::new();
+        loss_of(&convs, &mlp, &mut scratch);
+        let analytic = scratch.grads().to_vec();
+        if zero_adv {
+            for (i, g) in analytic.iter().enumerate() {
+                prop_assert!(g.data().iter().all(|&v| v == 0.0), "grad {} is not zero", i);
+            }
+        }
+        let base = kinks(&convs, h, w, &obs, n);
+        let eps = 1e-3f32;
+        for (t, grad) in analytic.iter().enumerate().take(4) {
+            for i in 0..grad.len() {
+                let nudged = |delta: f32| {
+                    let mut c = convs.clone();
+                    let p = if t % 2 == 0 { &mut c[t / 2].w } else { &mut c[t / 2].b };
+                    p.data_mut()[i] += delta;
+                    c
+                };
+                let (plus, minus) = (nudged(eps), nudged(-eps));
+                if kinks(&plus, h, w, &obs, n) != base || kinks(&minus, h, w, &obs, n) != base {
+                    continue;
+                }
+                let numeric = (loss_of(&plus, &mlp, &mut scratch) - loss_of(&minus, &mlp, &mut scratch)) / (2.0 * eps);
+                let a = grad.data()[i];
+                prop_assert!(
+                    (a - numeric).abs() <= 2e-3 + 2e-2 * numeric.abs(),
+                    "conv param {}[{}]: analytic {} vs numeric {}", t, i, a, numeric
+                );
+            }
+        }
+    }
+}
+
+fn lcg(seed: &mut u64) -> f32 {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    ((*seed >> 33) as f32 / (1u64 << 31) as f32) - 0.5
 }

@@ -36,7 +36,7 @@ fn assert_close(simd: &[f32], scalar: &[f32]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Forward: `Tensor::matmul_into` (the tape's MatMul op) ≡ the scalar
+    /// Forward: `Tensor::matmul_into` (the reference tape's MatMul op) ≡ the scalar
     /// i-k-j loop on ragged shapes, including single-row products.
     #[test]
     fn matmul_dispatch_matches_scalar(
@@ -94,8 +94,9 @@ proptest! {
         assert_close(&dispatched, &scalar)?;
     }
 
-    /// The bias-seeded dense forward (shared by tape `linear` and the
-    /// inference fast path) ≡ the portable tape-order kernel.
+    /// The bias-seeded dense forward (shared by the inference fast path,
+    /// the fused training pass and the reference tape) ≡ the portable
+    /// kernel.
     #[test]
     fn dense_dispatch_matches_portable(
         rows in 1usize..10,

@@ -11,52 +11,29 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use rlsched_nn::{clip_global_norm, fused, Adam, Graph, Mlp, ParamBinds, Scratch, Tensor, Var};
+use rlsched_nn::fused::{self, FusedPolicy, FusedPolicyMut};
+use rlsched_nn::{clip_global_norm, Adam, Mlp, Scratch, Tensor};
 
 use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
 
 /// The actor: maps observations + additive masks to per-action
-/// log-probabilities.
+/// log-probabilities, through an inference fast path for acting and a
+/// [`FusedPolicy`] description for training.
 pub trait PolicyModel {
-    /// Build the forward pass on the tape. `obs` is `[batch, obs_dim]`,
-    /// `mask` is `[batch, n_actions]` additive (0 valid / ~-1e9 invalid);
-    /// the result must be `[batch, n_actions]` log-probabilities.
-    fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var;
-
     /// Inference fast path: write the masked log-prob row for one
-    /// observation into `out`, with no tape bookkeeping.
-    ///
-    /// The default falls back to building a throwaway tape, so existing
-    /// policies keep working; models that matter override it with an
-    /// allocation-free forward over `scratch` (see `rlscheduler`'s
-    /// `PolicyNet`). Implementations must produce the same numbers as
-    /// [`PolicyModel::log_probs`] on a 1-row batch.
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        let _ = scratch;
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input_from(obs, &[1, obs.len()]);
-        let m = g.input_from(mask, &[1, mask.len()]);
-        let lp = self.log_probs(&mut g, o, m, &mut binds);
-        out.clear();
-        out.extend_from_slice(g.value(lp).data());
-    }
+    /// observation into `out`, allocation-free over `scratch` at steady
+    /// state. `mask` is additive (0 valid / ~-1e9 invalid). Must compute
+    /// the network [`PolicyModel::fused`] describes.
+    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>);
 
     /// Batched inference fast path: write `rows` masked log-prob rows
-    /// (`[rows, n_actions]` row-major) into `out`, with no tape
-    /// bookkeeping. `obs` is `[rows, obs_dim]` row-major and `masks`
-    /// `[rows, n_actions]`.
-    ///
-    /// The default loops over rows through [`PolicyModel::log_probs_fast`]
-    /// (correct for any policy, but pays the weight stream per row);
-    /// models that serve concurrent requests override it with one batched
-    /// forward — the dense kernels already take a `rows` parameter — so
-    /// weight traffic is amortized across the batch. Row `i` of the
-    /// result must match `log_probs_fast` on row `i` alone up to float
-    /// reassociation (SIMD row-blocking can differ between batched and
-    /// single rows), so argmax decisions agree except on floating-point
-    /// near-ties.
+    /// (`[rows, n_actions]` row-major) into `out`, allocation-free at
+    /// steady state. `obs` is `[rows, obs_dim]` row-major and `masks`
+    /// `[rows, n_actions]`. Row `i` of the result must match
+    /// `log_probs_fast` on row `i` alone up to float reassociation (SIMD
+    /// row-blocking can differ between batched and single rows), so
+    /// argmax decisions agree except on floating-point near-ties.
     fn log_probs_fast_batch(
         &self,
         obs: &[f32],
@@ -64,116 +41,53 @@ pub trait PolicyModel {
         rows: usize,
         scratch: &mut Scratch,
         out: &mut Vec<f32>,
-    ) {
-        assert!(rows > 0, "batched forward needs at least one row");
-        assert_eq!(obs.len() % rows, 0, "obs volume must divide into rows");
-        assert_eq!(masks.len() % rows, 0, "mask volume must divide into rows");
-        let obs_dim = obs.len() / rows;
-        let n_actions = masks.len() / rows;
-        out.clear();
-        let mut row = Vec::new();
-        for i in 0..rows {
-            self.log_probs_fast(
-                &obs[i * obs_dim..(i + 1) * obs_dim],
-                &masks[i * n_actions..(i + 1) * n_actions],
-                scratch,
-                &mut row,
-            );
-            out.extend_from_slice(&row);
-        }
-    }
+    );
+
+    /// The network as the fused update ([`Ppo::update`]) trains it: its
+    /// trainable layers and logits head, computing exactly what
+    /// [`PolicyModel::log_probs_fast`] computes.
+    fn fused(&self) -> FusedPolicy<'_>;
+
+    /// The layers [`PolicyModel::fused`] describes, mutably, for the
+    /// optimizer's in-place walk.
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_>;
 
     /// Parameter tensors in bind order.
-    fn params(&self) -> Vec<&Tensor>;
+    fn params(&self) -> Vec<&Tensor> {
+        self.fused().params().collect()
+    }
 
     /// Mutable parameter access in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Tensor>;
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.fused_mut().params().collect()
+    }
 
     /// Total scalar parameter count.
     fn param_count(&self) -> usize {
         self.params().iter().map(|t| t.len()).sum()
     }
-
-    /// Describe this policy for the tape-free fused update
-    /// ([`Ppo::update`]'s fast path) when its architecture is an MLP
-    /// chain the analytic backward supports. The default (`None`) keeps
-    /// the policy on the autodiff tape; implementations returning
-    /// `Some` must also override [`PolicyModel::fused_mut`], and the
-    /// described network must compute exactly what
-    /// [`PolicyModel::log_probs`] builds on the tape.
-    fn fused(&self) -> Option<fused::FusedPolicy<'_>> {
-        None
-    }
-
-    /// Mutable access to the trainable MLP behind
-    /// [`PolicyModel::fused`] (the optimizer walks its layers in place,
-    /// keeping the fused update allocation-free). Must be `Some` exactly
-    /// when `fused` is.
-    fn fused_mut(&mut self) -> Option<&mut Mlp> {
-        None
-    }
 }
 
-/// The critic: maps observations to scalar state values.
+/// The critic: maps observations to scalar state values through a plain
+/// MLP chain.
 pub trait ValueModel {
-    /// Build the forward pass; result must be `[batch, 1]`.
-    fn values(&self, g: &mut Graph, obs: Var, binds: &mut ParamBinds) -> Var;
-
-    /// Inference fast path: the state value of one observation with no
-    /// tape bookkeeping. Default falls back to a throwaway tape; override
-    /// with an allocation-free forward (must match [`ValueModel::values`]
-    /// on a 1-row batch).
-    fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
-        let _ = scratch;
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input_from(obs, &[1, obs.len()]);
-        let v = self.values(&mut g, o, &mut binds);
-        g.value(v).data()[0] as f64
-    }
+    /// Inference fast path: the state value of one observation,
+    /// allocation-free over `scratch` at steady state.
+    fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64;
 
     /// Batched inference fast path: write `rows` state values into `out`
-    /// for stacked observations (`[rows, obs_dim]` row-major), with no
-    /// tape bookkeeping. The default loops over rows through
-    /// [`ValueModel::value_fast`]; critics on the vectorized rollout path
-    /// override it with one stacked forward. Element `i` must be
-    /// bit-identical to `value_fast` on row `i` alone — the lockstep
-    /// sampler's batched≡sequential parity depends on it.
-    fn value_fast_batch(
-        &self,
-        obs: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(rows > 0, "batched value forward needs at least one row");
-        assert_eq!(obs.len() % rows, 0, "obs volume must divide into rows");
-        let obs_dim = obs.len() / rows;
-        out.clear();
-        for i in 0..rows {
-            out.push(self.value_fast(&obs[i * obs_dim..(i + 1) * obs_dim], scratch));
-        }
-    }
+    /// for stacked observations (`[rows, obs_dim]` row-major). Element
+    /// `i` must be bit-identical to `value_fast` on row `i` alone — the
+    /// lockstep sampler's batched≡sequential parity depends on it.
+    fn value_fast_batch(&self, obs: &[f32], rows: usize, scratch: &mut Scratch, out: &mut Vec<f64>);
 
-    /// Parameter tensors in bind order.
-    fn params(&self) -> Vec<&Tensor>;
-
-    /// Mutable parameter access in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Tensor>;
-
-    /// The critic's plain-MLP chain, when it has one, for the tape-free
-    /// fused update (default `None` = tape). Must compute exactly what
-    /// [`ValueModel::values`] builds on the tape, and pair with
-    /// [`ValueModel::fused_mut`].
-    fn fused(&self) -> Option<&Mlp> {
-        None
-    }
+    /// The critic's MLP chain, which the fused update trains; must be the
+    /// network [`ValueModel::value_fast`] runs.
+    fn fused(&self) -> &Mlp;
 
     /// Mutable counterpart of [`ValueModel::fused`] for the in-place
     /// optimizer walk.
-    fn fused_mut(&mut self) -> Option<&mut Mlp> {
-        None
-    }
+    fn fused_mut(&mut self) -> &mut Mlp;
 }
 
 /// Per-worker reusable buffers for the inference fast path: network
@@ -272,24 +186,21 @@ pub struct UpdateStats {
 /// Wall-clock attribution of one [`Ppo::update`], accumulated across its
 /// policy and value iterations: minibatch gather, network forwards,
 /// backward/gradient work, and the optimizer step. Filled by
-/// [`Ppo::update_profiled`] on either dispatch arm (the phases map 1:1
-/// between the fused and tape paths, so regressions are attributable).
+/// [`Ppo::update_profiled`].
 ///
-/// The tape runs forward and backward one after the other and times each.
-/// The fused path interleaves them chunk by chunk, so it times the two
-/// halves inside every chunk and splits each pass's wall time in the
-/// ratio of the summed halves ([`fused::FusedPass`]): the phases still
-/// sum to the update's wall time at any worker count.
+/// The fused pass interleaves forward and backward chunk by chunk, so it
+/// times the two halves inside every chunk and splits each pass's wall
+/// time in the ratio of the summed halves ([`fused::FusedPass`]): the
+/// phases still sum to the update's wall time at any worker count.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
     /// Minibatch row gather into the reusable staging buffers.
     pub gather: Duration,
-    /// Actor/critic forward passes (tape: graph build + eager eval;
-    /// fused: the forward share of every chunked pass).
+    /// Actor/critic forward passes: the forward share of every chunked
+    /// pass.
     pub forward: Duration,
-    /// Loss tail + backward gradient computation (tape: `backward` +
-    /// gradient extraction; fused: the backward share of every chunked
-    /// pass, sizing and gradient merge included).
+    /// Loss tail + backward gradient computation: the backward share of
+    /// every chunked pass, sizing and gradient merge included.
     pub backward: Duration,
     /// Gradient clipping + Adam step.
     pub optimizer: Duration,
@@ -314,11 +225,11 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     vf_opt: Adam,
     update_rng: rand::rngs::StdRng,
     /// Fused-update scratch for the actor (persists across updates so
-    /// the fast path allocates nothing at steady state).
+    /// the update allocates nothing at steady state).
     pi_fused: fused::FusedScratch,
     /// Fused-update scratch for the critic.
     vf_fused: fused::FusedScratch,
-    /// Reusable minibatch gather buffers, shared by both update arms.
+    /// Reusable minibatch gather buffers.
     mb: MiniBuf,
 }
 
@@ -351,18 +262,6 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         self.policy
             .log_probs_fast(obs, mask, &mut scratch, &mut out);
         out
-    }
-
-    /// Forward the policy through the full autodiff tape (the training
-    /// graph). Kept for gradient work and as the benchmark baseline the
-    /// fast path is measured against.
-    pub fn logp_row_tape(&self, obs: &[f32], mask: &[f32]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let o = g.input(Tensor::from_vec(obs.to_vec(), &[1, obs.len()]));
-        let m = g.input(Tensor::from_vec(mask.to_vec(), &[1, mask.len()]));
-        let lp = self.policy.log_probs(&mut g, o, m, &mut binds);
-        g.value(lp).data().to_vec()
     }
 
     /// Forward the critic on a single observation (fast path).
@@ -419,9 +318,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// over the policy's [`crate::vecenv::BatchPolicy`] impl — the same
     /// scoring path the vectorized rollout sampler uses. Amortizes the
     /// policy's weight stream across concurrent decisions;
-    /// allocation-free at steady state when the policy overrides
-    /// [`PolicyModel::log_probs_fast_batch`] (the default falls back to a
-    /// per-row loop with a temporary buffer).
+    /// allocation-free at steady state.
     pub fn greedy_batch_with(
         &self,
         obs: &[f32],
@@ -431,12 +328,6 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         actions: &mut Vec<usize>,
     ) {
         crate::vecenv::greedy_batch(&self.policy, obs, masks, rows, scratch, actions);
-    }
-
-    /// Argmax action through the full tape (benchmark baseline).
-    pub fn greedy_tape(&self, obs: &[f32], mask: &[f32]) -> usize {
-        let logp = self.logp_row_tape(obs, mask);
-        MaskedCategorical::new(&logp).argmax()
     }
 
     /// The `(actor, critic)` optimizers, read-only: their step counts and
@@ -452,206 +343,41 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         (&self.pi_fused, &self.vf_fused)
     }
 
-    /// True when both networks expose fused-eligible architectures, so
-    /// [`Ppo::update`] takes the tape-free fast path.
-    pub fn fused_supported(&self) -> bool {
-        self.policy.fused().is_some() && self.value.fused().is_some()
-    }
-
-    /// One PPO update over a collected batch.
+    /// One PPO update over a collected batch: up to `train_pi_iters`
+    /// policy iterations (early-stopped on approximate KL) and
+    /// `train_v_iters` value iterations, each one chunked forward+backward
+    /// sweep ([`rlsched_nn::fused`]) and an in-place Adam step.
     ///
-    /// Runs the tape-free chunked forward+backward ([`rlsched_nn::fused`])
-    /// when both networks support it — no graph nodes, no buffer-pool
-    /// bookkeeping, zero heap allocation at steady state, and the same
-    /// bits at any rayon worker budget — and otherwise (the LeNet CNN
-    /// baseline) the reusable-[`Graph`] tape path. On minibatches of at
-    /// most [`fused::SHARD_ROWS`] rows the two are bit-identical
-    /// (gradients, Adam state, diagnostics, the minibatch RNG stream);
-    /// on larger ones they agree to f32 tolerance (see
-    /// [`rlsched_nn::fused`]'s contract; pinned by the fused-parity
-    /// suites against [`Ppo::update_tape`]).
+    /// Every Table IV policy trains on this one path. It has no graph
+    /// nodes, allocates nothing at steady state, and gives the same bits
+    /// at any rayon worker budget. On minibatches of at most
+    /// [`fused::SHARD_ROWS`] rows it reproduces the reference tape's
+    /// update bit for bit (gradients, Adam state, diagnostics, the
+    /// minibatch RNG stream); on larger ones it agrees to f32 tolerance
+    /// (see [`rlsched_nn::fused`]'s contract, pinned by `rlscheduler`'s
+    /// update-parity suite).
     pub fn update(&mut self, batch: &Batch) -> UpdateStats {
         self.update_profiled(batch, &mut UpdateProfile::default())
     }
 
     /// [`Ppo::update`] with wall-clock phase attribution (gather /
     /// forward / backward / optimizer) accumulated into `prof`.
-    pub fn update_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
-        rlsched_obs::span!("ppo.update");
-        if self.fused_supported() {
-            self.fused_update(batch, prof)
-        } else {
-            self.update_tape_profiled(batch, prof)
-        }
-    }
-
-    /// The tape path of [`Ppo::update`], pinned regardless of
-    /// architecture support — the oracle the fused path is tested and
-    /// benchmarked against.
-    pub fn update_tape(&mut self, batch: &Batch) -> UpdateStats {
-        self.update_tape_profiled(batch, &mut UpdateProfile::default())
-    }
-
-    /// [`Ppo::update_tape`] with phase attribution.
     ///
-    /// One [`Graph`] arena serves every iteration: [`Graph::reset`]
-    /// recycles all tape buffers between iterations, minibatch rows are
-    /// gathered into reusable buffers, and gradients are moved (not
-    /// cloned) out of the tape — at steady state the loop performs no
-    /// per-iteration heap allocation beyond the op metadata.
-    pub fn update_tape_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
-        assert!(!batch.is_empty(), "cannot update on an empty batch");
-        let obs_dim = batch.obs.cols();
-        let n_actions = batch.masks.cols();
-
-        let mut pi_loss_before = 0.0;
-        let mut pi_loss_after = 0.0;
-        let mut entropy = 0.0;
-        let mut approx_kl = 0.0;
-        let mut pi_iters = 0;
-
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
-        let Ppo {
-            policy,
-            value,
-            cfg,
-            pi_opt,
-            vf_opt,
-            update_rng,
-            mb,
-            ..
-        } = self;
-
-        let eps = cfg.clip_ratio;
-        for it in 0..cfg.train_pi_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            g.reset();
-            binds.clear();
-            let o = g.input_from(view.obs, &[n, obs_dim]);
-            let m = g.input_from(view.masks, &[n, n_actions]);
-            let logp_all = policy.log_probs(&mut g, o, m, &mut binds);
-            let logp = g.select_cols(logp_all, view.actions);
-
-            // ratio = exp(logp − logp_old)
-            let old = g.input_from(view.logp_old, &[n]);
-            let diff = g.sub(logp, old);
-            let ratio = g.exp(diff);
-            let advv = g.input_from(view.advantages, &[n]);
-            let surr1 = g.mul(ratio, advv);
-            let clipped = g.clamp(ratio, 1.0 - eps, 1.0 + eps);
-            let surr2 = g.mul(clipped, advv);
-            let obj = g.min_elem(surr1, surr2);
-            let mean_obj = g.mean(obj);
-            let mut loss = g.scale(mean_obj, -1.0);
-
-            if cfg.ent_coef != 0.0 {
-                // entropy = −Σ p·logp per row; masked slots contribute 0.
-                let p = g.exp(logp_all);
-                let plogp = g.mul(p, logp_all);
-                let row = g.sum_rows(plogp);
-                let ent = g.mean(row); // = −entropy
-                let weighted = g.scale(ent, cfg.ent_coef);
-                loss = g.add(loss, weighted);
-            }
-            let t2 = Instant::now();
-            prof.forward += t2 - t1;
-
-            // Diagnostics before stepping.
-            let kl: f64 = view
-                .logp_old
-                .iter()
-                .zip(g.value(logp).data())
-                .map(|(&o, &nw)| (o - nw) as f64)
-                .sum::<f64>()
-                / n as f64;
-            approx_kl = kl;
-            if it == 0 {
-                pi_loss_before = g.value(loss).item();
-                let lp = g.value(logp_all);
-                entropy = mean_entropy(lp.data().chunks_exact(lp.cols()));
-            }
-            if kl > 1.5 * cfg.target_kl && it > 0 {
-                break;
-            }
-            g.backward(loss);
-            pi_loss_after = g.value(loss).item();
-            let mut grads = binds.take_grads(&mut g);
-            let t3 = Instant::now();
-            prof.backward += t3 - t2;
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(&mut grads, mx);
-            }
-            pi_opt.step(&mut policy.params_mut(), &grads);
-            prof.optimizer += t3.elapsed();
-            pi_iters = it + 1;
-        }
-
-        let mut v_loss_before = 0.0;
-        let mut v_loss_after = 0.0;
-        for it in 0..cfg.train_v_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            g.reset();
-            binds.clear();
-            let o = g.input_from(view.obs, &[n, obs_dim]);
-            let v = value.values(&mut g, o, &mut binds);
-            let r = g.input_from(view.returns, &[n, 1]);
-            let d = g.sub(v, r);
-            let sq = g.mul(d, d);
-            let loss = g.mean(sq);
-            let t2 = Instant::now();
-            prof.forward += t2 - t1;
-            if it == 0 {
-                v_loss_before = g.value(loss).item();
-            }
-            g.backward(loss);
-            v_loss_after = g.value(loss).item();
-            let mut grads = binds.take_grads(&mut g);
-            let t3 = Instant::now();
-            prof.backward += t3 - t2;
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(&mut grads, mx);
-            }
-            vf_opt.step(&mut value.params_mut(), &grads);
-            prof.optimizer += t3.elapsed();
-        }
-
-        UpdateStats {
-            pi_loss_before,
-            pi_loss_after,
-            v_loss_before,
-            v_loss_after,
-            approx_kl,
-            entropy,
-            pi_iters,
-        }
-    }
-
-    /// The fused path of [`Ppo::update_profiled`]. Every iteration is one
-    /// sweep over fixed [`fused::SHARD_ROWS`]-row chunks on the rayon
-    /// shim's workers: a chunk's forward runs the same SIMD kernels as the
-    /// tape, stashing only the per-layer activations the analytic backward
-    /// needs in a per-worker scratch, and its fused dlogits pass and layer
-    /// walk follow at once; the optimizer then steps the network's layers
-    /// in place. Zero heap allocation at steady state on the one-worker
-    /// budget (pinned by `alloc_regression`). Gather, clipping, Adam steps
-    /// and the minibatch RNG stream are shared with the tape path
-    /// unchanged.
+    /// Every iteration is one sweep over fixed [`fused::SHARD_ROWS`]-row
+    /// chunks on the rayon shim's workers: a chunk's forward stashes only
+    /// the activations the analytic backward needs in a per-worker
+    /// scratch, and its fused dlogits pass and layer walk follow at once;
+    /// the optimizer then steps the network's layers in place. Zero heap
+    /// allocation at steady state on the one-worker budget (pinned by
+    /// `alloc_regression`).
     ///
     /// The approximate-KL early stop reads the sweep's selected log-probs,
     /// so the iteration that trips it has already computed its gradients:
     /// they are discarded, nothing is stepped and `pi_loss_after` keeps
-    /// the last *applied* iteration's loss, exactly as on the tape — an
-    /// early stop costs one wasted chunked backward per update.
-    fn fused_update(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
+    /// the last *applied* iteration's loss — an early stop costs one
+    /// wasted chunked backward per update.
+    pub fn update_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
+        rlsched_obs::span!("ppo.update");
         assert!(!batch.is_empty(), "cannot update on an empty batch");
         let n_actions = batch.masks.cols();
 
@@ -680,9 +406,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             let n = view.actions.len();
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            let fp = policy.fused().expect("fused_supported checked");
             let pass = fused::policy_pass(
-                &fp,
+                &policy.fused(),
                 view.obs,
                 view.masks,
                 view.actions,
@@ -717,11 +442,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(pi_fused.grads_mut(), mx);
             }
-            let mlp = policy.fused_mut().expect("fused_mut must pair with fused");
-            pi_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                pi_fused.grads(),
-            );
+            pi_opt.step_params(policy.fused_mut().params(), pi_fused.grads());
             prof.optimizer += t3.elapsed();
             pi_iters = it + 1;
         }
@@ -734,8 +455,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             let n = view.actions.len();
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            let vm = value.fused().expect("fused_supported checked");
-            let pass = fused::value_pass(vm, view.obs, view.returns, n, vf_fused);
+            let pass = fused::value_pass(value.fused(), view.obs, view.returns, n, vf_fused);
             prof.forward += pass.forward;
             prof.backward += pass.backward;
             if it == 0 {
@@ -746,7 +466,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(vf_fused.grads_mut(), mx);
             }
-            let mlp = value.fused_mut().expect("fused_mut must pair with fused");
+            let mlp = value.fused_mut();
             vf_opt.step_params(
                 mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
                 vf_fused.grads(),
@@ -769,8 +489,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
 /// Pick the working set for one update iteration: borrowed slices of
 /// the whole batch, or a random minibatch refilled into `mb`'s
 /// reusable buffers when configured and the batch is larger. Free
-/// function so both update arms share it (and the RNG stream) without
-/// borrowing the whole trainer.
+/// function so the policy and value loops share it (and the RNG stream)
+/// without borrowing the whole trainer.
 fn iteration_view<'a>(
     cfg: &PpoConfig,
     rng: &mut rand::rngs::StdRng,
@@ -850,8 +570,8 @@ impl MiniBuf {
     }
 }
 
-/// Mean entropy over the rows of a log-prob matrix (shared by both
-/// update arms' diagnostics).
+/// Mean entropy over the rows of a log-prob matrix (the first policy
+/// iteration's diagnostic).
 fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>) -> f32 {
     let mut total = 0.0;
     let mut m = 0;
@@ -862,77 +582,105 @@ fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>) -> f32 {
     total / m as f32
 }
 
+/// A flat MLP actor and critic for the crate's unit tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod test_nets {
     use super::*;
-    use crate::buffer::RolloutBuffer;
-    use crate::categorical::MASK_OFF;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rlsched_nn::{Activation, Mlp, Network};
+    use rlsched_nn::fused::FusedHead;
+    use rlsched_nn::infer;
 
-    /// A plain MLP policy over flat observations (the "MLP v2" baseline of
-    /// Table IV in miniature).
-    struct MlpPolicy {
-        net: Mlp,
-    }
+    /// A plain MLP policy over flat observations (the "MLP v2" baseline
+    /// of Table IV in miniature).
+    pub struct MlpPolicy(pub Mlp);
 
-    impl MlpPolicy {
-        fn new(obs_dim: usize, n_actions: usize, seed: u64) -> Self {
-            let mut rng = StdRng::seed_from_u64(seed);
-            MlpPolicy {
-                net: Mlp::new(
-                    &[obs_dim, 16, n_actions],
-                    Activation::Tanh,
-                    Activation::Identity,
-                    &mut rng,
-                ),
-            }
-        }
-    }
+    /// A plain MLP critic.
+    pub struct MlpValue(pub Mlp);
 
     impl PolicyModel for MlpPolicy {
-        fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-            let logits = self.net.forward(g, obs, binds);
-            let masked = g.add(logits, mask);
-            g.log_softmax(masked)
+        fn log_probs_fast(&self, obs: &[f32], mask: &[f32], s: &mut Scratch, out: &mut Vec<f32>) {
+            self.log_probs_fast_batch(obs, mask, 1, s, out);
         }
-        fn params(&self) -> Vec<&Tensor> {
-            self.net.params()
-        }
-        fn params_mut(&mut self) -> Vec<&mut Tensor> {
-            self.net.params_mut()
-        }
-    }
 
-    struct MlpValue {
-        net: Mlp,
-    }
+        fn log_probs_fast_batch(
+            &self,
+            obs: &[f32],
+            masks: &[f32],
+            rows: usize,
+            scratch: &mut Scratch,
+            out: &mut Vec<f32>,
+        ) {
+            infer::mlp_forward(&self.0, obs, rows, scratch, out);
+            let n = self.0.out_dim();
+            for (row, mask) in out.chunks_mut(n).zip(masks.chunks(n)) {
+                row.iter_mut().zip(mask).for_each(|(o, &m)| *o += m);
+                infer::log_softmax_inplace(row);
+            }
+        }
 
-    impl MlpValue {
-        fn new(obs_dim: usize, seed: u64) -> Self {
-            let mut rng = StdRng::seed_from_u64(seed);
-            MlpValue {
-                net: Mlp::new(
-                    &[obs_dim, 16, 1],
-                    Activation::Tanh,
-                    Activation::Identity,
-                    &mut rng,
-                ),
+        fn fused(&self) -> FusedPolicy<'_> {
+            FusedPolicy {
+                mlp: &self.0,
+                head: FusedHead::Flat,
+            }
+        }
+
+        fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
+            FusedPolicyMut {
+                convs: &mut [],
+                mlp: &mut self.0,
             }
         }
     }
 
     impl ValueModel for MlpValue {
-        fn values(&self, g: &mut Graph, obs: Var, binds: &mut ParamBinds) -> Var {
-            self.net.forward(g, obs, binds)
+        fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
+            let mut out = Vec::new();
+            self.value_fast_batch(obs, 1, scratch, &mut out);
+            out[0]
         }
-        fn params(&self) -> Vec<&Tensor> {
-            self.net.params()
+
+        fn value_fast_batch(
+            &self,
+            obs: &[f32],
+            rows: usize,
+            scratch: &mut Scratch,
+            out: &mut Vec<f64>,
+        ) {
+            let mut values = Vec::new();
+            infer::mlp_forward(&self.0, obs, rows, scratch, &mut values);
+            out.clear();
+            out.extend(values.iter().map(|&v| f64::from(v)));
         }
-        fn params_mut(&mut self) -> Vec<&mut Tensor> {
-            self.net.params_mut()
+
+        fn fused(&self) -> &Mlp {
+            &self.0
         }
+
+        fn fused_mut(&mut self) -> &mut Mlp {
+            &mut self.0
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_nets::{MlpPolicy, MlpValue};
+    use super::*;
+    use crate::buffer::RolloutBuffer;
+    use crate::categorical::MASK_OFF;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rlsched_nn::Activation;
+
+    /// A `[in, 16, out]` tanh MLP.
+    fn mlp(dims_in: usize, out: usize, seed: u64) -> Mlp {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Mlp::new(
+            &[dims_in, 16, out],
+            Activation::Tanh,
+            Activation::Identity,
+            &mut rng,
+        )
     }
 
     fn agent(n_actions: usize) -> Ppo<MlpPolicy, MlpValue> {
@@ -941,7 +689,7 @@ mod tests {
             train_v_iters: 20,
             ..PpoConfig::default()
         };
-        Ppo::new(MlpPolicy::new(2, n_actions, 1), MlpValue::new(2, 2), cfg)
+        Ppo::new(MlpPolicy(mlp(2, n_actions, 1)), MlpValue(mlp(2, 1, 2)), cfg)
     }
 
     #[test]
@@ -1059,7 +807,7 @@ mod tests {
             vf_lr: 0.05,
             ..PpoConfig::default()
         };
-        let mut ppo = Ppo::new(MlpPolicy::new(2, 3, 1), MlpValue::new(2, 2), cfg);
+        let mut ppo = Ppo::new(MlpPolicy(mlp(2, 3, 1)), MlpValue(mlp(2, 1, 2)), cfg);
         let mut buf = RolloutBuffer::new(2, 3, 1.0, 1.0);
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..16 {

@@ -296,37 +296,11 @@ where
 mod tests {
     use super::*;
     use crate::env::test_env::BanditEnv;
+    use crate::ppo::test_nets::{MlpPolicy as P, MlpValue as C};
     use crate::ppo::PpoConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rlsched_nn::{Activation, Graph, Mlp, Network, ParamBinds, Tensor, Var};
-
-    struct P(Mlp);
-    impl PolicyModel for P {
-        fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-            let logits = self.0.forward(g, obs, binds);
-            let masked = g.add(logits, mask);
-            g.log_softmax(masked)
-        }
-        fn params(&self) -> Vec<&Tensor> {
-            self.0.params()
-        }
-        fn params_mut(&mut self) -> Vec<&mut Tensor> {
-            self.0.params_mut()
-        }
-    }
-    struct C(Mlp);
-    impl ValueModel for C {
-        fn values(&self, g: &mut Graph, obs: Var, binds: &mut ParamBinds) -> Var {
-            self.0.forward(g, obs, binds)
-        }
-        fn params(&self) -> Vec<&Tensor> {
-            self.0.params()
-        }
-        fn params_mut(&mut self) -> Vec<&mut Tensor> {
-            self.0.params_mut()
-        }
-    }
+    use rlsched_nn::{Activation, Mlp};
 
     fn make_ppo() -> Ppo<P, C> {
         let mut rng = StdRng::seed_from_u64(5);

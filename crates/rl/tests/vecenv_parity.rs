@@ -7,7 +7,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlsched_nn::{Activation, Graph, Mlp, Network, ParamBinds, Tensor, Var};
+use rlsched_nn::fused::{FusedHead, FusedPolicy, FusedPolicyMut};
+use rlsched_nn::{infer, Activation, Mlp, Scratch};
 use rlsched_rl::{
     collect_episodes, Batch, Env, PolicyModel, Ppo, PpoConfig, RolloutBuffer, StepOutcome,
     ValueModel, VecEnv,
@@ -81,31 +82,67 @@ impl Env for BanditEnv {
     }
 }
 
+/// A flat MLP actor: every row of a batch scored through one stacked
+/// forward.
 struct P(Mlp);
 impl PolicyModel for P {
-    fn log_probs(&self, g: &mut Graph, obs: Var, mask: Var, binds: &mut ParamBinds) -> Var {
-        let logits = self.0.forward(g, obs, binds);
-        let masked = g.add(logits, mask);
-        g.log_softmax(masked)
+    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], s: &mut Scratch, out: &mut Vec<f32>) {
+        self.log_probs_fast_batch(obs, mask, 1, s, out);
     }
-    fn params(&self) -> Vec<&Tensor> {
-        self.0.params()
+    fn log_probs_fast_batch(
+        &self,
+        obs: &[f32],
+        masks: &[f32],
+        rows: usize,
+        scratch: &mut Scratch,
+        out: &mut Vec<f32>,
+    ) {
+        infer::mlp_forward(&self.0, obs, rows, scratch, out);
+        let n = self.0.out_dim();
+        for (row, mask) in out.chunks_mut(n).zip(masks.chunks(n)) {
+            row.iter_mut().zip(mask).for_each(|(o, &m)| *o += m);
+            infer::log_softmax_inplace(row);
+        }
     }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.0.params_mut()
+    fn fused(&self) -> FusedPolicy<'_> {
+        FusedPolicy {
+            mlp: &self.0,
+            head: FusedHead::Flat,
+        }
+    }
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
+        FusedPolicyMut {
+            convs: &mut [],
+            mlp: &mut self.0,
+        }
     }
 }
 
+/// A flat MLP critic.
 struct C(Mlp);
 impl ValueModel for C {
-    fn values(&self, g: &mut Graph, obs: Var, binds: &mut ParamBinds) -> Var {
-        self.0.forward(g, obs, binds)
+    fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
+        let mut out = Vec::new();
+        self.value_fast_batch(obs, 1, scratch, &mut out);
+        out[0]
     }
-    fn params(&self) -> Vec<&Tensor> {
-        self.0.params()
+    fn value_fast_batch(
+        &self,
+        obs: &[f32],
+        rows: usize,
+        scratch: &mut Scratch,
+        out: &mut Vec<f64>,
+    ) {
+        let mut values = Vec::new();
+        infer::mlp_forward(&self.0, obs, rows, scratch, &mut values);
+        out.clear();
+        out.extend(values.iter().map(|&v| f64::from(v)));
     }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.0.params_mut()
+    fn fused(&self) -> &Mlp {
+        &self.0
+    }
+    fn fused_mut(&mut self) -> &mut Mlp {
+        &mut self.0
     }
 }
 
