@@ -120,8 +120,9 @@ fn bench_serving_throughput(c: &mut Criterion) {
 }
 
 /// Wire-protocol cost in isolation: a synchronous score_raw round trip
-/// against a live 1-shard server with a zero coalesce window, for every
-/// {JSON, binary} × {TCP, UDS} cell. The scoring work is identical in
+/// against a live 1-shard server, for every {JSON, binary} × {TCP, UDS}
+/// cell. A lone synchronous client never has a batch-mate, so each round
+/// trip is wire + one rows=1 forward. The scoring work is identical in
 /// every cell (same kernel scorer, same row), so the spread between
 /// arms is encode + transport + decode — the thing the binary format
 /// and the UDS front door exist to shrink.
@@ -144,10 +145,6 @@ fn bench_serving_wire(c: &mut Criterion) {
                 *agent.encoder(),
                 ServeConfig {
                     shards: 1,
-                    // A zero window: a lone synchronous client's
-                    // latency is wire + one rows=1 forward, not waiting
-                    // for batch-mates that never come.
-                    coalesce_window: std::time::Duration::ZERO,
                     addr: listen(),
                     ..ServeConfig::default()
                 },

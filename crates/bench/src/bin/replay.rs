@@ -11,8 +11,6 @@
 //! replay                         # full run: 1,000,000 jobs, FCFS + SJF (+ agent at 1/20 scale)
 //! replay --jobs 200000 --seed 7  # custom scale
 //! replay --smoke                 # small trace, all three heads: heuristic + agent + served
-//! replay --serve-load            # fire replayed decision points at live servers, one
-//!                                # open-loop run per {JSON, binary} × {TCP, UDS} cell
 //! replay --smoke --metrics-dump  # also print both telemetry registries: the serve tier's
 //!                                # (scraped over the wire via Request::Metrics) and the
 //!                                # process-global replay registry, in exposition text format
@@ -36,13 +34,9 @@
 use std::io::BufWriter;
 use std::process::ExitCode;
 
-use rlsched_replay::{
-    collect_timed_requests, open_swf, ReplayEngine, ReplayMetrics, ReplayPolicy, ReplayReport,
-};
+use rlsched_replay::{open_swf, ReplayEngine, ReplayMetrics, ReplayPolicy, ReplayReport};
 use rlsched_sched::HeuristicKind;
-use rlsched_serve::{
-    ListenAddr, LoadGen, LoadGenConfig, RemotePolicy, ServeConfig, Server, Transport, WireProtocol,
-};
+use rlsched_serve::{RemotePolicy, ServeConfig, Server, Transport};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::{LublinModel, LublinParams};
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
@@ -51,20 +45,18 @@ struct Args {
     jobs: usize,
     seed: u64,
     smoke: bool,
-    serve_load: bool,
     backfill: bool,
     metrics_dump: bool,
 }
 
-const USAGE: &str = "usage: replay [--jobs N] [--seed N] [--smoke] [--serve-load] \
-     [--no-backfill] [--metrics-dump]";
+const USAGE: &str =
+    "usage: replay [--jobs N] [--seed N] [--smoke] [--no-backfill] [--metrics-dump]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         jobs: 1_000_000,
         seed: 1,
         smoke: false,
-        serve_load: false,
         backfill: true,
         metrics_dump: false,
     };
@@ -83,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--smoke" => args.smoke = true,
-            "--serve-load" => args.serve_load = true,
             "--no-backfill" => args.backfill = false,
             "--metrics-dump" => args.metrics_dump = true,
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
@@ -244,10 +235,10 @@ fn run(args: Args) -> Result<(), String> {
     print_report("RL-agent", &r);
     record("agent", &r);
 
-    // Served arm (smoke / serve-load): decisions cross the wire to a
-    // live sharded server built from the same weights. Transport and
-    // format follow `RLSCHED_WIRE` (TCP + JSON by default).
-    if args.smoke || args.serve_load {
+    // Served arm (smoke only): decisions cross the wire to a live
+    // sharded server built from the same weights, over the library
+    // defaults (loopback TCP, binary frames).
+    if args.smoke {
         let handle = Server::spawn(
             agent.scorer_snapshot(),
             *agent.encoder(),
@@ -270,72 +261,6 @@ fn run(args: Args) -> Result<(), String> {
             print!("{}", rlsched_obs::encode_text(&scrape));
         }
         handle.shutdown();
-
-        if args.serve_load {
-            // Open-loop load generation on the trace's own (compressed)
-            // inter-arrival gaps — one run per {format} × {transport}
-            // cell, each against a dedicated server, so the recorded
-            // request quantiles compare wire stacks under identical
-            // offered load.
-            let src = open_swf(&agent_path).map_err(|e| e.to_string())?;
-            let requests =
-                collect_timed_requests(src.jobs, src.max_procs, cfg, HeuristicKind::Fcfs, 16)
-                    .map_err(|e| e.to_string())?;
-            type ListenerArm = (&'static str, fn() -> ListenAddr);
-            let listeners: Vec<ListenerArm> = vec![
-                ("tcp", || ListenAddr::Tcp("127.0.0.1:0".into())),
-                #[cfg(unix)]
-                ("uds", || ListenAddr::unix_temp("replay-loadgen")),
-            ];
-            for (transport, listen) in listeners {
-                let handle = Server::spawn(
-                    agent.scorer_snapshot(),
-                    *agent.encoder(),
-                    ServeConfig {
-                        addr: listen(),
-                        ..ServeConfig::default()
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-                for proto in [WireProtocol::Json, WireProtocol::Binary] {
-                    let gen = LoadGen::to(
-                        handle.server_addr(),
-                        LoadGenConfig {
-                            workers: 4,
-                            time_scale: 1e-9,
-                            ..Default::default()
-                        },
-                    )
-                    .with_protocol(proto);
-                    let lr = gen.run(&requests).map_err(|e| e.to_string())?;
-                    let cell = format!("{}_{transport}", proto.name());
-                    println!(
-                        "{:>18}: {} requests in {:?} ({} ok, {} sheds, {} fallbacks, \
-                         {} errors), p50 {} ns, p99 {} ns",
-                        format!("loadgen {cell}"),
-                        lr.sent(),
-                        lr.elapsed,
-                        lr.ok,
-                        lr.sheds,
-                        lr.fallbacks,
-                        lr.errors,
-                        lr.hist.quantile_ns(0.5),
-                        lr.hist.quantile_ns(0.99),
-                    );
-                    entries.push((
-                        format!("replay/loadgen_{cell}/request_p50"),
-                        lr.hist.quantile_ns(0.5) as f64,
-                        lr.ok,
-                    ));
-                    entries.push((
-                        format!("replay/loadgen_{cell}/request_p99"),
-                        lr.hist.quantile_ns(0.99) as f64,
-                        lr.ok,
-                    ));
-                }
-                handle.shutdown();
-            }
-        }
     }
 
     write_bench_json(&entries);

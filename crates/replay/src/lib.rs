@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use rlsched_obs::{Counter, Gauge, Histogram, Registry};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};
-use rlsched_serve::{ClientError, LatencyHistogram, RemotePolicy, TimedRequest, Transport};
+use rlsched_serve::{ClientError, LatencyHistogram, RemotePolicy, Transport};
 use rlsched_sim::{EpisodeMetrics, Policy, SimConfig, SimError, StreamMetrics, StreamSession};
 use rlsched_swf::{Job, StreamReader, SwfError};
 use rlscheduler::{QueueSnapshot, RlPolicy, SnapshotJob};
@@ -404,11 +404,20 @@ impl<I: Iterator<Item = Job>> ReplayEngine<I> {
     }
 }
 
+/// One decision point of a replayed trace, as a serving request: the
+/// snapshot a client would send, and when the trace reached it.
+#[derive(Debug, Clone)]
+pub struct TimedRequest {
+    /// Virtual seconds since the episode started.
+    pub offset: f64,
+    /// The decision point to score.
+    pub snapshot: QueueSnapshot,
+}
+
 /// Replay `source` under a heuristic, capturing every decision point as
-/// a [`TimedRequest`] whose fire offset is the decision's virtual time
-/// relative to the episode start — the input a
-/// [`rlsched_serve::LoadGen`] fires at a live server on the trace's own
-/// arrival process (scaled by its `time_scale`).
+/// a [`TimedRequest`] whose offset is the decision's virtual time
+/// relative to the episode start: realistic queue snapshots, in trace
+/// order, for driving a serving tier.
 ///
 /// Memory here is bounded by the *decision count*, not the trace
 /// length: each request holds one truncated snapshot.

@@ -19,7 +19,7 @@
 
 use rlsched_replay::{collect_timed_requests, ReplayEngine, ReplayPolicy};
 use rlsched_sched::{HeuristicKind, PriorityScheduler};
-use rlsched_serve::{LoadGen, LoadGenConfig, RemotePolicy, ServeConfig, Server};
+use rlsched_serve::{RemotePolicy, ServeConfig, Server};
 use rlsched_sim::{run_episode, BackfillMode, MetricKind, SimConfig};
 use rlsched_workload::{LublinModel, LublinParams};
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind};
@@ -134,7 +134,7 @@ fn served_replay_matches_in_process_agent() {
 }
 
 #[test]
-fn replayed_arrivals_drive_the_load_generator() {
+fn replayed_arrivals_become_timed_requests() {
     let model = lublin();
     let trace = model.generate(60, 7);
     let requests = collect_timed_requests(
@@ -147,24 +147,10 @@ fn replayed_arrivals_drive_the_load_generator() {
     .unwrap();
     assert!(!requests.is_empty() && requests.len() <= 60);
     assert!(requests.windows(2).all(|w| w[0].offset <= w[1].offset));
-
-    let agent = small_agent(7);
-    let handle = Server::spawn(
-        agent.scorer_snapshot(),
-        *agent.encoder(),
-        ServeConfig::default(),
-    )
-    .unwrap();
-    let gen = LoadGen::to(
-        handle.server_addr(),
-        LoadGenConfig {
-            workers: 2,
-            time_scale: 1e-9,
-            ..Default::default()
-        },
-    );
-    let report = gen.run(&requests).unwrap();
-    handle.shutdown();
-    assert_eq!(report.sent(), requests.len() as u64);
-    assert_eq!(report.errors, 0);
+    // Each one is a request the serving tier accepts: a non-empty queue,
+    // truncated to the window.
+    assert!(requests.iter().all(|r| {
+        let jobs = r.snapshot.jobs.len();
+        (1..=16).contains(&jobs) && r.snapshot.queue_len() >= jobs
+    }));
 }

@@ -8,9 +8,10 @@
 //!
 //! The client is generic over the [`Transport`] (TCP by default, Unix
 //! domain sockets via [`ServeClient::connect_uds`]) and speaks either
-//! wire format ([`WireProtocol`]); the format is chosen per client —
-//! the server sniffs it per frame, so no handshake exists. All frame
-//! buffers (outgoing bytes, incoming payload/line, the decoded
+//! wire format ([`WireProtocol`], binary unless
+//! [`ServeClient::with_protocol`] says otherwise); the format is chosen
+//! per client — the server sniffs it per frame, so no handshake exists.
+//! All frame buffers (outgoing bytes, incoming payload/line, the decoded
 //! response) are owned by the client and reused across requests, so a
 //! binary `score_raw` round trip is allocation-free at steady state.
 //!
@@ -47,7 +48,7 @@ use crate::protocol::{
     encode_binary_frame, encode_json_frame, encode_score_raw_frame, read_frame_any_into, Request,
     Response, ServeStats, ServedBy, WireFrame, WireProtocol,
 };
-use crate::transport::{wire_env, AnyStream, ServerAddr, Transport};
+use crate::transport::{AnyStream, ServerAddr, Transport};
 
 /// Why a client call failed. Every request resolves to exactly one of:
 /// a [`Decision`], or one of these.
@@ -194,12 +195,6 @@ impl ServeClient<AnyStream> {
 }
 
 impl<S: Transport> ServeClient<S> {
-    /// Dial a transport-typed peer address directly.
-    pub fn dial(peer: S::Addr) -> std::io::Result<Self> {
-        let stream = S::dial(&peer)?;
-        Self::from_parts(peer, stream)
-    }
-
     fn from_parts(peer: S::Addr, stream: S) -> std::io::Result<Self> {
         stream.tune();
         let writer = stream.try_clone()?;
@@ -213,7 +208,7 @@ impl<S: Transport> ServeClient<S> {
             next_id: 0,
             jitter: cfg.seed | 1,
             cfg,
-            proto: wire_env().protocol,
+            proto: WireProtocol::Binary,
             wire: Vec::new(),
             payload: Vec::new(),
             line: String::new(),
@@ -234,16 +229,11 @@ impl<S: Transport> ServeClient<S> {
         self
     }
 
-    /// Speak this wire format (default: `RLSCHED_WIRE` env pin, else
-    /// JSON). No handshake — the server sniffs every frame.
+    /// Speak this wire format (default: [`WireProtocol::Binary`], the
+    /// hot-path format). No handshake — the server sniffs every frame.
     pub fn with_protocol(mut self, proto: WireProtocol) -> Self {
         self.proto = proto;
         self
-    }
-
-    /// The wire format this client writes.
-    pub fn protocol(&self) -> WireProtocol {
-        self.proto
     }
 
     fn next_jitter(&mut self) -> u64 {

@@ -17,14 +17,16 @@
 //!   `f32` rows cross either wire bit-exactly.
 //! * [`transport`] — the [`Transport`] abstraction over TCP and Unix
 //!   domain sockets: [`ListenAddr`] (server side), [`ServerAddr`]
-//!   (bound address), [`AnyStream`] (runtime-chosen client stream),
-//!   and the `RLSCHED_WIRE` env pin ([`wire_env`]).
+//!   (bound address) and [`AnyStream`] (runtime-chosen client stream).
+//!   Servers bind loopback TCP and clients speak binary frames unless
+//!   configured otherwise.
 //! * [`engine`] — [`ShardEngine`], the allocation-free coalescing batch
 //!   scorer, and [`ScorerSlot`], the atomic weight hot-swap point.
 //! * [`server`] — [`Server::spawn`] / [`ServerHandle`]: accept loop,
-//!   per-connection reader/writer threads, N shard worker threads with
-//!   deterministic id→shard routing, bounded inboxes with explicit
-//!   shed responses, and a per-server `rlsched_obs::Registry` of
+//!   per-connection reader/writer threads, N shard worker threads that
+//!   block on their inboxes and batch whatever is already waiting (no
+//!   timer), deterministic id→shard routing, bounded inboxes with
+//!   explicit shed responses, and a per-server `rlsched_obs::Registry` of
 //!   counters / gauges / latency histograms scrapeable over the wire
 //!   via `Request::Metrics` (and summarised by `Request::Stats`).
 //! * [`client`] — [`ServeClient`] (blocking, single in-flight, typed
@@ -44,9 +46,10 @@
 //! batch is answered by a deterministic heuristic fallback
 //! (`served_by: Fallback` on the wire), and the worker respawns under
 //! a bounded restart budget — exhaustion parks it on the fallback arm
-//! until a validated weight swap revives it. Checkpoints install
-//! through propose → validate (all-finite walk + canary parity probe)
-//! → commit with generation rollback. See `README.md` § Failure model.
+//! until a validated weight swap revives it on its next request.
+//! Checkpoints install through propose → validate (all-finite walk +
+//! canary parity probe) → commit with generation rollback. See
+//! `README.md` § Failure model.
 //!
 //! ## The parity guarantee
 //!
@@ -72,7 +75,6 @@ pub mod client;
 pub mod engine;
 pub mod faults;
 pub mod histogram;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod transport;
@@ -81,9 +83,8 @@ pub use client::{ClientConfig, ClientError, Decision, RemotePolicy, ServeClient}
 pub use engine::{EngineMetrics, ScorerSlot, ShardEngine};
 pub use faults::{write_torn_frame, FaultPlan};
 pub use histogram::LatencyHistogram;
-pub use loadgen::{LoadGen, LoadGenConfig, LoadGenReport, TimedRequest};
 pub use protocol::{
     Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame, WireProtocol,
 };
 pub use server::{ProposeError, ServeConfig, Server, ServerHandle};
-pub use transport::{wire_env, AnyStream, Listen, ListenAddr, ServerAddr, Transport};
+pub use transport::{AnyStream, Listen, ListenAddr, ServerAddr, Transport};

@@ -36,12 +36,18 @@
 //! JSON, an unknown tag, a payload that contradicts its own length —
 //! is a *protocol* error (`InvalidData`, never retried).
 //!
+//! **Bounded reads**: no frame may exceed 64 MiB in either format. A
+//! longer JSON line is skipped to its newline without being stored and
+//! reported as `InvalidData`; a binary payload is buffered only as its
+//! bytes arrive, so a header that declares a large frame and then
+//! stalls allocates nothing for it.
+//!
 //! Correlation ids must stay below 2^53: JSON interoperability (RFC
 //! 8259 §6) only guarantees integer exactness within IEEE-double range,
 //! and ids above it may come back changed. [`crate::ServeClient`]
 //! allocates ids sequentially from 0, far below the limit.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
 use rlscheduler::{QueueSnapshot, SnapshotJob};
@@ -269,10 +275,23 @@ pub fn read_frame<T: Deserialize, R: BufRead>(r: &mut R) -> std::io::Result<Opti
 /// (`UnexpectedEof`, retryable), not a protocol violation —
 /// `BufRead::read_line` checks UTF-8 first and would misreport that
 /// tear as `InvalidData`, defeating the client's retry.
+///
+/// A line that fills `MAX_FRAME_LEN` bytes without a newline is over
+/// the cap: the rest of it is skipped to the newline, unstored, and it
+/// is reported as `InvalidData`. A peer that never sends a newline
+/// cannot grow the buffer without bound, and the stream stays
+/// frame-aligned for the next frame.
 fn read_frame_line<R: BufRead>(r: &mut R, line: &mut String) -> std::io::Result<usize> {
     let mut buf = std::mem::take(line).into_bytes();
     buf.clear();
-    let n = r.read_until(b'\n', &mut buf)?;
+    let n = r
+        .by_ref()
+        .take(MAX_FRAME_LEN as u64)
+        .read_until(b'\n', &mut buf)?;
+    if n == MAX_FRAME_LEN && buf.last() != Some(&b'\n') {
+        r.skip_until(b'\n')?;
+        return Err(bad("JSON frame exceeds the length cap"));
+    }
     if n > 0 && buf.last() != Some(&b'\n') {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
@@ -966,12 +985,19 @@ pub fn read_frame_any_into<T: WireFrame, R: BufRead>(
             if len > MAX_FRAME_LEN {
                 return Err(bad("binary frame length exceeds the cap"));
             }
+            // Grow the buffer as bytes arrive rather than to the declared
+            // length up front: a header that promises 64 MiB and stalls
+            // costs nothing.
             payload.clear();
-            payload.resize(len, 0);
-            r.read_exact(payload)?; // torn payload ⇒ UnexpectedEof
-                                    // Validate the version only after consuming the declared
-                                    // payload, so even a version-mismatched frame leaves the
-                                    // stream frame-aligned.
+            if r.by_ref().take(len as u64).read_to_end(payload)? < len {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "binary frame truncated mid-payload",
+                ));
+            }
+            // Validate the version only after consuming the declared
+            // payload, so even a version-mismatched frame leaves the
+            // stream frame-aligned.
             if header[1] != BINARY_VERSION {
                 return Err(bad("unsupported binary wire version"));
             }
@@ -1416,6 +1442,45 @@ mod tests {
         let err = read_frame_any::<Request, _>(&mut reader, &mut Vec::new(), &mut String::new())
             .expect_err("cap must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn over_cap_json_line_is_skipped_and_the_next_frame_decodes() {
+        // No newline until past the cap, then a valid frame.
+        let mut wire = vec![b'x'; MAX_FRAME_LEN + 1];
+        wire.push(b'\n');
+        let good = Request::Stats { id: 5 };
+        write_frame(&mut wire, &good).unwrap();
+        let mut reader = std::io::BufReader::new(&wire[..]);
+        let (mut payload, mut line) = (Vec::new(), String::new());
+        let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+            .expect_err("an over-cap line must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            line.capacity() <= MAX_FRAME_LEN,
+            "never stored past the cap"
+        );
+        let (got, proto) = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("the next frame is intact");
+        assert_eq!((got, proto), (good, WireProtocol::Json));
+    }
+
+    #[test]
+    fn stalled_large_binary_header_allocates_nothing_for_its_payload() {
+        // A 64 MiB promise followed by EOF.
+        let mut wire = vec![BINARY_MAGIC, BINARY_VERSION];
+        wire.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        let mut reader = std::io::BufReader::new(&wire[..]);
+        let mut payload = Vec::new();
+        let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut String::new())
+            .expect_err("the payload never arrived");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            payload.capacity() < 1 << 20,
+            "payload grew to {} bytes for nothing",
+            payload.capacity()
+        );
     }
 
     #[test]

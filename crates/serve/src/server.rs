@@ -3,7 +3,7 @@
 //! ```text
 //!                    ┌─ connection threads ─┐      ┌─ shard threads ─────┐
 //! TcpListener ──────▶│ read frame           │      │ recv (blocking)     │
-//!   (accept loop)    │ validate + encode    │─────▶│ coalesce ≤ window   │
+//!   (accept loop)    │ validate + encode    │─────▶│ + what is waiting   │
 //!                    │ fallback action      │      │ fault hook          │
 //!                    │ route: fnv(id)%N ────┼──┐   │ one batched fwd ────┼─ panic? ⇒ supervisor:
 //!                    │ full queue? ⇒        │  └──▶│ reply per row       │   fallback-answer the
@@ -22,9 +22,10 @@
 //!   answered by the heuristic fallback — and the worker respawns with
 //!   a fresh [`ShardEngine`] built from the current snapshot, under a
 //!   bounded restart budget with deterministic exponential backoff.
-//!   Exhausting the budget parks the shard in `Failed`, where it keeps
-//!   draining its inbox through the fallback until a validated weight
-//!   swap (a new generation) revives it.
+//!   Exhausting the budget parks the shard in `Failed`, where it blocks
+//!   on its inbox and answers through the fallback until a validated
+//!   weight swap (a new generation) is committed; the first request
+//!   after the commit revives it and is scored on the fresh engine.
 //! * **Graceful degradation**: when a shard's inbox is full, its
 //!   in-queue deadline expires, or the worker is down, the request is
 //!   answered with the deterministic heuristic decision
@@ -41,11 +42,11 @@
 //! * **Backpressure**: each shard's inbox is a bounded channel; the
 //!   connection thread answers immediately (fallback or shed) instead
 //!   of queueing unbounded work.
-//! * **Coalescing**: a shard blocks for its first request, then drains
-//!   arrivals until the configured window elapses or the batch cap is
-//!   reached, and scores the whole stack through one forward. What is
-//!   already waiting when the window closes rides along, so a zero
-//!   window means "never sleep for companions", not "never batch".
+//! * **Batching without a timer**: a shard blocks for its first
+//!   request, takes whatever else is already waiting in its inbox (up
+//!   to the batch cap), and scores the whole stack through one forward.
+//!   It never sleeps for companions: a lone request costs one `rows = 1`
+//!   forward, and a backlog behind a slow forward is the next batch.
 //! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag, the accept
 //!   loop notices it, parked connection readers are unblocked by
 //!   shutting their streams down, shards drain and exit when every
@@ -58,7 +59,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -81,17 +82,14 @@ use crate::transport::{AnyStream, Listen, ListenAddr, ServerAddr, Transport};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Where to listen: TCP (port 0 picks a free port — see
-    /// [`ServerHandle::addr`]) or a Unix domain socket. The default
-    /// honors the `RLSCHED_WIRE` env pin ([`ListenAddr::env_default`]).
+    /// [`ServerHandle::addr`]) or a Unix domain socket. The default is
+    /// a free loopback TCP port.
     pub addr: ListenAddr,
     /// Worker shards, each owning a scorer replica and scratch.
     pub shards: usize,
-    /// Max rows per coalesced batch.
+    /// Max rows per batch: a shard scores at most this many of the
+    /// requests already waiting in its inbox through one forward.
     pub batch_cap: usize,
-    /// How long a shard holds its first request open for companions.
-    /// Zero never waits: the shard scores what is already in its inbox,
-    /// so a lone request costs one forward and a backlog still batches.
-    pub coalesce_window: Duration,
     /// Bounded per-shard inbox depth; arrivals beyond it take the
     /// fallback arm (or are shed when no fallback is configured).
     pub queue_depth: usize,
@@ -121,10 +119,9 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            addr: ListenAddr::env_default(),
+            addr: ListenAddr::Tcp("127.0.0.1:0".to_string()),
             shards: 2,
             batch_cap: 32,
-            coalesce_window: Duration::from_micros(100),
             queue_depth: 128,
             fallback: Some(HeuristicKind::Sjf),
             restart_budget: 3,
@@ -480,7 +477,6 @@ fn finish_spawn<L: Listen>(
             let slot = Arc::clone(&slot);
             let shared = Arc::clone(&shared);
             let sup = Supervision {
-                window: cfg.coalesce_window,
                 cap: cfg.batch_cap,
                 restart_budget: cfg.restart_budget,
                 backoff: cfg.restart_backoff,
@@ -555,7 +551,7 @@ impl ServerHandle {
     }
 
     /// Open a client to this server over whichever transport it bound,
-    /// speaking the env-default wire format (`RLSCHED_WIRE`).
+    /// speaking the client's default wire format (binary frames).
     pub fn connect(&self) -> std::io::Result<ServeClient<AnyStream>> {
         ServeClient::connect_any(&self.bound)
     }
@@ -572,7 +568,8 @@ impl ServerHandle {
     /// untouched and count in [`ServeStats::rollbacks`].
     ///
     /// Returns the new weight generation on commit. A commit also
-    /// revives any shard parked in [`ShardState::Failed`].
+    /// revives any shard parked in [`ShardState::Failed`]: the first
+    /// request it receives afterwards is scored on a fresh engine.
     pub fn propose_scorer(
         &self,
         scorer: ScorerSnapshot,
@@ -978,7 +975,6 @@ fn writer_loop<S: Transport>(stream: S, rx: Receiver<Response>, proto: Arc<Atomi
 
 /// Per-shard supervision parameters (a slice of [`ServeConfig`]).
 struct Supervision {
-    window: Duration,
     cap: usize,
     restart_budget: u32,
     backoff: Duration,
@@ -992,9 +988,10 @@ struct Supervision {
 /// fallback, then respawn a fresh engine under the restart budget.
 ///
 /// Budget exhaustion parks the shard in [`ShardState::Failed`]: it
-/// keeps draining its inbox through the fallback (nothing queued is
-/// ever stranded) until the weight generation changes — a validated
-/// swap is the recovery signal — and then respawns.
+/// blocks on its inbox and answers each arrival through the fallback
+/// (nothing queued is ever stranded) until the weight generation
+/// changes — a validated swap is the recovery signal. The first arrival
+/// after that respawns the engine and is the first row it scores.
 fn shard_supervisor(
     shard_id: usize,
     rx: Receiver<ShardRequest>,
@@ -1005,6 +1002,9 @@ fn shard_supervisor(
     let health = &shared.shard_health[shard_id];
     let mut consecutive: u32 = 0;
     let mut batch_counter: u64 = 0;
+    // The arrival that revived a parked shard, carried into the fresh
+    // engine's first batch instead of being answered by the fallback.
+    let mut carried: Option<ShardRequest> = None;
     loop {
         health.set_state(STATE_HEALTHY);
         // Fresh engine from the *current* snapshot: a panic may have
@@ -1018,6 +1018,7 @@ fn shard_supervisor(
             shard_loop(
                 shard_id,
                 &rx,
+                carried.take(),
                 &mut engine,
                 &mut pending,
                 &shared,
@@ -1041,17 +1042,14 @@ fn shard_supervisor(
                     health.set_state(STATE_FAILED);
                     let failed_gen = slot.generation();
                     loop {
+                        // Every sender gone and the inbox empty: shutdown.
+                        let Ok(r) = rx.recv() else { return };
                         if slot.generation() != failed_gen {
-                            break; // validated swap: revive
+                            carried = Some(r); // validated swap: revive on this request
+                            break;
                         }
-                        match rx.recv_timeout(Duration::from_millis(25)) {
-                            Ok(r) => {
-                                shared.inbox_pop(shard_id);
-                                shared.resolve_fallback(shard_id, r.id, r.fallback, &r.reply);
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => return,
-                        }
+                        shared.inbox_pop(shard_id);
+                        shared.resolve_fallback(shard_id, r.id, r.fallback, &r.reply);
                     }
                     consecutive = 0;
                 } else {
@@ -1072,14 +1070,16 @@ fn shard_supervisor(
     }
 }
 
-/// One shard's scoring loop: block for a request, coalesce companions
-/// for up to `window` (or until `cap` rows), score the stack in one
-/// forward, reply per row, repeat. Returns when every sender is gone
-/// and the queue is drained; panics propagate to the supervisor.
+/// One shard's scoring loop: block for a request (the `carried` one
+/// first, if any), take what else is already waiting up to `cap` rows,
+/// score the stack in one forward, reply per row, repeat. Returns when
+/// every sender is gone and the queue is drained; panics propagate to
+/// the supervisor.
 #[allow(clippy::too_many_arguments)]
 fn shard_loop(
     shard_id: usize,
     rx: &Receiver<ShardRequest>,
+    mut carried: Option<ShardRequest>,
     engine: &mut ShardEngine,
     pending: &mut Vec<PendingRow>,
     shared: &Shared,
@@ -1108,18 +1108,12 @@ fn shard_loop(
         });
     };
     // `recv` fails only once every sender is gone and the inbox is empty.
-    while let Ok(first) = rx.recv() {
-        let window_closes = Instant::now() + sup.window;
+    while let Some(first) = carried.take().or_else(|| rx.recv().ok()) {
         admit(engine, pending, first);
-        // A closed window still takes what is already waiting (a zero
-        // timeout is a `try_recv`), so a zero window never sleeps and a
-        // backlog batches itself all the same.
+        // Never wait for companions: what is already queued rides along.
         while !engine.is_full() {
-            let remaining = window_closes.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(r) => admit(engine, pending, r),
-                Err(_) => break,
-            }
+            let Ok(r) = rx.try_recv() else { break };
+            admit(engine, pending, r);
         }
         if pending.is_empty() {
             continue; // every arrival expired at admission

@@ -8,27 +8,16 @@
 //! [`ServerAddr`] is what a bound server publishes (port 0 resolved,
 //! socket path settled) and what [`AnyStream::dial`] redials.
 //!
-//! ## `RLSCHED_WIRE`
-//!
-//! Mirroring `RLSCHED_FORCE_SCALAR`, the `RLSCHED_WIRE` environment
-//! variable pins the *default* wire arm process-wide so the whole test
-//! suite can be swept across protocol×transport without touching call
-//! sites: a value containing `binary` makes clients default to the
-//! length-prefixed binary framing ([`WireProtocol::Binary`]), and a
-//! value containing `uds` makes [`ListenAddr::env_default`] (and hence
-//! `ServeConfig::default()`) bind a fresh Unix socket instead of a TCP
-//! port. `RLSCHED_WIRE=binary-uds` is the CI arm. Explicit
-//! configuration always wins over the environment.
+//! `ServeConfig::default()` binds a free loopback TCP port, and a
+//! `ServeClient` speaks binary frames. [`ListenAddr::unix_temp`] and
+//! `ServeClient::with_protocol` pick the other arms explicitly.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
-
-use crate::protocol::WireProtocol;
 
 /// A bidirectional byte stream the protocol can run over.
 ///
@@ -134,17 +123,6 @@ impl ListenAddr {
             "rlsched-serve-{tag}-{}-{n}.sock",
             std::process::id()
         )))
-    }
-
-    /// The default bind address, honoring `RLSCHED_WIRE`: a loopback
-    /// TCP port normally, a fresh temp Unix socket when the env pin
-    /// asks for UDS.
-    pub fn env_default() -> ListenAddr {
-        if wire_env().prefer_uds {
-            ListenAddr::unix_temp("default")
-        } else {
-            ListenAddr::Tcp("127.0.0.1:0".to_string())
-        }
     }
 }
 
@@ -292,33 +270,6 @@ impl Listen for UnixListener {
     fn accept_stream(&self) -> std::io::Result<UnixStream> {
         self.accept().map(|(s, _peer)| s)
     }
-}
-
-/// The process-wide wire defaults pinned by `RLSCHED_WIRE`.
-#[derive(Debug, Clone, Copy)]
-pub struct WireEnv {
-    /// Default client protocol ([`WireProtocol::Json`] unless the pin
-    /// contains `binary`).
-    pub protocol: WireProtocol,
-    /// Whether `ServeConfig::default()` binds a Unix socket (pin
-    /// contains `uds`).
-    pub prefer_uds: bool,
-}
-
-/// Read (once) the `RLSCHED_WIRE` pin; see the module docs.
-pub fn wire_env() -> WireEnv {
-    static ENV: OnceLock<WireEnv> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let v = std::env::var("RLSCHED_WIRE").unwrap_or_default();
-        WireEnv {
-            protocol: if v.contains("binary") {
-                WireProtocol::Binary
-            } else {
-                WireProtocol::Json
-            },
-            prefer_uds: v.contains("uds"),
-        }
-    })
 }
 
 #[cfg(test)]

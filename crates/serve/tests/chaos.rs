@@ -3,10 +3,10 @@
 //! Every test drives the production supervision/fallback/validation
 //! machinery through [`FaultPlan`] — a deterministic script, so each
 //! failure sequence replays identically — and asserts the fault-model
-//! invariants end to end over a live listener. Clients connect through
-//! `ServerHandle::connect`, so the suite follows the `RLSCHED_WIRE`
-//! pin (CI replays it with `RLSCHED_WIRE=binary-uds`); tests that need
-//! a raw `TcpStream` pin TCP explicitly.
+//! invariants end to end over a live listener. `chaos_config` binds a
+//! Unix socket and clients connect through `ServerHandle::connect`, so
+//! most of the suite runs binary frames over UDS; tests that write JSON
+//! on a raw `TcpStream` pin TCP explicitly and cover that corner.
 //!
 //! The invariants:
 //!
@@ -74,12 +74,13 @@ fn toy_trace() -> JobTrace {
     JobTrace::new(jobs, 4)
 }
 
-/// One-shard config tuned for fast, deterministic chaos runs.
+/// One-shard config tuned for fast, deterministic chaos runs, on a
+/// fresh Unix socket.
 fn chaos_config(faults: Arc<FaultPlan>) -> ServeConfig {
     ServeConfig {
+        addr: ListenAddr::unix_temp("chaos"),
         shards: 1,
         batch_cap: 4,
-        coalesce_window: Duration::from_micros(200),
         queue_depth: 512,
         fallback: Some(HeuristicKind::Sjf),
         restart_budget: 3,
@@ -102,7 +103,7 @@ fn shard_panic_recovers_with_zero_lost_requests() {
     let faults = Arc::new(FaultPlan::new());
     faults.panic_at(0, 0, 1); // the first coalesced batch dies
     let mut cfg = chaos_config(faults);
-    // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+    // Raw TcpStream below: pin TCP over the suite's Unix socket.
     cfg.addr = ListenAddr::Tcp("127.0.0.1:0".into());
     let handle =
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
@@ -173,7 +174,8 @@ fn shard_panic_recovers_with_zero_lost_requests() {
 
 /// Restart-budget exhaustion parks the shard in `Failed`, where it
 /// answers everything through the fallback — and a *validated* weight
-/// swap (propose → canary → commit) revives it back to model serving.
+/// swap (propose → canary → commit) revives it back to model serving on
+/// the very next request, with no delay and no retry.
 #[test]
 fn budget_exhaustion_fails_over_and_validated_swap_revives() {
     let agent = agent_for(16, 5);
@@ -202,20 +204,16 @@ fn budget_exhaustion_fails_over_and_validated_swap_revives() {
         .propose_scorer(agent.scorer_snapshot(), &canary)
         .expect("a healthy checkpoint commits");
     assert_eq!(gen, 1);
-    // The failed shard polls the generation every 25ms; give it a few
-    // polls, then demand model service with exact bits.
-    let mut revived = false;
-    for _ in 0..200 {
-        let (obs, mask, queue_len, expected) = canary.row(0);
-        let d = client.score_raw(obs, mask, queue_len).unwrap();
-        if d.served_by == ServedBy::Model {
-            assert_eq!(d.action, expected, "post-revival bits match in-process");
-            revived = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(revived, "validated swap must revive the failed shard");
+    // The parked shard checks the generation on every arrival: the first
+    // request after the commit revives it and is scored on the fresh
+    // engine, with exact bits.
+    let (obs, mask, queue_len, expected) = canary.row(0);
+    let d = client.score_raw(obs, mask, queue_len).unwrap();
+    assert_eq!(
+        (d.action, d.served_by),
+        (expected, ServedBy::Model),
+        "the first request after the commit is model-served with the canary's bits"
+    );
     let stats = handle.shutdown();
     assert_eq!(stats.shards[0].state, ShardState::Healthy);
     assert!(stats.restarts >= 1);
@@ -453,7 +451,7 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     faults.stall_at(0, 0, Duration::from_millis(300));
     let mut cfg = chaos_config(faults);
     cfg.queue_deadline = Some(Duration::from_millis(50));
-    // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+    // Raw TcpStream below: pin TCP over the suite's Unix socket.
     cfg.addr = ListenAddr::Tcp("127.0.0.1:0".into());
     let handle =
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
@@ -552,8 +550,8 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
         req.id()
     });
 
-    // The scripted fake above speaks newline-JSON: pin the protocol so
-    // the test is identical under an RLSCHED_WIRE=binary pin.
+    // The scripted fake above speaks newline-JSON: pin the protocol
+    // (clients default to binary frames).
     let mut client = ServeClient::connect(addr)
         .unwrap()
         .with_protocol(rlsched_serve::WireProtocol::Json)
@@ -620,7 +618,7 @@ fn torn_request_frames_leave_the_server_serving() {
     let agent = agent_for(16, 3);
     let canary = CanaryBatch::probe(&agent, 4, 43);
     let mut cfg = chaos_config(Arc::new(FaultPlan::new()));
-    // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+    // Raw TcpStream below: pin TCP over the suite's Unix socket.
     cfg.addr = ListenAddr::Tcp("127.0.0.1:0".into());
     let handle =
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");

@@ -4,7 +4,8 @@
 //! properties pin the frame layer for *all* payloads: every request and
 //! response variant — `served_by` tags, fallback actions, error
 //! messages with hostile characters — survives a write/read round trip
-//! bit-exactly, frames never collide across a stream, and the
+//! bit-exactly, frames never collide across a stream, damaged binary
+//! frames fail with a typed error and never panic, and the
 //! shard-histogram merge is associative and commutative (so the stats
 //! endpoint's fold order can never change a reported quantile).
 
@@ -15,7 +16,7 @@ use proptest::prelude::*;
 use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
 use rlsched_serve::protocol::{
     encode_binary_frame, encode_json_frame, read_frame, read_frame_any, read_frame_any_into,
-    write_frame,
+    write_frame, BINARY_MAGIC,
 };
 use rlsched_serve::{
     LatencyHistogram, Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame,
@@ -234,8 +235,136 @@ fn any_response() -> impl Strategy<Value = Response> {
     ]
 }
 
+/// Binary frame header: magic, version, `u32` LE payload length.
+const HEADER: usize = 6;
+/// The protocol's cap on a declared payload length (64 MiB).
+const MAX_FRAME: usize = 64 << 20;
+
+/// One way to damage a valid binary frame.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// XOR the byte at this position (modulo the frame length) with a
+    /// non-zero mask.
+    Flip(usize, u8),
+    /// Raise or lower the declared payload length; the bytes stay.
+    Relength(i64),
+    /// Append bytes to the payload and declare them.
+    Tail(Vec<u8>),
+}
+
+fn any_mutation() -> impl Strategy<Value = Mutation> {
+    let delta = prop_oneof![
+        (-64i64..64).boxed(),
+        Just(1i64 << 30).boxed(),
+        Just(-(1i64 << 31)).boxed(),
+    ];
+    // Half the flips land in the six header bytes, which a uniform
+    // position would almost never hit.
+    let at = prop_oneof![(0..HEADER).boxed(), any::<usize>().boxed()];
+    prop_oneof![
+        (at, 1u8..=255)
+            .prop_map(|(at, mask)| Mutation::Flip(at, mask))
+            .boxed(),
+        delta.prop_map(Mutation::Relength).boxed(),
+        prop::collection::vec(any::<u8>(), 1..16)
+            .prop_map(Mutation::Tail)
+            .boxed(),
+    ]
+}
+
+fn declared_len(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame[2..HEADER].try_into().unwrap())
+}
+
+fn mutate(frame: &mut Vec<u8>, m: &Mutation) {
+    let set_len =
+        |frame: &mut Vec<u8>, len: u32| frame[2..HEADER].copy_from_slice(&len.to_le_bytes());
+    match m {
+        Mutation::Flip(at, mask) => {
+            let i = at % frame.len();
+            frame[i] ^= mask;
+        }
+        // Truncating to u32 wraps, as a corrupt prefix would.
+        Mutation::Relength(delta) => set_len(frame, (declared_len(frame) as i64 + delta) as u32),
+        Mutation::Tail(bytes) => {
+            frame.extend_from_slice(bytes);
+            set_len(frame, declared_len(frame).wrapping_add(bytes.len() as u32));
+        }
+    }
+}
+
+/// The fuzz contract for one damaged frame: decoding it ends in `Ok`,
+/// `InvalidData` or `UnexpectedEof` (a panic fails the case outright).
+/// A header that still starts with the magic and declares an in-cap
+/// length whose bytes all arrived is consumed whole, whatever the
+/// payload holds, and a valid frame spliced in right behind it decodes
+/// unchanged.
+fn damaged_frame_fails_cleanly<T: WireFrame + std::fmt::Debug + PartialEq>(
+    frame: &[u8],
+    follow: &T,
+) -> Result<(), TestCaseError> {
+    use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+    let mut next = Vec::new();
+    encode_binary_frame(follow, &mut next);
+    let stream = [frame, &next[..]].concat();
+    let mut rd = &stream[..];
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    let kind = read_frame_any::<T, _>(&mut rd, &mut payload, &mut line)
+        .err()
+        .map(|e| e.kind());
+    prop_assert!(
+        matches!(kind, None | Some(InvalidData) | Some(UnexpectedEof)),
+        "unexpected error kind {:?}",
+        kind
+    );
+    let declared = declared_len(frame) as usize;
+    let declared_end = HEADER + declared;
+    if frame[0] == BINARY_MAGIC && declared <= MAX_FRAME && declared_end <= stream.len() {
+        prop_assert_eq!(
+            stream.len() - rd.len(),
+            declared_end,
+            "the declared frame is consumed whole"
+        );
+        let spliced = [&stream[..declared_end], &next[..]].concat();
+        let mut rd = &spliced[..];
+        let _ = read_frame_any::<T, _>(&mut rd, &mut payload, &mut line);
+        let got = read_frame_any::<T, _>(&mut rd, &mut payload, &mut line);
+        prop_assert!(
+            matches!(&got, Ok(Some((v, WireProtocol::Binary))) if v == follow),
+            "the frame after a consumed damaged one must decode: {:?}",
+            got.map(|g| g.map(|(v, _)| v))
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Fuzz the binary decoder: valid frames of every request and
+    /// response variant, damaged by byte flips, a raised or lowered
+    /// length prefix and declared random tails, never panic, fail only
+    /// as `InvalidData` or `UnexpectedEof`, and leave the stream
+    /// frame-aligned whenever the declared length was consumed.
+    #[test]
+    fn damaged_binary_frames_fail_cleanly_and_resync(
+        req in any_request(),
+        resp in any_response(),
+        req_damage in prop::collection::vec(any_mutation(), 1..4),
+        resp_damage in prop::collection::vec(any_mutation(), 1..4),
+    ) {
+        let mut frame = Vec::new();
+        encode_binary_frame(&req, &mut frame);
+        for m in &req_damage {
+            mutate(&mut frame, m);
+        }
+        damaged_frame_fails_cleanly(&frame, &req)?;
+        encode_binary_frame(&resp, &mut frame);
+        for m in &resp_damage {
+            mutate(&mut frame, m);
+        }
+        damaged_frame_fails_cleanly(&frame, &resp)?;
+    }
 
     /// Every request variant survives the wire bit-exactly, and `f32`
     /// payload rows compare by bits, not by value (−0.0 vs 0.0, ulp

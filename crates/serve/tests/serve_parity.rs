@@ -14,11 +14,10 @@
 //! different decision anywhere in an episode cascades into different
 //! schedules and metrics.
 //!
-//! Most tests connect through `ServerHandle::connect`, so the whole
-//! file follows the `RLSCHED_WIRE` pin (CI re-runs it with
-//! `RLSCHED_WIRE=binary-uds` next to the `RLSCHED_FORCE_SCALAR` arm);
-//! the matrix test below additionally pins every
-//! {JSON, binary} × {TCP, UDS} combination explicitly.
+//! Most tests bind the default loopback TCP port and connect through
+//! `ServerHandle::connect`, which speaks binary frames; tests that write
+//! JSON on a raw `TcpStream` cover that corner, and the matrix test
+//! below pins every {JSON, binary} × {TCP, UDS} combination explicitly.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -122,7 +121,6 @@ fn served_decisions_are_bit_identical_to_as_policy_all_kinds() {
             *agent.encoder(),
             ServeConfig {
                 shards: 3,
-                coalesce_window: Duration::from_micros(200),
                 ..ServeConfig::default()
             },
         )
@@ -261,7 +259,7 @@ fn full_inboxes_shed_and_every_request_is_answered() {
             // No fallback: this test pins the bare-shed semantics.
             fallback: None,
             faults: Some(faults),
-            // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+            // Raw TcpStream below: pin TCP.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
         },
@@ -318,8 +316,8 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     assert!(stats.max_us > 0.0);
 }
 
-/// A zero window never sleeps for companions, yet a backlog still
-/// batches: the shard scores what is already waiting, in stacked batches
+/// A shard never sleeps for companions, yet a backlog still batches:
+/// the shard scores what is already waiting, in stacked batches
 /// of at most `batch_cap` rows. One request occupies the shard (a
 /// scripted stall, standing in for a slow forward) while nine more queue
 /// behind it; they come back as 1 + 4 + 4 + 1, each row carrying the
@@ -340,9 +338,8 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
         ServeConfig {
             shards: 1,
             batch_cap: 4,
-            coalesce_window: Duration::ZERO,
             faults: Some(faults),
-            // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+            // Raw TcpStream below: pin TCP.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
         },
@@ -420,7 +417,7 @@ fn malformed_frames_report_errors_and_resync() {
         agent.scorer_snapshot(),
         *agent.encoder(),
         ServeConfig {
-            // Raw TcpStream below: pin TCP regardless of RLSCHED_WIRE.
+            // Raw TcpStream below: pin TCP.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
         },

@@ -1,6 +1,7 @@
 //! Cross-crate integration: workload generation → SWF round trip →
 //! simulation → heuristic scheduling, over all six named workloads.
 
+use rlsched_repro::core::{evaluate_policy, mean_metric, sample_eval_windows};
 use rlsched_repro::sched::{HeuristicKind, PriorityScheduler, RandomPolicy};
 use rlsched_repro::sim::{run_episode, MetricKind, Policy, SimConfig};
 use rlsched_repro::swf::{parse_str, write_string, JobTrace, TraceStats};
@@ -58,31 +59,45 @@ fn generated_moments_match_table2_targets() {
     }
 }
 
+/// The Tier-1 slice of Table V's orderings, on the windows `repro table5
+/// --seed 1` evaluates (5 × 256 jobs sampled from a 3 000-job trace):
+/// EASY backfilling cuts every Table III heuristic's mean bounded
+/// slowdown by at least a quarter, and SJF beats FCFS with and without
+/// it, on Lublin-1 and Lublin-2.
 #[test]
 fn backfilling_helps_fcfs_on_congested_traces() {
-    // EASY backfilling exists to fill reservation holes; on a congested
-    // small machine it must not hurt FCFS's bounded slowdown materially,
-    // and across several seeds it should win on average.
-    let mut wins = 0;
-    let mut total_no = 0.0;
-    let mut total_bf = 0.0;
-    for seed in 0..5 {
-        let t = NamedWorkload::SdscSp2.generate(400, 100 + seed);
-        let mut fcfs = PriorityScheduler::new(HeuristicKind::Fcfs);
-        let no = run_episode(&t, SimConfig::no_backfill(), &mut fcfs).unwrap();
-        let bf = run_episode(&t, SimConfig::with_backfill(), &mut fcfs).unwrap();
-        let (n, b) = (no.avg_bounded_slowdown(), bf.avg_bounded_slowdown());
-        total_no += n;
-        total_bf += b;
-        if b <= n {
-            wins += 1;
+    let seed = 1u64;
+    for w in [NamedWorkload::Lublin1, NamedWorkload::Lublin2] {
+        let trace = w.generate(3000, seed ^ w.name().len() as u64);
+        let windows = sample_eval_windows(&trace, 5, 256, seed ^ 0xEA11);
+        let bsld = |kind: HeuristicKind, sim: SimConfig| {
+            let results = evaluate_policy(&windows, sim, &mut PriorityScheduler::new(kind));
+            mean_metric(&results, MetricKind::BoundedSlowdown)
+        };
+        for kind in HeuristicKind::table3() {
+            let (plain, easy) = (
+                bsld(kind, SimConfig::no_backfill()),
+                bsld(kind, SimConfig::with_backfill()),
+            );
+            assert!(
+                easy <= 0.75 * plain,
+                "{} / {}: EASY {easy:.3} vs plain {plain:.3}",
+                w.name(),
+                kind.name()
+            );
+        }
+        for sim in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
+            let (sjf, fcfs) = (
+                bsld(HeuristicKind::Sjf, sim),
+                bsld(HeuristicKind::Fcfs, sim),
+            );
+            assert!(
+                sjf < fcfs,
+                "{} {sim:?}: SJF {sjf:.3} vs FCFS {fcfs:.3}",
+                w.name()
+            );
         }
     }
-    assert!(wins >= 3, "backfilling won only {wins}/5 runs");
-    assert!(
-        total_bf < total_no,
-        "backfilling should reduce mean bsld: {total_bf} vs {total_no}"
-    );
 }
 
 #[test]
