@@ -123,7 +123,7 @@ impl Profile {
             filter,
             seed: self.seed,
             n_envs: 16,
-            n_threads: 1,
+            ..TrainConfig::default()
         }
     }
 

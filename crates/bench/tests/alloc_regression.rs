@@ -17,7 +17,7 @@ use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
 
 const SEQ_LEN: usize = 48;
 
-fn agent_of(policy: PolicyKind, max_obsv: usize, iters: usize, minibatch: usize) -> Agent {
+fn agent_of(policy: PolicyKind, max_obsv: usize, iters: usize, minibatch: Option<usize>) -> Agent {
     Agent::new(AgentConfig {
         policy,
         obs: ObsConfig {
@@ -28,7 +28,7 @@ fn agent_of(policy: PolicyKind, max_obsv: usize, iters: usize, minibatch: usize)
         ppo: PpoConfig {
             train_pi_iters: iters,
             train_v_iters: iters,
-            minibatch: Some(minibatch),
+            minibatch,
             ..PpoConfig::default()
         },
         seed: 5,
@@ -89,7 +89,7 @@ fn steady_state_step_allocs(
 
 #[test]
 fn fast_paths_do_not_regress_allocations() {
-    let mut agent = agent_of(PolicyKind::Kernel, 16, 3, 256);
+    let mut agent = agent_of(PolicyKind::Kernel, 16, 3, Some(256));
     let (mut obs, mut mask) = (Vec::new(), Vec::new());
 
     // ---- env stepping: 0 heap allocations per step at steady state ----
@@ -284,13 +284,13 @@ fn fast_paths_do_not_regress_allocations() {
     assert_eq!(greedy_allocs, 0, "greedy fast path must not allocate");
 
     // ---- PPO update (the chunked fused sweep): ZERO allocations at
-    // steady state. The first call warms the minibatch gather buffers,
-    // the per-chunk activation stashes and gradient partials, and the
-    // Adam moment state; every later update must not touch the heap at
-    // all — the whole point of the analytic backward. Worker spawns
-    // allocate per fan-out by design, so the pin runs on the one-worker
-    // budget (what `train()` uses by default): it isolates the update's
-    // own buffer discipline from thread bring-up. ----
+    // steady state. The first call warms the minibatch index and per-row
+    // buffers, the per-worker row copies, activation stashes and
+    // gradient partials, and the Adam moment state; every later update
+    // must not touch the heap at all — the whole point of the analytic
+    // backward. Worker spawns allocate per fan-out by design, so the pin
+    // runs on the one-worker budget: it isolates the update's own buffer
+    // discipline from thread bring-up. ----
     let mut rollout_envs = VecEnv::new((0..4).map(|_| env.clone()).collect::<Vec<_>>());
     let seeds: Vec<u64> = (0..4).collect();
     let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut rollout_envs, &seeds);
@@ -304,10 +304,23 @@ fn fast_paths_do_not_regress_allocations() {
          budget ({fused_allocs} allocations after warm-up)"
     );
 
+    // Without minibatching the update reads the whole batch through an
+    // identity index (192 rows, three chunks): the same pin holds.
+    let mut full_batch = agent_of(PolicyKind::Kernel, 16, 3, None);
+    let _ = rayon::with_threads(1, || full_batch.ppo_mut().update(&batch));
+    let full_batch_allocs = count_allocs(|| {
+        rayon::with_threads(1, || full_batch.ppo_mut().update(&batch));
+    });
+    assert_eq!(
+        full_batch_allocs, 0,
+        "a full-batch Ppo::update must not allocate at steady state on the \
+         one-worker budget ({full_batch_allocs} allocations after warm-up)"
+    );
+
     // Same pin for the LeNet baseline: its conv and pool stages stash
     // their activations and gradients in the same per-worker scratch
     // (128-row minibatches: two chunks, so the merge runs too).
-    let mut lenet = agent_of(PolicyKind::LeNet, 64, 2, 128);
+    let mut lenet = agent_of(PolicyKind::LeNet, 64, 2, Some(128));
     let lenet_env = env_for(&lenet, SimConfig::default());
     let mut lenet_envs = VecEnv::new((0..4).map(|_| lenet_env.clone()).collect::<Vec<_>>());
     let (lenet_batch, _stats) = collect_rollouts_vec(lenet.ppo(), &mut lenet_envs, &seeds);

@@ -89,8 +89,9 @@ pub fn current_num_threads() -> usize {
 /// `n.max(1)`, restoring the previous budget afterwards (also on
 /// unwind). Task partitioning is budget-independent, so results are
 /// bit-identical for every `n`; this exists so parity suites can sweep
-/// thread counts in-process and so `TrainConfig::n_threads` can cap
-/// parallelism without touching the environment.
+/// thread counts in-process and so `TrainConfig::n_threads` (the
+/// machine's core count unless a caller caps it) sets each training
+/// epoch's budget, whatever `RLSCHED_THREADS` says.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {

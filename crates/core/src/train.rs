@@ -4,6 +4,7 @@
 //! PPO updates, with the optional two-phase trajectory-filter schedule
 //! of §IV-C.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -74,11 +75,13 @@ pub struct TrainConfig {
     /// Thanks to row-count-invariant batched forwards every collected bit
     /// is independent of it.
     pub n_envs: usize,
-    /// Worker-thread cap for rollout collection and the PPO update
-    /// (`0` reads as `1`; `RLSCHED_THREADS` does not apply inside
-    /// `train`). Work is partitioned by input size alone and merged in
-    /// index order, so the curve and the checkpoint are bit-identical at
-    /// every value — it only bounds how many cores an epoch may use.
+    /// Worker-thread cap for rollout collection and the PPO update. The
+    /// default is the machine's core count
+    /// (`std::thread::available_parallelism`); `0` reads as `1`, and
+    /// `RLSCHED_THREADS` does not apply inside `train`. Work is
+    /// partitioned by input size alone and merged in index order, so the
+    /// curve and the checkpoint are bit-identical at every value — it
+    /// only bounds how many cores an epoch may use.
     pub n_threads: usize,
 }
 
@@ -92,7 +95,7 @@ impl Default for TrainConfig {
             filter: FilterMode::Off,
             seed: 0,
             n_envs: 16,
-            n_threads: 1,
+            n_threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 }

@@ -55,12 +55,21 @@ impl Reference {
 
     fn update(&mut self, batch: &Batch) -> UpdateStats {
         let cfg = self.agent.ppo().cfg;
-        let (obs_dim, n_actions) = (batch.obs.cols(), batch.masks.cols());
+        let n_actions = batch.n_actions();
         let gather = |rows: &[usize], data: &[f32], width: usize| -> Vec<f32> {
             rows.iter()
                 .flat_map(|&i| &data[i * width..(i + 1) * width])
                 .copied()
                 .collect()
+        };
+        let obs_and_masks = |rows: &[usize]| -> (Vec<f32>, Vec<f32>) {
+            let (mut obs, mut masks) = (Vec::new(), Vec::new());
+            for &i in rows {
+                let (o, m) = batch.row(i);
+                obs.extend_from_slice(o);
+                masks.extend_from_slice(m);
+            }
+            (obs, masks)
         };
         let mut stats = UpdateStats {
             pi_loss_before: 0.0,
@@ -74,8 +83,7 @@ impl Reference {
         for it in 0..cfg.train_pi_iters {
             let rows = self.rows(batch);
             let n = rows.len();
-            let obs = gather(&rows, batch.obs.data(), obs_dim);
-            let masks = gather(&rows, batch.masks.data(), n_actions);
+            let (obs, masks) = obs_and_masks(&rows);
             let actions: Vec<usize> = rows.iter().map(|&i| batch.actions[i]).collect();
             let adv = gather(&rows, &batch.advantages, 1);
             let old = gather(&rows, &batch.logp_old, 1);
@@ -117,7 +125,7 @@ impl Reference {
         }
         for it in 0..cfg.train_v_iters {
             let rows = self.rows(batch);
-            let obs = gather(&rows, batch.obs.data(), obs_dim);
+            let (obs, _) = obs_and_masks(&rows);
             let returns = gather(&rows, &batch.returns, 1);
             let mut g = Graph::new();
             let critic = self.agent.ppo().value.fused();
@@ -243,8 +251,8 @@ fn flat_mlps_fused_update_is_bit_identical() {
 
 #[test]
 fn full_batch_and_entropy_bonus_match() {
-    // No minibatching (the view borrows the whole batch — 4 × 15 rows,
-    // one chunk) and a nonzero entropy coefficient (the extra gradient
+    // No minibatching (an identity index over the whole batch — 4 × 15
+    // rows, one chunk) and a nonzero entropy coefficient (the extra gradient
     // term must accumulate in the reference's order).
     let ppo = PpoConfig {
         train_pi_iters: 3,

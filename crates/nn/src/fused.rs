@@ -19,17 +19,22 @@
 //!
 //! # Chunking and the bit-identity contract
 //!
-//! Every pass splits the minibatch into fixed [`SHARD_ROWS`]-row chunks
-//! (a function of the batch size alone) and runs each chunk's forward,
-//! loss tail and backward **back to back** on one of the rayon shim's
-//! workers, while the chunk's rows are still in cache. State is split by
-//! who needs it:
+//! A pass reads its minibatch through a row source — a function from a
+//! row number to that row's observation (and, on the policy side, its
+//! mask) — and an index of the row numbers to train on, so the rows stay
+//! wherever the rollout stored them. It splits the index into fixed
+//! [`SHARD_ROWS`]-row chunks (a function of the minibatch size alone)
+//! and runs each chunk **back to back** on one of the rayon shim's
+//! workers: copy the chunk's rows, in index order, into the worker's
+//! scratch, then forward, loss tail and backward while those rows are
+//! still in cache. The copy is timed as part of the forward. State is
+//! split by who needs it:
 //!
-//! * a per-**worker** scratch (every layer's activations plus the
-//!   gradient ping/pong buffers — megabytes for the kernel network)
-//!   serves a worker's whole contiguous run of chunks, one after the
-//!   other, so at most `rayon::current_num_threads()` of them exist
-//!   however large the minibatch is;
+//! * a per-**worker** scratch (the chunk's rows, every layer's
+//!   activations plus the gradient ping/pong buffers — megabytes for the
+//!   kernel network) serves a worker's whole contiguous run of chunks,
+//!   one after the other, so at most `rayon::current_num_threads()` of
+//!   them exist however large the minibatch is;
 //! * a per-**chunk** partial (parameter gradients, loss partial sums
 //!   and the chunk's log-prob rows — kilobytes) is all that outlives the
 //!   chunk.
@@ -328,11 +333,16 @@ fn fit(v: &mut Vec<f32>, cap: usize) {
     v.reserve(cap);
 }
 
-/// The buffers one chunk needs *while it runs*: every stashed activation
-/// and the backward's gradient buffers. A worker reuses one set for every
-/// chunk of its run, so there are never more of these than workers.
+/// The buffers one chunk needs *while it runs*: its rows, every stashed
+/// activation and the backward's gradient buffers. A worker reuses one
+/// set for every chunk of its run, so there are never more of these than
+/// workers.
 #[derive(Debug, Default)]
 struct WorkerScratch {
+    /// The chunk's observation rows, `[n, obs_dim]`.
+    obs: Vec<f32>,
+    /// The chunk's additive mask rows, `[n, width]` (policy side).
+    masks: Vec<f32>,
     /// Every stashed activation, in stack order (`acts[i]` holds
     /// `FusedPolicy::act_widths`'s `i`-th width per transition).
     acts: Vec<Vec<f32>>,
@@ -353,16 +363,19 @@ struct GradBufs {
 }
 
 impl WorkerScratch {
-    /// Size every buffer for a chunk of `n` transitions. Runs on the
-    /// calling thread before the fan-out, so workers only write into
-    /// buffers that already have their final size instead of growing
-    /// them step by step out of a short-lived thread's allocator arena,
-    /// and a no-op once the high-water mark is reached. A set belongs to
-    /// a worker, not to a chunk, so the resident footprint is
-    /// `workers × one chunk` (~4.9 MB each for the 32/16/8 kernel net at
-    /// 64 × 128 job rows) whatever the minibatch size — one per chunk
-    /// would be 157 MB for a 2 048-row minibatch.
-    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize) {
+    /// Size every buffer for a chunk of `n` transitions of `od`
+    /// observation and `width` mask values. Runs on the calling thread
+    /// before the fan-out, so workers only write into buffers that
+    /// already have their final size instead of growing them step by
+    /// step out of a short-lived thread's allocator arena, and a no-op
+    /// once the high-water mark is reached. A set belongs to a worker,
+    /// not to a chunk, so the resident footprint is `workers × one chunk`
+    /// (~5 MB each for the 32/16/8 kernel net at 64 × 128 job rows)
+    /// whatever the minibatch size — one per chunk would be 157 MB for a
+    /// 2 048-row minibatch.
+    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, od: usize, width: usize) {
+        fit(&mut self.obs, n * od);
+        fit(&mut self.masks, n * width);
         self.acts.resize_with(p.act_widths().count(), Vec::new);
         // Every gradient buffer holds `n × some activation's width` (a dX
         // is as wide as the activation that fed the layer).
@@ -382,9 +395,36 @@ impl WorkerScratch {
         fit(&mut g.wt, wt.unwrap_or(0));
     }
 
+    /// Copy the rows `index` names out of `rows` into the row buffers, in
+    /// index order, holding each to `od` observation and `width` mask
+    /// values.
+    fn gather<'d>(
+        &mut self,
+        index: &[u32],
+        od: usize,
+        width: usize,
+        rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
+    ) {
+        self.obs.clear();
+        self.masks.clear();
+        for &i in index {
+            let (obs, mask) = rows(i as usize);
+            assert!(
+                obs.len() == od && mask.len() == width,
+                "row {i} has {} observation and {} mask values, not {od} and {width}",
+                obs.len(),
+                mask.len()
+            );
+            self.obs.extend_from_slice(obs);
+            self.masks.extend_from_slice(mask);
+        }
+    }
+
     fn bytes(&self) -> usize {
         let g = &self.g;
-        let floats = self.acts.iter().map(Vec::capacity).sum::<usize>()
+        let floats = self.obs.capacity()
+            + self.masks.capacity()
+            + self.acts.iter().map(Vec::capacity).sum::<usize>()
             + g.dy.capacity()
             + g.dy2.capacity()
             + g.dpre.capacity()
@@ -520,22 +560,26 @@ impl FusedScratch {
         self.partials.iter().map(Partial::bytes).sum()
     }
 
-    /// Run every chunk of an `n`-transition minibatch (`width` logits per
-    /// transition) on the rayon shim's workers: `forward(scratch,
-    /// partial, lo, hi)` then `backward(scratch, partial, lo, hi)` back to
-    /// back in the worker's scratch, `[lo, hi)` being the chunk's
-    /// transition bounds. Then tree-merge the gradient partials into chunk
-    /// 0. Returns the live partials and the call's wall time apportioned
-    /// to (forward, backward).
-    fn sweep(
+    /// Run every chunk of the minibatch `index` names in `rows` (`od`
+    /// observation values and `width` mask values and logits per
+    /// transition) on the rayon shim's workers: copy the chunk's rows into
+    /// the worker's scratch, then `forward(scratch, partial, lo, hi)` and
+    /// `backward(scratch, partial, lo, hi)` back to back, `[lo, hi)` being
+    /// the chunk's bounds in `index`. Then tree-merge the gradient
+    /// partials into chunk 0. Returns the live partials and the call's
+    /// wall time apportioned to (forward, backward); the row copy counts
+    /// as forward.
+    fn sweep<'d>(
         &mut self,
         p: &FusedPolicy<'_>,
-        n: usize,
-        width: usize,
+        rows: impl Fn(usize) -> (&'d [f32], &'d [f32]) + Sync,
+        index: &[u32],
+        (od, width): (usize, usize),
         forward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
         backward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
     ) -> (&[Partial], Duration, Duration) {
         let start = Instant::now();
+        let n = index.len();
         let n_chunks = n.div_ceil(SHARD_ROWS);
         self.live = n_chunks;
         if self.partials.len() < n_chunks {
@@ -555,7 +599,7 @@ impl FusedScratch {
             self.workers.resize_with(in_flight, Mutex::default);
         }
         for w in &mut self.workers {
-            unpoisoned(w.get_mut()).presize(p, SHARD_ROWS.min(n));
+            unpoisoned(w.get_mut()).presize(p, SHARD_ROWS.min(n), od, width);
         }
 
         let run = n_chunks.div_ceil(in_flight);
@@ -569,6 +613,7 @@ impl FusedScratch {
                     let lo = c * SHARD_ROWS;
                     let hi = (lo + SHARD_ROWS).min(n);
                     let t0 = Instant::now();
+                    w.gather(&index[lo..hi], od, width, &rows);
                     forward(w, part, lo, hi);
                     let t1 = Instant::now();
                     backward(w, part, lo, hi);
@@ -673,20 +718,15 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
     }
 }
 
-/// Walk the stack last-to-first from the logits' gradient in `s.g.dy`,
-/// writing every parameter gradient into `grads` (bind order). The
-/// observation itself needs no gradient, so the first layer's `dX` is
-/// never computed.
-fn backward_stack(
-    p: &FusedPolicy<'_>,
-    obs: &[f32],
-    n: usize,
-    s: &mut WorkerScratch,
-    grads: &mut [Tensor],
-) {
+/// Walk the stack last-to-first from the logits' gradient in `s.g.dy`
+/// over the `n` observation rows in `s.obs`, writing every parameter
+/// gradient into `grads` (bind order). The observation itself needs no
+/// gradient, so the first layer's `dX` is never computed.
+fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &mut [Tensor]) {
     // A conv stage stashes two activations and owns two parameters.
     let k = 2 * p.convs().len();
-    let WorkerScratch { acts, g } = s;
+    let WorkerScratch { obs, acts, g, .. } = s;
+    let obs = &obs[..];
     let (conv_acts, dense_acts) = acts.split_at(k);
     let (conv_grads, dense_grads) = grads.split_at_mut(k);
     let x = conv_acts.last().map_or(obs, |v| &v[..]);
@@ -898,52 +938,54 @@ fn conv_backward(
 /// loss tail and its analytic backward while the chunk's activations are
 /// hot.
 ///
-/// `obs` is the stacked `[n, obs_dim]` minibatch, `masks` the additive
-/// `[n, n_actions]` masks, `actions` the chosen action per transition.
-/// Returns the loss
+/// The minibatch is the `n = index.len()` rows `index` names, in index
+/// order (repeats allowed): `rows(i)` is row `i`'s observation and
+/// additive mask, and `actions`, `advantages` and `logp_old` hold one
+/// entry per index entry. Returns the loss
 /// (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ p·logp)`);
 /// parameter gradients land in [`FusedScratch::grads`],
 /// [`FusedScratch::logp_all`] holds the `[n, n_actions]` masked
 /// log-probabilities and [`FusedScratch::selected_logp`] the gathered
-/// per-action row — the approximate-KL input.
+/// per-action row — the approximate-KL input. Every output is the same
+/// bits as a pass over the rows copied out contiguously first.
 ///
 /// Each chunk's gradient partial is seeded by the *batch* mean, so
 /// partials sum to the batch gradient; they reduce through the
 /// chunk-index-ordered tree merge and loss partials fold in chunk order.
-/// Panics when `p` does not [`FusedPolicy::check`] against the batch's
-/// widths.
+/// Panics when `p` does not [`FusedPolicy::check`] against the rows'
+/// widths, or a row is not as wide as the first.
 #[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
-pub fn policy_pass(
+pub fn policy_pass<'d>(
     p: &FusedPolicy<'_>,
-    obs: &[f32],
-    masks: &[f32],
+    rows: impl Fn(usize) -> (&'d [f32], &'d [f32]) + Sync,
+    index: &[u32],
     actions: &[usize],
     advantages: &[f32],
     logp_old: &[f32],
     clip_ratio: f32,
     ent_coef: f32,
-    n: usize,
     s: &mut FusedScratch,
 ) -> FusedPass {
+    let n = index.len();
     assert!(n > 0, "fused pass needs at least one transition");
-    let (od, width) = (obs.len() / n, masks.len() / n);
+    let (obs0, mask0) = rows(index[0] as usize);
+    let (od, width) = (obs0.len(), mask0.len());
     p.check(od, width)
         .unwrap_or_else(|e| panic!("fused policy pass: {e}"));
-    assert_eq!(obs.len(), n * od, "observation volume");
-    assert_eq!(masks.len(), n * width, "mask volume");
     assert_eq!(actions.len(), n, "one action per transition");
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");
     let (partials, forward, backward) = s.sweep(
         p,
-        n,
-        width,
+        rows,
+        index,
+        (od, width),
         |w, part, lo, hi| {
-            forward_stack(p, &obs[lo * od..hi * od], hi - lo, &mut w.acts);
+            forward_stack(p, &w.obs, hi - lo, &mut w.acts);
             let Partial { logp, sel, .. } = part;
             logp.clear();
             logp.extend_from_slice(w.acts.last().expect("non-empty MLP"));
-            let mrows = masks[lo * width..hi * width].chunks(width);
+            let mrows = w.masks.chunks(width);
             for (row, mrow) in logp.chunks_mut(width).zip(mrows) {
                 for (o, &m) in row.iter_mut().zip(mrow) {
                     *o += m;
@@ -959,7 +1001,6 @@ pub fn policy_pass(
         |w, part, lo, hi| {
             policy_backward_chunk(
                 p,
-                &obs[lo * od..hi * od],
                 &actions[lo..hi],
                 &advantages[lo..hi],
                 &logp_old[lo..hi],
@@ -990,9 +1031,9 @@ pub fn policy_pass(
 }
 
 /// The backward half of one [`policy_pass`] chunk: the dlogits fuse +
-/// stack backward over the chunk's rows, with the mean-gradient seeds
-/// scaled by the *batch* size `total_n` so the chunk's gradients are
-/// exact partials of the whole batch's. Leaves the raw
+/// stack backward over the chunk's rows (in `s.obs`), with the
+/// mean-gradient seeds scaled by the *batch* size `total_n` so the
+/// chunk's gradients are exact partials of the whole batch's. Leaves the raw
 /// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds) in
 /// `part.obj` / `part.ent`.
 ///
@@ -1006,7 +1047,6 @@ pub fn policy_pass(
 #[allow(clippy::too_many_arguments)] // the PPO term list + the batch size
 fn policy_backward_chunk(
     p: &FusedPolicy<'_>,
-    obs: &[f32],
     actions: &[usize],
     advantages: &[f32],
     logp_old: &[f32],
@@ -1086,40 +1126,42 @@ fn policy_backward_chunk(
     // `dy` now holds dlogits: `[n, width]` for the flat and conv heads,
     // which the kernel head reads as `[n·window, 1]` — the reshape is a
     // view.
-    backward_stack(p, obs, n, s, &mut part.grads);
+    backward_stack(p, n, s, &mut part.grads);
     (part.obj, part.ent) = (obj_sum, ent_sum);
 }
 
-/// One critic pass over `[rows, obs_dim]` stacked observations: per
-/// chunk, the layer chain, then the squared-error loss
-/// `mean((v − R)²)` and its analytic backward. Returns the loss;
-/// gradients land in [`FusedScratch::grads`]. Chunked and merged exactly
-/// like [`policy_pass`].
-pub fn value_pass(
+/// One critic pass over the `n = index.len()` observations `index` names
+/// in `rows` (in index order, repeats allowed): per chunk, the layer
+/// chain, then the squared-error loss `mean((v − R)²)` against
+/// `returns` (one per index entry) and its analytic backward. Returns the
+/// loss; gradients land in [`FusedScratch::grads`]. Chunked and merged
+/// exactly like [`policy_pass`].
+pub fn value_pass<'d>(
     mlp: &Mlp,
-    obs: &[f32],
+    rows: impl Fn(usize) -> &'d [f32] + Sync,
+    index: &[u32],
     returns: &[f32],
-    rows: usize,
     s: &mut FusedScratch,
 ) -> FusedPass {
-    assert!(rows > 0, "fused value pass needs at least one row");
+    let n = index.len();
+    assert!(n > 0, "fused value pass needs at least one row");
     let p = FusedPolicy {
         mlp,
         head: FusedHead::Flat,
     };
-    p.check(obs.len() / rows, 1)
+    let od = rows(index[0] as usize).len();
+    p.check(od, 1)
         .unwrap_or_else(|e| panic!("fused value pass: {e}"));
-    assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
-    assert_eq!(returns.len(), rows, "one return target per row");
-    let od = mlp.in_dim();
+    assert_eq!(returns.len(), n, "one return target per row");
     // d(mean) = 1/n over the *batch*; the squared term contributes g·d
     // twice (the reference's `mul(d, d)` accumulates both factor sides).
-    let g = 1.0f32 / rows as f32;
+    let g = 1.0f32 / n as f32;
     let (partials, forward, backward) = s.sweep(
         &p,
-        rows,
-        0,
-        |w, _, lo, hi| forward_stack(&p, &obs[lo * od..hi * od], hi - lo, &mut w.acts),
+        |i| (rows(i), &[][..]),
+        index,
+        (od, 0),
+        |w, _, lo, hi| forward_stack(&p, &w.obs, hi - lo, &mut w.acts),
         |w, part, lo, hi| {
             part.sq = 0.0;
             w.g.dy.clear();
@@ -1130,7 +1172,7 @@ pub fn value_pass(
                 let t = g * d;
                 w.g.dy.push(t + t);
             }
-            backward_stack(&p, &obs[lo * od..hi * od], hi - lo, w, &mut part.grads);
+            backward_stack(&p, hi - lo, w, &mut part.grads);
         },
     );
     let mut sq_sum = 0.0f32;
@@ -1138,7 +1180,7 @@ pub fn value_pass(
         sq_sum += c.sq;
     }
     FusedPass {
-        loss: sq_sum / rows as f32,
+        loss: sq_sum / n as f32,
         forward,
         backward,
     }
@@ -1161,6 +1203,26 @@ mod tests {
         (0..n)
             .map(|i| ((i as f32 * 0.7 + phase).sin()) * scale)
             .collect()
+    }
+
+    /// Row-major observations and masks of `n` rows as a row source.
+    fn rows_of<'d>(
+        obs: &'d [f32],
+        masks: &'d [f32],
+        n: usize,
+    ) -> impl Fn(usize) -> (&'d [f32], &'d [f32]) + Sync {
+        let (od, width) = (obs.len() / n, masks.len() / n);
+        move |i| {
+            (
+                &obs[i * od..(i + 1) * od],
+                &masks[i * width..(i + 1) * width],
+            )
+        }
+    }
+
+    /// Every one of `n` rows once, in order.
+    fn all(n: usize) -> Vec<u32> {
+        (0..n as u32).collect()
     }
 
     #[test]
@@ -1189,7 +1251,8 @@ mod tests {
         let tape_grads = g.grads(&params);
 
         let mut s = FusedScratch::new();
-        let fused_loss = value_pass(&net, &obs, &returns, n, &mut s).loss;
+        let row = |i: usize| &obs[i * 6..(i + 1) * 6];
+        let fused_loss = value_pass(&net, row, &all(n), &returns, &mut s).loss;
 
         let weights = net.layers.iter().flat_map(|l| [&l.w, &l.b]);
         let ref_weights = ref_net.layers.iter().flat_map(|l| [&l.w, &l.b]);
@@ -1219,11 +1282,12 @@ mod tests {
             mlp: &net,
             head: FusedHead::Flat,
         };
+        let (rows, index) = (rows_of(&obs, &masks, n), all(n));
         let mut s = FusedScratch::new();
-        let l0 = policy_pass(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.0, n, &mut s).loss;
+        let l0 = policy_pass(&p, &rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s).loss;
         let g0: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
         for _ in 0..3 {
-            let l = policy_pass(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.0, n, &mut s).loss;
+            let l = policy_pass(&p, &rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s).loss;
             assert_eq!(l, l0, "loss must not drift across scratch reuse");
             for (a, b) in s.grads().iter().zip(&g0) {
                 assert_eq!(a.data(), b.as_slice(), "grads must not drift");
@@ -1281,12 +1345,14 @@ mod tests {
         };
         let vobs = filled(n * 7, 0.6, 0.8);
         let rets = filled(n, 1.8, 0.5);
+        let (rows, index) = (rows_of(&c.obs, &c.masks, n), all(n));
+        let vrow = |i: usize| &vobs[i * 7..(i + 1) * 7];
 
         let run = |threads: usize| {
             rayon::with_threads(threads, || {
                 let mut s = FusedScratch::new();
                 let pl = policy_pass(
-                    &p, &c.obs, &c.masks, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut s,
+                    &p, &rows, &index, &c.actions, &c.adv, &c.old, 0.2, 0.01, &mut s,
                 )
                 .loss;
                 let pg: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
@@ -1295,7 +1361,7 @@ mod tests {
                     s.selected_logp().collect(),
                 );
                 let mut vs = FusedScratch::new();
-                let vl = value_pass(&vnet, &vobs, &rets, n, &mut vs).loss;
+                let vl = value_pass(&vnet, vrow, &index, &rets, &mut vs).loss;
                 let vg: Vec<Vec<f32>> = vs.grads().iter().map(|t| t.data().to_vec()).collect();
                 (pl, pg, diag, vl, vg)
             })

@@ -318,8 +318,9 @@ mod tests {
         let mut opt = crate::optim::Adam::new(0.05);
         let mut s = crate::fused::FusedScratch::new();
         let mut final_loss = f32::MAX;
+        let row = |i: usize| &xs[i * 2..(i + 1) * 2];
         for _ in 0..800 {
-            final_loss = crate::fused::value_pass(&m, &xs, &ys, 4, &mut s).loss;
+            final_loss = crate::fused::value_pass(&m, row, &[0, 1, 2, 3], &ys, &mut s).loss;
             opt.step_params(m.params_mut().into_iter(), s.grads());
         }
         assert!(final_loss < 0.05, "XOR did not converge: loss {final_loss}");

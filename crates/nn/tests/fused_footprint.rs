@@ -1,8 +1,8 @@
-//! The fused pass's resident footprint: activations and gradient
-//! buffers belong to a *worker*, so what `FusedScratch` holds of them is
-//! `workers × one chunk's need` however many chunks the minibatch has;
-//! only the per-chunk partials (gradients + the chunk's log-prob rows)
-//! grow with the batch.
+//! The fused pass's resident footprint: the chunk's gathered rows,
+//! activations and gradient buffers belong to a *worker*, so what
+//! `FusedScratch` holds of them is `workers × one chunk's need` however
+//! many chunks the minibatch has; only the per-chunk partials (gradients
+//! + the chunk's log-prob rows) grow with the batch.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,12 +28,14 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
     };
     let params: usize = mlp.params().iter().map(|t| t.len()).sum();
 
-    // What one full chunk needs while it runs: every layer's output for
-    // 64 × window job rows, three gradient buffers as wide as the widest
-    // layer, and the largest transposed weight matrix past layer 0.
+    // What one full chunk needs while it runs: its 64 observation and
+    // mask rows, every layer's output for 64 × window job rows, three
+    // gradient buffers as wide as the widest layer, and the largest
+    // transposed weight matrix past layer 0.
     let rows = SHARD_ROWS * window;
+    let gathered = SHARD_ROWS * (window * in_dim + window);
     let acts: usize = dims[1..].iter().map(|d| rows * d).sum();
-    let one_chunk = (acts + 3 * rows * 32 + 32 * 16) * F32;
+    let one_chunk = (gathered + acts + 3 * rows * 32 + 32 * 16) * F32;
     // What one chunk leaves behind: its gradients, log-prob rows and
     // selected log-probs.
     let one_partial = (params + SHARD_ROWS * window + SHARD_ROWS) * F32;
@@ -49,8 +51,16 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
             let actions: Vec<usize> = (0..n).map(|i| i % window).collect();
             let adv: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).cos()).collect();
             let old = vec![-(window as f32).ln(); n];
+            let od = window * in_dim;
+            let rows = |i: usize| {
+                (
+                    &obs[i * od..(i + 1) * od],
+                    &masks[i * window..(i + 1) * window],
+                )
+            };
+            let index: Vec<u32> = (0..n as u32).collect();
             rayon::with_threads(workers, || {
-                fused::policy_pass(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.0, n, &mut s)
+                fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s)
             });
 
             let n_chunks = n.div_ceil(SHARD_ROWS);

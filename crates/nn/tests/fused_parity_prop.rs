@@ -40,6 +40,43 @@ fn tape_policy_grads(
     (g.value(l.loss).item(), sel, g.grads(&l.params))
 }
 
+/// `fused::policy_pass` over contiguous row-major observations and
+/// masks, every row once in order; returns the loss.
+#[allow(clippy::too_many_arguments)]
+fn contiguous_policy_pass(
+    p: &FusedPolicy<'_>,
+    obs: &[f32],
+    masks: &[f32],
+    actions: &[usize],
+    advantages: &[f32],
+    logp_old: &[f32],
+    clip: f32,
+    ent_coef: f32,
+    s: &mut FusedScratch,
+) -> f32 {
+    let n = actions.len();
+    let (od, width) = (obs.len() / n, masks.len() / n);
+    let rows = |i: usize| {
+        (
+            &obs[i * od..(i + 1) * od],
+            &masks[i * width..(i + 1) * width],
+        )
+    };
+    let index: Vec<u32> = (0..n as u32).collect();
+    fused::policy_pass(
+        p, rows, &index, actions, advantages, logp_old, clip, ent_coef, s,
+    )
+    .loss
+}
+
+/// `fused::value_pass` over contiguous row-major observations, every row
+/// once in order; returns the loss.
+fn contiguous_value_pass(mlp: &Mlp, obs: &[f32], returns: &[f32], s: &mut FusedScratch) -> f32 {
+    let od = obs.len() / returns.len();
+    let index: Vec<u32> = (0..returns.len() as u32).collect();
+    fused::value_pass(mlp, |i| &obs[i * od..(i + 1) * od], &index, returns, s).loss
+}
+
 fn lcg(seed: &mut u64) -> f32 {
     // Deterministic input stream independent of the rand shim.
     *seed = seed
@@ -90,10 +127,9 @@ proptest! {
         );
 
         let mut scratch = FusedScratch::new();
-        let fused_loss = fused::policy_pass(
-            &p, &obs, &masks, &actions, &advantages, &logp_old, clip, ent_coef, n, &mut scratch,
-        )
-        .loss;
+        let fused_loss = contiguous_policy_pass(
+            &p, &obs, &masks, &actions, &advantages, &logp_old, clip, ent_coef, &mut scratch,
+        );
         prop_assert_eq!(scratch.selected_logp().collect::<Vec<_>>(), tape_sel,
             "selected log-probs must match the tape exactly");
         prop_assert_eq!(fused_loss, tape_loss, "loss value");
@@ -126,7 +162,7 @@ proptest! {
         let tape_grads = g.grads(&params);
 
         let mut scratch = FusedScratch::new();
-        let fused_loss = fused::value_pass(&mlp, &obs, &returns, n, &mut scratch).loss;
+        let fused_loss = contiguous_value_pass(&mlp, &obs, &returns, &mut scratch);
         prop_assert_eq!(fused_loss, tape_loss, "value loss");
         for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
             prop_assert_eq!(f.data(), t.data(), "value grad {} diverged", i);
@@ -172,7 +208,7 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
         let (tape_loss, tape_sel, tape_grads) =
             tape_policy_grads(&p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01);
         let mut scratch = FusedScratch::new();
-        let loss = fused::policy_pass(
+        let loss = contiguous_policy_pass(
             &p,
             &obs,
             &masks,
@@ -181,10 +217,8 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
             &old,
             0.2,
             0.01,
-            n,
             &mut scratch,
-        )
-        .loss;
+        );
         assert_eq!(
             scratch.selected_logp().collect::<Vec<_>>(),
             tape_sel,
@@ -202,6 +236,111 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
                 );
             }
         }
+    }
+}
+
+/// A pass reads exactly the rows its index names: over a shuffled index
+/// with repeats into a larger row source, the loss, every gradient and
+/// the selected log-probs are the same bits as a pass over those rows
+/// copied out contiguously first — for the flat and kernel heads and the
+/// critic, at 1, 2 and 3 workers.
+#[test]
+fn indexed_pass_equals_a_pass_over_the_rows_gathered_first() {
+    let (source_rows, n) = (150usize, 2 * SHARD_ROWS + 29); // three chunks
+    let mut s = 0x1dea;
+    let mut index: Vec<u32> = (0..n)
+        .map(|_| ((lcg(&mut s) + 0.5) * source_rows as f32) as u32 % source_rows as u32)
+        .collect();
+    index[1] = index[0];
+    index[n - 1] = index[0];
+    let gather = |data: &[f32], width: usize| -> Vec<f32> {
+        let rows = index.iter().map(|&i| i as usize);
+        rows.flat_map(|i| &data[i * width..(i + 1) * width])
+            .copied()
+            .collect()
+    };
+    let grads = |scratch: &FusedScratch| -> Vec<Vec<f32>> {
+        scratch.grads().iter().map(|t| t.data().to_vec()).collect()
+    };
+
+    for (head, dims, width) in [
+        (FusedHead::Flat, vec![6, 16, 9], 9),
+        (FusedHead::Kernel { window: 5 }, vec![4, 16, 8, 1], 5),
+    ] {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mlp = Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng);
+        let p = FusedPolicy { mlp: &mlp, head };
+        let od = match head {
+            FusedHead::Kernel { window } => window * dims[0],
+            _ => dims[0],
+        };
+        let obs: Vec<f32> = (0..source_rows * od).map(|_| lcg(&mut s) * 2.0).collect();
+        let masks: Vec<f32> = (0..source_rows * width)
+            .map(|i| if i % width % 3 == 2 { -1.0e9 } else { 0.0 })
+            .collect();
+        // Every third slot is masked; actions take the others.
+        let actions: Vec<usize> = (0..n).map(|i| (i * 7) % width / 3 * 3).collect();
+        let adv: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
+        let old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
+        let (dense_obs, dense_masks) = (gather(&obs, od), gather(&masks, width));
+        let rows = |i: usize| {
+            (
+                &obs[i * od..(i + 1) * od],
+                &masks[i * width..(i + 1) * width],
+            )
+        };
+
+        for threads in [1usize, 2, 3] {
+            let (indexed, dense) = rayon::with_threads(threads, || {
+                let mut si = FusedScratch::new();
+                let loss =
+                    fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 0.2, 0.01, &mut si)
+                        .loss;
+                let mut sd = FusedScratch::new();
+                let dense_loss = contiguous_policy_pass(
+                    &p,
+                    &dense_obs,
+                    &dense_masks,
+                    &actions,
+                    &adv,
+                    &old,
+                    0.2,
+                    0.01,
+                    &mut sd,
+                );
+                let sel = |s: &FusedScratch| s.selected_logp().collect::<Vec<_>>();
+                (
+                    (loss.to_bits(), grads(&si), sel(&si)),
+                    (dense_loss.to_bits(), grads(&sd), sel(&sd)),
+                )
+            });
+            assert_eq!(indexed, dense, "{head:?} at {threads} workers");
+        }
+    }
+
+    let mut rng = StdRng::seed_from_u64(31);
+    let critic = Mlp::new(
+        &[7, 16, 1],
+        Activation::Relu,
+        Activation::Identity,
+        &mut rng,
+    );
+    let obs: Vec<f32> = (0..source_rows * 7).map(|_| lcg(&mut s) * 2.0).collect();
+    let returns: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 10.0).collect();
+    let dense_obs = gather(&obs, 7);
+    for threads in [1usize, 2, 3] {
+        let (indexed, dense) = rayon::with_threads(threads, || {
+            let mut si = FusedScratch::new();
+            let row = |i: usize| &obs[i * 7..(i + 1) * 7];
+            let loss = fused::value_pass(&critic, row, &index, &returns, &mut si).loss;
+            let mut sd = FusedScratch::new();
+            let dense_loss = contiguous_value_pass(&critic, &dense_obs, &returns, &mut sd);
+            (
+                (loss.to_bits(), grads(&si)),
+                (dense_loss.to_bits(), grads(&sd)),
+            )
+        });
+        assert_eq!(indexed, dense, "critic at {threads} workers");
     }
 }
 
@@ -259,7 +398,7 @@ fn lenet_grads_match_tape_bitwise_in_one_chunk() {
             let (tape_loss, tape_sel, tape_grads) =
                 tape_policy_grads(&p, &obs, &masks, &actions, &adv, &old, 0.2, ent_coef);
             let mut scratch = FusedScratch::new();
-            let loss = fused::policy_pass(
+            let loss = contiguous_policy_pass(
                 &p,
                 &obs,
                 &masks,
@@ -268,10 +407,8 @@ fn lenet_grads_match_tape_bitwise_in_one_chunk() {
                 &old,
                 0.2,
                 ent_coef,
-                n,
                 &mut scratch,
-            )
-            .loss;
+            );
             let what = format!("n = {n}, ent_coef = {ent_coef}");
             assert_eq!(loss, tape_loss, "{what}: loss");
             let sel: Vec<f32> = scratch.selected_logp().collect();
@@ -304,10 +441,9 @@ fn lenet_across_chunks_matches_tape_and_is_thread_count_invariant() {
         let run = |threads: usize| {
             rayon::with_threads(threads, || {
                 let mut s = FusedScratch::new();
-                let loss = fused::policy_pass(
-                    &p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, n, &mut s,
-                )
-                .loss;
+                let loss = contiguous_policy_pass(
+                    &p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, &mut s,
+                );
                 let grads: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
                 let logp: Vec<f32> = s.logp_all().flatten().copied().collect();
                 let sel: Vec<f32> = s.selected_logp().collect();

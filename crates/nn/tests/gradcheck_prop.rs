@@ -282,9 +282,11 @@ proptest! {
         let adv: Vec<f32> = (0..n).map(|_| if zero_adv { 0.0 } else { lcg(&mut s) * 4.0 }).collect();
         let old: Vec<f32> = (0..n).map(|_| -(width as f32).ln()).collect();
         let ent_coef = if zero_adv { 0.0 } else { 0.01 };
+        let rows = |i: usize| (&obs[i * h * w..(i + 1) * h * w], &masks[i * width..(i + 1) * width]);
+        let index: Vec<u32> = (0..n as u32).collect();
         let loss_of = |convs: &[Conv2dLayer], mlp: &Mlp, scratch: &mut FusedScratch| {
             let p = FusedPolicy { mlp, head: FusedHead::Conv { convs, h, w } };
-            fused::policy_pass(&p, &obs, &masks, &actions, &adv, &old, 1e3, ent_coef, n, scratch).loss
+            fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 1e3, ent_coef, scratch).loss
         };
 
         let mut scratch = FusedScratch::new();

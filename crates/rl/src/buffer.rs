@@ -7,15 +7,20 @@
 //! structure of the paper — zero intermediate rewards, full metric at the
 //! last action (§IV-A) — is just a special case.
 
-use rlsched_nn::Tensor;
-
 /// One merged, advantage-normalized training batch.
-#[derive(Debug, Clone)]
+///
+/// The observation and mask rows stay in the storage the rollout wrote
+/// them into — one segment per collecting arena, moved in, never copied —
+/// and a row locator puts them in episode order: [`Batch::row`] `i` is
+/// the `i`-th transition of the merged episode sequence, the same order
+/// the per-row vectors below are in.
+#[derive(Debug, Clone, Default)]
 pub struct Batch {
-    /// Observations, `[n, obs_dim]`.
-    pub obs: Tensor,
-    /// Additive action masks, `[n, n_actions]`.
-    pub masks: Tensor,
+    obs_dim: usize,
+    n_actions: usize,
+    segments: Vec<Segment>,
+    /// Batch row → (segment, row within the segment), in episode order.
+    locator: Vec<(u32, u32)>,
     /// Chosen actions.
     pub actions: Vec<usize>,
     /// Normalized GAE advantages.
@@ -24,6 +29,14 @@ pub struct Batch {
     pub returns: Vec<f32>,
     /// Behavior-policy log-probs at sampling time.
     pub logp_old: Vec<f32>,
+}
+
+/// Row storage of one collector: `[rows, obs_dim]` observations and
+/// `[rows, n_actions]` additive masks, row-major, in arrival order.
+#[derive(Debug, Clone)]
+struct Segment {
+    obs: Vec<f32>,
+    masks: Vec<f32>,
 }
 
 impl Batch {
@@ -35,6 +48,20 @@ impl Batch {
     /// True when the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
+    }
+
+    /// Action-mask width.
+    pub fn n_actions(&self) -> usize {
+        self.n_actions
+    }
+
+    /// Transition `i`'s observation and additive action mask.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&[f32], &[f32]) {
+        let (seg, r) = self.locator[i];
+        let (s, r) = (&self.segments[seg as usize], r as usize);
+        let (od, na) = (self.obs_dim, self.n_actions);
+        (&s.obs[r * od..(r + 1) * od], &s.masks[r * na..(r + 1) * na])
     }
 }
 
@@ -136,8 +163,9 @@ impl RolloutBuffer {
     }
 
     /// Merge finished episodes from several buffers into one training
-    /// batch, normalizing advantages to zero mean / unit variance across
-    /// the whole batch (the Spinning Up "advantage normalization trick").
+    /// batch (one segment, in buffer order), normalizing advantages to
+    /// zero mean / unit variance across the whole batch (the Spinning Up
+    /// "advantage normalization trick").
     pub fn into_batch(buffers: Vec<RolloutBuffer>) -> Batch {
         assert!(!buffers.is_empty());
         let obs_dim = buffers[0].obs_dim;
@@ -164,19 +192,24 @@ impl RolloutBuffer {
             returns.extend(b.returns[..n].iter().map(|&r| r as f32));
             logp_old.extend_from_slice(&b.logps[..n]);
         }
-        let n = actions.len();
-        assert!(n > 0, "empty batch");
-        let advantages = normalize_advantages(&advantages);
-
+        let n = row_count(actions.len());
         Batch {
-            obs: Tensor::from_vec(obs, &[n, obs_dim]),
-            masks: Tensor::from_vec(masks, &[n, n_actions]),
+            obs_dim,
+            n_actions,
+            segments: vec![Segment { obs, masks }],
+            locator: (0..n).map(|r| (0, r)).collect(),
             actions,
-            advantages,
+            advantages: normalize_advantages(&advantages),
             returns,
             logp_old,
         }
     }
+}
+
+/// A batch's row count as a locator index: rows are addressed with `u32`.
+fn row_count(n: usize) -> u32 {
+    assert!(n > 0, "empty batch");
+    u32::try_from(n).expect("a batch holds at most u32::MAX rows")
 }
 
 /// GAE-λ advantages and reward-to-go returns for one `n`-step episode,
@@ -244,15 +277,16 @@ fn normalize_advantages(advantages: &[f64]) -> Vec<f32> {
 /// across N growing buffers (N distinct cache tails at lockstep width N)
 /// and the final [`RolloutBuffer::into_batch`] re-copies everything
 /// anyway. The arena instead appends every row to **one** contiguous
-/// tail in arrival order, remembers each episode's row indices, and
-/// performs a single episode-ordered gather at the end.
+/// tail in arrival order and remembers each episode's row indices; the
+/// batch keeps that tail where it is and reads it in episode order.
 ///
 /// Bit-identity contract: [`ArrivalArena::into_batch`] produces exactly
 /// the [`Batch`] that per-episode buffers merged through
 /// [`RolloutBuffer::into_batch`] would — GAE runs per episode over the
-/// same values in the same order, and the episode-ordered gather feeds
-/// advantage normalization the same merged sequence. The `vecenv_parity`
-/// suites pin this on both kernel dispatch arms.
+/// same values in the same order, the episode-ordered row locator yields
+/// the same rows, and advantage normalization sees the same merged
+/// sequence. The `vecenv_parity` suites pin this on both kernel dispatch
+/// arms.
 #[derive(Debug)]
 pub struct ArrivalArena {
     obs_dim: usize,
@@ -348,34 +382,35 @@ impl ArrivalArena {
         self.finished[episode] = Some(last_value);
     }
 
-    /// One episode-ordered gather into a merged, advantage-normalized
-    /// training batch — bit-identical to staging per-episode
-    /// [`RolloutBuffer`]s and merging them with
-    /// [`RolloutBuffer::into_batch`] in episode order.
+    /// The arena as a merged, advantage-normalized training batch —
+    /// bit-identical to staging per-episode [`RolloutBuffer`]s and
+    /// merging them with [`RolloutBuffer::into_batch`] in episode order.
     pub fn into_batch(self) -> Batch {
         Self::merge_into_batch(vec![self])
     }
 
-    /// Merge several arenas into one batch: episodes are gathered in
-    /// arena order, then episode order within each arena, and advantage
+    /// Merge several arenas into one batch: episodes are ordered by
+    /// arena, then by episode within each arena, and advantage
     /// normalization runs ONCE over the merged sequence. Because each
     /// row's GAE depends only on its own episode, the result is
     /// bit-identical to one arena having collected the same episodes in
     /// the same overall order — this is the parallel rollout's seed-order
     /// merge of per-worker arenas.
+    ///
+    /// Each arena's observation and mask storage moves into the batch as
+    /// one segment; only the per-row scalars are gathered.
     pub fn merge_into_batch(arenas: Vec<ArrivalArena>) -> Batch {
         assert!(!arenas.is_empty(), "merge of zero arenas");
         let obs_dim = arenas[0].obs_dim;
         let n_actions = arenas[0].n_actions;
-        let n: usize = arenas.iter().map(|a| a.actions.len()).sum();
-        assert!(n > 0, "empty batch");
-        let mut obs = Vec::with_capacity(n * obs_dim);
-        let mut masks = Vec::with_capacity(n * n_actions);
+        let n = row_count(arenas.iter().map(|a| a.actions.len()).sum()) as usize;
+        let mut segments = Vec::with_capacity(arenas.len());
+        let mut locator = Vec::with_capacity(n);
         let mut actions = Vec::with_capacity(n);
         let mut advantages: Vec<f64> = Vec::with_capacity(n);
         let mut returns = Vec::with_capacity(n);
         let mut logp_old = Vec::with_capacity(n);
-        for a in &arenas {
+        for (seg, a) in arenas.into_iter().enumerate() {
             assert_eq!(a.obs_dim, obs_dim);
             assert_eq!(a.n_actions, n_actions);
             for (ep, fin) in a.finished.iter().enumerate() {
@@ -384,28 +419,29 @@ impl ArrivalArena {
                     "all episodes must be finished before batching"
                 );
             }
-            for rows in &a.rows {
-                for &row in rows {
-                    let r = row as usize;
-                    obs.extend_from_slice(&a.obs[r * obs_dim..(r + 1) * obs_dim]);
-                    masks.extend_from_slice(&a.masks[r * n_actions..(r + 1) * n_actions]);
-                    actions.push(a.actions[r]);
-                    advantages.push(a.advantages[r]);
-                    returns.push(a.returns[r] as f32);
-                    logp_old.push(a.logps[r]);
-                }
+            for &row in a.rows.iter().flatten() {
+                let r = row as usize;
+                locator.push((seg as u32, row));
+                actions.push(a.actions[r]);
+                advantages.push(a.advantages[r]);
+                returns.push(a.returns[r] as f32);
+                logp_old.push(a.logps[r]);
             }
+            segments.push(Segment {
+                obs: a.obs,
+                masks: a.masks,
+            });
         }
 
-        // Advantage normalization over the merged episode order — the
-        // same helper `RolloutBuffer::into_batch` runs.
-        let advantages = normalize_advantages(&advantages);
-
         Batch {
-            obs: Tensor::from_vec(obs, &[n, obs_dim]),
-            masks: Tensor::from_vec(masks, &[n, n_actions]),
+            obs_dim,
+            n_actions,
+            segments,
+            locator,
             actions,
-            advantages,
+            // Advantage normalization over the merged episode order — the
+            // same helper `RolloutBuffer::into_batch` runs.
+            advantages: normalize_advantages(&advantages),
             returns,
             logp_old,
         }
@@ -506,8 +542,16 @@ mod tests {
         let b2 = simple_buffer(&[0.0, -20.0], &[0.0, 0.0], 1.0, 1.0);
         let batch = RolloutBuffer::into_batch(vec![b1, b2]);
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch.obs.shape(), &[4, 2]);
-        assert_eq!(batch.masks.shape(), &[4, 3]);
+        assert_eq!(
+            batch.row(2),
+            (&[0.0, 0.0][..], &[0.0; 3][..]),
+            "b2's first step"
+        );
+        assert_eq!(
+            batch.row(3),
+            (&[1.0, 0.0][..], &[0.0; 3][..]),
+            "b2's second step"
+        );
         let mean: f32 = batch.advantages.iter().sum::<f32>() / 4.0;
         let var: f32 = batch
             .advantages
@@ -611,28 +655,31 @@ mod tests {
         };
         let from_arena = arena.into_batch();
         let from_bufs = RolloutBuffer::into_batch(bufs);
-        assert_eq!(from_arena.obs.data(), from_bufs.obs.data());
-        assert_eq!(from_arena.masks.data(), from_bufs.masks.data());
-        assert_eq!(from_arena.actions, from_bufs.actions);
-        assert_eq!(from_arena.advantages, from_bufs.advantages);
-        assert_eq!(from_arena.returns, from_bufs.returns);
-        assert_eq!(from_arena.logp_old, from_bufs.logp_old);
+        assert_same_batch(&from_arena, &from_bufs);
         // And the replay path merges to the same bits.
         let from_replay = RolloutBuffer::into_batch(replayed);
-        assert_eq!(from_replay.advantages, from_bufs.advantages);
-        assert_eq!(from_replay.obs.data(), from_bufs.obs.data());
+        assert_same_batch(&from_replay, &from_bufs);
     }
 
-    #[test]
-    fn split_arenas_merge_bit_identically() {
-        // The same 3 episodes collected into one arena vs split across
-        // two arenas ({0,1} and {2}) must merge to the same bits — the
-        // invariant the parallel rollout's seed-order merge rests on.
-        let (gamma, lam) = (0.97, 0.9);
+    /// Every row and every per-row scalar of `a` equals `b`'s.
+    fn assert_same_batch(a: &Batch, b: &Batch) {
+        assert_eq!(a.len(), b.len(), "row count");
+        for i in 0..a.len() {
+            assert_eq!(a.row(i), b.row(i), "row {i}");
+        }
+        assert_eq!(a.actions, b.actions);
+        assert_eq!(a.advantages, b.advantages);
+        assert_eq!(a.returns, b.returns);
+        assert_eq!(a.logp_old, b.logp_old);
+    }
+
+    /// Three episodes of different lengths over two arenas ({0, 1} and
+    /// {2}), stored interleaved, and the same episodes in one arena.
+    fn split_and_whole(gamma: f64, lam: f64) -> (Vec<ArrivalArena>, ArrivalArena) {
         let step = |ep: usize, t: usize| {
             (
                 [ep as f32 * 2.0 + t as f32, t as f32 * 0.5],
-                [0.0f32, 0.0, 0.0],
+                [0.0f32, -(ep as f32), t as f32],
                 (ep * 2 + t) % 3,
                 -((ep + 1) as f64) * (t as f64 + 0.5),
                 ep as f64 * 0.1 - t as f64 * 0.2,
@@ -643,8 +690,8 @@ mod tests {
         let mut whole = ArrivalArena::new(2, 3, gamma, lam, 3);
         let mut first = ArrivalArena::new(2, 3, gamma, lam, 2);
         let mut second = ArrivalArena::new(2, 3, gamma, lam, 1);
-        for (ep, &len) in lens.iter().enumerate() {
-            for t in 0..len {
+        for t in 0..4 {
+            for (ep, &len) in lens.iter().enumerate().filter(|&(_, &len)| t < len) {
                 let (obs, mask, a, r, v, lp) = step(ep, t);
                 whole.store(ep, &obs, &mask, a, r, v, lp);
                 if ep < 2 {
@@ -652,20 +699,61 @@ mod tests {
                 } else {
                     second.store(0, &obs, &mask, a, r, v, lp);
                 }
+                if t + 1 == len {
+                    whole.finish_episode(ep, 0.0);
+                    match ep {
+                        2 => second.finish_episode(0, 0.0),
+                        _ => first.finish_episode(ep, 0.0),
+                    }
+                }
             }
-            whole.finish_episode(ep, 0.0);
         }
-        first.finish_episode(0, 0.0);
-        first.finish_episode(1, 0.0);
-        second.finish_episode(0, 0.0);
-        let merged = ArrivalArena::merge_into_batch(vec![first, second]);
-        let single = whole.into_batch();
-        assert_eq!(merged.obs.data(), single.obs.data());
-        assert_eq!(merged.masks.data(), single.masks.data());
-        assert_eq!(merged.actions, single.actions);
-        assert_eq!(merged.advantages, single.advantages);
-        assert_eq!(merged.returns, single.returns);
-        assert_eq!(merged.logp_old, single.logp_old);
+        (vec![first, second], whole)
+    }
+
+    #[test]
+    fn split_arenas_merge_bit_identically() {
+        // The same 3 episodes collected into one arena vs split across
+        // two arenas ({0,1} and {2}) must merge to the same bits — the
+        // invariant the parallel rollout's seed-order merge rests on.
+        let (split, whole) = split_and_whole(0.97, 0.9);
+        let merged = ArrivalArena::merge_into_batch(split);
+        assert_same_batch(&merged, &whole.into_batch());
+    }
+
+    #[test]
+    fn merge_moves_the_arenas_rows_and_reads_them_in_episode_order() {
+        // The batch keeps each arena's row storage (same allocation, no
+        // copy), and its rows read back exactly what a dense copy in
+        // episode order — arena by arena, episode by episode — holds.
+        let (split, _) = split_and_whole(0.97, 0.9);
+        let mut dense_obs = Vec::new();
+        let mut dense_masks = Vec::new();
+        for a in &split {
+            for &row in a.rows.iter().flatten() {
+                let r = row as usize;
+                dense_obs.extend_from_slice(&a.obs[r * a.obs_dim..(r + 1) * a.obs_dim]);
+                dense_masks.extend_from_slice(&a.masks[r * a.n_actions..(r + 1) * a.n_actions]);
+            }
+        }
+        let storage: Vec<(*const f32, *const f32)> = split
+            .iter()
+            .map(|a| (a.obs.as_ptr(), a.masks.as_ptr()))
+            .collect();
+
+        let batch = ArrivalArena::merge_into_batch(split);
+        let held: Vec<(*const f32, *const f32)> = batch
+            .segments
+            .iter()
+            .map(|s| (s.obs.as_ptr(), s.masks.as_ptr()))
+            .collect();
+        assert_eq!(held, storage, "each arena's storage is a batch segment");
+        assert_eq!(batch.len(), 9);
+        for i in 0..batch.len() {
+            let (obs, mask) = batch.row(i);
+            assert_eq!(obs, &dense_obs[i * 2..(i + 1) * 2], "row {i} observation");
+            assert_eq!(mask, &dense_masks[i * 3..(i + 1) * 3], "row {i} mask");
+        }
     }
 
     #[test]

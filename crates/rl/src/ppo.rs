@@ -194,10 +194,12 @@ pub struct UpdateStats {
 /// phases still sum to the update's wall time at any worker count.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
-    /// Minibatch row gather into the reusable staging buffers.
+    /// Minibatch draw: the row index and the per-row scalars (actions,
+    /// advantages, returns, old log-probs) staged for it. The observation
+    /// and mask rows are copied by each chunk and timed in `forward`.
     pub gather: Duration,
     /// Actor/critic forward passes: the forward share of every chunked
-    /// pass.
+    /// pass, each chunk's copy of its rows included.
     pub forward: Duration,
     /// Loss tail + backward gradient computation: the backward share of
     /// every chunked pass, sizing and gradient merge included.
@@ -229,7 +231,7 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     pi_fused: fused::FusedScratch,
     /// Fused-update scratch for the critic.
     vf_fused: fused::FusedScratch,
-    /// Reusable minibatch gather buffers.
+    /// Reusable minibatch index and per-row scalars.
     mb: MiniBuf,
 }
 
@@ -363,13 +365,15 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// [`Ppo::update`] with wall-clock phase attribution (gather /
     /// forward / backward / optimizer) accumulated into `prof`.
     ///
-    /// Every iteration is one sweep over fixed [`fused::SHARD_ROWS`]-row
-    /// chunks on the rayon shim's workers: a chunk's forward stashes only
-    /// the activations the analytic backward needs in a per-worker
-    /// scratch, and its fused dlogits pass and layer walk follow at once;
-    /// the optimizer then steps the network's layers in place. Zero heap
-    /// allocation at steady state on the one-worker budget (pinned by
-    /// `alloc_regression`).
+    /// Every iteration draws a row index (the whole batch in order, or a
+    /// random minibatch) and runs one sweep over fixed
+    /// [`fused::SHARD_ROWS`]-row chunks of it on the rayon shim's
+    /// workers: a chunk copies its rows out of the batch into a
+    /// per-worker scratch, its forward stashes only the activations the
+    /// analytic backward needs there, and its fused dlogits pass and layer
+    /// walk follow at once; the optimizer then steps the network's layers
+    /// in place. Zero heap allocation at steady state on the one-worker
+    /// budget (pinned by `alloc_regression`).
     ///
     /// The approximate-KL early stop reads the sweep's selected log-probs,
     /// so the iteration that trips it has already computed its gradients:
@@ -379,7 +383,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     pub fn update_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
         rlsched_obs::span!("ppo.update");
         assert!(!batch.is_empty(), "cannot update on an empty batch");
-        let n_actions = batch.masks.cols();
+        let n_actions = batch.n_actions();
 
         let mut pi_loss_before = 0.0;
         let mut pi_loss_after = 0.0;
@@ -403,19 +407,18 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         for it in 0..cfg.train_pi_iters {
             let t0 = Instant::now();
             let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
+            let n = view.index.len();
             let t1 = Instant::now();
             prof.gather += t1 - t0;
             let pass = fused::policy_pass(
                 &policy.fused(),
-                view.obs,
-                view.masks,
+                |i| batch.row(i),
+                view.index,
                 view.actions,
                 view.advantages,
                 view.logp_old,
                 cfg.clip_ratio,
                 cfg.ent_coef,
-                n,
                 pi_fused,
             );
             prof.forward += pass.forward;
@@ -452,10 +455,15 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         for it in 0..cfg.train_v_iters {
             let t0 = Instant::now();
             let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            let pass = fused::value_pass(value.fused(), view.obs, view.returns, n, vf_fused);
+            let pass = fused::value_pass(
+                value.fused(),
+                |i| batch.row(i).0,
+                view.index,
+                view.returns,
+                vf_fused,
+            );
             prof.forward += pass.forward;
             prof.backward += pass.backward;
             if it == 0 {
@@ -486,11 +494,13 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     }
 }
 
-/// Pick the working set for one update iteration: borrowed slices of
-/// the whole batch, or a random minibatch refilled into `mb`'s
-/// reusable buffers when configured and the batch is larger. Free
-/// function so the policy and value loops share it (and the RNG stream)
-/// without borrowing the whole trainer.
+/// Pick the working set for one update iteration: the whole batch in
+/// order (an identity index over its own per-row vectors), or a random
+/// minibatch whose index and per-row scalars are refilled into `mb`'s
+/// reusable buffers when configured and the batch is larger. Either way
+/// the observation and mask rows stay in the batch; the fused pass reads
+/// them through the index. Free function so the policy and value loops
+/// share it (and the RNG stream) without borrowing the whole trainer.
 fn iteration_view<'a>(
     cfg: &PpoConfig,
     rng: &mut rand::rngs::StdRng,
@@ -502,41 +512,44 @@ fn iteration_view<'a>(
         Some(size) if size < n => {
             mb.fill(batch, size, |hi| rng.gen_range(0..hi));
             ViewRef {
-                obs: &mb.obs,
-                masks: &mb.masks,
+                index: &mb.index,
                 actions: &mb.actions,
                 advantages: &mb.advantages,
                 returns: &mb.returns,
                 logp_old: &mb.logp_old,
             }
         }
-        _ => ViewRef {
-            obs: batch.obs.data(),
-            masks: batch.masks.data(),
-            actions: &batch.actions,
-            advantages: &batch.advantages,
-            returns: &batch.returns,
-            logp_old: &batch.logp_old,
-        },
+        _ => {
+            // `Batch` holds at most `u32::MAX` rows.
+            mb.index.clear();
+            mb.index.extend(0..n as u32);
+            ViewRef {
+                index: &mb.index,
+                actions: &batch.actions,
+                advantages: &batch.advantages,
+                returns: &batch.returns,
+                logp_old: &batch.logp_old,
+            }
+        }
     }
 }
 
-/// Borrowed view of one update iteration's working set.
+/// Borrowed view of one update iteration's working set: the batch rows
+/// it reads, and their per-row scalars in the same order.
 struct ViewRef<'a> {
-    obs: &'a [f32],
-    masks: &'a [f32],
+    index: &'a [u32],
     actions: &'a [usize],
     advantages: &'a [f32],
     returns: &'a [f32],
     logp_old: &'a [f32],
 }
 
-/// Reusable minibatch gather buffers (filled once per iteration, never
-/// reallocated at steady state).
+/// Reusable minibatch buffers: the drawn row index and its per-row
+/// scalars (filled once per iteration, never reallocated at steady
+/// state).
 #[derive(Default)]
 struct MiniBuf {
-    obs: Vec<f32>,
-    masks: Vec<f32>,
+    index: Vec<u32>,
     actions: Vec<usize>,
     advantages: Vec<f32>,
     returns: Vec<f32>,
@@ -544,24 +557,18 @@ struct MiniBuf {
 }
 
 impl MiniBuf {
-    /// Gather `size` random rows of `batch` (with replacement, drawn via
-    /// `draw(n)`) into the buffers.
+    /// Draw `size` random rows of `batch` (with replacement, via
+    /// `draw(n)`) into the index and stage their per-row scalars.
     fn fill(&mut self, batch: &Batch, size: usize, mut draw: impl FnMut(usize) -> usize) {
-        let obs_dim = batch.obs.cols();
-        let n_actions = batch.masks.cols();
         let n = batch.len();
-        self.obs.clear();
-        self.masks.clear();
+        self.index.clear();
         self.actions.clear();
         self.advantages.clear();
         self.returns.clear();
         self.logp_old.clear();
         for _ in 0..size {
             let i = draw(n);
-            self.obs
-                .extend_from_slice(&batch.obs.data()[i * obs_dim..(i + 1) * obs_dim]);
-            self.masks
-                .extend_from_slice(&batch.masks.data()[i * n_actions..(i + 1) * n_actions]);
+            self.index.push(i as u32);
             self.actions.push(batch.actions[i]);
             self.advantages.push(batch.advantages[i]);
             self.returns.push(batch.returns[i]);
@@ -828,14 +835,6 @@ mod tests {
     #[should_panic(expected = "empty batch")]
     fn update_rejects_empty_batch() {
         let mut ppo = agent(3);
-        let batch = Batch {
-            obs: Tensor::zeros(&[0, 2]),
-            masks: Tensor::zeros(&[0, 3]),
-            actions: vec![],
-            advantages: vec![],
-            returns: vec![],
-            logp_old: vec![],
-        };
-        ppo.update(&batch);
+        ppo.update(&Batch::default());
     }
 }

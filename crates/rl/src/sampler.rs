@@ -207,7 +207,7 @@ where
 /// Collect one complete episode per seed by stepping `venv` in lockstep,
 /// returning the per-episode buffers in seed order plus round stats.
 /// (Training uses [`collect_rollouts_vec`], which skips the per-episode
-/// split and gathers the arrival arena straight into the batch.)
+/// split and hands the arrival arena to the batch as it is.)
 pub fn collect_episodes<E, P, V>(
     ppo: &Ppo<P, V>,
     venv: &mut VecEnv<E>,
@@ -223,8 +223,8 @@ where
 }
 
 /// Collect one episode per seed through `venv` and merge into one
-/// normalized training batch: one episode-ordered gather from the
-/// arrival arena, bit-identical to merging per-episode buffers.
+/// normalized training batch that reads the arrival arena in episode
+/// order, bit-identical to merging per-episode buffers.
 pub fn collect_rollouts_vec<E, P, V>(
     ppo: &Ppo<P, V>,
     venv: &mut VecEnv<E>,
@@ -368,7 +368,9 @@ mod tests {
         assert_eq!(wide.actions, narrow.actions);
         assert_eq!(wide.logp_old, narrow.logp_old);
         assert_eq!(wide.advantages, narrow.advantages);
-        assert_eq!(wide.obs.data(), narrow.obs.data());
+        for i in 0..wide.len() {
+            assert_eq!(wide.row(i), narrow.row(i), "row {i}");
+        }
         assert_eq!(ws.metrics, ns.metrics);
         assert_eq!(ws.mean_return, ns.mean_return);
     }
@@ -386,8 +388,10 @@ mod tests {
             let (b, s) = rayon::with_threads(k, || {
                 collect_rollouts_par(&ppo, || BanditEnv::new(3, 5, vec![]), 3, &seeds)
             });
-            assert_eq!(b.obs.data(), base.obs.data(), "obs, threads={k}");
-            assert_eq!(b.masks.data(), base.masks.data(), "masks, threads={k}");
+            assert_eq!(b.len(), base.len(), "transitions, threads={k}");
+            for i in 0..b.len() {
+                assert_eq!(b.row(i), base.row(i), "row {i}, threads={k}");
+            }
             assert_eq!(b.actions, base.actions, "actions, threads={k}");
             assert_eq!(b.advantages, base.advantages, "advantages, threads={k}");
             assert_eq!(b.returns, base.returns, "returns, threads={k}");

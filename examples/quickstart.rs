@@ -6,10 +6,11 @@
 //! cargo run --release --example quickstart                     # ~a minute
 //! cargo run --release --example quickstart -- --tiny           # seconds (CI smoke)
 //! cargo run --release --example quickstart -- --tiny --serve   # + serving-tier demo
-//! cargo run --release --example quickstart -- --threads 4      # multi-core training
+//! cargo run --release --example quickstart -- --threads 1      # one-core training
 //! ```
 //!
-//! `--threads N` caps the worker threads training may use (default 1):
+//! `--threads N` caps the worker threads training may use (default: the
+//! machine's core count):
 //! rollout collection fans the epoch's seed schedule out over per-range
 //! env groups and the PPO update runs its forward/backward over fixed
 //! 64-row chunks. The cap never changes a result — every `--threads`
@@ -52,7 +53,7 @@ fn main() {
         args.find(|a| a == "--threads")
             .and_then(|_| args.next())
             .map(|v| v.parse().expect("--threads takes a worker count"))
-            .unwrap_or(1)
+            .unwrap_or(TrainConfig::default().n_threads)
     };
     let scale = if tiny {
         Scale {
