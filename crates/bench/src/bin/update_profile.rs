@@ -46,6 +46,10 @@ fn print_profile(name: &str, p: &UpdateProfile, reps: u32, wall: std::time::Dura
         pct(p.optimizer)
     );
     println!("  attributed: {total:7.2} ms");
+    println!(
+        "  rows      : {:.1}% of the windows' rows scored by the policy passes",
+        100.0 * p.policy_rows as f64 / p.policy_window_rows as f64
+    );
 }
 
 /// Profile `reps` updates of a fresh `kind` agent on one collected batch

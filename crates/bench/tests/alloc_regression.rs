@@ -283,6 +283,52 @@ fn fast_paths_do_not_regress_allocations() {
     let greedy_allocs = count_allocs(|| agent.ppo().greedy_with(&obs, &mask, &mut scratch));
     assert_eq!(greedy_allocs, 0, "greedy fast path must not allocate");
 
+    // ---- an `as_policy` decision on a one-job window: the kernel
+    // network scores that job's row and one zero row for the padding,
+    // but sizes its buffers for the whole window — so after a first
+    // one-job decision, neither another one nor a full window
+    // allocates. ----
+    {
+        let jobs: Vec<rlsched_swf::Job> = (0..20)
+            .map(|i| rlsched_swf::Job::new(i + 1, i as f64, 60.0 + i as f64, 1 + (i % 3), 600.0))
+            .collect();
+        let view = |n: usize| QueueView {
+            time: 100.0,
+            free_procs: 2,
+            total_procs: 8,
+            waiting: jobs[..n]
+                .iter()
+                .enumerate()
+                .map(|(i, job)| WaitingJob {
+                    job,
+                    job_index: i,
+                    wait: 100.0 - job.submit_time,
+                    can_run_now: job.procs() <= 2,
+                })
+                .collect(),
+        };
+        let (one, full) = (view(1), view(20));
+        let mut head = agent.as_policy();
+        let mut decide = |v: &QueueView<'_>| {
+            head.decide(
+                v.free_procs,
+                v.total_procs,
+                v.waiting.len(),
+                v.waiting.iter().copied(),
+            )
+        };
+        assert_eq!(decide(&one), 0, "a one-job window has one choice");
+        let one_allocs = count_allocs(|| assert_eq!(decide(&one), 0));
+        let full_allocs = count_allocs(|| {
+            std::hint::black_box(decide(&full));
+        });
+        assert_eq!(
+            (one_allocs, full_allocs),
+            (0, 0),
+            "as_policy decisions after a one-job warm-up: one-job window, then a full one"
+        );
+    }
+
     // ---- PPO update (the chunked fused sweep): ZERO allocations at
     // steady state. The first call warms the minibatch index and per-row
     // buffers, the per-worker row copies, activation stashes and
@@ -413,7 +459,16 @@ fn fast_paths_do_not_regress_allocations() {
     venv.reset_all(&vec_seeds, &mut vobs, &mut vmasks);
     let mut tick_allocs = 0u64;
     let mut ticks = 0u64;
+    // The kernel network scores only each view's job rows, so the ticks
+    // must include views of different fill — and still not allocate.
+    let mut mixed_ticks = 0u64;
+    let window_len = vobs.len() / venv.live_count();
     for _ in 0..SEQ_LEN - 1 {
+        let mut lives = vobs
+            .chunks(window_len)
+            .map(|v| rlsched_nn::infer::live_job_rows(v, rlscheduler::JOB_FEATURES));
+        let first = lives.next();
+        mixed_ticks += u64::from(lives.any(|l| Some(l) != first));
         tick_allocs += count_allocs(|| {
             tick(
                 &mut venv,
@@ -432,6 +487,10 @@ fn fast_paths_do_not_regress_allocations() {
     assert!(
         ticks >= 40,
         "enough lockstep ticks to be a real measurement"
+    );
+    assert!(
+        mixed_ticks >= 10,
+        "ticks whose views differ in live job rows: {mixed_ticks}"
     );
     assert_eq!(
         tick_allocs, 0,

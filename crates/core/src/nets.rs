@@ -88,9 +88,10 @@ impl PolicyKind {
 }
 
 /// Batched kernel scoring processes this many views per dispatch (each
-/// view contributes `max_obsv` job rows, so a block is ~a thousand rows
-/// at the paper's K = 128); see `KernelPolicy::log_probs_fast_batch` for
-/// why blocks beat one monolithic stack.
+/// view contributes its live job rows — at most `max_obsv`, so a block is
+/// at most ~a thousand rows at the paper's K = 128 — plus the dispatch's
+/// one zero row); see `KernelPolicy::log_probs_fast_batch` for why
+/// blocks beat one monolithic stack.
 const KERNEL_VIEW_BLOCK: usize = 8;
 
 /// The kernel-based policy network (Fig 5).
@@ -117,14 +118,52 @@ impl KernelPolicy {
     pub fn max_obsv(&self) -> usize {
         self.max_obsv
     }
+
+    /// Raw scores of `views` stacked windows, `[views, K]` into `out`.
+    ///
+    /// Only the job rows run through the kernel: per view the rows up to
+    /// its last job ([`infer::live_job_rows`]), then one all-zero row per
+    /// dispatch, whose score fills every padding slot. The same weights
+    /// score every row and the dense kernels are row-count invariant, so
+    /// each slot gets exactly the bits a forward of the whole window
+    /// would give it. The rows are copied into the scratch first.
+    fn window_scores(&self, obs: &[f32], views: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
+        let (k, f) = (self.max_obsv, self.kernel.in_dim());
+        assert_eq!(obs.len(), views * k * f, "{views} windows of {k} x {f}");
+        let mut jobs = std::mem::take(infer::scratch_jobs(scratch));
+        let mut scores = std::mem::take(infer::scratch_extra(scratch));
+        out.clear();
+        for block in obs.chunks(KERNEL_VIEW_BLOCK * k * f) {
+            // Room for every row of every window, so the buffers' size
+            // depends on the view count alone, never on how full the
+            // windows are: a decision or rollout tick allocates nothing
+            // once one with as many views has run.
+            let most = block.len() / f + 1;
+            jobs.clear();
+            jobs.reserve(most * f);
+            infer::reserve_rows(&self.kernel, most, scratch, &mut scores);
+            let mut live = [0; KERNEL_VIEW_BLOCK];
+            let windows = block.chunks(k * f);
+            let live = &mut live[..windows.len()];
+            for (window, live) in windows.zip(&mut *live) {
+                *live = infer::live_job_rows(window, f);
+                jobs.extend_from_slice(&window[..*live * f]);
+            }
+            jobs.resize(jobs.len() + f, 0.0);
+            infer::mlp_forward(&self.kernel, &jobs, jobs.len() / f, scratch, &mut scores);
+            infer::spread_window_scores(&scores, live, k, out);
+        }
+        *infer::scratch_jobs(scratch) = jobs;
+        *infer::scratch_extra(scratch) = scores;
+    }
 }
 
 impl PolicyModel for KernelPolicy {
     fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        // The whole job window is one batched matmul: the [K, F] job
+        // The window's job rows are one batched matmul: the [live, F] job
         // matrix flows through the shared kernel in a single pass, so one
         // decision costs one MLP forward — not MAX_OBSV separate ones.
-        infer::mlp_forward(&self.kernel, obs, self.max_obsv, scratch, out);
+        self.window_scores(obs, 1, scratch, out);
         mask_and_log_softmax(out, mask);
     }
 
@@ -136,38 +175,24 @@ impl PolicyModel for KernelPolicy {
         scratch: &mut Scratch,
         out: &mut Vec<f32>,
     ) {
-        // All views' job windows stack into one [rows * K, F] matrix and
-        // flow through the shared kernel batched — in blocks of
-        // KERNEL_VIEW_BLOCK views. The kernel net's weights are
-        // L1-resident (batching buys dispatch amortization, not weight
-        // traffic), so what limits large stacks is the *intermediate
-        // activation* working set (`rows * K` rows through every hidden
-        // width); blocking keeps it cache-resident while still scoring
-        // ~a thousand job rows per dispatch. Row-count invariance of the
-        // dense kernels makes the blocking invisible: every row computes
-        // the same bits at any block size.
-        let k = self.max_obsv;
-        let obs_per_view = obs.len() / rows;
-        out.clear();
-        let mut tmp = std::mem::take(infer::scratch_extra(scratch));
-        for start in (0..rows).step_by(KERNEL_VIEW_BLOCK) {
-            let n_views = KERNEL_VIEW_BLOCK.min(rows - start);
-            infer::mlp_forward(
-                &self.kernel,
-                &obs[start * obs_per_view..(start + n_views) * obs_per_view],
-                n_views * k,
-                scratch,
-                &mut tmp,
-            );
-            out.extend_from_slice(&tmp);
-        }
-        *infer::scratch_extra(scratch) = tmp;
+        // All views' job rows stack into one matrix and flow through the
+        // shared kernel batched — in blocks of KERNEL_VIEW_BLOCK views.
+        // The kernel net's weights are L1-resident (batching buys
+        // dispatch amortization, not weight traffic), so what limits
+        // large stacks is the *intermediate activation* working set (up
+        // to `rows * K` rows through every hidden width); blocking keeps
+        // it cache-resident while still scoring up to ~a thousand job
+        // rows per dispatch. Row-count invariance of the dense kernels
+        // makes the blocking invisible: every row computes the same bits
+        // at any block size.
+        self.window_scores(obs, rows, scratch, out);
         mask_and_log_softmax_rows(out, masks, rows, self.max_obsv);
     }
 
     // Slide the kernel over the job axis: `[n, K·F]` observations score
-    // as `[n·K, F]` job rows through the shared MLP, read back as
-    // `[n, K]` logits (the reshapes are views).
+    // as job rows through the shared MLP, read back as `[n, K]` logits.
+    // Training, too, scores only each window's job rows plus one zero row
+    // for the padding (`rlsched_nn::fused`'s module docs).
     fn fused(&self) -> FusedPolicy<'_> {
         FusedPolicy {
             mlp: &self.kernel,

@@ -131,6 +131,11 @@ struct TrainMetrics {
     episodes: Counter,
     steps: Counter,
     update_phase_ns: [Counter; 4],
+    /// Rows the policy passes scored, and the rows whole windows hold:
+    /// their ratio is the share of the kernel network's work the padding
+    /// no longer costs.
+    policy_rows_scored: Counter,
+    policy_rows_window: Counter,
     update_ns: Histogram,
     mean_return: Gauge,
     mean_metric: Gauge,
@@ -143,6 +148,7 @@ impl TrainMetrics {
 
     fn register(reg: &Registry) -> Self {
         let phase = |p: &str| reg.counter("rlsched_train_update_ns_total", &[("phase", p)]);
+        let rows = |r: &str| reg.counter("rlsched_train_policy_job_rows_total", &[("rows", r)]);
         TrainMetrics {
             epochs: reg.counter("rlsched_train_epochs_total", &[]),
             episodes: reg.counter("rlsched_train_episodes_total", &[]),
@@ -153,6 +159,8 @@ impl TrainMetrics {
                 phase(Self::PHASES[2]),
                 phase(Self::PHASES[3]),
             ],
+            policy_rows_scored: rows("scored"),
+            policy_rows_window: rows("window"),
             update_ns: reg.histogram("rlsched_train_update_ns", &[]),
             mean_return: reg.gauge("rlsched_train_mean_return", &[]),
             mean_metric: reg.gauge("rlsched_train_mean_metric", &[]),
@@ -174,6 +182,8 @@ impl TrainMetrics {
         for (c, d) in self.update_phase_ns.iter().zip(phases) {
             c.add(d.as_nanos() as u64);
         }
+        self.policy_rows_scored.add(prof.policy_rows);
+        self.policy_rows_window.add(prof.policy_window_rows);
         self.update_ns.record(prof.total());
         self.mean_return.set(stats.mean_return);
         self.mean_metric.set(stats.mean_metric());
@@ -387,5 +397,52 @@ mod tests {
         assert!(u.pi_iters >= 1);
         assert!(u.entropy > 0.0);
         assert!(u.approx_kl.is_finite());
+    }
+
+    #[test]
+    fn the_kernel_update_scores_only_job_rows_and_the_registry_says_so() {
+        // Convoys of five jobs in an 8-slot window: every window is
+        // padded, so the policy passes score fewer rows than whole
+        // windows hold.
+        let trace = convoy_trace(15);
+        let mut agent = tiny_agent(4);
+        let env = || {
+            let encoder = *agent.encoder();
+            let objective = agent.objective();
+            SchedulingEnv::new(
+                Arc::new(trace.clone()),
+                15,
+                SimConfig::default(),
+                encoder,
+                objective,
+            )
+        };
+        let (batch, _) = collect_rollouts_par(agent.ppo(), env, 4, &[1, 2, 3, 4]);
+        let mut prof = UpdateProfile::default();
+        agent.ppo_mut().update_profiled(&batch, &mut prof);
+        let (scored, window) = (prof.policy_rows, prof.policy_window_rows);
+        assert!(
+            0 < scored && scored < window && window % 8 == 0,
+            "scored {scored} of {window} window rows"
+        );
+
+        let cfg = TrainConfig {
+            epochs: 1,
+            trajectories_per_epoch: 4,
+            seq_len: 15,
+            sim: SimConfig::default(),
+            filter: FilterMode::Off,
+            seed: 3,
+            n_envs: 8,
+            n_threads: 1,
+        };
+        train(&mut agent, &trace, &cfg);
+        let snap = rlsched_obs::global().snapshot();
+        let rows = |r| snap.counter("rlsched_train_policy_job_rows_total", &[("rows", r)]);
+        let (scored, window) = (rows("scored"), rows("window"));
+        assert!(
+            scored.is_some_and(|s| s > 0) && window.is_some_and(|w| w > 0),
+            "scored {scored:?}, window {window:?}"
+        );
     }
 }

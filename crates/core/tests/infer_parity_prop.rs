@@ -14,7 +14,7 @@ use rlsched_nn::Scratch;
 use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
 use rlsched_rl::{PolicyModel, ValueModel};
-use rlscheduler::{PolicyKind, PolicyNet, ValueNet, JOB_FEATURES};
+use rlscheduler::{KernelPolicy, PolicyKind, PolicyNet, ValueNet, JOB_FEATURES};
 
 /// Window size: the smallest that every architecture accepts (LeNet
 /// needs `max_obsv % 4 == 0 && >= 64`).
@@ -164,6 +164,79 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The kernel policy scores only each window's job rows and gives
+    /// every padding slot the score of one zero row: on windows whose job
+    /// rows end anywhere in 0..=K (a few zero rows inside the prefix
+    /// stay), `log_probs_fast` and `log_probs_fast_batch` over 1–20 views
+    /// (so more than one block of `KERNEL_VIEW_BLOCK` views) equal a
+    /// forward of every row of every window, bit for bit — full windows
+    /// (half of them) included. A masked slot's
+    /// log-prob cannot show its score (−1e9 swallows it), so every third
+    /// view leaves its padding unmasked; and some last job rows hold only
+    /// tiny values, which are still jobs.
+    #[test]
+    fn kernel_scores_of_live_prefixes_equal_a_whole_window_forward(
+        lives in prop::collection::vec(prop_oneof![Just(K), 0usize..=K], 1..21),
+        seed in 0u64..50,
+        data_seed in 0u64..1000,
+    ) {
+        use rlsched_nn::infer;
+        let policy = KernelPolicy::new(K, seed);
+        let kernel = policy.fused().mlp;
+        let views = lives.len();
+        let mut s = data_seed;
+        let mut unit = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let mut obs = vec![0.0f32; views * K * JOB_FEATURES];
+        let mut masks = vec![MASK_OFF; views * K];
+        for (v, &live) in lives.iter().enumerate() {
+            for j in 0..live {
+                let row = &mut obs[(v * K + j) * JOB_FEATURES..][..JOB_FEATURES];
+                if j + 1 == live && v % 2 == 1 {
+                    row.iter_mut().for_each(|x| *x = 1e-3 * unit() + 1e-6);
+                } else if j + 1 == live || unit() > 0.1 {
+                    row.iter_mut().for_each(|x| *x = unit());
+                    row[JOB_FEATURES - 1] = 1.0;
+                }
+            }
+            let open = if v % 3 == 0 { K } else { live };
+            masks[v * K..v * K + open].fill(0.0);
+        }
+
+        let mut scratch = Scratch::new();
+        let (mut whole, mut expected) = (Vec::new(), Vec::new());
+        for v in 0..views {
+            let window = &obs[v * K * JOB_FEATURES..(v + 1) * K * JOB_FEATURES];
+            infer::mlp_forward(kernel, window, K, &mut scratch, &mut whole);
+            for (o, &m) in whole.iter_mut().zip(&masks[v * K..(v + 1) * K]) {
+                *o += m;
+            }
+            infer::log_softmax_inplace(&mut whole);
+            expected.extend_from_slice(&whole);
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut batched = Vec::new();
+        policy.log_probs_fast_batch(&obs, &masks, views, &mut scratch, &mut batched);
+        prop_assert_eq!(bits(&batched), bits(&expected), "batched, lives {:?}", &lives);
+        let mut single = Vec::new();
+        for v in 0..views {
+            policy.log_probs_fast(
+                &obs[v * K * JOB_FEATURES..(v + 1) * K * JOB_FEATURES],
+                &masks[v * K..(v + 1) * K],
+                &mut scratch,
+                &mut single,
+            );
+            prop_assert_eq!(
+                bits(&single),
+                bits(&expected[v * K..(v + 1) * K]),
+                "view {} of live {}", v, lives[v]
+            );
         }
     }
 

@@ -73,9 +73,9 @@
 //! * [`FusedHead::Flat`]: `logits = mlp(obs)`, one row per transition
 //!   (the MLP v1–v3 baselines, and every critic).
 //! * [`FusedHead::Kernel`]: the kernel network of Fig 5 — the `[n, K·F]`
-//!   observation stacks to `[n·K, F]` job rows, the shared-weight kernel
-//!   scores each row, and the `[n·K, 1]` scores read back as `[n, K]`
-//!   logits. (The reshapes are views; no data moves.)
+//!   observation is `n` windows of `K` job rows, the shared-weight kernel
+//!   scores each job row, and the scores are the `[n, K]` logits. Only
+//!   the job rows run through the kernel (next section).
 //! * [`FusedHead::Conv`]: the LeNet baseline — each observation is a
 //!   one-channel image, every conv stage runs conv → ReLU → 2 × 2
 //!   max-pool, and the flattened maps of the last stage feed the MLP.
@@ -83,6 +83,43 @@
 //! [`FusedPolicy::check`] holds a description to the observation and
 //! action widths it will be fed, so a checkpoint that does not fit is an
 //! error before any forward trusts its shapes.
+//!
+//! # The kernel head scores only job rows
+//!
+//! A window holds the waiting jobs in its first slots and all-zero rows
+//! after them, masked at −1e9 (`rlscheduler`'s encoder pads it so). One
+//! weight set scores every row, so every padding row gets one score,
+//! `c0`. The chunk gather therefore copies only each window's *live*
+//! rows — up to its last row with a nonzero bit, and at least up to the
+//! taken action's slot — and appends one all-zero row; the forward runs
+//! on those rows, and `c0` (the zero row's score) fills every dropped
+//! slot of the `[n, K]` logits. The dense kernels are row-count
+//! invariant, so every logit, and so the masked log-softmax and the loss
+//! tail that run on the whole `[n, K]` matrix, has the bits a forward of
+//! every row would give it. Whole windows are the case "live = K": there
+//! is no second path.
+//!
+//! The backward walks the live rows only, and gives the same bits as a
+//! walk over every row because
+//!
+//! * *a dropped slot's dlogit is exactly zero.* Its log-prob is ≈ −1e9,
+//!   so `exp_or_zero` gives it probability 0, and the dlogit — with or
+//!   without the entropy term — is ±0. A ±0 `dY` row gives a ±0 `dpre`
+//!   and `dX` row at every layer, and adding ±0 into a `dW`, `db` or `dX`
+//!   sum that started at +0 never changes a bit. The chunk checks this
+//!   after its loss tail; a transition with a nonzero dlogit on a dropped
+//!   slot (padding left unmasked, or logits so large a masked slot keeps
+//!   some probability) is widened to its whole window, and the chunk
+//!   gathers and forwards again before its backward.
+//! * *the `dW` sums keep their row blocks.* The AVX2 TN kernel sums rows
+//!   in blocks of [`simd::TN_BLOCK_ROWS`] before adding each block into
+//!   `dW`, so dropping rows would move the block boundaries and
+//!   re-associate the sums. The gather maps every boundary of the whole
+//!   windows' rows to the compact row that holds it, and
+//!   [`simd::gemm_tn_blocks`] closes its blocks there. The scalar arm is
+//!   one row-ascending chain and has no blocks.
+//!
+//! Like the kernels' own contract, this holds for finite values.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -275,13 +312,21 @@ impl<'a> FusedPolicy<'a> {
         }
     }
 
-    /// Dense-chain rows per transition (the kernel head scores `window`
-    /// job rows each).
-    fn rows_per(&self) -> usize {
+    /// Dense-chain rows of `n` whole transitions: one per transition, or
+    /// for the kernel head every job row of every window.
+    fn window_rows(&self, n: usize) -> usize {
         match self.head {
-            FusedHead::Kernel { window } => window,
-            _ => 1,
+            FusedHead::Kernel { window } => n * window,
+            _ => n,
         }
+    }
+
+    /// The most dense-chain rows an `n`-transition chunk forwards: its
+    /// [`FusedPolicy::window_rows`], plus for the kernel head the one
+    /// all-zero job row that scores the padding.
+    fn dense_rows(&self, n: usize) -> usize {
+        let zero_row = matches!(self.head, FusedHead::Kernel { .. });
+        self.window_rows(n) + usize::from(zero_row)
     }
 
     /// The conv stages' shapes, first to last (none for the dense heads).
@@ -310,12 +355,14 @@ impl<'a> FusedPolicy<'a> {
         })
     }
 
-    /// Per-transition width of every activation a pass stashes, in stack
-    /// order: each conv stage's ReLU output and pooled maps, then each
-    /// dense layer's output.
-    fn act_widths(&self) -> impl Iterator<Item = usize> + 'a {
-        let (mlp, rows) = (self.mlp, self.rows_per());
-        let convs = self.stages().flat_map(|s| [s.conv_len(), s.pool_len()]);
+    /// The most values every activation a pass stashes holds for an
+    /// `n`-transition chunk, in stack order: each conv stage's ReLU output
+    /// and pooled maps, then each dense layer's output.
+    fn act_lens(&self, n: usize) -> impl Iterator<Item = usize> + 'a {
+        let (mlp, rows) = (self.mlp, self.dense_rows(n));
+        let convs = self
+            .stages()
+            .flat_map(move |s| [n * s.conv_len(), n * s.pool_len()]);
         convs.chain(mlp.layers.iter().map(move |l| rows * l.out_dim()))
     }
 }
@@ -328,7 +375,7 @@ pub const SHARD_ROWS: usize = 64;
 
 /// Empty `v` and give it room for `cap` elements (a no-op once the
 /// high-water mark is reached).
-fn fit(v: &mut Vec<f32>, cap: usize) {
+fn fit<T>(v: &mut Vec<T>, cap: usize) {
     v.clear();
     v.reserve(cap);
 }
@@ -339,12 +386,21 @@ fn fit(v: &mut Vec<f32>, cap: usize) {
 /// workers.
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    /// The chunk's observation rows, `[n, obs_dim]`.
+    /// The chunk's observation rows, `[n, obs_dim]` — for the kernel head
+    /// only the first `live[t]` job rows of each window `t`, then one
+    /// all-zero job row.
     obs: Vec<f32>,
     /// The chunk's additive mask rows, `[n, width]` (policy side).
     masks: Vec<f32>,
-    /// Every stashed activation, in stack order (`acts[i]` holds
-    /// `FusedPolicy::act_widths`'s `i`-th width per transition).
+    /// Kernel head: how many job rows of each transition's window `obs`
+    /// holds, `[n]`; empty for the other heads.
+    live: Vec<usize>,
+    /// Where the dense chain's `dW` sums close a row block, in the rows
+    /// the backward walks ([`simd::gemm_tn_blocks`]); the last entry is
+    /// the row count.
+    ends: Vec<usize>,
+    /// Every stashed activation, in stack order (`acts[i]` holds up to
+    /// `FusedPolicy::act_lens`'s `i`-th length).
     acts: Vec<Vec<f32>>,
     g: GradBufs,
 }
@@ -370,56 +426,130 @@ impl WorkerScratch {
     /// step out of a short-lived thread's allocator arena, and a no-op
     /// once the high-water mark is reached. A set belongs to a worker,
     /// not to a chunk, so the resident footprint is `workers × one chunk`
-    /// (~5 MB each for the 32/16/8 kernel net at 64 × 128 job rows)
-    /// whatever the minibatch size — one per chunk would be 157 MB for a
-    /// 2 048-row minibatch.
+    /// (~5 MB each for the 32/16/8 kernel net at 64 × 128 job rows, plus
+    /// the zero row) whatever the minibatch size — one per chunk would be
+    /// 157 MB for a 2 048-row minibatch.
     fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, od: usize, width: usize) {
-        fit(&mut self.obs, n * od);
+        let rows = p.dense_rows(n);
+        let zero_row = match p.head {
+            FusedHead::Kernel { .. } => p.mlp.in_dim(),
+            _ => 0,
+        };
+        fit(&mut self.obs, n * od + zero_row);
         fit(&mut self.masks, n * width);
-        self.acts.resize_with(p.act_widths().count(), Vec::new);
-        // Every gradient buffer holds `n × some activation's width` (a dX
-        // is as wide as the activation that fed the layer).
+        fit(&mut self.live, n);
+        fit(&mut self.ends, rows.div_ceil(simd::TN_BLOCK_ROWS) + 1);
+        self.acts.resize_with(p.act_lens(n).count(), Vec::new);
+        // Every gradient buffer holds some activation's values for the
+        // chunk (a dX is as wide as the activation that fed the layer,
+        // and the dlogits are no wider than the last layer's output).
         let mut widest = 0;
-        for (act, width) in self.acts.iter_mut().zip(p.act_widths()) {
-            fit(act, n * width);
-            widest = widest.max(width);
+        for (act, len) in self.acts.iter_mut().zip(p.act_lens(n)) {
+            fit(act, len);
+            widest = widest.max(len);
         }
         let dx0 = !p.convs().is_empty();
         let wt = p.mlp.layers.iter().enumerate();
         let wt = wt.filter(|&(l, _)| l > 0 || dx0);
         let wt = wt.map(|(_, l)| l.in_dim() * l.out_dim()).max();
         let g = &mut self.g;
-        fit(&mut g.dy, n * widest);
-        fit(&mut g.dy2, n * widest);
-        fit(&mut g.dpre, n * widest);
+        fit(&mut g.dy, widest);
+        fit(&mut g.dy2, widest);
+        fit(&mut g.dpre, widest);
         fit(&mut g.wt, wt.unwrap_or(0));
     }
 
     /// Copy the rows `index` names out of `rows` into the row buffers, in
     /// index order, holding each to `od` observation and `width` mask
-    /// values.
+    /// values: one dense-chain row per transition.
     fn gather<'d>(
         &mut self,
         index: &[u32],
-        od: usize,
-        width: usize,
+        (od, width): (usize, usize),
         rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
     ) {
         self.obs.clear();
         self.masks.clear();
+        self.live.clear();
         for &i in index {
-            let (obs, mask) = rows(i as usize);
-            assert!(
-                obs.len() == od && mask.len() == width,
-                "row {i} has {} observation and {} mask values, not {od} and {width}",
-                obs.len(),
-                mask.len()
-            );
+            let (obs, mask) = checked_row(&rows, i, od, width);
             self.obs.extend_from_slice(obs);
             self.masks.extend_from_slice(mask);
         }
+        self.ends.clear();
+        self.ends.extend(simd::tn_block_ends(index.len()));
     }
 
+    /// The kernel head's gather: per transition `t` only the first
+    /// `live[t]` of its `width` job rows, then one all-zero job row after
+    /// the chunk's windows.
+    ///
+    /// Also maps every [`simd::TN_BLOCK_ROWS`] boundary of the whole
+    /// windows' job rows to the compact row that holds it, so the `dW`
+    /// sums close their blocks where a pass over whole windows would.
+    fn gather_jobs<'d>(
+        &mut self,
+        index: &[u32],
+        (od, width): (usize, usize),
+        rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
+    ) {
+        let f = od / width;
+        self.obs.clear();
+        self.masks.clear();
+        for (&i, &live) in index.iter().zip(&self.live) {
+            let (obs, mask) = checked_row(&rows, i, od, width);
+            self.obs.extend_from_slice(&obs[..live * f]);
+            self.masks.extend_from_slice(mask);
+        }
+        self.obs.resize(self.obs.len() + f, 0.0);
+
+        self.ends.clear();
+        let (mut before, mut boundary) = (0, simd::TN_BLOCK_ROWS);
+        for (t, &live) in self.live.iter().enumerate() {
+            while boundary < (t + 1) * width {
+                self.ends.push(before + live.min(boundary - t * width));
+                boundary += simd::TN_BLOCK_ROWS;
+            }
+            before += live;
+        }
+        self.ends.push(before);
+    }
+
+    /// Kernel head, after the loss tail: widen to its whole window every
+    /// transition whose dlogits (`g.dy`, `[n, width]`) are not exactly
+    /// zero on a slot the forward left out — an unmasked padding slot, or
+    /// logits so large a masked slot kept some probability. Returns
+    /// whether any was widened; the chunk must then gather and forward
+    /// again before its backward.
+    fn widen_unmasked_padding(&mut self, width: usize) -> bool {
+        let mut widened = false;
+        for (live, dlogits) in self.live.iter_mut().zip(self.g.dy.chunks(width)) {
+            if dlogits[*live..].iter().any(|&d| d != 0.0) {
+                *live = width;
+                widened = true;
+            }
+        }
+        widened
+    }
+
+    /// Kernel head: keep only the dlogits of the job rows the forward
+    /// scored, in their compact order — every other one is zero and adds
+    /// nothing to any gradient.
+    fn compact_dlogits(&mut self, width: usize) {
+        if self.live.is_empty() {
+            return;
+        }
+        let dy = &mut self.g.dy;
+        let mut at = 0;
+        for (t, &live) in self.live.iter().enumerate() {
+            dy.copy_within(t * width..t * width + live, at);
+            at += live;
+        }
+        dy.truncate(at);
+    }
+
+    /// Bytes of the float buffers (the `live` and `ends` bookkeeping, a
+    /// few hundred bytes, is not counted).
     fn bytes(&self) -> usize {
         let g = &self.g;
         let floats = self.obs.capacity()
@@ -431,6 +561,24 @@ impl WorkerScratch {
             + g.wt.capacity();
         floats * size_of::<f32>()
     }
+}
+
+/// Row `i` of a row source, held to `od` observation and `width` mask
+/// values.
+fn checked_row<'d>(
+    rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
+    i: u32,
+    od: usize,
+    width: usize,
+) -> (&'d [f32], &'d [f32]) {
+    let (obs, mask) = rows(i as usize);
+    assert!(
+        obs.len() == od && mask.len() == width,
+        "row {i} has {} observation and {} mask values, not {od} and {width}",
+        obs.len(),
+        mask.len()
+    );
+    (obs, mask)
 }
 
 /// What one chunk leaves behind for the merge and the diagnostics:
@@ -450,9 +598,12 @@ struct Partial {
     ent: f32,
     /// `Σ (v−R)²` over the chunk's rows (value side).
     sq: f32,
-    /// Time the chunk spent in its forward.
+    /// Dense-chain rows the chunk forwarded (re-runs included).
+    rows: usize,
+    /// Time the chunk spent in its forward, a widened re-run's gather and
+    /// forward included (the backward closure adds those).
     forward: Duration,
-    /// Time the chunk spent in its loss tail + backward.
+    /// Time the chunk spent in its loss tail + backward, without a re-run.
     backward: Duration,
 }
 
@@ -463,6 +614,7 @@ impl Partial {
     fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, width: usize) {
         fit(&mut self.logp, n * width);
         fit(&mut self.sel, n);
+        self.rows = 0;
         if self.grads.is_empty() {
             self.grads = p.params().map(|t| Tensor::zeros(t.shape())).collect();
         }
@@ -485,7 +637,8 @@ impl Partial {
 /// pass's wall time split into its forward and backward shares.
 ///
 /// Forward and backward interleave chunk by chunk, so neither has a wall
-/// time of its own: each chunk times its two halves, and the pass's wall
+/// time of its own: each chunk times its two halves (a kernel-head
+/// re-run's gather and forward count as forward), and the pass's wall
 /// time (sizing and merge included) is apportioned in the ratio of the
 /// summed halves — `forward + backward` is the wall time of the call at
 /// any worker count.
@@ -497,6 +650,13 @@ pub struct FusedPass {
     pub forward: Duration,
     /// The loss-tail + backward share of the pass's wall time.
     pub backward: Duration,
+    /// Rows the dense chain scored: for the kernel head the windows' job
+    /// rows it kept plus one all-zero row per chunk, otherwise one per
+    /// transition.
+    pub rows: usize,
+    /// Rows a pass over whole windows would score: `n × window` for the
+    /// kernel head, otherwise `n`.
+    pub window_rows: usize,
 }
 
 /// Reusable buffers for the fused pass: one activation-and-gradient
@@ -560,26 +720,23 @@ impl FusedScratch {
         self.partials.iter().map(Partial::bytes).sum()
     }
 
-    /// Run every chunk of the minibatch `index` names in `rows` (`od`
-    /// observation values and `width` mask values and logits per
-    /// transition) on the rayon shim's workers: copy the chunk's rows into
-    /// the worker's scratch, then `forward(scratch, partial, lo, hi)` and
+    /// Run every chunk of an `n`-transition minibatch (`od` observation
+    /// values and `width` mask values and logits per transition) on the
+    /// rayon shim's workers: `forward(scratch, partial, lo, hi)` — which
+    /// copies the chunk's rows into the worker's scratch first — and
     /// `backward(scratch, partial, lo, hi)` back to back, `[lo, hi)` being
-    /// the chunk's bounds in `index`. Then tree-merge the gradient
+    /// the chunk's bounds in the minibatch. Then tree-merge the gradient
     /// partials into chunk 0. Returns the live partials and the call's
-    /// wall time apportioned to (forward, backward); the row copy counts
-    /// as forward.
-    fn sweep<'d>(
+    /// wall time apportioned to (forward, backward).
+    fn sweep(
         &mut self,
         p: &FusedPolicy<'_>,
-        rows: impl Fn(usize) -> (&'d [f32], &'d [f32]) + Sync,
-        index: &[u32],
+        n: usize,
         (od, width): (usize, usize),
         forward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
         backward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
     ) -> (&[Partial], Duration, Duration) {
         let start = Instant::now();
-        let n = index.len();
         let n_chunks = n.div_ceil(SHARD_ROWS);
         self.live = n_chunks;
         if self.partials.len() < n_chunks {
@@ -612,13 +769,14 @@ impl FusedScratch {
                 for (c, part) in (g * run..).zip(parts) {
                     let lo = c * SHARD_ROWS;
                     let hi = (lo + SHARD_ROWS).min(n);
+                    part.forward = Duration::ZERO;
                     let t0 = Instant::now();
-                    w.gather(&index[lo..hi], od, width, &rows);
                     forward(w, part, lo, hi);
                     let t1 = Instant::now();
                     backward(w, part, lo, hi);
-                    part.forward = t1 - t0;
-                    part.backward = t1.elapsed();
+                    let rerun = part.forward;
+                    part.forward = t1 - t0 + rerun;
+                    part.backward = t1.elapsed().saturating_sub(rerun);
                 }
             });
         merge_grads(partials);
@@ -666,7 +824,9 @@ fn merge_grads(chunks: &mut [Partial]) {
 /// this is the only state the fused pass keeps, where a tape keeps a node
 /// per op). Conv stages run `infer`'s conv, ReLU and pool loops and dense
 /// layers [`infer::dense_forward`], the scoring path's own arithmetic.
-fn forward_stack(p: &FusedPolicy<'_>, obs: &[f32], n: usize, acts: &mut [Vec<f32>]) {
+/// The dense chain runs on every row of its input (for the kernel head,
+/// the job rows `obs` holds); returns how many that was.
+fn forward_stack(p: &FusedPolicy<'_>, obs: &[f32], n: usize, acts: &mut [Vec<f32>]) -> usize {
     for (i, st) in p.stages().enumerate() {
         let (done, rest) = acts.split_at_mut(2 * i);
         let x = done.last().map_or(obs, |v| &v[..]);
@@ -692,7 +852,9 @@ fn forward_stack(p: &FusedPolicy<'_>, obs: &[f32], n: usize, acts: &mut [Vec<f32
     }
     let (convs, dense) = acts.split_at_mut(2 * p.convs().len());
     let x = convs.last().map_or(obs, |v| &v[..]);
-    forward_layers(p.mlp, x, n * p.rows_per(), dense);
+    let rows = x.len() / p.mlp.in_dim();
+    forward_layers(p.mlp, x, rows, dense);
+    rows
 }
 
 /// Forward the dense chain over `rows` stacked inputs, stashing every
@@ -719,26 +881,21 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
 }
 
 /// Walk the stack last-to-first from the logits' gradient in `s.g.dy`
-/// over the `n` observation rows in `s.obs`, writing every parameter
-/// gradient into `grads` (bind order). The observation itself needs no
+/// over the `n` transitions in `s.obs`, writing every parameter gradient
+/// into `grads` (bind order). The dense chain walks the first
+/// `s.ends.last()` of its forwarded rows. The observation itself needs no
 /// gradient, so the first layer's `dX` is never computed.
 fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &mut [Tensor]) {
     // A conv stage stashes two activations and owns two parameters.
     let k = 2 * p.convs().len();
-    let WorkerScratch { obs, acts, g, .. } = s;
+    let WorkerScratch {
+        obs, acts, g, ends, ..
+    } = s;
     let obs = &obs[..];
     let (conv_acts, dense_acts) = acts.split_at(k);
     let (conv_grads, dense_grads) = grads.split_at_mut(k);
     let x = conv_acts.last().map_or(obs, |v| &v[..]);
-    backward_layers(
-        p.mlp,
-        x,
-        n * p.rows_per(),
-        dense_acts,
-        g,
-        dense_grads,
-        k > 0,
-    );
+    backward_layers(p.mlp, x, ends, dense_acts, g, dense_grads, k > 0);
 
     // `g.dy` now holds the gradient of the last stage's pooled maps.
     for i in (0..k / 2).rev() {
@@ -771,7 +928,9 @@ fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &
 
 /// Walk the dense layers last-to-first given `dY` of the final layer in
 /// `g.dy`, writing parameter gradients into `grads`; with `dx0`, `g.dy`
-/// ends holding `dX` of the first layer.
+/// ends holding `dX` of the first layer. The walk covers the first
+/// `ends.last()` rows of `x0` and `acts`, and the `dW` sums close a row
+/// block at each of `ends`.
 ///
 /// Replicates the reference tape's dense backward exactly: the
 /// per-activation `dpre` loops, `dW` through the TN kernel dispatch, `db`
@@ -780,12 +939,13 @@ fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &
 fn backward_layers(
     mlp: &Mlp,
     x0: &[f32],
-    rows: usize,
+    ends: &[usize],
     acts: &[Vec<f32>],
     g: &mut GradBufs,
     grads: &mut [Tensor],
     dx0: bool,
 ) {
+    let rows = *ends.last().expect("a pass walks at least one row");
     let last = mlp.layers.len() - 1;
     for l in (0..=last).rev() {
         let layer = &mlp.layers[l];
@@ -830,7 +990,7 @@ fn backward_layers(
         // needed).
         let x = if l == 0 { x0 } else { &acts[l - 1] };
         let dw = grads[2 * l].data_mut();
-        if !simd::gemm_tn(x, rows, din, &g.dpre, dout, dw) {
+        if !simd::gemm_tn_blocks(x, din, &g.dpre, dout, ends.iter().copied(), dw) {
             simd::gemm_tn_scalar(x, rows, din, &g.dpre, dout, dw);
         }
 
@@ -975,47 +1135,82 @@ pub fn policy_pass<'d>(
     assert_eq!(actions.len(), n, "one action per transition");
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");
+    let rows = &rows;
+    let kernel = matches!(p.head, FusedHead::Kernel { .. });
+    // Forward the gathered rows into the chunk's `[n, width]` masked
+    // log-probs and their selected entries.
+    let score = |w: &mut WorkerScratch, part: &mut Partial, lo: usize, hi: usize| {
+        part.rows += forward_stack(p, &w.obs, hi - lo, &mut w.acts);
+        let Partial { logp, sel, .. } = part;
+        let scores = w.acts.last().expect("non-empty MLP");
+        logp.clear();
+        if w.live.is_empty() {
+            logp.extend_from_slice(scores);
+        } else {
+            infer::spread_window_scores(scores, &w.live, width, logp);
+        }
+        let mrows = w.masks.chunks(width);
+        for (row, mrow) in logp.chunks_mut(width).zip(mrows) {
+            for (o, &m) in row.iter_mut().zip(mrow) {
+                *o += m;
+            }
+            infer::log_softmax_inplace(row);
+        }
+        sel.clear();
+        sel.extend(actions[lo..hi].iter().enumerate().map(|(i, &a)| {
+            assert!(a < width, "action {a} out of range");
+            logp[i * width + a]
+        }));
+    };
     let (partials, forward, backward) = s.sweep(
         p,
-        rows,
-        index,
+        n,
         (od, width),
         |w, part, lo, hi| {
-            forward_stack(p, &w.obs, hi - lo, &mut w.acts);
-            let Partial { logp, sel, .. } = part;
-            logp.clear();
-            logp.extend_from_slice(w.acts.last().expect("non-empty MLP"));
-            let mrows = w.masks.chunks(width);
-            for (row, mrow) in logp.chunks_mut(width).zip(mrows) {
-                for (o, &m) in row.iter_mut().zip(mrow) {
-                    *o += m;
+            if kernel {
+                // Per window, the rows up to its last job and at least
+                // up to the taken action's slot.
+                let f = od / width;
+                w.live.clear();
+                for (&i, &a) in index[lo..hi].iter().zip(&actions[lo..hi]) {
+                    let keep = a.saturating_add(1).min(width);
+                    let (obs, _) = checked_row(rows, i, od, width);
+                    w.live.push(infer::live_job_rows(obs, f).max(keep));
                 }
-                infer::log_softmax_inplace(row);
+                w.gather_jobs(&index[lo..hi], (od, width), rows);
+            } else {
+                w.gather(&index[lo..hi], (od, width), rows);
             }
-            sel.clear();
-            sel.extend(actions[lo..hi].iter().enumerate().map(|(i, &a)| {
-                assert!(a < width, "action {a} out of range");
-                logp[i * width + a]
-            }));
+            score(w, part, lo, hi);
         },
         |w, part, lo, hi| {
-            policy_backward_chunk(
-                p,
+            (part.obj, part.ent) = policy_dlogits(
                 &actions[lo..hi],
                 &advantages[lo..hi],
                 &logp_old[lo..hi],
                 clip_ratio,
                 ent_coef,
                 n,
-                w,
-                part,
+                &part.logp,
+                &mut w.g.dy,
             );
+            // A slot the forward left out must have a zero dlogit;
+            // where one does not, that window runs again whole.
+            if w.widen_unmasked_padding(width) {
+                let t = Instant::now();
+                w.gather_jobs(&index[lo..hi], (od, width), rows);
+                score(w, part, lo, hi);
+                part.forward += t.elapsed();
+            }
+            w.compact_dlogits(width);
+            backward_stack(p, hi - lo, w, &mut part.grads);
         },
     );
-    let (mut obj_sum, mut ent_sum) = (0.0f32, 0.0f32);
+    let (mut obj_sum, mut ent_sum, mut scored) = (0.0f32, 0.0f32, 0);
     for c in partials {
         obj_sum += c.obj;
         ent_sum += c.ent;
+        scored += c.rows;
     }
     let mean_obj = obj_sum / n as f32;
     let mut loss = -mean_obj; // == the reference's scale(mean_obj, −1) bit for bit
@@ -1027,15 +1222,16 @@ pub fn policy_pass<'d>(
         loss,
         forward,
         backward,
+        rows: scored,
+        window_rows: p.window_rows(n),
     }
 }
 
-/// The backward half of one [`policy_pass`] chunk: the dlogits fuse +
-/// stack backward over the chunk's rows (in `s.obs`), with the
+/// One [`policy_pass`] chunk's loss tail: write its dlogits (`[n,
+/// width]`) into `dy` from its masked log-probs `logp`, with the
 /// mean-gradient seeds scaled by the *batch* size `total_n` so the
-/// chunk's gradients are exact partials of the whole batch's. Leaves the raw
-/// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds) in
-/// `part.obj` / `part.ent`.
+/// chunk's gradients are exact partials of the whole batch's. Returns the
+/// raw `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds).
 ///
 /// The dlogits kernel fuses, per transition row: ratio / clip / min
 /// gradient routing (ties to the unclipped side, exactly like the
@@ -1045,19 +1241,18 @@ pub fn policy_pass<'d>(
 /// exp-underflow short-circuit. One pass over `[n, n_actions]` replaces
 /// five separate gradient buffers.
 #[allow(clippy::too_many_arguments)] // the PPO term list + the batch size
-fn policy_backward_chunk(
-    p: &FusedPolicy<'_>,
+fn policy_dlogits(
     actions: &[usize],
     advantages: &[f32],
     logp_old: &[f32],
     clip_ratio: f32,
     ent_coef: f32,
     total_n: usize,
-    s: &mut WorkerScratch,
-    part: &mut Partial,
-) {
+    logp: &[f32],
+    dy: &mut Vec<f32>,
+) -> (f32, f32) {
     let n = actions.len();
-    let width = part.logp.len() / n;
+    let width = logp.len() / n;
 
     // Loss-tail gradient seeds: d(mean surrogate) = −1/n per element,
     // d(plogp) = ent_coef/n.
@@ -1065,8 +1260,6 @@ fn policy_backward_chunk(
     let dplogp = ent_coef / total_n as f32;
     let (lo, hi) = (1.0 - clip_ratio, 1.0 + clip_ratio);
 
-    let logp = &part.logp;
-    let dy = &mut s.g.dy;
     dy.clear();
     dy.resize(n * width, 0.0);
     let mut obj_sum = 0.0f32;
@@ -1122,12 +1315,7 @@ fn policy_backward_chunk(
             }
         }
     }
-
-    // `dy` now holds dlogits: `[n, width]` for the flat and conv heads,
-    // which the kernel head reads as `[n·window, 1]` — the reshape is a
-    // view.
-    backward_stack(p, n, s, &mut part.grads);
-    (part.obj, part.ent) = (obj_sum, ent_sum);
+    (obj_sum, ent_sum)
 }
 
 /// One critic pass over the `n = index.len()` observations `index` names
@@ -1158,10 +1346,12 @@ pub fn value_pass<'d>(
     let g = 1.0f32 / n as f32;
     let (partials, forward, backward) = s.sweep(
         &p,
-        |i| (rows(i), &[][..]),
-        index,
+        n,
         (od, 0),
-        |w, _, lo, hi| forward_stack(&p, &w.obs, hi - lo, &mut w.acts),
+        |w, _, lo, hi| {
+            w.gather(&index[lo..hi], (od, 0), |i| (rows(i), &[][..]));
+            forward_stack(&p, &w.obs, hi - lo, &mut w.acts);
+        },
         |w, part, lo, hi| {
             part.sq = 0.0;
             w.g.dy.clear();
@@ -1183,6 +1373,8 @@ pub fn value_pass<'d>(
         loss: sq_sum / n as f32,
         forward,
         backward,
+        rows: n,
+        window_rows: n,
     }
 }
 

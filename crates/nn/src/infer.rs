@@ -52,6 +52,9 @@ pub struct Scratch {
     /// Extra buffer for architectures needing a third live tensor (conv
     /// stacks).
     c: Vec<f32>,
+    /// The job rows a kernel-network pass scores, copied out of their
+    /// windows (see [`live_job_rows`]).
+    jobs: Vec<f32>,
 }
 
 impl Scratch {
@@ -105,6 +108,19 @@ pub fn mlp_forward(mlp: &Mlp, x: &[f32], rows: usize, scratch: &mut Scratch, out
             std::mem::swap(&mut scratch.a, &mut scratch.b);
         }
     }
+}
+
+/// Give `scratch` and `out` room for an [`mlp_forward`] of `rows` rows, so
+/// that no forward of at most `rows` rows grows them: a caller whose row
+/// count varies call to call (the kernel network scores only the rows
+/// that hold jobs) stays allocation-free after its first call.
+pub fn reserve_rows(mlp: &Mlp, rows: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
+    let fit = |v: &mut Vec<f32>, len: usize| v.reserve(len.saturating_sub(v.len()));
+    let (hidden, last) = mlp.layers.split_at(mlp.layers.len() - 1);
+    let widest = hidden.iter().map(Dense::out_dim).max().unwrap_or(0);
+    fit(&mut scratch.a, rows * widest);
+    fit(&mut scratch.b, rows * widest);
+    fit(out, rows * last[0].out_dim());
 }
 
 /// One layer of a [`PackedMlp`]: weights stored transposed (`[out, in]`
@@ -405,6 +421,40 @@ pub fn scratch_extra(scratch: &mut Scratch) -> &mut Vec<f32> {
 /// through them).
 pub fn scratch_triple(scratch: &mut Scratch) -> (&mut Vec<f32>, &mut Vec<f32>, &mut Vec<f32>) {
     (&mut scratch.a, &mut scratch.b, &mut scratch.c)
+}
+
+/// The buffer a kernel-network pass gathers its job rows into before
+/// forwarding them (none of the other buffers is free while
+/// [`mlp_forward`] runs).
+pub fn scratch_jobs(scratch: &mut Scratch) -> &mut Vec<f32> {
+    &mut scratch.jobs
+}
+
+/// How many of a window's `features`-wide job rows hold a job: the rows
+/// up to the last one with a nonzero bit. The rows after it are the
+/// window's zero padding, and a shared-weight kernel gives each of them
+/// the score of one all-zero row.
+pub fn live_job_rows(window: &[f32], features: usize) -> usize {
+    let rows = window.chunks_exact(features);
+    let padding = rows
+        .rev()
+        .take_while(|row| row.iter().all(|v| v.to_bits() == 0))
+        .count();
+    window.len() / features - padding
+}
+
+/// Spread a kernel pass's scores back over whole windows of `window`
+/// slots, appending `[live.len(), window]` to `out`: `scores` holds, in
+/// order, the scores of each window's first `live[v]` job rows and, last,
+/// the score of an all-zero row, which fills every other slot.
+pub fn spread_window_scores(scores: &[f32], live: &[usize], window: usize, out: &mut Vec<f32>) {
+    let padding = *scores.last().expect("the zero row is scored last");
+    let mut at = 0;
+    for &live in live {
+        out.extend_from_slice(&scores[at..at + live]);
+        out.resize(out.len() + window - live, padding);
+        at += live;
+    }
 }
 
 /// Row-major 4-D index, shared by the conv/pool forward kernels here and

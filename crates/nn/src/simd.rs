@@ -503,28 +503,68 @@ unsafe fn gemm_nt_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
 
 // --------------------------------------------------------- C = Aᵀ·B (TN)
 
+/// Rows per block of [`gemm_tn`]: the SIMD kernel sums each block of
+/// `A`/`B` rows in registers, then adds the block's sum into `C`.
+pub const TN_BLOCK_ROWS: usize = 512;
+
 /// SIMD `C[m,n] = A[r,m]ᵀ @ B[r,n]` without materializing the transpose
 /// (the `dW = Xᵀ·dY` backward kernel): rank-1 updates blocked 4 deep over
 /// `r` so each read-modify-write of an output row absorbs four FMAs.
 /// Returns `false` (nothing written) when SIMD is unavailable or `n < 8`.
+///
+/// The rows are summed in blocks of [`TN_BLOCK_ROWS`], each block's sum
+/// added into `C` in row order: this is [`gemm_tn_blocks`] with a block
+/// end every [`TN_BLOCK_ROWS`] rows.
 pub fn gemm_tn(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) -> bool {
-    debug_assert!(a.len() >= r * m && b.len() >= r * n && out.len() >= m * n);
+    gemm_tn_blocks(a, m, b, n, tn_block_ends(r), out)
+}
+
+/// The block ends [`gemm_tn`] uses for `r` rows: every
+/// [`TN_BLOCK_ROWS`] rows, then `r`.
+pub fn tn_block_ends(r: usize) -> impl Iterator<Item = usize> {
+    (1..=r.div_ceil(TN_BLOCK_ROWS)).map(move |i| (i * TN_BLOCK_ROWS).min(r))
+}
+
+/// [`gemm_tn`] with the row blocks chosen by the caller: `ends` are the
+/// blocks' exclusive ends, ascending, and the last one is the row count.
+///
+/// A block's sum is row-ascending and lands in `C` before the next block
+/// starts, so rows whose `B` row is all zero can be left out without
+/// changing a bit — as long as every remaining row stays in the block it
+/// had. The kernel network's backward uses this: it walks only the job
+/// rows of each window and passes every [`TN_BLOCK_ROWS`] boundary of the
+/// full window stack mapped to its compact row index (`fused`'s module
+/// docs). An empty block adds nothing.
+pub fn gemm_tn_blocks(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    ends: impl IntoIterator<Item = usize>,
+    out: &mut [f32],
+) -> bool {
+    debug_assert!(out.len() >= m * n);
     if n < 8 || !simd_enabled() {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        unsafe { gemm_tn_avx2(a, r, m, b, n, out) };
+        // SAFETY: `simd_enabled` verified AVX2+FMA at runtime; the kernel
+        // checks every block's rows against the slice lengths.
+        unsafe { gemm_tn_avx2(a, m, b, n, ends.into_iter(), out) };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
+        let _ = (a, b, ends);
         false
     }
 }
 
 /// Scalar reference for [`gemm_tn`]: r-outer rank-1 updates with
 /// zero-contribution skips — bit-identical to the pre-SIMD `matmul_tn`.
+/// It has no row blocks: every output is one row-ascending chain, so it
+/// also stands in for [`gemm_tn_blocks`] at any block ends.
 pub fn gemm_tn_scalar(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
     out[..m * n].fill(0.0);
     for row in 0..r {
@@ -544,34 +584,51 @@ pub fn gemm_tn_scalar(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &
 
 /// Outer-product kernel with register-resident accumulators: a 4-row ×
 /// 16-column output tile (eight independent FMA chains) accumulates
-/// across a whole r-chunk before a single read-modify-write of `out`, so
-/// B's column slice streams from cache and A contributes four broadcasts
-/// per r; 2- and 1-row variants absorb the row remainder, 8-wide and
-/// scalar tails handle ragged n. The r-chunking (512) keeps the streamed
-/// slice L1/L2-resident.
+/// across a whole row block before a single read-modify-write of `out`,
+/// so B's column slice streams from cache and A contributes four
+/// broadcasts per r; 2- and 1-row variants absorb the row remainder,
+/// 8-wide and scalar tails handle ragged n. The blocks (`ends`, every
+/// [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the streamed slice
+/// L1/L2-resident.
 ///
 /// Each output element accumulates in its own lane, r ascending within
-/// every chunk — so the block geometry (4 vs 2 vs 1 rows per tile) never
+/// every block — so the tile geometry (4 vs 2 vs 1 rows per tile) never
 /// changes a value.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available and slice lengths cover the
-/// dims.
+/// Caller must ensure AVX2+FMA are available. Slice lengths are checked
+/// per block: `out ≥ m*n`, and `a ≥ r1*m`, `b ≥ r1*n` for every block end
+/// `r1`, which must not fall below the previous one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+unsafe fn gemm_tn_avx2(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    ends: impl Iterator<Item = usize>,
+    out: &mut [f32],
+) {
     use std::arch::x86_64::*;
-    assert!(a.len() >= r * m && b.len() >= r * n && out.len() >= m * n);
-    const R_CHUNK: usize = 512;
+    assert!(out.len() >= m * n);
     let n16 = n - n % 16;
     let n8 = n - n % 8;
     let m4 = m - m % 4;
     let m2 = m - m % 2;
     out[..m * n].fill(0.0);
+    // SAFETY: every row a block reads is below its end `r1`, which the
+    // assert holds to both input lengths; every column is below `n` and
+    // every output row below `m`, which the assert above covers.
     unsafe {
         let mut r0 = 0;
-        while r0 < r {
-            let r1 = (r0 + R_CHUNK).min(r);
+        for r1 in ends {
+            assert!(
+                r0 <= r1 && a.len() >= r1 * m && b.len() >= r1 * n,
+                "row block {r0}..{r1} out of order or past the inputs"
+            );
+            if r0 == r1 {
+                continue;
+            }
             let mut j = 0;
             while j < n16 {
                 let mut i = 0;

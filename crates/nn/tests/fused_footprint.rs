@@ -31,9 +31,10 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
     // What one full chunk needs while it runs: its 64 observation and
     // mask rows, every layer's output for 64 × window job rows, three
     // gradient buffers as wide as the widest layer, and the largest
-    // transposed weight matrix past layer 0.
-    let rows = SHARD_ROWS * window;
-    let gathered = SHARD_ROWS * (window * in_dim + window);
+    // transposed weight matrix past layer 0 — plus one job row: the
+    // all-zero row the kernel head forwards to score the padding slots.
+    let rows = SHARD_ROWS * window + 1;
+    let gathered = SHARD_ROWS * (window * in_dim + window) + in_dim;
     let acts: usize = dims[1..].iter().map(|d| rows * d).sum();
     let one_chunk = (gathered + acts + 3 * rows * 32 + 32 * 16) * F32;
     // What one chunk leaves behind: its gradients, log-prob rows and

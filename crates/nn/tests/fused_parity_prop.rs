@@ -88,6 +88,11 @@ fn lcg(seed: &mut u64) -> f32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// For the kernel head every window ends in 0..=width all-zero job
+    /// rows (the encoder's padding). The padded slots are masked at
+    /// −1e9 except in one case of four, and some actions land in
+    /// the padding — so the pass's compaction, its zero-dlogit check and
+    /// its full-width re-run are all held to the tape.
     #[test]
     fn policy_grads_match_tape_bitwise(
         n in 1usize..=SHARD_ROWS,
@@ -99,6 +104,7 @@ proptest! {
         data_seed in any::<u64>(),
         ent_coef in prop_oneof![Just(0.0f32), Just(0.01), Just(0.1)],
         clip in 0.1f32..0.4,
+        tail_draw in 0u8..4,
     ) {
         let (head, in_dim, out_dim) = if kernel_head {
             (FusedHead::Kernel { window: width }, features, 1)
@@ -113,11 +119,19 @@ proptest! {
         let obs_dim = if kernel_head { width * features } else { in_dim };
 
         let mut s = data_seed | 1;
-        let obs: Vec<f32> = (0..n * obs_dim).map(|_| lcg(&mut s) * 2.0).collect();
-        let masks: Vec<f32> = (0..n * width)
+        let mut obs: Vec<f32> = (0..n * obs_dim).map(|_| lcg(&mut s) * 2.0).collect();
+        let mut masks: Vec<f32> = (0..n * width)
             .map(|i| if lcg(&mut s) > 0.35 && i % width != 0 { -1.0e9 } else { 0.0 })
             .collect();
         let actions: Vec<usize> = (0..n).map(|_| ((lcg(&mut s).abs() * 97.0) as usize) % width).collect();
+        if kernel_head {
+            for t in 0..n {
+                let live = ((lcg(&mut s) + 0.5) * (width + 1) as f32) as usize % (width + 1);
+                obs[(t * width + live) * features..(t + 1) * width * features].fill(0.0);
+                let tail_mask = if tail_draw == 0 { 0.0 } else { -1.0e9 };
+                masks[t * width + live..(t + 1) * width].fill(tail_mask);
+            }
+        }
         let advantages: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
         let logp_old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
 
@@ -234,6 +248,104 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
                     (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
                     "{head:?} grad {i}: {x} vs {y}"
                 );
+            }
+        }
+    }
+}
+
+/// The paper's kernel network at its 128-job window, one full chunk of
+/// 64 transitions: 8 192 job rows, so the `dW` sums close 16 row blocks
+/// of 512 — and the windows end in padding of every length, with a few
+/// actions inside it. With the padding masked the pass scores only each
+/// window's rows up to its last job or its action, plus one zero row;
+/// with some of it unmasked it widens those windows and runs the chunk
+/// again. Either way it gives the tape's loss, selected log-probs and
+/// every gradient bit for bit, with and without the entropy term.
+#[test]
+fn kernel_window_128_with_padded_tails_matches_tape_bitwise() {
+    let (n, window, features) = (SHARD_ROWS, 128, 7);
+    let mut rng = StdRng::seed_from_u64(53);
+    let mlp = Mlp::new(
+        &[features, 32, 16, 8, 1],
+        Activation::Relu,
+        Activation::Identity,
+        &mut rng,
+    );
+    let p = FusedPolicy {
+        mlp: &mlp,
+        head: FusedHead::Kernel { window },
+    };
+    let mut s = 0xfeed;
+    let mut obs = vec![0.0f32; n * window * features];
+    let mut masks = vec![-1.0e9f32; n * window];
+    let (mut actions, mut kept) = (Vec::new(), 0);
+    for t in 0..n {
+        // Live prefixes 1, 37, 74, 111, 20, … and one full window. (A
+        // window with no job and every slot masked has no padding to
+        // drop: its masked slots share the probability.)
+        let live = if t == 5 {
+            window
+        } else {
+            (t * 37 % window).max(1)
+        };
+        for j in 0..live {
+            let row = &mut obs[(t * window + j) * features..][..features];
+            row.iter_mut().for_each(|v| *v = lcg(&mut s) + 0.5);
+            row[features - 1] = 1.0;
+            masks[t * window + j] = 0.0;
+        }
+        let a = if t % 7 == 2 && live < window {
+            live + t % (window - live) // in the padding
+        } else {
+            t % live
+        };
+        actions.push(a);
+        kept += live.max(a + 1);
+    }
+    let adv: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
+    let old: Vec<f32> = (0..n).map(|_| -1.0 - lcg(&mut s).abs() * 3.0).collect();
+    let mut unmasked = masks.clone();
+    for t in (3..n).step_by(11) {
+        let live = (t * 37 % window).max(1);
+        unmasked[t * window + live..(t + 1) * window].fill(0.0);
+    }
+
+    let od = window * features;
+    let index: Vec<u32> = (0..n as u32).collect();
+    for (masks, all_masked) in [(&masks, true), (&unmasked, false)] {
+        for ent_coef in [0.0f32, 0.01] {
+            let what = format!("padding all masked {all_masked}, ent_coef {ent_coef}");
+            let (tape_loss, tape_sel, tape_grads) =
+                tape_policy_grads(&p, &obs, masks, &actions, &adv, &old, 0.2, ent_coef);
+            let rows = |i: usize| {
+                (
+                    &obs[i * od..(i + 1) * od],
+                    &masks[i * window..(i + 1) * window],
+                )
+            };
+            let mut scratch = FusedScratch::new();
+            let pass = fused::policy_pass(
+                &p,
+                rows,
+                &index,
+                &actions,
+                &adv,
+                &old,
+                0.2,
+                ent_coef,
+                &mut scratch,
+            );
+            assert_eq!(pass.window_rows, n * window, "{what}: window rows");
+            if all_masked {
+                assert_eq!(pass.rows, kept + 1, "{what}: scored rows");
+            } else {
+                assert!(pass.rows > kept + 1, "{what}: the chunk ran again wider");
+            }
+            assert_eq!(pass.loss, tape_loss, "{what}: loss");
+            let sel: Vec<f32> = scratch.selected_logp().collect();
+            assert_eq!(sel, tape_sel, "{what}: selected logp");
+            for (i, (f, t)) in scratch.grads().iter().zip(&tape_grads).enumerate() {
+                assert_eq!(f.data(), t.data(), "{what}: grad {i}");
             }
         }
     }

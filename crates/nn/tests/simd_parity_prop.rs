@@ -94,6 +94,69 @@ proptest! {
         assert_close(&dispatched, &scalar)?;
     }
 
+    /// Leaving rows out of `dB = Aᵀ·dC` whose `dC` row is all zero
+    /// changes no bit, as long as the kept rows keep their blocks:
+    /// `gemm_tn_blocks` over the kept rows, with every 512-row boundary
+    /// of the full product mapped to the kept row that holds it, equals
+    /// `gemm_tn` over all rows with the zero rows in place — exactly. The
+    /// left-out rows' `A` rows are not zero (like a padding row's hidden
+    /// activations), and the products span up to four row blocks.
+    #[test]
+    fn tn_over_kept_rows_with_mapped_block_ends_is_exact(
+        r in 1usize..1700,
+        m in 1usize..12,
+        n in 1usize..40,
+        seed_a in 0u64..1000,
+        seed_b in 0u64..1000,
+        drop_one_in in 1u64..5,
+    ) {
+        let a = pseudo(r, m, seed_a);
+        let mut b = pseudo(r, n, seed_b).data().to_vec();
+        // Zero about `drop_one_in - 1` of every `drop_one_in` rows of dC
+        // and leave most of those out; a few zero rows stay in.
+        let dropped: Vec<bool> = (0..r as u64)
+            .map(|i| {
+                let h = (i ^ seed_b).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                h % drop_one_in != 0
+            })
+            .collect();
+        for (row, &d) in b.chunks_mut(n).zip(&dropped) {
+            if d {
+                row.fill(0.0);
+            }
+        }
+        let left_out = |i: usize| dropped[i] && !i.is_multiple_of(5);
+
+        let mut full = vec![f32::NAN; m * n];
+        if !simd::gemm_tn(a.data(), r, m, &b, n, &mut full) {
+            simd::gemm_tn_scalar(a.data(), r, m, &b, n, &mut full);
+        }
+
+        let (mut ka, mut kb, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..r {
+            if i > 0 && i % simd::TN_BLOCK_ROWS == 0 {
+                ends.push(kb.len() / n);
+            }
+            if !left_out(i) {
+                ka.extend_from_slice(&a.data()[i * m..(i + 1) * m]);
+                kb.extend_from_slice(&b[i * n..(i + 1) * n]);
+            }
+        }
+        let kept = kb.len() / n;
+        ends.push(kept);
+        let mut compact = vec![f32::NAN; m * n];
+        if !simd::gemm_tn_blocks(&ka, m, &kb, n, ends.iter().copied(), &mut compact) {
+            simd::gemm_tn_scalar(&ka, kept, m, &kb, n, &mut compact);
+        }
+        for (i, (c, f)) in compact.iter().zip(&full).enumerate() {
+            prop_assert!(
+                c.to_bits() == f.to_bits(),
+                "element {}: kept rows {} vs all rows {} ({} of {} rows kept)",
+                i, c, f, kept, r
+            );
+        }
+    }
+
     /// The bias-seeded dense forward (shared by the inference fast path,
     /// the fused training pass and the reference tape) ≡ the portable
     /// kernel.

@@ -185,8 +185,8 @@ pub struct UpdateStats {
 
 /// Wall-clock attribution of one [`Ppo::update`], accumulated across its
 /// policy and value iterations: minibatch gather, network forwards,
-/// backward/gradient work, and the optimizer step. Filled by
-/// [`Ppo::update_profiled`].
+/// backward/gradient work, and the optimizer step — plus how many rows the
+/// policy passes scored. Filled by [`Ppo::update_profiled`].
 ///
 /// The fused pass interleaves forward and backward chunk by chunk, so it
 /// times the two halves inside every chunk and splits each pass's wall
@@ -206,6 +206,13 @@ pub struct UpdateProfile {
     pub backward: Duration,
     /// Gradient clipping + Adam step.
     pub optimizer: Duration,
+    /// Rows the policy passes' dense chains scored ([`fused::FusedPass::rows`]):
+    /// for the kernel network, the windows' job rows plus one zero row
+    /// per chunk.
+    pub policy_rows: u64,
+    /// Rows those passes would have scored over whole windows
+    /// ([`fused::FusedPass::window_rows`]).
+    pub policy_window_rows: u64,
 }
 
 impl UpdateProfile {
@@ -423,6 +430,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             );
             prof.forward += pass.forward;
             prof.backward += pass.backward;
+            prof.policy_rows += pass.rows as u64;
+            prof.policy_window_rows += pass.window_rows as u64;
 
             let kl: f64 = view
                 .logp_old

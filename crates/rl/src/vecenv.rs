@@ -7,8 +7,8 @@
 //! [`VecEnv::reset_all`] / [`VecEnv::step_all`] writing the observations
 //! and masks of every *live* env into one caller-owned `[live, obs_dim]`
 //! matrix, and the sampler scores that matrix in a single batched matmul
-//! per simulator tick (for the kernel policy the stack reshapes to
-//! `[live × K, F]` job rows — one gemm for every decision of the tick).
+//! per simulator tick (for the kernel policy the windows' job rows stack
+//! into one `[jobs, F]` matrix — one gemm for every decision of the tick).
 //!
 //! # Lockstep protocol
 //!
