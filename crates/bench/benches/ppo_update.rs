@@ -55,7 +55,8 @@ fn bench_update(c: &mut Criterion) {
     // one-worker budget: spawning workers allocates per fan-out, which is
     // thread bring-up, not the update.
     let _ = agent.ppo_mut().update(&batch);
-    let update_allocs = count_allocs(|| rayon::with_threads(1, || agent.ppo_mut().update(&batch)));
+    let update_allocs =
+        count_allocs(|| rlsched_nn::pool::with_threads(1, || agent.ppo_mut().update(&batch)));
     let rollout_allocs = count_allocs(|| rollout(&agent, &mut envs));
     let (obs, mask) = {
         let mut env = envs[0].clone();

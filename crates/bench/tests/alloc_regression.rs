@@ -340,9 +340,9 @@ fn fast_paths_do_not_regress_allocations() {
     let mut rollout_envs = VecEnv::new((0..4).map(|_| env.clone()).collect::<Vec<_>>());
     let seeds: Vec<u64> = (0..4).collect();
     let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut rollout_envs, &seeds);
-    let _ = rayon::with_threads(1, || agent.ppo_mut().update(&batch)); // warm-up iteration
+    let _ = rlsched_nn::pool::with_threads(1, || agent.ppo_mut().update(&batch)); // warm-up iteration
     let fused_allocs = count_allocs(|| {
-        rayon::with_threads(1, || agent.ppo_mut().update(&batch));
+        rlsched_nn::pool::with_threads(1, || agent.ppo_mut().update(&batch));
     });
     assert_eq!(
         fused_allocs, 0,
@@ -353,9 +353,9 @@ fn fast_paths_do_not_regress_allocations() {
     // Without minibatching the update reads the whole batch through an
     // identity index (192 rows, three chunks): the same pin holds.
     let mut full_batch = agent_of(PolicyKind::Kernel, 16, 3, None);
-    let _ = rayon::with_threads(1, || full_batch.ppo_mut().update(&batch));
+    let _ = rlsched_nn::pool::with_threads(1, || full_batch.ppo_mut().update(&batch));
     let full_batch_allocs = count_allocs(|| {
-        rayon::with_threads(1, || full_batch.ppo_mut().update(&batch));
+        rlsched_nn::pool::with_threads(1, || full_batch.ppo_mut().update(&batch));
     });
     assert_eq!(
         full_batch_allocs, 0,
@@ -370,9 +370,9 @@ fn fast_paths_do_not_regress_allocations() {
     let lenet_env = env_for(&lenet, SimConfig::default());
     let mut lenet_envs = VecEnv::new((0..4).map(|_| lenet_env.clone()).collect::<Vec<_>>());
     let (lenet_batch, _stats) = collect_rollouts_vec(lenet.ppo(), &mut lenet_envs, &seeds);
-    let _ = rayon::with_threads(1, || lenet.ppo_mut().update(&lenet_batch));
+    let _ = rlsched_nn::pool::with_threads(1, || lenet.ppo_mut().update(&lenet_batch));
     let lenet_allocs = count_allocs(|| {
-        rayon::with_threads(1, || lenet.ppo_mut().update(&lenet_batch));
+        rlsched_nn::pool::with_threads(1, || lenet.ppo_mut().update(&lenet_batch));
     });
     assert_eq!(
         lenet_allocs, 0,

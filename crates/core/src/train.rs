@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use rlsched_nn::pool;
 use rlsched_obs::{Counter, Gauge, Histogram, Registry};
 use rlsched_rl::{collect_rollouts_par, UpdateProfile, UpdateStats};
 use rlsched_sim::SimConfig;
@@ -65,8 +66,8 @@ pub struct TrainConfig {
     pub filter: FilterMode,
     /// Base seed; every epoch/trajectory derives its own stream.
     pub seed: u64,
-    /// Lockstep width cap: the epoch's seed schedule is split into the
-    /// rayon shim's fixed contiguous ranges (a function of
+    /// Lockstep width cap: the epoch's seed schedule is split into
+    /// `rlsched_nn::pool`'s fixed contiguous ranges (a function of
     /// `trajectories_per_epoch` alone) and each range steps at most this
     /// many environment slots in lockstep, slots auto-resetting onto the
     /// range's next seed as episodes finish. With ≤ 32 trajectories per
@@ -77,8 +78,7 @@ pub struct TrainConfig {
     pub n_envs: usize,
     /// Worker-thread cap for rollout collection and the PPO update. The
     /// default is the machine's core count
-    /// (`std::thread::available_parallelism`); `0` reads as `1`, and
-    /// `RLSCHED_THREADS` does not apply inside `train`. Work is
+    /// (`std::thread::available_parallelism`); `0` reads as `1`. Work is
     /// partitioned by input size alone and merged in index order, so the
     /// curve and the checkpoint are bit-identical at every value — it
     /// only bounds how many cores an epoch may use.
@@ -241,7 +241,7 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
             })
             .collect();
         let mut prof = UpdateProfile::default();
-        let (stats, update) = rayon::with_threads(cfg.n_threads, || {
+        let (stats, update) = pool::with_threads(cfg.n_threads, || {
             let (batch, stats) = {
                 rlsched_obs::span!("train.rollout");
                 collect_rollouts_par(agent.ppo(), make_env, cfg.n_envs.max(1), &seeds)

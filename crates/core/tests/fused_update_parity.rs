@@ -312,7 +312,7 @@ fn lenet_multi_chunk_update_is_thread_count_invariant() {
     let batch = batch_for(&proto, 4, 40);
     let run = |threads: usize| {
         let (_, mut a) = twins(&proto);
-        let stats = rayon::with_threads(threads, || a.ppo_mut().update(&batch));
+        let stats = rlsched_nn::pool::with_threads(threads, || a.ppo_mut().update(&batch));
         (stats, a.save_json())
     };
     let base = run(1);

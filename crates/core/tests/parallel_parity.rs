@@ -13,7 +13,9 @@
 //!    run.
 //!
 //! CI runs this suite on both kernel dispatch arms (default SIMD and
-//! `RLSCHED_FORCE_SCALAR=1`) and under `RLSCHED_THREADS=4`.
+//! `RLSCHED_FORCE_SCALAR=1`); the worker counts are swept in-process
+//! with `rlsched_nn::pool::with_threads`, which spawns real threads on
+//! any machine.
 
 use std::sync::Arc;
 
@@ -73,7 +75,7 @@ fn parallel_rollout_matches_sequential_on_scheduling_envs() {
         let (base_batch, base_stats) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
 
         for threads in [1usize, 2, 3, 7] {
-            let (batch, stats) = rayon::with_threads(threads, || {
+            let (batch, stats) = rlsched_nn::pool::with_threads(threads, || {
                 collect_rollouts_par(agent.ppo(), || env_for(&agent, 24), 3, &seeds)
             });
             let what = format!("{kind:?} at {threads} workers");
@@ -118,7 +120,7 @@ fn update_is_thread_count_invariant() {
 
     let run = |threads: usize| {
         let mut a = Agent::load_json(&proto.save_json()).expect("clone");
-        let stats = rayon::with_threads(threads, || {
+        let stats = rlsched_nn::pool::with_threads(threads, || {
             (0..3)
                 .map(|_| a.ppo_mut().update(&batch))
                 .collect::<Vec<_>>()

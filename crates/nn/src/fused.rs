@@ -24,7 +24,7 @@
 //! mask) — and an index of the row numbers to train on, so the rows stay
 //! wherever the rollout stored them. It splits the index into fixed
 //! [`SHARD_ROWS`]-row chunks (a function of the minibatch size alone)
-//! and runs each chunk **back to back** on one of the rayon shim's
+//! and runs each chunk **back to back** on one of the [`crate::pool`]
 //! workers: copy the chunk's rows, in index order, into the worker's
 //! scratch, then forward, loss tail and backward while those rows are
 //! still in cache. The copy is timed as part of the forward. State is
@@ -33,7 +33,7 @@
 //! * a per-**worker** scratch (the chunk's rows, every layer's
 //!   activations plus the gradient ping/pong buffers — megabytes for the
 //!   kernel network) serves a worker's whole contiguous run of chunks,
-//!   one after the other, so at most `rayon::current_num_threads()` of
+//!   one after the other, so at most [`pool::current_num_threads`] of
 //!   them exist however large the minibatch is;
 //! * a per-**chunk** partial (parameter gradients, loss partial sums
 //!   and the chunk's log-prob rows — kilobytes) is all that outlives the
@@ -124,12 +124,10 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
-
 use crate::infer::{self, idx4};
 use crate::layers::{Act, Conv2dLayer, Mlp};
-use crate::simd;
 use crate::tensor::Tensor;
+use crate::{pool, simd};
 
 /// Window and stride of every conv stage's max-pool.
 pub const POOL: usize = 2;
@@ -722,7 +720,7 @@ impl FusedScratch {
 
     /// Run every chunk of an `n`-transition minibatch (`od` observation
     /// values and `width` mask values and logits per transition) on the
-    /// rayon shim's workers: `forward(scratch, partial, lo, hi)` — which
+    /// [`pool`] workers: `forward(scratch, partial, lo, hi)` — which
     /// copies the chunk's rows into the worker's scratch first — and
     /// `backward(scratch, partial, lo, hi)` back to back, `[lo, hi)` being
     /// the chunk's bounds in the minibatch. Then tree-merge the gradient
@@ -751,7 +749,7 @@ impl FusedScratch {
         // its scratch for all of them, so the buffers stay in that core's
         // cache from one chunk to the next. (How chunks group onto workers
         // depends on the budget; nothing a chunk computes does.)
-        let in_flight = rayon::current_num_threads().min(n_chunks);
+        let in_flight = pool::current_num_threads().min(n_chunks);
         if self.workers.len() < in_flight {
             self.workers.resize_with(in_flight, Mutex::default);
         }
@@ -761,24 +759,21 @@ impl FusedScratch {
 
         let run = n_chunks.div_ceil(in_flight);
         let workers = &self.workers;
-        partials
-            .par_chunks_mut(run)
-            .enumerate()
-            .for_each(|(g, parts)| {
-                let w = &mut *unpoisoned(workers[g].lock());
-                for (c, part) in (g * run..).zip(parts) {
-                    let lo = c * SHARD_ROWS;
-                    let hi = (lo + SHARD_ROWS).min(n);
-                    part.forward = Duration::ZERO;
-                    let t0 = Instant::now();
-                    forward(w, part, lo, hi);
-                    let t1 = Instant::now();
-                    backward(w, part, lo, hi);
-                    let rerun = part.forward;
-                    part.forward = t1 - t0 + rerun;
-                    part.backward = t1.elapsed().saturating_sub(rerun);
-                }
-            });
+        pool::for_each_chunk_mut(partials, run, |g, parts| {
+            let w = &mut *unpoisoned(workers[g].lock());
+            for (c, part) in (g * run..).zip(parts) {
+                let lo = c * SHARD_ROWS;
+                let hi = (lo + SHARD_ROWS).min(n);
+                part.forward = Duration::ZERO;
+                let t0 = Instant::now();
+                forward(w, part, lo, hi);
+                let t1 = Instant::now();
+                backward(w, part, lo, hi);
+                let rerun = part.forward;
+                part.forward = t1 - t0 + rerun;
+                part.backward = t1.elapsed().saturating_sub(rerun);
+            }
+        });
         merge_grads(partials);
 
         let fwd: Duration = partials.iter().map(|p| p.forward).sum();
@@ -1541,7 +1536,7 @@ mod tests {
         let vrow = |i: usize| &vobs[i * 7..(i + 1) * 7];
 
         let run = |threads: usize| {
-            rayon::with_threads(threads, || {
+            pool::with_threads(threads, || {
                 let mut s = FusedScratch::new();
                 let pl = policy_pass(
                     &p, &rows, &index, &c.actions, &c.adv, &c.old, 0.2, 0.01, &mut s,

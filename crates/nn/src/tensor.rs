@@ -220,8 +220,7 @@ impl Tensor {
 
     /// Matrix product of two 2-D tensors.
     ///
-    /// The `i-k-j` loop order walks both operands contiguously; large
-    /// products (PPO update batches) split across rows with rayon.
+    /// The `i-k-j` loop order walks both operands contiguously.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let mut out = Vec::new();
         self.matmul_into(other, &mut out);
@@ -236,9 +235,7 @@ impl Tensor {
     /// resized).
     ///
     /// Dispatches to the AVX2/FMA kernel ([`simd::gemm`]) when the shape
-    /// allows, the scalar `i-k-j` loop otherwise; large products split
-    /// across row blocks with rayon either way (fixed-size chunks, so the
-    /// result is independent of thread scheduling).
+    /// allows, the scalar `i-k-j` loop otherwise.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Vec<f32>) {
         assert_eq!(self.shape.as_slice().len(), 2, "matmul lhs must be 2-D");
         assert_eq!(other.shape.as_slice().len(), 2, "matmul rhs must be 2-D");
@@ -247,25 +244,8 @@ impl Tensor {
         assert_eq!(k, k2, "matmul inner dimensions {k} vs {k2}");
         out.clear();
         out.resize(m * n, 0.0);
-
-        let block = |r0: usize, rows: usize, chunk: &mut [f32]| {
-            let a = &self.data[r0 * k..(r0 + rows) * k];
-            if !simd::gemm(a, rows, k, &other.data, n, None, chunk) {
-                simd::gemm_scalar(a, rows, k, &other.data, n, chunk);
-            }
-        };
-
-        // Parallelize only when the product is big enough to amortize the
-        // fork/join overhead (threshold ~1 Mflop). 64-row blocks keep the
-        // 4-row SIMD blocking intact within every task but the last.
-        if m * k * n >= 512 * 1024 && m >= 2 {
-            use rayon::prelude::*;
-            const ROWS_PER_TASK: usize = 64;
-            out.par_chunks_mut(ROWS_PER_TASK * n)
-                .enumerate()
-                .for_each(|(ci, chunk)| block(ci * ROWS_PER_TASK, chunk.len() / n, chunk));
-        } else {
-            block(0, m, out);
+        if !simd::gemm(&self.data, m, k, &other.data, n, None, out) {
+            simd::gemm_scalar(&self.data, m, k, &other.data, n, out);
         }
     }
 

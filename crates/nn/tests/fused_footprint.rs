@@ -60,7 +60,7 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
                 )
             };
             let index: Vec<u32> = (0..n as u32).collect();
-            rayon::with_threads(workers, || {
+            rlsched_nn::pool::with_threads(workers, || {
                 fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s)
             });
 

@@ -403,7 +403,7 @@ fn indexed_pass_equals_a_pass_over_the_rows_gathered_first() {
         };
 
         for threads in [1usize, 2, 3] {
-            let (indexed, dense) = rayon::with_threads(threads, || {
+            let (indexed, dense) = rlsched_nn::pool::with_threads(threads, || {
                 let mut si = FusedScratch::new();
                 let loss =
                     fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 0.2, 0.01, &mut si)
@@ -441,7 +441,7 @@ fn indexed_pass_equals_a_pass_over_the_rows_gathered_first() {
     let returns: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 10.0).collect();
     let dense_obs = gather(&obs, 7);
     for threads in [1usize, 2, 3] {
-        let (indexed, dense) = rayon::with_threads(threads, || {
+        let (indexed, dense) = rlsched_nn::pool::with_threads(threads, || {
             let mut si = FusedScratch::new();
             let row = |i: usize| &obs[i * 7..(i + 1) * 7];
             let loss = fused::value_pass(&critic, row, &index, &returns, &mut si).loss;
@@ -551,7 +551,7 @@ fn lenet_across_chunks_matches_tape_and_is_thread_count_invariant() {
     for n in [SHARD_ROWS + 1, 3 * SHARD_ROWS + 1] {
         let (obs, masks, actions, adv, old) = lenet_batch(n, 7 + n as u64);
         let run = |threads: usize| {
-            rayon::with_threads(threads, || {
+            rlsched_nn::pool::with_threads(threads, || {
                 let mut s = FusedScratch::new();
                 let loss = contiguous_policy_pass(
                     &p, &obs, &masks, &actions, &adv, &old, 0.2, 0.01, &mut s,

@@ -359,7 +359,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     ///
     /// Every Table IV policy trains on this one path. It has no graph
     /// nodes, allocates nothing at steady state, and gives the same bits
-    /// at any rayon worker budget. On minibatches of at most
+    /// at any `rlsched_nn::pool` worker budget. On minibatches of at most
     /// [`fused::SHARD_ROWS`] rows it reproduces the reference tape's
     /// update bit for bit (gradients, Adam state, diagnostics, the
     /// minibatch RNG stream); on larger ones it agrees to f32 tolerance
@@ -374,7 +374,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     ///
     /// Every iteration draws a row index (the whole batch in order, or a
     /// random minibatch) and runs one sweep over fixed
-    /// [`fused::SHARD_ROWS`]-row chunks of it on the rayon shim's
+    /// [`fused::SHARD_ROWS`]-row chunks of it on the `rlsched_nn::pool`
     /// workers: a chunk copies its rows out of the batch into a
     /// per-worker scratch, its forward stashes only the activations the
     /// analytic backward needs there, and its fused dlogits pass and layer

@@ -19,6 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rlsched_nn::pool;
 
 use crate::buffer::{ArrivalArena, Batch, RolloutBuffer};
 use crate::categorical::MaskedCategorical;
@@ -239,7 +240,7 @@ where
     (arena.into_batch(), stats)
 }
 
-/// Parallel rollout: partition the seed schedule into the rayon shim's
+/// Parallel rollout: partition the seed schedule into [`pool::fan_out`]'s
 /// **fixed** contiguous ranges (a function of `seeds.len()` alone, never
 /// the worker count), run one private [`VecEnv`] per range — envs built
 /// on the worker by `make_env` — and merge the per-range arenas in seed
@@ -255,9 +256,8 @@ where
 /// module's tests and `rlscheduler`'s `parallel_parity` suite.
 ///
 /// `n_envs` caps each range's lockstep width (`TrainConfig::n_envs` in
-/// `rlscheduler`); the worker-thread budget comes from the shim
-/// (`rayon::with_threads` override, else `RLSCHED_THREADS`, else
-/// `available_parallelism`).
+/// `rlscheduler`); the worker-thread budget is [`pool::current_num_threads`]
+/// (a [`pool::with_threads`] override, else `available_parallelism`).
 pub fn collect_rollouts_par<E, P, V, F>(
     ppo: &Ppo<P, V>,
     make_env: F,
@@ -272,7 +272,7 @@ where
 {
     assert!(!seeds.is_empty(), "need at least one episode seed");
     assert!(n_envs > 0, "need at least one env slot per worker");
-    let parts = rayon::fan_out(seeds.len(), |range| {
+    let parts = pool::fan_out(seeds.len(), |range| {
         let width = n_envs.min(range.len());
         let mut venv = VecEnv::new((0..width).map(|_| make_env()).collect());
         collect_arena_raw(ppo, &mut venv, &seeds[range])
@@ -385,7 +385,7 @@ mod tests {
         let seeds: Vec<u64> = (40..53).collect();
         let (base, bs) = collect_rollouts_vec(&ppo, &mut bandits(4, 5, vec![]), &seeds);
         for k in [1usize, 2, 3, 7] {
-            let (b, s) = rayon::with_threads(k, || {
+            let (b, s) = pool::with_threads(k, || {
                 collect_rollouts_par(&ppo, || BanditEnv::new(3, 5, vec![]), 3, &seeds)
             });
             assert_eq!(b.len(), base.len(), "transitions, threads={k}");

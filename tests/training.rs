@@ -117,8 +117,8 @@ fn training_yields_bit_identical_params_for_identical_seeds() {
     // and episode metrics — on whichever kernel dispatch arm is active
     // (CI runs the suite on both: default, and RLSCHED_FORCE_SCALAR=1).
     // Dispatch is decided once per process from CPU features, never from
-    // data, and the rayon matmul split uses fixed-size chunks, so thread
-    // scheduling cannot perturb a single bit.
+    // data, and the worker pool splits work by input size alone, so
+    // thread scheduling cannot perturb a single bit.
     let trace = NamedWorkload::Lublin1.generate(600, 27);
     let mut a = small_agent(9);
     let ca = train(&mut a, &trace, &train_cfg(3));
