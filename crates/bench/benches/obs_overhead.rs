@@ -14,7 +14,8 @@
 //!   weight matrices, so the deltas should disappear into noise
 //!   (≤ 2%).
 //!
-//! The criterion shim writes `BENCH_obs_overhead.json`.
+//! Run with `cargo bench -p rlsched-bench --bench obs_overhead`; the
+//! medians are printed, not saved.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -7,8 +7,7 @@
 //! purely the amortization of the policy/critic weight stream.
 //!
 //! Each measured iteration collects `n_envs × SEQ_LEN` env-steps; divide
-//! `median_ns` by that to get ns/env-step. The criterion shim emits
-//! `BENCH_rollout_throughput.json` for the harness to track.
+//! the printed median by that to get ns/env-step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -1,13 +1,12 @@
-//! Heap-allocation counting, shared by the benches and the
-//! allocation-regression tests.
+//! Heap-allocation counting for the allocation-regression tests.
 //!
 //! The crate installs [`CountingAlloc`] as the global allocator for every
 //! binary linking it (benches, tests, the repro harness): a single relaxed
 //! atomic increment per allocation, negligible next to the allocation
 //! itself. The fast paths this repo builds exist to drive
 //! allocations-per-call to zero, so the counter is the number to watch
-//! across PRs — `benches/ppo_update.rs` prints it, and
-//! `tests/alloc_regression.rs` turns it into hard regression bounds.
+//! across PRs — `tests/alloc_regression.rs` turns it into hard regression
+//! bounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

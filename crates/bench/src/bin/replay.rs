@@ -24,14 +24,12 @@
 //! backfilling (one first-fit descent per started job,
 //! `IndexedQueue::first_fit`) walks the queue.
 //!
-//! Results are appended to `BENCH_replay.json` (in `$BENCH_OUT_DIR` or
-//! the working directory) in the same `{"id": {"median_ns": …,
-//! "iters_per_sample": …}}` shape the criterion shim emits, so the CI
-//! `BENCH_*` scan picks them up unchanged: `median_ns` is the mean
-//! nanoseconds per scheduling decision, `iters_per_sample` the decision
-//! count it was averaged over.
+//! The generated traces live in `std::env::temp_dir()` for the length of
+//! the run and are removed on every exit path, errors included. Results
+//! go to stdout only.
 
 use std::io::BufWriter;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rlsched_replay::{open_swf, ReplayEngine, ReplayMetrics, ReplayPolicy, ReplayReport};
@@ -86,14 +84,24 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// A generated trace file, deleted when dropped.
+struct TempTrace(PathBuf);
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// Write the trace once, streaming straight to disk — the generator side
-/// never materializes it either.
-fn write_trace(jobs: usize, seed: u64) -> std::io::Result<std::path::PathBuf> {
-    let path = std::env::temp_dir().join(format!("rlsched_replay_{jobs}_{seed}.swf"));
+/// never materializes it either. The guard exists before the file does,
+/// so a failed write leaves nothing behind.
+fn write_trace(jobs: usize, seed: u64) -> std::io::Result<TempTrace> {
+    let trace = TempTrace(std::env::temp_dir().join(format!("rlsched_replay_{jobs}_{seed}.swf")));
     let params = LublinParams::lublin1();
     let cluster = params.cluster_size;
     let model = LublinModel::new(params);
-    let file = std::fs::File::create(&path)?;
+    let file = std::fs::File::create(&trace.0)?;
     let mut header = rlsched_swf::SwfHeader::default();
     header
         .fields
@@ -105,7 +113,7 @@ fn write_trace(jobs: usize, seed: u64) -> std::io::Result<std::path::PathBuf> {
         BufWriter::new(file),
     )
     .map_err(|e| std::io::Error::other(e.to_string()))?;
-    Ok(path)
+    Ok(trace)
 }
 
 fn replay_arm<S: Transport>(
@@ -156,28 +164,6 @@ fn small_agent(seed: u64) -> Agent {
     })
 }
 
-/// Append results in the criterion shim's report shape.
-fn write_bench_json(entries: &[(String, f64, u64)]) {
-    let out_dir = std::env::var_os("BENCH_OUT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let mut body = String::from("{\n");
-    for (i, (id, median_ns, iters)) in entries.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str(&format!(
-            "  \"{id}\": {{\"median_ns\": {median_ns:.1}, \"iters_per_sample\": {iters}}}"
-        ));
-    }
-    body.push_str("\n}\n");
-    let path = out_dir.join("BENCH_replay.json");
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("[bench report saved to {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
 fn run(args: Args) -> Result<(), String> {
     let cfg = if args.backfill {
         SimConfig::with_backfill()
@@ -188,32 +174,13 @@ fn run(args: Args) -> Result<(), String> {
         "generating {} Lublin jobs (seed {}) to a temporary SWF…",
         args.jobs, args.seed
     );
-    let path = write_trace(args.jobs, args.seed).map_err(|e| e.to_string())?;
-    let mut entries: Vec<(String, f64, u64)> = Vec::new();
-    let mut record = |tag: &str, r: &ReplayReport| {
-        let per_decision = if r.decisions == 0 {
-            0.0
-        } else {
-            r.elapsed.as_nanos() as f64 / r.decisions as f64
-        };
-        entries.push((
-            format!("replay/{tag}/ns_per_decision"),
-            per_decision,
-            r.decisions,
-        ));
-        entries.push((
-            format!("replay/{tag}/decision_p99"),
-            r.p99_ns() as f64,
-            r.decisions,
-        ));
-    };
+    let trace = write_trace(args.jobs, args.seed).map_err(|e| e.to_string())?;
 
     // Heuristic arms: the full trace, one pass each.
     for kind in [HeuristicKind::Fcfs, HeuristicKind::Sjf] {
         let mut policy: ReplayPolicy = ReplayPolicy::Heuristic(kind);
-        let r = replay_arm(&path, cfg, kind.name(), &mut policy)?;
+        let r = replay_arm(&trace.0, cfg, kind.name(), &mut policy)?;
         print_report(kind.name(), &r);
-        record(&kind.name().to_lowercase(), &r);
     }
 
     // Agent arm: in-process RL decisions. Scoring cost grows with queue
@@ -224,16 +191,16 @@ fn run(args: Args) -> Result<(), String> {
     } else {
         (args.jobs / 20).max(1_000)
     };
-    let agent_path = if agent_jobs == args.jobs {
-        path.clone()
+    let agent_trace = if agent_jobs == args.jobs {
+        None
     } else {
-        write_trace(agent_jobs, args.seed).map_err(|e| e.to_string())?
+        Some(write_trace(agent_jobs, args.seed).map_err(|e| e.to_string())?)
     };
+    let agent_path = &agent_trace.as_ref().unwrap_or(&trace).0;
     let agent = small_agent(args.seed);
-    let mut agent_policy: ReplayPolicy = ReplayPolicy::Agent(agent.stream_decider());
-    let r = replay_arm(&agent_path, cfg, "RL-agent", &mut agent_policy)?;
+    let mut agent_policy: ReplayPolicy = ReplayPolicy::Agent(agent.as_policy());
+    let r = replay_arm(agent_path, cfg, "RL-agent", &mut agent_policy)?;
     print_report("RL-agent", &r);
-    record("agent", &r);
 
     // Served arm (smoke only): decisions cross the wire to a live
     // sharded server built from the same weights, over the library
@@ -249,9 +216,8 @@ fn run(args: Args) -> Result<(), String> {
         let mut policy = ReplayPolicy::Remote(
             RemotePolicy::new(client, 16).with_local_fallback(HeuristicKind::Sjf),
         );
-        let r = replay_arm(&agent_path, cfg, "RL-served", &mut policy)?;
+        let r = replay_arm(agent_path, cfg, "RL-served", &mut policy)?;
         print_report("RL-served", &r);
-        record("served", &r);
         if args.metrics_dump {
             // Scrape the server's own registry over the wire before it
             // goes down — the shard/latency counters for the run above.
@@ -263,7 +229,6 @@ fn run(args: Args) -> Result<(), String> {
         handle.shutdown();
     }
 
-    write_bench_json(&entries);
     if args.metrics_dump {
         // The process-global registry: per-head replay ticks, decision
         // latency, throughput and peak-queue gauges.

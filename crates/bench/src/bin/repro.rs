@@ -15,7 +15,6 @@
 //!   table8              fairness (Maximal per-user bsld)
 //!   table9              computational cost
 //!   ablate-obs ablate-filter-range   design ablations
-//!   bench-trajectory    committed microbenchmark medians (BENCH_*.json)
 //!   all                 every paper experiment above, in order
 //! ```
 
@@ -63,41 +62,7 @@ fn parse_args() -> Result<Args, String> {
 
 const USAGE: &str = "usage: repro <experiment> [--full] [--seed N] [--out DIR]\n\
 experiments: table2 fig3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 \
-table5 table6 table7 table8 table9 table10 table11 ablate-obs ablate-filter-range \
-bench-trajectory all";
-
-/// The perf trajectory: every committed `BENCH_*.json` (pattern-scanned,
-/// so new benches like `BENCH_serving.json` ride along automatically) as
-/// console tables + one `results/bench_trajectory.json`, diffable across
-/// PRs without parsing bench console logs.
-fn bench_trajectory(report: &mut Report) {
-    use std::path::Path;
-    // `cargo run` starts binaries at the workspace root; `cargo bench`
-    // writes reports to the package root. Cover both cwd conventions.
-    let dir = ["crates/bench", "."]
-        .map(Path::new)
-        .into_iter()
-        .find(|d| rlsched_bench::report::list_bench_reports(d).is_ok_and(|files| !files.is_empty()))
-        .unwrap_or(Path::new("."));
-    let reports = rlsched_bench::report::load_bench_reports(dir).unwrap_or_default();
-    report.section(&format!(
-        "Microbenchmark medians ({} BENCH_*.json under {})",
-        reports.len(),
-        dir.display()
-    ));
-    for (name, entries) in &reports {
-        let rows: Vec<Vec<String>> = entries
-            .iter()
-            .map(|(id, ns)| vec![id.clone(), format!("{:.2}", ns / 1e3)])
-            .collect();
-        report.table(&[name, "median µs"], &rows);
-        let mut m = serde_json::Map::new();
-        for (id, ns) in entries {
-            m.insert(id.clone(), serde_json::to_value(ns));
-        }
-        report.record(name, serde_json::Value::Object(m));
-    }
-}
+table5 table6 table7 table8 table9 table10 table11 ablate-obs ablate-filter-range all";
 
 fn run_one(id: &str, p: &Profile, out: &str) -> Result<(), String> {
     let mut report = Report::new(id, out);
@@ -120,7 +85,6 @@ fn run_one(id: &str, p: &Profile, out: &str) -> Result<(), String> {
         "table9" => tables::table9(p, &mut report),
         "ablate-obs" => ablations::ablate_obs(p, &mut report),
         "ablate-filter-range" => ablations::ablate_filter_range(p, &mut report),
-        "bench-trajectory" => bench_trajectory(&mut report),
         other => return Err(format!("unknown experiment: {other}\n{USAGE}")),
     }
     report.save().map_err(|e| format!("saving report: {e}"))?;

@@ -8,12 +8,20 @@
 //! cargo run --release -p rlsched-bench --bin update_profile -- [reps]
 //! ```
 //!
-//! Uses the `ppo_update` bench configuration (64-job window, 5+5
-//! iterations, minibatch 512 over an 8×128-step batch) so the kernel's
-//! phase sums line up with `BENCH_ppo_update.json`'s
-//! `update_5x5_iters_mb512` median. A committed reference run lives at
+//! Each network is updated at one fixed configuration: a 64-job window,
+//! 5+5 iterations, minibatch 512 over an 8×128-step batch, on every
+//! core. A committed reference run lives at
 //! `crates/bench/PROFILE_update_phases.txt` — regenerate it when the
 //! update path changes.
+//!
+//! That file was taken on a 2-core Intel Xeon @ 2.10 GHz VM
+//! (`available_parallelism` = 2, AVX2+FMA) with `update_profile 20`,
+//! after LeNet moved onto the fused sweep: the kernel net and the LeNet
+//! CNN at this configuration with 2 workers. The binary asserts forward
+//! and backward non-zero and `total()` within 5 % of the wall. For
+//! scale, the same LeNet update on the autodiff tape it replaced
+//! measured 107 ms/update on the same VM, taken back to back with the
+//! file's 73 ms.
 
 use rlsched_rl::{collect_rollouts_vec, PpoConfig, UpdateProfile, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};

@@ -1,85 +1,11 @@
-//! Console tables and JSON result files.
-//!
-//! Two kinds of machine-readable output exist:
-//!
-//! * Experiment results — `results/<experiment>.json`, written by
-//!   [`Report::save`] from the `repro` binary's table/figure generators.
-//! * Microbenchmark medians — `BENCH_<bench-name>.json` (e.g.
-//!   `BENCH_decision_latency.json`, `BENCH_ppo_update.json`), written
-//!   automatically by the criterion shim when `cargo bench` finishes:
-//!   one entry per benchmark id with `median_ns` and the calibrated
-//!   iterations per sample. Files land in the working directory (or
-//!   `$BENCH_OUT_DIR`); committing or archiving them per PR gives a
-//!   perf trajectory that can be diffed without parsing console logs.
-//!   [`load_bench_report`] reads one back.
+//! Console tables and JSON result files for the `repro` experiments:
+//! each table/figure generator prints its tables and [`Report::save`]
+//! writes `results/<experiment>.json`.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde_json::Value;
-
-/// List every `BENCH_*.json` report in `dir`, sorted by file name.
-/// Pattern-based, so a new bench (e.g. `BENCH_serving.json` from
-/// `serving_throughput`) shows up in the perf-trajectory tooling
-/// without special-casing.
-pub fn list_bench_reports(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_file()
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    out.sort();
-    Ok(out)
-}
-
-/// One bench file's parsed trajectory entries: the bench name (file
-/// name without the `BENCH_`/`.json` wrapping) and its sorted
-/// `(benchmark id, median ns/iter)` pairs.
-pub type BenchReport = (String, Vec<(String, f64)>);
-
-/// Load every bench report in `dir` ([`list_bench_reports`] order).
-/// Files that fail to parse are skipped — one truncated artifact must
-/// not hide the rest of the trajectory.
-pub fn load_bench_reports(dir: &Path) -> std::io::Result<Vec<BenchReport>> {
-    Ok(list_bench_reports(dir)?
-        .into_iter()
-        .filter_map(|path| {
-            let name = path
-                .file_name()?
-                .to_str()?
-                .trim_start_matches("BENCH_")
-                .trim_end_matches(".json")
-                .to_string();
-            load_bench_report(&path).ok().map(|entries| (name, entries))
-        })
-        .collect())
-}
-
-/// Parse a `BENCH_<name>.json` file produced by `cargo bench` into
-/// `(benchmark id, median ns/iter)` pairs, sorted by id.
-pub fn load_bench_report(path: &Path) -> std::io::Result<Vec<(String, f64)>> {
-    let text = fs::read_to_string(path)?;
-    let v: Value = serde_json::from_str(&text)?;
-    let obj = v
-        .as_object()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "not an object"))?;
-    let mut out: Vec<(String, f64)> = obj
-        .iter()
-        .filter_map(|(k, entry)| {
-            entry
-                .get("median_ns")
-                .and_then(Value::as_f64)
-                .map(|m| (k.clone(), m))
-        })
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(out)
-}
 
 /// Collects one experiment's output: a human-readable table on stdout and
 /// a machine-readable JSON file under `results/`.
@@ -180,66 +106,6 @@ mod tests {
         let path = r.save().unwrap();
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("42"));
-    }
-
-    #[test]
-    fn bench_report_round_trip() {
-        let dir = std::env::temp_dir().join("rlsched-bench-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_unit.json");
-        std::fs::write(
-            &path,
-            "{\n  \"g/a\": {\"median_ns\": 120.5, \"iters_per_sample\": 10},\n  \"g/b\": {\"median_ns\": 80.0, \"iters_per_sample\": 5}\n}\n",
-        )
-        .unwrap();
-        let entries = load_bench_report(&path).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, "g/a");
-        assert!((entries[0].1 - 120.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn report_listing_picks_up_new_bench_files() {
-        // The serving bench's report must ride along with the existing
-        // files with zero special-casing — any BENCH_*.json counts.
-        let dir = std::env::temp_dir().join("rlsched-bench-listing-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let body = "{\n  \"g/x\": {\"median_ns\": 10.0, \"iters_per_sample\": 1}\n}\n";
-        for name in [
-            "BENCH_serving.json",
-            "BENCH_decision_latency.json",
-            "BENCH_ppo_update.json",
-        ] {
-            std::fs::write(dir.join(name), body).unwrap();
-        }
-        std::fs::write(dir.join("not_a_report.json"), "{}").unwrap();
-        std::fs::write(dir.join("BENCH_truncated.json"), "{\"oops").unwrap();
-
-        let listed = list_bench_reports(&dir).unwrap();
-        let names: Vec<_> = listed
-            .iter()
-            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                "BENCH_decision_latency.json",
-                "BENCH_ppo_update.json",
-                "BENCH_serving.json",
-                "BENCH_truncated.json"
-            ],
-            "sorted, BENCH_-prefixed only"
-        );
-
-        let loaded = load_bench_reports(&dir).unwrap();
-        let loaded_names: Vec<_> = loaded.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            loaded_names,
-            vec!["decision_latency", "ppo_update", "serving"],
-            "parse failures are skipped, wrapping stripped"
-        );
-        assert!(loaded.iter().all(|(_, e)| e.len() == 1 && e[0].1 == 10.0));
     }
 
     #[test]

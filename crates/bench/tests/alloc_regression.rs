@@ -1,6 +1,6 @@
 //! Allocation-regression tests: the zero-allocation fast paths are load
 //! bearing (they are the PR-over-PR performance story), so pin them with
-//! hard bounds from the same counting allocator the benches report with.
+//! hard bounds from the crate's counting allocator (`rlsched_bench::alloc`).
 //!
 //! Everything runs inside ONE test: the counter is process-global, so
 //! concurrent tests would inflate each other's measurements.

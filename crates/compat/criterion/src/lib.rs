@@ -1,30 +1,13 @@
 //! Offline shim for `criterion`: wall-clock micro-benchmark timing with
-//! criterion's macro/builder surface and machine-readable output.
+//! criterion's macro/builder surface.
 //!
 //! Each `bench_function` warms up, then takes `sample_size` samples (each
-//! a calibrated batch of iterations) and reports the **median ns/iter**
-//! (medians are robust to scheduler noise on shared CI runners). On exit,
-//! `criterion_main!` writes every result to `BENCH_<bench-name>.json` in
-//! the process's working directory (for `cargo bench` that is the bench's
-//! package root, e.g. `crates/bench/`), or in `$BENCH_OUT_DIR` when set —
-//! so per-PR perf trajectories can be diffed without parsing console
-//! output.
+//! a calibrated batch of iterations) and prints the **median ns/iter**
+//! (medians are robust to scheduler noise on shared CI runners). Nothing
+//! is written to disk: the repository's committed numbers come from its
+//! `benchmark/` package.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// One recorded measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// `group/function` id.
-    pub id: String,
-    /// Median nanoseconds per iteration.
-    pub median_ns: f64,
-    /// Iterations per sample used for the measurement.
-    pub iters_per_sample: u64,
-}
-
-static RESULTS: Mutex<Vec<Measurement>> = Mutex::new(Vec::new());
 
 /// Benchmark runner configuration (builder style, like upstream).
 #[derive(Debug, Clone)]
@@ -157,13 +140,14 @@ impl Bencher {
     }
 }
 
+/// Time `f` and print its median ns/iter under `id`; returns the median.
 fn run_bench<F: FnMut(&mut Bencher)>(
     id: &str,
     warm_up: Duration,
     measurement: Duration,
     sample_size: usize,
     mut f: F,
-) {
+) -> f64 {
     // Warm-up + calibration: probe single-iteration cost until the warm-up
     // budget is spent.
     let mut probe = Bencher {
@@ -205,11 +189,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         "  {id:<50} median {:>12}  ({iters} iters/sample, {sample_size} samples)",
         fmt_ns(median)
     );
-    RESULTS.lock().expect("results lock").push(Measurement {
-        id: id.to_string(),
-        median_ns: median,
-        iters_per_sample: iters,
-    });
+    median
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -227,57 +207,6 @@ fn fmt_ns(ns: f64) -> String {
 /// Prevent the optimizer from discarding a value (upstream re-export).
 pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
-}
-
-/// Where `BENCH_<name>.json` files go: `$BENCH_OUT_DIR` if set, else the
-/// current working directory.
-fn out_dir() -> std::path::PathBuf {
-    std::env::var_os("BENCH_OUT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."))
-}
-
-/// Write collected results as `BENCH_<bench-name>.json`. Called by
-/// `criterion_main!` after all groups ran.
-pub fn finalize_and_write_report() {
-    let results = RESULTS.lock().expect("results lock");
-    if results.is_empty() {
-        return;
-    }
-    // `target/…/deps/decision_latency-1a2b…` → `decision_latency`.
-    let exe = std::env::current_exe().ok();
-    let stem = exe
-        .as_ref()
-        .and_then(|p| p.file_stem())
-        .and_then(|s| s.to_str())
-        .unwrap_or("bench");
-    let name = match stem.rsplit_once('-') {
-        Some((base, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            base
-        }
-        _ => stem,
-    };
-    let mut body = String::from("{\n");
-    for (i, m) in results.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str(&format!(
-            "  \"{}\": {{\"median_ns\": {:.1}, \"iters_per_sample\": {}}}",
-            m.id.replace('"', ""),
-            m.median_ns,
-            m.iters_per_sample
-        ));
-    }
-    body.push_str("\n}\n");
-    let path = out_dir().join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("\n[bench report saved to {}]", path.display()),
-        Err(e) => eprintln!(
-            "warning: could not write bench report {}: {e}",
-            path.display()
-        ),
-    }
 }
 
 /// Define a group of benchmark functions.
@@ -300,7 +229,6 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::finalize_and_write_report();
         }
     };
 }
@@ -311,19 +239,14 @@ mod tests {
 
     #[test]
     fn measures_a_cheap_closure() {
-        let mut c = Criterion::default()
-            .warm_up_time(Duration::from_millis(5))
-            .measurement_time(Duration::from_millis(50))
-            .sample_size(5);
-        let mut group = c.benchmark_group("unit");
-        group.bench_function("noop_sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
-        group.finish();
-        let results = RESULTS.lock().unwrap();
-        let m = results
-            .iter()
-            .find(|m| m.id == "unit/noop_sum")
-            .expect("recorded");
-        assert!(m.median_ns > 0.0);
+        let median = run_bench(
+            "unit/noop_sum",
+            Duration::from_millis(5),
+            Duration::from_millis(50),
+            5,
+            |b| b.iter(|| (0..100u64).sum::<u64>()),
+        );
+        assert!(median > 0.0 && median.is_finite());
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn agent_replay_matches_as_policy_episode() {
     let mut engine = ReplayEngine::new(model.stream(250, 5), trace.max_procs(), cfg)
         .unwrap()
         .with_outcome_log();
-    let mut policy: ReplayPolicy = ReplayPolicy::Agent(agent.stream_decider());
+    let mut policy: ReplayPolicy = ReplayPolicy::Agent(agent.as_policy());
     let report = engine.run(&mut policy).unwrap();
     assert_eq!(engine.log_metrics().unwrap(), want);
     assert_eq!(report.metrics.count(), trace.len() as u64);
@@ -104,7 +104,7 @@ fn served_replay_matches_in_process_agent() {
     let mut local = ReplayEngine::new(model.stream(150, 23), trace.max_procs(), cfg)
         .unwrap()
         .with_outcome_log();
-    let mut local_policy: ReplayPolicy = ReplayPolicy::Agent(agent.stream_decider());
+    let mut local_policy: ReplayPolicy = ReplayPolicy::Agent(agent.as_policy());
     local.run(&mut local_policy).unwrap();
 
     // Over-the-wire arm against a live server with the same weights.
