@@ -1,8 +1,9 @@
 //! Table IX microbenchmarks: scheduling-decision latency for 128 pending
 //! jobs — SJF's sort-and-pick vs the RLScheduler DNN forward pass — plus
-//! the MLP v1 baseline for architecture comparison. Every network
+//! the MLP v1–v3 baselines for architecture comparison. Every network
 //! decision runs the allocation-free inference fast path (`*_fast`,
-//! `nn::infer` via `Agent::as_policy` buffers).
+//! `nn::infer` via `Agent::as_policy` buffers), one decision and a
+//! 16-view batch alike through the `[in, out]` forward training runs.
 //!
 //! The queue-scaling group also prices one streaming SJF *tick* (a
 //! decision and the `StreamSession::step` it feeds) at the same depths,
@@ -86,27 +87,22 @@ fn bench_decisions(c: &mut Criterion) {
         })
     });
 
-    let kernel = agent_of(PolicyKind::Kernel);
-    group.bench_function("rl_kernel_dnn_fast", |b| {
-        let mut policy = kernel.as_policy();
-        b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
-    });
-
-    let mlp = agent_of(PolicyKind::MlpV1);
-    group.bench_function("rl_mlp_v1_dnn_fast", |b| {
-        let mut policy = mlp.as_policy();
-        b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
-    });
-
-    // Batched multi-view scoring: 16 concurrent scheduling requests
-    // through one forward, amortizing the weight stream (divide the
-    // median by 16 for the per-decision cost).
+    // One decision through the agent head, then 16 concurrent scheduling
+    // requests through one forward, amortizing the weight stream (divide
+    // the batch median by 16 for the per-decision cost).
     let views: Vec<_> = (0..16).map(|_| decision_view(&jobs)).collect();
-    for (name, agent) in [
-        ("rl_kernel_score_batch16", &kernel),
-        ("rl_mlp_v1_score_batch16", &mlp),
+    for (kind, name) in [
+        (PolicyKind::Kernel, "kernel"),
+        (PolicyKind::MlpV1, "mlp_v1"),
+        (PolicyKind::MlpV2, "mlp_v2"),
+        (PolicyKind::MlpV3, "mlp_v3"),
     ] {
-        group.bench_function(name, |b| {
+        let agent = agent_of(kind);
+        group.bench_function(format!("rl_{name}_dnn_fast"), |b| {
+            let mut policy = agent.as_policy();
+            b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
+        });
+        group.bench_function(format!("rl_{name}_score_batch16"), |b| {
             let (mut obs, mut mask) = (Vec::new(), Vec::new());
             let mut scratch = rlsched_rl::ActorScratch::new();
             let mut actions = Vec::new();

@@ -9,11 +9,11 @@ use std::convert::Infallible;
 use serde::{Deserialize, Serialize};
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
-use rlsched_rl::{greedy_batch, ActorScratch, PolicyModel, Ppo, PpoConfig, ValueModel};
+use rlsched_rl::{ActorScratch, PolicyModel, Ppo, PpoConfig, ValueModel};
 use rlsched_sim::{MetricKind, Outcomes, Policy, QueueView, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
-use crate::nets::{PackedScorer, PolicyKind, PolicyNet, ScorerSnapshot, ValueNet};
+use crate::nets::{PolicyKind, PolicyNet, ScorerSnapshot, ValueNet};
 use crate::obs::{ObsConfig, ObsEncoder};
 use crate::reward::Objective;
 
@@ -125,8 +125,8 @@ impl Agent {
     }
 
     /// Greedy (test-time) action for a queue snapshot through
-    /// caller-owned buffers: encode, score, clamp — the unpacked decision
-    /// path, which [`RlPolicy::decide`] runs on a session's live queue.
+    /// caller-owned buffers: encode, score, clamp — the decision path
+    /// [`RlPolicy::decide`] runs on a session's live queue.
     pub fn greedy_select_with(
         &self,
         view: &QueueView<'_>,
@@ -154,8 +154,9 @@ impl Agent {
     /// batched forward: the views stack into a `[views, obs_dim]` matrix,
     /// so the policy's weight stream is amortized across all of them —
     /// what a sharded scheduling server wants for simultaneous requests.
-    /// The scoring runs through the same [`rlsched_rl::BatchPolicy`] path as training
-    /// rollouts and greedy evaluation. All buffers are caller-owned and
+    /// The scoring runs through the same
+    /// [`PolicyModel::log_probs_fast_batch`] path as training rollouts and
+    /// greedy evaluation. All buffers are caller-owned and
     /// the call is allocation-free at steady state for every policy (the
     /// CNN scores its views one image at a time through the same
     /// scratch). Since the forward kernels are row-count invariant, row
@@ -201,7 +202,7 @@ impl Agent {
     }
 
     /// A frozen, `Arc`-shared scoring replica for serving tiers (see
-    /// [`ScorerSnapshot`]): same per-architecture representation as
+    /// [`ScorerSnapshot`]): the same network and forward as
     /// [`Agent::as_policy`], so served decisions reproduce the policy
     /// adapter's bits exactly. Re-take after training; a live server
     /// hot-swaps the fresh snapshot in without dropping requests.
@@ -216,12 +217,9 @@ impl Agent {
     /// Borrow the agent as its decision head (inference only): a
     /// [`Policy`] for `run_episode` and the replay engine. The head owns
     /// encode and network scratch buffers and reads the session's wait
-    /// queue in place, so repeated decisions allocate nothing. Flat-MLP
-    /// policies also take a weight-transposed [`PackedScorer`] snapshot
-    /// here (safe: the borrow freezes the agent's weights for the head's
-    /// lifetime) so their decisions run the cache-friendly transposed
-    /// layout — through the same [`rlsched_rl::BatchPolicy`] scoring path
-    /// as batch serving.
+    /// queue in place, so repeated decisions allocate nothing. Every
+    /// architecture decides through [`Agent::score`], the forward that
+    /// batch serving and lockstep evaluation run a row at a time.
     pub fn as_policy(&self) -> RlPolicy<'_> {
         RlPolicy {
             agent: self,
@@ -229,8 +227,6 @@ impl Agent {
             scratch: ActorScratch::new(),
             obs: Vec::new(),
             mask: Vec::new(),
-            packed: self.ppo.policy.packed_scorer(),
-            actions: Vec::new(),
         }
     }
 
@@ -281,18 +277,13 @@ impl Agent {
 
 /// A trained agent's decision head: selects greedily, no exploration
 /// (§IV-B1's test path). Owns the encode and inference buffers, so
-/// steady-state decisions are allocation-free. For flat-MLP agents it also
-/// carries a weight-transposed [`PackedScorer`] snapshot (taken while the
-/// agent borrow freezes the weights) and serves decisions through it as
-/// 1-row [`rlsched_rl::BatchPolicy`] scoring calls.
+/// steady-state decisions are allocation-free.
 pub struct RlPolicy<'a> {
     agent: &'a Agent,
     name: String,
     scratch: ActorScratch,
     obs: Vec<f32>,
     mask: Vec<f32>,
-    packed: Option<PackedScorer>,
-    actions: Vec<usize>,
 }
 
 impl RlPolicy<'_> {
@@ -318,26 +309,7 @@ impl RlPolicy<'_> {
             &mut self.obs,
             &mut self.mask,
         );
-        let action = match &self.packed {
-            // Transposed-layout serving path: same encode, same masked
-            // log-softmax tail, but the dense forwards read `[out, in]`
-            // weights as contiguous dot products (NT kernel), batch size
-            // 1. The packed accumulation order can differ from the
-            // unpacked one in the last few ulps, so decisions match the
-            // unpacked path except on floating-point near-ties.
-            Some(packed) => {
-                greedy_batch(
-                    packed,
-                    &self.obs,
-                    &self.mask,
-                    1,
-                    &mut self.scratch,
-                    &mut self.actions,
-                );
-                self.actions[0]
-            }
-            None => self.agent.score(&self.obs, &self.mask, &mut self.scratch),
-        };
+        let action = self.agent.score(&self.obs, &self.mask, &mut self.scratch);
         Agent::clamp_to_queue(queue_len, action)
     }
 }

@@ -5,22 +5,23 @@
 //! A serving tier must never install a checkpoint it cannot trust. The
 //! all-finite weight walk ([`crate::ScorerSnapshot::all_finite`]) catches
 //! NaN/Inf poisoning; the canary catches everything subtler — a snapshot
-//! taken from the wrong agent, a stale pack, a representation bug, a
-//! dimension drift — by demanding the proposed [`ScorerSnapshot`]
-//! reproduce, bit for bit, the decisions the agent's in-process
-//! [`Agent::as_policy`] path makes on a known batch. The expected actions
-//! are computed through [`Agent::scorer_snapshot`] scoring, which the
-//! serve parity suite pins as bit-identical to `as_policy` for every
-//! architecture on both dispatch arms — so a canary pass certifies the
-//! proposed snapshot scores exactly like the agent it claims to come
+//! taken from the wrong agent, a stale copy, a dimension drift — by
+//! demanding the proposed [`ScorerSnapshot`] reproduce, bit for bit, the
+//! decisions the agent's in-process [`Agent::as_policy`] path makes on a
+//! known batch. The expected actions are computed by the agent's own
+//! policy network through the batched forward a snapshot scores with,
+//! which the serve parity suite pins as bit-identical to `as_policy` for
+//! every architecture on both dispatch arms — so a canary pass certifies
+//! the proposed snapshot scores exactly like the agent it claims to come
 //! from.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlsched_rl::{greedy_batch, ActorScratch};
+use rlsched_nn::Scratch;
+use rlsched_rl::{MaskedCategorical, PolicyModel};
 
 use crate::agent::Agent;
-use crate::nets::ScorerSnapshot;
+use crate::nets::{PolicyNet, ScorerSnapshot};
 use crate::obs::{QueueSnapshot, SnapshotJob};
 
 /// Why a canary probe rejected a candidate snapshot.
@@ -139,10 +140,8 @@ impl CanaryBatch {
             obs_dim: encoder.obs_dim(),
             n_actions: encoder.n_actions(),
         };
-        let mut scratch = ActorScratch::new();
-        let mut actions = Vec::new();
-        canary.score(&agent.scorer_snapshot(), &mut scratch, &mut actions);
-        canary.expected = actions;
+        let logp = canary.log_probs(&agent.ppo().policy);
+        canary.expected = canary.actions(&logp).collect();
         canary
     }
 
@@ -163,19 +162,26 @@ impl CanaryBatch {
         )
     }
 
-    fn score(&self, scorer: &ScorerSnapshot, scratch: &mut ActorScratch, actions: &mut Vec<usize>) {
-        greedy_batch(
-            scorer,
+    /// Every row's masked log-probs through one batched forward of `net`.
+    fn log_probs(&self, net: &PolicyNet) -> Vec<f32> {
+        let mut logp = Vec::new();
+        net.log_probs_fast_batch(
             &self.obs,
             &self.masks,
             self.rows(),
-            scratch,
-            actions,
+            &mut Scratch::new(),
+            &mut logp,
         );
-        for (a, &qlen) in actions.iter_mut().zip(&self.queue_lens) {
-            // The same defensive clamp as Agent::as_policy / ShardEngine.
-            *a = (*a).min(qlen.saturating_sub(1));
-        }
+        logp
+    }
+
+    /// Each row's greedy action from its log-probs: the masked argmax
+    /// `greedy_batch` takes, then the same defensive clamp as
+    /// `Agent::as_policy` / `ShardEngine`.
+    fn actions<'a>(&'a self, logp: &'a [f32]) -> impl Iterator<Item = usize> + 'a {
+        logp.chunks(self.n_actions)
+            .zip(&self.queue_lens)
+            .map(|(row, &qlen)| MaskedCategorical::new(row).argmax().min(qlen.saturating_sub(1)))
     }
 
     /// Validate a candidate snapshot: dimensions must match, every scored
@@ -189,25 +195,14 @@ impl CanaryBatch {
                 got: (candidate.obs_dim(), candidate.n_actions()),
             });
         }
-        let mut scratch = ActorScratch::new();
+        let logp = self.log_probs(candidate.net());
         // Finite-logit gate first: argmax over NaNs is not meaningful.
-        let mut logp = Vec::new();
-        use rlsched_rl::BatchPolicy;
-        candidate.log_probs_batch(
-            &self.obs,
-            &self.masks,
-            self.rows(),
-            &mut scratch.nn,
-            &mut logp,
-        );
         for (row, chunk) in logp.chunks(self.n_actions).enumerate() {
             if chunk.iter().any(|v| !v.is_finite()) {
                 return Err(CanaryError::NonFiniteLogits { row });
             }
         }
-        let mut actions = Vec::new();
-        self.score(candidate, &mut scratch, &mut actions);
-        for (row, (&got, &want)) in actions.iter().zip(&self.expected).enumerate() {
+        for (row, (got, &want)) in self.actions(&logp).zip(&self.expected).enumerate() {
             if got != want {
                 return Err(CanaryError::Mismatch { row, want, got });
             }
@@ -282,11 +277,11 @@ mod tests {
 
     #[test]
     fn nan_poisoned_snapshot_fails_finite_gates() {
-        // Poison both serving representations: the kernel policy snapshots
-        // as an unpacked net, MLP v1 as a transposed pack. Poison the
-        // OUTPUT layer: a hidden-layer NaN is swallowed by ReLU
-        // (max(NaN, 0.0) == 0.0), which is exactly why all_finite is the
-        // primary gate and the logit check only a backstop.
+        // Poison both network families, the kernel policy's per-job MLP
+        // and MLP v1's flat one, in the OUTPUT layer: a hidden-layer NaN
+        // is swallowed by ReLU (max(NaN, 0.0) == 0.0), which is exactly
+        // why all_finite is the primary gate and the logit check only a
+        // backstop.
         for kind in [PolicyKind::Kernel, PolicyKind::MlpV1] {
             let a = agent(kind, 5);
             let canary = CanaryBatch::probe(&a, 16, 11);

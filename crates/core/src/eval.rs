@@ -54,16 +54,14 @@ pub fn evaluate_policy<P: Policy>(
 /// Evaluate a trained agent greedily over every window **in lockstep**:
 /// one [`SchedulingEnv`] per window, all live windows' decision points
 /// stacked into one matrix and scored through a single batched policy
-/// forward per simulator tick — the same [`rlsched_rl::BatchPolicy`]
-/// path training rollouts and batch serving use. Windows that finish
-/// early retire from the stack; per-window metrics come back in window
-/// order.
+/// forward per simulator tick — the same
+/// [`rlsched_rl::PolicyModel::log_probs_fast_batch`] path training
+/// rollouts and batch serving use. Windows that finish early retire from
+/// the stack; per-window metrics come back in window order.
 ///
 /// Decisions are bit-identical to the sequential
-/// [`evaluate_policy`]-with-[`Agent::as_policy`] protocol for unpacked
-/// architectures (the kernel policy and the CNN); flat-MLP agents serve
-/// `as_policy` through the weight-transposed pack, which may differ on
-/// floating-point near-ties.
+/// [`evaluate_policy`]-with-[`Agent::as_policy`] protocol for every
+/// architecture: the forward kernels are row-count invariant.
 pub fn evaluate_agent(agent: &Agent, windows: &[JobTrace], sim: SimConfig) -> Vec<EpisodeMetrics> {
     assert!(!windows.is_empty(), "need at least one evaluation window");
     let envs: Vec<SchedulingEnv> = windows

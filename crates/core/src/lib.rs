@@ -76,8 +76,7 @@ pub use env::SchedulingEnv;
 pub use eval::{evaluate_agent, evaluate_policy, mean_metric, sample_eval_windows};
 pub use filter::TrajectoryFilter;
 pub use nets::{
-    FlatMlpPolicy, KernelPolicy, LeNetPolicy, PackedScorer, PolicyKind, PolicyNet, ScorerSnapshot,
-    ValueNet,
+    FlatMlpPolicy, KernelPolicy, LeNetPolicy, PolicyKind, PolicyNet, ScorerSnapshot, ValueNet,
 };
 pub use obs::{ObsConfig, ObsEncoder, QueueSnapshot, SnapshotJob, JOB_FEATURES};
 pub use reward::Objective;

@@ -14,14 +14,16 @@
 //! * [`ValueNet`] — the critic (Fig 6): an MLP over the flattened
 //!   observation.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy, FusedPolicyMut};
 use rlsched_nn::infer;
-use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp, PackedMlp, Scratch};
-use rlsched_rl::{BatchPolicy, PolicyModel, ValueModel};
+use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp, Scratch};
+use rlsched_rl::{PolicyModel, ValueModel};
 
 use crate::obs::JOB_FEATURES;
 
@@ -226,15 +228,6 @@ impl FlatMlpPolicy {
         FlatMlpPolicy {
             net: Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng),
         }
-    }
-
-    /// A weight-transposed snapshot for the single-row serving path: the
-    /// flat MLP streams its full weight matrix (≈458 KB for v1 at
-    /// `max_obsv` 128) per decision, and the `[out, in]` layout reads it
-    /// with full cache-line use. The pack does not track later weight
-    /// updates — take it only while the policy is frozen.
-    pub fn packed(&self) -> PackedMlp {
-        PackedMlp::pack(&self.net)
     }
 }
 
@@ -495,24 +488,6 @@ impl PolicyNet {
             PolicyKind::LeNet => PolicyNet::LeNet(LeNetPolicy::new(max_obsv, seed)),
         }
     }
-
-    /// Weight-transposed snapshot for the serving path, for the
-    /// architectures where the layout pays off: the flat MLPs stream
-    /// hundreds of KB of weights per decision. The kernel network's
-    /// weights are L1-resident (layout is irrelevant) and the CNN is not
-    /// dense-dominated, so those return `None` and serve unpacked.
-    pub fn packed(&self) -> Option<PackedMlp> {
-        match self {
-            PolicyNet::Mlp(p) => Some(p.packed()),
-            PolicyNet::Kernel(_) | PolicyNet::LeNet(_) => None,
-        }
-    }
-
-    /// [`PolicyNet::packed`] wrapped as a [`BatchPolicy`] scorer, serving
-    /// single decisions and coalesced batches through one code path.
-    pub fn packed_scorer(&self) -> Option<PackedScorer> {
-        self.packed().map(PackedScorer::new)
-    }
 }
 
 impl PolicyModel for PolicyNet {
@@ -559,90 +534,38 @@ impl PolicyModel for PolicyNet {
     }
 }
 
-/// A weight-transposed serving scorer: a [`PackedMlp`] snapshot behind
-/// the [`BatchPolicy`] interface, so the packed `[out, in]` layout serves
-/// single decisions (`rows == 1`) and coalesced batches through the
-/// *same* code path as every other scorer. The NT kernel computes each
-/// output row independently, so batch size never changes a row's bits.
+/// A frozen, shareable scoring replica for serving tiers: the policy
+/// network behind an [`Arc`], so a sharded server replicates it per worker
+/// thread at pointer cost. It scores through the network's own
+/// [`PolicyModel::log_probs_fast_batch`], the path
+/// [`crate::Agent::as_policy`], `score_batch` and `evaluate_agent` run, so
+/// a served decision is **bit-identical** to the in-process one, batch by
+/// batch, row by row (the forward kernels are row-count invariant).
 ///
-/// A pack is a snapshot: build it while the agent's weights are frozen
-/// (e.g. for the lifetime of a borrowed serving policy) and rebuild
-/// after training.
-#[derive(Debug, Clone)]
-pub struct PackedScorer {
-    packed: PackedMlp,
-}
-
-impl PackedScorer {
-    /// Wrap a packed network whose final layer emits one logit per
-    /// action slot.
-    pub fn new(packed: PackedMlp) -> Self {
-        PackedScorer { packed }
-    }
-
-    /// Action-slot count (the packed head width).
-    pub fn n_actions(&self) -> usize {
-        self.packed.out_dim()
-    }
-}
-
-impl BatchPolicy for PackedScorer {
-    fn log_probs_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        self.packed.forward(obs, rows, scratch, out);
-        mask_and_log_softmax_rows(out, masks, rows, self.packed.out_dim());
-    }
-}
-
-/// A frozen, shareable scoring replica for serving tiers: the policy's
-/// weights behind an [`Arc`](std::sync::Arc), so a sharded server
-/// replicates it per worker thread at pointer cost. Architecture
-/// selection matches [`crate::Agent::as_policy`] exactly — flat MLPs
-/// serve through the weight-transposed [`PackedScorer`], the kernel
-/// policy and the CNN through their unpacked fast paths — so decisions
-/// scored through a snapshot are **bit-identical** to the in-process
-/// decision head's, batch by batch, row by row (the forward kernels are
-/// row-count invariant).
-///
-/// Like a [`PackedScorer`] pack, a snapshot does not track later weight
-/// updates: take it from a frozen agent and re-take after training (a
-/// serving tier hot-swaps the new snapshot in).
+/// A snapshot does not track later weight updates: take it from a frozen
+/// agent and re-take after training (a serving tier hot-swaps the new
+/// snapshot in).
 #[derive(Debug, Clone)]
 pub struct ScorerSnapshot {
-    repr: std::sync::Arc<ScorerRepr>,
+    net: Arc<PolicyNet>,
     obs_dim: usize,
     n_actions: usize,
-}
-
-// One instance per snapshot, always behind the Arc; boxing buys nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum ScorerRepr {
-    /// Weight-transposed pack (flat MLPs — the weight-streaming case).
-    Packed(PackedScorer),
-    /// Unpacked replica (kernel policy / CNN — L1-resident or conv).
-    Net(PolicyNet),
 }
 
 impl ScorerSnapshot {
     /// Snapshot a policy network. `obs_dim` is the flattened observation
     /// width the net was built for (`max_obsv × JOB_FEATURES`).
     pub fn new(net: &PolicyNet, obs_dim: usize, n_actions: usize) -> Self {
-        let repr = match net.packed_scorer() {
-            Some(p) => ScorerRepr::Packed(p),
-            None => ScorerRepr::Net(net.clone()),
-        };
         ScorerSnapshot {
-            repr: std::sync::Arc::new(repr),
+            net: Arc::new(net.clone()),
             obs_dim,
             n_actions,
         }
+    }
+
+    /// The network the snapshot scores through.
+    pub fn net(&self) -> &PolicyNet {
+        &self.net
     }
 
     /// Flattened observation width a request row must have.
@@ -655,39 +578,15 @@ impl ScorerSnapshot {
         self.n_actions
     }
 
-    /// True when this snapshot serves through the transposed pack.
-    pub fn is_packed(&self) -> bool {
-        matches!(*self.repr, ScorerRepr::Packed(_))
-    }
-
     /// True when every weight in the snapshot is a finite float. The
     /// first gate of a serving tier's checkpoint validation: a NaN/Inf
     /// anywhere in the parameters poisons every logit it touches, so a
     /// non-finite snapshot must be rejected before it can go live.
     pub fn all_finite(&self) -> bool {
-        match &*self.repr {
-            ScorerRepr::Packed(p) => p.packed.all_finite(),
-            ScorerRepr::Net(n) => n
-                .params()
-                .iter()
-                .all(|t| t.data().iter().all(|v| v.is_finite())),
-        }
-    }
-}
-
-impl BatchPolicy for ScorerSnapshot {
-    fn log_probs_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        match &*self.repr {
-            ScorerRepr::Packed(p) => p.log_probs_batch(obs, masks, rows, scratch, out),
-            ScorerRepr::Net(n) => n.log_probs_fast_batch(obs, masks, rows, scratch, out),
-        }
+        self.net
+            .params()
+            .iter()
+            .all(|t| t.data().iter().all(|v| v.is_finite()))
     }
 }
 
@@ -698,7 +597,6 @@ impl BatchPolicy for ScorerSnapshot {
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<ScorerSnapshot>();
-    assert_send_sync::<PackedScorer>();
     assert_send_sync::<PolicyNet>();
     assert_send_sync::<ValueNet>();
 };

@@ -105,17 +105,22 @@ fn lockstep_width_does_not_change_trajectories() {
 }
 
 /// The batched greedy evaluator must schedule exactly like the
-/// per-decision `Policy` head for unpacked architectures (the kernel
-/// policy serves unpacked, so the two paths share every bit).
+/// per-decision `Policy` head for every architecture: both score through
+/// the policy's own forward, and the kernels are row-count invariant.
 #[test]
 fn batched_greedy_eval_matches_sequential_protocol() {
-    let agent = agent_of(PolicyKind::Kernel, 16);
     let trace = NamedWorkload::Lublin1.generate(500, 3);
     let windows = sample_eval_windows(&trace, 4, 60, 77);
-    let sequential = evaluate_policy(&windows, SimConfig::default(), &mut agent.as_policy());
-    let batched = evaluate_agent(&agent, &windows, SimConfig::default());
-    assert_eq!(
-        sequential, batched,
-        "lockstep evaluation must reproduce the paper's protocol exactly"
-    );
+    for kind in PolicyKind::all() {
+        // LeNet's smallest window is 64 jobs.
+        let agent = agent_of(kind, 64);
+        let sequential = evaluate_policy(&windows, SimConfig::default(), &mut agent.as_policy());
+        let batched = evaluate_agent(&agent, &windows, SimConfig::default());
+        assert_eq!(
+            sequential,
+            batched,
+            "{}: lockstep evaluation must reproduce the paper's protocol exactly",
+            kind.name()
+        );
+    }
 }

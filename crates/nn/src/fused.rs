@@ -962,8 +962,8 @@ fn backward_layers(
             Act::Sigmoid => g.dpre.extend(pairs.map(|(&g, &yv)| g * yv * (1.0 - yv))),
         }
 
-        // dX = dpre · Wᵀ. The NT dot kernel is hsum-bound at these widths,
-        // so transpose W (tiny) and run the broadcast gemm.
+        // dX = dpre · Wᵀ: transpose W (tiny) and run the broadcast gemm;
+        // the scalar arm runs the NT dot loop.
         let dx_needed = l > 0 || dx0;
         if dx_needed {
             let dx = &mut g.dy2;

@@ -18,19 +18,14 @@
 //! else falls back to the portable loop. Setting `RLSCHED_FORCE_SCALAR`
 //! pins every caller to the scalar arm.
 //!
-//! Weight layout is `[in, out]` row-major everywhere. That layout is
-//! ideal with many input rows (each weight row broadcasts across the row
-//! block) but wastes cache-line bandwidth for a *single* row streaming a
-//! large matrix — the MLP v1 serving case. [`PackedMlp`] covers it: a
-//! weight-transposed (`[out, in]`) copy of an `Mlp` whose single-row
-//! forward runs each output as one contiguous dot product on the NT
-//! kernel. Pack once while weights are frozen (e.g. for the lifetime of a
-//! borrowed serving policy); a pack is a snapshot, not a view.
+//! Weight layout is `[in, out]` row-major everywhere, for one decision
+//! and for a stacked batch alike, and the kernels are row-count
+//! invariant: row `i` of a stacked forward is bit-identical to a forward
+//! of row `i` alone.
 //!
 //! Numerics: the SIMD kernels fuse multiply-adds and reorder the
 //! accumulation, so outputs can differ from the scalar arm in the last
-//! few ulps; the masked-argmax decision agrees except on floating-point
-//! near-ties (see the `infer_parity` property tests in `rlscheduler`).
+//! few ulps. Within one arm every caller computes the same bits.
 //!
 //! The functions are free-standing and layer-shaped (dense / conv /
 //! pool / log-softmax) so downstream crates can compose them for any
@@ -121,124 +116,6 @@ pub fn reserve_rows(mlp: &Mlp, rows: usize, scratch: &mut Scratch, out: &mut Vec
     fit(&mut scratch.a, rows * widest);
     fit(&mut scratch.b, rows * widest);
     fit(out, rows * last[0].out_dim());
-}
-
-/// One layer of a [`PackedMlp`]: weights stored transposed (`[out, in]`
-/// row-major) so a single-row forward reads each output's weights as one
-/// contiguous dot product.
-#[derive(Debug, Clone)]
-struct PackedDense {
-    wt: Vec<f32>,
-    b: Vec<f32>,
-    in_dim: usize,
-    out_dim: usize,
-}
-
-/// A weight-transposed snapshot of an [`Mlp`] for single-row inference.
-///
-/// The standard `[in, out]` layout streams a large weight matrix with
-/// partial cache-line use when there is only one input row (the flat
-/// MLP v1 serving case: ~458 KB per decision). Packing the weights
-/// `[out, in]` turns every output into a contiguous dot product on the
-/// [`crate::simd::gemm_nt`] kernel.
-///
-/// A pack is a *copy*: it does not observe later weight updates. Pack
-/// while the network is frozen (e.g. for the lifetime of a serving
-/// policy that borrows its agent immutably) and repack after training.
-#[derive(Debug, Clone)]
-pub struct PackedMlp {
-    layers: Vec<PackedDense>,
-    hidden: Activation,
-    output: Activation,
-}
-
-impl PackedMlp {
-    /// Snapshot `mlp` with every weight matrix transposed.
-    pub fn pack(mlp: &Mlp) -> Self {
-        let layers = mlp
-            .layers
-            .iter()
-            .map(|layer| {
-                let (din, dout) = (layer.in_dim(), layer.out_dim());
-                let mut wt = vec![0.0f32; din * dout];
-                simd::transpose(layer.w.data(), din, dout, &mut wt);
-                PackedDense {
-                    wt,
-                    b: layer.b.data().to_vec(),
-                    in_dim: din,
-                    out_dim: dout,
-                }
-            })
-            .collect();
-        PackedMlp {
-            layers,
-            hidden: mlp.hidden,
-            output: mlp.output,
-        }
-    }
-
-    /// Output width of the packed network.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim
-    }
-
-    /// True when every packed weight and bias is a finite float — the
-    /// checkpoint-validation guard a serving tier runs before installing
-    /// a pack (a NaN/Inf-poisoned checkpoint must never go live).
-    pub fn all_finite(&self) -> bool {
-        self.layers
-            .iter()
-            .all(|l| l.wt.iter().chain(&l.b).all(|v| v.is_finite()))
-    }
-
-    /// Forward one input row; the final activations land in `out`.
-    /// Allocation-free at steady state (scratch and `out` only grow to
-    /// their high-water mark).
-    pub fn forward_row(&self, x: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        self.forward(x, 1, scratch, out);
-    }
-
-    /// Forward `rows` stacked input rows (`[rows, in]` row-major); the
-    /// final activations land in `out` (`[rows, out_dim]`). The NT kernel
-    /// computes every output as an independent contiguous dot product, so
-    /// row `i` of the result is bit-identical to [`PackedMlp::forward_row`]
-    /// on row `i` alone — a packed scorer can serve one request or a
-    /// coalesced batch through the same arithmetic. Allocation-free at
-    /// steady state.
-    pub fn forward(&self, x: &[f32], rows: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i == last { self.output } else { self.hidden };
-            if i == 0 {
-                let dst = if last == 0 { &mut *out } else { &mut scratch.a };
-                dense_t(x, rows, layer, act, dst);
-            } else if i == last {
-                dense_t(&scratch.a, rows, layer, act, out);
-            } else {
-                let Scratch { a, b: pong, .. } = scratch;
-                dense_t(a, rows, layer, act, pong);
-                std::mem::swap(&mut scratch.a, &mut scratch.b);
-            }
-        }
-    }
-}
-
-/// Dense forward over transposed (`[out, in]`) weights: each output is
-/// one contiguous dot product (the NT kernel), bias added after the dot.
-/// Per-row arithmetic is independent of `rows`.
-fn dense_t(x: &[f32], rows: usize, layer: &PackedDense, act: Activation, out: &mut Vec<f32>) {
-    debug_assert_eq!(x.len(), rows * layer.in_dim, "input volume");
-    out.clear();
-    out.resize(rows * layer.out_dim, 0.0);
-    if !simd::gemm_nt(x, rows, layer.in_dim, &layer.wt, layer.out_dim, out) {
-        simd::gemm_nt_scalar(x, rows, layer.in_dim, &layer.wt, layer.out_dim, out);
-    }
-    for row in out.chunks_mut(layer.out_dim) {
-        for (o, &b) in row.iter_mut().zip(&layer.b) {
-            *o += b;
-        }
-    }
-    act.to_act().apply_slice(out);
 }
 
 /// Single-dense-layer convenience over a [`Dense`].
@@ -480,59 +357,31 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn packed_mlp_matches_unpacked_forward() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mlp = Mlp::new(
-            &[9, 24, 13, 5],
-            Activation::Relu,
-            Activation::Identity,
-            &mut rng,
-        );
-        let x: Vec<f32> = (0..9)
-            .map(|i| ((i * 11 % 23) as f32 - 11.0) * 0.07)
-            .collect();
-
-        let mut scratch = Scratch::new();
-        let mut plain = Vec::new();
-        mlp_forward(&mlp, &x, 1, &mut scratch, &mut plain);
-
-        let packed = PackedMlp::pack(&mlp);
-        assert_eq!(packed.out_dim(), 5);
-        let mut fast = Vec::new();
-        packed.forward_row(&x, &mut scratch, &mut fast);
-        // The NT kernel reorders the accumulation vs the broadcast kernel,
-        // so compare within ulp-scale tolerance.
-        assert_eq!(fast.len(), plain.len());
-        for (a, b) in fast.iter().zip(&plain) {
-            assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn packed_batch_forward_matches_rows() {
+    fn mlp_batch_forward_matches_rows() {
+        // Widths that reach the one-row remainder's 64- and 32-column
+        // tiles in a single-row forward and the 4-row blocks in a batch.
         let mut rng = StdRng::seed_from_u64(23);
         let mlp = Mlp::new(
-            &[11, 24, 16, 6],
+            &[11, 72, 40, 6],
             Activation::Relu,
             Activation::Identity,
             &mut rng,
         );
-        let packed = PackedMlp::pack(&mlp);
         let rows = 5;
         let x: Vec<f32> = (0..rows * 11)
             .map(|i| ((i * 19 % 31) as f32 - 15.0) * 0.04)
             .collect();
         let mut scratch = Scratch::new();
         let mut batched = Vec::new();
-        packed.forward(&x, rows, &mut scratch, &mut batched);
+        mlp_forward(&mlp, &x, rows, &mut scratch, &mut batched);
         assert_eq!(batched.len(), rows * 6);
         let mut single = Vec::new();
         for r in 0..rows {
-            packed.forward_row(&x[r * 11..(r + 1) * 11], &mut scratch, &mut single);
+            mlp_forward(&mlp, &x[r * 11..(r + 1) * 11], 1, &mut scratch, &mut single);
             assert_eq!(
                 &batched[r * 6..(r + 1) * 6],
                 single.as_slice(),
-                "packed row {r} must not depend on batch size"
+                "row {r} must not depend on batch size"
             );
         }
     }

@@ -38,13 +38,13 @@ pub mod serialize;
 pub mod simd;
 pub mod tensor;
 
-pub use infer::{PackedMlp, Scratch};
+pub use infer::Scratch;
 pub use layers::{Act, Activation, Conv2dLayer, Dense, Mlp, Network};
 pub use optim::{clip_global_norm, Adam};
 pub use tensor::Tensor;
 
-// Serving tiers replicate weight snapshots across shard threads
-// (`Arc<PackedMlp>` / cloned `Mlp`s) and keep one `Scratch` per worker.
+// Serving tiers share weight snapshots across shard threads (an `Arc`
+// of the policy's `Mlp`s) and keep one `Scratch` per worker.
 // Everything here is plain owned `Vec<f32>` data — no interior
 // mutability, no thread affinity — and these compile-time bounds keep it
 // that way: adding an `Rc`/`Cell` field anywhere below now fails to
@@ -55,7 +55,6 @@ const _: () = {
     assert_send_sync::<Dense>();
     assert_send_sync::<Conv2dLayer>();
     assert_send_sync::<Mlp>();
-    assert_send_sync::<PackedMlp>();
     assert_send_sync::<Scratch>();
 };
 

@@ -17,20 +17,18 @@
 //! * Each `gemm*` entry point returns `false` (having written nothing)
 //!   when it does not dispatch; the caller then runs the matching
 //!   `*_scalar` reference kernel. [`gemm`]/[`gemm_tn`] need at least 8
-//!   output columns to fill a vector lane; [`gemm_nt`] needs an inner
-//!   dimension of at least 8. Ragged shapes are handled with scalar
-//!   column/row tails inside the SIMD kernels.
+//!   output columns to fill a vector lane. Ragged shapes are handled with
+//!   scalar column/row tails inside the SIMD kernels.
+//! * `C = A·Bᵀ` ([`gemm_nt_scalar`]) has no SIMD arm: the dense backward
+//!   transposes its small weight matrix and runs [`gemm`] instead.
 //!
-//! # Layout rules
+//! # Layout
 //!
-//! All matrices are dense row-major `f32`. [`gemm`] walks `B` row-major
-//! (broadcast-A × row-of-B), which is the natural layout for `[in, out]`
-//! weight matrices with many input rows. For a *single* input row that
-//! access pattern touches every cache line of `B` but uses only part of
-//! each; the transposed layout (`B` stored `[n, k]`, each output one
-//! contiguous dot product) fixes that, and is exactly what [`gemm_nt`]
-//! computes — see [`crate::infer::PackedMlp`] for the rows==1 serving
-//! path that packs weights transposed and runs on the NT kernel.
+//! All matrices are dense row-major `f32`, and every weight matrix is
+//! `[in, out]`. [`gemm`] walks `B` row-major (broadcast-A × row-of-B);
+//! a single input row streams each weight row through up to eight vector
+//! accumulators (64 columns at a time, prefetched a few rows ahead), so
+//! one decision and a stacked batch run the same `[in, out]` weights.
 //!
 //! # Numerics
 //!
@@ -46,7 +44,7 @@
 //!
 //! # Row-count invariance
 //!
-//! The *forward* kernels ([`gemm`], [`gemm_nt`], [`dense_any`]) guarantee
+//! The *forward* kernels ([`gemm`], [`dense_any`]) guarantee
 //! a stronger property on both arms: each output **row** is computed with
 //! an accumulation order that does not depend on how many rows are in the
 //! batch. Row `i` of an `m`-row product is bit-identical to the single
@@ -130,8 +128,9 @@ pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 
 /// Register-blocked AVX2/FMA kernel: 4 rows × 16 columns per block (eight
 /// independent FMA chains — enough to cover FMA latency at two issues per
-/// cycle), stepping down to 4×8, then a 1-row remainder (16- and 8-wide),
-/// then a scalar column tail.
+/// cycle), stepping down to 4×8, then a 1-row remainder (64-, 32-, 16-
+/// and 8-wide tiles: one input row keeps eight chains busy only across
+/// 64 columns), then a scalar column tail.
 ///
 /// Every output element is accumulated by its own k-ascending FMA chain
 /// in its own vector lane, so the tile geometry never changes a value:
@@ -228,31 +227,26 @@ unsafe fn gemm_avx2(
             }
             i += 4;
         }
-        // Row remainder: 16- then 8-wide tiles with the same per-lane
-        // k-ascending FMA chain as the 4-row blocks above (row-count
-        // invariance).
+        // Row remainder: 64-, 32-, 16- then 8-wide tiles with the same
+        // per-lane k-ascending FMA chain as the 4-row blocks above
+        // (row-count invariance).
         while i < m {
+            let (a_row, o_row) = (a.as_ptr().add(i * k), out.as_mut_ptr().add(i * n));
             let mut j = 0;
-            while j < n16 {
-                let mut acc0 = seed(j);
-                let mut acc1 = seed(j + 8);
-                for kk in 0..k {
-                    let x = _mm256_set1_ps(*a.get_unchecked(i * k + kk));
-                    acc0 = _mm256_fmadd_ps(x, _mm256_loadu_ps(b.as_ptr().add(kk * n + j)), acc0);
-                    acc1 =
-                        _mm256_fmadd_ps(x, _mm256_loadu_ps(b.as_ptr().add(kk * n + j + 8)), acc1);
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), acc0);
-                _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j + 8), acc1);
+            while j + 64 <= n {
+                row_tile::<8>(a_row, k, b.as_ptr(), n, j, bias, o_row);
+                j += 64;
+            }
+            while j + 32 <= n {
+                row_tile::<4>(a_row, k, b.as_ptr(), n, j, bias, o_row);
+                j += 32;
+            }
+            while j + 16 <= n {
+                row_tile::<2>(a_row, k, b.as_ptr(), n, j, bias, o_row);
                 j += 16;
             }
-            while j < n8 {
-                let mut acc = seed(j);
-                for kk in 0..k {
-                    let wr = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
-                    acc = _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked(i * k + kk)), wr, acc);
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), acc);
+            while j + 8 <= n {
+                row_tile::<1>(a_row, k, b.as_ptr(), n, j, bias, o_row);
                 j += 8;
             }
             i += 1;
@@ -270,30 +264,68 @@ unsafe fn gemm_avx2(
     }
 }
 
-// --------------------------------------------------------- C = A·Bᵀ (NT)
+/// How many rows of `B` ahead [`row_tile`] prefetches. One input row
+/// walks `B` a row of `n` floats at a time and reads only a tile's slice
+/// of each; the hardware prefetchers do not run far enough ahead of that
+/// stride, and a flat MLP's first layer (≈458 KB for MLP v1) streams from
+/// L2 on every decision. A prefetch reads nothing into a register, so no
+/// value changes.
+const ROW_TILE_PREFETCH_ROWS: usize = 8;
 
-/// SIMD `C[m,n] = A[m,k] @ B[n,k]ᵀ` without materializing the transpose:
-/// every output is a dot product of two contiguous k-long rows — the
-/// "transposed layout" kernel. Returns `false` (nothing written) when
-/// SIMD is unavailable or `k < 8`.
-pub fn gemm_nt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) -> bool {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
-    if k < 8 || !simd_enabled() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        unsafe { gemm_nt_avx2(a, m, k, b, n, out) };
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+/// One row of [`gemm_avx2`]'s row remainder: `a_row` times the `8 * V`
+/// columns of `B` from `j`, into `o_row[j..]`. `V` accumulators, each
+/// seeded with its 8 lanes of `bias` (or zero) and run as a k-ascending
+/// FMA chain — the same chain every lane of a 4-row block runs, so a
+/// row's bits do not depend on which tile computed it.
+///
+/// # Safety
+/// AVX2+FMA must be available; `a_row` must hold `k` values, `b` `k * n`,
+/// `o_row` `n`, `bias` (when given) `n`, and `j + 8 * V <= n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn row_tile<const V: usize>(
+    a_row: *const f32,
+    k: usize,
+    b: *const f32,
+    n: usize,
+    j: usize,
+    bias: Option<&[f32]>,
+    o_row: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); V];
+        if let Some(bv) = bias {
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_loadu_ps(bv.as_ptr().add(j + 8 * v));
+            }
+        }
+        for kk in 0..k {
+            let x = _mm256_set1_ps(*a_row.add(kk));
+            let w = b.add(kk * n + j);
+            // One prefetch per 64-byte line of the tile's slice; past the
+            // end of `B` it is a no-op (prefetches do not fault).
+            let ahead = w.wrapping_add(ROW_TILE_PREFETCH_ROWS * n);
+            for line in 0..V.div_ceil(2) {
+                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16 * line) as *const i8);
+            }
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(w.add(8 * v)), *acc);
+            }
+        }
+        for (v, acc) in acc.iter().enumerate() {
+            _mm256_storeu_ps(o_row.add(j + 8 * v), *acc);
+        }
     }
 }
 
-/// Scalar reference for [`gemm_nt`]: one dot product per output element,
-/// k ascending — bit-identical to the pre-SIMD `matmul_nt`.
+// --------------------------------------------------------- C = A·Bᵀ (NT)
+
+/// `C[m,n] = A[m,k] @ B[n,k]ᵀ` without materializing the transpose: one
+/// dot product per output element, k ascending. Scalar only — the one
+/// caller on a hot path, the dense backward, transposes its weights and
+/// runs [`gemm`] when SIMD is on.
 pub fn gemm_nt_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
@@ -301,202 +333,6 @@ pub fn gemm_nt_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
         for (j, o) in o_row.iter_mut().enumerate() {
             let b_row = &b[j * k..(j + 1) * k];
             *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
-        }
-    }
-}
-
-/// Dot-product kernel. Each output element is an independent 8-lane
-/// k-ascending FMA chain + horizontal sum + scalar k-tail, so blocking
-/// never changes a result's bits — which frees the loop structure to
-/// chase bandwidth: A-rows are tiled 4 deep (2 B-rows per pass, 8 live
-/// accumulators), so the B matrix streams once per *4* input rows
-/// instead of once per row. For the packed-MLP serving case B is the
-/// weight matrix and A the coalesced request batch: weight traffic per
-/// decision drops ~4× at batch ≥ 4, which is what makes coalesced
-/// serving beat request-at-a-time scoring (`m == 1` keeps the original
-/// single-row path and its exact cost).
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available and slice lengths cover the
-/// dims.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_nt_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
-    let k8 = k - k % 8;
-    unsafe {
-        #[inline]
-        unsafe fn hsum(v: __m256) -> f32 {
-            unsafe {
-                let hi = _mm256_extractf128_ps(v, 1);
-                let lo = _mm256_castps256_ps128(v);
-                let s = _mm_add_ps(lo, hi);
-                let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-                let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-                _mm_cvtss_f32(s)
-            }
-        }
-        // ---- 4-row A blocks: stream B once per four input rows ----
-        let m4 = m - m % 4;
-        let mut i = 0;
-        while i < m4 {
-            let a0 = a.as_ptr().add(i * k);
-            let a1 = a.as_ptr().add((i + 1) * k);
-            let a2 = a.as_ptr().add((i + 2) * k);
-            let a3 = a.as_ptr().add((i + 3) * k);
-            let mut j = 0;
-            while j + 2 <= n {
-                let b0 = b.as_ptr().add(j * k);
-                let b1 = b.as_ptr().add((j + 1) * k);
-                let mut acc00 = _mm256_setzero_ps();
-                let mut acc01 = _mm256_setzero_ps();
-                let mut acc10 = _mm256_setzero_ps();
-                let mut acc11 = _mm256_setzero_ps();
-                let mut acc20 = _mm256_setzero_ps();
-                let mut acc21 = _mm256_setzero_ps();
-                let mut acc30 = _mm256_setzero_ps();
-                let mut acc31 = _mm256_setzero_ps();
-                let mut kk = 0;
-                while kk < k8 {
-                    let bv0 = _mm256_loadu_ps(b0.add(kk));
-                    let bv1 = _mm256_loadu_ps(b1.add(kk));
-                    let av = _mm256_loadu_ps(a0.add(kk));
-                    acc00 = _mm256_fmadd_ps(av, bv0, acc00);
-                    acc01 = _mm256_fmadd_ps(av, bv1, acc01);
-                    let av = _mm256_loadu_ps(a1.add(kk));
-                    acc10 = _mm256_fmadd_ps(av, bv0, acc10);
-                    acc11 = _mm256_fmadd_ps(av, bv1, acc11);
-                    let av = _mm256_loadu_ps(a2.add(kk));
-                    acc20 = _mm256_fmadd_ps(av, bv0, acc20);
-                    acc21 = _mm256_fmadd_ps(av, bv1, acc21);
-                    let av = _mm256_loadu_ps(a3.add(kk));
-                    acc30 = _mm256_fmadd_ps(av, bv0, acc30);
-                    acc31 = _mm256_fmadd_ps(av, bv1, acc31);
-                    kk += 8;
-                }
-                let (mut s00, mut s01) = (hsum(acc00), hsum(acc01));
-                let (mut s10, mut s11) = (hsum(acc10), hsum(acc11));
-                let (mut s20, mut s21) = (hsum(acc20), hsum(acc21));
-                let (mut s30, mut s31) = (hsum(acc30), hsum(acc31));
-                while kk < k {
-                    let (bv0, bv1) = (*b0.add(kk), *b1.add(kk));
-                    let av = *a0.add(kk);
-                    s00 += av * bv0;
-                    s01 += av * bv1;
-                    let av = *a1.add(kk);
-                    s10 += av * bv0;
-                    s11 += av * bv1;
-                    let av = *a2.add(kk);
-                    s20 += av * bv0;
-                    s21 += av * bv1;
-                    let av = *a3.add(kk);
-                    s30 += av * bv0;
-                    s31 += av * bv1;
-                    kk += 1;
-                }
-                *out.as_mut_ptr().add(i * n + j) = s00;
-                *out.as_mut_ptr().add(i * n + j + 1) = s01;
-                *out.as_mut_ptr().add((i + 1) * n + j) = s10;
-                *out.as_mut_ptr().add((i + 1) * n + j + 1) = s11;
-                *out.as_mut_ptr().add((i + 2) * n + j) = s20;
-                *out.as_mut_ptr().add((i + 2) * n + j + 1) = s21;
-                *out.as_mut_ptr().add((i + 3) * n + j) = s30;
-                *out.as_mut_ptr().add((i + 3) * n + j + 1) = s31;
-                j += 2;
-            }
-            while j < n {
-                let b0 = b.as_ptr().add(j * k);
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut kk = 0;
-                while kk < k8 {
-                    let bv = _mm256_loadu_ps(b0.add(kk));
-                    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a0.add(kk)), bv, acc0);
-                    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a1.add(kk)), bv, acc1);
-                    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a2.add(kk)), bv, acc2);
-                    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a3.add(kk)), bv, acc3);
-                    kk += 8;
-                }
-                let (mut s0, mut s1) = (hsum(acc0), hsum(acc1));
-                let (mut s2, mut s3) = (hsum(acc2), hsum(acc3));
-                while kk < k {
-                    let bv = *b0.add(kk);
-                    s0 += *a0.add(kk) * bv;
-                    s1 += *a1.add(kk) * bv;
-                    s2 += *a2.add(kk) * bv;
-                    s3 += *a3.add(kk) * bv;
-                    kk += 1;
-                }
-                *out.as_mut_ptr().add(i * n + j) = s0;
-                *out.as_mut_ptr().add((i + 1) * n + j) = s1;
-                *out.as_mut_ptr().add((i + 2) * n + j) = s2;
-                *out.as_mut_ptr().add((i + 3) * n + j) = s3;
-                j += 1;
-            }
-            i += 4;
-        }
-        // ---- remainder rows: the original per-row, 4-B-row path ----
-        for i in m4..m {
-            let a_row = a.as_ptr().add(i * k);
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = b.as_ptr().add(j * k);
-                let b1 = b.as_ptr().add((j + 1) * k);
-                let b2 = b.as_ptr().add((j + 2) * k);
-                let b3 = b.as_ptr().add((j + 3) * k);
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut kk = 0;
-                while kk < k8 {
-                    let av = _mm256_loadu_ps(a_row.add(kk));
-                    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0.add(kk)), acc0);
-                    acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1.add(kk)), acc1);
-                    acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2.add(kk)), acc2);
-                    acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3.add(kk)), acc3);
-                    kk += 8;
-                }
-                let (mut s0, mut s1) = (hsum(acc0), hsum(acc1));
-                let (mut s2, mut s3) = (hsum(acc2), hsum(acc3));
-                while kk < k {
-                    let av = *a_row.add(kk);
-                    s0 += av * *b0.add(kk);
-                    s1 += av * *b1.add(kk);
-                    s2 += av * *b2.add(kk);
-                    s3 += av * *b3.add(kk);
-                    kk += 1;
-                }
-                let o = out.as_mut_ptr().add(i * n + j);
-                *o = s0;
-                *o.add(1) = s1;
-                *o.add(2) = s2;
-                *o.add(3) = s3;
-                j += 4;
-            }
-            while j < n {
-                let b_row = b.as_ptr().add(j * k);
-                let mut acc = _mm256_setzero_ps();
-                let mut kk = 0;
-                while kk < k8 {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(a_row.add(kk)),
-                        _mm256_loadu_ps(b_row.add(kk)),
-                        acc,
-                    );
-                    kk += 8;
-                }
-                let mut s = hsum(acc);
-                while kk < k {
-                    s += *a_row.add(kk) * *b_row.add(kk);
-                    kk += 1;
-                }
-                out[i * n + j] = s;
-                j += 1;
-            }
         }
     }
 }
@@ -783,9 +619,8 @@ unsafe fn gemm_tn_avx2(
 }
 
 /// Transpose a `[rows, cols]` row-major matrix into `dst` as
-/// `[cols, rows]`. Shared by the packed serving layout
-/// ([`crate::infer::PackedMlp`]) and the dense backward's
-/// dX-via-transposed-W gemm, so the layout convention lives in one place.
+/// `[cols, rows]`: the dense backward's `dX = dY·Wᵀ` runs [`gemm`] over
+/// the transposed weights.
 pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     debug_assert!(src.len() >= rows * cols, "transpose source volume");
     debug_assert!(dst.len() >= rows * cols, "transpose destination volume");
@@ -875,7 +710,22 @@ mod tests {
 
     #[test]
     fn gemm_matches_scalar_on_ragged_shapes() {
-        for &(m, k, n) in &[(1, 3, 9), (4, 8, 8), (5, 7, 11), (9, 16, 24), (2, 1, 8)] {
+        // The wide shapes reach every one-row tile (64, 32, 16 and 8
+        // columns) and the 4-row blocks next to them.
+        for &(m, k, n) in &[
+            (1, 3, 9),
+            (4, 8, 8),
+            (5, 7, 11),
+            (9, 16, 24),
+            (2, 1, 8),
+            (6, 17, 32),
+            (2, 33, 40),
+            (3, 9, 64),
+            (7, 64, 72),
+            (5, 131, 100),
+            (1, 896, 128),
+            (1, 900, 136),
+        ] {
             let a = filled(m * k, |i| (i as f32 * 0.37).sin());
             let b = filled(k * n, |i| (i as f32 * 0.21).cos());
             let mut simd = vec![f32::NAN; m * n];
@@ -902,20 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_matches_scalar_including_single_row() {
-        for &(m, k, n) in &[(1, 8, 5), (1, 29, 128), (3, 12, 4), (7, 9, 10)] {
-            let a = filled(m * k, |i| (i as f32 * 0.19).sin());
-            let b = filled(n * k, |i| (i as f32 * 0.13).cos());
-            let mut simd = vec![f32::NAN; m * n];
-            let mut scalar = vec![f32::NAN; m * n];
-            gemm_nt_scalar(&a, m, k, &b, n, &mut scalar);
-            if gemm_nt(&a, m, k, &b, n, &mut simd) {
-                assert_close(&simd, &scalar);
-            }
-        }
-    }
-
-    #[test]
     fn gemm_tn_matches_scalar() {
         for &(r, m, n) in &[(4, 3, 8), (5, 7, 11), (16, 2, 32), (3, 1, 9)] {
             let a = filled(r * m, |i| (i as f32 * 0.23).sin());
@@ -934,9 +770,16 @@ mod tests {
         // Each output row must be bit-identical whether it is computed
         // alone (m = 1) or inside a larger batch — on whichever dispatch
         // arm is active. VecEnv's batched≡sequential rollout parity rests
-        // on this. Shapes cover full 4-row blocks, row tails (m % 4 ≠ 0)
-        // and ragged column tails (n % 8 ≠ 0).
-        for &(m, k, n) in &[(4, 6, 8), (5, 7, 11), (9, 16, 24), (3, 32, 9), (6, 5, 16)] {
+        // on this. Shapes cover full 4-row blocks, row tails (m % 4 ≠ 0),
+        // ragged column tails (n % 8 ≠ 0), and widths that reach the
+        // one-row remainder's 64- and 32-column tiles (a one-row product
+        // runs only those tiles; rows of a 4-row block run the 16/8-wide
+        // block tiles), over inner dimensions up to a flat MLP's 896.
+        let narrow = [(4, 6, 8), (5, 7, 11), (9, 16, 24), (3, 32, 9), (6, 5, 16)];
+        let wide = [32, 40, 64, 72, 100, 128, 136].into_iter().flat_map(|n| {
+            (1..=7).flat_map(move |m| [1, 9, 131, 900].map(|k| (m, k, n)))
+        });
+        for (m, k, n) in narrow.into_iter().chain(wide) {
             let a = filled(m * k, |i| (i as f32 * 0.29).sin());
             let w = filled(k * n, |i| (i as f32 * 0.17).cos());
             let b = filled(n, |i| i as f32 * 0.03 - 0.1);
@@ -952,25 +795,6 @@ mod tests {
                     "dense_any row {i} of ({m},{k},{n}) depends on batch size"
                 );
             }
-
-            // Same property for the NT (transposed-layout) kernel.
-            let bt = filled(n * k, |i| (i as f32 * 0.23).sin());
-            let mut batched_nt = vec![f32::NAN; m * n];
-            if !gemm_nt(&a, m, k, &bt, n, &mut batched_nt) {
-                gemm_nt_scalar(&a, m, k, &bt, n, &mut batched_nt);
-            }
-            let mut single_nt = vec![f32::NAN; n];
-            for i in 0..m {
-                let row = &a[i * k..(i + 1) * k];
-                if !gemm_nt(row, 1, k, &bt, n, &mut single_nt) {
-                    gemm_nt_scalar(row, 1, k, &bt, n, &mut single_nt);
-                }
-                assert_eq!(
-                    &batched_nt[i * n..(i + 1) * n],
-                    single_nt.as_slice(),
-                    "gemm_nt row {i} of ({m},{k},{n}) depends on batch size"
-                );
-            }
         }
     }
 
@@ -983,6 +807,5 @@ mod tests {
             !gemm(&a, 1, 2, &b, 1, None, &mut out),
             "n=1 must not dispatch"
         );
-        assert!(!gemm_nt(&a, 1, 2, &b, 1, &mut out), "k=2 must not dispatch");
     }
 }

@@ -262,8 +262,8 @@ impl Tensor {
     }
 
     /// [`Tensor::matmul_nt`] into a caller-supplied buffer (cleared and
-    /// resized). Dispatches to the dot-product SIMD kernel
-    /// ([`simd::gemm_nt`]) when the inner dimension allows.
+    /// resized), through the scalar dot-product kernel
+    /// ([`simd::gemm_nt_scalar`]; there is no SIMD arm).
     pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Vec<f32>) {
         assert_eq!(self.shape.as_slice().len(), 2, "matmul_nt lhs must be 2-D");
         assert_eq!(other.shape.as_slice().len(), 2, "matmul_nt rhs must be 2-D");
@@ -272,9 +272,7 @@ impl Tensor {
         assert_eq!(k, k2, "matmul_nt inner dimensions {k} vs {k2}");
         out.clear();
         out.resize(m * n, 0.0);
-        if !simd::gemm_nt(&self.data, m, k, &other.data, n, out) {
-            simd::gemm_nt_scalar(&self.data, m, k, &other.data, n, out);
-        }
+        simd::gemm_nt_scalar(&self.data, m, k, &other.data, n, out);
     }
 
     /// `selfᵀ @ other` without materializing the transpose: `self` is

@@ -2,8 +2,8 @@
 //! the scalar reference loops for every matmul flavor the training path
 //! uses — forward (`C = A·B`, bias-seeded dense included), `dA = dC·Bᵀ`
 //! (NT) and `dB = Aᵀ·dC` (TN) — across ragged shapes (rows/cols not
-//! multiples of the 4×8 block), including rows == 1 and the transposed
-//! weight layout.
+//! multiples of the 4×8 block), including rows == 1 and widths past the
+//! one-row remainder's 64-column tile.
 //!
 //! The kernels fuse multiply-adds and reorder accumulation, so values are
 //! compared within an ulp-scale relative tolerance; on machines (or CI
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use rlsched_nn::infer::{self, PackedMlp, Scratch};
+use rlsched_nn::infer::{self, Scratch};
 use rlsched_nn::layers::{Activation, Mlp};
 use rlsched_nn::simd;
 use rlsched_nn::Tensor;
@@ -42,7 +42,7 @@ proptest! {
     fn matmul_dispatch_matches_scalar(
         m in 1usize..10,
         k in 1usize..34,
-        n in 1usize..40,
+        n in 1usize..140,
         seed_a in 0u64..1000,
         seed_b in 0u64..1000,
     ) {
@@ -56,8 +56,7 @@ proptest! {
     }
 
     /// Backward dA: `matmul_nt_into` (`dA = dC·Bᵀ`) ≡ per-element dot
-    /// products, including the rows == 1 transposed-layout case that the
-    /// packed serving path runs.
+    /// products, including rows == 1.
     #[test]
     fn matmul_nt_dispatch_matches_scalar(
         m in 1usize..10,
@@ -164,7 +163,7 @@ proptest! {
     fn dense_dispatch_matches_portable(
         rows in 1usize..10,
         in_dim in 1usize..20,
-        out_dim in 1usize..40,
+        out_dim in 1usize..140,
         seed_x in 0u64..1000,
         seed_w in 0u64..1000,
     ) {
@@ -178,48 +177,18 @@ proptest! {
         assert_close(&dispatched, &portable)?;
     }
 
-    /// The transposed-weight single-row path (`PackedMlp`, NT kernel) ≡
-    /// the standard-layout forward on the same weights.
+    /// Row-count invariance of the MLP forward, **exactly**: row `i` of a
+    /// stacked `mlp_forward` must reproduce a one-row forward of row `i`
+    /// bit for bit, at every batch size — what lets a served batch, a
+    /// lockstep evaluation and a single decision agree. The widths reach
+    /// the one-row remainder's 64- and 32-column tiles, the 4-row blocks,
+    /// the row remainder and the odd-n column remainder.
     #[test]
-    fn packed_single_row_matches_standard_layout(
-        in_dim in 1usize..24,
-        hidden in 1usize..40,
-        out_dim in 1usize..24,
-        seed in 0u64..1000,
-    ) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mlp = Mlp::new(
-            &[in_dim, hidden, out_dim],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        );
-        let x = pseudo(1, in_dim, seed ^ 0xabcd);
-
-        let mut scratch = Scratch::new();
-        let mut standard = Vec::new();
-        infer::mlp_forward(&mlp, x.data(), 1, &mut scratch, &mut standard);
-
-        let packed = PackedMlp::pack(&mlp);
-        let mut transposed = Vec::new();
-        packed.forward_row(x.data(), &mut scratch, &mut transposed);
-        assert_close(&transposed, &standard)?;
-    }
-
-    /// Row-count invariance of the packed batch forward, **exactly**:
-    /// row `i` of a stacked `PackedMlp::forward` must reproduce
-    /// `forward_row` on row `i` alone bit for bit, at every batch size —
-    /// the serving tier's coalescing guarantee (batch composition can
-    /// never flip a decision). Exercises the NT kernel's 4-row blocks,
-    /// the row remainder, and the odd-n column remainder.
-    #[test]
-    fn packed_batch_rows_are_bit_identical_to_single_rows(
+    fn mlp_batch_rows_are_bit_identical_to_single_rows(
         rows in 1usize..11,
         in_dim in 1usize..34,
-        hidden in 1usize..24,
-        out_dim in 1usize..24,
+        hidden in 1usize..140,
+        out_dim in 1usize..140,
         seed in 0u64..1000,
     ) {
         use rand::rngs::StdRng;
@@ -231,18 +200,19 @@ proptest! {
             Activation::Identity,
             &mut rng,
         );
-        let packed = PackedMlp::pack(&mlp);
         let x = pseudo(rows, in_dim, seed ^ 0x5eed);
 
         let mut scratch = Scratch::new();
         let mut batched = Vec::new();
-        packed.forward(x.data(), rows, &mut scratch, &mut batched);
+        infer::mlp_forward(&mlp, x.data(), rows, &mut scratch, &mut batched);
         prop_assert_eq!(batched.len(), rows * out_dim);
 
         let mut single = Vec::new();
         for r in 0..rows {
-            packed.forward_row(
+            infer::mlp_forward(
+                &mlp,
                 &x.data()[r * in_dim..(r + 1) * in_dim],
+                1,
                 &mut scratch,
                 &mut single,
             );

@@ -17,8 +17,8 @@
 //! * [`ppo`] — the clipped-surrogate PPO update with early stopping on
 //!   approximate KL, separate Adam optimizers for policy and value nets.
 //! * [`vecenv`] — vectorized environments ([`VecEnv`]) stepped in
-//!   lockstep, plus the [`BatchPolicy`] batched-scoring trait every
-//!   rollout/eval/serving path shares.
+//!   lockstep, plus [`greedy_batch`], the batched argmax every
+//!   eval/serving path shares.
 //! * [`sampler`] — trajectory collection over a [`VecEnv`]: every
 //!   simulator tick scores all live episodes through one stacked policy
 //!   forward (the "100 trajectories per epoch" of §V-A, batched).
@@ -35,4 +35,4 @@ pub use categorical::MaskedCategorical;
 pub use env::{Env, StepOutcome};
 pub use ppo::{ActorScratch, PolicyModel, Ppo, PpoConfig, UpdateProfile, UpdateStats, ValueModel};
 pub use sampler::{collect_episodes, collect_rollouts_par, collect_rollouts_vec, RolloutStats};
-pub use vecenv::{greedy_batch, BatchPolicy, SlotOutcome, VecEnv};
+pub use vecenv::{greedy_batch, SlotOutcome, VecEnv};

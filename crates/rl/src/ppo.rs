@@ -30,10 +30,10 @@ pub trait PolicyModel {
     /// Batched inference fast path: write `rows` masked log-prob rows
     /// (`[rows, n_actions]` row-major) into `out`, allocation-free at
     /// steady state. `obs` is `[rows, obs_dim]` row-major and `masks`
-    /// `[rows, n_actions]`. Row `i` of the result must match
-    /// `log_probs_fast` on row `i` alone up to float reassociation (SIMD
-    /// row-blocking can differ between batched and single rows), so
-    /// argmax decisions agree except on floating-point near-ties.
+    /// `[rows, n_actions]`. Row `i` of the result must be bit-identical
+    /// to `log_probs_fast` on row `i` alone, on either dispatch arm (the
+    /// dense kernels are row-count invariant), so a batched decision is
+    /// the decision a single forward makes.
     fn log_probs_fast_batch(
         &self,
         obs: &[f32],
@@ -324,8 +324,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// Argmax actions for a whole batch of observations through one
     /// batched forward: `obs` is `[rows, obs_dim]` row-major, `masks`
     /// `[rows, n_actions]`. Delegates to [`crate::vecenv::greedy_batch`]
-    /// over the policy's [`crate::vecenv::BatchPolicy`] impl — the same
-    /// scoring path the vectorized rollout sampler uses. Amortizes the
+    /// over [`PolicyModel::log_probs_fast_batch`] — the same scoring
+    /// path the vectorized rollout sampler uses. Amortizes the
     /// policy's weight stream across concurrent decisions;
     /// allocation-free at steady state.
     pub fn greedy_batch_with(

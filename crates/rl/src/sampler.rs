@@ -7,7 +7,7 @@
 //! step. The sampler therefore drives a [`VecEnv`] in lockstep: every
 //! simulator tick stacks all live observations into one `[live, obs_dim]`
 //! matrix and scores it through a **single** batched policy forward and a
-//! single batched critic forward ([`crate::vecenv::BatchPolicy`] /
+//! single batched critic forward ([`PolicyModel::log_probs_fast_batch`] /
 //! [`ValueModel::value_fast_batch`]), amortizing the networks' weight
 //! stream across every live episode.
 //!

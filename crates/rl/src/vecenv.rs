@@ -43,8 +43,6 @@
 //! `impl Env for &mut E`) and call `sampler::collect_rollouts_vec`,
 //! which drives the lockstep loop.
 
-use rlsched_nn::Scratch;
-
 use crate::env::{Env, StepOutcome};
 use crate::ppo::PolicyModel;
 
@@ -65,49 +63,14 @@ impl<E: Env + ?Sized> Env for &mut E {
     }
 }
 
-/// Scores a stack of observation rows through one batched forward: the
-/// single code path shared by training rollouts, greedy evaluation and
-/// batch serving.
-///
-/// Every [`PolicyModel`] is a `BatchPolicy` via its
-/// [`PolicyModel::log_probs_fast_batch`] fast path (blanket impl), and
-/// serving tiers can implement it over other representations — e.g.
-/// `rlscheduler`'s packed, weight-transposed MLP snapshot. The contract:
-/// row `i` of the output must be bit-identical to scoring row `i` alone
-/// (`rows == 1`), so batched and sequential decisions agree exactly.
-pub trait BatchPolicy {
-    /// Write `[rows, n_actions]` masked log-probability rows for the
-    /// stacked observations (`obs` is `[rows, obs_dim]` row-major,
-    /// `masks` `[rows, n_actions]`). Must not allocate at steady state.
-    fn log_probs_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    );
-}
-
-impl<P: PolicyModel + ?Sized> BatchPolicy for P {
-    fn log_probs_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        self.log_probs_fast_batch(obs, masks, rows, scratch, out);
-    }
-}
-
 /// Argmax actions for `rows` stacked observations through one
-/// [`BatchPolicy`] forward — the greedy tail shared by batch serving
-/// (`Ppo::greedy_batch_with`, `Agent::score_batch`) and lockstep greedy
-/// evaluation. Allocation-free at steady state.
-pub fn greedy_batch<B: BatchPolicy + ?Sized>(
-    policy: &B,
+/// [`PolicyModel::log_probs_fast_batch`] forward — the greedy tail shared
+/// by batch serving (`Ppo::greedy_batch_with`, `Agent::score_batch`, a
+/// serving shard) and lockstep greedy evaluation. Row `i`'s action is
+/// the one a forward of row `i` alone picks. Allocation-free at steady
+/// state.
+pub fn greedy_batch<P: PolicyModel + ?Sized>(
+    policy: &P,
     obs: &[f32],
     masks: &[f32],
     rows: usize,
@@ -118,7 +81,7 @@ pub fn greedy_batch<B: BatchPolicy + ?Sized>(
     assert_eq!(obs.len() % rows, 0, "obs volume must divide into rows");
     assert_eq!(masks.len() % rows, 0, "mask volume must divide into rows");
     let n_actions = masks.len() / rows;
-    policy.log_probs_batch(obs, masks, rows, &mut scratch.nn, &mut scratch.logp);
+    policy.log_probs_fast_batch(obs, masks, rows, &mut scratch.nn, &mut scratch.logp);
     actions.clear();
     actions.extend((0..rows).map(|i| {
         crate::categorical::MaskedCategorical::new(

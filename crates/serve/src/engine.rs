@@ -1,6 +1,7 @@
 //! The shard's scoring engine: coalesce encoded request rows into one
-//! stacked `[n, obs_dim]` matrix, score it through a single
-//! [`rlsched_rl::BatchPolicy`] forward, and hand back one clamped action per row.
+//! stacked `[n, obs_dim]` matrix, score it through a single batched
+//! forward of the snapshot's policy network, and hand back one clamped
+//! action per row.
 //!
 //! This is the allocation-free core the network layer wraps: all
 //! buffers (the stacked observations/masks, the network scratch, the
@@ -11,9 +12,9 @@
 //!
 //! # Decision parity
 //!
-//! The engine scores through a [`ScorerSnapshot`], whose representation
-//! matches `Agent::as_policy` per architecture, and the forward kernels
-//! are row-count invariant — so row `i` of a coalesced batch computes
+//! The engine scores through a [`ScorerSnapshot`], which holds the agent's
+//! policy network and runs the forward `Agent::as_policy` runs, and the
+//! forward kernels are row-count invariant — so row `i` of a coalesced batch computes
 //! exactly the bits the in-process decision head would for the same
 //! decision point, regardless of what else landed in the batch, which
 //! shard scored it, or how the coalescing window happened to cut. The
@@ -252,7 +253,7 @@ impl ShardEngine {
             m.batch_max.set_max(rows as f64);
         }
         greedy_batch(
-            &self.scorer,
+            self.scorer.net(),
             &self.obs,
             &self.masks,
             rows,

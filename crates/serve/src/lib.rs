@@ -3,7 +3,7 @@
 //! RLScheduler's pitch is that a trained kernel policy decides fast
 //! enough to sit inside a live batch-job dispatcher (§IV-B1, Table IX).
 //! This crate is that dispatcher-facing tier: it turns the batched
-//! scoring building blocks (`BatchPolicy`, `PackedScorer`,
+//! scoring building blocks (`ScorerSnapshot`, `greedy_batch`,
 //! row-count-invariant forward kernels) into a server that answers
 //! scheduling queries over a socket.
 //!
@@ -62,9 +62,8 @@
 //!    (`ObsEncoder::encode_snapshot_extend`), and both wire formats
 //!    round-trip floats exactly (JSON via shortest-round-trip
 //!    formatting, binary via `to_le_bytes` verbatim);
-//! 2. a [`rlscheduler::ScorerSnapshot`] picks the same per-architecture
-//!    representation as `as_policy` (packed for flat MLPs, unpacked
-//!    otherwise);
+//! 2. a [`rlscheduler::ScorerSnapshot`] holds the agent's policy network
+//!    and scores through the forward `as_policy` runs;
 //! 3. the forward kernels are row-count invariant, so a row's bits do
 //!    not depend on what else was coalesced around it.
 //!

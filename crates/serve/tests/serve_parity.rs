@@ -8,8 +8,8 @@
 //! The guarantee composes from: shared snapshot/view encoding, exact
 //! float round-trips through both wire formats (JSON via
 //! shortest-round-trip formatting, binary via `to_le_bytes` verbatim),
-//! `ScorerSnapshot` using `as_policy`'s per-architecture
-//! representation, and the forward kernels' row-count invariance. Equal
+//! `ScorerSnapshot` scoring through the network and forward `as_policy`
+//! runs, and the forward kernels' row-count invariance. Equal
 //! `EpisodeMetrics` is the strongest possible check here: a single
 //! different decision anywhere in an episode cascades into different
 //! schedules and metrics.
