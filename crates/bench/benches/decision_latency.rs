@@ -3,7 +3,8 @@
 //! the MLP v1–v3 baselines for architecture comparison. Every network
 //! decision runs the allocation-free inference fast path (`*_fast`,
 //! `nn::infer` via `Agent::as_policy` buffers), one decision and a
-//! 16-view batch alike through the `[in, out]` forward training runs.
+//! 16-view `greedy_batch` (a serving shard's stacked forward) alike
+//! through the `[in, out]` forward training runs.
 //!
 //! The queue-scaling group also prices one streaming SJF *tick* (a
 //! decision and the `StreamSession::step` it feeds) at the same depths,
@@ -13,6 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use rlsched_rl::{greedy_batch, ActorScratch};
 use rlsched_sched::{select_streaming, HeuristicKind};
 use rlsched_sim::{MetricKind, QueueView, SimConfig, StreamSession, WaitingJob};
 use rlsched_swf::Job;
@@ -88,9 +90,9 @@ fn bench_decisions(c: &mut Criterion) {
     });
 
     // One decision through the agent head, then 16 concurrent scheduling
-    // requests through one forward, amortizing the weight stream (divide
-    // the batch median by 16 for the per-decision cost).
-    let views: Vec<_> = (0..16).map(|_| decision_view(&jobs)).collect();
+    // requests through one `greedy_batch` forward over their stacked
+    // encodings, amortizing the weight stream (divide the batch median by
+    // 16 for the per-decision cost).
     for (kind, name) in [
         (PolicyKind::Kernel, "kernel"),
         (PolicyKind::MlpV1, "mlp_v1"),
@@ -102,12 +104,22 @@ fn bench_decisions(c: &mut Criterion) {
             let mut policy = agent.as_policy();
             b.iter(|| std::hint::black_box(decide(&mut policy, &view)))
         });
-        group.bench_function(format!("rl_{name}_score_batch16"), |b| {
+        group.bench_function(format!("rl_{name}_greedy_batch16"), |b| {
             let (mut obs, mut mask) = (Vec::new(), Vec::new());
-            let mut scratch = rlsched_rl::ActorScratch::new();
+            for _ in 0..16 {
+                agent.encoder().encode_extend(&view, &mut obs, &mut mask);
+            }
+            let mut scratch = ActorScratch::new();
             let mut actions = Vec::new();
             b.iter(|| {
-                agent.score_batch_with(&views, &mut obs, &mut mask, &mut scratch, &mut actions);
+                greedy_batch(
+                    &agent.ppo().policy,
+                    &obs,
+                    &mask,
+                    16,
+                    &mut scratch,
+                    &mut actions,
+                );
                 std::hint::black_box(actions.len())
             })
         });

@@ -287,9 +287,17 @@ pub fn table9(p: &Profile, report: &mut Report) {
         ..*p
     }
     .agent(PolicyKind::Kernel, MetricKind::BoundedSlowdown, 0x71ED);
+    // Through one reused decision head, the path every scheduling loop
+    // and the replay engine run: encode, forward, clamp, no allocation.
+    let mut head = full_agent.as_policy();
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(full_agent.greedy_select(&view));
+        std::hint::black_box(head.decide(
+            view.free_procs,
+            view.total_procs,
+            view.waiting.len(),
+            view.waiting.iter().copied(),
+        ));
     }
     let rl_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
 

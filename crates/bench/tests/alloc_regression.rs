@@ -498,38 +498,6 @@ fn fast_paths_do_not_regress_allocations() {
          state ({tick_allocs} allocations over {ticks} ticks of 8 envs)"
     );
 
-    // ---- Agent::score_batch convenience path: with the thread-local
-    // scratch, the only steady-state heap traffic is the returned Vec
-    // itself (exactly one allocation per call). ----
-    let jobs: Vec<rlsched_swf::Job> = (0..8)
-        .map(|i| rlsched_swf::Job::new(i + 1, i as f64 * 10.0, 60.0 + i as f64, 1 + (i % 3), 600.0))
-        .collect();
-    let make_view = |lo: usize, hi: usize| QueueView {
-        time: 200.0,
-        free_procs: 3,
-        total_procs: 8,
-        waiting: jobs[lo..hi]
-            .iter()
-            .enumerate()
-            .map(|(i, job)| WaitingJob {
-                job,
-                job_index: lo + i,
-                wait: 200.0 - job.submit_time,
-                can_run_now: job.procs() <= 3,
-            })
-            .collect(),
-    };
-    let views = [make_view(0, 3), make_view(2, 7), make_view(4, 8)];
-    let _ = agent.score_batch(&views); // warm the thread-local buffers
-    let batch_allocs = count_allocs(|| {
-        std::hint::black_box(agent.score_batch(&views));
-    });
-    assert_eq!(
-        batch_allocs, 1,
-        "score_batch must only allocate its result Vec at steady state \
-         ({batch_allocs} allocations)"
-    );
-
     // ---- serving: a ShardEngine push+flush cycle (coalesce, one
     // batched forward, clamp) is allocation-free at steady state — the
     // same discipline as the infer/fused fast paths, now holding for
@@ -652,58 +620,65 @@ fn fast_paths_do_not_regress_allocations() {
         );
     }
 
-    // ---- binary wire codec: a ScoreRaw encode + decode round trip is
-    // allocation-free at steady state. The client encodes straight from
-    // its borrowed observation slices into a reused wire buffer; the
-    // reader decodes into a reused frame buffer and a reused Request
-    // whose vectors have warmed to the row size. This is the whole
-    // point of the binary format — no intermediate String, no
+    // ---- binary wire codec: a `Score` request encoded from a borrowed
+    // snapshot and decoded with `read_frame_any_into` is allocation-free
+    // at steady state. The client writes the snapshot straight into a
+    // reused wire buffer (no `Request` value, no copy of the snapshot);
+    // the reader decodes into a reused frame buffer and a reused
+    // `Request` whose job vector has warmed to the window. This is the
+    // whole point of the binary format — no intermediate String, no
     // serde_json Value, no per-float parse — so pin it to exactly 0.
     // (Pure codec: no sockets or threads inside the counted window.)
     // ----
     {
-        use rlsched_serve::protocol::{encode_score_raw_frame, read_frame_any_into};
+        use rlsched_serve::protocol::{encode_score_frame, read_frame_any_into};
         use rlsched_serve::{Request, WireFrame};
-        let row_f32: Vec<f32> = obs.clone();
-        let mask_f32: Vec<f32> = mask.clone();
+        use rlscheduler::{QueueSnapshot, SnapshotJob};
+        let window = agent.encoder().n_actions();
+        let snapshot = QueueSnapshot {
+            free_procs: 3,
+            total_procs: 8,
+            queue_len: window as u32 + 5,
+            jobs: (0..window)
+                .map(|i| SnapshotJob {
+                    wait: 17.5 * i as f64,
+                    time_bound: 600.0 + i as f64,
+                    procs: 1 + i as u32 % 4,
+                    can_run_now: i % 4 < 3,
+                })
+                .collect(),
+        };
         let mut wire = Vec::new();
         let mut payload = Vec::new();
         let mut text_line = String::new();
         let mut decoded = Request::scratch();
-        let cycle = |wire: &mut Vec<u8>,
-                     payload: &mut Vec<u8>,
-                     text_line: &mut String,
-                     decoded: &mut Request| {
-            encode_score_raw_frame(wire, 7, &row_f32, &mask_f32, 3);
+        let mut cycle = || {
+            encode_score_frame(&mut wire, 7, &snapshot);
             let mut reader = &wire[..];
-            read_frame_any_into(&mut reader, payload, text_line, decoded)
+            read_frame_any_into(&mut reader, &mut payload, &mut text_line, &mut decoded)
                 .expect("well-formed frame")
                 .expect("frame present");
         };
         // Warm: grows the wire buffer, the payload buffer and the
-        // decoded request's obs/mask vectors to this row shape.
-        cycle(&mut wire, &mut payload, &mut text_line, &mut decoded);
+        // decoded request's job vector to this window.
+        cycle();
         let codec_allocs = count_allocs(|| {
             for _ in 0..16 {
-                cycle(&mut wire, &mut payload, &mut text_line, &mut decoded);
+                cycle();
             }
         });
         assert_eq!(
             codec_allocs, 0,
-            "binary ScoreRaw encode+decode must not allocate at steady \
-             state ({codec_allocs} allocations over 16 round trips)"
+            "binary Score encode (from a borrowed snapshot) + decode must not \
+             allocate at steady state ({codec_allocs} allocations over 16 round trips)"
         );
-        match &decoded {
-            Request::ScoreRaw {
-                obs: got_obs,
-                mask: got_mask,
-                ..
-            } => {
-                assert_eq!(got_obs.len(), row_f32.len());
-                assert_eq!(got_mask.len(), mask_f32.len());
+        assert_eq!(
+            decoded,
+            Request::Score {
+                id: 7,
+                snapshot: snapshot.clone(),
             }
-            other => panic!("wrong variant decoded: {other:?}"),
-        }
+        );
     }
 
     // ---- degraded-mode hot path: when a shard is down, every request

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
 use rlsched_rl::{ActorScratch, PolicyModel, Ppo, PpoConfig, ValueModel};
-use rlsched_sim::{MetricKind, Outcomes, Policy, QueueView, StreamSession, WaitingJob};
+use rlsched_sim::{MetricKind, Outcomes, Policy, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
 use crate::nets::{PolicyKind, PolicyNet, ScorerSnapshot, ValueNet};
@@ -111,94 +111,13 @@ impl Agent {
         self.ppo.policy.param_count()
     }
 
-    /// Inference entry point: greedy action for an already-encoded
-    /// observation window, through the allocation-free fast path.
-    /// Implemented for every Table IV `PolicyKind`.
+    /// The network half of one decision: the greedy action for an
+    /// already-encoded observation window, through the allocation-free
+    /// fast path, for every Table IV `PolicyKind`. [`RlPolicy`] runs it
+    /// after encoding the session's queue; a served decision is the same
+    /// forward over the server's encoding of the request's snapshot.
     pub fn score(&self, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
         self.ppo.greedy_with(obs, mask, scratch)
-    }
-
-    /// Masking guarantees the chosen slot `< queue_len`; clamp
-    /// defensively anyway (shared by every decision entry point).
-    fn clamp_to_queue(queue_len: usize, a: usize) -> usize {
-        a.min(queue_len.saturating_sub(1))
-    }
-
-    /// Greedy (test-time) action for a queue snapshot through
-    /// caller-owned buffers: encode, score, clamp — the decision path
-    /// [`RlPolicy::decide`] runs on a session's live queue.
-    pub fn greedy_select_with(
-        &self,
-        view: &QueueView<'_>,
-        obs: &mut Vec<f32>,
-        mask: &mut Vec<f32>,
-        scratch: &mut ActorScratch,
-    ) -> usize {
-        self.encoder.encode_into(view, obs, mask);
-        Self::clamp_to_queue(view.waiting.len(), self.score(obs, mask, scratch))
-    }
-
-    /// Greedy (test-time) action for a raw queue view. Allocates per
-    /// call; scheduling loops should use [`Agent::as_policy`] (which
-    /// carries its own buffers) or [`Agent::greedy_select_with`].
-    pub fn greedy_select(&self, view: &QueueView<'_>) -> usize {
-        self.greedy_select_with(
-            view,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut ActorScratch::new(),
-        )
-    }
-
-    /// Greedy actions for several concurrent queue views through **one**
-    /// batched forward: the views stack into a `[views, obs_dim]` matrix,
-    /// so the policy's weight stream is amortized across all of them —
-    /// what a sharded scheduling server wants for simultaneous requests.
-    /// The scoring runs through the same
-    /// [`PolicyModel::log_probs_fast_batch`] path as training rollouts and
-    /// greedy evaluation. All buffers are caller-owned and
-    /// the call is allocation-free at steady state for every policy (the
-    /// CNN scores its views one image at a time through the same
-    /// scratch). Since the forward kernels are row-count invariant, row
-    /// `i` of `actions` is exactly [`Agent::score`] on view `i` alone.
-    pub fn score_batch_with(
-        &self,
-        views: &[QueueView<'_>],
-        obs: &mut Vec<f32>,
-        mask: &mut Vec<f32>,
-        scratch: &mut ActorScratch,
-        actions: &mut Vec<usize>,
-    ) {
-        assert!(!views.is_empty(), "score_batch needs at least one view");
-        obs.clear();
-        mask.clear();
-        for view in views {
-            self.encoder.encode_extend(view, obs, mask);
-        }
-        self.ppo
-            .greedy_batch_with(obs, mask, views.len(), scratch, actions);
-        for (a, view) in actions.iter_mut().zip(views) {
-            *a = Self::clamp_to_queue(view.waiting.len(), *a);
-        }
-    }
-
-    /// [`Agent::score_batch_with`] through thread-local reusable buffers:
-    /// the convenience API pays the same zero-allocation discipline as
-    /// the explicit-scratch variant — at steady state the only heap
-    /// traffic per call is the returned `Vec` itself (pinned by the
-    /// alloc-regression suite). Loops that can hold buffers should still
-    /// prefer [`Agent::score_batch_with`], which also reuses the output.
-    pub fn score_batch(&self, views: &[QueueView<'_>]) -> Vec<usize> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>, ActorScratch)> =
-                std::cell::RefCell::new((Vec::new(), Vec::new(), ActorScratch::new()));
-        }
-        SCRATCH.with(|cell| {
-            let (obs, mask, scratch) = &mut *cell.borrow_mut();
-            let mut actions = Vec::with_capacity(views.len());
-            self.score_batch_with(views, obs, mask, scratch, &mut actions);
-            actions
-        })
     }
 
     /// A frozen, `Arc`-shared scoring replica for serving tiers (see
@@ -215,11 +134,13 @@ impl Agent {
     }
 
     /// Borrow the agent as its decision head (inference only): a
-    /// [`Policy`] for `run_episode` and the replay engine. The head owns
-    /// encode and network scratch buffers and reads the session's wait
-    /// queue in place, so repeated decisions allocate nothing. Every
-    /// architecture decides through [`Agent::score`], the forward that
-    /// batch serving and lockstep evaluation run a row at a time.
+    /// [`Policy`] for `run_episode`, the replay engine and every `repro`
+    /// table — the one in-process way to ask the agent for a decision.
+    /// The head owns encode and network scratch buffers and reads the
+    /// session's wait queue in place, so repeated decisions allocate
+    /// nothing. Every architecture decides through [`Agent::score`]; a
+    /// serving shard scores the same rows through
+    /// [`rlsched_rl::greedy_batch`], bit for bit.
     pub fn as_policy(&self) -> RlPolicy<'_> {
         RlPolicy {
             agent: self,
@@ -309,8 +230,9 @@ impl RlPolicy<'_> {
             &mut self.obs,
             &mut self.mask,
         );
+        // Masking keeps the action below `queue_len`; clamp defensively.
         let action = self.agent.score(&self.obs, &self.mask, &mut self.scratch);
-        Agent::clamp_to_queue(queue_len, action)
+        action.min(queue_len.saturating_sub(1))
     }
 }
 

@@ -83,9 +83,9 @@ impl std::error::Error for CanaryError {}
 /// tier alongside the proposed snapshot.
 #[derive(Debug, Clone)]
 pub struct CanaryBatch {
+    snapshots: Vec<QueueSnapshot>,
     obs: Vec<f32>,
     masks: Vec<f32>,
-    queue_lens: Vec<usize>,
     expected: Vec<usize>,
     obs_dim: usize,
     n_actions: usize,
@@ -107,7 +107,7 @@ impl CanaryBatch {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut obs = Vec::with_capacity(rows * encoder.obs_dim());
         let mut masks = Vec::with_capacity(rows * encoder.n_actions());
-        let mut queue_lens = Vec::with_capacity(rows);
+        let mut snapshots = Vec::with_capacity(rows);
         for _ in 0..rows {
             let total_procs = 8u32 << rng.gen_range(0..4u32);
             let free_procs = rng.gen_range(0..=total_procs);
@@ -130,12 +130,12 @@ impl CanaryBatch {
                 jobs,
             };
             encoder.encode_snapshot_extend(&snap, &mut obs, &mut masks);
-            queue_lens.push(depth);
+            snapshots.push(snap);
         }
         let mut canary = CanaryBatch {
+            snapshots,
             obs,
             masks,
-            queue_lens,
             expected: Vec::new(),
             obs_dim: encoder.obs_dim(),
             n_actions: encoder.n_actions(),
@@ -147,19 +147,14 @@ impl CanaryBatch {
 
     /// Number of decision points in the batch.
     pub fn rows(&self) -> usize {
-        self.queue_lens.len()
+        self.snapshots.len()
     }
 
-    /// Row `i` as a raw scoring request: `(obs, mask, queue_len,
-    /// expected_action)` — what a chaos/parity test replays through the
-    /// wire to assert model-served decisions still match in-process bits.
-    pub fn row(&self, i: usize) -> (&[f32], &[f32], usize, usize) {
-        (
-            &self.obs[i * self.obs_dim..(i + 1) * self.obs_dim],
-            &self.masks[i * self.n_actions..(i + 1) * self.n_actions],
-            self.queue_lens[i],
-            self.expected[i],
-        )
+    /// Row `i` as a scoring request: `(snapshot, expected_action)` — what
+    /// a chaos/parity test sends over the wire as a `Score` request to
+    /// assert model-served decisions still match in-process bits.
+    pub fn row(&self, i: usize) -> (&QueueSnapshot, usize) {
+        (&self.snapshots[i], self.expected[i])
     }
 
     /// Every row's masked log-probs through one batched forward of `net`.
@@ -180,8 +175,12 @@ impl CanaryBatch {
     /// `Agent::as_policy` / `ShardEngine`.
     fn actions<'a>(&'a self, logp: &'a [f32]) -> impl Iterator<Item = usize> + 'a {
         logp.chunks(self.n_actions)
-            .zip(&self.queue_lens)
-            .map(|(row, &qlen)| MaskedCategorical::new(row).argmax().min(qlen.saturating_sub(1)))
+            .zip(&self.snapshots)
+            .map(|(row, snap)| {
+                MaskedCategorical::new(row)
+                    .argmax()
+                    .min(snap.queue_len().saturating_sub(1))
+            })
     }
 
     /// Validate a candidate snapshot: dimensions must match, every scored

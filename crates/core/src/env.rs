@@ -68,18 +68,6 @@ impl SchedulingEnv {
         self.objective
     }
 
-    /// Full episode metrics of the finished episode, if the current
-    /// session has run to completion (the session survives until the
-    /// next `reset`, so lockstep drivers — e.g. batched greedy evaluation
-    /// over a `VecEnv` — can pull the whole metric table after the env's
-    /// slot retires).
-    pub fn metrics(&self) -> Option<rlsched_sim::EpisodeMetrics> {
-        self.session
-            .as_ref()
-            .filter(|s| s.done())
-            .and_then(|s| s.metrics().ok())
-    }
-
     fn draw_window(&self, seed: u64) -> JobTrace {
         let sampler =
             SequenceSampler::new(self.trace.len(), self.seq_len).expect("validated in constructor");

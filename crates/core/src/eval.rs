@@ -6,17 +6,11 @@
 //! across different scheduling algorithms, we used the same 10 random job
 //! sequences to make fair comparisons." (§V-C2)
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rlsched_rl::{greedy_batch, ActorScratch, VecEnv};
 use rlsched_sim::{run_episode, EpisodeMetrics, MetricKind, Policy, SimConfig};
 use rlsched_swf::{JobTrace, SequenceSampler};
-
-use crate::agent::Agent;
-use crate::env::SchedulingEnv;
 
 /// Default evaluation shape: 10 sequences of 1024 jobs.
 pub const DEFAULT_EVAL_SEQS: usize = 10;
@@ -48,59 +42,6 @@ pub fn evaluate_policy<P: Policy>(
     windows
         .iter()
         .map(|w| run_episode(w, sim, policy).expect("window is schedulable and the policy picks"))
-        .collect()
-}
-
-/// Evaluate a trained agent greedily over every window **in lockstep**:
-/// one [`SchedulingEnv`] per window, all live windows' decision points
-/// stacked into one matrix and scored through a single batched policy
-/// forward per simulator tick — the same
-/// [`rlsched_rl::PolicyModel::log_probs_fast_batch`] path training
-/// rollouts and batch serving use. Windows that finish early retire from
-/// the stack; per-window metrics come back in window order.
-///
-/// Decisions are bit-identical to the sequential
-/// [`evaluate_policy`]-with-[`Agent::as_policy`] protocol for every
-/// architecture: the forward kernels are row-count invariant.
-pub fn evaluate_agent(agent: &Agent, windows: &[JobTrace], sim: SimConfig) -> Vec<EpisodeMetrics> {
-    assert!(!windows.is_empty(), "need at least one evaluation window");
-    let envs: Vec<SchedulingEnv> = windows
-        .iter()
-        .map(|w| {
-            // seq_len == trace len: the only samplable window is the whole
-            // trace, so the env replays exactly this window every episode.
-            SchedulingEnv::new(
-                Arc::new(w.clone()),
-                w.len(),
-                sim,
-                *agent.encoder(),
-                agent.objective(),
-            )
-        })
-        .collect();
-    let mut venv = VecEnv::new(envs);
-    // One episode per window; seeds are inert (the window draw is forced).
-    let seeds: Vec<u64> = (0..windows.len() as u64).collect();
-    let (mut obs, mut masks) = (Vec::new(), Vec::new());
-    let mut outcomes = Vec::new();
-    let mut scratch = ActorScratch::new();
-    let mut actions = Vec::new();
-    venv.reset_all(&seeds, &mut obs, &mut masks);
-    while !venv.is_done() {
-        let rows = venv.live_count();
-        greedy_batch(
-            &agent.ppo().policy,
-            &obs,
-            &masks,
-            rows,
-            &mut scratch,
-            &mut actions,
-        );
-        venv.step_all(&actions, &mut obs, &mut masks, &mut outcomes);
-    }
-    venv.into_envs()
-        .iter()
-        .map(|e| e.metrics().expect("every window ran to completion"))
         .collect()
 }
 

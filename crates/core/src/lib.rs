@@ -73,7 +73,7 @@ pub mod train;
 pub use agent::{Agent, AgentConfig, RlPolicy};
 pub use canary::{CanaryBatch, CanaryError};
 pub use env::SchedulingEnv;
-pub use eval::{evaluate_agent, evaluate_policy, mean_metric, sample_eval_windows};
+pub use eval::{evaluate_policy, mean_metric, sample_eval_windows};
 pub use filter::TrajectoryFilter;
 pub use nets::{
     FlatMlpPolicy, KernelPolicy, LeNetPolicy, PolicyKind, PolicyNet, ScorerSnapshot, ValueNet,
@@ -85,7 +85,7 @@ pub use train::{train, EpochStats, FilterMode, TrainConfig, TrainingCurve};
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use crate::agent::{Agent, AgentConfig};
-    pub use crate::eval::{evaluate_agent, evaluate_policy, mean_metric, sample_eval_windows};
+    pub use crate::eval::{evaluate_policy, mean_metric, sample_eval_windows};
     pub use crate::filter::TrajectoryFilter;
     pub use crate::nets::PolicyKind;
     pub use crate::obs::ObsConfig;

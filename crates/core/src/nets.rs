@@ -537,9 +537,9 @@ impl PolicyModel for PolicyNet {
 /// A frozen, shareable scoring replica for serving tiers: the policy
 /// network behind an [`Arc`], so a sharded server replicates it per worker
 /// thread at pointer cost. It scores through the network's own
-/// [`PolicyModel::log_probs_fast_batch`], the path
-/// [`crate::Agent::as_policy`], `score_batch` and `evaluate_agent` run, so
-/// a served decision is **bit-identical** to the in-process one, batch by
+/// [`PolicyModel::log_probs_fast_batch`] (through `rlsched_rl::greedy_batch`),
+/// whose rows are the forward [`crate::Agent::as_policy`] runs, so a
+/// served decision is **bit-identical** to the in-process one, batch by
 /// batch, row by row (the forward kernels are row-count invariant).
 ///
 /// A snapshot does not track later weight updates: take it from a frozen

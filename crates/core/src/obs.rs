@@ -75,23 +75,14 @@ impl ObsEncoder {
     pub fn encode(&self, view: &QueueView<'_>) -> (Vec<f32>, Vec<f32>) {
         let mut obs = Vec::new();
         let mut mask = Vec::new();
-        self.encode_into(view, &mut obs, &mut mask);
+        self.encode_extend(view, &mut obs, &mut mask);
         (obs, mask)
-    }
-
-    /// [`ObsEncoder::encode`] into caller-owned buffers — the
-    /// allocation-free variant for inference loops (one pair of buffers
-    /// per policy/worker, reused across every decision).
-    pub fn encode_into(&self, view: &QueueView<'_>, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
-        obs.clear();
-        mask.clear();
-        self.encode_extend(view, obs, mask);
     }
 
     /// Append one view's window (`max_obsv × JOB_FEATURES` observation
     /// values and `max_obsv` mask values) onto the buffers without
     /// clearing them — the building block for stacking several views into
-    /// one batched forward ([`crate::Agent::score_batch`]).
+    /// one batched forward ([`rlsched_rl::greedy_batch`]).
     pub fn encode_extend(&self, view: &QueueView<'_>, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
         self.encode_jobs_extend(
             view.free_procs,

@@ -257,12 +257,13 @@ proptest! {
     }
 }
 
-/// Agent-level contract: `score_batch` over concurrent queue views picks
-/// the same jobs as `greedy_select` and as the `as_policy` head on each
-/// view alone, for every policy architecture, and its batched log-probs
-/// are the single-view ones bit for bit.
+/// Agent-level contract: `greedy_batch` over the stacked encodings of
+/// concurrent queue views (what a serving shard runs) picks the same jobs
+/// as the `as_policy` head on each view alone, for every policy
+/// architecture, and its batched log-probs are the single-view ones bit
+/// for bit.
 #[test]
-fn score_batch_matches_per_view_greedy_select() {
+fn greedy_batch_matches_per_view_as_policy() {
     use rlsched_sim::{MetricKind, QueueView, WaitingJob};
     use rlsched_swf::Job;
     use rlscheduler::{Agent, AgentConfig, ObsConfig};
@@ -310,12 +311,22 @@ fn score_batch_matches_per_view_greedy_select() {
             ppo: Default::default(),
             seed: 11,
         });
-        let batched = agent.score_batch(&views);
-        assert_eq!(batched.len(), views.len());
         let (mut obs_all, mut mask_all) = (Vec::new(), Vec::new());
         for view in &views {
-            agent.encoder().encode_extend(view, &mut obs_all, &mut mask_all);
+            agent
+                .encoder()
+                .encode_extend(view, &mut obs_all, &mut mask_all);
         }
+        let mut batched = Vec::new();
+        rlsched_rl::greedy_batch(
+            &agent.ppo().policy,
+            &obs_all,
+            &mask_all,
+            views.len(),
+            &mut rlsched_rl::ActorScratch::new(),
+            &mut batched,
+        );
+        assert_eq!(batched.len(), views.len());
         let mut batched_logp = Vec::new();
         agent.ppo().policy.log_probs_fast_batch(
             &obs_all,
@@ -334,22 +345,22 @@ fn score_batch_matches_per_view_greedy_select() {
                 "{}: view {i} batched/single log-probs",
                 kind.name()
             );
-            let decisions = [
-                agent.greedy_select(view),
-                head.decide(
-                    view.free_procs,
-                    view.total_procs,
-                    view.waiting.len(),
-                    view.waiting.iter().copied(),
-                ),
-            ];
+            let decision = head.decide(
+                view.free_procs,
+                view.total_procs,
+                view.waiting.len(),
+                view.waiting.iter().copied(),
+            );
             assert_eq!(
-                decisions,
-                [batched[i]; 2],
-                "{}: view {i} greedy_select/as_policy vs score_batch",
+                decision,
+                batched[i],
+                "{}: view {i} as_policy vs greedy_batch",
                 kind.name()
             );
-            assert!(batched[i] < view.waiting.len(), "decision clamped to queue");
+            assert!(
+                batched[i] < view.waiting.len(),
+                "masking keeps it in the queue"
+            );
         }
     }
 }

@@ -2,9 +2,7 @@
 //! `VecEnv(n)` rollout over `SchedulingEnv`s with the paper's policy
 //! architectures must produce bit-identical trajectories (observations,
 //! actions, rewards/returns, advantages, sampled log-probs) to n
-//! sequential single-env rollouts, and the lockstep greedy evaluator
-//! must schedule exactly like the sequential per-decision protocol.
-//! CI runs this suite on both the SIMD and `RLSCHED_FORCE_SCALAR=1`
+//! sequential single-env rollouts. CI runs this suite on both the SIMD and `RLSCHED_FORCE_SCALAR=1`
 //! dispatch arms.
 
 use std::sync::Arc;
@@ -12,10 +10,7 @@ use std::sync::Arc;
 use rlsched_rl::{collect_episodes, Batch, PpoConfig, RolloutBuffer, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
-use rlscheduler::{
-    evaluate_agent, evaluate_policy, sample_eval_windows, Agent, AgentConfig, ObsConfig,
-    PolicyKind, SchedulingEnv,
-};
+use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
 
 fn agent_of(kind: PolicyKind, max_obsv: usize) -> Agent {
     Agent::new(AgentConfig {
@@ -102,25 +97,4 @@ fn lockstep_width_does_not_change_trajectories() {
     let (narrow, ns) = run(2);
     assert_batches_identical(&wide, &narrow, "6 slots vs 2 slots");
     assert_eq!(ws.metrics, ns.metrics);
-}
-
-/// The batched greedy evaluator must schedule exactly like the
-/// per-decision `Policy` head for every architecture: both score through
-/// the policy's own forward, and the kernels are row-count invariant.
-#[test]
-fn batched_greedy_eval_matches_sequential_protocol() {
-    let trace = NamedWorkload::Lublin1.generate(500, 3);
-    let windows = sample_eval_windows(&trace, 4, 60, 77);
-    for kind in PolicyKind::all() {
-        // LeNet's smallest window is 64 jobs.
-        let agent = agent_of(kind, 64);
-        let sequential = evaluate_policy(&windows, SimConfig::default(), &mut agent.as_policy());
-        let batched = evaluate_agent(&agent, &windows, SimConfig::default());
-        assert_eq!(
-            sequential,
-            batched,
-            "{}: lockstep evaluation must reproduce the paper's protocol exactly",
-            kind.name()
-        );
-    }
 }

@@ -17,8 +17,8 @@
 //! * [`ppo`] — the clipped-surrogate PPO update with early stopping on
 //!   approximate KL, separate Adam optimizers for policy and value nets.
 //! * [`vecenv`] — vectorized environments ([`VecEnv`]) stepped in
-//!   lockstep, plus [`greedy_batch`], the batched argmax every
-//!   eval/serving path shares.
+//!   lockstep, plus [`greedy_batch`], the one batched argmax (a serving
+//!   shard's forward).
 //! * [`sampler`] — trajectory collection over a [`VecEnv`]: every
 //!   simulator tick scores all live episodes through one stacked policy
 //!   forward (the "100 trajectories per epoch" of §V-A, batched).

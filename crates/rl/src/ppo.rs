@@ -308,35 +308,13 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         (a, logp, v)
     }
 
-    /// Deterministic argmax action (testing path, §IV-B1).
-    pub fn greedy(&self, obs: &[f32], mask: &[f32]) -> usize {
-        self.greedy_with(obs, mask, &mut ActorScratch::new())
-    }
-
-    /// Argmax action through caller-owned scratch (zero allocation at
-    /// steady state) — the scheduling-decision hot path of Table IX.
+    /// Deterministic argmax action (testing path, §IV-B1) through
+    /// caller-owned scratch (zero allocation at steady state) — the
+    /// scheduling-decision hot path of Table IX.
     pub fn greedy_with(&self, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
         self.policy
             .log_probs_fast(obs, mask, &mut scratch.nn, &mut scratch.logp);
         MaskedCategorical::new(&scratch.logp).argmax()
-    }
-
-    /// Argmax actions for a whole batch of observations through one
-    /// batched forward: `obs` is `[rows, obs_dim]` row-major, `masks`
-    /// `[rows, n_actions]`. Delegates to [`crate::vecenv::greedy_batch`]
-    /// over [`PolicyModel::log_probs_fast_batch`] — the same scoring
-    /// path the vectorized rollout sampler uses. Amortizes the
-    /// policy's weight stream across concurrent decisions;
-    /// allocation-free at steady state.
-    pub fn greedy_batch_with(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut ActorScratch,
-        actions: &mut Vec<usize>,
-    ) {
-        crate::vecenv::greedy_batch(&self.policy, obs, masks, rows, scratch, actions);
     }
 
     /// The `(actor, critic)` optimizers, read-only: their step counts and
@@ -734,9 +712,14 @@ mod tests {
     fn greedy_is_deterministic() {
         let ppo = agent(4);
         let mask = vec![0.0; 4];
-        let a = ppo.greedy(&[0.3, -0.2], &mask);
+        let mut scratch = ActorScratch::new();
+        let a = ppo.greedy_with(&[0.3, -0.2], &mask, &mut scratch);
         for _ in 0..10 {
-            assert_eq!(ppo.greedy(&[0.3, -0.2], &mask), a);
+            assert_eq!(
+                ppo.greedy_with(&[0.3, -0.2], &mask, &mut ActorScratch::new()),
+                a
+            );
+            assert_eq!(ppo.greedy_with(&[0.3, -0.2], &mask, &mut scratch), a);
         }
     }
 
@@ -785,7 +768,7 @@ mod tests {
         // Max achievable per episode is 8 * 3/4 = 6; random is ~3.
         assert!(last_mean > 4.5, "bandit mean reward {last_mean}");
         // And greedy should pick the best arm.
-        let a = ppo.greedy(&[0.0, 1.0], &vec![0.0; n_actions]);
+        let a = ppo.greedy_with(&[0.0, 1.0], &vec![0.0; n_actions], &mut ActorScratch::new());
         assert_eq!(a, n_actions - 1, "greedy should pick the best arm");
     }
 

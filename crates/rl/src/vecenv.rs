@@ -64,11 +64,11 @@ impl<E: Env + ?Sized> Env for &mut E {
 }
 
 /// Argmax actions for `rows` stacked observations through one
-/// [`PolicyModel::log_probs_fast_batch`] forward — the greedy tail shared
-/// by batch serving (`Ppo::greedy_batch_with`, `Agent::score_batch`, a
-/// serving shard) and lockstep greedy evaluation. Row `i`'s action is
-/// the one a forward of row `i` alone picks. Allocation-free at steady
-/// state.
+/// [`PolicyModel::log_probs_fast_batch`] forward — the one batched
+/// scorer: a serving shard scores its coalesced requests through it.
+/// Row `i`'s action is the one a forward of row `i` alone picks (the
+/// in-process decision head's action for that row). Allocation-free at
+/// steady state.
 pub fn greedy_batch<P: PolicyModel + ?Sized>(
     policy: &P,
     obs: &[f32],
@@ -191,12 +191,6 @@ impl<E: Env> VecEnv<E> {
     /// while the slot is live).
     pub fn episode_of(&self, slot: usize) -> usize {
         self.episode[slot]
-    }
-
-    /// Recover the wrapped environments (e.g. to read terminal state
-    /// after a collection round).
-    pub fn into_envs(self) -> Vec<E> {
-        self.envs
     }
 
     /// Shared access to the wrapped environments.

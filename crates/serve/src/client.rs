@@ -12,8 +12,10 @@
 //! [`ServeClient::with_protocol`] says otherwise); the format is chosen
 //! per client — the server sniffs it per frame, so no handshake exists.
 //! All frame buffers (outgoing bytes, incoming payload/line, the decoded
-//! response) are owned by the client and reused across requests, so a
-//! binary `score_raw` round trip is allocation-free at steady state.
+//! response) are owned by the client and reused across requests, and a
+//! binary `Score` frame is encoded straight from the caller's borrowed
+//! snapshot, so a binary [`ServeClient::score_snapshot`] round trip
+//! copies no snapshot and allocates nothing at steady state.
 //!
 //! ## Resilience model
 //!
@@ -45,7 +47,7 @@ use rlsched_swf::Job;
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
 use crate::protocol::{
-    encode_binary_frame, encode_json_frame, encode_score_raw_frame, read_frame_any_into, Request,
+    encode_binary_frame, encode_json_frame, encode_score_frame, read_frame_any_into, Request,
     Response, ServeStats, ServedBy, WireFrame, WireProtocol,
 };
 use crate::transport::{AnyStream, ServerAddr, Transport};
@@ -386,44 +388,19 @@ impl<S: Transport> ServeClient<S> {
         }
     }
 
-    /// Score a queue snapshot (the server runs the encoder).
+    /// Score a queue snapshot (the server runs the encoder) — the one
+    /// scoring request the tier answers. A binary frame is written
+    /// straight from the borrowed snapshot; a JSON frame goes through a
+    /// `Request` value, a copy its text encoding makes anyway.
     pub fn score_snapshot(&mut self, snapshot: &QueueSnapshot) -> Result<Decision, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let req = Request::Score {
-            id,
-            snapshot: snapshot.clone(),
-        };
-        self.encode_request(&req)?;
-        self.roundtrip(id)?;
-        self.decision()
-    }
-
-    /// Score a pre-encoded observation row. On the binary protocol the
-    /// rows go onto the wire as contiguous byte slices straight from
-    /// the borrowed arguments — no intermediate `Request`, no clones,
-    /// no allocation once the frame buffer is warm.
-    pub fn score_raw(
-        &mut self,
-        obs: &[f32],
-        mask: &[f32],
-        queue_len: usize,
-    ) -> Result<Decision, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
         match self.proto {
-            WireProtocol::Binary => {
-                encode_score_raw_frame(&mut self.wire, id, obs, mask, queue_len as u64);
-            }
-            WireProtocol::Json => {
-                let req = Request::ScoreRaw {
-                    id,
-                    obs: obs.to_vec(),
-                    mask: mask.to_vec(),
-                    queue_len: queue_len as u64,
-                };
-                self.encode_request(&req)?;
-            }
+            WireProtocol::Binary => encode_score_frame(&mut self.wire, id, snapshot),
+            WireProtocol::Json => self.encode_request(&Request::Score {
+                id,
+                snapshot: snapshot.clone(),
+            })?,
         }
         self.roundtrip(id)?;
         self.decision()

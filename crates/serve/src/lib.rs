@@ -11,10 +11,11 @@
 //!
 //! * [`protocol`] — two frame formats for [`Request`] / [`Response`]:
 //!   newline-delimited JSON (debuggable with `nc`) and length-prefixed
-//!   little-endian binary frames with zero-copy `f32` rows. The server
-//!   sniffs the first byte of every frame, so both coexist with no
-//!   handshake; queue snapshots or pre-encoded rows in, actions out.
-//!   `f32` rows cross either wire bit-exactly.
+//!   little-endian binary frames. The server sniffs the first byte of
+//!   every frame, so both coexist with no handshake. There is one
+//!   scoring request, `Request::Score`: a queue snapshot in, the chosen
+//!   queue position out, and the server runs the encoder. A snapshot's
+//!   floats cross either wire bit-exactly.
 //! * [`transport`] — the [`Transport`] abstraction over TCP and Unix
 //!   domain sockets: [`ListenAddr`] (server side), [`ServerAddr`]
 //!   (bound address) and [`AnyStream`] (runtime-chosen client stream).
@@ -34,9 +35,9 @@
 //!   [`RemotePolicy`] (the `rlsched_sim::Policy` that schedules through
 //!   the server — every simulator decision goes over the wire, and a
 //!   failure that outlives the retry budget is the driver's `Err`).
-//! * [`histogram`] — re-export shim for the log-linear
-//!   [`LatencyHistogram`], which now lives in `rlsched-obs` so every
-//!   subsystem shares one latency bucketing scheme.
+//! * [`LatencyHistogram`] — the log-linear latency histogram of
+//!   `rlsched-obs`, re-exported so every subsystem shares one bucketing
+//!   scheme.
 //! * [`faults`] — [`FaultPlan`], the deterministic fault-injection
 //!   harness behind the chaos suite (`tests/chaos.rs`).
 //!
@@ -44,12 +45,17 @@
 //!
 //! Shard workers are supervised: panics are caught, the in-flight
 //! batch is answered by a deterministic heuristic fallback
-//! (`served_by: Fallback` on the wire), and the worker respawns under
+//! (`served_by: Fallback` on the wire; always the configured
+//! `ServeConfig::fallback` kind's pick over the request's snapshot), and
+//! the worker respawns under
 //! a bounded restart budget — exhaustion parks it on the fallback arm
 //! until a validated weight swap revives it on its next request.
 //! Checkpoints install through propose → validate (all-finite walk +
-//! canary parity probe) → commit with generation rollback. See
-//! `README.md` § Failure model.
+//! canary parity probe) → commit with generation rollback. A snapshot
+//! the encoder cannot read (no processors, more free than total, a
+//! negative or non-finite wait, a non-positive or non-finite time bound)
+//! is answered with `Response::Error`, never scored. See `README.md`
+//! § Failure model.
 //!
 //! ## The parity guarantee
 //!
@@ -73,7 +79,6 @@
 pub mod client;
 pub mod engine;
 pub mod faults;
-pub mod histogram;
 pub mod protocol;
 pub mod server;
 pub mod transport;
@@ -81,9 +86,9 @@ pub mod transport;
 pub use client::{ClientConfig, ClientError, Decision, RemotePolicy, ServeClient};
 pub use engine::{EngineMetrics, ScorerSlot, ShardEngine};
 pub use faults::{write_torn_frame, FaultPlan};
-pub use histogram::LatencyHistogram;
 pub use protocol::{
     Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame, WireProtocol,
 };
+pub use rlsched_obs::LatencyHistogram;
 pub use server::{ProposeError, ServeConfig, Server, ServerHandle};
 pub use transport::{AnyStream, Listen, ListenAddr, ServerAddr, Transport};

@@ -5,8 +5,8 @@
 //! response per line, UTF-8, `\n`-terminated). JSON through the
 //! workspace's serde shims keeps the protocol dependency-free and
 //! human-debuggable (`nc` into the server and type a request), and the
-//! shim's shortest-round-trip float formatting means a pre-encoded
-//! `f32` observation row crosses the wire bit-exactly — the parity
+//! shim's shortest-round-trip float formatting means a snapshot's `f64`
+//! wait and time bound cross the wire bit-exactly — the parity
 //! guarantee survives serialization. Representations are the
 //! serde-default externally-tagged enum forms, e.g.
 //! `{"Score":{"id":1,"snapshot":{…}}}` and
@@ -16,10 +16,10 @@
 //! `[0xB1][version=1][payload_len: u32 LE][payload]`, payload =
 //! `[variant tag: u8][fields…]`. All integers are fixed-width LE;
 //! floats are IEEE-754 `to_le_bytes`; strings and vectors carry a
-//! `u32` count. `ScoreRaw` observation/mask rows travel as one
-//! contiguous `f32` byte slice — no text formatting, no per-float
-//! parse, and (with reused buffers) no allocation at steady state.
-//! Float exactness is structural here.
+//! `u32` count. A `Score` frame is encoded straight from a borrowed
+//! snapshot ([`encode_score_frame`]) and decoded into a reused one, so
+//! with warm buffers neither side allocates — no text formatting, no
+//! per-float parse. Float exactness is structural here.
 //!
 //! **Negotiation** is a first-byte sniff, per frame: `0xB1` cannot
 //! start a JSON line (it is a UTF-8 continuation byte), so
@@ -66,17 +66,6 @@ pub enum Request {
         /// The decision point.
         snapshot: QueueSnapshot,
     },
-    /// Score a pre-encoded observation row (the client ran the encoder).
-    ScoreRaw {
-        /// Correlation id / routing key.
-        id: u64,
-        /// `[obs_dim]` observation row.
-        obs: Vec<f32>,
-        /// `[n_actions]` additive mask row.
-        mask: Vec<f32>,
-        /// Full waiting-queue length (action-clamp bound).
-        queue_len: u64,
-    },
     /// Fetch serving statistics.
     Stats {
         /// Correlation id.
@@ -94,10 +83,7 @@ impl Request {
     /// The correlation id of any request variant.
     pub fn id(&self) -> u64 {
         match self {
-            Request::Score { id, .. }
-            | Request::ScoreRaw { id, .. }
-            | Request::Stats { id }
-            | Request::Metrics { id } => *id,
+            Request::Score { id, .. } | Request::Stats { id } | Request::Metrics { id } => *id,
         }
     }
 }
@@ -337,7 +323,8 @@ const HEADER_LEN: usize = 6;
 const MAX_FRAME_LEN: usize = 64 << 20;
 
 const TAG_REQ_SCORE: u8 = 1;
-const TAG_REQ_SCORE_RAW: u8 = 2;
+// Request tag 2 is retired: never reuse it, so an old peer's frame
+// stays an unknown tag instead of decoding as something else.
 const TAG_REQ_STATS: u8 = 3;
 const TAG_REQ_METRICS: u8 = 4;
 
@@ -372,21 +359,19 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// `u32` count + the rows as one contiguous little-endian byte slice.
-/// On little-endian targets the slice is appended with a single
-/// `memcpy` of the `f32` storage — the zero-copy write path.
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    put_u32(out, xs.len() as u32);
-    #[cfg(target_endian = "little")]
-    // SAFETY: `f32` has no padding and alignment 4 ≥ 1; viewing the
-    // slice's storage as bytes is always valid, and LE storage order
-    // is exactly the wire order.
-    out.extend_from_slice(unsafe {
-        std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs))
-    });
-    #[cfg(not(target_endian = "little"))]
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
+/// A `Score` request's payload, written from the borrowed snapshot.
+fn put_score(out: &mut Vec<u8>, id: u64, snapshot: &QueueSnapshot) {
+    out.push(TAG_REQ_SCORE);
+    put_u64(out, id);
+    put_u32(out, snapshot.free_procs);
+    put_u32(out, snapshot.total_procs);
+    put_u32(out, snapshot.queue_len);
+    put_u32(out, snapshot.jobs.len() as u32);
+    for j in &snapshot.jobs {
+        put_f64(out, j.wait);
+        put_f64(out, j.time_bound);
+        put_u32(out, j.procs);
+        out.push(j.can_run_now as u8);
     }
 }
 
@@ -433,33 +418,6 @@ impl<'a> Rd<'a> {
         }
     }
 
-    /// Count-prefixed contiguous `f32` rows, decoded into a reused
-    /// vector. On little-endian targets this is one `memcpy` into the
-    /// vector's (warm) storage — the zero-copy read path.
-    fn f32s_into(&mut self, out: &mut Vec<f32>) -> std::io::Result<()> {
-        let n = self.u32()? as usize;
-        let nb = n.checked_mul(4).ok_or_else(|| bad("f32 count overflow"))?;
-        let bytes = self.take(nb)?;
-        out.clear();
-        out.reserve(n);
-        #[cfg(target_endian = "little")]
-        // SAFETY: `reserve(n)` guarantees capacity; the source holds
-        // exactly `n * 4` bytes, copied into the vector's storage
-        // (u8 alignment 1 into f32 storage via raw pointers is fine,
-        // and every bit pattern is a valid f32).
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), nb);
-            out.set_len(n);
-        }
-        #[cfg(not(target_endian = "little"))]
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        Ok(())
-    }
-
     fn str_into(&mut self, out: &mut String) -> std::io::Result<()> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
@@ -504,11 +462,24 @@ pub fn decode_payload<T: WireFrame>(bytes: &[u8]) -> std::io::Result<T> {
 /// Encode a complete binary frame (header + payload) into `out`,
 /// clearing it first. Allocation-free once `out`'s capacity is warm.
 pub fn encode_binary_frame<T: WireFrame>(frame: &T, out: &mut Vec<u8>) {
+    frame_with(out, |out| frame.encode_payload(out));
+}
+
+/// Encode a binary `Score` request frame straight from a borrowed
+/// snapshot — the client's send path: no `Request` value, no copy of the
+/// snapshot, and no allocation once `out` is warm. The bytes are those
+/// [`encode_binary_frame`] writes for the equivalent `Request::Score`.
+pub fn encode_score_frame(out: &mut Vec<u8>, id: u64, snapshot: &QueueSnapshot) {
+    frame_with(out, |out| put_score(out, id, snapshot));
+}
+
+/// Clear `out`, then write the header around the payload `put` appends.
+fn frame_with(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
     out.clear();
     out.push(BINARY_MAGIC);
     out.push(BINARY_VERSION);
     out.extend_from_slice(&[0u8; 4]);
-    frame.encode_payload(out);
+    put(out);
     let len = (out.len() - HEADER_LEN) as u32;
     out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
@@ -532,33 +503,6 @@ pub fn encode_json_frame<T: Serialize>(frame: &T, out: &mut Vec<u8>) -> std::io:
     out.extend_from_slice(line.as_bytes());
     out.push(b'\n');
     Ok(())
-}
-
-/// Directly encode a binary `ScoreRaw` request frame from borrowed
-/// rows — the client's zero-copy send path (no `Request` value, no
-/// `Vec<f32>` clones; allocation-free once `out` is warm).
-pub fn encode_score_raw_frame(
-    out: &mut Vec<u8>,
-    id: u64,
-    obs: &[f32],
-    mask: &[f32],
-    queue_len: u64,
-) {
-    out.clear();
-    out.push(BINARY_MAGIC);
-    out.push(BINARY_VERSION);
-    out.extend_from_slice(&[0u8; 4]);
-    put_score_raw(out, id, obs, mask, queue_len);
-    let len = (out.len() - HEADER_LEN) as u32;
-    out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-}
-
-fn put_score_raw(out: &mut Vec<u8>, id: u64, obs: &[f32], mask: &[f32], queue_len: u64) {
-    out.push(TAG_REQ_SCORE_RAW);
-    put_u64(out, id);
-    put_u64(out, queue_len);
-    put_f32s(out, obs);
-    put_f32s(out, mask);
 }
 
 fn put_registry_snapshot(out: &mut Vec<u8>, snap: &RegistrySnapshot) {
@@ -654,26 +598,7 @@ fn read_registry_snapshot(rd: &mut Rd) -> std::io::Result<RegistrySnapshot> {
 impl WireFrame for Request {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Score { id, snapshot } => {
-                out.push(TAG_REQ_SCORE);
-                put_u64(out, *id);
-                put_u32(out, snapshot.free_procs);
-                put_u32(out, snapshot.total_procs);
-                put_u32(out, snapshot.queue_len);
-                put_u32(out, snapshot.jobs.len() as u32);
-                for j in &snapshot.jobs {
-                    put_f64(out, j.wait);
-                    put_f64(out, j.time_bound);
-                    put_u32(out, j.procs);
-                    out.push(j.can_run_now as u8);
-                }
-            }
-            Request::ScoreRaw {
-                id,
-                obs,
-                mask,
-                queue_len,
-            } => put_score_raw(out, *id, obs, mask, *queue_len),
+            Request::Score { id, snapshot } => put_score(out, *id, snapshot),
             Request::Stats { id } => {
                 out.push(TAG_REQ_STATS);
                 put_u64(out, *id);
@@ -722,24 +647,6 @@ impl WireFrame for Request {
                         queue_len,
                         jobs,
                     },
-                };
-                Ok(())
-            }
-            TAG_REQ_SCORE_RAW => {
-                let id = rd.u64()?;
-                let queue_len = rd.u64()?;
-                let (mut obs, mut mask) = match std::mem::replace(into, Request::Stats { id: 0 }) {
-                    Request::ScoreRaw { obs, mask, .. } => (obs, mask),
-                    _ => (Vec::new(), Vec::new()),
-                };
-                rd.f32s_into(&mut obs)?;
-                rd.f32s_into(&mut mask)?;
-                rd.finish()?;
-                *into = Request::ScoreRaw {
-                    id,
-                    obs,
-                    mask,
-                    queue_len,
                 };
                 Ok(())
             }
@@ -1036,12 +943,6 @@ mod tests {
                     }],
                 },
             },
-            Request::ScoreRaw {
-                id: 8,
-                obs: vec![0.25f32, 0.5, 1.0],
-                mask: vec![0.0f32, -1e9],
-                queue_len: 1,
-            },
             Request::Stats { id: 9 },
         ];
         let mut buf = Vec::new();
@@ -1056,34 +957,58 @@ mod tests {
         assert!(read_frame::<Request, _>(&mut reader).unwrap().is_none());
     }
 
-    #[test]
-    fn f32_rows_survive_the_wire_bit_exactly() {
-        // Awkward floats: subnormal, non-dyadic, huge mask offset, an
-        // off-by-one-ulp neighbor of 0.3.
-        let obs: Vec<f32> = vec![
+    /// A snapshot whose floats are awkward to print and parse:
+    /// subnormal, non-dyadic, huge, and an off-by-one-ulp neighbor of 0.3.
+    fn awkward_snapshot() -> QueueSnapshot {
+        let floats = [
             0.1,
             1.0 / 3.0,
-            f32::MIN_POSITIVE / 2.0,
-            -1e9,
-            f32::from_bits(0.3f32.to_bits() + 1),
+            f64::MIN_POSITIVE / 2.0,
+            1e300,
+            f64::from_bits(0.3f64.to_bits() + 1),
         ];
-        let req = Request::ScoreRaw {
+        QueueSnapshot {
+            free_procs: 1,
+            total_procs: 8,
+            queue_len: floats.len() as u32,
+            jobs: floats
+                .iter()
+                .zip(floats.iter().rev())
+                .map(|(&wait, &time_bound)| SnapshotJob {
+                    wait,
+                    time_bound,
+                    procs: 1,
+                    can_run_now: wait < 1.0,
+                })
+                .collect(),
+        }
+    }
+
+    /// A snapshot's floats as bits: −0.0 vs 0.0 and ulp neighbors differ.
+    fn float_bits(got: &Request) -> Vec<u64> {
+        let Request::Score { snapshot, .. } = got else {
+            panic!("variant changed: {got:?}")
+        };
+        snapshot
+            .jobs
+            .iter()
+            .flat_map(|j| [j.wait.to_bits(), j.time_bound.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_floats_survive_the_wire_bit_exactly() {
+        let snapshot = awkward_snapshot();
+        let req = Request::Score {
             id: 1,
-            obs: obs.clone(),
-            mask: vec![-1e9; 2],
-            queue_len: 2,
+            snapshot: snapshot.clone(),
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &req).unwrap();
         let back: Request = read_frame(&mut std::io::BufReader::new(&buf[..]))
             .unwrap()
             .unwrap();
-        let Request::ScoreRaw { obs: got, .. } = back else {
-            panic!("variant changed")
-        };
-        for (a, b) in obs.iter().zip(&got) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
+        assert_eq!(float_bits(&back), float_bits(&req));
     }
 
     #[test]
@@ -1173,33 +1098,10 @@ mod tests {
         vec![
             Request::Score {
                 id: 7,
-                snapshot: QueueSnapshot {
-                    free_procs: 3,
-                    total_procs: 8,
-                    queue_len: 2,
-                    jobs: vec![
-                        SnapshotJob {
-                            wait: 12.5,
-                            time_bound: 3600.0,
-                            procs: 2,
-                            can_run_now: true,
-                        },
-                        SnapshotJob {
-                            wait: 0.1,
-                            time_bound: 60.0,
-                            procs: 1,
-                            can_run_now: false,
-                        },
-                    ],
-                },
-            },
-            Request::ScoreRaw {
-                id: 8,
-                obs: vec![0.25f32, 1.0 / 3.0, f32::MIN_POSITIVE / 2.0, -1e9],
-                mask: vec![0.0f32, -1e9],
-                queue_len: 1,
+                snapshot: awkward_snapshot(),
             },
             Request::Stats { id: 9 },
+            Request::Metrics { id: 10 },
         ]
     }
 
@@ -1290,45 +1192,28 @@ mod tests {
     }
 
     #[test]
-    fn binary_f32_rows_survive_bit_exactly() {
-        let obs: Vec<f32> = vec![
-            0.1,
-            1.0 / 3.0,
-            f32::MIN_POSITIVE / 2.0,
-            -1e9,
-            f32::from_bits(0.3f32.to_bits() + 1),
-        ];
+    fn binary_snapshot_floats_survive_bit_exactly() {
+        let snapshot = awkward_snapshot();
         let mut wire = Vec::new();
-        encode_score_raw_frame(&mut wire, 5, &obs, &[-1e9; 2], 2);
+        encode_score_frame(&mut wire, 5, &snapshot);
         let got: Request = decode_payload(&wire[HEADER_LEN..]).unwrap();
-        let Request::ScoreRaw {
-            id,
-            obs: back,
-            mask,
-            queue_len,
-        } = got
-        else {
-            panic!("wrong variant")
-        };
-        assert_eq!((id, queue_len), (5, 2));
-        assert_eq!(mask.len(), 2);
-        for (a, b) in obs.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
+        assert_eq!(got.id(), 5);
+        assert_eq!(
+            float_bits(&got),
+            float_bits(&Request::Score { id: 5, snapshot })
+        );
     }
 
     #[test]
-    fn score_raw_frame_helper_matches_request_encoding() {
-        let req = Request::ScoreRaw {
+    fn score_frame_helper_matches_request_encoding() {
+        let req = Request::Score {
             id: 11,
-            obs: vec![1.5f32, -2.25],
-            mask: vec![0.0f32],
-            queue_len: 3,
+            snapshot: awkward_snapshot(),
         };
         let mut via_request = Vec::new();
         encode_binary_frame(&req, &mut via_request);
         let mut via_helper = Vec::new();
-        encode_score_raw_frame(&mut via_helper, 11, &[1.5f32, -2.25], &[0.0f32], 3);
+        encode_score_frame(&mut via_helper, 11, &awkward_snapshot());
         assert_eq!(via_request, via_helper);
     }
 
@@ -1336,11 +1221,9 @@ mod tests {
     fn mixed_format_streams_sniff_per_frame() {
         // JSON, then binary, then JSON again on one connection.
         let a = Request::Stats { id: 1 };
-        let b = Request::ScoreRaw {
+        let b = Request::Score {
             id: 2,
-            obs: vec![0.5f32],
-            mask: vec![0.0f32],
-            queue_len: 1,
+            snapshot: awkward_snapshot(),
         };
         let c = Request::Stats { id: 3 };
         let mut wire = Vec::new();
@@ -1364,7 +1247,7 @@ mod tests {
     #[test]
     fn torn_binary_frames_are_unexpected_eof() {
         let mut wire = Vec::new();
-        encode_score_raw_frame(&mut wire, 1, &[0.5f32, 0.25], &[0.0f32], 1);
+        encode_score_frame(&mut wire, 1, &awkward_snapshot());
         let mut payload = Vec::new();
         let mut line = String::new();
         // Every proper prefix — mid-header and mid-payload — is torn.
@@ -1485,31 +1368,28 @@ mod tests {
 
     #[test]
     fn decode_into_reuses_matching_variant_buffers() {
+        let want = awkward_snapshot();
         let mut wire = Vec::new();
-        encode_score_raw_frame(&mut wire, 1, &[0.5f32, 0.25], &[0.0f32, -1e9], 2);
-        let mut into = Request::ScoreRaw {
+        encode_score_frame(&mut wire, 1, &want);
+        let mut into = Request::Score {
             id: 0,
-            obs: Vec::with_capacity(8),
-            mask: Vec::with_capacity(8),
-            queue_len: 0,
+            snapshot: QueueSnapshot {
+                free_procs: 0,
+                total_procs: 0,
+                queue_len: 0,
+                jobs: Vec::with_capacity(8),
+            },
         };
-        let (obs_ptr, mask_ptr) = match &into {
-            Request::ScoreRaw { obs, mask, .. } => (obs.as_ptr(), mask.as_ptr()),
+        let jobs_ptr = match &into {
+            Request::Score { snapshot, .. } => snapshot.jobs.as_ptr(),
             _ => unreachable!(),
         };
         Request::decode_payload_into(&wire[HEADER_LEN..], &mut into).unwrap();
         match &into {
-            Request::ScoreRaw {
-                id,
-                obs,
-                mask,
-                queue_len,
-            } => {
-                assert_eq!((*id, *queue_len), (1, 2));
-                assert_eq!(obs.as_ptr(), obs_ptr, "obs buffer was reused");
-                assert_eq!(mask.as_ptr(), mask_ptr, "mask buffer was reused");
-                assert_eq!(obs, &[0.5f32, 0.25]);
-                assert_eq!(mask, &[0.0f32, -1e9]);
+            Request::Score { id, snapshot } => {
+                assert_eq!(*id, 1);
+                assert_eq!(snapshot.jobs.as_ptr(), jobs_ptr, "jobs buffer was reused");
+                assert_eq!(snapshot, &want);
             }
             other => panic!("wrong variant: {other:?}"),
         }

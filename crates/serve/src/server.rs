@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use rlsched_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use rlsched_sched::{select_parts, HeuristicKind};
-use rlscheduler::{CanaryBatch, CanaryError, ObsEncoder, ScorerSnapshot};
+use rlscheduler::{CanaryBatch, CanaryError, ObsEncoder, QueueSnapshot, ScorerSnapshot};
 
 use crate::client::ServeClient;
 use crate::engine::{EngineMetrics, ScorerSlot, ShardEngine};
@@ -836,19 +836,28 @@ fn connection_loop<S: Transport>(
         .remove(&conn_id);
 }
 
-/// The deterministic heuristic decision for a raw (pre-encoded) row:
-/// the first unmasked slot. Raw rows carry normalized features, not the
-/// wait/runtime/procs a priority function needs — but the queue behind
-/// a decision point is FCFS-ordered by construction, so "first valid
-/// slot" IS the FCFS decision, exactly. The configured kind applies to
-/// snapshot requests, which carry the raw features.
-fn raw_fallback(mask: &[f32], queue_len: usize) -> u64 {
-    let slot = mask
-        .iter()
-        .take(queue_len)
-        .position(|&m| m > -0.5)
-        .unwrap_or(0);
-    slot as u64
+/// Why a snapshot from outside the program cannot be scored, if it
+/// cannot. The encoder divides by `total_procs` and caps `wait` and
+/// `time_bound`, so out-of-range inputs would reach the model as NaN or
+/// as a queue no simulator could produce — and come back tagged `Model`.
+fn snapshot_error(s: &QueueSnapshot) -> Option<String> {
+    if s.jobs.is_empty() || s.queue_len() < s.jobs.len() {
+        return Some("snapshot needs at least one job and queue_len >= jobs".into());
+    }
+    let (free, total) = (s.free_procs, s.total_procs);
+    if total == 0 || free > total {
+        return Some(format!(
+            "snapshot needs free_procs <= total_procs > 0, got {free} of {total}"
+        ));
+    }
+    let (i, j) = s.jobs.iter().enumerate().find(|(_, j)| {
+        let wait_ok = (0.0..f64::INFINITY).contains(&j.wait);
+        !(wait_ok && j.time_bound.is_finite() && j.time_bound > 0.0)
+    })?;
+    Some(format!(
+        "job {i} needs a finite wait >= 0 and time_bound > 0, got {} and {}",
+        j.wait, j.time_bound
+    ))
 }
 
 fn handle_request(
@@ -860,7 +869,7 @@ fn handle_request(
     reply_tx: &Sender<Response>,
 ) {
     let id = req.id();
-    let (obs, mask, queue_len, fallback_action) = match req {
+    let snapshot = match req {
         Request::Stats { .. } => {
             let _ = reply_tx.send(Response::Stats {
                 id,
@@ -876,57 +885,29 @@ fn handle_request(
             });
             return;
         }
-        Request::Score { snapshot, .. } => {
-            if snapshot.jobs.is_empty() || snapshot.queue_len() < snapshot.jobs.len() {
-                let _ = reply_tx.send(Response::Error {
-                    id,
-                    message: "snapshot needs at least one job and queue_len >= jobs".into(),
-                });
-                return;
-            }
-            // The heuristic decision is computed at admission, while the
-            // raw job features are still in hand — a shard that later
-            // fails this request answers from this, not from model state.
-            let fb = fallback.and_then(|kind| {
-                select_parts(
-                    kind,
-                    snapshot
-                        .jobs
-                        .iter()
-                        .map(|j| (j.wait, j.time_bound, j.procs)),
-                )
-                .map(|slot| slot as u64)
-            });
-            let mut obs = Vec::with_capacity(encoder.obs_dim());
-            let mut mask = Vec::with_capacity(encoder.n_actions());
-            encoder.encode_snapshot_extend(&snapshot, &mut obs, &mut mask);
-            (obs, mask, snapshot.queue_len(), fb)
-        }
-        Request::ScoreRaw {
-            obs,
-            mask,
-            queue_len,
-            ..
-        } => {
-            if obs.len() != encoder.obs_dim() || mask.len() != encoder.n_actions() || queue_len == 0
-            {
-                let _ = reply_tx.send(Response::Error {
-                    id,
-                    message: format!(
-                        "want obs[{}] mask[{}] queue_len>=1, got obs[{}] mask[{}] queue_len={}",
-                        encoder.obs_dim(),
-                        encoder.n_actions(),
-                        obs.len(),
-                        mask.len(),
-                        queue_len
-                    ),
-                });
-                return;
-            }
-            let fb = fallback.map(|_| raw_fallback(&mask, queue_len as usize));
-            (obs, mask, queue_len as usize, fb)
-        }
+        Request::Score { snapshot, .. } => snapshot,
     };
+    if let Some(message) = snapshot_error(&snapshot) {
+        let _ = reply_tx.send(Response::Error { id, message });
+        return;
+    }
+    // The heuristic decision is computed at admission, while the job
+    // features are still in hand — a shard that later fails this
+    // request answers from this, not from model state.
+    let fallback_action = fallback.and_then(|kind| {
+        select_parts(
+            kind,
+            snapshot
+                .jobs
+                .iter()
+                .map(|j| (j.wait, j.time_bound, j.procs)),
+        )
+        .map(|slot| slot as u64)
+    });
+    let mut obs = Vec::with_capacity(encoder.obs_dim());
+    let mut mask = Vec::with_capacity(encoder.n_actions());
+    encoder.encode_snapshot_extend(&snapshot, &mut obs, &mut mask);
+    let queue_len = snapshot.queue_len();
     let shard = route(id, shard_txs.len());
     let req = ShardRequest {
         id,

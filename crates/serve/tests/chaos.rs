@@ -18,9 +18,11 @@
 //!   while the tier is degrading and recovering around them (canary
 //!   rows carry their expected actions; CI replays this file on both
 //!   SIMD dispatch arms).
-//! * **Fallback answers are the heuristic's bits**: first-valid-slot
-//!   (FCFS) for raw rows, `PriorityScheduler` kind-for-kind for
-//!   snapshot requests — pinned by a whole-episode equality below.
+//! * **Fallback answers are the heuristic's bits**: the configured
+//!   `ServeConfig::fallback` kind's `select_parts` pick over the
+//!   request's snapshot, for every fallback whatever its cause — pinned
+//!   row by row for a panicked batch, an expired deadline and a failed
+//!   shard, and by a whole-episode `PriorityScheduler` equality below.
 //! * **The tier returns to healthy** after the script runs dry, and a
 //!   poisoned checkpoint can never take it down: propose → validate →
 //!   commit, with generation rollback.
@@ -29,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rlsched_rl::{PolicyModel, PpoConfig};
-use rlsched_sched::{HeuristicKind, PriorityScheduler};
+use rlsched_sched::{select_parts, HeuristicKind, PriorityScheduler};
 use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
 use rlsched_serve::{
     ClientConfig, ClientError, FaultPlan, ListenAddr, ProposeError, RemotePolicy, ServeClient,
@@ -40,7 +42,8 @@ use rlsched_sim::{
 };
 use rlsched_swf::{Job, JobTrace};
 use rlscheduler::{
-    Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind, PolicyNet, ScorerSnapshot,
+    Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind, PolicyNet, QueueSnapshot,
+    ScorerSnapshot, SnapshotJob,
 };
 
 fn agent_for(window: usize, seed: u64) -> Agent {
@@ -74,6 +77,22 @@ fn toy_trace() -> JobTrace {
     JobTrace::new(jobs, 4)
 }
 
+/// What every `served_by: Fallback` answer to `snap` must be: the
+/// configured kind's pick over the request's own snapshot.
+fn fallback_pick(kind: HeuristicKind, snap: &QueueSnapshot) -> u64 {
+    let parts = snap.jobs.iter().map(|j| (j.wait, j.time_bound, j.procs));
+    select_parts(kind, parts).expect("a scored snapshot has jobs") as u64
+}
+
+/// A `Score` request for canary row `id % rows`, with correlation id `id`.
+fn score_request(canary: &CanaryBatch, id: u64) -> Request {
+    let (snapshot, _) = canary.row(id as usize % canary.rows());
+    Request::Score {
+        id,
+        snapshot: snapshot.clone(),
+    }
+}
+
 /// One-shard config tuned for fast, deterministic chaos runs, on a
 /// fresh Unix socket.
 fn chaos_config(faults: Arc<FaultPlan>) -> ServeConfig {
@@ -93,9 +112,9 @@ fn chaos_config(faults: Arc<FaultPlan>) -> ServeConfig {
 }
 
 /// Zero lost requests through a mid-burst shard panic: the panicked
-/// batch is answered by the fallback (raw rows ⇒ first valid slot),
-/// the worker respawns, and every later model answer carries the exact
-/// in-process bits — asserted row by row against the canary.
+/// batch is answered by the configured SJF fallback over each request's
+/// snapshot, the worker respawns, and every later model answer carries
+/// the exact in-process bits — asserted row by row against the canary.
 #[test]
 fn shard_panic_recovers_with_zero_lost_requests() {
     let agent = agent_for(16, 3);
@@ -114,17 +133,7 @@ fn shard_panic_recovers_with_zero_lost_requests() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
     for id in 0..N {
-        let (obs, mask, queue_len, _) = canary.row(id as usize % canary.rows());
-        write_frame(
-            &mut writer,
-            &Request::ScoreRaw {
-                id,
-                obs: obs.to_vec(),
-                mask: mask.to_vec(),
-                queue_len: queue_len as u64,
-            },
-        )
-        .unwrap();
+        write_frame(&mut writer, &score_request(&canary, id)).unwrap();
     }
     let mut seen = vec![false; N as usize];
     let mut model = 0u64;
@@ -141,7 +150,7 @@ fn shard_panic_recovers_with_zero_lost_requests() {
                     !std::mem::replace(&mut seen[id as usize], true),
                     "duplicate resolution for id {id}"
                 );
-                let (_, _, _, expected) = canary.row(id as usize % canary.rows());
+                let (snap, expected) = canary.row(id as usize % canary.rows());
                 match served_by {
                     ServedBy::Model => {
                         model += 1;
@@ -152,8 +161,11 @@ fn shard_panic_recovers_with_zero_lost_requests() {
                     }
                     ServedBy::Fallback => {
                         fallback += 1;
-                        // Raw-row fallback: the first valid slot.
-                        assert_eq!(action, 0, "raw fallback is FCFS for id {id}");
+                        assert_eq!(
+                            action,
+                            fallback_pick(HeuristicKind::Sjf, snap),
+                            "panicked-batch fallback for id {id} is SJF over its snapshot"
+                        );
                     }
                 }
             }
@@ -188,11 +200,15 @@ fn budget_exhaustion_fails_over_and_validated_swap_revives() {
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
     let mut client = handle.connect().unwrap();
 
-    // Every decision while Failed is a fallback decision.
+    // Every decision while Failed is the configured fallback's decision.
     for i in 0..8 {
-        let (obs, mask, queue_len, _) = canary.row(i % canary.rows());
-        let d = client.score_raw(obs, mask, queue_len).unwrap();
-        assert_eq!(d.served_by, ServedBy::Fallback, "request {i} while failed");
+        let (snap, _) = canary.row(i % canary.rows());
+        let d = client.score_snapshot(snap).unwrap();
+        assert_eq!(
+            (d.action as u64, d.served_by),
+            (fallback_pick(HeuristicKind::Sjf, snap), ServedBy::Fallback),
+            "request {i} while failed"
+        );
     }
     let stats = handle.stats();
     assert_eq!(stats.shards[0].state, ShardState::Failed);
@@ -207,8 +223,8 @@ fn budget_exhaustion_fails_over_and_validated_swap_revives() {
     // The parked shard checks the generation on every arrival: the first
     // request after the commit revives it and is scored on the fresh
     // engine, with exact bits.
-    let (obs, mask, queue_len, expected) = canary.row(0);
-    let d = client.score_raw(obs, mask, queue_len).unwrap();
+    let (snap, expected) = canary.row(0);
+    let d = client.score_snapshot(snap).unwrap();
     assert_eq!(
         (d.action, d.served_by),
         (expected, ServedBy::Model),
@@ -370,8 +386,8 @@ fn poisoned_checkpoints_are_rejected_and_bits_unchanged() {
     // The tier never served anything but the incumbent's bits.
     let mut client = handle.connect().unwrap();
     for i in 0..canary.rows() {
-        let (obs, mask, queue_len, expected) = canary.row(i);
-        let d = client.score_raw(obs, mask, queue_len).unwrap();
+        let (snap, expected) = canary.row(i);
+        let d = client.score_snapshot(snap).unwrap();
         assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
     }
     let stats = handle.shutdown();
@@ -403,8 +419,8 @@ fn eval_regression_rolls_back_to_the_previous_generation() {
     );
     // B's bits serve…
     let mut client = handle.connect().unwrap();
-    let (obs, mask, queue_len, expected_b) = canary_b.row(0);
-    let d = client.score_raw(obs, mask, queue_len).unwrap();
+    let (snap, expected_b) = canary_b.row(0);
+    let d = client.score_snapshot(snap).unwrap();
     assert_eq!((d.action, d.served_by), (expected_b, ServedBy::Model));
 
     // …until the probe metric regresses (lower is better; 2.0 ≫ 1.1).
@@ -413,8 +429,8 @@ fn eval_regression_rolls_back_to_the_previous_generation() {
     // Shards re-read the slot at the next batch: A's bits again.
     let mut back = false;
     for _ in 0..200 {
-        let (obs, mask, queue_len, expected_a) = canary_a.row(0);
-        let d = client.score_raw(obs, mask, queue_len).unwrap();
+        let (snap, expected_a) = canary_a.row(0);
+        let d = client.score_snapshot(snap).unwrap();
         assert_eq!(d.served_by, ServedBy::Model);
         if d.action == expected_a {
             back = true;
@@ -427,8 +443,8 @@ fn eval_regression_rolls_back_to_the_previous_generation() {
         "serving must return to the previous generation's bits"
     );
     for i in 0..canary_a.rows() {
-        let (obs, mask, queue_len, expected_a) = canary_a.row(i);
-        let d = client.score_raw(obs, mask, queue_len).unwrap();
+        let (snap, expected_a) = canary_a.row(i);
+        let d = client.score_snapshot(snap).unwrap();
         assert_eq!(d.action, expected_a, "row {i} is A's bits after rollback");
     }
     assert!(
@@ -441,8 +457,9 @@ fn eval_regression_rolls_back_to_the_previous_generation() {
 }
 
 /// A stalled shard must not stall its queue: requests that age past
-/// the in-queue deadline are answered by the fallback immediately at
-/// admission, and the tier is healthy again once the stall passes.
+/// the in-queue deadline are answered by the configured fallback over
+/// their own snapshots, and the tier is healthy again once the stall
+/// passes.
 #[test]
 fn slow_shard_stall_expires_deadlines_into_fallback() {
     let agent = agent_for(16, 3);
@@ -462,27 +479,30 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
     for id in 0..N {
-        let (obs, mask, queue_len, _) = canary.row(id as usize % canary.rows());
-        write_frame(
-            &mut writer,
-            &Request::ScoreRaw {
-                id,
-                obs: obs.to_vec(),
-                mask: mask.to_vec(),
-                queue_len: queue_len as u64,
-            },
-        )
-        .unwrap();
+        write_frame(&mut writer, &score_request(&canary, id)).unwrap();
     }
     let mut seen = vec![false; N as usize];
     let (mut model, mut fallback) = (0u64, 0u64);
     for _ in 0..N {
         match read_frame::<Response, _>(&mut reader).unwrap().unwrap() {
-            Response::Action { id, served_by, .. } => {
+            Response::Action {
+                id,
+                action,
+                served_by,
+                ..
+            } => {
                 assert!(!std::mem::replace(&mut seen[id as usize], true));
                 match served_by {
                     ServedBy::Model => model += 1,
-                    ServedBy::Fallback => fallback += 1,
+                    ServedBy::Fallback => {
+                        fallback += 1;
+                        let (snap, _) = canary.row(id as usize % canary.rows());
+                        assert_eq!(
+                            action,
+                            fallback_pick(HeuristicKind::Sjf, snap),
+                            "deadline fallback for id {id} is SJF over its snapshot"
+                        );
+                    }
                 }
             }
             other => panic!("unexpected response: {other:?}"),
@@ -496,8 +516,8 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     );
     // The stall script is spent: the tier serves models again.
     let mut client = handle.connect().unwrap();
-    let (obs, mask, queue_len, expected) = canary.row(1);
-    let d = client.score_raw(obs, mask, queue_len).unwrap();
+    let (snap, expected) = canary.row(1);
+    let d = client.score_snapshot(snap).unwrap();
     assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
     let stats = handle.shutdown();
     assert!(stats.deadlines >= 1);
@@ -562,9 +582,19 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
             backoff_cap: Duration::from_millis(10),
             seed: 7,
         });
-    let obs = vec![0.25f32; 4];
-    let mask = vec![0.0f32, 0.0, -1e9, -1e9];
-    let d = client.score_raw(&obs, &mask, 3).expect("retry resolves");
+    let job = SnapshotJob {
+        wait: 10.0,
+        time_bound: 600.0,
+        procs: 1,
+        can_run_now: true,
+    };
+    let snap = QueueSnapshot {
+        free_procs: 2,
+        total_procs: 4,
+        queue_len: 3,
+        jobs: vec![job; 3],
+    };
+    let d = client.score_snapshot(&snap).expect("retry resolves");
     assert_eq!(d.action, 2, "the answer came from the second connection");
     let replay_id = fake.join().unwrap();
     assert_eq!(replay_id, 0, "the retry resent the SAME request id");
@@ -590,10 +620,10 @@ fn client_deadline_is_a_typed_error_not_a_hang() {
         max_retries: 0,
         ..ClientConfig::default()
     });
-    let (obs, mask, queue_len, _) = canary.row(0);
+    let (snap, _) = canary.row(0);
     let started = std::time::Instant::now();
     let err = impatient
-        .score_raw(obs, mask, queue_len)
+        .score_snapshot(snap)
         .expect_err("the stalled tier cannot answer in 80ms");
     assert!(matches!(err, ClientError::Deadline), "{err}");
     assert!(
@@ -603,8 +633,8 @@ fn client_deadline_is_a_typed_error_not_a_hang() {
 
     // Patience pays: the stall is spent, model service resumes.
     let mut patient = handle.connect().unwrap();
-    let (obs, mask, queue_len, expected) = canary.row(1);
-    let d = patient.score_raw(obs, mask, queue_len).unwrap();
+    let (snap, expected) = canary.row(1);
+    let d = patient.score_snapshot(snap).unwrap();
     assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
     handle.shutdown();
 }
@@ -624,19 +654,8 @@ fn torn_request_frames_leave_the_server_serving() {
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
 
     // Die mid-frame: the server sees a truncated line and EOF.
-    let (obs, mask, queue_len, _) = canary.row(0);
     let mut torn = std::net::TcpStream::connect(handle.addr()).unwrap();
-    write_torn_frame(
-        &mut torn,
-        &Request::ScoreRaw {
-            id: 1,
-            obs: obs.to_vec(),
-            mask: mask.to_vec(),
-            queue_len: queue_len as u64,
-        },
-        20,
-    )
-    .unwrap();
+    write_torn_frame(&mut torn, &score_request(&canary, 1), 20).unwrap();
     drop(torn);
 
     // Garbage with a newline: the server reports and resyncs.
@@ -650,8 +669,8 @@ fn torn_request_frames_leave_the_server_serving() {
     // Bystanders are unaffected, bits intact.
     let mut client = handle.connect().unwrap();
     for i in 0..canary.rows() {
-        let (obs, mask, queue_len, expected) = canary.row(i);
-        let d = client.score_raw(obs, mask, queue_len).unwrap();
+        let (snap, expected) = canary.row(i);
+        let d = client.score_snapshot(snap).unwrap();
         assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
     }
     let stats = handle.shutdown();
@@ -685,8 +704,8 @@ fn metrics_survive_panics_with_monotone_counters() {
     const N: usize = 48;
     let mut mid = None;
     for i in 0..N {
-        let (obs, mask, queue_len, _) = canary.row(i % canary.rows());
-        client.score_raw(obs, mask, queue_len).unwrap();
+        let (snap, _) = canary.row(i % canary.rows());
+        client.score_snapshot(snap).unwrap();
         if i == N / 2 {
             mid = Some(scraper.metrics().unwrap());
         }

@@ -11,7 +11,6 @@
 
 use std::time::Duration;
 
-use proptest::pick_index;
 use proptest::prelude::*;
 use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
 use rlsched_serve::protocol::{
@@ -24,17 +23,18 @@ use rlsched_serve::{
 };
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
-/// Awkward-but-finite floats: subnormals, ulp neighbors, huge mask
-/// offsets — the values most likely to shake out a formatting bug.
-fn any_f32() -> impl Strategy<Value = f32> {
+/// Awkward-but-finite floats for a snapshot's waits and time bounds:
+/// subnormals, ulp neighbors, −0.0, the largest double — the values
+/// most likely to shake out a formatting bug.
+fn any_awkward_f64() -> impl Strategy<Value = f64> {
     prop_oneof![
-        Just(0.0f32),
-        Just(-0.0f32),
-        Just(f32::MIN_POSITIVE / 2.0),
-        Just(-1.0e9f32),
-        Just(f32::from_bits(0.3f32.to_bits() + 1)),
-        Just(f32::MAX),
-        (-1.0e9f32..1.0e9).boxed(),
+        Just(0.0f64),
+        Just(-0.0f64),
+        Just(f64::MIN_POSITIVE / 2.0),
+        Just(1.0 / 3.0),
+        Just(f64::from_bits(0.3f64.to_bits() + 1)),
+        Just(f64::MAX),
+        (0.0f64..1.0e12).boxed(),
     ]
 }
 
@@ -75,44 +75,51 @@ fn any_shard_state() -> impl Strategy<Value = ShardState> {
     ]
 }
 
+fn any_job() -> impl Strategy<Value = SnapshotJob> {
+    (
+        any_awkward_f64(),
+        any_awkward_f64(),
+        1u32..64,
+        any::<bool>(),
+    )
+        .prop_map(|(wait, time_bound, procs, can_run_now)| SnapshotJob {
+            wait,
+            time_bound,
+            procs,
+            can_run_now,
+        })
+}
+
 fn any_snapshot() -> impl Strategy<Value = QueueSnapshot> {
-    FnStrategy(|rng: &mut TestRng| {
-        let depth = pick_index(rng, 6);
-        let jobs = (0..depth)
-            .map(|i| SnapshotJob {
-                wait: i as f64 * 7.5,
-                time_bound: 60.0 + i as f64,
-                procs: 1 + (i as u32 % 8),
-                can_run_now: i % 2 == 0,
-            })
-            .collect();
-        QueueSnapshot {
-            free_procs: pick_index(rng, 64) as u32,
+    (prop::collection::vec(any_job(), 0..24), 0u32..=64, 0u32..4).prop_map(
+        |(jobs, free_procs, beyond_window)| QueueSnapshot {
+            free_procs,
             total_procs: 64,
-            queue_len: depth as u32,
+            queue_len: jobs.len() as u32 + beyond_window,
             jobs,
-        }
-    })
+        },
+    )
 }
 
 fn any_request() -> impl Strategy<Value = Request> {
-    let raw = (
-        any_id(),
-        prop::collection::vec(any_f32(), 0..24),
-        prop::collection::vec(any_f32(), 0..8),
-        0u64..1000,
-    )
-        .prop_map(|(id, obs, mask, queue_len)| Request::ScoreRaw {
-            id,
-            obs,
-            mask,
-            queue_len,
-        });
     let score =
         (any_id(), any_snapshot()).prop_map(|(id, snapshot)| Request::Score { id, snapshot });
     let stats = any_id().prop_map(|id| Request::Stats { id });
     let metrics = any_id().prop_map(|id| Request::Metrics { id });
-    prop_oneof![raw.boxed(), score.boxed(), stats.boxed(), metrics.boxed()]
+    prop_oneof![score.boxed(), stats.boxed(), metrics.boxed()]
+}
+
+/// A score request's snapshot floats as bits, so −0.0 vs 0.0 and ulp
+/// neighbors compare unequal (`==` alone would let a sign flip through).
+fn float_bits(req: &Request) -> Vec<u64> {
+    match req {
+        Request::Score { snapshot, .. } => snapshot
+            .jobs
+            .iter()
+            .flat_map(|j| [j.wait.to_bits(), j.time_bound.to_bits()])
+            .collect(),
+        _ => Vec::new(),
+    }
 }
 
 fn any_health() -> impl Strategy<Value = ShardHealth> {
@@ -366,8 +373,8 @@ proptest! {
         damaged_frame_fails_cleanly(&frame, &resp)?;
     }
 
-    /// Every request variant survives the wire bit-exactly, and `f32`
-    /// payload rows compare by bits, not by value (−0.0 vs 0.0, ulp
+    /// Every request variant survives the wire bit-exactly, and a
+    /// snapshot's floats compare by bits, not by value (−0.0 vs 0.0, ulp
     /// neighbors).
     #[test]
     fn requests_round_trip_bit_exactly(reqs in prop::collection::vec(any_request(), 1..8)) {
@@ -379,14 +386,7 @@ proptest! {
         for want in &reqs {
             let got: Request = read_frame(&mut reader).unwrap().expect("frame present");
             prop_assert_eq!(&got, want);
-            if let (
-                Request::ScoreRaw { obs: a, mask: ma, .. },
-                Request::ScoreRaw { obs: b, mask: mb, .. },
-            ) = (&got, want) {
-                for (x, y) in a.iter().zip(b).chain(ma.iter().zip(mb)) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
-                }
-            }
+            prop_assert_eq!(float_bits(&got), float_bits(want));
         }
         prop_assert!(read_frame::<Request, _>(&mut reader).unwrap().is_none());
     }
@@ -448,14 +448,7 @@ proptest! {
                     .expect("frame present");
             prop_assert_eq!(proto, WireProtocol::Binary);
             prop_assert_eq!(&got, want);
-            if let (
-                Request::ScoreRaw { obs: a, mask: ma, .. },
-                Request::ScoreRaw { obs: b, mask: mb, .. },
-            ) = (&got, want) {
-                for (x, y) in a.iter().zip(b).chain(ma.iter().zip(mb)) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
-                }
-            }
+            prop_assert_eq!(float_bits(&got), float_bits(want));
         }
         prop_assert!(
             read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)

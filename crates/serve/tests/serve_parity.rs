@@ -30,7 +30,9 @@ use rlsched_serve::{
 };
 use rlsched_sim::{run_episode, MetricKind, SimConfig};
 use rlsched_swf::{Job, JobTrace};
-use rlscheduler::{Agent, AgentConfig, CanaryBatch, ObsConfig, PolicyKind};
+use rlscheduler::{
+    Agent, AgentConfig, CanaryBatch, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob,
+};
 
 /// A toy trace with enough queue contention that policies differ.
 fn toy_trace() -> JobTrace {
@@ -64,13 +66,29 @@ fn agent_for(kind: PolicyKind, seed: u64) -> Agent {
     })
 }
 
-/// Background clients hammering the server with valid raw requests, so
+/// A valid decision point: `depth` waiting jobs on a 4-processor
+/// cluster with 2 free.
+fn small_snapshot(depth: usize) -> QueueSnapshot {
+    QueueSnapshot {
+        free_procs: 2,
+        total_procs: 4,
+        queue_len: depth as u32,
+        jobs: (0..depth as u32)
+            .map(|i| SnapshotJob {
+                wait: 30.0 + 45.0 * i as f64,
+                time_bound: 600.0 + 300.0 * i as f64,
+                procs: 1 + i % 3,
+                can_run_now: i % 3 < 2,
+            })
+            .collect(),
+    }
+}
+
+/// Background clients hammering the server with valid requests, so
 /// the foreground episode's decisions land in batches of varying
 /// composition. Returns a stop flag and the join handles.
 fn spawn_noise(
     addr: ServerAddr,
-    obs_dim: usize,
-    n_actions: usize,
     n_threads: usize,
 ) -> (Arc<AtomicBool>, Vec<std::thread::JoinHandle<()>>) {
     let stop = Arc::new(AtomicBool::new(false));
@@ -82,18 +100,9 @@ fn spawn_noise(
                 let mut client = ServeClient::connect_any(&addr)
                     .expect("noise client connects")
                     .with_id_base(1_000_000 * (t as u64 + 1));
-                // A fixed valid row: 3 live slots, the rest padding.
-                let mut obs = vec![0.0f32; obs_dim];
-                let mut mask = vec![-1e9f32; n_actions];
-                let feats = obs_dim / n_actions;
-                for slot in 0..3 {
-                    for f in 0..feats {
-                        obs[slot * feats + f] = 0.1 + 0.2 * (slot as f32) + 0.01 * f as f32;
-                    }
-                    mask[slot] = 0.0;
-                }
+                let snap = small_snapshot(3);
                 while !stop.load(Ordering::Relaxed) {
-                    match client.score_raw(&obs, &mask, 3) {
+                    match client.score_snapshot(&snap) {
                         Ok(d) => assert!(d.action < 3, "noise action in range"),
                         Err(ClientError::Shed) => {}
                         Err(_) => break, // server shut down under us
@@ -125,12 +134,7 @@ fn served_decisions_are_bit_identical_to_as_policy_all_kinds() {
             },
         )
         .expect("server spawns");
-        let (stop, noise) = spawn_noise(
-            handle.server_addr().clone(),
-            agent.encoder().obs_dim(),
-            agent.encoder().n_actions(),
-            2,
-        );
+        let (stop, noise) = spawn_noise(handle.server_addr().clone(), 2);
 
         let client = handle.connect().expect("client connects");
         let mut policy = RemotePolicy::new(client, agent.encoder().cfg.max_obsv);
@@ -212,12 +216,7 @@ fn hot_swap_serves_new_weights_without_dropping_requests() {
         ServeConfig::default(),
     )
     .expect("server spawns");
-    let (stop, noise) = spawn_noise(
-        handle.server_addr().clone(),
-        agent_a.encoder().obs_dim(),
-        agent_a.encoder().n_actions(),
-        2,
-    );
+    let (stop, noise) = spawn_noise(handle.server_addr().clone(), 2);
     // Let A serve some traffic, then swap under load.
     std::thread::sleep(Duration::from_millis(20));
     handle.swap_scorer(agent_b.scorer_snapshot());
@@ -272,23 +271,10 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let obs_dim = agent.encoder().obs_dim();
-    let n_actions = agent.encoder().n_actions();
-    let mut obs = vec![0.0f32; obs_dim];
-    let mut mask = vec![-1e9f32; n_actions];
-    obs[..obs_dim / n_actions].fill(0.5);
-    mask[0] = 0.0;
+    let snapshot = small_snapshot(1);
     for id in 0..N {
-        write_frame(
-            &mut writer,
-            &Request::ScoreRaw {
-                id,
-                obs: obs.clone(),
-                mask: mask.clone(),
-                queue_len: 1,
-            },
-        )
-        .unwrap();
+        let snapshot = snapshot.clone();
+        write_frame(&mut writer, &Request::Score { id, snapshot }).unwrap();
     }
     let mut actions = 0u64;
     let mut sheds = 0u64;
@@ -349,14 +335,9 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let score = |id: usize| {
-        let (obs, mask, queue_len, _) = canary.row(id);
-        Request::ScoreRaw {
-            id: id as u64,
-            obs: obs.to_vec(),
-            mask: mask.to_vec(),
-            queue_len: queue_len as u64,
-        }
+    let score = |id: usize| Request::Score {
+        id: id as u64,
+        snapshot: canary.row(id).0.clone(),
     };
 
     write_frame(&mut writer, &score(0)).unwrap();
@@ -386,7 +367,7 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
                 ..
             } => {
                 assert!(!std::mem::replace(&mut seen[id as usize], true));
-                let (_, _, _, expected) = canary.row(id as usize);
+                let (_, expected) = canary.row(id as usize);
                 assert_eq!(
                     (action as usize, served_by),
                     (expected, ServedBy::Model),
@@ -405,11 +386,18 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
     assert_eq!(stats.batches, 4, "1 + 4 + 4 + 1: the backlog was stacked");
 }
 
-/// Protocol robustness: a malformed line gets an error report and the
-/// connection keeps working; an empty snapshot is rejected.
+/// Protocol robustness, over JSON and binary frames on one raw
+/// connection: garbage and the retired client-encoded row request
+/// (`{"ScoreRaw":…}`, binary tag 2) are reported as unparseable (id 0);
+/// a snapshot the encoder cannot read is rejected with the request's id
+/// instead of being scored; and after all of it the same connection
+/// still scores.
 #[test]
 fn malformed_frames_report_errors_and_resync() {
-    use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
+    use rlsched_serve::protocol::{
+        encode_binary_frame, read_frame_any, write_frame, Request, Response, BINARY_MAGIC,
+        BINARY_VERSION,
+    };
     use std::io::{BufReader, Write};
 
     let agent = agent_for(PolicyKind::Kernel, 41);
@@ -426,43 +414,98 @@ fn malformed_frames_report_errors_and_resync() {
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    // Replies come back in the format of the latest request read, so
+    // read either.
+    let mut reply = || -> Response {
+        read_frame_any(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply")
+            .0
+    };
+    let assert_error = |resp: Response, want_id: u64, what: &str| {
+        assert!(
+            matches!(resp, Response::Error { id, .. } if id == want_id),
+            "{what}: want an error for id {want_id}, got {resp:?}"
+        );
+    };
 
     writer.write_all(b"this is not json\n").unwrap();
-    let resp: Response = read_frame(&mut reader).unwrap().unwrap();
-    assert!(
-        matches!(resp, Response::Error { id: 0, .. }),
-        "garbage line reports a parse error: {resp:?}"
-    );
+    assert_error(reply(), 0, "garbage line");
 
-    // Empty snapshot: rejected with the request's id.
-    write_frame(
-        &mut writer,
-        &Request::Score {
-            id: 9,
-            snapshot: rlscheduler::QueueSnapshot {
-                free_procs: 1,
-                total_procs: 4,
-                queue_len: 0,
-                jobs: vec![],
-            },
-        },
-    )
-    .unwrap();
-    let resp: Response = read_frame(&mut reader).unwrap().unwrap();
-    assert!(matches!(resp, Response::Error { id: 9, .. }), "{resp:?}");
+    // The retired request, in both formats: unknown, so unparseable.
+    writer
+        .write_all(b"{\"ScoreRaw\":{\"id\":5,\"obs\":[0.5],\"mask\":[0.0],\"queue_len\":1}}\n")
+        .unwrap();
+    assert_error(reply(), 0, "retired JSON request");
+    let mut retired = vec![BINARY_MAGIC, BINARY_VERSION];
+    retired.extend_from_slice(&9u32.to_le_bytes());
+    retired.push(2);
+    retired.extend_from_slice(&6u64.to_le_bytes());
+    writer.write_all(&retired).unwrap();
+    assert_error(reply(), 0, "retired binary tag 2");
 
-    // The connection still scores after both errors.
-    let mut client = handle.connect().unwrap();
-    let trace = toy_trace();
-    let view_probe = run_episode(&trace, SimConfig::default(), &mut agent.as_policy()).unwrap();
-    drop(view_probe);
-    let mut obs = vec![0.0f32; agent.encoder().obs_dim()];
-    let mut mask = vec![-1e9f32; agent.encoder().n_actions()];
-    obs[..rlscheduler::JOB_FEATURES].fill(0.3);
-    mask[0] = 0.0;
-    let out = client.score_raw(&obs, &mask, 1).unwrap();
-    assert_eq!(out.action, 0);
-    assert_eq!(out.served_by, ServedBy::Model);
+    let mut frame = Vec::new();
+    let mut send = |req: &Request, binary: bool| {
+        if binary {
+            encode_binary_frame(req, &mut frame);
+            writer.write_all(&frame).unwrap();
+        } else {
+            write_frame(&mut writer, req).unwrap();
+        }
+    };
+    type Edit = fn(&mut QueueSnapshot);
+    let unreadable: [(&str, Edit); 10] = [
+        ("empty snapshot", |s| s.jobs.clear()),
+        ("total_procs 0", |s| (s.free_procs, s.total_procs) = (0, 0)),
+        ("free_procs > total_procs", |s| s.free_procs = 5),
+        ("negative wait", |s| s.jobs[1].wait = -1.0),
+        ("NaN wait", |s| s.jobs[1].wait = f64::NAN),
+        ("infinite wait", |s| s.jobs[1].wait = f64::INFINITY),
+        ("zero time_bound", |s| s.jobs[1].time_bound = 0.0),
+        ("negative time_bound", |s| s.jobs[1].time_bound = -60.0),
+        ("infinite time_bound", |s| {
+            s.jobs[1].time_bound = f64::INFINITY
+        }),
+        ("NaN time_bound", |s| s.jobs[1].time_bound = f64::NAN),
+    ];
+    for (i, (what, edit)) in unreadable.into_iter().enumerate() {
+        let mut snapshot = small_snapshot(2);
+        edit(&mut snapshot);
+        // JSON has no non-finite numbers: the shim writes them as `null`,
+        // which does not parse, so over JSON those report id 0.
+        let finite = snapshot
+            .jobs
+            .iter()
+            .all(|j| j.wait.is_finite() && j.time_bound.is_finite());
+        for (id, binary) in [(10 + 2 * i as u64, false), (11 + 2 * i as u64, true)] {
+            let snapshot = snapshot.clone();
+            send(&Request::Score { id, snapshot }, binary);
+            assert_error(reply(), if finite || binary { id } else { 0 }, what);
+        }
+    }
+
+    // The same connection still scores, in both formats, with the
+    // in-process agent's action.
+    let snapshot = small_snapshot(3);
+    let (mut obs, mut mask) = (Vec::new(), Vec::new());
+    agent
+        .encoder()
+        .encode_snapshot_extend(&snapshot, &mut obs, &mut mask);
+    let expected = agent.score(&obs, &mask, &mut rlsched_rl::ActorScratch::new()) as u64;
+    for (id, binary) in [(100u64, false), (101, true)] {
+        let snapshot = snapshot.clone();
+        send(&Request::Score { id, snapshot }, binary);
+        match reply() {
+            Response::Action {
+                id: got,
+                action,
+                served_by,
+                ..
+            } => assert_eq!((got, action, served_by), (id, expected, ServedBy::Model)),
+            other => panic!("the connection must still score: {other:?}"),
+        }
+    }
     handle.shutdown();
 }
 
@@ -477,12 +520,9 @@ fn stats_are_queryable_over_the_wire() {
     )
     .expect("server spawns");
     let mut client = handle.connect().unwrap();
-    let mut obs = vec![0.0f32; agent.encoder().obs_dim()];
-    let mut mask = vec![-1e9f32; agent.encoder().n_actions()];
-    obs[..rlscheduler::JOB_FEATURES].fill(0.7);
-    mask[0] = 0.0;
+    let snapshot = small_snapshot(1);
     for _ in 0..10 {
-        client.score_raw(&obs, &mask, 1).unwrap();
+        client.score_snapshot(&snapshot).unwrap();
     }
     let stats = client.stats().unwrap();
     assert_eq!(stats.served, 10);

@@ -128,10 +128,8 @@ fn main() {
 
     // 4. Evaluate on held-out sequences — the *same* sequences for every
     //    scheduler, as the paper's protocol requires. The RL agent is
-    //    evaluated twice: through its `Policy` head, asked by the episode
-    //    driver at every decision exactly as a heuristic's is, and through
-    //    the lockstep batched evaluator, which scores all windows' decision
-    //    points in one forward per tick.
+    //    evaluated through its `Policy` head, asked by the episode driver
+    //    at every decision exactly as a heuristic's is.
     let windows = sample_eval_windows(&trace, scale.eval_windows, scale.eval_len, 99);
     println!(
         "\nscheduling {} held-out sequences of {} jobs (avg bounded slowdown):",
@@ -152,17 +150,6 @@ fn main() {
         "  {:<10} {:>10.2}",
         "RL",
         mean_metric(&results, MetricKind::BoundedSlowdown)
-    );
-    let batched = evaluate_agent(&agent, &windows, SimConfig::default());
-    println!(
-        "  {:<10} {:>10.2}  (lockstep batched evaluator)",
-        "RL-vec",
-        mean_metric(&batched, MetricKind::BoundedSlowdown)
-    );
-    assert_eq!(
-        mean_metric(&results, MetricKind::BoundedSlowdown),
-        mean_metric(&batched, MetricKind::BoundedSlowdown),
-        "batched greedy evaluation must match the sequential protocol"
     );
 
     // 5. Persist the trained model (Table VII transfer-style usage).
