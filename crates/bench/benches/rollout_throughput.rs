@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use rlsched_rl::{collect_episodes, collect_rollouts_vec, PpoConfig, RolloutBuffer, VecEnv};
+use rlsched_rl::{collect_arena, collect_rollouts_vec, ArrivalArena, PpoConfig, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -60,20 +60,20 @@ fn bench_rollout_throughput(c: &mut Criterion) {
         });
 
         // Per-env: n sequential single-env collections (the old path,
-        // kept as a VecEnv of size 1), merged into the same single
-        // normalized training batch the batched arm produces — identical
-        // output bits (the parity tests pin that), so the margin is
-        // purely the stepping/scoring strategy.
+        // kept as a VecEnv of size 1), their per-seed arenas merged into
+        // the same single normalized training batch the batched arm
+        // produces — identical output bits (the parity tests pin that),
+        // so the margin is purely the stepping/scoring strategy.
         let mut singles: Vec<VecEnv<SchedulingEnv>> =
             (0..n).map(|_| VecEnv::new(vec![proto.clone()])).collect();
         group.bench_function(format!("perenv_n{n}"), |b| {
             b.iter(|| {
-                let mut bufs = Vec::with_capacity(n);
-                for (venv, &seed) in singles.iter_mut().zip(&seeds) {
-                    let (mut episode_bufs, _stats) = collect_episodes(agent.ppo(), venv, &[seed]);
-                    bufs.append(&mut episode_bufs);
-                }
-                let batch = RolloutBuffer::into_batch(bufs);
+                let arenas = singles
+                    .iter_mut()
+                    .zip(&seeds)
+                    .map(|(venv, &seed)| collect_arena(agent.ppo(), venv, &[seed]).0)
+                    .collect();
+                let batch = ArrivalArena::merge_into_batch(arenas);
                 std::hint::black_box(batch.len())
             })
         });

@@ -1,12 +1,14 @@
 //! Throwaway phase profiler for the lockstep rollout loop (not wired
 //! into CI): times policy/value/sample/step/store separately at a given
-//! n_envs so regressions in any one phase are attributable.
+//! n_envs so regressions in any one phase are attributable. The store
+//! phase is the rollout arena's: each window held to the window contract
+//! and its valid job rows appended.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlsched_rl::{MaskedCategorical, PolicyModel, PpoConfig, ValueModel, VecEnv};
+use rlsched_rl::{ArrivalArena, MaskedCategorical, PolicyModel, PpoConfig, ValueModel, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -45,17 +47,20 @@ fn main() {
     );
     let mut venv = VecEnv::new((0..n).map(|_| proto.clone()).collect::<Vec<_>>());
     let seeds: Vec<u64> = (0..n as u64).collect();
-    let na = venv.n_actions();
+    let (od, na) = (venv.obs_dim(), venv.n_actions());
 
-    let (mut t_pi, mut t_v, mut t_s, mut t_step) = (0.0f64, 0.0, 0.0, 0.0);
+    let (mut t_pi, mut t_v, mut t_s, mut t_step, mut t_store) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
     let mut scratch = rlsched_nn::Scratch::new();
     let (mut obs, mut masks) = (Vec::new(), Vec::new());
+    let (mut next_obs, mut next_masks) = (Vec::new(), Vec::new());
     let (mut logps, mut values) = (Vec::new(), Vec::<f64>::new());
     let mut actions = Vec::new();
     let mut outcomes = Vec::new();
     let mut rng = StdRng::seed_from_u64(1);
     let mut steps = 0usize;
+    let mut stored = 0.0f64;
     for _ in 0..reps {
+        let mut arena = ArrivalArena::new(od, na, 1.0, 0.97, seeds.len());
         venv.reset_all(&seeds, &mut obs, &mut masks);
         while !venv.is_done() {
             let rows = venv.live_count();
@@ -76,14 +81,26 @@ fn main() {
                 actions.push(dist.sample(&mut rng));
             }
             let t3 = Instant::now();
-            venv.step_all(&actions, &mut obs, &mut masks, &mut outcomes);
+            venv.step_all(&actions, &mut next_obs, &mut next_masks, &mut outcomes);
             let t4 = Instant::now();
+            for (r, out) in outcomes.iter().enumerate() {
+                let (o, m) = (&obs[r * od..(r + 1) * od], &masks[r * na..(r + 1) * na]);
+                arena.store(out.episode, o, m, actions[r], out.reward, values[r], 0.0);
+                if out.done {
+                    arena.finish_episode(out.episode, 0.0);
+                }
+            }
+            let t5 = Instant::now();
+            std::mem::swap(&mut obs, &mut next_obs);
+            std::mem::swap(&mut masks, &mut next_masks);
             t_pi += (t1 - t0).as_secs_f64();
             t_v += (t2 - t1).as_secs_f64();
             t_s += (t3 - t2).as_secs_f64();
             t_step += (t4 - t3).as_secs_f64();
+            t_store += (t5 - t4).as_secs_f64();
             steps += rows;
         }
+        stored += arena.into_batch().storage_bytes() as f64;
     }
     let per = 1e9 / steps as f64;
     println!("n_envs={n}  steps={steps}");
@@ -92,8 +109,13 @@ fn main() {
     println!("  sampling     : {:8.1} ns/step", t_s * per);
     println!("  step_all     : {:8.1} ns/step", t_step * per);
     println!(
+        "  store        : {:8.1} ns/step  ({:.0} B/step stored)",
+        t_store * per,
+        stored / steps as f64
+    );
+    println!(
         "  total        : {:8.1} ns/step",
-        (t_pi + t_v + t_s + t_step) * per
+        (t_pi + t_v + t_s + t_step + t_store) * per
     );
 }
 

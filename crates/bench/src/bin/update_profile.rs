@@ -14,14 +14,15 @@
 //! `crates/bench/PROFILE_update_phases.txt` — regenerate it when the
 //! update path changes.
 //!
-//! That file was taken on a 2-core Intel Xeon @ 2.10 GHz VM
+//! That file was taken on a shared 2-core Intel Xeon VM
 //! (`available_parallelism` = 2, AVX2+FMA) with `update_profile 20`,
-//! after LeNet moved onto the fused sweep: the kernel net and the LeNet
-//! CNN at this configuration with 2 workers. The binary asserts forward
-//! and backward non-zero and `total()` within 5 % of the wall. For
-//! scale, the same LeNet update on the autodiff tape it replaced
-//! measured 107 ms/update on the same VM, taken back to back with the
-//! file's 73 ms.
+//! after the batch began storing each window's valid job rows only: the
+//! kernel net and the LeNet CNN at this configuration with 2 workers,
+//! the quietest of three back-to-back runs (the box swings the walls
+//! 20–50 % run to run; compare against a parent build run alternately,
+//! never against this file). Its `batch rows` line is the batch's
+//! observation storage, which is exact. The binary asserts forward and
+//! backward non-zero and `total()` within 5 % of the wall.
 
 use rlsched_rl::{collect_rollouts_vec, PpoConfig, UpdateProfile, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
@@ -124,6 +125,11 @@ fn profile(kind: PolicyKind, reps: u32) {
         "  scratch   : {:.2} MB per-worker + {:.2} MB per-chunk partials (actor + critic)",
         (pi.worker_bytes() + vf.worker_bytes()) as f64 / 1e6,
         (pi.partial_bytes() + vf.partial_bytes()) as f64 / 1e6,
+    );
+    println!(
+        "  batch rows: {:.2} MB stored (each window's valid job rows and their count; {:.2} MB as whole windows and masks)",
+        batch.storage_bytes() as f64 / 1e6,
+        (batch.len() * batch.n_actions() * (batch.features() + 1) * 4) as f64 / 1e6,
     );
     println!();
 }

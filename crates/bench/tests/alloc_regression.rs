@@ -384,7 +384,7 @@ fn fast_paths_do_not_regress_allocations() {
     // 4-episode round must fit a small per-episode budget. The lockstep
     // VecEnv path replaced the per-env thread fan-out, so the bound
     // tightens from the historical 600 (measured ~561 on the old path)
-    // to 400: what remains is per-episode RolloutBuffer growth plus the
+    // to 400: what remains is the rollout arena's growth plus the
     // one-time lockstep scratch, not per-step or per-thread work. ----
     let rollout_allocs =
         count_allocs(|| collect_rollouts_vec(agent.ppo(), &mut rollout_envs, &seeds));

@@ -246,9 +246,6 @@ impl QueueSnapshot {
     }
 }
 
-/// Re-exported for convenience of downstream mask assertions.
-pub const MASK_OFFSET: f32 = MASK_OFF;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +299,7 @@ mod tests {
         assert!((obs[5] - 0.25).abs() < 1e-6, "1 of 4 slots used");
         assert_eq!(obs[6], 1.0, "valid flag");
         assert_eq!(mask[0], 0.0);
-        assert_eq!(mask[1], MASK_OFFSET);
+        assert_eq!(mask[1], MASK_OFF);
     }
 
     #[test]
@@ -318,7 +315,7 @@ mod tests {
             for f in 0..JOB_FEATURES {
                 assert_eq!(obs[slot * JOB_FEATURES + f], 0.0);
             }
-            assert_eq!(mask[slot], MASK_OFFSET);
+            assert_eq!(mask[slot], MASK_OFF);
         }
     }
 

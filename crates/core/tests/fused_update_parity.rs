@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlsched_nn::{clip_global_norm, Adam};
 use rlsched_nn_ref::Graph;
+use rlsched_rl::categorical::MASK_OFF;
 use rlsched_rl::{
     collect_rollouts_vec, Batch, MaskedCategorical, PolicyModel, PpoConfig, UpdateStats,
     ValueModel, VecEnv,
@@ -62,12 +63,17 @@ impl Reference {
                 .copied()
                 .collect()
         };
+        // The windows as the rollout produced them: the stored job rows
+        // zero-padded to the whole window, and the mask they imply.
+        let f = batch.features();
         let obs_and_masks = |rows: &[usize]| -> (Vec<f32>, Vec<f32>) {
             let (mut obs, mut masks) = (Vec::new(), Vec::new());
             for &i in rows {
-                let (o, m) = batch.row(i);
-                obs.extend_from_slice(o);
-                masks.extend_from_slice(m);
+                let jobs = batch.row(i);
+                let n = jobs.len() / f;
+                obs.extend_from_slice(jobs);
+                obs.resize(obs.len() + (n_actions - n) * f, 0.0);
+                masks.extend((0..n_actions).map(|j| if j < n { 0.0 } else { MASK_OFF }));
             }
             (obs, masks)
         };

@@ -54,7 +54,7 @@ fn env_for(agent: &Agent, seq_len: usize) -> SchedulingEnv {
 fn assert_batches_identical(a: &Batch, b: &Batch, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: transitions");
     for i in 0..a.len() {
-        assert_eq!(a.row(i), b.row(i), "{what}: observation and mask {i}");
+        assert_eq!(a.row(i), b.row(i), "{what}: job rows {i}");
     }
     assert_eq!(a.actions, b.actions, "{what}: actions");
     assert_eq!(a.advantages, b.advantages, "{what}: advantages");

@@ -7,6 +7,8 @@ use rlsched_nn::fused::{FusedHead, FusedPolicy, POOL};
 use rlsched_nn::infer::{self, exp_or_zero};
 use rlsched_nn::{simd, Act, Mlp, Tensor};
 
+use crate::tensor::{matmul, matmul_nt, matmul_tn};
+
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
@@ -122,7 +124,7 @@ impl Graph {
 
     /// Matrix product `a @ b` of 2-D tensors.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
+        let v = matmul(self.value(a), self.value(b));
         self.push(v, Op::MatMul(a.0, b.0))
     }
 
@@ -289,8 +291,8 @@ impl Graph {
             match *op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    add(a, g.matmul_nt(val(b)).data());
-                    add(b, val(a).matmul_tn(&g).data());
+                    add(a, matmul_nt(&g, val(b)).data());
+                    add(b, matmul_tn(val(a), &g).data());
                 }
                 Op::Linear(x, w, b, act) => {
                     // dX through the transposed weights and the broadcast
@@ -304,7 +306,7 @@ impl Graph {
                         simd::gemm_nt_scalar(dpre.data(), m, n, val(w).data(), k, &mut dx);
                     }
                     add(x, &dx);
-                    add(w, val(x).matmul_tn(&dpre).data());
+                    add(w, matmul_tn(val(x), &dpre).data());
                     let mut db = vec![0.0; n];
                     for row in dpre.data().chunks_exact(n) {
                         db.iter_mut().zip(row).for_each(|(d, &v)| *d += v);

@@ -14,8 +14,12 @@
 //! appears only under `[dev-dependencies]`.
 
 pub mod graph;
+pub mod tensor;
 
 pub use graph::{forward, policy_loss, value_loss, Graph, PolicyLoss, Var};
+pub use tensor::{
+    matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into, transposed,
+};
 
 /// The tensor crate the tape runs on. `rlsched_nn`'s own unit tests see
 /// it as a second copy of themselves and build the tape's networks from

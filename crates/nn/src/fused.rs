@@ -20,9 +20,9 @@
 //! # Chunking and the bit-identity contract
 //!
 //! A pass reads its minibatch through a row source — a function from a
-//! row number to that row's observation (and, on the policy side, its
-//! mask) — and an index of the row numbers to train on, so the rows stay
-//! wherever the rollout stored them. It splits the index into fixed
+//! row number to that transition's live job rows (next section) — and an
+//! index of the row numbers to train on, so the rows stay wherever the
+//! rollout stored them. It splits the index into fixed
 //! [`SHARD_ROWS`]-row chunks (a function of the minibatch size alone)
 //! and runs each chunk **back to back** on one of the [`crate::pool`]
 //! workers: copy the chunk's rows, in index order, into the worker's
@@ -84,33 +84,43 @@
 //! action widths it will be fed, so a checkpoint that does not fit is an
 //! error before any forward trusts its shapes.
 //!
-//! # The kernel head scores only job rows
+//! # Ragged rows and the kernel head
 //!
-//! A window holds the waiting jobs in its first slots and all-zero rows
-//! after them, masked at −1e9 (`rlscheduler`'s encoder pads it so). One
-//! weight set scores every row, so every padding row gets one score,
-//! `c0`. The chunk gather therefore copies only each window's *live*
-//! rows — up to its last row with a nonzero bit, and at least up to the
-//! taken action's slot — and appends one all-zero row; the forward runs
-//! on those rows, and `c0` (the zero row's score) fills every dropped
-//! slot of the `[n, K]` logits. The dense kernels are row-count
-//! invariant, so every logit, and so the masked log-softmax and the loss
-//! tail that run on the whole `[n, K]` matrix, has the bits a forward of
-//! every row would give it. Whole windows are the case "live = K": there
-//! is no second path.
+//! A row source yields a transition as its window's `n` valid job rows,
+//! `n × F` values (`F = obs_dim / K` for a `K`-slot window), and nothing
+//! else. The window contract of `rlsched_rl::Env` implies the rest: the
+//! valid slots are the first `n`, and the other `K − n` are all-zero rows
+//! masked at [`MASK_OFF`]. So `n` is the row's length over `F`, and each
+//! chunk rebuilds what its head needs in the worker's scratch. The flat,
+//! conv and critic gathers zero-fill every row to the whole window, so
+//! their inputs have the bits a stored window would have; the mask is
+//! `n` zeros then `MASK_OFF`, added to the logits as a stored mask row
+//! would be.
 //!
-//! The backward walks the live rows only, and gives the same bits as a
+//! The kernel head keeps the rows ragged. One weight set scores every
+//! job row, so every padding row gets one score, `c0`. The
+//! gather copies each window's `n` rows and appends one all-zero row
+//! after the chunk's windows; the forward runs on those rows, and `c0`
+//! (the zero row's score) fills every padding slot of the `[n, K]`
+//! logits. The dense kernels are row-count invariant, so every logit, and
+//! so the masked log-softmax and the loss tail that run on the whole
+//! `[n, K]` matrix, has the bits a forward of every row would give it.
+//!
+//! The backward walks the job rows only, and gives the same bits as a
 //! walk over every row because
 //!
-//! * *a dropped slot's dlogit is exactly zero.* Its log-prob is ≈ −1e9,
-//!   so `exp_or_zero` gives it probability 0, and the dlogit — with or
-//!   without the entropy term — is ±0. A ±0 `dY` row gives a ±0 `dpre`
-//!   and `dX` row at every layer, and adding ±0 into a `dW`, `db` or `dX`
-//!   sum that started at +0 never changes a bit. The chunk checks this
-//!   after its loss tail; a transition with a nonzero dlogit on a dropped
-//!   slot (padding left unmasked, or logits so large a masked slot keeps
-//!   some probability) is widened to its whole window, and the chunk
-//!   gathers and forwards again before its backward.
+//! * *a padding slot's dlogit is exactly zero* — while its logit
+//!   `c0 + MASK_OFF` leaves it no probability. Its log-prob is then
+//!   ≈ −1e9, so `exp_or_zero` gives it probability 0, and the dlogit —
+//!   with or without the entropy term — is ±0. A ±0 `dY` row gives a ±0
+//!   `dpre` and `dX` row at every layer, and adding ±0 into a `dW`, `db`
+//!   or `dX` sum that started at +0 never changes a bit. The chunk checks
+//!   this after its loss tail. One case fails it: a network whose
+//!   zero-row score exceeds every live score by about 1e9 leaves a masked
+//!   slot real probability. That window is widened to all `K` slots — the
+//!   gather appends its implied zero rows — and the chunk gathers and
+//!   forwards again before its backward. Skipping the re-run would
+//!   silently drop those slots' gradients.
 //! * *the `dW` sums keep their row blocks.* The AVX2 TN kernel sums rows
 //!   in blocks of [`simd::TN_BLOCK_ROWS`] before adding each block into
 //!   `dW`, so dropping rows would move the block boundaries and
@@ -127,7 +137,7 @@ use std::time::{Duration, Instant};
 use crate::infer::{self, idx4};
 use crate::layers::{Act, Conv2dLayer, Mlp};
 use crate::tensor::Tensor;
-use crate::{pool, simd};
+use crate::{pool, simd, MASK_OFF};
 
 /// Window and stride of every conv stage's max-pool.
 pub const POOL: usize = 2;
@@ -303,6 +313,19 @@ impl<'a> FusedPolicy<'a> {
         Ok(())
     }
 
+    /// The `(obs_dim, n_actions)` the network reads and emits: the
+    /// widths [`FusedPolicy::check`] holds it to in a pass.
+    pub fn widths(&self) -> (usize, usize) {
+        let layers = &self.mlp.layers;
+        let in_dim = layers.first().map_or(0, |l| l.in_dim());
+        let out_dim = layers.last().map_or(0, |l| l.out_dim());
+        match self.head {
+            FusedHead::Flat => (in_dim, out_dim),
+            FusedHead::Kernel { window } => (window * in_dim, window),
+            FusedHead::Conv { h, w, .. } => (h * w, out_dim),
+        }
+    }
+
     fn convs(&self) -> &'a [Conv2dLayer] {
         match self.head {
             FusedHead::Conv { convs, .. } => convs,
@@ -384,14 +407,16 @@ fn fit<T>(v: &mut Vec<T>, cap: usize) {
 /// workers.
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    /// The chunk's observation rows, `[n, obs_dim]` — for the kernel head
-    /// only the first `live[t]` job rows of each window `t`, then one
-    /// all-zero job row.
+    /// The chunk's observation rows: `[n, obs_dim]`, each row zero-filled
+    /// to the whole window — for the kernel head only the first `live[t]`
+    /// job rows of each window `t`, then one all-zero job row.
     obs: Vec<f32>,
-    /// The chunk's additive mask rows, `[n, width]` (policy side).
-    masks: Vec<f32>,
+    /// Policy side: each transition's valid slot count, which implies its
+    /// mask (0 on the first `valid[t]` slots, [`MASK_OFF`] after them).
+    valid: Vec<usize>,
     /// Kernel head: how many job rows of each transition's window `obs`
-    /// holds, `[n]`; empty for the other heads.
+    /// holds — its valid slots, or the whole window once widened; empty
+    /// for the other heads.
     live: Vec<usize>,
     /// Where the dense chain's `dW` sums close a row block, in the rows
     /// the backward walks ([`simd::gemm_tn_blocks`]); the last entry is
@@ -418,23 +443,23 @@ struct GradBufs {
 
 impl WorkerScratch {
     /// Size every buffer for a chunk of `n` transitions of `od`
-    /// observation and `width` mask values. Runs on the calling thread
-    /// before the fan-out, so workers only write into buffers that
-    /// already have their final size instead of growing them step by
-    /// step out of a short-lived thread's allocator arena, and a no-op
-    /// once the high-water mark is reached. A set belongs to a worker,
-    /// not to a chunk, so the resident footprint is `workers × one chunk`
-    /// (~5 MB each for the 32/16/8 kernel net at 64 × 128 job rows, plus
-    /// the zero row) whatever the minibatch size — one per chunk would be
+    /// observation values. Runs on the calling thread before the
+    /// fan-out, so workers only write into buffers that already have
+    /// their final size instead of growing them step by step out of a
+    /// short-lived thread's allocator arena, and a no-op once the
+    /// high-water mark is reached. A set belongs to a worker, not to a
+    /// chunk, so the resident footprint is `workers × one chunk` (~5 MB
+    /// each for the 32/16/8 kernel net at 64 × 128 job rows, plus the
+    /// zero row) whatever the minibatch size — one per chunk would be
     /// 157 MB for a 2 048-row minibatch.
-    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, od: usize, width: usize) {
+    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, od: usize) {
         let rows = p.dense_rows(n);
         let zero_row = match p.head {
             FusedHead::Kernel { .. } => p.mlp.in_dim(),
             _ => 0,
         };
         fit(&mut self.obs, n * od + zero_row);
-        fit(&mut self.masks, n * width);
+        fit(&mut self.valid, n);
         fit(&mut self.live, n);
         fit(&mut self.ends, rows.div_ceil(simd::TN_BLOCK_ROWS) + 1);
         self.acts.resize_with(p.act_lens(n).count(), Vec::new);
@@ -457,30 +482,54 @@ impl WorkerScratch {
         fit(&mut g.wt, wt.unwrap_or(0));
     }
 
-    /// Copy the rows `index` names out of `rows` into the row buffers, in
-    /// index order, holding each to `od` observation and `width` mask
-    /// values: one dense-chain row per transition.
-    fn gather<'d>(
+    /// Policy side: read each indexed row's valid slot count off its
+    /// length — rows of `f`-value job rows, at least one and at most
+    /// `width` of them — and hold each transition's action to its valid
+    /// slots.
+    fn read_valid<'d>(
         &mut self,
         index: &[u32],
-        (od, width): (usize, usize),
-        rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
+        actions: &[usize],
+        (f, width): (usize, usize),
+        rows: impl Fn(usize) -> &'d [f32],
     ) {
+        self.valid.clear();
+        for (&i, &a) in index.iter().zip(actions) {
+            let jobs = rows(i as usize);
+            let n = jobs.len() / f;
+            assert!(
+                n * f == jobs.len() && (1..=width).contains(&n),
+                "row {i} has {} values, not 1 to {width} job rows of {f}",
+                jobs.len()
+            );
+            assert!(a < n, "action {a} of row {i} is past its {n} valid slots");
+            self.valid.push(n);
+        }
+    }
+
+    /// Copy the rows `index` names out of `rows` into the row buffer, in
+    /// index order, each zero-filled to `od` values: one dense-chain row
+    /// per transition.
+    fn gather<'d>(&mut self, index: &[u32], od: usize, rows: impl Fn(usize) -> &'d [f32]) {
         self.obs.clear();
-        self.masks.clear();
         self.live.clear();
         for &i in index {
-            let (obs, mask) = checked_row(&rows, i, od, width);
-            self.obs.extend_from_slice(obs);
-            self.masks.extend_from_slice(mask);
+            let row = rows(i as usize);
+            assert!(
+                row.len() <= od,
+                "row {i} has {} values, more than the network's {od} inputs",
+                row.len()
+            );
+            self.obs.extend_from_slice(row);
+            self.obs.resize(self.obs.len() + od - row.len(), 0.0);
         }
         self.ends.clear();
         self.ends.extend(simd::tn_block_ends(index.len()));
     }
 
-    /// The kernel head's gather: per transition `t` only the first
-    /// `live[t]` of its `width` job rows, then one all-zero job row after
-    /// the chunk's windows.
+    /// The kernel head's gather: per transition `t` its valid job rows,
+    /// then all-zero rows up to `live[t]`, and one all-zero job row
+    /// after the chunk's windows. `read_valid` has checked the rows.
     ///
     /// Also maps every [`simd::TN_BLOCK_ROWS`] boundary of the whole
     /// windows' job rows to the compact row that holds it, so the `dW`
@@ -488,16 +537,13 @@ impl WorkerScratch {
     fn gather_jobs<'d>(
         &mut self,
         index: &[u32],
-        (od, width): (usize, usize),
-        rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
+        (f, width): (usize, usize),
+        rows: impl Fn(usize) -> &'d [f32],
     ) {
-        let f = od / width;
         self.obs.clear();
-        self.masks.clear();
-        for (&i, &live) in index.iter().zip(&self.live) {
-            let (obs, mask) = checked_row(&rows, i, od, width);
-            self.obs.extend_from_slice(&obs[..live * f]);
-            self.masks.extend_from_slice(mask);
+        for ((&i, &live), &valid) in index.iter().zip(&self.live).zip(&self.valid) {
+            self.obs.extend_from_slice(rows(i as usize));
+            self.obs.resize(self.obs.len() + (live - valid) * f, 0.0);
         }
         self.obs.resize(self.obs.len() + f, 0.0);
 
@@ -515,11 +561,10 @@ impl WorkerScratch {
 
     /// Kernel head, after the loss tail: widen to its whole window every
     /// transition whose dlogits (`g.dy`, `[n, width]`) are not exactly
-    /// zero on a slot the forward left out — an unmasked padding slot, or
-    /// logits so large a masked slot kept some probability. Returns
-    /// whether any was widened; the chunk must then gather and forward
-    /// again before its backward.
-    fn widen_unmasked_padding(&mut self, width: usize) -> bool {
+    /// zero on a slot the forward left out — a masked slot that kept some
+    /// probability. Returns whether any was widened; the chunk must then
+    /// gather and forward again before its backward.
+    fn widen_kept_padding(&mut self, width: usize) -> bool {
         let mut widened = false;
         for (live, dlogits) in self.live.iter_mut().zip(self.g.dy.chunks(width)) {
             if dlogits[*live..].iter().any(|&d| d != 0.0) {
@@ -546,12 +591,11 @@ impl WorkerScratch {
         dy.truncate(at);
     }
 
-    /// Bytes of the float buffers (the `live` and `ends` bookkeeping, a
-    /// few hundred bytes, is not counted).
+    /// Bytes of the float buffers (the `valid`, `live` and `ends`
+    /// bookkeeping, a few hundred bytes, is not counted).
     fn bytes(&self) -> usize {
         let g = &self.g;
         let floats = self.obs.capacity()
-            + self.masks.capacity()
             + self.acts.iter().map(Vec::capacity).sum::<usize>()
             + g.dy.capacity()
             + g.dy2.capacity()
@@ -559,24 +603,6 @@ impl WorkerScratch {
             + g.wt.capacity();
         floats * size_of::<f32>()
     }
-}
-
-/// Row `i` of a row source, held to `od` observation and `width` mask
-/// values.
-fn checked_row<'d>(
-    rows: impl Fn(usize) -> (&'d [f32], &'d [f32]),
-    i: u32,
-    od: usize,
-    width: usize,
-) -> (&'d [f32], &'d [f32]) {
-    let (obs, mask) = rows(i as usize);
-    assert!(
-        obs.len() == od && mask.len() == width,
-        "row {i} has {} observation and {} mask values, not {od} and {width}",
-        obs.len(),
-        mask.len()
-    );
-    (obs, mask)
 }
 
 /// What one chunk leaves behind for the merge and the diagnostics:
@@ -719,7 +745,7 @@ impl FusedScratch {
     }
 
     /// Run every chunk of an `n`-transition minibatch (`od` observation
-    /// values and `width` mask values and logits per transition) on the
+    /// values and `width` logits per transition) on the
     /// [`pool`] workers: `forward(scratch, partial, lo, hi)` — which
     /// copies the chunk's rows into the worker's scratch first — and
     /// `backward(scratch, partial, lo, hi)` back to back, `[lo, hi)` being
@@ -754,7 +780,7 @@ impl FusedScratch {
             self.workers.resize_with(in_flight, Mutex::default);
         }
         for w in &mut self.workers {
-            unpoisoned(w.get_mut()).presize(p, SHARD_ROWS.min(n), od, width);
+            unpoisoned(w.get_mut()).presize(p, SHARD_ROWS.min(n), od);
         }
 
         let run = n_chunks.div_ceil(in_flight);
@@ -1094,25 +1120,29 @@ fn conv_backward(
 /// hot.
 ///
 /// The minibatch is the `n = index.len()` rows `index` names, in index
-/// order (repeats allowed): `rows(i)` is row `i`'s observation and
-/// additive mask, and `actions`, `advantages` and `logp_old` hold one
-/// entry per index entry. Returns the loss
-/// (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ p·logp)`);
-/// parameter gradients land in [`FusedScratch::grads`],
+/// order (repeats allowed): `rows(i)` is row `i`'s live job rows — the
+/// first `n_i` slots of its window, `n_i × F` values with
+/// `F = obs_dim / n_actions` of the network's [`FusedPolicy::widths`]
+/// (module docs) — and `actions` (each below its row's `n_i`),
+/// `advantages` and `logp_old` hold one entry per index entry. Returns
+/// the loss (`-mean(min(ratio·A, clip(ratio)·A)) + ent_coef·mean(Σ
+/// p·logp)`); parameter gradients land in [`FusedScratch::grads`],
 /// [`FusedScratch::logp_all`] holds the `[n, n_actions]` masked
 /// log-probabilities and [`FusedScratch::selected_logp`] the gathered
 /// per-action row — the approximate-KL input. Every output is the same
-/// bits as a pass over the rows copied out contiguously first.
+/// bits as a pass over whole zero-padded windows and their masks copied
+/// out contiguously first.
 ///
 /// Each chunk's gradient partial is seeded by the *batch* mean, so
 /// partials sum to the batch gradient; they reduce through the
 /// chunk-index-ordered tree merge and loss partials fold in chunk order.
-/// Panics when `p` does not [`FusedPolicy::check`] against the rows'
-/// widths, or a row is not as wide as the first.
+/// Panics when `p` does not [`FusedPolicy::check`], its observation is
+/// not `n_actions` job rows wide, or a row or action breaks the window
+/// contract.
 #[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
 pub fn policy_pass<'d>(
     p: &FusedPolicy<'_>,
-    rows: impl Fn(usize) -> (&'d [f32], &'d [f32]) + Sync,
+    rows: impl Fn(usize) -> &'d [f32] + Sync,
     index: &[u32],
     actions: &[usize],
     advantages: &[f32],
@@ -1123,10 +1153,14 @@ pub fn policy_pass<'d>(
 ) -> FusedPass {
     let n = index.len();
     assert!(n > 0, "fused pass needs at least one transition");
-    let (obs0, mask0) = rows(index[0] as usize);
-    let (od, width) = (obs0.len(), mask0.len());
+    let (od, width) = p.widths();
     p.check(od, width)
         .unwrap_or_else(|e| panic!("fused policy pass: {e}"));
+    assert!(
+        od.is_multiple_of(width),
+        "fused policy pass: {od} inputs are not {width} job rows"
+    );
+    let f = od / width;
     assert_eq!(actions.len(), n, "one action per transition");
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");
@@ -1144,37 +1178,28 @@ pub fn policy_pass<'d>(
         } else {
             infer::spread_window_scores(scores, &w.live, width, logp);
         }
-        let mrows = w.masks.chunks(width);
-        for (row, mrow) in logp.chunks_mut(width).zip(mrows) {
-            for (o, &m) in row.iter_mut().zip(mrow) {
-                *o += m;
+        // The implied mask, added as a stored mask row would be.
+        for (row, &valid) in logp.chunks_mut(width).zip(&w.valid) {
+            for (j, o) in row.iter_mut().enumerate() {
+                *o += if j < valid { 0.0 } else { MASK_OFF };
             }
             infer::log_softmax_inplace(row);
         }
         sel.clear();
-        sel.extend(actions[lo..hi].iter().enumerate().map(|(i, &a)| {
-            assert!(a < width, "action {a} out of range");
-            logp[i * width + a]
-        }));
+        let chosen = actions[lo..hi].iter().enumerate();
+        sel.extend(chosen.map(|(i, &a)| logp[i * width + a]));
     };
     let (partials, forward, backward) = s.sweep(
         p,
         n,
         (od, width),
         |w, part, lo, hi| {
+            w.read_valid(&index[lo..hi], &actions[lo..hi], (f, width), rows);
             if kernel {
-                // Per window, the rows up to its last job and at least
-                // up to the taken action's slot.
-                let f = od / width;
-                w.live.clear();
-                for (&i, &a) in index[lo..hi].iter().zip(&actions[lo..hi]) {
-                    let keep = a.saturating_add(1).min(width);
-                    let (obs, _) = checked_row(rows, i, od, width);
-                    w.live.push(infer::live_job_rows(obs, f).max(keep));
-                }
-                w.gather_jobs(&index[lo..hi], (od, width), rows);
+                w.live.clone_from(&w.valid);
+                w.gather_jobs(&index[lo..hi], (f, width), rows);
             } else {
-                w.gather(&index[lo..hi], (od, width), rows);
+                w.gather(&index[lo..hi], od, rows);
             }
             score(w, part, lo, hi);
         },
@@ -1191,9 +1216,9 @@ pub fn policy_pass<'d>(
             );
             // A slot the forward left out must have a zero dlogit;
             // where one does not, that window runs again whole.
-            if w.widen_unmasked_padding(width) {
+            if w.widen_kept_padding(width) {
                 let t = Instant::now();
-                w.gather_jobs(&index[lo..hi], (od, width), rows);
+                w.gather_jobs(&index[lo..hi], (f, width), rows);
                 score(w, part, lo, hi);
                 part.forward += t.elapsed();
             }
@@ -1316,7 +1341,9 @@ fn policy_dlogits(
 /// One critic pass over the `n = index.len()` observations `index` names
 /// in `rows` (in index order, repeats allowed): per chunk, the layer
 /// chain, then the squared-error loss `mean((v − R)²)` against
-/// `returns` (one per index entry) and its analytic backward. Returns the
+/// `returns` (one per index entry) and its analytic backward. A row may
+/// be shorter than the critic's input — a window's live job rows, as
+/// [`policy_pass`] reads them — and is zero-filled to it. Returns the
 /// loss; gradients land in [`FusedScratch::grads`]. Chunked and merged
 /// exactly like [`policy_pass`].
 pub fn value_pass<'d>(
@@ -1332,7 +1359,7 @@ pub fn value_pass<'d>(
         mlp,
         head: FusedHead::Flat,
     };
-    let od = rows(index[0] as usize).len();
+    let od = p.widths().0;
     p.check(od, 1)
         .unwrap_or_else(|e| panic!("fused value pass: {e}"));
     assert_eq!(returns.len(), n, "one return target per row");
@@ -1344,7 +1371,7 @@ pub fn value_pass<'d>(
         n,
         (od, 0),
         |w, _, lo, hi| {
-            w.gather(&index[lo..hi], (od, 0), |i| (rows(i), &[][..]));
+            w.gather(&index[lo..hi], od, &rows);
             forward_stack(&p, &w.obs, hi - lo, &mut w.acts);
         },
         |w, part, lo, hi| {
@@ -1392,19 +1419,22 @@ mod tests {
             .collect()
     }
 
-    /// Row-major observations and masks of `n` rows as a row source.
-    fn rows_of<'d>(
-        obs: &'d [f32],
-        masks: &'d [f32],
-        n: usize,
-    ) -> impl Fn(usize) -> (&'d [f32], &'d [f32]) + Sync {
-        let (od, width) = (obs.len() / n, masks.len() / n);
-        move |i| {
-            (
-                &obs[i * od..(i + 1) * od],
-                &masks[i * width..(i + 1) * width],
-            )
-        }
+    /// Transitions stored as their live job rows, as a row source: row
+    /// `t` is the `counts[t]` job rows of `f` values after row `t − 1`'s.
+    fn ragged<'d>(
+        jobs: &'d [f32],
+        counts: &[usize],
+        f: usize,
+    ) -> impl Fn(usize) -> &'d [f32] + Sync {
+        let starts: Vec<usize> = counts
+            .iter()
+            .scan(0, |at, &c| {
+                *at += c;
+                Some(*at - c)
+            })
+            .collect();
+        let counts = counts.to_vec();
+        move |t| &jobs[starts[t] * f..(starts[t] + counts[t]) * f]
     }
 
     /// Every one of `n` rows once, in order.
@@ -1455,26 +1485,21 @@ mod tests {
 
     #[test]
     fn fused_scratch_reuse_is_bit_identical() {
-        let net = mlp(&[5, 16, 3], 7);
+        // Three 2-feature slots per window.
+        let net = mlp(&[6, 16, 3], 7);
         let n = 9;
-        let obs = filled(n * 5, 0.6, 0.2);
-        let masks = vec![0.0f32; n * 3];
-        let actions: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let adv = filled(n, 1.5, 0.9);
-        let old = filled(n, 0.5, 2.2)
-            .iter()
-            .map(|x| x - 1.5)
-            .collect::<Vec<_>>();
+        let c = policy_case(n, 2, 3);
         let p = FusedPolicy {
             mlp: &net,
             head: FusedHead::Flat,
         };
-        let (rows, index) = (rows_of(&obs, &masks, n), all(n));
+        let (rows, index) = (ragged(&c.jobs, &c.counts, 2), all(n));
+        let (actions, adv, old) = (&c.actions, &c.adv, &c.old);
         let mut s = FusedScratch::new();
-        let l0 = policy_pass(&p, &rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s).loss;
+        let l0 = policy_pass(&p, &rows, &index, actions, adv, old, 0.2, 0.0, &mut s).loss;
         let g0: Vec<Vec<f32>> = s.grads().iter().map(|t| t.data().to_vec()).collect();
         for _ in 0..3 {
-            let l = policy_pass(&p, &rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s).loss;
+            let l = policy_pass(&p, &rows, &index, actions, adv, old, 0.2, 0.0, &mut s).loss;
             assert_eq!(l, l0, "loss must not drift across scratch reuse");
             for (a, b) in s.grads().iter().zip(&g0) {
                 assert_eq!(a.data(), b.as_slice(), "grads must not drift");
@@ -1482,36 +1507,26 @@ mod tests {
         }
     }
 
-    /// Inputs for an `n`-transition kernel-head policy problem.
+    /// Inputs for an `n`-transition policy problem over `width`-slot
+    /// windows of `f`-value job rows.
     struct PolicyCase {
-        obs: Vec<f32>,
-        masks: Vec<f32>,
+        /// Every transition's live job rows, back to back.
+        jobs: Vec<f32>,
+        /// Live job rows per transition: 1 to `width`, so the windows
+        /// have padding of every length.
+        counts: Vec<usize>,
         actions: Vec<usize>,
         adv: Vec<f32>,
         old: Vec<f32>,
     }
 
-    /// `rpt` = layer-stack rows per transition: 1 for [`FusedHead::Flat`],
-    /// the window for [`FusedHead::Kernel`].
-    fn policy_case(n: usize, in_dim: usize, width: usize, rpt: usize) -> PolicyCase {
-        let actions: Vec<usize> = (0..n).map(|i| (i * 5 + 1) % width).collect();
-        // Mask one non-selected slot per row so masking is exercised
-        // without ever zeroing out the chosen action.
-        let masks = (0..n * width)
-            .map(|i| {
-                let (r, j) = (i / width, i % width);
-                let dead = (r + 2) % width;
-                if j == dead && dead != actions[r] {
-                    -1.0e9 // rl's MASK_OFF convention: finite, exp → 0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+    fn policy_case(n: usize, f: usize, width: usize) -> PolicyCase {
+        let counts: Vec<usize> = (0..n).map(|t| 1 + t * 3 % width).collect();
+        let actions = counts.iter().enumerate().map(|(t, &c)| (t * 5 + 1) % c);
         PolicyCase {
-            obs: filled(n * rpt * in_dim, 0.8, 0.4),
-            masks,
-            actions,
+            jobs: filled(counts.iter().sum::<usize>() * f, 0.8, 0.4),
+            actions: actions.collect(),
+            counts,
             adv: filled(n, 1.5, 0.9),
             old: filled(n, 0.5, 2.2).iter().map(|x| x - 1.5).collect(),
         }
@@ -1525,14 +1540,14 @@ mod tests {
         let vnet = mlp(&[7, 16, 1], 29);
         let n = 3 * SHARD_ROWS + 7; // four chunks, last ragged
         let window = 5;
-        let c = policy_case(n, 4, window, window);
+        let c = policy_case(n, 4, window);
         let p = FusedPolicy {
             mlp: &pnet,
             head: FusedHead::Kernel { window },
         };
         let vobs = filled(n * 7, 0.6, 0.8);
         let rets = filled(n, 1.8, 0.5);
-        let (rows, index) = (rows_of(&c.obs, &c.masks, n), all(n));
+        let (rows, index) = (ragged(&c.jobs, &c.counts, 4), all(n));
         let vrow = |i: usize| &vobs[i * 7..(i + 1) * 7];
 
         let run = |threads: usize| {

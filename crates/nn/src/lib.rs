@@ -43,6 +43,13 @@ pub use layers::{Act, Activation, Conv2dLayer, Dense, Mlp, Network};
 pub use optim::{clip_global_norm, Adam};
 pub use tensor::Tensor;
 
+/// Additive logit offset of an invalid action slot: an additive mask row
+/// is 0.0 on the valid slots and this on the rest. Large enough that
+/// `exp(x + MASK_OFF)` underflows to 0.0 in f32 for any realistic logit,
+/// and finite, so masked arithmetic never makes a NaN. The fused passes
+/// rebuild a window's mask from its valid-slot count with it.
+pub const MASK_OFF: f32 = -1.0e9;
+
 // Serving tiers share weight snapshots across shard threads (an `Arc`
 // of the policy's `Mlp`s) and keep one `Scratch` per worker.
 // Everything here is plain owned `Vec<f32>` data — no interior

@@ -108,7 +108,7 @@ pub fn gemm(
 
 /// Scalar reference for [`gemm`] (zero-seed variant): the original
 /// `i-k-j` loop, zero-contribution rows skipped. Bit-identical to the
-/// pre-SIMD [`crate::Tensor::matmul`].
+/// pre-SIMD `matmul`.
 pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
@@ -776,9 +776,9 @@ mod tests {
         // runs only those tiles; rows of a 4-row block run the 16/8-wide
         // block tiles), over inner dimensions up to a flat MLP's 896.
         let narrow = [(4, 6, 8), (5, 7, 11), (9, 16, 24), (3, 32, 9), (6, 5, 16)];
-        let wide = [32, 40, 64, 72, 100, 128, 136].into_iter().flat_map(|n| {
-            (1..=7).flat_map(move |m| [1, 9, 131, 900].map(|k| (m, k, n)))
-        });
+        let wide = [32, 40, 64, 72, 100, 128, 136]
+            .into_iter()
+            .flat_map(|n| (1..=7).flat_map(move |m| [1, 9, 131, 900].map(|k| (m, k, n))));
         for (m, k, n) in narrow.into_iter().chain(wide) {
             let a = filled(m * k, |i| (i as f32 * 0.29).sin());
             let w = filled(k * n, |i| (i as f32 * 0.17).cos());

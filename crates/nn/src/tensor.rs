@@ -1,17 +1,11 @@
 //! Dense row-major f32 tensors: the parameter storage of every layer and
 //! the unit of a checkpoint.
 //!
-//! The three matmul flavors — plain (`A·B`), NT (`A·Bᵀ`, a `dX = dY·Wᵀ`
-//! backward) and TN (`Aᵀ·B`, a `dW = Xᵀ·dY` backward) — dispatch to the
-//! register-blocked AVX2/FMA kernels in [`crate::simd`] when the shape
-//! allows, and otherwise run the scalar loops (`i-k-j` so the innermost
-//! loop walks both operands contiguously). The training and inference
-//! paths call the kernels on raw slices; these wrappers serve the
-//! test-only reference tape and the SIMD parity suite.
+//! Tensors carry no arithmetic beyond the elementwise helpers below: the
+//! training and inference paths call the [`crate::simd`] kernels on raw
+//! slices.
 
 use serde::{Deserialize, Serialize};
-
-use crate::simd;
 
 /// Maximum tensor rank (conv activations `[B, C, H, W]` are the deepest
 /// shapes in the system).
@@ -218,107 +212,6 @@ impl Tensor {
         }
     }
 
-    /// Matrix product of two 2-D tensors.
-    ///
-    /// The `i-k-j` loop order walks both operands contiguously.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let mut out = Vec::new();
-        self.matmul_into(other, &mut out);
-        let (m, n) = (self.shape.as_slice()[0], other.shape.as_slice()[1]);
-        Tensor {
-            data: out,
-            shape: Shape::new(&[m, n]),
-        }
-    }
-
-    /// [`Tensor::matmul`] into a caller-supplied buffer (cleared and
-    /// resized).
-    ///
-    /// Dispatches to the AVX2/FMA kernel ([`simd::gemm`]) when the shape
-    /// allows, the scalar `i-k-j` loop otherwise.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Vec<f32>) {
-        assert_eq!(self.shape.as_slice().len(), 2, "matmul lhs must be 2-D");
-        assert_eq!(other.shape.as_slice().len(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (self.shape.as_slice()[0], self.shape.as_slice()[1]);
-        let (k2, n) = (other.shape.as_slice()[0], other.shape.as_slice()[1]);
-        assert_eq!(k, k2, "matmul inner dimensions {k} vs {k2}");
-        out.clear();
-        out.resize(m * n, 0.0);
-        if !simd::gemm(&self.data, m, k, &other.data, n, None, out) {
-            simd::gemm_scalar(&self.data, m, k, &other.data, n, out);
-        }
-    }
-
-    /// `self @ otherᵀ` without materializing the transpose: `self` is
-    /// `[m, k]`, `other` is `[n, k]`, result `[m, n]`. Used by backward
-    /// passes (`dX = dY Wᵀ`).
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let mut out = Vec::new();
-        self.matmul_nt_into(other, &mut out);
-        Tensor {
-            data: out,
-            shape: Shape::new(&[self.shape.as_slice()[0], other.shape.as_slice()[0]]),
-        }
-    }
-
-    /// [`Tensor::matmul_nt`] into a caller-supplied buffer (cleared and
-    /// resized), through the scalar dot-product kernel
-    /// ([`simd::gemm_nt_scalar`]; there is no SIMD arm).
-    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Vec<f32>) {
-        assert_eq!(self.shape.as_slice().len(), 2, "matmul_nt lhs must be 2-D");
-        assert_eq!(other.shape.as_slice().len(), 2, "matmul_nt rhs must be 2-D");
-        let (m, k) = (self.shape.as_slice()[0], self.shape.as_slice()[1]);
-        let (n, k2) = (other.shape.as_slice()[0], other.shape.as_slice()[1]);
-        assert_eq!(k, k2, "matmul_nt inner dimensions {k} vs {k2}");
-        out.clear();
-        out.resize(m * n, 0.0);
-        simd::gemm_nt_scalar(&self.data, m, k, &other.data, n, out);
-    }
-
-    /// `selfᵀ @ other` without materializing the transpose: `self` is
-    /// `[r, m]`, `other` is `[r, n]`, result `[m, n]`. Used by backward
-    /// passes (`dW = Xᵀ dY`).
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let mut out = Vec::new();
-        self.matmul_tn_into(other, &mut out);
-        Tensor {
-            data: out,
-            shape: Shape::new(&[self.shape.as_slice()[1], other.shape.as_slice()[1]]),
-        }
-    }
-
-    /// [`Tensor::matmul_tn`] into a caller-supplied buffer (cleared and
-    /// resized). Dispatches to the rank-1-update SIMD kernel
-    /// ([`simd::gemm_tn`]) when the output width allows.
-    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Vec<f32>) {
-        assert_eq!(self.shape.as_slice().len(), 2, "matmul_tn lhs must be 2-D");
-        assert_eq!(other.shape.as_slice().len(), 2, "matmul_tn rhs must be 2-D");
-        let (r, m) = (self.shape.as_slice()[0], self.shape.as_slice()[1]);
-        let (r2, n) = (other.shape.as_slice()[0], other.shape.as_slice()[1]);
-        assert_eq!(r, r2, "matmul_tn outer dimensions {r} vs {r2}");
-        out.clear();
-        out.resize(m * n, 0.0);
-        if !simd::gemm_tn(&self.data, r, m, &other.data, n, out) {
-            simd::gemm_tn_scalar(&self.data, r, m, &other.data, n, out);
-        }
-    }
-
-    /// Transpose of a 2-D tensor.
-    pub fn transposed(&self) -> Tensor {
-        assert_eq!(self.shape.as_slice().len(), 2, "transpose requires 2-D");
-        let (m, n) = (self.shape.as_slice()[0], self.shape.as_slice()[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor {
-            data: out,
-            shape: Shape::new(&[n, m]),
-        }
-    }
-
     /// Elementwise map into a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         Tensor {
@@ -367,40 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_result() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_rectangular() {
-        let a = Tensor::from_vec(vec![1.0, 0.0, 2.0], &[1, 3]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.shape(), &[1, 2]);
-        assert_eq!(c.data(), &[11.0, 14.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn matmul_dim_mismatch() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
-        let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let t = a.transposed();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.at(2, 1), 6.0);
-        assert_eq!(t.transposed(), a);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let r = a.reshaped(&[4]);
@@ -434,29 +293,6 @@ mod tests {
     #[test]
     fn scalar_item() {
         assert_eq!(Tensor::scalar(3.5).item(), 3.5);
-    }
-
-    #[test]
-    fn matmul_nt_matches_explicit_transpose() {
-        let a = Tensor::from_vec((0..6).map(|i| i as f32 * 0.5 - 1.0).collect(), &[2, 3]);
-        let b = Tensor::from_vec((0..12).map(|i| (i as f32).sin()).collect(), &[4, 3]);
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transposed()));
-    }
-
-    #[test]
-    fn matmul_tn_matches_explicit_transpose() {
-        let a = Tensor::from_vec((0..6).map(|i| i as f32 * 0.3 - 0.7).collect(), &[3, 2]);
-        let b = Tensor::from_vec((0..12).map(|i| (i as f32).cos()).collect(), &[3, 4]);
-        assert_eq!(a.matmul_tn(&b), a.transposed().matmul(&b));
-    }
-
-    #[test]
-    fn matmul_into_reuses_buffer() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let mut buf = vec![99.0; 16];
-        a.matmul_into(&b, &mut buf);
-        assert_eq!(buf, vec![19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]

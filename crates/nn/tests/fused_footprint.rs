@@ -28,13 +28,14 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
     };
     let params: usize = mlp.params().iter().map(|t| t.len()).sum();
 
-    // What one full chunk needs while it runs: its 64 observation and
-    // mask rows, every layer's output for 64 × window job rows, three
-    // gradient buffers as wide as the widest layer, and the largest
-    // transposed weight matrix past layer 0 — plus one job row: the
-    // all-zero row the kernel head forwards to score the padding slots.
+    // What one full chunk needs while it runs: its 64 windows of job
+    // rows (the mask is implied, never copied), every layer's output for
+    // 64 × window job rows, three gradient buffers as wide as the widest
+    // layer, and the largest transposed weight matrix past layer 0 —
+    // plus one job row: the all-zero row the kernel head forwards to
+    // score the padding slots.
     let rows = SHARD_ROWS * window + 1;
-    let gathered = SHARD_ROWS * (window * in_dim + window) + in_dim;
+    let gathered = SHARD_ROWS * window * in_dim + in_dim;
     let acts: usize = dims[1..].iter().map(|d| rows * d).sum();
     let one_chunk = (gathered + acts + 3 * rows * 32 + 32 * 16) * F32;
     // What one chunk leaves behind: its gradients, log-prob rows and
@@ -45,20 +46,15 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
         let mut s = FusedScratch::new();
         let mut held = Vec::new();
         for n in [64usize, 256, 2048] {
+            // Whole windows: every slot valid.
             let obs: Vec<f32> = (0..n * window * in_dim)
                 .map(|i| (i as f32 * 0.37).sin())
                 .collect();
-            let masks = vec![0.0f32; n * window];
             let actions: Vec<usize> = (0..n).map(|i| i % window).collect();
             let adv: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).cos()).collect();
             let old = vec![-(window as f32).ln(); n];
             let od = window * in_dim;
-            let rows = |i: usize| {
-                (
-                    &obs[i * od..(i + 1) * od],
-                    &masks[i * window..(i + 1) * window],
-                )
-            };
+            let rows = |i: usize| &obs[i * od..(i + 1) * od];
             let index: Vec<u32> = (0..n as u32).collect();
             rlsched_nn::pool::with_threads(workers, || {
                 fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 0.2, 0.0, &mut s)

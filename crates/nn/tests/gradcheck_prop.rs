@@ -262,6 +262,10 @@ proptest! {
         zero_adv in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        // The image is `width` job rows (the window contract), so its
+        // width is padded up to a multiple of the slot count.
+        let base_w = k1 - 1 + 2 * (k2 + 1) + extra_w;
+        let extra_w = extra_w + (width - base_w % width) % width;
         let (h, w) = (k1 - 1 + 2 * (k2 + 1) + extra_h, k1 - 1 + 2 * (k2 + 1) + extra_w);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut convs = vec![
@@ -277,12 +281,12 @@ proptest! {
         let obs: Vec<f32> = (0..n * h * w)
             .map(|i| if tied { (i / w) as f32 * 0.37 % 1.0 } else { lcg(&mut s) + 0.5 })
             .collect();
-        let masks = vec![0.0f32; n * width];
         let actions: Vec<usize> = (0..n).map(|i| i % width).collect();
         let adv: Vec<f32> = (0..n).map(|_| if zero_adv { 0.0 } else { lcg(&mut s) * 4.0 }).collect();
         let old: Vec<f32> = (0..n).map(|_| -(width as f32).ln()).collect();
         let ent_coef = if zero_adv { 0.0 } else { 0.01 };
-        let rows = |i: usize| (&obs[i * h * w..(i + 1) * h * w], &masks[i * width..(i + 1) * width]);
+        // Whole windows: every slot valid.
+        let rows = |i: usize| &obs[i * h * w..(i + 1) * h * w];
         let index: Vec<u32> = (0..n as u32).collect();
         let loss_of = |convs: &[Conv2dLayer], mlp: &Mlp, scratch: &mut FusedScratch| {
             let p = FusedPolicy { mlp, head: FusedHead::Conv { convs, h, w } };

@@ -36,7 +36,7 @@ fn assert_close(simd: &[f32], scalar: &[f32]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Forward: `Tensor::matmul_into` (the reference tape's MatMul op) ≡ the scalar
+    /// Forward: `matmul_into` (the reference tape's MatMul op) ≡ the scalar
     /// i-k-j loop on ragged shapes, including single-row products.
     #[test]
     fn matmul_dispatch_matches_scalar(
@@ -49,7 +49,7 @@ proptest! {
         let a = pseudo(m, k, seed_a);
         let b = pseudo(k, n, seed_b);
         let mut dispatched = Vec::new();
-        a.matmul_into(&b, &mut dispatched);
+        rlsched_nn_ref::matmul_into(&a, &b, &mut dispatched);
         let mut scalar = vec![0.0f32; m * n];
         simd::gemm_scalar(a.data(), m, k, b.data(), n, &mut scalar);
         assert_close(&dispatched, &scalar)?;
@@ -68,7 +68,7 @@ proptest! {
         let a = pseudo(m, k, seed_a);
         let b = pseudo(n, k, seed_b);
         let mut dispatched = Vec::new();
-        a.matmul_nt_into(&b, &mut dispatched);
+        rlsched_nn_ref::matmul_nt_into(&a, &b, &mut dispatched);
         let mut scalar = vec![0.0f32; m * n];
         simd::gemm_nt_scalar(a.data(), m, k, b.data(), n, &mut scalar);
         assert_close(&dispatched, &scalar)?;
@@ -87,7 +87,7 @@ proptest! {
         let a = pseudo(r, m, seed_a);
         let b = pseudo(r, n, seed_b);
         let mut dispatched = Vec::new();
-        a.matmul_tn_into(&b, &mut dispatched);
+        rlsched_nn_ref::matmul_tn_into(&a, &b, &mut dispatched);
         let mut scalar = vec![0.0f32; m * n];
         simd::gemm_tn_scalar(a.data(), r, m, b.data(), n, &mut scalar);
         assert_close(&dispatched, &scalar)?;

@@ -1,24 +1,33 @@
 //! Rollout storage with Generalized Advantage Estimation.
 //!
 //! Mirrors the Spinning Up `PPOBuffer`: during an episode, per-step
-//! observations, masks, actions, rewards, value estimates and sampled
-//! log-probs are appended; `finish_path` closes the episode and computes
-//! GAE-λ advantages and reward-to-go returns. The batch-job reward
-//! structure of the paper — zero intermediate rewards, full metric at the
-//! last action (§IV-A) — is just a special case.
+//! observations, actions, rewards, value estimates and sampled log-probs
+//! are appended; closing the episode computes GAE-λ advantages and
+//! reward-to-go returns. The batch-job reward structure of the paper —
+//! zero intermediate rewards, full metric at the last action (§IV-A) — is
+//! just a special case.
+//!
+//! An observation is stored ragged: only its window's `n` valid job rows
+//! and their count. Under [`Env`](crate::Env)'s window contract the other
+//! slots are all-zero rows masked at [`MASK_OFF`], so neither they nor the
+//! mask are kept; the fused update rebuilds both in its worker scratch
+//! (`rlsched_nn::fused`). [`ArrivalArena::store`] is where a window is
+//! held to that contract and its `n` worked out.
+
+use crate::categorical::MASK_OFF;
 
 /// One merged, advantage-normalized training batch.
 ///
-/// The observation and mask rows stay in the storage the rollout wrote
-/// them into — one segment per collecting arena, moved in, never copied —
-/// and a row locator puts them in episode order: [`Batch::row`] `i` is
-/// the `i`-th transition of the merged episode sequence, the same order
-/// the per-row vectors below are in.
+/// The transitions' job rows stay in the storage the rollout wrote them
+/// into — one segment per collecting arena, moved in, never copied — and
+/// a row locator puts them in episode order: [`Batch::row`] `i` is the
+/// `i`-th transition of the merged episode sequence, the same order the
+/// per-row vectors below are in.
 #[derive(Debug, Clone, Default)]
 pub struct Batch {
-    obs_dim: usize,
+    features: usize,
     n_actions: usize,
-    segments: Vec<Segment>,
+    segments: Vec<JobRows>,
     /// Batch row → (segment, row within the segment), in episode order.
     locator: Vec<(u32, u32)>,
     /// Chosen actions.
@@ -31,12 +40,39 @@ pub struct Batch {
     pub logp_old: Vec<f32>,
 }
 
-/// Row storage of one collector: `[rows, obs_dim]` observations and
-/// `[rows, n_actions]` additive masks, row-major, in arrival order.
-#[derive(Debug, Clone)]
-struct Segment {
-    obs: Vec<f32>,
-    masks: Vec<f32>,
+/// Row storage of one collector, in arrival order: each transition's
+/// valid job rows back to back, and where each transition's rows end.
+#[derive(Debug, Clone, Default)]
+struct JobRows {
+    /// `[Σ n, features]` job rows, row-major.
+    jobs: Vec<f32>,
+    /// Transition `r` holds job rows `ends[r - 1]..ends[r]` (from 0 for
+    /// the first): its `n` is the difference.
+    ends: Vec<u32>,
+}
+
+impl JobRows {
+    /// Transition `r`'s job rows, `n × features` values.
+    fn get(&self, r: usize, features: usize) -> &[f32] {
+        let start = r.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.jobs[start * features..self.ends[r] as usize * features]
+    }
+
+    /// Append one transition's job rows.
+    fn push(&mut self, jobs: &[f32], features: usize) {
+        let before = self.ends.last().copied().unwrap_or(0);
+        let n = u32::try_from(jobs.len() / features).expect("a window's rows fit in u32");
+        let end = before
+            .checked_add(n)
+            .expect("an arena holds at most u32::MAX job rows");
+        self.jobs.extend_from_slice(jobs);
+        self.ends.push(end);
+    }
+
+    /// Bytes of the stored rows and counts.
+    fn bytes(&self) -> usize {
+        self.jobs.len() * size_of::<f32>() + self.ends.len() * size_of::<u32>()
+    }
 }
 
 impl Batch {
@@ -50,159 +86,29 @@ impl Batch {
         self.actions.is_empty()
     }
 
-    /// Action-mask width.
+    /// Slots per window (the action count).
     pub fn n_actions(&self) -> usize {
         self.n_actions
     }
 
-    /// Transition `i`'s observation and additive action mask.
+    /// Features per job row.
+    pub fn features(&self) -> usize {
+        self.features
+    }
+
+    /// Transition `i`'s valid job rows: the first `n` slots of its
+    /// window, `n × features` values. The window's other slots are
+    /// all-zero rows masked at [`MASK_OFF`], and action `i` is below `n`.
     #[inline]
-    pub fn row(&self, i: usize) -> (&[f32], &[f32]) {
+    pub fn row(&self, i: usize) -> &[f32] {
         let (seg, r) = self.locator[i];
-        let (s, r) = (&self.segments[seg as usize], r as usize);
-        let (od, na) = (self.obs_dim, self.n_actions);
-        (&s.obs[r * od..(r + 1) * od], &s.masks[r * na..(r + 1) * na])
-    }
-}
-
-/// Episode-granular rollout buffer.
-#[derive(Debug, Clone)]
-pub struct RolloutBuffer {
-    obs_dim: usize,
-    n_actions: usize,
-    gamma: f64,
-    lam: f64,
-    obs: Vec<f32>,
-    masks: Vec<f32>,
-    actions: Vec<usize>,
-    rewards: Vec<f64>,
-    values: Vec<f64>,
-    logps: Vec<f32>,
-    advantages: Vec<f64>,
-    returns: Vec<f64>,
-    path_start: usize,
-}
-
-impl RolloutBuffer {
-    /// An empty buffer for `(obs_dim, n_actions)` transitions.
-    pub fn new(obs_dim: usize, n_actions: usize, gamma: f64, lam: f64) -> Self {
-        RolloutBuffer {
-            obs_dim,
-            n_actions,
-            gamma,
-            lam,
-            obs: Vec::new(),
-            masks: Vec::new(),
-            actions: Vec::new(),
-            rewards: Vec::new(),
-            values: Vec::new(),
-            logps: Vec::new(),
-            advantages: Vec::new(),
-            returns: Vec::new(),
-            path_start: 0,
-        }
+        self.segments[seg as usize].get(r as usize, self.features)
     }
 
-    /// Append one step of the current episode.
-    pub fn store(
-        &mut self,
-        obs: &[f32],
-        mask: &[f32],
-        action: usize,
-        reward: f64,
-        value: f64,
-        logp: f32,
-    ) {
-        assert_eq!(obs.len(), self.obs_dim, "observation width");
-        assert_eq!(mask.len(), self.n_actions, "mask width");
-        assert!(action < self.n_actions, "action out of range");
-        self.obs.extend_from_slice(obs);
-        self.masks.extend_from_slice(mask);
-        self.actions.push(action);
-        self.rewards.push(reward);
-        self.values.push(value);
-        self.logps.push(logp);
-    }
-
-    /// Close the current episode. `last_value` bootstraps a truncated
-    /// episode (0.0 for terminal states, as in scheduling episodes that
-    /// always run to completion).
-    pub fn finish_path(&mut self, last_value: f64) {
-        let start = self.path_start;
-        let end = self.rewards.len();
-        assert!(end > start, "finish_path on an empty episode");
-        self.advantages.resize(end, 0.0);
-        self.returns.resize(end, 0.0);
-        gae_and_returns(
-            end - start,
-            last_value,
-            self.gamma,
-            self.lam,
-            |i| start + i,
-            &self.rewards,
-            &self.values,
-            &mut self.advantages,
-            &mut self.returns,
-        );
-        self.path_start = end;
-    }
-
-    /// Steps stored so far (finished or not).
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Sum of rewards of all finished episodes.
-    pub fn total_reward(&self) -> f64 {
-        self.rewards[..self.path_start].iter().sum()
-    }
-
-    /// Merge finished episodes from several buffers into one training
-    /// batch (one segment, in buffer order), normalizing advantages to
-    /// zero mean / unit variance across the whole batch (the Spinning Up
-    /// "advantage normalization trick").
-    pub fn into_batch(buffers: Vec<RolloutBuffer>) -> Batch {
-        assert!(!buffers.is_empty());
-        let obs_dim = buffers[0].obs_dim;
-        let n_actions = buffers[0].n_actions;
-        let mut obs = Vec::new();
-        let mut masks = Vec::new();
-        let mut actions = Vec::new();
-        let mut advantages: Vec<f64> = Vec::new();
-        let mut returns = Vec::new();
-        let mut logp_old = Vec::new();
-        for b in &buffers {
-            assert_eq!(b.obs_dim, obs_dim);
-            assert_eq!(b.n_actions, n_actions);
-            assert_eq!(
-                b.path_start,
-                b.actions.len(),
-                "all episodes must be finished before batching"
-            );
-            let n = b.path_start;
-            obs.extend_from_slice(&b.obs[..n * obs_dim]);
-            masks.extend_from_slice(&b.masks[..n * n_actions]);
-            actions.extend_from_slice(&b.actions[..n]);
-            advantages.extend_from_slice(&b.advantages[..n]);
-            returns.extend(b.returns[..n].iter().map(|&r| r as f32));
-            logp_old.extend_from_slice(&b.logps[..n]);
-        }
-        let n = row_count(actions.len());
-        Batch {
-            obs_dim,
-            n_actions,
-            segments: vec![Segment { obs, masks }],
-            locator: (0..n).map(|r| (0, r)).collect(),
-            actions,
-            advantages: normalize_advantages(&advantages),
-            returns,
-            logp_old,
-        }
+    /// Bytes of the stored observations: every transition's job rows
+    /// (`4 · features · Σ n`) plus one 4-byte row end per transition.
+    pub fn storage_bytes(&self) -> usize {
+        self.segments.iter().map(JobRows::bytes).sum()
     }
 }
 
@@ -215,10 +121,8 @@ fn row_count(n: usize) -> u32 {
 /// GAE-λ advantages and reward-to-go returns for one `n`-step episode,
 /// bootstrapped with `last_value`: `delta_t = r_t + γ V_{t+1} − V_t`,
 /// `A_t = Σ_k (γλ)^k delta_{t+k}`. `row` maps the episode's step index
-/// to its storage row in the reward/value (and output) arrays — the ONE
-/// recurrence shared by the contiguous per-episode [`RolloutBuffer`] and
-/// the interleaved [`ArrivalArena`], so the two can never drift apart.
-#[allow(clippy::too_many_arguments)] // the full GAE term list, both storages
+/// to its storage row in the reward/value (and output) arrays.
+#[allow(clippy::too_many_arguments)] // the full GAE term list
 fn gae_and_returns(
     n: usize,
     last_value: f64,
@@ -252,8 +156,7 @@ fn gae_and_returns(
 }
 
 /// The Spinning Up "advantage normalization trick": zero mean / unit
-/// variance over the merged batch (1e-8 std floor), shared by both batch
-/// assembly paths so the arithmetic cannot diverge between them.
+/// variance over the merged batch (1e-8 std floor).
 fn normalize_advantages(advantages: &[f64]) -> Vec<f32> {
     let n = advantages.len();
     let mean = advantages.iter().sum::<f64>() / n as f64;
@@ -269,32 +172,61 @@ fn normalize_advantages(advantages: &[f64]) -> Vec<f32> {
         .collect()
 }
 
-/// Arrival-order rollout arena for the lockstep sampler.
+/// The valid slot count `n` of a window of `features`-value job rows,
+/// held to [`Env`](crate::Env)'s window contract: the first `n ≥ 1` slots
+/// are masked at exactly 0.0, every later one at [`MASK_OFF`] with
+/// all-zero features. Panics on a window that breaks it.
+fn valid_slots(obs: &[f32], mask: &[f32], features: usize) -> usize {
+    let n = mask.iter().take_while(|m| m.to_bits() == 0).count();
+    assert!(n >= 1, "window contract: a window needs a valid first slot");
+    // Branch-free scans (they vectorize); the position is looked up only
+    // to report a violation.
+    let off = MASK_OFF.to_bits();
+    if mask[n..].iter().fold(0, |acc, m| acc | (m.to_bits() ^ off)) != 0 {
+        let j = mask[n..]
+            .iter()
+            .position(|m| m.to_bits() != off)
+            .unwrap_or(0);
+        panic!(
+            "window contract: slot {} is masked at {} after {n} valid slots; \
+             the valid slots must be a prefix and the rest masked at MASK_OFF",
+            n + j,
+            mask[n + j]
+        );
+    }
+    let padding = &obs[n * features..];
+    if padding.iter().fold(0, |acc, v| acc | v.to_bits()) != 0 {
+        let j = padding.iter().position(|v| v.to_bits() != 0).unwrap_or(0);
+        panic!(
+            "window contract: padding slot {} has a nonzero feature",
+            n + j / features
+        );
+    }
+    n
+}
+
+/// Arrival-order rollout arena: the one rollout store.
 ///
 /// The lockstep loop produces one transition per live episode per tick —
-/// interleaved across episodes. Staging those rows into one
-/// [`RolloutBuffer`] per episode means every tick scatters its stores
-/// across N growing buffers (N distinct cache tails at lockstep width N)
-/// and the final [`RolloutBuffer::into_batch`] re-copies everything
-/// anyway. The arena instead appends every row to **one** contiguous
-/// tail in arrival order and remembers each episode's row indices; the
-/// batch keeps that tail where it is and reads it in episode order.
+/// interleaved across episodes. The arena appends every transition to
+/// **one** contiguous tail in arrival order and remembers each episode's
+/// row indices; the batch keeps that tail where it is and reads it in
+/// episode order.
 ///
-/// Bit-identity contract: [`ArrivalArena::into_batch`] produces exactly
-/// the [`Batch`] that per-episode buffers merged through
-/// [`RolloutBuffer::into_batch`] would — GAE runs per episode over the
-/// same values in the same order, the episode-ordered row locator yields
-/// the same rows, and advantage normalization sees the same merged
-/// sequence. The `vecenv_parity` suites pin this on both kernel dispatch
-/// arms.
+/// Bit-identity contract: the batch does not depend on how the episodes'
+/// steps interleaved on arrival — GAE runs per episode over the same
+/// values in the same order, the episode-ordered row locator yields the
+/// same rows, and advantage normalization sees the same merged sequence.
+/// So an arena filled one episode at a time, or several arenas merged by
+/// [`ArrivalArena::merge_into_batch`], give the same bits. The
+/// `vecenv_parity` suites pin this on both kernel dispatch arms.
 #[derive(Debug)]
 pub struct ArrivalArena {
-    obs_dim: usize,
+    features: usize,
     n_actions: usize,
     gamma: f64,
     lam: f64,
-    obs: Vec<f32>,
-    masks: Vec<f32>,
+    rows: JobRows,
     actions: Vec<usize>,
     rewards: Vec<f64>,
     values: Vec<f64>,
@@ -302,36 +234,43 @@ pub struct ArrivalArena {
     advantages: Vec<f64>,
     returns: Vec<f64>,
     /// Per-episode arrival row indices, in step order.
-    rows: Vec<Vec<u32>>,
-    /// Per-episode bootstrap value recorded at finish (for replay).
-    finished: Vec<Option<f64>>,
+    episodes: Vec<Vec<u32>>,
+    /// Per episode: closed by [`ArrivalArena::finish_episode`].
+    finished: Vec<bool>,
 }
 
 impl ArrivalArena {
     /// An empty arena for `episodes` episodes of `(obs_dim, n_actions)`
-    /// transitions.
+    /// transitions. Under the window contract `obs_dim` is `n_actions`
+    /// job rows of `obs_dim / n_actions` features.
     pub fn new(obs_dim: usize, n_actions: usize, gamma: f64, lam: f64, episodes: usize) -> Self {
+        assert!(
+            n_actions > 0 && obs_dim.is_multiple_of(n_actions),
+            "window contract: {obs_dim} observation values are not {n_actions} job rows"
+        );
         ArrivalArena {
-            obs_dim,
+            features: obs_dim / n_actions,
             n_actions,
             gamma,
             lam,
-            obs: Vec::new(),
-            masks: Vec::new(),
+            rows: JobRows::default(),
             actions: Vec::new(),
             rewards: Vec::new(),
             values: Vec::new(),
             logps: Vec::new(),
             advantages: Vec::new(),
             returns: Vec::new(),
-            rows: (0..episodes).map(|_| Vec::new()).collect(),
-            finished: vec![None; episodes],
+            episodes: (0..episodes).map(|_| Vec::new()).collect(),
+            finished: vec![false; episodes],
         }
     }
 
     /// Append one step of `episode` (steps of one episode must arrive in
-    /// order; different episodes may interleave freely).
-    #[allow(clippy::too_many_arguments)] // RolloutBuffer::store's row + the episode key
+    /// order; different episodes may interleave freely). `obs` and `mask`
+    /// are the whole window; only its valid job rows are kept. Panics
+    /// when the window breaks the window contract or `action` is not one
+    /// of its valid slots.
+    #[allow(clippy::too_many_arguments)] // one transition + the episode key
     pub fn store(
         &mut self,
         episode: usize,
@@ -342,32 +281,34 @@ impl ArrivalArena {
         value: f64,
         logp: f32,
     ) {
-        assert_eq!(obs.len(), self.obs_dim, "observation width");
+        let f = self.features;
+        assert_eq!(obs.len(), f * self.n_actions, "observation width");
         assert_eq!(mask.len(), self.n_actions, "mask width");
-        assert!(action < self.n_actions, "action out of range");
+        assert!(!self.finished[episode], "store into a finished episode");
+        let n = valid_slots(obs, mask, f);
         assert!(
-            self.finished[episode].is_none(),
-            "store into a finished episode"
+            action < n,
+            "action {action} is past the window's {n} valid slots"
         );
-        let row = self.actions.len() as u32;
-        self.obs.extend_from_slice(obs);
-        self.masks.extend_from_slice(mask);
+        let row = u32::try_from(self.actions.len()).expect("an arena holds at most u32::MAX rows");
+        self.rows.push(&obs[..n * f], f);
         self.actions.push(action);
         self.rewards.push(reward);
         self.values.push(value);
         self.logps.push(logp);
         self.advantages.push(0.0);
         self.returns.push(0.0);
-        self.rows[episode].push(row);
+        self.episodes[episode].push(row);
     }
 
     /// Close `episode`, computing its GAE-λ advantages and reward-to-go
-    /// returns over its rows through the same `gae_and_returns`
-    /// recurrence [`RolloutBuffer::finish_path`] runs.
+    /// returns over its rows. `last_value` bootstraps a truncated episode
+    /// (0.0 for terminal states, as in scheduling episodes that always
+    /// run to completion).
     pub fn finish_episode(&mut self, episode: usize, last_value: f64) {
-        let rows = &self.rows[episode];
+        let rows = &self.episodes[episode];
         assert!(!rows.is_empty(), "finish_episode on an empty episode");
-        assert!(self.finished[episode].is_none(), "episode finished twice");
+        assert!(!self.finished[episode], "episode finished twice");
         gae_and_returns(
             rows.len(),
             last_value,
@@ -379,12 +320,11 @@ impl ArrivalArena {
             &mut self.advantages,
             &mut self.returns,
         );
-        self.finished[episode] = Some(last_value);
+        self.finished[episode] = true;
     }
 
-    /// The arena as a merged, advantage-normalized training batch —
-    /// bit-identical to staging per-episode [`RolloutBuffer`]s and
-    /// merging them with [`RolloutBuffer::into_batch`] in episode order.
+    /// The arena as a merged, advantage-normalized training batch, its
+    /// episodes in episode order.
     pub fn into_batch(self) -> Batch {
         Self::merge_into_batch(vec![self])
     }
@@ -397,12 +337,11 @@ impl ArrivalArena {
     /// the same overall order — this is the parallel rollout's seed-order
     /// merge of per-worker arenas.
     ///
-    /// Each arena's observation and mask storage moves into the batch as
-    /// one segment; only the per-row scalars are gathered.
+    /// Each arena's job-row storage moves into the batch as one segment;
+    /// only the per-row scalars are gathered.
     pub fn merge_into_batch(arenas: Vec<ArrivalArena>) -> Batch {
         assert!(!arenas.is_empty(), "merge of zero arenas");
-        let obs_dim = arenas[0].obs_dim;
-        let n_actions = arenas[0].n_actions;
+        let (features, n_actions) = (arenas[0].features, arenas[0].n_actions);
         let n = row_count(arenas.iter().map(|a| a.actions.len()).sum()) as usize;
         let mut segments = Vec::with_capacity(arenas.len());
         let mut locator = Vec::with_capacity(n);
@@ -411,15 +350,15 @@ impl ArrivalArena {
         let mut returns = Vec::with_capacity(n);
         let mut logp_old = Vec::with_capacity(n);
         for (seg, a) in arenas.into_iter().enumerate() {
-            assert_eq!(a.obs_dim, obs_dim);
+            assert_eq!(a.features, features);
             assert_eq!(a.n_actions, n_actions);
-            for (ep, fin) in a.finished.iter().enumerate() {
+            for (ep, &fin) in a.finished.iter().enumerate() {
                 assert!(
-                    fin.is_some() || a.rows[ep].is_empty(),
+                    fin || a.episodes[ep].is_empty(),
                     "all episodes must be finished before batching"
                 );
             }
-            for &row in a.rows.iter().flatten() {
+            for &row in a.episodes.iter().flatten() {
                 let r = row as usize;
                 locator.push((seg as u32, row));
                 actions.push(a.actions[r]);
@@ -427,54 +366,20 @@ impl ArrivalArena {
                 returns.push(a.returns[r] as f32);
                 logp_old.push(a.logps[r]);
             }
-            segments.push(Segment {
-                obs: a.obs,
-                masks: a.masks,
-            });
+            segments.push(a.rows);
         }
 
         Batch {
-            obs_dim,
+            features,
             n_actions,
             segments,
             locator,
             actions,
-            // Advantage normalization over the merged episode order — the
-            // same helper `RolloutBuffer::into_batch` runs.
+            // Advantage normalization over the merged episode order.
             advantages: normalize_advantages(&advantages),
             returns,
             logp_old,
         }
-    }
-
-    /// Replay the arena into per-episode [`RolloutBuffer`]s (episode
-    /// order) — the compatibility path for callers that want per-episode
-    /// granularity; contents are bit-identical to having staged per
-    /// episode from the start.
-    pub fn into_episode_buffers(self) -> Vec<RolloutBuffer> {
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(ep, rows)| {
-                let mut buf =
-                    RolloutBuffer::new(self.obs_dim, self.n_actions, self.gamma, self.lam);
-                for &row in rows {
-                    let r = row as usize;
-                    buf.store(
-                        &self.obs[r * self.obs_dim..(r + 1) * self.obs_dim],
-                        &self.masks[r * self.n_actions..(r + 1) * self.n_actions],
-                        self.actions[r],
-                        self.rewards[r],
-                        self.values[r],
-                        self.logps[r],
-                    );
-                }
-                if let Some(last_value) = self.finished[ep] {
-                    buf.finish_path(last_value);
-                }
-                buf
-            })
-            .collect()
     }
 }
 
@@ -482,12 +387,27 @@ impl ArrivalArena {
 mod tests {
     use super::*;
 
-    fn simple_buffer(rewards: &[f64], values: &[f64], gamma: f64, lam: f64) -> RolloutBuffer {
-        let mut b = RolloutBuffer::new(2, 3, gamma, lam);
-        for (i, (&r, &v)) in rewards.iter().zip(values).enumerate() {
-            b.store(&[i as f32, 0.0], &[0.0, 0.0, 0.0], i % 3, r, v, -1.0);
+    /// Step `i` of an episode over 3-slot windows of 2-feature job rows:
+    /// `1 + i % 3` valid slots, every feature of slot `j` is `i + j + 1`,
+    /// and the action takes the last valid slot.
+    fn window(i: usize) -> ([f32; 6], [f32; 3], usize) {
+        let n = 1 + i % 3;
+        let (mut obs, mut mask) = ([0.0; 6], [MASK_OFF; 3]);
+        for j in 0..n {
+            obs[2 * j..2 * j + 2].fill((i + j + 1) as f32);
+            mask[j] = 0.0;
         }
-        b.finish_path(0.0);
+        (obs, mask, n - 1)
+    }
+
+    /// One finished episode with these rewards and value estimates.
+    fn simple_buffer(rewards: &[f64], values: &[f64], gamma: f64, lam: f64) -> ArrivalArena {
+        let mut b = ArrivalArena::new(6, 3, gamma, lam, 1);
+        for (i, (&r, &v)) in rewards.iter().zip(values).enumerate() {
+            let (obs, mask, a) = window(i);
+            b.store(0, &obs, &mask, a, r, v, -1.0);
+        }
+        b.finish_episode(0, 0.0);
         b
     }
 
@@ -540,18 +460,11 @@ mod tests {
     fn batch_merges_and_normalizes() {
         let b1 = simple_buffer(&[0.0, -10.0], &[0.0, 0.0], 1.0, 1.0);
         let b2 = simple_buffer(&[0.0, -20.0], &[0.0, 0.0], 1.0, 1.0);
-        let batch = RolloutBuffer::into_batch(vec![b1, b2]);
+        let batch = ArrivalArena::merge_into_batch(vec![b1, b2]);
         assert_eq!(batch.len(), 4);
-        assert_eq!(
-            batch.row(2),
-            (&[0.0, 0.0][..], &[0.0; 3][..]),
-            "b2's first step"
-        );
-        assert_eq!(
-            batch.row(3),
-            (&[1.0, 0.0][..], &[0.0; 3][..]),
-            "b2's second step"
-        );
+        // Only each window's valid job rows are kept.
+        assert_eq!(batch.row(2), &[1.0, 1.0][..], "b2's first step");
+        assert_eq!(batch.row(3), &[2.0, 2.0, 3.0, 3.0][..], "b2's second step");
         let mean: f32 = batch.advantages.iter().sum::<f32>() / 4.0;
         let var: f32 = batch
             .advantages
@@ -565,48 +478,87 @@ mod tests {
 
     #[test]
     fn multi_episode_buffer() {
-        let mut b = RolloutBuffer::new(1, 2, 1.0, 1.0);
-        b.store(&[0.0], &[0.0, 0.0], 0, 0.0, 0.0, -0.5);
-        b.store(&[1.0], &[0.0, 0.0], 1, -1.0, 0.0, -0.5);
-        b.finish_path(0.0);
-        b.store(&[2.0], &[0.0, 0.0], 0, -2.0, 0.0, -0.5);
-        b.finish_path(0.0);
+        // Two episodes stored one after the other.
+        let mut b = ArrivalArena::new(2, 2, 1.0, 1.0, 2);
+        b.store(0, &[0.5, 0.0], &[0.0, MASK_OFF], 0, 0.0, 0.0, -0.5);
+        b.store(0, &[1.0, 2.0], &[0.0, 0.0], 1, -1.0, 0.0, -0.5);
+        b.finish_episode(0, 0.0);
+        b.store(1, &[2.0, 0.0], &[0.0, MASK_OFF], 0, -2.0, 0.0, -0.5);
+        b.finish_episode(1, 0.0);
         assert_eq!(b.returns, vec![-1.0, -1.0, -2.0]);
-        assert!((b.total_reward() + 3.0).abs() < 1e-12);
+        let batch = b.into_batch();
+        assert_eq!(batch.actions, vec![0, 1, 0]);
+        assert_eq!(batch.row(1), &[1.0, 2.0][..]);
     }
 
     #[test]
     #[should_panic(expected = "empty episode")]
     fn finish_empty_path_panics() {
-        let mut b = RolloutBuffer::new(1, 2, 1.0, 1.0);
-        b.finish_path(0.0);
+        let mut b = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
+        b.finish_episode(0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "must be finished")]
     fn unfinished_episode_cannot_batch() {
-        let mut b = RolloutBuffer::new(1, 2, 1.0, 1.0);
-        b.store(&[0.0], &[0.0, 0.0], 0, 0.0, 0.0, -0.5);
-        let _ = RolloutBuffer::into_batch(vec![b]);
+        // Episode 0 is closed, episode 1 is not.
+        let mut b = ArrivalArena::new(2, 2, 1.0, 1.0, 2);
+        b.store(0, &[0.0, 0.0], &[0.0, 0.0], 0, 0.0, 0.0, -0.5);
+        b.store(1, &[0.0, 0.0], &[0.0, 0.0], 0, 0.0, 0.0, -0.5);
+        b.finish_episode(0, 0.0);
+        let _ = b.into_batch();
     }
 
     #[test]
     #[should_panic(expected = "observation width")]
     fn store_checks_widths() {
-        let mut b = RolloutBuffer::new(2, 2, 1.0, 1.0);
-        b.store(&[0.0], &[0.0, 0.0], 0, 0.0, 0.0, 0.0);
+        let mut b = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
+        b.store(0, &[0.0], &[0.0, 0.0], 0, 0.0, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the valid slots must be a prefix")]
+    fn store_rejects_a_mask_gap() {
+        let mut b = ArrivalArena::new(3, 3, 1.0, 1.0, 1);
+        b.store(0, &[1.0, 0.0, 1.0], &[0.0, MASK_OFF, 0.0], 0, 0.0, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "padding slot 2 has a nonzero feature")]
+    fn store_rejects_nonzero_padding() {
+        let mut b = ArrivalArena::new(6, 3, 1.0, 1.0, 1);
+        let obs = [1.0, 1.0, 0.0, 0.0, 0.0, 0.5];
+        b.store(0, &obs, &[0.0, MASK_OFF, MASK_OFF], 0, 0.0, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "action 1 is past the window's 1 valid slots")]
+    fn store_rejects_an_action_in_the_padding() {
+        let mut b = ArrivalArena::new(3, 3, 1.0, 1.0, 1);
+        b.store(
+            0,
+            &[1.0, 0.0, 0.0],
+            &[0.0, MASK_OFF, MASK_OFF],
+            1,
+            0.0,
+            0.0,
+            0.0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a window needs a valid first slot")]
+    fn store_rejects_a_window_without_a_valid_slot() {
+        let mut b = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
+        b.store(0, &[0.0, 0.0], &[MASK_OFF, MASK_OFF], 0, 0.0, 0.0, 0.0);
     }
 
     #[test]
     fn arena_matches_per_episode_buffers_bitwise() {
         // Interleaved arrival across 3 episodes of different lengths must
-        // produce exactly the batch (and the replayed buffers) that
-        // per-episode staging produces.
+        // produce exactly the batch that storing one episode at a time
+        // produces.
         let (gamma, lam) = (0.9, 0.95);
-        let mut arena = ArrivalArena::new(2, 3, gamma, lam, 3);
-        let mut bufs: Vec<RolloutBuffer> = (0..3)
-            .map(|_| RolloutBuffer::new(2, 3, gamma, lam))
-            .collect();
         // (episode, step) arrival order with episode 1 finishing early.
         let schedule: &[(usize, usize)] = &[
             (0, 0),
@@ -620,45 +572,27 @@ mod tests {
             (0, 3),
             (2, 3),
         ];
-        for &(ep, t) in schedule {
-            let obs = [ep as f32 + t as f32 * 0.1, -(t as f32)];
-            let mask = [0.0, 0.0, 0.0];
-            let a = (ep + t) % 3;
-            let r = (t as f64 + 1.0) * if ep == 1 { -1.0 } else { 0.5 };
-            let v = ep as f64 * 0.3 + t as f64 * 0.01;
-            let lp = -0.5 - t as f32 * 0.1;
-            arena.store(ep, &obs, &mask, a, r, v, lp);
-            bufs[ep].store(&obs, &mask, a, r, v, lp);
-        }
-        for (ep, buf) in bufs.iter_mut().enumerate() {
-            arena.finish_episode(ep, 0.0);
-            buf.finish_path(0.0);
-        }
-        let replayed = {
-            let mut a2 = ArrivalArena::new(2, 3, gamma, lam, 3);
-            for &(ep, t) in schedule {
-                let obs = [ep as f32 + t as f32 * 0.1, -(t as f32)];
-                a2.store(
-                    ep,
-                    &obs,
-                    &[0.0, 0.0, 0.0],
-                    (ep + t) % 3,
-                    (t as f64 + 1.0) * if ep == 1 { -1.0 } else { 0.5 },
-                    ep as f64 * 0.3 + t as f64 * 0.01,
-                    -0.5 - t as f32 * 0.1,
-                );
+        let fill = |order: &mut dyn Iterator<Item = (usize, usize)>| {
+            let mut arena = ArrivalArena::new(6, 3, gamma, lam, 3);
+            let mut last = [0usize; 3];
+            for (ep, t) in order {
+                let (obs, mask, a) = window(ep + t);
+                let r = (t as f64 + 1.0) * if ep == 1 { -1.0 } else { 0.5 };
+                let v = ep as f64 * 0.3 + t as f64 * 0.01;
+                arena.store(ep, &obs, &mask, a, r, v, -0.5 - t as f32 * 0.1);
+                last[ep] = t;
             }
             for ep in 0..3 {
-                a2.finish_episode(ep, 0.0);
+                arena.finish_episode(ep, 0.0);
             }
-            a2.into_episode_buffers()
+            (arena.into_batch(), last)
         };
-        let from_arena = arena.into_batch();
-        let from_bufs = RolloutBuffer::into_batch(bufs);
-        assert_same_batch(&from_arena, &from_bufs);
-        // And the replay path merges to the same bits.
-        let from_replay = RolloutBuffer::into_batch(replayed);
-        assert_same_batch(&from_replay, &from_bufs);
+        let (interleaved, _) = fill(&mut schedule.iter().copied());
+        let mut sequential = schedule.to_vec();
+        sequential.sort_unstable();
+        let (episode_at_a_time, last) = fill(&mut sequential.into_iter());
+        assert_eq!(last, [3, 1, 3], "episode lengths");
+        assert_same_batch(&interleaved, &episode_at_a_time);
     }
 
     /// Every row and every per-row scalar of `a` equals `b`'s.
@@ -677,19 +611,20 @@ mod tests {
     /// {2}), stored interleaved, and the same episodes in one arena.
     fn split_and_whole(gamma: f64, lam: f64) -> (Vec<ArrivalArena>, ArrivalArena) {
         let step = |ep: usize, t: usize| {
+            let (obs, mask, a) = window(ep * 2 + t);
             (
-                [ep as f32 * 2.0 + t as f32, t as f32 * 0.5],
-                [0.0f32, -(ep as f32), t as f32],
-                (ep * 2 + t) % 3,
+                obs,
+                mask,
+                a,
                 -((ep + 1) as f64) * (t as f64 + 0.5),
                 ep as f64 * 0.1 - t as f64 * 0.2,
                 -0.3 - ep as f32 * 0.07,
             )
         };
         let lens = [4usize, 2, 3];
-        let mut whole = ArrivalArena::new(2, 3, gamma, lam, 3);
-        let mut first = ArrivalArena::new(2, 3, gamma, lam, 2);
-        let mut second = ArrivalArena::new(2, 3, gamma, lam, 1);
+        let mut whole = ArrivalArena::new(6, 3, gamma, lam, 3);
+        let mut first = ArrivalArena::new(6, 3, gamma, lam, 2);
+        let mut second = ArrivalArena::new(6, 3, gamma, lam, 1);
         for t in 0..4 {
             for (ep, &len) in lens.iter().enumerate().filter(|&(_, &len)| t < len) {
                 let (obs, mask, a, r, v, lp) = step(ep, t);
@@ -724,51 +659,50 @@ mod tests {
     #[test]
     fn merge_moves_the_arenas_rows_and_reads_them_in_episode_order() {
         // The batch keeps each arena's row storage (same allocation, no
-        // copy), and its rows read back exactly what a dense copy in
-        // episode order — arena by arena, episode by episode — holds.
+        // copy), and its rows read back exactly the windows' valid job
+        // rows in episode order — arena by arena, episode by episode.
         let (split, _) = split_and_whole(0.97, 0.9);
-        let mut dense_obs = Vec::new();
-        let mut dense_masks = Vec::new();
-        for a in &split {
-            for &row in a.rows.iter().flatten() {
-                let r = row as usize;
-                dense_obs.extend_from_slice(&a.obs[r * a.obs_dim..(r + 1) * a.obs_dim]);
-                dense_masks.extend_from_slice(&a.masks[r * a.n_actions..(r + 1) * a.n_actions]);
+        let mut expected = Vec::new();
+        for (ep, len) in [(0usize, 4usize), (1, 2), (2, 3)] {
+            for t in 0..len {
+                let (obs, mask, _) = window(ep * 2 + t);
+                let n = mask.iter().filter(|&&m| m == 0.0).count();
+                expected.push(obs[..2 * n].to_vec());
             }
         }
-        let storage: Vec<(*const f32, *const f32)> = split
+        let storage: Vec<(*const f32, *const u32)> = split
             .iter()
-            .map(|a| (a.obs.as_ptr(), a.masks.as_ptr()))
+            .map(|a| (a.rows.jobs.as_ptr(), a.rows.ends.as_ptr()))
             .collect();
 
         let batch = ArrivalArena::merge_into_batch(split);
-        let held: Vec<(*const f32, *const f32)> = batch
+        let held: Vec<(*const f32, *const u32)> = batch
             .segments
             .iter()
-            .map(|s| (s.obs.as_ptr(), s.masks.as_ptr()))
+            .map(|s| (s.jobs.as_ptr(), s.ends.as_ptr()))
             .collect();
         assert_eq!(held, storage, "each arena's storage is a batch segment");
         assert_eq!(batch.len(), 9);
-        for i in 0..batch.len() {
-            let (obs, mask) = batch.row(i);
-            assert_eq!(obs, &dense_obs[i * 2..(i + 1) * 2], "row {i} observation");
-            assert_eq!(mask, &dense_masks[i * 3..(i + 1) * 3], "row {i} mask");
+        for (i, rows) in expected.iter().enumerate() {
+            assert_eq!(batch.row(i), &rows[..], "row {i}");
         }
+        let job_rows: usize = expected.iter().map(|r| r.len() / 2).sum();
+        assert_eq!(batch.storage_bytes(), 4 * 2 * job_rows + 4 * 9);
     }
 
     #[test]
     #[should_panic(expected = "must be finished")]
     fn arena_rejects_unfinished_batching() {
-        let mut arena = ArrivalArena::new(1, 2, 1.0, 1.0, 1);
-        arena.store(0, &[0.0], &[0.0, 0.0], 0, 0.0, 0.0, -0.5);
+        let mut arena = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
+        arena.store(0, &[0.0, 0.0], &[0.0, 0.0], 0, 0.0, 0.0, -0.5);
         let _ = arena.into_batch();
     }
 
     #[test]
     fn bootstrap_value_used_for_truncated_paths() {
-        let mut b = RolloutBuffer::new(1, 2, 1.0, 1.0);
-        b.store(&[0.0], &[0.0, 0.0], 0, 1.0, 0.5, -0.5);
-        b.finish_path(10.0); // truncated: bootstrap with V=10
+        let mut b = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
+        b.store(0, &[0.0, 0.0], &[0.0, 0.0], 0, 1.0, 0.5, -0.5);
+        b.finish_episode(0, 10.0); // truncated: bootstrap with V=10
         assert_eq!(b.returns, vec![11.0]);
         // A_0 = r + γ·V_boot − V_0 = 1 + 10 − 0.5
         assert!((b.advantages[0] - 10.5).abs() < 1e-9);

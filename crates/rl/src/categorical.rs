@@ -8,9 +8,7 @@
 
 use rand::Rng;
 
-/// Additive logit offset for invalid actions. Large enough that
-/// `exp(x + MASK_OFF)` underflows to 0.0 in f32 for any realistic logit.
-pub const MASK_OFF: f32 = -1.0e9;
+pub use rlsched_nn::MASK_OFF;
 
 /// A categorical distribution given by per-action log-probabilities
 /// (typically a row of a `log_softmax` output).

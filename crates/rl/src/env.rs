@@ -28,6 +28,25 @@ pub struct StepOutcome {
 
 /// A masked discrete-action episodic environment.
 ///
+/// # The window contract
+///
+/// An observation is a window of `n_actions` slots, one job row of `F`
+/// features per slot, and its mask scores the slots:
+///
+/// * `obs_dim == n_actions × F`;
+/// * the valid slots are a prefix of `n ≥ 1` slots, masked at exactly
+///   0.0;
+/// * every other slot is padding: all-zero features, masked at
+///   [`MASK_OFF`](crate::categorical::MASK_OFF);
+/// * so an action a rollout stores is below `n`.
+///
+/// The rollout store keeps only each window's `n` valid job rows and
+/// implies the rest ([`crate::buffer`]);
+/// [`ArrivalArena::store`](crate::ArrivalArena::store) panics on a window
+/// that breaks the contract, so a violation is never silently dropped.
+/// `rlscheduler`'s `SchedulingEnv` windows are the waiting jobs in FCFS
+/// order, then padding.
+///
 /// # Migration note (vectorized rollouts)
 ///
 /// Two things changed in the `VecEnv` redesign:
@@ -53,8 +72,8 @@ pub trait Env {
     /// Start a new episode derived from `seed` (the seed selects the job
     /// sequence; implementations must be reproducible). **Appends** the
     /// first observation (exactly `obs_dim` elements) and additive mask
-    /// (exactly `n_actions` elements; 0 valid, very negative invalid) to
-    /// the caller's buffers — existing contents are left untouched, so a
+    /// (exactly `n_actions` elements) of the window contract to the
+    /// caller's buffers — existing contents are left untouched, so a
     /// vectorized driver can stack many envs' rows in one matrix.
     fn reset(&mut self, seed: u64, obs: &mut Vec<f32>, mask: &mut Vec<f32>);
 
@@ -72,18 +91,24 @@ pub(crate) mod test_env {
 
     /// A tiny bandit-style environment for substrate tests: `n_actions`
     /// arms, reward = arm index / n (higher arm, higher reward), episode
-    /// length fixed. The optimal policy always picks the last arm; some
-    /// arms are masked off to exercise masking.
+    /// length fixed. The optimal policy always picks the last valid arm;
+    /// `masked` trailing arms are masked off to exercise masking. Each
+    /// arm is a slot of [`FEATURES`] features, so the observation keeps
+    /// the window contract.
     pub struct BanditEnv {
         pub n_actions: usize,
         pub episode_len: usize,
         pub t: usize,
-        pub masked: Vec<usize>,
+        pub masked: usize,
         pub acc: f64,
     }
 
+    /// Features per arm slot.
+    pub const FEATURES: usize = 2;
+
     impl BanditEnv {
-        pub fn new(n_actions: usize, episode_len: usize, masked: Vec<usize>) -> Self {
+        pub fn new(n_actions: usize, episode_len: usize, masked: usize) -> Self {
+            assert!(masked < n_actions, "at least one arm stays valid");
             BanditEnv {
                 n_actions,
                 episode_len,
@@ -93,22 +118,27 @@ pub(crate) mod test_env {
             }
         }
 
+        fn valid(&self) -> usize {
+            self.n_actions - self.masked
+        }
+
         fn write_obs(&self, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
-            obs.push(self.t as f32 / self.episode_len as f32);
-            obs.push(1.0);
-            mask.extend((0..self.n_actions).map(|i| {
-                if self.masked.contains(&i) {
-                    crate::categorical::MASK_OFF
+            let progress = self.t as f32 / self.episode_len as f32;
+            for arm in 0..self.n_actions {
+                if arm < self.valid() {
+                    obs.extend([progress, (arm + 1) as f32 / self.n_actions as f32]);
+                    mask.push(0.0);
                 } else {
-                    0.0
+                    obs.extend([0.0; FEATURES]);
+                    mask.push(crate::categorical::MASK_OFF);
                 }
-            }));
+            }
         }
     }
 
     impl Env for BanditEnv {
         fn obs_dim(&self) -> usize {
-            2
+            self.n_actions * FEATURES
         }
         fn n_actions(&self) -> usize {
             self.n_actions
@@ -119,7 +149,7 @@ pub(crate) mod test_env {
             self.write_obs(obs, mask);
         }
         fn step(&mut self, action: usize, obs: &mut Vec<f32>, mask: &mut Vec<f32>) -> StepOutcome {
-            assert!(!self.masked.contains(&action), "masked action selected");
+            assert!(action < self.valid(), "masked action selected");
             self.t += 1;
             self.acc += action as f64 / self.n_actions as f64;
             let done = self.t >= self.episode_len;

@@ -12,8 +12,9 @@
 //! * [`categorical`] — masked categorical action distributions over
 //!   log-probabilities (sampling during training, argmax during testing —
 //!   §IV-B1 of the paper).
-//! * [`buffer`] — per-episode rollout storage with GAE(γ, λ) advantage
-//!   estimation and reward-to-go returns.
+//! * [`buffer`] — the rollout store ([`ArrivalArena`]), GAE(γ, λ)
+//!   advantage estimation and reward-to-go returns, and the training
+//!   [`Batch`], which keeps each window's valid job rows only.
 //! * [`ppo`] — the clipped-surrogate PPO update with early stopping on
 //!   approximate KL, separate Adam optimizers for policy and value nets.
 //! * [`vecenv`] — vectorized environments ([`VecEnv`]) stepped in
@@ -30,9 +31,9 @@ pub mod ppo;
 pub mod sampler;
 pub mod vecenv;
 
-pub use buffer::{ArrivalArena, Batch, RolloutBuffer};
+pub use buffer::{ArrivalArena, Batch};
 pub use categorical::MaskedCategorical;
 pub use env::{Env, StepOutcome};
 pub use ppo::{ActorScratch, PolicyModel, Ppo, PpoConfig, UpdateProfile, UpdateStats, ValueModel};
-pub use sampler::{collect_episodes, collect_rollouts_par, collect_rollouts_vec, RolloutStats};
+pub use sampler::{collect_arena, collect_rollouts_par, collect_rollouts_vec, RolloutStats};
 pub use vecenv::{greedy_batch, SlotOutcome, VecEnv};

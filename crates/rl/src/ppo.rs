@@ -195,8 +195,8 @@ pub struct UpdateStats {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
     /// Minibatch draw: the row index and the per-row scalars (actions,
-    /// advantages, returns, old log-probs) staged for it. The observation
-    /// and mask rows are copied by each chunk and timed in `forward`.
+    /// advantages, returns, old log-probs) staged for it. The job rows
+    /// are copied by each chunk and timed in `forward`.
     pub gather: Duration,
     /// Actor/critic forward passes: the forward share of every chunked
     /// pass, each chunk's copy of its rows included.
@@ -354,9 +354,10 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// random minibatch) and runs one sweep over fixed
     /// [`fused::SHARD_ROWS`]-row chunks of it on the `rlsched_nn::pool`
     /// workers: a chunk copies its rows out of the batch into a
-    /// per-worker scratch, its forward stashes only the activations the
-    /// analytic backward needs there, and its fused dlogits pass and layer
-    /// walk follow at once; the optimizer then steps the network's layers
+    /// per-worker scratch (rebuilding each window's padding and mask
+    /// there), its forward stashes only the activations the analytic
+    /// backward needs there, and its fused dlogits pass and layer walk
+    /// follow at once; the optimizer then steps the network's layers
     /// in place. Zero heap allocation at steady state on the one-worker
     /// budget (pinned by `alloc_regression`).
     ///
@@ -369,6 +370,12 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         rlsched_obs::span!("ppo.update");
         assert!(!batch.is_empty(), "cannot update on an empty batch");
         let n_actions = batch.n_actions();
+        let window = (batch.features() * n_actions, n_actions);
+        assert_eq!(
+            self.policy.fused().widths(),
+            window,
+            "the policy's (inputs, actions) do not fit the batch's windows"
+        );
 
         let mut pi_loss_before = 0.0;
         let mut pi_loss_after = 0.0;
@@ -446,7 +453,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             prof.gather += t1 - t0;
             let pass = fused::value_pass(
                 value.fused(),
-                |i| batch.row(i).0,
+                |i| batch.row(i),
                 view.index,
                 view.returns,
                 vf_fused,
@@ -485,9 +492,9 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
 /// order (an identity index over its own per-row vectors), or a random
 /// minibatch whose index and per-row scalars are refilled into `mb`'s
 /// reusable buffers when configured and the batch is larger. Either way
-/// the observation and mask rows stay in the batch; the fused pass reads
-/// them through the index. Free function so the policy and value loops
-/// share it (and the RNG stream) without borrowing the whole trainer.
+/// the job rows stay in the batch; the fused pass reads them through the
+/// index. Free function so the policy and value loops share it (and the
+/// RNG stream) without borrowing the whole trainer.
 fn iteration_view<'a>(
     cfg: &PpoConfig,
     rng: &mut rand::rngs::StdRng,
@@ -660,8 +667,9 @@ pub(crate) mod test_nets {
 mod tests {
     use super::test_nets::{MlpPolicy, MlpValue};
     use super::*;
-    use crate::buffer::RolloutBuffer;
+    use crate::buffer::ArrivalArena;
     use crate::categorical::MASK_OFF;
+    use crate::env::test_env::FEATURES;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rlsched_nn::Activation;
@@ -677,20 +685,32 @@ mod tests {
         )
     }
 
+    /// An actor and critic over `n_actions` slots of [`FEATURES`]
+    /// features.
     fn agent(n_actions: usize) -> Ppo<MlpPolicy, MlpValue> {
         let cfg = PpoConfig {
             train_pi_iters: 20,
             train_v_iters: 20,
             ..PpoConfig::default()
         };
-        Ppo::new(MlpPolicy(mlp(2, n_actions, 1)), MlpValue(mlp(2, 1, 2)), cfg)
+        let od = n_actions * FEATURES;
+        Ppo::new(
+            MlpPolicy(mlp(od, n_actions, 1)),
+            MlpValue(mlp(od, 1, 2)),
+            cfg,
+        )
+    }
+
+    /// A window of `n_actions` valid slots, every slot holding `x`.
+    fn full_window(x: [f32; FEATURES], n_actions: usize) -> Vec<f32> {
+        x.repeat(n_actions)
     }
 
     #[test]
     fn logp_rows_are_normalized_and_masked() {
         let ppo = agent(4);
         let mask = vec![0.0, MASK_OFF, 0.0, 0.0];
-        let logp = ppo.logp_row(&[0.5, 1.0], &mask);
+        let logp = ppo.logp_row(&full_window([0.5, 1.0], 4), &mask);
         let sum: f32 = logp.iter().map(|l| l.exp()).sum();
         assert!((sum - 1.0).abs() < 1e-4, "sum {sum}");
         assert!(logp[1] < -1e8, "masked slot has ~zero probability");
@@ -702,7 +722,7 @@ mod tests {
         let mask = vec![MASK_OFF, 0.0, MASK_OFF, 0.0];
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..500 {
-            let (a, logp, _v) = ppo.select(&[0.1, 0.2], &mask, &mut rng);
+            let (a, logp, _v) = ppo.select(&full_window([0.1, 0.2], 4), &mask, &mut rng);
             assert!(a == 1 || a == 3);
             assert!(logp.is_finite());
         }
@@ -711,15 +731,12 @@ mod tests {
     #[test]
     fn greedy_is_deterministic() {
         let ppo = agent(4);
-        let mask = vec![0.0; 4];
+        let (obs, mask) = (full_window([0.3, -0.2], 4), vec![0.0; 4]);
         let mut scratch = ActorScratch::new();
-        let a = ppo.greedy_with(&[0.3, -0.2], &mask, &mut scratch);
+        let a = ppo.greedy_with(&obs, &mask, &mut scratch);
         for _ in 0..10 {
-            assert_eq!(
-                ppo.greedy_with(&[0.3, -0.2], &mask, &mut ActorScratch::new()),
-                a
-            );
-            assert_eq!(ppo.greedy_with(&[0.3, -0.2], &mask, &mut scratch), a);
+            assert_eq!(ppo.greedy_with(&obs, &mask, &mut ActorScratch::new()), a);
+            assert_eq!(ppo.greedy_with(&obs, &mask, &mut scratch), a);
         }
     }
 
@@ -731,29 +748,30 @@ mod tests {
         use crate::env::Env;
         let n_actions = 4;
         let mut ppo = agent(n_actions);
-        let mut env = BanditEnv::new(n_actions, 8, vec![]);
+        let mut env = BanditEnv::new(n_actions, 8, 0);
         let mut rng = StdRng::seed_from_u64(3);
 
         let mut last_mean = 0.0;
+        let (mut obs, mut mask) = (Vec::new(), Vec::new());
         for _epoch in 0..30 {
-            let mut buf = RolloutBuffer::new(2, n_actions, ppo.cfg.gamma, ppo.cfg.lam);
+            let od = env.obs_dim();
+            let mut buf = ArrivalArena::new(od, n_actions, ppo.cfg.gamma, ppo.cfg.lam, 8);
             let mut metrics = Vec::new();
-            let (mut obs, mut mask) = (Vec::new(), Vec::new());
             let (mut next_obs, mut next_mask) = (Vec::new(), Vec::new());
             for ep in 0..8 {
                 // Manual single-env driving: clear the append-contract
                 // buffers before each env write.
                 obs.clear();
                 mask.clear();
-                env.reset(ep, &mut obs, &mut mask);
+                env.reset(ep as u64, &mut obs, &mut mask);
                 loop {
                     let (a, logp, v) = ppo.select(&obs, &mask, &mut rng);
                     next_obs.clear();
                     next_mask.clear();
                     let out = env.step(a, &mut next_obs, &mut next_mask);
-                    buf.store(&obs, &mask, a, out.reward, v, logp);
+                    buf.store(ep, &obs, &mask, a, out.reward, v, logp);
                     if out.done {
-                        buf.finish_path(0.0);
+                        buf.finish_episode(ep, 0.0);
                         metrics.push(out.episode_metric.unwrap());
                         break;
                     }
@@ -762,33 +780,34 @@ mod tests {
                 }
             }
             last_mean = metrics.iter().sum::<f64>() / metrics.len() as f64;
-            let batch = RolloutBuffer::into_batch(vec![buf]);
-            ppo.update(&batch);
+            ppo.update(&buf.into_batch());
         }
         // Max achievable per episode is 8 * 3/4 = 6; random is ~3.
         assert!(last_mean > 4.5, "bandit mean reward {last_mean}");
         // And greedy should pick the best arm.
-        let a = ppo.greedy_with(&[0.0, 1.0], &vec![0.0; n_actions], &mut ActorScratch::new());
+        obs.clear();
+        mask.clear();
+        env.reset(0, &mut obs, &mut mask);
+        let a = ppo.greedy_with(&obs, &mask, &mut ActorScratch::new());
         assert_eq!(a, n_actions - 1, "greedy should pick the best arm");
     }
 
     #[test]
     fn update_reports_sane_stats() {
         let mut ppo = agent(3);
-        let mut buf = RolloutBuffer::new(2, 3, 1.0, 0.97);
+        let mut buf = ArrivalArena::new(3 * FEATURES, 3, 1.0, 0.97, 4);
         let mut rng = StdRng::seed_from_u64(9);
         for i in 0..32 {
-            let obs = [i as f32 / 32.0, 0.5];
+            let obs = full_window([i as f32 / 32.0, 0.5], 3);
             let mask = vec![0.0, 0.0, 0.0];
             let (a, logp, v) = ppo.select(&obs, &mask, &mut rng);
             let r = if i % 8 == 7 { -(i as f64) } else { 0.0 };
-            buf.store(&obs, &mask, a, r, v, logp);
+            buf.store(i / 8, &obs, &mask, a, r, v, logp);
             if i % 8 == 7 {
-                buf.finish_path(0.0);
+                buf.finish_episode(i / 8, 0.0);
             }
         }
-        let batch = RolloutBuffer::into_batch(vec![buf]);
-        let stats = ppo.update(&batch);
+        let stats = ppo.update(&buf.into_batch());
         assert!(stats.pi_iters >= 1);
         assert!(stats.entropy > 0.0 && stats.entropy <= (3.0f32).ln() + 1e-4);
         assert!(
@@ -806,20 +825,21 @@ mod tests {
             vf_lr: 0.05,
             ..PpoConfig::default()
         };
-        let mut ppo = Ppo::new(MlpPolicy(mlp(2, 3, 1)), MlpValue(mlp(2, 1, 2)), cfg);
-        let mut buf = RolloutBuffer::new(2, 3, 1.0, 1.0);
+        let od = 3 * FEATURES;
+        let mut ppo = Ppo::new(MlpPolicy(mlp(od, 3, 1)), MlpValue(mlp(od, 1, 2)), cfg);
+        let mut buf = ArrivalArena::new(od, 3, 1.0, 1.0, 16);
         let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..16 {
-            let obs = [0.5, 0.5];
+        let obs = full_window([0.5, 0.5], 3);
+        for ep in 0..16 {
             let (a, logp, v) = ppo.select(&obs, &[0.0, 0.0, 0.0], &mut rng);
-            buf.store(&obs, &[0.0, 0.0, 0.0], a, -7.0, v, logp);
-            buf.finish_path(0.0);
+            buf.store(ep, &obs, &[0.0, 0.0, 0.0], a, -7.0, v, logp);
+            buf.finish_episode(ep, 0.0);
         }
-        let batch = RolloutBuffer::into_batch(vec![buf]);
+        let batch = buf.into_batch();
         for _ in 0..5 {
             ppo.update(&batch);
         }
-        let v = ppo.value_of(&[0.5, 0.5]);
+        let v = ppo.value_of(&obs);
         assert!((v + 7.0).abs() < 1.5, "value {v} should approach -7");
     }
 

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::pool;
 
-use crate::buffer::{ArrivalArena, Batch, RolloutBuffer};
+use crate::buffer::{ArrivalArena, Batch};
 use crate::categorical::MaskedCategorical;
 use crate::env::Env;
 use crate::ppo::{ActorScratch, PolicyModel, Ppo, ValueModel};
@@ -100,8 +100,8 @@ impl RawStats {
 
 /// Collect one complete episode per seed by stepping `venv` in lockstep
 /// into an arrival-order [`ArrivalArena`] (see its docs: per-tick stores
-/// append to one contiguous tail instead of scattering across per-episode
-/// buffers; episode order is restored by one gather at batch time).
+/// append to one contiguous tail; episode order is restored by the
+/// batch's row locator).
 ///
 /// Envs that finish early auto-reset onto the next unclaimed seed, so a
 /// `VecEnv` narrower than the seed schedule pipelines through all
@@ -190,8 +190,12 @@ where
     (arena, raw)
 }
 
-/// [`collect_arena_raw`] with the stats folded for presentation.
-fn collect_arena<E, P, V>(
+/// Collect one complete episode per seed by stepping `venv` in lockstep
+/// into one [`ArrivalArena`], not yet batched, plus the round's stats.
+/// [`collect_rollouts_vec`] is this and [`ArrivalArena::into_batch`];
+/// arenas collected over parts of a seed schedule merge, in seed order,
+/// through [`ArrivalArena::merge_into_batch`] to the same bits.
+pub fn collect_arena<E, P, V>(
     ppo: &Ppo<P, V>,
     venv: &mut VecEnv<E>,
     seeds: &[u64],
@@ -205,27 +209,9 @@ where
     (arena, raw.finalize())
 }
 
-/// Collect one complete episode per seed by stepping `venv` in lockstep,
-/// returning the per-episode buffers in seed order plus round stats.
-/// (Training uses [`collect_rollouts_vec`], which skips the per-episode
-/// split and hands the arrival arena to the batch as it is.)
-pub fn collect_episodes<E, P, V>(
-    ppo: &Ppo<P, V>,
-    venv: &mut VecEnv<E>,
-    seeds: &[u64],
-) -> (Vec<RolloutBuffer>, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
-    let (arena, stats) = collect_arena(ppo, venv, seeds);
-    (arena.into_episode_buffers(), stats)
-}
-
 /// Collect one episode per seed through `venv` and merge into one
 /// normalized training batch that reads the arrival arena in episode
-/// order, bit-identical to merging per-episode buffers.
+/// order.
 pub fn collect_rollouts_vec<E, P, V>(
     ppo: &Ppo<P, V>,
     venv: &mut VecEnv<E>,
@@ -295,7 +281,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::test_env::BanditEnv;
+    use crate::env::test_env::{BanditEnv, FEATURES};
     use crate::ppo::test_nets::{MlpPolicy as P, MlpValue as C};
     use crate::ppo::PpoConfig;
     use rand::rngs::StdRng;
@@ -306,13 +292,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         Ppo::new(
             P(Mlp::new(
-                &[2, 8, 3],
+                &[3 * FEATURES, 8, 3],
                 Activation::Tanh,
                 Activation::Identity,
                 &mut rng,
             )),
             C(Mlp::new(
-                &[2, 8, 1],
+                &[3 * FEATURES, 8, 1],
                 Activation::Tanh,
                 Activation::Identity,
                 &mut rng,
@@ -321,19 +307,15 @@ mod tests {
         )
     }
 
-    fn bandits(n: usize, steps: usize, masked: Vec<usize>) -> VecEnv<BanditEnv> {
-        VecEnv::new(
-            (0..n)
-                .map(|_| BanditEnv::new(3, steps, masked.clone()))
-                .collect(),
-        )
+    fn bandits(n: usize, steps: usize, masked: usize) -> VecEnv<BanditEnv> {
+        VecEnv::new((0..n).map(|_| BanditEnv::new(3, steps, masked)).collect())
     }
 
     #[test]
     fn collects_one_episode_per_seed() {
         let ppo = make_ppo();
         let seeds: Vec<u64> = (0..6).collect();
-        let (batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(6, 5, vec![]), &seeds);
+        let (batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(6, 5, 0), &seeds);
         assert_eq!(stats.episodes, 6);
         assert_eq!(stats.steps, 30, "6 episodes x 5 steps");
         assert_eq!(batch.len(), 30);
@@ -345,7 +327,7 @@ mod tests {
         let ppo = make_ppo();
         let run = || {
             let seeds: Vec<u64> = (10..14).collect();
-            collect_rollouts_vec(&ppo, &mut bandits(4, 4, vec![]), &seeds)
+            collect_rollouts_vec(&ppo, &mut bandits(4, 4, 0), &seeds)
         };
         let (b1, s1) = run();
         let (b2, s2) = run();
@@ -361,8 +343,7 @@ mod tests {
         // only on the episode seed.
         let ppo = make_ppo();
         let seeds: Vec<u64> = (20..26).collect();
-        let run =
-            |n_slots: usize| collect_rollouts_vec(&ppo, &mut bandits(n_slots, 5, vec![]), &seeds);
+        let run = |n_slots: usize| collect_rollouts_vec(&ppo, &mut bandits(n_slots, 5, 0), &seeds);
         let (wide, ws) = run(6);
         let (narrow, ns) = run(2);
         assert_eq!(wide.actions, narrow.actions);
@@ -383,10 +364,10 @@ mod tests {
         // sequential lockstep collection at every thread count.
         let ppo = make_ppo();
         let seeds: Vec<u64> = (40..53).collect();
-        let (base, bs) = collect_rollouts_vec(&ppo, &mut bandits(4, 5, vec![]), &seeds);
+        let (base, bs) = collect_rollouts_vec(&ppo, &mut bandits(4, 5, 0), &seeds);
         for k in [1usize, 2, 3, 7] {
             let (b, s) = pool::with_threads(k, || {
-                collect_rollouts_par(&ppo, || BanditEnv::new(3, 5, vec![]), 3, &seeds)
+                collect_rollouts_par(&ppo, || BanditEnv::new(3, 5, 0), 3, &seeds)
             });
             assert_eq!(b.len(), base.len(), "transitions, threads={k}");
             for i in 0..b.len() {
@@ -412,7 +393,7 @@ mod tests {
         let ppo = make_ppo();
         // Arm 2 is masked; BanditEnv panics if a masked arm is selected.
         let seeds: Vec<u64> = (0..4).collect();
-        let (_batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(4, 6, vec![2]), &seeds);
+        let (_batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(4, 6, 1), &seeds);
         assert_eq!(stats.episodes, 4);
     }
 

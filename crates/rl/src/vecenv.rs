@@ -293,11 +293,7 @@ mod tests {
     use crate::env::test_env::BanditEnv;
 
     fn venv(n: usize, episode_len: usize) -> VecEnv<BanditEnv> {
-        VecEnv::new(
-            (0..n)
-                .map(|_| BanditEnv::new(3, episode_len, vec![]))
-                .collect(),
-        )
+        VecEnv::new((0..n).map(|_| BanditEnv::new(3, episode_len, 0)).collect())
     }
 
     #[test]
@@ -384,7 +380,7 @@ mod tests {
 
     #[test]
     fn borrowed_envs_work_through_the_forwarding_impl() {
-        let mut owned: Vec<BanditEnv> = (0..2).map(|_| BanditEnv::new(3, 2, vec![])).collect();
+        let mut owned: Vec<BanditEnv> = (0..2).map(|_| BanditEnv::new(3, 2, 0)).collect();
         let mut v: VecEnv<&mut BanditEnv> = VecEnv::new(owned.iter_mut().collect());
         let (mut obs, mut masks) = (Vec::new(), Vec::new());
         let mut outcomes = Vec::new();

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use rlsched_rl::buffer::RolloutBuffer;
+use rlsched_rl::buffer::ArrivalArena;
 use rlsched_rl::categorical::{MaskedCategorical, MASK_OFF};
 
 proptest! {
@@ -17,12 +17,12 @@ proptest! {
         // With gamma = lambda = 1 and terminal bootstrap 0:
         // A_t = G_t - V_t exactly (telescoping sum of TD errors).
         let n = rewards.len();
-        let mut buf = RolloutBuffer::new(1, 2, 1.0, 1.0);
+        let mut buf = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
         for i in 0..n {
-            buf.store(&[0.0], &[0.0, 0.0], 0, rewards[i], values[i], -0.7);
+            buf.store(0, &[0.0, 0.0], &[0.0, 0.0], 0, rewards[i], values[i], -0.7);
         }
-        buf.finish_path(0.0);
-        let batch = RolloutBuffer::into_batch(vec![buf]);
+        buf.finish_episode(0, 0.0);
+        let batch = buf.into_batch();
         // Recompute expectations directly.
         let mut g = vec![0.0f64; n];
         let mut acc = 0.0;
@@ -42,12 +42,12 @@ proptest! {
         rewards in prop::collection::vec(-50.0f64..50.0, 2..40),
     ) {
         let n = rewards.len();
-        let mut buf = RolloutBuffer::new(1, 2, 1.0, 0.95);
+        let mut buf = ArrivalArena::new(2, 2, 1.0, 0.95, 1);
         for (i, &r) in rewards.iter().enumerate() {
-            buf.store(&[i as f32], &[0.0, 0.0], i % 2, r, 0.1 * i as f64, -0.7);
+            buf.store(0, &[i as f32, 1.0], &[0.0, 0.0], i % 2, r, 0.1 * i as f64, -0.7);
         }
-        buf.finish_path(0.0);
-        let batch = RolloutBuffer::into_batch(vec![buf]);
+        buf.finish_episode(0, 0.0);
+        let batch = buf.into_batch();
         let mean: f64 = batch.advantages.iter().map(|&a| a as f64).sum::<f64>() / n as f64;
         prop_assert!(mean.abs() < 1e-4, "mean {mean}");
         if n >= 3 {
@@ -117,13 +117,13 @@ proptest! {
     ) {
         // The paper's reward structure: zeros then one terminal value; with
         // gamma=1 every step's return equals the terminal reward.
-        let mut buf = RolloutBuffer::new(1, 2, 1.0, 1.0);
+        let mut buf = ArrivalArena::new(2, 2, 1.0, 1.0, 1);
         for i in 0..len {
             let r = if i == len - 1 { terminal } else { 0.0 };
-            buf.store(&[0.0], &[0.0, 0.0], 0, r, 0.0, -0.7);
+            buf.store(0, &[0.0, 0.0], &[0.0, 0.0], 0, r, 0.0, -0.7);
         }
-        buf.finish_path(0.0);
-        let batch = RolloutBuffer::into_batch(vec![buf]);
+        buf.finish_episode(0, 0.0);
+        let batch = buf.into_batch();
         for &r in &batch.returns {
             prop_assert!((r as f64 - terminal).abs() < 1e-3);
         }

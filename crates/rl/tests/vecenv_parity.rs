@@ -1,6 +1,6 @@
 //! Batched ≡ sequential rollout parity at the substrate level: a
 //! `VecEnv(n)` rollout must produce **bit-identical** trajectories
-//! (observations, masks, actions, rewards/returns, advantages, sampled
+//! (stored job rows, actions, rewards/returns, advantages, sampled
 //! log-probs) to n sequential single-env rollouts — a `VecEnv` of size 1
 //! being exactly the old per-env stepping. CI runs this suite on both
 //! the SIMD and the `RLSCHED_FORCE_SCALAR=1` dispatch arms.
@@ -9,26 +9,28 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::fused::{FusedHead, FusedPolicy, FusedPolicyMut};
 use rlsched_nn::{infer, Activation, Mlp, Scratch};
+use rlsched_rl::categorical::MASK_OFF;
 use rlsched_rl::{
-    collect_episodes, Batch, Env, PolicyModel, Ppo, PpoConfig, RolloutBuffer, StepOutcome,
-    ValueModel, VecEnv,
+    collect_arena, collect_rollouts_vec, ArrivalArena, Batch, Env, PolicyModel, Ppo, PpoConfig,
+    StepOutcome, ValueModel, VecEnv,
 };
 
 /// A small bandit-style environment (mirrors the crate's internal test
 /// env): fixed episode length, reward = chosen arm / n at the end, with
-/// an optionally masked arm and a seed-dependent observation so
-/// different episodes genuinely see different states.
+/// optionally masked trailing arms and a seed-dependent observation so
+/// different episodes genuinely see different states. Each arm is a slot
+/// of two features (the window contract).
 struct BanditEnv {
     n_actions: usize,
     episode_len: usize,
     t: usize,
     seed_obs: f32,
-    masked: Vec<usize>,
+    masked: usize,
     acc: f64,
 }
 
 impl BanditEnv {
-    fn new(n_actions: usize, episode_len: usize, masked: Vec<usize>) -> Self {
+    fn new(n_actions: usize, episode_len: usize, masked: usize) -> Self {
         BanditEnv {
             n_actions,
             episode_len,
@@ -41,21 +43,21 @@ impl BanditEnv {
 
     // Append contract: one row appended per reset/non-terminal step.
     fn write_obs(&self, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
-        obs.push(self.t as f32 / self.episode_len as f32);
-        obs.push(self.seed_obs);
-        mask.extend((0..self.n_actions).map(|i| {
-            if self.masked.contains(&i) {
-                -1.0e9
+        for arm in 0..self.n_actions {
+            if arm < self.n_actions - self.masked {
+                obs.extend([self.t as f32 / self.episode_len as f32, self.seed_obs]);
+                mask.push(0.0);
             } else {
-                0.0
+                obs.extend([0.0, 0.0]);
+                mask.push(MASK_OFF);
             }
-        }));
+        }
     }
 }
 
 impl Env for BanditEnv {
     fn obs_dim(&self) -> usize {
-        2
+        2 * self.n_actions
     }
     fn n_actions(&self) -> usize {
         self.n_actions
@@ -67,7 +69,10 @@ impl Env for BanditEnv {
         self.write_obs(obs, mask);
     }
     fn step(&mut self, action: usize, obs: &mut Vec<f32>, mask: &mut Vec<f32>) -> StepOutcome {
-        assert!(!self.masked.contains(&action), "masked action selected");
+        assert!(
+            action < self.n_actions - self.masked,
+            "masked action selected"
+        );
         self.t += 1;
         self.acc += action as f64 / self.n_actions as f64;
         let done = self.t >= self.episode_len;
@@ -150,13 +155,13 @@ fn make_ppo(n_actions: usize) -> Ppo<P, C> {
     let mut rng = StdRng::seed_from_u64(11);
     Ppo::new(
         P(Mlp::new(
-            &[2, 16, n_actions],
+            &[2 * n_actions, 16, n_actions],
             Activation::Tanh,
             Activation::Identity,
             &mut rng,
         )),
         C(Mlp::new(
-            &[2, 16, 1],
+            &[2 * n_actions, 16, 1],
             Activation::Tanh,
             Activation::Identity,
             &mut rng,
@@ -168,7 +173,7 @@ fn make_ppo(n_actions: usize) -> Ppo<P, C> {
 fn assert_batches_identical(a: &Batch, b: &Batch, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: transitions");
     for i in 0..a.len() {
-        assert_eq!(a.row(i), b.row(i), "{what}: observation and mask {i}");
+        assert_eq!(a.row(i), b.row(i), "{what}: job rows {i}");
     }
     assert_eq!(a.actions, b.actions, "{what}: actions");
     assert_eq!(a.advantages, b.advantages, "{what}: advantages");
@@ -177,8 +182,9 @@ fn assert_batches_identical(a: &Batch, b: &Batch, what: &str) {
 }
 
 /// The headline parity property: one batched rollout vs n sequential
-/// single-env rollouts, merged into one batch in the same episode order
-/// (so advantage normalization sees identical inputs).
+/// single-env rollouts, their per-seed arenas merged into one batch in
+/// the same episode order (so advantage normalization sees identical
+/// inputs).
 #[test]
 fn batched_rollout_is_bit_identical_to_sequential() {
     let n = 6;
@@ -186,27 +192,22 @@ fn batched_rollout_is_bit_identical_to_sequential() {
     let seeds: Vec<u64> = (100..100 + n as u64).collect();
 
     // Batched: one VecEnv over n envs, all stepped in lockstep.
-    let mut venv = VecEnv::new(
-        (0..n)
-            .map(|_| BanditEnv::new(4, 7, vec![1]))
-            .collect::<Vec<_>>(),
-    );
-    let (batched_bufs, batched_stats) = collect_episodes(&ppo, &mut venv, &seeds);
+    let mut venv = VecEnv::new((0..n).map(|_| BanditEnv::new(4, 7, 1)).collect::<Vec<_>>());
+    let (batched, batched_stats) = collect_rollouts_vec(&ppo, &mut venv, &seeds);
 
     // Sequential: n separate single-env rollouts (VecEnv of size 1 — the
-    // old per-env stepping), one per seed.
-    let mut seq_bufs = Vec::new();
+    // old per-env stepping), one arena per seed.
+    let mut arenas = Vec::new();
     let mut seq_metrics = Vec::new();
     for &seed in &seeds {
-        let mut single = VecEnv::new(vec![BanditEnv::new(4, 7, vec![1])]);
-        let (mut bufs, stats) = collect_episodes(&ppo, &mut single, &[seed]);
-        seq_bufs.append(&mut bufs);
+        let mut single = VecEnv::new(vec![BanditEnv::new(4, 7, 1)]);
+        let (arena, stats) = collect_arena(&ppo, &mut single, &[seed]);
+        arenas.push(arena);
         seq_metrics.extend(stats.metrics);
     }
 
     assert_eq!(batched_stats.metrics, seq_metrics, "episode metrics");
-    let batched = RolloutBuffer::into_batch(batched_bufs);
-    let sequential = RolloutBuffer::into_batch(seq_bufs);
+    let sequential = ArrivalArena::merge_into_batch(arenas);
     assert_batches_identical(&batched, &sequential, "VecEnv(6) vs 6 x VecEnv(1)");
 }
 
@@ -220,11 +221,10 @@ fn autoreset_pipelining_is_bit_identical() {
     let run = |slots: usize| {
         let mut venv = VecEnv::new(
             (0..slots)
-                .map(|_| BanditEnv::new(3, 5, vec![]))
+                .map(|_| BanditEnv::new(3, 5, 0))
                 .collect::<Vec<_>>(),
         );
-        let (bufs, stats) = collect_episodes(&ppo, &mut venv, &seeds);
-        (RolloutBuffer::into_batch(bufs), stats)
+        collect_rollouts_vec(&ppo, &mut venv, &seeds)
     };
     let (wide, ws) = run(9);
     let (narrow, ns) = run(2);
