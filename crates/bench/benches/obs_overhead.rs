@@ -8,8 +8,10 @@
 //!   All are a handful of nanoseconds; none allocates (the
 //!   alloc-regression suite pins that separately).
 //! * `obs_engine` — the whole-cycle check the acceptance bar reads:
-//!   a `ShardEngine` push+flush cycle uninstrumented versus the same
-//!   cycle with registry handles attached. The instrumented arm adds
+//!   a `ShardEngine` `push_snapshot`+flush cycle (the path a serving
+//!   shard runs: encode each snapshot into the stack, one batched
+//!   forward) uninstrumented versus the same cycle with registry
+//!   handles attached. The instrumented arm adds
 //!   four relaxed atomic RMWs to a batched forward that streams whole
 //!   weight matrices, so the deltas should disappear into noise
 //!   (≤ 2%).
@@ -23,9 +25,7 @@ use rlsched_obs::{Counter, Gauge, Histogram, Registry};
 use rlsched_rl::PpoConfig;
 use rlsched_serve::{EngineMetrics, ScorerSlot, ShardEngine};
 use rlsched_sim::MetricKind;
-use rlscheduler::{
-    Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob, JOB_FEATURES,
-};
+use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob};
 
 const MAX_OBSV: usize = 64;
 const BATCH: usize = 8;
@@ -43,17 +43,11 @@ fn agent() -> Agent {
     })
 }
 
-struct Row {
-    obs: Vec<f32>,
-    mask: Vec<f32>,
-    queue_len: usize,
-}
-
-fn request_rows(agent: &Agent, n: usize) -> Vec<Row> {
+fn request_snapshots(n: usize) -> Vec<QueueSnapshot> {
     (0..n)
         .map(|i| {
             let depth = 1 + (7 * i + 3) % MAX_OBSV;
-            let snap = QueueSnapshot {
+            QueueSnapshot {
                 free_procs: 16 + (i as u32 % 48),
                 total_procs: 256,
                 queue_len: depth as u32,
@@ -65,16 +59,6 @@ fn request_rows(agent: &Agent, n: usize) -> Vec<Row> {
                         can_run_now: (i + j) % 3 != 0,
                     })
                     .collect(),
-            };
-            let mut obs = Vec::with_capacity(MAX_OBSV * JOB_FEATURES);
-            let mut mask = Vec::with_capacity(MAX_OBSV);
-            agent
-                .encoder()
-                .encode_snapshot_extend(&snap, &mut obs, &mut mask);
-            Row {
-                obs,
-                mask,
-                queue_len: depth,
             }
         })
         .collect()
@@ -127,14 +111,15 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_engine");
     let agent = agent();
     let scorer = agent.scorer_snapshot();
-    let rows = request_rows(&agent, BATCH);
+    let encoder = *agent.encoder();
+    let snapshots = request_snapshots(BATCH);
 
     // Baseline: the serve tier's push+flush cycle, no telemetry.
     let mut plain = ShardEngine::new(ScorerSlot::new(scorer.clone()), BATCH);
     group.bench_function("push_flush_plain", |b| {
         b.iter(|| {
-            for r in &rows {
-                plain.push_row(&r.obs, &r.mask, r.queue_len);
+            for snap in &snapshots {
+                plain.push_snapshot(snap, &encoder);
             }
             criterion::black_box(plain.flush().len())
         })
@@ -152,8 +137,8 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("push_flush_instrumented", |b| {
         b.iter(|| {
-            for r in &rows {
-                inst.push_row(&r.obs, &r.mask, r.queue_len);
+            for snap in &snapshots {
+                inst.push_snapshot(snap, &encoder);
             }
             criterion::black_box(inst.flush().len())
         })

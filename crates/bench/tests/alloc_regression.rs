@@ -13,7 +13,9 @@ use rlsched_rl::{
 use rlsched_serve::{ScorerSlot, ShardEngine};
 use rlsched_sim::{MetricKind, QueueView, SimConfig, WaitingJob};
 use rlsched_workload::NamedWorkload;
-use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
+use rlscheduler::{
+    Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, SchedulingEnv, SnapshotJob,
+};
 
 const SEQ_LEN: usize = 48;
 
@@ -33,6 +35,24 @@ fn agent_of(policy: PolicyKind, max_obsv: usize, iters: usize, minibatch: Option
         },
         seed: 5,
     })
+}
+
+/// A wire decision point that fills a `window`-slot encoder, with more
+/// jobs queued beyond it.
+fn window_snapshot(window: usize) -> QueueSnapshot {
+    QueueSnapshot {
+        free_procs: 3,
+        total_procs: 8,
+        queue_len: window as u32 + 5,
+        jobs: (0..window)
+            .map(|i| SnapshotJob {
+                wait: 17.5 * i as f64,
+                time_bound: 600.0 + i as f64,
+                procs: 1 + i as u32 % 4,
+                can_run_now: i % 4 < 3,
+            })
+            .collect(),
+    }
 }
 
 fn env_for(agent: &Agent, sim: SimConfig) -> SchedulingEnv {
@@ -498,28 +518,24 @@ fn fast_paths_do_not_regress_allocations() {
          state ({tick_allocs} allocations over {ticks} ticks of 8 envs)"
     );
 
-    // ---- serving: a ShardEngine push+flush cycle (coalesce, one
-    // batched forward, clamp) is allocation-free at steady state — the
-    // same discipline as the infer/fused fast paths, now holding for
-    // the serve tier's hot loop (hot-swap generation check included).
-    // ----
+    // ---- serving: a ShardEngine push_snapshot+flush cycle (encode
+    // into the stack, one batched forward, clamp) is allocation-free at
+    // steady state — the same discipline as the infer/fused fast paths,
+    // now holding for the serve tier's hot loop (hot-swap generation
+    // check included). ----
     let slot = ScorerSlot::new(agent.scorer_snapshot());
     let mut engine = ShardEngine::new(slot, 8);
-    let (mut row_obs, mut row_mask) = (Vec::new(), Vec::new());
-    obs.clear();
-    mask.clear();
-    env.reset(5, &mut obs, &mut mask);
-    row_obs.extend_from_slice(&obs);
-    row_mask.extend_from_slice(&mask);
+    let encoder = *agent.encoder();
+    let snapshot = window_snapshot(encoder.n_actions());
     for _ in 0..2 {
         for _ in 0..8 {
-            engine.push_row(&row_obs, &row_mask, 3);
+            engine.push_snapshot(&snapshot, &encoder);
         }
         let _ = engine.flush(); // warm the stacked matrices + scratch
     }
     let engine_allocs = count_allocs(|| {
         for _ in 0..8 {
-            engine.push_row(&row_obs, &row_mask, 3);
+            engine.push_snapshot(&snapshot, &encoder);
         }
         std::hint::black_box(engine.flush().len());
     });
@@ -533,12 +549,11 @@ fn fast_paths_do_not_regress_allocations() {
     // image at a time through the shard's scratch, and allocates nothing
     // either.
     let mut lenet_engine = ShardEngine::new(ScorerSlot::new(lenet.scorer_snapshot()), 8);
-    let (mut lenet_obs, mut lenet_mask) = (Vec::new(), Vec::new());
-    let mut lenet_env = lenet_env;
-    lenet_env.reset(5, &mut lenet_obs, &mut lenet_mask);
+    let lenet_encoder = *lenet.encoder();
+    let lenet_snapshot = window_snapshot(lenet_encoder.n_actions());
     let mut lenet_cycle = || {
         for _ in 0..8 {
-            lenet_engine.push_row(&lenet_obs, &lenet_mask, 3);
+            lenet_engine.push_snapshot(&lenet_snapshot, &lenet_encoder);
         }
         std::hint::black_box(lenet_engine.flush().len());
     };
@@ -604,12 +619,12 @@ fn fast_paths_do_not_regress_allocations() {
             batch_max: reg.gauge("alloc_pin_batch_max", &[]),
         });
         for _ in 0..8 {
-            engine.push_row(&row_obs, &row_mask, 3);
+            engine.push_snapshot(&snapshot, &encoder);
         }
         let _ = engine.flush(); // warm the metric handles
         let inst_allocs = count_allocs(|| {
             for _ in 0..8 {
-                engine.push_row(&row_obs, &row_mask, 3);
+                engine.push_snapshot(&snapshot, &encoder);
             }
             std::hint::black_box(engine.flush().len());
         });
@@ -633,21 +648,6 @@ fn fast_paths_do_not_regress_allocations() {
     {
         use rlsched_serve::protocol::{encode_score_frame, read_frame_any_into};
         use rlsched_serve::{Request, WireFrame};
-        use rlscheduler::{QueueSnapshot, SnapshotJob};
-        let window = agent.encoder().n_actions();
-        let snapshot = QueueSnapshot {
-            free_procs: 3,
-            total_procs: 8,
-            queue_len: window as u32 + 5,
-            jobs: (0..window)
-                .map(|i| SnapshotJob {
-                    wait: 17.5 * i as f64,
-                    time_bound: 600.0 + i as f64,
-                    procs: 1 + i as u32 % 4,
-                    can_run_now: i % 4 < 3,
-                })
-                .collect(),
-        };
         let mut wire = Vec::new();
         let mut payload = Vec::new();
         let mut text_line = String::new();

@@ -4,7 +4,9 @@
 //! Numbers are stored as `f64` (integers ≤ 2^53 round-trip exactly and
 //! render without a decimal point). Strings are escaped per RFC 8259;
 //! `NaN`/infinite floats render as `null`, as upstream does for
-//! non-finite values in lossy mode.
+//! non-finite values in lossy mode. Arrays and objects nest at most
+//! [`MAX_DEPTH`] levels deep: deeper text is an error, not a stack
+//! overflow (upstream's default recursion limit).
 
 pub use serde::{Error, Map, Value};
 
@@ -122,15 +124,23 @@ fn pad(out: &mut String, indent: Option<usize>, depth: usize) {
 
 // ----------------------------------------------------------------- parser
 
+/// The deepest nesting of arrays and objects [`from_str`] accepts. The
+/// parser recurses once per level, so without a bound one line of
+/// `[[[[…` from a peer would overflow the reading thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -192,8 +202,22 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => Ok(Value::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "JSON nests deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             _ => self.number(),
         }
     }
@@ -468,6 +492,19 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("tru").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        // Far past the cap, on a thread with the default spawned-thread
+        // stack: an error, not an overflow that aborts the process.
+        let deep = std::thread::spawn(|| from_str::<Value>(&"[".repeat(1_000_000)).is_err());
+        assert!(deep.join().expect("the parser must not overflow the stack"));
     }
 
     #[test]

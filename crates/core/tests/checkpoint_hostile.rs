@@ -1,8 +1,10 @@
 //! Hostile checkpoints: a checkpoint whose tensors disagree with their
-//! shapes, whose layers do not chain, or whose networks do not fit the
-//! encoder must fail `Agent::load_json` with an error — never load and
-//! then panic at the first decision — for every Table IV architecture,
-//! while an untouched checkpoint loads and scores bit-identically.
+//! shapes, whose layers do not chain, whose networks do not fit the
+//! encoder, or whose JSON nests past the parser's depth cap must fail
+//! `Agent::load_json` with an error — never load and then panic at the
+//! first decision, never overflow the stack — for every Table IV
+//! architecture, while an untouched checkpoint loads and scores
+//! bit-identically.
 
 use rlsched_rl::categorical::MASK_OFF;
 use rlsched_sim::MetricKind;
@@ -146,4 +148,12 @@ fn mutated_checkpoints_are_errors_and_untouched_ones_score_identically() {
             }
         }
     }
+}
+
+/// A checkpoint nested far past the JSON depth cap is an error, not a
+/// stack overflow that aborts the loading process.
+#[test]
+fn a_deeply_nested_checkpoint_is_an_error() {
+    let deep = format!("{{\"policy\":{}", "[".repeat(100_000));
+    assert!(Agent::load_json(&deep).is_err());
 }

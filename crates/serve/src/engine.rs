@@ -1,4 +1,4 @@
-//! The shard's scoring engine: coalesce encoded request rows into one
+//! The shard's scoring engine: encode request snapshots into one
 //! stacked `[n, obs_dim]` matrix, score it through a single batched
 //! forward of the snapshot's policy network, and hand back one clamped
 //! action per row.
@@ -6,9 +6,9 @@
 //! This is the allocation-free core the network layer wraps: all
 //! buffers (the stacked observations/masks, the network scratch, the
 //! action row) live in the engine and only ever grow to their
-//! high-water mark, so a steady-state `push_*` + `flush` cycle touches
-//! the heap zero times — the same discipline as `nn::infer` and
-//! `nn::fused` (pinned by the alloc-regression suite).
+//! high-water mark, so a steady-state `push_snapshot` + `flush` cycle
+//! touches the heap zero times — the same discipline as `nn::infer`
+//! and `nn::fused` (pinned by the alloc-regression suite).
 //!
 //! # Decision parity
 //!
@@ -17,7 +17,7 @@
 //! forward kernels are row-count invariant — so row `i` of a coalesced batch computes
 //! exactly the bits the in-process decision head would for the same
 //! decision point, regardless of what else landed in the batch, which
-//! shard scored it, or how the coalescing window happened to cut. The
+//! shard scored it, or where the batch happened to be cut. The
 //! serve parity suite pins this for every `PolicyKind` on both dispatch
 //! arms.
 //!
@@ -176,16 +176,6 @@ impl ShardEngine {
         self.metrics = Some(metrics);
     }
 
-    /// Flattened observation width a request row must have.
-    pub fn obs_dim(&self) -> usize {
-        self.scorer.obs_dim()
-    }
-
-    /// Mask width a request row must have.
-    pub fn n_actions(&self) -> usize {
-        self.scorer.n_actions()
-    }
-
     /// Rows waiting in the current batch.
     pub fn pending(&self) -> usize {
         self.rows.len()
@@ -197,22 +187,12 @@ impl ShardEngine {
         self.rows.len() >= self.batch_cap
     }
 
-    /// Append one pre-encoded request row. `queue_len` is the waiting
-    /// queue's full length (the action-clamp bound, exactly as
-    /// `Agent::as_policy` applies it). Panics when the row widths
-    /// mismatch the scorer or the batch is already full — the server
-    /// validates requests before they reach the engine.
-    pub fn push_row(&mut self, obs: &[f32], mask: &[f32], queue_len: usize) {
-        assert!(!self.is_full(), "push into a full batch (flush first)");
-        assert_eq!(obs.len(), self.scorer.obs_dim(), "obs row width");
-        assert_eq!(mask.len(), self.scorer.n_actions(), "mask row width");
-        self.obs.extend_from_slice(obs);
-        self.masks.extend_from_slice(mask);
-        self.rows.push(RowMeta { queue_len });
-    }
-
     /// Encode a [`QueueSnapshot`] straight into the stacked matrices
-    /// (no intermediate row buffer) and append it.
+    /// (no intermediate row buffer) and append it. The snapshot's full
+    /// `queue_len` is the row's action-clamp bound, exactly as
+    /// `Agent::as_policy` applies it. Panics when the encoder's window
+    /// mismatches the scorer or the batch is already full — the server
+    /// validates requests before they reach the engine.
     pub fn push_snapshot(&mut self, snap: &QueueSnapshot, encoder: &ObsEncoder) {
         assert!(!self.is_full(), "push into a full batch (flush first)");
         assert_eq!(

@@ -11,11 +11,12 @@
 //!
 //! * [`protocol`] — two frame formats for [`Request`] / [`Response`]:
 //!   newline-delimited JSON (debuggable with `nc`) and length-prefixed
-//!   little-endian binary frames. The server sniffs the first byte of
-//!   every frame, so both coexist with no handshake. There is one
-//!   scoring request, `Request::Score`: a queue snapshot in, the chosen
-//!   queue position out, and the server runs the encoder. A snapshot's
-//!   floats cross either wire bit-exactly.
+//!   binary frames, little-endian for the hot `Score`, `Action` and
+//!   `Shed` and JSON text for the rest. The server sniffs the first
+//!   byte of every frame, so both coexist with no handshake. There is
+//!   one scoring request, `Request::Score`: a queue snapshot in, the
+//!   chosen queue position out, and the shard runs the encoder. A
+//!   snapshot's floats cross either wire bit-exactly.
 //! * [`transport`] — the [`Transport`] abstraction over TCP and Unix
 //!   domain sockets: [`ListenAddr`] (server side), [`ServerAddr`]
 //!   (bound address) and [`AnyStream`] (runtime-chosen client stream).

@@ -10,23 +10,35 @@
 //! guarantee survives serialization. Representations are the
 //! serde-default externally-tagged enum forms, e.g.
 //! `{"Score":{"id":1,"snapshot":{…}}}` and
-//! `{"Action":{"id":1,"action":3,"shard":0}}`.
+//! `{"Action":{"id":1,"action":3,"shard":0,"served_by":"Model"}}`.
 //!
-//! **Binary frames** are length-prefixed little-endian records:
-//! `[0xB1][version=1][payload_len: u32 LE][payload]`, payload =
-//! `[variant tag: u8][fields…]`. All integers are fixed-width LE;
-//! floats are IEEE-754 `to_le_bytes`; strings and vectors carry a
-//! `u32` count. A `Score` frame is encoded straight from a borrowed
-//! snapshot ([`encode_score_frame`]) and decoded into a reused one, so
-//! with warm buffers neither side allocates — no text formatting, no
-//! per-float parse. Float exactness is structural here.
+//! **Binary frames** are length-prefixed records:
+//! `[0xB1][version=1][payload_len: u32 LE][payload]`. Only the three
+//! frames of the hot path have a hand-written payload layout,
+//! `[variant tag: u8][fields…]`: `Request::Score` (tag 1),
+//! `Response::Action` (tag 1) and `Response::Shed` (tag 2). Their
+//! integers are fixed-width LE, floats are IEEE-754 `to_le_bytes`, and
+//! the snapshot's job list carries a `u32` count. A `Score` frame is
+//! encoded straight from a borrowed snapshot ([`encode_score_frame`])
+//! and decoded into a reused one, so with warm buffers neither side
+//! allocates — no text formatting, no per-float parse. Float exactness
+//! is structural here.
+//!
+//! Every other frame (`Stats` and `Metrics` both ways, `Error`) carries
+//! its JSON text as the payload: the bytes [`encode_json_frame`] writes,
+//! without the `\n`. Its first byte, `{` (0x7B), is its tag, and the
+//! type's `#[derive(Serialize, Deserialize)]` is its one field
+//! description. A JSON body that is not UTF-8 or not valid JSON is
+//! `InvalidData`, like any other malformed payload. So every frame is
+//! encodable in both formats, while only the hot frames have a second
+//! codec.
 //!
 //! **Negotiation** is a first-byte sniff, per frame: `0xB1` cannot
 //! start a JSON line (it is a UTF-8 continuation byte), so
 //! [`read_frame_any`] dispatches on it with no handshake. A connection
-//! may mix formats; the server answers each request in the format it
-//! arrived in (latched per connection), so JSON clients and `nc`
-//! sessions keep working against a binary-capable server unchanged.
+//! may mix formats; the server answers each request in the format that
+//! request arrived in, so JSON clients and `nc` sessions keep working
+//! against a binary-capable server unchanged.
 //!
 //! **Error taxonomy** (drives the client's retry-vs-report decision,
 //! both formats): a frame cut short by a dying peer — a JSON line
@@ -40,16 +52,18 @@
 //! longer JSON line is skipped to its newline without being stored and
 //! reported as `InvalidData`; a binary payload is buffered only as its
 //! bytes arrive, so a header that declares a large frame and then
-//! stalls allocates nothing for it.
+//! stalls allocates nothing for it. JSON text (a line or a body) nests
+//! at most `serde_json::MAX_DEPTH` levels deep; deeper text is
+//! `InvalidData`, never a stack overflow.
 //!
 //! Correlation ids must stay below 2^53: JSON interoperability (RFC
 //! 8259 §6) only guarantees integer exactness within IEEE-double range,
 //! and ids above it may come back changed. [`crate::ServeClient`]
 //! allocates ids sequentially from 0, far below the limit.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Read};
 
-use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
+use rlsched_obs::RegistrySnapshot;
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 use serde::{Deserialize, Serialize};
 
@@ -226,35 +240,13 @@ impl Response {
     }
 }
 
-/// Serialize one frame and write it with its terminating newline.
-pub fn write_frame<T: Serialize, W: Write>(w: &mut W, frame: &T) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(frame).map_err(std::io::Error::from)?;
-    line.push('\n');
-    w.write_all(line.as_bytes())
-}
-
-/// Read one newline-terminated frame. `Ok(None)` on clean EOF.
+/// Read one raw line into `line`, reusing its allocation. Returns the
+/// byte count (0 on clean EOF).
 ///
 /// A non-empty line *without* its terminating newline means the stream
 /// died mid-frame (peer crashed mid-write): that is a transport failure
 /// (`UnexpectedEof`), not a protocol violation — the distinction drives
 /// the client's retry-vs-report decision.
-pub fn read_frame<T: Deserialize, R: BufRead>(r: &mut R) -> std::io::Result<Option<T>> {
-    let mut line = String::new();
-    loop {
-        if read_frame_line(r, &mut line)? == 0 {
-            return Ok(None);
-        }
-        if line.trim().is_empty() {
-            continue; // tolerate blank keep-alive lines
-        }
-        let parsed = serde_json::from_str(line.trim()).map_err(std::io::Error::from)?;
-        return Ok(Some(parsed));
-    }
-}
-
-/// Read one raw line into `line`, reusing its allocation. Returns the
-/// byte count (0 on clean EOF).
 ///
 /// Reads *bytes* and validates UTF-8 only on newline-complete lines:
 /// a stream that dies inside a multi-byte character is a torn frame
@@ -297,7 +289,7 @@ fn read_frame_line<R: BufRead>(r: &mut R, line: &mut String) -> std::io::Result<
 pub enum WireProtocol {
     /// Newline-delimited JSON objects.
     Json,
-    /// Length-prefixed little-endian binary frames.
+    /// Length-prefixed binary frames.
     Binary,
 }
 
@@ -323,20 +315,15 @@ const HEADER_LEN: usize = 6;
 const MAX_FRAME_LEN: usize = 64 << 20;
 
 const TAG_REQ_SCORE: u8 = 1;
-// Request tag 2 is retired: never reuse it, so an old peer's frame
-// stays an unknown tag instead of decoding as something else.
-const TAG_REQ_STATS: u8 = 3;
-const TAG_REQ_METRICS: u8 = 4;
-
 const TAG_RESP_ACTION: u8 = 1;
 const TAG_RESP_SHED: u8 = 2;
-const TAG_RESP_STATS: u8 = 3;
-const TAG_RESP_ERROR: u8 = 4;
-const TAG_RESP_METRICS: u8 = 5;
+// Retired tags: request 2 (the client-encoded row request), requests 3
+// and 4 and responses 3, 4 and 5 (the old hand layouts of Stats,
+// Metrics and Error). Never reuse them, so an old peer's frame stays an
+// unknown tag instead of decoding as something else.
 
-const METRIC_KIND_COUNTER: u8 = 0;
-const METRIC_KIND_GAUGE: u8 = 1;
-const METRIC_KIND_HISTOGRAM: u8 = 2;
+/// Tag of a JSON-bodied payload: the `{` that opens its JSON text.
+const TAG_JSON: u8 = b'{';
 
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
@@ -354,9 +341,18 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+/// Append `frame`'s JSON text: a JSON frame's line without its `\n`,
+/// and the whole payload of a JSON-bodied binary frame.
+fn put_json<T: Serialize>(out: &mut Vec<u8>, frame: &T) {
+    let text = serde_json::to_string(frame).expect("a wire frame always serializes");
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Decode a JSON-bodied payload. The whole frame arrived (its length
+/// prefix said so), so bad UTF-8 or bad JSON is malformed content.
+fn read_json<T: Deserialize>(payload: &[u8]) -> std::io::Result<T> {
+    let text = std::str::from_utf8(payload).map_err(|_| bad("JSON body is not UTF-8"))?;
+    Ok(serde_json::from_str(text)?)
 }
 
 /// A `Score` request's payload, written from the borrowed snapshot.
@@ -418,15 +414,6 @@ impl<'a> Rd<'a> {
         }
     }
 
-    fn str_into(&mut self, out: &mut String) -> std::io::Result<()> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| bad("string field is not UTF-8"))?;
-        out.clear();
-        out.push_str(s);
-        Ok(())
-    }
-
     fn finish(&self) -> std::io::Result<()> {
         if self.buf.is_empty() {
             Ok(())
@@ -442,7 +429,8 @@ impl<'a> Rd<'a> {
 /// into whenever the incoming variant matches — the mechanism behind
 /// the 0-allocation steady state pinned in `alloc_regression`.
 pub trait WireFrame: Serialize + Deserialize {
-    /// Append this frame's binary payload (tag byte + fields) to `out`.
+    /// Append this frame's binary payload (tag byte + fields, or its
+    /// JSON text) to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>);
 
     /// Decode a binary payload over `into`, reusing its buffers.
@@ -452,15 +440,9 @@ pub trait WireFrame: Serialize + Deserialize {
     fn scratch() -> Self;
 }
 
-/// Decode one binary payload into an owned frame.
-pub fn decode_payload<T: WireFrame>(bytes: &[u8]) -> std::io::Result<T> {
-    let mut v = T::scratch();
-    T::decode_payload_into(bytes, &mut v)?;
-    Ok(v)
-}
-
 /// Encode a complete binary frame (header + payload) into `out`,
-/// clearing it first. Allocation-free once `out`'s capacity is warm.
+/// clearing it first. Allocation-free once `out`'s capacity is warm,
+/// for the frames with a binary layout.
 pub fn encode_binary_frame<T: WireFrame>(frame: &T, out: &mut Vec<u8>) {
     frame_with(out, |out| frame.encode_payload(out));
 }
@@ -484,129 +466,20 @@ fn frame_with(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
     out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Encode into `scratch` and write the frame. The reused `scratch`
-/// keeps steady-state writes allocation-free.
-pub fn write_binary_frame<T: WireFrame, W: Write>(
-    w: &mut W,
-    frame: &T,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    encode_binary_frame(frame, scratch);
-    w.write_all(scratch)
-}
-
 /// Serialize one JSON frame (object + `\n`) into a reusable byte
 /// buffer, clearing it first.
 pub fn encode_json_frame<T: Serialize>(frame: &T, out: &mut Vec<u8>) -> std::io::Result<()> {
     out.clear();
-    let line = serde_json::to_string(frame).map_err(std::io::Error::from)?;
-    out.extend_from_slice(line.as_bytes());
+    put_json(out, frame);
     out.push(b'\n');
     Ok(())
-}
-
-fn put_registry_snapshot(out: &mut Vec<u8>, snap: &RegistrySnapshot) {
-    put_u32(out, snap.metrics.len() as u32);
-    for m in &snap.metrics {
-        put_str(out, &m.name);
-        put_u32(out, m.labels.len() as u32);
-        for (k, v) in &m.labels {
-            put_str(out, k);
-            put_str(out, v);
-        }
-        match &m.value {
-            MetricValue::Counter(v) => {
-                out.push(METRIC_KIND_COUNTER);
-                put_u64(out, *v);
-            }
-            MetricValue::Gauge(v) => {
-                out.push(METRIC_KIND_GAUGE);
-                put_f64(out, *v);
-            }
-            MetricValue::Histogram(h) => {
-                out.push(METRIC_KIND_HISTOGRAM);
-                put_u64(out, h.count);
-                put_u64(out, h.max_ns);
-                put_u32(out, h.buckets.len() as u32);
-                for &(i, c) in &h.buckets {
-                    put_u32(out, i);
-                    put_u64(out, c);
-                }
-            }
-        }
-    }
-}
-
-fn read_registry_snapshot(rd: &mut Rd) -> std::io::Result<RegistrySnapshot> {
-    let n = rd.u32()? as usize;
-    // A metric is at least 17 bytes (empty name, no labels, counter):
-    // reject counts the payload cannot hold before reserving.
-    if n > rd.buf.len() / 17 {
-        return Err(bad("metric count exceeds payload"));
-    }
-    let mut metrics = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut name = String::new();
-        rd.str_into(&mut name)?;
-        let n_labels = rd.u32()? as usize;
-        // A label is at least two empty length-prefixed strings.
-        if n_labels > rd.buf.len() / 8 {
-            return Err(bad("label count exceeds payload"));
-        }
-        let mut labels = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            let mut k = String::new();
-            let mut v = String::new();
-            rd.str_into(&mut k)?;
-            rd.str_into(&mut v)?;
-            labels.push((k, v));
-        }
-        let value = match rd.u8()? {
-            METRIC_KIND_COUNTER => MetricValue::Counter(rd.u64()?),
-            METRIC_KIND_GAUGE => MetricValue::Gauge(rd.f64()?),
-            METRIC_KIND_HISTOGRAM => {
-                let count = rd.u64()?;
-                let max_ns = rd.u64()?;
-                let n_buckets = rd.u32()? as usize;
-                // 12 bytes per (index, count) pair.
-                if n_buckets > rd.buf.len() / 12 {
-                    return Err(bad("bucket count exceeds payload"));
-                }
-                let mut buckets = Vec::with_capacity(n_buckets);
-                for _ in 0..n_buckets {
-                    let i = rd.u32()?;
-                    let c = rd.u64()?;
-                    buckets.push((i, c));
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    count,
-                    max_ns,
-                    buckets,
-                })
-            }
-            _ => return Err(bad("unknown metric kind tag")),
-        };
-        metrics.push(MetricSnapshot {
-            name,
-            labels,
-            value,
-        });
-    }
-    Ok(RegistrySnapshot { metrics })
 }
 
 impl WireFrame for Request {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Request::Score { id, snapshot } => put_score(out, *id, snapshot),
-            Request::Stats { id } => {
-                out.push(TAG_REQ_STATS);
-                put_u64(out, *id);
-            }
-            Request::Metrics { id } => {
-                out.push(TAG_REQ_METRICS);
-                put_u64(out, *id);
-            }
+            Request::Stats { .. } | Request::Metrics { .. } => put_json(out, self),
         }
     }
 
@@ -650,16 +523,8 @@ impl WireFrame for Request {
                 };
                 Ok(())
             }
-            TAG_REQ_STATS => {
-                let id = rd.u64()?;
-                rd.finish()?;
-                *into = Request::Stats { id };
-                Ok(())
-            }
-            TAG_REQ_METRICS => {
-                let id = rd.u64()?;
-                rd.finish()?;
-                *into = Request::Metrics { id };
+            TAG_JSON => {
+                *into = read_json(bytes)?;
                 Ok(())
             }
             _ => Err(bad("unknown request tag")),
@@ -693,46 +558,8 @@ impl WireFrame for Response {
                 out.push(TAG_RESP_SHED);
                 put_u64(out, *id);
             }
-            Response::Stats { id, stats } => {
-                out.push(TAG_RESP_STATS);
-                put_u64(out, *id);
-                for c in [
-                    stats.served,
-                    stats.fallbacks,
-                    stats.shed,
-                    stats.deadlines,
-                    stats.batches,
-                    stats.max_batch,
-                    stats.swaps,
-                    stats.rollbacks,
-                    stats.restarts,
-                    stats.accept_failures,
-                ] {
-                    put_u64(out, c);
-                }
-                put_f64(out, stats.p50_us);
-                put_f64(out, stats.p99_us);
-                put_f64(out, stats.max_us);
-                put_u32(out, stats.shards.len() as u32);
-                for s in &stats.shards {
-                    out.push(match s.state {
-                        ShardState::Healthy => 0,
-                        ShardState::Restarting => 1,
-                        ShardState::Failed => 2,
-                    });
-                    put_u64(out, s.restarts);
-                    put_u64(out, s.panics);
-                }
-            }
-            Response::Metrics { id, metrics } => {
-                out.push(TAG_RESP_METRICS);
-                put_u64(out, *id);
-                put_registry_snapshot(out, metrics);
-            }
-            Response::Error { id, message } => {
-                out.push(TAG_RESP_ERROR);
-                put_u64(out, *id);
-                put_str(out, message);
+            Response::Stats { .. } | Response::Metrics { .. } | Response::Error { .. } => {
+                put_json(out, self)
             }
         }
     }
@@ -764,79 +591,8 @@ impl WireFrame for Response {
                 *into = Response::Shed { id };
                 Ok(())
             }
-            TAG_RESP_STATS => {
-                let id = rd.u64()?;
-                let mut counters = [0u64; 10];
-                for c in &mut counters {
-                    *c = rd.u64()?;
-                }
-                let p50_us = rd.f64()?;
-                let p99_us = rd.f64()?;
-                let max_us = rd.f64()?;
-                let n = rd.u32()? as usize;
-                // 17 bytes per shard record.
-                if n > rd.buf.len() / 17 {
-                    return Err(bad("shard count exceeds payload"));
-                }
-                let mut shards = match std::mem::replace(into, Response::Shed { id: 0 }) {
-                    Response::Stats { stats, .. } => stats.shards,
-                    _ => Vec::new(),
-                };
-                shards.clear();
-                shards.reserve(n);
-                for _ in 0..n {
-                    shards.push(ShardHealth {
-                        state: match rd.u8()? {
-                            0 => ShardState::Healthy,
-                            1 => ShardState::Restarting,
-                            2 => ShardState::Failed,
-                            _ => return Err(bad("unknown shard state tag")),
-                        },
-                        restarts: rd.u64()?,
-                        panics: rd.u64()?,
-                    });
-                }
-                rd.finish()?;
-                *into = Response::Stats {
-                    id,
-                    stats: ServeStats {
-                        served: counters[0],
-                        fallbacks: counters[1],
-                        shed: counters[2],
-                        deadlines: counters[3],
-                        batches: counters[4],
-                        max_batch: counters[5],
-                        swaps: counters[6],
-                        rollbacks: counters[7],
-                        restarts: counters[8],
-                        accept_failures: counters[9],
-                        p50_us,
-                        p99_us,
-                        max_us,
-                        shards,
-                    },
-                };
-                Ok(())
-            }
-            TAG_RESP_METRICS => {
-                let id = rd.u64()?;
-                // Scrapes are rare (no steady-state path decodes them),
-                // so this decode builds fresh vectors instead of
-                // threading buffer reuse through the nested metrics.
-                let metrics = read_registry_snapshot(&mut rd)?;
-                rd.finish()?;
-                *into = Response::Metrics { id, metrics };
-                Ok(())
-            }
-            TAG_RESP_ERROR => {
-                let id = rd.u64()?;
-                let mut message = match std::mem::replace(into, Response::Shed { id: 0 }) {
-                    Response::Error { message, .. } => message,
-                    _ => String::new(),
-                };
-                rd.str_into(&mut message)?;
-                rd.finish()?;
-                *into = Response::Error { id, message };
+            TAG_JSON => {
+                *into = read_json(bytes)?;
                 Ok(())
             }
             _ => Err(bad("unknown response tag")),
@@ -924,7 +680,34 @@ pub fn read_frame_any_into<T: WireFrame, R: BufRead>(
 
 #[cfg(test)]
 mod tests {
+    use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue};
+
     use super::*;
+
+    /// Append `frame` to `buf` as one JSON line.
+    fn write_json<T: Serialize>(buf: &mut Vec<u8>, frame: &T) {
+        let mut line = Vec::new();
+        encode_json_frame(frame, &mut line).unwrap();
+        buf.extend_from_slice(&line);
+    }
+
+    /// Read the next frame off `r`, asserting it arrived as JSON.
+    fn read_json_frame<T: WireFrame, R: BufRead>(r: &mut R) -> std::io::Result<Option<T>> {
+        Ok(
+            read_frame_any(r, &mut Vec::new(), &mut String::new())?.map(|(v, proto)| {
+                assert_eq!(proto, WireProtocol::Json);
+                v
+            }),
+        )
+    }
+
+    /// Decode one complete binary frame, asserting it is binary.
+    fn read_binary<T: WireFrame>(wire: &[u8]) -> std::io::Result<T> {
+        let (v, proto) = read_frame_any(&mut &wire[..], &mut Vec::new(), &mut String::new())?
+            .expect("frame present");
+        assert_eq!(proto, WireProtocol::Binary);
+        Ok(v)
+    }
 
     #[test]
     fn frames_round_trip() {
@@ -947,14 +730,18 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for r in &reqs {
-            write_frame(&mut buf, r).unwrap();
+            write_json(&mut buf, r);
         }
         let mut reader = std::io::BufReader::new(&buf[..]);
         for want in &reqs {
-            let got: Request = read_frame(&mut reader).unwrap().expect("frame present");
+            let got: Request = read_json_frame(&mut reader)
+                .unwrap()
+                .expect("frame present");
             assert_eq!(&got, want);
         }
-        assert!(read_frame::<Request, _>(&mut reader).unwrap().is_none());
+        assert!(read_json_frame::<Request, _>(&mut reader)
+            .unwrap()
+            .is_none());
     }
 
     /// A snapshot whose floats are awkward to print and parse:
@@ -1004,8 +791,8 @@ mod tests {
             snapshot: snapshot.clone(),
         };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &req).unwrap();
-        let back: Request = read_frame(&mut std::io::BufReader::new(&buf[..]))
+        write_json(&mut buf, &req);
+        let back: Request = read_json_frame(&mut std::io::BufReader::new(&buf[..]))
             .unwrap()
             .unwrap();
         assert_eq!(float_bits(&back), float_bits(&req));
@@ -1034,11 +821,11 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for r in &resps {
-            write_frame(&mut buf, r).unwrap();
+            write_json(&mut buf, r);
         }
         let mut reader = std::io::BufReader::new(&buf[..]);
         for want in &resps {
-            let got: Response = read_frame(&mut reader).unwrap().unwrap();
+            let got: Response = read_json_frame(&mut reader).unwrap().unwrap();
             assert_eq!(&got, want);
         }
     }
@@ -1074,8 +861,8 @@ mod tests {
         };
         let resp = Response::Stats { id: 42, stats };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &resp).unwrap();
-        let back: Response = read_frame(&mut std::io::BufReader::new(&buf[..]))
+        write_json(&mut buf, &resp);
+        let back: Response = read_json_frame(&mut std::io::BufReader::new(&buf[..]))
             .unwrap()
             .unwrap();
         assert_eq!(back, resp);
@@ -1196,7 +983,7 @@ mod tests {
         let snapshot = awkward_snapshot();
         let mut wire = Vec::new();
         encode_score_frame(&mut wire, 5, &snapshot);
-        let got: Request = decode_payload(&wire[HEADER_LEN..]).unwrap();
+        let got: Request = read_binary(&wire).unwrap();
         assert_eq!(got.id(), 5);
         assert_eq!(
             float_bits(&got),
@@ -1276,10 +1063,10 @@ mod tests {
         encode_binary_frame(&Request::Stats { id: 1 }, &mut unknown_tag);
         unknown_tag[HEADER_LEN] = 0xEE;
         // Payload shorter than its fields claims (length prefix says 1).
-        let short = vec![BINARY_MAGIC, BINARY_VERSION, 1, 0, 0, 0, TAG_REQ_STATS];
-        // Trailing bytes after a complete Stats payload.
+        let short = vec![BINARY_MAGIC, BINARY_VERSION, 1, 0, 0, 0, TAG_REQ_SCORE];
+        // Trailing bytes after a complete Score payload.
         let mut trailing = Vec::new();
-        encode_binary_frame(&Request::Stats { id: 1 }, &mut trailing);
+        encode_score_frame(&mut trailing, 1, &awkward_snapshot());
         let plen = (trailing.len() - HEADER_LEN + 1) as u32;
         trailing[2..HEADER_LEN].copy_from_slice(&plen.to_le_bytes());
         trailing.push(0xAB);
@@ -1333,7 +1120,7 @@ mod tests {
         let mut wire = vec![b'x'; MAX_FRAME_LEN + 1];
         wire.push(b'\n');
         let good = Request::Stats { id: 5 };
-        write_frame(&mut wire, &good).unwrap();
+        write_json(&mut wire, &good);
         let mut reader = std::io::BufReader::new(&wire[..]);
         let (mut payload, mut line) = (Vec::new(), String::new());
         let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
@@ -1430,40 +1217,18 @@ mod tests {
         };
 
         let mut buf = Vec::new();
-        write_frame(&mut buf, &req).unwrap();
-        write_frame(&mut buf, &resp).unwrap();
+        write_json(&mut buf, &req);
+        write_json(&mut buf, &resp);
         let mut reader = std::io::BufReader::new(&buf[..]);
-        let got_req: Request = read_frame(&mut reader).unwrap().unwrap();
-        let got_resp: Response = read_frame(&mut reader).unwrap().unwrap();
+        let got_req: Request = read_json_frame(&mut reader).unwrap().unwrap();
+        let got_resp: Response = read_json_frame(&mut reader).unwrap().unwrap();
         assert_eq!(got_req, req);
         assert_eq!(got_resp, resp);
 
         let mut wire = Vec::new();
         encode_binary_frame(&req, &mut wire);
-        assert_eq!(decode_payload::<Request>(&wire[HEADER_LEN..]).unwrap(), req);
+        assert_eq!(read_binary::<Request>(&wire).unwrap(), req);
         encode_binary_frame(&resp, &mut wire);
-        assert_eq!(
-            decode_payload::<Response>(&wire[HEADER_LEN..]).unwrap(),
-            resp
-        );
-    }
-
-    #[test]
-    fn hostile_metrics_counts_are_rejected() {
-        // A declared metric/bucket count far beyond what the payload
-        // holds must fail as InvalidData before any giant reserve.
-        let mut wire = Vec::new();
-        encode_binary_frame(
-            &Response::Metrics {
-                id: 1,
-                metrics: sample_registry_snapshot(),
-            },
-            &mut wire,
-        );
-        // Overwrite the metric count (right after tag + id) with u32::MAX.
-        let off = HEADER_LEN + 1 + 8;
-        wire[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode_payload::<Response>(&wire[HEADER_LEN..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(read_binary::<Response>(&wire).unwrap(), resp);
     }
 }

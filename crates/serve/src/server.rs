@@ -3,8 +3,8 @@
 //! ```text
 //!                    ┌─ connection threads ─┐      ┌─ shard threads ─────┐
 //! TcpListener ──────▶│ read frame           │      │ recv (blocking)     │
-//!   (accept loop)    │ validate + encode    │─────▶│ + what is waiting   │
-//!                    │ fallback action      │      │ fault hook          │
+//!   (accept loop)    │ validate             │─────▶│ + what is waiting   │
+//!                    │ fallback action      │      │ encode, fault hook  │
 //!                    │ route: fnv(id)%N ────┼──┐   │ one batched fwd ────┼─ panic? ⇒ supervisor:
 //!                    │ full queue? ⇒        │  └──▶│ reply per row       │   fallback-answer the
 //!                    │   fallback (or Shed) │      └──────────┬──────────┘   batch, respawn engine
@@ -13,6 +13,12 @@
 //!                      writer thread (per conn) ◀─────────────┘
 //! ```
 //!
+//! * **Replies** go out in the format their request arrived in: the
+//!   format rides with the request to its shard and back to the
+//!   connection's writer, so a connection that mixes binary and JSON
+//!   frames gets each answer in kind. A frame too malformed to decode
+//!   is answered in the format of the last frame that did decode (JSON
+//!   before any has).
 //! * **Routing** is deterministic: FNV-1a of the request id modulo the
 //!   shard count, so a given id always lands on the same shard (and a
 //!   client can pin itself to a shard by fixing its id stream).
@@ -72,8 +78,8 @@ use crate::client::ServeClient;
 use crate::engine::{EngineMetrics, ScorerSlot, ShardEngine};
 use crate::faults::FaultPlan;
 use crate::protocol::{
-    read_frame_any, write_binary_frame, write_frame, Request, Response, ServeStats, ServedBy,
-    ShardHealth, ShardState, WireProtocol,
+    encode_binary_frame, encode_json_frame, read_frame_any, Request, Response, ServeStats,
+    ServedBy, ShardHealth, ShardState, WireProtocol,
 };
 use crate::transport::{AnyStream, Listen, ListenAddr, ServerAddr, Transport};
 
@@ -134,17 +140,31 @@ impl Default for ServeConfig {
     }
 }
 
-/// One encoded request in flight to a shard.
+/// Where one request's answer goes: its connection's writer, in the
+/// format the request arrived in.
+struct Reply {
+    tx: Sender<(Response, WireProtocol)>,
+    proto: WireProtocol,
+}
+
+impl Reply {
+    /// Queue `resp` for the writer. A dead client's writer is gone;
+    /// dropping the reply is fine.
+    fn send(&self, resp: Response) {
+        let _ = self.tx.send((resp, self.proto));
+    }
+}
+
+/// One validated request in flight to a shard, which encodes its
+/// snapshot straight into the batch.
 struct ShardRequest {
     id: u64,
-    obs: Vec<f32>,
-    mask: Vec<f32>,
-    queue_len: usize,
+    snapshot: QueueSnapshot,
     /// The heuristic decision for this request, precomputed at
     /// admission so a down shard can answer without model state.
     fallback: Option<u64>,
     enqueued: Instant,
-    reply: Sender<Response>,
+    reply: Reply,
 }
 
 /// Reply metadata for one row in a shard's current batch. Lives
@@ -154,7 +174,7 @@ struct PendingRow {
     id: u64,
     enqueued: Instant,
     fallback: Option<u64>,
-    reply: Sender<Response>,
+    reply: Reply,
 }
 
 /// Lock-free per-shard lifecycle state published to [`ServeStats`]
@@ -323,17 +343,11 @@ impl Shared {
 
     /// Answer one request through the fallback arm (or shed it when the
     /// server has no fallback configured), updating the right counters.
-    fn resolve_fallback(
-        &self,
-        shard: usize,
-        id: u64,
-        fallback: Option<u64>,
-        reply: &Sender<Response>,
-    ) {
+    fn resolve_fallback(&self, shard: usize, id: u64, fallback: Option<u64>, reply: &Reply) {
         match fallback {
             Some(action) => {
                 self.metrics.shards[shard].fallbacks.inc();
-                let _ = reply.send(Response::Action {
+                reply.send(Response::Action {
                     id,
                     action,
                     shard: shard as u64,
@@ -342,7 +356,7 @@ impl Shared {
             }
             None => {
                 self.metrics.shards[shard].shed.inc();
-                let _ = reply.send(Response::Shed { id });
+                reply.send(Response::Shed { id });
             }
         }
     }
@@ -477,6 +491,7 @@ fn finish_spawn<L: Listen>(
             let slot = Arc::clone(&slot);
             let shared = Arc::clone(&shared);
             let sup = Supervision {
+                encoder,
                 cap: cfg.batch_cap,
                 restart_budget: cfg.restart_budget,
                 backoff: cfg.restart_backoff,
@@ -498,7 +513,7 @@ fn finish_spawn<L: Listen>(
             let fallback = cfg.fallback;
             std::thread::Builder::new()
                 .name("rlsched-serve-accept".to_string())
-                .spawn(move || accept_loop(listener, encoder, fallback, shard_txs, shared))?
+                .spawn(move || accept_loop(listener, fallback, shard_txs, shared))?
         };
 
         Ok(ServerHandle {
@@ -700,7 +715,6 @@ impl ServerHandle {
 
 fn accept_loop<L: Listen>(
     listener: L,
-    encoder: ObsEncoder,
     fallback: Option<HeuristicKind>,
     shard_txs: Vec<SyncSender<ShardRequest>>,
     shared: Arc<Shared>,
@@ -715,7 +729,7 @@ fn accept_loop<L: Listen>(
                 let shared_c = Arc::clone(&shared);
                 let conn = std::thread::Builder::new()
                     .name("rlsched-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, encoder, fallback, shard_txs, shared_c));
+                    .spawn(move || connection_loop(stream, fallback, shard_txs, shared_c));
                 if let Ok(h) = conn {
                     // Reap finished connection threads while we are here
                     // so the handle list tracks live connections instead
@@ -750,19 +764,11 @@ fn accept_loop<L: Listen>(
     }
 }
 
-/// Wire-format latch values shared between a connection's reader and
-/// writer: the reader records the format of the last request frame,
-/// and the writer answers in kind (a JSON client never sees binary
-/// bytes and vice versa, even on a connection that switches formats).
-const PROTO_JSON: u8 = 0;
-const PROTO_BINARY: u8 = 1;
-
-/// Per-connection reader: parse frames, validate, encode, route. A
-/// sibling writer thread owns the response stream so shard replies and
+/// Per-connection reader: parse frames, validate, route. A sibling
+/// writer thread owns the response stream so shard replies and
 /// front-door replies (shed/error/stats) interleave safely.
 fn connection_loop<S: Transport>(
     stream: S,
-    encoder: ObsEncoder,
     fallback: Option<HeuristicKind>,
     shard_txs: Vec<SyncSender<ShardRequest>>,
     shared: Arc<Shared>,
@@ -779,33 +785,28 @@ fn connection_loop<S: Transport>(
             .expect("shutdown hook list poisoned")
             .insert(conn_id, Box::new(move || clone.shutdown_both()));
     }
-    // Relaxed is enough: the reply channel's send/recv orders the
-    // latch store before the writer's load for that request.
-    let proto = Arc::new(AtomicU8::new(PROTO_JSON));
-    let (reply_tx, reply_rx) = mpsc::channel::<Response>();
-    let writer = {
-        let proto = Arc::clone(&proto);
-        std::thread::Builder::new()
-            .name("rlsched-serve-write".to_string())
-            .spawn(move || writer_loop(write_half, reply_rx, proto))
-    };
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let writer = std::thread::Builder::new()
+        .name("rlsched-serve-write".to_string())
+        .spawn(move || writer_loop(write_half, reply_rx));
     let mut reader = BufReader::new(stream);
     // Per-connection frame scratch, reused across frames: the binary
     // payload buffer and the JSON line buffer. (The decoded request's
-    // row vectors move on to a shard, so those are owned per request.)
+    // snapshot moves on to a shard, so it is owned per request.)
     let mut payload = Vec::new();
     let mut line = String::new();
+    // The format of the last frame that decoded: what a frame too
+    // malformed to have a format of its own is answered in.
+    let mut proto = WireProtocol::Json;
+    let reply = |proto| Reply {
+        tx: reply_tx.clone(),
+        proto,
+    };
 
     while !shared.shutdown.load(Ordering::Acquire) {
         let req: Request = match read_frame_any(&mut reader, &mut payload, &mut line) {
             Ok(Some((r, got))) => {
-                proto.store(
-                    match got {
-                        WireProtocol::Json => PROTO_JSON,
-                        WireProtocol::Binary => PROTO_BINARY,
-                    },
-                    Ordering::Relaxed,
-                );
+                proto = got;
                 r
             }
             Ok(None) => break, // clean EOF
@@ -814,7 +815,7 @@ fn connection_loop<S: Transport>(
                 // boundary (the next line, or — since a binary frame's
                 // declared length is consumed before its payload is
                 // judged — the next binary header).
-                let _ = reply_tx.send(Response::Error {
+                reply(proto).send(Response::Error {
                     id: 0,
                     message: format!("bad frame: {e}"),
                 });
@@ -822,7 +823,7 @@ fn connection_loop<S: Transport>(
             }
             Err(_) => break,
         };
-        handle_request(req, &encoder, fallback, &shard_txs, &shared, &reply_tx);
+        handle_request(req, fallback, &shard_txs, &shared, reply(proto));
     }
     drop(reply_tx); // writer drains outstanding replies, then exits
     if let Ok(w) = writer {
@@ -862,16 +863,15 @@ fn snapshot_error(s: &QueueSnapshot) -> Option<String> {
 
 fn handle_request(
     req: Request,
-    encoder: &ObsEncoder,
     fallback: Option<HeuristicKind>,
     shard_txs: &[SyncSender<ShardRequest>],
     shared: &Arc<Shared>,
-    reply_tx: &Sender<Response>,
+    reply: Reply,
 ) {
     let id = req.id();
     let snapshot = match req {
         Request::Stats { .. } => {
-            let _ = reply_tx.send(Response::Stats {
+            reply.send(Response::Stats {
                 id,
                 stats: shared.stats(),
             });
@@ -879,7 +879,7 @@ fn handle_request(
         }
         Request::Metrics { .. } => {
             rlsched_obs::span!("serve.metrics_scrape");
-            let _ = reply_tx.send(Response::Metrics {
+            reply.send(Response::Metrics {
                 id,
                 metrics: shared.registry.snapshot(),
             });
@@ -888,7 +888,7 @@ fn handle_request(
         Request::Score { snapshot, .. } => snapshot,
     };
     if let Some(message) = snapshot_error(&snapshot) {
-        let _ = reply_tx.send(Response::Error { id, message });
+        reply.send(Response::Error { id, message });
         return;
     }
     // The heuristic decision is computed at admission, while the job
@@ -904,19 +904,13 @@ fn handle_request(
         )
         .map(|slot| slot as u64)
     });
-    let mut obs = Vec::with_capacity(encoder.obs_dim());
-    let mut mask = Vec::with_capacity(encoder.n_actions());
-    encoder.encode_snapshot_extend(&snapshot, &mut obs, &mut mask);
-    let queue_len = snapshot.queue_len();
     let shard = route(id, shard_txs.len());
     let req = ShardRequest {
         id,
-        obs,
-        mask,
-        queue_len,
+        snapshot,
         fallback: fallback_action,
         enqueued: Instant::now(),
-        reply: reply_tx.clone(),
+        reply,
     };
     match shard_txs[shard].try_send(req) {
         Ok(()) => shared.metrics.shards[shard].inbox_depth.add(1.0),
@@ -925,37 +919,38 @@ fn handle_request(
             // shed otherwise), drop the work.
             shared.resolve_fallback(shard, r.id, r.fallback, &r.reply);
         }
-        Err(TrySendError::Disconnected(_)) => {
-            let _ = reply_tx.send(Response::Error {
-                id,
-                message: "server shutting down".into(),
-            });
-        }
+        Err(TrySendError::Disconnected(r)) => r.reply.send(Response::Error {
+            id,
+            message: "server shutting down".into(),
+        }),
     }
 }
 
-fn writer_loop<S: Transport>(stream: S, rx: Receiver<Response>, proto: Arc<AtomicU8>) {
+fn writer_loop<S: Transport>(stream: S, rx: Receiver<(Response, WireProtocol)>) {
+    use std::io::Write;
     let mut w = BufWriter::new(stream);
-    // Reused binary frame scratch: steady-state binary replies don't
-    // allocate for framing.
+    // Reused frame scratch: steady-state binary replies don't allocate
+    // for framing.
     let mut scratch = Vec::new();
-    while let Ok(resp) = rx.recv() {
-        let wrote = match proto.load(Ordering::Relaxed) {
-            PROTO_BINARY => write_binary_frame(&mut w, &resp, &mut scratch),
-            _ => write_frame(&mut w, &resp),
-        };
-        if wrote.is_err() {
-            break;
+    let mut write = |resp: &Response, proto| -> std::io::Result<()> {
+        match proto {
+            WireProtocol::Binary => encode_binary_frame(resp, &mut scratch),
+            WireProtocol::Json => encode_json_frame(resp, &mut scratch)?,
         }
-        use std::io::Write;
-        if w.flush().is_err() {
+        w.write_all(&scratch)?;
+        w.flush()
+    };
+    while let Ok((resp, proto)) = rx.recv() {
+        if write(&resp, proto).is_err() {
             break;
         }
     }
 }
 
-/// Per-shard supervision parameters (a slice of [`ServeConfig`]).
+/// Per-shard parameters: the encoder a shard's rows go through, plus
+/// its slice of [`ServeConfig`].
 struct Supervision {
+    encoder: ObsEncoder,
     cap: usize,
     restart_budget: u32,
     backoff: Duration,
@@ -1080,7 +1075,7 @@ fn shard_loop(
                 return;
             }
         }
-        engine.push_row(&r.obs, &r.mask, r.queue_len);
+        engine.push_snapshot(&r.snapshot, &sup.encoder);
         pending.push(PendingRow {
             id: r.id,
             enqueued: r.enqueued,
@@ -1116,8 +1111,7 @@ fn shard_loop(
             latency.record(row.enqueued.elapsed());
         }
         for (&action, row) in actions.iter().zip(pending.drain(..)) {
-            // A dead client's writer is gone; dropping the reply is fine.
-            let _ = row.reply.send(Response::Action {
+            row.reply.send(Response::Action {
                 id: row.id,
                 action: action as u64,
                 shard: shard_id as u64,

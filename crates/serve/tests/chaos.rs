@@ -32,10 +32,10 @@ use std::time::Duration;
 
 use rlsched_rl::{PolicyModel, PpoConfig};
 use rlsched_sched::{select_parts, HeuristicKind, PriorityScheduler};
-use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
+use rlsched_serve::protocol::{encode_json_frame, read_frame_any, Request, Response};
 use rlsched_serve::{
     ClientConfig, ClientError, FaultPlan, ListenAddr, ProposeError, RemotePolicy, ServeClient,
-    ServeConfig, ServedBy, Server, ServerHandle, ShardState, Transport,
+    ServeConfig, ServedBy, Server, ServerHandle, ShardState, Transport, WireFrame, WireProtocol,
 };
 use rlsched_sim::{
     run_episode, EpisodeError, MetricKind, Outcomes, Policy, SimConfig, StreamSession,
@@ -45,6 +45,22 @@ use rlscheduler::{
     Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind, PolicyNet, QueueSnapshot,
     ScorerSnapshot, SnapshotJob,
 };
+
+/// Write `frame` as one JSON line, as a raw `nc`-style peer would.
+fn send_json<T: serde::Serialize>(w: &mut impl std::io::Write, frame: &T) {
+    let mut line = Vec::new();
+    encode_json_frame(frame, &mut line).unwrap();
+    w.write_all(&line).unwrap();
+}
+
+/// Read the next frame, asserting the peer spoke JSON.
+fn recv_json<T: WireFrame>(r: &mut impl std::io::BufRead) -> T {
+    let (frame, proto) = read_frame_any(r, &mut Vec::new(), &mut String::new())
+        .unwrap()
+        .expect("a frame");
+    assert_eq!(proto, WireProtocol::Json);
+    frame
+}
 
 fn agent_for(window: usize, seed: u64) -> Agent {
     Agent::new(AgentConfig {
@@ -133,13 +149,13 @@ fn shard_panic_recovers_with_zero_lost_requests() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
     for id in 0..N {
-        write_frame(&mut writer, &score_request(&canary, id)).unwrap();
+        send_json(&mut writer, &score_request(&canary, id));
     }
     let mut seen = vec![false; N as usize];
     let mut model = 0u64;
     let mut fallback = 0u64;
     for _ in 0..N {
-        match read_frame::<Response, _>(&mut reader).unwrap().unwrap() {
+        match recv_json::<Response>(&mut reader) {
             Response::Action {
                 id,
                 action,
@@ -479,12 +495,12 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
     for id in 0..N {
-        write_frame(&mut writer, &score_request(&canary, id)).unwrap();
+        send_json(&mut writer, &score_request(&canary, id));
     }
     let mut seen = vec![false; N as usize];
     let (mut model, mut fallback) = (0u64, 0u64);
     for _ in 0..N {
-        match read_frame::<Response, _>(&mut reader).unwrap().unwrap() {
+        match recv_json::<Response>(&mut reader) {
             Response::Action {
                 id,
                 action,
@@ -538,7 +554,7 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
     let fake = std::thread::spawn(move || {
         let (conn1, _) = listener.accept().unwrap();
         let mut reader = std::io::BufReader::new(conn1.try_clone().unwrap());
-        let req: Request = read_frame(&mut reader).unwrap().unwrap();
+        let req: Request = recv_json(&mut reader);
         let mut w = conn1.try_clone().unwrap();
         write_torn_frame(
             &mut w,
@@ -555,9 +571,9 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
 
         let (conn2, _) = listener.accept().unwrap();
         let mut reader = std::io::BufReader::new(conn2.try_clone().unwrap());
-        let req: Request = read_frame(&mut reader).unwrap().unwrap();
+        let req: Request = recv_json(&mut reader);
         let mut w = conn2.try_clone().unwrap();
-        write_frame(
+        send_json(
             &mut w,
             &Response::Action {
                 id: req.id(),
@@ -565,8 +581,7 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
                 shard: 0,
                 served_by: ServedBy::Model,
             },
-        )
-        .unwrap();
+        );
         req.id()
     });
 
@@ -663,7 +678,7 @@ fn torn_request_frames_leave_the_server_serving() {
     use std::io::Write;
     noisy.write_all(b"{\"Score\":{\"id\":oops\n").unwrap();
     let mut reader = std::io::BufReader::new(noisy.try_clone().unwrap());
-    let resp: Response = read_frame(&mut reader).unwrap().unwrap();
+    let resp: Response = recv_json(&mut reader);
     assert!(matches!(resp, Response::Error { id: 0, .. }), "{resp:?}");
 
     // Bystanders are unaffected, bits intact.

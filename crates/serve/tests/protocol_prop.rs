@@ -14,14 +14,30 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
 use rlsched_serve::protocol::{
-    encode_binary_frame, encode_json_frame, read_frame, read_frame_any, read_frame_any_into,
-    write_frame, BINARY_MAGIC,
+    encode_binary_frame, encode_json_frame, read_frame_any, read_frame_any_into, BINARY_MAGIC,
 };
 use rlsched_serve::{
     LatencyHistogram, Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame,
     WireProtocol,
 };
 use rlscheduler::{QueueSnapshot, SnapshotJob};
+
+/// Append `frame` to `buf` as one JSON line.
+fn write_json<T: serde::Serialize>(buf: &mut Vec<u8>, frame: &T) {
+    let mut line = Vec::new();
+    encode_json_frame(frame, &mut line).unwrap();
+    buf.extend_from_slice(&line);
+}
+
+/// Read the next frame off `r`, asserting it arrived as JSON.
+fn read_json_frame<T: WireFrame, R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<T>> {
+    Ok(
+        read_frame_any(r, &mut Vec::new(), &mut String::new())?.map(|(v, proto)| {
+            assert_eq!(proto, WireProtocol::Json);
+            v
+        }),
+    )
+}
 
 /// Awkward-but-finite floats for a snapshot's waits and time bounds:
 /// subnormals, ulp neighbors, −0.0, the largest double — the values
@@ -380,15 +396,15 @@ proptest! {
     fn requests_round_trip_bit_exactly(reqs in prop::collection::vec(any_request(), 1..8)) {
         let mut buf = Vec::new();
         for r in &reqs {
-            write_frame(&mut buf, r).unwrap();
+            write_json(&mut buf, r);
         }
         let mut reader = std::io::BufReader::new(&buf[..]);
         for want in &reqs {
-            let got: Request = read_frame(&mut reader).unwrap().expect("frame present");
+            let got: Request = read_json_frame(&mut reader).unwrap().expect("frame present");
             prop_assert_eq!(&got, want);
             prop_assert_eq!(float_bits(&got), float_bits(want));
         }
-        prop_assert!(read_frame::<Request, _>(&mut reader).unwrap().is_none());
+        prop_assert!(read_json_frame::<Request, _>(&mut reader).unwrap().is_none());
     }
 
     /// Every response variant — `served_by` tags, shard health states,
@@ -399,14 +415,14 @@ proptest! {
     fn responses_round_trip_and_framing_survives(resps in prop::collection::vec(any_response(), 1..8)) {
         let mut buf = Vec::new();
         for r in &resps {
-            write_frame(&mut buf, r).unwrap();
+            write_json(&mut buf, r);
         }
         // One frame per line: framing is intact regardless of payload.
         let text = std::str::from_utf8(&buf).unwrap();
         prop_assert_eq!(text.lines().count(), resps.len());
         let mut reader = std::io::BufReader::new(&buf[..]);
         for want in &resps {
-            let got: Response = read_frame(&mut reader).unwrap().expect("frame present");
+            let got: Response = read_json_frame(&mut reader).unwrap().expect("frame present");
             prop_assert_eq!(&got, want);
         }
     }
@@ -418,12 +434,12 @@ proptest! {
     #[test]
     fn torn_frames_are_transport_errors(resp in any_response(), cut in any::<prop::sample::Index>()) {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &resp).unwrap();
+        write_json(&mut buf, &resp);
         // Cut strictly inside the line: keep at least 1 byte, lose at
         // least the newline.
         let keep = 1 + cut.index(buf.len() - 1);
         let torn = &buf[..keep];
-        let err = read_frame::<Response, _>(&mut std::io::BufReader::new(torn))
+        let err = read_json_frame::<Response, _>(&mut std::io::BufReader::new(torn))
             .expect_err("a torn frame must not parse");
         prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }

@@ -26,13 +26,30 @@ use std::time::Duration;
 use rlsched_rl::PpoConfig;
 use rlsched_serve::{
     ClientError, FaultPlan, ListenAddr, RemotePolicy, ServeClient, ServeConfig, ServedBy, Server,
-    ServerAddr, WireProtocol,
+    ServerAddr, WireFrame, WireProtocol,
 };
 use rlsched_sim::{run_episode, MetricKind, SimConfig};
 use rlsched_swf::{Job, JobTrace};
 use rlscheduler::{
     Agent, AgentConfig, CanaryBatch, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob,
 };
+
+/// Write `frame` as one JSON line, as a raw `nc`-style client would.
+fn send_json<T: serde::Serialize>(w: &mut impl std::io::Write, frame: &T) {
+    let mut line = Vec::new();
+    rlsched_serve::protocol::encode_json_frame(frame, &mut line).unwrap();
+    w.write_all(&line).unwrap();
+}
+
+/// Read the next frame, asserting the server answered in JSON.
+fn recv_json<T: WireFrame>(r: &mut impl std::io::BufRead) -> T {
+    let (frame, proto) =
+        rlsched_serve::protocol::read_frame_any(r, &mut Vec::new(), &mut String::new())
+            .unwrap()
+            .expect("a frame");
+    assert_eq!(proto, WireProtocol::Json);
+    frame
+}
 
 /// A toy trace with enough queue contention that policies differ.
 fn toy_trace() -> JobTrace {
@@ -239,7 +256,7 @@ fn hot_swap_serves_new_weights_without_dropping_requests() {
 /// every request still gets exactly one response.
 #[test]
 fn full_inboxes_shed_and_every_request_is_answered() {
-    use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
+    use rlsched_serve::protocol::{Request, Response};
     use std::io::BufReader;
 
     let agent = agent_for(PolicyKind::Kernel, 31);
@@ -274,13 +291,13 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     let snapshot = small_snapshot(1);
     for id in 0..N {
         let snapshot = snapshot.clone();
-        write_frame(&mut writer, &Request::Score { id, snapshot }).unwrap();
+        send_json(&mut writer, &Request::Score { id, snapshot });
     }
     let mut actions = 0u64;
     let mut sheds = 0u64;
     let mut seen = vec![false; N as usize];
     for _ in 0..N {
-        match read_frame::<Response, _>(&mut reader).unwrap().unwrap() {
+        match recv_json::<Response>(&mut reader) {
             Response::Action { id, action, .. } => {
                 actions += 1;
                 assert_eq!(action, 0, "single-job queue has one valid action");
@@ -310,7 +327,7 @@ fn full_inboxes_shed_and_every_request_is_answered() {
 /// in-process agent's action whatever batch it rode in.
 #[test]
 fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
-    use rlsched_serve::protocol::{read_frame, write_frame, Request, Response};
+    use rlsched_serve::protocol::{Request, Response};
     use std::io::BufReader;
 
     const N: usize = 10;
@@ -340,13 +357,13 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
         snapshot: canary.row(id).0.clone(),
     };
 
-    write_frame(&mut writer, &score(0)).unwrap();
+    send_json(&mut writer, &score(0));
     // Scrape on the same connection: its reader handles frames in order,
     // so every scrape sees request 0 enqueued, and an inbox depth of 0
     // means the shard has taken it — into batch 0, which stalls.
     loop {
-        write_frame(&mut writer, &Request::Metrics { id: 100 }).unwrap();
-        let Response::Metrics { metrics, .. } = read_frame(&mut reader).unwrap().unwrap() else {
+        send_json(&mut writer, &Request::Metrics { id: 100 });
+        let Response::Metrics { metrics, .. } = recv_json(&mut reader) else {
             panic!("request 0 was answered before the backlog could be sent");
         };
         if metrics.gauge("rlsched_serve_inbox_depth", &[("shard", "0")]) == Some(0.0) {
@@ -354,12 +371,12 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
         }
     }
     for id in 1..N {
-        write_frame(&mut writer, &score(id)).unwrap();
+        send_json(&mut writer, &score(id));
     }
 
     let mut seen = [false; N];
     for _ in 0..N {
-        match read_frame::<Response, _>(&mut reader).unwrap().unwrap() {
+        match recv_json::<Response>(&mut reader) {
             Response::Action {
                 id,
                 action,
@@ -395,8 +412,7 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
 #[test]
 fn malformed_frames_report_errors_and_resync() {
     use rlsched_serve::protocol::{
-        encode_binary_frame, read_frame_any, write_frame, Request, Response, BINARY_MAGIC,
-        BINARY_VERSION,
+        encode_binary_frame, read_frame_any, Request, Response, BINARY_MAGIC, BINARY_VERSION,
     };
     use std::io::{BufReader, Write};
 
@@ -415,8 +431,8 @@ fn malformed_frames_report_errors_and_resync() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let (mut payload, mut line) = (Vec::new(), String::new());
-    // Replies come back in the format of the latest request read, so
-    // read either.
+    // Replies come back in their request's format (a frame that does
+    // not decode is answered in the last good frame's), so read either.
     let mut reply = || -> Response {
         read_frame_any(&mut reader, &mut payload, &mut line)
             .unwrap()
@@ -451,7 +467,7 @@ fn malformed_frames_report_errors_and_resync() {
             encode_binary_frame(req, &mut frame);
             writer.write_all(&frame).unwrap();
         } else {
-            write_frame(&mut writer, req).unwrap();
+            send_json(&mut writer, req);
         }
     };
     type Edit = fn(&mut QueueSnapshot);
@@ -506,6 +522,133 @@ fn malformed_frames_report_errors_and_resync() {
             other => panic!("the connection must still score: {other:?}"),
         }
     }
+    handle.shutdown();
+}
+
+/// A line nested far past the JSON depth cap, which once overflowed
+/// the connection thread's stack and aborted the whole server, is a
+/// reported bad frame in either format, and the same connection still
+/// scores afterwards.
+#[test]
+fn deeply_nested_frames_are_errors_and_the_connection_still_scores() {
+    use rlsched_serve::protocol::{
+        encode_binary_frame, read_frame_any, Request, Response, BINARY_MAGIC, BINARY_VERSION,
+    };
+    use std::io::{BufReader, Write};
+
+    const DEPTH: usize = 100_000;
+    let agent = agent_for(PolicyKind::Kernel, 43);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig::default(),
+    )
+    .expect("server spawns");
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let (mut payload, mut line) = (Vec::new(), String::new());
+
+    let mut deep_line = "[".repeat(DEPTH).into_bytes();
+    deep_line.push(b'\n');
+    writer.write_all(&deep_line).unwrap();
+    let mut body = b"{\"Stats\":".to_vec();
+    body.extend_from_slice("[".repeat(DEPTH).as_bytes());
+    let mut deep_frame = vec![BINARY_MAGIC, BINARY_VERSION];
+    deep_frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    deep_frame.extend_from_slice(&body);
+    writer.write_all(&deep_frame).unwrap();
+    for what in [
+        "100 000-deep JSON line",
+        "binary frame with a 100 000-deep body",
+    ] {
+        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply");
+        assert!(
+            matches!(resp, Response::Error { id: 0, .. }),
+            "{what}: {resp:?}"
+        );
+    }
+
+    let snapshot = small_snapshot(3);
+    let (mut obs, mut mask) = (Vec::new(), Vec::new());
+    agent
+        .encoder()
+        .encode_snapshot_extend(&snapshot, &mut obs, &mut mask);
+    let expected = agent.score(&obs, &mask, &mut rlsched_rl::ActorScratch::new()) as u64;
+    let mut frame = Vec::new();
+    encode_binary_frame(&Request::Score { id: 7, snapshot }, &mut frame);
+    writer.write_all(&frame).unwrap();
+    match read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        .unwrap()
+        .expect("a reply")
+    {
+        (
+            Response::Action {
+                id,
+                action,
+                served_by,
+                ..
+            },
+            WireProtocol::Binary,
+        ) => assert_eq!((id, action, served_by), (7, expected, ServedBy::Model)),
+        other => panic!("the connection must still score: {other:?}"),
+    }
+    handle.shutdown();
+}
+
+/// Each reply leaves in its own request's format. A binary `Score`
+/// held by a stalled shard is overtaken by a JSON `Stats` on the same
+/// connection, and its `Action` still comes back binary.
+#[test]
+fn each_reply_goes_out_in_its_requests_format() {
+    use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+    use std::io::{BufReader, Write};
+
+    let agent = agent_for(PolicyKind::Kernel, 47);
+    let faults = Arc::new(FaultPlan::new());
+    faults.stall_at(0, 0, Duration::from_millis(200));
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            shards: 1,
+            faults: Some(faults),
+            // Raw TcpStream below: pin TCP.
+            addr: ListenAddr::Tcp("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut frame = Vec::new();
+    let snapshot = small_snapshot(3);
+    encode_binary_frame(&Request::Score { id: 1, snapshot }, &mut frame);
+    writer.write_all(&frame).unwrap();
+    send_json(&mut writer, &Request::Stats { id: 2 });
+
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut read = || {
+        read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply")
+    };
+    let (stats, stats_proto) = read();
+    assert!(matches!(stats, Response::Stats { id: 2, .. }), "{stats:?}");
+    assert_eq!(stats_proto, WireProtocol::Json);
+    let (action, action_proto) = read();
+    assert!(
+        matches!(action, Response::Action { id: 1, .. }),
+        "{action:?}"
+    );
+    assert_eq!(
+        action_proto,
+        WireProtocol::Binary,
+        "a binary request's reply is binary, whatever came after it"
+    );
     handle.shutdown();
 }
 
