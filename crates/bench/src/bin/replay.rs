@@ -184,12 +184,13 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     // Agent arm: in-process RL decisions. Scoring cost grows with queue
-    // depth, so the full-scale run uses a 1/20 slice to keep the bench
-    // minutes-scale; smoke replays the whole (tiny) trace.
+    // depth, so a large run replays a 1/20 slice (at least 1 000 jobs,
+    // never more than the trace) to keep the bench minutes-scale; smoke
+    // replays the whole (tiny) trace.
     let agent_jobs = if args.smoke {
         args.jobs
     } else {
-        (args.jobs / 20).max(1_000)
+        (args.jobs / 20).max(1_000).min(args.jobs)
     };
     let agent_trace = if agent_jobs == args.jobs {
         None

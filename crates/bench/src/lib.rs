@@ -14,11 +14,9 @@
 //! Shapes — who wins, by roughly what factor — are expected to hold in
 //! both; absolute numbers are profile-dependent.
 //!
-//! The crate also holds the `schedsim` and `replay` CLIs, two phase
-//! profilers, and four criterion micro-benches (`decision_latency`,
-//! `sim_throughput`, `rollout_throughput`, `obs_overhead`) that print
-//! their medians. None of them writes numbers to disk: the repository's
-//! committed, gated measurements come from the `benchmark/` package.
+//! The crate also holds the `schedsim` and `replay` CLIs. Neither writes
+//! numbers to disk: the repository's committed, gated measurements come
+//! from the `benchmark/` package.
 
 pub mod alloc;
 pub mod experiments;

@@ -399,6 +399,52 @@ mod tests {
         assert!(u.approx_kl.is_finite());
     }
 
+    /// The update's phases account for its wall time: gather and the
+    /// optimizer are timed around the fused sweep, which splits each
+    /// pass between forward and backward, so `total()` covers the call.
+    /// LeNet's conv and pool backward run in the same sweep.
+    #[test]
+    fn update_phases_are_attributed_and_cover_the_wall() {
+        let trace = Arc::new(rlsched_workload::NamedWorkload::Lublin1.generate(512, 3));
+        for kind in [PolicyKind::Kernel, PolicyKind::LeNet] {
+            let mut agent = Agent::new(AgentConfig {
+                policy: kind,
+                obs: ObsConfig {
+                    max_obsv: 64,
+                    ..ObsConfig::default()
+                },
+                metric: MetricKind::BoundedSlowdown,
+                ppo: PpoConfig {
+                    train_pi_iters: 2,
+                    train_v_iters: 2,
+                    ..PpoConfig::default()
+                },
+                seed: 5,
+            });
+            let (encoder, objective) = (*agent.encoder(), agent.objective());
+            let env =
+                || SchedulingEnv::new(trace.clone(), 64, SimConfig::default(), encoder, objective);
+            let (batch, _) = collect_rollouts_par(agent.ppo(), env, 4, &[1, 2, 3, 4]);
+
+            let mut prof = UpdateProfile::default();
+            let t0 = std::time::Instant::now();
+            agent.ppo_mut().update_profiled(&batch, &mut prof);
+            let wall = t0.elapsed();
+            assert!(
+                !prof.forward.is_zero() && !prof.backward.is_zero(),
+                "{}: fused forward/backward attribution went dark: {prof:?}",
+                kind.name()
+            );
+            let coverage = prof.total().as_secs_f64() / wall.as_secs_f64();
+            assert!(
+                (0.95..=1.05).contains(&coverage),
+                "{}: the phases cover {:.1}% of the update's wall: {prof:?}",
+                kind.name(),
+                100.0 * coverage
+            );
+        }
+    }
+
     #[test]
     fn the_kernel_update_scores_only_job_rows_and_the_registry_says_so() {
         // Convoys of five jobs in an 8-slot window: every window is

@@ -7,9 +7,9 @@
 //! * **Recording is free-ish.** Counter/gauge/histogram recording is
 //!   one or two relaxed atomic RMWs; a disabled span is a cached load
 //!   and a branch. Zero steady-state allocations on every recording
-//!   path — pinned by the workspace alloc-regression suite — and the
-//!   `obs_overhead` bench bounds the instrumented serve engine cycle
-//!   within 2% of the uninstrumented baseline.
+//!   path — pinned by the workspace alloc-regression suite — and
+//!   `crates/serve/tests/obs_overhead.rs` bounds the instrumented serve
+//!   engine cycle within 2% of the uninstrumented baseline.
 //! * **Telemetry never steers.** Clock reads happen only inside span
 //!   guards (and only when `RLSCHED_TRACE` is set) and latency
 //!   recording; no decision path consumes them. All parity suites run

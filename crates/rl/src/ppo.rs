@@ -324,12 +324,6 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         (&self.pi_opt, &self.vf_opt)
     }
 
-    /// The `(actor, critic)` fused-update scratch, read-only — the phase
-    /// profiler reports its footprint.
-    pub fn fused_scratch(&self) -> (&fused::FusedScratch, &fused::FusedScratch) {
-        (&self.pi_fused, &self.vf_fused)
-    }
-
     /// One PPO update over a collected batch: up to `train_pi_iters`
     /// policy iterations (early-stopped on approximate KL) and
     /// `train_v_iters` value iterations, each one chunked forward+backward

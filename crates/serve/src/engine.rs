@@ -120,7 +120,7 @@ struct RowMeta {
 /// Registry handles an instrumented engine records into at every
 /// non-empty flush. All handles are `rlsched-obs` atomics: recording is
 /// a few relaxed RMWs, zero allocations (pinned in `alloc_regression`),
-/// and the `obs_overhead` bench bounds the whole-cycle cost within 2%
+/// and `tests/obs_overhead.rs` bounds the whole-cycle cost within 2%
 /// of an uninstrumented engine.
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
