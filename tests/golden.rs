@@ -37,9 +37,12 @@ struct Case {
     ent_coef: f32,
     /// EASY backfilling on.
     easy: bool,
+    /// PPO minibatch rows: 100 is two chunks per iteration (one full,
+    /// one ragged).
+    minibatch: usize,
 }
 
-const CASES: [Case; 6] = [
+const CASES: [Case; 7] = [
     Case {
         name: "kernel",
         policy: PolicyKind::Kernel,
@@ -47,6 +50,7 @@ const CASES: [Case; 6] = [
         seq_len: 48,
         ent_coef: 0.0,
         easy: false,
+        minibatch: 100,
     },
     // A window narrower than some queues (full windows next to padded
     // ones), the entropy term, and EASY backfilling.
@@ -57,6 +61,7 @@ const CASES: [Case; 6] = [
         seq_len: 64,
         ent_coef: 0.01,
         easy: true,
+        minibatch: 100,
     },
     Case {
         name: "mlp-v1",
@@ -65,6 +70,7 @@ const CASES: [Case; 6] = [
         seq_len: 48,
         ent_coef: 0.0,
         easy: false,
+        minibatch: 100,
     },
     Case {
         name: "mlp-v2",
@@ -73,6 +79,7 @@ const CASES: [Case; 6] = [
         seq_len: 48,
         ent_coef: 0.0,
         easy: false,
+        minibatch: 100,
     },
     Case {
         name: "mlp-v3",
@@ -81,6 +88,7 @@ const CASES: [Case; 6] = [
         seq_len: 48,
         ent_coef: 0.0,
         easy: false,
+        minibatch: 100,
     },
     Case {
         name: "lenet",
@@ -89,6 +97,19 @@ const CASES: [Case; 6] = [
         seq_len: 48,
         ent_coef: 0.0,
         easy: false,
+        minibatch: 100,
+    },
+    // The paper's 128-job window at eight chunks per iteration: the
+    // critic's 896-wide first layer over windows of every fill, and `dW`
+    // sums over many chunks.
+    Case {
+        name: "kernel-128",
+        policy: PolicyKind::Kernel,
+        max_obsv: 128,
+        seq_len: 144,
+        ent_coef: 0.0,
+        easy: false,
+        minibatch: 512,
     },
 ];
 
@@ -110,8 +131,7 @@ fn fingerprint() -> String {
         cfg.obs.max_obsv = case.max_obsv;
         cfg.ppo.train_pi_iters = 3;
         cfg.ppo.train_v_iters = 3;
-        // Two chunks per iteration: one full, one ragged.
-        cfg.ppo.minibatch = Some(100);
+        cfg.ppo.minibatch = Some(case.minibatch);
         cfg.ppo.ent_coef = case.ent_coef;
         cfg.seed = 4;
         let mut agent = Agent::new(cfg);
