@@ -107,6 +107,99 @@ fn steady_state_step_allocs(
     (steps, allocs)
 }
 
+/// Lockstep ticks of 8 `env` copies under `agent` (batched actor and
+/// critic scoring, per-row sampling, `VecEnv::step_all`) after a warm-up
+/// round: `(ticks, ticks whose views differ in live job rows,
+/// allocations)`.
+fn lockstep_tick_allocs(agent: &Agent, env: &SchedulingEnv) -> (u64, u64, u64) {
+    let mut venv = VecEnv::new((0..8).map(|_| env.clone()).collect::<Vec<_>>());
+    let vec_seeds: Vec<u64> = (100..108).collect();
+    let na = venv.n_actions();
+    let mut scratch = ActorScratch::new();
+    let (mut vobs, mut vmasks) = (Vec::new(), Vec::new());
+    let (mut logps, mut values) = (Vec::new(), Vec::new());
+    let mut actions: Vec<usize> = Vec::new();
+    let mut outcomes = Vec::new();
+    let mut rng = {
+        use rand::SeedableRng;
+        rand::rngs::StdRng::seed_from_u64(17)
+    };
+    let tick = |venv: &mut VecEnv<SchedulingEnv>,
+                vobs: &mut Vec<f32>,
+                vmasks: &mut Vec<f32>,
+                scratch: &mut ActorScratch,
+                logps: &mut Vec<f32>,
+                values: &mut Vec<f64>,
+                actions: &mut Vec<usize>,
+                outcomes: &mut Vec<rlsched_rl::SlotOutcome>,
+                rng: &mut rand::rngs::StdRng| {
+        let rows = venv.live_count();
+        agent
+            .ppo()
+            .policy
+            .log_probs_fast_batch(vobs, vmasks, rows, &mut scratch.nn, logps);
+        agent
+            .ppo()
+            .value
+            .value_fast_batch(vobs, rows, &mut scratch.nn, values);
+        actions.clear();
+        for r in 0..rows {
+            let dist = MaskedCategorical::new(&logps[r * na..(r + 1) * na]);
+            actions.push(dist.sample(rng));
+        }
+        venv.step_all(actions, vobs, vmasks, outcomes);
+    };
+    // Warm a full round over MORE seeds than slots (grows every buffer
+    // to its high-water mark and exercises the auto-reset path, which
+    // legitimately allocates reset-scale state), then restart with a
+    // seeds == slots schedule so the measured window contains no
+    // auto-reset: the measurement pins the steady-state tick only.
+    let warm_seeds: Vec<u64> = (200..212).collect();
+    venv.reset_all(&warm_seeds, &mut vobs, &mut vmasks);
+    while !venv.is_done() {
+        tick(
+            &mut venv,
+            &mut vobs,
+            &mut vmasks,
+            &mut scratch,
+            &mut logps,
+            &mut values,
+            &mut actions,
+            &mut outcomes,
+            &mut rng,
+        );
+    }
+    venv.reset_all(&vec_seeds, &mut vobs, &mut vmasks);
+    let mut tick_allocs = 0u64;
+    let mut ticks = 0u64;
+    // The kernel network scores only each view's job rows, so the ticks
+    // must include views of different fill — and still not allocate.
+    let mut mixed_ticks = 0u64;
+    let window_len = vobs.len() / venv.live_count();
+    for _ in 0..SEQ_LEN - 1 {
+        let mut lives = vobs
+            .chunks(window_len)
+            .map(|v| rlsched_nn::infer::live_job_rows(v, rlscheduler::JOB_FEATURES));
+        let first = lives.next();
+        mixed_ticks += u64::from(lives.any(|l| Some(l) != first));
+        tick_allocs += count_allocs(|| {
+            tick(
+                &mut venv,
+                &mut vobs,
+                &mut vmasks,
+                &mut scratch,
+                &mut logps,
+                &mut values,
+                &mut actions,
+                &mut outcomes,
+                &mut rng,
+            )
+        });
+        ticks += 1;
+    }
+    (ticks, mixed_ticks, tick_allocs)
+}
+
 #[test]
 fn fast_paths_do_not_regress_allocations() {
     let mut agent = agent_of(PolicyKind::Kernel, 16, 3, Some(256));
@@ -419,91 +512,7 @@ fn fast_paths_do_not_regress_allocations() {
     // episodes share one seq_len, so every slot finishes on the same
     // tick; measuring seq_len - 1 ticks from a fresh schedule stays clear
     // of the terminal/metrics work and any auto-reset. ----
-    let mut venv = VecEnv::new((0..8).map(|_| env.clone()).collect::<Vec<_>>());
-    let vec_seeds: Vec<u64> = (100..108).collect();
-    let na = venv.n_actions();
-    let mut scratch = ActorScratch::new();
-    let (mut vobs, mut vmasks) = (Vec::new(), Vec::new());
-    let (mut logps, mut values) = (Vec::new(), Vec::new());
-    let mut actions: Vec<usize> = Vec::new();
-    let mut outcomes = Vec::new();
-    let mut rng = {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(17)
-    };
-    let tick = |venv: &mut VecEnv<SchedulingEnv>,
-                vobs: &mut Vec<f32>,
-                vmasks: &mut Vec<f32>,
-                scratch: &mut ActorScratch,
-                logps: &mut Vec<f32>,
-                values: &mut Vec<f64>,
-                actions: &mut Vec<usize>,
-                outcomes: &mut Vec<rlsched_rl::SlotOutcome>,
-                rng: &mut rand::rngs::StdRng| {
-        let rows = venv.live_count();
-        agent
-            .ppo()
-            .policy
-            .log_probs_fast_batch(vobs, vmasks, rows, &mut scratch.nn, logps);
-        agent
-            .ppo()
-            .value
-            .value_fast_batch(vobs, rows, &mut scratch.nn, values);
-        actions.clear();
-        for r in 0..rows {
-            let dist = MaskedCategorical::new(&logps[r * na..(r + 1) * na]);
-            actions.push(dist.sample(rng));
-        }
-        venv.step_all(actions, vobs, vmasks, outcomes);
-    };
-    // Warm a full round over MORE seeds than slots (grows every buffer
-    // to its high-water mark and exercises the auto-reset path, which
-    // legitimately allocates reset-scale state), then restart with a
-    // seeds == slots schedule so the measured window contains no
-    // auto-reset: the measurement pins the steady-state tick only.
-    let warm_seeds: Vec<u64> = (200..212).collect();
-    venv.reset_all(&warm_seeds, &mut vobs, &mut vmasks);
-    while !venv.is_done() {
-        tick(
-            &mut venv,
-            &mut vobs,
-            &mut vmasks,
-            &mut scratch,
-            &mut logps,
-            &mut values,
-            &mut actions,
-            &mut outcomes,
-            &mut rng,
-        );
-    }
-    venv.reset_all(&vec_seeds, &mut vobs, &mut vmasks);
-    let mut tick_allocs = 0u64;
-    let mut ticks = 0u64;
-    // The kernel network scores only each view's job rows, so the ticks
-    // must include views of different fill — and still not allocate.
-    let mut mixed_ticks = 0u64;
-    let window_len = vobs.len() / venv.live_count();
-    for _ in 0..SEQ_LEN - 1 {
-        let mut lives = vobs
-            .chunks(window_len)
-            .map(|v| rlsched_nn::infer::live_job_rows(v, rlscheduler::JOB_FEATURES));
-        let first = lives.next();
-        mixed_ticks += u64::from(lives.any(|l| Some(l) != first));
-        tick_allocs += count_allocs(|| {
-            tick(
-                &mut venv,
-                &mut vobs,
-                &mut vmasks,
-                &mut scratch,
-                &mut logps,
-                &mut values,
-                &mut actions,
-                &mut outcomes,
-                &mut rng,
-            )
-        });
-        ticks += 1;
-    }
+    let (ticks, mixed_ticks, tick_allocs) = lockstep_tick_allocs(&agent, &env);
     assert!(
         ticks >= 40,
         "enough lockstep ticks to be a real measurement"
@@ -516,6 +525,33 @@ fn fast_paths_do_not_regress_allocations() {
         tick_allocs, 0,
         "VecEnv::step_all + batched scoring must not allocate at steady \
          state ({tick_allocs} allocations over {ticks} ticks of 8 envs)"
+    );
+
+    // ---- the same update and tick pins at the paper's 128-job window,
+    // where the critic's ragged first layer sorts each chunk's rows and
+    // walks an active-row list at full size. ----
+    let mut wide = agent_of(PolicyKind::Kernel, 128, 2, Some(128));
+    let wide_env = env_for(&wide, SimConfig::default());
+    let mut wide_envs = VecEnv::new((0..4).map(|_| wide_env.clone()).collect::<Vec<_>>());
+    let (wide_batch, _stats) = collect_rollouts_vec(wide.ppo(), &mut wide_envs, &seeds);
+    let _ = rlsched_nn::pool::with_threads(1, || wide.ppo_mut().update(&wide_batch));
+    let wide_allocs = count_allocs(|| {
+        rlsched_nn::pool::with_threads(1, || wide.ppo_mut().update(&wide_batch));
+    });
+    assert_eq!(
+        wide_allocs, 0,
+        "a kernel@128 Ppo::update must not allocate at steady state on the \
+         one-worker budget ({wide_allocs} allocations after warm-up)"
+    );
+    let (ticks, mixed_ticks, tick_allocs) = lockstep_tick_allocs(&wide, &wide_env);
+    assert!(
+        ticks >= 40 && mixed_ticks >= 10,
+        "kernel@128 lockstep ticks: {ticks}, of mixed fill: {mixed_ticks}"
+    );
+    assert_eq!(
+        tick_allocs, 0,
+        "kernel@128 lockstep ticks must not allocate at steady state \
+         ({tick_allocs} allocations over {ticks} ticks of 8 envs)"
     );
 
     // ---- serving: a ShardEngine push_snapshot+flush cycle (encode

@@ -602,6 +602,13 @@ const _: () = {
 };
 
 /// The critic (Fig 6): a 3-hidden-layer MLP over the flat observation.
+///
+/// Its first layer is 896 × 32 of a 128-job window's ~29 k
+/// multiply-adds per row, and most windows are mostly padding, so every
+/// forward — each rollout step's and the fused update's — reads a window
+/// only up to its last job ([`infer::window_mlp_forward`], and
+/// `rlsched_nn::fused`'s module docs for why the bits are those of the
+/// whole window).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ValueNet {
     net: Mlp,
@@ -627,7 +634,7 @@ impl ValueModel for ValueNet {
         // Borrow the third scratch buffer as the output row (the MLP's
         // internal ping-pong uses the first two).
         let mut out = std::mem::take(infer::scratch_extra(scratch));
-        infer::mlp_forward(&self.net, obs, 1, scratch, &mut out);
+        infer::window_mlp_forward(&self.net, obs, 1, JOB_FEATURES, scratch, &mut out);
         let v = out[0] as f64;
         *infer::scratch_extra(scratch) = out;
         v
@@ -641,11 +648,11 @@ impl ValueModel for ValueNet {
         out: &mut Vec<f64>,
     ) {
         // One stacked forward for every live environment's state value —
-        // the critic half of the lockstep rollout tick. Row-count
-        // invariance of the dense kernels keeps element `i` bit-identical
-        // to `value_fast` on row `i` alone.
+        // the critic half of the lockstep rollout tick. Each row's bits
+        // are those of `value_fast` on row `i` alone, whatever the rows
+        // around it.
         let mut tmp = std::mem::take(infer::scratch_extra(scratch));
-        infer::mlp_forward(&self.net, obs, rows, scratch, &mut tmp);
+        infer::window_mlp_forward(&self.net, obs, rows, JOB_FEATURES, scratch, &mut tmp);
         out.clear();
         out.extend(tmp.iter().map(|&v| v as f64));
         *infer::scratch_extra(scratch) = tmp;

@@ -131,6 +131,10 @@ struct TrainMetrics {
     episodes: Counter,
     steps: Counter,
     update_phase_ns: [Counter; 4],
+    /// The critic's parts of the forward and backward phases (a subset
+    /// of `update_phase_ns`, so not one of its labels: that would count
+    /// them twice).
+    critic_phase_ns: [Counter; 2],
     /// Rows the policy passes scored, and the rows whole windows hold:
     /// their ratio is the share of the kernel network's work the padding
     /// no longer costs.
@@ -148,6 +152,7 @@ impl TrainMetrics {
 
     fn register(reg: &Registry) -> Self {
         let phase = |p: &str| reg.counter("rlsched_train_update_ns_total", &[("phase", p)]);
+        let critic = |p: &str| reg.counter("rlsched_train_critic_ns_total", &[("phase", p)]);
         let rows = |r: &str| reg.counter("rlsched_train_policy_job_rows_total", &[("rows", r)]);
         TrainMetrics {
             epochs: reg.counter("rlsched_train_epochs_total", &[]),
@@ -159,6 +164,7 @@ impl TrainMetrics {
                 phase(Self::PHASES[2]),
                 phase(Self::PHASES[3]),
             ],
+            critic_phase_ns: [critic(Self::PHASES[1]), critic(Self::PHASES[2])],
             policy_rows_scored: rows("scored"),
             policy_rows_window: rows("window"),
             update_ns: reg.histogram("rlsched_train_update_ns", &[]),
@@ -180,6 +186,10 @@ impl TrainMetrics {
         self.steps.add(stats.steps as u64);
         let phases = [prof.gather, prof.forward, prof.backward, prof.optimizer];
         for (c, d) in self.update_phase_ns.iter().zip(phases) {
+            c.add(d.as_nanos() as u64);
+        }
+        let critic = [prof.critic_forward, prof.critic_backward];
+        for (c, d) in self.critic_phase_ns.iter().zip(critic) {
             c.add(d.as_nanos() as u64);
         }
         self.policy_rows_scored.add(prof.policy_rows);
@@ -435,6 +445,17 @@ mod tests {
                 "{}: fused forward/backward attribution went dark: {prof:?}",
                 kind.name()
             );
+            // The critic's parts are subsets of the phases they split.
+            for (part, whole, name) in [
+                (prof.critic_forward, prof.forward, "forward"),
+                (prof.critic_backward, prof.backward, "backward"),
+            ] {
+                assert!(
+                    !part.is_zero() && part <= whole,
+                    "{}: critic {name} {part:?} is not a non-zero part of {whole:?}",
+                    kind.name()
+                );
+            }
             let coverage = prof.total().as_secs_f64() / wall.as_secs_f64();
             assert!(
                 (0.95..=1.05).contains(&coverage),

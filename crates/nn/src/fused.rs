@@ -91,11 +91,12 @@
 //! else. The window contract of `rlsched_rl::Env` implies the rest: the
 //! valid slots are the first `n`, and the other `K − n` are all-zero rows
 //! masked at [`MASK_OFF`]. So `n` is the row's length over `F`, and each
-//! chunk rebuilds what its head needs in the worker's scratch. The flat,
-//! conv and critic gathers zero-fill every row to the whole window, so
-//! their inputs have the bits a stored window would have; the mask is
-//! `n` zeros then `MASK_OFF`, added to the logits as a stored mask row
-//! would be.
+//! chunk rebuilds what its head needs in the worker's scratch. The conv
+//! gather zero-fills every image to the whole window, so its inputs have
+//! the bits a stored window would have; the flat head (the MLP policies
+//! and every critic) reads each row only up to its length (next
+//! section but one). The mask is `n` zeros then `MASK_OFF`, added to the
+//! logits as a stored mask row would be.
 //!
 //! The kernel head keeps the rows ragged. One weight set scores every
 //! job row, so every padding row gets one score, `c0`. The
@@ -130,6 +131,41 @@
 //!   one row-ascending chain and has no blocks.
 //!
 //! Like the kernels' own contract, this holds for finite values.
+//!
+//! # Ragged rows and the flat head
+//!
+//! A flat chain's first layer — the critic's is 896 × 32, about 98 % of
+//! its multiply-adds — reads a row only up to its extent (the row
+//! source's length; every input past it is +0). The gather sorts the
+//! chunk's rows by extent (a permutation in the worker's scratch) and
+//! writes each row's values and zeros up to the reach of its block of
+//! four, nothing more. The forward ([`simd::dense_ragged`]) runs each
+//! block to its widest extent and writes every output back to its own
+//! row; the `dW` ([`simd::gemm_tn_ragged`]) sums each group of four
+//! inputs over only the rows that reach it, keeping a row-ascending
+//! active list that it compacts as the group index rises. Every value is
+//! the one the zero-filled rows give, by one lemma:
+//!
+//! *Leaving a `+0` input out of a chain changes no bit unless the chain's
+//! accumulator is −0.* The term left out is `+0 · w`, which is ±0 for a
+//! finite `w`. Adding ±0 to a nonzero value changes nothing, `+0 + ±0`
+//! is +0, and only `−0 + (+0) = +0` moves a bit.
+//!
+//! * A TN (`dW`) sum starts at +0, and round-to-nearest addition gives −0
+//!   only when both operands are −0 (an exact cancellation gives +0), so
+//!   its accumulator is never −0 and leaving rows out is exact. The
+//!   scalar arm skipped zero inputs already.
+//! * A forward chain starts at its bias, and by the same rule it is −0
+//!   only while its bias is −0 and every term so far was −0. Biases are
+//!   initialised to +0, and an Adam step `b − Δ` is −0 only when `b` is
+//!   −0 — so in training only a checkpoint can bring a −0 bias. ReLU
+//!   does not reliably erase the sign (`max(−0, 0)` may return either
+//!   zero, and a tanh hidden layer keeps it), so the kernel keeps it
+//!   explicitly: when a bias is −0, every output that ended −0 replays
+//!   the terms it left out.
+//!
+//! This holds for finite weights. A non-finite weight that only padding
+//! would multiply no longer turns the output into NaN.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -407,9 +443,11 @@ fn fit<T>(v: &mut Vec<T>, cap: usize) {
 /// workers.
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    /// The chunk's observation rows: `[n, obs_dim]`, each row zero-filled
-    /// to the whole window — for the kernel head only the first `live[t]`
-    /// job rows of each window `t`, then one all-zero job row.
+    /// The chunk's observation rows: `[n, obs_dim]` — for the flat head
+    /// each row only up to its reach ([`WorkerScratch::gather_flat`]), for
+    /// the conv head zero-filled to the whole window, for the kernel head
+    /// only the first `live[t]` job rows of each window `t`, then one
+    /// all-zero job row.
     obs: Vec<f32>,
     /// Policy side: each transition's valid slot count, which implies its
     /// mask (0 on the first `valid[t]` slots, [`MASK_OFF`] after them).
@@ -422,6 +460,15 @@ struct WorkerScratch {
     /// the backward walks ([`simd::gemm_tn_blocks`]); the last entry is
     /// the row count.
     ends: Vec<usize>,
+    /// Flat head: how many values each row holds before its zeros (its
+    /// length in the row source); empty for the other heads.
+    ext: Vec<usize>,
+    /// Flat head: the chunk's rows in order of extent, the blocks the
+    /// first layer's forward runs in ([`simd::dense_ragged`]).
+    order: Vec<u32>,
+    /// Flat head: the first layer's `dW` active-row list
+    /// ([`simd::gemm_tn_ragged`]).
+    active: Vec<u32>,
     /// Every stashed activation, in stack order (`acts[i]` holds up to
     /// `FusedPolicy::act_lens`'s `i`-th length).
     acts: Vec<Vec<f32>>,
@@ -458,9 +505,15 @@ impl WorkerScratch {
             FusedHead::Kernel { .. } => p.mlp.in_dim(),
             _ => 0,
         };
-        fit(&mut self.obs, n * od + zero_row);
+        // Not emptied: the flat gather writes only what the forward and
+        // backward read, over whatever an earlier chunk left.
+        self.obs
+            .reserve((n * od + zero_row).saturating_sub(self.obs.len()));
         fit(&mut self.valid, n);
         fit(&mut self.live, n);
+        fit(&mut self.ext, n);
+        fit(&mut self.order, n);
+        fit(&mut self.active, n);
         fit(&mut self.ends, rows.div_ceil(simd::TN_BLOCK_ROWS) + 1);
         self.acts.resize_with(p.act_lens(n).count(), Vec::new);
         // Every gradient buffer holds some activation's values for the
@@ -507,24 +560,46 @@ impl WorkerScratch {
         }
     }
 
-    /// Copy the rows `index` names out of `rows` into the row buffer, in
-    /// index order, each zero-filled to `od` values: one dense-chain row
-    /// per transition.
+    /// The conv head's gather: copy the rows `index` names out of `rows`
+    /// into the row buffer, in index order, each zero-filled to `od`
+    /// values — one whole image per transition.
     fn gather<'d>(&mut self, index: &[u32], od: usize, rows: impl Fn(usize) -> &'d [f32]) {
         self.obs.clear();
-        self.live.clear();
         for &i in index {
-            let row = rows(i as usize);
-            assert!(
-                row.len() <= od,
-                "row {i} has {} values, more than the network's {od} inputs",
-                row.len()
-            );
+            let row = check_row(i, rows(i as usize), od);
             self.obs.extend_from_slice(row);
             self.obs.resize(self.obs.len() + od - row.len(), 0.0);
         }
         self.ends.clear();
         self.ends.extend(simd::tn_block_ends(index.len()));
+    }
+
+    /// The flat head's gather: row `t` of the chunk goes to
+    /// `obs[t * od..]` as its values, then zeros up to its reach
+    /// ([`simd::ragged_reaches`] over `order`, the rows sorted by
+    /// extent). Nothing past a row's reach is written, and the ragged
+    /// first layer reads nothing past it.
+    fn gather_flat<'d>(&mut self, index: &[u32], od: usize, rows: impl Fn(usize) -> &'d [f32]) {
+        let n = index.len();
+        self.ext.clear();
+        for &i in index {
+            self.ext.push(check_row(i, rows(i as usize), od).len());
+        }
+        self.order.clear();
+        self.order.extend(0..n as u32);
+        let ext = &self.ext;
+        self.order.sort_unstable_by_key(|&t| ext[t as usize]);
+        if self.obs.len() < n * od {
+            self.obs.resize(n * od, 0.0);
+        }
+        for (t, reach) in simd::ragged_reaches(&self.ext, &self.order, od) {
+            let row = rows(index[t] as usize);
+            let dst = &mut self.obs[t * od..t * od + reach];
+            dst[..row.len()].copy_from_slice(row);
+            dst[row.len()..].fill(0.0);
+        }
+        self.ends.clear();
+        self.ends.extend(simd::tn_block_ends(n));
     }
 
     /// The kernel head's gather: per transition `t` its valid job rows,
@@ -591,8 +666,9 @@ impl WorkerScratch {
         dy.truncate(at);
     }
 
-    /// Bytes of the float buffers (the `valid`, `live` and `ends`
-    /// bookkeeping, a few hundred bytes, is not counted).
+    /// Bytes of the float buffers (the `valid`, `live`, `ends`, `ext`,
+    /// `order` and `active` bookkeeping, a few hundred bytes, is not
+    /// counted).
     fn bytes(&self) -> usize {
         let g = &self.g;
         let floats = self.obs.capacity()
@@ -811,6 +887,16 @@ impl FusedScratch {
     }
 }
 
+/// Hold a gathered row to the network's `od` inputs.
+fn check_row(i: u32, row: &[f32], od: usize) -> &[f32] {
+    assert!(
+        row.len() <= od,
+        "row {i} has {} values, more than the network's {od} inputs",
+        row.len()
+    );
+    row
+}
+
 /// A scratch whose last chunk panicked is as good as any other: every
 /// buffer is overwritten before it is read.
 fn unpoisoned<G>(lock: std::sync::LockResult<G>) -> G {
@@ -846,8 +932,17 @@ fn merge_grads(chunks: &mut [Partial]) {
 /// per op). Conv stages run `infer`'s conv, ReLU and pool loops and dense
 /// layers [`infer::dense_forward`], the scoring path's own arithmetic.
 /// The dense chain runs on every row of its input (for the kernel head,
-/// the job rows `obs` holds); returns how many that was.
-fn forward_stack(p: &FusedPolicy<'_>, obs: &[f32], n: usize, acts: &mut [Vec<f32>]) -> usize {
+/// the job rows `obs` holds; for the flat head the `n` rows, its first
+/// layer ragged); returns how many that was.
+fn forward_stack(p: &FusedPolicy<'_>, w: &mut WorkerScratch, n: usize) -> usize {
+    let WorkerScratch {
+        obs,
+        ext,
+        order,
+        acts,
+        ..
+    } = w;
+    let obs = &obs[..];
     for (i, st) in p.stages().enumerate() {
         let (done, rest) = acts.split_at_mut(2 * i);
         let x = done.last().map_or(obs, |v| &v[..]);
@@ -872,32 +967,46 @@ fn forward_stack(p: &FusedPolicy<'_>, obs: &[f32], n: usize, acts: &mut [Vec<f32
         infer::max_pool2d_forward(conv, n, o, st.ch, st.cw, POOL, &mut rest[0]);
     }
     let (convs, dense) = acts.split_at_mut(2 * p.convs().len());
+    let in_dim = p.mlp.in_dim();
+    if let FusedHead::Flat = p.head {
+        let x = &obs[..n * in_dim];
+        forward_layers(p.mlp, x, n, Some((ext, order)), dense);
+        return n;
+    }
     let x = convs.last().map_or(obs, |v| &v[..]);
-    let rows = x.len() / p.mlp.in_dim();
-    forward_layers(p.mlp, x, rows, dense);
+    let rows = x.len() / in_dim;
+    forward_layers(p.mlp, x, rows, None, dense);
     rows
 }
 
 /// Forward the dense chain over `rows` stacked inputs, stashing every
-/// layer's post-activation output in `acts`.
-fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut [Vec<f32>]) {
+/// layer's post-activation output in `acts`; with `ragged` (each row's
+/// extent and the rows' block order) the first layer reads each row only
+/// up to its extent ([`infer::dense_forward_ragged`]).
+fn forward_layers(
+    mlp: &Mlp,
+    x0: &[f32],
+    rows: usize,
+    ragged: Option<(&[usize], &[u32])>,
+    acts: &mut [Vec<f32>],
+) {
     debug_assert_eq!(x0.len(), rows * mlp.in_dim(), "input volume");
     let last = mlp.layers.len() - 1;
     for i in 0..mlp.layers.len() {
         let layer = &mlp.layers[i];
         let act = if i == last { mlp.output } else { mlp.hidden };
         let (prev, rest) = acts.split_at_mut(i);
-        let x = if i == 0 { x0 } else { &prev[i - 1] };
-        infer::dense_forward(
-            x,
-            rows,
-            layer.w.data(),
-            layer.b.data(),
-            layer.in_dim(),
-            layer.out_dim(),
-            act,
-            &mut rest[0],
-        );
+        let (w, b) = (layer.w.data(), layer.b.data());
+        let (din, dout) = (layer.in_dim(), layer.out_dim());
+        match ragged {
+            Some((ext, order)) if i == 0 => {
+                infer::dense_forward_ragged(x0, ext, order, w, b, din, dout, act, &mut rest[0]);
+            }
+            _ => {
+                let x = if i == 0 { x0 } else { &prev[i - 1] };
+                infer::dense_forward(x, rows, w, b, din, dout, act, &mut rest[0]);
+            }
+        }
     }
 }
 
@@ -910,13 +1019,20 @@ fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &
     // A conv stage stashes two activations and owns two parameters.
     let k = 2 * p.convs().len();
     let WorkerScratch {
-        obs, acts, g, ends, ..
+        obs,
+        acts,
+        g,
+        ends,
+        ext,
+        active,
+        ..
     } = s;
     let obs = &obs[..];
     let (conv_acts, dense_acts) = acts.split_at(k);
     let (conv_grads, dense_grads) = grads.split_at_mut(k);
     let x = conv_acts.last().map_or(obs, |v| &v[..]);
-    backward_layers(p.mlp, x, ends, dense_acts, g, dense_grads, k > 0);
+    let ragged = matches!(p.head, FusedHead::Flat).then_some((&ext[..], active));
+    backward_layers(p.mlp, x, ends, ragged, dense_acts, g, dense_grads, k > 0);
 
     // `g.dy` now holds the gradient of the last stage's pooled maps.
     for i in (0..k / 2).rev() {
@@ -951,16 +1067,20 @@ fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &
 /// `g.dy`, writing parameter gradients into `grads`; with `dx0`, `g.dy`
 /// ends holding `dX` of the first layer. The walk covers the first
 /// `ends.last()` rows of `x0` and `acts`, and the `dW` sums close a row
-/// block at each of `ends`.
+/// block at each of `ends`. With `ragged` (each row's extent and an
+/// active-row scratch) the first layer's `dW` reads each row only up to
+/// its extent ([`simd::gemm_tn_ragged`]).
 ///
 /// Replicates the reference tape's dense backward exactly: the
 /// per-activation `dpre` loops, `dW` through the TN kernel dispatch, `db`
 /// as ascending-row column sums, and `dX` through the transpose-W +
 /// broadcast-gemm path (scalar NT fallback).
+#[allow(clippy::too_many_arguments)] // the chain, its rows, stash and buffers
 fn backward_layers(
     mlp: &Mlp,
     x0: &[f32],
     ends: &[usize],
+    mut ragged: Option<(&[usize], &mut Vec<u32>)>,
     acts: &[Vec<f32>],
     g: &mut GradBufs,
     grads: &mut [Tensor],
@@ -975,18 +1095,16 @@ fn backward_layers(
         debug_assert_eq!(g.dy.len(), rows * dout, "dY volume at layer {l}");
 
         // dpre = dY ∘ act'(Y): one loop per activation, expressed through
-        // the stashed output.
-        let y = &acts[l];
-        g.dpre.clear();
-        let pairs = g.dy.iter().zip(y.iter());
+        // the stashed output, in place over dY (ReLU as a select, which
+        // vectorizes), then swapped into `dpre`.
+        let pairs = g.dy.iter_mut().zip(&acts[l]);
         match act.to_act() {
-            Act::Identity => g.dpre.extend_from_slice(&g.dy),
-            Act::Relu => g
-                .dpre
-                .extend(pairs.map(|(&g, &yv)| if yv > 0.0 { g } else { 0.0 })),
-            Act::Tanh => g.dpre.extend(pairs.map(|(&g, &yv)| g * (1.0 - yv * yv))),
-            Act::Sigmoid => g.dpre.extend(pairs.map(|(&g, &yv)| g * yv * (1.0 - yv))),
+            Act::Identity => {}
+            Act::Relu => pairs.for_each(|(d, &yv)| *d = if yv > 0.0 { *d } else { 0.0 }),
+            Act::Tanh => pairs.for_each(|(d, &yv)| *d *= 1.0 - yv * yv),
+            Act::Sigmoid => pairs.for_each(|(d, &yv)| *d = *d * yv * (1.0 - yv)),
         }
+        std::mem::swap(&mut g.dy, &mut g.dpre);
 
         // dX = dpre · Wᵀ: transpose W (tiny) and run the broadcast gemm;
         // the scalar arm runs the NT dot loop.
@@ -1011,23 +1129,59 @@ fn backward_layers(
         // needed).
         let x = if l == 0 { x0 } else { &acts[l - 1] };
         let dw = grads[2 * l].data_mut();
-        if !simd::gemm_tn_blocks(x, din, &g.dpre, dout, ends.iter().copied(), dw) {
-            simd::gemm_tn_scalar(x, rows, din, &g.dpre, dout, dw);
-        }
-
-        // db = column sums of dpre, rows ascending.
-        let db = grads[2 * l + 1].data_mut();
-        db.fill(0.0);
-        for row in g.dpre.chunks_exact(dout) {
-            for (d, &v) in db.iter_mut().zip(row) {
-                *d += v;
+        let ends_iter = ends.iter().copied();
+        match &mut ragged {
+            Some((ext, active)) if l == 0 => {
+                simd::gemm_tn_ragged(x, din, ext, &g.dpre, dout, ends_iter, active, dw);
+            }
+            _ => {
+                if !simd::gemm_tn_blocks(x, din, &g.dpre, dout, ends_iter, dw) {
+                    simd::gemm_tn_scalar(x, rows, din, &g.dpre, dout, dw);
+                }
             }
         }
+
+        column_sums(&g.dpre, dout, grads[2 * l + 1].data_mut());
 
         if dx_needed {
             std::mem::swap(&mut g.dy, &mut g.dy2);
         }
     }
+}
+
+/// `db`: the column sums of the `[rows, n]` matrix `x` into `out[..n]`,
+/// each one row-ascending chain from +0. Up to 32 columns at a time are
+/// held in registers (8 per vector) across all the rows, so no partial
+/// sum goes through memory.
+fn column_sums(x: &[f32], n: usize, out: &mut [f32]) {
+    let mut j = 0;
+    while j + 32 <= n {
+        column_sums_at::<32>(x, n, j, out);
+        j += 32;
+    }
+    if j + 16 <= n {
+        column_sums_at::<16>(x, n, j, out);
+        j += 16;
+    }
+    if j + 8 <= n {
+        column_sums_at::<8>(x, n, j, out);
+        j += 8;
+    }
+    for (jj, o) in out.iter_mut().enumerate().take(n).skip(j) {
+        *o = x.chunks_exact(n).fold(0.0, |s, row| s + row[jj]);
+    }
+}
+
+/// [`column_sums`] of the `W` columns from `j`.
+fn column_sums_at<const W: usize>(x: &[f32], n: usize, j: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for row in x.chunks_exact(n) {
+        let row: &[f32; W] = row[j..j + W].try_into().expect("W columns from j");
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += v;
+        }
+    }
+    out[j..j + W].copy_from_slice(&acc);
 }
 
 /// Max-pool backward: each pooled gradient in `dp` goes to the first
@@ -1165,11 +1319,10 @@ pub fn policy_pass<'d>(
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");
     let rows = &rows;
-    let kernel = matches!(p.head, FusedHead::Kernel { .. });
     // Forward the gathered rows into the chunk's `[n, width]` masked
     // log-probs and their selected entries.
     let score = |w: &mut WorkerScratch, part: &mut Partial, lo: usize, hi: usize| {
-        part.rows += forward_stack(p, &w.obs, hi - lo, &mut w.acts);
+        part.rows += forward_stack(p, w, hi - lo);
         let Partial { logp, sel, .. } = part;
         let scores = w.acts.last().expect("non-empty MLP");
         logp.clear();
@@ -1195,11 +1348,14 @@ pub fn policy_pass<'d>(
         (od, width),
         |w, part, lo, hi| {
             w.read_valid(&index[lo..hi], &actions[lo..hi], (f, width), rows);
-            if kernel {
-                w.live.clone_from(&w.valid);
-                w.gather_jobs(&index[lo..hi], (f, width), rows);
-            } else {
-                w.gather(&index[lo..hi], od, rows);
+            w.live.clear();
+            match p.head {
+                FusedHead::Kernel { .. } => {
+                    w.live.clone_from(&w.valid);
+                    w.gather_jobs(&index[lo..hi], (f, width), rows);
+                }
+                FusedHead::Flat => w.gather_flat(&index[lo..hi], od, rows),
+                FusedHead::Conv { .. } => w.gather(&index[lo..hi], od, rows),
             }
             score(w, part, lo, hi);
         },
@@ -1343,9 +1499,11 @@ fn policy_dlogits(
 /// chain, then the squared-error loss `mean((v − R)²)` against
 /// `returns` (one per index entry) and its analytic backward. A row may
 /// be shorter than the critic's input — a window's live job rows, as
-/// [`policy_pass`] reads them — and is zero-filled to it. Returns the
-/// loss; gradients land in [`FusedScratch::grads`]. Chunked and merged
-/// exactly like [`policy_pass`].
+/// [`policy_pass`] reads them — and the first layer's forward and `dW`
+/// read it only up to its length, with the bits of the row zero-filled
+/// to the input width (module docs). Returns the loss; gradients land in
+/// [`FusedScratch::grads`]. Chunked and merged exactly like
+/// [`policy_pass`].
 pub fn value_pass<'d>(
     mlp: &Mlp,
     rows: impl Fn(usize) -> &'d [f32] + Sync,
@@ -1371,8 +1529,8 @@ pub fn value_pass<'d>(
         n,
         (od, 0),
         |w, _, lo, hi| {
-            w.gather(&index[lo..hi], od, &rows);
-            forward_stack(&p, &w.obs, hi - lo, &mut w.acts);
+            w.gather_flat(&index[lo..hi], od, &rows);
+            forward_stack(&p, w, hi - lo);
         },
         |w, part, lo, hi| {
             part.sq = 0.0;

@@ -50,6 +50,10 @@ pub struct Scratch {
     /// The job rows a kernel-network pass scores, copied out of their
     /// windows (see [`live_job_rows`]).
     jobs: Vec<f32>,
+    /// [`window_mlp_forward`]: each window's extent, and the windows in
+    /// order of extent.
+    ext: Vec<usize>,
+    order: Vec<u32>,
 }
 
 impl Scratch {
@@ -83,24 +87,97 @@ pub fn dense_forward(
     act.to_act().apply_slice(out);
 }
 
+/// [`dense_forward`] over rows whose inputs are zero past `ext[row]`
+/// ([`simd::dense_ragged`], which gives the same bits without the
+/// padding's arithmetic): `ext.len()` rows, computed in blocks of
+/// `order`.
+#[allow(clippy::too_many_arguments)] // dense_forward's operands + extents and order
+pub fn dense_forward_ragged(
+    x: &[f32],
+    ext: &[usize],
+    order: &[u32],
+    w: &[f32],
+    b: &[f32],
+    in_dim: usize,
+    out_dim: usize,
+    act: Activation,
+    out: &mut Vec<f32>,
+) {
+    out.clear();
+    out.resize(ext.len() * out_dim, 0.0);
+    simd::dense_ragged(x, ext, order, w, b, in_dim, out_dim, out);
+    act.to_act().apply_slice(out);
+}
+
 /// Forward an [`Mlp`] over `rows` stacked input rows; the final layer's
 /// activations land in `out` (`[rows, mlp.out_dim()]`).
 pub fn mlp_forward(mlp: &Mlp, x: &[f32], rows: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
-    // Invariant: after layer i < last, its activations live in `scratch.a`.
+    let Scratch { a, b, .. } = scratch;
+    chain_forward(mlp, x, rows, None, a, b, out);
+}
+
+/// [`mlp_forward`] over `rows` stacked observation windows of
+/// `features`-wide job rows, whose first layer reads each window only up
+/// to its last job ([`live_job_rows`], [`dense_forward_ragged`]) — with
+/// the bits [`mlp_forward`] gives the whole windows. The critic runs this
+/// at every rollout step.
+pub fn window_mlp_forward(
+    mlp: &Mlp,
+    x: &[f32],
+    rows: usize,
+    features: usize,
+    scratch: &mut Scratch,
+    out: &mut Vec<f32>,
+) {
+    let in_dim = mlp.in_dim();
+    assert!(
+        x.len() == rows * in_dim && in_dim.is_multiple_of(features),
+        "{rows} windows of {in_dim} inputs in {features}-wide job rows"
+    );
+    let Scratch {
+        a, b, ext, order, ..
+    } = scratch;
+    ext.clear();
+    ext.extend(
+        x.chunks_exact(in_dim)
+            .map(|w| live_job_rows(w, features) * features),
+    );
+    order.clear();
+    order.extend(0..rows as u32);
+    order.sort_unstable_by_key(|&r| ext[r as usize]);
+    chain_forward(mlp, x, rows, Some((ext, order)), a, b, out);
+}
+
+/// The layer loop of [`mlp_forward`], the first layer ragged when
+/// `ragged` gives its extents and order.
+fn chain_forward(
+    mlp: &Mlp,
+    x: &[f32],
+    rows: usize,
+    ragged: Option<(&[usize], &[u32])>,
+    a: &mut Vec<f32>,
+    pong: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    // Invariant: after layer i < last, its activations live in `a`.
     let last = mlp.layers.len() - 1;
     for (i, layer) in mlp.layers.iter().enumerate() {
         let act = if i == last { mlp.output } else { mlp.hidden };
         let (w, b) = (layer.w.data(), layer.b.data());
         let (din, dout) = (layer.in_dim(), layer.out_dim());
         if i == 0 {
-            let dst = if last == 0 { &mut *out } else { &mut scratch.a };
-            dense_forward(x, rows, w, b, din, dout, act, dst);
+            let dst = if last == 0 { &mut *out } else { &mut *a };
+            match ragged {
+                Some((ext, order)) => {
+                    dense_forward_ragged(x, ext, order, w, b, din, dout, act, dst)
+                }
+                None => dense_forward(x, rows, w, b, din, dout, act, dst),
+            }
         } else if i == last {
-            dense_forward(&scratch.a, rows, w, b, din, dout, act, out);
+            dense_forward(a, rows, w, b, din, dout, act, out);
         } else {
-            let Scratch { a, b: pong, .. } = scratch;
             dense_forward(a, rows, w, b, din, dout, act, pong);
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
+            std::mem::swap(a, pong);
         }
     }
 }

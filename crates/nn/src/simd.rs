@@ -16,9 +16,15 @@
 //!   it set so the scalar arm stays green.
 //! * Each `gemm*` entry point returns `false` (having written nothing)
 //!   when it does not dispatch; the caller then runs the matching
-//!   `*_scalar` reference kernel. [`gemm`]/[`gemm_tn`] need at least 8
-//!   output columns to fill a vector lane. Ragged shapes are handled with
-//!   scalar column/row tails inside the SIMD kernels.
+//!   `*_scalar` reference kernel. [`gemm`] and [`gemm_tn`] need at least
+//!   8 output columns to fill a vector lane, except that
+//!   [`gemm_tn_blocks`] also takes exactly one (a scalar head's `dW`,
+//!   whose `m` outputs fill the lanes instead). Ragged shapes are handled
+//!   with scalar column/row tails inside the SIMD kernels.
+//! * [`dense_ragged`] and [`gemm_tn_ragged`] pick their arm themselves:
+//!   they read each row only up to its extent, with the bits
+//!   [`dense_any`] and [`gemm_tn_blocks`] (or the scalar kernel it falls
+//!   back to) give the zero-padded rows.
 //! * `C = A·Bᵀ` ([`gemm_nt_scalar`]) has no SIMD arm: the dense backward
 //!   transposes its small weight matrix and runs [`gemm`] instead.
 //!
@@ -38,9 +44,14 @@
 //! the accumulation, so values can drift by a few ulps; see
 //! `tests/simd_parity_prop.rs` for the tolerance contract. That contract
 //! assumes finite inputs: [`gemm_scalar`]/[`gemm_tn_scalar`] skip
-//! zero-valued contributions (so `0 × inf` drops out) while the SIMD
-//! kernels compute them (`0 × inf → NaN`) — a diverged model with
+//! zero-valued contributions (so `0 × inf` drops out) while the blocked
+//! SIMD kernels compute them (`0 × inf → NaN`) — a diverged model with
 //! non-finite weights can therefore NaN on one arm and not the other.
+//! The one-column TN arm skips a zero `a` exactly like
+//! [`gemm_tn_scalar`], and the ragged kernels skip the padding terms on
+//! both arms, so a non-finite weight or gradient that only padding
+//! would multiply no longer reaches an output on either arm
+//! (`tests/exact_kernels_prop.rs` holds these kernels to `==`).
 //!
 //! # Row-count invariance
 //!
@@ -97,7 +108,7 @@ pub fn gemm(
     }
     #[cfg(target_arch = "x86_64")]
     {
-        unsafe { gemm_avx2(a, m, k, b, n, bias, out) };
+        unsafe { gemm_avx2(a, k, b, n, bias, out, AllRows(m)) };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -126,6 +137,62 @@ pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
     }
 }
 
+/// The rows a [`gemm_avx2`] call computes, and how far each one's chain
+/// runs. A type per plan, so the dense kernel compiles to its own loop.
+trait RowPlan: Copy {
+    /// How many rows are computed.
+    fn len(self) -> usize;
+    /// How many rows `a` and `out` hold.
+    fn stored(self) -> usize;
+    /// The `R` rows at positions `p..p + R` and how many of the `k`
+    /// inputs their chains run over.
+    fn block<const R: usize>(self, p: usize, k: usize) -> ([usize; R], usize);
+}
+
+/// Rows `0..m`, in order, each over all `k` inputs.
+#[derive(Debug, Clone, Copy)]
+struct AllRows(usize);
+
+impl RowPlan for AllRows {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0
+    }
+    #[inline(always)]
+    fn stored(self) -> usize {
+        self.0
+    }
+    #[inline(always)]
+    fn block<const R: usize>(self, p: usize, k: usize) -> ([usize; R], usize) {
+        (std::array::from_fn(|d| p + d), k)
+    }
+}
+
+/// Rows blocked in `order` ([`RAGGED_BLOCK`] positions per block), each
+/// block run to its reach ([`ragged_reaches`]).
+#[derive(Debug, Clone, Copy)]
+struct RaggedRows<'a> {
+    order: &'a [u32],
+    ext: &'a [usize],
+}
+
+impl RowPlan for RaggedRows<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.order.len()
+    }
+    #[inline(always)]
+    fn stored(self) -> usize {
+        self.ext.len()
+    }
+    #[inline(always)]
+    fn block<const R: usize>(self, p: usize, k: usize) -> ([usize; R], usize) {
+        let rows = &self.order[p..p + R];
+        let reach = ragged_reach(rows, self.ext, k);
+        (std::array::from_fn(|d| rows[d] as usize), reach)
+    }
+}
+
 /// Register-blocked AVX2/FMA kernel: 4 rows × 16 columns per block (eight
 /// independent FMA chains — enough to cover FMA latency at two issues per
 /// cycle), stepping down to 4×8, then a 1-row remainder (64-, 32-, 16-
@@ -136,29 +203,37 @@ pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 /// in its own vector lane, so the tile geometry never changes a value:
 /// each row is bit-identical whether it was computed in a full block or
 /// as a tail (the row-count-invariance contract of the module docs), and
-/// widening the tiles is invisible to every parity test.
+/// widening the tiles is invisible to every parity test. A chain stops
+/// where `rows` says its inputs end ([`dense_ragged`]).
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available and slice lengths cover the
-/// dims (`a ≥ m*k`, `b ≥ k*n`, `out ≥ m*n`, `bias ≥ n` when given).
+/// dims (`a ≥ rows*k`, `b ≥ k*n`, `out ≥ rows*n`, `bias ≥ n` when given),
+/// and for [`RaggedRows`] that every entry of `order` is below
+/// `ext.len()` and no extent is above `k`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_avx2(
     a: &[f32],
-    m: usize,
     k: usize,
     b: &[f32],
     n: usize,
     bias: Option<&[f32]>,
     out: &mut [f32],
+    rows: impl RowPlan,
 ) {
     use std::arch::x86_64::*;
-    assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
+    let (m, stored) = (rows.len(), rows.stored());
+    assert!(a.len() >= stored * k && b.len() >= k * n && out.len() >= stored * n);
     if let Some(bv) = bias {
         assert!(bv.len() >= n);
     }
     let n16 = n - n % 16;
     let n8 = n - n % 8;
+    // SAFETY: every row `rows` names is below `stored` and runs over at
+    // most `k` inputs (the caller's contract for ragged rows), so every
+    // read of `a` and write of `out` is inside the lengths asserted
+    // above; every column is below `n`.
     unsafe {
         let seed = |j: usize| -> __m256 {
             match bias {
@@ -166,8 +241,11 @@ unsafe fn gemm_avx2(
                 None => _mm256_setzero_ps(),
             }
         };
-        let mut i = 0;
-        while i + 4 <= m {
+        let mut p = 0;
+        while p + 4 <= m {
+            let (r, reach) = rows.block::<4>(p, k);
+            let [x0p, x1p, x2p, x3p] = r.map(|r| a.as_ptr().add(r * k));
+            let [o0p, o1p, o2p, o3p] = r.map(|r| out.as_mut_ptr().add(r * n));
             let mut j = 0;
             while j < n16 {
                 let s0 = seed(j);
@@ -176,89 +254,86 @@ unsafe fn gemm_avx2(
                 let (mut a10, mut a11) = (s0, s1);
                 let (mut a20, mut a21) = (s0, s1);
                 let (mut a30, mut a31) = (s0, s1);
-                for kk in 0..k {
+                for kk in 0..reach {
                     let w0 = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
                     let w1 = _mm256_loadu_ps(b.as_ptr().add(kk * n + j + 8));
-                    let x0 = _mm256_set1_ps(*a.get_unchecked(i * k + kk));
+                    let x0 = _mm256_set1_ps(*x0p.add(kk));
                     a00 = _mm256_fmadd_ps(x0, w0, a00);
                     a01 = _mm256_fmadd_ps(x0, w1, a01);
-                    let x1 = _mm256_set1_ps(*a.get_unchecked((i + 1) * k + kk));
+                    let x1 = _mm256_set1_ps(*x1p.add(kk));
                     a10 = _mm256_fmadd_ps(x1, w0, a10);
                     a11 = _mm256_fmadd_ps(x1, w1, a11);
-                    let x2 = _mm256_set1_ps(*a.get_unchecked((i + 2) * k + kk));
+                    let x2 = _mm256_set1_ps(*x2p.add(kk));
                     a20 = _mm256_fmadd_ps(x2, w0, a20);
                     a21 = _mm256_fmadd_ps(x2, w1, a21);
-                    let x3 = _mm256_set1_ps(*a.get_unchecked((i + 3) * k + kk));
+                    let x3 = _mm256_set1_ps(*x3p.add(kk));
                     a30 = _mm256_fmadd_ps(x3, w0, a30);
                     a31 = _mm256_fmadd_ps(x3, w1, a31);
                 }
-                let o0 = out.as_mut_ptr().add(i * n + j);
-                let o1 = out.as_mut_ptr().add((i + 1) * n + j);
-                let o2 = out.as_mut_ptr().add((i + 2) * n + j);
-                let o3 = out.as_mut_ptr().add((i + 3) * n + j);
-                _mm256_storeu_ps(o0, a00);
-                _mm256_storeu_ps(o0.add(8), a01);
-                _mm256_storeu_ps(o1, a10);
-                _mm256_storeu_ps(o1.add(8), a11);
-                _mm256_storeu_ps(o2, a20);
-                _mm256_storeu_ps(o2.add(8), a21);
-                _mm256_storeu_ps(o3, a30);
-                _mm256_storeu_ps(o3.add(8), a31);
+                _mm256_storeu_ps(o0p.add(j), a00);
+                _mm256_storeu_ps(o0p.add(j + 8), a01);
+                _mm256_storeu_ps(o1p.add(j), a10);
+                _mm256_storeu_ps(o1p.add(j + 8), a11);
+                _mm256_storeu_ps(o2p.add(j), a20);
+                _mm256_storeu_ps(o2p.add(j + 8), a21);
+                _mm256_storeu_ps(o3p.add(j), a30);
+                _mm256_storeu_ps(o3p.add(j + 8), a31);
                 j += 16;
             }
             while j < n8 {
                 let s = seed(j);
                 let (mut a0, mut a1, mut a2, mut a3) = (s, s, s, s);
-                for kk in 0..k {
+                for kk in 0..reach {
                     let wr = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
-                    a0 = _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked(i * k + kk)), wr, a0);
-                    a1 =
-                        _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked((i + 1) * k + kk)), wr, a1);
-                    a2 =
-                        _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked((i + 2) * k + kk)), wr, a2);
-                    a3 =
-                        _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked((i + 3) * k + kk)), wr, a3);
+                    a0 = _mm256_fmadd_ps(_mm256_set1_ps(*x0p.add(kk)), wr, a0);
+                    a1 = _mm256_fmadd_ps(_mm256_set1_ps(*x1p.add(kk)), wr, a1);
+                    a2 = _mm256_fmadd_ps(_mm256_set1_ps(*x2p.add(kk)), wr, a2);
+                    a3 = _mm256_fmadd_ps(_mm256_set1_ps(*x3p.add(kk)), wr, a3);
                 }
-                _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), a0);
-                _mm256_storeu_ps(out.as_mut_ptr().add((i + 1) * n + j), a1);
-                _mm256_storeu_ps(out.as_mut_ptr().add((i + 2) * n + j), a2);
-                _mm256_storeu_ps(out.as_mut_ptr().add((i + 3) * n + j), a3);
+                _mm256_storeu_ps(o0p.add(j), a0);
+                _mm256_storeu_ps(o1p.add(j), a1);
+                _mm256_storeu_ps(o2p.add(j), a2);
+                _mm256_storeu_ps(o3p.add(j), a3);
                 j += 8;
             }
-            i += 4;
+            p += 4;
         }
         // Row remainder: 64-, 32-, 16- then 8-wide tiles with the same
         // per-lane k-ascending FMA chain as the 4-row blocks above
         // (row-count invariance).
-        while i < m {
-            let (a_row, o_row) = (a.as_ptr().add(i * k), out.as_mut_ptr().add(i * n));
+        while p < m {
+            let ([r], reach) = rows.block::<1>(p, k);
+            let (a_row, o_row) = (a.as_ptr().add(r * k), out.as_mut_ptr().add(r * n));
             let mut j = 0;
             while j + 64 <= n {
-                row_tile::<8>(a_row, k, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<8>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 64;
             }
             while j + 32 <= n {
-                row_tile::<4>(a_row, k, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<4>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 32;
             }
             while j + 16 <= n {
-                row_tile::<2>(a_row, k, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<2>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 16;
             }
             while j + 8 <= n {
-                row_tile::<1>(a_row, k, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<1>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 8;
             }
-            i += 1;
+            p += 1;
         }
         // Column tail: plain bias-seeded dots (per row, k ascending).
-        for j in n8..n {
-            for i in 0..m {
-                let mut acc = bias.map_or(0.0, |bv| bv[j]);
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
+        if n8 < n {
+            for p in 0..m {
+                let ([r], reach) = rows.block::<1>(p, k);
+                for j in n8..n {
+                    let mut acc = bias.map_or(0.0, |bv| bv[j]);
+                    for kk in 0..reach {
+                        acc += a[r * k + kk] * b[kk * n + j];
+                    }
+                    out[r * n + j] = acc;
                 }
-                out[i * n + j] = acc;
             }
         }
     }
@@ -346,7 +421,8 @@ pub const TN_BLOCK_ROWS: usize = 512;
 /// SIMD `C[m,n] = A[r,m]ᵀ @ B[r,n]` without materializing the transpose
 /// (the `dW = Xᵀ·dY` backward kernel): rank-1 updates blocked 4 deep over
 /// `r` so each read-modify-write of an output row absorbs four FMAs.
-/// Returns `false` (nothing written) when SIMD is unavailable or `n < 8`.
+/// Returns `false` (nothing written) when SIMD is unavailable or
+/// `1 < n < 8`.
 ///
 /// The rows are summed in blocks of [`TN_BLOCK_ROWS`], each block's sum
 /// added into `C` in row order: this is [`gemm_tn_blocks`] with a block
@@ -371,6 +447,12 @@ pub fn tn_block_ends(r: usize) -> impl Iterator<Item = usize> {
 /// rows of each window and passes every [`TN_BLOCK_ROWS`] boundary of the
 /// full window stack mapped to its compact row index (`fused`'s module
 /// docs). An empty block adds nothing.
+///
+/// One output column (`n == 1`, a scalar head's `dW`) takes its own arm:
+/// the `m` outputs sit in vector lanes and each lane runs
+/// [`gemm_tn_scalar`]'s chain — rows ascending, multiply then add, a zero
+/// `a` skipped — so it has no row blocks and ignores `ends` except for
+/// the row count, and its bits are [`gemm_tn_scalar`]'s for every input.
 pub fn gemm_tn_blocks(
     a: &[f32],
     m: usize,
@@ -380,14 +462,19 @@ pub fn gemm_tn_blocks(
     out: &mut [f32],
 ) -> bool {
     debug_assert!(out.len() >= m * n);
-    if n < 8 || !simd_enabled() {
+    if (n < 8 && n != 1) || !simd_enabled() {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: `simd_enabled` verified AVX2+FMA at runtime; the kernel
-        // checks every block's rows against the slice lengths.
-        unsafe { gemm_tn_avx2(a, m, b, n, ends.into_iter(), out) };
+        // SAFETY: `simd_enabled` verified AVX2+FMA at runtime; the kernels
+        // check the rows they read against the slice lengths.
+        if n == 1 {
+            let r = ends.into_iter().last().unwrap_or(0);
+            unsafe { gemm_tn_col_avx2(a, r, m, b, out) };
+        } else {
+            unsafe { gemm_tn_avx2(a, m, b, n, ends.into_iter(), None, out) };
+        }
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -397,14 +484,71 @@ pub fn gemm_tn_blocks(
     }
 }
 
+/// [`gemm_tn_blocks`] over rows whose `A` row is zero past `ext[row]`
+/// inputs, on whichever arm is active; the row count is `ext.len()`.
+///
+/// For each group of four inputs (then two, then one, at a ragged `m`)
+/// the SIMD arm sums only the rows whose extent reaches the group:
+/// `active` starts each block as its rows and is compacted, in place and
+/// in row order, as the group index rises, so every sum stays row
+/// ascending inside its block. A left-out row's terms are `+0 · dC`, and
+/// a TN sum starts at +0 and never becomes −0 (round-to-nearest adds two
+/// values to −0 only when both are −0), so leaving them out changes no
+/// bit for finite `B` — the lemma in `fused`'s module docs. The scalar
+/// arm skips zero `a` anyway, so it stops each row at its extent with
+/// [`gemm_tn_scalar`]'s bits.
+///
+/// `A` must hold zeros from `ext[row]` up to `ext[row]` rounded up to a
+/// multiple of [`RAGGED_BLOCK`] (at most `m`): a group reads all of its
+/// inputs.
+#[allow(clippy::too_many_arguments)] // gemm_tn_blocks' operands + extents and their scratch
+pub fn gemm_tn_ragged(
+    a: &[f32],
+    m: usize,
+    ext: &[usize],
+    b: &[f32],
+    n: usize,
+    ends: impl IntoIterator<Item = usize>,
+    active: &mut Vec<u32>,
+    out: &mut [f32],
+) {
+    assert!(
+        ext.iter().all(|&e| e <= m),
+        "a row extends past the {m} inputs"
+    );
+    if n >= 8 && simd_enabled() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: as in `gemm_tn_blocks`; the extents were checked
+            // against `m` above.
+            unsafe { gemm_tn_avx2(a, m, b, n, ends.into_iter(), Some((ext, active)), out) };
+            return;
+        }
+    }
+    tn_scalar(a, ext.len(), m, b, n, |row| ext[row], out);
+}
+
 /// Scalar reference for [`gemm_tn`]: r-outer rank-1 updates with
 /// zero-contribution skips — bit-identical to the pre-SIMD `matmul_tn`.
 /// It has no row blocks: every output is one row-ascending chain, so it
 /// also stands in for [`gemm_tn_blocks`] at any block ends.
 pub fn gemm_tn_scalar(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    tn_scalar(a, r, m, b, n, |_| m, out);
+}
+
+/// [`gemm_tn_scalar`] reading row `row` of `A` only up to `ext(row)`.
+fn tn_scalar(
+    a: &[f32],
+    r: usize,
+    m: usize,
+    b: &[f32],
+    n: usize,
+    ext: impl Fn(usize) -> usize,
+    out: &mut [f32],
+) {
     out[..m * n].fill(0.0);
     for row in 0..r {
-        let a_row = &a[row * m..(row + 1) * m];
+        let a_row = &a[row * m..row * m + ext(row)];
         let b_row = &b[row * n..(row + 1) * n];
         for (i, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
@@ -418,23 +562,68 @@ pub fn gemm_tn_scalar(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &
     }
 }
 
-/// Outer-product kernel with register-resident accumulators: a 4-row ×
-/// 16-column output tile (eight independent FMA chains) accumulates
-/// across a whole row block before a single read-modify-write of `out`,
-/// so B's column slice streams from cache and A contributes four
-/// broadcasts per r; 2- and 1-row variants absorb the row remainder,
-/// 8-wide and scalar tails handle ragged n. The blocks (`ends`, every
+/// The one-column arm of [`gemm_tn_blocks`]: `out[i] = Σ_row a[row, i] ·
+/// b[row]` over `r` rows, eight outputs per vector, each lane the
+/// [`gemm_tn_scalar`] chain (multiply, then add; the add is blended away
+/// where `a` is ±0, which is the scalar loop's skip).
+///
+/// # Safety
+/// AVX2 must be available. Slice lengths are checked: `a ≥ r*m`,
+/// `b ≥ r`, `out ≥ m`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gemm_tn_col_avx2(a: &[f32], r: usize, m: usize, b: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    assert!(a.len() >= r * m && b.len() >= r && out.len() >= m);
+    let m8 = m - m % 8;
+    // SAFETY: every row read is below `r` and every lane below `m8 ≤ m`,
+    // which the assert holds to the slice lengths.
+    unsafe {
+        let zero = _mm256_setzero_ps();
+        let mut i = 0;
+        while i < m8 {
+            let mut acc = zero;
+            for (row, &bv) in b[..r].iter().enumerate() {
+                let av = _mm256_loadu_ps(a.as_ptr().add(row * m + i));
+                let sum = _mm256_add_ps(acc, _mm256_mul_ps(av, _mm256_set1_ps(bv)));
+                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, zero);
+                acc = _mm256_blendv_ps(acc, sum, keep);
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), acc);
+            i += 8;
+        }
+    }
+    for (i, o) in out.iter_mut().enumerate().take(m).skip(m8) {
+        let mut s = 0.0f32;
+        for (row, &bv) in b[..r].iter().enumerate() {
+            let av = a[row * m + i];
+            if av != 0.0 {
+                s += av * bv;
+            }
+        }
+        *o = s;
+    }
+}
+
+/// Outer-product kernel with register-resident accumulators: each group
+/// of four `A` columns (then two, then one) runs [`tn_rows`] over a
+/// block's rows — a 4-row × 16-column output tile is eight independent
+/// FMA chains that accumulate across the whole row block before a single
+/// read-modify-write of `out`, so B's column slice streams from cache and
+/// A contributes four broadcasts per r. The blocks (`ends`, every
 /// [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the streamed slice
-/// L1/L2-resident.
+/// L1/L2-resident. With `ragged` (extents and an active-row scratch,
+/// [`gemm_tn_ragged`]) each group sums only the rows that reach it.
 ///
 /// Each output element accumulates in its own lane, r ascending within
 /// every block — so the tile geometry (4 vs 2 vs 1 rows per tile) never
 /// changes a value.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available. Slice lengths are checked
-/// per block: `out ≥ m*n`, and `a ≥ r1*m`, `b ≥ r1*n` for every block end
-/// `r1`, which must not fall below the previous one.
+/// Caller must ensure AVX2+FMA are available, and with `ragged` that no
+/// extent exceeds `m`. Slice lengths are checked per block: `out ≥ m*n`,
+/// and `a ≥ r1*m`, `b ≥ r1*n` (and `ext ≥ r1`) for every block end `r1`,
+/// which must not fall below the previous one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_tn_avx2(
@@ -443,177 +632,144 @@ unsafe fn gemm_tn_avx2(
     b: &[f32],
     n: usize,
     ends: impl Iterator<Item = usize>,
+    mut ragged: Option<(&[usize], &mut Vec<u32>)>,
+    out: &mut [f32],
+) {
+    assert!(out.len() >= m * n);
+    out[..m * n].fill(0.0);
+    let mut r0 = 0;
+    for r1 in ends {
+        assert!(
+            r0 <= r1 && a.len() >= r1 * m && b.len() >= r1 * n,
+            "row block {r0}..{r1} out of order or past the inputs"
+        );
+        if let Some((ext, active)) = &mut ragged {
+            assert!(ext.len() >= r1, "row block {r0}..{r1} past the extents");
+            active.clear();
+            active.extend(r0 as u32..r1 as u32);
+        }
+        let mut i = 0;
+        while i < m && r0 < r1 {
+            let step = if i + 4 <= m {
+                4
+            } else {
+                1 + usize::from(i + 2 <= m)
+            };
+            // SAFETY: every row below is below `r1`, checked above against
+            // both inputs; a group's columns are below `m`.
+            unsafe {
+                match &mut ragged {
+                    None => tn_group(step, a, m, b, n, i, r0..r1, out),
+                    Some((ext, active)) => {
+                        active.retain(|&row| ext[row as usize] > i);
+                        if active.is_empty() {
+                            break;
+                        }
+                        let rows = active.iter().map(|&row| row as usize);
+                        tn_group(step, a, m, b, n, i, rows, out);
+                    }
+                }
+            }
+            i += step;
+        }
+        r0 = r1;
+    }
+}
+
+/// [`tn_rows`] for a group of `step` (4, 2 or 1) `A` columns.
+///
+/// # Safety
+/// As [`tn_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)] // tn_rows' operands + the group width
+unsafe fn tn_group(
+    step: usize,
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    i: usize,
+    rows: impl Iterator<Item = usize> + Clone,
+    out: &mut [f32],
+) {
+    // SAFETY: forwarded from the caller.
+    unsafe {
+        match step {
+            4 => tn_rows::<4>(a, m, b, n, i, rows, out),
+            2 => tn_rows::<2>(a, m, b, n, i, rows, out),
+            _ => tn_rows::<1>(a, m, b, n, i, rows, out),
+        }
+    }
+}
+
+/// Add `Σ_row A[row, i + d] · B[row, j]` over `rows`, in their order,
+/// into `out[i + d, j]` for `d < R` and every column: 16-wide tiles (two
+/// FMA chains per `A` column), then 8-wide, then a scalar column tail of
+/// plain multiply-adds.
+///
+/// # Safety
+/// AVX2+FMA must be available; every row in `rows` must have its `A` row
+/// (`m` wide) in `a` and its `B` row (`n` wide) in `b`, `i + R ≤ m`, and
+/// `out` must hold `m * n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn tn_rows<const R: usize>(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    i: usize,
+    rows: impl Iterator<Item = usize> + Clone,
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    assert!(out.len() >= m * n);
-    let n16 = n - n % 16;
-    let n8 = n - n % 8;
-    let m4 = m - m % 4;
-    let m2 = m - m % 2;
-    out[..m * n].fill(0.0);
-    // SAFETY: every row a block reads is below its end `r1`, which the
-    // assert holds to both input lengths; every column is below `n` and
-    // every output row below `m`, which the assert above covers.
+    // SAFETY: the caller's contract covers every row, column and output.
     unsafe {
-        let mut r0 = 0;
-        for r1 in ends {
-            assert!(
-                r0 <= r1 && a.len() >= r1 * m && b.len() >= r1 * n,
-                "row block {r0}..{r1} out of order or past the inputs"
-            );
-            if r0 == r1 {
-                continue;
-            }
-            let mut j = 0;
-            while j < n16 {
-                let mut i = 0;
-                while i < m4 {
-                    let mut acc00 = _mm256_setzero_ps();
-                    let mut acc01 = _mm256_setzero_ps();
-                    let mut acc10 = _mm256_setzero_ps();
-                    let mut acc11 = _mm256_setzero_ps();
-                    let mut acc20 = _mm256_setzero_ps();
-                    let mut acc21 = _mm256_setzero_ps();
-                    let mut acc30 = _mm256_setzero_ps();
-                    let mut acc31 = _mm256_setzero_ps();
-                    for row in r0..r1 {
-                        let bp = b.as_ptr().add(row * n + j);
-                        let b0 = _mm256_loadu_ps(bp);
-                        let b1 = _mm256_loadu_ps(bp.add(8));
-                        let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
-                        acc00 = _mm256_fmadd_ps(x0, b0, acc00);
-                        acc01 = _mm256_fmadd_ps(x0, b1, acc01);
-                        let x1 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 1));
-                        acc10 = _mm256_fmadd_ps(x1, b0, acc10);
-                        acc11 = _mm256_fmadd_ps(x1, b1, acc11);
-                        let x2 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 2));
-                        acc20 = _mm256_fmadd_ps(x2, b0, acc20);
-                        acc21 = _mm256_fmadd_ps(x2, b1, acc21);
-                        let x3 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 3));
-                        acc30 = _mm256_fmadd_ps(x3, b0, acc30);
-                        acc31 = _mm256_fmadd_ps(x3, b1, acc31);
-                    }
-                    for (di, (lo, hi)) in [
-                        (acc00, acc01),
-                        (acc10, acc11),
-                        (acc20, acc21),
-                        (acc30, acc31),
-                    ]
-                    .into_iter()
-                    .enumerate()
-                    {
-                        let o = out.as_mut_ptr().add((i + di) * n + j);
-                        _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), lo));
-                        _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), hi));
-                    }
-                    i += 4;
-                }
-                while i < m2 {
-                    let mut acc00 = _mm256_setzero_ps();
-                    let mut acc01 = _mm256_setzero_ps();
-                    let mut acc10 = _mm256_setzero_ps();
-                    let mut acc11 = _mm256_setzero_ps();
-                    for row in r0..r1 {
-                        let bp = b.as_ptr().add(row * n + j);
-                        let b0 = _mm256_loadu_ps(bp);
-                        let b1 = _mm256_loadu_ps(bp.add(8));
-                        let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
-                        let x1 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 1));
-                        acc00 = _mm256_fmadd_ps(x0, b0, acc00);
-                        acc01 = _mm256_fmadd_ps(x0, b1, acc01);
-                        acc10 = _mm256_fmadd_ps(x1, b0, acc10);
-                        acc11 = _mm256_fmadd_ps(x1, b1, acc11);
-                    }
-                    let o0 = out.as_mut_ptr().add(i * n + j);
-                    let o1 = out.as_mut_ptr().add((i + 1) * n + j);
-                    _mm256_storeu_ps(o0, _mm256_add_ps(_mm256_loadu_ps(o0), acc00));
-                    _mm256_storeu_ps(o0.add(8), _mm256_add_ps(_mm256_loadu_ps(o0.add(8)), acc01));
-                    _mm256_storeu_ps(o1, _mm256_add_ps(_mm256_loadu_ps(o1), acc10));
-                    _mm256_storeu_ps(o1.add(8), _mm256_add_ps(_mm256_loadu_ps(o1.add(8)), acc11));
-                    i += 2;
-                }
-                while i < m {
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    for row in r0..r1 {
-                        let bp = b.as_ptr().add(row * n + j);
-                        let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
-                        acc0 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(bp), acc0);
-                        acc1 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(bp.add(8)), acc1);
-                    }
-                    let o = out.as_mut_ptr().add(i * n + j);
-                    _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), acc0));
-                    _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), acc1));
-                    i += 1;
-                }
-                j += 16;
-            }
-            while j < n8 {
-                let mut i = 0;
-                while i < m4 {
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    let mut acc2 = _mm256_setzero_ps();
-                    let mut acc3 = _mm256_setzero_ps();
-                    for row in r0..r1 {
-                        let b0 = _mm256_loadu_ps(b.as_ptr().add(row * n + j));
-                        let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
-                        acc0 = _mm256_fmadd_ps(x0, b0, acc0);
-                        let x1 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 1));
-                        acc1 = _mm256_fmadd_ps(x1, b0, acc1);
-                        let x2 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 2));
-                        acc2 = _mm256_fmadd_ps(x2, b0, acc2);
-                        let x3 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 3));
-                        acc3 = _mm256_fmadd_ps(x3, b0, acc3);
-                    }
-                    for (di, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                        let o = out.as_mut_ptr().add((i + di) * n + j);
-                        _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), acc));
-                    }
-                    i += 4;
-                }
-                while i < m2 {
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    for row in r0..r1 {
-                        let b0 = _mm256_loadu_ps(b.as_ptr().add(row * n + j));
-                        let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
-                        let x1 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 1));
-                        acc0 = _mm256_fmadd_ps(x0, b0, acc0);
-                        acc1 = _mm256_fmadd_ps(x1, b0, acc1);
-                    }
-                    let o0 = out.as_mut_ptr().add(i * n + j);
-                    let o1 = out.as_mut_ptr().add((i + 1) * n + j);
-                    _mm256_storeu_ps(o0, _mm256_add_ps(_mm256_loadu_ps(o0), acc0));
-                    _mm256_storeu_ps(o1, _mm256_add_ps(_mm256_loadu_ps(o1), acc1));
-                    i += 2;
-                }
-                while i < m {
-                    let mut acc = _mm256_setzero_ps();
-                    for row in r0..r1 {
-                        acc = _mm256_fmadd_ps(
-                            _mm256_set1_ps(*a.get_unchecked(row * m + i)),
-                            _mm256_loadu_ps(b.as_ptr().add(row * n + j)),
-                            acc,
-                        );
-                    }
-                    let o = out.as_mut_ptr().add(i * n + j);
-                    _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), acc));
-                    i += 1;
-                }
-                j += 8;
-            }
-            for jj in n8..n {
-                for i in 0..m {
-                    let mut s = 0.0f32;
-                    for row in r0..r1 {
-                        s += a[row * m + i] * b[row * n + jj];
-                    }
-                    out[i * n + jj] += s;
+        let mut j = 0;
+        while j + 16 <= n {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for row in rows.clone() {
+                let bp = b.as_ptr().add(row * n + j);
+                let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)));
+                let ap = a.as_ptr().add(row * m + i);
+                for (d, acc) in acc.iter_mut().enumerate() {
+                    let x = _mm256_set1_ps(*ap.add(d));
+                    acc[0] = _mm256_fmadd_ps(x, b0, acc[0]);
+                    acc[1] = _mm256_fmadd_ps(x, b1, acc[1]);
                 }
             }
-            r0 = r1;
+            for (d, acc) in acc.iter().enumerate() {
+                let o = out.as_mut_ptr().add((i + d) * n + j);
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), acc[0]));
+                _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), acc[1]));
+            }
+            j += 16;
+        }
+        while j + 8 <= n {
+            let mut acc = [_mm256_setzero_ps(); R];
+            for row in rows.clone() {
+                let b0 = _mm256_loadu_ps(b.as_ptr().add(row * n + j));
+                let ap = a.as_ptr().add(row * m + i);
+                for (d, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(d)), b0, *acc);
+                }
+            }
+            for (d, acc) in acc.iter().enumerate() {
+                let o = out.as_mut_ptr().add((i + d) * n + j);
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), *acc));
+            }
+            j += 8;
+        }
+        for jj in j..n {
+            for d in 0..R {
+                let mut s = 0.0f32;
+                for row in rows.clone() {
+                    s += *a.get_unchecked(row * m + i + d) * *b.get_unchecked(row * n + jj);
+                }
+                *out.get_unchecked_mut((i + d) * n + jj) += s;
+            }
         }
     }
 }
@@ -690,6 +846,118 @@ pub fn dense_any(
         }
     } else if !gemm(x, rows, in_dim, w, out_dim, Some(b), out) {
         dense_portable(x, rows, w, b, in_dim, out_dim, out);
+    }
+}
+
+/// Rows per block of [`dense_ragged`]'s SIMD arm, and the multiple its
+/// blocks' reaches are rounded up to (a [`gemm_tn_ragged`] input group).
+pub const RAGGED_BLOCK: usize = 4;
+
+/// How far the chains of a block of `rows` run: their widest extent,
+/// rounded up to a multiple of [`RAGGED_BLOCK`], at most `k`.
+fn ragged_reach(rows: &[u32], ext: &[usize], k: usize) -> usize {
+    let widest = rows.iter().map(|&r| ext[r as usize]).max().unwrap_or(0);
+    widest.next_multiple_of(RAGGED_BLOCK).min(k)
+}
+
+/// Every row of a [`dense_ragged`] call with its reach, as `(row,
+/// reach)`: the row's inputs from its extent up to its reach must hold
+/// zeros, which also covers what [`gemm_tn_ragged`] reads of it.
+pub fn ragged_reaches<'a>(
+    ext: &'a [usize],
+    order: &'a [u32],
+    k: usize,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    order.chunks(RAGGED_BLOCK).flat_map(move |block| {
+        let reach = ragged_reach(block, ext, k);
+        block.iter().map(move |&r| (r as usize, reach))
+    })
+}
+
+/// [`dense_any`] over rows whose inputs are zero past `ext[row]`:
+/// `out[row] = x[row] @ w + b` with the bits [`dense_any`] gives the
+/// whole zero-padded row, on either arm. `x` holds `ext.len()` rows of
+/// `in_dim` values and `order` lists every row once.
+///
+/// The SIMD arm computes the rows in blocks of [`RAGGED_BLOCK`]
+/// consecutive entries of `order`, every chain of a block running to the
+/// block's reach ([`ragged_reaches`]), so an `order` that groups rows of
+/// similar extent saves the most; each row's bits are the same under any
+/// `order`. A row must hold zeros from its extent to its reach. The
+/// scalar arm runs each row to its own extent.
+///
+/// Leaving out the `+0 · w` terms past a row's reach is exact unless the
+/// chain's accumulator is −0 there: adding `±0` to a nonzero value
+/// changes nothing, and only `−0 + −0` is −0. A chain starts at its bias,
+/// so that takes a −0 bias (`fused`'s module docs). When a bias is −0,
+/// every output that ended −0 replays its left-out terms, which restores
+/// the sign the whole row gives. A non-finite weight past a row's reach
+/// is never multiplied (the whole row would give `0 × inf = NaN`).
+#[allow(clippy::too_many_arguments)] // dense_any's operands + extents and order
+pub fn dense_ragged(
+    x: &[f32],
+    ext: &[usize],
+    order: &[u32],
+    w: &[f32],
+    b: &[f32],
+    in_dim: usize,
+    out_dim: usize,
+    out: &mut [f32],
+) {
+    let rows = ext.len();
+    assert!(
+        x.len() >= rows * in_dim && out.len() >= rows * out_dim,
+        "{rows} rows of {in_dim} inputs and {out_dim} outputs"
+    );
+    assert!(
+        w.len() == in_dim * out_dim && b.len() == out_dim,
+        "weight and bias volume"
+    );
+    assert!(
+        order.len() == rows
+            && order.iter().all(|&r| (r as usize) < rows)
+            && ext.iter().all(|&e| e <= in_dim),
+        "ragged rows: an order entry or extent out of range"
+    );
+    let mut dispatched = false;
+    if out_dim >= 8 && simd_enabled() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: AVX2+FMA detected; lengths, order entries and
+            // extents are checked above.
+            unsafe {
+                gemm_avx2(
+                    x,
+                    in_dim,
+                    w,
+                    out_dim,
+                    Some(b),
+                    out,
+                    RaggedRows { order, ext },
+                )
+            };
+            dispatched = true;
+        }
+    }
+    if !dispatched {
+        for (r, &e) in ext.iter().enumerate() {
+            let o_row = &mut out[r * out_dim..(r + 1) * out_dim];
+            let x_row = &x[r * in_dim..r * in_dim + e];
+            dense_portable(x_row, 1, &w[..e * out_dim], b, e, out_dim, o_row);
+        }
+    }
+    const NEG_ZERO: u32 = 0x8000_0000;
+    if b.iter().any(|v| v.to_bits() == NEG_ZERO) {
+        for (r, &e) in ext.iter().enumerate() {
+            let o_row = &mut out[r * out_dim..(r + 1) * out_dim];
+            for (j, o) in o_row.iter_mut().enumerate() {
+                if o.to_bits() == NEG_ZERO {
+                    for kk in e..in_dim {
+                        *o += 0.0 * w[kk * out_dim + j];
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -206,6 +206,10 @@ pub struct UpdateProfile {
     pub backward: Duration,
     /// Gradient clipping + Adam step.
     pub optimizer: Duration,
+    /// The critic's part of `forward`: its passes' forward shares.
+    pub critic_forward: Duration,
+    /// The critic's part of `backward`: its passes' backward shares.
+    pub critic_backward: Duration,
     /// Rows the policy passes' dense chains scored ([`fused::FusedPass::rows`]):
     /// for the kernel network, the windows' job rows plus one zero row
     /// per chunk.
@@ -454,6 +458,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             );
             prof.forward += pass.forward;
             prof.backward += pass.backward;
+            prof.critic_forward += pass.forward;
+            prof.critic_backward += pass.backward;
             if it == 0 {
                 v_loss_before = pass.loss;
             }
