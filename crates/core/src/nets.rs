@@ -603,10 +603,10 @@ const _: () = {
 
 /// The critic (Fig 6): a 3-hidden-layer MLP over the flat observation.
 ///
-/// Its first layer is 896 × 32 of a 128-job window's ~29 k
-/// multiply-adds per row, and most windows are mostly padding, so every
-/// forward — each rollout step's and the fused update's — reads a window
-/// only up to its last job ([`infer::window_mlp_forward`], and
+/// At a 128-job window its first layer (896 × 32) is 28 672 of the
+/// ~29 k multiply-adds per row, and most windows are mostly padding, so
+/// every forward — each rollout step's and the fused update's — reads a
+/// window only up to its last job ([`infer::window_mlp_forward`]; see
 /// `rlsched_nn::fused`'s module docs for why the bits are those of the
 /// whole window).
 #[derive(Debug, Clone, Serialize, Deserialize)]

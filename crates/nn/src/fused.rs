@@ -585,10 +585,7 @@ impl WorkerScratch {
         for &i in index {
             self.ext.push(check_row(i, rows(i as usize), od).len());
         }
-        self.order.clear();
-        self.order.extend(0..n as u32);
-        let ext = &self.ext;
-        self.order.sort_unstable_by_key(|&t| ext[t as usize]);
+        simd::ragged_order(&self.ext, &mut self.order);
         if self.obs.len() < n * od {
             self.obs.resize(n * od, 0.0);
         }

@@ -142,9 +142,7 @@ pub fn window_mlp_forward(
         x.chunks_exact(in_dim)
             .map(|w| live_job_rows(w, features) * features),
     );
-    order.clear();
-    order.extend(0..rows as u32);
-    order.sort_unstable_by_key(|&r| ext[r as usize]);
+    simd::ragged_order(ext, order);
     chain_forward(mlp, x, rows, Some((ext, order)), a, b, out);
 }
 

@@ -16,11 +16,11 @@
 //!   it set so the scalar arm stays green.
 //! * Each `gemm*` entry point returns `false` (having written nothing)
 //!   when it does not dispatch; the caller then runs the matching
-//!   `*_scalar` reference kernel. [`gemm`] and [`gemm_tn`] need at least
-//!   8 output columns to fill a vector lane, except that
-//!   [`gemm_tn_blocks`] also takes exactly one (a scalar head's `dW`,
-//!   whose `m` outputs fill the lanes instead). Ragged shapes are handled
-//!   with scalar column/row tails inside the SIMD kernels.
+//!   `*_scalar` reference kernel. [`gemm`] needs at least 8 output
+//!   columns to fill a vector lane; the TN kernels ([`gemm_tn`],
+//!   [`gemm_tn_blocks`]) take at least 8 or exactly one (a scalar head's
+//!   `dW`, whose `m` outputs fill the lanes instead). Ragged shapes are
+//!   handled with scalar column/row tails inside the SIMD kernels.
 //! * [`dense_ragged`] and [`gemm_tn_ragged`] pick their arm themselves:
 //!   they read each row only up to its extent, with the bits
 //!   [`dense_any`] and [`gemm_tn_blocks`] (or the scalar kernel it falls
@@ -858,6 +858,15 @@ pub const RAGGED_BLOCK: usize = 4;
 fn ragged_reach(rows: &[u32], ext: &[usize], k: usize) -> usize {
     let widest = rows.iter().map(|&r| ext[r as usize]).max().unwrap_or(0);
     widest.next_multiple_of(RAGGED_BLOCK).min(k)
+}
+
+/// Fill `order` with the rows `0..ext.len()` sorted by extent: the block
+/// order under which [`dense_ragged`] runs the fewest padding terms.
+/// Sorting in place allocates nothing once `order` has the room.
+pub fn ragged_order(ext: &[usize], order: &mut Vec<u32>) {
+    order.clear();
+    order.extend(0..ext.len() as u32);
+    order.sort_unstable_by_key(|&r| ext[r as usize]);
 }
 
 /// Every row of a [`dense_ragged`] call with its reach, as `(row,
