@@ -554,6 +554,54 @@ fn fast_paths_do_not_regress_allocations() {
          ({tick_allocs} allocations over {ticks} ticks of 8 envs)"
     );
 
+    // ---- kernel@128 `as_policy` decisions whose live job count moves
+    // 16 → 128 → 16 → 97: every dense layer resizes its output to the
+    // rows it scores without clearing it, and the buffers are sized for
+    // the whole window, so once a first decision has run none of them
+    // grows — not at the full window, nor when the count falls and
+    // rises again. ----
+    {
+        let jobs: Vec<rlsched_swf::Job> = (0..140)
+            .map(|i| rlsched_swf::Job::new(i + 1, i as f64, 60.0 + i as f64, 1 + (i % 3), 600.0))
+            .collect();
+        let view = |n: usize| QueueView {
+            time: 200.0,
+            free_procs: 2,
+            total_procs: 8,
+            waiting: jobs[..n]
+                .iter()
+                .enumerate()
+                .map(|(i, job)| WaitingJob {
+                    job,
+                    job_index: i,
+                    wait: 200.0 - job.submit_time,
+                    can_run_now: job.procs() <= 2,
+                })
+                .collect(),
+        };
+        let views = [16, 128, 16, 97].map(view);
+        let mut head = wide.as_policy();
+        let mut decide = |v: &QueueView<'_>| {
+            std::hint::black_box(head.decide(
+                v.free_procs,
+                v.total_procs,
+                v.waiting.len(),
+                v.waiting.iter().copied(),
+            ));
+        };
+        decide(&views[0]);
+        let allocs: Vec<u64> = views[1..]
+            .iter()
+            .map(|v| count_allocs(|| decide(v)))
+            .collect();
+        assert_eq!(
+            allocs,
+            [0, 0, 0],
+            "kernel@128 as_policy decisions at 128, 16 and 97 live jobs after a \
+             16-job one"
+        );
+    }
+
     // ---- serving: a ShardEngine push_snapshot+flush cycle (encode
     // into the stack, one batched forward, clamp) is allocation-free at
     // steady state — the same discipline as the infer/fused fast paths,

@@ -129,13 +129,24 @@ impl Graph {
     }
 
     /// Dense layer `act(x @ w + b)` (`x` `[m, k]`, `w` `[k, n]`, `b`
-    /// `[n]`) on the dense kernel dispatch every forward runs.
+    /// `[n]`) on the dense kernel dispatch every forward runs. The
+    /// activation is a pass of its own over the kernel's output, so the
+    /// tape also checks the kernels' activation at the store.
     pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Act) -> Var {
         let (xv, wv, bv) = (self.value(x), self.value(w), self.value(b));
         let (m, k, n) = (xv.rows(), wv.rows(), wv.cols());
         assert_eq!(xv.cols(), k, "linear inner dimensions");
         let mut out = vec![0.0; m * n];
-        simd::dense_any(xv.data(), m, wv.data(), bv.data(), k, n, &mut out);
+        simd::dense_any(
+            xv.data(),
+            m,
+            wv.data(),
+            bv.data(),
+            k,
+            n,
+            Act::Identity,
+            &mut out,
+        );
         act.apply_slice(&mut out);
         self.push(
             Tensor::from_vec(out, &[m, n]),

@@ -980,6 +980,12 @@ fn forward_stack(p: &FusedPolicy<'_>, w: &mut WorkerScratch, n: usize) -> usize 
 /// layer's post-activation output in `acts`; with `ragged` (each row's
 /// extent and the rows' block order) the first layer reads each row only
 /// up to its extent ([`infer::dense_forward_ragged`]).
+///
+/// The dense layers apply ReLU in the kernel's registers before the store
+/// ([`simd::dense_any`]). The ragged first layer keeps a separate
+/// activation pass: an output that ends −0 under a −0 bias replays its
+/// skipped padding terms, and that test reads the sign before any
+/// activation (a fused `max` would already have made it +0).
 fn forward_layers(
     mlp: &Mlp,
     x0: &[f32],
@@ -1107,12 +1113,12 @@ fn backward_layers(
         // the scalar arm runs the NT dot loop.
         let dx_needed = l > 0 || dx0;
         if dx_needed {
+            // Both kernels write every element: resize zero-fills only
+            // growth.
             let dx = &mut g.dy2;
-            dx.clear();
             dx.resize(rows * din, 0.0);
             let mut dispatched = false;
             if simd::simd_enabled() && din >= 8 {
-                g.wt.clear();
                 g.wt.resize(din * dout, 0.0);
                 simd::transpose(layer.w.data(), din, dout, &mut g.wt);
                 dispatched = simd::gemm(&g.dpre, rows, dout, &g.wt, din, None, dx);

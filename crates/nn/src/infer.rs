@@ -13,10 +13,11 @@
 //! [`crate::simd`] — the *same* kernels the fused training pass uses — so
 //! a decision and a training forward compute bit-identical values on
 //! whichever dispatch arm (AVX2/FMA or scalar) is active. Dispatch is per
-//! shape: ≥8 output columns vectorize on the broadcast kernel,
-//! `out_dim == 1` heads take a scalar-dot specialization, and everything
-//! else falls back to the portable loop. Setting `RLSCHED_FORCE_SCALAR`
-//! pins every caller to the scalar arm.
+//! shape: ≥8 output columns vectorize on the broadcast kernel (ReLU and
+//! Identity applied in the register before the store), `out_dim == 1`
+//! heads run the portable chain eight rows at a time, one row per vector
+//! lane, and everything else falls back to the portable loop. Setting
+//! `RLSCHED_FORCE_SCALAR` pins every caller to the scalar arm.
 //!
 //! Weight layout is `[in, out]` row-major everywhere, for one decision
 //! and for a stacked batch alike, and the kernels are row-count
@@ -32,7 +33,7 @@
 //! architecture — see `rlscheduler`'s five `PolicyKind`s, which all score
 //! a 128-job window through these in one batched pass.
 
-use crate::layers::{Activation, Dense, Mlp};
+use crate::layers::{Act, Activation, Dense, Mlp};
 use crate::simd;
 
 /// Reusable scratch buffers for inference. One per worker/thread; cheap
@@ -68,7 +69,9 @@ impl Scratch {
 ///
 /// Runs [`crate::simd::dense_any`], so every caller — decisions, the fused
 /// training pass, the reference tape — agrees bit-for-bit on either
-/// dispatch arm.
+/// dispatch arm. ReLU and Identity are applied in the kernel's registers
+/// on the SIMD arm. `out` is resized, not cleared: the part it keeps is
+/// overwritten, so only growth zero-fills.
 #[allow(clippy::too_many_arguments)] // mirrors the raw (x, w, b, dims) BLAS-style signature
 pub fn dense_forward(
     x: &[f32],
@@ -81,16 +84,16 @@ pub fn dense_forward(
     out: &mut Vec<f32>,
 ) {
     debug_assert_eq!(x.len(), rows * in_dim, "input volume");
-    out.clear();
     out.resize(rows * out_dim, 0.0);
-    simd::dense_any(x, rows, w, b, in_dim, out_dim, out);
-    act.to_act().apply_slice(out);
+    simd::dense_any(x, rows, w, b, in_dim, out_dim, act.to_act(), out);
 }
 
 /// [`dense_forward`] over rows whose inputs are zero past `ext[row]`
 /// ([`simd::dense_ragged`], which gives the same bits without the
 /// padding's arithmetic): `ext.len()` rows, computed in blocks of
-/// `order`.
+/// `order`. The activation is a pass of its own after the kernel:
+/// `dense_ragged` restores a −0 output's sign by testing it before any
+/// activation, so it cannot apply one at the store.
 #[allow(clippy::too_many_arguments)] // dense_forward's operands + extents and order
 pub fn dense_forward_ragged(
     x: &[f32],
@@ -103,7 +106,6 @@ pub fn dense_forward_ragged(
     act: Activation,
     out: &mut Vec<f32>,
 ) {
-    out.clear();
     out.resize(ext.len() * out_dim, 0.0);
     simd::dense_ragged(x, ext, order, w, b, in_dim, out_dim, out);
     act.to_act().apply_slice(out);
@@ -329,11 +331,9 @@ pub fn max_pool2d_forward(
     (oh, ow)
 }
 
-/// ReLU in place (for conv stacks composed manually).
+/// ReLU in place (for conv stacks composed manually): [`Act::Relu`].
 pub fn relu_inplace(xs: &mut [f32]) {
-    for x in xs {
-        *x = x.max(0.0);
-    }
+    Act::Relu.apply_slice(xs);
 }
 
 /// `exp(x)` underflows to exactly `0.0f32` below this, so skipping the
@@ -385,14 +385,23 @@ pub fn scratch_jobs(scratch: &mut Scratch) -> &mut Vec<f32> {
 /// How many of a window's `features`-wide job rows hold a job: the rows
 /// up to the last one with a nonzero bit. The rows after it are the
 /// window's zero padding, and a shared-weight kernel gives each of them
-/// the score of one all-zero row.
+/// the score of one all-zero row. A trailing part shorter than a row is
+/// not a row.
+///
+/// The scan drops all-zero chunks of eight values from the end (an OR of
+/// their bits), then finds the last nonzero value in what is left: the
+/// count is that value's row plus one.
 pub fn live_job_rows(window: &[f32], features: usize) -> usize {
-    let rows = window.chunks_exact(features);
-    let padding = rows
-        .rev()
-        .take_while(|row| row.iter().all(|v| v.to_bits() == 0))
-        .count();
-    window.len() / features - padding
+    let values = &window[..window.len() - window.len() % features];
+    let all_zero = |chunk: &[f32]| chunk.iter().fold(0, |any, v| any | v.to_bits()) == 0;
+    let mut end = values.len();
+    while end >= 8 && all_zero(&values[end - 8..end]) {
+        end -= 8;
+    }
+    values[..end]
+        .iter()
+        .rposition(|v| v.to_bits() != 0)
+        .map_or(0, |last| last / features + 1)
 }
 
 /// Spread a kernel pass's scores back over whole windows of `window`

@@ -56,8 +56,7 @@ impl Act {
             Act::Identity => {}
             Act::Relu => {
                 for x in xs {
-                    // Branchless (maxss) so the loop vectorizes.
-                    *x = x.max(0.0);
+                    *x = relu(*x);
                 }
             }
             Act::Tanh => {
@@ -71,6 +70,20 @@ impl Act {
                 }
             }
         }
+    }
+}
+
+/// ReLU of one value: `x` where `x > 0`, else +0 — so −0 and NaN give
+/// +0 in every build. `f32::max(x, 0.0)` leaves the sign of a zero
+/// result unspecified (an unoptimized build returns −0 for −0). The
+/// select is what `maxps(x, 0)` computes, so a loop of it vectorizes and
+/// it is the SIMD kernels' ReLU at the store, bit for bit.
+#[inline]
+pub fn relu(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
     }
 }
 

@@ -21,6 +21,18 @@
 //!   [`gemm_tn_blocks`]) take at least 8 or exactly one (a scalar head's
 //!   `dW`, whose `m` outputs fill the lanes instead). Ragged shapes are
 //!   handled with scalar column/row tails inside the SIMD kernels.
+//! * Every tile keeps eight FMA chains in flight where the shape has
+//!   them. [`gemm`] runs 4-row × 16-column blocks, and an output of 8–15
+//!   columns (one 8-wide tile) runs 8-row blocks first; the TN kernel
+//!   sums eight `A` columns per group under 16 columns (four at 16 or
+//!   more, where a group has two 8-wide tiles). The ragged kernels keep
+//!   their [`RAGGED_BLOCK`]-row (and -input) blocks: a row holds zeros
+//!   only up to its block's reach.
+//! * [`dense_any`] computes `act(x @ w + b)`. With SIMD on, ReLU and
+//!   Identity are applied in the register before each store; Tanh and
+//!   Sigmoid, and every activation on the scalar arm, are a pass over the
+//!   output afterwards ([`Act::apply_slice`]). Its one-column head runs
+//!   eight rows per vector, each lane the scalar chain.
 //! * [`dense_ragged`] and [`gemm_tn_ragged`] pick their arm themselves:
 //!   they read each row only up to its extent, with the bits
 //!   [`dense_any`] and [`gemm_tn_blocks`] (or the scalar kernel it falls
@@ -53,12 +65,23 @@
 //! would multiply no longer reaches an output on either arm
 //! (`tests/exact_kernels_prop.rs` holds these kernels to `==`).
 //!
+//! Two SIMD paths keep the scalar arm's bits exactly. [`dense_any`]'s
+//! one-column head multiplies, then adds, in every lane — never an FMA —
+//! so it is [`dense_portable`]'s chain on both arms. ReLU at the store is
+//! `_mm256_max_ps(acc, 0)` with the accumulator first: `maxps` returns
+//! its second operand when either is NaN or both are zero, so a NaN or
+//! −0 accumulator stores +0, which is what [`relu`] (the select
+//! [`Act::apply_slice`] runs) gives them; every other value is
+//! unchanged. The fused store therefore has the bits of the plain kernel
+//! followed by the separate pass, on every input and in every build.
+//!
 //! # Row-count invariance
 //!
 //! The *forward* kernels ([`gemm`], [`dense_any`]) guarantee
 //! a stronger property on both arms: each output **row** is computed with
 //! an accumulation order that does not depend on how many rows are in the
-//! batch. Row `i` of an `m`-row product is bit-identical to the single
+//! batch (an 8-row block, a 4-row block and a one-row tile run the same
+//! per-lane chain). Row `i` of an `m`-row product is bit-identical to the single
 //! row of the `m == 1` product over the same inputs. This is what lets
 //! the vectorized rollout path (`rlsched-rl`'s `VecEnv`) score every live
 //! environment through one stacked matmul and still produce trajectories
@@ -66,6 +89,8 @@
 //! parity tests lean on it, so treat it as part of the kernel contract.
 
 use std::sync::OnceLock;
+
+use crate::layers::{relu, Act};
 
 /// True when the AVX2+FMA kernels may run: detected at runtime once and
 /// cached, and forced off by setting `RLSCHED_FORCE_SCALAR` (to anything
@@ -102,17 +127,42 @@ pub fn gemm(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) -> bool {
+    gemm_act(a, m, k, b, n, bias, false, out)
+}
+
+/// [`gemm`], with ReLU applied to each output in the register before
+/// its store when `relu` is set ([`gemm_avx2`]).
+#[allow(clippy::too_many_arguments)] // gemm's operands + the store's activation
+fn gemm_act(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    relu: bool,
+    out: &mut [f32],
+) -> bool {
     debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
     if n < 8 || !simd_enabled() {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        unsafe { gemm_avx2(a, k, b, n, bias, out, AllRows(m)) };
+        // SAFETY: `simd_enabled` verified AVX2+FMA; `gemm_avx2` checks the
+        // slice lengths against the dims.
+        unsafe {
+            if relu {
+                gemm_avx2::<true, _>(a, k, b, n, bias, out, AllRows(m))
+            } else {
+                gemm_avx2::<false, _>(a, k, b, n, bias, out, AllRows(m))
+            }
+        };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
+        let _ = relu;
         false
     }
 }
@@ -140,6 +190,12 @@ pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 /// The rows a [`gemm_avx2`] call computes, and how far each one's chain
 /// runs. A type per plan, so the dense kernel compiles to its own loop.
 trait RowPlan: Copy {
+    /// Whether outputs narrower than 16 columns run in blocks of eight
+    /// rows (eight FMA chains on their one 8-wide tile) ahead of the
+    /// four-row blocks. Only [`AllRows`]: a [`RaggedRows`] block reaches
+    /// as far as its widest row, and its rows hold zeros only up to the
+    /// reach of their [`RAGGED_BLOCK`]-row block.
+    const EIGHT_ROW_BLOCKS: bool;
     /// How many rows are computed.
     fn len(self) -> usize;
     /// How many rows `a` and `out` hold.
@@ -154,6 +210,7 @@ trait RowPlan: Copy {
 struct AllRows(usize);
 
 impl RowPlan for AllRows {
+    const EIGHT_ROW_BLOCKS: bool = true;
     #[inline(always)]
     fn len(self) -> usize {
         self.0
@@ -177,6 +234,7 @@ struct RaggedRows<'a> {
 }
 
 impl RowPlan for RaggedRows<'_> {
+    const EIGHT_ROW_BLOCKS: bool = false;
     #[inline(always)]
     fn len(self) -> usize {
         self.order.len()
@@ -197,7 +255,9 @@ impl RowPlan for RaggedRows<'_> {
 /// independent FMA chains — enough to cover FMA latency at two issues per
 /// cycle), stepping down to 4×8, then a 1-row remainder (64-, 32-, 16-
 /// and 8-wide tiles: one input row keeps eight chains busy only across
-/// 64 columns), then a scalar column tail.
+/// 64 columns), then a scalar column tail. An output narrower than 16
+/// columns has one 8-wide tile, so [`AllRows`] runs it in 8-row blocks
+/// first (eight chains, where a 4-row block has four).
 ///
 /// Every output element is accumulated by its own k-ascending FMA chain
 /// in its own vector lane, so the tile geometry never changes a value:
@@ -206,6 +266,9 @@ impl RowPlan for RaggedRows<'_> {
 /// widening the tiles is invisible to every parity test. A chain stops
 /// where `rows` says its inputs end ([`dense_ragged`]).
 ///
+/// With `RELU` every tile stores `max(acc, 0)` ([`activate`]); the scalar
+/// column tail runs [`relu`], the same select.
+///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available and slice lengths cover the
 /// dims (`a ≥ rows*k`, `b ≥ k*n`, `out ≥ rows*n`, `bias ≥ n` when given),
@@ -213,14 +276,14 @@ impl RowPlan for RaggedRows<'_> {
 /// `ext.len()` and no extent is above `k`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_avx2(
+unsafe fn gemm_avx2<const RELU: bool, P: RowPlan>(
     a: &[f32],
     k: usize,
     b: &[f32],
     n: usize,
     bias: Option<&[f32]>,
     out: &mut [f32],
-    rows: impl RowPlan,
+    rows: P,
 ) {
     use std::arch::x86_64::*;
     let (m, stored) = (rows.len(), rows.stored());
@@ -241,7 +304,25 @@ unsafe fn gemm_avx2(
                 None => _mm256_setzero_ps(),
             }
         };
+        let store = |o: *mut f32, acc: __m256| _mm256_storeu_ps(o, activate::<RELU>(acc));
         let mut p = 0;
+        if P::EIGHT_ROW_BLOCKS && n16 == 0 && n8 == 8 {
+            while p + 8 <= m {
+                let (r, reach) = rows.block::<8>(p, k);
+                let x = r.map(|r| a.as_ptr().add(r * k));
+                let mut acc = [seed(0); 8];
+                for kk in 0..reach {
+                    let w = _mm256_loadu_ps(b.as_ptr().add(kk * n));
+                    for (acc, x) in acc.iter_mut().zip(x) {
+                        *acc = _mm256_fmadd_ps(_mm256_set1_ps(*x.add(kk)), w, *acc);
+                    }
+                }
+                for (acc, r) in acc.into_iter().zip(r) {
+                    store(out.as_mut_ptr().add(r * n), acc);
+                }
+                p += 8;
+            }
+        }
         while p + 4 <= m {
             let (r, reach) = rows.block::<4>(p, k);
             let [x0p, x1p, x2p, x3p] = r.map(|r| a.as_ptr().add(r * k));
@@ -270,14 +351,14 @@ unsafe fn gemm_avx2(
                     a30 = _mm256_fmadd_ps(x3, w0, a30);
                     a31 = _mm256_fmadd_ps(x3, w1, a31);
                 }
-                _mm256_storeu_ps(o0p.add(j), a00);
-                _mm256_storeu_ps(o0p.add(j + 8), a01);
-                _mm256_storeu_ps(o1p.add(j), a10);
-                _mm256_storeu_ps(o1p.add(j + 8), a11);
-                _mm256_storeu_ps(o2p.add(j), a20);
-                _mm256_storeu_ps(o2p.add(j + 8), a21);
-                _mm256_storeu_ps(o3p.add(j), a30);
-                _mm256_storeu_ps(o3p.add(j + 8), a31);
+                store(o0p.add(j), a00);
+                store(o0p.add(j + 8), a01);
+                store(o1p.add(j), a10);
+                store(o1p.add(j + 8), a11);
+                store(o2p.add(j), a20);
+                store(o2p.add(j + 8), a21);
+                store(o3p.add(j), a30);
+                store(o3p.add(j + 8), a31);
                 j += 16;
             }
             while j < n8 {
@@ -290,35 +371,35 @@ unsafe fn gemm_avx2(
                     a2 = _mm256_fmadd_ps(_mm256_set1_ps(*x2p.add(kk)), wr, a2);
                     a3 = _mm256_fmadd_ps(_mm256_set1_ps(*x3p.add(kk)), wr, a3);
                 }
-                _mm256_storeu_ps(o0p.add(j), a0);
-                _mm256_storeu_ps(o1p.add(j), a1);
-                _mm256_storeu_ps(o2p.add(j), a2);
-                _mm256_storeu_ps(o3p.add(j), a3);
+                store(o0p.add(j), a0);
+                store(o1p.add(j), a1);
+                store(o2p.add(j), a2);
+                store(o3p.add(j), a3);
                 j += 8;
             }
             p += 4;
         }
         // Row remainder: 64-, 32-, 16- then 8-wide tiles with the same
-        // per-lane k-ascending FMA chain as the 4-row blocks above
-        // (row-count invariance).
+        // per-lane k-ascending FMA chain as the blocks above (row-count
+        // invariance).
         while p < m {
             let ([r], reach) = rows.block::<1>(p, k);
             let (a_row, o_row) = (a.as_ptr().add(r * k), out.as_mut_ptr().add(r * n));
             let mut j = 0;
             while j + 64 <= n {
-                row_tile::<8>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<8, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 64;
             }
             while j + 32 <= n {
-                row_tile::<4>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<4, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 32;
             }
             while j + 16 <= n {
-                row_tile::<2>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<2, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 16;
             }
             while j + 8 <= n {
-                row_tile::<1>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                row_tile::<1, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
                 j += 8;
             }
             p += 1;
@@ -332,10 +413,26 @@ unsafe fn gemm_avx2(
                     for kk in 0..reach {
                         acc += a[r * k + kk] * b[kk * n + j];
                     }
-                    out[r * n + j] = acc;
+                    out[r * n + j] = if RELU { relu(acc) } else { acc };
                 }
             }
         }
+    }
+}
+
+/// The value a tile stores for `acc`: `max(acc, 0)` with `RELU`, with the
+/// accumulator as the first operand, so a NaN or −0 accumulator stores
+/// +0 (`maxps` returns its second operand then), as [`relu`] does; `acc`
+/// itself otherwise.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn activate<const RELU: bool>(acc: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    if RELU {
+        _mm256_max_ps(acc, _mm256_setzero_ps())
+    } else {
+        acc
     }
 }
 
@@ -353,13 +450,15 @@ const ROW_TILE_PREFETCH_ROWS: usize = 8;
 /// FMA chain — the same chain every lane of a 4-row block runs, so a
 /// row's bits do not depend on which tile computed it.
 ///
+/// With `RELU` each accumulator stores `max(acc, 0)` ([`activate`]).
+///
 /// # Safety
 /// AVX2+FMA must be available; `a_row` must hold `k` values, `b` `k * n`,
 /// `o_row` `n`, `bias` (when given) `n`, and `j + 8 * V <= n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-unsafe fn row_tile<const V: usize>(
+unsafe fn row_tile<const V: usize, const RELU: bool>(
     a_row: *const f32,
     k: usize,
     b: *const f32,
@@ -389,8 +488,8 @@ unsafe fn row_tile<const V: usize>(
                 *acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(w.add(8 * v)), *acc);
             }
         }
-        for (v, acc) in acc.iter().enumerate() {
-            _mm256_storeu_ps(o_row.add(j + 8 * v), *acc);
+        for (v, acc) in acc.into_iter().enumerate() {
+            _mm256_storeu_ps(o_row.add(j + 8 * v), activate::<RELU>(acc));
         }
     }
 }
@@ -419,8 +518,8 @@ pub fn gemm_nt_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
 pub const TN_BLOCK_ROWS: usize = 512;
 
 /// SIMD `C[m,n] = A[r,m]ᵀ @ B[r,n]` without materializing the transpose
-/// (the `dW = Xᵀ·dY` backward kernel): rank-1 updates blocked 4 deep over
-/// `r` so each read-modify-write of an output row absorbs four FMAs.
+/// (the `dW = Xᵀ·dY` backward kernel): each output tile accumulates in
+/// registers over a whole row block, then is added into `C` once.
 /// Returns `false` (nothing written) when SIMD is unavailable or
 /// `1 < n < 8`.
 ///
@@ -610,13 +709,15 @@ unsafe fn gemm_tn_col_avx2(a: &[f32], r: usize, m: usize, b: &[f32], out: &mut [
 /// block's rows — a 4-row × 16-column output tile is eight independent
 /// FMA chains that accumulate across the whole row block before a single
 /// read-modify-write of `out`, so B's column slice streams from cache and
-/// A contributes four broadcasts per r. The blocks (`ends`, every
-/// [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the streamed slice
-/// L1/L2-resident. With `ragged` (extents and an active-row scratch,
+/// A contributes four broadcasts per r. Under 16 columns the one 8-wide
+/// tile would hold only four chains, so without `ragged` the groups are
+/// eight `A` columns wide there (8 × 8: eight chains). The blocks
+/// (`ends`, every [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the
+/// streamed slice L1/L2-resident. With `ragged` (extents and an active-row scratch,
 /// [`gemm_tn_ragged`]) each group sums only the rows that reach it.
 ///
 /// Each output element accumulates in its own lane, r ascending within
-/// every block — so the tile geometry (4 vs 2 vs 1 rows per tile) never
+/// every block — so the tile geometry (8, 4, 2 or 1 rows per tile) never
 /// changes a value.
 ///
 /// # Safety
@@ -637,6 +738,9 @@ unsafe fn gemm_tn_avx2(
 ) {
     assert!(out.len() >= m * n);
     out[..m * n].fill(0.0);
+    // One 8-wide column tile: eight `A` columns give it eight chains.
+    // Ragged groups keep their RAGGED_BLOCK inputs (`gemm_tn_ragged`).
+    let eight = ragged.is_none() && n < 16;
     let mut r0 = 0;
     for r1 in ends {
         assert!(
@@ -650,7 +754,9 @@ unsafe fn gemm_tn_avx2(
         }
         let mut i = 0;
         while i < m && r0 < r1 {
-            let step = if i + 4 <= m {
+            let step = if eight && i + 8 <= m {
+                8
+            } else if i + 4 <= m {
                 4
             } else {
                 1 + usize::from(i + 2 <= m)
@@ -676,7 +782,7 @@ unsafe fn gemm_tn_avx2(
     }
 }
 
-/// [`tn_rows`] for a group of `step` (4, 2 or 1) `A` columns.
+/// [`tn_rows`] for a group of `step` (8, 4, 2 or 1) `A` columns.
 ///
 /// # Safety
 /// As [`tn_rows`].
@@ -696,6 +802,7 @@ unsafe fn tn_group(
     // SAFETY: forwarded from the caller.
     unsafe {
         match step {
+            8 => tn_rows::<8>(a, m, b, n, i, rows, out),
             4 => tn_rows::<4>(a, m, b, n, i, rows, out),
             2 => tn_rows::<2>(a, m, b, n, i, rows, out),
             _ => tn_rows::<1>(a, m, b, n, i, rows, out),
@@ -817,11 +924,19 @@ pub fn dense_portable(
 /// `infer::dense_forward`: the fast path, the fused training pass and the
 /// reference tape alike), so they compute bit-identical values on
 /// whichever dispatch arm is active:
-/// `out = x @ w + b` (no activation), `x` `[rows, in]`, `w` `[in, out]`.
+/// `out = act(x @ w + b)`, `x` `[rows, in]`, `w` `[in, out]`.
 ///
-/// `out_dim == 1` heads take a scalar-dot specialization (same
-/// accumulation order as [`dense_portable`], vectorizable over k without
-/// strided weight access).
+/// With SIMD on, [`Act::Relu`] and [`Act::Identity`] are applied in the
+/// register before each store (the bits of [`Act::apply_slice`] after
+/// the plain kernel: `max` maps −0 and NaN to +0 either way); Tanh and
+/// Sigmoid, and every activation on the scalar arm, run
+/// [`Act::apply_slice`] over the output afterwards.
+///
+/// `out_dim == 1` heads (the kernel network's 8→1 and every critic's)
+/// run [`dense_portable`]'s chain — start at the bias, multiply, then
+/// add, `k` ascending — on both arms; with SIMD on, eight rows run it at
+/// once, one per vector lane.
+#[allow(clippy::too_many_arguments)] // dense_portable's operands + the activation
 pub fn dense_any(
     x: &[f32],
     rows: usize,
@@ -829,24 +944,167 @@ pub fn dense_any(
     b: &[f32],
     in_dim: usize,
     out_dim: usize,
+    act: Act,
     out: &mut [f32],
 ) {
     debug_assert!(x.len() >= rows * in_dim, "input volume");
     debug_assert_eq!(w.len(), in_dim * out_dim, "weight volume");
     debug_assert_eq!(b.len(), out_dim, "bias length");
     debug_assert!(out.len() >= rows * out_dim, "output volume");
-    if out_dim == 1 {
-        for i in 0..rows {
-            let x_row = &x[i * in_dim..(i + 1) * in_dim];
-            let mut acc = b[0];
-            for (&xa, &wv) in x_row.iter().zip(w) {
-                acc += xa * wv;
-            }
-            out[i] = acc;
-        }
-    } else if !gemm(x, rows, in_dim, w, out_dim, Some(b), out) {
+    let relu = act == Act::Relu;
+    let fused = if out_dim == 1 {
+        head_lanes(x, rows, w, b[0], in_dim, relu, out)
+    } else {
+        gemm_act(x, rows, in_dim, w, out_dim, Some(b), relu, out)
+    };
+    if !fused {
         dense_portable(x, rows, w, b, in_dim, out_dim, out);
     }
+    if !(fused && relu) {
+        act.apply_slice(&mut out[..rows * out_dim]);
+    }
+}
+
+/// The SIMD arm of [`dense_any`]'s one-column head: `out[i] = b +
+/// Σ_k x[i, k] · w[k]` as [`dense_portable`]'s chain (multiply, then add;
+/// never an FMA), eight rows per vector and the row remainder in scalar.
+/// Returns `false` (nothing written) when SIMD is unavailable.
+fn head_lanes(
+    x: &[f32],
+    rows: usize,
+    w: &[f32],
+    b: f32,
+    in_dim: usize,
+    relu: bool,
+    out: &mut [f32],
+) -> bool {
+    if !simd_enabled() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: `simd_enabled` verified AVX2; the kernel checks the
+        // slice lengths against the dims.
+        unsafe {
+            if relu {
+                head_lanes_avx2::<true>(x, rows, w, b, in_dim, out)
+            } else {
+                head_lanes_avx2::<false>(x, rows, w, b, in_dim, out)
+            }
+        };
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (x, rows, w, b, in_dim, relu, out);
+        false
+    }
+}
+
+/// [`head_lanes`]' kernel. Each block of eight rows loads its inputs
+/// eight columns at a time (the last group masked, so nothing past
+/// `in_dim` is read), transposes the 8×8 tile so that lane `d` holds row
+/// `d`, and runs the chain in every lane at once. Each lane's bits are
+/// the scalar chain's, so a row's value does not depend on whether a
+/// block or the scalar remainder computed it. With `RELU` every output
+/// stores `max(acc, 0)` ([`activate`]). FMA is not enabled here: the
+/// chain rounds its product before the add.
+///
+/// # Safety
+/// AVX2 must be available. Slice lengths are checked: `x ≥ rows*in_dim`,
+/// `w ≥ in_dim`, `out ≥ rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn head_lanes_avx2<const RELU: bool>(
+    x: &[f32],
+    rows: usize,
+    w: &[f32],
+    b: f32,
+    in_dim: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    assert!(x.len() >= rows * in_dim && w.len() >= in_dim && out.len() >= rows);
+    let rows8 = rows - rows % 8;
+    // SAFETY: a block's rows are below `rows8 ≤ rows`, and a group loads
+    // only its columns below `in_dim` (the mask leaves the others
+    // unread), so every read is inside `x`; the outputs are below `rows`.
+    unsafe {
+        let chain = |acc: __m256, col: __m256, w: *const f32| {
+            _mm256_add_ps(acc, _mm256_mul_ps(col, _mm256_set1_ps(*w)))
+        };
+        let (full, cols) = (in_dim - in_dim % 8, in_dim % 8);
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(cols as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut i = 0;
+        while i < rows8 {
+            let xp = x.as_ptr().add(i * in_dim);
+            let mut acc = _mm256_set1_ps(b);
+            let mut kk = 0;
+            while kk < full {
+                let col = transpose8(std::array::from_fn(|d| {
+                    _mm256_loadu_ps(xp.add(d * in_dim + kk))
+                }));
+                for (c, col) in col.into_iter().enumerate() {
+                    acc = chain(acc, col, w.as_ptr().add(kk + c));
+                }
+                kk += 8;
+            }
+            if cols > 0 {
+                let col = transpose8(std::array::from_fn(|d| {
+                    _mm256_maskload_ps(xp.add(d * in_dim + kk), mask)
+                }));
+                for (c, col) in col.into_iter().enumerate().take(cols) {
+                    acc = chain(acc, col, w.as_ptr().add(kk + c));
+                }
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), activate::<RELU>(acc));
+            i += 8;
+        }
+    }
+    for (i, o) in out.iter_mut().enumerate().take(rows).skip(rows8) {
+        let mut acc = b;
+        for (&xa, &wv) in x[i * in_dim..(i + 1) * in_dim].iter().zip(w) {
+            acc += xa * wv;
+        }
+        *o = if RELU { relu(acc) } else { acc };
+    }
+}
+
+/// Transpose an 8×8 tile held as eight row vectors: lane `d` of output
+/// `c` is lane `c` of input `d`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let t: [__m256; 8] = std::array::from_fn(|p| {
+        let (lo, hi) = (r[p / 2 * 2], r[p / 2 * 2 + 1]);
+        if p % 2 == 0 {
+            _mm256_unpacklo_ps(lo, hi)
+        } else {
+            _mm256_unpackhi_ps(lo, hi)
+        }
+    });
+    // u[4h + q]: lanes of column q (and q + 4) from rows 4h..4h + 4.
+    let u: [__m256; 8] = std::array::from_fn(|p| {
+        let (h, q) = (p / 4, p % 4);
+        let (lo, hi) = (t[4 * h + q / 2], t[4 * h + q / 2 + 2]);
+        if q % 2 == 0 {
+            _mm256_shuffle_ps::<0x44>(lo, hi)
+        } else {
+            _mm256_shuffle_ps::<0xEE>(lo, hi)
+        }
+    });
+    std::array::from_fn(|c| {
+        if c < 4 {
+            _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c])
+        } else {
+            _mm256_permute2f128_ps::<0x31>(u[c - 4], u[c])
+        }
+    })
 }
 
 /// Rows per block of [`dense_ragged`]'s SIMD arm, and the multiple its
@@ -935,7 +1193,7 @@ pub fn dense_ragged(
             // SAFETY: AVX2+FMA detected; lengths, order entries and
             // extents are checked above.
             unsafe {
-                gemm_avx2(
+                gemm_avx2::<false, _>(
                     x,
                     in_dim,
                     w,
@@ -1052,25 +1310,34 @@ mod tests {
         // one-row remainder's 64- and 32-column tiles (a one-row product
         // runs only those tiles; rows of a 4-row block run the 16/8-wide
         // block tiles), over inner dimensions up to a flat MLP's 896.
+        // The kernel network's widths (1, 8, 16, 32) run every row count
+        // up to 17: the one-column lanes head's 8-row blocks and scalar
+        // remainder, and the 8-column outputs' 8-row blocks beside their
+        // 4-row blocks and one-row tiles — with and without ReLU at the
+        // store.
         let narrow = [(4, 6, 8), (5, 7, 11), (9, 16, 24), (3, 32, 9), (6, 5, 16)];
         let wide = [32, 40, 64, 72, 100, 128, 136]
             .into_iter()
             .flat_map(|n| (1..=7).flat_map(move |m| [1, 9, 131, 900].map(|k| (m, k, n))));
-        for (m, k, n) in narrow.into_iter().chain(wide) {
+        let kernel = [1, 8, 16, 32]
+            .into_iter()
+            .flat_map(|n| (1..=17).flat_map(move |m| [1, 7, 8, 16, 33].map(|k| (m, k, n))));
+        for (m, k, n) in narrow.into_iter().chain(wide).chain(kernel) {
             let a = filled(m * k, |i| (i as f32 * 0.29).sin());
             let w = filled(k * n, |i| (i as f32 * 0.17).cos());
             let b = filled(n, |i| i as f32 * 0.03 - 0.1);
-
-            let mut batched = vec![f32::NAN; m * n];
-            dense_any(&a, m, &w, &b, k, n, &mut batched);
-            let mut single = vec![f32::NAN; n];
-            for i in 0..m {
-                dense_any(&a[i * k..(i + 1) * k], 1, &w, &b, k, n, &mut single);
-                assert_eq!(
-                    &batched[i * n..(i + 1) * n],
-                    single.as_slice(),
-                    "dense_any row {i} of ({m},{k},{n}) depends on batch size"
-                );
+            for act in [Act::Identity, Act::Relu] {
+                let mut batched = vec![f32::NAN; m * n];
+                dense_any(&a, m, &w, &b, k, n, act, &mut batched);
+                let mut single = vec![f32::NAN; n];
+                for i in 0..m {
+                    dense_any(&a[i * k..(i + 1) * k], 1, &w, &b, k, n, act, &mut single);
+                    assert_eq!(
+                        &batched[i * n..(i + 1) * n],
+                        single.as_slice(),
+                        "dense_any ({act:?}) row {i} of ({m},{k},{n}) depends on batch size"
+                    );
+                }
             }
         }
     }
