@@ -14,7 +14,7 @@ use rlsched_serve::{ScorerSlot, ShardEngine};
 use rlsched_sim::{MetricKind, QueueView, SimConfig, WaitingJob};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{
-    Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, SchedulingEnv, SnapshotJob,
+    Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, RlPolicy, SchedulingEnv, SnapshotJob,
 };
 
 const SEQ_LEN: usize = 48;
@@ -53,6 +53,43 @@ fn window_snapshot(window: usize) -> QueueSnapshot {
             })
             .collect(),
     }
+}
+
+/// 140 jobs of one to three processors, submitted a second apart.
+fn submitted_jobs() -> Vec<rlsched_swf::Job> {
+    (0..140)
+        .map(|i| rlsched_swf::Job::new(i + 1, i as f64, 60.0 + i as f64, 1 + (i % 3), 600.0))
+        .collect()
+}
+
+/// A decision point at `time` where the first `n` of `jobs` wait and two
+/// of eight processors are free.
+fn waiting_view(jobs: &[rlsched_swf::Job], n: usize, time: f64) -> QueueView<'_> {
+    QueueView {
+        time,
+        free_procs: 2,
+        total_procs: 8,
+        waiting: jobs[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, job)| WaitingJob {
+                job,
+                job_index: i,
+                wait: time - job.submit_time,
+                can_run_now: job.procs() <= 2,
+            })
+            .collect(),
+    }
+}
+
+/// One `as_policy` decision over `v`.
+fn decide(head: &mut RlPolicy<'_>, v: &QueueView<'_>) -> usize {
+    std::hint::black_box(head.decide(
+        v.free_procs,
+        v.total_procs,
+        v.waiting.len(),
+        v.waiting.iter().copied(),
+    ))
 }
 
 fn env_for(agent: &Agent, sim: SimConfig) -> SchedulingEnv {
@@ -402,39 +439,19 @@ fn fast_paths_do_not_regress_allocations() {
     // one-job decision, neither another one nor a full window
     // allocates. ----
     {
-        let jobs: Vec<rlsched_swf::Job> = (0..20)
-            .map(|i| rlsched_swf::Job::new(i + 1, i as f64, 60.0 + i as f64, 1 + (i % 3), 600.0))
-            .collect();
-        let view = |n: usize| QueueView {
-            time: 100.0,
-            free_procs: 2,
-            total_procs: 8,
-            waiting: jobs[..n]
-                .iter()
-                .enumerate()
-                .map(|(i, job)| WaitingJob {
-                    job,
-                    job_index: i,
-                    wait: 100.0 - job.submit_time,
-                    can_run_now: job.procs() <= 2,
-                })
-                .collect(),
-        };
-        let (one, full) = (view(1), view(20));
+        let jobs = submitted_jobs();
+        let (one, full) = (
+            waiting_view(&jobs, 1, 100.0),
+            waiting_view(&jobs, 20, 100.0),
+        );
         let mut head = agent.as_policy();
-        let mut decide = |v: &QueueView<'_>| {
-            head.decide(
-                v.free_procs,
-                v.total_procs,
-                v.waiting.len(),
-                v.waiting.iter().copied(),
-            )
-        };
-        assert_eq!(decide(&one), 0, "a one-job window has one choice");
-        let one_allocs = count_allocs(|| assert_eq!(decide(&one), 0));
-        let full_allocs = count_allocs(|| {
-            std::hint::black_box(decide(&full));
-        });
+        assert_eq!(
+            decide(&mut head, &one),
+            0,
+            "a one-job window has one choice"
+        );
+        let one_allocs = count_allocs(|| assert_eq!(decide(&mut head, &one), 0));
+        let full_allocs = count_allocs(|| decide(&mut head, &full));
         assert_eq!(
             (one_allocs, full_allocs),
             (0, 0),
@@ -561,38 +578,13 @@ fn fast_paths_do_not_regress_allocations() {
     // grows — not at the full window, nor when the count falls and
     // rises again. ----
     {
-        let jobs: Vec<rlsched_swf::Job> = (0..140)
-            .map(|i| rlsched_swf::Job::new(i + 1, i as f64, 60.0 + i as f64, 1 + (i % 3), 600.0))
-            .collect();
-        let view = |n: usize| QueueView {
-            time: 200.0,
-            free_procs: 2,
-            total_procs: 8,
-            waiting: jobs[..n]
-                .iter()
-                .enumerate()
-                .map(|(i, job)| WaitingJob {
-                    job,
-                    job_index: i,
-                    wait: 200.0 - job.submit_time,
-                    can_run_now: job.procs() <= 2,
-                })
-                .collect(),
-        };
-        let views = [16, 128, 16, 97].map(view);
+        let jobs = submitted_jobs();
+        let views = [16, 128, 16, 97].map(|n| waiting_view(&jobs, n, 200.0));
         let mut head = wide.as_policy();
-        let mut decide = |v: &QueueView<'_>| {
-            std::hint::black_box(head.decide(
-                v.free_procs,
-                v.total_procs,
-                v.waiting.len(),
-                v.waiting.iter().copied(),
-            ));
-        };
-        decide(&views[0]);
+        decide(&mut head, &views[0]);
         let allocs: Vec<u64> = views[1..]
             .iter()
-            .map(|v| count_allocs(|| decide(v)))
+            .map(|v| count_allocs(|| decide(&mut head, v)))
             .collect();
         assert_eq!(
             allocs,
@@ -600,6 +592,49 @@ fn fast_paths_do_not_regress_allocations() {
             "kernel@128 as_policy decisions at 128, 16 and 97 live jobs after a \
              16-job one"
         );
+    }
+
+    // ---- the flat and conv arms of the one decision forward
+    // (`rlsched_nn::infer::log_probs`): an MLP v1 and a LeNet `as_policy`
+    // decision, and a 4-view `log_probs_fast_batch`, allocate nothing once
+    // one of each has run. ----
+    {
+        let jobs = submitted_jobs();
+        let views = [16, 64, 5].map(|n| waiting_view(&jobs, n, 200.0));
+        for kind in [PolicyKind::MlpV1, PolicyKind::LeNet] {
+            let agent = agent_of(kind, 64, 1, None);
+            let mut head = agent.as_policy();
+            decide(&mut head, &views[0]);
+            let decisions: Vec<u64> = views
+                .iter()
+                .map(|v| count_allocs(|| decide(&mut head, v)))
+                .collect();
+
+            let mut env = env_for(&agent, SimConfig::default());
+            obs.clear();
+            mask.clear();
+            env.reset(6, &mut obs, &mut mask);
+            let (vobs, vmasks) = (obs.repeat(4), mask.repeat(4));
+            let (mut scratch, mut logps) = (rlsched_nn::Scratch::new(), Vec::new());
+            let mut batch = || {
+                agent.ppo().policy.log_probs_fast_batch(
+                    &vobs,
+                    &vmasks,
+                    4,
+                    &mut scratch,
+                    &mut logps,
+                );
+            };
+            batch();
+            let batch_allocs = count_allocs(batch);
+            assert_eq!(
+                (decisions, batch_allocs),
+                (vec![0, 0, 0], 0),
+                "{}: as_policy decisions at 16, 64 and 5 jobs after a 16-job one, \
+                 then a 4-view batch after a first",
+                kind.name()
+            );
+        }
     }
 
     // ---- serving: a ShardEngine push_snapshot+flush cycle (encode
@@ -629,9 +664,8 @@ fn fast_paths_do_not_regress_allocations() {
          ({engine_allocs} allocations for an 8-row batch)"
     );
 
-    // The CNN has no stacked forward: a LeNet shard scores its batch one
-    // image at a time through the shard's scratch, and allocates nothing
-    // either.
+    // A LeNet shard runs each conv stage over its whole batch, through
+    // the shard's scratch, and allocates nothing either.
     let mut lenet_engine = ShardEngine::new(ScorerSlot::new(lenet.scorer_snapshot()), 8);
     let lenet_encoder = *lenet.encoder();
     let lenet_snapshot = window_snapshot(lenet_encoder.n_actions());

@@ -13,6 +13,12 @@
 //!   positions, which is exactly why the paper finds it converges worse.
 //! * [`ValueNet`] — the critic (Fig 6): an MLP over the flattened
 //!   observation.
+//!
+//! Each policy is its [`FusedPolicy`] description: the dense chain plus a
+//! `Kernel`, `Flat` or `Conv` head. Training runs it through
+//! `rlsched_nn::fused` and every decision through
+//! [`rlsched_nn::infer::log_probs`], so no architecture's forward is
+//! written here.
 
 use std::sync::Arc;
 
@@ -26,29 +32,6 @@ use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp, Scratch};
 use rlsched_rl::{PolicyModel, ValueModel};
 
 use crate::obs::JOB_FEATURES;
-
-/// Shared tail of every policy's fast path: add the additive mask onto
-/// the logits and log-softmax in place (the fused training pass's
-/// arithmetic).
-pub(crate) fn mask_and_log_softmax(out: &mut [f32], mask: &[f32]) {
-    // Hard assert: a short mask must never silently leave padding logits
-    // unmasked.
-    assert_eq!(out.len(), mask.len(), "mask length must equal logit width");
-    for (o, &m) in out.iter_mut().zip(mask) {
-        *o += m;
-    }
-    infer::log_softmax_inplace(out);
-}
-
-/// Row-wise [`mask_and_log_softmax`] over a `[rows, n]` logit matrix and
-/// its stacked masks — the batched-scoring tail.
-fn mask_and_log_softmax_rows(out: &mut [f32], masks: &[f32], rows: usize, n: usize) {
-    assert_eq!(out.len(), rows * n, "logit matrix volume");
-    assert_eq!(masks.len(), rows * n, "mask matrix volume");
-    for (o_row, m_row) in out.chunks_mut(n).zip(masks.chunks(n)) {
-        mask_and_log_softmax(o_row, m_row);
-    }
-}
 
 /// The policy-network architectures of Table IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -89,13 +72,6 @@ impl PolicyKind {
     }
 }
 
-/// Batched kernel scoring processes this many views per dispatch (each
-/// view contributes its live job rows — at most `max_obsv`, so a block is
-/// at most ~a thousand rows at the paper's K = 128 — plus the dispatch's
-/// one zero row); see `KernelPolicy::log_probs_fast_batch` for why
-/// blocks beat one monolithic stack.
-const KERNEL_VIEW_BLOCK: usize = 8;
-
 /// The kernel-based policy network (Fig 5).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelPolicy {
@@ -120,81 +96,13 @@ impl KernelPolicy {
     pub fn max_obsv(&self) -> usize {
         self.max_obsv
     }
-
-    /// Raw scores of `views` stacked windows, `[views, K]` into `out`.
-    ///
-    /// Only the job rows run through the kernel: per view the rows up to
-    /// its last job ([`infer::live_job_rows`]), then one all-zero row per
-    /// dispatch, whose score fills every padding slot. The same weights
-    /// score every row and the dense kernels are row-count invariant, so
-    /// each slot gets exactly the bits a forward of the whole window
-    /// would give it. The rows are copied into the scratch first.
-    fn window_scores(&self, obs: &[f32], views: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
-        let (k, f) = (self.max_obsv, self.kernel.in_dim());
-        assert_eq!(obs.len(), views * k * f, "{views} windows of {k} x {f}");
-        let mut jobs = std::mem::take(infer::scratch_jobs(scratch));
-        let mut scores = std::mem::take(infer::scratch_extra(scratch));
-        out.clear();
-        for block in obs.chunks(KERNEL_VIEW_BLOCK * k * f) {
-            // Room for every row of every window, so the buffers' size
-            // depends on the view count alone, never on how full the
-            // windows are: a decision or rollout tick allocates nothing
-            // once one with as many views has run.
-            let most = block.len() / f + 1;
-            jobs.clear();
-            jobs.reserve(most * f);
-            infer::reserve_rows(&self.kernel, most, scratch, &mut scores);
-            let mut live = [0; KERNEL_VIEW_BLOCK];
-            let windows = block.chunks(k * f);
-            let live = &mut live[..windows.len()];
-            for (window, live) in windows.zip(&mut *live) {
-                *live = infer::live_job_rows(window, f);
-                jobs.extend_from_slice(&window[..*live * f]);
-            }
-            jobs.resize(jobs.len() + f, 0.0);
-            infer::mlp_forward(&self.kernel, &jobs, jobs.len() / f, scratch, &mut scores);
-            infer::spread_window_scores(&scores, live, k, out);
-        }
-        *infer::scratch_jobs(scratch) = jobs;
-        *infer::scratch_extra(scratch) = scores;
-    }
 }
 
 impl PolicyModel for KernelPolicy {
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        // The window's job rows are one batched matmul: the [live, F] job
-        // matrix flows through the shared kernel in a single pass, so one
-        // decision costs one MLP forward — not MAX_OBSV separate ones.
-        self.window_scores(obs, 1, scratch, out);
-        mask_and_log_softmax(out, mask);
-    }
-
-    fn log_probs_fast_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        // All views' job rows stack into one matrix and flow through the
-        // shared kernel batched — in blocks of KERNEL_VIEW_BLOCK views.
-        // The kernel net's weights are L1-resident (batching buys
-        // dispatch amortization, not weight traffic), so what limits
-        // large stacks is the *intermediate activation* working set (up
-        // to `rows * K` rows through every hidden width); blocking keeps
-        // it cache-resident while still scoring up to ~a thousand job
-        // rows per dispatch. Row-count invariance of the dense kernels
-        // makes the blocking invisible: every row computes the same bits
-        // at any block size.
-        self.window_scores(obs, rows, scratch, out);
-        mask_and_log_softmax_rows(out, masks, rows, self.max_obsv);
-    }
-
     // Slide the kernel over the job axis: `[n, K·F]` observations score
     // as job rows through the shared MLP, read back as `[n, K]` logits.
-    // Training, too, scores only each window's job rows plus one zero row
-    // for the padding (`rlsched_nn::fused`'s module docs).
+    // Decisions and training both score only each window's job rows plus
+    // one zero row for the padding (`rlsched_nn::fused`'s module docs).
     fn fused(&self) -> FusedPolicy<'_> {
         FusedPolicy {
             mlp: &self.kernel,
@@ -232,26 +140,6 @@ impl FlatMlpPolicy {
 }
 
 impl PolicyModel for FlatMlpPolicy {
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        infer::mlp_forward(&self.net, obs, 1, scratch, out);
-        mask_and_log_softmax(out, mask);
-    }
-
-    fn log_probs_fast_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        // One forward over [rows, obs_dim]: the weight matrices stream
-        // once for the whole batch instead of once per request.
-        let n = self.net.out_dim();
-        infer::mlp_forward(&self.net, obs, rows, scratch, out);
-        mask_and_log_softmax_rows(out, masks, rows, n);
-    }
-
     fn fused(&self) -> FusedPolicy<'_> {
         FusedPolicy {
             mlp: &self.net,
@@ -361,86 +249,9 @@ impl LeNetPolicy {
             w,
         }
     }
-
-    /// One image through both conv/pool stages and the dense layers,
-    /// rotating through the scratch's three buffers: the logits land in
-    /// the third.
-    fn logits<'s>(&self, obs: &[f32], scratch: &'s mut Scratch) -> &'s [f32] {
-        let (buf_a, buf_b, buf_c) = infer::scratch_triple(scratch);
-        // conv1 + relu + pool
-        let c1 = &self.convs[0];
-        let (o1, kh1, kw1) = (c1.w.shape()[0], c1.w.shape()[2], c1.w.shape()[3]);
-        let (h1c, w1c) = infer::conv2d_forward(
-            obs,
-            c1.w.data(),
-            c1.b.data(),
-            1,
-            1,
-            self.h,
-            self.w,
-            o1,
-            kh1,
-            kw1,
-            c1.stride,
-            buf_a,
-        );
-        infer::relu_inplace(buf_a);
-        let (h1, w1) = infer::max_pool2d_forward(buf_a, 1, o1, h1c, w1c, 2, buf_b);
-        // conv2 + relu + pool
-        let c2 = &self.convs[1];
-        let (o2, kh2, kw2) = (c2.w.shape()[0], c2.w.shape()[2], c2.w.shape()[3]);
-        let (h2c, w2c) = infer::conv2d_forward(
-            buf_b,
-            c2.w.data(),
-            c2.b.data(),
-            1,
-            o1,
-            h1,
-            w1,
-            o2,
-            kh2,
-            kw2,
-            c2.stride,
-            buf_c,
-        );
-        infer::relu_inplace(buf_c);
-        infer::max_pool2d_forward(buf_c, 1, o2, h2c, w2c, 2, buf_a);
-        // dense head
-        let [fc1, fc2] = &self.fc.layers[..] else {
-            unreachable!("LeNet has two dense layers")
-        };
-        infer::dense_layer_forward(fc1, buf_a, 1, Activation::Relu, buf_b);
-        infer::dense_layer_forward(fc2, buf_b, 1, Activation::Identity, buf_c);
-        buf_c
-    }
 }
 
 impl PolicyModel for LeNetPolicy {
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(self.logits(obs, scratch));
-        mask_and_log_softmax(out, mask);
-    }
-
-    fn log_probs_fast_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        // The CNN forward is per image: each row runs the single-image
-        // path through the scratch and appends its masked log-probs.
-        let (obs_dim, n) = (obs.len() / rows, masks.len() / rows);
-        out.clear();
-        for (x, mask) in obs.chunks(obs_dim).zip(masks.chunks(n)) {
-            out.extend_from_slice(self.logits(x, scratch));
-            let row = out.len() - n;
-            mask_and_log_softmax(&mut out[row..], mask);
-        }
-    }
-
     fn fused(&self) -> FusedPolicy<'_> {
         FusedPolicy {
             mlp: &self.fc,
@@ -491,29 +302,6 @@ impl PolicyNet {
 }
 
 impl PolicyModel for PolicyNet {
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        match self {
-            PolicyNet::Kernel(p) => p.log_probs_fast(obs, mask, scratch, out),
-            PolicyNet::Mlp(p) => p.log_probs_fast(obs, mask, scratch, out),
-            PolicyNet::LeNet(p) => p.log_probs_fast(obs, mask, scratch, out),
-        }
-    }
-
-    fn log_probs_fast_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        match self {
-            PolicyNet::Kernel(p) => p.log_probs_fast_batch(obs, masks, rows, scratch, out),
-            PolicyNet::Mlp(p) => p.log_probs_fast_batch(obs, masks, rows, scratch, out),
-            PolicyNet::LeNet(p) => p.log_probs_fast_batch(obs, masks, rows, scratch, out),
-        }
-    }
-
     // Every architecture trains through the same fused update: the
     // kernel and flat-MLP nets as dense chains under their logits heads,
     // the CNN as its conv stages ahead of its dense layers.

@@ -5,7 +5,7 @@
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy, POOL};
 use rlsched_nn::infer::{self, exp_or_zero};
-use rlsched_nn::{simd, Act, Mlp, Tensor};
+use rlsched_nn::{simd, Activation, Mlp, Tensor};
 
 use crate::tensor::{matmul, matmul_nt, matmul_tn};
 
@@ -19,8 +19,8 @@ enum Op {
     Leaf,
     MatMul(usize, usize),
     /// `act(x @ w + b)`: x, w, b, act.
-    Linear(usize, usize, usize, Act),
-    Act(usize, Act),
+    Linear(usize, usize, usize, Activation),
+    Act(usize, Activation),
     /// x, w, b, stride.
     Conv2d(usize, usize, usize, usize),
     /// x, window.
@@ -132,7 +132,7 @@ impl Graph {
     /// `[n]`) on the dense kernel dispatch every forward runs. The
     /// activation is a pass of its own over the kernel's output, so the
     /// tape also checks the kernels' activation at the store.
-    pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Act) -> Var {
+    pub fn linear(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
         let (xv, wv, bv) = (self.value(x), self.value(w), self.value(b));
         let (m, k, n) = (xv.rows(), wv.rows(), wv.cols());
         assert_eq!(xv.cols(), k, "linear inner dimensions");
@@ -144,7 +144,7 @@ impl Graph {
             bv.data(),
             k,
             n,
-            Act::Identity,
+            Activation::Identity,
             &mut out,
         );
         act.apply_slice(&mut out);
@@ -155,7 +155,7 @@ impl Graph {
     }
 
     /// Elementwise activation.
-    pub fn act(&mut self, a: Var, act: Act) -> Var {
+    pub fn act(&mut self, a: Var, act: Activation) -> Var {
         let mut v = self.value(a).clone();
         act.apply_slice(v.data_mut());
         self.push(v, Op::Act(a.0, act))
@@ -419,12 +419,12 @@ impl Graph {
 }
 
 /// `dY ∘ act'(Y)` through the stored output `y`, one loop per activation.
-fn act_backward(act: Act, g: &[f32], y: &[f32]) -> Vec<f32> {
+fn act_backward(act: Activation, g: &[f32], y: &[f32]) -> Vec<f32> {
     match act {
-        Act::Identity => g.to_vec(),
-        Act::Relu => zip(g, y, |g, y| if y > 0.0 { g } else { 0.0 }),
-        Act::Tanh => zip(g, y, |g, y| g * (1.0 - y * y)),
-        Act::Sigmoid => zip(g, y, |g, y| g * y * (1.0 - y)),
+        Activation::Identity => g.to_vec(),
+        Activation::Relu => zip(g, y, |g, y| if y > 0.0 { g } else { 0.0 }),
+        Activation::Tanh => zip(g, y, |g, y| g * (1.0 - y * y)),
+        Activation::Sigmoid => zip(g, y, |g, y| g * y * (1.0 - y)),
     }
 }
 
@@ -496,7 +496,7 @@ pub fn forward(g: &mut Graph, p: &FusedPolicy<'_>, obs: Var, n: usize) -> (Var, 
             for conv in convs {
                 let (cw, cb) = (next(), next());
                 let c = g.conv2d(x, cw, cb, conv.stride);
-                let r = g.act(c, Act::Relu);
+                let r = g.act(c, Activation::Relu);
                 x = g.max_pool2d(r, POOL);
             }
             let flat = g.value(x).len() / n;
@@ -507,7 +507,7 @@ pub fn forward(g: &mut Graph, p: &FusedPolicy<'_>, obs: Var, n: usize) -> (Var, 
     for l in 0..=last {
         let act = if l == last { mlp.output } else { mlp.hidden };
         let (w, b) = (next(), next());
-        h = g.linear(h, w, b, act.to_act());
+        h = g.linear(h, w, b, act);
     }
     if let FusedHead::Kernel { window } = p.head {
         h = g.reshape(h, &[n, window]);
@@ -641,7 +641,7 @@ mod tests {
             move |g, x| {
                 let wv = g.input(demo_weight());
                 let bv = g.input(b.clone());
-                let h = g.linear(x, wv, bv, Act::Relu);
+                let h = g.linear(x, wv, bv, Activation::Relu);
                 g.mean(h)
             },
             2e-2,
@@ -655,7 +655,7 @@ mod tests {
             move |g, w| {
                 let xv = g.input(demo_input());
                 let h = g.matmul(xv, w);
-                let h = g.act(h, Act::Tanh);
+                let h = g.act(h, Activation::Tanh);
                 g.mean(h)
             },
             2e-2,
@@ -667,7 +667,12 @@ mod tests {
         // The dense node must agree with finite differences through every
         // activation, on both the input and the weight side.
         let b = Tensor::from_vec(vec![0.15, -0.4], &[2]);
-        for act in [Act::Identity, Act::Relu, Act::Tanh, Act::Sigmoid] {
+        for act in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+        ] {
             let b2 = b.clone();
             gradcheck(
                 demo_input(),
@@ -702,12 +707,12 @@ mod tests {
             g1.input(demo_weight()),
             g1.input(b.clone()),
         );
-        let fused = g1.linear(x, w, bv, Act::Tanh);
+        let fused = g1.linear(x, w, bv, Activation::Tanh);
 
         let mut g2 = Graph::new();
         let (x, w, bv) = (g2.input(demo_input()), g2.input(demo_weight()), g2.input(b));
-        let pre = g2.linear(x, w, bv, Act::Identity);
-        let t = g2.act(pre, Act::Tanh);
+        let pre = g2.linear(x, w, bv, Activation::Identity);
+        let t = g2.act(pre, Activation::Tanh);
 
         assert_eq!(g1.value(fused), g2.value(t));
         assert_eq!(g1.len(), 4, "fused pipeline: 3 leaves + 1 node");
@@ -719,8 +724,8 @@ mod tests {
         gradcheck(
             demo_input(),
             |g, x| {
-                let a = g.act(x, Act::Tanh);
-                let b = g.act(a, Act::Sigmoid);
+                let a = g.act(x, Activation::Tanh);
+                let b = g.act(a, Activation::Sigmoid);
                 let c = g.exp(b);
                 g.mean(c)
             },
@@ -794,7 +799,7 @@ mod tests {
             demo_input(),
             |g, x| {
                 let r = g.reshape(x, &[3, 2]);
-                let t = g.act(r, Act::Tanh);
+                let t = g.act(r, Activation::Tanh);
                 g.mean(t)
             },
             2e-2,
@@ -814,7 +819,7 @@ mod tests {
                 let w = g.param(Tensor::from_vec(vec![0.4, -0.2, 0.3, 0.1], &[1, 1, 2, 2]));
                 let b = g.param(Tensor::from_vec(vec![0.05], &[1]));
                 let c = g.conv2d(xin, w, b, 1); // [1,1,3,3]
-                let t = g.act(c, Act::Tanh);
+                let t = g.act(c, Activation::Tanh);
                 g.mean(t)
             },
             2e-2,
@@ -912,7 +917,7 @@ mod tests {
     fn backward_requires_scalar() {
         let mut g = Graph::new();
         let x = g.param(Tensor::zeros(&[2, 2]));
-        let y = g.act(x, Act::Relu);
+        let y = g.act(x, Activation::Relu);
         g.backward(y);
     }
 

@@ -3,9 +3,11 @@
 //! The PPO update differentiates the **same** pipeline thousands of times
 //! per epoch: a policy network, a masked log-softmax, a categorical
 //! gather, and the clipped-surrogate / entropy / value-loss scalar tail.
-//! This module hand-writes that forward+backward once — [`crate::infer`]
-//! does it for the forward-only scoring path; this is its training-side
-//! sibling, and the only gradient code the system runs.
+//! This module hand-writes that forward+backward once, and it is the only
+//! gradient code the system runs. A network is described once, as a
+//! [`FusedPolicy`]: this pass trains the description, and
+//! [`infer::log_probs`] runs it forward-only for every decision, on the
+//! same layer kernels.
 //!
 //! The forward runs the layer stack on the shared [`crate::simd`] kernels
 //! and `infer`'s conv/pool loops while stashing only the activations the
@@ -171,7 +173,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::infer::{self, idx4};
-use crate::layers::{Act, Conv2dLayer, Mlp};
+use crate::layers::{Activation, Conv2dLayer, Mlp};
 use crate::tensor::Tensor;
 use crate::{pool, simd, MASK_OFF};
 
@@ -242,19 +244,19 @@ impl<'a> FusedPolicyMut<'a> {
 
 /// The shapes of one conv → ReLU → max-pool stage, per observation.
 #[derive(Debug, Clone, Copy)]
-struct Stage<'a> {
-    conv: &'a Conv2dLayer,
+pub(crate) struct Stage<'a> {
+    pub(crate) conv: &'a Conv2dLayer,
     /// Input maps: channels, height, width.
-    c: usize,
-    h: usize,
-    w: usize,
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
     /// Output channels and kernel size.
-    o: usize,
-    kh: usize,
-    kw: usize,
+    pub(crate) o: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
     /// Convolution output height and width (before the pool).
-    ch: usize,
-    cw: usize,
+    pub(crate) ch: usize,
+    pub(crate) cw: usize,
 }
 
 impl Stage<'_> {
@@ -362,7 +364,7 @@ impl<'a> FusedPolicy<'a> {
         }
     }
 
-    fn convs(&self) -> &'a [Conv2dLayer] {
+    pub(crate) fn convs(&self) -> &'a [Conv2dLayer] {
         match self.head {
             FusedHead::Conv { convs, .. } => convs,
             _ => &[],
@@ -387,7 +389,7 @@ impl<'a> FusedPolicy<'a> {
     }
 
     /// The conv stages' shapes, first to last (none for the dense heads).
-    fn stages(&self) -> impl Iterator<Item = Stage<'a>> {
+    pub(crate) fn stages(&self) -> impl Iterator<Item = Stage<'a>> {
         let (h, w) = match self.head {
             FusedHead::Conv { h, w, .. } => (h, w),
             _ => (0, 0),
@@ -960,7 +962,7 @@ fn forward_stack(p: &FusedPolicy<'_>, w: &mut WorkerScratch, n: usize) -> usize 
             c.stride,
             conv,
         );
-        infer::relu_inplace(conv);
+        Activation::Relu.apply_slice(conv);
         infer::max_pool2d_forward(conv, n, o, st.ch, st.cw, POOL, &mut rest[0]);
     }
     let (convs, dense) = acts.split_at_mut(2 * p.convs().len());
@@ -1101,11 +1103,11 @@ fn backward_layers(
         // the stashed output, in place over dY (ReLU as a select, which
         // vectorizes), then swapped into `dpre`.
         let pairs = g.dy.iter_mut().zip(&acts[l]);
-        match act.to_act() {
-            Act::Identity => {}
-            Act::Relu => pairs.for_each(|(d, &yv)| *d = if yv > 0.0 { *d } else { 0.0 }),
-            Act::Tanh => pairs.for_each(|(d, &yv)| *d *= 1.0 - yv * yv),
-            Act::Sigmoid => pairs.for_each(|(d, &yv)| *d = *d * yv * (1.0 - yv)),
+        match act {
+            Activation::Identity => {}
+            Activation::Relu => pairs.for_each(|(d, &yv)| *d = if yv > 0.0 { *d } else { 0.0 }),
+            Activation::Tanh => pairs.for_each(|(d, &yv)| *d *= 1.0 - yv * yv),
+            Activation::Sigmoid => pairs.for_each(|(d, &yv)| *d = *d * yv * (1.0 - yv)),
         }
         std::mem::swap(&mut g.dy, &mut g.dpre);
 

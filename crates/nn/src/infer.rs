@@ -4,8 +4,11 @@
 //! Scheduling decisions (RLScheduler §IV-B1's test path, Table IX's
 //! latency comparison vs SJF) and rollout sampling only need output
 //! values, so this module touches no memory beyond a caller-owned
-//! [`Scratch`]. The training side, [`crate::fused`], runs these same
-//! layer forwards and keeps what its analytic backward needs.
+//! [`Scratch`]. Every policy decides through one forward, [`log_probs`],
+//! which reads the network off the [`FusedPolicy`] the training side,
+//! [`crate::fused`], trains: no architecture is defined twice. The fused
+//! pass runs these same layer forwards and keeps what its analytic
+//! backward needs.
 //!
 //! # Dispatch and layout rules
 //!
@@ -28,12 +31,15 @@
 //! accumulation, so outputs can differ from the scalar arm in the last
 //! few ulps. Within one arm every caller computes the same bits.
 //!
-//! The functions are free-standing and layer-shaped (dense / conv /
-//! pool / log-softmax) so downstream crates can compose them for any
-//! architecture — see `rlscheduler`'s five `PolicyKind`s, which all score
-//! a 128-job window through these in one batched pass.
+//! [`log_probs`] has one arm per [`FusedHead`], and each scores a whole
+//! batch of observations in one pass: the kernel head scores only the
+//! windows' job rows, in blocks of views; the flat head is one
+//! [`mlp_forward`] over the stacked rows; the conv head runs each conv
+//! stage over every image, then the dense chain over all of them. The
+//! critic's forward is [`window_mlp_forward`].
 
-use crate::layers::{Act, Activation, Dense, Mlp};
+use crate::fused::{FusedHead, FusedPolicy, POOL};
+use crate::layers::{Activation, Dense, Mlp};
 use crate::simd;
 
 /// Reusable scratch buffers for inference. One per worker/thread; cheap
@@ -45,12 +51,13 @@ pub struct Scratch {
     a: Vec<f32>,
     /// Pong buffer for layer outputs.
     b: Vec<f32>,
-    /// Extra buffer for architectures needing a third live tensor (conv
-    /// stacks).
+    /// A third live tensor: the kernel head's scores, a conv stage's
+    /// output, or the critic's values ([`scratch_extra`]).
     c: Vec<f32>,
-    /// The job rows a kernel-network pass scores, copied out of their
-    /// windows (see [`live_job_rows`]).
-    jobs: Vec<f32>,
+    /// The dense chain's input when it is not the observation: the job
+    /// rows a kernel pass copies out of their windows (see
+    /// [`live_job_rows`]), or a conv pass's pooled maps.
+    input: Vec<f32>,
     /// [`window_mlp_forward`]: each window's extent, and the windows in
     /// order of extent.
     ext: Vec<usize>,
@@ -85,7 +92,7 @@ pub fn dense_forward(
 ) {
     debug_assert_eq!(x.len(), rows * in_dim, "input volume");
     out.resize(rows * out_dim, 0.0);
-    simd::dense_any(x, rows, w, b, in_dim, out_dim, act.to_act(), out);
+    simd::dense_any(x, rows, w, b, in_dim, out_dim, act, out);
 }
 
 /// [`dense_forward`] over rows whose inputs are zero past `ext[row]`
@@ -108,7 +115,7 @@ pub fn dense_forward_ragged(
 ) {
     out.resize(ext.len() * out_dim, 0.0);
     simd::dense_ragged(x, ext, order, w, b, in_dim, out_dim, out);
-    act.to_act().apply_slice(out);
+    act.apply_slice(out);
 }
 
 /// Forward an [`Mlp`] over `rows` stacked input rows; the final layer's
@@ -186,33 +193,13 @@ fn chain_forward(
 /// that no forward of at most `rows` rows grows them: a caller whose row
 /// count varies call to call (the kernel network scores only the rows
 /// that hold jobs) stays allocation-free after its first call.
-pub fn reserve_rows(mlp: &Mlp, rows: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
+fn reserve_rows(mlp: &Mlp, rows: usize, scratch: &mut Scratch, out: &mut Vec<f32>) {
     let fit = |v: &mut Vec<f32>, len: usize| v.reserve(len.saturating_sub(v.len()));
     let (hidden, last) = mlp.layers.split_at(mlp.layers.len() - 1);
     let widest = hidden.iter().map(Dense::out_dim).max().unwrap_or(0);
     fit(&mut scratch.a, rows * widest);
     fit(&mut scratch.b, rows * widest);
     fit(out, rows * last[0].out_dim());
-}
-
-/// Single-dense-layer convenience over a [`Dense`].
-pub fn dense_layer_forward(
-    layer: &Dense,
-    x: &[f32],
-    rows: usize,
-    act: Activation,
-    out: &mut Vec<f32>,
-) {
-    dense_forward(
-        x,
-        rows,
-        layer.w.data(),
-        layer.b.data(),
-        layer.in_dim(),
-        layer.out_dim(),
-        act,
-        out,
-    );
 }
 
 /// Valid (unpadded) conv2d into a zero-filled output slice. Shared by the
@@ -331,11 +318,6 @@ pub fn max_pool2d_forward(
     (oh, ow)
 }
 
-/// ReLU in place (for conv stacks composed manually): [`Act::Relu`].
-pub fn relu_inplace(xs: &mut [f32]) {
-    Act::Relu.apply_slice(xs);
-}
-
 /// `exp(x)` underflows to exactly `0.0f32` below this, so skipping the
 /// libm call for such inputs is bit-exact — and masked action slots sit
 /// at ~-1e9, so a PPO batch is full of them.
@@ -363,23 +345,135 @@ pub fn log_softmax_inplace(row: &mut [f32]) {
     }
 }
 
-/// The third scratch buffer, for conv stacks that need one more live
-/// tensor than the ping/pong pair provides.
+/// The third scratch buffer, free while [`mlp_forward`] or
+/// [`window_mlp_forward`] runs (they use the ping/pong pair): a caller
+/// can borrow it as the forward's output row.
 pub fn scratch_extra(scratch: &mut Scratch) -> &mut Vec<f32> {
     &mut scratch.c
 }
 
-/// Borrow all three scratch buffers at once (conv pipelines rotate
-/// through them).
-pub fn scratch_triple(scratch: &mut Scratch) -> (&mut Vec<f32>, &mut Vec<f32>, &mut Vec<f32>) {
-    (&mut scratch.a, &mut scratch.b, &mut scratch.c)
+/// Batched kernel scoring processes this many views per dispatch: each
+/// view contributes its live job rows (at most its window, so a block is
+/// at most ~a thousand rows at the paper's K = 128), plus the dispatch's
+/// one zero row. The kernel net's weights are L1-resident (batching buys
+/// dispatch amortization, not weight traffic), so what limits large
+/// stacks is the *intermediate activation* working set (up to
+/// `views * K` rows through every hidden width); blocking keeps it
+/// cache-resident while still scoring up to ~a thousand job rows per
+/// dispatch. Row-count invariance of the dense kernels makes the
+/// blocking invisible: every row computes the same bits at any block
+/// size.
+const KERNEL_VIEW_BLOCK: usize = 8;
+
+/// The one decision forward of every policy: the masked log-probabilities
+/// of `rows` stacked observations under the network `p` describes, the
+/// network [`crate::fused::policy_pass`] trains. `obs` is `[rows,
+/// obs_dim]` and `masks` `[rows, n_actions]` (additive: 0 on a valid slot,
+/// [`crate::MASK_OFF`] on the rest), both row-major, with the widths of
+/// [`FusedPolicy::widths`]; `out` receives `[rows, n_actions]`. Nothing
+/// is allocated once a call with as many rows has run.
+///
+/// One arm per head writes the logits:
+///
+/// * [`FusedHead::Kernel`]: each window's job rows through the shared
+///   kernel, the padding slots filled with one zero row's score;
+/// * [`FusedHead::Flat`]: [`mlp_forward`] over the stacked rows;
+/// * [`FusedHead::Conv`]: each conv stage's conv → ReLU → max-pool over
+///   all `rows` images, then the dense chain.
+///
+/// Then every row gets its mask added and a [`log_softmax_inplace`], the
+/// fused pass's arithmetic. The dense kernels are row-count invariant, so
+/// row `i` is bit-identical to a call on row `i` alone.
+pub fn log_probs(
+    p: &FusedPolicy<'_>,
+    obs: &[f32],
+    masks: &[f32],
+    rows: usize,
+    scratch: &mut Scratch,
+    out: &mut Vec<f32>,
+) {
+    let (od, n) = p.widths();
+    // Hard asserts: a short mask must never silently leave padding
+    // logits unmasked.
+    assert_eq!(obs.len(), rows * od, "{rows} observations of {od} values");
+    assert_eq!(masks.len(), rows * n, "{rows} masks of {n} slots");
+    match p.head {
+        FusedHead::Kernel { window } => window_scores(p.mlp, window, obs, scratch, out),
+        FusedHead::Flat => mlp_forward(p.mlp, obs, rows, scratch, out),
+        FusedHead::Conv { .. } => conv_logits(p, obs, rows, scratch, out),
+    }
+    for (row, mask) in out.chunks_mut(n).zip(masks.chunks(n)) {
+        for (o, &m) in row.iter_mut().zip(mask) {
+            *o += m;
+        }
+        log_softmax_inplace(row);
+    }
 }
 
-/// The buffer a kernel-network pass gathers its job rows into before
-/// forwarding them (none of the other buffers is free while
-/// [`mlp_forward`] runs).
-pub fn scratch_jobs(scratch: &mut Scratch) -> &mut Vec<f32> {
-    &mut scratch.jobs
+/// Kernel head: the raw scores of stacked windows of `k` job rows,
+/// `[views, k]` into `out`.
+///
+/// Only the job rows run through the kernel: per view the rows up to its
+/// last job ([`live_job_rows`]), then one all-zero row per dispatch,
+/// whose score fills every padding slot. The same weights score every
+/// row and the dense kernels are row-count invariant, so each slot gets
+/// exactly the bits a forward of the whole window would give it. The rows
+/// are copied into the scratch first.
+fn window_scores(kernel: &Mlp, k: usize, obs: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
+    let f = kernel.in_dim();
+    let mut jobs = std::mem::take(&mut scratch.input);
+    let mut scores = std::mem::take(&mut scratch.c);
+    out.clear();
+    for block in obs.chunks(KERNEL_VIEW_BLOCK * k * f) {
+        // Room for every row of every window, so the buffers' size
+        // depends on the view count alone, never on how full the
+        // windows are: a decision or rollout tick allocates nothing
+        // once one with as many views has run.
+        let most = block.len() / f + 1;
+        jobs.clear();
+        jobs.reserve(most * f);
+        reserve_rows(kernel, most, scratch, &mut scores);
+        let mut live = [0; KERNEL_VIEW_BLOCK];
+        let windows = block.chunks(k * f);
+        let live = &mut live[..windows.len()];
+        for (window, live) in windows.zip(&mut *live) {
+            *live = live_job_rows(window, f);
+            jobs.extend_from_slice(&window[..*live * f]);
+        }
+        jobs.resize(jobs.len() + f, 0.0);
+        mlp_forward(kernel, &jobs, jobs.len() / f, scratch, &mut scores);
+        spread_window_scores(&scores, live, k, out);
+    }
+    scratch.input = jobs;
+    scratch.c = scores;
+}
+
+/// Conv head: each stage's conv → ReLU → max-pool over all `rows` images
+/// (the loops the fused forward runs), then the dense chain over the last
+/// stage's flattened maps.
+fn conv_logits(
+    p: &FusedPolicy<'_>,
+    obs: &[f32],
+    rows: usize,
+    scratch: &mut Scratch,
+    out: &mut Vec<f32>,
+) {
+    let Scratch { a, b, c, input, .. } = scratch;
+    for (i, st) in p.stages().enumerate() {
+        let x = if i == 0 { obs } else { &input[..] };
+        let conv = st.conv;
+        let (w, bias) = (conv.w.data(), conv.b.data());
+        let (ci, h, wd, o, kh, kw) = (st.c, st.h, st.w, st.o, st.kh, st.kw);
+        conv2d_forward(x, w, bias, rows, ci, h, wd, o, kh, kw, conv.stride, c);
+        Activation::Relu.apply_slice(c);
+        max_pool2d_forward(c, rows, o, st.ch, st.cw, POOL, input);
+    }
+    let x = if p.convs().is_empty() {
+        obs
+    } else {
+        &input[..]
+    };
+    chain_forward(p.mlp, x, rows, None, a, b, out);
 }
 
 /// How many of a window's `features`-wide job rows hold a job: the rows
@@ -408,7 +502,12 @@ pub fn live_job_rows(window: &[f32], features: usize) -> usize {
 /// slots, appending `[live.len(), window]` to `out`: `scores` holds, in
 /// order, the scores of each window's first `live[v]` job rows and, last,
 /// the score of an all-zero row, which fills every other slot.
-pub fn spread_window_scores(scores: &[f32], live: &[usize], window: usize, out: &mut Vec<f32>) {
+pub(crate) fn spread_window_scores(
+    scores: &[f32],
+    live: &[usize],
+    window: usize,
+    out: &mut Vec<f32>,
+) {
     let padding = *scores.last().expect("the zero row is scored last");
     let mut at = 0;
     for &live in live {

@@ -12,7 +12,7 @@ use crate::tensor::Tensor;
 /// Elementwise nonlinearity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Activation {
-    /// max(x, 0)
+    /// `x` where `x > 0`, else +0 ([`relu`])
     Relu,
     /// tanh(x)
     Tanh,
@@ -23,48 +23,22 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// The kernel-side activation code the [`crate::infer`] and
-    /// [`crate::fused`] loops dispatch on.
-    pub fn to_act(self) -> Act {
-        match self {
-            Activation::Relu => Act::Relu,
-            Activation::Tanh => Act::Tanh,
-            Activation::Sigmoid => Act::Sigmoid,
-            Activation::Identity => Act::Identity,
-        }
-    }
-}
-
-/// Activation code fused into a dense layer's forward and backward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Act {
-    /// y = x
-    Identity,
-    /// y = max(x, 0)
-    Relu,
-    /// y = tanh(x)
-    Tanh,
-    /// y = 1/(1+e^{-x})
-    Sigmoid,
-}
-
-impl Act {
     /// Apply in place.
     #[inline]
     pub fn apply_slice(self, xs: &mut [f32]) {
         match self {
-            Act::Identity => {}
-            Act::Relu => {
+            Activation::Identity => {}
+            Activation::Relu => {
                 for x in xs {
                     *x = relu(*x);
                 }
             }
-            Act::Tanh => {
+            Activation::Tanh => {
                 for x in xs {
                     *x = x.tanh();
                 }
             }
-            Act::Sigmoid => {
+            Activation::Sigmoid => {
                 for x in xs {
                     *x = 1.0 / (1.0 + (-*x).exp());
                 }
@@ -259,7 +233,8 @@ mod tests {
         assert_eq!(d.w.shape(), &[4, 3]);
         assert_eq!(d.b.shape(), &[3]);
         let mut out = Vec::new();
-        crate::infer::dense_layer_forward(&d, &[0.0; 8], 2, Activation::Identity, &mut out);
+        let (w, b) = (d.w.data(), d.b.data());
+        crate::infer::dense_forward(&[0.0; 8], 2, w, b, 4, 3, Activation::Identity, &mut out);
         assert_eq!(out.len(), 2 * 3);
         let m = Mlp {
             layers: vec![d],

@@ -10,7 +10,9 @@
 //!   unit of a checkpoint.
 //! * [`layers`] — `Dense`, `Mlp`, `Conv2dLayer` and their activations.
 //! * [`infer`] — allocation-free forwards over caller-owned scratch: what
-//!   every scheduling decision, rollout step and serving shard runs.
+//!   every scheduling decision, rollout step and serving shard runs. A
+//!   policy decides through one forward, [`infer::log_probs`], over the
+//!   [`fused::FusedPolicy`] that training updates.
 //! * [`fused`] — the PPO update's forward and analytic backward in one
 //!   chunked, allocation-free pass, for every Table IV policy (kernel,
 //!   flat MLPs, the LeNet CNN) and the critic: the only gradient code in
@@ -39,7 +41,7 @@ pub mod simd;
 pub mod tensor;
 
 pub use infer::Scratch;
-pub use layers::{Act, Activation, Conv2dLayer, Dense, Mlp, Network};
+pub use layers::{Activation, Conv2dLayer, Dense, Mlp, Network};
 pub use optim::{clip_global_norm, Adam};
 pub use tensor::Tensor;
 

@@ -31,7 +31,7 @@
 //! * [`dense_any`] computes `act(x @ w + b)`. With SIMD on, ReLU and
 //!   Identity are applied in the register before each store; Tanh and
 //!   Sigmoid, and every activation on the scalar arm, are a pass over the
-//!   output afterwards ([`Act::apply_slice`]). Its one-column head runs
+//!   output afterwards ([`Activation::apply_slice`]). Its one-column head runs
 //!   eight rows per vector, each lane the scalar chain.
 //! * [`dense_ragged`] and [`gemm_tn_ragged`] pick their arm themselves:
 //!   they read each row only up to its extent, with the bits
@@ -71,7 +71,7 @@
 //! `_mm256_max_ps(acc, 0)` with the accumulator first: `maxps` returns
 //! its second operand when either is NaN or both are zero, so a NaN or
 //! −0 accumulator stores +0, which is what [`relu`] (the select
-//! [`Act::apply_slice`] runs) gives them; every other value is
+//! [`Activation::apply_slice`] runs) gives them; every other value is
 //! unchanged. The fused store therefore has the bits of the plain kernel
 //! followed by the separate pass, on every input and in every build.
 //!
@@ -90,7 +90,7 @@
 
 use std::sync::OnceLock;
 
-use crate::layers::{relu, Act};
+use crate::layers::{relu, Activation};
 
 /// True when the AVX2+FMA kernels may run: detected at runtime once and
 /// cached, and forced off by setting `RLSCHED_FORCE_SCALAR` (to anything
@@ -926,11 +926,11 @@ pub fn dense_portable(
 /// whichever dispatch arm is active:
 /// `out = act(x @ w + b)`, `x` `[rows, in]`, `w` `[in, out]`.
 ///
-/// With SIMD on, [`Act::Relu`] and [`Act::Identity`] are applied in the
-/// register before each store (the bits of [`Act::apply_slice`] after
+/// With SIMD on, [`Activation::Relu`] and [`Activation::Identity`] are applied in the
+/// register before each store (the bits of [`Activation::apply_slice`] after
 /// the plain kernel: `max` maps −0 and NaN to +0 either way); Tanh and
 /// Sigmoid, and every activation on the scalar arm, run
-/// [`Act::apply_slice`] over the output afterwards.
+/// [`Activation::apply_slice`] over the output afterwards.
 ///
 /// `out_dim == 1` heads (the kernel network's 8→1 and every critic's)
 /// run [`dense_portable`]'s chain — start at the bias, multiply, then
@@ -944,14 +944,14 @@ pub fn dense_any(
     b: &[f32],
     in_dim: usize,
     out_dim: usize,
-    act: Act,
+    act: Activation,
     out: &mut [f32],
 ) {
     debug_assert!(x.len() >= rows * in_dim, "input volume");
     debug_assert_eq!(w.len(), in_dim * out_dim, "weight volume");
     debug_assert_eq!(b.len(), out_dim, "bias length");
     debug_assert!(out.len() >= rows * out_dim, "output volume");
-    let relu = act == Act::Relu;
+    let relu = act == Activation::Relu;
     let fused = if out_dim == 1 {
         head_lanes(x, rows, w, b[0], in_dim, relu, out)
     } else {
@@ -1326,7 +1326,7 @@ mod tests {
             let a = filled(m * k, |i| (i as f32 * 0.29).sin());
             let w = filled(k * n, |i| (i as f32 * 0.17).cos());
             let b = filled(n, |i| i as f32 * 0.03 - 0.1);
-            for act in [Act::Identity, Act::Relu] {
+            for act in [Activation::Identity, Activation::Relu] {
                 let mut batched = vec![f32::NAN; m * n];
                 dense_any(&a, m, &w, &b, k, n, act, &mut batched);
                 let mut single = vec![f32::NAN; n];

@@ -16,7 +16,7 @@
 //! * every row of an 8-column output is its k-ascending chain from the
 //!   bias (one FMA per input on the SIMD arm, `dense_portable`'s on the
 //!   scalar arm), whichever block computed it;
-//! * ReLU at the store is `Act::Relu.apply_slice` after the plain kernel,
+//! * ReLU at the store is `Activation::Relu.apply_slice` after the plain kernel,
 //!   for ±0, NaN, ±inf and subnormal accumulators in every tile;
 //! * a ragged block reads no input past its reach (8-column outputs
 //!   included, where whole rows run in blocks of eight);
@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rlsched_nn::infer::{self, Scratch};
-use rlsched_nn::layers::{Act, Activation, Mlp};
+use rlsched_nn::layers::{Activation, Mlp};
 use rlsched_nn::simd;
 
 /// The same value: equal bits, or both NaN (a NaN's payload depends on
@@ -216,7 +216,7 @@ proptest! {
         }
 
         let mut want = vec![f32::NAN; rows * out_dim];
-        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Identity, &mut want);
+        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Activation::Identity, &mut want);
         let mut got = vec![f32::NAN; rows * out_dim];
         simd::dense_ragged(&x, &ext, &order, &w, &b, in_dim, out_dim, &mut got);
         assert_same(&got, &want, "ragged forward")?;
@@ -309,7 +309,7 @@ fn ragged_kernels_hold_at_the_critics_width() {
     let mut order: Vec<u32> = (0..r as u32).collect();
     order.sort_by_key(|&t| ext[t as usize]);
     let mut want = vec![f32::NAN; r * n];
-    simd::dense_any(&a, r, &w, &bias, m, n, Act::Identity, &mut want);
+    simd::dense_any(&a, r, &w, &bias, m, n, Activation::Identity, &mut want);
     let mut got = vec![f32::NAN; r * n];
     simd::dense_ragged(&a, &ext, &order, &w, &bias, m, n, &mut got);
     assert!(
@@ -424,9 +424,27 @@ fn relu_at_the_store_maps_negative_zero_and_nan_to_positive_zero() {
             let w = vec![-0.75f32; in_dim * out_dim];
             let b = vec![-0.0f32; out_dim];
             let mut got = vec![f32::NAN; rows * out_dim];
-            simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Relu, &mut got);
+            simd::dense_any(
+                &x,
+                rows,
+                &w,
+                &b,
+                in_dim,
+                out_dim,
+                Activation::Relu,
+                &mut got,
+            );
             let mut plain = vec![f32::NAN; rows * out_dim];
-            simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Identity, &mut plain);
+            simd::dense_any(
+                &x,
+                rows,
+                &w,
+                &b,
+                in_dim,
+                out_dim,
+                Activation::Identity,
+                &mut plain,
+            );
             assert!(
                 plain
                     .chunks(out_dim)
@@ -435,7 +453,7 @@ fn relu_at_the_store_maps_negative_zero_and_nan_to_positive_zero() {
                     .all(|v| v.to_bits() == 0x8000_0000),
                 "the plain kernel ends even rows at -0 ({out_dim} columns)"
             );
-            Act::Relu.apply_slice(&mut plain);
+            Activation::Relu.apply_slice(&mut plain);
             assert!(
                 plain.iter().all(|v| v.to_bits() == 0),
                 "apply_slice gives +0"
@@ -500,7 +518,7 @@ proptest! {
         let x: Vec<f32> = (0..rows * in_dim).map(|_| any_value(&mut rng, 12)).collect();
         let w: Vec<f32> = (0..in_dim).map(|_| any_value(&mut rng, 16)).collect();
         let b = [any_value(&mut rng, 4)];
-        let act = if relu == 1 { Act::Relu } else { Act::Identity };
+        let act = if relu == 1 { Activation::Relu } else { Activation::Identity };
         let mut want = vec![f32::NAN; rows];
         simd::dense_portable(&x, rows, &w, &b, in_dim, 1, &mut want);
         act.apply_slice(&mut want);
@@ -525,11 +543,11 @@ proptest! {
         let b: Vec<f32> = (0..out_dim).map(|_| any_value(&mut rng, 8)).collect();
         let want = chain_model(&x, rows, &w, &b, in_dim, out_dim);
         let mut got = vec![f32::NAN; rows * out_dim];
-        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Identity, &mut got);
+        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Activation::Identity, &mut got);
         assert_same(&got, &want, "8-column forward")?;
     }
 
-    /// ReLU applied before the store is `Act::Relu.apply_slice` after
+    /// ReLU applied before the store is `Activation::Relu.apply_slice` after
     /// the plain kernel, in every tile (the one-column head, 8-row and
     /// 4-row blocks, the one-row 64/32/16/8 tiles, the column tail), with
     /// ±0, NaN, ±inf and subnormal inputs and a −0 bias entry.
@@ -548,10 +566,10 @@ proptest! {
             .map(|j| if j % 3 == 0 { -0.0 } else { any_value(&mut rng, 3) })
             .collect();
         let mut want = vec![f32::NAN; rows * out_dim];
-        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Identity, &mut want);
-        Act::Relu.apply_slice(&mut want);
+        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Activation::Identity, &mut want);
+        Activation::Relu.apply_slice(&mut want);
         let mut got = vec![f32::NAN; rows * out_dim];
-        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Relu, &mut got);
+        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Activation::Relu, &mut got);
         assert_same(&got, &want, "ReLU at the store")?;
     }
 
@@ -579,7 +597,7 @@ proptest! {
             fenced[row * in_dim + reach..(row + 1) * in_dim].fill(f32::NAN);
         }
         let mut want = vec![f32::NAN; rows * out_dim];
-        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Act::Identity, &mut want);
+        simd::dense_any(&x, rows, &w, &b, in_dim, out_dim, Activation::Identity, &mut want);
         let mut got = vec![f32::NAN; rows * out_dim];
         simd::dense_ragged(&fenced, &ext, &order, &w, &b, in_dim, out_dim, &mut got);
         assert_same(&got, &want, "ragged forward past the reach")?;

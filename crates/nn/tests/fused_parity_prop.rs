@@ -636,3 +636,53 @@ fn lenet_across_chunks_matches_tape_and_is_thread_count_invariant() {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every policy decides through `infer::log_probs` and trains through
+    /// `policy_pass`, so the two must agree: over the same windows,
+    /// stacked whole with their masks, the decision forward's
+    /// log-probabilities are the pass's `logp_all` with exact `==`, for
+    /// the kernel, flat and conv heads. The view counts cross the kernel
+    /// head's eight-view blocks and [`SHARD_ROWS`], and the windows cycle
+    /// through every fill from one slot to all of them.
+    #[test]
+    fn decision_forward_equals_the_training_forward(
+        hidden in prop_oneof![Just(8usize), Just(16), Just(32)],
+        net_seed in any::<u64>(),
+        data_seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(net_seed);
+        let (kernel, flat) = (
+            Mlp::new(&[5, hidden, 8, 1], Activation::Relu, Activation::Identity, &mut rng),
+            Mlp::new(&[9 * 5, hidden, 9], Activation::Relu, Activation::Identity, &mut rng),
+        );
+        let (convs, fc) = lenet(net_seed);
+        let conv = FusedHead::Conv { convs: &convs, h: 16, w: 28 };
+        let policies = [
+            ("kernel", FusedPolicy { mlp: &kernel, head: FusedHead::Kernel { window: 9 } }, 5, 9),
+            ("flat", FusedPolicy { mlp: &flat, head: FusedHead::Flat }, 5, 9),
+            ("conv", FusedPolicy { mlp: &fc, head: conv }, 7, 64),
+        ];
+        let mut s = data_seed | 1;
+        for (head, p, f, width) in &policies {
+            for n in [1usize, 9, 64, 65, 130] {
+                let first = (lcg(&mut s) + 0.5) * *width as f32;
+                let counts = (0..n).map(|t| 1 + (first as usize + t) % width).collect();
+                let w = Windows::new(counts, *f, *width, || lcg(&mut s) + 0.5);
+                let (obs, masks) = w.dense();
+                let mut decided = Vec::new();
+                let mut scratch = rlsched_nn::Scratch::new();
+                rlsched_nn::infer::log_probs(p, &obs, &masks, n, &mut scratch, &mut decided);
+
+                let actions = w.actions(|t| t);
+                let (adv, old) = (vec![1.0; n], vec![-1.0; n]);
+                let mut fs = FusedScratch::new();
+                windows_policy_pass(p, &w, &actions, &adv, &old, 0.2, 0.01, &mut fs);
+                let trained: Vec<f32> = fs.logp_all().flatten().copied().collect();
+                prop_assert_eq!(decided, trained, "{} head over {} windows", head, n);
+            }
+        }
+    }
+}

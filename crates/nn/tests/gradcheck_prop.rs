@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::fused::{self, FusedHead, FusedPolicy, FusedScratch, POOL};
-use rlsched_nn::{infer, Act, Activation, Conv2dLayer, Mlp, Tensor};
+use rlsched_nn::{infer, Activation, Conv2dLayer, Mlp, Tensor};
 use rlsched_nn_ref::{Graph, Var};
 
 fn finite_diff_check<F>(input: Tensor, build: F, tol: f32) -> Result<(), TestCaseError>
@@ -61,7 +61,7 @@ proptest! {
             move |g, xv| {
                 let wv = g.input(w.clone());
                 let h = g.matmul(xv, wv);
-                let r = g.act(h, Act::Tanh); // tanh: smooth, no kink issues at random points
+                let r = g.act(h, Activation::Tanh); // tanh: smooth, no kink issues at random points
                 g.mean(r)
             },
             0.05,
@@ -75,7 +75,7 @@ proptest! {
             move |g, wv| {
                 let xv = g.input(x.clone());
                 let h = g.matmul(xv, wv);
-                let s = g.act(h, Act::Sigmoid);
+                let s = g.act(h, Activation::Sigmoid);
                 g.sum(s)
             },
             0.05,
@@ -219,7 +219,7 @@ fn kinks(convs: &[Conv2dLayer], h: usize, w: usize, obs: &[f32], n: usize) -> Ve
             &mut y,
         );
         pattern.extend(y.iter().map(|&v| usize::from(v > 0.0)));
-        infer::relu_inplace(&mut y);
+        Activation::Relu.apply_slice(&mut y);
         for map in y.chunks(ch * cw) {
             for py in 0..ch / POOL {
                 for px in 0..cw / POOL {

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
 use rlsched_nn::infer::{self, Scratch};
-use rlsched_nn::{Act, Activation, Mlp, Tensor};
+use rlsched_nn::{Activation, Mlp, Tensor};
 use rlsched_nn_ref::Graph;
 
 /// The reference tape's output of a dense chain over `x`.
@@ -95,7 +95,7 @@ fn conv_and_pool_match_tape() {
     let wv = g.input(Tensor::from_vec(w.clone(), &[2, 2, 2, 2]));
     let bv = g.input(Tensor::from_vec(b.clone(), &[2]));
     let c = g.conv2d(xv, wv, bv, 1); // [1,2,3,3]
-    let r = g.act(c, Act::Relu);
+    let r = g.act(c, Activation::Relu);
     let p = g.max_pool2d(r, 3); // [1,2,1,1]
 
     let mut conv_out = Vec::new();
@@ -103,7 +103,7 @@ fn conv_and_pool_match_tape() {
     assert_eq!((oh, ow), (3, 3));
     assert_eq!(conv_out.as_slice(), g.value(c).data());
 
-    infer::relu_inplace(&mut conv_out);
+    Activation::Relu.apply_slice(&mut conv_out);
     let mut pool_out = Vec::new();
     infer::max_pool2d_forward(&conv_out, 1, 2, 3, 3, 3, &mut pool_out);
     assert_eq!(pool_out.as_slice(), g.value(p).data());

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use rlsched_nn::infer::{self, Scratch};
-use rlsched_nn::layers::{Act, Activation, Mlp};
+use rlsched_nn::layers::{Activation, Mlp};
 use rlsched_nn::simd;
 use rlsched_nn::Tensor;
 
@@ -171,7 +171,7 @@ proptest! {
         let w = pseudo(in_dim, out_dim, seed_w);
         let b: Vec<f32> = (0..out_dim).map(|j| (j as f32 * 0.3).sin() * 0.1).collect();
         let mut dispatched = vec![0.0f32; rows * out_dim];
-        simd::dense_any(x.data(), rows, w.data(), &b, in_dim, out_dim, Act::Identity, &mut dispatched);
+        simd::dense_any(x.data(), rows, w.data(), &b, in_dim, out_dim, Activation::Identity, &mut dispatched);
         let mut portable = vec![0.0f32; rows * out_dim];
         simd::dense_portable(x.data(), rows, w.data(), &b, in_dim, out_dim, &mut portable);
         assert_close(&dispatched, &portable)?;

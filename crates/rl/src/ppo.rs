@@ -12,26 +12,36 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 
 use rlsched_nn::fused::{self, FusedPolicy, FusedPolicyMut};
-use rlsched_nn::{clip_global_norm, Adam, Mlp, Scratch, Tensor};
+use rlsched_nn::{clip_global_norm, infer, Adam, Mlp, Scratch, Tensor};
 
 use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
 
-/// The actor: maps observations + additive masks to per-action
-/// log-probabilities, through an inference fast path for acting and a
-/// [`FusedPolicy`] description for training.
+/// The actor: a policy network, given as the [`FusedPolicy`] description
+/// the fused update ([`Ppo::update`]) trains. An implementer supplies only
+/// the description ([`PolicyModel::fused`], [`PolicyModel::fused_mut`]);
+/// every decision runs [`infer::log_probs`] over it, so what decides is
+/// what trains by construction.
 pub trait PolicyModel {
+    /// The network: its trainable layers and logits head.
+    fn fused(&self) -> FusedPolicy<'_>;
+
+    /// The layers [`PolicyModel::fused`] describes, mutably, for the
+    /// optimizer's in-place walk.
+    fn fused_mut(&mut self) -> FusedPolicyMut<'_>;
+
     /// Inference fast path: write the masked log-prob row for one
     /// observation into `out`, allocation-free over `scratch` at steady
-    /// state. `mask` is additive (0 valid / ~-1e9 invalid). Must compute
-    /// the network [`PolicyModel::fused`] describes.
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>);
+    /// state. `mask` is additive (0 valid / ~-1e9 invalid).
+    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
+        infer::log_probs(&self.fused(), obs, mask, 1, scratch, out);
+    }
 
     /// Batched inference fast path: write `rows` masked log-prob rows
     /// (`[rows, n_actions]` row-major) into `out`, allocation-free at
     /// steady state. `obs` is `[rows, obs_dim]` row-major and `masks`
-    /// `[rows, n_actions]`. Row `i` of the result must be bit-identical
-    /// to `log_probs_fast` on row `i` alone, on either dispatch arm (the
+    /// `[rows, n_actions]`. Row `i` of the result is bit-identical to
+    /// `log_probs_fast` on row `i` alone, on either dispatch arm (the
     /// dense kernels are row-count invariant), so a batched decision is
     /// the decision a single forward makes.
     fn log_probs_fast_batch(
@@ -41,16 +51,9 @@ pub trait PolicyModel {
         rows: usize,
         scratch: &mut Scratch,
         out: &mut Vec<f32>,
-    );
-
-    /// The network as the fused update ([`Ppo::update`]) trains it: its
-    /// trainable layers and logits head, computing exactly what
-    /// [`PolicyModel::log_probs_fast`] computes.
-    fn fused(&self) -> FusedPolicy<'_>;
-
-    /// The layers [`PolicyModel::fused`] describes, mutably, for the
-    /// optimizer's in-place walk.
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_>;
+    ) {
+        infer::log_probs(&self.fused(), obs, masks, rows, scratch, out);
+    }
 
     /// Parameter tensors in bind order.
     fn params(&self) -> Vec<&Tensor> {
@@ -588,7 +591,6 @@ fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>) -> f32 {
 pub(crate) mod test_nets {
     use super::*;
     use rlsched_nn::fused::FusedHead;
-    use rlsched_nn::infer;
 
     /// A plain MLP policy over flat observations (the "MLP v2" baseline
     /// of Table IV in miniature).
@@ -598,26 +600,6 @@ pub(crate) mod test_nets {
     pub struct MlpValue(pub Mlp);
 
     impl PolicyModel for MlpPolicy {
-        fn log_probs_fast(&self, obs: &[f32], mask: &[f32], s: &mut Scratch, out: &mut Vec<f32>) {
-            self.log_probs_fast_batch(obs, mask, 1, s, out);
-        }
-
-        fn log_probs_fast_batch(
-            &self,
-            obs: &[f32],
-            masks: &[f32],
-            rows: usize,
-            scratch: &mut Scratch,
-            out: &mut Vec<f32>,
-        ) {
-            infer::mlp_forward(&self.0, obs, rows, scratch, out);
-            let n = self.0.out_dim();
-            for (row, mask) in out.chunks_mut(n).zip(masks.chunks(n)) {
-                row.iter_mut().zip(mask).for_each(|(o, &m)| *o += m);
-                infer::log_softmax_inplace(row);
-            }
-        }
-
         fn fused(&self) -> FusedPolicy<'_> {
             FusedPolicy {
                 mlp: &self.0,

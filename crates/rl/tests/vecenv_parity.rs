@@ -91,24 +91,6 @@ impl Env for BanditEnv {
 /// forward.
 struct P(Mlp);
 impl PolicyModel for P {
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], s: &mut Scratch, out: &mut Vec<f32>) {
-        self.log_probs_fast_batch(obs, mask, 1, s, out);
-    }
-    fn log_probs_fast_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        infer::mlp_forward(&self.0, obs, rows, scratch, out);
-        let n = self.0.out_dim();
-        for (row, mask) in out.chunks_mut(n).zip(masks.chunks(n)) {
-            row.iter_mut().zip(mask).for_each(|(o, &m)| *o += m);
-            infer::log_softmax_inplace(row);
-        }
-    }
     fn fused(&self) -> FusedPolicy<'_> {
         FusedPolicy {
             mlp: &self.0,
