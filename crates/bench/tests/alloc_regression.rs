@@ -6,15 +6,14 @@
 //! concurrent tests would inflate each other's measurements.
 
 use rlsched_bench::alloc::count_allocs;
-use rlsched_rl::{
-    collect_rollouts_vec, ActorScratch, Env, MaskedCategorical, PolicyModel, PpoConfig, ValueModel,
-    VecEnv,
-};
+use rlsched_nn::infer;
+use rlsched_rl::{collect_rollouts_vec, ActorScratch, Env, MaskedCategorical, PpoConfig, VecEnv};
 use rlsched_serve::{ScorerSlot, ShardEngine};
 use rlsched_sim::{MetricKind, QueueView, SimConfig, WaitingJob};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{
     Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, RlPolicy, SchedulingEnv, SnapshotJob,
+    JOB_FEATURES,
 };
 
 const SEQ_LEN: usize = 48;
@@ -166,19 +165,14 @@ fn lockstep_tick_allocs(agent: &Agent, env: &SchedulingEnv) -> (u64, u64, u64) {
                 vmasks: &mut Vec<f32>,
                 scratch: &mut ActorScratch,
                 logps: &mut Vec<f32>,
-                values: &mut Vec<f64>,
+                values: &mut Vec<f32>,
                 actions: &mut Vec<usize>,
                 outcomes: &mut Vec<rlsched_rl::SlotOutcome>,
                 rng: &mut rand::rngs::StdRng| {
         let rows = venv.live_count();
-        agent
-            .ppo()
-            .policy
-            .log_probs_fast_batch(vobs, vmasks, rows, &mut scratch.nn, logps);
-        agent
-            .ppo()
-            .value
-            .value_fast_batch(vobs, rows, &mut scratch.nn, values);
+        let (ppo, nn) = (agent.ppo(), &mut scratch.nn);
+        infer::log_probs(&ppo.policy, vobs, vmasks, rows, nn, logps);
+        infer::window_mlp_forward(&ppo.value, vobs, rows, JOB_FEATURES, nn, values);
         actions.clear();
         for r in 0..rows {
             let dist = MaskedCategorical::new(&logps[r * na..(r + 1) * na]);
@@ -596,7 +590,7 @@ fn fast_paths_do_not_regress_allocations() {
 
     // ---- the flat and conv arms of the one decision forward
     // (`rlsched_nn::infer::log_probs`): an MLP v1 and a LeNet `as_policy`
-    // decision, and a 4-view `log_probs_fast_batch`, allocate nothing once
+    // decision, and a 4-view `infer::log_probs`, allocate nothing once
     // one of each has run. ----
     {
         let jobs = submitted_jobs();
@@ -617,7 +611,8 @@ fn fast_paths_do_not_regress_allocations() {
             let (vobs, vmasks) = (obs.repeat(4), mask.repeat(4));
             let (mut scratch, mut logps) = (rlsched_nn::Scratch::new(), Vec::new());
             let mut batch = || {
-                agent.ppo().policy.log_probs_fast_batch(
+                infer::log_probs(
+                    &agent.ppo().policy,
                     &vobs,
                     &vmasks,
                     4,

@@ -9,11 +9,14 @@ use std::convert::Infallible;
 use serde::{Deserialize, Serialize};
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
-use rlsched_rl::{ActorScratch, PolicyModel, Ppo, PpoConfig, ValueModel};
+use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp};
+use rlsched_rl::{ActorScratch, Ppo, PpoConfig};
 use rlsched_sim::{MetricKind, Outcomes, Policy, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
-use crate::nets::{PolicyKind, PolicyNet, ScorerSnapshot, ValueNet};
+use crate::nets::{
+    build_critic, build_policy, check_critic, check_policy, PolicyKind, ScorerSnapshot,
+};
 use crate::obs::{ObsConfig, ObsEncoder};
 use crate::reward::Objective;
 
@@ -58,15 +61,101 @@ impl AgentConfig {
 pub struct Agent {
     cfg: AgentConfig,
     encoder: ObsEncoder,
-    ppo: Ppo<PolicyNet, ValueNet>,
+    ppo: Ppo,
 }
 
 /// On-disk checkpoint layout.
 #[derive(Serialize, Deserialize)]
 struct Checkpoint {
     cfg: AgentConfig,
-    policy: PolicyNet,
-    value: ValueNet,
+    policy: PolicyJson,
+    value: CriticJson,
+}
+
+/// A policy network in its checkpoint layout, one object per Table IV
+/// family: `{"Kernel": {kernel, max_obsv}}`, `{"Mlp": {net}}` or
+/// `{"LeNet": {conv1, conv2, fc1, fc2, max_obsv, h, w}}`.
+#[allow(clippy::large_enum_variant)] // one per checkpoint; boxing buys nothing
+#[derive(Serialize, Deserialize)]
+pub(crate) enum PolicyJson {
+    Kernel {
+        kernel: Mlp,
+        max_obsv: usize,
+    },
+    Mlp {
+        net: Mlp,
+    },
+    LeNet {
+        conv1: Conv2dLayer,
+        conv2: Conv2dLayer,
+        fc1: Dense,
+        fc2: Dense,
+        max_obsv: usize,
+        h: usize,
+        w: usize,
+    },
+}
+
+impl PolicyJson {
+    /// The layout of `p`, a network [`build_policy`] shaped.
+    pub(crate) fn of(p: &FusedPolicy) -> Self {
+        let net = p.mlp.clone();
+        match p.head {
+            FusedHead::Kernel { window } => PolicyJson::Kernel {
+                kernel: net,
+                max_obsv: window,
+            },
+            FusedHead::Flat => PolicyJson::Mlp { net },
+            FusedHead::Conv { h, w } => {
+                let max_obsv = net.out_dim();
+                let [conv1, conv2] = p.convs.clone().try_into().expect("two conv stages");
+                let [fc1, fc2] = net.layers.try_into().expect("two dense layers");
+                PolicyJson::LeNet {
+                    conv1,
+                    conv2,
+                    fc1,
+                    fc2,
+                    max_obsv,
+                    h,
+                    w,
+                }
+            }
+        }
+    }
+
+    /// The network the layout holds. A LeNet layout keeps no activations:
+    /// its dense layers are ReLU then identity.
+    pub(crate) fn into_policy(self) -> FusedPolicy {
+        let (convs, mlp, head) = match self {
+            PolicyJson::Kernel { kernel, max_obsv } => {
+                (vec![], kernel, FusedHead::Kernel { window: max_obsv })
+            }
+            PolicyJson::Mlp { net } => (vec![], net, FusedHead::Flat),
+            PolicyJson::LeNet {
+                conv1,
+                conv2,
+                fc1,
+                fc2,
+                h,
+                w,
+                ..
+            } => {
+                let mlp = Mlp {
+                    layers: vec![fc1, fc2],
+                    hidden: Activation::Relu,
+                    output: Activation::Identity,
+                };
+                (vec![conv1, conv2], mlp, FusedHead::Conv { h, w })
+            }
+        };
+        FusedPolicy { convs, mlp, head }
+    }
+}
+
+/// The critic in its checkpoint layout: `{"net": …}`.
+#[derive(Serialize, Deserialize)]
+struct CriticJson {
+    net: Mlp,
 }
 
 impl Agent {
@@ -75,8 +164,8 @@ impl Agent {
         let encoder = ObsEncoder::new(cfg.obs);
         let mut ppo_cfg = cfg.ppo;
         ppo_cfg.update_seed = cfg.seed;
-        let policy = PolicyNet::build(cfg.policy, cfg.obs.max_obsv, cfg.seed);
-        let value = ValueNet::new(cfg.obs.max_obsv, cfg.seed.wrapping_add(1));
+        let policy = build_policy(cfg.policy, cfg.obs.max_obsv, cfg.seed);
+        let value = build_critic(cfg.obs.max_obsv, cfg.seed.wrapping_add(1));
         let ppo = Ppo::new(policy, value, ppo_cfg);
         Agent { cfg, encoder, ppo }
     }
@@ -97,12 +186,12 @@ impl Agent {
     }
 
     /// The underlying PPO trainer.
-    pub fn ppo(&self) -> &Ppo<PolicyNet, ValueNet> {
+    pub fn ppo(&self) -> &Ppo {
         &self.ppo
     }
 
     /// Mutable access for the training loop.
-    pub fn ppo_mut(&mut self) -> &mut Ppo<PolicyNet, ValueNet> {
+    pub fn ppo_mut(&mut self) -> &mut Ppo {
         &mut self.ppo
     }
 
@@ -126,11 +215,7 @@ impl Agent {
     /// adapter's bits exactly. Re-take after training; a live server
     /// hot-swaps the fresh snapshot in without dropping requests.
     pub fn scorer_snapshot(&self) -> ScorerSnapshot {
-        ScorerSnapshot::new(
-            &self.ppo.policy,
-            self.encoder.obs_dim(),
-            self.encoder.n_actions(),
-        )
+        ScorerSnapshot::new(&self.ppo.policy)
     }
 
     /// Borrow the agent as its decision head (inference only): a
@@ -161,36 +246,36 @@ impl Agent {
     pub fn save_json(&self) -> String {
         let ckpt = Checkpoint {
             cfg: self.cfg.clone(),
-            policy: self.ppo.policy.clone(),
-            value: self.ppo.value.clone(),
+            policy: PolicyJson::of(&self.ppo.policy),
+            value: CriticJson {
+                net: self.ppo.value.clone(),
+            },
         };
         serde_json::to_string(&ckpt).expect("agent serialization is infallible")
     }
 
     /// Restore an agent (fresh optimizer state) from [`Agent::save_json`]
-    /// output. Both networks are held to the encoder's widths first — the
-    /// first layer's input, the head's width, a CNN's image against its
-    /// dense input — so a checkpoint that would fail at its first decision
-    /// is an error here instead.
+    /// output. Both networks are held to the architectures the
+    /// configuration names at its window — the head, every parameter's
+    /// shape, every conv stride and the activations [`build_policy`] and
+    /// [`build_critic`] give — so a checkpoint whose networks are not what
+    /// [`Agent::config`] reports, or would fail at its first decision, is
+    /// an error here instead.
     pub fn load_json(s: &str) -> Result<Agent, serde_json::Error> {
         let ckpt: Checkpoint = serde_json::from_str(s)?;
-        let encoder = ObsEncoder::new(ckpt.cfg.obs);
-        let (obs_dim, n_actions) = (encoder.obs_dim(), encoder.n_actions());
-        let critic = FusedPolicy {
-            mlp: ckpt.value.fused(),
-            head: FusedHead::Flat,
-        };
+        let (kind, max_obsv) = (ckpt.cfg.policy, ckpt.cfg.obs.max_obsv);
+        let policy = ckpt.policy.into_policy();
         let fits = |what: &str, r: Result<(), String>| {
             r.map_err(|e| serde_json::Error::custom(format!("checkpoint {what}: {e}")))
         };
-        fits("policy", ckpt.policy.fused().check(obs_dim, n_actions))?;
-        fits("value net", critic.check(obs_dim, 1))?;
+        fits("policy", check_policy(&policy, kind, max_obsv))?;
+        fits("value net", check_critic(&ckpt.value.net, max_obsv))?;
         let mut ppo_cfg = ckpt.cfg.ppo;
         ppo_cfg.update_seed = ckpt.cfg.seed;
-        let ppo = Ppo::new(ckpt.policy, ckpt.value, ppo_cfg);
+        let ppo = Ppo::new(policy, ckpt.value.net, ppo_cfg);
         Ok(Agent {
+            encoder: ObsEncoder::new(ckpt.cfg.obs),
             cfg: ckpt.cfg,
-            encoder,
             ppo,
         })
     }

@@ -17,11 +17,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlsched_nn::Scratch;
-use rlsched_rl::{MaskedCategorical, PolicyModel};
+use rlsched_nn::fused::FusedPolicy;
+use rlsched_nn::{infer, Scratch};
+use rlsched_rl::MaskedCategorical;
 
 use crate::agent::Agent;
-use crate::nets::{PolicyNet, ScorerSnapshot};
+use crate::nets::ScorerSnapshot;
 use crate::obs::{QueueSnapshot, SnapshotJob};
 
 /// Why a canary probe rejected a candidate snapshot.
@@ -158,9 +159,10 @@ impl CanaryBatch {
     }
 
     /// Every row's masked log-probs through one batched forward of `net`.
-    fn log_probs(&self, net: &PolicyNet) -> Vec<f32> {
+    fn log_probs(&self, net: &FusedPolicy) -> Vec<f32> {
         let mut logp = Vec::new();
-        net.log_probs_fast_batch(
+        infer::log_probs(
+            net,
             &self.obs,
             &self.masks,
             self.rows(),
@@ -214,9 +216,9 @@ impl CanaryBatch {
 mod tests {
     use super::*;
     use crate::agent::AgentConfig;
-    use crate::nets::{PolicyKind, PolicyNet};
+    use crate::nets::{build_policy, PolicyKind};
     use crate::obs::ObsConfig;
-    use rlsched_rl::{PolicyModel, PpoConfig};
+    use rlsched_rl::PpoConfig;
     use rlsched_sim::MetricKind;
 
     fn agent(kind: PolicyKind, seed: u64) -> Agent {
@@ -284,13 +286,12 @@ mod tests {
         for kind in [PolicyKind::Kernel, PolicyKind::MlpV1] {
             let a = agent(kind, 5);
             let canary = CanaryBatch::probe(&a, 16, 11);
-            let mut net = PolicyNet::build(kind, 16, 5);
-            let mut params = net.params_mut();
-            let last = params.last_mut().unwrap();
+            let mut net = build_policy(kind, 16, 5);
+            let last = net.params_mut().last().unwrap();
             for v in last.data_mut() {
                 *v = f32::NAN;
             }
-            let snap = ScorerSnapshot::new(&net, a.encoder().obs_dim(), a.encoder().n_actions());
+            let snap = ScorerSnapshot::new(&net);
             assert!(
                 !snap.all_finite(),
                 "{}: weight walk catches NaN",
@@ -313,10 +314,9 @@ mod tests {
         // come out of the forward as finite logits, so a server relying on
         // the canary alone would install a poisoned checkpoint. The weight
         // walk must run first.
-        let a = agent(PolicyKind::Kernel, 5);
-        let mut net = PolicyNet::build(PolicyKind::Kernel, 16, 5);
-        net.params_mut()[0].data_mut()[0] = f32::NAN;
-        let snap = ScorerSnapshot::new(&net, a.encoder().obs_dim(), a.encoder().n_actions());
+        let mut net = build_policy(PolicyKind::Kernel, 16, 5);
+        net.params_mut().next().unwrap().data_mut()[0] = f32::NAN;
+        let snap = ScorerSnapshot::new(&net);
         assert!(!snap.all_finite(), "weight walk still catches it");
     }
 }

@@ -13,9 +13,9 @@
 //!
 //! The two key ideas of the paper, and where they live here:
 //!
-//! * **Kernel-based policy network** (§IV-B): [`nets::KernelPolicy`]
-//!   scores every waiting job with one small shared MLP, making the
-//!   policy insensitive to job ordering in the queue.
+//! * **Kernel-based policy network** (§IV-B): [`build_policy`] with
+//!   [`PolicyKind::Kernel`] scores every waiting job with one small shared
+//!   MLP, making the policy insensitive to job ordering in the queue.
 //! * **Trajectory filtering** (§IV-C): [`filter::TrajectoryFilter`]
 //!   controls training variance on bursty workloads by restricting early
 //!   epochs to sequences whose SJF metric falls in `(median, 2·mean)`.
@@ -75,9 +75,7 @@ pub use canary::{CanaryBatch, CanaryError};
 pub use env::SchedulingEnv;
 pub use eval::{evaluate_policy, mean_metric, sample_eval_windows};
 pub use filter::TrajectoryFilter;
-pub use nets::{
-    FlatMlpPolicy, KernelPolicy, LeNetPolicy, PolicyKind, PolicyNet, ScorerSnapshot, ValueNet,
-};
+pub use nets::{build_critic, build_policy, PolicyKind, ScorerSnapshot};
 pub use obs::{ObsConfig, ObsEncoder, QueueSnapshot, SnapshotJob, JOB_FEATURES};
 pub use reward::Objective;
 pub use train::{train, EpochStats, FilterMode, TrainConfig, TrainingCurve};

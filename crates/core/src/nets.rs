@@ -1,24 +1,24 @@
-//! The RLScheduler networks.
+//! The RLScheduler networks of Table IV and Fig 6, as values:
+//! [`build_policy`] instantiates a policy, [`build_critic`] the critic.
 //!
-//! * [`KernelPolicy`] — the paper's contribution (Fig 5): a small shared
-//!   MLP applied to every job vector independently ("like a window"),
-//!   producing one score per job, followed by a masked softmax. Because
-//!   the same weights score every slot, the network is *order-equivariant*
-//!   by construction: permuting job rows permutes the output distribution
-//!   identically (§III-1).
-//! * [`FlatMlpPolicy`] — the MLP v1/v2/v3 baselines of Table IV: a plain
-//!   MLP over the flattened observation, order-sensitive.
-//! * [`LeNetPolicy`] — the CNN baseline of Table IV ("2x(conv2d,
-//!   maxpooling2d), dense"). Its pooling and dense layers mix job
-//!   positions, which is exactly why the paper finds it converges worse.
-//! * [`ValueNet`] — the critic (Fig 6): an MLP over the flattened
-//!   observation.
+//! * The kernel-based policy — the paper's contribution (Fig 5): a small
+//!   shared MLP applied to every job vector independently ("like a
+//!   window"), producing one score per job, followed by a masked softmax.
+//!   Because the same weights score every slot, the network is
+//!   *order-equivariant* by construction: permuting job rows permutes the
+//!   output distribution identically (§III-1).
+//! * MLP v1/v2/v3 — the baselines of Table IV: a plain MLP over the
+//!   flattened observation, order-sensitive.
+//! * LeNet — the CNN baseline of Table IV ("2x(conv2d, maxpooling2d),
+//!   dense"). Its pooling and dense layers mix job positions, which is
+//!   exactly why the paper finds it converges worse.
+//! * The critic (Fig 6): an MLP over the flattened observation.
 //!
-//! Each policy is its [`FusedPolicy`] description: the dense chain plus a
+//! A policy is one [`FusedPolicy`]: its conv stages, its dense chain and a
 //! `Kernel`, `Flat` or `Conv` head. Training runs it through
 //! `rlsched_nn::fused` and every decision through
 //! [`rlsched_nn::infer::log_probs`], so no architecture's forward is
-//! written here.
+//! written here: this module holds only each architecture's layer widths.
 
 use std::sync::Arc;
 
@@ -26,10 +26,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use rlsched_nn::fused::{FusedHead, FusedPolicy, FusedPolicyMut};
-use rlsched_nn::infer;
-use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp, Scratch};
-use rlsched_rl::{PolicyModel, ValueModel};
+use rlsched_nn::fused::{FusedHead, FusedPolicy};
+use rlsched_nn::{Activation, Conv2dLayer, Mlp};
 
 use crate::obs::JOB_FEATURES;
 
@@ -72,298 +70,176 @@ impl PolicyKind {
     }
 }
 
-/// The kernel-based policy network (Fig 5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KernelPolicy {
-    kernel: Mlp,
+/// Instantiate a Table IV architecture over a `max_obsv`-job window, its
+/// weights drawn from `seed`. Panics when the window cannot hold the
+/// architecture (LeNet needs `max_obsv % 4 == 0` and at least 64 jobs).
+pub fn build_policy(kind: PolicyKind, max_obsv: usize, seed: u64) -> FusedPolicy {
+    Arch::policy(kind, max_obsv)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .build(seed)
+}
+
+/// The critic (Fig 6) over a `max_obsv`-job window: a 3-hidden-layer
+/// MLP over the flat observation, its weights drawn from `seed`.
+///
+/// At a 128-job window its first layer (896 × 32) is 28 672 of the
+/// ~29 k multiply-adds per row, and most windows are mostly padding, so
+/// every forward — each rollout step's and the fused update's — reads a
+/// window only up to its last job ([`rlsched_nn::infer::window_mlp_forward`];
+/// see `rlsched_nn::fused`'s module docs for why the bits are those of
+/// the whole window).
+pub fn build_critic(max_obsv: usize, seed: u64) -> Mlp {
+    Arch::critic(max_obsv).build(seed).mlp
+}
+
+/// Hold a policy to `kind`'s architecture over a `max_obsv`-job window:
+/// the head, every parameter's shape, every conv stride and the chain's
+/// activations must be what [`build_policy`] gives.
+pub(crate) fn check_policy(
+    p: &FusedPolicy,
+    kind: PolicyKind,
     max_obsv: usize,
+) -> Result<(), String> {
+    Arch::policy(kind, max_obsv)?.check(&p.convs, &p.mlp, p.head)
 }
 
-impl KernelPolicy {
-    /// Build with the paper's 32/16/8 kernel dimensions.
-    pub fn new(max_obsv: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let kernel = Mlp::new(
-            &[JOB_FEATURES, 32, 16, 8, 1],
-            Activation::Relu,
-            Activation::Identity,
-            &mut rng,
-        );
-        KernelPolicy { kernel, max_obsv }
-    }
-
-    /// Observation window size.
-    pub fn max_obsv(&self) -> usize {
-        self.max_obsv
-    }
+/// Hold a critic to [`build_critic`]'s architecture over a
+/// `max_obsv`-job window.
+pub(crate) fn check_critic(critic: &Mlp, max_obsv: usize) -> Result<(), String> {
+    Arch::critic(max_obsv).check(&[], critic, FusedHead::Flat)
 }
 
-impl PolicyModel for KernelPolicy {
-    // Slide the kernel over the job axis: `[n, K·F]` observations score
-    // as job rows through the shared MLP, read back as `[n, K]` logits.
-    // Decisions and training both score only each window's job rows plus
-    // one zero row for the padding (`rlsched_nn::fused`'s module docs).
-    fn fused(&self) -> FusedPolicy<'_> {
-        FusedPolicy {
-            mlp: &self.kernel,
-            head: FusedHead::Kernel {
-                window: self.max_obsv,
-            },
+/// A network's layer widths at one window, with nothing allocated: what
+/// [`build_policy`] and [`build_critic`] initialise, and what a
+/// checkpoint is held to.
+struct Arch {
+    /// Each conv stage's weight shape `[out, in, kh, kw]` (stride 1).
+    convs: Vec<[usize; 4]>,
+    /// The dense chain's widths, input first.
+    dims: Vec<usize>,
+    head: FusedHead,
+}
+
+impl Arch {
+    fn policy(kind: PolicyKind, max_obsv: usize) -> Result<Arch, String> {
+        if max_obsv == 0 {
+            return Err("a policy needs at least one job slot".into());
         }
+        let (flat, window) = (max_obsv * JOB_FEATURES, max_obsv);
+        let (convs, input, out, head) = match kind {
+            PolicyKind::Kernel => (vec![], JOB_FEATURES, 1, FusedHead::Kernel { window }),
+            PolicyKind::MlpV1 | PolicyKind::MlpV2 | PolicyKind::MlpV3 => {
+                (vec![], flat, window, FusedHead::Flat)
+            }
+            PolicyKind::LeNet => {
+                // The flat observation reshapes to a near-square
+                // one-channel image, then two (conv 5×5 → ReLU → max-pool
+                // 2) stages.
+                if !(max_obsv.is_multiple_of(4) && max_obsv >= 64) {
+                    return Err(format!(
+                        "LeNet needs max_obsv % 4 == 0 and >= 64, not {max_obsv}"
+                    ));
+                }
+                let (h, w) = (max_obsv / 4, JOB_FEATURES * 4);
+                let (h1, w1) = ((h - 4) / 2, (w - 4) / 2); // conv1 + pool
+                let (h2, w2) = ((h1 - 4) / 2, (w1 - 4) / 2); // conv2 + pool
+                let convs = vec![[6, 1, 5, 5], [16, 6, 5, 5]];
+                (convs, 16 * h2 * w2, window, FusedHead::Conv { h, w })
+            }
+        };
+        let hidden: &[usize] = match kind {
+            PolicyKind::Kernel | PolicyKind::MlpV2 => &[32, 16, 8],
+            PolicyKind::MlpV1 => &[128, 128, 128],
+            PolicyKind::MlpV3 => &[32; 5],
+            PolicyKind::LeNet => &[120],
+        };
+        let dims = [&[input], hidden, &[out]].concat();
+        Ok(Arch { convs, dims, head })
     }
 
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
-        FusedPolicyMut {
-            convs: &mut [],
-            mlp: &mut self.kernel,
-        }
-    }
-}
-
-/// A flattened-observation MLP policy (MLP v1–v3 of Table IV).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FlatMlpPolicy {
-    net: Mlp,
-}
-
-impl FlatMlpPolicy {
-    /// Build with explicit hidden sizes.
-    pub fn new(max_obsv: usize, hidden: &[usize], seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut dims = vec![max_obsv * JOB_FEATURES];
-        dims.extend_from_slice(hidden);
-        dims.push(max_obsv);
-        FlatMlpPolicy {
-            net: Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng),
-        }
-    }
-}
-
-impl PolicyModel for FlatMlpPolicy {
-    fn fused(&self) -> FusedPolicy<'_> {
-        FusedPolicy {
-            mlp: &self.net,
+    fn critic(max_obsv: usize) -> Arch {
+        Arch {
+            convs: vec![],
+            dims: vec![max_obsv * JOB_FEATURES, 32, 16, 8, 1],
             head: FusedHead::Flat,
         }
     }
 
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
-        FusedPolicyMut {
-            convs: &mut [],
-            mlp: &mut self.net,
-        }
-    }
-}
-
-/// The LeNet-style CNN policy of Table IV.
-///
-/// The flat observation reshapes to a near-square single-channel image
-/// `[batch, 1, max_obsv/4, JOB_FEATURES*4]`, then LeNet's classic stack:
-/// two (conv 5×5 → ReLU → max-pool 2) stages, a dense ReLU hidden layer,
-/// and a dense head over the `max_obsv` action slots.
-#[derive(Debug, Clone)]
-pub struct LeNetPolicy {
-    /// The two conv stages.
-    convs: [Conv2dLayer; 2],
-    /// The dense hidden layer and head (`fc1`, `fc2`).
-    fc: Mlp,
-    max_obsv: usize,
-    h: usize,
-    w: usize,
-}
-
-/// A LeNet checkpoint's JSON layout: one object with `conv1, conv2, fc1,
-/// fc2, max_obsv, h, w`.
-#[derive(Serialize, Deserialize)]
-struct LeNetJson {
-    conv1: Conv2dLayer,
-    conv2: Conv2dLayer,
-    fc1: Dense,
-    fc2: Dense,
-    max_obsv: usize,
-    h: usize,
-    w: usize,
-}
-
-impl Serialize for LeNetPolicy {
-    fn to_value(&self) -> serde::Value {
-        let [conv1, conv2] = self.convs.clone();
-        let [fc1, fc2]: [Dense; 2] = self.fc.layers.clone().try_into().expect("fc1 and fc2");
-        let (max_obsv, h, w) = (self.max_obsv, self.h, self.w);
-        LeNetJson {
-            conv1,
-            conv2,
-            fc1,
-            fc2,
-            max_obsv,
-            h,
-            w,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for LeNetPolicy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let j = LeNetJson::from_value(v)?;
-        Ok(LeNetPolicy {
-            convs: [j.conv1, j.conv2],
-            fc: Mlp {
-                layers: vec![j.fc1, j.fc2],
-                hidden: Activation::Relu,
-                output: Activation::Identity,
-            },
-            max_obsv: j.max_obsv,
-            h: j.h,
-            w: j.w,
-        })
-    }
-}
-
-impl LeNetPolicy {
-    /// Build the CNN; `max_obsv` must be a multiple of 4 and at least 64
-    /// so both conv/pool stages fit.
-    pub fn new(max_obsv: usize, seed: u64) -> Self {
-        assert!(
-            max_obsv.is_multiple_of(4) && max_obsv >= 64,
-            "LeNet needs max_obsv % 4 == 0 and >= 64"
-        );
-        let (h, w) = (max_obsv / 4, JOB_FEATURES * 4);
+    /// He-initialised layers from one RNG stream: the conv stages, then
+    /// the dense chain (ReLU hidden, identity output).
+    fn build(&self, seed: u64) -> FusedPolicy {
         let mut rng = StdRng::seed_from_u64(seed);
-        let conv1 = Conv2dLayer::new(1, 6, 5, 5, 1, &mut rng);
-        let conv2 = Conv2dLayer::new(6, 16, 5, 5, 1, &mut rng);
-        let (h1, w1) = ((h - 4) / 2, (w - 4) / 2); // conv1 + pool
-        let (h2, w2) = ((h1 - 4) / 2, (w1 - 4) / 2); // conv2 + pool
-        let flat = 16 * h2 * w2;
-        let fc = Mlp::new(
-            &[flat, 120, max_obsv],
-            Activation::Relu,
-            Activation::Identity,
-            &mut rng,
-        );
-        LeNetPolicy {
-            convs: [conv1, conv2],
-            fc,
-            max_obsv,
-            h,
-            w,
-        }
-    }
-}
-
-impl PolicyModel for LeNetPolicy {
-    fn fused(&self) -> FusedPolicy<'_> {
+        let convs = self.convs.iter();
+        let convs = convs.map(|&[o, c, kh, kw]| Conv2dLayer::new(c, o, kh, kw, 1, &mut rng));
+        let convs = convs.collect();
+        let mlp = Mlp::new(&self.dims, Activation::Relu, Activation::Identity, &mut rng);
         FusedPolicy {
-            mlp: &self.fc,
-            head: FusedHead::Conv {
-                convs: &self.convs,
-                h: self.h,
-                w: self.w,
-            },
+            convs,
+            mlp,
+            head: self.head,
         }
     }
 
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
-        FusedPolicyMut {
-            convs: &mut self.convs,
-            mlp: &mut self.fc,
-        }
-    }
-}
-
-/// One policy of any Table IV architecture (enum dispatch keeps the PPO
-/// agent monomorphic and serde-friendly).
-#[allow(clippy::large_enum_variant)] // one instance per agent; boxing buys nothing
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum PolicyNet {
-    /// Kernel-based (the paper's design).
-    Kernel(KernelPolicy),
-    /// Flat MLP (v1/v2/v3).
-    Mlp(FlatMlpPolicy),
-    /// LeNet CNN.
-    LeNet(LeNetPolicy),
-}
-
-impl PolicyNet {
-    /// Instantiate a Table IV architecture.
-    pub fn build(kind: PolicyKind, max_obsv: usize, seed: u64) -> Self {
-        match kind {
-            PolicyKind::Kernel => PolicyNet::Kernel(KernelPolicy::new(max_obsv, seed)),
-            PolicyKind::MlpV1 => {
-                PolicyNet::Mlp(FlatMlpPolicy::new(max_obsv, &[128, 128, 128], seed))
-            }
-            PolicyKind::MlpV2 => PolicyNet::Mlp(FlatMlpPolicy::new(max_obsv, &[32, 16, 8], seed)),
-            PolicyKind::MlpV3 => {
-                PolicyNet::Mlp(FlatMlpPolicy::new(max_obsv, &[32, 32, 32, 32, 32], seed))
-            }
-            PolicyKind::LeNet => PolicyNet::LeNet(LeNetPolicy::new(max_obsv, seed)),
-        }
-    }
-}
-
-impl PolicyModel for PolicyNet {
-    // Every architecture trains through the same fused update: the
-    // kernel and flat-MLP nets as dense chains under their logits heads,
-    // the CNN as its conv stages ahead of its dense layers.
-    fn fused(&self) -> FusedPolicy<'_> {
-        match self {
-            PolicyNet::Kernel(p) => p.fused(),
-            PolicyNet::Mlp(p) => p.fused(),
-            PolicyNet::LeNet(p) => p.fused(),
-        }
-    }
-
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
-        match self {
-            PolicyNet::Kernel(p) => p.fused_mut(),
-            PolicyNet::Mlp(p) => p.fused_mut(),
-            PolicyNet::LeNet(p) => p.fused_mut(),
+    fn check(&self, convs: &[Conv2dLayer], mlp: &Mlp, head: FusedHead) -> Result<(), String> {
+        let conv_shapes = self.convs.iter().flat_map(|s| [s.to_vec(), vec![s[0]]]);
+        let dense_shapes = self.dims.windows(2).flat_map(|d| [d.to_vec(), vec![d[1]]]);
+        let params = convs.iter().flat_map(|c| [&c.w, &c.b]);
+        let params = params.chain(mlp.layers.iter().flat_map(|l| [&l.w, &l.b]));
+        let fits = head == self.head
+            && conv_shapes
+                .chain(dense_shapes)
+                .eq(params.map(|t| t.shape()))
+            && convs.iter().all(|c| c.stride == 1)
+            && (mlp.hidden, mlp.output) == (Activation::Relu, Activation::Identity);
+        if fits {
+            Ok(())
+        } else {
+            Err(format!(
+                "the network is not the architecture its configuration names ({:?} head, dense widths {:?})",
+                self.head, self.dims
+            ))
         }
     }
 }
 
 /// A frozen, shareable scoring replica for serving tiers: the policy
 /// network behind an [`Arc`], so a sharded server replicates it per worker
-/// thread at pointer cost. It scores through the network's own
-/// [`PolicyModel::log_probs_fast_batch`] (through `rlsched_rl::greedy_batch`),
-/// whose rows are the forward [`crate::Agent::as_policy`] runs, so a
-/// served decision is **bit-identical** to the in-process one, batch by
-/// batch, row by row (the forward kernels are row-count invariant).
+/// thread at pointer cost. It scores through
+/// [`rlsched_nn::infer::log_probs`] (through `rlsched_rl::greedy_batch`),
+/// the forward [`crate::Agent::as_policy`] runs, so a served decision is
+/// **bit-identical** to the in-process one, batch by batch, row by row
+/// (the forward kernels are row-count invariant).
 ///
 /// A snapshot does not track later weight updates: take it from a frozen
 /// agent and re-take after training (a serving tier hot-swaps the new
 /// snapshot in).
 #[derive(Debug, Clone)]
 pub struct ScorerSnapshot {
-    net: Arc<PolicyNet>,
-    obs_dim: usize,
-    n_actions: usize,
+    net: Arc<FusedPolicy>,
 }
 
 impl ScorerSnapshot {
-    /// Snapshot a policy network. `obs_dim` is the flattened observation
-    /// width the net was built for (`max_obsv × JOB_FEATURES`).
-    pub fn new(net: &PolicyNet, obs_dim: usize, n_actions: usize) -> Self {
+    /// Snapshot a policy network. The widths a request row must have are
+    /// the network's own ([`FusedPolicy::widths`]).
+    pub fn new(net: &FusedPolicy) -> Self {
         ScorerSnapshot {
             net: Arc::new(net.clone()),
-            obs_dim,
-            n_actions,
         }
     }
 
     /// The network the snapshot scores through.
-    pub fn net(&self) -> &PolicyNet {
+    pub fn net(&self) -> &FusedPolicy {
         &self.net
     }
 
     /// Flattened observation width a request row must have.
     pub fn obs_dim(&self) -> usize {
-        self.obs_dim
+        self.net.widths().0
     }
 
     /// Action-slot count (= mask width of a request row).
     pub fn n_actions(&self) -> usize {
-        self.n_actions
+        self.net.widths().1
     }
 
     /// True when every weight in the snapshot is a finite float. The
@@ -373,7 +249,6 @@ impl ScorerSnapshot {
     pub fn all_finite(&self) -> bool {
         self.net
             .params()
-            .iter()
             .all(|t| t.data().iter().all(|v| v.is_finite()))
     }
 }
@@ -385,85 +260,19 @@ impl ScorerSnapshot {
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<ScorerSnapshot>();
-    assert_send_sync::<PolicyNet>();
-    assert_send_sync::<ValueNet>();
+    assert_send_sync::<FusedPolicy>();
 };
-
-/// The critic (Fig 6): a 3-hidden-layer MLP over the flat observation.
-///
-/// At a 128-job window its first layer (896 × 32) is 28 672 of the
-/// ~29 k multiply-adds per row, and most windows are mostly padding, so
-/// every forward — each rollout step's and the fused update's — reads a
-/// window only up to its last job ([`infer::window_mlp_forward`]; see
-/// `rlsched_nn::fused`'s module docs for why the bits are those of the
-/// whole window).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ValueNet {
-    net: Mlp,
-}
-
-impl ValueNet {
-    /// Build for a given observation window.
-    pub fn new(max_obsv: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        ValueNet {
-            net: Mlp::new(
-                &[max_obsv * JOB_FEATURES, 32, 16, 8, 1],
-                Activation::Relu,
-                Activation::Identity,
-                &mut rng,
-            ),
-        }
-    }
-}
-
-impl ValueModel for ValueNet {
-    fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
-        // Borrow the third scratch buffer as the output row (the MLP's
-        // internal ping-pong uses the first two).
-        let mut out = std::mem::take(infer::scratch_extra(scratch));
-        infer::window_mlp_forward(&self.net, obs, 1, JOB_FEATURES, scratch, &mut out);
-        let v = out[0] as f64;
-        *infer::scratch_extra(scratch) = out;
-        v
-    }
-
-    fn value_fast_batch(
-        &self,
-        obs: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f64>,
-    ) {
-        // One stacked forward for every live environment's state value —
-        // the critic half of the lockstep rollout tick. Each row's bits
-        // are those of `value_fast` on row `i` alone, whatever the rows
-        // around it.
-        let mut tmp = std::mem::take(infer::scratch_extra(scratch));
-        infer::window_mlp_forward(&self.net, obs, rows, JOB_FEATURES, scratch, &mut tmp);
-        out.clear();
-        out.extend(tmp.iter().map(|&v| v as f64));
-        *infer::scratch_extra(scratch) = tmp;
-    }
-
-    fn fused(&self) -> &Mlp {
-        &self.net
-    }
-
-    fn fused_mut(&mut self) -> &mut Mlp {
-        &mut self.net
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlsched_nn::{infer, Scratch};
     use rlsched_rl::categorical::MASK_OFF;
 
-    fn forward(policy: &impl PolicyModel, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
+    fn forward(policy: &FusedPolicy, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
         assert_eq!(mask.len(), k);
         let mut out = Vec::new();
-        policy.log_probs_fast(obs, mask, &mut Scratch::new(), &mut out);
+        infer::log_probs(policy, obs, mask, 1, &mut Scratch::new(), &mut out);
         out
     }
 
@@ -486,7 +295,7 @@ mod tests {
     fn kernel_param_count_under_1000() {
         // §IV-B1: "we are able to control the parameter size of the policy
         // network less than 1,000".
-        let p = KernelPolicy::new(128, 0);
+        let p = build_policy(PolicyKind::Kernel, 128, 0);
         assert!(
             p.param_count() < 1000,
             "kernel params = {}",
@@ -499,7 +308,7 @@ mod tests {
         // Swapping two job rows must swap their probabilities exactly and
         // leave everyone else's unchanged — the Fig 2 requirement.
         let k = 16;
-        let p = KernelPolicy::new(k, 3);
+        let p = build_policy(PolicyKind::Kernel, k, 3);
         let (mut obs, mask) = random_obs(k, 8, 42);
         let before = forward(&p, &obs, &mask, k);
         // swap job rows 2 and 5
@@ -521,7 +330,7 @@ mod tests {
         // The counterpoint: MLP baselines change other slots' scores when
         // rows swap (that is the paper's argument for the kernel design).
         let k = 16;
-        let p = FlatMlpPolicy::new(k, &[32, 16, 8], 3);
+        let p = build_policy(PolicyKind::MlpV2, k, 3);
         let (mut obs, mask) = random_obs(k, 8, 42);
         let before = forward(&p, &obs, &mask, k);
         for f in 0..JOB_FEATURES {
@@ -542,7 +351,7 @@ mod tests {
     fn all_variants_emit_normalized_masked_distributions() {
         let k = 64;
         for kind in PolicyKind::all() {
-            let p = PolicyNet::build(kind, k, 7);
+            let p = build_policy(kind, k, 7);
             let (obs, mask) = random_obs(k, 10, 9);
             let lp = forward(&p, &obs, &mask, k);
             let sum: f32 = lp.iter().map(|l| l.exp()).sum();
@@ -556,9 +365,9 @@ mod tests {
     #[test]
     fn table4_sizes_are_ordered_as_expected() {
         let k = 128;
-        let kernel = PolicyNet::build(PolicyKind::Kernel, k, 0).param_count();
-        let v1 = PolicyNet::build(PolicyKind::MlpV1, k, 0).param_count();
-        let v2 = PolicyNet::build(PolicyKind::MlpV2, k, 0).param_count();
+        let kernel = build_policy(PolicyKind::Kernel, k, 0).param_count();
+        let v1 = build_policy(PolicyKind::MlpV1, k, 0).param_count();
+        let v2 = build_policy(PolicyKind::MlpV2, k, 0).param_count();
         assert!(kernel < v2, "kernel {kernel} smaller than MLP v2 {v2}");
         assert!(v2 < v1, "MLP v2 {v2} smaller than MLP v1 {v1}");
     }
@@ -657,8 +466,8 @@ mod tests {
             ),
         ];
         for (kind, shapes, count) in table {
-            let net = PolicyNet::build(kind, 128, 0);
-            let got: Vec<&[usize]> = net.params().iter().map(|t| t.shape()).collect();
+            let net = build_policy(kind, 128, 0);
+            let got: Vec<&[usize]> = net.params().map(|t| t.shape()).collect();
             assert_eq!(got, shapes, "{} layer shapes", kind.name());
             assert_eq!(net.param_count(), count, "{} parameters", kind.name());
         }
@@ -667,11 +476,13 @@ mod tests {
     #[test]
     fn value_net_emits_one_scalar_per_row() {
         let k = 32;
-        let v = ValueNet::new(k, 1);
+        let v = build_critic(k, 1);
         let mut out = Vec::new();
-        v.value_fast_batch(
+        infer::window_mlp_forward(
+            &v,
             &[0.0; 5 * 32 * JOB_FEATURES],
             5,
+            JOB_FEATURES,
             &mut Scratch::new(),
             &mut out,
         );
@@ -680,9 +491,12 @@ mod tests {
 
     #[test]
     fn policy_nets_serialize_round_trip() {
-        let p = PolicyNet::build(PolicyKind::Kernel, 32, 5);
-        let json = serde_json::to_string(&p).unwrap();
-        let q: PolicyNet = serde_json::from_str(&json).unwrap();
+        use crate::agent::PolicyJson;
+        let p = build_policy(PolicyKind::Kernel, 32, 5);
+        let json = serde_json::to_string(&PolicyJson::of(&p)).unwrap();
+        let q = serde_json::from_str::<PolicyJson>(&json)
+            .unwrap()
+            .into_policy();
         let (obs, mask) = random_obs(32, 6, 11);
         assert_eq!(forward(&p, &obs, &mask, 32), forward(&q, &obs, &mask, 32));
     }
@@ -690,13 +504,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_obsv % 4")]
     fn lenet_rejects_tiny_windows() {
-        let _ = LeNetPolicy::new(20, 0);
+        let _ = build_policy(PolicyKind::LeNet, 20, 0);
     }
 
     #[test]
     fn batch_forward_matches_single_rows() {
         let k = 16;
-        let p = KernelPolicy::new(k, 13);
+        let p = build_policy(PolicyKind::Kernel, k, 13);
         let (obs1, mask1) = random_obs(k, 5, 1);
         let (obs2, mask2) = random_obs(k, 9, 2);
         let single1 = forward(&p, &obs1, &mask1, k);
@@ -707,7 +521,7 @@ mod tests {
         let mut mask = mask1.clone();
         mask.extend_from_slice(&mask2);
         let mut batched = Vec::new();
-        p.log_probs_fast_batch(&obs, &mask, 2, &mut Scratch::new(), &mut batched);
+        infer::log_probs(&p, &obs, &mask, 2, &mut Scratch::new(), &mut batched);
         for j in 0..k {
             assert!((batched[j] - single1[j]).abs() < 1e-5);
             assert!((batched[k + j] - single2[j]).abs() < 1e-5);

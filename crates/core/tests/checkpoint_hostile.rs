@@ -1,6 +1,7 @@
 //! Hostile checkpoints: a checkpoint whose tensors disagree with their
 //! shapes, whose layers do not chain, whose networks do not fit the
-//! encoder, or whose JSON nests past the parser's depth cap must fail
+//! encoder or are not the architecture its configuration names, or
+//! whose JSON nests past the parser's depth cap must fail
 //! `Agent::load_json` with an error — never load and then panic at the
 //! first decision, never overflow the stack — for every Table IV
 //! architecture, while an untouched checkpoint loads and scores
@@ -99,6 +100,20 @@ fn mutations() -> Vec<Mutation> {
             ("Kernel", net) => bump(at(net, &["max_obsv"])),
             ("LeNet", net) => bump(at(net, &["h"])),
             _ => bump(at(v, &["cfg", "obs", "max_obsv"])),
+        }),
+        ("`cfg.policy` names another kind", |v| {
+            let kind = at(v, &["cfg", "policy"]);
+            let next = match &*kind {
+                Value::String(name) => match name.as_str() {
+                    "Kernel" => "MlpV1",
+                    "MlpV1" => "MlpV2",
+                    "MlpV2" => "MlpV3",
+                    "MlpV3" => "LeNet",
+                    _ => "Kernel",
+                },
+                other => panic!("not a policy kind: {other:?}"),
+            };
+            *kind = Value::String(next.into());
         }),
     ]
 }

@@ -3,18 +3,18 @@
 
 use proptest::prelude::*;
 
+use rlsched_nn::fused::FusedPolicy;
 use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
-use rlsched_rl::PolicyModel;
 use rlsched_sim::{QueueView, WaitingJob};
 use rlsched_swf::Job;
-use rlscheduler::{KernelPolicy, ObsConfig, ObsEncoder, JOB_FEATURES};
+use rlscheduler::{build_policy, ObsConfig, ObsEncoder, PolicyKind, JOB_FEATURES};
 
-fn forward(policy: &KernelPolicy, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
+fn forward(policy: &FusedPolicy, obs: &[f32], mask: &[f32], k: usize) -> Vec<f32> {
     let mut g = Graph::new();
     let o = g.input_from(obs, &[1, obs.len()]);
     let m = g.input_from(mask, &[1, k]);
-    let (logits, _) = rlsched_nn_ref::forward(&mut g, &policy.fused(), o, 1);
+    let (logits, _) = rlsched_nn_ref::forward(&mut g, policy, o, 1);
     let masked = g.add(logits, m);
     let lp = g.log_softmax(masked);
     g.value(lp).data().to_vec()
@@ -32,7 +32,7 @@ proptest! {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let k = 8;
-        let policy = KernelPolicy::new(k, net_seed);
+        let policy = build_policy(PolicyKind::Kernel, k, net_seed);
         let mask = vec![0.0f32; k];
 
         let before = forward(&policy, &features, &mask, k);
@@ -65,7 +65,7 @@ proptest! {
         net_seed in any::<u64>(),
     ) {
         let k = 8;
-        let policy = KernelPolicy::new(k, net_seed);
+        let policy = build_policy(PolicyKind::Kernel, k, net_seed);
         let mask: Vec<f32> = (0..k).map(|i| if i < valid { 0.0 } else { MASK_OFF }).collect();
         let lp = forward(&policy, &features, &mask, k);
         let sum: f32 = lp.iter().map(|l| l.exp()).sum();

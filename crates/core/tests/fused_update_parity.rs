@@ -15,10 +15,7 @@ use rand::{Rng, SeedableRng};
 use rlsched_nn::{clip_global_norm, Adam};
 use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
-use rlsched_rl::{
-    collect_rollouts_vec, Batch, MaskedCategorical, PolicyModel, PpoConfig, UpdateStats,
-    ValueModel, VecEnv,
-};
+use rlsched_rl::{collect_rollouts_vec, Batch, MaskedCategorical, PpoConfig, UpdateStats, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -96,7 +93,7 @@ impl Reference {
             let mut g = Graph::new();
             let l = rlsched_nn_ref::policy_loss(
                 &mut g,
-                &self.agent.ppo().policy.fused(),
+                &self.agent.ppo().policy,
                 &obs,
                 &masks,
                 &actions,
@@ -126,7 +123,7 @@ impl Reference {
                 clip_global_norm(&mut grads, mx);
             }
             let policy = &mut self.agent.ppo_mut().policy;
-            self.pi_opt.step_params(policy.fused_mut().params(), &grads);
+            self.pi_opt.step_params(policy.params_mut(), &grads);
             stats.pi_iters = it + 1;
         }
         for it in 0..cfg.train_v_iters {
@@ -134,7 +131,7 @@ impl Reference {
             let (obs, _) = obs_and_masks(&rows);
             let returns = gather(&rows, &batch.returns, 1);
             let mut g = Graph::new();
-            let critic = self.agent.ppo().value.fused();
+            let critic = &self.agent.ppo().value;
             let (loss, params) = rlsched_nn_ref::value_loss(&mut g, critic, &obs, &returns);
             if it == 0 {
                 stats.v_loss_before = g.value(loss).item();
@@ -145,7 +142,7 @@ impl Reference {
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(&mut grads, mx);
             }
-            let mlp = self.agent.ppo_mut().value.fused_mut();
+            let mlp = &mut self.agent.ppo_mut().value;
             let params = mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]);
             self.vf_opt.step_params(params, &grads);
         }

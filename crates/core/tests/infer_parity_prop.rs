@@ -1,6 +1,6 @@
 //! Property tests: the allocation-free inference fast path must agree
-//! with the reference tape running the network each policy describes for
-//! training (`fused()`), for every Table IV architecture.
+//! with the reference tape running the network each policy trains as
+//! (its `FusedPolicy`), for every Table IV architecture.
 //!
 //! The SIMD microkernel reorders float accumulation (FMA) against the
 //! tape's MatMul, so fast-vs-tape log-probs are compared within tolerance
@@ -12,30 +12,29 @@
 use proptest::prelude::*;
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
-use rlsched_nn::Scratch;
+use rlsched_nn::{infer, Scratch};
 use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
-use rlsched_rl::{PolicyModel, ValueModel};
-use rlscheduler::{KernelPolicy, PolicyKind, PolicyNet, ValueNet, JOB_FEATURES};
+use rlscheduler::{build_critic, build_policy, PolicyKind, JOB_FEATURES};
 
 /// Window size: the smallest that every architecture accepts (LeNet
 /// needs `max_obsv % 4 == 0 && >= 64`).
 const K: usize = 64;
 
-fn tape_log_probs(policy: &PolicyNet, obs: &[f32], mask: &[f32]) -> Vec<f32> {
+fn tape_log_probs(policy: &FusedPolicy, obs: &[f32], mask: &[f32]) -> Vec<f32> {
     let mut g = Graph::new();
     let o = g.input_from(obs, &[1, obs.len()]);
     let m = g.input_from(mask, &[1, mask.len()]);
-    let (logits, _) = rlsched_nn_ref::forward(&mut g, &policy.fused(), o, 1);
+    let (logits, _) = rlsched_nn_ref::forward(&mut g, policy, o, 1);
     let masked = g.add(logits, m);
     let lp = g.log_softmax(masked);
     g.value(lp).data().to_vec()
 }
 
-fn fast_log_probs(policy: &PolicyNet, obs: &[f32], mask: &[f32]) -> Vec<f32> {
+fn fast_log_probs(policy: &FusedPolicy, obs: &[f32], mask: &[f32]) -> Vec<f32> {
     let mut scratch = Scratch::new();
     let mut out = Vec::new();
-    policy.log_probs_fast(obs, mask, &mut scratch, &mut out);
+    infer::log_probs(policy, obs, mask, 1, &mut scratch, &mut out);
     out
 }
 
@@ -96,7 +95,7 @@ proptest! {
     ) {
         let (obs, mask) = build_obs(&features, valid);
         for kind in PolicyKind::all() {
-            let policy = PolicyNet::build(kind, K, seed);
+            let policy = build_policy(kind, K, seed);
             let tape = tape_log_probs(&policy, &obs, &mask);
             let fast = fast_log_probs(&policy, &obs, &mask);
             prop_assert_eq!(fast.len(), tape.len());
@@ -123,7 +122,7 @@ proptest! {
     }
 
     /// Batched scoring ≡ per-view scoring for all five `PolicyKind`s:
-    /// row `i` of `log_probs_fast_batch` must equal `log_probs_fast` on
+    /// row `i` of a batched `infer::log_probs` must equal a one-row call on
     /// view `i` alone bit for bit — the batch runs its rows through the
     /// SIMD kernel's 4-row blocks, a single view through the one-row
     /// tiles, and both give every row the same accumulation chain.
@@ -135,7 +134,7 @@ proptest! {
     ) {
         let rows = valids.len();
         for kind in PolicyKind::all() {
-            let policy = PolicyNet::build(kind, K, seed);
+            let policy = build_policy(kind, K, seed);
             let mut obs_all = Vec::new();
             let mut mask_all = Vec::new();
             let mut singles = Vec::new();
@@ -150,7 +149,7 @@ proptest! {
             }
             let mut scratch = Scratch::new();
             let mut batched = Vec::new();
-            policy.log_probs_fast_batch(&obs_all, &mask_all, rows, &mut scratch, &mut batched);
+            infer::log_probs(&policy, &obs_all, &mask_all, rows, &mut scratch, &mut batched);
             prop_assert_eq!(batched.len(), rows * K, "{}: batch shape", kind.name());
             for (i, single) in singles.iter().enumerate() {
                 prop_assert_eq!(
@@ -165,7 +164,7 @@ proptest! {
     /// The kernel policy scores only each window's job rows and gives
     /// every padding slot the score of one zero row: on windows whose job
     /// rows end anywhere in 0..=K (a few zero rows inside the prefix
-    /// stay), `log_probs_fast` and `log_probs_fast_batch` over 1–20 views
+    /// stay), one-row and batched `infer::log_probs` over 1–20 views
     /// (so more than one block of `KERNEL_VIEW_BLOCK` views) equal a
     /// forward of every row of every window, bit for bit — full windows
     /// (half of them) included. A masked slot's
@@ -178,9 +177,8 @@ proptest! {
         seed in 0u64..50,
         data_seed in 0u64..1000,
     ) {
-        use rlsched_nn::infer;
-        let policy = KernelPolicy::new(K, seed);
-        let kernel = policy.fused().mlp;
+        let policy = build_policy(PolicyKind::Kernel, K, seed);
+        let kernel = &policy.mlp;
         let views = lives.len();
         let mut s = data_seed;
         let mut unit = || {
@@ -215,13 +213,15 @@ proptest! {
             expected.extend_from_slice(&whole);
         }
         let mut batched = Vec::new();
-        policy.log_probs_fast_batch(&obs, &masks, views, &mut scratch, &mut batched);
+        infer::log_probs(&policy, &obs, &masks, views, &mut scratch, &mut batched);
         prop_assert_eq!(bits(&batched), bits(&expected), "batched, lives {:?}", &lives);
         let mut single = Vec::new();
         for v in 0..views {
-            policy.log_probs_fast(
+            infer::log_probs(
+                &policy,
                 &obs[v * K * JOB_FEATURES..(v + 1) * K * JOB_FEATURES],
                 &masks[v * K..(v + 1) * K],
+                1,
                 &mut scratch,
                 &mut single,
             );
@@ -241,15 +241,17 @@ proptest! {
         seed in 0u64..50,
     ) {
         let (obs, _mask) = build_obs(&features, valid);
-        let net = ValueNet::new(K, seed);
+        let net = build_critic(K, seed);
 
         let mut g = Graph::new();
         let o = g.input_from(&obs, &[1, obs.len()]);
-        let critic = FusedPolicy { mlp: net.fused(), head: FusedHead::Flat };
+        let critic = FusedPolicy { convs: vec![], mlp: net.clone(), head: FusedHead::Flat };
         let (v, _) = rlsched_nn_ref::forward(&mut g, &critic, o, 1);
         let tape = g.value(v).data()[0] as f64;
 
-        let fast = net.value_fast(&obs, &mut Scratch::new());
+        let mut fast = Vec::new();
+        infer::window_mlp_forward(&net, &obs, 1, JOB_FEATURES, &mut Scratch::new(), &mut fast);
+        let fast = fast[0] as f64;
         prop_assert!(
             (fast - tape).abs() <= 1e-4 * (1.0 + tape.abs()),
             "value fast {} vs tape {}", fast, tape
@@ -328,7 +330,8 @@ fn greedy_batch_matches_per_view_as_policy() {
         );
         assert_eq!(batched.len(), views.len());
         let mut batched_logp = Vec::new();
-        agent.ppo().policy.log_probs_fast_batch(
+        infer::log_probs(
+            &agent.ppo().policy,
             &obs_all,
             &mask_all,
             views.len(),

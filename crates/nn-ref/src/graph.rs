@@ -484,16 +484,16 @@ fn window(shape: &[usize], size: usize, i: usize) -> impl Iterator<Item = usize>
 /// Bind every parameter of `p` onto the tape (bind order) and build its
 /// output for the `[n, obs_dim]` observations `obs`: `[n, n_actions]`
 /// logits for a policy, `[n, 1]` values for a critic's flat chain.
-pub fn forward(g: &mut Graph, p: &FusedPolicy<'_>, obs: Var, n: usize) -> (Var, Vec<Var>) {
+pub fn forward(g: &mut Graph, p: &FusedPolicy, obs: Var, n: usize) -> (Var, Vec<Var>) {
     let params: Vec<Var> = p.params().map(|t| g.param(t.clone())).collect();
     let mut bound = params.iter().copied();
     let mut next = || bound.next().expect("one var per parameter");
     let mut h = match p.head {
         FusedHead::Flat => obs,
         FusedHead::Kernel { window } => g.reshape(obs, &[n * window, p.mlp.in_dim()]),
-        FusedHead::Conv { convs, h, w } => {
+        FusedHead::Conv { h, w } => {
             let mut x = g.reshape(obs, &[n, 1, h, w]);
-            for conv in convs {
+            for conv in &p.convs {
                 let (cw, cb) = (next(), next());
                 let c = g.conv2d(x, cw, cb, conv.stride);
                 let r = g.act(c, Activation::Relu);
@@ -503,7 +503,7 @@ pub fn forward(g: &mut Graph, p: &FusedPolicy<'_>, obs: Var, n: usize) -> (Var, 
             g.reshape(x, &[n, flat])
         }
     };
-    let (mlp, last) = (p.mlp, p.mlp.layers.len() - 1);
+    let (mlp, last) = (&p.mlp, p.mlp.layers.len() - 1);
     for l in 0..=last {
         let act = if l == last { mlp.output } else { mlp.hidden };
         let (w, b) = (next(), next());
@@ -535,7 +535,7 @@ pub struct PolicyLoss {
 #[allow(clippy::too_many_arguments)] // the PPO objective's term list
 pub fn policy_loss(
     g: &mut Graph,
-    p: &FusedPolicy<'_>,
+    p: &FusedPolicy,
     obs: &[f32],
     masks: &[f32],
     actions: &[usize],
@@ -582,8 +582,12 @@ pub fn policy_loss(
 pub fn value_loss(g: &mut Graph, mlp: &Mlp, obs: &[f32], returns: &[f32]) -> (Var, Vec<Var>) {
     let n = returns.len();
     let o = g.input_from(obs, &[n, obs.len() / n]);
-    let head = FusedHead::Flat;
-    let (v, params) = forward(g, &FusedPolicy { mlp, head }, o, n);
+    let critic = FusedPolicy {
+        convs: vec![],
+        mlp: mlp.clone(),
+        head: FusedHead::Flat,
+    };
+    let (v, params) = forward(g, &critic, o, n);
     let r = g.input_from(returns, &[n, 1]);
     let d = g.sub(v, r);
     let sq = g.mul(d, d);

@@ -4,10 +4,11 @@
 //! per epoch: a policy network, a masked log-softmax, a categorical
 //! gather, and the clipped-surrogate / entropy / value-loss scalar tail.
 //! This module hand-writes that forward+backward once, and it is the only
-//! gradient code the system runs. A network is described once, as a
-//! [`FusedPolicy`]: this pass trains the description, and
-//! [`infer::log_probs`] runs it forward-only for every decision, on the
-//! same layer kernels.
+//! gradient code the system runs. A policy network is one owned value, a
+//! [`FusedPolicy`]: this pass trains it, the optimizer steps its
+//! [`FusedPolicy::params_mut`] in place, and [`infer::log_probs`] runs it
+//! forward-only for every decision, on the same layer kernels. A critic is
+//! a plain [`Mlp`], which [`value_pass`] trains under the flat head.
 //!
 //! The forward runs the layer stack on the shared [`crate::simd`] kernels
 //! and `infer`'s conv/pool loops while stashing only the activations the
@@ -69,8 +70,9 @@
 //!
 //! # Supported architectures
 //!
-//! Every policy of the paper's Table IV, as a dense [`Mlp`] chain under
-//! one of three logits heads ([`FusedPolicy`]):
+//! Every policy of the paper's Table IV, as a dense [`Mlp`] chain (after
+//! a LeNet's conv stages) under one of three logits heads
+//! ([`FusedPolicy`]):
 //!
 //! * [`FusedHead::Flat`]: `logits = mlp(obs)`, one row per transition
 //!   (the MLP v1–v3 baselines, and every critic).
@@ -82,9 +84,10 @@
 //!   one-channel image, every conv stage runs conv → ReLU → 2 × 2
 //!   max-pool, and the flattened maps of the last stage feed the MLP.
 //!
-//! [`FusedPolicy::check`] holds a description to the observation and
-//! action widths it will be fed, so a checkpoint that does not fit is an
-//! error before any forward trusts its shapes.
+//! Each pass first holds its network to the observation and action widths
+//! it will be fed (every weight rank, bias length, conv fit and layer
+//! input), so a network that does not fit panics before any forward
+//! trusts its shapes.
 //!
 //! # Ragged rows and the kernel head
 //!
@@ -180,10 +183,10 @@ use crate::{pool, simd, MASK_OFF};
 /// Window and stride of every conv stage's max-pool.
 pub const POOL: usize = 2;
 
-/// How the policy turns its layer stack's outputs into `[n, n_actions]`
+/// How a policy turns its layer stack's outputs into `[n, n_actions]`
 /// logits.
-#[derive(Debug, Clone, Copy)]
-pub enum FusedHead<'a> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedHead {
     /// `logits = mlp(obs)`: one MLP row per transition; the MLP's output
     /// width is the action count.
     Flat,
@@ -195,12 +198,10 @@ pub enum FusedHead<'a> {
         window: usize,
     },
     /// The LeNet baseline: the observation is a one-channel `h × w`
-    /// image, each of `convs` runs conv → ReLU → [`POOL`] × [`POOL`]
+    /// image, each conv stage runs conv → ReLU → [`POOL`] × [`POOL`]
     /// max-pool, and the last stage's flattened maps are the MLP's input;
     /// its output width is the action count.
     Conv {
-        /// The conv stages, first to last.
-        convs: &'a [Conv2dLayer],
         /// Image height.
         h: usize,
         /// Image width.
@@ -208,38 +209,65 @@ pub enum FusedHead<'a> {
     },
 }
 
-/// A borrowed description of a policy network for the fused update: the
-/// trainable dense chain plus its logits head.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedPolicy<'a> {
-    /// The trainable dense chain (the whole network, or what follows the
-    /// conv stages).
-    pub mlp: &'a Mlp,
-    /// The logits head around it.
-    pub head: FusedHead<'a>,
+/// A policy network of any Table IV architecture: conv stages, a dense
+/// chain and the logits head around them. It is the one value that
+/// trains and decides: [`policy_pass`] differentiates it, the optimizer
+/// steps [`FusedPolicy::params_mut`] in place, and [`infer::log_probs`]
+/// runs it forward for every decision.
+#[derive(Debug, Clone)]
+pub struct FusedPolicy {
+    /// The conv stages of a [`FusedHead::Conv`] policy, first to last;
+    /// empty under the other heads.
+    pub convs: Vec<Conv2dLayer>,
+    /// The dense chain (the whole network, or what follows the conv
+    /// stages).
+    pub mlp: Mlp,
+    /// The logits head.
+    pub head: FusedHead,
 }
 
-/// The trainable layers behind a [`FusedPolicy`], borrowed mutably: what
-/// the optimizer steps in place.
-#[derive(Debug)]
-pub struct FusedPolicyMut<'a> {
-    /// The conv stages of a [`FusedHead::Conv`] policy; empty otherwise.
-    pub convs: &'a mut [Conv2dLayer],
-    /// The dense chain.
-    pub mlp: &'a mut Mlp,
-}
-
-impl<'a> FusedPolicyMut<'a> {
-    /// Every parameter in bind order (see [`FusedPolicy::params`]).
-    pub fn params(self) -> impl Iterator<Item = &'a mut Tensor> {
-        let convs = self.convs.iter_mut().flat_map(|c| [&mut c.w, &mut c.b]);
-        convs.chain(
-            self.mlp
-                .layers
-                .iter_mut()
-                .flat_map(|l| [&mut l.w, &mut l.b]),
-        )
+impl FusedPolicy {
+    /// Every parameter in bind order — each conv stage's weight and bias,
+    /// then each dense layer's — which is the order of
+    /// [`FusedScratch::grads`].
+    pub fn params(&self) -> impl Iterator<Item = &Tensor> {
+        self.net().params()
     }
+
+    /// [`FusedPolicy::params`], mutably: what the optimizer steps.
+    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        let convs = self.convs.iter_mut().flat_map(|c| [&mut c.w, &mut c.b]);
+        let dense = self.mlp.layers.iter_mut();
+        convs.chain(dense.flat_map(|l| [&mut l.w, &mut l.b]))
+    }
+
+    /// Total scalar parameter count.
+    pub fn param_count(&self) -> usize {
+        self.params().map(Tensor::len).sum()
+    }
+
+    /// The `(obs_dim, n_actions)` the network reads and emits: the
+    /// widths a pass holds it to.
+    pub fn widths(&self) -> (usize, usize) {
+        self.net().widths()
+    }
+
+    pub(crate) fn net(&self) -> Net<'_> {
+        Net {
+            convs: &self.convs,
+            mlp: &self.mlp,
+            head: self.head,
+        }
+    }
+}
+
+/// A borrowed network, what the passes and the decision forward walk: a
+/// [`FusedPolicy`]'s layers, or a critic's chain under the flat head.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Net<'a> {
+    pub(crate) convs: &'a [Conv2dLayer],
+    pub(crate) mlp: &'a Mlp,
+    pub(crate) head: FusedHead,
 }
 
 /// The shapes of one conv → ReLU → max-pool stage, per observation.
@@ -269,25 +297,33 @@ impl Stage<'_> {
     }
 }
 
-impl<'a> FusedPolicy<'a> {
-    /// Every parameter in bind order — each conv stage's weight and bias,
-    /// then each dense layer's — which is the order of
-    /// [`FusedScratch::grads`].
-    pub fn params(&self) -> impl Iterator<Item = &'a Tensor> {
-        let mlp = self.mlp;
-        let convs = self.convs().iter().flat_map(|c| [&c.w, &c.b]);
-        convs.chain(mlp.layers.iter().flat_map(|l| [&l.w, &l.b]))
+impl<'a> Net<'a> {
+    /// A critic's chain: the flat head, no conv stages.
+    fn flat(mlp: &'a Mlp) -> Self {
+        Net {
+            convs: &[],
+            mlp,
+            head: FusedHead::Flat,
+        }
     }
 
-    /// Hold the description to the widths it will be fed: `obs_dim`
+    fn params(&self) -> impl Iterator<Item = &'a Tensor> {
+        let convs = self.convs.iter().flat_map(|c| [&c.w, &c.b]);
+        convs.chain(self.mlp.layers.iter().flat_map(|l| [&l.w, &l.b]))
+    }
+
+    /// Hold the network to the widths it will be fed: `obs_dim`
     /// observation values in, `n_actions` logits out per transition. Every
     /// shape a forward trusts — weight ranks, bias lengths, each conv
     /// stage's fit into its input maps, each dense layer's input against
     /// the previous output — is compared here, so a network that passes
     /// runs without a shape panic.
-    pub fn check(&self, obs_dim: usize, n_actions: usize) -> Result<(), String> {
+    fn check(&self, obs_dim: usize, n_actions: usize) -> Result<(), String> {
         if n_actions == 0 {
             return Err("a policy needs at least one action slot".into());
+        }
+        if !self.convs.is_empty() && !matches!(self.head, FusedHead::Conv { .. }) {
+            return Err("only a conv head has conv stages".into());
         }
         let (mut width, out) = match self.head {
             FusedHead::Flat => (obs_dim, n_actions),
@@ -299,12 +335,12 @@ impl<'a> FusedPolicy<'a> {
                 }
                 (obs_dim / window, 1)
             }
-            FusedHead::Conv { convs, h, w } => {
+            FusedHead::Conv { h, w } => {
                 if h * w != obs_dim {
                     return Err(format!("a {h} x {w} image is not {obs_dim} inputs"));
                 }
                 let (mut c, mut h, mut w) = (1, h, w);
-                for (i, conv) in convs.iter().enumerate() {
+                for (i, conv) in self.convs.iter().enumerate() {
                     let (ws, bs) = (conv.w.shape(), conv.b.shape());
                     let &[o, ci, kh, kw] = ws else {
                         return Err(format!("conv {i}: weight {ws:?} is not [out, in, kh, kw]"));
@@ -351,23 +387,14 @@ impl<'a> FusedPolicy<'a> {
         Ok(())
     }
 
-    /// The `(obs_dim, n_actions)` the network reads and emits: the
-    /// widths [`FusedPolicy::check`] holds it to in a pass.
-    pub fn widths(&self) -> (usize, usize) {
+    fn widths(&self) -> (usize, usize) {
         let layers = &self.mlp.layers;
         let in_dim = layers.first().map_or(0, |l| l.in_dim());
         let out_dim = layers.last().map_or(0, |l| l.out_dim());
         match self.head {
             FusedHead::Flat => (in_dim, out_dim),
             FusedHead::Kernel { window } => (window * in_dim, window),
-            FusedHead::Conv { h, w, .. } => (h * w, out_dim),
-        }
-    }
-
-    pub(crate) fn convs(&self) -> &'a [Conv2dLayer] {
-        match self.head {
-            FusedHead::Conv { convs, .. } => convs,
-            _ => &[],
+            FusedHead::Conv { h, w } => (h * w, out_dim),
         }
     }
 
@@ -381,7 +408,7 @@ impl<'a> FusedPolicy<'a> {
     }
 
     /// The most dense-chain rows an `n`-transition chunk forwards: its
-    /// [`FusedPolicy::window_rows`], plus for the kernel head the one
+    /// [`Net::window_rows`], plus for the kernel head the one
     /// all-zero job row that scores the padding.
     fn dense_rows(&self, n: usize) -> usize {
         let zero_row = matches!(self.head, FusedHead::Kernel { .. });
@@ -391,10 +418,10 @@ impl<'a> FusedPolicy<'a> {
     /// The conv stages' shapes, first to last (none for the dense heads).
     pub(crate) fn stages(&self) -> impl Iterator<Item = Stage<'a>> {
         let (h, w) = match self.head {
-            FusedHead::Conv { h, w, .. } => (h, w),
+            FusedHead::Conv { h, w } => (h, w),
             _ => (0, 0),
         };
-        self.convs().iter().scan((1, h, w), |(c, h, w), conv| {
+        self.convs.iter().scan((1, h, w), |(c, h, w), conv| {
             let (o, kh, kw) = (conv.w.shape()[0], conv.w.shape()[2], conv.w.shape()[3]);
             let ch = (*h - kh) / conv.stride + 1;
             let cw = (*w - kw) / conv.stride + 1;
@@ -501,7 +528,7 @@ impl WorkerScratch {
     /// each for the 32/16/8 kernel net at 64 × 128 job rows, plus the
     /// zero row) whatever the minibatch size — one per chunk would be
     /// 157 MB for a 2 048-row minibatch.
-    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, od: usize) {
+    fn presize(&mut self, p: &Net<'_>, n: usize, od: usize) {
         let rows = p.dense_rows(n);
         let zero_row = match p.head {
             FusedHead::Kernel { .. } => p.mlp.in_dim(),
@@ -526,7 +553,7 @@ impl WorkerScratch {
             fit(act, len);
             widest = widest.max(len);
         }
-        let dx0 = !p.convs().is_empty();
+        let dx0 = !p.convs.is_empty();
         let wt = p.mlp.layers.iter().enumerate();
         let wt = wt.filter(|&(l, _)| l > 0 || dx0);
         let wt = wt.map(|(_, l)| l.in_dim() * l.out_dim()).max();
@@ -710,7 +737,7 @@ impl Partial {
     /// Size the buffers for `n` transitions of `width` logits each
     /// (`width` 0 on the value side), on the calling thread like
     /// [`WorkerScratch::presize`].
-    fn presize(&mut self, p: &FusedPolicy<'_>, n: usize, width: usize) {
+    fn presize(&mut self, p: &Net<'_>, n: usize, width: usize) {
         fit(&mut self.logp, n * width);
         fit(&mut self.sel, n);
         self.rows = 0;
@@ -829,7 +856,7 @@ impl FusedScratch {
     /// wall time apportioned to (forward, backward).
     fn sweep(
         &mut self,
-        p: &FusedPolicy<'_>,
+        p: &Net<'_>,
         n: usize,
         (od, width): (usize, usize),
         forward: impl Fn(&mut WorkerScratch, &mut Partial, usize, usize) + Sync,
@@ -933,7 +960,7 @@ fn merge_grads(chunks: &mut [Partial]) {
 /// The dense chain runs on every row of its input (for the kernel head,
 /// the job rows `obs` holds; for the flat head the `n` rows, its first
 /// layer ragged); returns how many that was.
-fn forward_stack(p: &FusedPolicy<'_>, w: &mut WorkerScratch, n: usize) -> usize {
+fn forward_stack(p: &Net<'_>, w: &mut WorkerScratch, n: usize) -> usize {
     let WorkerScratch {
         obs,
         ext,
@@ -965,7 +992,7 @@ fn forward_stack(p: &FusedPolicy<'_>, w: &mut WorkerScratch, n: usize) -> usize 
         Activation::Relu.apply_slice(conv);
         infer::max_pool2d_forward(conv, n, o, st.ch, st.cw, POOL, &mut rest[0]);
     }
-    let (convs, dense) = acts.split_at_mut(2 * p.convs().len());
+    let (convs, dense) = acts.split_at_mut(2 * p.convs.len());
     let in_dim = p.mlp.in_dim();
     if let FusedHead::Flat = p.head {
         let x = &obs[..n * in_dim];
@@ -1020,9 +1047,9 @@ fn forward_layers(
 /// into `grads` (bind order). The dense chain walks the first
 /// `s.ends.last()` of its forwarded rows. The observation itself needs no
 /// gradient, so the first layer's `dX` is never computed.
-fn backward_stack(p: &FusedPolicy<'_>, n: usize, s: &mut WorkerScratch, grads: &mut [Tensor]) {
+fn backward_stack(p: &Net<'_>, n: usize, s: &mut WorkerScratch, grads: &mut [Tensor]) {
     // A conv stage stashes two activations and owns two parameters.
-    let k = 2 * p.convs().len();
+    let k = 2 * p.convs.len();
     let WorkerScratch {
         obs,
         acts,
@@ -1295,12 +1322,12 @@ fn conv_backward(
 /// Each chunk's gradient partial is seeded by the *batch* mean, so
 /// partials sum to the batch gradient; they reduce through the
 /// chunk-index-ordered tree merge and loss partials fold in chunk order.
-/// Panics when `p` does not [`FusedPolicy::check`], its observation is
+/// Panics when a shape of `p` does not fit its widths, its observation is
 /// not `n_actions` job rows wide, or a row or action breaks the window
 /// contract.
 #[allow(clippy::too_many_arguments)] // mirrors the PPO objective's term list
 pub fn policy_pass<'d>(
-    p: &FusedPolicy<'_>,
+    p: &FusedPolicy,
     rows: impl Fn(usize) -> &'d [f32] + Sync,
     index: &[u32],
     actions: &[usize],
@@ -1312,6 +1339,7 @@ pub fn policy_pass<'d>(
 ) -> FusedPass {
     let n = index.len();
     assert!(n > 0, "fused pass needs at least one transition");
+    let p = &p.net();
     let (od, width) = p.widths();
     p.check(od, width)
         .unwrap_or_else(|e| panic!("fused policy pass: {e}"));
@@ -1518,10 +1546,7 @@ pub fn value_pass<'d>(
 ) -> FusedPass {
     let n = index.len();
     assert!(n > 0, "fused value pass needs at least one row");
-    let p = FusedPolicy {
-        mlp,
-        head: FusedHead::Flat,
-    };
+    let p = Net::flat(mlp);
     let od = p.widths().0;
     p.check(od, 1)
         .unwrap_or_else(|e| panic!("fused value pass: {e}"));
@@ -1649,11 +1674,11 @@ mod tests {
     #[test]
     fn fused_scratch_reuse_is_bit_identical() {
         // Three 2-feature slots per window.
-        let net = mlp(&[6, 16, 3], 7);
         let n = 9;
         let c = policy_case(n, 2, 3);
         let p = FusedPolicy {
-            mlp: &net,
+            convs: vec![],
+            mlp: mlp(&[6, 16, 3], 7),
             head: FusedHead::Flat,
         };
         let (rows, index) = (ragged(&c.jobs, &c.counts, 2), all(n));
@@ -1699,13 +1724,13 @@ mod tests {
     fn chunked_pass_is_thread_count_invariant() {
         // The determinism contract: identical bits (loss, every gradient,
         // diagnostics) at every worker count, pinned against 1 worker.
-        let pnet = mlp(&[4, 16, 8, 1], 23);
         let vnet = mlp(&[7, 16, 1], 29);
         let n = 3 * SHARD_ROWS + 7; // four chunks, last ragged
         let window = 5;
         let c = policy_case(n, 4, window);
         let p = FusedPolicy {
-            mlp: &pnet,
+            convs: vec![],
+            mlp: mlp(&[4, 16, 8, 1], 23),
             head: FusedHead::Kernel { window },
         };
         let vobs = filled(n * 7, 0.6, 0.8);

@@ -51,8 +51,8 @@ pub struct Scratch {
     a: Vec<f32>,
     /// Pong buffer for layer outputs.
     b: Vec<f32>,
-    /// A third live tensor: the kernel head's scores, a conv stage's
-    /// output, or the critic's values ([`scratch_extra`]).
+    /// A third live tensor: the kernel head's scores or a conv stage's
+    /// output.
     c: Vec<f32>,
     /// The dense chain's input when it is not the observation: the job
     /// rows a kernel pass copies out of their windows (see
@@ -202,7 +202,8 @@ fn reserve_rows(mlp: &Mlp, rows: usize, scratch: &mut Scratch, out: &mut Vec<f32
     fit(out, rows * last[0].out_dim());
 }
 
-/// Valid (unpadded) conv2d into a zero-filled output slice. Shared by the
+/// Valid (unpadded) conv2d into an output slice, every value of which it
+/// writes. Shared by the
 /// fast path and the fused training forward so both compute identical
 /// values.
 #[allow(clippy::too_many_arguments)]
@@ -245,8 +246,8 @@ pub fn conv2d_into(
     }
 }
 
-/// Non-overlapping max-pool into an output slice (window = stride =
-/// `size`). Shared by the fast path and the fused training forward.
+/// Non-overlapping max-pool into an output slice, every value of which
+/// it writes (window = stride = `size`). Shared by the fast path and the fused training forward.
 pub fn max_pool2d_into(
     x: &[f32],
     bs: usize,
@@ -277,7 +278,9 @@ pub fn max_pool2d_into(
 }
 
 /// Scratch-buffered conv2d: resizes `out` and runs [`conv2d_into`].
-/// Returns the output spatial dims `(oh, ow)`.
+/// Returns the output spatial dims `(oh, ow)`. `out` is resized, not
+/// cleared: [`conv2d_into`] writes every output value, so only growth
+/// zero-fills.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward(
     x: &[f32],
@@ -295,13 +298,14 @@ pub fn conv2d_forward(
 ) -> (usize, usize) {
     let oh = (h - kh) / stride + 1;
     let ow = (wd - kw) / stride + 1;
-    out.clear();
     out.resize(bs * o * oh * ow, 0.0);
     conv2d_into(x, w, b, bs, c, h, wd, o, kh, kw, stride, out);
     (oh, ow)
 }
 
-/// Scratch-buffered max-pool. Returns the output spatial dims.
+/// Scratch-buffered max-pool, resized like [`conv2d_forward`]'s output
+/// ([`max_pool2d_into`] writes every value). Returns the output spatial
+/// dims.
 pub fn max_pool2d_forward(
     x: &[f32],
     bs: usize,
@@ -312,7 +316,6 @@ pub fn max_pool2d_forward(
     out: &mut Vec<f32>,
 ) -> (usize, usize) {
     let (oh, ow) = (h / size, w / size);
-    out.clear();
     out.resize(bs * c * oh * ow, 0.0);
     max_pool2d_into(x, bs, c, h, w, size, out);
     (oh, ow)
@@ -345,13 +348,6 @@ pub fn log_softmax_inplace(row: &mut [f32]) {
     }
 }
 
-/// The third scratch buffer, free while [`mlp_forward`] or
-/// [`window_mlp_forward`] runs (they use the ping/pong pair): a caller
-/// can borrow it as the forward's output row.
-pub fn scratch_extra(scratch: &mut Scratch) -> &mut Vec<f32> {
-    &mut scratch.c
-}
-
 /// Batched kernel scoring processes this many views per dispatch: each
 /// view contributes its live job rows (at most its window, so a block is
 /// at most ~a thousand rows at the paper's K = 128), plus the dispatch's
@@ -366,8 +362,8 @@ pub fn scratch_extra(scratch: &mut Scratch) -> &mut Vec<f32> {
 const KERNEL_VIEW_BLOCK: usize = 8;
 
 /// The one decision forward of every policy: the masked log-probabilities
-/// of `rows` stacked observations under the network `p` describes, the
-/// network [`crate::fused::policy_pass`] trains. `obs` is `[rows,
+/// of `rows` stacked observations under the policy `p`, the network
+/// [`crate::fused::policy_pass`] trains. `obs` is `[rows,
 /// obs_dim]` and `masks` `[rows, n_actions]` (additive: 0 on a valid slot,
 /// [`crate::MASK_OFF`] on the rest), both row-major, with the widths of
 /// [`FusedPolicy::widths`]; `out` receives `[rows, n_actions]`. Nothing
@@ -385,7 +381,7 @@ const KERNEL_VIEW_BLOCK: usize = 8;
 /// fused pass's arithmetic. The dense kernels are row-count invariant, so
 /// row `i` is bit-identical to a call on row `i` alone.
 pub fn log_probs(
-    p: &FusedPolicy<'_>,
+    p: &FusedPolicy,
     obs: &[f32],
     masks: &[f32],
     rows: usize,
@@ -398,8 +394,8 @@ pub fn log_probs(
     assert_eq!(obs.len(), rows * od, "{rows} observations of {od} values");
     assert_eq!(masks.len(), rows * n, "{rows} masks of {n} slots");
     match p.head {
-        FusedHead::Kernel { window } => window_scores(p.mlp, window, obs, scratch, out),
-        FusedHead::Flat => mlp_forward(p.mlp, obs, rows, scratch, out),
+        FusedHead::Kernel { window } => window_scores(&p.mlp, window, obs, scratch, out),
+        FusedHead::Flat => mlp_forward(&p.mlp, obs, rows, scratch, out),
         FusedHead::Conv { .. } => conv_logits(p, obs, rows, scratch, out),
     }
     for (row, mask) in out.chunks_mut(n).zip(masks.chunks(n)) {
@@ -452,14 +448,14 @@ fn window_scores(kernel: &Mlp, k: usize, obs: &[f32], scratch: &mut Scratch, out
 /// (the loops the fused forward runs), then the dense chain over the last
 /// stage's flattened maps.
 fn conv_logits(
-    p: &FusedPolicy<'_>,
+    p: &FusedPolicy,
     obs: &[f32],
     rows: usize,
     scratch: &mut Scratch,
     out: &mut Vec<f32>,
 ) {
     let Scratch { a, b, c, input, .. } = scratch;
-    for (i, st) in p.stages().enumerate() {
+    for (i, st) in p.net().stages().enumerate() {
         let x = if i == 0 { obs } else { &input[..] };
         let conv = st.conv;
         let (w, bias) = (conv.w.data(), conv.b.data());
@@ -468,12 +464,8 @@ fn conv_logits(
         Activation::Relu.apply_slice(c);
         max_pool2d_forward(c, rows, o, st.ch, st.cw, POOL, input);
     }
-    let x = if p.convs().is_empty() {
-        obs
-    } else {
-        &input[..]
-    };
-    chain_forward(p.mlp, x, rows, None, a, b, out);
+    let x = if p.convs.is_empty() { obs } else { &input[..] };
+    chain_forward(&p.mlp, x, rows, None, a, b, out);
 }
 
 /// How many of a window's `features`-wide job rows hold a job: the rows

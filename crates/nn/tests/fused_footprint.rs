@@ -22,11 +22,12 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
         Activation::Identity,
         &mut StdRng::seed_from_u64(5),
     );
+    let params: usize = mlp.params().iter().map(|t| t.len()).sum();
     let p = FusedPolicy {
-        mlp: &mlp,
+        convs: vec![],
+        mlp,
         head: FusedHead::Kernel { window },
     };
-    let params: usize = mlp.params().iter().map(|t| t.len()).sum();
 
     // What one full chunk needs while it runs: its 64 windows of job
     // rows (the mask is implied, never copied), every layer's output for

@@ -117,7 +117,7 @@ impl Windows {
 /// grads in bind order)`.
 #[allow(clippy::too_many_arguments)]
 fn tape_policy_grads(
-    p: &FusedPolicy<'_>,
+    p: &FusedPolicy,
     w: &Windows,
     actions: &[usize],
     advantages: &[f32],
@@ -139,7 +139,7 @@ fn tape_policy_grads(
 /// pass.
 #[allow(clippy::too_many_arguments)]
 fn windows_policy_pass(
-    p: &FusedPolicy<'_>,
+    p: &FusedPolicy,
     w: &Windows,
     actions: &[usize],
     advantages: &[f32],
@@ -214,7 +214,7 @@ proptest! {
         let advantages: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
         let logp_old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
 
-        let p = FusedPolicy { mlp: &mlp, head };
+        let p = FusedPolicy { convs: vec![], mlp, head };
         let (tape_loss, tape_sel, tape_grads) = tape_policy_grads(
             &p, &w, &actions, &advantages, &logp_old, clip, ent_coef,
         );
@@ -282,7 +282,11 @@ fn multi_chunk_policy_pass_matches_tape_within_tolerance() {
         let adv: Vec<f32> = (0..n).map(|_| lcg(&mut s) * 4.0).collect();
         let old: Vec<f32> = (0..n).map(|_| -0.1 - lcg(&mut s).abs() * 3.0).collect();
 
-        let p = FusedPolicy { mlp: &mlp, head };
+        let p = FusedPolicy {
+            convs: vec![],
+            mlp,
+            head,
+        };
         let (tape_loss, tape_sel, tape_grads) =
             tape_policy_grads(&p, &w, &actions, &adv, &old, 0.2, 0.01);
         let mut scratch = FusedScratch::new();
@@ -324,7 +328,8 @@ fn kernel_window_128_with_padded_tails_matches_tape_bitwise() {
         &mut rng,
     );
     let p = FusedPolicy {
-        mlp: &mlp,
+        convs: vec![],
+        mlp,
         head: FusedHead::Kernel { window },
     };
     // Valid prefixes 1, 37, 74, 111, 20, … and one full window; every
@@ -393,7 +398,8 @@ fn kernel_fallback_widens_windows_whose_padding_keeps_probability() {
         mlp.layers[1].w.data_mut()[0] = 1.0;
     }
     let p = FusedPolicy {
-        mlp: &mlp,
+        convs: vec![],
+        mlp,
         head: FusedHead::Kernel { window },
     };
     let counts: Vec<usize> = (0..n).map(|t| 1 + t * 5 % window).collect();
@@ -458,7 +464,11 @@ fn indexed_pass_equals_a_pass_over_the_rows_gathered_first() {
     ] {
         let mut rng = StdRng::seed_from_u64(29);
         let mlp = Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng);
-        let p = FusedPolicy { mlp: &mlp, head };
+        let p = FusedPolicy {
+            convs: vec![],
+            mlp,
+            head,
+        };
         let source = Windows::random(source_rows, f, width, &mut s, 2.0);
         let gathered = source.gathered(&index);
         let actions = gathered.actions(|t| t * 7);
@@ -523,7 +533,7 @@ fn indexed_pass_equals_a_pass_over_the_rows_gathered_first() {
 /// jobs of 7 features as a 16 x 28 image, two conv 5 x 5 stages of 6 and
 /// 16 maps (1 x 4 each after the second pool), a 120-unit dense layer and
 /// the 64-slot head.
-fn lenet(seed: u64) -> (Vec<Conv2dLayer>, Mlp) {
+fn lenet(seed: u64) -> FusedPolicy {
     let mut rng = StdRng::seed_from_u64(seed);
     let convs = vec![
         Conv2dLayer::new(1, 6, 5, 5, 1, &mut rng),
@@ -535,7 +545,11 @@ fn lenet(seed: u64) -> (Vec<Conv2dLayer>, Mlp) {
         Activation::Identity,
         &mut rng,
     );
-    (convs, mlp)
+    FusedPolicy {
+        convs,
+        mlp,
+        head: FusedHead::Conv { h: 16, w: 28 },
+    }
 }
 
 /// An `n`-transition LeNet batch over 64-slot windows of 7 features:
@@ -558,15 +572,7 @@ fn lenet_batch(n: usize, seed: u64) -> (Windows, Vec<usize>, Vec<f32>, Vec<f32>)
 /// for bit, with and without the entropy term.
 #[test]
 fn lenet_grads_match_tape_bitwise_in_one_chunk() {
-    let (convs, mlp) = lenet(41);
-    let p = FusedPolicy {
-        mlp: &mlp,
-        head: FusedHead::Conv {
-            convs: &convs,
-            h: 16,
-            w: 28,
-        },
-    };
+    let p = lenet(41);
     for n in [1usize, 63, 64] {
         for ent_coef in [0.0f32, 0.01] {
             let (w, actions, adv, old) = lenet_batch(n, n as u64);
@@ -593,15 +599,7 @@ fn lenet_grads_match_tape_bitwise_in_one_chunk() {
 /// 2, 3 and 7 workers.
 #[test]
 fn lenet_across_chunks_matches_tape_and_is_thread_count_invariant() {
-    let (convs, mlp) = lenet(43);
-    let p = FusedPolicy {
-        mlp: &mlp,
-        head: FusedHead::Conv {
-            convs: &convs,
-            h: 16,
-            w: 28,
-        },
-    };
+    let p = lenet(43);
     for n in [SHARD_ROWS + 1, 3 * SHARD_ROWS + 1] {
         let (w, actions, adv, old) = lenet_batch(n, 7 + n as u64);
         let run = |threads: usize| {
@@ -658,12 +656,10 @@ proptest! {
             Mlp::new(&[5, hidden, 8, 1], Activation::Relu, Activation::Identity, &mut rng),
             Mlp::new(&[9 * 5, hidden, 9], Activation::Relu, Activation::Identity, &mut rng),
         );
-        let (convs, fc) = lenet(net_seed);
-        let conv = FusedHead::Conv { convs: &convs, h: 16, w: 28 };
         let policies = [
-            ("kernel", FusedPolicy { mlp: &kernel, head: FusedHead::Kernel { window: 9 } }, 5, 9),
-            ("flat", FusedPolicy { mlp: &flat, head: FusedHead::Flat }, 5, 9),
-            ("conv", FusedPolicy { mlp: &fc, head: conv }, 7, 64),
+            ("kernel", FusedPolicy { convs: vec![], mlp: kernel, head: FusedHead::Kernel { window: 9 } }, 5, 9),
+            ("flat", FusedPolicy { convs: vec![], mlp: flat, head: FusedHead::Flat }, 5, 9),
+            ("conv", lenet(net_seed), 7, 64),
         ];
         let mut s = data_seed | 1;
         for (head, p, f, width) in &policies {

@@ -289,7 +289,7 @@ proptest! {
         let rows = |i: usize| &obs[i * h * w..(i + 1) * h * w];
         let index: Vec<u32> = (0..n as u32).collect();
         let loss_of = |convs: &[Conv2dLayer], mlp: &Mlp, scratch: &mut FusedScratch| {
-            let p = FusedPolicy { mlp, head: FusedHead::Conv { convs, h, w } };
+            let p = FusedPolicy { convs: convs.to_vec(), mlp: mlp.clone(), head: FusedHead::Conv { h, w } };
             fused::policy_pass(&p, rows, &index, &actions, &adv, &old, 1e3, ent_coef, scratch).loss
         };
 

@@ -14,7 +14,8 @@ fn tape_forward(mlp: &Mlp, x: &[f32], rows: usize) -> Vec<f32> {
     let mut g = Graph::new();
     let o = g.input_from(x, &[rows, mlp.in_dim()]);
     let p = FusedPolicy {
-        mlp,
+        convs: vec![],
+        mlp: mlp.clone(),
         head: FusedHead::Flat,
     };
     let (y, _) = rlsched_nn_ref::forward(&mut g, &p, o, rows);

@@ -16,7 +16,9 @@
 //!   advantage estimation and reward-to-go returns, and the training
 //!   [`Batch`], which keeps each window's valid job rows only.
 //! * [`ppo`] — the clipped-surrogate PPO update with early stopping on
-//!   approximate KL, separate Adam optimizers for policy and value nets.
+//!   approximate KL, separate Adam optimizers for the policy (an
+//!   `rlsched_nn::fused::FusedPolicy`) and the value net (an
+//!   `rlsched_nn::Mlp`).
 //! * [`vecenv`] — vectorized environments ([`VecEnv`]) stepped in
 //!   lockstep, plus [`greedy_batch`], the one batched argmax (a serving
 //!   shard's forward).
@@ -34,6 +36,6 @@ pub mod vecenv;
 pub use buffer::{ArrivalArena, Batch};
 pub use categorical::MaskedCategorical;
 pub use env::{Env, StepOutcome};
-pub use ppo::{ActorScratch, PolicyModel, Ppo, PpoConfig, UpdateProfile, UpdateStats, ValueModel};
+pub use ppo::{ActorScratch, Ppo, PpoConfig, UpdateProfile, UpdateStats};
 pub use sampler::{collect_arena, collect_rollouts_par, collect_rollouts_vec, RolloutStats};
 pub use vecenv::{greedy_batch, SlotOutcome, VecEnv};

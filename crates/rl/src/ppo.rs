@@ -2,105 +2,35 @@
 //! the algorithm of Schulman et al. \[30\] as packaged by OpenAI Spinning Up,
 //! which the paper builds RLScheduler on (§V-A).
 //!
-//! One [`Ppo`] owns an actor (any [`PolicyModel`]) and a critic (any
-//! [`ValueModel`]) with separate Adam optimizers. Per §V-A, each epoch runs
-//! up to 80 policy-gradient iterations (early-stopped on approximate KL)
-//! and 80 value iterations at learning rate 1e-3.
+//! One [`Ppo`] owns an actor (a [`FusedPolicy`]: any Table IV
+//! architecture) and a critic (a plain [`Mlp`] over the flat
+//! observation) with separate Adam optimizers. The actor decides through
+//! [`infer::log_probs`] and trains through [`fused::policy_pass`], so what
+//! decides is what trains; the critic runs
+//! [`infer::window_mlp_forward`] in rollouts and [`fused::value_pass`] in
+//! the update. Per §V-A, each epoch runs up to 80 policy-gradient
+//! iterations (early-stopped on approximate KL) and 80 value iterations at
+//! learning rate 1e-3.
 
 use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use rlsched_nn::fused::{self, FusedPolicy, FusedPolicyMut};
-use rlsched_nn::{clip_global_norm, infer, Adam, Mlp, Scratch, Tensor};
+use rlsched_nn::fused::{self, FusedPolicy};
+use rlsched_nn::{clip_global_norm, infer, Adam, Mlp, Scratch};
 
 use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
 
-/// The actor: a policy network, given as the [`FusedPolicy`] description
-/// the fused update ([`Ppo::update`]) trains. An implementer supplies only
-/// the description ([`PolicyModel::fused`], [`PolicyModel::fused_mut`]);
-/// every decision runs [`infer::log_probs`] over it, so what decides is
-/// what trains by construction.
-pub trait PolicyModel {
-    /// The network: its trainable layers and logits head.
-    fn fused(&self) -> FusedPolicy<'_>;
-
-    /// The layers [`PolicyModel::fused`] describes, mutably, for the
-    /// optimizer's in-place walk.
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_>;
-
-    /// Inference fast path: write the masked log-prob row for one
-    /// observation into `out`, allocation-free over `scratch` at steady
-    /// state. `mask` is additive (0 valid / ~-1e9 invalid).
-    fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        infer::log_probs(&self.fused(), obs, mask, 1, scratch, out);
-    }
-
-    /// Batched inference fast path: write `rows` masked log-prob rows
-    /// (`[rows, n_actions]` row-major) into `out`, allocation-free at
-    /// steady state. `obs` is `[rows, obs_dim]` row-major and `masks`
-    /// `[rows, n_actions]`. Row `i` of the result is bit-identical to
-    /// `log_probs_fast` on row `i` alone, on either dispatch arm (the
-    /// dense kernels are row-count invariant), so a batched decision is
-    /// the decision a single forward makes.
-    fn log_probs_fast_batch(
-        &self,
-        obs: &[f32],
-        masks: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f32>,
-    ) {
-        infer::log_probs(&self.fused(), obs, masks, rows, scratch, out);
-    }
-
-    /// Parameter tensors in bind order.
-    fn params(&self) -> Vec<&Tensor> {
-        self.fused().params().collect()
-    }
-
-    /// Mutable parameter access in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.fused_mut().params().collect()
-    }
-
-    /// Total scalar parameter count.
-    fn param_count(&self) -> usize {
-        self.params().iter().map(|t| t.len()).sum()
-    }
-}
-
-/// The critic: maps observations to scalar state values through a plain
-/// MLP chain.
-pub trait ValueModel {
-    /// Inference fast path: the state value of one observation,
-    /// allocation-free over `scratch` at steady state.
-    fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64;
-
-    /// Batched inference fast path: write `rows` state values into `out`
-    /// for stacked observations (`[rows, obs_dim]` row-major). Element
-    /// `i` must be bit-identical to `value_fast` on row `i` alone — the
-    /// lockstep sampler's batched≡sequential parity depends on it.
-    fn value_fast_batch(&self, obs: &[f32], rows: usize, scratch: &mut Scratch, out: &mut Vec<f64>);
-
-    /// The critic's MLP chain, which the fused update trains; must be the
-    /// network [`ValueModel::value_fast`] runs.
-    fn fused(&self) -> &Mlp;
-
-    /// Mutable counterpart of [`ValueModel::fused`] for the in-place
-    /// optimizer walk.
-    fn fused_mut(&mut self) -> &mut Mlp;
-}
-
 /// Per-worker reusable buffers for the inference fast path: network
-/// scratch plus the log-prob row. One per rollout worker; reused across
-/// every step of every episode.
+/// scratch plus the log-prob row and the critic's value. One per rollout
+/// worker; reused across every step of every episode.
 #[derive(Debug, Default)]
 pub struct ActorScratch {
     /// Layer scratch for the underlying networks.
     pub nn: Scratch,
     pub(crate) logp: Vec<f32>,
+    value: Vec<f32>,
 }
 
 impl ActorScratch {
@@ -230,11 +160,11 @@ impl UpdateProfile {
 }
 
 /// The PPO agent: actor, critic, optimizers, config.
-pub struct Ppo<P: PolicyModel, V: ValueModel> {
+pub struct Ppo {
     /// The actor network.
-    pub policy: P,
-    /// The critic network.
-    pub value: V,
+    pub policy: FusedPolicy,
+    /// The critic network (Fig 6): one state value per observation.
+    pub value: Mlp,
     /// Hyperparameters.
     pub cfg: PpoConfig,
     pi_opt: Adam,
@@ -249,9 +179,9 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     mb: MiniBuf,
 }
 
-impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
+impl Ppo {
     /// Assemble an agent.
-    pub fn new(policy: P, value: V, cfg: PpoConfig) -> Self {
+    pub fn new(policy: FusedPolicy, value: Mlp, cfg: PpoConfig) -> Self {
         use rand::SeedableRng;
         let pi_opt = Adam::new(cfg.pi_lr);
         let vf_opt = Adam::new(cfg.vf_lr);
@@ -273,16 +203,25 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// path; returns the log-prob row (allocates — prefer
     /// [`Ppo::select_with`]/[`Ppo::greedy_with`] in loops).
     pub fn logp_row(&self, obs: &[f32], mask: &[f32]) -> Vec<f32> {
-        let mut scratch = Scratch::new();
         let mut out = Vec::new();
-        self.policy
-            .log_probs_fast(obs, mask, &mut scratch, &mut out);
+        infer::log_probs(&self.policy, obs, mask, 1, &mut Scratch::new(), &mut out);
         out
     }
 
     /// Forward the critic on a single observation (fast path).
     pub fn value_of(&self, obs: &[f32]) -> f64 {
-        self.value.value_fast(obs, &mut Scratch::new())
+        self.value_with(obs, &mut ActorScratch::new())
+    }
+
+    /// The critic's value of one observation window through caller-owned
+    /// scratch: [`infer::window_mlp_forward`] over job rows of
+    /// `obs_dim / n_actions` features (the window contract), the forward
+    /// the rollout's batched critic runs.
+    fn value_with(&self, obs: &[f32], scratch: &mut ActorScratch) -> f64 {
+        let (od, na) = self.policy.widths();
+        let ActorScratch { nn, value, .. } = scratch;
+        infer::window_mlp_forward(&self.value, obs, 1, od / na, nn, value);
+        f64::from(value[0])
     }
 
     /// Sample an action (training path). Returns `(action, logp, value)`.
@@ -306,12 +245,18 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         scratch: &mut ActorScratch,
         rng: &mut R,
     ) -> (usize, f32, f64) {
-        self.policy
-            .log_probs_fast(obs, mask, &mut scratch.nn, &mut scratch.logp);
+        infer::log_probs(
+            &self.policy,
+            obs,
+            mask,
+            1,
+            &mut scratch.nn,
+            &mut scratch.logp,
+        );
         let dist = MaskedCategorical::new(&scratch.logp);
         let a = dist.sample(rng);
         let logp = dist.log_prob(a);
-        let v = self.value.value_fast(obs, &mut scratch.nn);
+        let v = self.value_with(obs, scratch);
         (a, logp, v)
     }
 
@@ -319,8 +264,14 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// caller-owned scratch (zero allocation at steady state) — the
     /// scheduling-decision hot path of Table IX.
     pub fn greedy_with(&self, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
-        self.policy
-            .log_probs_fast(obs, mask, &mut scratch.nn, &mut scratch.logp);
+        infer::log_probs(
+            &self.policy,
+            obs,
+            mask,
+            1,
+            &mut scratch.nn,
+            &mut scratch.logp,
+        );
         MaskedCategorical::new(&scratch.logp).argmax()
     }
 
@@ -373,7 +324,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
         let n_actions = batch.n_actions();
         let window = (batch.features() * n_actions, n_actions);
         assert_eq!(
-            self.policy.fused().widths(),
+            self.policy.widths(),
             window,
             "the policy's (inputs, actions) do not fit the batch's windows"
         );
@@ -404,7 +355,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             let t1 = Instant::now();
             prof.gather += t1 - t0;
             let pass = fused::policy_pass(
-                &policy.fused(),
+                policy,
                 |i| batch.row(i),
                 view.index,
                 view.actions,
@@ -440,7 +391,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(pi_fused.grads_mut(), mx);
             }
-            pi_opt.step_params(policy.fused_mut().params(), pi_fused.grads());
+            pi_opt.step_params(policy.params_mut(), pi_fused.grads());
             prof.optimizer += t3.elapsed();
             pi_iters = it + 1;
         }
@@ -452,13 +403,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             let view = iteration_view(cfg, update_rng, batch, mb);
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            let pass = fused::value_pass(
-                value.fused(),
-                |i| batch.row(i),
-                view.index,
-                view.returns,
-                vf_fused,
-            );
+            let pass =
+                fused::value_pass(value, |i| batch.row(i), view.index, view.returns, vf_fused);
             prof.forward += pass.forward;
             prof.backward += pass.backward;
             prof.critic_forward += pass.forward;
@@ -471,9 +417,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             if let Some(mx) = cfg.max_grad_norm {
                 clip_global_norm(vf_fused.grads_mut(), mx);
             }
-            let mlp = value.fused_mut();
             vf_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
+                value.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
                 vf_fused.grads(),
             );
             prof.optimizer += t3.elapsed();
@@ -586,74 +531,15 @@ fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>) -> f32 {
     total / m as f32
 }
 
-/// A flat MLP actor and critic for the crate's unit tests.
-#[cfg(test)]
-pub(crate) mod test_nets {
-    use super::*;
-    use rlsched_nn::fused::FusedHead;
-
-    /// A plain MLP policy over flat observations (the "MLP v2" baseline
-    /// of Table IV in miniature).
-    pub struct MlpPolicy(pub Mlp);
-
-    /// A plain MLP critic.
-    pub struct MlpValue(pub Mlp);
-
-    impl PolicyModel for MlpPolicy {
-        fn fused(&self) -> FusedPolicy<'_> {
-            FusedPolicy {
-                mlp: &self.0,
-                head: FusedHead::Flat,
-            }
-        }
-
-        fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
-            FusedPolicyMut {
-                convs: &mut [],
-                mlp: &mut self.0,
-            }
-        }
-    }
-
-    impl ValueModel for MlpValue {
-        fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
-            let mut out = Vec::new();
-            self.value_fast_batch(obs, 1, scratch, &mut out);
-            out[0]
-        }
-
-        fn value_fast_batch(
-            &self,
-            obs: &[f32],
-            rows: usize,
-            scratch: &mut Scratch,
-            out: &mut Vec<f64>,
-        ) {
-            let mut values = Vec::new();
-            infer::mlp_forward(&self.0, obs, rows, scratch, &mut values);
-            out.clear();
-            out.extend(values.iter().map(|&v| f64::from(v)));
-        }
-
-        fn fused(&self) -> &Mlp {
-            &self.0
-        }
-
-        fn fused_mut(&mut self) -> &mut Mlp {
-            &mut self.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::test_nets::{MlpPolicy, MlpValue};
     use super::*;
     use crate::buffer::ArrivalArena;
     use crate::categorical::MASK_OFF;
     use crate::env::test_env::FEATURES;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rlsched_nn::fused::FusedHead;
     use rlsched_nn::Activation;
 
     /// A `[in, 16, out]` tanh MLP.
@@ -667,20 +553,26 @@ mod tests {
         )
     }
 
+    /// A flat-head policy over `mlp` (the "MLP v2" baseline of Table IV
+    /// in miniature).
+    fn flat(mlp: Mlp) -> FusedPolicy {
+        FusedPolicy {
+            convs: vec![],
+            mlp,
+            head: FusedHead::Flat,
+        }
+    }
+
     /// An actor and critic over `n_actions` slots of [`FEATURES`]
     /// features.
-    fn agent(n_actions: usize) -> Ppo<MlpPolicy, MlpValue> {
+    fn agent(n_actions: usize) -> Ppo {
         let cfg = PpoConfig {
             train_pi_iters: 20,
             train_v_iters: 20,
             ..PpoConfig::default()
         };
         let od = n_actions * FEATURES;
-        Ppo::new(
-            MlpPolicy(mlp(od, n_actions, 1)),
-            MlpValue(mlp(od, 1, 2)),
-            cfg,
-        )
+        Ppo::new(flat(mlp(od, n_actions, 1)), mlp(od, 1, 2), cfg)
     }
 
     /// A window of `n_actions` valid slots, every slot holding `x`.
@@ -808,7 +700,7 @@ mod tests {
             ..PpoConfig::default()
         };
         let od = 3 * FEATURES;
-        let mut ppo = Ppo::new(MlpPolicy(mlp(od, 3, 1)), MlpValue(mlp(od, 1, 2)), cfg);
+        let mut ppo = Ppo::new(flat(mlp(od, 3, 1)), mlp(od, 1, 2), cfg);
         let mut buf = ArrivalArena::new(od, 3, 1.0, 1.0, 16);
         let mut rng = StdRng::seed_from_u64(11);
         let obs = full_window([0.5, 0.5], 3);

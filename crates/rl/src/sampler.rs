@@ -7,9 +7,9 @@
 //! step. The sampler therefore drives a [`VecEnv`] in lockstep: every
 //! simulator tick stacks all live observations into one `[live, obs_dim]`
 //! matrix and scores it through a **single** batched policy forward and a
-//! single batched critic forward ([`PolicyModel::log_probs_fast_batch`] /
-//! [`ValueModel::value_fast_batch`]), amortizing the networks' weight
-//! stream across every live episode.
+//! single batched critic forward ([`infer::log_probs`] over the policy,
+//! [`infer::window_mlp_forward`] over the critic), amortizing the
+//! networks' weight stream across every live episode.
 //!
 //! Trajectories are bit-identical to sequential per-env collection (a
 //! `VecEnv` of size 1): per-episode sampling RNGs are derived from the
@@ -19,12 +19,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlsched_nn::pool;
+use rlsched_nn::{infer, pool};
 
 use crate::buffer::{ArrivalArena, Batch};
 use crate::categorical::MaskedCategorical;
 use crate::env::Env;
-use crate::ppo::{ActorScratch, PolicyModel, Ppo, ValueModel};
+use crate::ppo::{ActorScratch, Ppo};
 use crate::vecenv::{SlotOutcome, VecEnv};
 
 /// Per-episode sampling streams are derived from the episode seed with
@@ -67,7 +67,7 @@ struct LockstepScratch {
     next_obs: Vec<f32>,
     next_masks: Vec<f32>,
     logps: Vec<f32>,
-    values: Vec<f64>,
+    values: Vec<f32>,
     actions: Vec<usize>,
     sel_logps: Vec<f32>,
     outcomes: Vec<SlotOutcome>,
@@ -107,16 +107,11 @@ impl RawStats {
 /// `VecEnv` narrower than the seed schedule pipelines through all
 /// episodes; each episode's trajectory depends only on its seed (see the
 /// module docs), so the result is independent of `venv.n_envs()`.
-fn collect_arena_raw<E, P, V>(
-    ppo: &Ppo<P, V>,
+fn collect_arena_raw<E: Env>(
+    ppo: &Ppo,
     venv: &mut VecEnv<E>,
     seeds: &[u64],
-) -> (ArrivalArena, RawStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
+) -> (ArrivalArena, RawStats) {
     assert!(!seeds.is_empty(), "need at least one episode seed");
     let (od, na) = (venv.obs_dim(), venv.n_actions());
     let mut arena = ArrivalArena::new(od, na, ppo.cfg.gamma, ppo.cfg.lam, seeds.len());
@@ -139,11 +134,11 @@ where
     while !venv.is_done() {
         let rows = venv.live_count();
         // One stacked forward each for actor and critic: every live
-        // episode's decision this tick shares one weight stream.
-        ppo.policy
-            .log_probs_fast_batch(&s.obs, &s.masks, rows, &mut s.actor.nn, &mut s.logps);
-        ppo.value
-            .value_fast_batch(&s.obs, rows, &mut s.actor.nn, &mut s.values);
+        // episode's decision this tick shares one weight stream. The
+        // critic reads each window as job rows of `od / na` features.
+        let nn = &mut s.actor.nn;
+        infer::log_probs(&ppo.policy, &s.obs, &s.masks, rows, nn, &mut s.logps);
+        infer::window_mlp_forward(&ppo.value, &s.obs, rows, od / na, nn, &mut s.values);
         s.actions.clear();
         s.sel_logps.clear();
         for (r, slot) in venv.live_slots().enumerate() {
@@ -165,7 +160,7 @@ where
                 &s.masks[r * na..(r + 1) * na],
                 s.actions[r],
                 out.reward,
-                s.values[r],
+                f64::from(s.values[r]),
                 s.sel_logps[r],
             );
             returns[out.episode] += out.reward;
@@ -195,16 +190,11 @@ where
 /// [`collect_rollouts_vec`] is this and [`ArrivalArena::into_batch`];
 /// arenas collected over parts of a seed schedule merge, in seed order,
 /// through [`ArrivalArena::merge_into_batch`] to the same bits.
-pub fn collect_arena<E, P, V>(
-    ppo: &Ppo<P, V>,
+pub fn collect_arena<E: Env>(
+    ppo: &Ppo,
     venv: &mut VecEnv<E>,
     seeds: &[u64],
-) -> (ArrivalArena, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
+) -> (ArrivalArena, RolloutStats) {
     let (arena, raw) = collect_arena_raw(ppo, venv, seeds);
     (arena, raw.finalize())
 }
@@ -212,16 +202,11 @@ where
 /// Collect one episode per seed through `venv` and merge into one
 /// normalized training batch that reads the arrival arena in episode
 /// order.
-pub fn collect_rollouts_vec<E, P, V>(
-    ppo: &Ppo<P, V>,
+pub fn collect_rollouts_vec<E: Env>(
+    ppo: &Ppo,
     venv: &mut VecEnv<E>,
     seeds: &[u64],
-) -> (Batch, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
+) -> (Batch, RolloutStats) {
     let (arena, stats) = collect_arena(ppo, venv, seeds);
     (arena.into_batch(), stats)
 }
@@ -244,16 +229,14 @@ where
 /// `n_envs` caps each range's lockstep width (`TrainConfig::n_envs` in
 /// `rlscheduler`); the worker-thread budget is [`pool::current_num_threads`]
 /// (a [`pool::with_threads`] override, else `available_parallelism`).
-pub fn collect_rollouts_par<E, P, V, F>(
-    ppo: &Ppo<P, V>,
+pub fn collect_rollouts_par<E, F>(
+    ppo: &Ppo,
     make_env: F,
     n_envs: usize,
     seeds: &[u64],
 ) -> (Batch, RolloutStats)
 where
     E: Env,
-    P: PolicyModel + Sync,
-    V: ValueModel + Sync,
     F: Fn() -> E + Sync,
 {
     assert!(!seeds.is_empty(), "need at least one episode seed");
@@ -282,27 +265,31 @@ where
 mod tests {
     use super::*;
     use crate::env::test_env::{BanditEnv, FEATURES};
-    use crate::ppo::test_nets::{MlpPolicy as P, MlpValue as C};
     use crate::ppo::PpoConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rlsched_nn::fused::{FusedHead, FusedPolicy};
     use rlsched_nn::{Activation, Mlp};
 
-    fn make_ppo() -> Ppo<P, C> {
+    fn make_ppo() -> Ppo {
         let mut rng = StdRng::seed_from_u64(5);
         Ppo::new(
-            P(Mlp::new(
-                &[3 * FEATURES, 8, 3],
-                Activation::Tanh,
-                Activation::Identity,
-                &mut rng,
-            )),
-            C(Mlp::new(
+            FusedPolicy {
+                convs: vec![],
+                mlp: Mlp::new(
+                    &[3 * FEATURES, 8, 3],
+                    Activation::Tanh,
+                    Activation::Identity,
+                    &mut rng,
+                ),
+                head: FusedHead::Flat,
+            },
+            Mlp::new(
                 &[3 * FEATURES, 8, 1],
                 Activation::Tanh,
                 Activation::Identity,
                 &mut rng,
-            )),
+            ),
             PpoConfig::default(),
         )
     }

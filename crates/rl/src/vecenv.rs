@@ -43,8 +43,10 @@
 //! `impl Env for &mut E`) and call `sampler::collect_rollouts_vec`,
 //! which drives the lockstep loop.
 
+use rlsched_nn::fused::FusedPolicy;
+use rlsched_nn::infer;
+
 use crate::env::{Env, StepOutcome};
-use crate::ppo::PolicyModel;
 
 /// Forwarding impl so a `VecEnv` can borrow caller-owned environments
 /// (`VecEnv<&mut E>`) instead of taking them by value.
@@ -64,13 +66,13 @@ impl<E: Env + ?Sized> Env for &mut E {
 }
 
 /// Argmax actions for `rows` stacked observations through one
-/// [`PolicyModel::log_probs_fast_batch`] forward — the one batched
-/// scorer: a serving shard scores its coalesced requests through it.
+/// [`infer::log_probs`] forward of `policy` — the one batched scorer: a
+/// serving shard scores its coalesced requests through it.
 /// Row `i`'s action is the one a forward of row `i` alone picks (the
 /// in-process decision head's action for that row). Allocation-free at
 /// steady state.
-pub fn greedy_batch<P: PolicyModel + ?Sized>(
-    policy: &P,
+pub fn greedy_batch(
+    policy: &FusedPolicy,
     obs: &[f32],
     masks: &[f32],
     rows: usize,
@@ -81,7 +83,7 @@ pub fn greedy_batch<P: PolicyModel + ?Sized>(
     assert_eq!(obs.len() % rows, 0, "obs volume must divide into rows");
     assert_eq!(masks.len() % rows, 0, "mask volume must divide into rows");
     let n_actions = masks.len() / rows;
-    policy.log_probs_fast_batch(obs, masks, rows, &mut scratch.nn, &mut scratch.logp);
+    infer::log_probs(policy, obs, masks, rows, &mut scratch.nn, &mut scratch.logp);
     actions.clear();
     actions.extend((0..rows).map(|i| {
         crate::categorical::MaskedCategorical::new(

@@ -7,12 +7,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlsched_nn::fused::{FusedHead, FusedPolicy, FusedPolicyMut};
-use rlsched_nn::{infer, Activation, Mlp, Scratch};
+use rlsched_nn::fused::{FusedHead, FusedPolicy};
+use rlsched_nn::{Activation, Mlp};
 use rlsched_rl::categorical::MASK_OFF;
 use rlsched_rl::{
-    collect_arena, collect_rollouts_vec, ArrivalArena, Batch, Env, PolicyModel, Ppo, PpoConfig,
-    StepOutcome, ValueModel, VecEnv,
+    collect_arena, collect_rollouts_vec, ArrivalArena, Batch, Env, Ppo, PpoConfig, StepOutcome,
+    VecEnv,
 };
 
 /// A small bandit-style environment (mirrors the crate's internal test
@@ -87,67 +87,27 @@ impl Env for BanditEnv {
     }
 }
 
-/// A flat MLP actor: every row of a batch scored through one stacked
-/// forward.
-struct P(Mlp);
-impl PolicyModel for P {
-    fn fused(&self) -> FusedPolicy<'_> {
-        FusedPolicy {
-            mlp: &self.0,
-            head: FusedHead::Flat,
-        }
-    }
-    fn fused_mut(&mut self) -> FusedPolicyMut<'_> {
-        FusedPolicyMut {
-            convs: &mut [],
-            mlp: &mut self.0,
-        }
-    }
-}
-
-/// A flat MLP critic.
-struct C(Mlp);
-impl ValueModel for C {
-    fn value_fast(&self, obs: &[f32], scratch: &mut Scratch) -> f64 {
-        let mut out = Vec::new();
-        self.value_fast_batch(obs, 1, scratch, &mut out);
-        out[0]
-    }
-    fn value_fast_batch(
-        &self,
-        obs: &[f32],
-        rows: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<f64>,
-    ) {
-        let mut values = Vec::new();
-        infer::mlp_forward(&self.0, obs, rows, scratch, &mut values);
-        out.clear();
-        out.extend(values.iter().map(|&v| f64::from(v)));
-    }
-    fn fused(&self) -> &Mlp {
-        &self.0
-    }
-    fn fused_mut(&mut self) -> &mut Mlp {
-        &mut self.0
-    }
-}
-
-fn make_ppo(n_actions: usize) -> Ppo<P, C> {
+/// A flat MLP actor (every row of a batch scored through one stacked
+/// forward) and a flat MLP critic.
+fn make_ppo(n_actions: usize) -> Ppo {
     let mut rng = StdRng::seed_from_u64(11);
     Ppo::new(
-        P(Mlp::new(
-            &[2 * n_actions, 16, n_actions],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        )),
-        C(Mlp::new(
+        FusedPolicy {
+            convs: vec![],
+            mlp: Mlp::new(
+                &[2 * n_actions, 16, n_actions],
+                Activation::Tanh,
+                Activation::Identity,
+                &mut rng,
+            ),
+            head: FusedHead::Flat,
+        },
+        Mlp::new(
             &[2 * n_actions, 16, 1],
             Activation::Tanh,
             Activation::Identity,
             &mut rng,
-        )),
+        ),
         PpoConfig::default(),
     )
 }

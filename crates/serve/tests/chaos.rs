@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rlsched_rl::{PolicyModel, PpoConfig};
+use rlsched_rl::PpoConfig;
 use rlsched_sched::{select_parts, HeuristicKind, PriorityScheduler};
 use rlsched_serve::protocol::{encode_json_frame, read_frame_any, Request, Response};
 use rlsched_serve::{
@@ -42,8 +42,8 @@ use rlsched_sim::{
 };
 use rlsched_swf::{Job, JobTrace};
 use rlscheduler::{
-    Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind, PolicyNet, QueueSnapshot,
-    ScorerSnapshot, SnapshotJob,
+    build_policy, Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind,
+    QueueSnapshot, ScorerSnapshot, SnapshotJob,
 };
 
 /// Write `frame` as one JSON line, as a raw `nc`-style peer would.
@@ -366,15 +366,11 @@ fn poisoned_checkpoints_are_rejected_and_bits_unchanged() {
     .expect("server spawns");
 
     // NaN in the output layer: caught by the all-finite walk.
-    let mut poisoned = PolicyNet::build(PolicyKind::Kernel, 16, 3);
-    for v in poisoned.params_mut().last_mut().unwrap().data_mut() {
+    let mut poisoned = build_policy(PolicyKind::Kernel, 16, 3);
+    for v in poisoned.params_mut().last().unwrap().data_mut() {
         *v = f32::NAN;
     }
-    let poisoned = ScorerSnapshot::new(
-        &poisoned,
-        agent.encoder().obs_dim(),
-        agent.encoder().n_actions(),
-    );
+    let poisoned = ScorerSnapshot::new(&poisoned);
     assert_eq!(
         handle.propose_scorer(poisoned, &canary),
         Err(ProposeError::NonFinite)

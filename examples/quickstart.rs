@@ -25,7 +25,7 @@
 //! in-process scoring on both wire stacks.
 
 use rlsched_repro::core::prelude::*;
-use rlsched_repro::core::{CanaryBatch, PolicyNet, ScorerSnapshot};
+use rlsched_repro::core::{build_policy, CanaryBatch, ScorerSnapshot};
 use rlsched_repro::sched::{HeuristicKind, PriorityScheduler};
 use rlsched_repro::serve::{
     ListenAddr, RemotePolicy, ServeClient, ServeConfig, Server, ServerAddr, WireProtocol,
@@ -330,17 +330,11 @@ fn main() {
             .expect("the restored checkpoint passes validation");
         println!("validated checkpoint committed (generation {generation})");
         let poisoned = {
-            use rlsched_repro::rl::PolicyModel;
-            let mut net = PolicyNet::build(PolicyKind::Kernel, scale.max_obsv, 99);
-            for v in net
-                .params_mut()
-                .last_mut()
-                .expect("net has params")
-                .data_mut()
-            {
+            let mut net = build_policy(PolicyKind::Kernel, scale.max_obsv, 99);
+            for v in net.params_mut().last().expect("net has params").data_mut() {
                 *v = f32::NAN;
             }
-            ScorerSnapshot::new(&net, agent.encoder().obs_dim(), agent.encoder().n_actions())
+            ScorerSnapshot::new(&net)
         };
         assert!(
             handle.propose_scorer(poisoned, &canary).is_err(),
