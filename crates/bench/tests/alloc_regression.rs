@@ -390,11 +390,11 @@ fn fast_paths_do_not_regress_allocations() {
         };
         let (short, long) = (burst(64), burst(512));
         let cfg = SimConfig::no_backfill();
-        // `rlsched_nn::simd::simd_enabled` caches its dispatch decision
-        // in a process-wide `OnceLock` on first use, and reading
-        // `RLSCHED_FORCE_SCALAR` allocates an `OsString` when the
+        // `rlsched_nn::simd` detects the CPU's kernels once, in a
+        // process-wide `OnceLock`, on first use, and reading
+        // `RLSCHED_FORCE_SCALAR` there allocates an `OsString` when the
         // variable is set: nothing before this block touches the network,
-        // so on the scalar arm the agent's first episode would pay it.
+        // so the agent's first episode would pay it.
         rlsched_nn::simd::simd_enabled();
         let episode_allocs = |trace: &rlsched_swf::JobTrace, head: &str| {
             count_allocs(|| {

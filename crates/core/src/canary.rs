@@ -11,7 +11,7 @@
 //! known batch. The expected actions are computed by the agent's own
 //! policy network through the batched forward a snapshot scores with,
 //! which the serve parity suite pins as bit-identical to `as_policy` for
-//! every architecture on both dispatch arms — so a canary pass certifies
+//! every architecture — so a canary pass certifies
 //! the proposed snapshot scores exactly like the agent it claims to come
 //! from.
 

@@ -6,9 +6,7 @@
 //! transitively through identical post-Adam weights and Adam moments),
 //! diagnostics, the minibatch RNG stream, and whole multi-update training
 //! trajectories. Across chunk boundaries only the f32 association of the
-//! gradient reductions changes; one test bounds that drift. CI runs this
-//! suite on both kernel dispatch arms (default SIMD and
-//! `RLSCHED_FORCE_SCALAR=1`), so the contract holds on each.
+//! gradient reductions changes; one test bounds that drift.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -371,7 +369,7 @@ fn kl_early_stop_discards_the_tripping_iteration() {
     // unapplied, exactly where the reference breaks before its backward. Full
     // batch (4 × 15 rows, one chunk): every iteration sees the same rows,
     // so the KL climbs with each applied step — 2.5e-4, 6.5e-4, 9.6e-4 at
-    // it = 1, 2, 3 on both dispatch arms — and 1.5 × 5.5e-4 falls between
+    // it = 1, 2, 3 — and 1.5 × 5.5e-4 falls between
     // the last two.
     let ppo = PpoConfig {
         train_pi_iters: 20,

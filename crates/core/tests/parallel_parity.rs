@@ -12,9 +12,7 @@
 //!    an agent carries nothing over from the `n_threads` of an earlier
 //!    run.
 //!
-//! CI runs this suite on both kernel dispatch arms (default SIMD and
-//! `RLSCHED_FORCE_SCALAR=1`); the worker counts are swept in-process
-//! with `rlsched_nn::pool::with_threads`, which spawns real threads on
+//! The worker counts are swept in-process with `rlsched_nn::pool::with_threads`, which spawns real threads on
 //! any machine.
 
 use std::sync::Arc;

@@ -2,8 +2,7 @@
 //! `VecEnv(n)` rollout over `SchedulingEnv`s with the paper's policy
 //! architectures must produce bit-identical trajectories (stored job
 //! rows, actions, rewards/returns, advantages, sampled log-probs) to n
-//! sequential single-env rollouts. CI runs this suite on both the SIMD
-//! and `RLSCHED_FORCE_SCALAR=1` dispatch arms. The batch stores each
+//! sequential single-env rollouts. The batch stores each
 //! window's valid job rows only, and a full-size rollout's storage is
 //! pinned to exactly that.
 

@@ -307,16 +307,11 @@ impl Graph {
                 }
                 Op::Linear(x, w, b, act) => {
                     // dX through the transposed weights and the broadcast
-                    // gemm (scalar NT fallback), dW on the TN kernel, db
-                    // as row-ascending column sums.
-                    let (m, n, k) = (y.rows(), y.cols(), val(w).rows());
+                    // gemm, dW on the TN kernel, db as row-ascending
+                    // column sums.
+                    let (m, n) = (y.rows(), y.cols());
                     let dpre = Tensor::from_vec(act_backward(act, gd, y.data()), &[m, n]);
-                    let (mut dx, mut wt) = (vec![0.0; m * k], vec![0.0; k * n]);
-                    simd::transpose(val(w).data(), k, n, &mut wt);
-                    if !simd::gemm(dpre.data(), m, n, &wt, k, None, &mut dx) {
-                        simd::gemm_nt_scalar(dpre.data(), m, n, val(w).data(), k, &mut dx);
-                    }
-                    add(x, &dx);
+                    add(x, matmul_nt(&dpre, val(w)).data());
                     add(w, matmul_tn(val(x), &dpre).data());
                     let mut db = vec![0.0; n];
                     for row in dpre.data().chunks_exact(n) {

@@ -8,7 +8,7 @@
 //! and one reverse sweep — in the shape of a textbook tape, with only the
 //! ops the parity suites and gradient checks use. Every op runs the same
 //! `rlsched_nn::simd` kernels and `infer` loops as the fused pass, so the
-//! exact-equality oracles stay exact on both kernel dispatch arms.
+//! exact-equality oracles stay exact.
 //!
 //! No production crate depends on this one: it is `publish = false` and
 //! appears only under `[dev-dependencies]`.

@@ -2,12 +2,11 @@
 //! free functions over [`Tensor`]s.
 //!
 //! The three flavors — plain (`A·B`), NT (`A·Bᵀ`, a `dX = dY·Wᵀ`
-//! backward) and TN (`Aᵀ·B`, a `dW = Xᵀ·dY` backward) — dispatch to the
-//! register-blocked AVX2/FMA kernels in `rlsched_nn::simd` when the shape
-//! allows, and otherwise run the scalar loops (`i-k-j` so the innermost
-//! loop walks both operands contiguously). The training and inference
-//! paths call those kernels on raw slices; these wrappers serve the tape
-//! and the SIMD parity suite.
+//! backward, which transposes `B` and runs the plain kernel) and TN
+//! (`Aᵀ·B`, a `dW = Xᵀ·dY` backward) — run the kernels in
+//! `rlsched_nn::simd`. The training and inference paths call those
+//! kernels on raw slices; these wrappers serve the tape and the SIMD
+//! parity suite.
 
 use rlsched_nn::{simd, Tensor};
 
@@ -26,23 +25,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[dims2(a, "matmul lhs").0, dims2(b, "matmul rhs").1])
 }
 
-/// [`matmul`] into a caller-supplied buffer (cleared and resized).
-///
-/// Dispatches to the AVX2/FMA kernel (`simd::gemm`) when the shape
-/// allows, the scalar `i-k-j` loop otherwise.
+/// [`matmul`] into a caller-supplied buffer (cleared and resized), through
+/// `simd::gemm`.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dimensions {k} vs {k2}");
     out.clear();
     out.resize(m * n, 0.0);
-    if !simd::gemm(a.data(), m, k, b.data(), n, None, out) {
-        simd::gemm_scalar(a.data(), m, k, b.data(), n, out);
-    }
+    simd::gemm(a.data(), m, k, b.data(), n, None, out);
 }
 
-/// `a · bᵀ` without materializing the transpose: `a` is `[m, k]`, `b` is
-/// `[n, k]`, result `[m, n]` (`dX = dY Wᵀ`).
+/// `a · bᵀ`: `a` is `[m, k]`, `b` is `[n, k]`, result `[m, n]` (`dX =
+/// dY Wᵀ`).
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = Vec::new();
     matmul_nt_into(a, b, &mut out);
@@ -52,16 +47,17 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     )
 }
 
-/// [`matmul_nt`] into a caller-supplied buffer (cleared and resized),
-/// through the scalar dot-product kernel (`simd::gemm_nt_scalar`; there
-/// is no SIMD arm).
+/// [`matmul_nt`] into a caller-supplied buffer (cleared and resized):
+/// `simd::gemm` over the transposed `b`, as the fused backward runs it.
 pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     let (m, k) = dims2(a, "matmul_nt lhs");
     let (n, k2) = dims2(b, "matmul_nt rhs");
     assert_eq!(k, k2, "matmul_nt inner dimensions {k} vs {k2}");
+    let mut bt = vec![0.0; k * n];
+    simd::transpose(b.data(), n, k, &mut bt);
     out.clear();
     out.resize(m * n, 0.0);
-    simd::gemm_nt_scalar(a.data(), m, k, b.data(), n, out);
+    simd::gemm(a.data(), m, k, &bt, n, None, out);
 }
 
 /// `aᵀ · b` without materializing the transpose: `a` is `[r, m]`, `b` is
@@ -75,18 +71,15 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     )
 }
 
-/// [`matmul_tn`] into a caller-supplied buffer (cleared and resized).
-/// Dispatches to the rank-1-update SIMD kernel (`simd::gemm_tn`) when the
-/// output width allows.
+/// [`matmul_tn`] into a caller-supplied buffer (cleared and resized),
+/// through `simd::gemm_tn`.
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     let (r, m) = dims2(a, "matmul_tn lhs");
     let (r2, n) = dims2(b, "matmul_tn rhs");
     assert_eq!(r, r2, "matmul_tn outer dimensions {r} vs {r2}");
     out.clear();
     out.resize(m * n, 0.0);
-    if !simd::gemm_tn(a.data(), r, m, b.data(), n, out) {
-        simd::gemm_tn_scalar(a.data(), r, m, b.data(), n, out);
-    }
+    simd::gemm_tn(a.data(), r, m, b.data(), n, out);
 }
 
 /// Transpose of a 2-D tensor.

@@ -46,8 +46,8 @@
 //! merge and the loss partials fold in chunk order — so every output is
 //! a pure function of the *minibatch*, **bit-identical at any worker
 //! count** (which worker's scratch a chunk ran in never shows: every
-//! buffer is overwritten before it is read) on whichever kernel dispatch
-//! arm is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`).
+//! buffer is overwritten before it is read), and on every CPU (the
+//! kernels' chains are fixed, [`crate::simd`]).
 //!
 //! Within a chunk the pass is **bit-identical to the reference tape** (the
 //! test-only `rlsched-nn-ref` crate): every matmul goes through the same
@@ -127,13 +127,12 @@
 //!   gather appends its implied zero rows — and the chunk gathers and
 //!   forwards again before its backward. Skipping the re-run would
 //!   silently drop those slots' gradients.
-//! * *the `dW` sums keep their row blocks.* The AVX2 TN kernel sums rows
-//!   in blocks of [`simd::TN_BLOCK_ROWS`] before adding each block into
+//! * *the `dW` sums keep their row blocks.* The TN kernels sum rows in
+//!   blocks of [`simd::TN_BLOCK_ROWS`] before adding each block into
 //!   `dW`, so dropping rows would move the block boundaries and
 //!   re-associate the sums. The gather maps every boundary of the whole
 //!   windows' rows to the compact row that holds it, and
-//!   [`simd::gemm_tn_blocks`] closes its blocks there. The scalar arm is
-//!   one row-ascending chain and has no blocks.
+//!   [`simd::gemm_tn_blocks`] closes its blocks there.
 //!
 //! Like the kernels' own contract, this holds for finite values.
 //!
@@ -158,8 +157,7 @@
 //!
 //! * A TN (`dW`) sum starts at +0, and round-to-nearest addition gives −0
 //!   only when both operands are −0 (an exact cancellation gives +0), so
-//!   its accumulator is never −0 and leaving rows out is exact. The
-//!   scalar arm skipped zero inputs already.
+//!   its accumulator is never −0 and leaving rows out is exact.
 //! * A forward chain starts at its bias, and by the same rule it is −0
 //!   only while its bias is −0 and every term so far was −0. Biases are
 //!   initialised to +0, and an Adam step `b − Δ` is −0 only when `b` is
@@ -1104,9 +1102,9 @@ fn backward_stack(p: &Net<'_>, n: usize, s: &mut WorkerScratch, grads: &mut [Ten
 /// its extent ([`simd::gemm_tn_ragged`]).
 ///
 /// Replicates the reference tape's dense backward exactly: the
-/// per-activation `dpre` loops, `dW` through the TN kernel dispatch, `db`
-/// as ascending-row column sums, and `dX` through the transpose-W +
-/// broadcast-gemm path (scalar NT fallback).
+/// per-activation `dpre` loops, `dW` through the TN kernel, `db` as
+/// ascending-row column sums, and `dX` through the transpose-W +
+/// broadcast-gemm path.
 #[allow(clippy::too_many_arguments)] // the chain, its rows, stash and buffers
 fn backward_layers(
     mlp: &Mlp,
@@ -1138,23 +1136,16 @@ fn backward_layers(
         }
         std::mem::swap(&mut g.dy, &mut g.dpre);
 
-        // dX = dpre · Wᵀ: transpose W (tiny) and run the broadcast gemm;
-        // the scalar arm runs the NT dot loop.
+        // dX = dpre · Wᵀ: transpose W (tiny) and run the broadcast gemm.
         let dx_needed = l > 0 || dx0;
         if dx_needed {
-            // Both kernels write every element: resize zero-fills only
+            // The gemm writes every element: resize zero-fills only
             // growth.
             let dx = &mut g.dy2;
             dx.resize(rows * din, 0.0);
-            let mut dispatched = false;
-            if simd::simd_enabled() && din >= 8 {
-                g.wt.resize(din * dout, 0.0);
-                simd::transpose(layer.w.data(), din, dout, &mut g.wt);
-                dispatched = simd::gemm(&g.dpre, rows, dout, &g.wt, din, None, dx);
-            }
-            if !dispatched {
-                simd::gemm_nt_scalar(&g.dpre, rows, dout, layer.w.data(), din, dx);
-            }
+            g.wt.resize(din * dout, 0.0);
+            simd::transpose(layer.w.data(), din, dout, &mut g.wt);
+            simd::gemm(&g.dpre, rows, dout, &g.wt, din, None, dx);
         }
 
         // dW = Xᵀ · dpre (the TN kernel fills its output, no pre-zero
@@ -1166,11 +1157,7 @@ fn backward_layers(
             Some((ext, active)) if l == 0 => {
                 simd::gemm_tn_ragged(x, din, ext, &g.dpre, dout, ends_iter, active, dw);
             }
-            _ => {
-                if !simd::gemm_tn_blocks(x, din, &g.dpre, dout, ends_iter, dw) {
-                    simd::gemm_tn_scalar(x, rows, din, &g.dpre, dout, dw);
-                }
-            }
+            _ => simd::gemm_tn_blocks(x, din, &g.dpre, dout, ends_iter, dw),
         }
 
         column_sums(&g.dpre, dout, grads[2 * l + 1].data_mut());

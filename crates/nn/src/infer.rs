@@ -10,26 +10,17 @@
 //! pass runs these same layer forwards and keeps what its analytic
 //! backward needs.
 //!
-//! # Dispatch and layout rules
+//! # Kernels and layout
 //!
-//! Dense layers run through the runtime-dispatched microkernels in
-//! [`crate::simd`] — the *same* kernels the fused training pass uses — so
-//! a decision and a training forward compute bit-identical values on
-//! whichever dispatch arm (AVX2/FMA or scalar) is active. Dispatch is per
-//! shape: ≥8 output columns vectorize on the broadcast kernel (ReLU and
-//! Identity applied in the register before the store), `out_dim == 1`
-//! heads run the portable chain eight rows at a time, one row per vector
-//! lane, and everything else falls back to the portable loop. Setting
-//! `RLSCHED_FORCE_SCALAR` pins every caller to the scalar arm.
+//! Dense layers run through the microkernels in [`crate::simd`] — the
+//! *same* kernels the fused training pass uses — whose every output is one
+//! fixed FMA chain, so a decision and a training forward compute
+//! bit-identical values on every CPU (ReLU applied at the store).
 //!
 //! Weight layout is `[in, out]` row-major everywhere, for one decision
 //! and for a stacked batch alike, and the kernels are row-count
 //! invariant: row `i` of a stacked forward is bit-identical to a forward
 //! of row `i` alone.
-//!
-//! Numerics: the SIMD kernels fuse multiply-adds and reorder the
-//! accumulation, so outputs can differ from the scalar arm in the last
-//! few ulps. Within one arm every caller computes the same bits.
 //!
 //! [`log_probs`] has one arm per [`FusedHead`], and each scores a whole
 //! batch of observations in one pass: the kernel head scores only the
@@ -75,9 +66,8 @@ impl Scratch {
 /// row-major, `w` `[in, out_dim]`, `b` `[out_dim]`.
 ///
 /// Runs [`crate::simd::dense_any`], so every caller — decisions, the fused
-/// training pass, the reference tape — agrees bit-for-bit on either
-/// dispatch arm. ReLU and Identity are applied in the kernel's registers
-/// on the SIMD arm. `out` is resized, not cleared: the part it keeps is
+/// training pass, the reference tape — agrees bit-for-bit. ReLU is
+/// applied at the kernel's store. `out` is resized, not cleared: the part it keeps is
 /// overwritten, so only growth zero-fills.
 #[allow(clippy::too_many_arguments)] // mirrors the raw (x, w, b, dims) BLAS-style signature
 pub fn dense_forward(

@@ -102,9 +102,9 @@ impl Adam {
     }
 }
 
-/// One fused m/v/param Adam update over a parameter slice, dispatched to
-/// the AVX2 kernel when available (`RLSCHED_FORCE_SCALAR` pins the scalar
-/// arm). Both arms compute identical bits per element.
+/// One fused m/v/param Adam update over a parameter slice, on the AVX2
+/// kernel when [`crate::simd::simd_enabled`]. Both kernels compute
+/// identical bits per element.
 #[allow(clippy::too_many_arguments)] // the full Adam state, BLAS-style
 fn adam_update_slice(
     p: &mut [f32],

@@ -1,26 +1,38 @@
 //! Runtime-dispatched dense microkernels shared by the whole stack.
 //!
-//! One set of register-blocked AVX2/FMA kernels serves the inference fast
-//! path ([`crate::infer`]), the fused training forward and its analytic
-//! backward ([`crate::fused`]: `dA = dC·Bᵀ` through a transposed-weight
-//! [`gemm`], `dB = Aᵀ·dC` via [`gemm_tn`]), and the test-only reference
-//! tape. Keeping every caller on the same kernels means a decision, a
-//! training pass and the reference compute *bit-identical* values on both
-//! dispatch arms.
+//! One set of kernels serves the inference fast path ([`crate::infer`]),
+//! the fused training forward and its analytic backward ([`crate::fused`]:
+//! `dA = dC·Bᵀ` through a transposed-weight [`gemm`], `dB = Aᵀ·dC` via
+//! [`gemm_tn`]), and the test-only reference tape. Every caller computes
+//! the same bits, on every CPU.
 //!
-//! # Dispatch rules
+//! # One chain per output
 //!
-//! * [`simd_enabled`] gates everything: x86-64 with AVX2+FMA detected at
-//!   runtime (checked once, cached), unless the `RLSCHED_FORCE_SCALAR`
-//!   environment variable is set — CI runs the whole test suite once with
-//!   it set so the scalar arm stays green.
-//! * Each `gemm*` entry point returns `false` (having written nothing)
-//!   when it does not dispatch; the caller then runs the matching
-//!   `*_scalar` reference kernel. [`gemm`] needs at least 8 output
-//!   columns to fill a vector lane; the TN kernels ([`gemm_tn`],
-//!   [`gemm_tn_blocks`]) take at least 8 or exactly one (a scalar head's
-//!   `dW`, whose `m` outputs fill the lanes instead). Ragged shapes are
-//!   handled with scalar column/row tails inside the SIMD kernels.
+//! * A forward output ([`gemm`], [`dense_any`], [`dense_ragged`]) starts
+//!   at its bias (or +0) and adds `x[k] · w[k, j]` for `k` ascending, one
+//!   fused multiply-add per term. ReLU at the store is [`relu`]'s select.
+//! * A `dW` output ([`gemm_tn_blocks`], [`gemm_tn_ragged`]) sums each row
+//!   block from +0, rows ascending, one fused multiply-add per term, and
+//!   adds each block's sum into the output in block order.
+//!
+//! No term is skipped for being zero, so `0 × inf` is NaN. The ragged
+//! kernels leave out the terms past a row's reach, on every CPU alike.
+//!
+//! # Dispatch
+//!
+//! Which kernel runs is private to this module; every entry point writes
+//! its whole output.
+//!
+//! * On x86-64 with AVX2 and FMA (detected once and cached),
+//!   register-blocked AVX2 kernels run the outputs of 8 or more columns,
+//!   and a one-column dense head runs eight rows per vector, one row per
+//!   lane. [`simd_enabled`] reports this arm.
+//! * Every other shape and CPU runs the portable bodies ([`portable`]):
+//!   loops over `f32::mul_add`, compiled once with FMA enabled, which runs
+//!   where the CPU has it, and once plainly, where `mul_add` is the
+//!   platform's `fmaf`.
+//! * Setting `RLSCHED_FORCE_SCALAR` (to anything but `0`/empty) before the
+//!   first call runs the portable bodies everywhere.
 //! * Every tile keeps eight FMA chains in flight where the shape has
 //!   them. [`gemm`] runs 4-row × 16-column blocks, and an output of 8–15
 //!   columns (one 8-wide tile) runs 8-row blocks first; the TN kernel
@@ -28,17 +40,6 @@
 //!   more, where a group has two 8-wide tiles). The ragged kernels keep
 //!   their [`RAGGED_BLOCK`]-row (and -input) blocks: a row holds zeros
 //!   only up to its block's reach.
-//! * [`dense_any`] computes `act(x @ w + b)`. With SIMD on, ReLU and
-//!   Identity are applied in the register before each store; Tanh and
-//!   Sigmoid, and every activation on the scalar arm, are a pass over the
-//!   output afterwards ([`Activation::apply_slice`]). Its one-column head runs
-//!   eight rows per vector, each lane the scalar chain.
-//! * [`dense_ragged`] and [`gemm_tn_ragged`] pick their arm themselves:
-//!   they read each row only up to its extent, with the bits
-//!   [`dense_any`] and [`gemm_tn_blocks`] (or the scalar kernel it falls
-//!   back to) give the zero-padded rows.
-//! * `C = A·Bᵀ` ([`gemm_nt_scalar`]) has no SIMD arm: the dense backward
-//!   transposes its small weight matrix and runs [`gemm`] instead.
 //!
 //! # Layout
 //!
@@ -50,40 +51,32 @@
 //!
 //! # Numerics
 //!
-//! The scalar kernels accumulate in the same order as the original scalar
-//! loops, so the scalar arm is bit-for-bit the pre-SIMD behavior. The
-//! AVX2 kernels fuse multiply-adds (no intermediate rounding) and widen
-//! the accumulation, so values can drift by a few ulps; see
-//! `tests/simd_parity_prop.rs` for the tolerance contract. That contract
-//! assumes finite inputs: [`gemm_scalar`]/[`gemm_tn_scalar`] skip
-//! zero-valued contributions (so `0 × inf` drops out) while the blocked
-//! SIMD kernels compute them (`0 × inf → NaN`) — a diverged model with
-//! non-finite weights can therefore NaN on one arm and not the other.
-//! The one-column TN arm skips a zero `a` exactly like
-//! [`gemm_tn_scalar`], and the ragged kernels skip the padding terms on
-//! both arms, so a non-finite weight or gradient that only padding
-//! would multiply no longer reaches an output on either arm
-//! (`tests/exact_kernels_prop.rs` holds these kernels to `==`).
+//! A fused multiply-add rounds once, whether a vector lane, an FMA
+//! instruction or `fmaf` computes it, so each chain has one result on
+//! every CPU (only a NaN's payload is not fixed). `tests/simd_parity_prop.rs`
+//! holds every dispatched entry point `==` its portable body in one
+//! process, and this module's tests hold the plainly compiled bodies
+//! `==` the FMA-compiled ones. The one limit: `expf` and `ln`, which the
+//! softmax and the log-probs around these kernels call, come from the
+//! platform's libm, so "every CPU" means every CPU under one libm.
 //!
-//! Two SIMD paths keep the scalar arm's bits exactly. [`dense_any`]'s
-//! one-column head multiplies, then adds, in every lane — never an FMA —
-//! so it is [`dense_portable`]'s chain on both arms. ReLU at the store is
-//! `_mm256_max_ps(acc, 0)` with the accumulator first: `maxps` returns
-//! its second operand when either is NaN or both are zero, so a NaN or
-//! −0 accumulator stores +0, which is what [`relu`] (the select
-//! [`Activation::apply_slice`] runs) gives them; every other value is
-//! unchanged. The fused store therefore has the bits of the plain kernel
-//! followed by the separate pass, on every input and in every build.
+//! ReLU at the store is `_mm256_max_ps(acc, 0)` with the accumulator
+//! first: `maxps` returns its second operand when either is NaN or both
+//! are zero, so a NaN or −0 accumulator stores +0, which is what [`relu`]
+//! (the select [`Activation::apply_slice`] runs) gives them; every other
+//! value is unchanged. The fused store therefore has the bits of the
+//! plain kernel followed by the separate pass, on every input and in
+//! every build.
 //!
 //! # Row-count invariance
 //!
-//! The *forward* kernels ([`gemm`], [`dense_any`]) guarantee
-//! a stronger property on both arms: each output **row** is computed with
-//! an accumulation order that does not depend on how many rows are in the
-//! batch (an 8-row block, a 4-row block and a one-row tile run the same
-//! per-lane chain). Row `i` of an `m`-row product is bit-identical to the single
-//! row of the `m == 1` product over the same inputs. This is what lets
-//! the vectorized rollout path (`rlsched-rl`'s `VecEnv`) score every live
+//! The *forward* kernels ([`gemm`], [`dense_any`]) guarantee a stronger
+//! property: each output **row** is computed with an accumulation order
+//! that does not depend on how many rows are in the batch (an 8-row
+//! block, a 4-row block and a one-row tile run the same per-lane chain).
+//! Row `i` of an `m`-row product is bit-identical to the single row of the
+//! `m == 1` product over the same inputs. This is what lets the
+//! vectorized rollout path (`rlsched-rl`'s `VecEnv`) score every live
 //! environment through one stacked matmul and still produce trajectories
 //! bit-identical to sequential per-env stepping — the batched≡sequential
 //! parity tests lean on it, so treat it as part of the kernel contract.
@@ -92,109 +85,304 @@ use std::sync::OnceLock;
 
 use crate::layers::{relu, Activation};
 
-/// True when the AVX2+FMA kernels may run: detected at runtime once and
-/// cached, and forced off by setting `RLSCHED_FORCE_SCALAR` (to anything
-/// but `0`/empty) before the first dispatch.
+/// The kernels this CPU runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Arm {
+    /// The AVX2 kernels where the shape has them, the portable bodies
+    /// compiled with FMA elsewhere.
+    Avx2,
+    /// The portable bodies compiled with FMA.
+    Fma,
+    /// The portable bodies compiled plainly.
+    Plain,
+}
+
+impl Arm {
+    /// Detected once and cached; `RLSCHED_FORCE_SCALAR` (anything but
+    /// `0`/empty) turns the AVX2 kernels off.
+    fn detected() -> Arm {
+        static ARM: OnceLock<Arm> = OnceLock::new();
+        *ARM.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("fma") {
+                let forced = std::env::var_os("RLSCHED_FORCE_SCALAR")
+                    .is_some_and(|v| !v.is_empty() && v != "0");
+                let avx2 = std::arch::is_x86_feature_detected!("avx2");
+                return if avx2 && !forced { Arm::Avx2 } else { Arm::Fma };
+            }
+            Arm::Plain
+        })
+    }
+
+    /// The portable bodies on this CPU.
+    fn portable() -> Arm {
+        match Arm::detected() {
+            Arm::Avx2 => Arm::Fma,
+            arm => arm,
+        }
+    }
+}
+
+/// True when the AVX2 kernels run: AVX2 and FMA detected at runtime once
+/// and cached, and `RLSCHED_FORCE_SCALAR` unset. Every CPU computes the
+/// same bits; this only names the kernels that compute them.
 pub fn simd_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        if std::env::var_os("RLSCHED_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0") {
-            return false;
+    Arm::detected() == Arm::Avx2
+}
+
+/// The kernel entry points, each a call of its body on the arm `$arm`
+/// names: the detected one here, the portable bodies in [`portable`].
+macro_rules! entry_points {
+    ($arm:expr) => {
+        /// `C[m,n] = A[m,k] @ B[k,n]`, seeded with a broadcast `bias[n]` row (+0
+        /// without one); `out` must hold `m * n` elements.
+        pub fn gemm(
+            a: &[f32],
+            m: usize,
+            k: usize,
+            b: &[f32],
+            n: usize,
+            bias: Option<&[f32]>,
+            out: &mut [f32],
+        ) {
+            dense_rows::<false, _>($arm, a, k, b, n, bias, out, AllRows(m));
         }
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
+
+        /// `C[m,n] = A[r,m]ᵀ @ B[r,n]` without materializing the transpose (the
+        /// `dW = Xᵀ·dY` backward kernel). The rows are summed in blocks of
+        /// [`TN_BLOCK_ROWS`], each block's sum added into `C` in row order: this
+        /// is [`gemm_tn_blocks`] with a block end every [`TN_BLOCK_ROWS`] rows.
+        pub fn gemm_tn(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+            gemm_tn_blocks(a, m, b, n, tn_block_ends(r), out);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
+
+        /// [`gemm_tn`] with the row blocks chosen by the caller: `ends` are the
+        /// blocks' exclusive ends, ascending, and the last one is the row count.
+        ///
+        /// A block's sum is row-ascending and lands in `C` before the next block
+        /// starts, so rows whose `B` row is all zero can be left out without
+        /// changing a bit — as long as every remaining row stays in the block it
+        /// had. The kernel network's backward uses this: it walks only the job
+        /// rows of each window and passes every [`TN_BLOCK_ROWS`] boundary of the
+        /// full window stack mapped to its compact row index (`fused`'s module
+        /// docs). An empty block adds nothing.
+        pub fn gemm_tn_blocks(
+            a: &[f32],
+            m: usize,
+            b: &[f32],
+            n: usize,
+            ends: impl IntoIterator<Item = usize>,
+            out: &mut [f32],
+        ) {
+            tn_rows_on($arm, a, m, b, n, ends, None, out);
         }
-    })
+
+        /// [`gemm_tn_blocks`] over rows whose `A` row is zero past `ext[row]`
+        /// inputs; the row count is `ext.len()`.
+        ///
+        /// A row's terms count only for the inputs below its extent rounded up
+        /// to a multiple of [`RAGGED_BLOCK`] (at most `m`), which must hold zeros
+        /// past the extent. The AVX2 kernel sums each group of four inputs (then
+        /// two, then one, at a ragged `m`) over only the rows that reach it:
+        /// `active` starts each block as its rows and is compacted, in place and
+        /// in row order, as the group index rises, so every sum stays row
+        /// ascending inside its block. A left-out row's terms are `+0 · dC`, and
+        /// a TN sum starts at +0 and never becomes −0 (round-to-nearest adds two
+        /// values to −0 only when both are −0), so leaving them out changes no
+        /// bit for finite `B` — the lemma in `fused`'s module docs.
+        #[allow(clippy::too_many_arguments)] // gemm_tn_blocks' operands + extents and their scratch
+        pub fn gemm_tn_ragged(
+            a: &[f32],
+            m: usize,
+            ext: &[usize],
+            b: &[f32],
+            n: usize,
+            ends: impl IntoIterator<Item = usize>,
+            active: &mut Vec<u32>,
+            out: &mut [f32],
+        ) {
+            tn_rows_on($arm, a, m, b, n, ends, Some((ext, active)), out);
+        }
+
+        /// The one dense forward every caller runs (through
+        /// `infer::dense_forward`: the fast path, the fused training pass and the
+        /// reference tape alike): `out = act(x @ w + b)`, `x` `[rows, in]`, `w`
+        /// `[in, out]`.
+        ///
+        /// [`Activation::Relu`] is applied at each store (the bits of
+        /// [`Activation::apply_slice`] after the plain kernel: `max` maps −0 and
+        /// NaN to +0 either way); Tanh and Sigmoid run [`Activation::apply_slice`]
+        /// over the output afterwards.
+        #[allow(clippy::too_many_arguments)] // gemm's operands + the activation
+        pub fn dense_any(
+            x: &[f32],
+            rows: usize,
+            w: &[f32],
+            b: &[f32],
+            in_dim: usize,
+            out_dim: usize,
+            act: Activation,
+            out: &mut [f32],
+        ) {
+            dense_any_on($arm, x, rows, w, b, in_dim, out_dim, act, out);
+        }
+
+        /// [`dense_any`] over rows whose inputs are zero past `ext[row]`:
+        /// `out[row] = x[row] @ w + b` with the bits [`dense_any`] gives the
+        /// whole zero-padded row. `x` holds `ext.len()` rows of `in_dim` values
+        /// and `order` lists every row once.
+        ///
+        /// The rows run in blocks of [`RAGGED_BLOCK`] consecutive entries of
+        /// `order`, every chain of a block running to the block's reach
+        /// ([`ragged_reaches`]), so an `order` that groups rows of similar extent
+        /// saves the most; each row's bits are the same under any `order`. A row
+        /// must hold zeros from its extent to its reach.
+        ///
+        /// Leaving out the `+0 · w` terms past a row's reach is exact unless the
+        /// chain's accumulator is −0 there: adding `±0` to a nonzero value
+        /// changes nothing, and only `−0 + −0` is −0. A chain starts at its bias,
+        /// so that takes a −0 bias (`fused`'s module docs). When a bias is −0,
+        /// every output that ended −0 replays its left-out terms, which restores
+        /// the sign the whole row gives. A non-finite weight past a row's reach
+        /// is never multiplied (the whole row would give `0 × inf = NaN`).
+        #[allow(clippy::too_many_arguments)] // dense_any's operands + extents and order
+        pub fn dense_ragged(
+            x: &[f32],
+            ext: &[usize],
+            order: &[u32],
+            w: &[f32],
+            b: &[f32],
+            in_dim: usize,
+            out_dim: usize,
+            out: &mut [f32],
+        ) {
+            dense_ragged_on($arm, x, ext, order, w, b, in_dim, out_dim, out);
+        }
+    };
+}
+
+entry_points!(Arm::detected());
+
+/// The same entry points on the portable bodies: what a CPU without AVX2
+/// runs, and what the AVX2 kernels are held to, `==` on every input, by
+/// `tests/simd_parity_prop.rs`. Compiled with FMA where the CPU has it.
+pub mod portable {
+    use super::*;
+
+    entry_points!(Arm::portable());
 }
 
 // ------------------------------------------------------------- C = A·B
 
-/// SIMD `C[m,n] = A[m,k] @ B[k,n]`, optionally seeded with a broadcast
-/// `bias[n]` row (otherwise zero). Returns `false` without touching `out`
-/// when SIMD is unavailable or `n < 8`; `out` must hold `m * n` elements.
-pub fn gemm(
+/// The forward chains of `rows` on `arm`, ReLU at the store with `RELU`:
+/// the AVX2 kernels at 8 or more columns and for a one-column output of
+/// [`AllRows`], the portable body otherwise.
+#[allow(clippy::too_many_arguments)] // gemm's operands + the arm and row plan
+fn dense_rows<const RELU: bool, P: RowPlan>(
+    arm: Arm,
     a: &[f32],
-    m: usize,
     k: usize,
     b: &[f32],
     n: usize,
     bias: Option<&[f32]>,
     out: &mut [f32],
-) -> bool {
-    gemm_act(a, m, k, b, n, bias, false, out)
-}
-
-/// [`gemm`], with ReLU applied to each output in the register before
-/// its store when `relu` is set ([`gemm_avx2`]).
-#[allow(clippy::too_many_arguments)] // gemm's operands + the store's activation
-fn gemm_act(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    bias: Option<&[f32]>,
-    relu: bool,
-    out: &mut [f32],
-) -> bool {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
-    if n < 8 || !simd_enabled() {
-        return false;
-    }
+    rows: P,
+) {
     #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: `simd_enabled` verified AVX2+FMA; `gemm_avx2` checks the
-        // slice lengths against the dims.
-        unsafe {
-            if relu {
-                gemm_avx2::<true, _>(a, k, b, n, bias, out, AllRows(m))
-            } else {
-                gemm_avx2::<false, _>(a, k, b, n, bias, out, AllRows(m))
+    // SAFETY: `Arm::Avx2` detected AVX2+FMA and `Arm::Fma` FMA; the
+    // kernels check the slice lengths against the dims, and every row
+    // plan holds its rows and extents to the slices (`dense_ragged`).
+    unsafe {
+        match arm {
+            Arm::Avx2 if n >= 8 => return gemm_avx2::<RELU, P>(a, k, b, n, bias, out, rows),
+            Arm::Avx2 if n == 1 && P::EIGHT_ROW_BLOCKS => {
+                let seed = bias.map_or(0.0, |bv| bv[0]);
+                return head_lanes_avx2::<RELU>(a, rows.len(), b, seed, k, out);
             }
-        };
-        true
+            Arm::Avx2 | Arm::Fma => {
+                return dense_chains_fma::<RELU, P>(a, k, b, n, bias, out, rows)
+            }
+            Arm::Plain => {}
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = relu;
-        false
-    }
+    let _ = arm;
+    dense_chains::<RELU, P>(a, k, b, n, bias, out, rows, 0..n)
 }
 
-/// Scalar reference for [`gemm`] (zero-seed variant): the original
-/// `i-k-j` loop, zero-contribution rows skipped. Bit-identical to the
-/// pre-SIMD `matmul`.
-pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        o_row.fill(0.0);
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
+/// The portable forward body: columns `cols` of each row of `rows`, from
+/// the bias (or +0), `k` ascending up to the row's reach, one `mul_add`
+/// per term, then [`relu`] with `RELU`; eight columns at a time
+/// ([`fma_lanes`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // gemm's operands + the row plan and columns
+fn dense_chains<const RELU: bool, P: RowPlan>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    rows: P,
+    cols: std::ops::Range<usize>,
+) {
+    for p in 0..rows.len() {
+        let ([r], reach) = rows.block::<1>(p, k);
+        for j0 in cols.clone().step_by(8) {
+            let j1 = (j0 + 8).min(cols.end);
+            let mut acc = [0.0f32; 8];
+            if let Some(bv) = bias {
+                acc[..j1 - j0].copy_from_slice(&bv[j0..j1]);
             }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+            for (kk, &x) in a[r * k..r * k + reach].iter().enumerate() {
+                fma_lanes(&mut acc, &b[kk * n + j0..kk * n + j1], x);
+            }
+            for (o, s) in out[r * n + j0..r * n + j1].iter_mut().zip(acc) {
+                *o = if RELU { relu(s) } else { s };
             }
         }
     }
 }
 
-/// The rows a [`gemm_avx2`] call computes, and how far each one's chain
-/// runs. A type per plan, so the dense kernel compiles to its own loop.
+/// `acc[d] = lanes[d] · x + acc[d]` (one `mul_add`) for the lanes given:
+/// a full eight compile to one vector FMA where the CPU has it.
+#[inline(always)]
+fn fma_lanes(acc: &mut [f32; 8], lanes: &[f32], x: f32) {
+    let step = |(s, &y): (&mut f32, &f32)| *s = y.mul_add(x, *s);
+    match <&[f32; 8]>::try_from(lanes) {
+        Ok(full) => acc.iter_mut().zip(full).for_each(step),
+        Err(_) => acc.iter_mut().zip(lanes).for_each(step),
+    }
+}
+
+/// [`dense_chains`] compiled with FMA.
+///
+/// # Safety
+/// FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn dense_chains_fma<const RELU: bool, P: RowPlan>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    rows: P,
+) {
+    dense_chains::<RELU, P>(a, k, b, n, bias, out, rows, 0..n)
+}
+
+/// The rows a forward call computes, and how far each one's chain runs.
+/// A type per plan, so each kernel compiles to its own loop.
 trait RowPlan: Copy {
-    /// Whether outputs narrower than 16 columns run in blocks of eight
-    /// rows (eight FMA chains on their one 8-wide tile) ahead of the
-    /// four-row blocks. Only [`AllRows`]: a [`RaggedRows`] block reaches
-    /// as far as its widest row, and its rows hold zeros only up to the
-    /// reach of their [`RAGGED_BLOCK`]-row block.
+    /// Whether the AVX2 kernels may run rows in blocks of eight: outputs
+    /// narrower than 16 columns (eight FMA chains on their one 8-wide
+    /// tile, ahead of the four-row blocks), and a one-column output one
+    /// row per lane ([`head_lanes_avx2`]). Only [`AllRows`]: a
+    /// [`RaggedRows`] block reaches as far as its widest row, and its rows
+    /// hold zeros only up to the reach of their [`RAGGED_BLOCK`]-row block.
     const EIGHT_ROW_BLOCKS: bool;
     /// How many rows are computed.
     fn len(self) -> usize;
@@ -225,8 +413,8 @@ impl RowPlan for AllRows {
     }
 }
 
-/// Rows blocked in `order` ([`RAGGED_BLOCK`] positions per block), each
-/// block run to its reach ([`ragged_reaches`]).
+/// Rows in `order`, each run to the reach of its block of
+/// [`RAGGED_BLOCK`] positions ([`ragged_reaches`]).
 #[derive(Debug, Clone, Copy)]
 struct RaggedRows<'a> {
     order: &'a [u32],
@@ -243,11 +431,13 @@ impl RowPlan for RaggedRows<'_> {
     fn stored(self) -> usize {
         self.ext.len()
     }
+    /// `R` is 1, or [`RAGGED_BLOCK`] at a block's first position.
     #[inline(always)]
     fn block<const R: usize>(self, p: usize, k: usize) -> ([usize; R], usize) {
-        let rows = &self.order[p..p + R];
-        let reach = ragged_reach(rows, self.ext, k);
-        (std::array::from_fn(|d| rows[d] as usize), reach)
+        let first = p - p % RAGGED_BLOCK;
+        let block = &self.order[first..(first + RAGGED_BLOCK).min(self.order.len())];
+        let rows = std::array::from_fn(|d| self.order[p + d] as usize);
+        (rows, ragged_reach(block, self.ext, k))
     }
 }
 
@@ -260,11 +450,11 @@ impl RowPlan for RaggedRows<'_> {
 /// first (eight chains, where a 4-row block has four).
 ///
 /// Every output element is accumulated by its own k-ascending FMA chain
-/// in its own vector lane, so the tile geometry never changes a value:
-/// each row is bit-identical whether it was computed in a full block or
-/// as a tail (the row-count-invariance contract of the module docs), and
-/// widening the tiles is invisible to every parity test. A chain stops
-/// where `rows` says its inputs end ([`dense_ragged`]).
+/// in its own vector lane (the column tail by `mul_add`), so the tile
+/// geometry never changes a value: each row is bit-identical whether it
+/// was computed in a full block or as a tail (the row-count-invariance
+/// contract of the module docs), and it is [`dense_chains`]' row. A chain
+/// stops where `rows` says its inputs end ([`dense_ragged`]).
 ///
 /// With `RELU` every tile stores `max(acc, 0)` ([`activate`]); the scalar
 /// column tail runs [`relu`], the same select.
@@ -404,20 +594,9 @@ unsafe fn gemm_avx2<const RELU: bool, P: RowPlan>(
             }
             p += 1;
         }
-        // Column tail: plain bias-seeded dots (per row, k ascending).
-        if n8 < n {
-            for p in 0..m {
-                let ([r], reach) = rows.block::<1>(p, k);
-                for j in n8..n {
-                    let mut acc = bias.map_or(0.0, |bv| bv[j]);
-                    for kk in 0..reach {
-                        acc += a[r * k + kk] * b[kk * n + j];
-                    }
-                    out[r * n + j] = if RELU { relu(acc) } else { acc };
-                }
-            }
-        }
     }
+    // Column tail: the same chains, one `mul_add` per term.
+    dense_chains::<RELU, P>(a, k, b, n, bias, out, rows, n8..n);
 }
 
 /// The value a tile stores for `acc`: `max(acc, 0)` with `RELU`, with the
@@ -494,41 +673,11 @@ unsafe fn row_tile<const V: usize, const RELU: bool>(
     }
 }
 
-// --------------------------------------------------------- C = A·Bᵀ (NT)
-
-/// `C[m,n] = A[m,k] @ B[n,k]ᵀ` without materializing the transpose: one
-/// dot product per output element, k ascending. Scalar only — the one
-/// caller on a hot path, the dense backward, transposes its weights and
-/// runs [`gemm`] when SIMD is on.
-pub fn gemm_nt_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in o_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
-        }
-    }
-}
-
 // --------------------------------------------------------- C = Aᵀ·B (TN)
 
-/// Rows per block of [`gemm_tn`]: the SIMD kernel sums each block of
-/// `A`/`B` rows in registers, then adds the block's sum into `C`.
+/// Rows per block of [`gemm_tn`]: each block of `A`/`B` rows is summed
+/// on its own, then added into `C`.
 pub const TN_BLOCK_ROWS: usize = 512;
-
-/// SIMD `C[m,n] = A[r,m]ᵀ @ B[r,n]` without materializing the transpose
-/// (the `dW = Xᵀ·dY` backward kernel): each output tile accumulates in
-/// registers over a whole row block, then is added into `C` once.
-/// Returns `false` (nothing written) when SIMD is unavailable or
-/// `1 < n < 8`.
-///
-/// The rows are summed in blocks of [`TN_BLOCK_ROWS`], each block's sum
-/// added into `C` in row order: this is [`gemm_tn_blocks`] with a block
-/// end every [`TN_BLOCK_ROWS`] rows.
-pub fn gemm_tn(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) -> bool {
-    gemm_tn_blocks(a, m, b, n, tn_block_ends(r), out)
-}
 
 /// The block ends [`gemm_tn`] uses for `r` rows: every
 /// [`TN_BLOCK_ROWS`] rows, then `r`.
@@ -536,172 +685,115 @@ pub fn tn_block_ends(r: usize) -> impl Iterator<Item = usize> {
     (1..=r.div_ceil(TN_BLOCK_ROWS)).map(move |i| (i * TN_BLOCK_ROWS).min(r))
 }
 
-/// [`gemm_tn`] with the row blocks chosen by the caller: `ends` are the
-/// blocks' exclusive ends, ascending, and the last one is the row count.
-///
-/// A block's sum is row-ascending and lands in `C` before the next block
-/// starts, so rows whose `B` row is all zero can be left out without
-/// changing a bit — as long as every remaining row stays in the block it
-/// had. The kernel network's backward uses this: it walks only the job
-/// rows of each window and passes every [`TN_BLOCK_ROWS`] boundary of the
-/// full window stack mapped to its compact row index (`fused`'s module
-/// docs). An empty block adds nothing.
-///
-/// One output column (`n == 1`, a scalar head's `dW`) takes its own arm:
-/// the `m` outputs sit in vector lanes and each lane runs
-/// [`gemm_tn_scalar`]'s chain — rows ascending, multiply then add, a zero
-/// `a` skipped — so it has no row blocks and ignores `ends` except for
-/// the row count, and its bits are [`gemm_tn_scalar`]'s for every input.
-pub fn gemm_tn_blocks(
+/// The TN chains on `arm`: the AVX2 kernel at 8 or more columns, the
+/// portable body otherwise; with `ragged` (extents and an active-row
+/// scratch) each row counts only up to its reach.
+#[allow(clippy::too_many_arguments)] // gemm_tn_ragged's operands + the arm
+fn tn_rows_on(
+    arm: Arm,
     a: &[f32],
     m: usize,
     b: &[f32],
     n: usize,
     ends: impl IntoIterator<Item = usize>,
+    ragged: Option<(&[usize], &mut Vec<u32>)>,
     out: &mut [f32],
-) -> bool {
-    debug_assert!(out.len() >= m * n);
-    if (n < 8 && n != 1) || !simd_enabled() {
-        return false;
+) {
+    let ext = ragged.as_ref().map(|(ext, _)| *ext);
+    if let Some(ext) = ext {
+        assert!(
+            ext.iter().all(|&e| e <= m),
+            "a row extends past the {m} inputs"
+        );
     }
+    let ends = ends.into_iter();
     #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: `simd_enabled` verified AVX2+FMA at runtime; the kernels
-        // check the rows they read against the slice lengths.
-        if n == 1 {
-            let r = ends.into_iter().last().unwrap_or(0);
-            unsafe { gemm_tn_col_avx2(a, r, m, b, out) };
-        } else {
-            unsafe { gemm_tn_avx2(a, m, b, n, ends.into_iter(), None, out) };
+    // SAFETY: `Arm::Avx2` detected AVX2+FMA and `Arm::Fma` FMA; the
+    // extents were checked against `m` above, and the kernels check the
+    // rows they read against the slice lengths.
+    unsafe {
+        match arm {
+            Arm::Avx2 if n >= 8 => return gemm_tn_avx2(a, m, b, n, ends, ragged, out),
+            Arm::Avx2 | Arm::Fma => return tn_chains_fma(a, m, b, n, ends, ext, out),
+            Arm::Plain => {}
         }
-        true
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, b, ends);
-        false
-    }
+    let _ = (arm, ragged);
+    tn_chains(a, m, b, n, ends, ext, out)
 }
 
-/// [`gemm_tn_blocks`] over rows whose `A` row is zero past `ext[row]`
-/// inputs, on whichever arm is active; the row count is `ext.len()`.
-///
-/// For each group of four inputs (then two, then one, at a ragged `m`)
-/// the SIMD arm sums only the rows whose extent reaches the group:
-/// `active` starts each block as its rows and is compacted, in place and
-/// in row order, as the group index rises, so every sum stays row
-/// ascending inside its block. A left-out row's terms are `+0 · dC`, and
-/// a TN sum starts at +0 and never becomes −0 (round-to-nearest adds two
-/// values to −0 only when both are −0), so leaving them out changes no
-/// bit for finite `B` — the lemma in `fused`'s module docs. The scalar
-/// arm skips zero `a` anyway, so it stops each row at its extent with
-/// [`gemm_tn_scalar`]'s bits.
-///
-/// `A` must hold zeros from `ext[row]` up to `ext[row]` rounded up to a
-/// multiple of [`RAGGED_BLOCK`] (at most `m`): a group reads all of its
-/// inputs.
-#[allow(clippy::too_many_arguments)] // gemm_tn_blocks' operands + extents and their scratch
-pub fn gemm_tn_ragged(
+/// The portable TN body: block by block (`ends`), each output's sum over
+/// the block's rows from +0, rows ascending, one `mul_add` per term,
+/// then added into `out`. With `ext`, row `row` counts only for the
+/// inputs below `ext[row]` rounded up to [`RAGGED_BLOCK`]. The sums of
+/// a tile of 8 inputs × 8 columns ([`fma_lanes`] along the columns, or
+/// along the inputs for one column) live on the stack, so it allocates
+/// nothing.
+#[inline(always)]
+fn tn_chains(
     a: &[f32],
-    m: usize,
-    ext: &[usize],
-    b: &[f32],
-    n: usize,
-    ends: impl IntoIterator<Item = usize>,
-    active: &mut Vec<u32>,
-    out: &mut [f32],
-) {
-    assert!(
-        ext.iter().all(|&e| e <= m),
-        "a row extends past the {m} inputs"
-    );
-    if n >= 8 && simd_enabled() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: as in `gemm_tn_blocks`; the extents were checked
-            // against `m` above.
-            unsafe { gemm_tn_avx2(a, m, b, n, ends.into_iter(), Some((ext, active)), out) };
-            return;
-        }
-    }
-    tn_scalar(a, ext.len(), m, b, n, |row| ext[row], out);
-}
-
-/// Scalar reference for [`gemm_tn`]: r-outer rank-1 updates with
-/// zero-contribution skips — bit-identical to the pre-SIMD `matmul_tn`.
-/// It has no row blocks: every output is one row-ascending chain, so it
-/// also stands in for [`gemm_tn_blocks`] at any block ends.
-pub fn gemm_tn_scalar(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    tn_scalar(a, r, m, b, n, |_| m, out);
-}
-
-/// [`gemm_tn_scalar`] reading row `row` of `A` only up to `ext(row)`.
-fn tn_scalar(
-    a: &[f32],
-    r: usize,
     m: usize,
     b: &[f32],
     n: usize,
-    ext: impl Fn(usize) -> usize,
+    ends: impl Iterator<Item = usize>,
+    ext: Option<&[usize]>,
     out: &mut [f32],
 ) {
+    let reach = |row: usize| ext.map_or(m, |e| e[row].next_multiple_of(RAGGED_BLOCK).min(m));
     out[..m * n].fill(0.0);
-    for row in 0..r {
-        let a_row = &a[row * m..row * m + ext(row)];
-        let b_row = &b[row * n..(row + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
+    let mut r0 = 0;
+    for r1 in ends {
+        assert!(
+            r0 <= r1 && a.len() >= r1 * m && b.len() >= r1 * n,
+            "row block {r0}..{r1} out of order or past the inputs"
+        );
+        for i0 in (0..m).step_by(8) {
+            let i1 = (i0 + 8).min(m);
+            if n == 1 {
+                let mut acc = [0.0f32; 8];
+                for row in r0..r1 {
+                    let live = reach(row).clamp(i0, i1);
+                    fma_lanes(&mut acc, &a[row * m + i0..row * m + live], b[row]);
+                }
+                out[i0..i1].iter_mut().zip(acc).for_each(|(o, s)| *o += s);
                 continue;
             }
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+            for j0 in (0..n).step_by(8) {
+                let j1 = (j0 + 8).min(n);
+                let mut acc = [[0.0f32; 8]; 8];
+                for row in r0..r1 {
+                    let live = reach(row).clamp(i0, i1);
+                    for (acc, &x) in acc.iter_mut().zip(&a[row * m + i0..row * m + live]) {
+                        fma_lanes(acc, &b[row * n + j0..row * n + j1], x);
+                    }
+                }
+                for (d, acc) in acc.iter().enumerate().take(i1 - i0) {
+                    let o_row = &mut out[(i0 + d) * n + j0..(i0 + d) * n + j1];
+                    o_row.iter_mut().zip(acc).for_each(|(o, s)| *o += s);
+                }
             }
         }
+        r0 = r1;
     }
 }
 
-/// The one-column arm of [`gemm_tn_blocks`]: `out[i] = Σ_row a[row, i] ·
-/// b[row]` over `r` rows, eight outputs per vector, each lane the
-/// [`gemm_tn_scalar`] chain (multiply, then add; the add is blended away
-/// where `a` is ±0, which is the scalar loop's skip).
+/// [`tn_chains`] compiled with FMA.
 ///
 /// # Safety
-/// AVX2 must be available. Slice lengths are checked: `a ≥ r*m`,
-/// `b ≥ r`, `out ≥ m`.
+/// FMA must be available.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_tn_col_avx2(a: &[f32], r: usize, m: usize, b: &[f32], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    assert!(a.len() >= r * m && b.len() >= r && out.len() >= m);
-    let m8 = m - m % 8;
-    // SAFETY: every row read is below `r` and every lane below `m8 ≤ m`,
-    // which the assert holds to the slice lengths.
-    unsafe {
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < m8 {
-            let mut acc = zero;
-            for (row, &bv) in b[..r].iter().enumerate() {
-                let av = _mm256_loadu_ps(a.as_ptr().add(row * m + i));
-                let sum = _mm256_add_ps(acc, _mm256_mul_ps(av, _mm256_set1_ps(bv)));
-                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, zero);
-                acc = _mm256_blendv_ps(acc, sum, keep);
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), acc);
-            i += 8;
-        }
-    }
-    for (i, o) in out.iter_mut().enumerate().take(m).skip(m8) {
-        let mut s = 0.0f32;
-        for (row, &bv) in b[..r].iter().enumerate() {
-            let av = a[row * m + i];
-            if av != 0.0 {
-                s += av * bv;
-            }
-        }
-        *o = s;
-    }
+#[target_feature(enable = "fma")]
+unsafe fn tn_chains_fma(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    ends: impl Iterator<Item = usize>,
+    ext: Option<&[usize]>,
+    out: &mut [f32],
+) {
+    tn_chains(a, m, b, n, ends, ext, out)
 }
 
 /// Outer-product kernel with register-resident accumulators: each group
@@ -714,11 +806,12 @@ unsafe fn gemm_tn_col_avx2(a: &[f32], r: usize, m: usize, b: &[f32], out: &mut [
 /// eight `A` columns wide there (8 × 8: eight chains). The blocks
 /// (`ends`, every [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the
 /// streamed slice L1/L2-resident. With `ragged` (extents and an active-row scratch,
-/// [`gemm_tn_ragged`]) each group sums only the rows that reach it.
+/// [`gemm_tn_ragged`]) each group sums only the rows that reach its first
+/// input's [`RAGGED_BLOCK`]-input block.
 ///
 /// Each output element accumulates in its own lane, r ascending within
 /// every block — so the tile geometry (8, 4, 2 or 1 rows per tile) never
-/// changes a value.
+/// changes a value, and it is [`tn_chains`]' element.
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available, and with `ragged` that no
@@ -767,7 +860,8 @@ unsafe fn gemm_tn_avx2(
                 match &mut ragged {
                     None => tn_group(step, a, m, b, n, i, r0..r1, out),
                     Some((ext, active)) => {
-                        active.retain(|&row| ext[row as usize] > i);
+                        let first = i - i % RAGGED_BLOCK;
+                        active.retain(|&row| ext[row as usize] > first);
                         if active.is_empty() {
                             break;
                         }
@@ -813,7 +907,7 @@ unsafe fn tn_group(
 /// Add `Σ_row A[row, i + d] · B[row, j]` over `rows`, in their order,
 /// into `out[i + d, j]` for `d < R` and every column: 16-wide tiles (two
 /// FMA chains per `A` column), then 8-wide, then a scalar column tail of
-/// plain multiply-adds.
+/// the same chains, one `mul_add` per term.
 ///
 /// # Safety
 /// AVX2+FMA must be available; every row in `rows` must have its `A` row
@@ -873,7 +967,8 @@ unsafe fn tn_rows<const R: usize>(
             for d in 0..R {
                 let mut s = 0.0f32;
                 for row in rows.clone() {
-                    s += *a.get_unchecked(row * m + i + d) * *b.get_unchecked(row * n + jj);
+                    let x = *a.get_unchecked(row * m + i + d);
+                    s = x.mul_add(*b.get_unchecked(row * n + jj), s);
                 }
                 *out.get_unchecked_mut((i + d) * n + jj) += s;
             }
@@ -896,48 +991,10 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 
 // ------------------------------------------------- shared dense forward
 
-/// Portable dense-layer kernel: bias-seeded rows, k ascending — the
-/// original accumulation order, kept as the scalar arm of [`dense_any`].
-pub fn dense_portable(
-    x: &[f32],
-    rows: usize,
-    w: &[f32],
-    b: &[f32],
-    in_dim: usize,
-    out_dim: usize,
-    out: &mut [f32],
-) {
-    for i in 0..rows {
-        let x_row = &x[i * in_dim..(i + 1) * in_dim];
-        let o_row = &mut out[i * out_dim..(i + 1) * out_dim];
-        o_row.copy_from_slice(b);
-        for (k, &xa) in x_row.iter().enumerate() {
-            let w_row = &w[k * out_dim..(k + 1) * out_dim];
-            for (o, &wv) in o_row.iter_mut().zip(w_row) {
-                *o += xa * wv;
-            }
-        }
-    }
-}
-
-/// The one dense forward every caller runs (through
-/// `infer::dense_forward`: the fast path, the fused training pass and the
-/// reference tape alike), so they compute bit-identical values on
-/// whichever dispatch arm is active:
-/// `out = act(x @ w + b)`, `x` `[rows, in]`, `w` `[in, out]`.
-///
-/// With SIMD on, [`Activation::Relu`] and [`Activation::Identity`] are applied in the
-/// register before each store (the bits of [`Activation::apply_slice`] after
-/// the plain kernel: `max` maps −0 and NaN to +0 either way); Tanh and
-/// Sigmoid, and every activation on the scalar arm, run
-/// [`Activation::apply_slice`] over the output afterwards.
-///
-/// `out_dim == 1` heads (the kernel network's 8→1 and every critic's)
-/// run [`dense_portable`]'s chain — start at the bias, multiply, then
-/// add, `k` ascending — on both arms; with SIMD on, eight rows run it at
-/// once, one per vector lane.
-#[allow(clippy::too_many_arguments)] // dense_portable's operands + the activation
-pub fn dense_any(
+/// [`dense_any`] on `arm`.
+#[allow(clippy::too_many_arguments)] // dense_any's operands + the arm
+fn dense_any_on(
+    arm: Arm,
     x: &[f32],
     rows: usize,
     w: &[f32],
@@ -951,70 +1008,29 @@ pub fn dense_any(
     debug_assert_eq!(w.len(), in_dim * out_dim, "weight volume");
     debug_assert_eq!(b.len(), out_dim, "bias length");
     debug_assert!(out.len() >= rows * out_dim, "output volume");
-    let relu = act == Activation::Relu;
-    let fused = if out_dim == 1 {
-        head_lanes(x, rows, w, b[0], in_dim, relu, out)
+    let all = AllRows(rows);
+    if act == Activation::Relu {
+        dense_rows::<true, _>(arm, x, in_dim, w, out_dim, Some(b), out, all);
     } else {
-        gemm_act(x, rows, in_dim, w, out_dim, Some(b), relu, out)
-    };
-    if !fused {
-        dense_portable(x, rows, w, b, in_dim, out_dim, out);
-    }
-    if !(fused && relu) {
+        dense_rows::<false, _>(arm, x, in_dim, w, out_dim, Some(b), out, all);
         act.apply_slice(&mut out[..rows * out_dim]);
     }
 }
 
-/// The SIMD arm of [`dense_any`]'s one-column head: `out[i] = b +
-/// Σ_k x[i, k] · w[k]` as [`dense_portable`]'s chain (multiply, then add;
-/// never an FMA), eight rows per vector and the row remainder in scalar.
-/// Returns `false` (nothing written) when SIMD is unavailable.
-fn head_lanes(
-    x: &[f32],
-    rows: usize,
-    w: &[f32],
-    b: f32,
-    in_dim: usize,
-    relu: bool,
-    out: &mut [f32],
-) -> bool {
-    if !simd_enabled() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: `simd_enabled` verified AVX2; the kernel checks the
-        // slice lengths against the dims.
-        unsafe {
-            if relu {
-                head_lanes_avx2::<true>(x, rows, w, b, in_dim, out)
-            } else {
-                head_lanes_avx2::<false>(x, rows, w, b, in_dim, out)
-            }
-        };
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (x, rows, w, b, in_dim, relu, out);
-        false
-    }
-}
-
-/// [`head_lanes`]' kernel. Each block of eight rows loads its inputs
-/// eight columns at a time (the last group masked, so nothing past
-/// `in_dim` is read), transposes the 8×8 tile so that lane `d` holds row
-/// `d`, and runs the chain in every lane at once. Each lane's bits are
-/// the scalar chain's, so a row's value does not depend on whether a
-/// block or the scalar remainder computed it. With `RELU` every output
-/// stores `max(acc, 0)` ([`activate`]). FMA is not enabled here: the
-/// chain rounds its product before the add.
+/// The AVX2 kernel of a one-column forward: `out[i] = b + Σ_k x[i, k] ·
+/// w[k]`, the FMA chain of [`dense_chains`]. Each block of eight rows
+/// loads its inputs eight columns at a time (the last group masked, so
+/// nothing past `in_dim` is read), transposes the 8×8 tile so that lane
+/// `d` holds row `d`, and runs the chain in every lane at once; the row
+/// remainder runs it by `mul_add`. So a row's value does not depend on
+/// whether a block or the remainder computed it. With `RELU` every
+/// output stores `max(acc, 0)` ([`activate`]).
 ///
 /// # Safety
-/// AVX2 must be available. Slice lengths are checked: `x ≥ rows*in_dim`,
-/// `w ≥ in_dim`, `out ≥ rows`.
+/// AVX2+FMA must be available. Slice lengths are checked: `x ≥
+/// rows*in_dim`, `w ≥ in_dim`, `out ≥ rows`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn head_lanes_avx2<const RELU: bool>(
     x: &[f32],
     rows: usize,
@@ -1030,9 +1046,8 @@ unsafe fn head_lanes_avx2<const RELU: bool>(
     // only its columns below `in_dim` (the mask leaves the others
     // unread), so every read is inside `x`; the outputs are below `rows`.
     unsafe {
-        let chain = |acc: __m256, col: __m256, w: *const f32| {
-            _mm256_add_ps(acc, _mm256_mul_ps(col, _mm256_set1_ps(*w)))
-        };
+        let chain =
+            |acc: __m256, col: __m256, w: *const f32| _mm256_fmadd_ps(col, _mm256_set1_ps(*w), acc);
         let (full, cols) = (in_dim - in_dim % 8, in_dim % 8);
         let mask = _mm256_cmpgt_epi32(
             _mm256_set1_epi32(cols as i32),
@@ -1064,13 +1079,9 @@ unsafe fn head_lanes_avx2<const RELU: bool>(
             i += 8;
         }
     }
-    for (i, o) in out.iter_mut().enumerate().take(rows).skip(rows8) {
-        let mut acc = b;
-        for (&xa, &wv) in x[i * in_dim..(i + 1) * in_dim].iter().zip(w) {
-            acc += xa * wv;
-        }
-        *o = if RELU { relu(acc) } else { acc };
-    }
+    let rest = AllRows(rows - rows8);
+    let (x, out) = (&x[rows8 * in_dim..], &mut out[rows8..]);
+    dense_chains::<RELU, _>(x, in_dim, w, 1, Some(&[b]), out, rest, 0..1);
 }
 
 /// Transpose an 8×8 tile held as eight row vectors: lane `d` of output
@@ -1107,8 +1118,8 @@ fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 
     })
 }
 
-/// Rows per block of [`dense_ragged`]'s SIMD arm, and the multiple its
-/// blocks' reaches are rounded up to (a [`gemm_tn_ragged`] input group).
+/// Rows per block of [`dense_ragged`], and the multiple its blocks'
+/// reaches are rounded up to (a [`gemm_tn_ragged`] input group).
 pub const RAGGED_BLOCK: usize = 4;
 
 /// How far the chains of a block of `rows` run: their widest extent,
@@ -1141,27 +1152,10 @@ pub fn ragged_reaches<'a>(
     })
 }
 
-/// [`dense_any`] over rows whose inputs are zero past `ext[row]`:
-/// `out[row] = x[row] @ w + b` with the bits [`dense_any`] gives the
-/// whole zero-padded row, on either arm. `x` holds `ext.len()` rows of
-/// `in_dim` values and `order` lists every row once.
-///
-/// The SIMD arm computes the rows in blocks of [`RAGGED_BLOCK`]
-/// consecutive entries of `order`, every chain of a block running to the
-/// block's reach ([`ragged_reaches`]), so an `order` that groups rows of
-/// similar extent saves the most; each row's bits are the same under any
-/// `order`. A row must hold zeros from its extent to its reach. The
-/// scalar arm runs each row to its own extent.
-///
-/// Leaving out the `+0 · w` terms past a row's reach is exact unless the
-/// chain's accumulator is −0 there: adding `±0` to a nonzero value
-/// changes nothing, and only `−0 + −0` is −0. A chain starts at its bias,
-/// so that takes a −0 bias (`fused`'s module docs). When a bias is −0,
-/// every output that ended −0 replays its left-out terms, which restores
-/// the sign the whole row gives. A non-finite weight past a row's reach
-/// is never multiplied (the whole row would give `0 × inf = NaN`).
-#[allow(clippy::too_many_arguments)] // dense_any's operands + extents and order
-pub fn dense_ragged(
+/// [`dense_ragged`] on `arm`.
+#[allow(clippy::too_many_arguments)] // dense_ragged's operands + the arm
+fn dense_ragged_on(
+    arm: Arm,
     x: &[f32],
     ext: &[usize],
     order: &[u32],
@@ -1186,33 +1180,8 @@ pub fn dense_ragged(
             && ext.iter().all(|&e| e <= in_dim),
         "ragged rows: an order entry or extent out of range"
     );
-    let mut dispatched = false;
-    if out_dim >= 8 && simd_enabled() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: AVX2+FMA detected; lengths, order entries and
-            // extents are checked above.
-            unsafe {
-                gemm_avx2::<false, _>(
-                    x,
-                    in_dim,
-                    w,
-                    out_dim,
-                    Some(b),
-                    out,
-                    RaggedRows { order, ext },
-                )
-            };
-            dispatched = true;
-        }
-    }
-    if !dispatched {
-        for (r, &e) in ext.iter().enumerate() {
-            let o_row = &mut out[r * out_dim..(r + 1) * out_dim];
-            let x_row = &x[r * in_dim..r * in_dim + e];
-            dense_portable(x_row, 1, &w[..e * out_dim], b, e, out_dim, o_row);
-        }
-    }
+    let plan = RaggedRows { order, ext };
+    dense_rows::<false, _>(arm, x, in_dim, w, out_dim, Some(b), out, plan);
     const NEG_ZERO: u32 = 0x8000_0000;
     if b.iter().any(|v| v.to_bits() == NEG_ZERO) {
         for (r, &e) in ext.iter().enumerate() {
@@ -1236,17 +1205,20 @@ mod tests {
         (0..n).map(f).collect()
     }
 
-    fn assert_close(a: &[f32], b: &[f32]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
+    /// Equal bits, or both NaN.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what} element {i}: {g:e} vs {w:e}");
         }
     }
 
     #[test]
     fn gemm_matches_scalar_on_ragged_shapes() {
         // The wide shapes reach every one-row tile (64, 32, 16 and 8
-        // columns) and the 4-row blocks next to them.
+        // columns) and the 4-row blocks next to them; the narrow ones the
+        // one-column lanes and the portable body.
         for &(m, k, n) in &[
             (1, 3, 9),
             (4, 8, 8),
@@ -1260,15 +1232,16 @@ mod tests {
             (5, 131, 100),
             (1, 896, 128),
             (1, 900, 136),
+            (11, 9, 1),
+            (3, 5, 3),
         ] {
             let a = filled(m * k, |i| (i as f32 * 0.37).sin());
             let b = filled(k * n, |i| (i as f32 * 0.21).cos());
-            let mut simd = vec![f32::NAN; m * n];
-            let mut scalar = vec![f32::NAN; m * n];
-            gemm_scalar(&a, m, k, &b, n, &mut scalar);
-            if gemm(&a, m, k, &b, n, None, &mut simd) {
-                assert_close(&simd, &scalar);
-            }
+            let mut dispatched = vec![f32::NAN; m * n];
+            let mut chains = vec![f32::NAN; m * n];
+            portable::gemm(&a, m, k, &b, n, None, &mut chains);
+            gemm(&a, m, k, &b, n, None, &mut dispatched);
+            assert_eq!(dispatched, chains, "({m},{k},{n})");
         }
     }
 
@@ -1278,24 +1251,70 @@ mod tests {
         let a = filled(m * k, |i| (i as f32 * 0.11).sin());
         let w = filled(k * n, |i| (i as f32 * 0.07).cos());
         let b = filled(n, |i| i as f32 * 0.01 - 0.05);
-        let mut simd = vec![f32::NAN; m * n];
-        let mut portable = vec![f32::NAN; m * n];
-        dense_portable(&a, m, &w, &b, k, n, &mut portable);
-        if gemm(&a, m, k, &w, n, Some(&b), &mut simd) {
-            assert_close(&simd, &portable);
-        }
+        let mut dispatched = vec![f32::NAN; m * n];
+        let mut chains = vec![f32::NAN; m * n];
+        portable::gemm(&a, m, k, &w, n, Some(&b), &mut chains);
+        gemm(&a, m, k, &w, n, Some(&b), &mut dispatched);
+        assert_eq!(dispatched, chains);
     }
 
     #[test]
     fn gemm_tn_matches_scalar() {
-        for &(r, m, n) in &[(4, 3, 8), (5, 7, 11), (16, 2, 32), (3, 1, 9)] {
+        for &(r, m, n) in &[(4, 3, 8), (5, 7, 11), (16, 2, 32), (3, 1, 9), (700, 9, 1)] {
             let a = filled(r * m, |i| (i as f32 * 0.23).sin());
             let b = filled(r * n, |i| (i as f32 * 0.31).cos());
-            let mut simd = vec![f32::NAN; m * n];
-            let mut scalar = vec![f32::NAN; m * n];
-            gemm_tn_scalar(&a, r, m, &b, n, &mut scalar);
-            if gemm_tn(&a, r, m, &b, n, &mut simd) {
-                assert_close(&simd, &scalar);
+            let mut dispatched = vec![f32::NAN; m * n];
+            let mut chains = vec![f32::NAN; m * n];
+            portable::gemm_tn_blocks(&a, m, &b, n, tn_block_ends(r), &mut chains);
+            gemm_tn(&a, r, m, &b, n, &mut dispatched);
+            assert_eq!(dispatched, chains, "({r},{m},{n})");
+        }
+    }
+
+    #[test]
+    fn plain_portable_bodies_are_the_fma_compiled_ones() {
+        // Without FMA in hardware `mul_add` is a correctly rounded `fmaf`
+        // call, so the plainly compiled bodies give the FMA-compiled ones'
+        // bits, on values of every class. Comparing needs an FMA CPU.
+        if Arm::detected() == Arm::Plain {
+            return;
+        }
+        let special = |i: usize, v: f32| match i % 23 {
+            0 => 0.0,
+            5 => -0.0,
+            9 => f32::INFINITY,
+            14 => f32::NAN,
+            19 => f32::from_bits(3),
+            _ => v,
+        };
+        for (rows, k, n) in [(1, 1, 1), (9, 7, 1), (5, 13, 8), (3, 40, 11), (17, 9, 33)] {
+            let x = filled(rows * k, |i| special(i, (i as f32 * 0.37).sin()));
+            let w = filled(k * n, |i| special(i + 3, (i as f32 * 0.21).cos()));
+            let b = filled(n, |j| special(j + 1, j as f32 * 0.1 - 0.3));
+            let y = filled(rows * n, |i| special(i + 7, (i as f32 * 0.13).sin()));
+            let ext: Vec<usize> = (0..rows).map(|r| r * 5 % (k + 1)).collect();
+            let mut padded = x.clone();
+            for (row, &e) in padded.chunks_mut(k).zip(&ext) {
+                row[e..].fill(0.0);
+            }
+            let order: Vec<u32> = (0..rows as u32).rev().collect();
+            let ends = [rows / 2, rows];
+            let run = |arm| {
+                let mut dense = vec![f32::NAN; rows * n];
+                dense_any_on(arm, &x, rows, &w, &b, k, n, Activation::Relu, &mut dense);
+                let mut ragged = vec![f32::NAN; rows * n];
+                dense_ragged_on(arm, &padded, &ext, &order, &w, &b, k, n, &mut ragged);
+                let mut dw = vec![f32::NAN; k * n];
+                tn_rows_on(arm, &x, k, &y, n, ends, None, &mut dw);
+                let mut ragged_dw = vec![f32::NAN; k * n];
+                let rows_reach = Some((ext.as_slice(), &mut Vec::new()));
+                tn_rows_on(arm, &padded, k, &y, n, ends, rows_reach, &mut ragged_dw);
+                [dense, ragged, dw, ragged_dw]
+            };
+            let (plain, fma) = (run(Arm::Plain), run(Arm::Fma));
+            let what = ["dense", "ragged", "dW", "ragged dW"];
+            for (what, (p, f)) in what.iter().zip(plain.iter().zip(&fma)) {
+                assert_same(p, f, &format!("{what} at ({rows},{k},{n})"));
             }
         }
     }
@@ -1303,18 +1322,17 @@ mod tests {
     #[test]
     fn forward_kernels_are_row_count_invariant() {
         // Each output row must be bit-identical whether it is computed
-        // alone (m = 1) or inside a larger batch — on whichever dispatch
-        // arm is active. VecEnv's batched≡sequential rollout parity rests
-        // on this. Shapes cover full 4-row blocks, row tails (m % 4 ≠ 0),
-        // ragged column tails (n % 8 ≠ 0), and widths that reach the
-        // one-row remainder's 64- and 32-column tiles (a one-row product
-        // runs only those tiles; rows of a 4-row block run the 16/8-wide
-        // block tiles), over inner dimensions up to a flat MLP's 896.
-        // The kernel network's widths (1, 8, 16, 32) run every row count
-        // up to 17: the one-column lanes head's 8-row blocks and scalar
-        // remainder, and the 8-column outputs' 8-row blocks beside their
-        // 4-row blocks and one-row tiles — with and without ReLU at the
-        // store.
+        // alone (m = 1) or inside a larger batch. VecEnv's
+        // batched≡sequential rollout parity rests on this. Shapes cover
+        // full 4-row blocks, row tails (m % 4 ≠ 0), ragged column tails
+        // (n % 8 ≠ 0), and widths that reach the one-row remainder's 64-
+        // and 32-column tiles (a one-row product runs only those tiles;
+        // rows of a 4-row block run the 16/8-wide block tiles), over inner
+        // dimensions up to a flat MLP's 896. The kernel network's widths
+        // (1, 8, 16, 32) run every row count up to 17: the one-column
+        // lanes head's 8-row blocks and scalar remainder, and the
+        // 8-column outputs' 8-row blocks beside their 4-row blocks and
+        // one-row tiles — with and without ReLU at the store.
         let narrow = [(4, 6, 8), (5, 7, 11), (9, 16, 24), (3, 32, 9), (6, 5, 16)];
         let wide = [32, 40, 64, 72, 100, 128, 136]
             .into_iter()
@@ -1340,16 +1358,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn small_widths_fall_back() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 4.0];
-        let mut out = [0.0f32; 1];
-        assert!(
-            !gemm(&a, 1, 2, &b, 1, None, &mut out),
-            "n=1 must not dispatch"
-        );
     }
 }

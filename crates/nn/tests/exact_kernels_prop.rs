@@ -1,28 +1,24 @@
 //! Exact-kernel properties: the kernels that skip arithmetic must give
-//! the bits of the kernels that do it, with `==` (NaN matching NaN), on
-//! whichever dispatch arm is active — CI runs this file once more with
-//! `RLSCHED_FORCE_SCALAR=1`.
+//! the bits of the kernels that do it, and every kernel the bits of its
+//! chain spelled out here, with `==` (NaN matching NaN).
 //!
-//! * the one-column `dW` arm of `gemm_tn_blocks` is `gemm_tn_scalar`'s
-//!   chain, non-finite inputs included;
+//! * the one-column `dW` of `gemm_tn_blocks` is each block's FMA chain,
+//!   non-finite inputs included (`0 × inf` is NaN);
 //! * `dense_ragged` is `dense_any` over the zero-padded rows, a −0 bias
 //!   included, under any block order;
 //! * `gemm_tn_ragged` is `gemm_tn_blocks` over the zero-padded rows, with
 //!   block ends on and across the 512-row boundary;
 //! * `window_mlp_forward` (the rollout critic) is `mlp_forward`;
-//! * `dense_any`'s one-column head is `dense_portable`'s chain (multiply,
-//!   then add) at any row count and input width, non-finite values
-//!   included;
-//! * every row of an 8-column output is its k-ascending chain from the
-//!   bias (one FMA per input on the SIMD arm, `dense_portable`'s on the
-//!   scalar arm), whichever block computed it;
+//! * `dense_any`'s one-column head is the k-ascending FMA chain from the
+//!   bias at any row count and input width, non-finite values included;
+//! * every row of an 8-column output is its k-ascending FMA chain from
+//!   the bias, whichever block computed it;
 //! * ReLU at the store is `Activation::Relu.apply_slice` after the plain kernel,
 //!   for ±0, NaN, ±inf and subnormal accumulators in every tile;
 //! * a ragged block reads no input past its reach (8-column outputs
 //!   included, where whole rows run in blocks of eight);
 //! * `gemm_tn_blocks` at fewer than 16 columns (eight `A` columns per
-//!   group) is `gemm_tn_scalar` wherever the sums are exact, and each
-//!   block's row-ascending FMA chain otherwise;
+//!   group) is each block's row-ascending FMA chain;
 //! * `infer::live_job_rows` is the row-wise count.
 
 use proptest::prelude::*;
@@ -98,31 +94,21 @@ fn block_ends(rng: &mut StdRng, r: usize) -> Vec<usize> {
     ends
 }
 
-/// `dW` of one output column, both ways.
-fn one_column(a: &[f32], r: usize, m: usize, b: &[f32], ends: &[usize]) -> (Vec<f32>, Vec<f32>) {
+/// `dW` of one output column: the kernel's and the block model's.
+fn one_column(a: &[f32], m: usize, b: &[f32], ends: &[usize]) -> (Vec<f32>, Vec<f32>) {
     let mut got = vec![f32::NAN; m];
-    let dispatched = simd::gemm_tn_blocks(a, m, b, 1, ends.iter().copied(), &mut got);
-    assert_eq!(
-        dispatched,
-        simd::simd_enabled(),
-        "one column dispatches exactly when SIMD is on"
-    );
-    if !dispatched {
-        simd::gemm_tn_scalar(a, r, m, b, 1, &mut got);
-    }
-    let mut want = vec![f32::NAN; m];
-    simd::gemm_tn_scalar(a, r, m, b, 1, &mut want);
-    (got, want)
+    simd::gemm_tn_blocks(a, m, b, 1, ends.iter().copied(), &mut got);
+    (got, tn_block_model(a, m, b, 1, ends))
 }
 
 #[test]
-fn one_column_tn_keeps_the_scalar_zero_skip_beside_non_finite_dc() {
-    // Eleven outputs (one vector and a three-lane tail); each column of
-    // `a` holds a ±0 in the rows whose `dC` is ±inf or NaN, so a kernel
-    // that multiplies instead of skipping gets NaN where the chain has a
-    // number.
+fn one_column_tn_multiplies_zeros_by_non_finite_dc() {
+    // Eleven outputs (an 8-input tile and a three-input tail); two of
+    // every three columns of `a` hold a ±0 in the rows whose `dC` is ±inf,
+    // and no term is skipped for being zero, so those outputs are NaN (a
+    // kernel that skipped them would give a number).
     let (r, m) = (6, 11);
-    let b = [0.5, f32::INFINITY, -0.0, f32::NEG_INFINITY, f32::NAN, 1.25];
+    let b = [0.5, f32::INFINITY, -0.0, f32::NEG_INFINITY, 1.25, -2.0];
     let mut a = vec![0.0f32; r * m];
     for (row, a_row) in a.chunks_mut(m).enumerate() {
         for (i, v) in a_row.iter_mut().enumerate() {
@@ -133,8 +119,10 @@ fn one_column_tn_keeps_the_scalar_zero_skip_beside_non_finite_dc() {
             };
         }
     }
-    let (got, want) = one_column(&a, r, m, &b, &[r]);
-    assert!(want.iter().step_by(3).all(|v| v.is_finite()), "{want:?}");
+    let (got, want) = one_column(&a, m, &b, &[r]);
+    for (i, w) in want.iter().enumerate().filter(|(i, _)| i % 3 < 2) {
+        assert!(w.is_nan(), "output {i}: {w:e}");
+    }
     for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
         assert!(same(g, w), "output {i}: {g:e} vs {w:e}");
     }
@@ -143,10 +131,9 @@ fn one_column_tn_keeps_the_scalar_zero_skip_beside_non_finite_dc() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The one-column arm runs `gemm_tn_scalar`'s chain in each lane:
-    /// multiply then add (an FMA rounds once and differs), rows ascending,
-    /// a ±0 `a` skipped (so `0 × inf` never happens), and no row blocks
-    /// whatever `ends` says. `m` is rarely a multiple of 8.
+    /// The one-column `dW` is each block's chain from +0, rows
+    /// ascending, one FMA per term and no term skipped, the blocks' sums
+    /// added in order. `m` is rarely a multiple of 8.
     #[test]
     fn one_column_tn_is_the_scalar_chain(
         r in 0usize..70,
@@ -166,7 +153,7 @@ proptest! {
             })
             .collect();
         let ends = block_ends(&mut rng, r);
-        let (got, want) = one_column(&a, r, m, &b, &ends);
+        let (got, want) = one_column(&a, m, &b, &ends);
         assert_same(&got, &want, "one-column dW")?;
     }
 
@@ -240,9 +227,7 @@ proptest! {
         let ends = block_ends(&mut rng, r);
 
         let mut want = vec![f32::NAN; m * n];
-        if !simd::gemm_tn_blocks(&a, m, &b, n, ends.iter().copied(), &mut want) {
-            simd::gemm_tn_scalar(&a, r, m, &b, n, &mut want);
-        }
+        simd::gemm_tn_blocks(&a, m, &b, n, ends.iter().copied(), &mut want);
         let mut got = vec![f32::NAN; m * n];
         let mut active = Vec::new();
         simd::gemm_tn_ragged(&a, m, &ext, &b, n, ends.iter().copied(), &mut active, &mut got);
@@ -292,9 +277,7 @@ fn ragged_kernels_hold_at_the_critics_width() {
     let a = padded_rows(&mut rng, &ext, m);
     let b: Vec<f32> = (0..r * n).map(|_| value(&mut rng, 3)).collect();
     let mut want = vec![f32::NAN; m * n];
-    if !simd::gemm_tn(&a, r, m, &b, n, &mut want) {
-        simd::gemm_tn_scalar(&a, r, m, &b, n, &mut want);
-    }
+    simd::gemm_tn(&a, r, m, &b, n, &mut want);
     let mut got = vec![f32::NAN; m * n];
     let mut active = Vec::new();
     let ends = simd::tn_block_ends(r);
@@ -336,9 +319,7 @@ fn any_value(rng: &mut StdRng, special_one_in: u32) -> f32 {
 }
 
 /// `out = x @ w + b` with each element's chain spelled out: from the
-/// bias, `k` ascending, one FMA per input where the SIMD arm runs a
-/// vector lane (the columns below `out_dim` rounded down to 8, at 8 or
-/// more columns), `dense_portable`'s multiply-then-add everywhere else.
+/// bias, `k` ascending, one FMA per input.
 fn chain_model(
     x: &[f32],
     rows: usize,
@@ -347,22 +328,12 @@ fn chain_model(
     in_dim: usize,
     out_dim: usize,
 ) -> Vec<f32> {
-    let fma_cols = if simd::simd_enabled() && out_dim >= 8 {
-        out_dim - out_dim % 8
-    } else {
-        0
-    };
     let mut out = vec![f32::NAN; rows * out_dim];
     for i in 0..rows {
         for j in 0..out_dim {
             let mut acc = b[j];
             for k in 0..in_dim {
-                let (xv, wv) = (x[i * in_dim + k], w[k * out_dim + j]);
-                acc = if j < fma_cols {
-                    xv.mul_add(wv, acc)
-                } else {
-                    acc + xv * wv
-                };
+                acc = x[i * in_dim + k].mul_add(w[k * out_dim + j], acc);
             }
             out[i * out_dim + j] = acc;
         }
@@ -370,12 +341,9 @@ fn chain_model(
     out
 }
 
-/// `dW = Aᵀ·B` summed block by block, as the SIMD TN kernel does: each
-/// block's sum a row-ascending chain from +0 (FMAs in the vector
-/// columns, multiply-then-add in the column tail), added into the output
-/// in block order.
+/// `dW = Aᵀ·B` summed block by block: each block's sum a row-ascending
+/// chain from +0, one FMA per term, added into the output in block order.
 fn tn_block_model(a: &[f32], m: usize, b: &[f32], n: usize, ends: &[usize]) -> Vec<f32> {
-    let n8 = n - n % 8;
     let mut out = vec![0.0f32; m * n];
     let mut r0 = 0;
     for &r1 in ends {
@@ -383,12 +351,7 @@ fn tn_block_model(a: &[f32], m: usize, b: &[f32], n: usize, ends: &[usize]) -> V
             for j in 0..n {
                 let mut s = 0.0f32;
                 for row in r0..r1 {
-                    let (av, bv) = (a[row * m + i], b[row * n + j]);
-                    s = if j < n8 {
-                        av.mul_add(bv, s)
-                    } else {
-                        s + av * bv
-                    };
+                    s = a[row * m + i].mul_add(b[row * n + j], s);
                 }
                 out[i * n + j] += s;
             }
@@ -503,8 +466,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The one-column head (the kernel network's 8→1, every critic's
-    /// last layer) is `dense_portable`'s chain bit for bit — eight rows
-    /// per vector on the SIMD arm, the rest in scalar — at row counts and
+    /// last layer) is the FMA chain from the bias bit for bit — eight
+    /// rows per vector on AVX2, the rest one by one — at row counts and
     /// input widths that are mostly not multiples of 8, over values of
     /// every class; with ReLU it is that chain then `apply_slice`.
     #[test]
@@ -519,8 +482,7 @@ proptest! {
         let w: Vec<f32> = (0..in_dim).map(|_| any_value(&mut rng, 16)).collect();
         let b = [any_value(&mut rng, 4)];
         let act = if relu == 1 { Activation::Relu } else { Activation::Identity };
-        let mut want = vec![f32::NAN; rows];
-        simd::dense_portable(&x, rows, &w, &b, in_dim, 1, &mut want);
+        let mut want = chain_model(&x, rows, &w, &b, in_dim, 1);
         act.apply_slice(&mut want);
         let mut got = vec![f32::NAN; rows];
         simd::dense_any(&x, rows, &w, &b, in_dim, 1, act, &mut got);
@@ -603,11 +565,10 @@ proptest! {
         assert_same(&got, &want, "ragged forward past the reach")?;
     }
 
-    /// `dW` at fewer than 16 columns, where the SIMD kernel sums eight
-    /// `A` columns per group: with values on a grid every product and
-    /// sum is exact, so it is `gemm_tn_scalar` at any block ends and on
-    /// both arms; with any finite values the SIMD arm is each block's FMA
-    /// chain and the scalar arm `gemm_tn_scalar`.
+    /// `dW` at fewer than 16 columns, where the AVX2 kernel sums eight
+    /// `A` columns per group, is each block's FMA chain at any block
+    /// ends, over values on a grid (where every product and sum is exact)
+    /// and over any finite values.
     #[test]
     fn tn_eight_column_groups_are_the_scalar_sums(
         r in 1usize..1300,
@@ -629,18 +590,8 @@ proptest! {
         let b: Vec<f32> = (0..r * n).map(|_| draw(8)).collect();
         let ends = block_ends(&mut rng, r);
         let mut got = vec![f32::NAN; m * n];
-        let dispatched = simd::gemm_tn_blocks(&a, m, &b, n, ends.iter().copied(), &mut got);
-        prop_assert_eq!(dispatched, simd::simd_enabled());
-        if !dispatched {
-            simd::gemm_tn_scalar(&a, r, m, &b, n, &mut got);
-        }
-        let mut want = vec![f32::NAN; m * n];
-        if dispatched && grid == 0 {
-            want = tn_block_model(&a, m, &b, n, &ends);
-        } else {
-            simd::gemm_tn_scalar(&a, r, m, &b, n, &mut want);
-        }
-        assert_same(&got, &want, "8-column-group dW")?;
+        simd::gemm_tn_blocks(&a, m, &b, n, ends.iter().copied(), &mut got);
+        assert_same(&got, &tn_block_model(&a, m, &b, n, &ends), "8-column-group dW")?;
     }
 
     /// `live_job_rows` is the row-wise count, for windows whose live rows

@@ -11,8 +11,6 @@
 //! The fused passes read each transition as the rollout store keeps it —
 //! its window's valid job rows only — and the tape reads the same
 //! windows zero-padded with their masks, as a rollout produced them.
-//! CI runs this on both kernel dispatch arms (default SIMD and
-//! `RLSCHED_FORCE_SCALAR=1`); the contract holds on each arm separately.
 
 use proptest::prelude::*;
 
@@ -644,7 +642,11 @@ proptest! {
     /// log-probabilities are the pass's `logp_all` with exact `==`, for
     /// the kernel, flat and conv heads. The view counts cross the kernel
     /// head's eight-view blocks and [`SHARD_ROWS`], and the windows cycle
-    /// through every fill from one slot to all of them.
+    /// through every fill from one slot to all of them. A second set of
+    /// windows is full but ends in all-zero job rows, as a window that
+    /// `widen_kept_padding` widened: those slots are unmasked, so the
+    /// decision side's padding score (one zero row's) counts in every
+    /// log-probability of the window.
     #[test]
     fn decision_forward_equals_the_training_forward(
         hidden in prop_oneof![Just(8usize), Just(16), Just(32)],
@@ -663,10 +665,19 @@ proptest! {
         ];
         let mut s = data_seed | 1;
         for (head, p, f, width) in &policies {
-            for n in [1usize, 9, 64, 65, 130] {
+            let cases = [1usize, 9, 64, 65, 130].into_iter();
+            for (n, zero_tail) in cases.flat_map(|n| [(n, false), (n, true)]) {
                 let first = (lcg(&mut s) + 0.5) * *width as f32;
-                let counts = (0..n).map(|t| 1 + (first as usize + t) % width).collect();
-                let w = Windows::new(counts, *f, *width, || lcg(&mut s) + 0.5);
+                let fill = |t: usize| 1 + (first as usize + t) % width;
+                let counts = (0..n)
+                    .map(|t| if zero_tail { *width } else { fill(t) })
+                    .collect();
+                let mut w = Windows::new(counts, *f, *width, || lcg(&mut s) + 0.5);
+                if zero_tail {
+                    for (t, window) in w.jobs.chunks_mut(width * f).enumerate() {
+                        window[fill(t) * f..].fill(0.0);
+                    }
+                }
                 let (obs, masks) = w.dense();
                 let mut decided = Vec::new();
                 let mut scratch = rlsched_nn::Scratch::new();
@@ -677,7 +688,8 @@ proptest! {
                 let mut fs = FusedScratch::new();
                 windows_policy_pass(p, &w, &actions, &adv, &old, 0.2, 0.01, &mut fs);
                 let trained: Vec<f32> = fs.logp_all().flatten().copied().collect();
-                prop_assert_eq!(decided, trained, "{} head over {} windows", head, n);
+                let tails = if zero_tail { "zero tails" } else { "padded" };
+                prop_assert_eq!(decided, trained, "{} head over {} windows ({})", head, n, tails);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The inference fast path against the reference tape: both run the same
-//! kernel dispatch and loops, so dense chains, log-softmax and conv/pool
-//! forwards agree bit for bit on either dispatch arm.
+//! kernels and loops, so dense chains, log-softmax and conv/pool forwards
+//! agree bit for bit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,10 +48,9 @@ fn mlp_fast_path_matches_tape() {
 
 #[test]
 fn dispatched_kernel_matches_tape_bitwise() {
-    // The tape's dense node and the fast path share one `simd::dense_any`
-    // dispatch, so on EITHER dispatch arm the two must agree bit-for-bit —
-    // including the ragged out_dim 4 (portable) and SIMD-eligible
-    // out_dim 16 layers here.
+    // The tape's dense node and the fast path share one `simd::dense_any`,
+    // so the two must agree bit-for-bit — including the out_dim 4
+    // (portable body) and AVX2-eligible out_dim 16 layers here.
     let mut rng = StdRng::seed_from_u64(9);
     let mlp = Mlp::new(
         &[5, 16, 4],

@@ -219,7 +219,7 @@ fn valid_slots(obs: &[f32], mask: &[f32], features: usize) -> usize {
 /// same rows, and advantage normalization sees the same merged sequence.
 /// So an arena filled one episode at a time, or several arenas merged by
 /// [`ArrivalArena::merge_into_batch`], give the same bits. The
-/// `vecenv_parity` suites pin this on both kernel dispatch arms.
+/// `vecenv_parity` suites pin this.
 #[derive(Debug)]
 pub struct ArrivalArena {
     features: usize,

@@ -15,7 +15,7 @@
 //! `VecEnv` of size 1): per-episode sampling RNGs are derived from the
 //! episode seed alone, and the forward kernels guarantee row-count
 //! invariance. The parity tests in `tests/vecenv_parity.rs` and
-//! `rlscheduler` pin this on both SIMD and forced-scalar dispatch arms.
+//! `rlscheduler` pin this.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,7 +222,7 @@ pub fn collect_rollouts_vec<E: Env>(
 /// ONE advantage normalization over the merged sequence
 /// ([`ArrivalArena::merge_into_batch`]), so the assembled batch is
 /// byte-equal to [`collect_rollouts_vec`] over the same seeds at ANY
-/// thread count (including 1), on both SIMD dispatch arms. Stats fold
+/// thread count (including 1). Stats fold
 /// the same per-episode sums in the same seed order. Pinned by this
 /// module's tests and `rlscheduler`'s `parallel_parity` suite.
 ///

@@ -2,8 +2,7 @@
 //! `VecEnv(n)` rollout must produce **bit-identical** trajectories
 //! (stored job rows, actions, rewards/returns, advantages, sampled
 //! log-probs) to n sequential single-env rollouts — a `VecEnv` of size 1
-//! being exactly the old per-env stepping. CI runs this suite on both
-//! the SIMD and the `RLSCHED_FORCE_SCALAR=1` dispatch arms.
+//! being exactly the old per-env stepping.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -18,8 +18,7 @@
 //! exactly the bits the in-process decision head would for the same
 //! decision point, regardless of what else landed in the batch, which
 //! shard scored it, or where the batch happened to be cut. The
-//! serve parity suite pins this for every `PolicyKind` on both dispatch
-//! arms.
+//! serve parity suite pins this for every `PolicyKind`.
 //!
 //! # Hot swap
 //!

@@ -61,9 +61,8 @@
 //! ## The parity guarantee
 //!
 //! Serving decisions are **bit-identical** to in-process
-//! `Agent::as_policy` decisions, for every `PolicyKind`, on both SIMD
-//! dispatch arms, regardless of batch composition, coalescing cuts, or
-//! shard count. Three properties compose into that guarantee:
+//! `Agent::as_policy` decisions, for every `PolicyKind`, regardless of
+//! batch composition, coalescing cuts, or shard count. Three properties compose into that guarantee:
 //!
 //! 1. snapshot encoding and in-process view encoding share one loop
 //!    (`ObsEncoder::encode_snapshot_extend`), and both wire formats

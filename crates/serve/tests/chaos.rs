@@ -16,8 +16,7 @@
 //!   driver's `Err`, never an unwind.
 //! * **Model answers stay bit-identical** to in-process scoring even
 //!   while the tier is degrading and recovering around them (canary
-//!   rows carry their expected actions; CI replays this file on both
-//!   SIMD dispatch arms).
+//!   rows carry their expected actions).
 //! * **Fallback answers are the heuristic's bits**: the configured
 //!   `ServeConfig::fallback` kind's `select_parts` pick over the
 //!   request's snapshot, for every fallback whatever its cause — pinned

@@ -2,8 +2,7 @@
 //! request-coalescing server are **bit-identical** to sequential
 //! in-process `Agent::as_policy` decisions — for every `PolicyKind`, at
 //! any shard count, under concurrent traffic that perturbs batch
-//! composition, on both SIMD dispatch arms (CI re-runs this whole file
-//! with `RLSCHED_FORCE_SCALAR=1`).
+//! composition.
 //!
 //! The guarantee composes from: shared snapshot/view encoding, exact
 //! float round-trips through both wire formats (JSON via

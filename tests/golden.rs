@@ -9,23 +9,22 @@
 //! saved checkpoint's length and FNV-1a hash. A change that moves one bit
 //! of a forward, a gradient, an optimizer step or the rollout fails here.
 //!
-//! The AVX2/FMA and scalar kernel arms round differently, so each has its
-//! own file under `tests/golden/`; the one matching the active dispatch
-//! arm is checked (`RLSCHED_FORCE_SCALAR=1` selects the scalar one).
-//! Worker counts never change a bit, so the machine's core count does
-//! not matter. A change that moves the bits on purpose regenerates both
-//! files and says why:
+//! Every CPU computes the same bits (the kernels' chains are fixed in
+//! `rlsched_nn::simd`), so there is one file,
+//! `tests/golden/train_fingerprint.txt`; CI checks it once more with
+//! `RLSCHED_FORCE_SCALAR=1`, which runs the portable kernels. Worker
+//! counts never change a bit, so the machine's core count does not
+//! matter either. A change that moves the bits on purpose regenerates
+//! the file and says why:
 //!
 //! ```text
 //! cargo test --release --test golden -- --ignored write_golden
-//! RLSCHED_FORCE_SCALAR=1 cargo test --release --test golden -- --ignored write_golden
 //! ```
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use rlsched_repro::core::prelude::*;
-use rlsched_repro::nn::simd;
 use rlsched_repro::workload::NamedWorkload;
 
 /// One fingerprinted training run.
@@ -173,16 +172,9 @@ fn fingerprint() -> String {
     text
 }
 
-/// The committed fingerprint for the active kernel dispatch arm.
+/// The committed fingerprint.
 fn golden_path() -> PathBuf {
-    let arm = if simd::simd_enabled() {
-        "avx2"
-    } else {
-        "scalar"
-    };
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("train_fingerprint_{arm}.txt"))
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/train_fingerprint.txt")
 }
 
 #[test]

@@ -114,11 +114,9 @@ fn training_is_reproducible() {
 fn training_yields_bit_identical_params_for_identical_seeds() {
     // The SIMD-training-path determinism contract: with the same seed,
     // two training runs must produce *bit-identical* trained parameters
-    // and episode metrics — on whichever kernel dispatch arm is active
-    // (CI runs the suite on both: default, and RLSCHED_FORCE_SCALAR=1).
-    // Dispatch is decided once per process from CPU features, never from
-    // data, and the worker pool splits work by input size alone, so
-    // thread scheduling cannot perturb a single bit.
+    // and episode metrics. The kernels' chains do not depend on the CPU
+    // or the data, and the worker pool splits work by input size alone,
+    // so thread scheduling cannot perturb a single bit.
     let trace = NamedWorkload::Lublin1.generate(600, 27);
     let mut a = small_agent(9);
     let ca = train(&mut a, &trace, &train_cfg(3));
