@@ -3,17 +3,18 @@
 //! A [`FaultPlan`] is a script, not a dice roll: each entry names the
 //! shard and the (lifetime) batch index at which the fault fires, so a
 //! chaos test replays the exact same failure sequence every run. The
-//! plan is installed through [`crate::ServeConfig::faults`]; shard
-//! workers call [`FaultPlan::before_score`] right before each batched
-//! forward, which is where a scripted panic (a poisoned model batch, a
-//! kernel bug) or stall (a page-cache hiccup, a noisy neighbour) lands
-//! in a real tier.
+//! plan is installed through [`crate::ServeConfig::faults`]; the
+//! server's one scoring routine calls [`FaultPlan::before_score`] right
+//! before each batched forward — on the shard thread for a queued batch,
+//! on the connection thread for a lone frame it scores inline — which
+//! is where a scripted panic (a poisoned model batch, a kernel bug) or
+//! stall (a page-cache hiccup, a noisy neighbour) lands in a real tier.
 //!
 //! The panic a `Panic` fault raises is an ordinary Rust panic — it
 //! exercises the production `catch_unwind` supervision path, not a
-//! special test hook. `Stall` sleeps in the scoring position, so
-//! requests queued behind it age past their in-queue deadline and take
-//! the fallback arm.
+//! special test hook. `Stall` sleeps in the scoring position with the
+//! shard's core locked, so requests queued behind it age past their
+//! in-queue deadline and take the fallback arm.
 //!
 //! [`write_torn_frame`] is the client-side counterpart: it writes a
 //! deliberately truncated frame (with or without the terminating
@@ -28,8 +29,9 @@ use std::time::Duration;
 use serde::Serialize;
 
 /// One scripted fault on one shard, keyed by that shard's lifetime
-/// attempted-batch counter (batch 0 is the shard's first coalesced
-/// batch; a panicked attempt still advances the counter).
+/// attempted-batch counter (batch 0 is the shard's first batch, queued
+/// or a lone frame scored inline; a panicked attempt still advances the
+/// counter, a batch a parked shard answers by fallback does not).
 #[derive(Debug, Clone, Copy)]
 enum ScriptedFault {
     /// Panic before scoring batches `[batch, batch + times)`.
@@ -67,11 +69,14 @@ impl FaultPlan {
         self.lock().entry(shard).or_default().push(fault);
     }
 
-    /// The shard-worker hook: called with the shard's lifetime batch
-    /// counter immediately before each batched forward. Panics or
-    /// sleeps per the script; a no-op for unscripted (shard, batch)
-    /// pairs — and for every shard when the plan is empty, so leaving a
-    /// plan installed in production config costs one map lookup.
+    /// The scoring hook: called with the shard's lifetime batch counter
+    /// immediately before every batched forward, whichever thread runs
+    /// it — the shard's own thread over a queued batch, or a connection
+    /// thread over a lone frame scored inline. Panics or sleeps per the
+    /// script, with the shard's core locked; a no-op for unscripted
+    /// (shard, batch) pairs — and for every shard when the plan is
+    /// empty, so leaving a plan installed in production config costs one
+    /// map lookup.
     pub fn before_score(&self, shard: usize, batch: u64) {
         let stall = {
             let shards = self.lock();

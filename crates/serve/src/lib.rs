@@ -25,7 +25,8 @@
 //! * [`engine`] — [`ShardEngine`], the allocation-free coalescing batch
 //!   scorer, and [`ScorerSlot`], the atomic weight hot-swap point.
 //! * [`server`] — [`Server::spawn`] / [`ServerHandle`]: accept loop,
-//!   per-connection reader/writer threads, N shard worker threads that
+//!   per-connection reader/writer threads, a lone frame on an idle shard
+//!   scored on the reader that decoded it, N shard worker threads that
 //!   block on their inboxes and batch whatever is already waiting (no
 //!   timer), deterministic id→shard routing, bounded inboxes with
 //!   explicit shed responses, and a per-server `rlsched_obs::Registry` of
@@ -44,7 +45,7 @@
 //!
 //! ## The failure model
 //!
-//! Shard workers are supervised: panics are caught, the in-flight
+//! Shards are supervised: panics are caught, the in-flight
 //! batch is answered by a deterministic heuristic fallback
 //! (`served_by: Fallback` on the wire; always the configured
 //! `ServeConfig::fallback` kind's pick over the request's snapshot), and

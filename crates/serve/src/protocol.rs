@@ -136,7 +136,8 @@ pub struct ShardHealth {
     pub state: ShardState,
     /// Engine respawns after panics (lifetime total).
     pub restarts: u64,
-    /// Worker panics caught by the supervisor (lifetime total).
+    /// Batch panics caught by the shard's scoring routine (lifetime
+    /// total).
     pub panics: u64,
 }
 

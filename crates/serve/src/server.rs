@@ -1,37 +1,59 @@
-//! The front door, shard workers, and their supervisor.
+//! The front door, shard workers, and the core they share.
 //!
 //! ```text
-//!                    ┌─ connection threads ─┐      ┌─ shard threads ─────┐
-//! TcpListener ──────▶│ read frame           │      │ recv (blocking)     │
-//!   (accept loop)    │ validate             │─────▶│ + what is waiting   │
-//!                    │ fallback action      │      │ encode, fault hook  │
-//!                    │ route: fnv(id)%N ────┼──┐   │ one batched fwd ────┼─ panic? ⇒ supervisor:
-//!                    │ full queue? ⇒        │  └──▶│ reply per row       │   fallback-answer the
-//!                    │   fallback (or Shed) │      └──────────┬──────────┘   batch, respawn engine
-//!                    └──────────┬───────────┘                 │              under restart budget
-//!                               ▼                             │
-//!                      writer thread (per conn) ◀─────────────┘
+//!                  ┌─ connection threads ─────────┐
+//! TcpListener ────▶│ read frame, validate         │
+//!  (accept loop)   │ fallback action              │
+//!                  │ route: fnv(id)%N             │   lone frame, idle shard
+//!                  │ ─────────────────────────────┼──────────────┐
+//!                  │ else inbox (full ⇒ fallback) │              ▼
+//!                  │ inline replies: never block  │   ┌─ shard core (Mutex) ───┐
+//!                  └──────────┬───────────────────┘   │ score(batch):          │
+//!                             │ bounded inbox         │  encode, fault hook,   │
+//!                             ▼                       │  one forward under     │
+//!                  ┌─ shard thread ──────┐            │  catch_unwind; panic ⇒ │
+//!                  │ recv (blocking)     │───lock────▶│  fallback, budget,     │
+//!                  │ + what is waiting   │            │  backoff, respawn or   │
+//!                  └──────────┬──────────┘            │  park until a new gen  │
+//!                             ▼                       └────────────────────────┘
+//!                  writer thread (per conn): every other reply
 //! ```
 //!
-//! * **Replies** go out in the format their request arrived in: the
-//!   format rides with the request to its shard and back to the
-//!   connection's writer, so a connection that mixes binary and JSON
-//!   frames gets each answer in kind. A frame too malformed to decode
-//!   is answered in the format of the last frame that did decode (JSON
-//!   before any has).
+//! * **Two paths, one scoring routine**: a `Score` frame with nothing
+//!   buffered behind it on its connection is scored on the connection
+//!   thread that decoded it when its shard is idle — its inbox empty and
+//!   its core free (`try_lock`) — and that thread writes the reply
+//!   itself: no hand-off at all. Every other frame is queued to
+//!   its shard's thread, because only a reader that keeps reading while
+//!   a shard is busy lets requests stack into a batch, age into the
+//!   deadline fallback or overflow into a shed. Both paths lock the
+//!   shard's core and run the same `score`, so supervision, the fault
+//!   hook and every counter treat an inline row as a one-row batch.
+//! * **Replies** go out in the format their request arrived in. The
+//!   connection thread writes the replies it scores inline, as far as
+//!   the socket takes them without blocking; the connection's writer
+//!   thread writes every other reply (stats, scrapes, errors, full-inbox
+//!   fallbacks, the shard threads' answers) and the rest of any inline
+//!   reply, under one per-connection lock on the write half. Neither a
+//!   connection thread nor a shard thread waits on a client's socket,
+//!   so a client that pipelines a burst before it reads a reply is read
+//!   to the end. A frame too malformed to decode is answered in the
+//!   format of the last frame that did decode (JSON before any has).
 //! * **Routing** is deterministic: FNV-1a of the request id modulo the
 //!   shard count, so a given id always lands on the same shard (and a
 //!   client can pin itself to a shard by fixing its id stream).
-//! * **Supervision**: each shard's scoring loop runs under
-//!   `catch_unwind`. A panic never loses a request — the in-flight
-//!   batch's reply handles live outside the unwind boundary and are
-//!   answered by the heuristic fallback — and the worker respawns with
-//!   a fresh [`ShardEngine`] built from the current snapshot, under a
-//!   bounded restart budget with deterministic exponential backoff.
-//!   Exhausting the budget parks the shard in `Failed`, where it blocks
-//!   on its inbox and answers through the fallback until a validated
-//!   weight swap (a new generation) is committed; the first request
-//!   after the commit revives it and is scored on the fresh engine.
+//! * **Supervision** lives in each shard's core, not in a thread: the
+//!   batch runs under `catch_unwind`. A panic never loses a request —
+//!   the batch's rows live outside the unwind boundary and are answered
+//!   by the heuristic fallback — and the core respawns a fresh
+//!   [`ShardEngine`] built from the current snapshot, under a bounded
+//!   restart budget with deterministic exponential backoff: the thread
+//!   that ran the batch answers its rows, then sleeps the backoff and
+//!   respawns the engine with the core held. Exhausting the budget
+//!   parks the shard in `Failed`: its frames are answered through the
+//!   fallback until a validated weight swap (a new generation) is
+//!   committed; the first batch after the commit revives it and is
+//!   scored on the fresh engine.
 //! * **Graceful degradation**: when a shard's inbox is full, its
 //!   in-queue deadline expires, or the worker is down, the request is
 //!   answered with the deterministic heuristic decision
@@ -48,18 +70,19 @@
 //! * **Backpressure**: each shard's inbox is a bounded channel; the
 //!   connection thread answers immediately (fallback or shed) instead
 //!   of queueing unbounded work.
-//! * **Batching without a timer**: a shard blocks for its first
+//! * **Batching without a timer**: a shard thread blocks for its first
 //!   request, takes whatever else is already waiting in its inbox (up
 //!   to the batch cap), and scores the whole stack through one forward.
-//!   It never sleeps for companions: a lone request costs one `rows = 1`
-//!   forward, and a backlog behind a slow forward is the next batch.
+//!   It never sleeps for companions: a lone request on an idle tier is
+//!   one `rows = 1` forward on its own connection thread, and a backlog
+//!   behind a busy shard is the next batch.
 //! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag, the accept
 //!   loop notices it, parked connection readers are unblocked by
 //!   shutting their streams down, shards drain and exit when every
 //!   sender is gone, and all threads are joined before the call
 //!   returns.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -93,11 +116,15 @@ pub struct ServeConfig {
     pub addr: ListenAddr,
     /// Worker shards, each owning a scorer replica and scratch.
     pub shards: usize,
-    /// Max rows per batch: a shard scores at most this many of the
-    /// requests already waiting in its inbox through one forward.
+    /// Max rows per queued batch: a shard thread scores at most this
+    /// many of the requests already waiting in its inbox through one
+    /// forward. A lone frame scored on its connection thread is a
+    /// one-row batch.
     pub batch_cap: usize,
-    /// Bounded per-shard inbox depth; arrivals beyond it take the
-    /// fallback arm (or are shed when no fallback is configured).
+    /// Bounded per-shard inbox depth for queued frames; arrivals beyond
+    /// it take the fallback arm (or are shed when no fallback is
+    /// configured). A frame scored on its connection thread never
+    /// enters the inbox.
     pub queue_depth: usize,
     /// Heuristic kind answering for the model when a shard can't
     /// (panicked batch, full inbox, expired deadline, failed shard).
@@ -112,8 +139,10 @@ pub struct ServeConfig {
     pub restart_backoff: Duration,
     /// Upper bound on the respawn delay.
     pub restart_backoff_cap: Duration,
-    /// In-queue age past which a request is answered by the fallback
-    /// instead of waiting on a slow shard. `None` disables the check.
+    /// In-queue age past which a queued request is answered by the
+    /// fallback instead of waiting on a slow shard. A frame scored on
+    /// its connection thread never waits in a queue. `None` disables
+    /// the check.
     pub queue_deadline: Option<Duration>,
     /// Relative eval-metric regression (lower is better) tolerated by
     /// [`ServerHandle::record_eval`] before it rolls the weights back.
@@ -140,10 +169,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// Where one request's answer goes: its connection's writer, in the
-/// format the request arrived in.
+/// What a connection's writer thread is sent: a reply to write, or
+/// `None` to write the rest of an inline reply that the socket did not
+/// take at once.
+type WriterMsg = Option<(Response, WireProtocol)>;
+
+/// Where an answer the connection thread does not write itself goes: its
+/// connection's writer thread, in the format the request arrived in.
 struct Reply {
-    tx: Sender<(Response, WireProtocol)>,
+    tx: Sender<WriterMsg>,
     proto: WireProtocol,
 }
 
@@ -151,34 +185,30 @@ impl Reply {
     /// Queue `resp` for the writer. A dead client's writer is gone;
     /// dropping the reply is fine.
     fn send(&self, resp: Response) {
-        let _ = self.tx.send((resp, self.proto));
+        let _ = self.tx.send(Some((resp, self.proto)));
     }
 }
 
-/// One validated request in flight to a shard, which encodes its
-/// snapshot straight into the batch.
-struct ShardRequest {
+/// One validated `Score` request: what a shard needs to score it, or to
+/// answer it through the fallback, whichever thread runs its batch.
+struct Row {
     id: u64,
     snapshot: QueueSnapshot,
     /// The heuristic decision for this request, precomputed at
     /// admission so a down shard can answer without model state.
     fallback: Option<u64>,
     enqueued: Instant,
+}
+
+/// A row queued for its shard's thread, with the way back to its
+/// connection.
+struct ShardRequest {
+    row: Row,
     reply: Reply,
 }
 
-/// Reply metadata for one row in a shard's current batch. Lives
-/// *outside* the unwind boundary: a panicked forward loses the row
-/// data, never the means to answer it.
-struct PendingRow {
-    id: u64,
-    enqueued: Instant,
-    fallback: Option<u64>,
-    reply: Reply,
-}
-
-/// Lock-free per-shard lifecycle state published to [`ServeStats`]
-/// (the counters live in the metrics registry).
+/// Lock-free per-shard lifecycle state, published to [`ServeStats`] (the
+/// counters live in the metrics registry).
 struct ShardHealthCell {
     state: AtomicU8,
 }
@@ -207,12 +237,14 @@ impl ShardHealthCell {
     }
 }
 
-/// One shard's registry handles, wired once at spawn. Supervisor
-/// respawns re-clone these (same storage), so every counter is
-/// monotone across panic/respawn — the property the chaos suite pins.
+/// One shard's registry handles, wired once at spawn. Each respawned
+/// engine re-clones these (same storage), so every counter is monotone
+/// across panic/respawn — the property the chaos suite pins.
 #[derive(Clone)]
 struct ShardMetrics {
     served: Counter,
+    /// Rows scored on the connection thread that read them.
+    inline: Counter,
     fallbacks: Counter,
     shed: Counter,
     deadlines: Counter,
@@ -231,6 +263,7 @@ impl ShardMetrics {
         let l: &[(&str, &str)] = &[("shard", &s)];
         ShardMetrics {
             served: reg.counter("rlsched_serve_served_total", l),
+            inline: reg.counter("rlsched_serve_inline_total", l),
             fallbacks: reg.counter("rlsched_serve_fallbacks_total", l),
             shed: reg.counter("rlsched_serve_shed_total", l),
             deadlines: reg.counter("rlsched_serve_deadlines_total", l),
@@ -244,13 +277,17 @@ impl ShardMetrics {
         }
     }
 
-    fn engine_metrics(&self) -> EngineMetrics {
-        EngineMetrics {
+    /// A fresh engine from `slot`'s *current* snapshot, recording into
+    /// these handles.
+    fn engine(&self, slot: &Arc<ScorerSlot>, batch_cap: usize) -> ShardEngine {
+        let mut engine = ShardEngine::new(Arc::clone(slot), batch_cap);
+        engine.instrument(EngineMetrics {
             rows: self.served.clone(),
             batches: self.batches.clone(),
             batch_rows: self.batch_rows.clone(),
             batch_max: self.batch_max.clone(),
-        }
+        });
+        engine
     }
 }
 
@@ -275,15 +312,38 @@ impl ServerMetrics {
     }
 }
 
-/// Shutdown flag, the metrics registry and its wired handles, per-shard
-/// lifecycle state, and connection bookkeeping — shared by all threads.
+/// One shard's engine and supervision state, locked by whichever thread
+/// scores a batch on the shard: its own thread, or a connection thread
+/// scoring a lone frame.
+struct ShardCore {
+    engine: ShardEngine,
+    /// Panicked batches since the last one that scored.
+    consecutive: u32,
+    /// Lifetime attempted batches, the key [`FaultPlan`] scripts by.
+    batches: u64,
+    /// The weight generation the shard parked in `Failed` at.
+    failed_at: Option<u64>,
+}
+
+/// One shard: its core and its published lifecycle state.
+struct Shard {
+    core: Mutex<ShardCore>,
+    health: ShardHealthCell,
+}
+
+/// Shutdown flag, configuration, weights, the metrics registry and its
+/// wired handles, the shards, and connection bookkeeping — shared by
+/// all threads.
 struct Shared {
     shutdown: AtomicBool,
+    cfg: ServeConfig,
+    encoder: ObsEncoder,
+    slot: Arc<ScorerSlot>,
     /// Every counter/gauge/histogram the tier records, scrapeable as
     /// one consistent snapshot via [`Request::Metrics`].
     registry: Arc<Registry>,
     metrics: ServerMetrics,
-    shard_health: Vec<ShardHealthCell>,
+    shards: Vec<Shard>,
     conns: Mutex<Vec<JoinHandle<()>>>,
     /// Shutdown hooks for the *live* connections keyed by connection
     /// id (each holds a stream clone and shuts it down when called),
@@ -319,7 +379,7 @@ impl Shared {
             shards: Vec::with_capacity(self.metrics.shards.len()),
         };
         let mut hist = HistogramSnapshot::default();
-        for (sm, health) in self.metrics.shards.iter().zip(&self.shard_health) {
+        for (sm, shard) in self.metrics.shards.iter().zip(&self.shards) {
             let restarts = sm.restarts.get();
             stats.served += sm.served.get();
             stats.fallbacks += sm.fallbacks.get();
@@ -330,7 +390,7 @@ impl Shared {
             stats.restarts += restarts;
             hist.merge(&sm.latency.snapshot());
             stats.shards.push(ShardHealth {
-                state: health.state(),
+                state: shard.health.state(),
                 restarts,
                 panics: sm.panics.get(),
             });
@@ -341,30 +401,169 @@ impl Shared {
         stats
     }
 
-    /// Answer one request through the fallback arm (or shed it when the
-    /// server has no fallback configured), updating the right counters.
-    fn resolve_fallback(&self, shard: usize, id: u64, fallback: Option<u64>, reply: &Reply) {
-        match fallback {
+    /// The answer for a row the model does not score: its fallback
+    /// action, or a shed when the server has no fallback configured.
+    /// Counts it.
+    fn fallback_response(&self, shard: usize, row: &Row) -> Response {
+        match row.fallback {
             Some(action) => {
                 self.metrics.shards[shard].fallbacks.inc();
-                reply.send(Response::Action {
-                    id,
+                Response::Action {
+                    id: row.id,
                     action,
                     shard: shard as u64,
                     served_by: ServedBy::Fallback,
-                });
+                }
             }
             None => {
                 self.metrics.shards[shard].shed.inc();
-                reply.send(Response::Shed { id });
+                Response::Shed { id: row.id }
             }
         }
     }
 
-    /// One request left shard `shard`'s inbox (scored, expired, or
-    /// drained by a failed shard's fallback loop).
-    fn inbox_pop(&self, shard: usize) {
-        self.metrics.shards[shard].inbox_depth.add(-1.0);
+    /// Replace a panicked (or parked) engine after sleeping `after`: a
+    /// panic may have left it mid-batch with stacked rows.
+    fn respawn(&self, shard: usize, core: &mut ShardCore, after: Duration) {
+        std::thread::sleep(after);
+        core.engine = self.metrics.shards[shard].engine(&self.slot, self.cfg.batch_cap);
+        self.metrics.shards[shard].restarts.inc();
+        self.shards[shard].health.set_state(STATE_HEALTHY);
+    }
+
+    /// The one scoring routine, run with shard `shard`'s core locked by
+    /// its thread over a queued batch or by a connection thread over a
+    /// lone frame. Calls `answer(i, response)` once per row of `rows`,
+    /// as soon as that row's answer exists.
+    ///
+    /// A parked (`Failed`) shard answers through the fallback until the
+    /// weight generation moves, and then revives on this batch. The
+    /// batch is encoded, passed to [`FaultPlan::before_score`] and
+    /// scored under `catch_unwind`. A panic answers every row through
+    /// the fallback; the rows live outside the unwind boundary, so none
+    /// is lost. Past the restart budget the shard then parks in
+    /// `Failed`. Within it the shard is `Restarting`, and `score`
+    /// returns its deterministic exponential backoff: the caller, once
+    /// the answers are out, passes it to [`Shared::respawn`] with the
+    /// core still held, so no batch scores on the panicked engine.
+    #[must_use]
+    fn score(
+        &self,
+        shard: usize,
+        core: &mut ShardCore,
+        rows: &[Row],
+        answer: &mut dyn FnMut(usize, Response),
+    ) -> Option<Duration> {
+        let fallback_all = |answer: &mut dyn FnMut(usize, Response)| {
+            for (i, row) in rows.iter().enumerate() {
+                answer(i, self.fallback_response(shard, row));
+            }
+        };
+        if let Some(failed_at) = core.failed_at {
+            if self.slot.generation() == failed_at {
+                fallback_all(answer);
+                return None;
+            }
+            // A validated swap since the shard parked: revive it.
+            core.failed_at = None;
+            core.consecutive = 0;
+            self.respawn(shard, core, Duration::ZERO);
+        }
+        let batch = core.batches;
+        core.batches += 1;
+        let engine = &mut core.engine;
+        let run = catch_unwind(AssertUnwindSafe(move || {
+            let engine = engine; // moved in: the actions borrow outlives the call
+            for row in rows {
+                engine.push_snapshot(&row.snapshot, &self.encoder);
+            }
+            if let Some(faults) = &self.cfg.faults {
+                // May panic (→ the arm below) or stall (→ queued
+                // requests age past their deadline) exactly as scripted.
+                faults.before_score(shard, batch);
+            }
+            rlsched_obs::span!("serve.batch");
+            // The engine's instrumentation records batches/rows/batch
+            // size; the rows' latency is recorded below.
+            engine.flush()
+        }));
+        let m = &self.metrics.shards[shard];
+        match run {
+            Ok(actions) => {
+                // A batch made it through the forward: the shard is
+                // healthy again, whatever its panic history.
+                core.consecutive = 0;
+                for (i, (row, &action)) in rows.iter().zip(actions).enumerate() {
+                    m.latency.record(row.enqueued.elapsed());
+                    answer(
+                        i,
+                        Response::Action {
+                            id: row.id,
+                            action: action as u64,
+                            shard: shard as u64,
+                            served_by: ServedBy::Model,
+                        },
+                    );
+                }
+                None
+            }
+            Err(_) => {
+                m.panics.inc();
+                core.consecutive += 1;
+                fallback_all(answer);
+                let health = &self.shards[shard].health;
+                if core.consecutive > self.cfg.restart_budget {
+                    health.set_state(STATE_FAILED);
+                    core.failed_at = Some(self.slot.generation());
+                    return None;
+                }
+                health.set_state(STATE_RESTARTING);
+                // Deterministic exponential backoff: base << (n-1),
+                // capped. No jitter — shards don't share a herd, and
+                // reproducibility is worth more here.
+                let shift = (core.consecutive - 1).min(16);
+                let backoff = self
+                    .cfg
+                    .restart_backoff
+                    .saturating_mul(1u32 << shift)
+                    .min(self.cfg.restart_backoff_cap);
+                Some(backoff)
+            }
+        }
+    }
+
+    /// Score a lone frame on the calling connection thread when its
+    /// shard is idle (nothing in its inbox, its core free) and hand the
+    /// answer to `write`. Returns `false`, having done nothing, when the
+    /// shard is busy and the frame must be queued.
+    fn score_inline(&self, shard: usize, row: &Row, write: impl FnOnce(Response)) -> bool {
+        let m = &self.metrics.shards[shard];
+        if m.inbox_depth.get() > 0.0 {
+            return false;
+        }
+        let Ok(mut core) = self.shards[shard].core.try_lock() else {
+            return false;
+        };
+        let mut out = None;
+        let restart = self.score(
+            shard,
+            &mut core,
+            std::slice::from_ref(row),
+            &mut |_, resp| out = Some(resp),
+        );
+        let resp = out.expect("score answers every row");
+        if let Response::Action {
+            served_by: ServedBy::Model,
+            ..
+        } = resp
+        {
+            m.inline.inc();
+        }
+        write(resp);
+        if let Some(after) = restart {
+            self.respawn(shard, &mut core, after);
+        }
+        true
     }
 }
 
@@ -467,79 +666,79 @@ fn finish_spawn<L: Listen>(
     encoder: ObsEncoder,
     cfg: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    {
-        let slot = ScorerSlot::new(scorer.clone());
-        // Each server owns its registry: tests spawning several servers
-        // in one process see isolated counters, and a scrape of this
-        // front door reports exactly this tier.
-        let registry = Arc::new(Registry::new());
-        let metrics = ServerMetrics::register(&registry, cfg.shards);
-        let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            registry,
-            metrics,
-            shard_health: (0..cfg.shards).map(|_| ShardHealthCell::new()).collect(),
-            conns: Mutex::new(Vec::new()),
-            conn_shutdowns: Mutex::new(std::collections::HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
-
-        let mut shard_txs = Vec::with_capacity(cfg.shards);
-        let mut shard_threads = Vec::with_capacity(cfg.shards);
-        for shard_id in 0..cfg.shards {
-            let (tx, rx) = mpsc::sync_channel::<ShardRequest>(cfg.queue_depth);
-            let slot = Arc::clone(&slot);
-            let shared = Arc::clone(&shared);
-            let sup = Supervision {
-                encoder,
-                cap: cfg.batch_cap,
-                restart_budget: cfg.restart_budget,
-                backoff: cfg.restart_backoff,
-                backoff_cap: cfg.restart_backoff_cap,
-                queue_deadline: cfg.queue_deadline,
-                faults: cfg.faults.clone(),
-            };
-            shard_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rlsched-serve-shard-{shard_id}"))
-                    .spawn(move || shard_supervisor(shard_id, rx, slot, shared, sup))?,
-            );
-            shard_txs.push(tx);
-        }
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let shard_txs = shard_txs.clone();
-            let fallback = cfg.fallback;
-            std::thread::Builder::new()
-                .name("rlsched-serve-accept".to_string())
-                .spawn(move || accept_loop(listener, fallback, shard_txs, shared))?
-        };
-
-        Ok(ServerHandle {
-            bound,
-            slot,
-            shared,
-            obs_dim: encoder.obs_dim(),
-            n_actions: encoder.n_actions(),
-            eval_baseline: Mutex::new(None),
-            eval_tolerance: cfg.eval_tolerance,
-            accept: Some(accept),
-            shard_threads,
-            _shard_txs: shard_txs,
+    let slot = ScorerSlot::new(scorer);
+    // Each server owns its registry: tests spawning several servers in
+    // one process see isolated counters, and a scrape of this front
+    // door reports exactly this tier.
+    let registry = Arc::new(Registry::new());
+    let metrics = ServerMetrics::register(&registry, cfg.shards);
+    let shards = metrics
+        .shards
+        .iter()
+        .map(|m| Shard {
+            core: Mutex::new(ShardCore {
+                engine: m.engine(&slot, cfg.batch_cap),
+                consecutive: 0,
+                batches: 0,
+                failed_at: None,
+            }),
+            health: ShardHealthCell::new(),
         })
+        .collect();
+    let n_shards = cfg.shards;
+    let shared = Arc::new(Shared {
+        shutdown: AtomicBool::new(false),
+        cfg,
+        encoder,
+        slot,
+        registry,
+        metrics,
+        shards,
+        conns: Mutex::new(Vec::new()),
+        conn_shutdowns: Mutex::new(std::collections::HashMap::new()),
+        next_conn_id: AtomicU64::new(0),
+    });
+
+    let mut shard_txs = Vec::with_capacity(n_shards);
+    let mut shard_threads = Vec::with_capacity(n_shards);
+    for shard in 0..n_shards {
+        let (tx, rx) = mpsc::sync_channel::<ShardRequest>(shared.cfg.queue_depth);
+        let shared = Arc::clone(&shared);
+        shard_threads.push(
+            std::thread::Builder::new()
+                .name(format!("rlsched-serve-shard-{shard}"))
+                .spawn(move || shard_loop(shard, rx, &shared))?,
+        );
+        shard_txs.push(tx);
     }
+
+    let accept = {
+        let shared = Arc::clone(&shared);
+        let shard_txs = shard_txs.clone();
+        std::thread::Builder::new()
+            .name("rlsched-serve-accept".to_string())
+            .spawn(move || accept_loop(listener, shard_txs, shared))?
+    };
+
+    Ok(ServerHandle {
+        bound,
+        shared,
+        obs_dim: encoder.obs_dim(),
+        n_actions: encoder.n_actions(),
+        eval_baseline: Mutex::new(None),
+        accept: Some(accept),
+        shard_threads,
+        _shard_txs: shard_txs,
+    })
 }
 
 /// A running server: address, stats, checkpoint lifecycle, shutdown.
 pub struct ServerHandle {
     bound: ServerAddr,
-    slot: Arc<ScorerSlot>,
     shared: Arc<Shared>,
     obs_dim: usize,
     n_actions: usize,
     eval_baseline: Mutex<Option<f64>>,
-    eval_tolerance: f64,
     accept: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
     /// Keeps the shard inboxes alive until shutdown drops them.
@@ -606,9 +805,9 @@ impl ServerHandle {
         if let Err(e) = canary.check(&scorer) {
             return reject(ProposeError::Canary(e));
         }
-        self.slot.swap(scorer);
+        self.shared.slot.swap(scorer);
         self.shared.metrics.swaps.inc();
-        Ok(self.slot.generation())
+        Ok(self.shared.slot.generation())
     }
 
     /// Install new weights without validation — the force path for
@@ -622,7 +821,7 @@ impl ServerHandle {
             self.n_actions,
             "hot-swap changed the action space"
         );
-        self.slot.swap(scorer);
+        self.shared.slot.swap(scorer);
         self.shared.metrics.swaps.inc();
     }
 
@@ -630,7 +829,7 @@ impl ServerHandle {
     /// bump the generation. Returns `false` when no previous generation
     /// is retained (never swapped, or already rolled back).
     pub fn rollback_scorer(&self) -> bool {
-        let rolled = self.slot.rollback();
+        let rolled = self.shared.slot.rollback();
         if rolled {
             self.shared.metrics.rollbacks.inc();
         }
@@ -649,12 +848,12 @@ impl ServerHandle {
             *baseline = Some(metric);
             return false;
         };
-        let threshold = base + base.abs() * self.eval_tolerance;
+        let threshold = base + base.abs() * self.shared.cfg.eval_tolerance;
         if metric.is_finite() && metric <= threshold {
             *baseline = Some(metric);
             return false;
         }
-        if self.slot.rollback() {
+        if self.shared.slot.rollback() {
             self.shared.metrics.rollbacks.inc();
         }
         true
@@ -662,7 +861,7 @@ impl ServerHandle {
 
     /// Current weight generation (bumps on every commit and rollback).
     pub fn generation(&self) -> u64 {
-        self.slot.generation()
+        self.shared.slot.generation()
     }
 
     /// Aggregate serving statistics so far.
@@ -715,7 +914,6 @@ impl ServerHandle {
 
 fn accept_loop<L: Listen>(
     listener: L,
-    fallback: Option<HeuristicKind>,
     shard_txs: Vec<SyncSender<ShardRequest>>,
     shared: Arc<Shared>,
 ) {
@@ -729,7 +927,7 @@ fn accept_loop<L: Listen>(
                 let shared_c = Arc::clone(&shared);
                 let conn = std::thread::Builder::new()
                     .name("rlsched-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, fallback, shard_txs, shared_c));
+                    .spawn(move || connection_loop(stream, shard_txs, shared_c));
                 if let Ok(h) = conn {
                     // Reap finished connection threads while we are here
                     // so the handle list tracks live connections instead
@@ -764,12 +962,65 @@ fn accept_loop<L: Listen>(
     }
 }
 
-/// Per-connection reader: parse frames, validate, route. A sibling
-/// writer thread owns the response stream so shard replies and
-/// front-door replies (shed/error/stats) interleave safely.
+/// A connection's write half and its frame scratch, locked by the
+/// reader for the replies it scores inline and by the writer thread for
+/// every other reply.
+struct ConnWriter<S> {
+    stream: S,
+    /// Reused frame scratch: steady-state binary replies don't allocate
+    /// for framing.
+    scratch: Vec<u8>,
+    /// The rest of an inline reply the socket did not take at once. It
+    /// goes out before anything else, on the writer thread.
+    tail: Vec<u8>,
+}
+
+impl<S: Transport> ConnWriter<S> {
+    fn encode(&mut self, resp: &Response, proto: WireProtocol) -> std::io::Result<()> {
+        match proto {
+            WireProtocol::Binary => encode_binary_frame(resp, &mut self.scratch),
+            WireProtocol::Json => encode_json_frame(resp, &mut self.scratch)?,
+        }
+        Ok(())
+    }
+
+    /// The writer thread: the tail first, then `msg`'s reply, blocking
+    /// until the socket takes them.
+    fn write(&mut self, msg: WriterMsg) -> std::io::Result<()> {
+        if !self.tail.is_empty() {
+            self.stream.write_all(&self.tail)?;
+            self.tail.clear();
+        }
+        if let Some((resp, proto)) = msg {
+            self.encode(&resp, proto)?;
+            self.stream.write_all(&self.scratch)?;
+        }
+        Ok(())
+    }
+
+    /// The connection thread, with no tail pending: write `resp`
+    /// without blocking. Returns `true` when the socket did not take the
+    /// whole frame and the writer thread must be woken for the tail.
+    fn write_nowait(&mut self, resp: &Response, proto: WireProtocol) -> bool {
+        if self.encode(resp, proto).is_err() {
+            return false;
+        }
+        // An error (a dead client) leaves the whole frame to the writer
+        // thread, whose blocking write reports it and ends the thread.
+        let sent = self.stream.write_nowait(&self.scratch).unwrap_or(0);
+        self.tail.extend_from_slice(&self.scratch[sent..]);
+        !self.tail.is_empty()
+    }
+}
+
+/// Per-connection reader: parse frames, validate, score inline or
+/// route. It writes its inline replies itself, and only as far as the
+/// socket takes them without blocking; a sibling writer thread writes
+/// every other reply, under the same lock. The reader never blocks on
+/// the socket or on that lock, so it keeps reading while a client that
+/// pipelines a burst is not yet reading its replies.
 fn connection_loop<S: Transport>(
     stream: S,
-    fallback: Option<HeuristicKind>,
     shard_txs: Vec<SyncSender<ShardRequest>>,
     shared: Arc<Shared>,
 ) {
@@ -785,23 +1036,27 @@ fn connection_loop<S: Transport>(
             .expect("shutdown hook list poisoned")
             .insert(conn_id, Box::new(move || clone.shutdown_both()));
     }
+    let out = Arc::new(Mutex::new(ConnWriter {
+        stream: write_half,
+        scratch: Vec::new(),
+        tail: Vec::new(),
+    }));
     let (reply_tx, reply_rx) = mpsc::channel();
-    let writer = std::thread::Builder::new()
-        .name("rlsched-serve-write".to_string())
-        .spawn(move || writer_loop(write_half, reply_rx));
+    let writer = {
+        let out = Arc::clone(&out);
+        std::thread::Builder::new()
+            .name("rlsched-serve-write".to_string())
+            .spawn(move || writer_loop(&out, reply_rx))
+    };
     let mut reader = BufReader::new(stream);
     // Per-connection frame scratch, reused across frames: the binary
     // payload buffer and the JSON line buffer. (The decoded request's
-    // snapshot moves on to a shard, so it is owned per request.)
+    // snapshot may move on to a shard, so it is owned per request.)
     let mut payload = Vec::new();
     let mut line = String::new();
     // The format of the last frame that decoded: what a frame too
     // malformed to have a format of its own is answered in.
     let mut proto = WireProtocol::Json;
-    let reply = |proto| Reply {
-        tx: reply_tx.clone(),
-        proto,
-    };
 
     while !shared.shutdown.load(Ordering::Acquire) {
         let req: Request = match read_frame_any(&mut reader, &mut payload, &mut line) {
@@ -815,15 +1070,34 @@ fn connection_loop<S: Transport>(
                 // boundary (the next line, or — since a binary frame's
                 // declared length is consumed before its payload is
                 // judged — the next binary header).
-                reply(proto).send(Response::Error {
-                    id: 0,
-                    message: format!("bad frame: {e}"),
-                });
+                let message = format!("bad frame: {e}");
+                let _ = reply_tx.send(Some((Response::Error { id: 0, message }, proto)));
                 continue;
             }
             Err(_) => break,
         };
-        handle_request(req, fallback, &shard_txs, &shared, reply(proto));
+        // Nothing buffered behind this frame: no batch can form behind
+        // it on this connection, so an idle shard may score it here.
+        let lone = reader.buffer().is_empty();
+        let reply = || Reply {
+            tx: reply_tx.clone(),
+            proto,
+        };
+        // Written here when the lock is free and the socket takes it;
+        // otherwise the writer thread writes it after what it holds.
+        let write_inline = |resp: Response| {
+            let msg = match out.try_lock() {
+                Ok(mut w) if w.tail.is_empty() => {
+                    if !w.write_nowait(&resp, proto) {
+                        return;
+                    }
+                    None
+                }
+                _ => Some((resp, proto)),
+            };
+            let _ = reply_tx.send(msg);
+        };
+        handle_request(req, lone, &shard_txs, &shared, reply, write_inline);
     }
     drop(reply_tx); // writer drains outstanding replies, then exits
     if let Ok(w) = writer {
@@ -861,40 +1135,39 @@ fn snapshot_error(s: &QueueSnapshot) -> Option<String> {
     ))
 }
 
+/// Answer `req`: a lone `Score` frame on an idle shard is scored here
+/// and its answer goes to `write_inline`. Every other answer goes
+/// through `reply` to the connection's writer thread: stats, scrapes,
+/// errors and full-inbox fallbacks from this thread, and a queued
+/// frame's answer from its shard thread.
 fn handle_request(
     req: Request,
-    fallback: Option<HeuristicKind>,
+    lone: bool,
     shard_txs: &[SyncSender<ShardRequest>],
-    shared: &Arc<Shared>,
-    reply: Reply,
+    shared: &Shared,
+    reply: impl FnOnce() -> Reply,
+    write_inline: impl FnOnce(Response),
 ) {
     let id = req.id();
     let snapshot = match req {
         Request::Stats { .. } => {
-            reply.send(Response::Stats {
-                id,
-                stats: shared.stats(),
-            });
-            return;
+            let stats = shared.stats();
+            return reply().send(Response::Stats { id, stats });
         }
         Request::Metrics { .. } => {
             rlsched_obs::span!("serve.metrics_scrape");
-            reply.send(Response::Metrics {
-                id,
-                metrics: shared.registry.snapshot(),
-            });
-            return;
+            let metrics = shared.registry.snapshot();
+            return reply().send(Response::Metrics { id, metrics });
         }
         Request::Score { snapshot, .. } => snapshot,
     };
     if let Some(message) = snapshot_error(&snapshot) {
-        reply.send(Response::Error { id, message });
-        return;
+        return reply().send(Response::Error { id, message });
     }
     // The heuristic decision is computed at admission, while the job
     // features are still in hand — a shard that later fails this
     // request answers from this, not from model state.
-    let fallback_action = fallback.and_then(|kind| {
+    let fallback = shared.cfg.fallback.and_then(|kind| {
         select_parts(
             kind,
             snapshot
@@ -905,20 +1178,21 @@ fn handle_request(
         .map(|slot| slot as u64)
     });
     let shard = route(id, shard_txs.len());
-    let req = ShardRequest {
+    let row = Row {
         id,
         snapshot,
-        fallback: fallback_action,
+        fallback,
         enqueued: Instant::now(),
-        reply,
     };
-    match shard_txs[shard].try_send(req) {
+    if lone && shared.score_inline(shard, &row, write_inline) {
+        return;
+    }
+    let reply = reply();
+    match shard_txs[shard].try_send(ShardRequest { row, reply }) {
         Ok(()) => shared.metrics.shards[shard].inbox_depth.add(1.0),
-        Err(TrySendError::Full(r)) => {
-            // Backpressure: answer immediately (heuristic if configured,
-            // shed otherwise), drop the work.
-            shared.resolve_fallback(shard, r.id, r.fallback, &r.reply);
-        }
+        // Backpressure: answer immediately (heuristic if configured,
+        // shed otherwise), drop the work.
+        Err(TrySendError::Full(r)) => r.reply.send(shared.fallback_response(shard, &r.row)),
         Err(TrySendError::Disconnected(r)) => r.reply.send(Response::Error {
             id,
             message: "server shutting down".into(),
@@ -926,200 +1200,62 @@ fn handle_request(
     }
 }
 
-fn writer_loop<S: Transport>(stream: S, rx: Receiver<(Response, WireProtocol)>) {
-    use std::io::Write;
-    let mut w = BufWriter::new(stream);
-    // Reused frame scratch: steady-state binary replies don't allocate
-    // for framing.
-    let mut scratch = Vec::new();
-    let mut write = |resp: &Response, proto| -> std::io::Result<()> {
-        match proto {
-            WireProtocol::Binary => encode_binary_frame(resp, &mut scratch),
-            WireProtocol::Json => encode_json_frame(resp, &mut scratch)?,
-        }
-        w.write_all(&scratch)?;
-        w.flush()
-    };
-    while let Ok((resp, proto)) = rx.recv() {
-        if write(&resp, proto).is_err() {
+fn writer_loop<S: Transport>(out: &Mutex<ConnWriter<S>>, rx: Receiver<WriterMsg>) {
+    while let Ok(msg) = rx.recv() {
+        let written = out.lock().expect("conn writer poisoned").write(msg);
+        if written.is_err() {
             break;
         }
     }
 }
 
-/// Per-shard parameters: the encoder a shard's rows go through, plus
-/// its slice of [`ServeConfig`].
-struct Supervision {
-    encoder: ObsEncoder,
-    cap: usize,
-    restart_budget: u32,
-    backoff: Duration,
-    backoff_cap: Duration,
-    queue_deadline: Option<Duration>,
-    faults: Option<Arc<FaultPlan>>,
-}
-
-/// The shard worker's outer loop: run the scoring loop under
-/// `catch_unwind`; on a panic, answer the in-flight batch through the
-/// fallback, then respawn a fresh engine under the restart budget.
-///
-/// Budget exhaustion parks the shard in [`ShardState::Failed`]: it
-/// blocks on its inbox and answers each arrival through the fallback
-/// (nothing queued is ever stranded) until the weight generation
-/// changes — a validated swap is the recovery signal. The first arrival
-/// after that respawns the engine and is the first row it scores.
-fn shard_supervisor(
-    shard_id: usize,
-    rx: Receiver<ShardRequest>,
-    slot: Arc<ScorerSlot>,
-    shared: Arc<Shared>,
-    sup: Supervision,
-) {
-    let health = &shared.shard_health[shard_id];
-    let mut consecutive: u32 = 0;
-    let mut batch_counter: u64 = 0;
-    // The arrival that revived a parked shard, carried into the fresh
-    // engine's first batch instead of being answered by the fallback.
-    let mut carried: Option<ShardRequest> = None;
-    loop {
-        health.set_state(STATE_HEALTHY);
-        // Fresh engine from the *current* snapshot: a panic may have
-        // left the old one mid-batch with stacked rows. It records into
-        // the same registry handles as its predecessor, so counters
-        // stay monotone across respawns.
-        let mut engine = ShardEngine::new(Arc::clone(&slot), sup.cap);
-        engine.instrument(shared.metrics.shards[shard_id].engine_metrics());
-        let mut pending: Vec<PendingRow> = Vec::with_capacity(sup.cap);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            shard_loop(
-                shard_id,
-                &rx,
-                carried.take(),
-                &mut engine,
-                &mut pending,
-                &shared,
-                &sup,
-                &mut batch_counter,
-                &mut consecutive,
-            )
-        }));
-        match run {
-            // Every sender dropped: clean shutdown.
-            Ok(()) => return,
-            Err(_) => {
-                shared.metrics.shards[shard_id].panics.inc();
-                consecutive += 1;
-                // Zero lost requests: the panicked batch's reply handles
-                // are still here — answer each through the fallback arm.
-                for row in pending.drain(..) {
-                    shared.resolve_fallback(shard_id, row.id, row.fallback, &row.reply);
-                }
-                if consecutive > sup.restart_budget {
-                    health.set_state(STATE_FAILED);
-                    let failed_gen = slot.generation();
-                    loop {
-                        // Every sender gone and the inbox empty: shutdown.
-                        let Ok(r) = rx.recv() else { return };
-                        if slot.generation() != failed_gen {
-                            carried = Some(r); // validated swap: revive on this request
-                            break;
-                        }
-                        shared.inbox_pop(shard_id);
-                        shared.resolve_fallback(shard_id, r.id, r.fallback, &r.reply);
-                    }
-                    consecutive = 0;
-                } else {
-                    health.set_state(STATE_RESTARTING);
-                    // Deterministic exponential backoff: base << (n-1),
-                    // capped. No jitter — shards don't share a herd, and
-                    // reproducibility is worth more here.
-                    let shift = (consecutive - 1).min(16);
-                    let backoff = sup
-                        .backoff
-                        .saturating_mul(1u32 << shift)
-                        .min(sup.backoff_cap);
-                    std::thread::sleep(backoff);
-                }
-                shared.metrics.shards[shard_id].restarts.inc();
-            }
-        }
-    }
-}
-
-/// One shard's scoring loop: block for a request (the `carried` one
-/// first, if any), take what else is already waiting up to `cap` rows,
-/// score the stack in one forward, reply per row, repeat. Returns when
-/// every sender is gone and the queue is drained; panics propagate to
-/// the supervisor.
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    shard_id: usize,
-    rx: &Receiver<ShardRequest>,
-    mut carried: Option<ShardRequest>,
-    engine: &mut ShardEngine,
-    pending: &mut Vec<PendingRow>,
-    shared: &Shared,
-    sup: &Supervision,
-    batch_counter: &mut u64,
-    consecutive: &mut u32,
-) {
-    // Admit one request into the current batch — unless its in-queue
-    // deadline already expired, in which case it is answered through
-    // the fallback right now rather than riding a slow shard.
-    let admit = |engine: &mut ShardEngine, pending: &mut Vec<PendingRow>, r: ShardRequest| {
-        shared.inbox_pop(shard_id);
-        if let Some(deadline) = sup.queue_deadline {
-            if r.enqueued.elapsed() > deadline {
-                shared.metrics.shards[shard_id].deadlines.inc();
-                shared.resolve_fallback(shard_id, r.id, r.fallback, &r.reply);
-                return;
-            }
-        }
-        engine.push_snapshot(&r.snapshot, &sup.encoder);
-        pending.push(PendingRow {
-            id: r.id,
-            enqueued: r.enqueued,
-            fallback: r.fallback,
-            reply: r.reply,
-        });
-    };
+/// A shard thread: block for a request, take what else is already
+/// waiting up to the batch cap, and score the stack through
+/// [`Shared::score`] under the shard's core. Returns when every sender
+/// is gone and the inbox is drained.
+fn shard_loop(shard: usize, rx: Receiver<ShardRequest>, shared: &Shared) {
+    let cap = shared.cfg.batch_cap;
+    let mut rows: Vec<Row> = Vec::with_capacity(cap);
+    let mut replies: Vec<Reply> = Vec::with_capacity(cap);
     // `recv` fails only once every sender is gone and the inbox is empty.
-    while let Some(first) = carried.take().or_else(|| rx.recv().ok()) {
-        admit(engine, pending, first);
+    while let Ok(first) = rx.recv() {
+        let mut next = Some(first);
         // Never wait for companions: what is already queued rides along.
-        while !engine.is_full() {
-            let Ok(r) = rx.try_recv() else { break };
-            admit(engine, pending, r);
+        while let Some(r) = next.take().or_else(|| rx.try_recv().ok()) {
+            shared.metrics.shards[shard].inbox_depth.add(-1.0);
+            // A request whose in-queue deadline already expired is
+            // answered through the fallback now rather than riding a
+            // slow shard.
+            let expired = shared
+                .cfg
+                .queue_deadline
+                .is_some_and(|deadline| r.row.enqueued.elapsed() > deadline);
+            if expired {
+                shared.metrics.shards[shard].deadlines.inc();
+                r.reply.send(shared.fallback_response(shard, &r.row));
+            } else {
+                rows.push(r.row);
+                replies.push(r.reply);
+            }
+            if rows.len() == cap {
+                break;
+            }
         }
-        if pending.is_empty() {
+        if rows.is_empty() {
             continue; // every arrival expired at admission
         }
-        let batch = *batch_counter;
-        *batch_counter += 1;
-        if let Some(faults) = &sup.faults {
-            // May panic (→ supervisor) or stall (→ queued requests age
-            // past their deadline) exactly as scripted.
-            faults.before_score(shard_id, batch);
+        let mut core = shared.shards[shard]
+            .core
+            .lock()
+            .expect("shard core poisoned");
+        let restart = shared.score(shard, &mut core, &rows, &mut |i, resp| {
+            replies[i].send(resp)
+        });
+        if let Some(after) = restart {
+            shared.respawn(shard, &mut core, after);
         }
-        rlsched_obs::span!("serve.batch");
-        // The engine's instrumentation records batches/rows/batch-size;
-        // the shard records per-row latency (lock-free striped
-        // histogram — the old version serialized shards on a mutex).
-        let actions = engine.flush();
-        let latency = &shared.metrics.shards[shard_id].latency;
-        for row in pending.iter() {
-            latency.record(row.enqueued.elapsed());
-        }
-        for (&action, row) in actions.iter().zip(pending.drain(..)) {
-            row.reply.send(Response::Action {
-                id: row.id,
-                action: action as u64,
-                shard: shard_id as u64,
-                served_by: ServedBy::Model,
-            });
-        }
-        // A full batch made it through the forward: the worker is
-        // healthy again, whatever its panic history.
-        *consecutive = 0;
+        drop(core);
+        rows.clear();
+        replies.clear();
     }
 }

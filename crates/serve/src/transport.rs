@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,6 +48,48 @@ pub trait Transport: Read + Write + Send + Sized + 'static {
 
     /// Bound each blocking write by `d` (`None` blocks indefinitely).
     fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()>;
+
+    /// Write as much of `buf` as the socket takes right now, never
+    /// blocking: the count written, or `WouldBlock` when it takes
+    /// nothing. The server's connection thread writes the replies it
+    /// scores itself through this, so a client that stops reading
+    /// cannot stall the thread that reads its requests.
+    fn write_nowait(&self, buf: &[u8]) -> std::io::Result<usize>;
+}
+
+/// `send(2)` with `MSG_DONTWAIT`: what `fd`'s send buffer takes now. A
+/// per-call flag, so the socket's other handles keep blocking.
+#[cfg(target_os = "linux")]
+fn send_nowait(fd: &impl AsRawFd, buf: &[u8]) -> std::io::Result<usize> {
+    use std::os::raw::{c_int, c_void};
+    extern "C" {
+        fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+    }
+    const MSG_DONTWAIT: c_int = 0x40;
+    // A closed peer is an error here, not a SIGPIPE.
+    const MSG_NOSIGNAL: c_int = 0x4000;
+    // SAFETY: `buf` is `buf.len()` readable bytes for the whole call, and
+    // `fd` is a socket its borrowed owner keeps open until it returns.
+    let n = unsafe {
+        send(
+            fd.as_raw_fd(),
+            buf.as_ptr().cast(),
+            buf.len(),
+            MSG_DONTWAIT | MSG_NOSIGNAL,
+        )
+    };
+    if n < 0 {
+        Err(std::io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
+    }
+}
+
+/// Elsewhere nothing is written without blocking: every reply takes the
+/// writer thread.
+#[cfg(not(target_os = "linux"))]
+fn send_nowait(_fd: &impl AsRawFd, _buf: &[u8]) -> std::io::Result<usize> {
+    Err(std::io::ErrorKind::WouldBlock.into())
 }
 
 impl Transport for TcpStream {
@@ -75,6 +118,10 @@ impl Transport for TcpStream {
     fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
         TcpStream::set_write_timeout(self, d)
     }
+
+    fn write_nowait(&self, buf: &[u8]) -> std::io::Result<usize> {
+        send_nowait(self, buf)
+    }
 }
 
 impl Transport for UnixStream {
@@ -98,6 +145,10 @@ impl Transport for UnixStream {
 
     fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
         UnixStream::set_write_timeout(self, d)
+    }
+
+    fn write_nowait(&self, buf: &[u8]) -> std::io::Result<usize> {
+        send_nowait(self, buf)
     }
 }
 
@@ -231,6 +282,13 @@ impl Transport for AnyStream {
         match self {
             AnyStream::Tcp(s) => s.set_write_timeout(d),
             AnyStream::Unix(s) => s.set_write_timeout(d),
+        }
+    }
+
+    fn write_nowait(&self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            AnyStream::Tcp(s) => send_nowait(s, buf),
+            AnyStream::Unix(s) => send_nowait(s, buf),
         }
     }
 }

@@ -27,7 +27,7 @@
 //!   commit, with generation rollback.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rlsched_rl::PpoConfig;
 use rlsched_sched::{select_parts, HeuristicKind, PriorityScheduler};
@@ -489,9 +489,13 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
+    // One write: the frames arrive pipelined, so each has frames behind
+    // it (or a busy shard ahead of it) and queues for the stalled shard.
+    let mut burst = Vec::new();
     for id in 0..N {
-        send_json(&mut writer, &score_request(&canary, id));
+        send_json(&mut burst, &score_request(&canary, id));
     }
+    std::io::Write::write_all(&mut writer, &burst).unwrap();
     let mut seen = vec![false; N as usize];
     let (mut model, mut fallback) = (0u64, 0u64);
     for _ in 0..N {
@@ -790,4 +794,160 @@ fn metrics_survive_panics_with_monotone_counters() {
     );
     assert_eq!(stats.restarts, 1);
     assert_eq!(stats.shed, 0);
+}
+
+/// Rows shard 0 scored on the connection thread that read them.
+fn inline_rows(handle: &ServerHandle) -> Option<u64> {
+    handle
+        .registry()
+        .snapshot()
+        .counter("rlsched_serve_inline_total", &[("shard", "0")])
+}
+
+/// A lone frame on an idle shard is scored on its connection thread, and
+/// the fault hook fires there too: a scripted panic in its one-row batch
+/// answers it with the SJF fallback before the restart backoff, the core
+/// respawns after it, and the next lone frame is the model's again.
+#[test]
+fn a_panic_in_a_lone_frames_batch_answers_it_by_fallback_and_the_shard_recovers() {
+    let agent = agent_for(16, 13);
+    let canary = CanaryBatch::probe(&agent, 8, 53);
+    let faults = Arc::new(FaultPlan::new());
+    faults.panic_at(0, 0, 1);
+    let backoff = Duration::from_millis(800);
+    let cfg = ServeConfig {
+        restart_backoff: backoff,
+        restart_backoff_cap: backoff,
+        ..chaos_config(faults)
+    };
+    let handle =
+        Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
+    let mut client = handle.connect().unwrap();
+
+    let (snap, _) = canary.row(0);
+    let sent = Instant::now();
+    let d = client.score_snapshot(snap).unwrap();
+    let waited = sent.elapsed();
+    assert_eq!(
+        (d.action as u64, d.served_by),
+        (fallback_pick(HeuristicKind::Sjf, snap), ServedBy::Fallback),
+        "the panicked lone frame is answered by SJF over its snapshot"
+    );
+    assert!(
+        waited < backoff / 2,
+        "the fallback answer waited {waited:?}: it must go out before the {backoff:?} backoff"
+    );
+    let respawned = Instant::now() + 20 * backoff;
+    while handle.stats().restarts == 0 && Instant::now() < respawned {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.shards[0].panics, 1);
+    assert_eq!(stats.restarts, 1);
+    assert_eq!(stats.shards[0].state, ShardState::Healthy);
+
+    let (snap, expected) = canary.row(1);
+    let d = client.score_snapshot(snap).unwrap();
+    assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
+    assert_eq!(inline_rows(&handle), Some(1), "both frames stayed inline");
+    let stats = handle.shutdown();
+    assert_eq!((stats.served, stats.fallbacks), (1, 1));
+    assert_eq!(
+        stats.batches, 1,
+        "the panicked batch never reached a forward"
+    );
+}
+
+/// The lone frame right after a committed swap is scored inline with the
+/// new weights: the connection thread's batch picks up the generation
+/// exactly as a shard thread's does.
+#[test]
+fn the_lone_frame_after_a_commit_is_scored_with_the_new_weights() {
+    let agent_a = agent_for(16, 3);
+    let agent_b = agent_for(16, 4);
+    let canary_a = CanaryBatch::probe(&agent_a, 16, 61);
+    let canary_b = CanaryBatch::probe(&agent_b, 16, 61);
+    // Same seed, same window: the same decision points, scored by each.
+    let differs = (0..canary_b.rows())
+        .find(|&i| {
+            assert_eq!(canary_a.row(i).0, canary_b.row(i).0);
+            canary_a.row(i).1 != canary_b.row(i).1
+        })
+        .expect("two differently seeded agents disagree somewhere");
+    let handle = Server::spawn(
+        agent_a.scorer_snapshot(),
+        *agent_a.encoder(),
+        chaos_config(Arc::new(FaultPlan::new())),
+    )
+    .expect("server spawns");
+    let mut client = handle.connect().unwrap();
+
+    let (snap, expected_a) = canary_a.row(differs);
+    let d = client.score_snapshot(snap).unwrap();
+    assert_eq!((d.action, d.served_by), (expected_a, ServedBy::Model));
+    assert_eq!(
+        handle.propose_scorer(agent_b.scorer_snapshot(), &canary_b),
+        Ok(1)
+    );
+    let (snap, expected_b) = canary_b.row(differs);
+    let d = client.score_snapshot(snap).unwrap();
+    assert_eq!(
+        (d.action, d.served_by),
+        (expected_b, ServedBy::Model),
+        "the first lone frame after the commit carries B's bits"
+    );
+    assert_eq!(inline_rows(&handle), Some(2), "both frames stayed inline");
+    handle.shutdown();
+}
+
+/// Exhausting the restart budget through lone frames parks the shard in
+/// `Failed` exactly as queued batches do: every lone frame while it is
+/// parked gets the fallback, none is scored on the model, and a
+/// validated swap revives it on the next frame.
+#[test]
+fn exhausting_the_budget_through_lone_frames_parks_the_shard_until_a_validated_swap() {
+    let agent = agent_for(16, 5);
+    let canary = CanaryBatch::probe(&agent, 8, 67);
+    let faults = Arc::new(FaultPlan::new());
+    faults.panic_at(0, 0, 3);
+    let mut cfg = chaos_config(faults);
+    cfg.restart_budget = 2;
+    let handle =
+        Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
+    let mut client = handle.connect().unwrap();
+
+    // Three panicked lone frames, then eight more while parked.
+    for i in 0..11 {
+        let (snap, _) = canary.row(i % canary.rows());
+        let d = client.score_snapshot(snap).unwrap();
+        assert_eq!(
+            (d.action as u64, d.served_by),
+            (fallback_pick(HeuristicKind::Sjf, snap), ServedBy::Fallback),
+            "lone frame {i}"
+        );
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.shards[0].state, ShardState::Failed);
+    assert_eq!(stats.shards[0].panics, 3);
+    assert_eq!(stats.restarts, 2, "two respawns, then the budget ran out");
+    assert_eq!((stats.served, stats.fallbacks), (0, 11));
+    assert_eq!(inline_rows(&handle), Some(0));
+
+    assert_eq!(
+        handle.propose_scorer(agent.scorer_snapshot(), &canary),
+        Ok(1)
+    );
+    for i in 0..canary.rows() {
+        let (snap, expected) = canary.row(i);
+        let d = client.score_snapshot(snap).unwrap();
+        assert_eq!(
+            (d.action, d.served_by),
+            (expected, ServedBy::Model),
+            "row {i} after the commit"
+        );
+    }
+    let stats = handle.shutdown();
+    assert_eq!(stats.shards[0].state, ShardState::Healthy);
+    assert_eq!(stats.restarts, 3, "the commit revived the shard once");
+    assert_eq!(stats.served, canary.rows() as u64);
 }

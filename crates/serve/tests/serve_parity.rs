@@ -288,10 +288,14 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let snapshot = small_snapshot(1);
+    // One write: the frames arrive pipelined, so each has frames behind
+    // it (or a busy shard ahead of it) and queues for the stalled shard.
+    let mut burst = Vec::new();
     for id in 0..N {
         let snapshot = snapshot.clone();
-        send_json(&mut writer, &Request::Score { id, snapshot });
+        send_json(&mut burst, &Request::Score { id, snapshot });
     }
+    std::io::Write::write_all(&mut writer, &burst).unwrap();
     let mut actions = 0u64;
     let mut sheds = 0u64;
     let mut seen = vec![false; N as usize];
@@ -356,18 +360,23 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
         snapshot: canary.row(id).0.clone(),
     };
 
-    send_json(&mut writer, &score(0));
+    // Request 0 and the first scrape in one write: request 0 has a frame
+    // behind it, so it queues for the shard instead of scoring inline.
+    let mut first = Vec::new();
+    send_json(&mut first, &score(0));
+    send_json(&mut first, &Request::Metrics { id: 100 });
+    std::io::Write::write_all(&mut writer, &first).unwrap();
     // Scrape on the same connection: its reader handles frames in order,
     // so every scrape sees request 0 enqueued, and an inbox depth of 0
     // means the shard has taken it — into batch 0, which stalls.
     loop {
-        send_json(&mut writer, &Request::Metrics { id: 100 });
         let Response::Metrics { metrics, .. } = recv_json(&mut reader) else {
             panic!("request 0 was answered before the backlog could be sent");
         };
         if metrics.gauge("rlsched_serve_inbox_depth", &[("shard", "0")]) == Some(0.0) {
             break;
         }
+        send_json(&mut writer, &Request::Metrics { id: 100 });
     }
     for id in 1..N {
         send_json(&mut writer, &score(id));
@@ -625,9 +634,11 @@ fn each_reply_goes_out_in_its_requests_format() {
     let mut reader = BufReader::new(stream);
     let mut frame = Vec::new();
     let snapshot = small_snapshot(3);
+    // One write: the `Score` has the `Stats` behind it, so it queues for
+    // the stalled shard instead of scoring inline.
     encode_binary_frame(&Request::Score { id: 1, snapshot }, &mut frame);
+    send_json(&mut frame, &Request::Stats { id: 2 });
     writer.write_all(&frame).unwrap();
-    send_json(&mut writer, &Request::Stats { id: 2 });
 
     let (mut payload, mut line) = (Vec::new(), String::new());
     let mut read = || {
@@ -729,4 +740,219 @@ fn decisions_are_identical_across_protocols_and_transports() {
             handle.shutdown();
         }
     }
+}
+
+/// Where rows are scored, as `rlsched_serve_inline_total` counts them:
+/// every decision of a closed-loop client on an idle tier is scored on
+/// the connection thread that read it, and a backlog queued behind a
+/// stalled shard is scored entirely on the shard's thread.
+#[test]
+fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
+    use rlsched_serve::protocol::{Request, Response};
+    use std::io::{BufReader, Write};
+
+    let agent = agent_for(PolicyKind::Kernel, 83);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig::default(),
+    )
+    .expect("server spawns");
+    let mut client = handle.connect().unwrap();
+    for depth in 1..=20 {
+        let d = client.score_snapshot(&small_snapshot(depth)).unwrap();
+        assert_eq!(d.served_by, ServedBy::Model);
+    }
+    let scrape = handle.registry().snapshot();
+    assert_eq!(scrape.counter_sum("rlsched_serve_served_total"), 20);
+    assert_eq!(
+        scrape.counter_sum("rlsched_serve_inline_total"),
+        20,
+        "a closed loop is scored entirely inline"
+    );
+    assert_eq!(scrape.counter_sum("rlsched_serve_batches_total"), 20);
+    handle.shutdown();
+
+    const N: u64 = 10;
+    let faults = Arc::new(FaultPlan::new());
+    faults.stall_at(0, 0, Duration::from_millis(200));
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            shards: 1,
+            batch_cap: 4,
+            faults: Some(faults),
+            // Raw TcpStream below: pin TCP.
+            addr: ListenAddr::Tcp("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // One write: every frame but the last has frames behind it, and the
+    // last finds the inbox holding the rows past the stalled batch's cap.
+    let mut burst = Vec::new();
+    for id in 0..N {
+        let snapshot = small_snapshot(3);
+        send_json(&mut burst, &Request::Score { id, snapshot });
+    }
+    writer.write_all(&burst).unwrap();
+    for _ in 0..N {
+        let resp: Response = recv_json(&mut reader);
+        assert!(
+            matches!(
+                resp,
+                Response::Action {
+                    served_by: ServedBy::Model,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+    }
+    let scrape = handle.registry().snapshot();
+    assert_eq!(scrape.counter_sum("rlsched_serve_served_total"), N);
+    assert_eq!(
+        scrape.counter_sum("rlsched_serve_inline_total"),
+        0,
+        "a backlog is scored entirely on the shard thread"
+    );
+    handle.shutdown();
+}
+
+/// A client may pipeline more frames than the socket buffers hold and
+/// read nothing until its write returns. The connection thread must keep
+/// reading through such a burst: no reply it makes may wait on the
+/// socket, so the write completes and every frame is answered. Behind a
+/// stalled shard with a depth-4 inbox almost every frame is a full-inbox
+/// fallback made on the connection thread, and their replies alone
+/// overflow the Unix socket's send buffer before the client reads.
+#[test]
+fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
+    use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+    use rlsched_serve::{AnyStream, Transport};
+    use std::io::{BufReader, Write};
+
+    let agent = agent_for(PolicyKind::Kernel, 89);
+    let faults = Arc::new(FaultPlan::new());
+    faults.stall_at(0, 0, Duration::from_millis(300));
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            addr: ListenAddr::unix_temp("burst"),
+            shards: 1,
+            batch_cap: 4,
+            queue_depth: 4,
+            faults: Some(faults),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    const N: u64 = 20_000;
+    let stream = AnyStream::dial(handle.server_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // A server that stops reading fails the write here instead of
+    // hanging the suite.
+    writer
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut burst = Vec::new();
+    let mut frame = Vec::new();
+    for id in 0..N {
+        let snapshot = small_snapshot(1 + id as usize % 3);
+        encode_binary_frame(&Request::Score { id, snapshot }, &mut frame);
+        burst.extend_from_slice(&frame);
+    }
+    writer
+        .write_all(&burst)
+        .expect("the server reads the whole burst before the client reads a reply");
+    let mut reader = BufReader::new(stream);
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut seen = vec![false; N as usize];
+    let mut fallbacks = 0;
+    for _ in 0..N {
+        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply per frame");
+        let Response::Action { id, served_by, .. } = resp else {
+            panic!("unexpected response: {resp:?}");
+        };
+        assert!(
+            !std::mem::replace(&mut seen[id as usize], true),
+            "id {id} twice"
+        );
+        fallbacks += u64::from(served_by == ServedBy::Fallback);
+    }
+    let stats = handle.shutdown();
+    assert_eq!((stats.served, stats.fallbacks), (N - fallbacks, fallbacks));
+    assert!(
+        fallbacks > 0,
+        "the depth-4 inbox behind the stall overflowed"
+    );
+}
+
+/// The same for replies scored on the connection thread: a client that
+/// sends frames one at a time, far enough apart that each arrives alone
+/// on an idle shard, and reads nothing until it has sent them all. Its
+/// unread inline replies overflow the socket's send buffer; the rest of
+/// each then waits for the writer thread, and the connection thread
+/// keeps reading.
+#[test]
+fn unread_inline_replies_never_stall_the_connection_thread() {
+    use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+    use rlsched_serve::{AnyStream, Transport};
+    use std::io::{BufReader, Write};
+
+    let agent = agent_for(PolicyKind::Kernel, 97);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            addr: ListenAddr::unix_temp("unread"),
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    const N: u64 = 3_000;
+    let stream = AnyStream::dial(handle.server_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frame = Vec::new();
+    for id in 0..N {
+        let snapshot = small_snapshot(1 + id as usize % 3);
+        encode_binary_frame(&Request::Score { id, snapshot }, &mut frame);
+        writer
+            .write_all(&frame)
+            .expect("the server keeps reading while its replies go unread");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let mut reader = BufReader::new(stream);
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut seen = vec![false; N as usize];
+    for _ in 0..N {
+        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply per frame");
+        let Response::Action { id, served_by, .. } = resp else {
+            panic!("unexpected response: {resp:?}");
+        };
+        assert_eq!(served_by, ServedBy::Model);
+        assert!(
+            !std::mem::replace(&mut seen[id as usize], true),
+            "id {id} twice"
+        );
+    }
+    let inline = handle
+        .registry()
+        .snapshot()
+        .counter_sum("rlsched_serve_inline_total");
+    assert!(inline > 0, "the first frame at least arrived alone");
+    assert_eq!(handle.shutdown().served, N);
 }

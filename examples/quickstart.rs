@@ -20,9 +20,10 @@
 //! With `--serve`, the trained agent is additionally stood up behind the
 //! sharded `rlsched-serve` tier and every held-out window is scheduled
 //! by a concurrent remote client — first as newline-JSON over TCP, then
-//! again as binary frames over a unix domain socket. Decisions coalesce
-//! into batches on the shards and must come back bit-identical to
-//! in-process scoring on both wire stacks.
+//! again as binary frames over a unix domain socket. A lone decision on
+//! an idle shard is scored on the connection thread that read it, and a
+//! backlog coalesces into batches on the shards; either way it must come
+//! back bit-identical to in-process scoring on both wire stacks.
 
 use rlsched_repro::core::prelude::*;
 use rlsched_repro::core::{build_policy, CanaryBatch, ScorerSnapshot};
@@ -166,9 +167,9 @@ fn main() {
     // 6. (--serve) Stand the trained agent up behind the sharded,
     //    request-coalescing serving tier and schedule every held-out
     //    window through a concurrent remote client — once per wire
-    //    stack. The decisions cross the wire as queue snapshots,
-    //    coalesce into batches on the shards, and must match in-process
-    //    scoring bit for bit on both stacks.
+    //    stack. The decisions cross the wire as queue snapshots, are
+    //    scored inline or coalesced into batches on the shards, and must
+    //    match in-process scoring bit for bit on both stacks.
     if serve {
         // JSON over TCP: the `nc`-able, greppable stack.
         let handle = Server::spawn(
