@@ -6,7 +6,8 @@
 //! plan is installed through [`crate::ServeConfig::faults`]; the
 //! server's one scoring routine calls [`FaultPlan::before_score`] right
 //! before each batched forward — on the shard thread for a queued batch,
-//! on the connection thread for a lone frame it scores inline — which
+//! on the connection thread for a shard's rows of a run it scores
+//! inline — which
 //! is where a scripted panic (a poisoned model batch, a kernel bug) or
 //! stall (a page-cache hiccup, a noisy neighbour) lands in a real tier.
 //!
@@ -30,7 +31,7 @@ use serde::Serialize;
 
 /// One scripted fault on one shard, keyed by that shard's lifetime
 /// attempted-batch counter (batch 0 is the shard's first batch, queued
-/// or a lone frame scored inline; a panicked attempt still advances the
+/// or a run's rows scored inline; a panicked attempt still advances the
 /// counter, a batch a parked shard answers by fallback does not).
 #[derive(Debug, Clone, Copy)]
 enum ScriptedFault {
@@ -72,7 +73,7 @@ impl FaultPlan {
     /// The scoring hook: called with the shard's lifetime batch counter
     /// immediately before every batched forward, whichever thread runs
     /// it — the shard's own thread over a queued batch, or a connection
-    /// thread over a lone frame scored inline. Panics or sleeps per the
+    /// thread over its rows of a run scored inline. Panics or sleeps per the
     /// script, with the shard's core locked; a no-op for unscripted
     /// (shard, batch) pairs — and for every shard when the plan is
     /// empty, so leaving a plan installed in production config costs one

@@ -25,13 +25,14 @@
 //! * [`engine`] — [`ShardEngine`], the allocation-free coalescing batch
 //!   scorer, and [`ScorerSlot`], the atomic weight hot-swap point.
 //! * [`server`] — [`Server::spawn`] / [`ServerHandle`]: accept loop,
-//!   per-connection reader/writer threads, a lone frame on an idle shard
-//!   scored on the reader that decoded it, N shard worker threads that
-//!   block on their inboxes and batch whatever is already waiting (no
-//!   timer), deterministic id→shard routing, bounded inboxes with
-//!   explicit shed responses, and a per-server `rlsched_obs::Registry` of
-//!   counters / gauges / latency histograms scrapeable over the wire
-//!   via `Request::Metrics` (and summarised by `Request::Stats`).
+//!   per-connection reader/writer threads, the frames a reader finds
+//!   pipelined back to back scored on it (one batch per idle shard), N
+//!   shard worker threads that block on their inboxes and batch whatever
+//!   is already waiting (no timer), deterministic id→shard routing,
+//!   bounded inboxes with explicit shed responses, and a per-server
+//!   `rlsched_obs::Registry` of counters / gauges / latency histograms
+//!   scrapeable over the wire via `Request::Metrics` (and summarised by
+//!   `Request::Stats`).
 //! * [`client`] — [`ServeClient`] (blocking, single in-flight, typed
 //!   [`ClientError`]s, reconnect + deadline + safe retry) and
 //!   [`RemotePolicy`] (the `rlsched_sim::Policy` that schedules through

@@ -2,9 +2,10 @@
 //!
 //! ```text
 //!                  ┌─ connection threads ─────────┐
-//! TcpListener ────▶│ read frame, validate         │
-//!  (accept loop)   │ fallback action              │
-//!                  │ route: fnv(id)%N             │   lone frame, idle shard
+//! TcpListener ────▶│ read frames, validate        │
+//!  (accept loop)   │ run: the Score rows read     │
+//!                  │ back to back, ≤ batch_cap,   │   nothing buffered behind
+//!                  │ split by route fnv(id)%N     │   the run: each idle shard
 //!                  │ ─────────────────────────────┼──────────────┐
 //!                  │ else inbox (full ⇒ fallback) │              ▼
 //!                  │ inline replies: never block  │   ┌─ shard core (Mutex) ───┐
@@ -16,40 +17,50 @@
 //!                  │ + what is waiting   │            │  backoff, respawn or   │
 //!                  └──────────┬──────────┘            │  park until a new gen  │
 //!                             ▼                       └────────────────────────┘
-//!                  writer thread (per conn): every other reply
+//!                  writer thread (per conn): every other reply,
+//!                  all that is waiting in one write
 //! ```
 //!
-//! * **Two paths, one scoring routine**: a `Score` frame with nothing
-//!   buffered behind it on its connection is scored on the connection
-//!   thread that decoded it when its shard is idle — its inbox empty and
-//!   its core free (`try_lock`) — and that thread writes the reply
-//!   itself: no hand-off at all. Every other frame is queued to
-//!   its shard's thread, because only a reader that keeps reading while
-//!   a shard is busy lets requests stack into a batch, age into the
-//!   deadline fallback or overflow into a shed. Both paths lock the
-//!   shard's core and run the same `score`, so supervision, the fault
-//!   hook and every counter treat an inline row as a one-row batch.
+//! * **Two paths, one scoring routine**: a connection thread keeps
+//!   decoding while frames are buffered behind the one it just read, and
+//!   collects the valid `Score` rows into a *run* of at most
+//!   [`ServeConfig::batch_cap`] rows. When nothing is buffered behind the
+//!   run's last frame, the run is split by shard, and each shard that is
+//!   idle — its inbox empty and its core free (`try_lock`) — scores its
+//!   rows of the run right there, in one batch; that thread writes their
+//!   replies itself: no hand-off at all. A lone frame is a run of one.
+//!   Every other row is queued to its shard's thread: a busy shard's,
+//!   every row of a run that reached the cap with bytes still buffered
+//!   behind it, and every row of a run that a `Stats` or `Metrics` frame
+//!   cut (so the report counts them as queued). Only a reader that keeps
+//!   reading while a shard is busy lets requests stack into a batch, age
+//!   into the deadline fallback or overflow into a shed. Both paths lock the shard's core and run the same `score`, so
+//!   supervision, the fault hook and every counter treat a shard's rows
+//!   of a run as one batch.
 //! * **Replies** go out in the format their request arrived in. The
-//!   connection thread writes the replies it scores inline, as far as
-//!   the socket takes them without blocking; the connection's writer
-//!   thread writes every other reply (stats, scrapes, errors, full-inbox
-//!   fallbacks, the shard threads' answers) and the rest of any inline
-//!   reply, under one per-connection lock on the write half. Neither a
-//!   connection thread nor a shard thread waits on a client's socket,
-//!   so a client that pipelines a burst before it reads a reply is read
-//!   to the end. A frame too malformed to decode is answered in the
-//!   format of the last frame that did decode (JSON before any has).
+//!   connection thread writes the replies it scores inline, one send per
+//!   shard's rows, as far as the socket takes them without blocking; the
+//!   connection's writer thread writes every other reply (stats, scrapes,
+//!   errors, full-inbox fallbacks, the shard threads' answers) and the
+//!   rest of any inline send, under one per-connection lock on the write
+//!   half, each wake-up writing all it finds waiting in one write.
+//!   Neither a connection thread nor a shard thread waits on a client's
+//!   socket, so a client that pipelines a burst before it reads a reply
+//!   is read to the end. A frame too malformed to decode is answered in
+//!   the format of the last frame that did decode (JSON before any has).
 //! * **Routing** is deterministic: FNV-1a of the request id modulo the
 //!   shard count, so a given id always lands on the same shard (and a
-//!   client can pin itself to a shard by fixing its id stream).
+//!   client can pin itself to a shard by fixing its id stream), on
+//!   either path.
 //! * **Supervision** lives in each shard's core, not in a thread: the
 //!   batch runs under `catch_unwind`. A panic never loses a request —
 //!   the batch's rows live outside the unwind boundary and are answered
 //!   by the heuristic fallback — and the core respawns a fresh
 //!   [`ShardEngine`] built from the current snapshot, under a bounded
 //!   restart budget with deterministic exponential backoff: the thread
-//!   that ran the batch answers its rows, then sleeps the backoff and
-//!   respawns the engine with the core held. Exhausting the budget
+//!   that ran the batch answers its rows (a connection thread: every row
+//!   of its run), then sleeps the backoff and respawns the engine with
+//!   the core held. Exhausting the budget
 //!   parks the shard in `Failed`: its frames are answered through the
 //!   fallback until a validated weight swap (a new generation) is
 //!   committed; the first batch after the commit revives it and is
@@ -60,7 +71,8 @@
 //!   ([`rlsched_sched::PriorityScheduler`] semantics, kind from
 //!   [`ServeConfig::fallback`]) tagged `served_by: Fallback` — bare
 //!   [`Response::Shed`] only remains for servers configured without a
-//!   fallback.
+//!   fallback. The decision is computed over the request's snapshot when
+//!   a row takes this arm, not at admission.
 //! * **Checkpoint lifecycle**: [`ServerHandle::propose_scorer`] gates
 //!   every weight install behind validation — an all-finite parameter
 //!   walk plus a [`CanaryBatch`] parity probe — and
@@ -69,13 +81,17 @@
 //!   [`ServerHandle::swap_scorer`] remains the unvalidated force path.
 //! * **Backpressure**: each shard's inbox is a bounded channel; the
 //!   connection thread answers immediately (fallback or shed) instead
-//!   of queueing unbounded work.
+//!   of queueing unbounded work. A run holds at most `batch_cap` rows,
+//!   so a flood larger than one batch reaches the inboxes whatever the
+//!   shards' state.
 //! * **Batching without a timer**: a shard thread blocks for its first
 //!   request, takes whatever else is already waiting in its inbox (up
 //!   to the batch cap), and scores the whole stack through one forward.
-//!   It never sleeps for companions: a lone request on an idle tier is
-//!   one `rows = 1` forward on its own connection thread, and a backlog
-//!   behind a busy shard is the next batch.
+//!   It never sleeps for companions, and neither does a connection
+//!   thread: a burst that arrives whole on an idle tier is one forward
+//!   per shard on its own connection thread, a lone request is a
+//!   `rows = 1` forward there, and a backlog behind a busy shard is the
+//!   next batch.
 //! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag, the accept
 //!   loop notices it, parked connection readers are unblocked by
 //!   shutting their streams down, shards drain and exit when every
@@ -116,15 +132,15 @@ pub struct ServeConfig {
     pub addr: ListenAddr,
     /// Worker shards, each owning a scorer replica and scratch.
     pub shards: usize,
-    /// Max rows per queued batch: a shard thread scores at most this
-    /// many of the requests already waiting in its inbox through one
-    /// forward. A lone frame scored on its connection thread is a
-    /// one-row batch.
+    /// Max rows per batch: a shard thread scores at most this many of
+    /// the requests already waiting in its inbox through one forward,
+    /// and a connection thread collects at most this many pipelined
+    /// `Score` rows into one run before it queues them.
     pub batch_cap: usize,
     /// Bounded per-shard inbox depth for queued frames; arrivals beyond
     /// it take the fallback arm (or are shed when no fallback is
-    /// configured). A frame scored on its connection thread never
-    /// enters the inbox.
+    /// configured). A row scored on its connection thread never enters
+    /// the inbox.
     pub queue_depth: usize,
     /// Heuristic kind answering for the model when a shard can't
     /// (panicked batch, full inbox, expired deadline, failed shard).
@@ -140,9 +156,9 @@ pub struct ServeConfig {
     /// Upper bound on the respawn delay.
     pub restart_backoff_cap: Duration,
     /// In-queue age past which a queued request is answered by the
-    /// fallback instead of waiting on a slow shard. A frame scored on
-    /// its connection thread never waits in a queue. `None` disables
-    /// the check.
+    /// fallback instead of waiting on a slow shard. A row scored on its
+    /// connection thread never waits in a queue. `None` disables the
+    /// check.
     pub queue_deadline: Option<Duration>,
     /// Relative eval-metric regression (lower is better) tolerated by
     /// [`ServerHandle::record_eval`] before it rolls the weights back.
@@ -170,41 +186,31 @@ impl Default for ServeConfig {
 }
 
 /// What a connection's writer thread is sent: a reply to write, or
-/// `None` to write the rest of an inline reply that the socket did not
+/// `None` to write the rest of an inline send that the socket did not
 /// take at once.
 type WriterMsg = Option<(Response, WireProtocol)>;
 
-/// Where an answer the connection thread does not write itself goes: its
-/// connection's writer thread, in the format the request arrived in.
-struct Reply {
-    tx: Sender<WriterMsg>,
-    proto: WireProtocol,
-}
-
-impl Reply {
-    /// Queue `resp` for the writer. A dead client's writer is gone;
-    /// dropping the reply is fine.
-    fn send(&self, resp: Response) {
-        let _ = self.tx.send(Some((resp, self.proto)));
-    }
+/// Hand `resp` to a connection's writer thread, to go out in `proto`. A
+/// dead client's writer is gone; dropping the reply is fine.
+fn send_reply(tx: &Sender<WriterMsg>, resp: Response, proto: WireProtocol) {
+    let _ = tx.send(Some((resp, proto)));
 }
 
 /// One validated `Score` request: what a shard needs to score it, or to
-/// answer it through the fallback, whichever thread runs its batch.
+/// answer it through the fallback, whichever thread runs its batch, and
+/// the format its answer goes out in.
 struct Row {
     id: u64,
     snapshot: QueueSnapshot,
-    /// The heuristic decision for this request, precomputed at
-    /// admission so a down shard can answer without model state.
-    fallback: Option<u64>,
+    proto: WireProtocol,
     enqueued: Instant,
 }
 
 /// A row queued for its shard's thread, with the way back to its
-/// connection.
+/// connection's writer thread.
 struct ShardRequest {
     row: Row,
-    reply: Reply,
+    reply: Sender<WriterMsg>,
 }
 
 /// Lock-free per-shard lifecycle state, published to [`ServeStats`] (the
@@ -314,7 +320,7 @@ impl ServerMetrics {
 
 /// One shard's engine and supervision state, locked by whichever thread
 /// scores a batch on the shard: its own thread, or a connection thread
-/// scoring a lone frame.
+/// scoring its rows of a run.
 struct ShardCore {
     engine: ShardEngine,
     /// Panicked batches since the last one that scored.
@@ -401,16 +407,18 @@ impl Shared {
         stats
     }
 
-    /// The answer for a row the model does not score: its fallback
-    /// action, or a shed when the server has no fallback configured.
-    /// Counts it.
+    /// The answer for a row the model does not score: the configured
+    /// heuristic's pick over its snapshot, or a shed when the server has
+    /// no fallback configured. Counts it.
     fn fallback_response(&self, shard: usize, row: &Row) -> Response {
-        match row.fallback {
-            Some(action) => {
+        let jobs = row.snapshot.jobs.iter();
+        let parts = jobs.map(|j| (j.wait, j.time_bound, j.procs));
+        match self.cfg.fallback.and_then(|kind| select_parts(kind, parts)) {
+            Some(slot) => {
                 self.metrics.shards[shard].fallbacks.inc();
                 Response::Action {
                     id: row.id,
-                    action,
+                    action: slot as u64,
                     shard: shard as u64,
                     served_by: ServedBy::Fallback,
                 }
@@ -432,9 +440,9 @@ impl Shared {
     }
 
     /// The one scoring routine, run with shard `shard`'s core locked by
-    /// its thread over a queued batch or by a connection thread over a
-    /// lone frame. Calls `answer(i, response)` once per row of `rows`,
-    /// as soon as that row's answer exists.
+    /// its thread over a queued batch or by a connection thread over its
+    /// rows of a run. Calls `answer(i, response)` once per row of
+    /// `rows`, in row order, as soon as that row's answer exists.
     ///
     /// A parked (`Failed`) shard answers through the fallback until the
     /// weight generation moves, and then revives on this batch. The
@@ -530,40 +538,6 @@ impl Shared {
                 Some(backoff)
             }
         }
-    }
-
-    /// Score a lone frame on the calling connection thread when its
-    /// shard is idle (nothing in its inbox, its core free) and hand the
-    /// answer to `write`. Returns `false`, having done nothing, when the
-    /// shard is busy and the frame must be queued.
-    fn score_inline(&self, shard: usize, row: &Row, write: impl FnOnce(Response)) -> bool {
-        let m = &self.metrics.shards[shard];
-        if m.inbox_depth.get() > 0.0 {
-            return false;
-        }
-        let Ok(mut core) = self.shards[shard].core.try_lock() else {
-            return false;
-        };
-        let mut out = None;
-        let restart = self.score(
-            shard,
-            &mut core,
-            std::slice::from_ref(row),
-            &mut |_, resp| out = Some(resp),
-        );
-        let resp = out.expect("score answers every row");
-        if let Response::Action {
-            served_by: ServedBy::Model,
-            ..
-        } = resp
-        {
-            m.inline.inc();
-        }
-        write(resp);
-        if let Some(after) = restart {
-            self.respawn(shard, &mut core, after);
-        }
-        true
     }
 }
 
@@ -970,55 +944,217 @@ struct ConnWriter<S> {
     /// Reused frame scratch: steady-state binary replies don't allocate
     /// for framing.
     scratch: Vec<u8>,
-    /// The rest of an inline reply the socket did not take at once. It
-    /// goes out before anything else, on the writer thread.
+    /// Encoded replies not yet written: the rest of an inline send the
+    /// socket did not take at once, which goes out before anything else,
+    /// on the writer thread.
     tail: Vec<u8>,
 }
 
 impl<S: Transport> ConnWriter<S> {
-    fn encode(&mut self, resp: &Response, proto: WireProtocol) -> std::io::Result<()> {
+    /// Append `resp`'s frame to the tail.
+    fn push(&mut self, resp: &Response, proto: WireProtocol) -> std::io::Result<()> {
         match proto {
             WireProtocol::Binary => encode_binary_frame(resp, &mut self.scratch),
             WireProtocol::Json => encode_json_frame(resp, &mut self.scratch)?,
         }
+        self.tail.extend_from_slice(&self.scratch);
         Ok(())
     }
 
-    /// The writer thread: the tail first, then `msg`'s reply, blocking
-    /// until the socket takes them.
-    fn write(&mut self, msg: WriterMsg) -> std::io::Result<()> {
-        if !self.tail.is_empty() {
-            self.stream.write_all(&self.tail)?;
-            self.tail.clear();
+    /// The writer thread: the tail, then every reply of `msgs`, in one
+    /// write that blocks until the socket takes it.
+    fn write(&mut self, msgs: impl Iterator<Item = WriterMsg>) -> std::io::Result<()> {
+        for (resp, proto) in msgs.flatten() {
+            self.push(&resp, proto)?;
         }
-        if let Some((resp, proto)) = msg {
-            self.encode(&resp, proto)?;
-            self.stream.write_all(&self.scratch)?;
-        }
+        self.stream.write_all(&self.tail)?;
+        self.tail.clear();
         Ok(())
     }
 
-    /// The connection thread, with no tail pending: write `resp`
-    /// without blocking. Returns `true` when the socket did not take the
-    /// whole frame and the writer thread must be woken for the tail.
-    fn write_nowait(&mut self, resp: &Response, proto: WireProtocol) -> bool {
-        if self.encode(resp, proto).is_err() {
-            return false;
+    /// The connection thread, with no tail pending: write `answers` in
+    /// one send that never blocks. Returns `true` when the socket did not
+    /// take them all and the writer thread must be woken for the tail.
+    fn write_nowait(&mut self, answers: impl Iterator<Item = (Response, WireProtocol)>) -> bool {
+        for (resp, proto) in answers {
+            // An unencodable reply is dropped, as the writer thread's
+            // error would drop it with the connection.
+            let _ = self.push(&resp, proto);
         }
-        // An error (a dead client) leaves the whole frame to the writer
+        // An error (a dead client) leaves every frame to the writer
         // thread, whose blocking write reports it and ends the thread.
-        let sent = self.stream.write_nowait(&self.scratch).unwrap_or(0);
-        self.tail.extend_from_slice(&self.scratch[sent..]);
+        let sent = self.stream.write_nowait(&self.tail).unwrap_or(0);
+        self.tail.drain(..sent);
         !self.tail.is_empty()
     }
 }
 
-/// Per-connection reader: parse frames, validate, score inline or
-/// route. It writes its inline replies itself, and only as far as the
-/// socket takes them without blocking; a sibling writer thread writes
-/// every other reply, under the same lock. The reader never blocks on
-/// the socket or on that lock, so it keeps reading while a client that
-/// pipelines a burst is not yet reading its replies.
+/// Where a connection thread's answers go: its shards' inboxes, its
+/// writer thread, or the write half itself.
+struct ConnOut<S> {
+    shared: Arc<Shared>,
+    shard_txs: Vec<SyncSender<ShardRequest>>,
+    writer: Arc<Mutex<ConnWriter<S>>>,
+    tx: Sender<WriterMsg>,
+}
+
+impl<S: Transport> ConnOut<S> {
+    /// Hand `resp` to the writer thread.
+    fn reply(&self, resp: Response, proto: WireProtocol) {
+        send_reply(&self.tx, resp, proto);
+    }
+
+    /// Answer a decoded frame. A valid `Score` joins `run`. A `Stats` or
+    /// `Metrics` frame first queues the run, so what it reports counts
+    /// those rows, and is answered through the writer thread, as is a
+    /// snapshot that cannot be scored.
+    fn admit(&self, req: Request, proto: WireProtocol, run: &mut Run) {
+        let id = req.id();
+        let snapshot = match req {
+            Request::Stats { .. } => {
+                run.flush(self, false);
+                let stats = self.shared.stats();
+                return self.reply(Response::Stats { id, stats }, proto);
+            }
+            Request::Metrics { .. } => {
+                run.flush(self, false);
+                rlsched_obs::span!("serve.metrics_scrape");
+                let metrics = self.shared.registry.snapshot();
+                return self.reply(Response::Metrics { id, metrics }, proto);
+            }
+            Request::Score { snapshot, .. } => snapshot,
+        };
+        if let Some(message) = snapshot_error(&snapshot) {
+            return self.reply(Response::Error { id, message }, proto);
+        }
+        let row = Row {
+            id,
+            snapshot,
+            proto,
+            enqueued: Instant::now(),
+        };
+        run.push(route(id, self.shard_txs.len()), row);
+    }
+
+    /// Queue `row` for `shard`'s thread. A full inbox answers it at once
+    /// (heuristic if configured, shed otherwise) and drops the work.
+    fn queue(&self, shard: usize, row: Row) {
+        let reply = self.tx.clone();
+        match self.shard_txs[shard].try_send(ShardRequest { row, reply }) {
+            Ok(()) => self.shared.metrics.shards[shard].inbox_depth.add(1.0),
+            Err(TrySendError::Full(ShardRequest { row, .. })) => {
+                self.reply(self.shared.fallback_response(shard, &row), row.proto)
+            }
+            Err(TrySendError::Disconnected(ShardRequest { row, .. })) => {
+                let (id, message) = (row.id, "server shutting down".into());
+                self.reply(Response::Error { id, message }, row.proto)
+            }
+        }
+    }
+
+    /// Write answers scored on this thread: here, in one send that never
+    /// blocks, when the write half is free and no earlier tail is
+    /// pending; otherwise the writer thread writes them after what it
+    /// holds.
+    fn write_inline(&self, answers: impl Iterator<Item = (Response, WireProtocol)>) {
+        match self.writer.try_lock() {
+            Ok(mut w) if w.tail.is_empty() => {
+                if w.write_nowait(answers) {
+                    let _ = self.tx.send(None);
+                }
+            }
+            _ => answers.for_each(|(resp, proto)| self.reply(resp, proto)),
+        }
+    }
+}
+
+/// The valid `Score` rows a connection thread has read back to back and
+/// not yet scored or queued, split by the shard their ids route to, each
+/// shard's in arrival order.
+struct Run {
+    shards: Vec<Vec<Row>>,
+    len: usize,
+    /// Reused: one inline sub-run's answers, in row order.
+    answers: Vec<Response>,
+}
+
+impl Run {
+    fn new(shards: usize) -> Self {
+        Run {
+            shards: (0..shards).map(|_| Vec::new()).collect(),
+            len: 0,
+            answers: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, shard: usize, row: Row) {
+        self.shards[shard].push(row);
+        self.len += 1;
+    }
+
+    /// Score or queue every row of the run. With `inline` (nothing is
+    /// buffered behind the run's last frame) each shard whose inbox is
+    /// empty and whose core is free scores its rows here, through one
+    /// [`Shared::score`], and their answers go out at once; every other
+    /// row is queued for its shard's thread. A panicked shard's backoff is
+    /// slept only once every answer of the run is out, with its core held
+    /// all along.
+    fn flush<S: Transport>(&mut self, out: &ConnOut<S>, inline: bool) {
+        if self.len == 0 {
+            return;
+        }
+        self.len = 0;
+        let shared = &*out.shared;
+        let mut restarts = Vec::new();
+        for (shard, rows) in self.shards.iter_mut().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            let m = &shared.metrics.shards[shard];
+            let idle = inline && m.inbox_depth.get() <= 0.0;
+            let core = if idle {
+                shared.shards[shard].core.try_lock().ok()
+            } else {
+                None
+            };
+            let Some(mut core) = core else {
+                for row in rows.drain(..) {
+                    out.queue(shard, row);
+                }
+                continue;
+            };
+            let answers = &mut self.answers;
+            let restart = shared.score(shard, &mut core, rows, &mut |_, resp| answers.push(resp));
+            let model = answers.iter().filter(|resp| {
+                matches!(
+                    resp,
+                    Response::Action {
+                        served_by: ServedBy::Model,
+                        ..
+                    }
+                )
+            });
+            m.inline.add(model.count() as u64);
+            out.write_inline(answers.drain(..).zip(rows.drain(..).map(|row| row.proto)));
+            if let Some(after) = restart {
+                restarts.push((shard, core, after));
+            }
+        }
+        for (shard, mut core, after) in restarts {
+            shared.respawn(shard, &mut core, after);
+        }
+    }
+}
+
+/// Per-connection reader: parse frames, validate, collect runs, score
+/// them inline or queue them. It writes its inline replies itself, and
+/// only as far as the socket takes them without blocking; a sibling
+/// writer thread writes every other reply, under the same lock. The
+/// reader never blocks on the socket or on that lock, so it keeps
+/// reading while a client that pipelines a burst is not yet reading its
+/// replies. With a run in hand it reads on only while bytes are
+/// buffered, so it waits for the client at most to finish a frame the
+/// client has begun.
 fn connection_loop<S: Transport>(
     stream: S,
     shard_txs: Vec<SyncSender<ShardRequest>>,
@@ -1036,17 +1172,25 @@ fn connection_loop<S: Transport>(
             .expect("shutdown hook list poisoned")
             .insert(conn_id, Box::new(move || clone.shutdown_both()));
     }
-    let out = Arc::new(Mutex::new(ConnWriter {
+    let writer = Arc::new(Mutex::new(ConnWriter {
         stream: write_half,
         scratch: Vec::new(),
         tail: Vec::new(),
     }));
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let writer = {
-        let out = Arc::clone(&out);
+    let (tx, rx) = mpsc::channel();
+    let writer_thread = {
+        let writer = Arc::clone(&writer);
         std::thread::Builder::new()
             .name("rlsched-serve-write".to_string())
-            .spawn(move || writer_loop(&out, reply_rx))
+            .spawn(move || writer_loop(&writer, rx))
+    };
+    let cap = shared.cfg.batch_cap;
+    let mut run = Run::new(shard_txs.len());
+    let out = ConnOut {
+        shared: Arc::clone(&shared),
+        shard_txs,
+        writer,
+        tx,
     };
     let mut reader = BufReader::new(stream);
     // Per-connection frame scratch, reused across frames: the binary
@@ -1059,10 +1203,10 @@ fn connection_loop<S: Transport>(
     let mut proto = WireProtocol::Json;
 
     while !shared.shutdown.load(Ordering::Acquire) {
-        let req: Request = match read_frame_any(&mut reader, &mut payload, &mut line) {
-            Ok(Some((r, got))) => {
+        match read_frame_any(&mut reader, &mut payload, &mut line) {
+            Ok(Some((req, got))) => {
                 proto = got;
-                r
+                out.admit(req, proto, &mut run);
             }
             Ok(None) => break, // clean EOF
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -1071,36 +1215,22 @@ fn connection_loop<S: Transport>(
                 // declared length is consumed before its payload is
                 // judged — the next binary header).
                 let message = format!("bad frame: {e}");
-                let _ = reply_tx.send(Some((Response::Error { id: 0, message }, proto)));
-                continue;
+                out.reply(Response::Error { id: 0, message }, proto);
             }
             Err(_) => break,
-        };
-        // Nothing buffered behind this frame: no batch can form behind
-        // it on this connection, so an idle shard may score it here.
-        let lone = reader.buffer().is_empty();
-        let reply = || Reply {
-            tx: reply_tx.clone(),
-            proto,
-        };
-        // Written here when the lock is free and the socket takes it;
-        // otherwise the writer thread writes it after what it holds.
-        let write_inline = |resp: Response| {
-            let msg = match out.try_lock() {
-                Ok(mut w) if w.tail.is_empty() => {
-                    if !w.write_nowait(&resp, proto) {
-                        return;
-                    }
-                    None
-                }
-                _ => Some((resp, proto)),
-            };
-            let _ = reply_tx.send(msg);
-        };
-        handle_request(req, lone, &shard_txs, &shared, reply, write_inline);
+        }
+        // Nothing buffered behind this frame: the run can grow no more
+        // before the client sends again, so idle shards score it here.
+        if reader.buffer().is_empty() {
+            run.flush(&out, true);
+        } else if run.len == cap {
+            run.flush(&out, false);
+        }
     }
-    drop(reply_tx); // writer drains outstanding replies, then exits
-    if let Ok(w) = writer {
+    // Rows read before a torn frame or a shutdown are still answered.
+    run.flush(&out, false);
+    drop(out); // writer drains outstanding replies, then exits
+    if let Ok(w) = writer_thread {
         let _ = w.join();
     }
     // Release this connection's shutdown hook (and its fd).
@@ -1135,75 +1265,14 @@ fn snapshot_error(s: &QueueSnapshot) -> Option<String> {
     ))
 }
 
-/// Answer `req`: a lone `Score` frame on an idle shard is scored here
-/// and its answer goes to `write_inline`. Every other answer goes
-/// through `reply` to the connection's writer thread: stats, scrapes,
-/// errors and full-inbox fallbacks from this thread, and a queued
-/// frame's answer from its shard thread.
-fn handle_request(
-    req: Request,
-    lone: bool,
-    shard_txs: &[SyncSender<ShardRequest>],
-    shared: &Shared,
-    reply: impl FnOnce() -> Reply,
-    write_inline: impl FnOnce(Response),
-) {
-    let id = req.id();
-    let snapshot = match req {
-        Request::Stats { .. } => {
-            let stats = shared.stats();
-            return reply().send(Response::Stats { id, stats });
-        }
-        Request::Metrics { .. } => {
-            rlsched_obs::span!("serve.metrics_scrape");
-            let metrics = shared.registry.snapshot();
-            return reply().send(Response::Metrics { id, metrics });
-        }
-        Request::Score { snapshot, .. } => snapshot,
-    };
-    if let Some(message) = snapshot_error(&snapshot) {
-        return reply().send(Response::Error { id, message });
-    }
-    // The heuristic decision is computed at admission, while the job
-    // features are still in hand — a shard that later fails this
-    // request answers from this, not from model state.
-    let fallback = shared.cfg.fallback.and_then(|kind| {
-        select_parts(
-            kind,
-            snapshot
-                .jobs
-                .iter()
-                .map(|j| (j.wait, j.time_bound, j.procs)),
-        )
-        .map(|slot| slot as u64)
-    });
-    let shard = route(id, shard_txs.len());
-    let row = Row {
-        id,
-        snapshot,
-        fallback,
-        enqueued: Instant::now(),
-    };
-    if lone && shared.score_inline(shard, &row, write_inline) {
-        return;
-    }
-    let reply = reply();
-    match shard_txs[shard].try_send(ShardRequest { row, reply }) {
-        Ok(()) => shared.metrics.shards[shard].inbox_depth.add(1.0),
-        // Backpressure: answer immediately (heuristic if configured,
-        // shed otherwise), drop the work.
-        Err(TrySendError::Full(r)) => r.reply.send(shared.fallback_response(shard, &r.row)),
-        Err(TrySendError::Disconnected(r)) => r.reply.send(Response::Error {
-            id,
-            message: "server shutting down".into(),
-        }),
-    }
-}
-
+/// The writer thread: on each wake-up, the tail and every reply already
+/// waiting in its channel, in one write.
 fn writer_loop<S: Transport>(out: &Mutex<ConnWriter<S>>, rx: Receiver<WriterMsg>) {
-    while let Ok(msg) = rx.recv() {
-        let written = out.lock().expect("conn writer poisoned").write(msg);
-        if written.is_err() {
+    while let Ok(first) = rx.recv() {
+        let mut w = out.lock().expect("conn writer poisoned");
+        if w.write(std::iter::once(first).chain(rx.try_iter()))
+            .is_err()
+        {
             break;
         }
     }
@@ -1216,7 +1285,7 @@ fn writer_loop<S: Transport>(out: &Mutex<ConnWriter<S>>, rx: Receiver<WriterMsg>
 fn shard_loop(shard: usize, rx: Receiver<ShardRequest>, shared: &Shared) {
     let cap = shared.cfg.batch_cap;
     let mut rows: Vec<Row> = Vec::with_capacity(cap);
-    let mut replies: Vec<Reply> = Vec::with_capacity(cap);
+    let mut replies: Vec<Sender<WriterMsg>> = Vec::with_capacity(cap);
     // `recv` fails only once every sender is gone and the inbox is empty.
     while let Ok(first) = rx.recv() {
         let mut next = Some(first);
@@ -1232,7 +1301,8 @@ fn shard_loop(shard: usize, rx: Receiver<ShardRequest>, shared: &Shared) {
                 .is_some_and(|deadline| r.row.enqueued.elapsed() > deadline);
             if expired {
                 shared.metrics.shards[shard].deadlines.inc();
-                r.reply.send(shared.fallback_response(shard, &r.row));
+                let resp = shared.fallback_response(shard, &r.row);
+                send_reply(&r.reply, resp, r.row.proto);
             } else {
                 rows.push(r.row);
                 replies.push(r.reply);
@@ -1249,7 +1319,7 @@ fn shard_loop(shard: usize, rx: Receiver<ShardRequest>, shared: &Shared) {
             .lock()
             .expect("shard core poisoned");
         let restart = shared.score(shard, &mut core, &rows, &mut |i, resp| {
-            replies[i].send(resp)
+            send_reply(&replies[i], resp, rows[i].proto)
         });
         if let Some(after) = restart {
             shared.respawn(shard, &mut core, after);

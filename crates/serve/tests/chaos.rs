@@ -489,8 +489,9 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
-    // One write: the frames arrive pipelined, so each has frames behind
-    // it (or a busy shard ahead of it) and queues for the stalled shard.
+    // One write of more frames than `batch_cap`: each run fills to the
+    // cap with frames still behind it (or finds a busy shard) and queues
+    // for the stalled shard.
     let mut burst = Vec::new();
     for id in 0..N {
         send_json(&mut burst, &score_request(&canary, id));
@@ -950,4 +951,119 @@ fn exhausting_the_budget_through_lone_frames_parks_the_shard_until_a_validated_s
     assert_eq!(stats.shards[0].state, ShardState::Healthy);
     assert_eq!(stats.restarts, 3, "the commit revived the shard once");
     assert_eq!(stats.served, canary.rows() as u64);
+}
+
+/// A pipelined burst on an idle two-shard tier is scored on its
+/// connection thread, one batch per shard, and the fault hook fires
+/// once per batch: a scripted panic in shard 0's batch answers each of
+/// its rows with the SJF fallback while shard 1's rows keep the model's
+/// bits, every reply of the burst arrives before the restart backoff,
+/// and the respawned shard scores the next burst inline.
+#[test]
+fn a_panic_in_an_inline_batch_answers_its_rows_by_fallback_before_the_backoff() {
+    use rlsched_serve::protocol::encode_binary_frame;
+    use rlsched_serve::AnyStream;
+    use std::io::{BufReader, Write};
+
+    const N: u64 = 8;
+    let agent = agent_for(16, 19);
+    let canary = CanaryBatch::probe(&agent, N as usize, 71);
+    let faults = Arc::new(FaultPlan::new());
+    faults.panic_at(0, 0, 1);
+    let backoff = Duration::from_millis(800);
+    let cfg = ServeConfig {
+        shards: 2,
+        batch_cap: 32,
+        restart_backoff: backoff,
+        restart_backoff_cap: backoff,
+        ..chaos_config(faults)
+    };
+    let handle =
+        Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
+    let stream = AnyStream::dial(handle.server_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    // One write of `N` binary frames: one run, read whole.
+    let mut send_burst = |base: u64| {
+        let (mut burst, mut frame) = (Vec::new(), Vec::new());
+        for id in base..base + N {
+            let request = score_request(&canary, id);
+            encode_binary_frame(&request, &mut frame);
+            burst.extend_from_slice(&frame);
+        }
+        writer.write_all(&burst).unwrap();
+    };
+    let mut recv = || {
+        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply per frame");
+        let Response::Action {
+            id,
+            action,
+            shard,
+            served_by,
+        } = resp
+        else {
+            panic!("unexpected response: {resp:?}");
+        };
+        (id, action, shard, served_by)
+    };
+
+    let sent = Instant::now();
+    send_burst(0);
+    let mut on_shard = [0u64; 2];
+    for _ in 0..N {
+        let (id, action, shard, served_by) = recv();
+        let (snap, expected) = canary.row(id as usize % canary.rows());
+        on_shard[shard as usize] += 1;
+        if shard == 0 {
+            assert_eq!(
+                (action, served_by),
+                (fallback_pick(HeuristicKind::Sjf, snap), ServedBy::Fallback),
+                "id {id} rode the panicked batch"
+            );
+        } else {
+            assert_eq!((action as usize, served_by), (expected, ServedBy::Model));
+        }
+    }
+    let waited = sent.elapsed();
+    assert!(
+        waited < backoff / 2,
+        "the burst's replies waited {waited:?}: they must all go out before the {backoff:?} backoff"
+    );
+    assert!(
+        on_shard.iter().all(|&n| n > 0),
+        "the burst routes to both shards: {on_shard:?}"
+    );
+    let respawned = Instant::now() + 20 * backoff;
+    while handle.stats().restarts == 0 && Instant::now() < respawned {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.shards[0].panics, 1);
+    assert_eq!(stats.restarts, 1);
+    assert_eq!(stats.shards[0].state, ShardState::Healthy);
+
+    send_burst(N);
+    for _ in 0..N {
+        let (id, action, _, served_by) = recv();
+        let (_, expected) = canary.row(id as usize % canary.rows());
+        assert_eq!((action as usize, served_by), (expected, ServedBy::Model));
+    }
+    let model = N - on_shard[0] + N;
+    assert_eq!(
+        handle
+            .registry()
+            .snapshot()
+            .counter_sum("rlsched_serve_inline_total"),
+        model,
+        "both bursts were scored inline"
+    );
+    let stats = handle.shutdown();
+    assert_eq!((stats.served, stats.fallbacks), (model, on_shard[0]));
+    assert_eq!(
+        stats.batches, 3,
+        "shard 1's batch, then one per shard: the panicked batch never reached a forward"
+    );
 }

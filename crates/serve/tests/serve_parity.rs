@@ -288,8 +288,9 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let snapshot = small_snapshot(1);
-    // One write: the frames arrive pipelined, so each has frames behind
-    // it (or a busy shard ahead of it) and queues for the stalled shard.
+    // One write of more frames than `batch_cap`: each run fills to the
+    // cap with frames still behind it (or finds a busy shard) and queues
+    // for the stalled shard.
     let mut burst = Vec::new();
     for id in 0..N {
         let snapshot = snapshot.clone();
@@ -360,8 +361,9 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
         snapshot: canary.row(id).0.clone(),
     };
 
-    // Request 0 and the first scrape in one write: request 0 has a frame
-    // behind it, so it queues for the shard instead of scoring inline.
+    // Request 0 and the first scrape in one write: the scrape cuts
+    // request 0's run, so it queues for the shard instead of scoring
+    // inline.
     let mut first = Vec::new();
     send_json(&mut first, &score(0));
     send_json(&mut first, &Request::Metrics { id: 100 });
@@ -634,8 +636,8 @@ fn each_reply_goes_out_in_its_requests_format() {
     let mut reader = BufReader::new(stream);
     let mut frame = Vec::new();
     let snapshot = small_snapshot(3);
-    // One write: the `Score` has the `Stats` behind it, so it queues for
-    // the stalled shard instead of scoring inline.
+    // One write: the `Stats` cuts the `Score`'s run, so the `Score`
+    // queues for the stalled shard instead of scoring inline.
     encode_binary_frame(&Request::Score { id: 1, snapshot }, &mut frame);
     send_json(&mut frame, &Request::Stats { id: 2 });
     writer.write_all(&frame).unwrap();
@@ -792,8 +794,9 @@ fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    // One write: every frame but the last has frames behind it, and the
-    // last finds the inbox holding the rows past the stalled batch's cap.
+    // One write of more frames than `batch_cap`: the runs that fill to
+    // the cap with frames behind them queue, and the last, short run
+    // finds the inbox holding the rows past the stalled batch's cap.
     let mut burst = Vec::new();
     for id in 0..N {
         let snapshot = small_snapshot(3);
@@ -955,4 +958,154 @@ fn unread_inline_replies_never_stall_the_connection_thread() {
         .counter_sum("rlsched_serve_inline_total");
     assert!(inline > 0, "the first frame at least arrived alone");
     assert_eq!(handle.shutdown().served, N);
+}
+
+/// `N` binary `Score` frames for canary rows `0..N`, ids `0..N`, as one
+/// buffer a client sends in one write.
+fn binary_burst(canary: &CanaryBatch, n: usize) -> Vec<u8> {
+    use rlsched_serve::protocol::{encode_binary_frame, Request};
+    let (mut burst, mut frame) = (Vec::new(), Vec::new());
+    for id in 0..n {
+        let snapshot = canary.row(id).0.clone();
+        let request = Request::Score {
+            id: id as u64,
+            snapshot,
+        };
+        encode_binary_frame(&request, &mut frame);
+        burst.extend_from_slice(&frame);
+    }
+    burst
+}
+
+/// Send `burst` in one write on a fresh Unix-socket connection and read
+/// replies until `n` actions have come back, checking each against the
+/// canary's in-process bits (a `Stats` reply is passed over). Returns how
+/// many of them each shard scored.
+fn score_burst(
+    handle: &rlsched_serve::ServerHandle,
+    canary: &CanaryBatch,
+    burst: &[u8],
+    n: usize,
+) -> Vec<u64> {
+    use rlsched_serve::protocol::{read_frame_any, Response};
+    use rlsched_serve::{AnyStream, Transport};
+    use std::io::{BufReader, Write};
+
+    let stream = AnyStream::dial(handle.server_addr()).unwrap();
+    stream.try_clone().unwrap().write_all(burst).unwrap();
+    let mut reader = BufReader::new(stream);
+    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut on_shard = vec![0u64; handle.stats().shards.len()];
+    let mut seen = vec![false; n];
+    while seen.iter().any(|&s| !s) {
+        let (resp, proto) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            .unwrap()
+            .expect("a reply per frame");
+        assert_eq!(proto, WireProtocol::Binary);
+        let Response::Action {
+            id,
+            action,
+            shard,
+            served_by,
+        } = resp
+        else {
+            assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
+            continue;
+        };
+        assert!(!std::mem::replace(&mut seen[id as usize], true));
+        let (_, expected) = canary.row(id as usize);
+        assert_eq!((action as usize, served_by), (expected, ServedBy::Model));
+        on_shard[shard as usize] += 1;
+    }
+    on_shard
+}
+
+/// A pipelined burst of at most `batch_cap` frames, sent in one write to
+/// an idle two-shard tier, is one run: it is scored entirely on the
+/// connection thread that read it, one batch per shard its ids route to,
+/// each row still on its routed shard with the in-process bits.
+#[test]
+fn a_burst_within_batch_cap_is_scored_inline_one_batch_per_shard() {
+    const N: usize = 12;
+    let agent = agent_for(PolicyKind::Kernel, 101);
+    let canary = CanaryBatch::probe(&agent, N, 103);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            addr: ListenAddr::unix_temp("inline-burst"),
+            shards: 2,
+            batch_cap: 16,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let on_shard = score_burst(&handle, &canary, &binary_burst(&canary, N), N);
+    let routed = on_shard.iter().filter(|&&n| n > 0).count() as u64;
+    assert_eq!(routed, 2, "ids 0..{N} route to both shards: {on_shard:?}");
+    let scrape = handle.registry().snapshot();
+    assert_eq!(scrape.counter_sum("rlsched_serve_served_total"), N as u64);
+    assert_eq!(
+        scrape.counter_sum("rlsched_serve_inline_total"),
+        N as u64,
+        "the whole burst was scored on its connection thread"
+    );
+    assert_eq!(
+        scrape.counter_sum("rlsched_serve_batches_total"),
+        routed,
+        "one batch per shard the burst routes to"
+    );
+    handle.shutdown();
+}
+
+/// A pipelined burst larger than `batch_cap` is cut into runs of the cap;
+/// each run that fills with bytes still buffered behind it is queued for
+/// the shard thread, even on an idle tier, so a flood still stacks into
+/// batches, ages and sheds there. Only the last, short run can be scored
+/// inline. A `Stats` frame cuts a run too, and the cut run is queued.
+#[test]
+fn runs_cut_by_batch_cap_or_a_stats_frame_are_queued() {
+    use rlsched_serve::protocol::{encode_binary_frame, Request};
+
+    const CAP: usize = 4;
+    const N: usize = 2 * CAP + 1;
+    let agent = agent_for(PolicyKind::Kernel, 107);
+    let canary = CanaryBatch::probe(&agent, N, 109);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            addr: ListenAddr::unix_temp("queued-burst"),
+            shards: 1,
+            batch_cap: CAP,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let inline = || {
+        let scrape = handle.registry().snapshot();
+        scrape.counter_sum("rlsched_serve_inline_total")
+    };
+    let on_shard = score_burst(&handle, &canary, &binary_burst(&canary, N), N);
+    assert_eq!(on_shard, vec![N as u64]);
+    let leading = inline();
+    assert!(
+        leading <= (N - 2 * CAP) as u64,
+        "{leading} rows inline: the two full leading runs must queue"
+    );
+
+    // The shard is idle again: a short burst with a `Stats` frame behind
+    // it would be one inline run but for the cut.
+    let mut burst = binary_burst(&canary, CAP - 1);
+    let mut frame = Vec::new();
+    encode_binary_frame(&Request::Stats { id: 99 }, &mut frame);
+    burst.extend_from_slice(&frame);
+    score_burst(&handle, &canary, &burst, CAP - 1);
+    assert_eq!(
+        inline(),
+        leading,
+        "the run the `Stats` frame cut was queued"
+    );
+    let stats = handle.shutdown();
+    assert_eq!(stats.served, (N + CAP - 1) as u64);
 }
