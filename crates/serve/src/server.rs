@@ -4,7 +4,7 @@
 //!                  ┌─ connection threads ─────────┐
 //! TcpListener ────▶│ read frames, validate        │
 //!  (accept loop)   │ run: the Score rows read     │
-//!                  │ back to back, ≤ batch_cap,   │   nothing buffered behind
+//!                  │ back to back, ≤ batch_cap,   │   no frame buffered behind
 //!                  │ split by route fnv(id)%N     │   the run: each idle shard
 //!                  │ ─────────────────────────────┼──────────────┐
 //!                  │ else inbox (full ⇒ fallback) │              ▼
@@ -24,8 +24,9 @@
 //! * **Two paths, one scoring routine**: a connection thread keeps
 //!   decoding while frames are buffered behind the one it just read, and
 //!   collects the valid `Score` rows into a *run* of at most
-//!   [`ServeConfig::batch_cap`] rows. When nothing is buffered behind the
-//!   run's last frame, the run is split by shard, and each shard that is
+//!   [`ServeConfig::batch_cap`] rows. When no frame is buffered behind the
+//!   run's last frame (blank keep-alive lines are none), the run is split
+//!   by shard, and each shard that is
 //!   idle — its inbox empty and its core free (`try_lock`) — scores its
 //!   rows of the run right there, in one batch; that thread writes their
 //!   replies itself: no hand-off at all. A lone frame is a run of one.
@@ -34,9 +35,9 @@
 //!   behind it, and every row of a run that a `Stats` or `Metrics` frame
 //!   cut (so the report counts them as queued). Only a reader that keeps
 //!   reading while a shard is busy lets requests stack into a batch, age
-//!   into the deadline fallback or overflow into a shed. Both paths lock the shard's core and run the same `score`, so
-//!   supervision, the fault hook and every counter treat a shard's rows
-//!   of a run as one batch.
+//!   into the deadline fallback or overflow into a shed. Both paths lock
+//!   the shard's core and run the same `score`, so supervision, the fault
+//!   hook and every counter treat a shard's rows of a run as one batch.
 //! * **Replies** go out in the format their request arrived in. The
 //!   connection thread writes the replies it scores inline, one send per
 //!   shard's rows, as far as the socket takes them without blocking; the
@@ -999,11 +1000,6 @@ struct ConnOut<S> {
 }
 
 impl<S: Transport> ConnOut<S> {
-    /// Hand `resp` to the writer thread.
-    fn reply(&self, resp: Response, proto: WireProtocol) {
-        send_reply(&self.tx, resp, proto);
-    }
-
     /// Answer a decoded frame. A valid `Score` joins `run`. A `Stats` or
     /// `Metrics` frame first queues the run, so what it reports counts
     /// those rows, and is answered through the writer thread, as is a
@@ -1014,18 +1010,18 @@ impl<S: Transport> ConnOut<S> {
             Request::Stats { .. } => {
                 run.flush(self, false);
                 let stats = self.shared.stats();
-                return self.reply(Response::Stats { id, stats }, proto);
+                return send_reply(&self.tx, Response::Stats { id, stats }, proto);
             }
             Request::Metrics { .. } => {
                 run.flush(self, false);
                 rlsched_obs::span!("serve.metrics_scrape");
                 let metrics = self.shared.registry.snapshot();
-                return self.reply(Response::Metrics { id, metrics }, proto);
+                return send_reply(&self.tx, Response::Metrics { id, metrics }, proto);
             }
             Request::Score { snapshot, .. } => snapshot,
         };
         if let Some(message) = snapshot_error(&snapshot) {
-            return self.reply(Response::Error { id, message }, proto);
+            return send_reply(&self.tx, Response::Error { id, message }, proto);
         }
         let row = Row {
             id,
@@ -1043,11 +1039,12 @@ impl<S: Transport> ConnOut<S> {
         match self.shard_txs[shard].try_send(ShardRequest { row, reply }) {
             Ok(()) => self.shared.metrics.shards[shard].inbox_depth.add(1.0),
             Err(TrySendError::Full(ShardRequest { row, .. })) => {
-                self.reply(self.shared.fallback_response(shard, &row), row.proto)
+                let resp = self.shared.fallback_response(shard, &row);
+                send_reply(&self.tx, resp, row.proto)
             }
             Err(TrySendError::Disconnected(ShardRequest { row, .. })) => {
                 let (id, message) = (row.id, "server shutting down".into());
-                self.reply(Response::Error { id, message }, row.proto)
+                send_reply(&self.tx, Response::Error { id, message }, row.proto)
             }
         }
     }
@@ -1063,7 +1060,7 @@ impl<S: Transport> ConnOut<S> {
                     let _ = self.tx.send(None);
                 }
             }
-            _ => answers.for_each(|(resp, proto)| self.reply(resp, proto)),
+            _ => answers.for_each(|(resp, proto)| send_reply(&self.tx, resp, proto)),
         }
     }
 }
@@ -1092,7 +1089,7 @@ impl Run {
         self.len += 1;
     }
 
-    /// Score or queue every row of the run. With `inline` (nothing is
+    /// Score or queue every row of the run. With `inline` (no frame is
     /// buffered behind the run's last frame) each shard whose inbox is
     /// empty and whose core is free scores its rows here, through one
     /// [`Shared::score`], and their answers go out at once; every other
@@ -1152,9 +1149,9 @@ impl Run {
 /// writer thread writes every other reply, under the same lock. The
 /// reader never blocks on the socket or on that lock, so it keeps
 /// reading while a client that pipelines a burst is not yet reading its
-/// replies. With a run in hand it reads on only while bytes are
-/// buffered, so it waits for the client at most to finish a frame the
-/// client has begun.
+/// replies. With a run in hand it reads on only while part of a frame
+/// is buffered, so it waits for the client at most to finish a frame
+/// the client has begun.
 fn connection_loop<S: Transport>(
     stream: S,
     shard_txs: Vec<SyncSender<ShardRequest>>,
@@ -1215,13 +1212,13 @@ fn connection_loop<S: Transport>(
                 // declared length is consumed before its payload is
                 // judged — the next binary header).
                 let message = format!("bad frame: {e}");
-                out.reply(Response::Error { id: 0, message }, proto);
+                send_reply(&out.tx, Response::Error { id: 0, message }, proto);
             }
             Err(_) => break,
         }
-        // Nothing buffered behind this frame: the run can grow no more
+        // No frame buffered behind this one: the run can grow no more
         // before the client sends again, so idle shards score it here.
-        if reader.buffer().is_empty() {
+        if holds_no_frame(reader.buffer()) {
             run.flush(&out, true);
         } else if run.len == cap {
             run.flush(&out, false);
@@ -1239,6 +1236,15 @@ fn connection_loop<S: Transport>(
         .lock()
         .expect("shutdown hook list poisoned")
         .remove(&conn_id);
+}
+
+/// Whether `buf` holds no part of a frame: nothing, or only the blank
+/// keep-alive lines that `read_frame_any` skips. A reader that blocks for
+/// more bytes behind such a buffer would hold its run until the client
+/// sends again.
+fn holds_no_frame(buf: &[u8]) -> bool {
+    buf.iter()
+        .all(|&b| b.is_ascii() && char::from(b).is_whitespace())
 }
 
 /// Why a snapshot from outside the program cannot be scored, if it

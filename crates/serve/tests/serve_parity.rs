@@ -910,6 +910,7 @@ fn unread_inline_replies_never_stall_the_connection_thread() {
     use rlsched_serve::{AnyStream, Transport};
     use std::io::{BufReader, Write};
 
+    const N: u64 = 3_000;
     let agent = agent_for(PolicyKind::Kernel, 97);
     let handle = Server::spawn(
         agent.scorer_snapshot(),
@@ -917,11 +918,14 @@ fn unread_inline_replies_never_stall_the_connection_thread() {
         ServeConfig {
             addr: ListenAddr::unix_temp("unread"),
             shards: 1,
+            // An inbox that holds every frame: on a loaded box the shard
+            // thread may fall behind a reader that keeps reading, and
+            // what it owes is a late model answer, not a fallback.
+            queue_depth: N as usize,
             ..ServeConfig::default()
         },
     )
     .expect("server spawns");
-    const N: u64 = 3_000;
     let stream = AnyStream::dial(handle.server_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     writer
@@ -1108,4 +1112,51 @@ fn runs_cut_by_batch_cap_or_a_stats_frame_are_queued() {
     );
     let stats = handle.shutdown();
     assert_eq!(stats.served, (N + CAP - 1) as u64);
+}
+
+/// A blank keep-alive line behind a `Score` frame is no frame: the
+/// connection thread must answer the `Score` before it blocks for the
+/// client's next bytes, or a closed-loop client that ends its frames
+/// with an extra newline waits for an answer that never comes.
+#[test]
+fn a_frame_with_blank_lines_behind_it_is_answered_at_once() {
+    use rlsched_serve::protocol::{Request, Response};
+    use std::io::{BufReader, Write};
+
+    let agent = agent_for(PolicyKind::Kernel, 113);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            // Raw TcpStream below: pin TCP.
+            addr: ListenAddr::Tcp("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    for (id, blank) in [(1u64, "\n"), (2, "\n \t\r\n\n"), (3, "  ")] {
+        let mut frame = Vec::new();
+        let snapshot = small_snapshot(id as usize);
+        send_json(&mut frame, &Request::Score { id, snapshot });
+        frame.extend_from_slice(blank.as_bytes());
+        writer.write_all(&frame).unwrap();
+        match recv_json::<Response>(&mut reader) {
+            Response::Action {
+                id: got, served_by, ..
+            } => {
+                assert_eq!(got, id);
+                assert_eq!(served_by, ServedBy::Model);
+            }
+            other => panic!("expected an action for frame {id}, got {other:?}"),
+        }
+    }
+    drop(writer);
+    let stats = handle.shutdown();
+    assert_eq!(stats.served, 3);
 }
