@@ -5,7 +5,7 @@ use std::time::Instant;
 use serde_json::json;
 
 use rlsched_sched::{select_streaming, HeuristicKind};
-use rlsched_sim::{MetricKind, QueueView, SimConfig, WaitingJob};
+use rlsched_sim::{MetricKind, SimConfig, WaitingJob};
 use rlsched_swf::{Job, TraceStats};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{evaluate_policy, mean_metric, sample_eval_windows, FilterMode, PolicyKind};
@@ -243,7 +243,7 @@ pub fn table8(p: &Profile, report: &mut Report) {
 pub fn table9(p: &Profile, report: &mut Report) {
     report.section("Table IX: computational cost");
 
-    // A 128-job decision point.
+    // A 128-job decision point, 64 of 256 processors free.
     let jobs: Vec<Job> = (0..128u32)
         .map(|i| {
             Job::new(
@@ -255,28 +255,23 @@ pub fn table9(p: &Profile, report: &mut Report) {
             )
         })
         .collect();
-    let view = QueueView {
-        time: 1000.0,
-        free_procs: 64,
-        total_procs: 256,
-        waiting: jobs
-            .iter()
-            .enumerate()
-            .map(|(i, job)| WaitingJob {
-                job,
-                job_index: i,
-                wait: 1000.0 - job.submit_time,
-                can_run_now: job.procs() <= 64,
-            })
-            .collect(),
-    };
+    let waiting: Vec<WaitingJob<'_>> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| WaitingJob {
+            job,
+            job_index: i,
+            wait: 1000.0 - job.submit_time,
+            can_run_now: job.procs() <= 64,
+        })
+        .collect();
 
     let reps = 2000;
     let t0 = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(select_streaming(
             HeuristicKind::Sjf,
-            view.waiting.iter().copied(),
+            waiting.iter().copied(),
         ));
     }
     let sjf_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
@@ -292,12 +287,7 @@ pub fn table9(p: &Profile, report: &mut Report) {
     let mut head = full_agent.as_policy();
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(head.decide(
-            view.free_procs,
-            view.total_procs,
-            view.waiting.len(),
-            view.waiting.iter().copied(),
-        ));
+        std::hint::black_box(head.decide(64, 256, waiting.len(), waiting.iter().copied()));
     }
     let rl_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
 

@@ -9,7 +9,7 @@ use rlsched_bench::alloc::count_allocs;
 use rlsched_nn::infer;
 use rlsched_rl::{collect_rollouts_vec, ActorScratch, Env, MaskedCategorical, PpoConfig, VecEnv};
 use rlsched_serve::{ScorerSlot, ShardEngine};
-use rlsched_sim::{MetricKind, QueueView, SimConfig, WaitingJob};
+use rlsched_sim::{MetricKind, SimConfig, WaitingJob};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{
     Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, RlPolicy, SchedulingEnv, SnapshotJob,
@@ -61,34 +61,24 @@ fn submitted_jobs() -> Vec<rlsched_swf::Job> {
         .collect()
 }
 
-/// A decision point at `time` where the first `n` of `jobs` wait and two
-/// of eight processors are free.
-fn waiting_view(jobs: &[rlsched_swf::Job], n: usize, time: f64) -> QueueView<'_> {
-    QueueView {
-        time,
-        free_procs: 2,
-        total_procs: 8,
-        waiting: jobs[..n]
-            .iter()
-            .enumerate()
-            .map(|(i, job)| WaitingJob {
-                job,
-                job_index: i,
-                wait: time - job.submit_time,
-                can_run_now: job.procs() <= 2,
-            })
-            .collect(),
-    }
+/// The first `n` of `jobs` waiting at `time`, two of eight processors
+/// free.
+fn waiting(jobs: &[rlsched_swf::Job], n: usize, time: f64) -> Vec<WaitingJob<'_>> {
+    jobs[..n]
+        .iter()
+        .enumerate()
+        .map(|(i, job)| WaitingJob {
+            job,
+            job_index: i,
+            wait: time - job.submit_time,
+            can_run_now: job.procs() <= 2,
+        })
+        .collect()
 }
 
-/// One `as_policy` decision over `v`.
-fn decide(head: &mut RlPolicy<'_>, v: &QueueView<'_>) -> usize {
-    std::hint::black_box(head.decide(
-        v.free_procs,
-        v.total_procs,
-        v.waiting.len(),
-        v.waiting.iter().copied(),
-    ))
+/// One `as_policy` decision over `waiting`.
+fn decide(head: &mut RlPolicy<'_>, waiting: &[WaitingJob<'_>]) -> usize {
+    std::hint::black_box(head.decide(2, 8, waiting.len(), waiting.iter().copied()))
 }
 
 fn env_for(agent: &Agent, sim: SimConfig) -> SchedulingEnv {
@@ -434,10 +424,7 @@ fn fast_paths_do_not_regress_allocations() {
     // allocates. ----
     {
         let jobs = submitted_jobs();
-        let (one, full) = (
-            waiting_view(&jobs, 1, 100.0),
-            waiting_view(&jobs, 20, 100.0),
-        );
+        let (one, full) = (waiting(&jobs, 1, 100.0), waiting(&jobs, 20, 100.0));
         let mut head = agent.as_policy();
         assert_eq!(
             decide(&mut head, &one),
@@ -573,7 +560,7 @@ fn fast_paths_do_not_regress_allocations() {
     // rises again. ----
     {
         let jobs = submitted_jobs();
-        let views = [16, 128, 16, 97].map(|n| waiting_view(&jobs, n, 200.0));
+        let views = [16, 128, 16, 97].map(|n| waiting(&jobs, n, 200.0));
         let mut head = wide.as_policy();
         decide(&mut head, &views[0]);
         let allocs: Vec<u64> = views[1..]
@@ -594,7 +581,7 @@ fn fast_paths_do_not_regress_allocations() {
     // one of each has run. ----
     {
         let jobs = submitted_jobs();
-        let views = [16, 64, 5].map(|n| waiting_view(&jobs, n, 200.0));
+        let views = [16, 64, 5].map(|n| waiting(&jobs, n, 200.0));
         for kind in [PolicyKind::MlpV1, PolicyKind::LeNet] {
             let agent = agent_of(kind, 64, 1, None);
             let mut head = agent.as_policy();

@@ -97,7 +97,7 @@ impl SchedulingEnv {
     /// **appending** one observation row and one mask row to the caller
     /// buffers (the [`Env`] append contract — a `VecEnv` passes its
     /// stacked matrix here directly): the waiting jobs stream through
-    /// [`rlsched_sim::SchedSession::waiting_jobs`] straight off the queue,
+    /// [`rlsched_sim::StreamSession::waiting`] straight off the queue,
     /// so a steady-state step allocates nothing. The session is the one
     /// event loop — `run_episode`'s and the replay engine's — over this
     /// window.
@@ -107,7 +107,7 @@ impl SchedulingEnv {
             session.free_procs(),
             session.total_procs(),
             session.queue_len(),
-            session.waiting_jobs(),
+            session.waiting(),
             obs,
             mask,
         );
@@ -125,7 +125,8 @@ impl Env for SchedulingEnv {
 
     fn reset(&mut self, seed: u64, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
         let window = self.draw_window(seed);
-        self.session = Some(SchedSession::new(&window, self.sim_cfg).expect("non-empty window"));
+        self.session =
+            Some(SchedSession::from_trace(&window, self.sim_cfg).expect("non-empty window"));
         self.observe_into(obs, mask);
     }
 

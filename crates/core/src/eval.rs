@@ -12,11 +12,6 @@ use rand::{Rng, SeedableRng};
 use rlsched_sim::{run_episode, EpisodeMetrics, MetricKind, Policy, SimConfig};
 use rlsched_swf::{JobTrace, SequenceSampler};
 
-/// Default evaluation shape: 10 sequences of 1024 jobs.
-pub const DEFAULT_EVAL_SEQS: usize = 10;
-/// Default evaluation sequence length.
-pub const DEFAULT_EVAL_LEN: usize = 1024;
-
 /// Sample `n` windows of `seq_len` jobs from `trace`, reproducibly. The
 /// same windows must be passed to every compared scheduler.
 pub fn sample_eval_windows(trace: &JobTrace, n: usize, seq_len: usize, seed: u64) -> Vec<JobTrace> {

@@ -9,10 +9,11 @@
 //! are cut off in FCFS order; missing slots are zero-padded and masked.
 
 use rlsched_rl::categorical::MASK_OFF;
-use rlsched_sim::{QueueView, WaitingJob};
+use rlsched_sim::WaitingJob;
 use serde::{Deserialize, Serialize};
 
-/// Features per job vector. See [`ObsEncoder::encode`] for the layout.
+/// Features per job vector. See [`ObsEncoder::encode_jobs_extend`] for the
+/// layout.
 pub const JOB_FEATURES: usize = 7;
 
 /// Default observation window, as in the paper.
@@ -39,7 +40,7 @@ impl Default for ObsConfig {
     }
 }
 
-/// Encodes a [`QueueView`] into the fixed `[max_obsv × JOB_FEATURES]`
+/// Encodes a decision point into the fixed `[max_obsv × JOB_FEATURES]`
 /// observation plus the additive action mask.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObsEncoder {
@@ -63,41 +64,21 @@ impl ObsEncoder {
         self.cfg.max_obsv
     }
 
-    /// Encode the decision point.
+    /// Append one decision point streamed straight from the simulator's
+    /// queue ([`rlsched_sim::StreamSession::waiting`]: no per-step `Vec` of
+    /// waiting jobs is built) onto the buffers without clearing them:
+    /// `max_obsv × JOB_FEATURES` observation values and `max_obsv` mask
+    /// values, so several decision points stack into one batched forward
+    /// ([`rlsched_rl::greedy_batch`]). `queue_len` is the total number of
+    /// waiting jobs the iterator would yield (used for the queue-pressure
+    /// feature).
     ///
     /// Per-job feature layout (all in `[0, 1]`):
     /// `[wait_norm, request_time_norm, procs_norm, can_run_now,
-    /// free_frac, queue_pressure, valid]`. The returned mask is additive
-    /// (0 for selectable slots, very negative otherwise); because the
-    /// queue view is already FCFS-ordered, observation slot `i` *is*
-    /// queue position `i`, so an agent action maps directly to
-    /// `SchedSession::step(action)`.
-    pub fn encode(&self, view: &QueueView<'_>) -> (Vec<f32>, Vec<f32>) {
-        let mut obs = Vec::new();
-        let mut mask = Vec::new();
-        self.encode_extend(view, &mut obs, &mut mask);
-        (obs, mask)
-    }
-
-    /// Append one view's window (`max_obsv × JOB_FEATURES` observation
-    /// values and `max_obsv` mask values) onto the buffers without
-    /// clearing them — the building block for stacking several views into
-    /// one batched forward ([`rlsched_rl::greedy_batch`]).
-    pub fn encode_extend(&self, view: &QueueView<'_>, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
-        self.encode_jobs_extend(
-            view.free_procs,
-            view.total_procs,
-            view.waiting.len(),
-            view.waiting.iter().copied(),
-            obs,
-            mask,
-        );
-    }
-
-    /// Append one decision point streamed straight from the simulator —
-    /// no [`QueueView`] (and no per-step `Vec` of waiting jobs) is ever
-    /// materialized. `queue_len` is the total number of waiting jobs the
-    /// iterator would yield (used for the queue-pressure feature).
+    /// free_frac, queue_pressure, valid]`. The mask is additive (0 for
+    /// selectable slots, very negative otherwise); because the queue is
+    /// FCFS-ordered, observation slot `i` *is* queue position `i`, so an
+    /// agent action maps directly to `SchedSession::step(action)`.
     pub fn encode_jobs_extend<'a>(
         &self,
         free_procs: u32,
@@ -118,9 +99,9 @@ impl ObsEncoder {
     }
 
     /// Append one [`QueueSnapshot`]'s window — the wire-request sibling of
-    /// [`ObsEncoder::encode_extend`]. Both paths funnel through the same
-    /// per-slot arithmetic, so a snapshot taken from a [`QueueView`]
-    /// encodes **bit-identically** to encoding the view directly; a
+    /// [`ObsEncoder::encode_jobs_extend`]. Both paths funnel through the
+    /// same per-slot arithmetic, so a snapshot of a decision point encodes
+    /// **bit-identically** to encoding its waiting jobs directly; a
     /// serving tier scoring snapshots therefore reproduces the in-process
     /// decision bits exactly.
     pub fn encode_snapshot_extend(
@@ -139,8 +120,8 @@ impl ObsEncoder {
         );
     }
 
-    /// The shared encode loop: every entry point (simulator stream, queue
-    /// view, wire snapshot) maps its jobs to [`SnapshotJob`] slot features
+    /// The shared encode loop: both entry points (simulator stream, wire
+    /// snapshot) map their jobs to [`SnapshotJob`] slot features
     /// and lands here, keeping the paths bit-identical by construction.
     fn encode_slots_extend(
         &self,
@@ -204,8 +185,9 @@ impl From<WaitingJob<'_>> for SnapshotJob {
     }
 }
 
-/// A serializable decision point: the owned, wire-friendly form of
-/// [`QueueView`] that a remote client sends to a policy-serving tier.
+/// A serializable decision point: the owned, wire-friendly form of a
+/// session's waiting jobs that a remote client sends to a policy-serving
+/// tier.
 ///
 /// `jobs` may be truncated to the encoder window (slots past `max_obsv`
 /// never influence the observation); `queue_len` preserves the *full*
@@ -224,22 +206,6 @@ pub struct QueueSnapshot {
 }
 
 impl QueueSnapshot {
-    /// Snapshot a [`QueueView`], keeping at most `window` jobs (pass the
-    /// encoder's `max_obsv`; extra jobs cannot affect the observation).
-    pub fn from_view(view: &QueueView<'_>, window: usize) -> Self {
-        QueueSnapshot {
-            free_procs: view.free_procs,
-            total_procs: view.total_procs,
-            queue_len: view.waiting.len() as u32,
-            jobs: view
-                .waiting
-                .iter()
-                .take(window)
-                .map(|&w| w.into())
-                .collect(),
-        }
-    }
-
     /// Full waiting-queue length (the action-clamp bound).
     pub fn queue_len(&self) -> usize {
         self.queue_len as usize
@@ -249,25 +215,42 @@ impl QueueSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlsched_sim::WaitingJob;
     use rlsched_swf::Job;
 
-    fn view_with(jobs: &[Job], time: f64, free: u32, total: u32) -> QueueView<'_> {
-        QueueView {
-            time,
-            free_procs: free,
-            total_procs: total,
-            waiting: jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| WaitingJob {
-                    job,
-                    job_index: i,
-                    wait: time - job.submit_time,
-                    can_run_now: job.procs() <= free,
-                })
-                .collect(),
-        }
+    /// `jobs` waiting at `time` (FCFS order) with `free` of `total`
+    /// processors idle, encoded.
+    fn encode_at(
+        e: &ObsEncoder,
+        jobs: &[Job],
+        time: f64,
+        free: u32,
+        total: u32,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (mut obs, mut mask) = (Vec::new(), Vec::new());
+        let waiting = waiting(jobs, time, free);
+        e.encode_jobs_extend(
+            free,
+            total,
+            jobs.len(),
+            waiting.into_iter(),
+            &mut obs,
+            &mut mask,
+        );
+        (obs, mask)
+    }
+
+    /// `jobs` as the session would list them at `time` with `free` idle
+    /// processors.
+    fn waiting(jobs: &[Job], time: f64, free: u32) -> Vec<WaitingJob<'_>> {
+        jobs.iter()
+            .enumerate()
+            .map(|(i, job)| WaitingJob {
+                job,
+                job_index: i,
+                wait: time - job.submit_time,
+                can_run_now: job.procs() <= free,
+            })
+            .collect()
     }
 
     #[test]
@@ -283,13 +266,12 @@ mod tests {
     #[test]
     fn encodes_features_in_layout_order() {
         let jobs = vec![Job::new(1, 0.0, 100.0, 8, 3600.0)];
-        let v = view_with(&jobs, 7200.0, 16, 32);
         let e = ObsEncoder::new(ObsConfig {
             max_obsv: 4,
             max_wait: 14400.0,
             max_request_time: 7200.0,
         });
-        let (obs, mask) = e.encode(&v);
+        let (obs, mask) = encode_at(&e, &jobs, 7200.0, 16, 32);
         assert_eq!(obs.len(), 4 * JOB_FEATURES);
         assert!((obs[0] - 0.5).abs() < 1e-6, "wait 7200/14400");
         assert!((obs[1] - 0.5).abs() < 1e-6, "request 3600/7200");
@@ -305,12 +287,11 @@ mod tests {
     #[test]
     fn padding_slots_are_zero_and_masked() {
         let jobs = vec![Job::new(1, 0.0, 10.0, 1, 10.0)];
-        let v = view_with(&jobs, 0.0, 4, 4);
         let e = ObsEncoder::new(ObsConfig {
             max_obsv: 3,
             ..ObsConfig::default()
         });
-        let (obs, mask) = e.encode(&v);
+        let (obs, mask) = encode_at(&e, &jobs, 0.0, 4, 4);
         for slot in 1..3 {
             for f in 0..JOB_FEATURES {
                 assert_eq!(obs[slot * JOB_FEATURES + f], 0.0);
@@ -324,12 +305,11 @@ mod tests {
         let jobs: Vec<Job> = (0..5)
             .map(|i| Job::new(i + 1, i as f64, 10.0, 1, 10.0))
             .collect();
-        let v = view_with(&jobs, 10.0, 4, 4);
         let e = ObsEncoder::new(ObsConfig {
             max_obsv: 3,
             ..ObsConfig::default()
         });
-        let (obs, mask) = e.encode(&v);
+        let (obs, mask) = encode_at(&e, &jobs, 10.0, 4, 4);
         // All three slots valid; they are the three earliest arrivals
         // (queue order), with strictly decreasing wait times.
         assert!(mask.iter().all(|&m| m == 0.0));
@@ -342,12 +322,11 @@ mod tests {
     #[test]
     fn normalization_caps_at_one() {
         let jobs = vec![Job::new(1, 0.0, 1e9, 1000, 1e9)];
-        let v = view_with(&jobs, 1e9, 4, 4);
         let e = ObsEncoder::new(ObsConfig {
             max_obsv: 2,
             ..ObsConfig::default()
         });
-        let (obs, _) = e.encode(&v);
+        let (obs, _) = encode_at(&e, &jobs, 1e9, 4, 4);
         for (f, &v) in obs.iter().enumerate().take(3) {
             assert!(v <= 1.0, "feature {f} = {v}");
         }
@@ -356,18 +335,26 @@ mod tests {
     #[test]
     fn snapshot_encoding_is_bit_identical_to_view_encoding() {
         // The wire path (QueueSnapshot) and the in-process path
-        // (QueueView) must produce the same observation bits — that is
+        // (the session's waiting jobs) must produce the same observation bits — that is
         // what makes remote serving decisions exactly reproducible.
         let jobs: Vec<Job> = (0..6)
             .map(|i| Job::new(i + 1, i as f64 * 3.0, 40.0 + i as f64, 1 + i, 500.0))
             .collect();
-        let v = view_with(&jobs, 30.0, 5, 16);
         let e = ObsEncoder::new(ObsConfig {
             max_obsv: 4,
             ..ObsConfig::default()
         });
-        let (obs, mask) = e.encode(&v);
-        let snap = QueueSnapshot::from_view(&v, e.cfg.max_obsv);
+        let (obs, mask) = encode_at(&e, &jobs, 30.0, 5, 16);
+        let snap = QueueSnapshot {
+            free_procs: 5,
+            total_procs: 16,
+            queue_len: jobs.len() as u32,
+            jobs: waiting(&jobs, 30.0, 5)
+                .into_iter()
+                .take(e.cfg.max_obsv)
+                .map(SnapshotJob::from)
+                .collect(),
+        };
         assert_eq!(snap.queue_len(), 6, "full queue length survives truncation");
         assert_eq!(snap.jobs.len(), 4, "window truncated to max_obsv");
         let (mut sobs, mut smask) = (Vec::new(), Vec::new());
@@ -386,12 +373,11 @@ mod tests {
     #[test]
     fn cannot_run_flag_when_cluster_busy() {
         let jobs = vec![Job::new(1, 0.0, 10.0, 8, 10.0)];
-        let v = view_with(&jobs, 0.0, 4, 16);
         let e = ObsEncoder::new(ObsConfig {
             max_obsv: 2,
             ..ObsConfig::default()
         });
-        let (obs, _) = e.encode(&v);
+        let (obs, _) = encode_at(&e, &jobs, 0.0, 4, 16);
         assert_eq!(obs[3], 0.0, "8 procs do not fit 4 free");
     }
 }

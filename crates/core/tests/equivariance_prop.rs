@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rlsched_nn::fused::FusedPolicy;
 use rlsched_nn_ref::Graph;
 use rlsched_rl::categorical::MASK_OFF;
-use rlsched_sim::{QueueView, WaitingJob};
+use rlsched_sim::WaitingJob;
 use rlsched_swf::Job;
 use rlscheduler::{build_policy, ObsConfig, ObsEncoder, PolicyKind, JOB_FEATURES};
 
@@ -92,23 +92,16 @@ proptest! {
             .map(|i| Job::new(i as u32 + 1, submits[i], runs[i], procs[i], runs[i] * 1.5))
             .collect();
         let now = submits.iter().cloned().fold(0.0, f64::max) + now_offset;
-        let view = QueueView {
-            time: now,
-            free_procs: free.min(128),
-            total_procs: 128,
-            waiting: jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| WaitingJob {
-                    job,
-                    job_index: i,
-                    wait: now - job.submit_time,
-                    can_run_now: job.procs() <= free.min(128),
-                })
-                .collect(),
-        };
+        let free = free.min(128);
+        let waiting = jobs.iter().enumerate().map(|(i, job)| WaitingJob {
+            job,
+            job_index: i,
+            wait: now - job.submit_time,
+            can_run_now: job.procs() <= free,
+        });
         let enc = ObsEncoder::new(ObsConfig { max_obsv: 16, ..ObsConfig::default() });
-        let (obs, mask) = enc.encode(&view);
+        let (mut obs, mut mask) = (Vec::new(), Vec::new());
+        enc.encode_jobs_extend(free, 128, n, waiting, &mut obs, &mut mask);
         prop_assert_eq!(obs.len(), 16 * JOB_FEATURES);
         for &x in &obs {
             prop_assert!((0.0..=1.0).contains(&x), "feature {} out of range", x);

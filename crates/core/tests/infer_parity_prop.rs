@@ -266,7 +266,7 @@ proptest! {
 /// for bit.
 #[test]
 fn greedy_batch_matches_per_view_as_policy() {
-    use rlsched_sim::{MetricKind, QueueView, WaitingJob};
+    use rlsched_sim::{MetricKind, WaitingJob};
     use rlsched_swf::Job;
     use rlscheduler::{Agent, AgentConfig, ObsConfig};
 
@@ -281,15 +281,12 @@ fn greedy_batch_matches_per_view_as_policy() {
             )
         })
         .collect();
-    // Three views over different queue prefixes (different lengths and
-    // cluster states).
-    let views: Vec<QueueView<'_>> = [(40usize, 16u32), (13, 4), (27, 40)]
+    // Three decision points over different queue prefixes (different
+    // lengths and cluster states) of a 64-processor cluster.
+    let views: Vec<(u32, Vec<WaitingJob<'_>>)> = [(40usize, 16u32), (13, 4), (27, 40)]
         .iter()
-        .map(|&(len, free)| QueueView {
-            time: 5000.0,
-            free_procs: free,
-            total_procs: 64,
-            waiting: jobs[..len]
+        .map(|&(len, free)| {
+            let waiting = jobs[..len]
                 .iter()
                 .enumerate()
                 .map(|(i, job)| WaitingJob {
@@ -298,7 +295,8 @@ fn greedy_batch_matches_per_view_as_policy() {
                     wait: 5000.0 - job.submit_time,
                     can_run_now: job.procs() <= free,
                 })
-                .collect(),
+                .collect();
+            (free, waiting)
         })
         .collect();
 
@@ -314,10 +312,15 @@ fn greedy_batch_matches_per_view_as_policy() {
             seed: 11,
         });
         let (mut obs_all, mut mask_all) = (Vec::new(), Vec::new());
-        for view in &views {
-            agent
-                .encoder()
-                .encode_extend(view, &mut obs_all, &mut mask_all);
+        for (free, waiting) in &views {
+            agent.encoder().encode_jobs_extend(
+                *free,
+                64,
+                waiting.len(),
+                waiting.iter().copied(),
+                &mut obs_all,
+                &mut mask_all,
+            );
         }
         let mut batched = Vec::new();
         rlsched_rl::greedy_batch(
@@ -339,8 +342,12 @@ fn greedy_batch_matches_per_view_as_policy() {
             &mut batched_logp,
         );
         let mut head = agent.as_policy();
-        for (i, view) in views.iter().enumerate() {
-            let (obs, mask) = agent.encoder().encode(view);
+        for (i, (free, waiting)) in views.iter().enumerate() {
+            let (mut obs, mut mask) = (Vec::new(), Vec::new());
+            let jobs = waiting.iter().copied();
+            agent
+                .encoder()
+                .encode_jobs_extend(*free, 64, waiting.len(), jobs, &mut obs, &mut mask);
             let single = agent.ppo().logp_row(&obs, &mask);
             assert_eq!(
                 bits(&batched_logp[i * K..(i + 1) * K]),
@@ -348,22 +355,14 @@ fn greedy_batch_matches_per_view_as_policy() {
                 "{}: view {i} batched/single log-probs",
                 kind.name()
             );
-            let decision = head.decide(
-                view.free_procs,
-                view.total_procs,
-                view.waiting.len(),
-                view.waiting.iter().copied(),
-            );
+            let decision = head.decide(*free, 64, waiting.len(), waiting.iter().copied());
             assert_eq!(
                 decision,
                 batched[i],
                 "{}: view {i} as_policy vs greedy_batch",
                 kind.name()
             );
-            assert!(
-                batched[i] < view.waiting.len(),
-                "masking keeps it in the queue"
-            );
+            assert!(batched[i] < waiting.len(), "masking keeps it in the queue");
         }
     }
 }

@@ -23,7 +23,6 @@
 //!   m/v/param step).
 //! * [`pool`] — the scoped worker pool the update sweep and the rollout
 //!   fan-out run on, with results independent of the worker count.
-//! * [`serialize`] — JSON checkpoints for the Table VII transfer study.
 //!
 //! Gradient correctness is enforced twice, outside this crate: the
 //! test-only reference tape (`rlsched-nn-ref`, a reverse-mode autodiff
@@ -36,7 +35,6 @@ pub mod infer;
 pub mod layers;
 pub mod optim;
 pub mod pool;
-pub mod serialize;
 pub mod simd;
 pub mod tensor;
 

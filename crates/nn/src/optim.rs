@@ -40,16 +40,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Change the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Apply one update step to the tensors a parameter iterator yields —
     /// allocation-free for callers that walk their layers in place (the
     /// fused PPO update steps its networks this way instead of collecting
@@ -287,13 +277,6 @@ mod tests {
         let mut small = vec![Tensor::from_vec(vec![0.1], &[1])];
         clip_global_norm(&mut small, 1.0);
         assert_eq!(small[0].data(), &[0.1], "under-norm gradients untouched");
-    }
-
-    #[test]
-    fn set_lr_takes_effect() {
-        let mut opt = Adam::new(0.1);
-        opt.set_lr(0.5);
-        assert_eq!(opt.lr(), 0.5);
     }
 
     /// The forced-scalar parity contract of the fused m/v/param kernel:

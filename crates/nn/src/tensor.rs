@@ -196,22 +196,6 @@ impl Tensor {
         self.data[r * self.shape.as_slice()[1] + c]
     }
 
-    /// Mutable element accessor for 2-D tensors.
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        debug_assert_eq!(self.shape.as_slice().len(), 2);
-        &mut self.data[r * self.shape.as_slice()[1] + c]
-    }
-
-    /// Same data, different shape (must preserve volume).
-    pub fn reshaped(&self, shape: &[usize]) -> Tensor {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.len(), "reshape must preserve volume");
-        Tensor {
-            data: self.data.clone(),
-            shape: Shape::new(shape),
-        }
-    }
-
     /// Elementwise map into a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         Tensor {
@@ -257,20 +241,6 @@ mod tests {
     #[should_panic(expected = "data length")]
     fn bad_shape_rejected() {
         let _ = Tensor::from_vec(vec![1.0, 2.0], &[3, 3]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let r = a.reshaped(&[4]);
-        assert_eq!(r.shape(), &[4]);
-        assert_eq!(r.data(), a.data());
-    }
-
-    #[test]
-    #[should_panic(expected = "volume")]
-    fn reshape_volume_checked() {
-        let _ = Tensor::zeros(&[2, 2]).reshaped(&[5]);
     }
 
     #[test]

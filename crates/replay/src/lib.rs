@@ -11,8 +11,8 @@
 //!   [`open_swf`] / [`SwfJobs`]);
 //! * [`rlsched_sim::StreamSession`] — the simulator's one event loop
 //!   (indexed-calendar queue, EASY backfilling, metrics folded at start
-//!   time; `SchedSession`, which training and `run_episode` use, is the
-//!   same loop keeping a per-job table);
+//!   time; `SchedSession`, which training and `run_episode` step, is the
+//!   same type over a materialized trace, its sink a per-job table);
 //! * the decision heads a replay can drive, named by [`ReplayPolicy`]:
 //!   [`Heuristic`](ReplayPolicy::Heuristic) (Table III priority
 //!   functions, [`rlsched_sched::PriorityScheduler`]),

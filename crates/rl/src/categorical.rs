@@ -81,14 +81,6 @@ impl<'a> MaskedCategorical<'a> {
     }
 }
 
-/// Build an additive mask row: 0.0 where valid, [`MASK_OFF`] where not.
-pub fn additive_mask(valid: &[bool]) -> Vec<f32> {
-    valid
-        .iter()
-        .map(|&v| if v { 0.0 } else { MASK_OFF })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,14 +143,6 @@ mod tests {
         let h = MaskedCategorical::new(&logp).entropy();
         assert!(h.is_finite());
         assert!((h - 2.0f32.ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn additive_mask_layout() {
-        let m = additive_mask(&[true, false, true]);
-        assert_eq!(m[0], 0.0);
-        assert_eq!(m[1], MASK_OFF);
-        assert_eq!(m[2], 0.0);
     }
 
     #[test]

@@ -23,14 +23,13 @@ use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
 
 /// Per-worker reusable buffers for the inference fast path: network
-/// scratch plus the log-prob row and the critic's value. One per rollout
-/// worker; reused across every step of every episode.
+/// scratch plus the log-prob row. One per rollout worker or decision
+/// head; reused across every step of every episode.
 #[derive(Debug, Default)]
 pub struct ActorScratch {
     /// Layer scratch for the underlying networks.
     pub nn: Scratch,
     pub(crate) logp: Vec<f32>,
-    value: Vec<f32>,
 }
 
 impl ActorScratch {
@@ -201,63 +200,11 @@ impl Ppo {
 
     /// Forward the policy on a single observation via the inference fast
     /// path; returns the log-prob row (allocates — prefer
-    /// [`Ppo::select_with`]/[`Ppo::greedy_with`] in loops).
+    /// [`Ppo::greedy_with`] in loops).
     pub fn logp_row(&self, obs: &[f32], mask: &[f32]) -> Vec<f32> {
         let mut out = Vec::new();
         infer::log_probs(&self.policy, obs, mask, 1, &mut Scratch::new(), &mut out);
         out
-    }
-
-    /// Forward the critic on a single observation (fast path).
-    pub fn value_of(&self, obs: &[f32]) -> f64 {
-        self.value_with(obs, &mut ActorScratch::new())
-    }
-
-    /// The critic's value of one observation window through caller-owned
-    /// scratch: [`infer::window_mlp_forward`] over job rows of
-    /// `obs_dim / n_actions` features (the window contract), the forward
-    /// the rollout's batched critic runs.
-    fn value_with(&self, obs: &[f32], scratch: &mut ActorScratch) -> f64 {
-        let (od, na) = self.policy.widths();
-        let ActorScratch { nn, value, .. } = scratch;
-        infer::window_mlp_forward(&self.value, obs, 1, od / na, nn, value);
-        f64::from(value[0])
-    }
-
-    /// Sample an action (training path). Returns `(action, logp, value)`.
-    /// Allocates per call; rollout loops should hold an [`ActorScratch`]
-    /// and use [`Ppo::select_with`].
-    pub fn select<R: Rng + ?Sized>(
-        &self,
-        obs: &[f32],
-        mask: &[f32],
-        rng: &mut R,
-    ) -> (usize, f32, f64) {
-        self.select_with(obs, mask, &mut ActorScratch::new(), rng)
-    }
-
-    /// Sample an action through caller-owned scratch: zero allocation at
-    /// steady state. Returns `(action, logp, value)`.
-    pub fn select_with<R: Rng + ?Sized>(
-        &self,
-        obs: &[f32],
-        mask: &[f32],
-        scratch: &mut ActorScratch,
-        rng: &mut R,
-    ) -> (usize, f32, f64) {
-        infer::log_probs(
-            &self.policy,
-            obs,
-            mask,
-            1,
-            &mut scratch.nn,
-            &mut scratch.logp,
-        );
-        let dist = MaskedCategorical::new(&scratch.logp);
-        let a = dist.sample(rng);
-        let logp = dist.log_prob(a);
-        let v = self.value_with(obs, scratch);
-        (a, logp, v)
     }
 
     /// Deterministic argmax action (testing path, §IV-B1) through
@@ -534,9 +481,11 @@ fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::ArrivalArena;
     use crate::categorical::MASK_OFF;
-    use crate::env::test_env::FEATURES;
+    use crate::env::test_env::{BanditEnv, FEATURES};
+    use crate::env::{Env, StepOutcome};
+    use crate::sampler::collect_rollouts_vec;
+    use crate::vecenv::VecEnv;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rlsched_nn::fused::FusedHead;
@@ -591,18 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn select_never_picks_masked() {
-        let ppo = agent(4);
-        let mask = vec![MASK_OFF, 0.0, MASK_OFF, 0.0];
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..500 {
-            let (a, logp, _v) = ppo.select(&full_window([0.1, 0.2], 4), &mask, &mut rng);
-            assert!(a == 1 || a == 3);
-            assert!(logp.is_finite());
-        }
-    }
-
-    #[test]
     fn greedy_is_deterministic() {
         let ppo = agent(4);
         let (obs, mask) = (full_window([0.3, -0.2], 4), vec![0.0; 4]);
@@ -614,54 +551,35 @@ mod tests {
         }
     }
 
+    /// `n` bandits of `n_actions` arms and `steps`-step episodes, stepped
+    /// in lockstep by the sampler.
+    fn bandits(n: usize, n_actions: usize, steps: usize) -> VecEnv<BanditEnv> {
+        VecEnv::new(
+            (0..n)
+                .map(|_| BanditEnv::new(n_actions, steps, 0))
+                .collect(),
+        )
+    }
+
     /// The contextual-bandit learning test: rewards favor action
     /// `n_actions-1`; after a few updates the policy should, too.
     #[test]
     fn ppo_learns_a_bandit() {
-        use crate::env::test_env::BanditEnv;
-        use crate::env::Env;
         let n_actions = 4;
         let mut ppo = agent(n_actions);
-        let mut env = BanditEnv::new(n_actions, 8, 0);
-        let mut rng = StdRng::seed_from_u64(3);
 
         let mut last_mean = 0.0;
-        let (mut obs, mut mask) = (Vec::new(), Vec::new());
-        for _epoch in 0..30 {
-            let od = env.obs_dim();
-            let mut buf = ArrivalArena::new(od, n_actions, ppo.cfg.gamma, ppo.cfg.lam, 8);
-            let mut metrics = Vec::new();
-            let (mut next_obs, mut next_mask) = (Vec::new(), Vec::new());
-            for ep in 0..8 {
-                // Manual single-env driving: clear the append-contract
-                // buffers before each env write.
-                obs.clear();
-                mask.clear();
-                env.reset(ep as u64, &mut obs, &mut mask);
-                loop {
-                    let (a, logp, v) = ppo.select(&obs, &mask, &mut rng);
-                    next_obs.clear();
-                    next_mask.clear();
-                    let out = env.step(a, &mut next_obs, &mut next_mask);
-                    buf.store(ep, &obs, &mask, a, out.reward, v, logp);
-                    if out.done {
-                        buf.finish_episode(ep, 0.0);
-                        metrics.push(out.episode_metric.unwrap());
-                        break;
-                    }
-                    std::mem::swap(&mut obs, &mut next_obs);
-                    std::mem::swap(&mut mask, &mut next_mask);
-                }
-            }
-            last_mean = metrics.iter().sum::<f64>() / metrics.len() as f64;
-            ppo.update(&buf.into_batch());
+        for epoch in 0..30u64 {
+            let seeds: Vec<u64> = (epoch * 8..epoch * 8 + 8).collect();
+            let (batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(8, n_actions, 8), &seeds);
+            last_mean = stats.mean_metric();
+            ppo.update(&batch);
         }
         // Max achievable per episode is 8 * 3/4 = 6; random is ~3.
         assert!(last_mean > 4.5, "bandit mean reward {last_mean}");
         // And greedy should pick the best arm.
-        obs.clear();
-        mask.clear();
-        env.reset(0, &mut obs, &mut mask);
+        let (mut obs, mut mask) = (Vec::new(), Vec::new());
+        BanditEnv::new(n_actions, 8, 0).reset(0, &mut obs, &mut mask);
         let a = ppo.greedy_with(&obs, &mask, &mut ActorScratch::new());
         assert_eq!(a, n_actions - 1, "greedy should pick the best arm");
     }
@@ -669,19 +587,9 @@ mod tests {
     #[test]
     fn update_reports_sane_stats() {
         let mut ppo = agent(3);
-        let mut buf = ArrivalArena::new(3 * FEATURES, 3, 1.0, 0.97, 4);
-        let mut rng = StdRng::seed_from_u64(9);
-        for i in 0..32 {
-            let obs = full_window([i as f32 / 32.0, 0.5], 3);
-            let mask = vec![0.0, 0.0, 0.0];
-            let (a, logp, v) = ppo.select(&obs, &mask, &mut rng);
-            let r = if i % 8 == 7 { -(i as f64) } else { 0.0 };
-            buf.store(i / 8, &obs, &mask, a, r, v, logp);
-            if i % 8 == 7 {
-                buf.finish_episode(i / 8, 0.0);
-            }
-        }
-        let stats = ppo.update(&buf.into_batch());
+        let seeds: Vec<u64> = (0..4).collect();
+        let (batch, _) = collect_rollouts_vec(&ppo, &mut bandits(4, 3, 8), &seeds);
+        let stats = ppo.update(&batch);
         assert!(stats.pi_iters >= 1);
         assert!(stats.entropy > 0.0 && stats.entropy <= (3.0f32).ln() + 1e-4);
         assert!(
@@ -689,6 +597,27 @@ mod tests {
             "value net must improve on its batch"
         );
         assert!(stats.approx_kl.is_finite());
+    }
+
+    /// One-step bandit episodes that all return -7.
+    struct ConstantReturn(BanditEnv);
+
+    impl Env for ConstantReturn {
+        fn obs_dim(&self) -> usize {
+            self.0.obs_dim()
+        }
+        fn n_actions(&self) -> usize {
+            self.0.n_actions()
+        }
+        fn reset(&mut self, seed: u64, obs: &mut Vec<f32>, mask: &mut Vec<f32>) {
+            self.0.reset(seed, obs, mask);
+        }
+        fn step(&mut self, action: usize, obs: &mut Vec<f32>, mask: &mut Vec<f32>) -> StepOutcome {
+            StepOutcome {
+                reward: -7.0,
+                ..self.0.step(action, obs, mask)
+            }
+        }
     }
 
     #[test]
@@ -701,19 +630,24 @@ mod tests {
         };
         let od = 3 * FEATURES;
         let mut ppo = Ppo::new(flat(mlp(od, 3, 1)), mlp(od, 1, 2), cfg);
-        let mut buf = ArrivalArena::new(od, 3, 1.0, 1.0, 16);
-        let mut rng = StdRng::seed_from_u64(11);
-        let obs = full_window([0.5, 0.5], 3);
-        for ep in 0..16 {
-            let (a, logp, v) = ppo.select(&obs, &[0.0, 0.0, 0.0], &mut rng);
-            buf.store(ep, &obs, &[0.0, 0.0, 0.0], a, -7.0, v, logp);
-            buf.finish_episode(ep, 0.0);
-        }
-        let batch = buf.into_batch();
+        let seeds: Vec<u64> = (0..16).collect();
+        let mut venv = VecEnv::new(vec![ConstantReturn(BanditEnv::new(3, 1, 0))]);
+        let (batch, _) = collect_rollouts_vec(&ppo, &mut venv, &seeds);
         for _ in 0..5 {
             ppo.update(&batch);
         }
-        let v = ppo.value_of(&obs);
+        // Every episode starts from the same window; read its value.
+        let (mut obs, mut mask, mut value) = (Vec::new(), Vec::new(), Vec::new());
+        BanditEnv::new(3, 1, 0).reset(0, &mut obs, &mut mask);
+        infer::window_mlp_forward(
+            &ppo.value,
+            &obs,
+            1,
+            FEATURES,
+            &mut Scratch::new(),
+            &mut value,
+        );
+        let v = f64::from(value[0]);
         assert!((v + 7.0).abs() < 1.5, "value {v} should approach -7");
     }
 

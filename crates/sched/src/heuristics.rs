@@ -57,19 +57,17 @@ impl HeuristicKind {
     /// produces `-inf`, i.e. top priority, so the clamp only softens an
     /// already-degenerate case) and `log10(s)` on `max(s, 1)` (windowed
     /// sequences start at `s = 0`).
+    ///
+    /// FCFS and F1 read the submit time; every other kind is
+    /// [`HeuristicKind::score_parts`] of the job's wait, request and width.
     pub fn score(self, w: &WaitingJob<'_>) -> f64 {
-        let wt = w.wait.max(0.0);
-        let rt = w.job.time_bound();
-        let nt = w.job.procs() as f64;
-        let st = w.job.submit_time;
+        let (rt, st) = (w.job.time_bound(), w.job.submit_time);
         match self {
             HeuristicKind::Fcfs => st,
-            HeuristicKind::Sjf => rt,
-            HeuristicKind::Wfp3 => -(wt / rt).powi(3) * nt,
-            HeuristicKind::Unicep => -wt / ((nt.max(2.0)).log2() * rt),
-            HeuristicKind::F1 => rt.log10() * nt + 870.0 * st.max(1.0).log10(),
-            HeuristicKind::Ljf => -rt,
-            HeuristicKind::SmallestFirst => nt,
+            HeuristicKind::F1 => rt.log10() * w.job.procs() as f64 + 870.0 * st.max(1.0).log10(),
+            kind => kind
+                .score_parts(w.wait, rt, w.job.procs())
+                .expect("only F1 needs the submit time"),
         }
     }
 
@@ -186,7 +184,8 @@ pub fn select_parts(
 /// there is nothing to keep). Kinds with a [`HeuristicKind::static_key`]
 /// are ranked incrementally instead, and this function is the reference
 /// those ranked heads are tested against, decision for decision; it is
-/// also how a snapshot (`QueueView::waiting`) is scored. Never allocates.
+/// also how a list of waiting jobs outside a session is scored. Never
+/// allocates.
 /// Returns `None` on an empty queue.
 pub fn select_streaming<'a>(
     kind: HeuristicKind,
@@ -271,29 +270,24 @@ impl Policy for PriorityScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlsched_sim::QueueView;
 
-    fn view_of(jobs: &[Job], time: f64, free: u32, total: u32) -> QueueView<'_> {
-        QueueView {
-            time,
-            free_procs: free,
-            total_procs: total,
-            waiting: jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| WaitingJob {
-                    job,
-                    job_index: i,
-                    wait: time - job.submit_time,
-                    can_run_now: job.procs() <= free,
-                })
-                .collect(),
-        }
+    /// `jobs` as a session at `time` with `free` idle processors lists
+    /// them.
+    fn waiting_at(jobs: &[Job], time: f64, free: u32) -> Vec<WaitingJob<'_>> {
+        jobs.iter()
+            .enumerate()
+            .map(|(i, job)| WaitingJob {
+                job,
+                job_index: i,
+                wait: time - job.submit_time,
+                can_run_now: job.procs() <= free,
+            })
+            .collect()
     }
 
-    /// The slot `kind` schedules out of the snapshot `v`.
-    fn pick(kind: HeuristicKind, v: &QueueView<'_>) -> usize {
-        select_streaming(kind, v.waiting.iter().copied()).expect("a job waits")
+    /// The slot `kind` schedules out of the waiting jobs `v`.
+    fn pick(kind: HeuristicKind, v: &[WaitingJob<'_>]) -> usize {
+        select_streaming(kind, v.iter().copied()).expect("a job waits")
     }
 
     #[test]
@@ -303,7 +297,7 @@ mod tests {
             Job::new(2, 10.0, 10.0, 1, 10.0),
             Job::new(3, 20.0, 10.0, 1, 10.0),
         ];
-        let v = view_of(&jobs, 40.0, 4, 4);
+        let v = waiting_at(&jobs, 40.0, 4);
         assert_eq!(pick(HeuristicKind::Fcfs, &v), 1);
     }
 
@@ -314,7 +308,7 @@ mod tests {
             Job::new(2, 0.0, 50.0, 1, 50.0),
             Job::new(3, 0.0, 5000.0, 1, 5000.0),
         ];
-        let v = view_of(&jobs, 0.0, 4, 4);
+        let v = waiting_at(&jobs, 0.0, 4);
         assert_eq!(pick(HeuristicKind::Sjf, &v), 1);
     }
 
@@ -326,7 +320,7 @@ mod tests {
             Job::new(1, 0.0, 1.0, 1, 1000.0),
             Job::new(2, 0.0, 500.0, 1, 10.0),
         ];
-        let v = view_of(&jobs, 0.0, 4, 4);
+        let v = waiting_at(&jobs, 0.0, 4);
         assert_eq!(pick(HeuristicKind::Sjf, &v), 1);
     }
 
@@ -337,7 +331,7 @@ mod tests {
             Job::new(1, 90.0, 10.0, 2, 100.0),
             Job::new(2, 0.0, 10.0, 2, 100.0),
         ];
-        let v = view_of(&jobs, 100.0, 4, 4);
+        let v = waiting_at(&jobs, 100.0, 4);
         assert_eq!(pick(HeuristicKind::Wfp3, &v), 1);
     }
 
@@ -349,7 +343,7 @@ mod tests {
             Job::new(1, 0.0, 10.0, 1, 100.0),
             Job::new(2, 0.0, 10.0, 8, 100.0),
         ];
-        let v = view_of(&jobs, 50.0, 8, 8);
+        let v = waiting_at(&jobs, 50.0, 8);
         assert_eq!(pick(HeuristicKind::Wfp3, &v), 1);
     }
 
@@ -360,7 +354,7 @@ mod tests {
             Job::new(1, 0.0, 10.0, 16, 100.0),
             Job::new(2, 0.0, 10.0, 4, 100.0),
         ];
-        let v = view_of(&jobs, 50.0, 16, 16);
+        let v = waiting_at(&jobs, 50.0, 16);
         assert_eq!(pick(HeuristicKind::Unicep, &v), 1);
     }
 
@@ -370,7 +364,7 @@ mod tests {
             Job::new(1, 0.0, 10.0, 1, 100.0),
             Job::new(2, 0.0, 10.0, 4, 100.0),
         ];
-        let v = view_of(&jobs, 50.0, 4, 4);
+        let v = waiting_at(&jobs, 50.0, 4);
         let pick = pick(HeuristicKind::Unicep, &v);
         assert_eq!(pick, 0, "1-proc job gets top priority under the clamp");
     }
@@ -381,7 +375,7 @@ mod tests {
             Job::new(1, 0.0, 10.0, 1, 36000.0),
             Job::new(2, 0.0, 10.0, 1, 60.0),
         ];
-        let v = view_of(&jobs, 0.0, 4, 4);
+        let v = waiting_at(&jobs, 0.0, 4);
         assert_eq!(pick(HeuristicKind::F1, &v), 1);
         // Submit time dominates via the 870x weight: a much later job loses
         // even with a shorter runtime.
@@ -389,15 +383,15 @@ mod tests {
             Job::new(1, 1.0, 10.0, 1, 36000.0),
             Job::new(2, 100000.0, 10.0, 1, 60.0),
         ];
-        let v = view_of(&jobs, 100000.0, 4, 4);
+        let v = waiting_at(&jobs, 100000.0, 4);
         assert_eq!(pick(HeuristicKind::F1, &v), 0);
     }
 
     #[test]
     fn f1_zero_submit_time_is_finite() {
         let jobs = vec![Job::new(1, 0.0, 10.0, 1, 60.0)];
-        let v = view_of(&jobs, 0.0, 4, 4);
-        let s = HeuristicKind::F1.score(&v.waiting[0]);
+        let v = waiting_at(&jobs, 0.0, 4);
+        let s = HeuristicKind::F1.score(&v[0]);
         assert!(s.is_finite());
     }
 
@@ -407,7 +401,7 @@ mod tests {
             Job::new(1, 0.0, 500.0, 1, 500.0),
             Job::new(2, 0.0, 50.0, 1, 50.0),
         ];
-        let v = view_of(&jobs, 0.0, 4, 4);
+        let v = waiting_at(&jobs, 0.0, 4);
         assert_eq!(pick(HeuristicKind::Ljf, &v), 0);
         assert_eq!(pick(HeuristicKind::SmallestFirst, &v), 0);
     }
@@ -418,7 +412,7 @@ mod tests {
             Job::new(2, 5.0, 10.0, 1, 10.0),
             Job::new(1, 5.0, 10.0, 1, 10.0),
         ];
-        let v = view_of(&jobs, 10.0, 4, 4);
+        let v = waiting_at(&jobs, 10.0, 4);
         // Equal SJF scores and submit times: the lower trace index wins.
         assert_eq!(pick(HeuristicKind::Sjf, &v), 0);
     }
@@ -436,7 +430,7 @@ mod tests {
             Job::new(4, 9.0, 80.0, 1, 90.0),
             Job::new(5, 12.0, 10.0, 8, 500.0),
         ];
-        let v = view_of(&jobs, 40.0, 8, 8);
+        let v = waiting_at(&jobs, 40.0, 8);
         for kind in [
             HeuristicKind::Fcfs,
             HeuristicKind::Sjf,
@@ -449,8 +443,7 @@ mod tests {
             let want = pick(kind, &v);
             let got = select_parts(
                 kind,
-                v.waiting
-                    .iter()
+                v.iter()
                     .map(|w| (w.wait, w.job.time_bound(), w.job.procs())),
             );
             assert_eq!(got, Some(want), "{} diverged", kind.name());
@@ -469,8 +462,8 @@ mod tests {
             .chain([HeuristicKind::Ljf, HeuristicKind::SmallestFirst])
         {
             let at = |time: f64| -> Vec<u64> {
-                let v = view_of(&jobs, time, 8, 64);
-                v.waiting.iter().map(|w| kind.score(w).to_bits()).collect()
+                let v = waiting_at(&jobs, time, 8);
+                v.iter().map(|w| kind.score(w).to_bits()).collect()
             };
             let waits_ignored = at(86_400.0) == at(1e7);
             match kind.static_key() {

@@ -518,11 +518,6 @@ impl<S: Transport> RemotePolicy<S> {
         self.remote_fallbacks
     }
 
-    /// Recover the client (e.g. to query stats after an episode).
-    pub fn into_client(self) -> ServeClient<S> {
-        self.client
-    }
-
     /// The heuristic's pick over the decision point in `self.snap`.
     fn decide_locally(&mut self) -> usize {
         self.local_decisions += 1;

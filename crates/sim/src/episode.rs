@@ -19,12 +19,11 @@ pub fn run_episode<P: Policy>(
     cfg: SimConfig,
     policy: &mut P,
 ) -> Result<EpisodeMetrics, EpisodeError<P::Error>> {
-    let mut session = SchedSession::new(trace, cfg)?;
-    let stream = &mut session.inner;
-    policy.attach(stream);
-    while !stream.done() {
-        let pos = policy.pick(stream).map_err(EpisodeError::Policy)?;
-        stream.step(pos)?;
+    let mut session = SchedSession::from_trace(trace, cfg)?;
+    policy.attach(&mut session);
+    while !session.done() {
+        let pos = policy.pick(&mut session).map_err(EpisodeError::Policy)?;
+        session.step(pos)?;
     }
     Ok(session.metrics()?)
 }

@@ -8,24 +8,22 @@
 //! insufficient — reserves it and advances virtual time, optionally
 //! backfilling smaller jobs into the holes (EASY backfilling, §II-A4).
 //!
-//! There is one event loop, one way to ask a policy, one materialized view
-//! of the loop, and a driver:
+//! There is one event loop, one way to ask a policy, and a driver:
 //!
 //! * [`StreamSession`] — the loop. It pulls jobs from any iterator as
 //!   virtual time reaches them and hands each started job's outcome to a
 //!   sink ([`Outcomes`]): running aggregates ([`StreamMetrics`]) for
 //!   trace-scale replays, whose memory must not grow with the trace.
+//!   [`SchedSession`] names it over a materialized
+//!   [`rlsched_swf::JobTrace`] with a per-job outcome table, the session
+//!   the RL trainer steps decision by decision and whose
+//!   [`EpisodeMetrics`] the paper's tables report.
 //! * [`Policy`] — the decision head: `attach` once to a session (install an
 //!   order over the wait queue, if the head reads one), then `pick` a queue
 //!   rank at every decision point, reading the session's queue in place.
 //!   Every heuristic, the agent and the serving tier's client implement it
 //!   once, and every driver — [`run_episode`] here, the replay engine in
 //!   `rlsched-replay` — asks through it.
-//! * [`SchedSession`] — the materialized view: the same loop over a
-//!   [`rlsched_swf::JobTrace`], keeping every outcome, with the gym-style
-//!   `reset`/`observe`/`step` shape the RL trainer needs to interleave
-//!   decisions with learning and the [`EpisodeMetrics`] the paper's tables
-//!   report.
 //! * [`run_episode`] — the episode driver: runs a [`Policy`] over a
 //!   `SchedSession` to the end and returns its metrics.
 //!
@@ -49,6 +47,6 @@ pub use config::{BackfillMode, SimConfig};
 pub use episode::run_episode;
 pub use error::{EpisodeError, SimError};
 pub use metrics::{EpisodeMetrics, JobOutcome, MetricKind, BSLD_THRESHOLD};
-pub use policy::{Policy, QueueView, WaitingJob};
+pub use policy::{Policy, WaitingJob};
 pub use session::SchedSession;
 pub use stream::{Outcomes, StreamMetrics, StreamSession};

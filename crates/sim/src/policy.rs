@@ -4,9 +4,7 @@
 //! RLScheduler agent and the client of a serving tier all implement
 //! [`Policy`], once each; the episode driver and the replay engine ask them
 //! the same way, which is exactly how the paper compares them (Tables
-//! V–XI). [`QueueView`] is plain data: a decision point copied out of a
-//! session, for the callers whose input really is a snapshot (the wire, the
-//! canary, the latency benches).
+//! V–XI).
 
 use rlsched_swf::Job;
 
@@ -24,26 +22,6 @@ pub struct WaitingJob<'a> {
     pub wait: f64,
     /// True when the job's processor request fits right now.
     pub can_run_now: bool,
-}
-
-/// A decision point: the waiting jobs (FCFS order) and the cluster state.
-#[derive(Debug, Clone)]
-pub struct QueueView<'a> {
-    /// Current virtual time.
-    pub time: f64,
-    /// Idle processors.
-    pub free_procs: u32,
-    /// Cluster size.
-    pub total_procs: u32,
-    /// Waiting jobs in arrival order. Never empty when a policy is asked.
-    pub waiting: Vec<WaitingJob<'a>>,
-}
-
-impl QueueView<'_> {
-    /// Fraction of the cluster currently idle.
-    pub fn free_fraction(&self) -> f64 {
-        self.free_procs as f64 / self.total_procs as f64
-    }
 }
 
 /// A scheduling policy: the decision head the event loop asks, at every
@@ -75,20 +53,4 @@ pub trait Policy {
 
     /// Human-readable name for tables and logs.
     fn name(&self) -> &str;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn free_fraction() {
-        let v = QueueView {
-            time: 0.0,
-            free_procs: 16,
-            total_procs: 64,
-            waiting: vec![],
-        };
-        assert!((v.free_fraction() - 0.25).abs() < 1e-12);
-    }
 }

@@ -1,13 +1,13 @@
-//! The gym-style scheduling session over a materialized trace.
+//! The scheduling session over a materialized trace.
 //!
 //! One [`SchedSession`] replays one job sequence ("episode" in RL terms):
 //! the shape the trainer, [`crate::run_episode`] and every table of the
-//! paper want — a [`JobTrace`] in, a decision protocol
-//! ([`SchedSession::waiting_jobs`] / [`SchedSession::step`]), and at the
-//! end an [`EpisodeMetrics`] with one [`JobOutcome`] per job in trace
-//! order. It has no event loop of its own: it is a [`StreamSession`] whose
-//! source is the trace's job list and whose outcome sink is a table, so the
-//! rules of the simulation (arrivals, reservations, EASY backfilling — see
+//! paper want — a [`JobTrace`] in, the session's decision protocol
+//! ([`StreamSession::waiting`] / [`StreamSession::step`]), and at the end
+//! an [`EpisodeMetrics`] with one [`JobOutcome`] per job in trace order.
+//! It is not a type of its own: it is a [`StreamSession`] whose source is
+//! the trace's job list and whose outcome sink is a table, so the rules of
+//! the simulation (arrivals, reservations, EASY backfilling — see
 //! `stream`'s module docs) are written once.
 
 use rlsched_swf::{Job, JobTrace};
@@ -15,96 +15,44 @@ use rlsched_swf::{Job, JobTrace};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::{EpisodeMetrics, JobOutcome};
-use crate::policy::WaitingJob;
 use crate::stream::{trace_order_metrics, StreamSession};
 
 /// One scheduling episode over a job sequence: a [`StreamSession`] fed from
 /// the trace, keeping every job's outcome.
-#[derive(Debug, Clone)]
-pub struct SchedSession {
-    /// The loop itself; [`crate::run_episode`] hands it to the policy.
-    pub(crate) inner: StreamSession<std::vec::IntoIter<Job>, Vec<JobOutcome>>,
-    /// Jobs the episode schedules: the trace's schedulable records.
-    jobs: usize,
-}
+pub type SchedSession = StreamSession<std::vec::IntoIter<Job>, Vec<JobOutcome>>;
 
 impl SchedSession {
     /// Start an episode over `trace`. Unschedulable records are dropped and
     /// the rest sanitized and clamped to the cluster size as they are
     /// admitted, so every job can run and `job_index` counts the jobs of
     /// `trace.sanitized()`.
-    pub fn new(trace: &JobTrace, cfg: SimConfig) -> Result<Self, SimError> {
+    pub fn from_trace(trace: &JobTrace, cfg: SimConfig) -> Result<Self, SimError> {
         let jobs = trace.jobs().iter().filter(|j| j.is_schedulable()).count();
-        let inner = StreamSession::with_outcomes(
+        StreamSession::with_outcomes(
             trace.jobs().to_vec().into_iter(),
             trace.max_procs(),
             cfg,
             Vec::with_capacity(jobs),
-        )?;
-        Ok(SchedSession { inner, jobs })
-    }
-
-    /// Current virtual time (seconds from episode start).
-    pub fn time(&self) -> f64 {
-        self.inner.time()
-    }
-
-    /// Processors currently idle.
-    pub fn free_procs(&self) -> u32 {
-        self.inner.free_procs()
-    }
-
-    /// Total processors in the cluster.
-    pub fn total_procs(&self) -> u32 {
-        self.inner.total_procs()
-    }
-
-    /// True once every job has been started.
-    pub fn done(&self) -> bool {
-        self.inner.done()
-    }
-
-    /// Number of jobs currently waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.inner.queue_len()
-    }
-
-    /// The waiting jobs as a policy would see them, in FCFS order, straight
-    /// off the queue: walking them allocates nothing (observation encoders
-    /// stream this into their buffers).
-    pub fn waiting_jobs(&self) -> impl Iterator<Item = WaitingJob<'_>> + '_ {
-        self.inner.waiting()
-    }
-
-    /// Schedule the waiting job at queue position `pos` (FCFS order view).
-    ///
-    /// On return the selected job has started; virtual time may have
-    /// advanced past arrivals and completions, and (with EASY) other queued
-    /// jobs may have been backfilled.
-    pub fn step(&mut self, pos: usize) -> Result<(), SimError> {
-        self.inner.step(pos)
+        )
     }
 
     /// Final metrics, outcomes in trace order; errors until
-    /// [`SchedSession::done`].
+    /// [`StreamSession::done`].
     pub fn metrics(&self) -> Result<EpisodeMetrics, SimError> {
         if !self.done() {
             return Err(SimError::NotDone {
-                scheduled: self.inner.outcomes().len(),
-                total: self.jobs,
+                scheduled: self.outcomes().len(),
+                total: self.outcomes().len() + self.queue_len() + self.unadmitted(),
             });
         }
-        Ok(trace_order_metrics(
-            self.inner.outcomes(),
-            self.total_procs(),
-        ))
+        Ok(trace_order_metrics(self.outcomes(), self.total_procs()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlsched_swf::Job;
+    use crate::policy::WaitingJob;
 
     fn trace(jobs: Vec<Job>, procs: u32) -> JobTrace {
         JobTrace::new(jobs, procs)
@@ -112,7 +60,7 @@ mod tests {
 
     /// Always schedule the head of the queue (FCFS).
     fn run_fcfs(t: &JobTrace, cfg: SimConfig) -> EpisodeMetrics {
-        let mut s = SchedSession::new(t, cfg).unwrap();
+        let mut s = SchedSession::from_trace(t, cfg).unwrap();
         while !s.done() {
             s.step(0).unwrap();
         }
@@ -122,7 +70,7 @@ mod tests {
     #[test]
     fn empty_trace_is_rejected() {
         assert_eq!(
-            SchedSession::new(&trace(vec![], 4), SimConfig::default()).unwrap_err(),
+            SchedSession::from_trace(&trace(vec![], 4), SimConfig::default()).unwrap_err(),
             SimError::EmptyTrace
         );
     }
@@ -248,7 +196,7 @@ mod tests {
             ],
             4,
         );
-        let mut s = SchedSession::new(&t, SimConfig::default()).unwrap();
+        let mut s = SchedSession::from_trace(&t, SimConfig::default()).unwrap();
         s.step(1).unwrap(); // schedule job 2 first
         s.step(0).unwrap();
         let m = s.metrics().unwrap();
@@ -259,7 +207,7 @@ mod tests {
     #[test]
     fn step_errors() {
         let t = trace(vec![Job::new(1, 0.0, 10.0, 1, 10.0)], 4);
-        let mut s = SchedSession::new(&t, SimConfig::default()).unwrap();
+        let mut s = SchedSession::from_trace(&t, SimConfig::default()).unwrap();
         assert!(matches!(
             s.step(3),
             Err(SimError::BadQueuePosition {
@@ -281,7 +229,7 @@ mod tests {
             ],
             4,
         );
-        let mut s = SchedSession::new(&t, SimConfig::default()).unwrap();
+        let mut s = SchedSession::from_trace(&t, SimConfig::default()).unwrap();
         s.step(0).unwrap();
         assert!(matches!(
             s.metrics(),
@@ -309,9 +257,9 @@ mod tests {
             ],
             4,
         );
-        let mut s = SchedSession::new(&t, SimConfig::default()).unwrap();
+        let mut s = SchedSession::from_trace(&t, SimConfig::default()).unwrap();
         s.step(0).unwrap(); // big job takes everything at t=0
-        let waiting: Vec<WaitingJob<'_>> = s.waiting_jobs().collect();
+        let waiting: Vec<WaitingJob<'_>> = s.waiting().collect();
         assert_eq!(waiting.len(), 2);
         assert_eq!(s.free_procs(), 0);
         assert!(!waiting[0].can_run_now);
@@ -330,7 +278,7 @@ mod tests {
             ],
             4,
         );
-        let mut s = SchedSession::new(&t, SimConfig::with_backfill()).unwrap();
+        let mut s = SchedSession::from_trace(&t, SimConfig::with_backfill()).unwrap();
         s.step(0).unwrap(); // A starts
         s.step(0).unwrap(); // B reserved; during wait, C arrives & backfills
         assert!(s.done(), "C was started by the pass, not by a decision");
@@ -359,7 +307,7 @@ mod tests {
                 .collect();
             let t = trace(jobs, 8);
             for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
-                let mut s = SchedSession::new(&t, cfg).unwrap();
+                let mut s = SchedSession::from_trace(&t, cfg).unwrap();
                 while !s.done() {
                     let pos = rng.gen_range(0..s.queue_len());
                     s.step(pos).unwrap();

@@ -5,7 +5,7 @@
 //! the peak number of waiting jobs (plus the running set), not the trace
 //! length — a 256-job training window and a multi-year archive of millions
 //! of jobs run the same code. It is the only simulator in the workspace;
-//! [`crate::SchedSession`] is this session over a materialized trace with a
+//! [`crate::SchedSession`] names it over a materialized trace with a
 //! per-job outcome table.
 //!
 //! The control flow is the reference environment's of the paper (§IV-D):
@@ -37,8 +37,9 @@
 //! to the session's [`Outcomes`] sink at start time and drops the job's
 //! record. The default sink is [`StreamMetrics`], which folds it into
 //! running aggregates — nothing grows with trace length. `Vec<JobOutcome>`
-//! is the other: a per-job table, what [`crate::SchedSession`] builds its
-//! [`EpisodeMetrics`] from. The sink is the only thing the two differ in.
+//! is the other: a per-job table, which [`crate::SchedSession`] sorts into
+//! its trace-order [`EpisodeMetrics`]. The sink is the only thing the two
+//! differ in.
 //!
 //! # The ranked head
 //!
@@ -869,6 +870,17 @@ impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
     }
 }
 
+/// A session over a job list ([`crate::SchedSession`]'s source) can count
+/// what it has yet to admit.
+impl<O: Outcomes> StreamSession<std::vec::IntoIter<Job>, O> {
+    /// Schedulable jobs not yet in the wait queue: the buffered next
+    /// arrival and the rest of the list.
+    pub(crate) fn unadmitted(&self) -> usize {
+        let rest = self.source.inner.as_slice().iter();
+        usize::from(self.source.pending.is_some()) + rest.filter(|j| j.is_schedulable()).count()
+    }
+}
+
 /// The reference simulator the parity tests answer to; it lives with the
 /// integration tests, which use it too.
 #[cfg(test)]
@@ -914,7 +926,7 @@ mod tests {
         cfg: SimConfig,
     ) -> (EpisodeMetrics, EpisodeMetrics, StreamMetrics) {
         let trace = JobTrace::new(jobs.clone(), procs);
-        let mut sess = SchedSession::new(&trace, cfg).unwrap();
+        let mut sess = SchedSession::from_trace(&trace, cfg).unwrap();
         while !sess.done() {
             sess.step(0).unwrap();
         }
@@ -1088,7 +1100,7 @@ mod tests {
         for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
             let jobs = random_jobs(17, 200);
             let trace = JobTrace::new(jobs.clone(), 8);
-            let mut sess = SchedSession::new(&trace, cfg).unwrap();
+            let mut sess = SchedSession::from_trace(&trace, cfg).unwrap();
             let mut rng = StdRng::seed_from_u64(3);
             let mut picks = Vec::new();
             while !sess.done() {

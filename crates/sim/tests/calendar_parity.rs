@@ -40,10 +40,10 @@ fn assert_parity(
     cfg: SimConfig,
     mut pick: impl FnMut(usize, &mut dyn Iterator<Item = WaitingJob>) -> usize,
 ) {
-    let mut s = SchedSession::new(trace, cfg).unwrap();
+    let mut s = SchedSession::from_trace(trace, cfg).unwrap();
     let mut picks = Vec::new();
     while !s.done() {
-        let pos = pick(s.queue_len(), &mut s.waiting_jobs());
+        let pos = pick(s.queue_len(), &mut s.waiting());
         picks.push(pos);
         s.step(pos).unwrap();
     }

@@ -74,10 +74,10 @@ fn sjf(waiting: &mut dyn Iterator<Item = WaitingJob>) -> usize {
 /// and the rank picked at each decision.
 fn session_starts(cfg: SimConfig, pick: Pick) -> (Vec<f64>, Vec<usize>) {
     let trace = JobTrace::new(jobs(), PROCS);
-    let mut s: SchedSession = SchedSession::new(&trace, cfg).unwrap();
+    let mut s: SchedSession = SchedSession::from_trace(&trace, cfg).unwrap();
     let mut picks = Vec::new();
     while !s.done() {
-        let pos = pick(&mut s.waiting_jobs());
+        let pos = pick(&mut s.waiting());
         picks.push(pos);
         s.step(pos).unwrap();
     }

@@ -71,7 +71,7 @@ fn run_with_picks(
     cfg: SimConfig,
     picks: &[usize],
 ) -> rlsched_sim::EpisodeMetrics {
-    let mut s = SchedSession::new(trace, cfg).unwrap();
+    let mut s = SchedSession::from_trace(trace, cfg).unwrap();
     drive(&mut s, picks, 0, usize::MAX);
     s.metrics().unwrap()
 }
@@ -153,7 +153,7 @@ proptest! {
         // What the session is documented to admit: the schedulable records,
         // sanitized and clamped, indexed by their position among themselves.
         let sane = trace.sanitized().clamp_to_cluster();
-        let mut s = match SchedSession::new(&trace, cfg) {
+        let mut s = match SchedSession::from_trace(&trace, cfg) {
             Ok(s) => s,
             Err(e) => {
                 prop_assert_eq!(e, SimError::EmptyTrace);
@@ -181,7 +181,7 @@ proptest! {
         let cfg = SimConfig {
             backfill: if easy { BackfillMode::Easy } else { BackfillMode::None },
         };
-        let mut original = SchedSession::new(&trace, cfg).unwrap();
+        let mut original = SchedSession::from_trace(&trace, cfg).unwrap();
         let before = drive(&mut original, &picks, 0, split).len();
         let mut clone = original.clone();
         let rest = drive(&mut original, &picks, before, usize::MAX);

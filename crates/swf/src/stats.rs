@@ -89,28 +89,6 @@ impl TraceStats {
             max_user_jobs: per_user.values().copied().max().unwrap_or(0),
         }
     }
-
-    /// Render one row in the format of Table II of the paper.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{:<14} {:>8} {:>9.0} {:>9.0} {:>7.0}",
-            name,
-            self.max_procs,
-            self.mean_interarrival,
-            self.mean_requested_time,
-            self.mean_requested_procs
-        )
-    }
-}
-
-/// Per-user job counts, used by the fairness analysis (§V-F notes HPC2N's
-/// dominant user).
-pub fn jobs_per_user(trace: &JobTrace) -> HashMap<i64, usize> {
-    let mut per_user = HashMap::new();
-    for j in trace.jobs() {
-        *per_user.entry(j.user_id).or_insert(0) += 1;
-    }
-    per_user
 }
 
 #[cfg(test)]
@@ -149,9 +127,6 @@ mod tests {
         let s = TraceStats::from_trace(&mk_trace());
         assert_eq!(s.users, 2);
         assert_eq!(s.max_user_jobs, 2);
-        let m = jobs_per_user(&mk_trace());
-        assert_eq!(m[&1], 2);
-        assert_eq!(m[&2], 1);
     }
 
     #[test]
@@ -170,12 +145,5 @@ mod tests {
         assert_eq!(s.jobs, 0);
         assert_eq!(s.mean_interarrival, 0.0);
         assert_eq!(s.pow2_fraction, 0.0);
-    }
-
-    #[test]
-    fn table_row_contains_name_and_size() {
-        let row = TraceStats::from_trace(&mk_trace()).table_row("Test");
-        assert!(row.contains("Test"));
-        assert!(row.contains("128"));
     }
 }
