@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -37,14 +38,19 @@ use serde::Serialize;
 enum ScriptedFault {
     /// Panic before scoring batches `[batch, batch + times)`.
     Panic { batch: u64, times: u64 },
-    /// Sleep `stall` before scoring batch `batch`.
-    Stall { batch: u64, stall: Duration },
+    /// Sleep `stall` before scoring batches `[batch, batch + times)`.
+    Stall {
+        batch: u64,
+        times: u64,
+        stall: Duration,
+    },
 }
 
 /// A deterministic, replayable schedule of shard faults.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     shards: Mutex<HashMap<usize, Vec<ScriptedFault>>>,
+    fired: AtomicU64,
 }
 
 impl FaultPlan {
@@ -63,7 +69,25 @@ impl FaultPlan {
     /// Script one `stall`-long sleep on `shard` before its `batch`-th
     /// attempted batch.
     pub fn stall_at(&self, shard: usize, batch: u64, stall: Duration) {
-        self.script(shard, ScriptedFault::Stall { batch, stall });
+        self.stall_batches(shard, batch, 1, stall);
+    }
+
+    /// Script a `stall`-long sleep on `shard` before each of its
+    /// attempted batches `[batch, batch + times)`: a fixed service time.
+    pub fn stall_batches(&self, shard: usize, batch: u64, times: u64, stall: Duration) {
+        let fault = ScriptedFault::Stall {
+            batch,
+            times,
+            stall,
+        };
+        self.script(shard, fault);
+    }
+
+    /// How many scripted faults have fired so far: a panic as it is
+    /// raised, a stall as it begins. A test waits on this to know that a
+    /// shard's core is held in a stall before it queues work behind it.
+    pub fn fired(&self) -> u64 {
+        self.fired.load(Ordering::SeqCst)
     }
 
     fn script(&self, shard: usize, fault: ScriptedFault) {
@@ -88,7 +112,8 @@ impl FaultPlan {
             for f in faults {
                 match *f {
                     ScriptedFault::Panic { batch: b, times } => {
-                        if batch >= b && batch < b + times {
+                        if batch >= b && batch - b < times {
+                            self.fired.fetch_add(1, Ordering::SeqCst);
                             // The guard must drop before the unwind so a
                             // panicking shard cannot poison the plan for
                             // its siblings — but Mutex poisoning is also
@@ -97,8 +122,12 @@ impl FaultPlan {
                             panic!("injected fault: shard {shard} panic at batch {batch}");
                         }
                     }
-                    ScriptedFault::Stall { batch: b, stall: d } => {
-                        if batch == b {
+                    ScriptedFault::Stall {
+                        batch: b,
+                        times,
+                        stall: d,
+                    } => {
+                        if batch >= b && batch - b < times {
                             stall = Some(d);
                         }
                     }
@@ -107,6 +136,7 @@ impl FaultPlan {
             stall
         };
         if let Some(d) = stall {
+            self.fired.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep(d);
         }
     }

@@ -81,6 +81,8 @@
 pub mod client;
 pub mod engine;
 pub mod faults;
+#[cfg(test)]
+mod memnet;
 pub mod protocol;
 pub mod server;
 pub mod transport;

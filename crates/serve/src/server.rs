@@ -634,7 +634,7 @@ impl Server {
 }
 
 /// Listener-generic tail of [`Server::spawn`].
-fn finish_spawn<L: Listen>(
+pub(crate) fn finish_spawn<L: Listen>(
     listener: L,
     bound: ServerAddr,
     scorer: ScorerSnapshot,
