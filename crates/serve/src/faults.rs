@@ -5,17 +5,16 @@
 //! chaos test replays the exact same failure sequence every run. The
 //! plan is installed through [`crate::ServeConfig::faults`]; the
 //! server's one scoring routine calls [`FaultPlan::before_score`] right
-//! before each batched forward — on the shard thread for a queued batch,
-//! on the connection thread for a shard's rows of a run it scores
-//! inline — which
-//! is where a scripted panic (a poisoned model batch, a kernel bug) or
-//! stall (a page-cache hiccup, a noisy neighbour) lands in a real tier.
+//! before each batched forward, on whichever thread holds the shard's
+//! core — a connection thread over its rows of a run scored inline, or
+//! any thread over a batch from the inbox — which is where a scripted
+//! panic (a poisoned model batch, a kernel bug) or stall (a page-cache
+//! hiccup, a noisy neighbour) lands in a real tier.
 //!
-//! The panic a `Panic` fault raises is an ordinary Rust panic — it
-//! exercises the production `catch_unwind` supervision path, not a
-//! special test hook. `Stall` sleeps in the scoring position with the
-//! shard's core locked, so requests queued behind it age past their
-//! in-queue deadline and take the fallback arm.
+//! A scripted panic is an ordinary Rust panic — it exercises the
+//! production `catch_unwind` supervision path, not a special test hook.
+//! A stall sleeps in the scoring position with the shard's core locked,
+//! so requests queued behind it age past their in-queue deadline.
 //!
 //! [`write_torn_frame`] is the client-side counterpart: it writes a
 //! deliberately truncated frame (with or without the terminating
@@ -30,20 +29,17 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-/// One scripted fault on one shard, keyed by that shard's lifetime
-/// attempted-batch counter (batch 0 is the shard's first batch, queued
-/// or a run's rows scored inline; a panicked attempt still advances the
-/// counter, a batch a parked shard answers by fallback does not).
+/// One scripted fault on one shard: a panic (`stall: None`) or a sleep
+/// before scoring each of its batches `[batch, batch + times)`, keyed by
+/// that shard's lifetime attempted-batch counter (batch 0 is the shard's
+/// first batch, from its inbox or a run's rows scored inline; a panicked
+/// attempt still advances the counter, a batch a parked shard answers by
+/// fallback does not).
 #[derive(Debug, Clone, Copy)]
-enum ScriptedFault {
-    /// Panic before scoring batches `[batch, batch + times)`.
-    Panic { batch: u64, times: u64 },
-    /// Sleep `stall` before scoring batches `[batch, batch + times)`.
-    Stall {
-        batch: u64,
-        times: u64,
-        stall: Duration,
-    },
+struct ScriptedFault {
+    batch: u64,
+    times: u64,
+    stall: Option<Duration>,
 }
 
 /// A deterministic, replayable schedule of shard faults.
@@ -63,7 +59,7 @@ impl FaultPlan {
     /// `batch`-th attempted batch. `times > budget` consecutive panics
     /// drives the shard into `Failed`; fewer exercises respawn.
     pub fn panic_at(&self, shard: usize, batch: u64, times: u64) {
-        self.script(shard, ScriptedFault::Panic { batch, times });
+        self.script(shard, batch, times, None);
     }
 
     /// Script one `stall`-long sleep on `shard` before its `batch`-th
@@ -75,29 +71,28 @@ impl FaultPlan {
     /// Script a `stall`-long sleep on `shard` before each of its
     /// attempted batches `[batch, batch + times)`: a fixed service time.
     pub fn stall_batches(&self, shard: usize, batch: u64, times: u64, stall: Duration) {
-        let fault = ScriptedFault::Stall {
-            batch,
-            times,
-            stall,
-        };
-        self.script(shard, fault);
+        self.script(shard, batch, times, Some(stall));
     }
 
-    /// How many scripted faults have fired so far: a panic as it is
-    /// raised, a stall as it begins. A test waits on this to know that a
-    /// shard's core is held in a stall before it queues work behind it.
+    /// How many scripted faults have fired: a panic as it is raised, a
+    /// stall as it begins (so a test knows a core is held in a stall).
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::SeqCst)
     }
 
-    fn script(&self, shard: usize, fault: ScriptedFault) {
+    fn script(&self, shard: usize, batch: u64, times: u64, stall: Option<Duration>) {
+        let fault = ScriptedFault {
+            batch,
+            times,
+            stall,
+        };
         self.lock().entry(shard).or_default().push(fault);
     }
 
     /// The scoring hook: called with the shard's lifetime batch counter
     /// immediately before every batched forward, whichever thread runs
-    /// it — the shard's own thread over a queued batch, or a connection
-    /// thread over its rows of a run scored inline. Panics or sleeps per the
+    /// it — over a batch from the inbox, or over a connection thread's
+    /// rows of a run scored inline. Panics or sleeps per the
     /// script, with the shard's core locked; a no-op for unscripted
     /// (shard, batch) pairs — and for every shard when the plan is
     /// empty, so leaving a plan installed in production config costs one
@@ -110,28 +105,19 @@ impl FaultPlan {
             };
             let mut stall = None;
             for f in faults {
-                match *f {
-                    ScriptedFault::Panic { batch: b, times } => {
-                        if batch >= b && batch - b < times {
-                            self.fired.fetch_add(1, Ordering::SeqCst);
-                            // The guard must drop before the unwind so a
-                            // panicking shard cannot poison the plan for
-                            // its siblings — but Mutex poisoning is also
-                            // tolerated in lock() for belt and braces.
-                            drop(shards);
-                            panic!("injected fault: shard {shard} panic at batch {batch}");
-                        }
-                    }
-                    ScriptedFault::Stall {
-                        batch: b,
-                        times,
-                        stall: d,
-                    } => {
-                        if batch >= b && batch - b < times {
-                            stall = Some(d);
-                        }
-                    }
+                if batch < f.batch || batch - f.batch >= f.times {
+                    continue;
                 }
+                if f.stall.is_none() {
+                    self.fired.fetch_add(1, Ordering::SeqCst);
+                    // The guard must drop before the unwind so a
+                    // panicking shard cannot poison the plan for its
+                    // siblings — but Mutex poisoning is also tolerated in
+                    // lock() for belt and braces.
+                    drop(shards);
+                    panic!("injected fault: shard {shard} panic at batch {batch}");
+                }
+                stall = f.stall;
             }
             stall
         };

@@ -27,9 +27,9 @@
 //! * [`server`] — [`Server::spawn`] / [`ServerHandle`]: accept loop,
 //!   per-connection reader/writer threads, the frames a reader finds
 //!   pipelined back to back scored on it (one batch per idle shard), N
-//!   shard worker threads that block on their inboxes and batch whatever
-//!   is already waiting (no timer), deterministic id→shard routing,
-//!   bounded inboxes with explicit shed responses, and a per-server
+//!   shard cores whose bounded inboxes are drained in batches of what is
+//!   waiting (no timer, no shard threads), id→shard routing, fallback or
+//!   shed answers to a full inbox, and a per-server
 //!   `rlsched_obs::Registry` of counters / gauges / latency histograms
 //!   scrapeable over the wire via `Request::Metrics` (and summarised by
 //!   `Request::Stats`).

@@ -528,4 +528,65 @@ mod tests {
         }
         assert_eq!(handle.shutdown().served, N);
     }
+
+    /// Rows queued behind a batch that stalls on another connection's
+    /// thread are scored by the model once the stall ends, in capped
+    /// batches: nothing strands them in the inbox, and none is scored
+    /// inline on the thread that read it.
+    #[test]
+    fn rows_queued_behind_a_stalled_inline_batch_are_scored_once_it_ends() {
+        const N: u64 = 10;
+        let faults = Arc::new(FaultPlan::new());
+        faults.stall_at(0, 0, Duration::from_millis(200));
+        let cfg = ServeConfig {
+            shards: 1,
+            batch_cap: 4,
+            faults: Some(Arc::clone(&faults)),
+            ..ServeConfig::default()
+        };
+        let (handle, addr) = spawn(&agent(113), cfg, 4096, 4096);
+        let mut holder = hold_the_core(&addr, &faults, N);
+        let client = MemStream::dial(&addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client
+            .try_clone()
+            .unwrap()
+            .write_all(&frames(0..N))
+            .unwrap();
+        let depth = handle
+            .registry()
+            .gauge("rlsched_serve_inbox_depth", &[("shard", "0")]);
+        // Every row is in the inbox while the holder still stalls.
+        let started = std::time::Instant::now();
+        while depth.get() < N as f64 {
+            assert!(
+                started.elapsed() < Duration::from_millis(150),
+                "{}",
+                depth.get()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut reader = BufReader::new(client);
+        let mut seen = [false; N as usize];
+        for _ in 0..N {
+            let (id, served_by) = next_action(&mut reader);
+            assert_eq!(served_by, ServedBy::Model, "id {id}");
+            assert!(
+                !std::mem::replace(&mut seen[id as usize], true),
+                "id {id} twice"
+            );
+        }
+        assert_eq!(next_action(&mut holder), (N, ServedBy::Model));
+        assert_eq!(depth.get(), 0.0);
+        assert_eq!(
+            counter(&handle, "rlsched_serve_inline_total"),
+            1,
+            "the holder's frame"
+        );
+        let stats = handle.shutdown();
+        assert_eq!(stats.served, N + 1);
+        assert_eq!(stats.batches, 4, "1 + 4 + 4 + 2");
+    }
 }

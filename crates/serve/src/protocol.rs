@@ -142,7 +142,7 @@ pub struct ShardHealth {
 }
 
 /// Aggregated serving statistics (see [`crate::ServerHandle::stats`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Scoring requests answered by the model.
     pub served: u64,

@@ -1,4 +1,5 @@
-//! The front door, shard workers, and the core they share.
+//! The front door, the connection threads, the shard cores they share,
+//! and the drainer.
 //!
 //! ```text
 //!                  ┌─ connection threads ─────────┐
@@ -7,106 +8,88 @@
 //!                  │ back to back, ≤ batch_cap,   │   no frame buffered behind
 //!                  │ split by route fnv(id)%N     │   the run: each idle shard
 //!                  │ ─────────────────────────────┼──────────────┐
-//!                  │ else inbox (full ⇒ fallback) │              ▼
-//!                  │ inline replies: never block  │   ┌─ shard core (Mutex) ───┐
-//!                  └──────────┬───────────────────┘   │ score(batch):          │
-//!                             │ bounded inbox         │  encode, fault hook,   │
-//!                             ▼                       │  one forward under     │
-//!                  ┌─ shard thread ──────┐            │  catch_unwind; panic ⇒ │
-//!                  │ recv (blocking)     │───lock────▶│  fallback, budget,     │
-//!                  │ + what is waiting   │            │  backoff, respawn or   │
-//!                  └──────────┬──────────┘            │  park until a new gen  │
-//!                             ▼                       └────────────────────────┘
-//!                  writer thread (per conn): every other reply,
-//!                  all that is waiting in one write
+//!                  │ else push to the inbox (full │              ▼
+//!                  │ ⇒ fallback), offer: try_lock ┼─▶ ┌─ shard core (Mutex) ───┐
+//!                  │ inline replies: never block  │   │ score(batch): encode,  │
+//!                  └──────────┬───────────────────┘   │ fault hook, forward    │
+//!                             │ bounded inbox, its    │ under catch_unwind;    │
+//!                             └─ receiver in the core▶│ panic ⇒ fallback,      │
+//!                    release: one batch from the      │ backoff, respawn, park │
+//!                    inbox, unlock; rows left ⇒ wake  └────────────────────────┘
+//!                    the drainer (one per tier) ─▶ a batch per inbox per pass
+//!                  writer thread (per conn): every reply not written inline
 //! ```
 //!
-//! * **Two paths, one scoring routine**: a connection thread keeps
-//!   decoding while frames are buffered behind the one it just read, and
-//!   collects the valid `Score` rows into a *run* of at most
-//!   [`ServeConfig::batch_cap`] rows. When no frame is buffered behind the
-//!   run's last frame (blank keep-alive lines are none), the run is split
-//!   by shard, and each shard that is
-//!   idle — its inbox empty and its core free (`try_lock`) — scores its
-//!   rows of the run right there, in one batch; that thread writes their
-//!   replies itself: no hand-off at all. A lone frame is a run of one.
-//!   Every other row is queued to its shard's thread: a busy shard's,
-//!   every row of a run that reached the cap with bytes still buffered
-//!   behind it, and every row of a run that a `Stats` or `Metrics` frame
-//!   cut (so the report counts them as queued). Only a reader that keeps
-//!   reading while a shard is busy lets requests stack into a batch, age
-//!   into the deadline fallback or overflow into a shed. Both paths lock
-//!   the shard's core and run the same `score`, so supervision, the fault
-//!   hook and every counter treat a shard's rows of a run as one batch.
-//! * **Replies** go out in the format their request arrived in. The
-//!   connection thread writes the replies it scores inline, one send per
-//!   shard's rows, as far as the socket takes them without blocking; the
-//!   connection's writer thread writes every other reply (stats, scrapes,
-//!   errors, full-inbox fallbacks, the shard threads' answers) and the
-//!   rest of any inline send, under one per-connection lock on the write
-//!   half, each wake-up writing all it finds waiting in one write.
-//!   Neither a connection thread nor a shard thread waits on a client's
-//!   socket, so a client that pipelines a burst before it reads a reply
-//!   is read to the end. A frame too malformed to decode is answered in
-//!   the format of the last frame that did decode (JSON before any has).
-//! * **Routing** is deterministic: FNV-1a of the request id modulo the
-//!   shard count, so a given id always lands on the same shard (and a
-//!   client can pin itself to a shard by fixing its id stream), on
-//!   either path.
-//! * **Supervision** lives in each shard's core, not in a thread: the
-//!   batch runs under `catch_unwind`. A panic never loses a request —
-//!   the batch's rows live outside the unwind boundary and are answered
-//!   by the heuristic fallback — and the core respawns a fresh
-//!   [`ShardEngine`] built from the current snapshot, under a bounded
-//!   restart budget with deterministic exponential backoff: the thread
-//!   that ran the batch answers its rows (a connection thread: every row
-//!   of its run), then sleeps the backoff and respawns the engine with
-//!   the core held. Exhausting the budget
-//!   parks the shard in `Failed`: its frames are answered through the
-//!   fallback until a validated weight swap (a new generation) is
-//!   committed; the first batch after the commit revives it and is
-//!   scored on the fresh engine.
-//! * **Graceful degradation**: when a shard's inbox is full, its
-//!   in-queue deadline expires, or the worker is down, the request is
-//!   answered with the deterministic heuristic decision
-//!   ([`rlsched_sched::PriorityScheduler`] semantics, kind from
-//!   [`ServeConfig::fallback`]) tagged `served_by: Fallback` — bare
-//!   [`Response::Shed`] only remains for servers configured without a
-//!   fallback. The decision is computed over the request's snapshot when
-//!   a row takes this arm, not at admission.
-//! * **Checkpoint lifecycle**: [`ServerHandle::propose_scorer`] gates
-//!   every weight install behind validation — an all-finite parameter
-//!   walk plus a [`CanaryBatch`] parity probe — and
-//!   [`ServerHandle::record_eval`] rolls the slot back to the previous
-//!   generation when the live eval metric regresses past tolerance.
-//!   [`ServerHandle::swap_scorer`] remains the unvalidated force path.
-//! * **Backpressure**: each shard's inbox is a bounded channel; the
-//!   connection thread answers immediately (fallback or shed) instead
-//!   of queueing unbounded work. A run holds at most `batch_cap` rows,
-//!   so a flood larger than one batch reaches the inboxes whatever the
-//!   shards' state.
-//! * **Batching without a timer**: a shard thread blocks for its first
-//!   request, takes whatever else is already waiting in its inbox (up
-//!   to the batch cap), and scores the whole stack through one forward.
-//!   It never sleeps for companions, and neither does a connection
-//!   thread: a burst that arrives whole on an idle tier is one forward
-//!   per shard on its own connection thread, a lone request is a
-//!   `rows = 1` forward there, and a backlog behind a busy shard is the
-//!   next batch.
-//! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag, the accept
-//!   loop notices it, parked connection readers are unblocked by
-//!   shutting their streams down, shards drain and exit when every
-//!   sender is gone, and all threads are joined before the call
-//!   returns.
+//! * **One scoring routine, no shard threads**: a connection thread
+//!   decodes on while frames are buffered behind the one it just read,
+//!   collecting `Score` rows into a *run* of at most
+//!   [`ServeConfig::batch_cap`]. When nothing is buffered behind the run
+//!   (blank keep-alive lines are nothing), each idle shard (empty inbox,
+//!   free core) scores its rows of the run right there, and the thread
+//!   writes their replies. Every other row is pushed to its shard's
+//!   bounded inbox: a busy shard's, a run that reached the cap with bytes
+//!   behind it, a run a `Stats` or `Metrics` frame cut. The pusher then
+//!   *offers* — takes each core it pushed to if it is free — after its
+//!   first push since it last read its socket and again before its next
+//!   read, so a flood is read at the socket's pace into full batches. A
+//!   connection thread *releases* a core it holds: it scores one batch
+//!   from the inbox (an expired row answered by the fallback, each reply
+//!   sent to its connection's writer), unlocks, and wakes the tier's
+//!   drainer if rows are still waiting. The drainer takes a batch from
+//!   each inbox that holds rows, round robin, until none it can take
+//!   does. Every batch runs the same `score`: supervision, the fault hook
+//!   and the counters treat all alike.
+//! * **No row is stranded in an inbox**: a push adds 1 to the shard's
+//!   `rlsched_serve_inbox_depth` gauge, then sends; an offer is a
+//!   `SeqCst` fence, then `try_lock`. A release is the unlock, a `SeqCst`
+//!   fence, a read of the gauge and a wake-up if it is not 0 (the drainer
+//!   passes again instead). A failed `try_lock` synchronizes with
+//!   nothing, so the argument rests on the two fences, which fall in one
+//!   total order. If the offer's comes first, the release's read sees the
+//!   increment (the gauge drops only as a row is taken out or a refused
+//!   push is undone), so the wake-up comes. If the release's comes first,
+//!   the offer's `try_lock` sees the unlock, or a later lock whose holder
+//!   releases after the offer's fence. One pending wake-up stands for
+//!   any number; a pass that finds nothing it counted (a push between its
+//!   increment and its send) yields and passes again.
+//! * **Replies** go out in their request's format. A connection thread
+//!   writes its inline replies as far as the socket takes them without
+//!   blocking; its writer thread writes every other reply and the rest,
+//!   all it finds waiting in one write. No scoring thread waits on a
+//!   client's socket, so a client that pipelines a burst before it reads
+//!   is read to the end. An undecodable frame is answered in the format
+//!   of the last frame that decoded (JSON before any has). Routing is
+//!   FNV-1a of the request id modulo the shard count.
+//! * **Supervision** lives in each shard's core: a batch runs under
+//!   `catch_unwind`, a panic's rows are answered by the fallback, and the
+//!   thread that ran it respawns a fresh [`ShardEngine`] after a bounded,
+//!   deterministic exponential backoff, core held, answers out. Past the
+//!   restart budget the shard parks in `Failed` and answers by fallback
+//!   until a validated swap; the first batch after it revives the shard.
+//!   A full inbox, an expired in-queue deadline or a down shard answers
+//!   with [`ServeConfig::fallback`]'s pick over the request's snapshot,
+//!   tagged `served_by: Fallback` ([`Response::Shed`] without one).
+//!   [`ServerHandle::propose_scorer`] gates a weight install behind an
+//!   all-finite walk and a [`CanaryBatch`] probe, and
+//!   [`ServerHandle::record_eval`] rolls back a regressing generation.
+//! * **Batching without a timer**: a batch from an inbox is whatever is
+//!   waiting there, up to the cap; nothing sleeps for companions.
+//! * **Shutdown**: [`ServerHandle::shutdown`] stops the accept loop,
+//!   shuts the connections' streams down to unblock their readers, and
+//!   joins each connection thread once its writer has written every reply
+//!   it owes, queued rows included. No inbox then holds a row, so there
+//!   is no drain step; the drainer is told to stop and joined.
 
-use std::io::BufReader;
+use std::cell::{Cell, RefCell};
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -133,15 +116,11 @@ pub struct ServeConfig {
     pub addr: ListenAddr,
     /// Worker shards, each owning a scorer replica and scratch.
     pub shards: usize,
-    /// Max rows per batch: a shard thread scores at most this many of
-    /// the requests already waiting in its inbox through one forward,
-    /// and a connection thread collects at most this many pipelined
-    /// `Score` rows into one run before it queues them.
+    /// Max rows per batch, from an inbox or in one run of pipelined
+    /// `Score` rows a connection thread collects before it queues them.
     pub batch_cap: usize,
-    /// Bounded per-shard inbox depth for queued frames; arrivals beyond
-    /// it take the fallback arm (or are shed when no fallback is
-    /// configured). A row scored on its connection thread never enters
-    /// the inbox.
+    /// Bounded per-shard inbox depth for queued rows; arrivals beyond it
+    /// take the fallback arm (or are shed when no fallback is configured).
     pub queue_depth: usize,
     /// Heuristic kind answering for the model when a shard can't
     /// (panicked batch, full inbox, expired deadline, failed shard).
@@ -157,8 +136,7 @@ pub struct ServeConfig {
     /// Upper bound on the respawn delay.
     pub restart_backoff_cap: Duration,
     /// In-queue age past which a queued request is answered by the
-    /// fallback instead of waiting on a slow shard. A row scored on its
-    /// connection thread never waits in a queue. `None` disables the
+    /// fallback instead of waiting on a slow shard. `None` disables the
     /// check.
     pub queue_deadline: Option<Duration>,
     /// Relative eval-metric regression (lower is better) tolerated by
@@ -205,44 +183,14 @@ struct Row {
     snapshot: QueueSnapshot,
     proto: WireProtocol,
     enqueued: Instant,
+    /// The way back to its connection's writer thread, once queued.
+    reply: Option<Sender<WriterMsg>>,
 }
 
-/// A row queued for its shard's thread, with the way back to its
-/// connection's writer thread.
-struct ShardRequest {
-    row: Row,
-    reply: Sender<WriterMsg>,
-}
-
-/// Lock-free per-shard lifecycle state, published to [`ServeStats`] (the
-/// counters live in the metrics registry).
-struct ShardHealthCell {
-    state: AtomicU8,
-}
-
+/// A shard's lifecycle state (`Shard::state`), published to [`ServeStats`].
 const STATE_HEALTHY: u8 = 0;
 const STATE_RESTARTING: u8 = 1;
 const STATE_FAILED: u8 = 2;
-
-impl ShardHealthCell {
-    fn new() -> Self {
-        ShardHealthCell {
-            state: AtomicU8::new(STATE_HEALTHY),
-        }
-    }
-
-    fn set_state(&self, state: u8) {
-        self.state.store(state, Ordering::Release);
-    }
-
-    fn state(&self) -> ShardState {
-        match self.state.load(Ordering::Acquire) {
-            STATE_RESTARTING => ShardState::Restarting,
-            STATE_FAILED => ShardState::Failed,
-            _ => ShardState::Healthy,
-        }
-    }
-}
 
 /// One shard's registry handles, wired once at spawn. Each respawned
 /// engine re-clones these (same storage), so every counter is monotone
@@ -319,9 +267,8 @@ impl ServerMetrics {
     }
 }
 
-/// One shard's engine and supervision state, locked by whichever thread
-/// scores a batch on the shard: its own thread, or a connection thread
-/// scoring its rows of a run.
+/// One shard's engine, supervision state and inbox receiver, locked by
+/// whichever thread scores a batch on the shard.
 struct ShardCore {
     engine: ShardEngine,
     /// Panicked batches since the last one that scored.
@@ -330,12 +277,16 @@ struct ShardCore {
     batches: u64,
     /// The weight generation the shard parked in `Failed` at.
     failed_at: Option<u64>,
+    inbox: Receiver<Row>,
+    /// Reused: one batch taken from the inbox.
+    rows: Vec<Row>,
 }
 
-/// One shard: its core and its published lifecycle state.
+/// One shard: its core, its inbox and its lifecycle state (`STATE_*`).
 struct Shard {
     core: Mutex<ShardCore>,
-    health: ShardHealthCell,
+    inbox: SyncSender<Row>,
+    state: AtomicU8,
 }
 
 /// Shutdown flag, configuration, weights, the metrics registry and its
@@ -352,6 +303,8 @@ struct Shared {
     metrics: ServerMetrics,
     shards: Vec<Shard>,
     conns: Mutex<Vec<JoinHandle<()>>>,
+    /// Wakes the drainer (`false`) or stops it (`true`).
+    wake_drainer: SyncSender<bool>,
     /// Shutdown hooks for the *live* connections keyed by connection
     /// id (each holds a stream clone and shuts it down when called),
     /// so shutdown can unblock readers parked mid-frame (no read
@@ -363,6 +316,12 @@ struct Shared {
 }
 
 impl Shared {
+    fn hooks(&self) -> MutexGuard<'_, std::collections::HashMap<u64, Box<dyn Fn() + Send>>> {
+        self.conn_shutdowns
+            .lock()
+            .expect("shutdown hook list poisoned")
+    }
+
     /// Assemble [`ServeStats`] as a *consistent* registry view: every
     /// per-shard counter is read exactly once, and the aggregate totals
     /// are sums over those same reads — so a scrape racing a shard
@@ -370,20 +329,11 @@ impl Shared {
     /// per-shard parts (the torn-totals gap the ad-hoc counters had).
     fn stats(&self) -> ServeStats {
         let mut stats = ServeStats {
-            served: 0,
-            fallbacks: 0,
-            shed: 0,
-            deadlines: 0,
-            batches: 0,
-            max_batch: 0,
             swaps: self.metrics.swaps.get(),
             rollbacks: self.metrics.rollbacks.get(),
-            restarts: 0,
             accept_failures: self.metrics.accept_failures.get(),
-            p50_us: 0.0,
-            p99_us: 0.0,
-            max_us: 0.0,
             shards: Vec::with_capacity(self.metrics.shards.len()),
+            ..ServeStats::default()
         };
         let mut hist = HistogramSnapshot::default();
         for (sm, shard) in self.metrics.shards.iter().zip(&self.shards) {
@@ -397,7 +347,11 @@ impl Shared {
             stats.restarts += restarts;
             hist.merge(&sm.latency.snapshot());
             stats.shards.push(ShardHealth {
-                state: shard.health.state(),
+                state: match shard.state.load(Ordering::Acquire) {
+                    STATE_RESTARTING => ShardState::Restarting,
+                    STATE_FAILED => ShardState::Failed,
+                    _ => ShardState::Healthy,
+                },
                 restarts,
                 panics: sm.panics.get(),
             });
@@ -437,12 +391,14 @@ impl Shared {
         std::thread::sleep(after);
         core.engine = self.metrics.shards[shard].engine(&self.slot, self.cfg.batch_cap);
         self.metrics.shards[shard].restarts.inc();
-        self.shards[shard].health.set_state(STATE_HEALTHY);
+        self.shards[shard]
+            .state
+            .store(STATE_HEALTHY, Ordering::Release);
     }
 
-    /// The one scoring routine, run with shard `shard`'s core locked by
-    /// its thread over a queued batch or by a connection thread over its
-    /// rows of a run. Calls `answer(i, response)` once per row of
+    /// The one scoring routine, run with shard `shard`'s core locked by a
+    /// connection thread over its rows of a run, or by any thread over a
+    /// batch taken from the inbox. Calls `answer(i, response)` once per row of
     /// `rows`, in row order, as soon as that row's answer exists.
     ///
     /// A parked (`Failed`) shard answers through the fallback until the
@@ -520,13 +476,13 @@ impl Shared {
                 m.panics.inc();
                 core.consecutive += 1;
                 fallback_all(answer);
-                let health = &self.shards[shard].health;
+                let state = &self.shards[shard].state;
                 if core.consecutive > self.cfg.restart_budget {
-                    health.set_state(STATE_FAILED);
+                    state.store(STATE_FAILED, Ordering::Release);
                     core.failed_at = Some(self.slot.generation());
                     return None;
                 }
-                health.set_state(STATE_RESTARTING);
+                state.store(STATE_RESTARTING, Ordering::Release);
                 // Deterministic exponential backoff: base << (n-1),
                 // capped. No jitter — shards don't share a herd, and
                 // reproducibility is worth more here.
@@ -537,6 +493,76 @@ impl Shared {
                     .saturating_mul(1u32 << shift)
                     .min(self.cfg.restart_backoff_cap);
                 Some(backoff)
+            }
+        }
+    }
+
+    /// How a connection thread lets go of `shard`'s core: one batch from
+    /// the inbox, the unlock, and a wake-up for the drainer if rows are
+    /// still waiting. Draining to empty would let it serve other clients
+    /// while its own waits, and read ever more slowly under overload.
+    fn release(&self, shard: usize, mut core: MutexGuard<'_, ShardCore>) {
+        self.take_batch(shard, &mut core);
+        drop(core);
+        fence(Ordering::SeqCst);
+        if self.metrics.shards[shard].inbox_depth.get() > 0.0 {
+            let _ = self.wake_drainer.try_send(false);
+        }
+    }
+
+    /// Take one batch from `shard`'s inbox: what is waiting, up to
+    /// `batch_cap` rows, scored through [`Shared::score`], a row past its
+    /// in-queue deadline answered by the fallback. Returns the rows taken.
+    fn take_batch(&self, shard: usize, core: &mut ShardCore) -> usize {
+        let m = &self.metrics.shards[shard];
+        let mut rows = std::mem::take(&mut core.rows);
+        let reply = |row: &Row, resp| send_reply(row.reply.as_ref().unwrap(), resp, row.proto);
+        let mut took = 0;
+        while rows.len() < self.cfg.batch_cap {
+            let Ok(row) = core.inbox.try_recv() else {
+                break;
+            };
+            took += 1;
+            m.inbox_depth.add(-1.0);
+            if (self.cfg.queue_deadline).is_some_and(|d| row.enqueued.elapsed() > d) {
+                m.deadlines.inc();
+                reply(&row, self.fallback_response(shard, &row));
+            } else {
+                rows.push(row);
+            }
+        }
+        if !rows.is_empty() {
+            let restart = self.score(shard, core, &rows, &mut |i, resp| reply(&rows[i], resp));
+            if let Some(after) = restart {
+                self.respawn(shard, core, after);
+            }
+            rows.clear();
+        }
+        core.rows = rows;
+        took
+    }
+}
+
+/// The tier's drainer. On each wake-up it takes a batch from each inbox
+/// that holds rows, round robin, until none it can take holds any: a core
+/// another thread holds is skipped, and that thread wakes it again when
+/// it lets go. Returns when told to stop (`true`).
+fn drain_loop(shared: &Shared, wake: Receiver<bool>) {
+    while let Ok(false) = wake.recv() {
+        let mut again = true;
+        while std::mem::take(&mut again) {
+            for (shard, s) in shared.shards.iter().enumerate() {
+                let waiting = shared.metrics.shards[shard].inbox_depth.get() > 0.0;
+                let Some(mut core) = waiting.then(|| s.core.try_lock().ok()).flatten() else {
+                    continue;
+                };
+                let took = shared.take_batch(shard, &mut core);
+                drop(core);
+                fence(Ordering::SeqCst);
+                if took == 0 {
+                    std::thread::yield_now(); // a push between its count and its send
+                }
+                again = true;
             }
         }
     }
@@ -590,8 +616,8 @@ impl std::error::Error for ProposeError {}
 pub struct Server;
 
 impl Server {
-    /// Start listening and spawn the shard workers. Returns once the
-    /// socket is bound (the address is immediately connectable).
+    /// Start listening and spawn the drainer. Returns once the socket is
+    /// bound (the address is immediately connectable).
     pub fn spawn(
         scorer: ScorerSnapshot,
         encoder: ObsEncoder,
@@ -650,18 +676,25 @@ pub(crate) fn finish_spawn<L: Listen>(
     let shards = metrics
         .shards
         .iter()
-        .map(|m| Shard {
-            core: Mutex::new(ShardCore {
-                engine: m.engine(&slot, cfg.batch_cap),
-                consecutive: 0,
-                batches: 0,
-                failed_at: None,
-            }),
-            health: ShardHealthCell::new(),
+        .map(|m| {
+            let (inbox, rx) = mpsc::sync_channel(cfg.queue_depth);
+            Shard {
+                core: Mutex::new(ShardCore {
+                    engine: m.engine(&slot, cfg.batch_cap),
+                    consecutive: 0,
+                    batches: 0,
+                    failed_at: None,
+                    inbox: rx,
+                    rows: Vec::new(),
+                }),
+                inbox,
+                state: AtomicU8::new(STATE_HEALTHY),
+            }
         })
         .collect();
-    let n_shards = cfg.shards;
+    let (wake_drainer, wake) = mpsc::sync_channel(1);
     let shared = Arc::new(Shared {
+        wake_drainer,
         shutdown: AtomicBool::new(false),
         cfg,
         encoder,
@@ -674,25 +707,17 @@ pub(crate) fn finish_spawn<L: Listen>(
         next_conn_id: AtomicU64::new(0),
     });
 
-    let mut shard_txs = Vec::with_capacity(n_shards);
-    let mut shard_threads = Vec::with_capacity(n_shards);
-    for shard in 0..n_shards {
-        let (tx, rx) = mpsc::sync_channel::<ShardRequest>(shared.cfg.queue_depth);
+    let drainer = {
         let shared = Arc::clone(&shared);
-        shard_threads.push(
-            std::thread::Builder::new()
-                .name(format!("rlsched-serve-shard-{shard}"))
-                .spawn(move || shard_loop(shard, rx, &shared))?,
-        );
-        shard_txs.push(tx);
-    }
-
+        std::thread::Builder::new()
+            .name("rlsched-serve-drain".to_string())
+            .spawn(move || drain_loop(&shared, wake))?
+    };
     let accept = {
         let shared = Arc::clone(&shared);
-        let shard_txs = shard_txs.clone();
         std::thread::Builder::new()
             .name("rlsched-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, shard_txs, shared))?
+            .spawn(move || accept_loop(listener, shared))?
     };
 
     Ok(ServerHandle {
@@ -702,8 +727,7 @@ pub(crate) fn finish_spawn<L: Listen>(
         n_actions: encoder.n_actions(),
         eval_baseline: Mutex::new(None),
         accept: Some(accept),
-        shard_threads,
-        _shard_txs: shard_txs,
+        drainer: Some(drainer),
     })
 }
 
@@ -715,9 +739,7 @@ pub struct ServerHandle {
     n_actions: usize,
     eval_baseline: Mutex<Option<f64>>,
     accept: Option<JoinHandle<()>>,
-    shard_threads: Vec<JoinHandle<()>>,
-    /// Keeps the shard inboxes alive until shutdown drops them.
-    _shard_txs: Vec<SyncSender<ShardRequest>>,
+    drainer: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -851,8 +873,8 @@ impl ServerHandle {
         Arc::clone(&self.shared.registry)
     }
 
-    /// Stop accepting, drain the shards, join every thread. Returns the
-    /// final statistics.
+    /// Stop accepting, answer what every connection has read, join every
+    /// thread. Returns the final statistics.
     pub fn shutdown(mut self) -> ServeStats {
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
@@ -860,23 +882,15 @@ impl ServerHandle {
         }
         // Unblock readers parked on idle connections; joined readers'
         // stream clones just error harmlessly.
-        for hook in self
-            .shared
-            .conn_shutdowns
-            .lock()
-            .expect("shutdown hook list poisoned")
-            .values()
-        {
-            hook();
-        }
+        self.shared.hooks().values().for_each(|hook| hook());
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conn list poisoned"));
         for c in conns {
             let _ = c.join();
         }
-        // Dropping the senders lets each shard drain and exit.
-        self._shard_txs.clear();
-        for t in self.shard_threads.drain(..) {
-            let _ = t.join();
+        // Every row a connection queued is answered: stop the drainer.
+        let _ = self.shared.wake_drainer.send(true);
+        if let Some(h) = self.drainer.take() {
+            let _ = h.join();
         }
         // A Unix socket outlives its listener as a filesystem entry;
         // remove it so the path can be rebound.
@@ -887,22 +901,17 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop<L: Listen>(
-    listener: L,
-    shard_txs: Vec<SyncSender<ShardRequest>>,
-    shared: Arc<Shared>,
-) {
+fn accept_loop<L: Listen>(listener: L, shared: Arc<Shared>) {
     let base_backoff = Duration::from_millis(2);
     let mut accept_backoff = base_backoff;
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept_stream() {
             Ok(stream) => {
                 accept_backoff = base_backoff;
-                let shard_txs = shard_txs.clone();
                 let shared_c = Arc::clone(&shared);
                 let conn = std::thread::Builder::new()
                     .name("rlsched-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, shard_txs, shared_c));
+                    .spawn(move || connection_loop(stream, shared_c));
                 if let Ok(h) = conn {
                     // Reap finished connection threads while we are here
                     // so the handle list tracks live connections instead
@@ -994,9 +1003,13 @@ impl<S: Transport> ConnWriter<S> {
 /// writer thread, or the write half itself.
 struct ConnOut<S> {
     shared: Arc<Shared>,
-    shard_txs: Vec<SyncSender<ShardRequest>>,
     writer: Arc<Mutex<ConnWriter<S>>>,
     tx: Sender<WriterMsg>,
+    /// The shards this thread pushed rows to and has not yet offered to
+    /// take the cores of.
+    pushed: RefCell<Vec<usize>>,
+    /// Whether it has offered since it last read its socket.
+    offered: Cell<bool>,
 }
 
 impl<S: Transport> ConnOut<S> {
@@ -1028,23 +1041,37 @@ impl<S: Transport> ConnOut<S> {
             snapshot,
             proto,
             enqueued: Instant::now(),
+            reply: None,
         };
-        run.push(route(id, self.shard_txs.len()), row);
+        run.push(route(id, self.shared.shards.len()), row);
     }
 
-    /// Queue `row` for `shard`'s thread. A full inbox answers it at once
-    /// (heuristic if configured, shed otherwise) and drops the work.
-    fn queue(&self, shard: usize, row: Row) {
-        let reply = self.tx.clone();
-        match self.shard_txs[shard].try_send(ShardRequest { row, reply }) {
-            Ok(()) => self.shared.metrics.shards[shard].inbox_depth.add(1.0),
-            Err(TrySendError::Full(ShardRequest { row, .. })) => {
-                let resp = self.shared.fallback_response(shard, &row);
-                send_reply(&self.tx, resp, row.proto)
-            }
-            Err(TrySendError::Disconnected(ShardRequest { row, .. })) => {
-                let (id, message) = (row.id, "server shutting down".into());
-                send_reply(&self.tx, Response::Error { id, message }, row.proto)
+    /// Push `row` to `shard`'s inbox, for whichever thread next holds the
+    /// core ([`ConnOut::offer_pushed`] tries this one). A full inbox
+    /// answers it at once (heuristic if configured, shed otherwise).
+    fn queue(&self, shard: usize, mut row: Row) {
+        let depth = &self.shared.metrics.shards[shard].inbox_depth;
+        depth.add(1.0); // before the send: see the module docs
+        row.reply = Some(self.tx.clone());
+        // The receiver lives in the core, as long as `shared`: a send is
+        // refused only by a full inbox.
+        if let Err(TrySendError::Full(row) | TrySendError::Disconnected(row)) =
+            self.shared.shards[shard].inbox.try_send(row)
+        {
+            depth.add(-1.0);
+            let resp = self.shared.fallback_response(shard, &row);
+            send_reply(&self.tx, resp, row.proto);
+        }
+    }
+
+    /// Offer: take the core of every shard this thread has pushed rows to
+    /// since it last did, if it is free, and release it. A core another
+    /// thread holds is released by that thread, which sees the rows.
+    fn offer_pushed(&self) {
+        fence(Ordering::SeqCst);
+        for shard in self.pushed.borrow_mut().drain(..) {
+            if let Ok(core) = self.shared.shards[shard].core.try_lock() {
+                self.shared.release(shard, core);
             }
         }
     }
@@ -1093,9 +1120,10 @@ impl Run {
     /// buffered behind the run's last frame) each shard whose inbox is
     /// empty and whose core is free scores its rows here, through one
     /// [`Shared::score`], and their answers go out at once; every other
-    /// row is queued for its shard's thread. A panicked shard's backoff is
-    /// slept only once every answer of the run is out, with its core held
-    /// all along.
+    /// row is pushed, and this thread offers ([`ConnOut::offer_pushed`])
+    /// unless it has since it last read its socket. A core it holds is
+    /// released ([`Shared::release`]) after a panicked shard's backoff,
+    /// slept once every answer of the run is out.
     fn flush<S: Transport>(&mut self, out: &ConnOut<S>, inline: bool) {
         if self.len == 0 {
             return;
@@ -1118,6 +1146,10 @@ impl Run {
                 for row in rows.drain(..) {
                     out.queue(shard, row);
                 }
+                let mut pushed = out.pushed.borrow_mut();
+                if !pushed.contains(&shard) {
+                    pushed.push(shard);
+                }
                 continue;
             };
             let answers = &mut self.answers;
@@ -1133,18 +1165,40 @@ impl Run {
             });
             m.inline.add(model.count() as u64);
             out.write_inline(answers.drain(..).zip(rows.drain(..).map(|row| row.proto)));
-            if let Some(after) = restart {
-                restarts.push((shard, core, after));
+            match restart {
+                Some(after) => restarts.push((shard, core, after)),
+                None => shared.release(shard, core),
             }
         }
         for (shard, mut core, after) in restarts {
             shared.respawn(shard, &mut core, after);
+            shared.release(shard, core);
+        }
+        if !out.pushed.borrow().is_empty() && !out.offered.replace(true) {
+            out.offer_pushed();
         }
     }
 }
 
+/// A connection's read half: before each read from the socket, which may
+/// block, its thread offers, so no row it pushed waits on its client.
+struct ReadHalf<S> {
+    stream: S,
+    out: Rc<ConnOut<S>>,
+}
+
+impl<S: Transport> Read for ReadHalf<S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.out.offer_pushed();
+        self.out.offered.set(false);
+        self.stream.read(buf)
+    }
+}
+
 /// Per-connection reader: parse frames, validate, collect runs, score
-/// them inline or queue them. It writes its inline replies itself, and
+/// them inline or queue them, and score a batch from the inbox of any
+/// core it holds.
+/// It writes its inline replies itself, and
 /// only as far as the socket takes them without blocking; a sibling
 /// writer thread writes every other reply, under the same lock. The
 /// reader never blocks on the socket or on that lock, so it keeps
@@ -1152,22 +1206,15 @@ impl Run {
 /// replies. With a run in hand it reads on only while part of a frame
 /// is buffered, so it waits for the client at most to finish a frame
 /// the client has begun.
-fn connection_loop<S: Transport>(
-    stream: S,
-    shard_txs: Vec<SyncSender<ShardRequest>>,
-    shared: Arc<Shared>,
-) {
+fn connection_loop<S: Transport>(stream: S, shared: Arc<Shared>) {
     stream.tune();
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = stream.try_clone() {
-        shared
-            .conn_shutdowns
-            .lock()
-            .expect("shutdown hook list poisoned")
-            .insert(conn_id, Box::new(move || clone.shutdown_both()));
+        let hook = Box::new(move || clone.shutdown_both());
+        shared.hooks().insert(conn_id, hook);
     }
     let writer = Arc::new(Mutex::new(ConnWriter {
         stream: write_half,
@@ -1182,17 +1229,21 @@ fn connection_loop<S: Transport>(
             .spawn(move || writer_loop(&writer, rx))
     };
     let cap = shared.cfg.batch_cap;
-    let mut run = Run::new(shard_txs.len());
-    let out = ConnOut {
+    let mut run = Run::new(shared.shards.len());
+    let out = Rc::new(ConnOut {
         shared: Arc::clone(&shared),
-        shard_txs,
         writer,
         tx,
-    };
-    let mut reader = BufReader::new(stream);
+        pushed: RefCell::new(Vec::new()),
+        offered: Cell::new(false),
+    });
+    let mut reader = BufReader::new(ReadHalf {
+        stream,
+        out: Rc::clone(&out),
+    });
     // Per-connection frame scratch, reused across frames: the binary
     // payload buffer and the JSON line buffer. (The decoded request's
-    // snapshot may move on to a shard, so it is owned per request.)
+    // snapshot may move on to an inbox, so it is owned per request.)
     let mut payload = Vec::new();
     let mut line = String::new();
     // The format of the last frame that decoded: what a frame too
@@ -1226,16 +1277,13 @@ fn connection_loop<S: Transport>(
     }
     // Rows read before a torn frame or a shutdown are still answered.
     run.flush(&out, false);
-    drop(out); // writer drains outstanding replies, then exits
+    out.offer_pushed();
+    drop((reader, out)); // writer drains outstanding replies, then exits
     if let Ok(w) = writer_thread {
         let _ = w.join();
     }
     // Release this connection's shutdown hook (and its fd).
-    shared
-        .conn_shutdowns
-        .lock()
-        .expect("shutdown hook list poisoned")
-        .remove(&conn_id);
+    shared.hooks().remove(&conn_id);
 }
 
 /// Whether `buf` holds no part of a frame: nothing, or only the blank
@@ -1281,57 +1329,5 @@ fn writer_loop<S: Transport>(out: &Mutex<ConnWriter<S>>, rx: Receiver<WriterMsg>
         {
             break;
         }
-    }
-}
-
-/// A shard thread: block for a request, take what else is already
-/// waiting up to the batch cap, and score the stack through
-/// [`Shared::score`] under the shard's core. Returns when every sender
-/// is gone and the inbox is drained.
-fn shard_loop(shard: usize, rx: Receiver<ShardRequest>, shared: &Shared) {
-    let cap = shared.cfg.batch_cap;
-    let mut rows: Vec<Row> = Vec::with_capacity(cap);
-    let mut replies: Vec<Sender<WriterMsg>> = Vec::with_capacity(cap);
-    // `recv` fails only once every sender is gone and the inbox is empty.
-    while let Ok(first) = rx.recv() {
-        let mut next = Some(first);
-        // Never wait for companions: what is already queued rides along.
-        while let Some(r) = next.take().or_else(|| rx.try_recv().ok()) {
-            shared.metrics.shards[shard].inbox_depth.add(-1.0);
-            // A request whose in-queue deadline already expired is
-            // answered through the fallback now rather than riding a
-            // slow shard.
-            let expired = shared
-                .cfg
-                .queue_deadline
-                .is_some_and(|deadline| r.row.enqueued.elapsed() > deadline);
-            if expired {
-                shared.metrics.shards[shard].deadlines.inc();
-                let resp = shared.fallback_response(shard, &r.row);
-                send_reply(&r.reply, resp, r.row.proto);
-            } else {
-                rows.push(r.row);
-                replies.push(r.reply);
-            }
-            if rows.len() == cap {
-                break;
-            }
-        }
-        if rows.is_empty() {
-            continue; // every arrival expired at admission
-        }
-        let mut core = shared.shards[shard]
-            .core
-            .lock()
-            .expect("shard core poisoned");
-        let restart = shared.score(shard, &mut core, &rows, &mut |i, resp| {
-            send_reply(&replies[i], resp, rows[i].proto)
-        });
-        if let Some(after) = restart {
-            shared.respawn(shard, &mut core, after);
-        }
-        drop(core);
-        rows.clear();
-        replies.clear();
     }
 }

@@ -216,28 +216,29 @@ pub enum AnyStream {
     Unix(UnixStream),
 }
 
+/// `$body` with `$s` bound to whichever stream `$any` holds.
+macro_rules! either {
+    ($any:expr, $s:ident => $body:expr) => {
+        match $any {
+            AnyStream::Tcp($s) => $body,
+            AnyStream::Unix($s) => $body,
+        }
+    };
+}
+
 impl Read for AnyStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.read(buf),
-            AnyStream::Unix(s) => s.read(buf),
-        }
+        either!(self, s => s.read(buf))
     }
 }
 
 impl Write for AnyStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.write(buf),
-            AnyStream::Unix(s) => s.write(buf),
-        }
+        either!(self, s => s.write(buf))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.flush(),
-            AnyStream::Unix(s) => s.flush(),
-        }
+        either!(self, s => s.flush())
     }
 }
 
@@ -259,37 +260,23 @@ impl Transport for AnyStream {
     }
 
     fn shutdown_both(&self) {
-        match self {
-            AnyStream::Tcp(s) => Transport::shutdown_both(s),
-            AnyStream::Unix(s) => Transport::shutdown_both(s),
-        }
+        either!(self, s => Transport::shutdown_both(s))
     }
 
     fn tune(&self) {
-        if let AnyStream::Tcp(s) = self {
-            Transport::tune(s);
-        }
+        either!(self, s => Transport::tune(s))
     }
 
     fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.set_read_timeout(d),
-            AnyStream::Unix(s) => s.set_read_timeout(d),
-        }
+        either!(self, s => s.set_read_timeout(d))
     }
 
     fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.set_write_timeout(d),
-            AnyStream::Unix(s) => s.set_write_timeout(d),
-        }
+        either!(self, s => s.set_write_timeout(d))
     }
 
     fn write_nowait(&self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => send_nowait(s, buf),
-            AnyStream::Unix(s) => send_nowait(s, buf),
-        }
+        either!(self, s => send_nowait(s, buf))
     }
 }
 

@@ -26,6 +26,8 @@
 //!   poisoned checkpoint can never take it down: propose → validate →
 //!   commit, with generation rollback.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -477,7 +479,7 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     let canary = CanaryBatch::probe(&agent, 8, 37);
     let faults = Arc::new(FaultPlan::new());
     faults.stall_at(0, 0, Duration::from_millis(300));
-    let mut cfg = chaos_config(faults);
+    let mut cfg = chaos_config(Arc::clone(&faults));
     cfg.queue_deadline = Some(Duration::from_millis(50));
     // Raw TcpStream below: pin TCP over the suite's Unix socket.
     cfg.addr = ListenAddr::Tcp("127.0.0.1:0".into());
@@ -485,22 +487,25 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
 
     const N: u64 = 32;
+    // Request 0's batch stalls on its own connection's thread, holding
+    // the shard's core while the rest queue behind it from another.
+    let snapshot = canary.row(0).0.clone();
+    let mut holder = common::hold_the_core(&handle, &faults, 0, snapshot);
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
-    // One write of more frames than `batch_cap`: each run fills to the
-    // cap with frames still behind it (or finds a busy shard) and queues
-    // for the stalled shard.
     let mut burst = Vec::new();
-    for id in 0..N {
+    for id in 1..N {
         send_json(&mut burst, &score_request(&canary, id));
     }
     std::io::Write::write_all(&mut writer, &burst).unwrap();
     let mut seen = vec![false; N as usize];
     let (mut model, mut fallback) = (0u64, 0u64);
-    for _ in 0..N {
-        match recv_json::<Response>(&mut reader) {
+    let held = common::held_answer(&mut holder);
+    let queued = (1..N).map(|_| recv_json::<Response>(&mut reader));
+    for reply in std::iter::once(held).chain(queued) {
+        match reply {
             Response::Action {
                 id,
                 action,
@@ -861,7 +866,7 @@ fn a_panic_in_a_lone_frames_batch_answers_it_by_fallback_and_the_shard_recovers(
 
 /// The lone frame right after a committed swap is scored inline with the
 /// new weights: the connection thread's batch picks up the generation
-/// exactly as a shard thread's does.
+/// exactly as a drained batch does.
 #[test]
 fn the_lone_frame_after_a_commit_is_scored_with_the_new_weights() {
     let agent_a = agent_for(16, 3);

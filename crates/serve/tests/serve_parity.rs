@@ -18,6 +18,8 @@
 //! JSON on a raw `TcpStream` cover that corner, and the matrix test
 //! below pins every {JSON, binary} × {TCP, UDS} combination explicitly.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -259,9 +261,9 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     use std::io::BufReader;
 
     let agent = agent_for(PolicyKind::Kernel, 31);
-    // The shard sits in a scripted stall with its first batch while the
-    // burst arrives, so the depth-1 inbox must overflow however fast or
-    // slowly the reader decodes the frames behind it.
+    // Every run of the burst pushes up to `batch_cap` = 4 rows into a
+    // depth-1 inbox, so it must overflow however fast or slowly the
+    // reader decodes the frames; the first drained batch also stalls.
     let faults = Arc::new(FaultPlan::new());
     faults.stall_at(0, 0, Duration::from_millis(100));
     let handle = Server::spawn(
@@ -323,12 +325,13 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     assert!(stats.max_us > 0.0);
 }
 
-/// A shard never sleeps for companions, yet a backlog still batches:
-/// the shard scores what is already waiting, in stacked batches
-/// of at most `batch_cap` rows. One request occupies the shard (a
-/// scripted stall, standing in for a slow forward) while nine more queue
-/// behind it; they come back as 1 + 4 + 4 + 1, each row carrying the
-/// in-process agent's action whatever batch it rode in.
+/// No thread sleeps for companions, yet a backlog still batches: the
+/// thread that holds the shard's core scores what is already waiting, in
+/// stacked batches of at most `batch_cap` rows. One request occupies the
+/// shard (a scripted stall, standing in for a slow forward) while nine
+/// more queue behind it from another connection; they come back as
+/// 1 + 4 + 4 + 1, each row carrying the in-process agent's action
+/// whatever batch it rode in.
 #[test]
 fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
     use rlsched_serve::protocol::{Request, Response};
@@ -345,48 +348,30 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
         ServeConfig {
             shards: 1,
             batch_cap: 4,
-            faults: Some(faults),
+            faults: Some(Arc::clone(&faults)),
             // Raw TcpStream below: pin TCP.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
         },
     )
     .expect("server spawns");
+    // Request 0's batch stalls on its own connection's thread.
+    let mut holder = common::hold_the_core(&handle, &faults, 0, canary.row(0).0.clone());
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let score = |id: usize| Request::Score {
-        id: id as u64,
-        snapshot: canary.row(id).0.clone(),
-    };
-
-    // Request 0 and the first scrape in one write: the scrape cuts
-    // request 0's run, so it queues for the shard instead of scoring
-    // inline.
-    let mut first = Vec::new();
-    send_json(&mut first, &score(0));
-    send_json(&mut first, &Request::Metrics { id: 100 });
-    std::io::Write::write_all(&mut writer, &first).unwrap();
-    // Scrape on the same connection: its reader handles frames in order,
-    // so every scrape sees request 0 enqueued, and an inbox depth of 0
-    // means the shard has taken it — into batch 0, which stalls.
-    loop {
-        let Response::Metrics { metrics, .. } = recv_json(&mut reader) else {
-            panic!("request 0 was answered before the backlog could be sent");
-        };
-        if metrics.gauge("rlsched_serve_inbox_depth", &[("shard", "0")]) == Some(0.0) {
-            break;
-        }
-        send_json(&mut writer, &Request::Metrics { id: 100 });
-    }
     for id in 1..N {
-        send_json(&mut writer, &score(id));
+        let snapshot = canary.row(id).0.clone();
+        let id = id as u64;
+        send_json(&mut writer, &Request::Score { id, snapshot });
     }
 
     let mut seen = [false; N];
-    for _ in 0..N {
-        match recv_json::<Response>(&mut reader) {
+    let held = common::held_answer(&mut holder);
+    let queued = (1..N).map(|_| recv_json::<Response>(&mut reader));
+    for reply in std::iter::once(held).chain(queued) {
+        match reply {
             Response::Action {
                 id,
                 action,
@@ -609,8 +594,9 @@ fn deeply_nested_frames_are_errors_and_the_connection_still_scores() {
 }
 
 /// Each reply leaves in its own request's format. A binary `Score`
-/// held by a stalled shard is overtaken by a JSON `Stats` on the same
-/// connection, and its `Action` still comes back binary.
+/// queued behind a shard that stalls on another connection's thread is
+/// overtaken by a JSON `Stats` on the same connection, and its `Action`
+/// still comes back binary.
 #[test]
 fn each_reply_goes_out_in_its_requests_format() {
     use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
@@ -624,20 +610,21 @@ fn each_reply_goes_out_in_its_requests_format() {
         *agent.encoder(),
         ServeConfig {
             shards: 1,
-            faults: Some(faults),
+            faults: Some(Arc::clone(&faults)),
             // Raw TcpStream below: pin TCP.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
         },
     )
     .expect("server spawns");
+    let _holder = common::hold_the_core(&handle, &faults, 0, small_snapshot(2));
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let mut frame = Vec::new();
     let snapshot = small_snapshot(3);
     // One write: the `Stats` cuts the `Score`'s run, so the `Score`
-    // queues for the stalled shard instead of scoring inline.
+    // queues behind the stalled batch instead of scoring inline.
     encode_binary_frame(&Request::Score { id: 1, snapshot }, &mut frame);
     send_json(&mut frame, &Request::Stats { id: 2 });
     writer.write_all(&frame).unwrap();
@@ -747,7 +734,8 @@ fn decisions_are_identical_across_protocols_and_transports() {
 /// Where rows are scored, as `rlsched_serve_inline_total` counts them:
 /// every decision of a closed-loop client on an idle tier is scored on
 /// the connection thread that read it, and a backlog queued behind a
-/// stalled shard is scored entirely on the shard's thread.
+/// batch that stalls on another connection's thread is scored entirely
+/// by that thread, which holds the shard's core.
 #[test]
 fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
     use rlsched_serve::protocol::{Request, Response};
@@ -784,27 +772,30 @@ fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
         ServeConfig {
             shards: 1,
             batch_cap: 4,
-            faults: Some(faults),
+            faults: Some(Arc::clone(&faults)),
             // Raw TcpStream below: pin TCP.
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             ..ServeConfig::default()
         },
     )
     .expect("server spawns");
+    // Request 0 is queued on its own connection, whose thread then holds
+    // the core in the stalled batch.
+    let mut holder = common::hold_the_core(&handle, &faults, 0, small_snapshot(3));
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    // One write of more frames than `batch_cap`: the runs that fill to
-    // the cap with frames behind them queue, and the last, short run
-    // finds the inbox holding the rows past the stalled batch's cap.
+    // One write: every run finds the core held (or rows waiting) and
+    // queues.
     let mut burst = Vec::new();
-    for id in 0..N {
+    for id in 1..N {
         let snapshot = small_snapshot(3);
         send_json(&mut burst, &Request::Score { id, snapshot });
     }
     writer.write_all(&burst).unwrap();
-    for _ in 0..N {
-        let resp: Response = recv_json(&mut reader);
+    let held = common::held_answer(&mut holder);
+    let queued = (1..N).map(|_| recv_json::<Response>(&mut reader));
+    for resp in std::iter::once(held).chain(queued) {
         assert!(
             matches!(
                 resp,
@@ -830,9 +821,11 @@ fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
 /// read nothing until its write returns. The connection thread must keep
 /// reading through such a burst: no reply it makes may wait on the
 /// socket, so the write completes and every frame is answered. Behind a
-/// stalled shard with a depth-4 inbox almost every frame is a full-inbox
-/// fallback made on the connection thread, and their replies alone
-/// overflow the Unix socket's send buffer before the client reads.
+/// batch that stalls on another connection's thread, with a depth-4
+/// inbox, almost every frame is a full-inbox fallback made on the
+/// connection thread, and their replies alone overflow the Unix socket's
+/// send buffer before the client reads. (`memnet.rs` holds the same with
+/// buffers of a set size.)
 #[test]
 fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
     use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
@@ -850,12 +843,13 @@ fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
             shards: 1,
             batch_cap: 4,
             queue_depth: 4,
-            faults: Some(faults),
+            faults: Some(Arc::clone(&faults)),
             ..ServeConfig::default()
         },
     )
     .expect("server spawns");
     const N: u64 = 20_000;
+    let mut holder = common::hold_the_core(&handle, &faults, 0, small_snapshot(1));
     let stream = AnyStream::dial(handle.server_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     // A server that stops reading fails the write here instead of
@@ -865,7 +859,7 @@ fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
         .unwrap();
     let mut burst = Vec::new();
     let mut frame = Vec::new();
-    for id in 0..N {
+    for id in 1..N {
         let snapshot = small_snapshot(1 + id as usize % 3);
         encode_binary_frame(&Request::Score { id, snapshot }, &mut frame);
         burst.extend_from_slice(&frame);
@@ -877,10 +871,14 @@ fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
     let (mut payload, mut line) = (Vec::new(), String::new());
     let mut seen = vec![false; N as usize];
     let mut fallbacks = 0;
-    for _ in 0..N {
-        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+    let held = common::held_answer(&mut holder);
+    let queued = (1..N).map(|_| {
+        read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
             .unwrap()
-            .expect("a reply per frame");
+            .expect("a reply per frame")
+            .0
+    });
+    for resp in std::iter::once(held).chain(queued) {
         let Response::Action { id, served_by, .. } = resp else {
             panic!("unexpected response: {resp:?}");
         };
@@ -918,8 +916,8 @@ fn unread_inline_replies_never_stall_the_connection_thread() {
         ServeConfig {
             addr: ListenAddr::unix_temp("unread"),
             shards: 1,
-            // An inbox that holds every frame: on a loaded box the shard
-            // thread may fall behind a reader that keeps reading, and
+            // An inbox that holds every frame: on a loaded box a frame may
+            // find the core still held by the send of the last one, and
             // what it owes is a late model answer, not a fallback.
             queue_depth: N as usize,
             ..ServeConfig::default()
@@ -1063,10 +1061,11 @@ fn a_burst_within_batch_cap_is_scored_inline_one_batch_per_shard() {
 }
 
 /// A pipelined burst larger than `batch_cap` is cut into runs of the cap;
-/// each run that fills with bytes still buffered behind it is queued for
-/// the shard thread, even on an idle tier, so a flood still stacks into
+/// each run that fills with bytes still buffered behind it is queued in
+/// the shard's inbox, even on an idle tier, so a flood still stacks into
 /// batches, ages and sheds there. Only the last, short run can be scored
 /// inline. A `Stats` frame cuts a run too, and the cut run is queued.
+/// (A queued row its own thread drains is not counted inline.)
 #[test]
 fn runs_cut_by_batch_cap_or_a_stats_frame_are_queued() {
     use rlsched_serve::protocol::{encode_binary_frame, Request};
