@@ -14,9 +14,9 @@
 //!                  └──────────┬───────────────────┘   │ fault hook, forward    │
 //!                             │ bounded inbox, its    │ under catch_unwind;    │
 //!                             └─ receiver in the core▶│ panic ⇒ fallback,      │
-//!                    release: one batch from the      │ backoff, respawn, park │
-//!                    inbox, unlock; rows left ⇒ wake  └────────────────────────┘
-//!                    the drainer (one per tier) ─▶ a batch per inbox per pass
+//!                    offer: one batch from the inbox; │ backoff, respawn, park │
+//!                    release: unlock; rows left ⇒     └────────────────────────┘
+//!                    wake the drainer (one per tier) ─▶ a batch per inbox/pass
 //!                  writer thread (per conn): every reply not written inline
 //! ```
 //!
@@ -29,16 +29,18 @@
 //!   writes their replies. Every other row is pushed to its shard's
 //!   bounded inbox: a busy shard's, a run that reached the cap with bytes
 //!   behind it, a run a `Stats` or `Metrics` frame cut. The pusher then
-//!   *offers* — takes each core it pushed to if it is free — after its
+//!   *offers*: it takes each core it pushed to if it is free and scores
+//!   one batch from that inbox (an expired row answered by the fallback,
+//!   each reply sent to its connection's writer). It offers after its
 //!   first push since it last read its socket and again before its next
 //!   read, so a flood is read at the socket's pace into full batches. A
-//!   connection thread *releases* a core it holds: it scores one batch
-//!   from the inbox (an expired row answered by the fallback, each reply
-//!   sent to its connection's writer), unlocks, and wakes the tier's
+//!   connection thread *releases* a core it holds — after an offer's
+//!   batch or its own rows inline — by unlocking it and waking the tier's
 //!   drainer if rows are still waiting. The drainer takes a batch from
 //!   each inbox that holds rows, round robin, until none it can take
-//!   does. Every batch runs the same `score`: supervision, the fault hook
-//!   and the counters treat all alike.
+//!   does. So a connection thread scores at most one batch of queued rows
+//!   per offer. Every batch runs the same `score`: supervision, the fault
+//!   hook and the counters treat all alike.
 //! * **No row is stranded in an inbox**: a push adds 1 to the shard's
 //!   `rlsched_serve_inbox_depth` gauge, then sends; an offer is a
 //!   `SeqCst` fence, then `try_lock`. A release is the unlock, a `SeqCst`
@@ -497,12 +499,9 @@ impl Shared {
         }
     }
 
-    /// How a connection thread lets go of `shard`'s core: one batch from
-    /// the inbox, the unlock, and a wake-up for the drainer if rows are
-    /// still waiting. Draining to empty would let it serve other clients
-    /// while its own waits, and read ever more slowly under overload.
-    fn release(&self, shard: usize, mut core: MutexGuard<'_, ShardCore>) {
-        self.take_batch(shard, &mut core);
+    /// How a connection thread lets go of `shard`'s core: the unlock, and
+    /// a wake-up for the drainer if rows are still waiting.
+    fn release(&self, shard: usize, core: MutexGuard<'_, ShardCore>) {
         drop(core);
         fence(Ordering::SeqCst);
         if self.metrics.shards[shard].inbox_depth.get() > 0.0 {
@@ -1065,12 +1064,14 @@ impl<S: Transport> ConnOut<S> {
     }
 
     /// Offer: take the core of every shard this thread has pushed rows to
-    /// since it last did, if it is free, and release it. A core another
-    /// thread holds is released by that thread, which sees the rows.
+    /// since it last did, if it is free, score one batch from its inbox,
+    /// and release it. A core another thread holds is released by that
+    /// thread, which sees the rows.
     fn offer_pushed(&self) {
         fence(Ordering::SeqCst);
         for shard in self.pushed.borrow_mut().drain(..) {
-            if let Ok(core) = self.shared.shards[shard].core.try_lock() {
+            if let Ok(mut core) = self.shared.shards[shard].core.try_lock() {
+                self.shared.take_batch(shard, &mut core);
                 self.shared.release(shard, core);
             }
         }

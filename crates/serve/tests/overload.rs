@@ -152,7 +152,8 @@ fn the_overload_curve_never_falls_starves_no_client_and_recovers() {
             addr: ListenAddr::Tcp("127.0.0.1:0".into()),
             shards: 2,
             batch_cap: 8,
-            queue_deadline: Some(Duration::from_millis(50)),
+            queue_depth: 256,
+            queue_deadline: Some(Duration::from_millis(100)),
             faults: Some(faults),
             ..ServeConfig::default()
         },

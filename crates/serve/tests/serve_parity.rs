@@ -287,6 +287,10 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     const N: u64 = 256;
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
+    // A row stranded in an inbox fails the read instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let snapshot = small_snapshot(1);
