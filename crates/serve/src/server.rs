@@ -1197,12 +1197,10 @@ impl<S: Transport> Read for ReadHalf<S> {
 }
 
 /// Per-connection reader: parse frames, validate, collect runs, score
-/// them inline or queue them, and score a batch from the inbox of any
-/// core it holds.
-/// It writes its inline replies itself, and
-/// only as far as the socket takes them without blocking; a sibling
-/// writer thread writes every other reply, under the same lock. The
-/// reader never blocks on the socket or on that lock, so it keeps
+/// them inline or queue them and offer. It writes its inline replies
+/// itself, only as far as the socket takes them without blocking; a
+/// sibling writer thread writes every other reply, under the same lock.
+/// The reader never blocks on the socket or on that lock, so it keeps
 /// reading while a client that pipelines a burst is not yet reading its
 /// replies. With a run in hand it reads on only while part of a frame
 /// is buffered, so it waits for the client at most to finish a frame
