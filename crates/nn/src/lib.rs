@@ -50,8 +50,8 @@ pub use tensor::Tensor;
 /// rebuild a window's mask from its valid-slot count with it.
 pub const MASK_OFF: f32 = -1.0e9;
 
-// Serving tiers share weight snapshots across shard threads (an `Arc`
-// of the policy's `Mlp`s) and keep one `Scratch` per worker.
+// Serving tiers share weight snapshots across scoring threads (an `Arc`
+// of the policy's `Mlp`s) and keep one `Scratch` per shard.
 // Everything here is plain owned `Vec<f32>` data — no interior
 // mutability, no thread affinity — and these compile-time bounds keep it
 // that way: adding an `Rc`/`Cell` field anywhere below now fails to
