@@ -1126,14 +1126,18 @@ fn backward_layers(
 
         // dpre = dY ∘ act'(Y): one loop per activation, expressed through
         // the stashed output, in place over dY (ReLU as a select, which
-        // vectorizes), then swapped into `dpre`.
+        // vectorizes as wide as the detected arm: each element is its own
+        // select or product), then swapped into `dpre`.
         let pairs = g.dy.iter_mut().zip(&acts[l]);
-        match act {
-            Activation::Identity => {}
-            Activation::Relu => pairs.for_each(|(d, &yv)| *d = if yv > 0.0 { *d } else { 0.0 }),
-            Activation::Tanh => pairs.for_each(|(d, &yv)| *d *= 1.0 - yv * yv),
-            Activation::Sigmoid => pairs.for_each(|(d, &yv)| *d = *d * yv * (1.0 - yv)),
-        }
+        simd::with_arm_features(
+            #[inline(always)]
+            || match act {
+                Activation::Identity => {}
+                Activation::Relu => pairs.for_each(|(d, &yv)| *d = if yv > 0.0 { *d } else { 0.0 }),
+                Activation::Tanh => pairs.for_each(|(d, &yv)| *d *= 1.0 - yv * yv),
+                Activation::Sigmoid => pairs.for_each(|(d, &yv)| *d = *d * yv * (1.0 - yv)),
+            },
+        );
         std::mem::swap(&mut g.dy, &mut g.dpre);
 
         // dX = dpre · Wᵀ: transpose W (tiny) and run the broadcast gemm.
@@ -1160,7 +1164,11 @@ fn backward_layers(
             _ => simd::gemm_tn_blocks(x, din, &g.dpre, dout, ends_iter, dw),
         }
 
-        column_sums(&g.dpre, dout, grads[2 * l + 1].data_mut());
+        let db = grads[2 * l + 1].data_mut();
+        simd::with_arm_features(
+            #[inline(always)]
+            || column_sums(&g.dpre, dout, db),
+        );
 
         if dx_needed {
             std::mem::swap(&mut g.dy, &mut g.dy2);
@@ -1170,8 +1178,10 @@ fn backward_layers(
 
 /// `db`: the column sums of the `[rows, n]` matrix `x` into `out[..n]`,
 /// each one row-ascending chain from +0. Up to 32 columns at a time are
-/// held in registers (8 per vector) across all the rows, so no partial
-/// sum goes through memory.
+/// held in registers across all the rows, so no partial sum goes through
+/// memory; inlined into [`simd::with_arm_features`], the vectors are as
+/// wide as the detected arm's, and each column's sum keeps its order.
+#[inline(always)]
 fn column_sums(x: &[f32], n: usize, out: &mut [f32]) {
     let mut j = 0;
     while j + 32 <= n {
@@ -1192,6 +1202,7 @@ fn column_sums(x: &[f32], n: usize, out: &mut [f32]) {
 }
 
 /// [`column_sums`] of the `W` columns from `j`.
+#[inline(always)]
 fn column_sums_at<const W: usize>(x: &[f32], n: usize, j: usize, out: &mut [f32]) {
     let mut acc = [0.0f32; W];
     for row in x.chunks_exact(n) {

@@ -17,8 +17,8 @@
 //!   chunked, allocation-free pass, for every Table IV policy (kernel,
 //!   flat MLPs, the LeNet CNN) and the critic: the only gradient code in
 //!   the system.
-//! * [`simd`] — runtime-dispatched AVX2/FMA dense microkernels shared by
-//!   all of the above.
+//! * [`simd`] — runtime-dispatched AVX-512/AVX2/FMA dense microkernels
+//!   shared by all of the above.
 //! * [`optim`] — Adam and global-norm clipping (SIMD-dispatched fused
 //!   m/v/param step).
 //! * [`pool`] — the scoped worker pool the update sweep and the rollout

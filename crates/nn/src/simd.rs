@@ -21,25 +21,40 @@
 //! # Dispatch
 //!
 //! Which kernel runs is private to this module; every entry point writes
-//! its whole output.
+//! its whole output. The arm is detected once and cached, and
+//! [`arm_name`] names it:
 //!
-//! * On x86-64 with AVX2 and FMA (detected once and cached),
-//!   register-blocked AVX2 kernels run the outputs of 8 or more columns,
-//!   and a one-column dense head runs eight rows per vector, one row per
-//!   lane. [`simd_enabled`] reports this arm.
-//! * Every other shape and CPU runs the portable bodies ([`portable`]):
-//!   loops over `f32::mul_add`, compiled once with FMA enabled, which runs
-//!   where the CPU has it, and once plainly, where `mul_add` is the
-//!   platform's `fmaf`.
+//! * `avx512` (AVX-512F, AVX2 and FMA): 512-bit tiles run the outputs of
+//!   16 or more columns (the kernel network's 7→32 and 32→16 layers, the
+//!   backward's `dX` and `dW` of those widths, the critic's 896→32 layer),
+//!   up to the last whole 16 columns. The AVX2 tiles run what is left: the
+//!   outputs of 8–15 columns, a column tail of 8–15, and the one-column
+//!   head. `simd::avx2` (hidden; the tests' handle) runs this CPU's
+//!   kernels without the 512-bit tiles.
+//! * `avx2` (AVX2 and FMA): register-blocked AVX2 tiles run the outputs
+//!   of 8 or more columns, and a one-column dense head runs eight rows per
+//!   vector, one row per lane. [`simd_enabled`] is true on both of these
+//!   arms.
+//! * `fma` and `plain`: every other shape and CPU runs the portable
+//!   bodies ([`portable`]): loops over `f32::mul_add`, compiled once with
+//!   FMA enabled, which runs where the CPU has it, and once plainly, where
+//!   `mul_add` is the platform's `fmaf`.
 //! * Setting `RLSCHED_FORCE_SCALAR` (to anything but `0`/empty) before the
 //!   first call runs the portable bodies everywhere.
-//! * Every tile keeps eight FMA chains in flight where the shape has
-//!   them. [`gemm`] runs 4-row × 16-column blocks, and an output of 8–15
-//!   columns (one 8-wide tile) runs 8-row blocks first; the TN kernel
-//!   sums eight `A` columns per group under 16 columns (four at 16 or
-//!   more, where a group has two 8-wide tiles). The ragged kernels keep
-//!   their [`RAGGED_BLOCK`]-row (and -input) blocks: a row holds zeros
-//!   only up to its block's reach.
+//! * Each tile loop is written once for both vector widths (the private
+//!   `Lanes` trait over `__m256` and `__m512`) and compiled once per width
+//!   inside that width's `#[target_feature]` kernel. Every tile keeps
+//!   eight FMA chains in flight where the shape has them. [`gemm`] runs
+//!   4-row × 2-vector blocks, and outputs one vector wide (8–15 columns,
+//!   or 16–31 at 512 bits) run 8-row blocks first. The TN kernel sums a
+//!   group of `A` columns over a row block in registers: at 256 bits
+//!   eight columns when a group has one vector per column and four when
+//!   it has two (eight chains); at 512 bits sixteen columns or eight
+//!   (sixteen chains of the 32 registers), with a last seven in one
+//!   group, so the kernel network's 7×32 `dW` is one group of fourteen
+//!   chains and its 32×16 `dW` two passes over the rows, not four. The
+//!   ragged kernels keep their [`RAGGED_BLOCK`]-row (and -input) blocks:
+//!   a row holds zeros only up to its block's reach.
 //!
 //! # Layout
 //!
@@ -60,11 +75,12 @@
 //! softmax and the log-probs around these kernels call, come from the
 //! platform's libm, so "every CPU" means every CPU under one libm.
 //!
-//! ReLU at the store is `_mm256_max_ps(acc, 0)` with the accumulator
-//! first: `maxps` returns its second operand when either is NaN or both
-//! are zero, so a NaN or −0 accumulator stores +0, which is what [`relu`]
-//! (the select [`Activation::apply_slice`] runs) gives them; every other
-//! value is unchanged. The fused store therefore has the bits of the
+//! ReLU at the store is `_mm256_max_ps(acc, 0)` (`_mm512_max_ps` at 512
+//! bits) with the accumulator first: `maxps` returns its second operand
+//! when either is NaN or both are zero, so a NaN or −0 accumulator
+//! stores +0, which is what [`relu`] (the select
+//! [`Activation::apply_slice`] runs) gives them; every other value is
+//! unchanged. The fused store therefore has the bits of the
 //! plain kernel followed by the separate pass, on every input and in
 //! every build.
 //!
@@ -89,6 +105,9 @@ use crate::layers::{relu, Activation};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Arm {
+    /// The 512-bit tiles at 16 or more columns, the [`Arm::Avx2`] kernels
+    /// elsewhere.
+    Avx512,
     /// The AVX2 kernels where the shape has them, the portable bodies
     /// compiled with FMA elsewhere.
     Avx2,
@@ -100,7 +119,7 @@ enum Arm {
 
 impl Arm {
     /// Detected once and cached; `RLSCHED_FORCE_SCALAR` (anything but
-    /// `0`/empty) turns the AVX2 kernels off.
+    /// `0`/empty) turns the AVX2 and AVX-512 kernels off.
     fn detected() -> Arm {
         static ARM: OnceLock<Arm> = OnceLock::new();
         *ARM.get_or_init(|| {
@@ -109,26 +128,106 @@ impl Arm {
                 let forced = std::env::var_os("RLSCHED_FORCE_SCALAR")
                     .is_some_and(|v| !v.is_empty() && v != "0");
                 let avx2 = std::arch::is_x86_feature_detected!("avx2");
-                return if avx2 && !forced { Arm::Avx2 } else { Arm::Fma };
+                let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+                return match (avx2 && !forced, avx512) {
+                    (true, true) => Arm::Avx512,
+                    (true, false) => Arm::Avx2,
+                    (false, _) => Arm::Fma,
+                };
             }
             Arm::Plain
         })
     }
 
+    /// This CPU's kernels without the 512-bit tiles.
+    fn avx2() -> Arm {
+        match Arm::detected() {
+            Arm::Avx512 => Arm::Avx2,
+            arm => arm,
+        }
+    }
+
     /// The portable bodies on this CPU.
     fn portable() -> Arm {
         match Arm::detected() {
-            Arm::Avx2 => Arm::Fma,
+            Arm::Avx512 | Arm::Avx2 => Arm::Fma,
             arm => arm,
+        }
+    }
+
+    /// What [`arm_name`] calls this arm.
+    fn name(self) -> &'static str {
+        match self {
+            Arm::Avx512 => "avx512",
+            Arm::Avx2 => "avx2",
+            Arm::Fma => "fma",
+            Arm::Plain => "plain",
         }
     }
 }
 
-/// True when the AVX2 kernels run: AVX2 and FMA detected at runtime once
-/// and cached, and `RLSCHED_FORCE_SCALAR` unset. Every CPU computes the
-/// same bits; this only names the kernels that compute them.
+/// True when the x86 vector kernels run (AVX2 and FMA, with or without
+/// the AVX-512 tiles): detected at runtime once and cached, and
+/// `RLSCHED_FORCE_SCALAR` unset. Every CPU computes the same bits; this
+/// only names the kernels that compute them.
 pub fn simd_enabled() -> bool {
-    Arm::detected() == Arm::Avx2
+    matches!(Arm::detected(), Arm::Avx512 | Arm::Avx2)
+}
+
+/// The kernels this CPU runs: `"avx512"`, `"avx2"`, `"fma"` (the
+/// portable bodies compiled with FMA, which `RLSCHED_FORCE_SCALAR`
+/// selects on an FMA CPU) or `"plain"`. Every arm computes the same bits.
+pub fn arm_name() -> &'static str {
+    Arm::detected().name()
+}
+
+/// `body()`, compiled with the detected arm's instructions: the
+/// element-wise loops around the kernels (`fused`'s backward) vectorize
+/// as wide as the CPU allows. Pass an `#[inline(always)]` closure, so that
+/// its loops are compiled inside each wrapper; a loop whose elements are
+/// independent keeps its bits at any width.
+pub(crate) fn with_arm_features<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: each wrapper enables only what its arm detected.
+    unsafe {
+        match Arm::detected() {
+            Arm::Avx512 => return on_avx512(body),
+            Arm::Avx2 => return on_avx2(body),
+            Arm::Fma => return on_fma(body),
+            Arm::Plain => {}
+        }
+    }
+    body()
+}
+
+/// [`with_arm_features`] on [`Arm::Avx512`].
+///
+/// # Safety
+/// AVX-512F, AVX2 and FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn on_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// [`with_arm_features`] on [`Arm::Avx2`].
+///
+/// # Safety
+/// AVX2 and FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn on_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// [`with_arm_features`] on [`Arm::Fma`].
+///
+/// # Safety
+/// FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn on_fma<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 /// The kernel entry points, each a call of its body on the arm `$arm`
@@ -183,7 +282,7 @@ macro_rules! entry_points {
         ///
         /// A row's terms count only for the inputs below its extent rounded up
         /// to a multiple of [`RAGGED_BLOCK`] (at most `m`), which must hold zeros
-        /// past the extent. The AVX2 kernel sums each group of four inputs (then
+        /// past the extent. The x86 kernels sum each group of four inputs (then
         /// two, then one, at a ragged `m`) over only the rows that reach it:
         /// `active` starts each block as its rows and is compacted, in place and
         /// in row order, as the group index rises, so every sum stays row
@@ -265,19 +364,32 @@ macro_rules! entry_points {
 entry_points!(Arm::detected());
 
 /// The same entry points on the portable bodies: what a CPU without AVX2
-/// runs, and what the AVX2 kernels are held to, `==` on every input, by
-/// `tests/simd_parity_prop.rs`. Compiled with FMA where the CPU has it.
+/// runs, and what the AVX2 and AVX-512 kernels are held to, `==` on every
+/// input, by `tests/simd_parity_prop.rs`. Compiled with FMA where the CPU
+/// has it.
 pub mod portable {
     use super::*;
 
     entry_points!(Arm::portable());
 }
 
+/// The same entry points on this CPU's kernels without the 512-bit tiles:
+/// the AVX2 kernels on an AVX-512 CPU, which `tests/simd_parity_prop.rs`
+/// holds `==` the portable bodies beside the dispatched arm; the
+/// dispatched kernels everywhere else.
+#[doc(hidden)]
+pub mod avx2 {
+    use super::*;
+
+    entry_points!(Arm::avx2());
+}
+
 // ------------------------------------------------------------- C = A·B
 
 /// The forward chains of `rows` on `arm`, ReLU at the store with `RELU`:
-/// the AVX2 kernels at 8 or more columns and for a one-column output of
-/// [`AllRows`], the portable body otherwise.
+/// the AVX-512 kernel at 16 or more columns, the AVX2 kernels at 8 or more
+/// and for a one-column output of [`AllRows`], the portable body
+/// otherwise.
 #[allow(clippy::too_many_arguments)] // gemm's operands + the arm and row plan
 fn dense_rows<const RELU: bool, P: RowPlan>(
     arm: Arm,
@@ -290,17 +402,21 @@ fn dense_rows<const RELU: bool, P: RowPlan>(
     rows: P,
 ) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `Arm::Avx2` detected AVX2+FMA and `Arm::Fma` FMA; the
-    // kernels check the slice lengths against the dims, and every row
-    // plan holds its rows and extents to the slices (`dense_ragged`).
+    // SAFETY: `Arm::Avx512` detected AVX-512F+AVX2+FMA, `Arm::Avx2`
+    // AVX2+FMA and `Arm::Fma` FMA; the kernels check the slice lengths
+    // against the dims, and every row plan holds its rows and extents to
+    // the slices (`dense_ragged`).
     unsafe {
         match arm {
-            Arm::Avx2 if n >= 8 => return gemm_avx2::<RELU, P>(a, k, b, n, bias, out, rows),
-            Arm::Avx2 if n == 1 && P::EIGHT_ROW_BLOCKS => {
+            Arm::Avx512 if n >= 16 => return gemm_avx512::<RELU, P>(a, k, b, n, bias, out, rows),
+            Arm::Avx512 | Arm::Avx2 if n >= 8 => {
+                return gemm_avx2::<RELU, P>(a, k, b, n, bias, out, rows)
+            }
+            Arm::Avx512 | Arm::Avx2 if n == 1 && P::EIGHT_ROW_BLOCKS => {
                 let seed = bias.map_or(0.0, |bv| bv[0]);
                 return head_lanes_avx2::<RELU>(a, rows.len(), b, seed, k, out);
             }
-            Arm::Avx2 | Arm::Fma => {
+            Arm::Avx512 | Arm::Avx2 | Arm::Fma => {
                 return dense_chains_fma::<RELU, P>(a, k, b, n, bias, out, rows)
             }
             Arm::Plain => {}
@@ -327,6 +443,9 @@ fn dense_chains<const RELU: bool, P: RowPlan>(
     rows: P,
     cols: std::ops::Range<usize>,
 ) {
+    if cols.is_empty() {
+        return;
+    }
     for p in 0..rows.len() {
         let ([r], reach) = rows.block::<1>(p, k);
         for j0 in cols.clone().step_by(8) {
@@ -377,10 +496,10 @@ unsafe fn dense_chains_fma<const RELU: bool, P: RowPlan>(
 /// The rows a forward call computes, and how far each one's chain runs.
 /// A type per plan, so each kernel compiles to its own loop.
 trait RowPlan: Copy {
-    /// Whether the AVX2 kernels may run rows in blocks of eight: outputs
-    /// narrower than 16 columns (eight FMA chains on their one 8-wide
-    /// tile, ahead of the four-row blocks), and a one-column output one
-    /// row per lane ([`head_lanes_avx2`]). Only [`AllRows`]: a
+    /// Whether the x86 kernels may run rows in blocks of eight: outputs
+    /// one vector wide (eight FMA chains on their one tile, ahead of the
+    /// four-row blocks), and a one-column output one row per lane
+    /// ([`head_lanes_avx2`]). Only [`AllRows`]: a
     /// [`RaggedRows`] block reaches as far as its widest row, and its rows
     /// hold zeros only up to the reach of their [`RAGGED_BLOCK`]-row block.
     const EIGHT_ROW_BLOCKS: bool;
@@ -441,29 +560,127 @@ impl RowPlan for RaggedRows<'_> {
     }
 }
 
-/// Register-blocked AVX2/FMA kernel: 4 rows × 16 columns per block (eight
-/// independent FMA chains — enough to cover FMA latency at two issues per
-/// cycle), stepping down to 4×8, then a 1-row remainder (64-, 32-, 16-
-/// and 8-wide tiles: one input row keeps eight chains busy only across
-/// 64 columns), then a scalar column tail. An output narrower than 16
-/// columns has one 8-wide tile, so [`AllRows`] runs it in 8-row blocks
-/// first (eight chains, where a 4-row block has four).
-///
-/// Every output element is accumulated by its own k-ascending FMA chain
-/// in its own vector lane (the column tail by `mul_add`), so the tile
-/// geometry never changes a value: each row is bit-identical whether it
-/// was computed in a full block or as a tail (the row-count-invariance
-/// contract of the module docs), and it is [`dense_chains`]' row. A chain
-/// stops where `rows` says its inputs end ([`dense_ragged`]).
-///
-/// With `RELU` every tile stores `max(acc, 0)` ([`activate`]); the scalar
-/// column tail runs [`relu`], the same select.
+/// One vector width of the x86 tiles: eight lanes ([`Ymm`], `__m256`) or
+/// sixteen ([`Zmm`], `__m512`), so that each tile loop is written once.
+/// The methods are `#[inline(always)]` and run only inside a
+/// `#[target_feature]` kernel that enables their width ([`gemm_avx2`],
+/// [`gemm_avx512`], [`gemm_tn_avx2`], [`gemm_tn_avx512`]), where each
+/// compiles to one instruction.
+#[cfg(target_arch = "x86_64")]
+trait Lanes {
+    /// The vector.
+    type V: Copy;
+    /// Its lanes.
+    const N: usize;
+    /// All lanes +0.
+    unsafe fn zero() -> Self::V;
+    /// `x` in every lane.
+    unsafe fn splat(x: f32) -> Self::V;
+    /// `N` values from `p`.
+    unsafe fn load(p: *const f32) -> Self::V;
+    /// `N` values to `p`.
+    unsafe fn store(p: *mut f32, v: Self::V);
+    /// `x · w + acc` per lane, rounded once.
+    unsafe fn fmadd(x: Self::V, w: Self::V, acc: Self::V) -> Self::V;
+    /// `a + b` per lane.
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    /// `max(acc, 0)` with the accumulator as the first operand, so a NaN
+    /// or −0 accumulator gives +0 (`maxps` returns its second operand
+    /// then), as [`relu`] does.
+    unsafe fn max0(acc: Self::V) -> Self::V;
+}
+
+/// Eight lanes: the AVX2 tiles.
+#[cfg(target_arch = "x86_64")]
+struct Ymm;
+
+/// Sixteen lanes: the AVX-512 tiles.
+#[cfg(target_arch = "x86_64")]
+struct Zmm;
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Ymm {
+    type V = std::arch::x86_64::__m256;
+    const N: usize = 8;
+    #[inline(always)]
+    unsafe fn zero() -> Self::V {
+        unsafe { std::arch::x86_64::_mm256_setzero_ps() }
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::V {
+        unsafe { std::arch::x86_64::_mm256_set1_ps(x) }
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self::V {
+        unsafe { std::arch::x86_64::_mm256_loadu_ps(p) }
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f32, v: Self::V) {
+        unsafe { std::arch::x86_64::_mm256_storeu_ps(p, v) }
+    }
+    #[inline(always)]
+    unsafe fn fmadd(x: Self::V, w: Self::V, acc: Self::V) -> Self::V {
+        unsafe { std::arch::x86_64::_mm256_fmadd_ps(x, w, acc) }
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
+        unsafe { std::arch::x86_64::_mm256_add_ps(a, b) }
+    }
+    #[inline(always)]
+    unsafe fn max0(acc: Self::V) -> Self::V {
+        use std::arch::x86_64::*;
+        unsafe { _mm256_max_ps(acc, _mm256_setzero_ps()) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Zmm {
+    type V = std::arch::x86_64::__m512;
+    const N: usize = 16;
+    #[inline(always)]
+    unsafe fn zero() -> Self::V {
+        unsafe { std::arch::x86_64::_mm512_setzero_ps() }
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::V {
+        unsafe { std::arch::x86_64::_mm512_set1_ps(x) }
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self::V {
+        unsafe { std::arch::x86_64::_mm512_loadu_ps(p) }
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f32, v: Self::V) {
+        unsafe { std::arch::x86_64::_mm512_storeu_ps(p, v) }
+    }
+    #[inline(always)]
+    unsafe fn fmadd(x: Self::V, w: Self::V, acc: Self::V) -> Self::V {
+        unsafe { std::arch::x86_64::_mm512_fmadd_ps(x, w, acc) }
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
+        unsafe { std::arch::x86_64::_mm512_add_ps(a, b) }
+    }
+    #[inline(always)]
+    unsafe fn max0(acc: Self::V) -> Self::V {
+        use std::arch::x86_64::*;
+        unsafe { _mm512_max_ps(acc, _mm512_setzero_ps()) }
+    }
+}
+
+/// Store what a tile stores for `acc`: [`Lanes::max0`] with `RELU`, `acc`
+/// itself otherwise.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn store<L: Lanes, const RELU: bool>(o: *mut f32, acc: L::V) {
+    unsafe { L::store(o, if RELU { L::max0(acc) } else { acc }) }
+}
+
+/// The forward on AVX2: [`gemm_tiles`] at eight lanes, then
+/// [`dense_chains`]' column tail.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available and slice lengths cover the
-/// dims (`a ≥ rows*k`, `b ≥ k*n`, `out ≥ rows*n`, `bias ≥ n` when given),
-/// and for [`RaggedRows`] that every entry of `order` is below
-/// `ext.len()` and no extent is above `k`.
+/// As [`gemm_tiles`], with AVX2+FMA available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_avx2<const RELU: bool, P: RowPlan>(
@@ -475,144 +692,172 @@ unsafe fn gemm_avx2<const RELU: bool, P: RowPlan>(
     out: &mut [f32],
     rows: P,
 ) {
-    use std::arch::x86_64::*;
-    let (m, stored) = (rows.len(), rows.stored());
+    // SAFETY: forwarded from the caller.
+    let j = unsafe { gemm_tiles::<Ymm, RELU, P>(a, k, b, n, bias, out, rows, 0) };
+    dense_chains::<RELU, P>(a, k, b, n, bias, out, rows, j..n);
+}
+
+/// The forward on AVX-512: [`gemm_tiles`] at sixteen lanes up to the last
+/// whole 16 columns, at eight lanes over a tail of 8–15, then
+/// [`dense_chains`]' column tail.
+///
+/// # Safety
+/// As [`gemm_tiles`], with AVX-512F+AVX2+FMA available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn gemm_avx512<const RELU: bool, P: RowPlan>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    rows: P,
+) {
+    // SAFETY: forwarded from the caller.
+    let j = unsafe {
+        let j = gemm_tiles::<Zmm, RELU, P>(a, k, b, n, bias, out, rows, 0);
+        gemm_tiles::<Ymm, RELU, P>(a, k, b, n, bias, out, rows, j)
+    };
+    dense_chains::<RELU, P>(a, k, b, n, bias, out, rows, j..n);
+}
+
+/// Register-blocked tiles of `L` over the columns from `j0` up to the
+/// last whole vector, whose end it returns: 4 rows × 2 vectors per block
+/// (eight independent FMA chains — enough to cover FMA latency at two
+/// issues per cycle), stepping down to 4 × 1, then a 1-row remainder of
+/// 8-, 4-, 2- and 1-vector tiles (one input row keeps eight chains busy
+/// only across eight vectors). When those columns are one vector wide,
+/// [`AllRows`] runs them in 8-row blocks first (eight chains, where a
+/// 4-row block has four).
+///
+/// Every output element is accumulated by its own k-ascending FMA chain
+/// in its own vector lane, so the tile geometry and the vector width
+/// never change a value: each row is bit-identical whether it was
+/// computed in a full block or as a tail (the row-count-invariance
+/// contract of the module docs), and it is [`dense_chains`]' row. A chain
+/// stops where `rows` says its inputs end ([`dense_ragged`]). With `RELU`
+/// every tile stores [`Lanes::max0`].
+///
+/// # Safety
+/// Only inside a kernel that enables `L`'s instructions. The slice
+/// lengths must cover the dims (`a ≥ rows*k`, `b ≥ k*n`, `out ≥ rows*n`,
+/// `bias ≥ n` when given; asserted), and for [`RaggedRows`] every entry
+/// of `order` must be below `ext.len()` and no extent above `k`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // gemm's operands + the row plan and first column
+unsafe fn gemm_tiles<L: Lanes, const RELU: bool, P: RowPlan>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    rows: P,
+    j0: usize,
+) -> usize {
+    let (m, stored, w) = (rows.len(), rows.stored(), L::N);
     assert!(a.len() >= stored * k && b.len() >= k * n && out.len() >= stored * n);
     if let Some(bv) = bias {
         assert!(bv.len() >= n);
     }
-    let n16 = n - n % 16;
-    let n8 = n - n % 8;
+    let end = n - (n - j0) % w;
+    let pairs = n - (n - j0) % (2 * w);
+    if end == j0 {
+        return end;
+    }
     // SAFETY: every row `rows` names is below `stored` and runs over at
     // most `k` inputs (the caller's contract for ragged rows), so every
     // read of `a` and write of `out` is inside the lengths asserted
-    // above; every column is below `n`.
+    // above; every column is below `end ≤ n`.
     unsafe {
-        let seed = |j: usize| -> __m256 {
-            match bias {
-                Some(bv) => _mm256_loadu_ps(bv.as_ptr().add(j)),
-                None => _mm256_setzero_ps(),
-            }
+        let seed = |j: usize| match bias {
+            Some(bv) => L::load(bv.as_ptr().add(j)),
+            None => L::zero(),
         };
-        let store = |o: *mut f32, acc: __m256| _mm256_storeu_ps(o, activate::<RELU>(acc));
+        let wrow = |kk: usize, j: usize| L::load(b.as_ptr().add(kk * n + j));
         let mut p = 0;
-        if P::EIGHT_ROW_BLOCKS && n16 == 0 && n8 == 8 {
+        if P::EIGHT_ROW_BLOCKS && end - j0 == w {
             while p + 8 <= m {
                 let (r, reach) = rows.block::<8>(p, k);
                 let x = r.map(|r| a.as_ptr().add(r * k));
-                let mut acc = [seed(0); 8];
+                let mut acc = [seed(j0); 8];
                 for kk in 0..reach {
-                    let w = _mm256_loadu_ps(b.as_ptr().add(kk * n));
+                    let wv = wrow(kk, j0);
                     for (acc, x) in acc.iter_mut().zip(x) {
-                        *acc = _mm256_fmadd_ps(_mm256_set1_ps(*x.add(kk)), w, *acc);
+                        *acc = L::fmadd(L::splat(*x.add(kk)), wv, *acc);
                     }
                 }
                 for (acc, r) in acc.into_iter().zip(r) {
-                    store(out.as_mut_ptr().add(r * n), acc);
+                    store::<L, RELU>(out.as_mut_ptr().add(r * n + j0), acc);
                 }
                 p += 8;
             }
         }
         while p + 4 <= m {
             let (r, reach) = rows.block::<4>(p, k);
-            let [x0p, x1p, x2p, x3p] = r.map(|r| a.as_ptr().add(r * k));
-            let [o0p, o1p, o2p, o3p] = r.map(|r| out.as_mut_ptr().add(r * n));
-            let mut j = 0;
-            while j < n16 {
-                let s0 = seed(j);
-                let s1 = seed(j + 8);
-                let (mut a00, mut a01) = (s0, s1);
-                let (mut a10, mut a11) = (s0, s1);
-                let (mut a20, mut a21) = (s0, s1);
-                let (mut a30, mut a31) = (s0, s1);
+            let x = r.map(|r| a.as_ptr().add(r * k));
+            let o = r.map(|r| out.as_mut_ptr().add(r * n));
+            let mut j = j0;
+            while j < pairs {
+                let mut acc = [[seed(j), seed(j + w)]; 4];
                 for kk in 0..reach {
-                    let w0 = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
-                    let w1 = _mm256_loadu_ps(b.as_ptr().add(kk * n + j + 8));
-                    let x0 = _mm256_set1_ps(*x0p.add(kk));
-                    a00 = _mm256_fmadd_ps(x0, w0, a00);
-                    a01 = _mm256_fmadd_ps(x0, w1, a01);
-                    let x1 = _mm256_set1_ps(*x1p.add(kk));
-                    a10 = _mm256_fmadd_ps(x1, w0, a10);
-                    a11 = _mm256_fmadd_ps(x1, w1, a11);
-                    let x2 = _mm256_set1_ps(*x2p.add(kk));
-                    a20 = _mm256_fmadd_ps(x2, w0, a20);
-                    a21 = _mm256_fmadd_ps(x2, w1, a21);
-                    let x3 = _mm256_set1_ps(*x3p.add(kk));
-                    a30 = _mm256_fmadd_ps(x3, w0, a30);
-                    a31 = _mm256_fmadd_ps(x3, w1, a31);
+                    let (w0, w1) = (wrow(kk, j), wrow(kk, j + w));
+                    for (acc, x) in acc.iter_mut().zip(x) {
+                        let xv = L::splat(*x.add(kk));
+                        acc[0] = L::fmadd(xv, w0, acc[0]);
+                        acc[1] = L::fmadd(xv, w1, acc[1]);
+                    }
                 }
-                store(o0p.add(j), a00);
-                store(o0p.add(j + 8), a01);
-                store(o1p.add(j), a10);
-                store(o1p.add(j + 8), a11);
-                store(o2p.add(j), a20);
-                store(o2p.add(j + 8), a21);
-                store(o3p.add(j), a30);
-                store(o3p.add(j + 8), a31);
-                j += 16;
+                for (acc, o) in acc.into_iter().zip(o) {
+                    store::<L, RELU>(o.add(j), acc[0]);
+                    store::<L, RELU>(o.add(j + w), acc[1]);
+                }
+                j += 2 * w;
             }
-            while j < n8 {
-                let s = seed(j);
-                let (mut a0, mut a1, mut a2, mut a3) = (s, s, s, s);
+            while j < end {
+                let mut acc = [seed(j); 4];
                 for kk in 0..reach {
-                    let wr = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
-                    a0 = _mm256_fmadd_ps(_mm256_set1_ps(*x0p.add(kk)), wr, a0);
-                    a1 = _mm256_fmadd_ps(_mm256_set1_ps(*x1p.add(kk)), wr, a1);
-                    a2 = _mm256_fmadd_ps(_mm256_set1_ps(*x2p.add(kk)), wr, a2);
-                    a3 = _mm256_fmadd_ps(_mm256_set1_ps(*x3p.add(kk)), wr, a3);
+                    let wv = wrow(kk, j);
+                    for (acc, x) in acc.iter_mut().zip(x) {
+                        *acc = L::fmadd(L::splat(*x.add(kk)), wv, *acc);
+                    }
                 }
-                store(o0p.add(j), a0);
-                store(o1p.add(j), a1);
-                store(o2p.add(j), a2);
-                store(o3p.add(j), a3);
-                j += 8;
+                for (acc, o) in acc.into_iter().zip(o) {
+                    store::<L, RELU>(o.add(j), acc);
+                }
+                j += w;
             }
             p += 4;
         }
-        // Row remainder: 64-, 32-, 16- then 8-wide tiles with the same
+        // Row remainder: 8-, 4-, 2- then 1-vector tiles with the same
         // per-lane k-ascending FMA chain as the blocks above (row-count
         // invariance).
         while p < m {
             let ([r], reach) = rows.block::<1>(p, k);
             let (a_row, o_row) = (a.as_ptr().add(r * k), out.as_mut_ptr().add(r * n));
-            let mut j = 0;
-            while j + 64 <= n {
-                row_tile::<8, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
-                j += 64;
+            let mut j = j0;
+            while j + 8 * w <= end {
+                row_tile::<L, 8, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                j += 8 * w;
             }
-            while j + 32 <= n {
-                row_tile::<4, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
-                j += 32;
+            while j + 4 * w <= end {
+                row_tile::<L, 4, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                j += 4 * w;
             }
-            while j + 16 <= n {
-                row_tile::<2, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
-                j += 16;
+            while j + 2 * w <= end {
+                row_tile::<L, 2, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                j += 2 * w;
             }
-            while j + 8 <= n {
-                row_tile::<1, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
-                j += 8;
+            while j < end {
+                row_tile::<L, 1, RELU>(a_row, reach, b.as_ptr(), n, j, bias, o_row);
+                j += w;
             }
             p += 1;
         }
     }
-    // Column tail: the same chains, one `mul_add` per term.
-    dense_chains::<RELU, P>(a, k, b, n, bias, out, rows, n8..n);
-}
-
-/// The value a tile stores for `acc`: `max(acc, 0)` with `RELU`, with the
-/// accumulator as the first operand, so a NaN or −0 accumulator stores
-/// +0 (`maxps` returns its second operand then), as [`relu`] does; `acc`
-/// itself otherwise.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[inline]
-fn activate<const RELU: bool>(acc: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
-    use std::arch::x86_64::*;
-    if RELU {
-        _mm256_max_ps(acc, _mm256_setzero_ps())
-    } else {
-        acc
-    }
+    end
 }
 
 /// How many rows of `B` ahead [`row_tile`] prefetches. One input row
@@ -623,21 +868,18 @@ fn activate<const RELU: bool>(acc: std::arch::x86_64::__m256) -> std::arch::x86_
 /// value changes.
 const ROW_TILE_PREFETCH_ROWS: usize = 8;
 
-/// One row of [`gemm_avx2`]'s row remainder: `a_row` times the `8 * V`
-/// columns of `B` from `j`, into `o_row[j..]`. `V` accumulators, each
-/// seeded with its 8 lanes of `bias` (or zero) and run as a k-ascending
-/// FMA chain — the same chain every lane of a 4-row block runs, so a
-/// row's bits do not depend on which tile computed it.
-///
-/// With `RELU` each accumulator stores `max(acc, 0)` ([`activate`]).
+/// One row of [`gemm_tiles`]' row remainder: `a_row` times the `V`
+/// vectors of `B` columns from `j`, into `o_row[j..]`. `V` accumulators,
+/// each seeded with its lanes of `bias` (or zero) and run as a
+/// k-ascending FMA chain — the same chain every lane of a 4-row block
+/// runs, so a row's bits do not depend on which tile computed it.
 ///
 /// # Safety
-/// AVX2+FMA must be available; `a_row` must hold `k` values, `b` `k * n`,
-/// `o_row` `n`, `bias` (when given) `n`, and `j + 8 * V <= n`.
+/// As [`gemm_tiles`]; `a_row` must hold `k` values, `b` `k * n`, `o_row`
+/// `n`, `bias` (when given) `n`, and `j + V * L::N <= n`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-unsafe fn row_tile<const V: usize, const RELU: bool>(
+#[inline(always)]
+unsafe fn row_tile<L: Lanes, const V: usize, const RELU: bool>(
     a_row: *const f32,
     k: usize,
     b: *const f32,
@@ -648,27 +890,27 @@ unsafe fn row_tile<const V: usize, const RELU: bool>(
 ) {
     use std::arch::x86_64::*;
     unsafe {
-        let mut acc = [_mm256_setzero_ps(); V];
+        let mut acc = [L::zero(); V];
         if let Some(bv) = bias {
             for (v, acc) in acc.iter_mut().enumerate() {
-                *acc = _mm256_loadu_ps(bv.as_ptr().add(j + 8 * v));
+                *acc = L::load(bv.as_ptr().add(j + L::N * v));
             }
         }
         for kk in 0..k {
-            let x = _mm256_set1_ps(*a_row.add(kk));
+            let x = L::splat(*a_row.add(kk));
             let w = b.add(kk * n + j);
             // One prefetch per 64-byte line of the tile's slice; past the
             // end of `B` it is a no-op (prefetches do not fault).
             let ahead = w.wrapping_add(ROW_TILE_PREFETCH_ROWS * n);
-            for line in 0..V.div_ceil(2) {
+            for line in 0..(V * L::N).div_ceil(16) {
                 _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16 * line) as *const i8);
             }
             for (v, acc) in acc.iter_mut().enumerate() {
-                *acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(w.add(8 * v)), *acc);
+                *acc = L::fmadd(x, L::load(w.add(L::N * v)), *acc);
             }
         }
         for (v, acc) in acc.into_iter().enumerate() {
-            _mm256_storeu_ps(o_row.add(j + 8 * v), activate::<RELU>(acc));
+            store::<L, RELU>(o_row.add(j + L::N * v), acc);
         }
     }
 }
@@ -685,9 +927,10 @@ pub fn tn_block_ends(r: usize) -> impl Iterator<Item = usize> {
     (1..=r.div_ceil(TN_BLOCK_ROWS)).map(move |i| (i * TN_BLOCK_ROWS).min(r))
 }
 
-/// The TN chains on `arm`: the AVX2 kernel at 8 or more columns, the
-/// portable body otherwise; with `ragged` (extents and an active-row
-/// scratch) each row counts only up to its reach.
+/// The TN chains on `arm`: the AVX-512 kernel at 16 or more columns, the
+/// AVX2 kernel at 8 or more, the portable body otherwise; with `ragged`
+/// (extents and an active-row scratch) each row counts only up to its
+/// reach.
 #[allow(clippy::too_many_arguments)] // gemm_tn_ragged's operands + the arm
 fn tn_rows_on(
     arm: Arm,
@@ -708,13 +951,17 @@ fn tn_rows_on(
     }
     let ends = ends.into_iter();
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `Arm::Avx2` detected AVX2+FMA and `Arm::Fma` FMA; the
-    // extents were checked against `m` above, and the kernels check the
-    // rows they read against the slice lengths.
+    // SAFETY: `Arm::Avx512` detected AVX-512F+AVX2+FMA, `Arm::Avx2`
+    // AVX2+FMA and `Arm::Fma` FMA; the extents were checked against `m`
+    // above, and the kernels check the rows they read against the slice
+    // lengths.
     unsafe {
         match arm {
-            Arm::Avx2 if n >= 8 => return gemm_tn_avx2(a, m, b, n, ends, ragged, out),
-            Arm::Avx2 | Arm::Fma => return tn_chains_fma(a, m, b, n, ends, ext, out),
+            Arm::Avx512 if n >= 16 => return gemm_tn_avx512(a, m, b, n, ends, ragged, out),
+            Arm::Avx512 | Arm::Avx2 if n >= 8 => {
+                return gemm_tn_avx2(a, m, b, n, ends, ragged, out)
+            }
+            Arm::Avx512 | Arm::Avx2 | Arm::Fma => return tn_chains_fma(a, m, b, n, ends, ext, out),
             Arm::Plain => {}
         }
     }
@@ -796,31 +1043,68 @@ unsafe fn tn_chains_fma(
     tn_chains(a, m, b, n, ends, ext, out)
 }
 
-/// Outer-product kernel with register-resident accumulators: each group
-/// of four `A` columns (then two, then one) runs [`tn_rows`] over a
-/// block's rows — a 4-row × 16-column output tile is eight independent
-/// FMA chains that accumulate across the whole row block before a single
-/// read-modify-write of `out`, so B's column slice streams from cache and
-/// A contributes four broadcasts per r. Under 16 columns the one 8-wide
-/// tile would hold only four chains, so without `ragged` the groups are
-/// eight `A` columns wide there (8 × 8: eight chains). The blocks
-/// (`ends`, every [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the
-/// streamed slice L1/L2-resident. With `ragged` (extents and an active-row scratch,
-/// [`gemm_tn_ragged`]) each group sums only the rows that reach its first
-/// input's [`RAGGED_BLOCK`]-input block.
-///
-/// Each output element accumulates in its own lane, r ascending within
-/// every block — so the tile geometry (8, 4, 2 or 1 rows per tile) never
-/// changes a value, and it is [`tn_chains`]' element.
+/// The `dW` kernel on AVX2: [`gemm_tn_tiles`] at eight lanes.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available, and with `ragged` that no
-/// extent exceeds `m`. Slice lengths are checked per block: `out ≥ m*n`,
-/// and `a ≥ r1*m`, `b ≥ r1*n` (and `ext ≥ r1`) for every block end `r1`,
-/// which must not fall below the previous one.
+/// As [`gemm_tn_tiles`], with AVX2+FMA available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_tn_avx2(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    ends: impl Iterator<Item = usize>,
+    ragged: Option<(&[usize], &mut Vec<u32>)>,
+    out: &mut [f32],
+) {
+    // SAFETY: forwarded from the caller.
+    unsafe { gemm_tn_tiles::<Ymm>(a, m, b, n, ends, ragged, out) }
+}
+
+/// The `dW` kernel on AVX-512: [`gemm_tn_tiles`] at sixteen lanes (eight
+/// lanes over a column tail of 8–15).
+///
+/// # Safety
+/// As [`gemm_tn_tiles`], with AVX-512F+AVX2+FMA available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn gemm_tn_avx512(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    ends: impl Iterator<Item = usize>,
+    ragged: Option<(&[usize], &mut Vec<u32>)>,
+    out: &mut [f32],
+) {
+    // SAFETY: forwarded from the caller.
+    unsafe { gemm_tn_tiles::<Zmm>(a, m, b, n, ends, ragged, out) }
+}
+
+/// Outer-product kernel with register-resident accumulators: each group
+/// of `A` columns ([`tn_group_width`]) runs [`tn_cols`] over a block's
+/// rows — a group × 2-vector output tile is independent FMA chains that
+/// accumulate across the whole row block before a single
+/// read-modify-write of `out`, so B's column slice streams from cache and
+/// A contributes one broadcast per group column and row. The blocks
+/// (`ends`, every [`TN_BLOCK_ROWS`] rows for [`gemm_tn`]) keep the
+/// streamed slice L1/L2-resident. With `ragged` (extents and an
+/// active-row scratch, [`gemm_tn_ragged`]) each group sums only the rows
+/// that reach its first input's [`RAGGED_BLOCK`]-input block.
+///
+/// Each output element accumulates in its own lane, r ascending within
+/// every block — so the group width, the tile and the vector width never
+/// change a value, and it is [`tn_chains`]' element.
+///
+/// # Safety
+/// Only inside a kernel that enables `L`'s instructions; with `ragged`
+/// no extent may exceed `m`. Slice lengths are checked per block: `out ≥
+/// m*n`, and `a ≥ r1*m`, `b ≥ r1*n` (and `ext ≥ r1`) for every block end
+/// `r1`, which must not fall below the previous one.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn gemm_tn_tiles<L: Lanes>(
     a: &[f32],
     m: usize,
     b: &[f32],
@@ -831,9 +1115,6 @@ unsafe fn gemm_tn_avx2(
 ) {
     assert!(out.len() >= m * n);
     out[..m * n].fill(0.0);
-    // One 8-wide column tile: eight `A` columns give it eight chains.
-    // Ragged groups keep their RAGGED_BLOCK inputs (`gemm_tn_ragged`).
-    let eight = ragged.is_none() && n < 16;
     let mut r0 = 0;
     for r1 in ends {
         assert!(
@@ -847,18 +1128,12 @@ unsafe fn gemm_tn_avx2(
         }
         let mut i = 0;
         while i < m && r0 < r1 {
-            let step = if eight && i + 8 <= m {
-                8
-            } else if i + 4 <= m {
-                4
-            } else {
-                1 + usize::from(i + 2 <= m)
-            };
+            let step = tn_group_width(L::N, ragged.is_some(), m - i, n);
             // SAFETY: every row below is below `r1`, checked above against
             // both inputs; a group's columns are below `m`.
             unsafe {
                 match &mut ragged {
-                    None => tn_group(step, a, m, b, n, i, r0..r1, out),
+                    None => tn_group::<L>(step, a, m, b, n, i, r0..r1, out),
                     Some((ext, active)) => {
                         let first = i - i % RAGGED_BLOCK;
                         active.retain(|&row| ext[row as usize] > first);
@@ -866,7 +1141,7 @@ unsafe fn gemm_tn_avx2(
                             break;
                         }
                         let rows = active.iter().map(|&row| row as usize);
-                        tn_group(step, a, m, b, n, i, rows, out);
+                        tn_group::<L>(step, a, m, b, n, i, rows, out);
                     }
                 }
             }
@@ -876,14 +1151,34 @@ unsafe fn gemm_tn_avx2(
     }
 }
 
-/// [`tn_rows`] for a group of `step` (8, 4, 2 or 1) `A` columns.
+/// How many `A` columns the TN group holds, `left` of the `m` remaining,
+/// at `lanes` per vector: the widest of the arm's group widths that fits.
+/// A ragged group stays inside its [`RAGGED_BLOCK`] inputs: four, then
+/// two, then one. At 512 bits a group holds sixteen accumulators of the
+/// 32 registers: sixteen columns under 32 output columns (one vector per
+/// column), eight at 32 or more (two), and a last seven in one group, so
+/// a 7-input `dW` is one group of fourteen chains. At 256 bits eight
+/// under 16 columns (one vector per column: eight chains), else four (two
+/// vectors per column: eight chains), then two, then one.
+fn tn_group_width(lanes: usize, ragged: bool, left: usize, n: usize) -> usize {
+    let widths: &[usize] = match (ragged, lanes) {
+        (true, _) => &[4, 2, 1],
+        (false, 16) if n < 32 => &[16, 8, 7, 4, 2, 1],
+        (false, 16) => &[8, 7, 4, 2, 1],
+        (false, _) if n < 16 => &[8, 4, 2, 1],
+        (false, _) => &[4, 2, 1],
+    };
+    widths.iter().copied().find(|&w| w <= left).unwrap_or(1)
+}
+
+/// [`tn_cols`] for a group of `step` (16, 8, 7, 4, 2 or 1) `A` columns.
 ///
 /// # Safety
-/// As [`tn_rows`].
+/// As [`tn_cols`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)] // tn_rows' operands + the group width
-unsafe fn tn_group(
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // tn_cols' operands + the group width
+unsafe fn tn_group<L: Lanes>(
     step: usize,
     a: &[f32],
     m: usize,
@@ -896,27 +1191,28 @@ unsafe fn tn_group(
     // SAFETY: forwarded from the caller.
     unsafe {
         match step {
-            8 => tn_rows::<8>(a, m, b, n, i, rows, out),
-            4 => tn_rows::<4>(a, m, b, n, i, rows, out),
-            2 => tn_rows::<2>(a, m, b, n, i, rows, out),
-            _ => tn_rows::<1>(a, m, b, n, i, rows, out),
+            16 => tn_cols::<L, 16>(a, m, b, n, i, rows, out),
+            8 => tn_cols::<L, 8>(a, m, b, n, i, rows, out),
+            7 => tn_cols::<L, 7>(a, m, b, n, i, rows, out),
+            4 => tn_cols::<L, 4>(a, m, b, n, i, rows, out),
+            2 => tn_cols::<L, 2>(a, m, b, n, i, rows, out),
+            _ => tn_cols::<L, 1>(a, m, b, n, i, rows, out),
         }
     }
 }
 
 /// Add `Σ_row A[row, i + d] · B[row, j]` over `rows`, in their order,
-/// into `out[i + d, j]` for `d < R` and every column: 16-wide tiles (two
-/// FMA chains per `A` column), then 8-wide, then a scalar column tail of
-/// the same chains, one `mul_add` per term.
+/// into `out[i + d, j]` for `d < R` and every column: [`tn_tiles`] of
+/// `L`, then of eight lanes over what is left, then a scalar column tail
+/// of the same chains, one `mul_add` per term.
 ///
 /// # Safety
-/// AVX2+FMA must be available; every row in `rows` must have its `A` row
-/// (`m` wide) in `a` and its `B` row (`n` wide) in `b`, `i + R ≤ m`, and
-/// `out` must hold `m * n`.
+/// Only inside a kernel that enables `L`'s instructions; every row in
+/// `rows` must have its `A` row (`m` wide) in `a` and its `B` row (`n`
+/// wide) in `b`, `i + R ≤ m`, and `out` must hold `m * n`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-unsafe fn tn_rows<const R: usize>(
+#[inline(always)]
+unsafe fn tn_cols<L: Lanes, const R: usize>(
     a: &[f32],
     m: usize,
     b: &[f32],
@@ -925,43 +1221,11 @@ unsafe fn tn_rows<const R: usize>(
     rows: impl Iterator<Item = usize> + Clone,
     out: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
     // SAFETY: the caller's contract covers every row, column and output.
     unsafe {
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            for row in rows.clone() {
-                let bp = b.as_ptr().add(row * n + j);
-                let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)));
-                let ap = a.as_ptr().add(row * m + i);
-                for (d, acc) in acc.iter_mut().enumerate() {
-                    let x = _mm256_set1_ps(*ap.add(d));
-                    acc[0] = _mm256_fmadd_ps(x, b0, acc[0]);
-                    acc[1] = _mm256_fmadd_ps(x, b1, acc[1]);
-                }
-            }
-            for (d, acc) in acc.iter().enumerate() {
-                let o = out.as_mut_ptr().add((i + d) * n + j);
-                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), acc[0]));
-                _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), acc[1]));
-            }
-            j += 16;
-        }
-        while j + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); R];
-            for row in rows.clone() {
-                let b0 = _mm256_loadu_ps(b.as_ptr().add(row * n + j));
-                let ap = a.as_ptr().add(row * m + i);
-                for (d, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(d)), b0, *acc);
-                }
-            }
-            for (d, acc) in acc.iter().enumerate() {
-                let o = out.as_mut_ptr().add((i + d) * n + j);
-                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), *acc));
-            }
-            j += 8;
+        let mut j = tn_tiles::<L, R>(a, m, b, n, i, rows.clone(), 0, out);
+        if L::N > Ymm::N {
+            j = tn_tiles::<Ymm, R>(a, m, b, n, i, rows.clone(), j, out);
         }
         for jj in j..n {
             for d in 0..R {
@@ -973,6 +1237,67 @@ unsafe fn tn_rows<const R: usize>(
                 *out.get_unchecked_mut((i + d) * n + jj) += s;
             }
         }
+    }
+}
+
+/// [`tn_cols`]' vector tiles over the columns from `j0`: 2-vector tiles
+/// (two FMA chains per `A` column), then 1-vector; returns the end of the
+/// last whole vector.
+///
+/// # Safety
+/// As [`tn_cols`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // tn_cols' operands + the first column
+unsafe fn tn_tiles<L: Lanes, const R: usize>(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    i: usize,
+    rows: impl Iterator<Item = usize> + Clone,
+    j0: usize,
+    out: &mut [f32],
+) -> usize {
+    let w = L::N;
+    // SAFETY: the caller's contract covers every row, column and output.
+    unsafe {
+        let add_into = |o: *mut f32, acc: L::V| L::store(o, L::add(L::load(o), acc));
+        let mut j = j0;
+        while j + 2 * w <= n {
+            let mut acc = [[L::zero(); 2]; R];
+            for row in rows.clone() {
+                let bp = b.as_ptr().add(row * n + j);
+                let (b0, b1) = (L::load(bp), L::load(bp.add(w)));
+                let ap = a.as_ptr().add(row * m + i);
+                for (d, acc) in acc.iter_mut().enumerate() {
+                    let x = L::splat(*ap.add(d));
+                    acc[0] = L::fmadd(x, b0, acc[0]);
+                    acc[1] = L::fmadd(x, b1, acc[1]);
+                }
+            }
+            for (d, acc) in acc.iter().enumerate() {
+                let o = out.as_mut_ptr().add((i + d) * n + j);
+                add_into(o, acc[0]);
+                add_into(o.add(w), acc[1]);
+            }
+            j += 2 * w;
+        }
+        while j + w <= n {
+            let mut acc = [L::zero(); R];
+            for row in rows.clone() {
+                let b0 = L::load(b.as_ptr().add(row * n + j));
+                let ap = a.as_ptr().add(row * m + i);
+                for (d, acc) in acc.iter_mut().enumerate() {
+                    *acc = L::fmadd(L::splat(*ap.add(d)), b0, *acc);
+                }
+            }
+            for (d, acc) in acc.iter().enumerate() {
+                add_into(out.as_mut_ptr().add((i + d) * n + j), *acc);
+            }
+            j += w;
+        }
+        j
     }
 }
 
@@ -1024,7 +1349,7 @@ fn dense_any_on(
 /// `d` holds row `d`, and runs the chain in every lane at once; the row
 /// remainder runs it by `mul_add`. So a row's value does not depend on
 /// whether a block or the remainder computed it. With `RELU` every
-/// output stores `max(acc, 0)` ([`activate`]).
+/// output stores [`Lanes::max0`].
 ///
 /// # Safety
 /// AVX2+FMA must be available. Slice lengths are checked: `x ≥
@@ -1075,7 +1400,7 @@ unsafe fn head_lanes_avx2<const RELU: bool>(
                     acc = chain(acc, col, w.as_ptr().add(kk + c));
                 }
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), activate::<RELU>(acc));
+            store::<Ymm, RELU>(out.as_mut_ptr().add(i), acc);
             i += 8;
         }
     }
@@ -1212,6 +1537,32 @@ mod tests {
             let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
             assert!(same, "{what} element {i}: {g:e} vs {w:e}");
         }
+    }
+
+    #[test]
+    fn arm_name_follows_the_cpu_and_the_force_switch() {
+        let forced =
+            std::env::var_os("RLSCHED_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
+        #[cfg(target_arch = "x86_64")]
+        let want = {
+            use std::arch::is_x86_feature_detected as has;
+            match (has!("fma"), has!("avx2") && !forced, has!("avx512f")) {
+                (false, ..) => "plain",
+                (true, false, _) => "fma",
+                (true, true, false) => "avx2",
+                (true, true, true) => "avx512",
+            }
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "plain";
+        println!("simd arm: {}", arm_name());
+        assert_eq!(arm_name(), want, "RLSCHED_FORCE_SCALAR set: {forced}");
+        assert_eq!(simd_enabled(), matches!(want, "avx2" | "avx512"));
+        let avx2 = match want {
+            "avx512" => "avx2",
+            other => other,
+        };
+        assert_eq!(Arm::avx2().name(), avx2);
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! row-blocked and ragged) — across ragged shapes (rows/cols not multiples
 //! of the 4×8 block), including rows == 1, widths past the one-row
 //! remainder's 64-column tile, and ±0, ±inf, NaN and subnormal inputs.
-//! On a CPU without AVX2 both sides run the portable body and the
-//! properties hold trivially; `golden.rs` then checks the bits against
-//! the ones an AVX2 machine committed.
+//!
+//! On an AVX-512 CPU the dispatched kernels run the 512-bit tiles at 16
+//! or more columns, so every property holds both arms to the portable
+//! bodies: the dispatched one and `simd::avx2` (the same CPU's kernels
+//! without the 512-bit tiles). The widths 16, 17, 31, 32, 33, 48 and 64
+//! are drawn often: one and two 16-lane vectors, with and without an
+//! 8-lane or scalar column tail. On a CPU without AVX2 every side runs
+//! the portable body and the properties hold trivially; `golden.rs` then
+//! checks the bits against the ones an AVX2 machine committed.
 
 use proptest::prelude::*;
 
@@ -17,15 +23,54 @@ use rlsched_nn::layers::{Activation, Mlp};
 use rlsched_nn::simd::{self, portable};
 use rlsched_nn::Tensor;
 
+/// Run `$body` twice, with `$arm` naming the dispatched kernels
+/// (`rlsched_nn::simd`) and then the AVX2 kernels (`simd::avx2`), and
+/// `$label` saying which.
+macro_rules! on_both_arms {
+    (|$arm:ident, $label:ident| $body:block) => {{
+        {
+            use rlsched_nn::simd as $arm;
+            let $label = "dispatched";
+            $body
+        }
+        {
+            use rlsched_nn::simd::avx2 as $arm;
+            let $label = "avx2";
+            $body
+        }
+    }};
+}
+
+/// The output widths where the 512-bit tiles change shape: one vector,
+/// one with a scalar tail, one with an 8-lane tail, two, two with a
+/// tail, three and four.
+fn tile_width() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(16usize),
+        Just(17),
+        Just(31),
+        Just(32),
+        Just(33),
+        Just(48),
+        Just(64),
+    ]
+}
+
 /// Equal bits, or both NaN (a NaN's payload depends on operand order,
 /// which no kernel contract fixes).
 fn assert_same(got: &[f32], want: &[f32]) -> Result<(), TestCaseError> {
+    assert_same_on("dispatched", got, want)
+}
+
+/// [`assert_same`] for the kernels `arm` names.
+fn assert_same_on(arm: &str, got: &[f32], want: &[f32]) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.len(), want.len());
     for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
         prop_assert!(
             g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-            "element {}: dispatched {:e} vs portable {:e}",
+            "element {}: {} {:e} vs portable {:e}",
             i,
+            arm,
             g,
             w
         );
@@ -37,14 +82,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Forward: `matmul_into` (the reference tape's MatMul op, `simd::gemm`)
-    /// ≡ the portable gemm on ragged shapes, including single-row products
-    /// and, half the time, one output column (the eight-rows-per-vector
-    /// head).
+    /// and the AVX2 gemm ≡ the portable gemm on ragged shapes, including
+    /// single-row products, a third of the time one output column (the
+    /// eight-rows-per-vector head) and a third a width where the 512-bit
+    /// tiles change shape.
     #[test]
     fn matmul_dispatch_matches_scalar(
         m in 1usize..20,
         k in 1usize..34,
-        n in prop_oneof![Just(1usize), 1usize..140],
+        n in prop_oneof![Just(1usize), 1usize..140, tile_width()],
         seed_a in 0u64..1000,
         seed_b in 0u64..1000,
         special_one_in in prop_oneof![Just(0u64), Just(7)],
@@ -56,16 +102,20 @@ proptest! {
         let mut chains = vec![f32::NAN; m * n];
         portable::gemm(a.data(), m, k, b.data(), n, None, &mut chains);
         assert_same(&dispatched, &chains)?;
+        let mut avx2 = vec![f32::NAN; m * n];
+        simd::avx2::gemm(a.data(), m, k, b.data(), n, None, &mut avx2);
+        assert_same_on("avx2", &avx2, &chains)?;
     }
 
     /// Backward dA: `matmul_nt_into` (`dA = dC·Bᵀ`, the gemm over the
-    /// transposed weights that every dense backward runs) ≡ the portable
-    /// gemm over the same transpose, including rows == 1.
+    /// transposed weights that every dense backward runs) and the AVX2
+    /// gemm ≡ the portable gemm over the same transpose, including
+    /// rows == 1.
     #[test]
     fn matmul_nt_dispatch_matches_scalar(
         m in 1usize..10,
         k in 1usize..34,
-        n in 1usize..40,
+        n in prop_oneof![1usize..40, tile_width()],
         seed_a in 0u64..1000,
         seed_b in 0u64..1000,
         special_one_in in prop_oneof![Just(0u64), Just(7)],
@@ -79,16 +129,21 @@ proptest! {
         let mut chains = vec![f32::NAN; m * n];
         portable::gemm(a.data(), m, k, &bt, n, None, &mut chains);
         assert_same(&dispatched, &chains)?;
+        let mut avx2 = vec![f32::NAN; m * n];
+        simd::avx2::gemm(a.data(), m, k, &bt, n, None, &mut avx2);
+        assert_same_on("avx2", &avx2, &chains)?;
     }
 
     /// Backward dB: `gemm_tn_blocks` (`dB = Aᵀ·dC`) ≡ the portable
     /// block-summed chains, with blocks every 512 rows (`matmul_tn_into`,
-    /// the tape's) or cut anywhere, empty blocks included.
+    /// the tape's) or cut anywhere, empty blocks included, on both arms;
+    /// `m` up to 40 reaches every group width of both (sixteen, eight,
+    /// seven, four, two and one `A` columns).
     #[test]
     fn matmul_tn_dispatch_matches_scalar(
         r in 1usize..1100,
-        m in 1usize..12,
-        n in 1usize..40,
+        m in 1usize..41,
+        n in prop_oneof![1usize..40, tile_width()],
         seed_a in 0u64..1000,
         seed_b in 0u64..1000,
         cuts in prop::collection::vec(0.0f64..1.0, 0..4),
@@ -105,10 +160,12 @@ proptest! {
         let mut ends: Vec<usize> = cuts.iter().map(|c| (c * r as f64) as usize).collect();
         ends.push(r);
         ends.sort_unstable();
-        let mut dispatched = vec![f32::NAN; m * n];
-        simd::gemm_tn_blocks(a.data(), m, b.data(), n, ends.iter().copied(), &mut dispatched);
         portable::gemm_tn_blocks(a.data(), m, b.data(), n, ends.iter().copied(), &mut chains);
-        assert_same(&dispatched, &chains)?;
+        on_both_arms!(|arm, label| {
+            let mut got = vec![f32::NAN; m * n];
+            arm::gemm_tn_blocks(a.data(), m, b.data(), n, ends.iter().copied(), &mut got);
+            assert_same_on(label, &got, &chains)?;
+        });
     }
 
     /// Leaving rows out of `dB = Aᵀ·dC` whose `dC` row is all zero
@@ -172,13 +229,13 @@ proptest! {
 
     /// The bias-seeded dense forward (shared by the inference fast path,
     /// the fused training pass and the reference tape) ≡ its portable
-    /// body, ReLU at the store and the activations applied after it
-    /// included; half the cases are a one-column head.
+    /// body on both arms, ReLU at the store and the activations applied
+    /// after it included; a third of the cases are a one-column head.
     #[test]
     fn dense_dispatch_matches_portable(
         rows in 1usize..20,
         in_dim in 1usize..20,
-        out_dim in prop_oneof![Just(1usize), 1usize..140],
+        out_dim in prop_oneof![Just(1usize), 1usize..140, tile_width()],
         act in prop_oneof![
             Just(Activation::Identity),
             Just(Activation::Relu),
@@ -192,23 +249,32 @@ proptest! {
         let w = pseudo(in_dim, out_dim, seed_w, special_one_in);
         let b = pseudo(1, out_dim, seed_x ^ seed_w, special_one_in);
         let (x, w, b) = (x.data(), w.data(), b.data());
-        let mut dispatched = vec![f32::NAN; rows * out_dim];
-        simd::dense_any(x, rows, w, b, in_dim, out_dim, act, &mut dispatched);
         let mut chains = vec![f32::NAN; rows * out_dim];
         portable::dense_any(x, rows, w, b, in_dim, out_dim, act, &mut chains);
-        assert_same(&dispatched, &chains)?;
+        on_both_arms!(|arm, label| {
+            let mut got = vec![f32::NAN; rows * out_dim];
+            arm::dense_any(x, rows, w, b, in_dim, out_dim, act, &mut got);
+            assert_same_on(label, &got, &chains)?;
+        });
     }
 
     /// The ragged kernels (the flat chains' first layer, forward and
-    /// `dW`) ≡ their portable bodies: rows of every extent in a shuffled
-    /// block order, zero past each extent, with non-finite weights, live
-    /// values and `dC` entries, a −0 bias entry, and row blocks cut
-    /// anywhere.
+    /// `dW`) ≡ their portable bodies on both arms: rows of every extent
+    /// in a shuffled block order, zero past each extent, with non-finite
+    /// weights, live values and `dC` entries, a −0 bias entry, and row
+    /// blocks cut anywhere.
     #[test]
     fn ragged_dispatch_matches_portable(
         rows in 1usize..40,
         in_dim in 1usize..40,
-        out_dim in prop_oneof![Just(1usize), Just(3), Just(8), Just(13), Just(32), Just(40)],
+        out_dim in prop_oneof![
+            Just(1usize),
+            Just(3),
+            Just(8),
+            Just(13),
+            Just(40),
+            tile_width(),
+        ],
         seed in 0u64..1000,
         special_one_in in prop_oneof![Just(0u64), Just(7)],
         cut in 0.0f64..1.0,
@@ -226,20 +292,21 @@ proptest! {
         let mut order: Vec<u32> = (0..rows as u32).collect();
         order.sort_by_key(|&r| mix(r as u64, seed ^ 3));
 
-        let mut dispatched = vec![f32::NAN; rows * out_dim];
-        simd::dense_ragged(&x, &ext, &order, w.data(), &b, in_dim, out_dim, &mut dispatched);
         let mut chains = vec![f32::NAN; rows * out_dim];
         portable::dense_ragged(&x, &ext, &order, w.data(), &b, in_dim, out_dim, &mut chains);
-        assert_same(&dispatched, &chains)?;
-
         let dc = pseudo(rows, out_dim, seed ^ 4, special_one_in);
         let ends = [(cut * rows as f64) as usize, rows];
         let mut active = Vec::new();
-        let mut dispatched = vec![f32::NAN; in_dim * out_dim];
-        simd::gemm_tn_ragged(&x, in_dim, &ext, dc.data(), out_dim, ends, &mut active, &mut dispatched);
-        let mut chains = vec![f32::NAN; in_dim * out_dim];
-        portable::gemm_tn_ragged(&x, in_dim, &ext, dc.data(), out_dim, ends, &mut active, &mut chains);
-        assert_same(&dispatched, &chains)?;
+        let mut dw = vec![f32::NAN; in_dim * out_dim];
+        portable::gemm_tn_ragged(&x, in_dim, &ext, dc.data(), out_dim, ends, &mut active, &mut dw);
+        on_both_arms!(|arm, label| {
+            let mut got = vec![f32::NAN; rows * out_dim];
+            arm::dense_ragged(&x, &ext, &order, w.data(), &b, in_dim, out_dim, &mut got);
+            assert_same_on(label, &got, &chains)?;
+            let mut got = vec![f32::NAN; in_dim * out_dim];
+            arm::gemm_tn_ragged(&x, in_dim, &ext, dc.data(), out_dim, ends, &mut active, &mut got);
+            assert_same_on(label, &got, &dw)?;
+        });
     }
 
     /// Row-count invariance of the MLP forward, **exactly**: row `i` of a
