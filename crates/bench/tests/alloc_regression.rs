@@ -413,8 +413,8 @@ fn fast_paths_do_not_regress_allocations() {
     mask.clear();
     env.reset(4, &mut obs, &mut mask);
     let mut scratch = ActorScratch::new();
-    let _ = agent.ppo().greedy_with(&obs, &mask, &mut scratch);
-    let greedy_allocs = count_allocs(|| agent.ppo().greedy_with(&obs, &mask, &mut scratch));
+    let _ = agent.score(&obs, &mask, &mut scratch);
+    let greedy_allocs = count_allocs(|| agent.score(&obs, &mask, &mut scratch));
     assert_eq!(greedy_allocs, 0, "greedy fast path must not allocate");
 
     // ---- an `as_policy` decision on a one-job window: the kernel

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
 use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp};
-use rlsched_rl::{ActorScratch, Ppo, PpoConfig};
+use rlsched_rl::{greedy_batch, ActorScratch, Ppo, PpoConfig};
 use rlsched_sim::{MetricKind, Outcomes, Policy, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
@@ -202,11 +202,13 @@ impl Agent {
 
     /// The network half of one decision: the greedy action for an
     /// already-encoded observation window, through the allocation-free
-    /// fast path, for every Table IV `PolicyKind`. [`RlPolicy`] runs it
-    /// after encoding the session's queue; a served decision is the same
-    /// forward over the server's encoding of the request's snapshot.
+    /// [`greedy_batch`], for every Table IV `PolicyKind`. The window's
+    /// width bounds the action, so no clamp applies: the mask alone keeps
+    /// it on a job. [`RlPolicy`] runs the same call with the session's
+    /// queue length as the bound; a served decision is the same forward
+    /// over the server's encoding of the request's snapshot.
     pub fn score(&self, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
-        self.ppo.greedy_with(obs, mask, scratch)
+        greedy_batch(&self.ppo.policy, obs, mask, &[mask.len()], scratch)[0]
     }
 
     /// A frozen, `Arc`-shared scoring replica for serving tiers (see
@@ -223,9 +225,8 @@ impl Agent {
     /// table — the one in-process way to ask the agent for a decision.
     /// The head owns encode and network scratch buffers and reads the
     /// session's wait queue in place, so repeated decisions allocate
-    /// nothing. Every architecture decides through [`Agent::score`]; a
-    /// serving shard scores the same rows through
-    /// [`rlsched_rl::greedy_batch`], bit for bit.
+    /// nothing. Every architecture decides through [`greedy_batch`], as
+    /// a serving shard does for its coalesced rows, bit for bit.
     pub fn as_policy(&self) -> RlPolicy<'_> {
         RlPolicy {
             agent: self,
@@ -315,9 +316,13 @@ impl RlPolicy<'_> {
             &mut self.obs,
             &mut self.mask,
         );
-        // Masking keeps the action below `queue_len`; clamp defensively.
-        let action = self.agent.score(&self.obs, &self.mask, &mut self.scratch);
-        action.min(queue_len.saturating_sub(1))
+        greedy_batch(
+            &self.agent.ppo.policy,
+            &self.obs,
+            &self.mask,
+            &[queue_len],
+            &mut self.scratch,
+        )[0]
     }
 }
 

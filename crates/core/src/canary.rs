@@ -8,18 +8,16 @@
 //! taken from the wrong agent, a stale copy, a dimension drift — by
 //! demanding the proposed [`ScorerSnapshot`] reproduce, bit for bit, the
 //! decisions the agent's in-process [`Agent::as_policy`] path makes on a
-//! known batch. The expected actions are computed by the agent's own
-//! policy network through the batched forward a snapshot scores with,
-//! which the serve parity suite pins as bit-identical to `as_policy` for
-//! every architecture — so a canary pass certifies
-//! the proposed snapshot scores exactly like the agent it claims to come
-//! from.
+//! known batch. The expected actions are the agent's own policy
+//! network's through [`rlsched_rl::greedy_batch`], the greedy decision
+//! `as_policy` and a serving shard run too (the serve parity suite pins
+//! them bit-identical for every architecture) — so a canary pass
+//! certifies the proposed snapshot scores exactly like the agent it
+//! claims to come from.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlsched_nn::fused::FusedPolicy;
-use rlsched_nn::{infer, Scratch};
-use rlsched_rl::MaskedCategorical;
+use rlsched_rl::{greedy_batch, ActorScratch};
 
 use crate::agent::Agent;
 use crate::nets::ScorerSnapshot;
@@ -85,6 +83,8 @@ impl std::error::Error for CanaryError {}
 #[derive(Debug, Clone)]
 pub struct CanaryBatch {
     snapshots: Vec<QueueSnapshot>,
+    /// Each row's queue length: its action's clamp bound.
+    queue_lens: Vec<usize>,
     obs: Vec<f32>,
     masks: Vec<f32>,
     expected: Vec<usize>,
@@ -133,17 +133,19 @@ impl CanaryBatch {
             encoder.encode_snapshot_extend(&snap, &mut obs, &mut masks);
             snapshots.push(snap);
         }
-        let mut canary = CanaryBatch {
+        let queue_lens: Vec<usize> = snapshots.iter().map(QueueSnapshot::queue_len).collect();
+        let mut scratch = ActorScratch::new();
+        let expected =
+            greedy_batch(&agent.ppo().policy, &obs, &masks, &queue_lens, &mut scratch).to_vec();
+        CanaryBatch {
             snapshots,
+            queue_lens,
             obs,
             masks,
-            expected: Vec::new(),
+            expected,
             obs_dim: encoder.obs_dim(),
             n_actions: encoder.n_actions(),
-        };
-        let logp = canary.log_probs(&agent.ppo().policy);
-        canary.expected = canary.actions(&logp).collect();
-        canary
+        }
     }
 
     /// Number of decision points in the batch.
@@ -158,33 +160,6 @@ impl CanaryBatch {
         (&self.snapshots[i], self.expected[i])
     }
 
-    /// Every row's masked log-probs through one batched forward of `net`.
-    fn log_probs(&self, net: &FusedPolicy) -> Vec<f32> {
-        let mut logp = Vec::new();
-        infer::log_probs(
-            net,
-            &self.obs,
-            &self.masks,
-            self.rows(),
-            &mut Scratch::new(),
-            &mut logp,
-        );
-        logp
-    }
-
-    /// Each row's greedy action from its log-probs: the masked argmax
-    /// `greedy_batch` takes, then the same defensive clamp as
-    /// `Agent::as_policy` / `ShardEngine`.
-    fn actions<'a>(&'a self, logp: &'a [f32]) -> impl Iterator<Item = usize> + 'a {
-        logp.chunks(self.n_actions)
-            .zip(&self.snapshots)
-            .map(|(row, snap)| {
-                MaskedCategorical::new(row)
-                    .argmax()
-                    .min(snap.queue_len().saturating_sub(1))
-            })
-    }
-
     /// Validate a candidate snapshot: dimensions must match, every scored
     /// log-probability must be finite, and every row's action must equal
     /// the agent's in-process decision. `Ok(())` certifies the candidate
@@ -196,19 +171,23 @@ impl CanaryBatch {
                 got: (candidate.obs_dim(), candidate.n_actions()),
             });
         }
-        let logp = self.log_probs(candidate.net());
-        // Finite-logit gate first: argmax over NaNs is not meaningful.
-        for (row, chunk) in logp.chunks(self.n_actions).enumerate() {
-            if chunk.iter().any(|v| !v.is_finite()) {
-                return Err(CanaryError::NonFiniteLogits { row });
-            }
+        let mut scratch = ActorScratch::new();
+        let actions = greedy_batch(
+            candidate.net(),
+            &self.obs,
+            &self.masks,
+            &self.queue_lens,
+            &mut scratch,
+        );
+        let mismatch = (actions.iter().zip(&self.expected).enumerate())
+            .find(|(_, (got, want))| got != want)
+            .map(|(row, (&got, &want))| CanaryError::Mismatch { row, want, got });
+        // The finite-logit gate wins: an argmax over NaNs means nothing.
+        let mut logp = scratch.logp().chunks(self.n_actions);
+        if let Some(row) = logp.position(|row| row.iter().any(|v| !v.is_finite())) {
+            return Err(CanaryError::NonFiniteLogits { row });
         }
-        for (row, (got, &want)) in self.actions(&logp).zip(&self.expected).enumerate() {
-            if got != want {
-                return Err(CanaryError::Mismatch { row, want, got });
-            }
-        }
-        Ok(())
+        mismatch.map_or(Ok(()), Err)
     }
 }
 

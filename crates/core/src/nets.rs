@@ -204,9 +204,9 @@ impl Arch {
 
 /// A frozen, shareable scoring replica for serving tiers: the policy
 /// network behind an [`Arc`], so a sharded server replicates it per worker
-/// thread at pointer cost. It scores through
-/// [`rlsched_nn::infer::log_probs`] (through `rlsched_rl::greedy_batch`),
-/// the forward [`crate::Agent::as_policy`] runs, so a served decision is
+/// thread at pointer cost. A shard decides with it through
+/// [`rlsched_rl::greedy_batch`], the greedy decision
+/// [`crate::Agent::as_policy`] runs, so a served decision is
 /// **bit-identical** to the in-process one, batch by batch, row by row
 /// (the forward kernels are row-count invariant).
 ///

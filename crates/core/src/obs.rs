@@ -68,8 +68,9 @@ impl ObsEncoder {
     /// queue ([`rlsched_sim::StreamSession::waiting`]: no per-step `Vec` of
     /// waiting jobs is built) onto the buffers without clearing them:
     /// `max_obsv × JOB_FEATURES` observation values and `max_obsv` mask
-    /// values, so several decision points stack into one batched forward
-    /// ([`rlsched_rl::greedy_batch`]). `queue_len` is the total number of
+    /// values, so several decision points stack into one batched greedy
+    /// decision ([`rlsched_rl::greedy_batch`], which also bounds each
+    /// row's action by its `queue_len`). `queue_len` is the total number of
     /// waiting jobs the iterator would yield (used for the queue-pressure
     /// feature).
     ///

@@ -66,15 +66,16 @@ pub struct TrainConfig {
     pub filter: FilterMode,
     /// Base seed; every epoch/trajectory derives its own stream.
     pub seed: u64,
-    /// Lockstep width cap: the epoch's seed schedule is split into
-    /// `rlsched_nn::pool`'s fixed contiguous ranges (a function of
-    /// `trajectories_per_epoch` alone) and each range steps at most this
-    /// many environment slots in lockstep, slots auto-resetting onto the
-    /// range's next seed as episodes finish. With ≤ 32 trajectories per
-    /// epoch every range holds one seed, so the knob has no effect there;
-    /// above that it trades per-tick batch size against env-slot memory.
-    /// Thanks to row-count-invariant batched forwards every collected bit
-    /// is independent of it.
+    /// Lockstep width cap: the epoch's `n` seeds are split into
+    /// `rlsched_nn::pool::fan_out`'s fixed contiguous ranges (`min(n, 32)`
+    /// of them, so at most ⌈n/32⌉ seeds each) and each range steps
+    /// `min(n_envs, its seeds)` environment slots in lockstep, slots
+    /// auto-resetting onto the range's next seed as episodes finish. At
+    /// 32 trajectories per epoch or fewer every range is one env wide
+    /// (the paper's 100 give ranges of 3 or 4), so this cap binds only
+    /// above `32 × n_envs` trajectories; there it trades per-tick batch
+    /// size against env-slot memory. Thanks to row-count-invariant
+    /// batched forwards every collected bit is independent of it.
     pub n_envs: usize,
     /// Worker-thread cap for rollout collection and the PPO update. The
     /// default is the machine's core count

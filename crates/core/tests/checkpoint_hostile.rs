@@ -7,6 +7,7 @@
 //! architecture, while an untouched checkpoint loads and scores
 //! bit-identically.
 
+use rlsched_nn::{infer, Scratch};
 use rlsched_rl::categorical::MASK_OFF;
 use rlsched_sim::MetricKind;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, JOB_FEATURES};
@@ -118,6 +119,20 @@ fn mutations() -> Vec<Mutation> {
     ]
 }
 
+/// `agent`'s log-probs over one window.
+fn log_probs(agent: &Agent, obs: &[f32], mask: &[f32]) -> Vec<f32> {
+    let mut out = Vec::new();
+    infer::log_probs(
+        &agent.ppo().policy,
+        obs,
+        mask,
+        1,
+        &mut Scratch::new(),
+        &mut out,
+    );
+    out
+}
+
 /// A decision point with `valid` jobs waiting.
 fn observation(valid: usize) -> (Vec<f32>, Vec<f32>) {
     let obs = (0..K * JOB_FEATURES)
@@ -144,8 +159,8 @@ fn mutated_checkpoints_are_errors_and_untouched_ones_score_identically() {
         for valid in [1, 17, K] {
             let (obs, mask) = observation(valid);
             let (want, got) = (
-                original.ppo().logp_row(&obs, &mask),
-                loaded.ppo().logp_row(&obs, &mask),
+                log_probs(&original, &obs, &mask),
+                log_probs(&loaded, &obs, &mask),
             );
             let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{}: {valid} jobs", kind.name());

@@ -322,14 +322,14 @@ fn greedy_batch_matches_per_view_as_policy() {
                 &mut mask_all,
             );
         }
-        let mut batched = Vec::new();
-        rlsched_rl::greedy_batch(
+        let queue_lens: Vec<usize> = views.iter().map(|(_, waiting)| waiting.len()).collect();
+        let mut scratch = rlsched_rl::ActorScratch::new();
+        let batched = rlsched_rl::greedy_batch(
             &agent.ppo().policy,
             &obs_all,
             &mask_all,
-            views.len(),
-            &mut rlsched_rl::ActorScratch::new(),
-            &mut batched,
+            &queue_lens,
+            &mut scratch,
         );
         assert_eq!(batched.len(), views.len());
         let mut batched_logp = Vec::new();
@@ -348,7 +348,7 @@ fn greedy_batch_matches_per_view_as_policy() {
             agent
                 .encoder()
                 .encode_jobs_extend(*free, 64, waiting.len(), jobs, &mut obs, &mut mask);
-            let single = agent.ppo().logp_row(&obs, &mask);
+            let single = fast_log_probs(&agent.ppo().policy, &obs, &mask);
             assert_eq!(
                 bits(&batched_logp[i * K..(i + 1) * K]),
                 bits(&single),
@@ -365,4 +365,85 @@ fn greedy_batch_matches_per_view_as_policy() {
             assert!(batched[i] < waiting.len(), "masking keeps it in the queue");
         }
     }
+}
+
+/// The clamp every greedy decision shares: a flat MLP whose output bias
+/// lifts the window's last slot past the mask makes that padding slot
+/// the argmax on every queue shorter than the window, so `greedy_batch`
+/// must fall back to the queue's last job. The in-process head, a
+/// serving shard's batch and the canary's expected actions all do.
+#[test]
+fn a_masked_argmax_is_clamped_to_the_last_queued_job() {
+    use rlsched_serve::{ScorerSlot, ShardEngine};
+    use rlsched_sim::{MetricKind, WaitingJob};
+    use rlsched_swf::Job;
+    use rlscheduler::{Agent, AgentConfig, CanaryBatch, ObsConfig, QueueSnapshot, SnapshotJob};
+
+    let mut agent = Agent::new(AgentConfig {
+        policy: PolicyKind::MlpV2,
+        obs: ObsConfig {
+            max_obsv: K,
+            ..ObsConfig::default()
+        },
+        metric: MetricKind::BoundedSlowdown,
+        ppo: Default::default(),
+        seed: 5,
+    });
+    let out_bias = &mut agent.ppo_mut().policy.mlp.layers.last_mut().unwrap().b;
+    out_bias.data_mut()[K - 1] = -10.0 * MASK_OFF;
+
+    let jobs: Vec<Job> = (0..40u32)
+        .map(|i| Job::new(i + 1, i as f64 * 10.0, 60.0, 1 + i % 5, 600.0))
+        .collect();
+    let mut engine = ShardEngine::new(ScorerSlot::new(agent.scorer_snapshot()), 8);
+    let mut policy = agent.as_policy();
+    let queue_lens = [1usize, 5, 40];
+    for &len in &queue_lens {
+        let waiting: Vec<WaitingJob<'_>> = jobs[..len]
+            .iter()
+            .enumerate()
+            .map(|(i, job)| WaitingJob {
+                job,
+                job_index: i,
+                wait: 500.0 - job.submit_time,
+                can_run_now: job.procs() <= 8,
+            })
+            .collect();
+        let (mut obs, mut mask) = (Vec::new(), Vec::new());
+        let encoder = agent.encoder();
+        encoder.encode_jobs_extend(8, 64, len, waiting.iter().copied(), &mut obs, &mut mask);
+        let logp = fast_log_probs(&agent.ppo().policy, &obs, &mask);
+        assert_eq!(
+            argmax(&logp),
+            K - 1,
+            "{len} jobs: the padding slot wins the argmax"
+        );
+        assert_eq!(
+            policy.decide(8, 64, len, waiting.iter().copied()),
+            len - 1,
+            "as_policy, {len} jobs"
+        );
+        let snap = QueueSnapshot {
+            free_procs: 8,
+            total_procs: 64,
+            queue_len: len as u32,
+            jobs: waiting.iter().copied().map(SnapshotJob::from).collect(),
+        };
+        engine.push_snapshot(&snap, encoder);
+    }
+    let last_jobs: Vec<usize> = queue_lens.iter().map(|len| len - 1).collect();
+    assert_eq!(engine.flush(), &last_jobs[..], "ShardEngine::flush");
+
+    let canary = CanaryBatch::probe(&agent, 16, 7);
+    for i in 0..canary.rows() {
+        let (snap, expected) = canary.row(i);
+        assert!(
+            snap.queue_len() < K,
+            "canary row {i} queue is shorter than the window"
+        );
+        assert_eq!(expected, snap.queue_len() - 1, "canary row {i}");
+    }
+    canary
+        .check(&agent.scorer_snapshot())
+        .expect("the agent's own snapshot passes its canary");
 }

@@ -1,5 +1,5 @@
-//! Network building blocks: dense and convolutional layers, their
-//! activations, and the [`Network`] trait over parameter storage.
+//! Network building blocks: dense and convolutional layers and their
+//! activations.
 //!
 //! Parameters are plain [`Tensor`]s owned by the layer. The forwards live
 //! in [`crate::infer`] (inference) and [`crate::fused`] (training), which
@@ -58,21 +58,6 @@ pub fn relu(x: f32) -> f32 {
         x
     } else {
         0.0
-    }
-}
-
-/// Anything with trainable parameters.
-pub trait Network {
-    /// Parameter tensors, in a stable order (each layer's weight, then
-    /// its bias).
-    fn params(&self) -> Vec<&Tensor>;
-
-    /// Mutable access in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Tensor>;
-
-    /// Total scalar parameter count.
-    fn param_count(&self) -> usize {
-        self.params().iter().map(|t| t.len()).sum()
     }
 }
 
@@ -167,19 +152,6 @@ impl Mlp {
     }
 }
 
-impl Network for Mlp {
-    fn params(&self) -> Vec<&Tensor> {
-        self.layers.iter().flat_map(|l| [&l.w, &l.b]).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| [&mut l.w, &mut l.b])
-            .collect()
-    }
-}
-
 /// 2-D convolution layer (valid padding), for the LeNet policy baseline.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Conv2dLayer {
@@ -241,7 +213,11 @@ mod tests {
             hidden: Activation::Relu,
             output: Activation::Identity,
         };
-        let shapes: Vec<&[usize]> = m.params().iter().map(|t| t.shape()).collect();
+        let shapes: Vec<&[usize]> = m
+            .layers
+            .iter()
+            .flat_map(|l| [l.w.shape(), l.b.shape()])
+            .collect();
         assert_eq!(shapes, [&[4, 3][..], &[3]], "weight, then bias");
     }
 
@@ -255,7 +231,8 @@ mod tests {
             Activation::Identity,
             &mut rng(),
         );
-        assert!(m.param_count() < 1000, "param count {}", m.param_count());
+        let params: usize = m.layers.iter().map(|l| l.w.len() + l.b.len()).sum();
+        assert!(params < 1000, "param count {params}");
         assert_eq!(m.in_dim(), 7);
         assert_eq!(m.out_dim(), 1);
     }
@@ -271,23 +248,31 @@ mod tests {
         let mut out = Vec::new();
         crate::infer::mlp_forward(&m, &[0.0; 15], 3, &mut crate::Scratch::new(), &mut out);
         assert_eq!(out.len(), 3 * 2);
-        assert_eq!(m.params().len(), 4, "2 layers x (w, b)");
+        assert_eq!(m.layers.len(), 2, "2 layers");
     }
 
     #[test]
     fn params_and_binds_align() {
+        // The order a critic's tensors are stepped in (each layer's
+        // weight, then its bias) is the order the fused value pass
+        // emits their gradients.
         let m = Mlp::new(
-            &[3, 4, 2],
+            &[3, 4, 1],
             Activation::Relu,
             Activation::Identity,
             &mut rng(),
         );
-        let mut m = m;
-        let shapes: Vec<Vec<usize>> = m.params().iter().map(|t| t.shape().to_vec()).collect();
-        let shapes_mut: Vec<Vec<usize>> =
-            m.params_mut().iter().map(|t| t.shape().to_vec()).collect();
-        assert_eq!(shapes, shapes_mut);
-        assert_eq!(shapes, [vec![3, 4], vec![4], vec![4, 2], vec![2]]);
+        let mut s = crate::fused::FusedScratch::new();
+        let x = [0.5f32; 3];
+        crate::fused::value_pass(&m, |_| &x[..], &[0], &[1.0], &mut s);
+        let shapes: Vec<&[usize]> = m
+            .layers
+            .iter()
+            .flat_map(|l| [l.w.shape(), l.b.shape()])
+            .collect();
+        let grads: Vec<&[usize]> = s.grads().iter().map(Tensor::shape).collect();
+        assert_eq!(shapes, grads);
+        assert_eq!(shapes, [&[3, 4][..], &[4], &[4, 1], &[1]]);
     }
 
     #[test]
@@ -309,7 +294,8 @@ mod tests {
         let row = |i: usize| &xs[i * 2..(i + 1) * 2];
         for _ in 0..800 {
             final_loss = crate::fused::value_pass(&m, row, &[0, 1, 2, 3], &ys, &mut s).loss;
-            opt.step_params(m.params_mut().into_iter(), s.grads());
+            let params = m.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]);
+            opt.step_params(params, s.grads());
         }
         assert!(final_loss < 0.05, "XOR did not converge: loss {final_loss}");
     }

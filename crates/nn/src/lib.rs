@@ -39,7 +39,7 @@ pub mod simd;
 pub mod tensor;
 
 pub use infer::Scratch;
-pub use layers::{Activation, Conv2dLayer, Dense, Mlp, Network};
+pub use layers::{Activation, Conv2dLayer, Dense, Mlp};
 pub use optim::{clip_global_norm, Adam};
 pub use tensor::Tensor;
 

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::fused::{self, FusedHead, FusedPolicy, FusedScratch, SHARD_ROWS};
-use rlsched_nn::{Activation, Mlp, Network};
+use rlsched_nn::{Activation, Mlp};
 
 const F32: usize = std::mem::size_of::<f32>();
 
@@ -22,7 +22,7 @@ fn worker_scratch_is_constant_in_the_minibatch_size() {
         Activation::Identity,
         &mut StdRng::seed_from_u64(5),
     );
-    let params: usize = mlp.params().iter().map(|t| t.len()).sum();
+    let params: usize = mlp.layers.iter().map(|l| l.w.len() + l.b.len()).sum();
     let p = FusedPolicy {
         convs: vec![],
         mlp,

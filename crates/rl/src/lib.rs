@@ -18,10 +18,11 @@
 //! * [`ppo`] — the clipped-surrogate PPO update with early stopping on
 //!   approximate KL, separate Adam optimizers for the policy (an
 //!   `rlsched_nn::fused::FusedPolicy`) and the value net (an
-//!   `rlsched_nn::Mlp`).
+//!   `rlsched_nn::Mlp`), plus [`greedy_batch`], the one greedy decision
+//!   (masked argmax clamped to the queue) that the in-process head, a
+//!   serving shard and the checkpoint canary all run.
 //! * [`vecenv`] — vectorized environments ([`VecEnv`]) stepped in
-//!   lockstep, plus [`greedy_batch`], the one batched argmax (a serving
-//!   shard's forward).
+//!   lockstep.
 //! * [`sampler`] — trajectory collection over a [`VecEnv`]: every
 //!   simulator tick scores all live episodes through one stacked policy
 //!   forward (the "100 trajectories per epoch" of §V-A, batched).
@@ -36,6 +37,6 @@ pub mod vecenv;
 pub use buffer::{ArrivalArena, Batch};
 pub use categorical::MaskedCategorical;
 pub use env::{Env, StepOutcome};
-pub use ppo::{ActorScratch, Ppo, PpoConfig, UpdateProfile, UpdateStats};
+pub use ppo::{greedy_batch, ActorScratch, Ppo, PpoConfig, UpdateProfile, UpdateStats};
 pub use sampler::{collect_arena, collect_rollouts_par, collect_rollouts_vec, RolloutStats};
-pub use vecenv::{greedy_batch, SlotOutcome, VecEnv};
+pub use vecenv::{SlotOutcome, VecEnv};

@@ -23,13 +23,15 @@ use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
 
 /// Per-worker reusable buffers for the inference fast path: network
-/// scratch plus the log-prob row. One per rollout worker or decision
-/// head; reused across every step of every episode.
+/// scratch, the log-prob rows and [`greedy_batch`]'s actions. One per
+/// rollout worker or decision head; reused across every step of every
+/// episode.
 #[derive(Debug, Default)]
 pub struct ActorScratch {
     /// Layer scratch for the underlying networks.
     pub nn: Scratch,
     pub(crate) logp: Vec<f32>,
+    actions: Vec<usize>,
 }
 
 impl ActorScratch {
@@ -38,10 +40,50 @@ impl ActorScratch {
         Self::default()
     }
 
-    /// The most recently computed log-prob row.
+    /// The most recently computed log-prob rows (`[rows, n_actions]`).
     pub fn logp(&self) -> &[f32] {
         &self.logp
     }
+}
+
+/// The greedy decision (§IV-B1's test path): each stacked row's masked
+/// argmax through one [`infer::log_probs`] forward of `policy`, clamped
+/// below that row's `queue_lens` entry. Every argmax decision runs it:
+/// the in-process head, a serving shard's coalesced batch and the
+/// checkpoint canary. Row `i`'s action is the one a forward of row `i`
+/// alone picks. The mask already confines the argmax to valid slots;
+/// the clamp makes sure no action ever names a job past the queue.
+///
+/// The actions live in `scratch`, whose [`ActorScratch::logp`] then
+/// holds the rows' log-probs. Allocation-free at steady state.
+pub fn greedy_batch<'s>(
+    policy: &FusedPolicy,
+    obs: &[f32],
+    masks: &[f32],
+    queue_lens: &[usize],
+    scratch: &'s mut ActorScratch,
+) -> &'s [usize] {
+    let rows = queue_lens.len();
+    assert!(rows > 0, "batched selection needs at least one row");
+    assert_eq!(obs.len() % rows, 0, "obs volume must divide into rows");
+    assert_eq!(masks.len() % rows, 0, "mask volume must divide into rows");
+    let n_actions = masks.len() / rows;
+    infer::log_probs(policy, obs, masks, rows, &mut scratch.nn, &mut scratch.logp);
+    scratch.actions.clear();
+    scratch
+        .actions
+        .extend(
+            scratch
+                .logp
+                .chunks(n_actions)
+                .zip(queue_lens)
+                .map(|(row, &queue_len)| {
+                    MaskedCategorical::new(row)
+                        .argmax()
+                        .min(queue_len.saturating_sub(1))
+                }),
+        );
+    &scratch.actions
 }
 
 /// PPO hyperparameters. Defaults follow §V-A of the paper (lr 1e-3, 80
@@ -196,30 +238,6 @@ impl Ppo {
             vf_fused: fused::FusedScratch::new(),
             mb: MiniBuf::default(),
         }
-    }
-
-    /// Forward the policy on a single observation via the inference fast
-    /// path; returns the log-prob row (allocates — prefer
-    /// [`Ppo::greedy_with`] in loops).
-    pub fn logp_row(&self, obs: &[f32], mask: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        infer::log_probs(&self.policy, obs, mask, 1, &mut Scratch::new(), &mut out);
-        out
-    }
-
-    /// Deterministic argmax action (testing path, §IV-B1) through
-    /// caller-owned scratch (zero allocation at steady state) — the
-    /// scheduling-decision hot path of Table IX.
-    pub fn greedy_with(&self, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
-        infer::log_probs(
-            &self.policy,
-            obs,
-            mask,
-            1,
-            &mut scratch.nn,
-            &mut scratch.logp,
-        );
-        MaskedCategorical::new(&scratch.logp).argmax()
     }
 
     /// The `(actor, critic)` optimizers, read-only: their step counts and
@@ -529,11 +547,18 @@ mod tests {
         x.repeat(n_actions)
     }
 
+    /// One window's greedy action, its queue as long as the window.
+    fn greedy(ppo: &Ppo, obs: &[f32], mask: &[f32], scratch: &mut ActorScratch) -> usize {
+        greedy_batch(&ppo.policy, obs, mask, &[mask.len()], scratch)[0]
+    }
+
     #[test]
     fn logp_rows_are_normalized_and_masked() {
         let ppo = agent(4);
         let mask = vec![0.0, MASK_OFF, 0.0, 0.0];
-        let logp = ppo.logp_row(&full_window([0.5, 1.0], 4), &mask);
+        let mut logp = Vec::new();
+        let obs = full_window([0.5, 1.0], 4);
+        infer::log_probs(&ppo.policy, &obs, &mask, 1, &mut Scratch::new(), &mut logp);
         let sum: f32 = logp.iter().map(|l| l.exp()).sum();
         assert!((sum - 1.0).abs() < 1e-4, "sum {sum}");
         assert!(logp[1] < -1e8, "masked slot has ~zero probability");
@@ -544,10 +569,10 @@ mod tests {
         let ppo = agent(4);
         let (obs, mask) = (full_window([0.3, -0.2], 4), vec![0.0; 4]);
         let mut scratch = ActorScratch::new();
-        let a = ppo.greedy_with(&obs, &mask, &mut scratch);
+        let a = greedy(&ppo, &obs, &mask, &mut scratch);
         for _ in 0..10 {
-            assert_eq!(ppo.greedy_with(&obs, &mask, &mut ActorScratch::new()), a);
-            assert_eq!(ppo.greedy_with(&obs, &mask, &mut scratch), a);
+            assert_eq!(greedy(&ppo, &obs, &mask, &mut ActorScratch::new()), a);
+            assert_eq!(greedy(&ppo, &obs, &mask, &mut scratch), a);
         }
     }
 
@@ -580,7 +605,7 @@ mod tests {
         // And greedy should pick the best arm.
         let (mut obs, mut mask) = (Vec::new(), Vec::new());
         BanditEnv::new(n_actions, 8, 0).reset(0, &mut obs, &mut mask);
-        let a = ppo.greedy_with(&obs, &mask, &mut ActorScratch::new());
+        let a = greedy(&ppo, &obs, &mask, &mut ActorScratch::new());
         assert_eq!(a, n_actions - 1, "greedy should pick the best arm");
     }
 

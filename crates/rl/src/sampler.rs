@@ -16,6 +16,12 @@
 //! episode seed alone, and the forward kernels guarantee row-count
 //! invariance. The parity tests in `tests/vecenv_parity.rs` and
 //! `rlscheduler` pin this.
+//!
+//! Training collects through [`collect_rollouts_par`], which gives each
+//! of [`pool::fan_out`]'s ranges (at most ⌈n/32⌉ of `n` seeds) its own
+//! `VecEnv`. A range is therefore one env wide at 32 trajectories or
+//! fewer (`train_epochs` runs 32), and the lockstep batch above spans
+//! more than one episode only past 32 trajectories per epoch.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -226,9 +232,12 @@ pub fn collect_rollouts_vec<E: Env>(
 /// the same per-episode sums in the same seed order. Pinned by this
 /// module's tests and `rlscheduler`'s `parallel_parity` suite.
 ///
-/// `n_envs` caps each range's lockstep width (`TrainConfig::n_envs` in
-/// `rlscheduler`); the worker-thread budget is [`pool::current_num_threads`]
-/// (a [`pool::with_threads`] override, else `available_parallelism`).
+/// A range holds at most ⌈n/32⌉ of the `n` seeds, and its `VecEnv` is
+/// `min(n_envs, range length)` envs wide: one env per range at 32 seeds
+/// or fewer, so `n_envs` (`TrainConfig::n_envs` in `rlscheduler`) caps
+/// the width only above `32 × n_envs` seeds. The worker-thread budget is
+/// [`pool::current_num_threads`] (a [`pool::with_threads`] override, else
+/// `available_parallelism`).
 pub fn collect_rollouts_par<E, F>(
     ppo: &Ppo,
     make_env: F,

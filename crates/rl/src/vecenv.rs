@@ -43,9 +43,6 @@
 //! `impl Env for &mut E`) and call `sampler::collect_rollouts_vec`,
 //! which drives the lockstep loop.
 
-use rlsched_nn::fused::FusedPolicy;
-use rlsched_nn::infer;
-
 use crate::env::{Env, StepOutcome};
 
 /// Forwarding impl so a `VecEnv` can borrow caller-owned environments
@@ -63,34 +60,6 @@ impl<E: Env + ?Sized> Env for &mut E {
     fn step(&mut self, action: usize, obs: &mut Vec<f32>, mask: &mut Vec<f32>) -> StepOutcome {
         (**self).step(action, obs, mask)
     }
-}
-
-/// Argmax actions for `rows` stacked observations through one
-/// [`infer::log_probs`] forward of `policy` — the one batched scorer: a
-/// serving shard scores its coalesced requests through it.
-/// Row `i`'s action is the one a forward of row `i` alone picks (the
-/// in-process decision head's action for that row). Allocation-free at
-/// steady state.
-pub fn greedy_batch(
-    policy: &FusedPolicy,
-    obs: &[f32],
-    masks: &[f32],
-    rows: usize,
-    scratch: &mut crate::ppo::ActorScratch,
-    actions: &mut Vec<usize>,
-) {
-    assert!(rows > 0, "batched selection needs at least one row");
-    assert_eq!(obs.len() % rows, 0, "obs volume must divide into rows");
-    assert_eq!(masks.len() % rows, 0, "mask volume must divide into rows");
-    let n_actions = masks.len() / rows;
-    infer::log_probs(policy, obs, masks, rows, &mut scratch.nn, &mut scratch.logp);
-    actions.clear();
-    actions.extend((0..rows).map(|i| {
-        crate::categorical::MaskedCategorical::new(
-            &scratch.logp[i * n_actions..(i + 1) * n_actions],
-        )
-        .argmax()
-    }));
 }
 
 /// Per-slot result of one [`VecEnv::step_all`] tick, in stacked-row

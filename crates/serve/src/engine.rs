@@ -110,12 +110,6 @@ impl ScorerSlot {
     }
 }
 
-/// One pending row's clamp bound, kept alongside the stacked matrices.
-#[derive(Debug, Clone, Copy)]
-struct RowMeta {
-    queue_len: usize,
-}
-
 /// Registry handles an instrumented engine records into at every
 /// non-empty flush. All handles are `rlsched-obs` atomics: recording is
 /// a few relaxed RMWs, zero allocations (pinned in `alloc_regression`),
@@ -141,9 +135,9 @@ pub struct ShardEngine {
     batch_cap: usize,
     obs: Vec<f32>,
     masks: Vec<f32>,
-    rows: Vec<RowMeta>,
+    /// Each pending row's queue length: its action's clamp bound.
+    queue_lens: Vec<usize>,
     scratch: ActorScratch,
-    actions: Vec<usize>,
     metrics: Option<EngineMetrics>,
 }
 
@@ -160,9 +154,8 @@ impl ShardEngine {
             batch_cap,
             obs: Vec::new(),
             masks: Vec::new(),
-            rows: Vec::new(),
+            queue_lens: Vec::new(),
             scratch: ActorScratch::new(),
-            actions: Vec::new(),
             metrics: None,
         }
     }
@@ -177,19 +170,19 @@ impl ShardEngine {
 
     /// Rows waiting in the current batch.
     pub fn pending(&self) -> usize {
-        self.rows.len()
+        self.queue_lens.len()
     }
 
     /// True when the batch reached its cap and must flush before the
     /// next push.
     pub fn is_full(&self) -> bool {
-        self.rows.len() >= self.batch_cap
+        self.queue_lens.len() >= self.batch_cap
     }
 
     /// Encode a [`QueueSnapshot`] straight into the stacked matrices
     /// (no intermediate row buffer) and append it. The snapshot's full
-    /// `queue_len` is the row's action-clamp bound, exactly as
-    /// `Agent::as_policy` applies it. Panics when the encoder's window
+    /// `queue_len` is the row's action-clamp bound in [`greedy_batch`],
+    /// as `Agent::as_policy` passes it. Panics when the encoder's window
     /// mismatches the scorer or the batch is already full — the server
     /// validates requests before they reach the engine.
     pub fn push_snapshot(&mut self, snap: &QueueSnapshot, encoder: &ObsEncoder) {
@@ -200,9 +193,7 @@ impl ShardEngine {
             "encoder window must match the scorer"
         );
         encoder.encode_snapshot_extend(snap, &mut self.obs, &mut self.masks);
-        self.rows.push(RowMeta {
-            queue_len: snap.queue_len(),
-        });
+        self.queue_lens.push(snap.queue_len());
     }
 
     /// Score every pending row through one batched forward and return
@@ -220,10 +211,9 @@ impl ShardEngine {
             self.seen_generation = self.slot.generation();
             self.scorer = self.slot.snapshot();
         }
-        let rows = self.rows.len();
+        let rows = self.queue_lens.len();
         if rows == 0 {
-            self.actions.clear();
-            return &self.actions;
+            return &[];
         }
         if let Some(m) = &self.metrics {
             m.batches.inc();
@@ -231,30 +221,24 @@ impl ShardEngine {
             m.batch_rows.record_value(rows as u64);
             m.batch_max.set_max(rows as f64);
         }
-        greedy_batch(
+        let actions = greedy_batch(
             self.scorer.net(),
             &self.obs,
             &self.masks,
-            rows,
+            &self.queue_lens,
             &mut self.scratch,
-            &mut self.actions,
         );
-        for (a, meta) in self.actions.iter_mut().zip(&self.rows) {
-            // Same defensive clamp as Agent::as_policy: the mask already
-            // confines argmax to valid slots, but never exceed the queue.
-            *a = (*a).min(meta.queue_len.saturating_sub(1));
-        }
         self.obs.clear();
         self.masks.clear();
-        self.rows.clear();
-        &self.actions
+        self.queue_lens.clear();
+        actions
     }
 }
 
 impl std::fmt::Debug for ShardEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardEngine")
-            .field("pending", &self.rows.len())
+            .field("pending", &self.queue_lens.len())
             .field("batch_cap", &self.batch_cap)
             .field("generation", &self.seen_generation)
             .finish()

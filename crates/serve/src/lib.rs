@@ -3,7 +3,8 @@
 //! RLScheduler's pitch is that a trained kernel policy decides fast
 //! enough to sit inside a live batch-job dispatcher (§IV-B1, Table IX).
 //! This crate is that dispatcher-facing tier: it turns the batched
-//! scoring building blocks (`ScorerSnapshot`, `greedy_batch`,
+//! scoring building blocks (`ScorerSnapshot`, `rlsched_rl::greedy_batch`
+//! — the greedy decision the in-process head runs too — and the
 //! row-count-invariant forward kernels) into a server that answers
 //! scheduling queries over a socket.
 //!

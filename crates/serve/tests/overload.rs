@@ -6,9 +6,12 @@
 //! 8 rows, so the tier saturates near 2×), so the machine's speed does not
 //! decide the shares.
 //!
-//! Three things must hold:
+//! Four things must hold:
 //! * the share of answers the model did not give (fallback, deadline or
 //!   shed) never falls as the rate rises;
+//! * at 2×, where the two shards' scripted capacity (8 rows per 1 ms
+//!   each) just meets the rate, that share stays under
+//!   [`MAX_SHARE_AT_2X`]: the curve's level, not only its shape;
 //! * every connection keeps getting replies in every phase: no thread
 //!   starves its own client while it scores others' rows;
 //! * the closing 1× phase is answered by the model alone: the tier
@@ -38,6 +41,14 @@ const BASE_PERIOD: Duration = Duration::from_millis(4);
 const PHASE: Duration = Duration::from_millis(400);
 /// Rate multiples of the driven phases, then the closing phase's.
 const RATES: [u32; 5] = [1, 2, 4, 8, 1];
+/// The most of the 2× phase the model may leave to fallback, deadline or
+/// shed. On a 2-vCPU Xeon VM the tier read 0.009–0.334 over 44 release
+/// runs (the top under a concurrent release build, ≤ 0.167 beside two
+/// busy loops), and a tier whose connection threads never score from an
+/// inbox (every queued row waits for the one drainer: half the
+/// capacity) read 0.505–0.546 over 13. The bound sits 0.086 above the
+/// first spread and 0.085 below the second.
+const MAX_SHARE_AT_2X: f64 = 0.42;
 
 fn agent() -> Agent {
     Agent::new(AgentConfig {
@@ -281,6 +292,12 @@ fn the_overload_curve_never_falls_starves_no_client_and_recovers() {
             pair[1].1
         );
     }
+    let (rate, at_2x, counts) = shares[1];
+    assert!(
+        at_2x <= MAX_SHARE_AT_2X,
+        "the tier lost capacity: {at_2x:.3} of the {rate}x phase was not the model's \
+         (bound {MAX_SHARE_AT_2X}): {counts:?}"
+    );
     let (_, closing, counts) = shares[RATES.len() - 1];
     assert_eq!(
         closing, 0.0,
