@@ -250,15 +250,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let code = match run(args) {
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("replay failed: {e}");
             ExitCode::FAILURE
         }
-    };
-    // Spans buffer in-process; emit them on the way out (no-op unless
-    // RLSCHED_TRACE is set).
-    let _ = rlsched_obs::trace::flush();
-    code
+    }
 }

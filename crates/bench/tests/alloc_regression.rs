@@ -668,11 +668,11 @@ fn fast_paths_do_not_regress_allocations() {
 
     // ---- telemetry recording: the whole point of rlsched-obs is that
     // instrumentation rides the hot paths for free, so every recording
-    // primitive — counter inc, gauge set/set_max, striped histogram
-    // record, and a *disabled* span guard — is pinned to exactly 0
-    // allocations, and an *instrumented* ShardEngine keeps the
-    // zero-allocation cycle pinned above. Registration allocates
-    // (registry map entry); that happens once, outside the window. ----
+    // primitive — counter inc, gauge set/set_max and striped histogram
+    // record — is pinned to exactly 0 allocations, and an
+    // *instrumented* ShardEngine keeps the zero-allocation cycle pinned
+    // above. Registration allocates (registry map entry); that happens
+    // once, outside the window. ----
     {
         use rlsched_obs::Registry;
         use rlsched_serve::EngineMetrics;
@@ -680,20 +680,11 @@ fn fast_paths_do_not_regress_allocations() {
         let counter = reg.counter("alloc_pin_total", &[("k", "v")]);
         let gauge = reg.gauge("alloc_pin_depth", &[]);
         let ohist = reg.histogram("alloc_pin_ns", &[]);
-        // Warm: first record on this thread claims its histogram
-        // stripe, and the first span performs the process-wide one-time
-        // init (the cached RLSCHED_TRACE read; plus, when tracing is
-        // enabled, the preallocated trace ring). After that a span is
-        // allocation-free on BOTH arms: disabled it never touches the
-        // ring, enabled it writes a fixed-size record into preallocated
-        // slots — so the 0-alloc pin below holds under RLSCHED_TRACE=1
-        // too (CI runs that arm).
+        // Warm: the first record on this thread claims its histogram
+        // stripe.
         counter.inc();
         gauge.set(1.0);
         ohist.record_value(500);
-        {
-            rlsched_obs::span!("alloc.warm");
-        }
         let record_allocs = count_allocs(|| {
             for i in 0..64u64 {
                 counter.inc();
@@ -701,7 +692,6 @@ fn fast_paths_do_not_regress_allocations() {
                 gauge.set(i as f64);
                 gauge.set_max(i as f64 * 2.0);
                 ohist.record_value(1 + i * 997);
-                rlsched_obs::span!("alloc.pin");
             }
         });
         assert_eq!(

@@ -6,6 +6,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -120,9 +121,10 @@ pub struct EpochStats {
 /// A whole training run's curve.
 pub type TrainingCurve = Vec<EpochStats>;
 
-/// Registry handles the training loop records into once per epoch
-/// (plus one phase-attributed time counter per PPO phase). Handles
-/// resolve against the process-global registry
+/// Registry handles the training loop records into once per epoch:
+/// the rollout's wall time and one phase-attributed time counter per
+/// PPO phase, so the registry holds the epoch's rollout/update split.
+/// Handles resolve against the process-global registry
 /// ([`rlsched_obs::global`]) so `rlsched-serve`'s scrape endpoint — or
 /// a `--metrics-dump` at exit — sees training progress without the
 /// loop threading a registry through its API. Registration happens
@@ -131,6 +133,8 @@ struct TrainMetrics {
     epochs: Counter,
     episodes: Counter,
     steps: Counter,
+    /// Wall time of each epoch's trajectory collection.
+    rollout_ns: Counter,
     update_phase_ns: [Counter; 4],
     /// The critic's parts of the forward and backward phases (a subset
     /// of `update_phase_ns`, so not one of its labels: that would count
@@ -159,6 +163,7 @@ impl TrainMetrics {
             epochs: reg.counter("rlsched_train_epochs_total", &[]),
             episodes: reg.counter("rlsched_train_episodes_total", &[]),
             steps: reg.counter("rlsched_train_steps_total", &[]),
+            rollout_ns: reg.counter("rlsched_train_rollout_ns_total", &[]),
             update_phase_ns: [
                 phase(Self::PHASES[0]),
                 phase(Self::PHASES[1]),
@@ -179,12 +184,14 @@ impl TrainMetrics {
     fn record_epoch(
         &self,
         stats: &rlsched_rl::RolloutStats,
+        rollout: Duration,
         update: &UpdateStats,
         prof: &UpdateProfile,
     ) {
         self.epochs.inc();
         self.episodes.add(stats.episodes as u64);
         self.steps.add(stats.steps as u64);
+        self.rollout_ns.add(rollout.as_nanos() as u64);
         let phases = [prof.gather, prof.forward, prof.backward, prof.optimizer];
         for (c, d) in self.update_phase_ns.iter().zip(phases) {
             c.add(d.as_nanos() as u64);
@@ -234,7 +241,6 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
     let metrics = TrainMetrics::register(rlsched_obs::global());
     let mut curve = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
-        rlsched_obs::span!("train.epoch");
         let filtered = match cfg.filter {
             FilterMode::Off => false,
             FilterMode::TwoPhase { phase1_epochs, .. } => epoch < phase1_epochs,
@@ -252,14 +258,15 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
             })
             .collect();
         let mut prof = UpdateProfile::default();
-        let (stats, update) = pool::with_threads(cfg.n_threads, || {
-            let (batch, stats) = {
-                rlsched_obs::span!("train.rollout");
-                collect_rollouts_par(agent.ppo(), make_env, cfg.n_envs.max(1), &seeds)
-            };
-            (stats, agent.ppo_mut().update_profiled(&batch, &mut prof))
+        let (stats, rollout, update) = pool::with_threads(cfg.n_threads, || {
+            let start = Instant::now();
+            let (batch, stats) =
+                collect_rollouts_par(agent.ppo(), make_env, cfg.n_envs.max(1), &seeds);
+            let rollout = start.elapsed();
+            let update = agent.ppo_mut().update_profiled(&batch, &mut prof);
+            (stats, rollout, update)
         });
-        metrics.record_epoch(&stats, &update, &prof);
+        metrics.record_epoch(&stats, rollout, &update, &prof);
 
         curve.push(EpochStats {
             epoch,
@@ -504,6 +511,8 @@ mod tests {
             n_envs: 8,
             n_threads: 1,
         };
+        const ROLLOUT_NS: &str = "rlsched_train_rollout_ns_total";
+        let rollout_before = rlsched_obs::global().snapshot().counter(ROLLOUT_NS, &[]);
         train(&mut agent, &trace, &cfg);
         let snap = rlsched_obs::global().snapshot();
         let rows = |r| snap.counter("rlsched_train_policy_job_rows_total", &[("rows", r)]);
@@ -511,6 +520,13 @@ mod tests {
         assert!(
             scored.is_some_and(|s| s > 0) && window.is_some_and(|w| w > 0),
             "scored {scored:?}, window {window:?}"
+        );
+        // The epoch's rollout wall time lands in the registry beside the
+        // update's phases.
+        let rollout_after = snap.counter(ROLLOUT_NS, &[]);
+        assert!(
+            rollout_after.is_some_and(|ns| ns > rollout_before.unwrap_or(0)),
+            "rollout ns {rollout_before:?} before one epoch, {rollout_after:?} after"
         );
     }
 }

@@ -1,14 +1,15 @@
 //! The first-order optimizer: Adam (the paper trains with learning rate
 //! 1e-3, §V-A), plus global-norm gradient clipping.
 //!
-//! The Adam inner loop is SIMD-dispatched ([`crate::simd::simd_enabled`]
-//! gates an AVX2 kernel): it runs once per update iteration over every
+//! The Adam inner loop runs once per update iteration over every
 //! parameter, m/v moment and gradient, so at 80+80 iterations per PPO
-//! epoch it streams the whole optimizer state hundreds of times. The
-//! vector kernel performs the *same* per-element operations in the same
-//! order (multiply/add/sqrt/divide, deliberately no FMA contraction), so
-//! both dispatch arms produce bit-identical parameters — pinned by the
-//! forced-scalar parity test below.
+//! epoch it streams the whole optimizer state hundreds of times. It is
+//! compiled under the detected arm's instructions
+//! (`simd::with_arm_features`, as `fused`'s backward loops are), so it
+//! vectorizes as wide as the CPU allows. Each element is its own
+//! multiply/add/sqrt/divide, and Rust never contracts a multiply and an
+//! add into an FMA, so every arm computes the same bits — pinned by the
+//! parity test below.
 
 use crate::tensor::Tensor;
 
@@ -93,8 +94,8 @@ impl Adam {
 }
 
 /// One fused m/v/param Adam update over a parameter slice, compiled
-/// with AVX2 when [`crate::simd::simd_enabled`]. Both compilations
-/// compute identical bits per element.
+/// with the detected arm's instructions. Every compilation computes
+/// identical bits per element.
 #[allow(clippy::too_many_arguments)] // the full Adam state, BLAS-style
 fn adam_update_slice(
     p: &mut [f32],
@@ -109,13 +110,10 @@ fn adam_update_slice(
     b2t: f32,
 ) {
     debug_assert!(g.len() == p.len() && m.len() == p.len() && v.len() == p.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::simd_enabled() {
-        // SAFETY: `simd_enabled` is true only where the CPU has AVX2.
-        unsafe { adam_update_scalar_avx2(p, g, m, v, lr, beta1, beta2, eps, b1t, b2t) };
-        return;
-    }
-    adam_update_scalar(p, g, m, v, lr, beta1, beta2, eps, b1t, b2t);
+    crate::simd::with_arm_features(
+        #[inline(always)]
+        || adam_update_scalar(p, g, m, v, lr, beta1, beta2, eps, b1t, b2t),
+    );
 }
 
 /// The per-element Adam loop. It uses separate multiplies and adds (no
@@ -144,29 +142,6 @@ fn adam_update_scalar(
         let vhat = vi / b2t;
         *p -= lr * mhat / (vhat.sqrt() + eps);
     }
-}
-
-/// [`adam_update_scalar`] compiled with AVX2: the loop runs eight lanes
-/// wide.
-///
-/// # Safety
-/// AVX2 must be available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn adam_update_scalar_avx2(
-    p: &mut [f32],
-    g: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    b1t: f32,
-    b2t: f32,
-) {
-    adam_update_scalar(p, g, m, v, lr, beta1, beta2, eps, b1t, b2t)
 }
 
 /// Scale all gradients down so their joint L2 norm is at most `max_norm`.
@@ -279,35 +254,27 @@ mod tests {
         assert_eq!(small[0].data(), &[0.1], "under-norm gradients untouched");
     }
 
-    /// The forced-scalar parity contract of the fused m/v/param kernel:
-    /// the AVX2 compilation must produce the *same bits* as the portable
-    /// one (the loop uses no FMA contraction), so parameter trajectories
-    /// never depend on dispatch.
+    /// The parity contract of the fused m/v/param kernel: the
+    /// dispatched compilation (AVX-512, AVX2 or FMA, as detected) must
+    /// produce the *same bits* as the plainly compiled loop (no FMA
+    /// contraction), so parameter trajectories never depend on dispatch.
     #[test]
     fn adam_kernel_simd_matches_scalar_bitwise() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                return; // no AVX2 compilation on this machine; nothing to compare
-            }
-            for n in [1usize, 7, 8, 9, 64, 129] {
-                let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 2.0).collect();
-                let mut ps = vec![0.5f32; n];
-                let mut ms: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos() * 0.1).collect();
-                let mut vs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).sin().abs()).collect();
-                let (mut pv, mut mv, mut vv) = (ps.clone(), ms.clone(), vs.clone());
-                adam_update_scalar(
-                    &mut ps, &g, &mut ms, &mut vs, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001,
-                );
-                unsafe {
-                    adam_update_scalar_avx2(
-                        &mut pv, &g, &mut mv, &mut vv, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001,
-                    )
-                };
-                assert_eq!(ps, pv, "params diverged at n={n}");
-                assert_eq!(ms, mv, "first moments diverged at n={n}");
-                assert_eq!(vs, vv, "second moments diverged at n={n}");
-            }
+        for n in [1usize, 7, 8, 9, 64, 129] {
+            let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 2.0).collect();
+            let mut ps = vec![0.5f32; n];
+            let mut ms: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos() * 0.1).collect();
+            let mut vs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).sin().abs()).collect();
+            let (mut pv, mut mv, mut vv) = (ps.clone(), ms.clone(), vs.clone());
+            adam_update_scalar(
+                &mut ps, &g, &mut ms, &mut vs, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001,
+            );
+            adam_update_slice(
+                &mut pv, &g, &mut mv, &mut vv, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001,
+            );
+            assert_eq!(ps, pv, "params diverged at n={n}");
+            assert_eq!(ms, mv, "first moments diverged at n={n}");
+            assert_eq!(vs, vv, "second moments diverged at n={n}");
         }
     }
 }

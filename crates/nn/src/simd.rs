@@ -182,10 +182,10 @@ pub fn arm_name() -> &'static str {
 }
 
 /// `body()`, compiled with the detected arm's instructions: the
-/// element-wise loops around the kernels (`fused`'s backward) vectorize
-/// as wide as the CPU allows. Pass an `#[inline(always)]` closure, so that
-/// its loops are compiled inside each wrapper; a loop whose elements are
-/// independent keeps its bits at any width.
+/// element-wise loops around the kernels (`fused`'s backward, the Adam
+/// step) vectorize as wide as the CPU allows. Pass an `#[inline(always)]`
+/// closure, so that its loops are compiled inside each wrapper; a loop
+/// whose elements are independent keeps its bits at any width.
 pub(crate) fn with_arm_features<R>(body: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: each wrapper enables only what its arm detected.

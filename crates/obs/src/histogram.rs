@@ -52,6 +52,33 @@ pub fn bucket_upper(i: usize) -> u64 {
     base + (sub + 1) * width - 1
 }
 
+/// The value at quantile `q ∈ [0, 1]` of `count` samples whose largest
+/// is `max_ns`, spread over `(bucket, count)` pairs in ascending bucket
+/// order: the upper bound of the bucket holding the sample of rank
+/// ⌈q·count⌉ (at least 1), so the estimate never understates, capped at
+/// `max_ns`. 0 when empty. Both histogram flavors answer through it.
+pub(crate) fn quantile_of(
+    buckets: impl IntoIterator<Item = (usize, u64)>,
+    count: u64,
+    max_ns: u64,
+    q: f64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, c) in buckets {
+        seen += c;
+        if seen >= rank {
+            // The top bucket's upper bound can overshoot the true max;
+            // the exact max is tracked, so never exceed it.
+            return bucket_upper(i).min(max_ns);
+        }
+    }
+    max_ns
+}
+
 /// A mergeable latency histogram with exact count/max and bucketed
 /// quantiles.
 #[derive(Clone, PartialEq, Eq)]
@@ -98,20 +125,8 @@ impl LatencyHistogram {
     /// The value at quantile `q ∈ [0, 1]` (bucket upper bound, so the
     /// estimate never understates). 0 when empty.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // The top bucket's upper bound can overshoot the true
-                // max; the exact max is tracked, so never exceed it.
-                return bucket_upper(i).min(self.max_ns);
-            }
-        }
-        self.max_ns
+        let buckets = self.counts.iter().copied().enumerate();
+        quantile_of(buckets, self.count, self.max_ns, q)
     }
 
     /// Fold another histogram into this one.

@@ -1,19 +1,18 @@
-//! `rlsched-obs` — the repo's unified telemetry layer: a metrics
-//! registry, span tracing, and a text exposition encoder, shared by the
-//! serve tier, the trainer, and the replay engine.
+//! `rlsched-obs` — the repo's one set of instruments: a metrics
+//! registry and a text exposition encoder, shared by the serve tier,
+//! the trainer, the replay engine and the benchmark.
 //!
 //! Design contract, same discipline as the rest of the stack:
 //!
 //! * **Recording is free-ish.** Counter/gauge/histogram recording is
-//!   one or two relaxed atomic RMWs; a disabled span is a cached load
-//!   and a branch. Zero steady-state allocations on every recording
-//!   path — pinned by the workspace alloc-regression suite — and
-//!   `crates/serve/tests/obs_overhead.rs` bounds the instrumented serve
-//!   engine cycle within 2% of the uninstrumented baseline.
-//! * **Telemetry never steers.** Clock reads happen only inside span
-//!   guards (and only when `RLSCHED_TRACE` is set) and latency
-//!   recording; no decision path consumes them. All parity suites run
-//!   bit-identical with tracing on.
+//!   one or two relaxed atomic RMWs. Zero steady-state allocations on
+//!   every recording path — pinned by the workspace alloc-regression
+//!   suite — and `crates/serve/tests/obs_overhead.rs` bounds the
+//!   instrumented serve engine cycle within 2% of the uninstrumented
+//!   baseline.
+//! * **Telemetry never steers.** The clock reads that feed latency
+//!   histograms and phase counters are never consumed by a decision
+//!   path.
 //! * **Scrapes never stop writers.** [`Registry::snapshot`] reads
 //!   atomics; a histogram's reported total is derived from its bucket
 //!   reads so `sum(buckets) == count` holds mid-race.
@@ -36,12 +35,9 @@
 //! * [`LatencyHistogram`] — the single-owner log-linear histogram that
 //!   grew up in `rlsched-serve` (still re-exported there) and now
 //!   shares its bucket axis with the registry histograms.
-//! * [`span!`] / [`trace`] — RAII spans, `RLSCHED_TRACE`-gated, drained
-//!   as JSONL from a bounded ring.
 
 pub mod histogram;
 pub mod registry;
-pub mod trace;
 
 pub use histogram::{bucket_of, bucket_upper, LatencyHistogram};
 pub use registry::{

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::histogram::{bucket_upper, AtomicHistogramCore};
+use crate::histogram::{bucket_upper, quantile_of, AtomicHistogramCore};
 
 /// A monotonically increasing counter. Clones share storage.
 #[derive(Clone, Debug)]
@@ -310,18 +310,8 @@ impl HistogramSnapshot {
     /// at the observed max; 0 when empty) — same semantics as
     /// [`LatencyHistogram::quantile_ns`](crate::LatencyHistogram::quantile_ns).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for &(i, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper(i as usize).min(self.max_ns);
-            }
-        }
-        self.max_ns
+        let buckets = self.buckets.iter().map(|&(i, c)| (i as usize, c));
+        quantile_of(buckets, self.count, self.max_ns, q)
     }
 
     /// Fold another snapshot into this one (sparse element-wise merge).

@@ -284,7 +284,6 @@ impl Ppo {
     /// the last *applied* iteration's loss — an early stop costs one
     /// wasted chunked backward per update.
     pub fn update_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
-        rlsched_obs::span!("ppo.update");
         assert!(!batch.is_empty(), "cannot update on an empty batch");
         let n_actions = batch.n_actions();
         let window = (batch.features() * n_actions, n_actions);

@@ -449,7 +449,6 @@ impl Shared {
                 // requests age past their deadline) exactly as scripted.
                 faults.before_score(shard, batch);
             }
-            rlsched_obs::span!("serve.batch");
             // The engine's instrumentation records batches/rows/batch
             // size; the rows' latency is recorded below.
             engine.flush()
@@ -1026,7 +1025,6 @@ impl<S: Transport> ConnOut<S> {
             }
             Request::Metrics { .. } => {
                 run.flush(self, false);
-                rlsched_obs::span!("serve.metrics_scrape");
                 let metrics = self.shared.registry.snapshot();
                 return send_reply(&self.tx, Response::Metrics { id, metrics }, proto);
             }

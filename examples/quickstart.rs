@@ -361,7 +361,4 @@ fn main() {
         assert!(final_stats.served >= stats.served);
         println!("remote scheduling matches in-process scoring — serving tier OK");
     }
-
-    // Emit any buffered trace spans (no-op unless RLSCHED_TRACE is set).
-    let _ = rlsched_repro::obs::trace::flush();
 }
