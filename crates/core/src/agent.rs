@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use rlsched_nn::fused::{FusedHead, FusedPolicy};
 use rlsched_nn::{Activation, Conv2dLayer, Dense, Mlp};
 use rlsched_rl::{greedy_batch, ActorScratch, Ppo, PpoConfig};
-use rlsched_sim::{MetricKind, Outcomes, Policy, StreamSession, WaitingJob};
+use rlsched_sim::{MetricKind, Policy, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
 use crate::nets::{
@@ -329,9 +329,9 @@ impl RlPolicy<'_> {
 impl Policy for RlPolicy<'_> {
     type Error = Infallible;
 
-    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+    fn pick<I: Iterator<Item = Job>>(
         &mut self,
-        session: &mut StreamSession<I, O>,
+        session: &mut StreamSession<I>,
     ) -> Result<usize, Infallible> {
         Ok(self.decide(
             session.free_procs(),

@@ -136,7 +136,7 @@ impl Env for SchedulingEnv {
             .step(action)
             .expect("masked policy emitted an invalid queue position");
         if session.done() {
-            let metrics = session.metrics().expect("done");
+            let metrics = session.episode_metrics().expect("done");
             let reward = self.objective.reward(&metrics);
             let raw = self.objective.raw(&metrics);
             StepOutcome {

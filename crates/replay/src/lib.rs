@@ -12,7 +12,7 @@
 //! * [`rlsched_sim::StreamSession`] — the simulator's one event loop
 //!   (indexed-calendar queue, EASY backfilling, metrics folded at start
 //!   time; `SchedSession`, which training and `run_episode` step, is the
-//!   same type over a materialized trace, its sink a per-job table);
+//!   same type over a materialized trace, with its outcome log on);
 //! * the decision heads a replay can drive, named by [`ReplayPolicy`]:
 //!   [`Heuristic`](ReplayPolicy::Heuristic) (Table III priority
 //!   functions, [`rlsched_sched::PriorityScheduler`]),
@@ -22,8 +22,8 @@
 //!   a live `rlsched-serve` tier through [`rlsched_serve::RemotePolicy`]).
 //!   Each is the one [`rlsched_sim::Policy`] its policy has — the very
 //!   head `run_episode` asks — so there is nothing for a replay and an
-//!   evaluation episode to disagree on but the source they read and the
-//!   sink they write.
+//!   evaluation episode to disagree on but the source they read and
+//!   whether they keep the outcome log.
 //!
 //! [`ReplayEngine::run`] drives the episode to completion and returns a
 //! [`ReplayReport`]: job and decision throughput (with EASY on, backfill
@@ -39,7 +39,7 @@
 //! rescoring of the queue for WFP3 and UNICEP, O(n).
 //!
 //! What the suites here still compare: `tests/replay_parity.rs` holds the
-//! streaming outcome log to the materialized outcome table and
+//! streaming outcome log to the materialized episode's and
 //! `LublinModel::stream` to `generate`, under every head;
 //! `tests/ranked_head_prop.rs` holds the ranked head to the
 //! `select_streaming` scan at every decision point. The loop itself

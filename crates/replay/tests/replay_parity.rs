@@ -8,9 +8,9 @@
 //! reference simulator in `rlsched-sim`'s tests does that; the ranked head
 //! answers to the scan in `ranked_head_prop.rs`). What they still compare:
 //!
-//! * the materialized outcome table (`SchedSession`, a `Vec<JobOutcome>`
-//!   sink read in trace order) against the streaming outcome log
-//!   (`StreamSession::with_outcome_log` beside the `StreamMetrics` sink);
+//! * a materialized episode (`SchedSession`, whose outcome log
+//!   `from_trace` turns on, read in trace order) against a streaming
+//!   replay's outcome log (`StreamSession::with_outcome_log`);
 //! * `LublinModel::stream`, which the replays pull from, against
 //!   `LublinModel::generate`, which built the materialized trace;
 //! * a served replay against the in-process agent (the serving tier's own

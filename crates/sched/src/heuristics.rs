@@ -3,7 +3,7 @@
 
 use std::convert::Infallible;
 
-use rlsched_sim::{Outcomes, Policy, StreamSession, WaitingJob};
+use rlsched_sim::{Policy, StreamSession, WaitingJob};
 use rlsched_swf::Job;
 
 /// Which priority function a [`PriorityScheduler`] applies.
@@ -241,7 +241,7 @@ impl PriorityScheduler {
 impl Policy for PriorityScheduler {
     type Error = Infallible;
 
-    fn attach<I: Iterator<Item = Job>, O: Outcomes>(&mut self, session: &mut StreamSession<I, O>) {
+    fn attach<I: Iterator<Item = Job>>(&mut self, session: &mut StreamSession<I>) {
         if self.kind == HeuristicKind::Fcfs {
             return; // reads the front of the queue, not an order
         }
@@ -250,9 +250,9 @@ impl Policy for PriorityScheduler {
         }
     }
 
-    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+    fn pick<I: Iterator<Item = Job>>(
         &mut self,
-        session: &mut StreamSession<I, O>,
+        session: &mut StreamSession<I>,
     ) -> Result<usize, Infallible> {
         let rank = match self.kind {
             HeuristicKind::Fcfs => Some(0),

@@ -5,7 +5,7 @@ use std::convert::Infallible;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlsched_sim::{Outcomes, Policy, StreamSession};
+use rlsched_sim::{Policy, StreamSession};
 use rlsched_swf::Job;
 
 /// Picks a uniformly random waiting job; reproducible from its seed.
@@ -26,9 +26,9 @@ impl RandomPolicy {
 impl Policy for RandomPolicy {
     type Error = Infallible;
 
-    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+    fn pick<I: Iterator<Item = Job>>(
         &mut self,
-        session: &mut StreamSession<I, O>,
+        session: &mut StreamSession<I>,
     ) -> Result<usize, Infallible> {
         Ok(self.rng.gen_range(0..session.queue_len()))
     }

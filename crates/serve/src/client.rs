@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use rlsched_obs::RegistrySnapshot;
 use rlsched_sched::{select_parts, HeuristicKind};
-use rlsched_sim::{Outcomes, Policy, StreamSession};
+use rlsched_sim::{Policy, StreamSession};
 use rlsched_swf::Job;
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
@@ -541,9 +541,9 @@ impl<S: Transport> Policy for RemotePolicy<S> {
     /// Ask the tier which waiting job starts next. The first `window`
     /// waiting jobs are snapshotted into a reused buffer; the answer is a
     /// queue position `< queue_len`.
-    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+    fn pick<I: Iterator<Item = Job>>(
         &mut self,
-        session: &mut StreamSession<I, O>,
+        session: &mut StreamSession<I>,
     ) -> Result<usize, ClientError> {
         let queue_len = session.queue_len();
         self.snap.free_procs = session.free_procs();

@@ -526,7 +526,11 @@ mod tests {
                 "id {id} twice"
             );
         }
+        let drained = handle
+            .registry()
+            .counter("rlsched_serve_drained_total", &[("shard", "0")]);
         assert_eq!(handle.shutdown().served, N);
+        assert_eq!(drained.get(), 0, "the drainer took no row");
     }
 
     /// Rows queued behind a batch that stalls on another connection's
@@ -585,8 +589,18 @@ mod tests {
             1,
             "the holder's frame"
         );
+        let drained = handle
+            .registry()
+            .counter("rlsched_serve_drained_total", &[("shard", "0")]);
         let stats = handle.shutdown();
         assert_eq!(stats.served, N + 1);
         assert_eq!(stats.batches, 4, "1 + 4 + 4 + 2");
+        // Read once the drainer is joined: it counts a batch after
+        // answering it.
+        assert_eq!(
+            drained.get(),
+            N,
+            "the holder let go without taking a batch, so the drainer took every row"
+        );
     }
 }

@@ -202,6 +202,8 @@ struct ShardMetrics {
     served: Counter,
     /// Rows scored on the connection thread that read them.
     inline: Counter,
+    /// Rows the drainer took from the inbox.
+    drained: Counter,
     fallbacks: Counter,
     shed: Counter,
     deadlines: Counter,
@@ -221,6 +223,7 @@ impl ShardMetrics {
         ShardMetrics {
             served: reg.counter("rlsched_serve_served_total", l),
             inline: reg.counter("rlsched_serve_inline_total", l),
+            drained: reg.counter("rlsched_serve_drained_total", l),
             fallbacks: reg.counter("rlsched_serve_fallbacks_total", l),
             shed: reg.counter("rlsched_serve_shed_total", l),
             deadlines: reg.counter("rlsched_serve_deadlines_total", l),
@@ -556,6 +559,7 @@ fn drain_loop(shared: &Shared, wake: Receiver<bool>) {
                 };
                 let took = shared.take_batch(shard, &mut core);
                 drop(core);
+                shared.metrics.shards[shard].drained.add(took as u64);
                 fence(Ordering::SeqCst);
                 if took == 0 {
                     std::thread::yield_now(); // a push between its count and its send

@@ -38,9 +38,7 @@ use rlsched_serve::{
     ClientConfig, ClientError, FaultPlan, ListenAddr, ProposeError, RemotePolicy, ServeClient,
     ServeConfig, ServedBy, Server, ServerHandle, ShardState, Transport, WireFrame, WireProtocol,
 };
-use rlsched_sim::{
-    run_episode, EpisodeError, MetricKind, Outcomes, Policy, SimConfig, StreamSession,
-};
+use rlsched_sim::{run_episode, EpisodeError, MetricKind, Policy, SimConfig, StreamSession};
 use rlsched_swf::{Job, JobTrace};
 use rlscheduler::{
     build_policy, Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind,
@@ -301,9 +299,9 @@ struct TierGoesDown<S: Transport> {
 impl<S: Transport> Policy for TierGoesDown<S> {
     type Error = ClientError;
 
-    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+    fn pick<I: Iterator<Item = Job>>(
         &mut self,
-        session: &mut StreamSession<I, O>,
+        session: &mut StreamSession<I>,
     ) -> Result<usize, ClientError> {
         if self.head.remote_decisions() == self.after {
             if let Some(handle) = self.handle.take() {

@@ -25,22 +25,22 @@ pub fn run_episode<P: Policy>(
         let pos = policy.pick(&mut session).map_err(EpisodeError::Policy)?;
         session.step(pos)?;
     }
-    Ok(session.metrics()?)
+    Ok(session.episode_metrics()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{Outcomes, StreamSession};
+    use crate::stream::StreamSession;
     use rlsched_swf::Job;
     use std::convert::Infallible;
 
     struct Fcfs;
     impl Policy for Fcfs {
         type Error = Infallible;
-        fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        fn pick<I: Iterator<Item = Job>>(
             &mut self,
-            _: &mut StreamSession<I, O>,
+            _: &mut StreamSession<I>,
         ) -> Result<usize, Infallible> {
             Ok(0)
         }
@@ -54,9 +54,9 @@ mod tests {
     struct Sjf;
     impl Policy for Sjf {
         type Error = Infallible;
-        fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+        fn pick<I: Iterator<Item = Job>>(
             &mut self,
-            session: &mut StreamSession<I, O>,
+            session: &mut StreamSession<I>,
         ) -> Result<usize, Infallible> {
             Ok(session
                 .waiting()

@@ -11,13 +11,13 @@
 //! There is one event loop, one way to ask a policy, and a driver:
 //!
 //! * [`StreamSession`] — the loop. It pulls jobs from any iterator as
-//!   virtual time reaches them and hands each started job's outcome to a
-//!   sink ([`Outcomes`]): running aggregates ([`StreamMetrics`]) for
-//!   trace-scale replays, whose memory must not grow with the trace.
-//!   [`SchedSession`] names it over a materialized
-//!   [`rlsched_swf::JobTrace`] with a per-job outcome table, the session
-//!   the RL trainer steps decision by decision and whose
-//!   [`EpisodeMetrics`] the paper's tables report.
+//!   virtual time reaches them and folds each started job's outcome into
+//!   running aggregates ([`StreamMetrics`]), so a trace-scale replay's
+//!   memory does not grow with the trace; an optional outcome log keeps
+//!   every outcome too. [`SchedSession`] names it over a materialized
+//!   [`rlsched_swf::JobTrace`] with the log on, the session the RL trainer
+//!   steps decision by decision and whose [`EpisodeMetrics`] — the same
+//!   fold over the log in trace order — the paper's tables report.
 //! * [`Policy`] — the decision head: `attach` once to a session (install an
 //!   order over the wait queue, if the head reads one), then `pick` a queue
 //!   rank at every decision point, reading the session's queue in place.
@@ -46,7 +46,7 @@ pub use calendar::IndexedQueue;
 pub use config::{BackfillMode, SimConfig};
 pub use episode::run_episode;
 pub use error::{EpisodeError, SimError};
-pub use metrics::{EpisodeMetrics, JobOutcome, MetricKind, BSLD_THRESHOLD};
+pub use metrics::{EpisodeMetrics, JobOutcome, MetricKind, StreamMetrics, BSLD_THRESHOLD};
 pub use policy::{Policy, WaitingJob};
 pub use session::SchedSession;
-pub use stream::{Outcomes, StreamMetrics, StreamSession};
+pub use stream::StreamSession;

@@ -96,7 +96,139 @@ impl MetricKind {
     }
 }
 
-/// Complete result of one scheduled episode.
+/// Running aggregates of the paper's metrics (§II-A3), folded one
+/// [`JobOutcome`] at a time so no per-job state survives the episode. Every
+/// session folds one as its jobs start, and an [`EpisodeMetrics`] is this
+/// fold over its outcomes in trace order: the metrics are defined once,
+/// here.
+#[derive(Debug, Clone, Default)]
+pub struct StreamMetrics {
+    total_procs: u32,
+    n: u64,
+    sum_wait: f64,
+    sum_turnaround: f64,
+    sum_slowdown: f64,
+    sum_bounded: f64,
+    /// Busy processor-seconds, for the utilization integral.
+    busy: f64,
+    first_submit: f64,
+    last_end: f64,
+    /// Per-user (sum of bounded slowdowns, job count) for the fairness
+    /// aggregator. Bounded by the number of distinct users, not jobs.
+    per_user: HashMap<i64, (f64, u64)>,
+}
+
+impl StreamMetrics {
+    pub(crate) fn new(total_procs: u32) -> Self {
+        StreamMetrics {
+            total_procs,
+            first_submit: f64::INFINITY,
+            last_end: f64::NEG_INFINITY,
+            ..Default::default()
+        }
+    }
+
+    /// Room for `users` distinct users, so folding their jobs allocates
+    /// nothing.
+    pub(crate) fn reserve_users(&mut self, users: usize) {
+        self.per_user.reserve(users);
+    }
+
+    /// Fold in the outcome of a job that has started; its end is already
+    /// known.
+    pub(crate) fn record(&mut self, o: &JobOutcome) {
+        self.n += 1;
+        self.sum_wait += o.wait();
+        self.sum_turnaround += o.turnaround();
+        self.sum_slowdown += o.slowdown();
+        self.sum_bounded += o.bounded_slowdown();
+        self.busy += o.exec() * o.procs as f64;
+        self.first_submit = self.first_submit.min(o.submit);
+        self.last_end = self.last_end.max(o.end);
+        let e = self.per_user.entry(o.user).or_insert((0.0, 0));
+        e.0 += o.bounded_slowdown();
+        e.1 += 1;
+    }
+
+    /// Jobs folded in so far.
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    fn avg(&self, sum: f64) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            sum / self.n as f64
+        }
+    }
+
+    /// Average waiting time.
+    pub fn avg_waiting_time(&self) -> f64 {
+        self.avg(self.sum_wait)
+    }
+
+    /// Average turnaround (response) time.
+    pub fn avg_turnaround(&self) -> f64 {
+        self.avg(self.sum_turnaround)
+    }
+
+    /// Average raw slowdown.
+    pub fn avg_slowdown(&self) -> f64 {
+        self.avg(self.sum_slowdown)
+    }
+
+    /// Average bounded slowdown — the paper's headline metric.
+    pub fn avg_bounded_slowdown(&self) -> f64 {
+        self.avg(self.sum_bounded)
+    }
+
+    /// Makespan: last completion minus first submission.
+    pub fn makespan(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.last_end - self.first_submit
+        }
+    }
+
+    /// Resource utilization: busy processor-seconds divided by the cluster
+    /// capacity over the interval from first submission to last completion
+    /// (§II-A3 "average percentage of compute nodes allocated … over a given
+    /// period of time").
+    pub fn utilization(&self) -> f64 {
+        let span = self.makespan();
+        if span <= 0.0 {
+            return 0.0;
+        }
+        self.busy / (span * self.total_procs as f64)
+    }
+
+    /// The `Maximal` fairness aggregator of §V-F: the worst per-user average
+    /// bounded slowdown. Jobs with unknown user (-1) form their own group.
+    pub fn max_user_bounded_slowdown(&self) -> f64 {
+        self.per_user
+            .values()
+            .map(|&(s, c)| s / c as f64)
+            .fold(0.0, f64::max)
+    }
+
+    /// Evaluate a named metric.
+    pub fn metric(&self, kind: MetricKind) -> f64 {
+        match kind {
+            MetricKind::WaitTime => self.avg_waiting_time(),
+            MetricKind::Turnaround => self.avg_turnaround(),
+            MetricKind::Slowdown => self.avg_slowdown(),
+            MetricKind::BoundedSlowdown => self.avg_bounded_slowdown(),
+            MetricKind::Utilization => self.utilization(),
+            MetricKind::FairMaxBoundedSlowdown => self.max_user_bounded_slowdown(),
+        }
+    }
+}
+
+/// Complete result of one scheduled episode: every job's outcome, in trace
+/// order. Its metrics are the [`StreamMetrics`] fold over those outcomes,
+/// summed in that order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpisodeMetrics {
     outcomes: Vec<JobOutcome>,
@@ -122,106 +254,53 @@ impl EpisodeMetrics {
         self.total_procs
     }
 
-    fn avg<F: Fn(&JobOutcome) -> f64>(&self, f: F) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
+    /// The outcomes folded in trace order.
+    fn fold(&self) -> StreamMetrics {
+        let mut m = StreamMetrics::new(self.total_procs);
+        for o in &self.outcomes {
+            m.record(o);
         }
-        self.outcomes.iter().map(f).sum::<f64>() / self.outcomes.len() as f64
+        m
     }
 
     /// Average waiting time over all jobs.
     pub fn avg_waiting_time(&self) -> f64 {
-        self.avg(JobOutcome::wait)
+        self.fold().avg_waiting_time()
     }
 
     /// Average turnaround time over all jobs.
     pub fn avg_turnaround(&self) -> f64 {
-        self.avg(JobOutcome::turnaround)
+        self.fold().avg_turnaround()
     }
 
     /// Average raw slowdown over all jobs.
     pub fn avg_slowdown(&self) -> f64 {
-        self.avg(JobOutcome::slowdown)
+        self.fold().avg_slowdown()
     }
 
     /// Average bounded slowdown over all jobs — the paper's primary metric.
     pub fn avg_bounded_slowdown(&self) -> f64 {
-        self.avg(JobOutcome::bounded_slowdown)
+        self.fold().avg_bounded_slowdown()
     }
 
-    /// Resource utilization: busy processor-seconds divided by the cluster
-    /// capacity over the interval from first submission to last completion
-    /// (§II-A3 "average percentage of compute nodes allocated … over a given
-    /// period of time").
+    /// Resource utilization ([`StreamMetrics::utilization`]).
     pub fn utilization(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        let t0 = self
-            .outcomes
-            .iter()
-            .map(|o| o.submit)
-            .fold(f64::INFINITY, f64::min);
-        let t1 = self.outcomes.iter().map(|o| o.end).fold(0.0, f64::max);
-        let span = t1 - t0;
-        if span <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .outcomes
-            .iter()
-            .map(|o| o.exec() * o.procs as f64)
-            .sum();
-        busy / (span * self.total_procs as f64)
+        self.fold().utilization()
     }
 
-    /// Average bounded slowdown of each user's jobs (fairness building
-    /// block, §V-F). Jobs with unknown user (-1) form their own group.
-    pub fn per_user_bounded_slowdown(&self) -> HashMap<i64, f64> {
-        let mut sums: HashMap<i64, (f64, usize)> = HashMap::new();
-        for o in &self.outcomes {
-            let e = sums.entry(o.user).or_insert((0.0, 0));
-            e.0 += o.bounded_slowdown();
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(u, (s, n))| (u, s / n as f64))
-            .collect()
-    }
-
-    /// The `Maximal` fairness aggregator of §V-F: the worst per-user average
-    /// bounded slowdown.
+    /// The worst per-user average bounded slowdown (§V-F `Maximal`).
     pub fn max_user_bounded_slowdown(&self) -> f64 {
-        self.per_user_bounded_slowdown()
-            .values()
-            .copied()
-            .fold(0.0, f64::max)
+        self.fold().max_user_bounded_slowdown()
     }
 
     /// Evaluate a named metric.
     pub fn metric(&self, kind: MetricKind) -> f64 {
-        match kind {
-            MetricKind::WaitTime => self.avg_waiting_time(),
-            MetricKind::Turnaround => self.avg_turnaround(),
-            MetricKind::Slowdown => self.avg_slowdown(),
-            MetricKind::BoundedSlowdown => self.avg_bounded_slowdown(),
-            MetricKind::Utilization => self.utilization(),
-            MetricKind::FairMaxBoundedSlowdown => self.max_user_bounded_slowdown(),
-        }
+        self.fold().metric(kind)
     }
 
     /// Makespan: last completion minus first submission.
     pub fn makespan(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        let t0 = self
-            .outcomes
-            .iter()
-            .map(|o| o.submit)
-            .fold(f64::INFINITY, f64::min);
-        let t1 = self.outcomes.iter().map(|o| o.end).fold(0.0, f64::max);
-        t1 - t0
+        self.fold().makespan()
     }
 }
 
@@ -305,10 +384,9 @@ mod tests {
             ],
             4,
         );
-        let per = m.per_user_bounded_slowdown();
-        assert!((per[&1] - 1.0).abs() < 1e-12);
-        assert!((per[&2] - 3.0).abs() < 1e-12);
+        // User 1 averages 1, user 2 averages 3: the worst user is 2.
         assert!((m.max_user_bounded_slowdown() - 3.0).abs() < 1e-12);
+        assert!((m.avg_bounded_slowdown() - 7.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

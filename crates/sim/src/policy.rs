@@ -8,7 +8,7 @@
 
 use rlsched_swf::Job;
 
-use crate::stream::{Outcomes, StreamSession};
+use crate::stream::StreamSession;
 
 /// One waiting job as a policy sees it: the job's submit-time attributes
 /// plus its current wait and whether it fits in the free processors.
@@ -41,14 +41,13 @@ pub trait Policy {
 
     /// Called once, before the first `pick` on `session`: install whatever
     /// order the head reads. The default installs nothing.
-    fn attach<I: Iterator<Item = Job>, O: Outcomes>(&mut self, _session: &mut StreamSession<I, O>) {
-    }
+    fn attach<I: Iterator<Item = Job>>(&mut self, _session: &mut StreamSession<I>) {}
 
     /// The queue rank (FCFS order, `< session.queue_len()`) to start next.
     /// Only called at decision points, where at least one job waits.
-    fn pick<I: Iterator<Item = Job>, O: Outcomes>(
+    fn pick<I: Iterator<Item = Job>>(
         &mut self,
-        session: &mut StreamSession<I, O>,
+        session: &mut StreamSession<I>,
     ) -> Result<usize, Self::Error>;
 
     /// Human-readable name for tables and logs.

@@ -4,48 +4,53 @@
 //! the shape the trainer, [`crate::run_episode`] and every table of the
 //! paper want — a [`JobTrace`] in, the session's decision protocol
 //! ([`StreamSession::waiting`] / [`StreamSession::step`]), and at the end
-//! an [`EpisodeMetrics`] with one [`JobOutcome`] per job in trace order.
-//! It is not a type of its own: it is a [`StreamSession`] whose source is
-//! the trace's job list and whose outcome sink is a table, so the rules of
-//! the simulation (arrivals, reservations, EASY backfilling — see
-//! `stream`'s module docs) are written once.
+//! an [`EpisodeMetrics`] with one [`JobOutcome`](crate::JobOutcome) per job
+//! in trace order. It is not a type of its own: it is a [`StreamSession`]
+//! whose source is the trace's job list and whose outcome log is on, so
+//! the rules of the simulation (arrivals, reservations, EASY backfilling —
+//! see `stream`'s module docs) and the metrics are written once.
 
 use rlsched_swf::{Job, JobTrace};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::metrics::{EpisodeMetrics, JobOutcome};
-use crate::stream::{trace_order_metrics, StreamSession};
+use crate::metrics::EpisodeMetrics;
+use crate::stream::StreamSession;
 
 /// One scheduling episode over a job sequence: a [`StreamSession`] fed from
-/// the trace, keeping every job's outcome.
-pub type SchedSession = StreamSession<std::vec::IntoIter<Job>, Vec<JobOutcome>>;
+/// the trace, logging every job's outcome.
+pub type SchedSession = StreamSession<std::vec::IntoIter<Job>>;
 
 impl SchedSession {
     /// Start an episode over `trace`. Unschedulable records are dropped and
     /// the rest sanitized and clamped to the cluster size as they are
     /// admitted, so every job can run and `job_index` counts the jobs of
-    /// `trace.sanitized()`.
+    /// `trace.sanitized()`. The outcome log and the per-user table are
+    /// sized here, so no step grows them.
     pub fn from_trace(trace: &JobTrace, cfg: SimConfig) -> Result<Self, SimError> {
         let jobs = trace.jobs().iter().filter(|j| j.is_schedulable()).count();
-        StreamSession::with_outcomes(
-            trace.jobs().to_vec().into_iter(),
-            trace.max_procs(),
-            cfg,
-            Vec::with_capacity(jobs),
-        )
+        // Every user the trace names, collected in one allocation.
+        let mut users: Vec<i64> = trace.jobs().iter().map(|j| j.user_id).collect();
+        users.sort_unstable();
+        users.dedup();
+        let session =
+            StreamSession::new(trace.jobs().to_vec().into_iter(), trace.max_procs(), cfg)?;
+        Ok(session.with_outcome_log_for(jobs, users.len()))
     }
 
     /// Final metrics, outcomes in trace order; errors until
     /// [`StreamSession::done`].
-    pub fn metrics(&self) -> Result<EpisodeMetrics, SimError> {
+    pub fn episode_metrics(&self) -> Result<EpisodeMetrics, SimError> {
+        let scheduled = self.started_count() as usize;
         if !self.done() {
             return Err(SimError::NotDone {
-                scheduled: self.outcomes().len(),
-                total: self.outcomes().len() + self.queue_len() + self.unadmitted(),
+                scheduled,
+                total: scheduled + self.queue_len() + self.unadmitted(),
             });
         }
-        Ok(trace_order_metrics(self.outcomes(), self.total_procs()))
+        Ok(self
+            .log_metrics()
+            .expect("from_trace keeps the outcome log"))
     }
 }
 
@@ -64,7 +69,7 @@ mod tests {
         while !s.done() {
             s.step(0).unwrap();
         }
-        s.metrics().unwrap()
+        s.episode_metrics().unwrap()
     }
 
     #[test]
@@ -199,7 +204,7 @@ mod tests {
         let mut s = SchedSession::from_trace(&t, SimConfig::default()).unwrap();
         s.step(1).unwrap(); // schedule job 2 first
         s.step(0).unwrap();
-        let m = s.metrics().unwrap();
+        let m = s.episode_metrics().unwrap();
         assert_eq!(m.outcomes()[1].start, 0.0);
         assert_eq!(m.outcomes()[0].start, 10.0);
     }
@@ -217,7 +222,7 @@ mod tests {
         ));
         s.step(0).unwrap();
         assert_eq!(s.step(0).unwrap_err(), SimError::EmptyQueue);
-        assert!(s.metrics().is_ok());
+        assert!(s.episode_metrics().is_ok());
     }
 
     #[test]
@@ -232,7 +237,7 @@ mod tests {
         let mut s = SchedSession::from_trace(&t, SimConfig::default()).unwrap();
         s.step(0).unwrap();
         assert!(matches!(
-            s.metrics(),
+            s.episode_metrics(),
             Err(SimError::NotDone {
                 scheduled: 1,
                 total: 2
@@ -282,7 +287,7 @@ mod tests {
         s.step(0).unwrap(); // A starts
         s.step(0).unwrap(); // B reserved; during wait, C arrives & backfills
         assert!(s.done(), "C was started by the pass, not by a decision");
-        let m = s.metrics().unwrap();
+        let m = s.episode_metrics().unwrap();
         assert_eq!(m.outcomes()[1].start, 100.0);
         assert_eq!(m.outcomes()[2].start, 10.0);
     }
@@ -313,7 +318,7 @@ mod tests {
                     s.step(pos).unwrap();
                     assert!(s.free_procs() <= s.total_procs());
                 }
-                let m = s.metrics().unwrap();
+                let m = s.episode_metrics().unwrap();
                 assert_eq!(m.outcomes().len(), n);
                 for o in m.outcomes() {
                     assert!(o.start >= o.submit, "no job starts before submission");

@@ -5,8 +5,8 @@
 //! the peak number of waiting jobs (plus the running set), not the trace
 //! length — a 256-job training window and a multi-year archive of millions
 //! of jobs run the same code. It is the only simulator in the workspace;
-//! [`crate::SchedSession`] names it over a materialized trace with a
-//! per-job outcome table.
+//! [`crate::SchedSession`] names it over a materialized trace with its
+//! outcome log on.
 //!
 //! The control flow is the reference environment's of the paper (§IV-D):
 //!
@@ -33,13 +33,18 @@
 //! # Where outcomes go
 //!
 //! A job's outcome is fully determined the moment it starts (start, end,
-//! submit, procs, user are all known), so the loop hands a [`JobOutcome`]
-//! to the session's [`Outcomes`] sink at start time and drops the job's
-//! record. The default sink is [`StreamMetrics`], which folds it into
-//! running aggregates — nothing grows with trace length. `Vec<JobOutcome>`
-//! is the other: a per-job table, which [`crate::SchedSession`] sorts into
-//! its trace-order [`EpisodeMetrics`]. The sink is the only thing the two
-//! differ in.
+//! submit, procs, user are all known), so the loop folds a [`JobOutcome`]
+//! into the session's [`StreamMetrics`] at start time and drops the job's
+//! record — nothing grows with trace length. With
+//! [`StreamSession::with_outcome_log`] it also keeps the outcome, a per-job
+//! log that [`StreamSession::log_metrics`] sorts into a trace-order
+//! [`EpisodeMetrics`]; [`crate::SchedSession`] is a session over a
+//! materialized trace with that log on.
+//!
+//! The session's own fold sums in *start* order while an [`EpisodeMetrics`]
+//! folds the same definitions in trace order, so the two agree only to
+//! floating-point tolerance. For bit-exact checks of a streaming replay,
+//! compare [`StreamSession::log_metrics`].
 //!
 //! # The ranked head
 //!
@@ -94,24 +99,16 @@
 //! refused again, and a "walk again if anything started" has nothing to
 //! find. Without EASY no pass ever runs, the queue is built
 //! `with_capacity` and fed by `push`, and no index exists.
-//!
-//! Averages accumulated in [`StreamMetrics`] sum in *start* order while
-//! [`crate::EpisodeMetrics`] sums in trace order, so the two agree only
-//! to floating-point tolerance. For bit-exact checks of a streaming
-//! replay, enable [`StreamSession::with_outcome_log`] and rebuild an
-//! `EpisodeMetrics` from the logged outcomes via
-//! [`StreamSession::log_metrics`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 use rlsched_swf::Job;
 
 use crate::calendar::IndexedQueue;
 use crate::config::{BackfillMode, SimConfig};
 use crate::error::SimError;
-use crate::metrics::{EpisodeMetrics, JobOutcome, MetricKind};
+use crate::metrics::{EpisodeMetrics, JobOutcome, StreamMetrics};
 use crate::policy::WaitingJob;
 
 /// A running job, ordered by its *actual* completion time (simulator-private
@@ -149,8 +146,8 @@ impl PartialOrd for RunningJob {
 /// clamps the rest, and hands out admission sequence numbers — exactly
 /// what `JobTrace::sanitized().clamp_to_cluster()` does up front, applied
 /// one job at a time. The sequence number equals the job's index in that
-/// materialized trace, which is what lets a per-job outcome table be read
-/// in trace order.
+/// materialized trace, which is what lets the outcome log be read in trace
+/// order.
 #[derive(Debug, Clone)]
 struct Admission<I: Iterator<Item = Job>> {
     inner: I,
@@ -276,154 +273,15 @@ impl RankedOrder {
     }
 }
 
-/// Running aggregates of the paper's metrics (§II-A3), folded one
-/// [`JobOutcome`] at a time so no per-job state survives the episode.
-#[derive(Debug, Clone, Default)]
-pub struct StreamMetrics {
-    total_procs: u32,
-    n: u64,
-    sum_wait: f64,
-    sum_turnaround: f64,
-    sum_slowdown: f64,
-    sum_bounded: f64,
-    /// Busy processor-seconds, for the utilization integral.
-    busy: f64,
-    first_submit: f64,
-    last_end: f64,
-    /// Per-user (sum of bounded slowdowns, job count) for the fairness
-    /// aggregator. Bounded by the number of distinct users, not jobs.
-    per_user: HashMap<i64, (f64, u64)>,
-}
-
-impl StreamMetrics {
-    fn new(total_procs: u32) -> Self {
-        StreamMetrics {
-            total_procs,
-            first_submit: f64::INFINITY,
-            last_end: f64::NEG_INFINITY,
-            ..Default::default()
-        }
-    }
-
-    /// Jobs folded in so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    fn avg(&self, sum: f64) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            sum / self.n as f64
-        }
-    }
-
-    /// Average waiting time.
-    pub fn avg_waiting_time(&self) -> f64 {
-        self.avg(self.sum_wait)
-    }
-
-    /// Average turnaround (response) time.
-    pub fn avg_turnaround(&self) -> f64 {
-        self.avg(self.sum_turnaround)
-    }
-
-    /// Average raw slowdown.
-    pub fn avg_slowdown(&self) -> f64 {
-        self.avg(self.sum_slowdown)
-    }
-
-    /// Average bounded slowdown — the paper's headline metric.
-    pub fn avg_bounded_slowdown(&self) -> f64 {
-        self.avg(self.sum_bounded)
-    }
-
-    /// Makespan: last completion minus first submission.
-    pub fn makespan(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.last_end - self.first_submit
-        }
-    }
-
-    /// Resource utilization over the episode span.
-    pub fn utilization(&self) -> f64 {
-        let span = self.makespan();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.busy / (span * self.total_procs as f64)
-    }
-
-    /// The worst per-user average bounded slowdown (§V-F `Maximal`).
-    pub fn max_user_bounded_slowdown(&self) -> f64 {
-        self.per_user
-            .values()
-            .map(|&(s, c)| s / c as f64)
-            .fold(0.0, f64::max)
-    }
-
-    /// Evaluate a named metric, mirroring [`EpisodeMetrics::metric`].
-    pub fn metric(&self, kind: MetricKind) -> f64 {
-        match kind {
-            MetricKind::WaitTime => self.avg_waiting_time(),
-            MetricKind::Turnaround => self.avg_turnaround(),
-            MetricKind::Slowdown => self.avg_slowdown(),
-            MetricKind::BoundedSlowdown => self.avg_bounded_slowdown(),
-            MetricKind::Utilization => self.utilization(),
-            MetricKind::FairMaxBoundedSlowdown => self.max_user_bounded_slowdown(),
-        }
-    }
-}
-
-/// Where a session puts the outcome of each job it starts (see the module
-/// docs, "Where outcomes go").
-pub trait Outcomes {
-    /// Take the outcome of a job that has just started; its end is already
-    /// known.
-    fn record(&mut self, outcome: &JobOutcome);
-}
-
-/// Fold the outcome into the aggregates.
-impl Outcomes for StreamMetrics {
-    fn record(&mut self, o: &JobOutcome) {
-        self.n += 1;
-        self.sum_wait += o.wait();
-        self.sum_turnaround += o.turnaround();
-        self.sum_slowdown += o.slowdown();
-        self.sum_bounded += o.bounded_slowdown();
-        self.busy += o.exec() * o.procs as f64;
-        self.first_submit = self.first_submit.min(o.submit);
-        self.last_end = self.last_end.max(o.end);
-        let e = self.per_user.entry(o.user).or_insert((0.0, 0));
-        e.0 += o.bounded_slowdown();
-        e.1 += 1;
-    }
-}
-
-/// Keep the outcome: a per-job table in start order.
-impl Outcomes for Vec<JobOutcome> {
-    fn record(&mut self, o: &JobOutcome) {
-        self.push(*o);
-    }
-}
-
-/// `outcomes` (any order) as the metrics of an episode, in trace order.
-pub(crate) fn trace_order_metrics(outcomes: &[JobOutcome], total_procs: u32) -> EpisodeMetrics {
-    let mut outcomes = outcomes.to_vec();
-    outcomes.sort_unstable_by_key(|o| o.job_index);
-    EpisodeMetrics::new(outcomes, total_procs)
-}
-
 /// A one-pass scheduling episode over a job stream.
 ///
 /// Whenever at least one job waits, the caller picks a queue rank via
 /// [`StreamSession::step`]; the trace flows through: arrivals are pulled
 /// on demand and a started job's record is dropped as soon as its outcome
-/// has gone to the `O` sink.
+/// has been folded into the session's [`StreamMetrics`] (and, with
+/// [`StreamSession::with_outcome_log`], logged).
 #[derive(Debug, Clone)]
-pub struct StreamSession<I: Iterator<Item = Job>, O = StreamMetrics> {
+pub struct StreamSession<I: Iterator<Item = Job>> {
     source: Admission<I>,
     total_procs: u32,
     cfg: SimConfig,
@@ -437,8 +295,9 @@ pub struct StreamSession<I: Iterator<Item = Job>, O = StreamMetrics> {
     queue: IndexedQueue,
     running: BinaryHeap<RunningJob>,
     started: u64,
-    outcomes: O,
-    /// Optional per-job log for parity tests; unbounded, so off by default.
+    metrics: StreamMetrics,
+    /// Optional per-job log, in start order; it grows with the trace, so
+    /// off unless asked for.
     outcome_log: Option<Vec<JobOutcome>>,
     /// Submit time of the last admitted job, for the monotonicity check.
     last_submit: f64,
@@ -455,27 +314,6 @@ impl<I: Iterator<Item = Job>> StreamSession<I> {
     /// a cluster of `total_procs` processors. Errors with
     /// [`SimError::EmptyTrace`] when the stream holds no schedulable job.
     pub fn new(source: I, total_procs: u32, cfg: SimConfig) -> Result<Self, SimError> {
-        let metrics = StreamMetrics::new(total_procs.max(1));
-        Self::with_outcomes(source, total_procs, cfg, metrics)
-    }
-
-    /// The metric aggregates folded so far (complete once [`done`]).
-    ///
-    /// [`done`]: StreamSession::done
-    pub fn metrics(&self) -> &StreamMetrics {
-        &self.outcomes
-    }
-}
-
-impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
-    /// [`StreamSession::new`] with the sink that takes the outcome of every
-    /// started job.
-    pub fn with_outcomes(
-        source: I,
-        total_procs: u32,
-        cfg: SimConfig,
-        outcomes: O,
-    ) -> Result<Self, SimError> {
         let total_procs = total_procs.max(1);
         let mut s = StreamSession {
             source: Admission::new(source, total_procs),
@@ -492,7 +330,7 @@ impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
             },
             running: BinaryHeap::with_capacity(64),
             started: 0,
-            outcomes,
+            metrics: StreamMetrics::new(total_procs),
             outcome_log: None,
             last_submit: f64::NEG_INFINITY,
             peak_queue: 0,
@@ -509,10 +347,27 @@ impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
         Ok(s)
     }
 
-    /// Keep a per-job outcome log (unbounded memory — parity tests only).
-    pub fn with_outcome_log(mut self) -> Self {
-        self.outcome_log = Some(Vec::new());
+    /// Keep a per-job outcome log (memory grows with the trace — parity
+    /// tests and materialized episodes only).
+    pub fn with_outcome_log(self) -> Self {
+        self.with_outcome_log_for(0, 0)
+    }
+
+    /// [`StreamSession::with_outcome_log`] with room reserved for `jobs`
+    /// outcomes from `users` distinct users, so starting a job grows
+    /// neither the log nor the per-user table.
+    pub(crate) fn with_outcome_log_for(mut self, jobs: usize, users: usize) -> Self {
+        self.outcome_log = Some(Vec::with_capacity(jobs));
+        self.metrics.reserve_users(users);
         self
+    }
+
+    /// The metric aggregates folded so far, in start order (complete once
+    /// [`done`]).
+    ///
+    /// [`done`]: StreamSession::done
+    pub fn metrics(&self) -> &StreamMetrics {
+        &self.metrics
     }
 
     /// Current virtual time.
@@ -556,18 +411,13 @@ impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
         self.queue.is_empty() && self.source.pending.is_none() && self.source.exhausted
     }
 
-    /// The sink, holding the outcome of every job started so far.
-    pub(crate) fn outcomes(&self) -> &O {
-        &self.outcomes
-    }
-
-    /// Rebuild an [`EpisodeMetrics`] from the outcome log (sorted into
-    /// trace order), for bit-exact comparison against a materialized
-    /// session. Returns `None` unless [`StreamSession::with_outcome_log`]
-    /// was enabled.
+    /// The outcome log sorted into trace order, as an [`EpisodeMetrics`]:
+    /// what a materialized session reports. Returns `None` unless
+    /// [`StreamSession::with_outcome_log`] was enabled.
     pub fn log_metrics(&self) -> Option<EpisodeMetrics> {
-        let log = self.outcome_log.as_ref()?;
-        Some(trace_order_metrics(log, self.total_procs))
+        let mut outcomes = self.outcome_log.clone()?;
+        outcomes.sort_unstable_by_key(|o| o.job_index);
+        Some(EpisodeMetrics::new(outcomes, self.total_procs))
     }
 
     /// The waiting jobs as a policy sees them, FCFS order. `job_index` is
@@ -715,7 +565,7 @@ impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
             procs,
             user: job.user_id,
         };
-        self.outcomes.record(&outcome);
+        self.metrics.record(&outcome);
         if let Some(log) = &mut self.outcome_log {
             log.push(outcome);
         }
@@ -872,7 +722,7 @@ impl<I: Iterator<Item = Job>, O: Outcomes> StreamSession<I, O> {
 
 /// A session over a job list ([`crate::SchedSession`]'s source) can count
 /// what it has yet to admit.
-impl<O: Outcomes> StreamSession<std::vec::IntoIter<Job>, O> {
+impl StreamSession<std::vec::IntoIter<Job>> {
     /// Schedulable jobs not yet in the wait queue: the buffered next
     /// arrival and the rest of the list.
     pub(crate) fn unadmitted(&self) -> usize {
@@ -920,11 +770,27 @@ mod tests {
         m.outcomes().iter().map(|o| o.start).collect()
     }
 
+    /// Every aggregate of a fold, as bits.
+    fn bits(m: &StreamMetrics) -> [u64; 8] {
+        [
+            m.count(),
+            m.avg_waiting_time().to_bits(),
+            m.avg_turnaround().to_bits(),
+            m.avg_slowdown().to_bits(),
+            m.avg_bounded_slowdown().to_bits(),
+            m.makespan().to_bits(),
+            m.utilization().to_bits(),
+            m.max_user_bounded_slowdown().to_bits(),
+        ]
+    }
+
+    /// The same jobs, FCFS, through a materialized and a streaming session:
+    /// their trace-order metrics, and their start-order folds.
     fn run_both_fcfs(
         jobs: Vec<Job>,
         procs: u32,
         cfg: SimConfig,
-    ) -> (EpisodeMetrics, EpisodeMetrics, StreamMetrics) {
+    ) -> ([EpisodeMetrics; 2], [StreamMetrics; 2]) {
         let trace = JobTrace::new(jobs.clone(), procs);
         let mut sess = SchedSession::from_trace(&trace, cfg).unwrap();
         while !sess.done() {
@@ -942,7 +808,10 @@ mod tests {
         let easy = cfg.backfill == BackfillMode::Easy;
         let want = reference_starts(&jobs, procs, easy, &vec![0; decisions]);
         assert_eq!(starts(&log), want, "{cfg:?}");
-        (sess.metrics().unwrap(), log, stream.metrics().clone())
+        (
+            [sess.episode_metrics().unwrap(), log],
+            [sess.metrics().clone(), stream.metrics().clone()],
+        )
     }
 
     #[test]
@@ -950,10 +819,13 @@ mod tests {
         for seed in 0..4 {
             for cfg in [SimConfig::no_backfill(), SimConfig::with_backfill()] {
                 let jobs = random_jobs(seed, 300);
-                let (sess_m, stream_m, acc) = run_both_fcfs(jobs, 8, cfg);
-                // The table sink against the log: the view adds nothing.
+                let ([sess_m, stream_m], [sess_acc, acc]) = run_both_fcfs(jobs, 8, cfg);
+                // The materialized session against the streaming log.
                 assert_eq!(sess_m, stream_m, "seed {seed}, cfg {cfg:?}");
-                // The accumulators fold in start order, so only to tolerance.
+                // Both sessions fold the same starts in the same order.
+                assert_eq!(bits(&sess_acc), bits(&acc), "seed {seed}, cfg {cfg:?}");
+                // The fold runs in start order, the episode's in trace
+                // order, so only to tolerance.
                 let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
                 assert!(rel(acc.avg_bounded_slowdown(), sess_m.avg_bounded_slowdown()) < 1e-9);
                 assert!(rel(acc.avg_waiting_time(), sess_m.avg_waiting_time()) < 1e-9);
@@ -1116,7 +988,7 @@ mod tests {
             }
             assert!(stream.done());
             let log = stream.log_metrics().unwrap();
-            assert_eq!(sess.metrics().unwrap(), log);
+            assert_eq!(sess.episode_metrics().unwrap(), log);
             let easy = cfg.backfill == BackfillMode::Easy;
             assert_eq!(starts(&log), reference_starts(&jobs, 8, easy, &picks));
         }

@@ -5,13 +5,16 @@
 //! written from the paper and sharing no code with the crate — start time
 //! for start time, across seeded traces, both backfill modes, selection
 //! policies that exercise out-of-order removal, and bursts that queue
-//! thousands deep.
+//! thousands deep. Every metric of each episode is held, bit for bit, to
+//! `common`'s `reference_metrics` over the reference's start times.
 
 mod common;
 
-use common::reference_starts;
+use common::{reference_metrics, reference_starts, ReferenceMetrics};
 use rand::prelude::*;
-use rlsched_sim::{BackfillMode, IndexedQueue, SchedSession, SimConfig, StreamSession, WaitingJob};
+use rlsched_sim::{
+    BackfillMode, EpisodeMetrics, IndexedQueue, SchedSession, SimConfig, StreamSession, WaitingJob,
+};
 use rlsched_swf::{Job, JobTrace};
 
 fn random_trace(seed: u64, n: usize, procs: u32) -> JobTrace {
@@ -33,6 +36,39 @@ fn random_trace(seed: u64, n: usize, procs: u32) -> JobTrace {
     JobTrace::new(jobs, procs)
 }
 
+/// `m`'s metrics as the reference names them.
+fn scored(m: &EpisodeMetrics) -> ReferenceMetrics {
+    ReferenceMetrics {
+        avg_wait: m.avg_waiting_time(),
+        avg_turnaround: m.avg_turnaround(),
+        avg_slowdown: m.avg_slowdown(),
+        avg_bounded_slowdown: m.avg_bounded_slowdown(),
+        utilization: m.utilization(),
+        makespan: m.makespan(),
+        max_user_bounded_slowdown: m.max_user_bounded_slowdown(),
+    }
+}
+
+/// Hold `m` to the reference simulator's start times and to the reference
+/// metrics of that schedule. The metrics are compared with `==`: both sides
+/// apply the same definitions to the same operands in trace order.
+fn assert_matches_reference(
+    m: &EpisodeMetrics,
+    jobs: &[Job],
+    procs: u32,
+    easy: bool,
+    picks: &[usize],
+) {
+    let want = reference_starts(jobs, procs, easy, picks);
+    let starts: Vec<f64> = m.outcomes().iter().map(|o| o.start).collect();
+    assert_eq!(starts, want, "easy {easy}");
+    assert_eq!(
+        scored(m),
+        reference_metrics(jobs, procs, &want),
+        "easy {easy}"
+    );
+}
+
 /// Run one episode choosing ranks with `pick`, and hold every start time
 /// to the reference simulator under the same picks.
 fn assert_parity(
@@ -47,15 +83,10 @@ fn assert_parity(
         picks.push(pos);
         s.step(pos).unwrap();
     }
-    let metrics = s.metrics().unwrap();
-    let starts: Vec<f64> = metrics.outcomes().iter().map(|o| o.start).collect();
     let sane = trace.sanitized().clamp_to_cluster();
     let easy = cfg.backfill == BackfillMode::Easy;
-    assert_eq!(
-        starts,
-        reference_starts(sane.jobs(), sane.max_procs(), easy, &picks),
-        "{cfg:?}"
-    );
+    let m = s.episode_metrics().unwrap();
+    assert_matches_reference(&m, sane.jobs(), sane.max_procs(), easy, &picks);
 }
 
 #[test]
@@ -288,10 +319,9 @@ fn deep_burst_backfill_matches_the_scanning_session() {
             "most jobs were backfilled: {} decisions",
             picks.len()
         );
-        let metrics = stream.log_metrics().unwrap();
-        let starts: Vec<f64> = metrics.outcomes().iter().map(|o| o.start).collect();
         // Every job is schedulable, sane and narrower than the cluster, so
         // the trace needs no sanitizing before the reference reads it.
-        assert_eq!(starts, reference_starts(&jobs, procs, true, &picks));
+        let m = stream.log_metrics().unwrap();
+        assert_matches_reference(&m, &jobs, procs, true, &picks);
     }
 }

@@ -4,7 +4,13 @@
 //! processors recounted from it at every turn, the shadow time from a sorted
 //! copy. It shares nothing with `rlsched_sim` but the `Job` record, so a test
 //! that holds the crate's event loop to it compares two programs, not one
-//! program with itself.
+//! program with itself. [`reference_metrics`] scores a schedule the same
+//! way: the §II-A3 metrics written out from their definitions.
+
+// Not every suite that includes this file scores its schedules.
+#![allow(dead_code)]
+
+use std::collections::BTreeMap;
 
 use rlsched_swf::Job;
 
@@ -89,4 +95,64 @@ pub fn reference_starts(jobs: &[Job], procs: u32, easy: bool, picks: &[usize]) -
     }
     assert!(picks.next().is_none(), "more picks than decisions");
     starts
+}
+
+/// The §II-A3 metrics of one schedule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReferenceMetrics {
+    pub avg_wait: f64,
+    pub avg_turnaround: f64,
+    pub avg_slowdown: f64,
+    pub avg_bounded_slowdown: f64,
+    pub utilization: f64,
+    pub makespan: f64,
+    /// The worst user's average bounded slowdown (§V-F, `Maximal`).
+    pub max_user_bounded_slowdown: f64,
+}
+
+/// The metrics of the schedule that starts `jobs[j]` at `starts[j]` on
+/// `procs` processors — `jobs` as [`reference_starts`] takes them, `starts`
+/// as it returns them. Every sum runs in trace order.
+pub fn reference_metrics(jobs: &[Job], procs: u32, starts: &[f64]) -> ReferenceMetrics {
+    assert_eq!(jobs.len(), starts.len(), "a start per job");
+    let (mut wait, mut turnaround, mut slowdown, mut bounded) = (0.0, 0.0, 0.0, 0.0);
+    // Processor-seconds the jobs kept busy.
+    let mut busy = 0.0;
+    let (mut first_submit, mut last_end) = (f64::INFINITY, f64::NEG_INFINITY);
+    // Per user: (sum of bounded slowdowns, jobs).
+    let mut users: BTreeMap<i64, (f64, f64)> = BTreeMap::new();
+    for (job, &start) in jobs.iter().zip(starts) {
+        let end = start + job.actual_runtime();
+        let w = start - job.submit_time;
+        let e = end - start;
+        // (w + e) / e, the execution time floored at one second so that a
+        // zero-length job does not divide by zero.
+        let sld = (w + e.max(1.0)) / e.max(1.0);
+        // max((w + e) / max(e, 10), 1): jobs shorter than the 10-second
+        // interactive threshold count as 10 seconds long.
+        let bsld = ((w + e) / e.max(10.0)).max(1.0);
+        wait += w;
+        turnaround += end - job.submit_time;
+        slowdown += sld;
+        bounded += bsld;
+        busy += e * job.procs() as f64;
+        first_submit = first_submit.min(job.submit_time);
+        last_end = last_end.max(end);
+        let user = users.entry(job.user_id).or_insert((0.0, 0.0));
+        user.0 += bsld;
+        user.1 += 1.0;
+    }
+    let n = jobs.len() as f64;
+    let makespan = last_end - first_submit;
+    ReferenceMetrics {
+        avg_wait: wait / n,
+        avg_turnaround: turnaround / n,
+        avg_slowdown: slowdown / n,
+        avg_bounded_slowdown: bounded / n,
+        // The share of the cluster's processor-seconds over the makespan
+        // that jobs kept busy.
+        utilization: busy / (makespan * procs as f64),
+        makespan,
+        max_user_bounded_slowdown: users.values().map(|&(s, c)| s / c).fold(0.0, f64::max),
+    }
 }

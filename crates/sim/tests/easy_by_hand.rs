@@ -81,7 +81,7 @@ fn session_starts(cfg: SimConfig, pick: Pick) -> (Vec<f64>, Vec<usize>) {
         picks.push(pos);
         s.step(pos).unwrap();
     }
-    let m = s.metrics().unwrap();
+    let m = s.episode_metrics().unwrap();
     (m.outcomes().iter().map(|o| o.start).collect(), picks)
 }
 

@@ -73,7 +73,7 @@ fn run_with_picks(
 ) -> rlsched_sim::EpisodeMetrics {
     let mut s = SchedSession::from_trace(trace, cfg).unwrap();
     drive(&mut s, picks, 0, usize::MAX);
-    s.metrics().unwrap()
+    s.episode_metrics().unwrap()
 }
 
 proptest! {
@@ -162,7 +162,7 @@ proptest! {
             }
         };
         let taken = drive(&mut s, &picks, 0, usize::MAX);
-        let m = s.metrics().unwrap();
+        let m = s.episode_metrics().unwrap();
         let starts: Vec<f64> = m.outcomes().iter().map(|o| o.start).collect();
         prop_assert_eq!(starts, common::reference_starts(sane.jobs(), 8, easy, &taken));
         for (o, job) in m.outcomes().iter().zip(sane.jobs()) {
@@ -186,7 +186,7 @@ proptest! {
         let mut clone = original.clone();
         let rest = drive(&mut original, &picks, before, usize::MAX);
         prop_assert_eq!(drive(&mut clone, &picks, before, usize::MAX), rest);
-        prop_assert_eq!(clone.metrics().unwrap(), original.metrics().unwrap());
+        prop_assert_eq!(clone.episode_metrics().unwrap(), original.episode_metrics().unwrap());
     }
 
     #[test]
