@@ -726,7 +726,7 @@ fn fast_paths_do_not_regress_allocations() {
     }
 
     // ---- binary wire codec: a `Score` request encoded from a borrowed
-    // snapshot and decoded with `read_frame_any_into` is allocation-free
+    // snapshot and decoded with `read_frame_into` is allocation-free
     // at steady state. The client writes the snapshot straight into a
     // reused wire buffer (no `Request` value, no copy of the snapshot);
     // the reader decodes into a reused frame buffer and a reused
@@ -736,18 +736,17 @@ fn fast_paths_do_not_regress_allocations() {
     // (Pure codec: no sockets or threads inside the counted window.)
     // ----
     {
-        use rlsched_serve::protocol::{encode_score_frame, read_frame_any_into};
+        use rlsched_serve::protocol::{encode_score_frame, read_frame_into};
         use rlsched_serve::{Request, WireFrame};
         let mut wire = Vec::new();
         let mut payload = Vec::new();
-        let mut text_line = String::new();
         let mut decoded = Request::scratch();
         let mut cycle = || {
             encode_score_frame(&mut wire, 7, &snapshot);
             let mut reader = &wire[..];
-            read_frame_any_into(&mut reader, &mut payload, &mut text_line, &mut decoded)
-                .expect("well-formed frame")
-                .expect("frame present");
+            let present = read_frame_into(&mut reader, &mut payload, &mut decoded)
+                .expect("well-formed frame");
+            assert!(present, "frame present");
         };
         // Warm: grows the wire buffer, the payload buffer and the
         // decoded request's job vector to this window.

@@ -237,8 +237,8 @@ impl Agent {
         }
     }
 
-    /// [`Agent::as_policy`] under the name replay callers know it by: the
-    /// same head, there is only one.
+    // benchmark/ spelling (ROADMAP 1): `as_policy` under its old name.
+    #[doc(hidden)]
     pub fn stream_decider(&self) -> RlPolicy<'_> {
         self.as_policy()
     }

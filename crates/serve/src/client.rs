@@ -7,15 +7,12 @@
 //! the driver, never a panic.
 //!
 //! The client is generic over the [`Transport`] (TCP by default, Unix
-//! domain sockets via [`ServeClient::connect_uds`]) and speaks either
-//! wire format ([`WireProtocol`], binary unless
-//! [`ServeClient::with_protocol`] says otherwise); the format is chosen
-//! per client — the server sniffs it per frame, so no handshake exists.
-//! All frame buffers (outgoing bytes, incoming payload/line, the decoded
-//! response) are owned by the client and reused across requests, and a
-//! binary `Score` frame is encoded straight from the caller's borrowed
-//! snapshot, so a binary [`ServeClient::score_snapshot`] round trip
-//! copies no snapshot and allocates nothing at steady state.
+//! domain sockets via [`ServeClient::connect_uds`]). All frame buffers
+//! (outgoing bytes, incoming payload, the decoded response) are owned by
+//! the client and reused across requests, and a `Score` frame is encoded
+//! straight from the caller's borrowed snapshot, so a
+//! [`ServeClient::score_snapshot`] round trip copies no snapshot and
+//! allocates nothing at steady state.
 //!
 //! ## Resilience model
 //!
@@ -47,8 +44,8 @@ use rlsched_swf::Job;
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
 use crate::protocol::{
-    encode_binary_frame, encode_json_frame, encode_score_frame, read_frame_any_into, Request,
-    Response, ServeStats, ServedBy, WireFrame, WireProtocol,
+    encode_binary_frame, encode_score_frame, read_frame_into, Request, Response, ServeStats,
+    ServedBy, WireFrame, WireProtocol,
 };
 use crate::transport::{AnyStream, ServerAddr, Transport};
 
@@ -149,13 +146,10 @@ pub struct ServeClient<S: Transport = TcpStream> {
     next_id: u64,
     cfg: ClientConfig,
     jitter: u64,
-    proto: WireProtocol,
     /// Encoded outgoing frame, reused across requests.
     wire: Vec<u8>,
-    /// Incoming binary payload scratch.
+    /// Incoming payload scratch.
     payload: Vec<u8>,
-    /// Incoming JSON line scratch.
-    line: String,
     /// The last decoded response; decode-into reuses its buffers.
     resp: Response,
 }
@@ -210,10 +204,8 @@ impl<S: Transport> ServeClient<S> {
             next_id: 0,
             jitter: cfg.seed | 1,
             cfg,
-            proto: WireProtocol::Binary,
             wire: Vec::new(),
             payload: Vec::new(),
-            line: String::new(),
             resp: Response::scratch(),
         })
     }
@@ -231,10 +223,9 @@ impl<S: Transport> ServeClient<S> {
         self
     }
 
-    /// Speak this wire format (default: [`WireProtocol::Binary`], the
-    /// hot-path format). No handshake — the server sniffs every frame.
-    pub fn with_protocol(mut self, proto: WireProtocol) -> Self {
-        self.proto = proto;
+    // benchmark/ spelling (ROADMAP 1): the envelope is the only format.
+    #[doc(hidden)]
+    pub fn with_protocol(self, _proto: WireProtocol) -> Self {
         self
     }
 
@@ -269,13 +260,7 @@ impl<S: Transport> ServeClient<S> {
         conn.writer.set_write_timeout(io_deadline)?;
         conn.writer.write_all(&self.wire)?;
         loop {
-            let got = read_frame_any_into(
-                &mut conn.reader,
-                &mut self.payload,
-                &mut self.line,
-                &mut self.resp,
-            )?;
-            if got.is_none() {
+            if !read_frame_into(&mut conn.reader, &mut self.payload, &mut self.resp)? {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed",
@@ -356,18 +341,6 @@ impl<S: Transport> ServeClient<S> {
         }
     }
 
-    /// Encode `req` into `self.wire` in the configured format.
-    fn encode_request(&mut self, req: &Request) -> Result<(), ClientError> {
-        match self.proto {
-            WireProtocol::Json => encode_json_frame(req, &mut self.wire)
-                .map_err(|e| ClientError::Protocol(e.to_string())),
-            WireProtocol::Binary => {
-                encode_binary_frame(req, &mut self.wire);
-                Ok(())
-            }
-        }
-    }
-
     fn decision(&self) -> Result<Decision, ClientError> {
         match &self.resp {
             Response::Action {
@@ -389,19 +362,12 @@ impl<S: Transport> ServeClient<S> {
     }
 
     /// Score a queue snapshot (the server runs the encoder) — the one
-    /// scoring request the tier answers. A binary frame is written
-    /// straight from the borrowed snapshot; a JSON frame goes through a
-    /// `Request` value, a copy its text encoding makes anyway.
+    /// scoring request the tier answers. The frame is written straight
+    /// from the borrowed snapshot.
     pub fn score_snapshot(&mut self, snapshot: &QueueSnapshot) -> Result<Decision, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        match self.proto {
-            WireProtocol::Binary => encode_score_frame(&mut self.wire, id, snapshot),
-            WireProtocol::Json => self.encode_request(&Request::Score {
-                id,
-                snapshot: snapshot.clone(),
-            })?,
-        }
+        encode_score_frame(&mut self.wire, id, snapshot);
         self.roundtrip(id)?;
         self.decision()
     }
@@ -410,7 +376,7 @@ impl<S: Transport> ServeClient<S> {
     pub fn stats(&mut self) -> Result<ServeStats, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.encode_request(&Request::Stats { id })?;
+        encode_binary_frame(&Request::Stats { id }, &mut self.wire);
         self.roundtrip(id)?;
         match &self.resp {
             Response::Stats { stats, .. } => Ok(stats.clone()),
@@ -426,7 +392,7 @@ impl<S: Transport> ServeClient<S> {
     pub fn metrics(&mut self) -> Result<RegistrySnapshot, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.encode_request(&Request::Metrics { id })?;
+        encode_binary_frame(&Request::Metrics { id }, &mut self.wire);
         self.roundtrip(id)?;
         match &self.resp {
             Response::Metrics { metrics, .. } => Ok(metrics.clone()),

@@ -17,9 +17,8 @@
 //! so requests queued behind it age past their in-queue deadline.
 //!
 //! [`write_torn_frame`] is the client-side counterpart: it writes a
-//! deliberately truncated frame (with or without the terminating
-//! newline) so tests can drive the server's resync path and the
-//! client's reconnect path.
+//! deliberately truncated frame so tests can drive the server's
+//! torn-frame path and the client's reconnect path.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -27,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use serde::Serialize;
+use crate::protocol::{encode_binary_frame, WireFrame};
 
 /// One scripted fault on one shard: a panic (`stall: None`) or a sleep
 /// before scoring each of its batches `[batch, batch + times)`, keyed by
@@ -137,20 +136,18 @@ impl FaultPlan {
     }
 }
 
-/// Serialize `frame` as the wire would, then write only its first
-/// `keep` bytes (newline included in the count). `keep` at or beyond
-/// the full frame length writes the frame intact. Tests follow this
-/// with a stream shutdown to model a client dying mid-write, or with a
-/// valid frame to model a corrupted line the server must resync past.
-pub fn write_torn_frame<T: Serialize, W: Write>(
+/// Encode `frame` as the wire would, then write only its first `keep`
+/// bytes, header included in the count. `keep` at or beyond the full
+/// frame length writes the frame intact. Tests follow this with a stream
+/// shutdown to model a peer dying mid-write.
+pub fn write_torn_frame<T: WireFrame, W: Write>(
     w: &mut W,
     frame: &T,
     keep: usize,
 ) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(frame).map_err(std::io::Error::from)?;
-    line.push('\n');
-    let torn = &line.as_bytes()[..keep.min(line.len())];
-    w.write_all(torn)?;
+    let mut wire = Vec::new();
+    encode_binary_frame(frame, &mut wire);
+    w.write_all(&wire[..keep.min(wire.len())])?;
     w.flush()
 }
 
@@ -188,7 +185,9 @@ mod tests {
         let req = crate::protocol::Request::Stats { id: 7 };
         let mut full = Vec::new();
         write_torn_frame(&mut full, &req, usize::MAX).unwrap();
-        assert!(full.ends_with(b"\n"));
+        let mut whole = Vec::new();
+        encode_binary_frame(&req, &mut whole);
+        assert_eq!(full, whole);
         let mut torn = Vec::new();
         write_torn_frame(&mut torn, &req, 5).unwrap();
         assert_eq!(&torn[..], &full[..5]);

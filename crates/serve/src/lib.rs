@@ -10,19 +10,18 @@
 //!
 //! ## Architecture
 //!
-//! * [`protocol`] — two frame formats for [`Request`] / [`Response`]:
-//!   newline-delimited JSON (debuggable with `nc`) and length-prefixed
-//!   binary frames, little-endian for the hot `Score`, `Action` and
-//!   `Shed` and JSON text for the rest. The server sniffs the first
-//!   byte of every frame, so both coexist with no handshake. There is
-//!   one scoring request, `Request::Score`: a queue snapshot in, the
-//!   chosen queue position out, and the shard runs the encoder. A
-//!   snapshot's floats cross either wire bit-exactly.
+//! * [`protocol`] — one frame format for [`Request`] / [`Response`]: a
+//!   length-prefixed envelope whose payload is a little-endian layout
+//!   for the hot `Score`, `Action` and `Shed` and JSON text for the
+//!   rest. A hand-written client may send any request, `Score` included,
+//!   as a JSON body. There is one scoring request, `Request::Score`: a
+//!   queue snapshot in, the chosen queue position out, and the shard
+//!   runs the encoder. A snapshot's floats cross either payload
+//!   bit-exactly.
 //! * [`transport`] — the [`Transport`] abstraction over TCP and Unix
 //!   domain sockets: [`ListenAddr`] (server side), [`ServerAddr`]
 //!   (bound address) and [`AnyStream`] (runtime-chosen client stream).
-//!   Servers bind loopback TCP and clients speak binary frames unless
-//!   configured otherwise.
+//!   Servers bind loopback TCP unless configured otherwise.
 //! * [`engine`] — [`ShardEngine`], the allocation-free coalescing batch
 //!   scorer, and [`ScorerSlot`], the atomic weight hot-swap point.
 //! * [`server`] — [`Server::spawn`] / [`ServerHandle`]: accept loop,
@@ -68,16 +67,16 @@
 //! batch composition, coalescing cuts, or shard count. Three properties compose into that guarantee:
 //!
 //! 1. snapshot encoding and in-process view encoding share one loop
-//!    (`ObsEncoder::encode_snapshot_extend`), and both wire formats
-//!    round-trip floats exactly (JSON via shortest-round-trip
-//!    formatting, binary via `to_le_bytes` verbatim);
+//!    (`ObsEncoder::encode_snapshot_extend`), and both payloads
+//!    round-trip floats exactly (the binary layout via `to_le_bytes`
+//!    verbatim, a JSON body via shortest-round-trip formatting);
 //! 2. a [`rlscheduler::ScorerSnapshot`] holds the agent's policy network
 //!    and scores through the forward `as_policy` runs;
 //! 3. the forward kernels are row-count invariant, so a row's bits do
 //!    not depend on what else was coalesced around it.
 //!
 //! The suite in `tests/serve_parity.rs` pins the whole chain end to
-//! end, across {JSON, binary} × {TCP, UDS} × shard counts.
+//! end, across {binary layout, JSON body} × {TCP, UDS} × shard counts.
 
 pub mod client;
 pub mod engine;
@@ -91,9 +90,10 @@ pub mod transport;
 pub use client::{ClientConfig, ClientError, Decision, RemotePolicy, ServeClient};
 pub use engine::{EngineMetrics, ScorerSlot, ShardEngine};
 pub use faults::{write_torn_frame, FaultPlan};
-pub use protocol::{
-    Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame, WireProtocol,
-};
+pub use protocol::{Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame};
+// benchmark/ spelling (ROADMAP 1): the one-variant format choice.
+#[doc(hidden)]
+pub use protocol::WireProtocol;
 pub use rlsched_obs::LatencyHistogram;
 pub use server::{ProposeError, ServeConfig, Server, ServerHandle};
 pub use transport::{AnyStream, Listen, ListenAddr, ServerAddr, Transport};

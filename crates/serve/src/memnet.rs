@@ -280,7 +280,7 @@ mod tests {
     use rlsched_sim::MetricKind;
     use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob};
 
-    use crate::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+    use crate::protocol::{encode_binary_frame, read_frame, Request, Response};
     use crate::server::finish_spawn;
     use crate::{FaultPlan, ServeConfig, ServedBy, ServerAddr, ServerHandle};
 
@@ -381,8 +381,7 @@ mod tests {
     /// The next reply on `reader`, which must be an action: its id and
     /// who served it.
     fn next_action(reader: &mut BufReader<MemStream>) -> (u64, ServedBy) {
-        let (mut payload, mut line) = (Vec::new(), String::new());
-        let (resp, _) = read_frame_any::<Response, _>(reader, &mut payload, &mut line)
+        let resp = read_frame::<Response, _>(reader, &mut Vec::new())
             .expect("a reply")
             .expect("a reply before the end");
         match resp {

@@ -1,20 +1,8 @@
-//! The wire protocol: two self-describing frame formats over one
-//! stream, distinguished per frame by their first byte.
+//! The wire protocol: one frame format, a length-prefixed envelope.
 //!
-//! **JSON frames** are newline-delimited objects (one request or
-//! response per line, UTF-8, `\n`-terminated). JSON through the
-//! workspace's serde shims keeps the protocol dependency-free and
-//! human-debuggable (`nc` into the server and type a request), and the
-//! shim's shortest-round-trip float formatting means a snapshot's `f64`
-//! wait and time bound cross the wire bit-exactly — the parity
-//! guarantee survives serialization. Representations are the
-//! serde-default externally-tagged enum forms, e.g.
-//! `{"Score":{"id":1,"snapshot":{…}}}` and
-//! `{"Action":{"id":1,"action":3,"shard":0,"served_by":"Model"}}`.
-//!
-//! **Binary frames** are length-prefixed records:
-//! `[0xB1][version=1][payload_len: u32 LE][payload]`. Only the three
-//! frames of the hot path have a hand-written payload layout,
+//! Every frame, both ways, is `[0xB1][version=1][payload_len: u32 LE]
+//! [payload]`, and the payload's first byte is its tag. Only the three
+//! frames of the hot path have a hand-written layout,
 //! `[variant tag: u8][fields…]`: `Request::Score` (tag 1),
 //! `Response::Action` (tag 1) and `Response::Shed` (tag 2). Their
 //! integers are fixed-width LE, floats are IEEE-754 `to_le_bytes`, and
@@ -25,41 +13,41 @@
 //! is structural here.
 //!
 //! Every other frame (`Stats` and `Metrics` both ways, `Error`) carries
-//! its JSON text as the payload: the bytes [`encode_json_frame`] writes,
-//! without the `\n`. Its first byte, `{` (0x7B), is its tag, and the
-//! type's `#[derive(Serialize, Deserialize)]` is its one field
-//! description. A JSON body that is not UTF-8 or not valid JSON is
-//! `InvalidData`, like any other malformed payload. So every frame is
-//! encodable in both formats, while only the hot frames have a second
-//! codec.
+//! its JSON text as the payload, in the serde-default externally-tagged
+//! form, e.g. `{"Stats":{"id":1}}`. Its first byte, `{` (0x7B), is its
+//! tag, and the type's `#[derive(Serialize, Deserialize)]` is its one
+//! field description. Any request may be sent that way: a `{`-bodied
+//! `Score` decodes through the same arm, so a hand-written client frames
+//! a request as the 6-byte header followed by its JSON text, and needs
+//! no binary layout. The shim's shortest-round-trip float formatting
+//! carries a snapshot's `f64` wait and time bound bit-exactly in a JSON
+//! body too.
 //!
-//! **Negotiation** is a first-byte sniff, per frame: `0xB1` cannot
-//! start a JSON line (it is a UTF-8 continuation byte), so
-//! [`read_frame_any`] dispatches on it with no handshake. A connection
-//! may mix formats; the server answers each request in the format that
-//! request arrived in, so JSON clients and `nc` sessions keep working
-//! against a binary-capable server unchanged.
+//! **Error taxonomy** (drives the client's retry-vs-report decision and
+//! the server's resync-vs-close):
+//! * a stream whose next byte is not [`BINARY_MAGIC`] is `InvalidData`,
+//!   and the byte is left unread: no frame boundary follows it, so the
+//!   server answers once with an `Error { id: 0 }` and closes;
+//! * a header or payload cut short by a dying peer is `UnexpectedEof`, a
+//!   *transport* error, safe to retry on a fresh connection;
+//! * a frame that arrived whole but decodes wrong (an unknown version or
+//!   tag, a payload that contradicts its own length, a body that is not
+//!   UTF-8 or not valid JSON) is `InvalidData` after its declared length
+//!   was consumed, so the stream stays frame-aligned and the server
+//!   reports it and reads on. The client never retries it.
 //!
-//! **Error taxonomy** (drives the client's retry-vs-report decision,
-//! both formats): a frame cut short by a dying peer — a JSON line
-//! missing its `\n`, a binary header or payload shorter than declared
-//! — is a *transport* error (`UnexpectedEof`, safe to retry on a fresh
-//! connection). A frame that arrived whole but decoded wrong — garbage
-//! JSON, an unknown tag, a payload that contradicts its own length —
-//! is a *protocol* error (`InvalidData`, never retried).
-//!
-//! **Bounded reads**: no frame may exceed 64 MiB in either format. A
-//! longer JSON line is skipped to its newline without being stored and
-//! reported as `InvalidData`; a binary payload is buffered only as its
-//! bytes arrive, so a header that declares a large frame and then
-//! stalls allocates nothing for it. JSON text (a line or a body) nests
-//! at most `serde_json::MAX_DEPTH` levels deep; deeper text is
-//! `InvalidData`, never a stack overflow.
+//! **Bounded reads**: a declared payload over 64 MiB is `InvalidData`
+//! before anything is allocated for it, and a payload is buffered only
+//! as its bytes arrive, so a header that declares a large frame and then
+//! stalls allocates nothing for it. A JSON body nests at most
+//! `serde_json::MAX_DEPTH` levels deep; deeper text is `InvalidData`,
+//! never a stack overflow.
 //!
 //! Correlation ids must stay below 2^53: JSON interoperability (RFC
 //! 8259 §6) only guarantees integer exactness within IEEE-double range,
-//! and ids above it may come back changed. [`crate::ServeClient`]
-//! allocates ids sequentially from 0, far below the limit.
+//! and ids above it may come back changed in a JSON body.
+//! [`crate::ServeClient`] allocates ids sequentially from 0, far below
+//! the limit.
 
 use std::io::{BufRead, Read};
 
@@ -241,73 +229,13 @@ impl Response {
     }
 }
 
-/// Read one raw line into `line`, reusing its allocation. Returns the
-/// byte count (0 on clean EOF).
-///
-/// A non-empty line *without* its terminating newline means the stream
-/// died mid-frame (peer crashed mid-write): that is a transport failure
-/// (`UnexpectedEof`), not a protocol violation — the distinction drives
-/// the client's retry-vs-report decision.
-///
-/// Reads *bytes* and validates UTF-8 only on newline-complete lines:
-/// a stream that dies inside a multi-byte character is a torn frame
-/// (`UnexpectedEof`, retryable), not a protocol violation —
-/// `BufRead::read_line` checks UTF-8 first and would misreport that
-/// tear as `InvalidData`, defeating the client's retry.
-///
-/// A line that fills `MAX_FRAME_LEN` bytes without a newline is over
-/// the cap: the rest of it is skipped to the newline, unstored, and it
-/// is reported as `InvalidData`. A peer that never sends a newline
-/// cannot grow the buffer without bound, and the stream stays
-/// frame-aligned for the next frame.
-fn read_frame_line<R: BufRead>(r: &mut R, line: &mut String) -> std::io::Result<usize> {
-    let mut buf = std::mem::take(line).into_bytes();
-    buf.clear();
-    let n = r
-        .by_ref()
-        .take(MAX_FRAME_LEN as u64)
-        .read_until(b'\n', &mut buf)?;
-    if n == MAX_FRAME_LEN && buf.last() != Some(&b'\n') {
-        r.skip_until(b'\n')?;
-        return Err(bad("JSON frame exceeds the length cap"));
-    }
-    if n > 0 && buf.last() != Some(&b'\n') {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "frame truncated mid-line",
-        ));
-    }
-    *line = String::from_utf8(buf).map_err(|_| bad("frame is not valid UTF-8"))?;
-    Ok(n)
-}
-
 // ---------------------------------------------------------------------------
-// Binary wire format (see the module docs for the layout).
+// The envelope (see the module docs for the layout).
 // ---------------------------------------------------------------------------
 
-/// Which frame format a peer is speaking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireProtocol {
-    /// Newline-delimited JSON objects.
-    Json,
-    /// Length-prefixed binary frames.
-    Binary,
-}
-
-impl WireProtocol {
-    /// Short display tag (`json` / `binary`).
-    pub fn name(self) -> &'static str {
-        match self {
-            WireProtocol::Json => "json",
-            WireProtocol::Binary => "binary",
-        }
-    }
-}
-
-/// First byte of every binary frame. A UTF-8 continuation byte, so it
-/// can never begin a JSON line — the whole negotiation.
+/// First byte of every frame.
 pub const BINARY_MAGIC: u8 = 0xB1;
-/// Binary framing version; bumped on layout changes.
+/// Envelope version; bumped on layout changes.
 pub const BINARY_VERSION: u8 = 1;
 /// Frame header: magic, version, payload length.
 const HEADER_LEN: usize = 6;
@@ -342,8 +270,7 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append `frame`'s JSON text: a JSON frame's line without its `\n`,
-/// and the whole payload of a JSON-bodied binary frame.
+/// Append `frame`'s JSON text: the whole payload of a JSON-bodied frame.
 fn put_json<T: Serialize>(out: &mut Vec<u8>, frame: &T) {
     let text = serde_json::to_string(frame).expect("a wire frame always serializes");
     out.extend_from_slice(text.as_bytes());
@@ -424,31 +351,31 @@ impl<'a> Rd<'a> {
     }
 }
 
-/// A frame type that exists in both wire representations.
+/// A frame type: a payload codec for the envelope.
 ///
 /// The `*_into` decode reuses the heap buffers of the value it decodes
 /// into whenever the incoming variant matches — the mechanism behind
 /// the 0-allocation steady state pinned in `alloc_regression`.
 pub trait WireFrame: Serialize + Deserialize {
-    /// Append this frame's binary payload (tag byte + fields, or its
-    /// JSON text) to `out`.
+    /// Append this frame's payload (tag byte + fields, or its JSON text)
+    /// to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>);
 
-    /// Decode a binary payload over `into`, reusing its buffers.
+    /// Decode a payload over `into`, reusing its buffers.
     fn decode_payload_into(bytes: &[u8], into: &mut Self) -> std::io::Result<()>;
 
     /// A cheap throwaway value for owned decodes.
     fn scratch() -> Self;
 }
 
-/// Encode a complete binary frame (header + payload) into `out`,
-/// clearing it first. Allocation-free once `out`'s capacity is warm,
+/// Encode a complete frame (header + payload) into `out`, clearing it
+/// first. Allocation-free once `out`'s capacity is warm,
 /// for the frames with a binary layout.
 pub fn encode_binary_frame<T: WireFrame>(frame: &T, out: &mut Vec<u8>) {
     frame_with(out, |out| frame.encode_payload(out));
 }
 
-/// Encode a binary `Score` request frame straight from a borrowed
+/// Encode a `Score` request frame straight from a borrowed
 /// snapshot — the client's send path: no `Request` value, no copy of the
 /// snapshot, and no allocation once `out` is warm. The bytes are those
 /// [`encode_binary_frame`] writes for the equivalent `Request::Score`.
@@ -465,15 +392,6 @@ fn frame_with(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
     put(out);
     let len = (out.len() - HEADER_LEN) as u32;
     out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Serialize one JSON frame (object + `\n`) into a reusable byte
-/// buffer, clearing it first.
-pub fn encode_json_frame<T: Serialize>(frame: &T, out: &mut Vec<u8>) -> std::io::Result<()> {
-    out.clear();
-    put_json(out, frame);
-    out.push(b'\n');
-    Ok(())
 }
 
 impl WireFrame for Request {
@@ -605,78 +523,84 @@ impl WireFrame for Response {
     }
 }
 
-/// Read one frame in whichever format arrives, sniffing the first
-/// byte; see [`read_frame_any_into`] for semantics. `Ok(None)` on
-/// clean EOF.
-pub fn read_frame_any<T: WireFrame, R: BufRead>(
+/// Read one frame; see [`read_frame_into`]. `Ok(None)` on clean EOF.
+pub fn read_frame<T: WireFrame, R: BufRead>(
     r: &mut R,
     payload: &mut Vec<u8>,
-    line: &mut String,
-) -> std::io::Result<Option<(T, WireProtocol)>> {
+) -> std::io::Result<Option<T>> {
     let mut v = T::scratch();
-    Ok(read_frame_any_into(r, payload, line, &mut v)?.map(|proto| (v, proto)))
+    Ok(read_frame_into(r, payload, &mut v)?.then_some(v))
 }
 
-/// Read one frame in whichever format arrives, decoding over `into`
-/// (buffers reused — the shard reader's allocation-free path).
-/// `payload` and `line` are the per-connection scratch buffers for the
-/// binary and JSON arms respectively. Returns the format the frame
-/// arrived in, or `Ok(None)` on clean EOF at a frame boundary.
+/// Read one frame, decoding over `into` (buffers reused — the server's
+/// and the client's allocation-free path), with `payload` as the
+/// caller's per-connection scratch. Returns `Ok(false)` on clean EOF at
+/// a frame boundary.
 ///
-/// Torn frames (EOF mid-header, mid-payload, or mid-line) surface as
-/// `UnexpectedEof`; whole-but-malformed frames as `InvalidData`. A
-/// malformed *binary* frame leaves the stream positioned at the next
-/// frame boundary (its declared length was consumed), so a server can
-/// report and resync, exactly like the JSON line path.
+/// The errors are the module docs' taxonomy: a next byte that is not
+/// [`BINARY_MAGIC`] is `InvalidData` and stays unread, a torn header or
+/// payload is `UnexpectedEof`, and a whole frame that decodes wrong is
+/// `InvalidData` with its declared length consumed, so the next read
+/// starts at the following frame.
+pub fn read_frame_into<T: WireFrame, R: BufRead>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+    into: &mut T,
+) -> std::io::Result<bool> {
+    match r.fill_buf()?.first() {
+        None => return Ok(false),
+        Some(&BINARY_MAGIC) => {}
+        Some(_) => return Err(bad("stream is not at a frame header")),
+    }
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?; // torn header ⇒ UnexpectedEof
+    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(bad("frame length exceeds the cap"));
+    }
+    // Grow the buffer as bytes arrive rather than to the declared length
+    // up front: a header that promises 64 MiB and stalls costs nothing.
+    payload.clear();
+    if r.by_ref().take(len as u64).read_to_end(payload)? < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame truncated mid-payload",
+        ));
+    }
+    // Validate the version only after consuming the declared payload, so
+    // even a version-mismatched frame leaves the stream frame-aligned.
+    if header[1] != BINARY_VERSION {
+        return Err(bad("unsupported wire version"));
+    }
+    T::decode_payload_into(payload, into)?;
+    Ok(true)
+}
+
+// benchmark/ spelling (ROADMAP 1): the frame-format choice that newline
+// JSON once made; the envelope is the only format left.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireProtocol {
+    Binary,
+}
+
+// benchmark/ spelling (ROADMAP 1): the envelope around `frame`'s JSON text.
+#[doc(hidden)]
+pub fn encode_json_frame<T: Serialize>(frame: &T, out: &mut Vec<u8>) -> std::io::Result<()> {
+    frame_with(out, |out| put_json(out, frame));
+    Ok(())
+}
+
+// benchmark/ spelling (ROADMAP 1): `read_frame_into` with the line buffer
+// the JSON reader once took.
+#[doc(hidden)]
 pub fn read_frame_any_into<T: WireFrame, R: BufRead>(
     r: &mut R,
     payload: &mut Vec<u8>,
-    line: &mut String,
+    _line: &mut String,
     into: &mut T,
 ) -> std::io::Result<Option<WireProtocol>> {
-    loop {
-        let first = {
-            let buf = r.fill_buf()?;
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            buf[0]
-        };
-        if first == BINARY_MAGIC {
-            let mut header = [0u8; HEADER_LEN];
-            r.read_exact(&mut header)?; // torn header ⇒ UnexpectedEof
-            let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-            if len > MAX_FRAME_LEN {
-                return Err(bad("binary frame length exceeds the cap"));
-            }
-            // Grow the buffer as bytes arrive rather than to the declared
-            // length up front: a header that promises 64 MiB and stalls
-            // costs nothing.
-            payload.clear();
-            if r.by_ref().take(len as u64).read_to_end(payload)? < len {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "binary frame truncated mid-payload",
-                ));
-            }
-            // Validate the version only after consuming the declared
-            // payload, so even a version-mismatched frame leaves the
-            // stream frame-aligned.
-            if header[1] != BINARY_VERSION {
-                return Err(bad("unsupported binary wire version"));
-            }
-            T::decode_payload_into(payload, into)?;
-            return Ok(Some(WireProtocol::Binary));
-        }
-        if read_frame_line(r, line)? == 0 {
-            return Ok(None);
-        }
-        if line.trim().is_empty() {
-            continue; // tolerate blank keep-alive lines
-        }
-        *into = serde_json::from_str(line.trim()).map_err(std::io::Error::from)?;
-        return Ok(Some(WireProtocol::Json));
-    }
+    Ok(read_frame_into(r, payload, into)?.then_some(WireProtocol::Binary))
 }
 
 #[cfg(test)]
@@ -685,29 +609,22 @@ mod tests {
 
     use super::*;
 
-    /// Append `frame` to `buf` as one JSON line.
+    /// Append `frame` to `buf` as an envelope around its JSON text.
     fn write_json<T: Serialize>(buf: &mut Vec<u8>, frame: &T) {
-        let mut line = Vec::new();
-        encode_json_frame(frame, &mut line).unwrap();
-        buf.extend_from_slice(&line);
+        let mut body = Vec::new();
+        frame_with(&mut body, |out| put_json(out, frame));
+        assert_eq!(body[HEADER_LEN], TAG_JSON);
+        buf.extend_from_slice(&body);
     }
 
-    /// Read the next frame off `r`, asserting it arrived as JSON.
+    /// Read the next frame off `r`.
     fn read_json_frame<T: WireFrame, R: BufRead>(r: &mut R) -> std::io::Result<Option<T>> {
-        Ok(
-            read_frame_any(r, &mut Vec::new(), &mut String::new())?.map(|(v, proto)| {
-                assert_eq!(proto, WireProtocol::Json);
-                v
-            }),
-        )
+        read_frame(r, &mut Vec::new())
     }
 
-    /// Decode one complete binary frame, asserting it is binary.
+    /// Decode one complete frame.
     fn read_binary<T: WireFrame>(wire: &[u8]) -> std::io::Result<T> {
-        let (v, proto) = read_frame_any(&mut &wire[..], &mut Vec::new(), &mut String::new())?
-            .expect("frame present");
-        assert_eq!(proto, WireProtocol::Binary);
-        Ok(v)
+        Ok(read_frame(&mut &wire[..], &mut Vec::new())?.expect("frame present"))
     }
 
     #[test]
@@ -871,7 +788,7 @@ mod tests {
 
     #[test]
     fn served_by_tags_are_plain_strings_on_the_wire() {
-        // The tag must stay greppable in logs and `nc` sessions.
+        // The tag must stay greppable in logs and JSON bodies.
         let line = serde_json::to_string(&Response::Action {
             id: 1,
             action: 0,
@@ -949,16 +866,14 @@ mod tests {
     fn binary_requests_round_trip() {
         let mut wire = Vec::new();
         let mut payload = Vec::new();
-        let mut line = String::new();
         for want in sample_requests() {
             encode_binary_frame(&want, &mut wire);
             assert_eq!(wire[0], BINARY_MAGIC);
             assert_eq!(wire[1], BINARY_VERSION);
             let mut reader = std::io::BufReader::new(&wire[..]);
-            let (got, proto) = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+            let got = read_frame::<Request, _>(&mut reader, &mut payload)
                 .unwrap()
                 .expect("frame present");
-            assert_eq!(proto, WireProtocol::Binary);
             assert_eq!(got, want);
         }
     }
@@ -967,14 +882,12 @@ mod tests {
     fn binary_responses_round_trip() {
         let mut wire = Vec::new();
         let mut payload = Vec::new();
-        let mut line = String::new();
         for want in sample_responses() {
             encode_binary_frame(&want, &mut wire);
             let mut reader = std::io::BufReader::new(&wire[..]);
-            let (got, proto) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+            let got = read_frame::<Response, _>(&mut reader, &mut payload)
                 .unwrap()
                 .expect("frame present");
-            assert_eq!(proto, WireProtocol::Binary);
             assert_eq!(got, want);
         }
     }
@@ -1006,30 +919,18 @@ mod tests {
     }
 
     #[test]
-    fn mixed_format_streams_sniff_per_frame() {
-        // JSON, then binary, then JSON again on one connection.
-        let a = Request::Stats { id: 1 };
-        let b = Request::Score {
-            id: 2,
-            snapshot: awkward_snapshot(),
-        };
-        let c = Request::Stats { id: 3 };
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        encode_json_frame(&a, &mut scratch).unwrap();
-        wire.extend_from_slice(&scratch);
-        encode_binary_frame(&b, &mut scratch);
-        wire.extend_from_slice(&scratch);
-        encode_json_frame(&c, &mut scratch).unwrap();
-        wire.extend_from_slice(&scratch);
-        let mut reader = std::io::BufReader::new(&wire[..]);
-        let mut payload = Vec::new();
-        let mut line = String::new();
-        let mut read = || read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line);
-        assert_eq!(read().unwrap().unwrap(), (a, WireProtocol::Json));
-        assert_eq!(read().unwrap().unwrap(), (b, WireProtocol::Binary));
-        assert_eq!(read().unwrap().unwrap(), (c, WireProtocol::Json));
-        assert!(read().unwrap().is_none(), "clean EOF");
+    fn a_stream_not_at_a_header_is_invalid_data_and_left_unread() {
+        for garbage in [
+            &b"{\"Stats\":{\"id\":1}}\n"[..],
+            b"\n",
+            b"this is not json\n",
+        ] {
+            let mut reader = std::io::BufReader::new(garbage);
+            let err = read_frame::<Request, _>(&mut reader, &mut Vec::new())
+                .expect_err("no frame header");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(reader.buffer(), garbage, "nothing was consumed");
+        }
     }
 
     #[test]
@@ -1037,11 +938,10 @@ mod tests {
         let mut wire = Vec::new();
         encode_score_frame(&mut wire, 1, &awkward_snapshot());
         let mut payload = Vec::new();
-        let mut line = String::new();
         // Every proper prefix — mid-header and mid-payload — is torn.
         for cut in 1..wire.len() {
             let mut reader = std::io::BufReader::new(&wire[..cut]);
-            let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+            let err = read_frame::<Request, _>(&mut reader, &mut payload)
                 .expect_err("truncated frame must error");
             assert_eq!(
                 err.kind(),
@@ -1054,10 +954,9 @@ mod tests {
     #[test]
     fn malformed_binary_frames_are_invalid_data() {
         let mut payload = Vec::new();
-        let mut line = String::new();
         let mut read_one = |wire: &[u8]| {
             let mut reader = std::io::BufReader::new(wire);
-            read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+            read_frame::<Request, _>(&mut reader, &mut payload)
         };
         // Unknown tag.
         let mut unknown_tag = Vec::new();
@@ -1093,13 +992,12 @@ mod tests {
         wire.extend_from_slice(&scratch);
         let mut reader = std::io::BufReader::new(&wire[..]);
         let mut payload = Vec::new();
-        let mut line = String::new();
-        let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+        let err = read_frame::<Request, _>(&mut reader, &mut payload)
             .expect_err("bad version must error");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // The mismatched frame's declared payload was consumed, so the
         // next read starts exactly at the following frame.
-        let (got, _) = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
+        let got = read_frame::<Request, _>(&mut reader, &mut payload)
             .unwrap()
             .expect("next frame intact");
         assert_eq!(got, good);
@@ -1110,31 +1008,9 @@ mod tests {
         let mut wire = vec![BINARY_MAGIC, BINARY_VERSION];
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         let mut reader = std::io::BufReader::new(&wire[..]);
-        let err = read_frame_any::<Request, _>(&mut reader, &mut Vec::new(), &mut String::new())
-            .expect_err("cap must reject");
+        let err =
+            read_frame::<Request, _>(&mut reader, &mut Vec::new()).expect_err("cap must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn over_cap_json_line_is_skipped_and_the_next_frame_decodes() {
-        // No newline until past the cap, then a valid frame.
-        let mut wire = vec![b'x'; MAX_FRAME_LEN + 1];
-        wire.push(b'\n');
-        let good = Request::Stats { id: 5 };
-        write_json(&mut wire, &good);
-        let mut reader = std::io::BufReader::new(&wire[..]);
-        let (mut payload, mut line) = (Vec::new(), String::new());
-        let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
-            .expect_err("an over-cap line must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(
-            line.capacity() <= MAX_FRAME_LEN,
-            "never stored past the cap"
-        );
-        let (got, proto) = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
-            .unwrap()
-            .expect("the next frame is intact");
-        assert_eq!((got, proto), (good, WireProtocol::Json));
     }
 
     #[test]
@@ -1144,7 +1020,7 @@ mod tests {
         wire.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
         let mut reader = std::io::BufReader::new(&wire[..]);
         let mut payload = Vec::new();
-        let err = read_frame_any::<Request, _>(&mut reader, &mut payload, &mut String::new())
+        let err = read_frame::<Request, _>(&mut reader, &mut payload)
             .expect_err("the payload never arrived");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
         assert!(

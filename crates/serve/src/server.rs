@@ -23,8 +23,8 @@
 //! * **One scoring routine, no shard threads**: a connection thread
 //!   decodes on while frames are buffered behind the one it just read,
 //!   collecting `Score` rows into a *run* of at most
-//!   [`ServeConfig::batch_cap`]. When nothing is buffered behind the run
-//!   (blank keep-alive lines are nothing), each idle shard (empty inbox,
+//!   [`ServeConfig::batch_cap`]. When nothing is buffered behind the run,
+//!   each idle shard (empty inbox,
 //!   free core) scores its rows of the run right there, and the thread
 //!   writes their replies. Every other row is pushed to its shard's
 //!   bounded inbox: a busy shard's, a run that reached the cap with bytes
@@ -54,14 +54,16 @@
 //!   releases after the offer's fence. One pending wake-up stands for
 //!   any number; a pass that finds nothing it counted (a push between its
 //!   increment and its send) yields and passes again.
-//! * **Replies** go out in their request's format. A connection thread
-//!   writes its inline replies as far as the socket takes them without
-//!   blocking; its writer thread writes every other reply and the rest,
-//!   all it finds waiting in one write. No scoring thread waits on a
-//!   client's socket, so a client that pipelines a burst before it reads
-//!   is read to the end. An undecodable frame is answered in the format
-//!   of the last frame that decoded (JSON before any has). Routing is
-//!   FNV-1a of the request id modulo the shard count.
+//! * **Replies**: a connection thread writes its inline replies as far
+//!   as the socket takes them without blocking; its writer thread writes
+//!   every other reply and the rest, all it finds waiting in one write.
+//!   No scoring thread waits on a client's socket, so a client that
+//!   pipelines a burst before it reads is read to the end. A damaged
+//!   frame behind a valid header is answered with an `Error { id: 0 }`
+//!   and the thread reads on; a stream whose next byte is not a frame
+//!   header has no boundary to resync to, so it gets one such error and
+//!   the connection closes. Routing is FNV-1a of the request id modulo
+//!   the shard count.
 //! * **Supervision** lives in each shard's core: a batch runs under
 //!   `catch_unwind`, a panic's rows are answered by the fallback, and the
 //!   thread that ran it respawns a fresh [`ShardEngine`] after a bounded,
@@ -103,8 +105,8 @@ use crate::client::ServeClient;
 use crate::engine::{EngineMetrics, ScorerSlot, ShardEngine};
 use crate::faults::FaultPlan;
 use crate::protocol::{
-    encode_binary_frame, encode_json_frame, read_frame_any, Request, Response, ServeStats,
-    ServedBy, ShardHealth, ShardState, WireProtocol,
+    encode_binary_frame, read_frame, Request, Response, ServeStats, ServedBy, ShardHealth,
+    ShardState, BINARY_MAGIC,
 };
 use crate::transport::{AnyStream, Listen, ListenAddr, ServerAddr, Transport};
 
@@ -169,21 +171,19 @@ impl Default for ServeConfig {
 /// What a connection's writer thread is sent: a reply to write, or
 /// `None` to write the rest of an inline send that the socket did not
 /// take at once.
-type WriterMsg = Option<(Response, WireProtocol)>;
+type WriterMsg = Option<Response>;
 
-/// Hand `resp` to a connection's writer thread, to go out in `proto`. A
-/// dead client's writer is gone; dropping the reply is fine.
-fn send_reply(tx: &Sender<WriterMsg>, resp: Response, proto: WireProtocol) {
-    let _ = tx.send(Some((resp, proto)));
+/// Hand `resp` to a connection's writer thread. A dead client's writer is
+/// gone; dropping the reply is fine.
+fn send_reply(tx: &Sender<WriterMsg>, resp: Response) {
+    let _ = tx.send(Some(resp));
 }
 
 /// One validated `Score` request: what a shard needs to score it, or to
-/// answer it through the fallback, whichever thread runs its batch, and
-/// the format its answer goes out in.
+/// answer it through the fallback, whichever thread runs its batch.
 struct Row {
     id: u64,
     snapshot: QueueSnapshot,
-    proto: WireProtocol,
     enqueued: Instant,
     /// The way back to its connection's writer thread, once queued.
     reply: Option<Sender<WriterMsg>>,
@@ -517,7 +517,7 @@ impl Shared {
     fn take_batch(&self, shard: usize, core: &mut ShardCore) -> usize {
         let m = &self.metrics.shards[shard];
         let mut rows = std::mem::take(&mut core.rows);
-        let reply = |row: &Row, resp| send_reply(row.reply.as_ref().unwrap(), resp, row.proto);
+        let reply = |row: &Row, resp| send_reply(row.reply.as_ref().unwrap(), resp);
         let mut took = 0;
         while rows.len() < self.cfg.batch_cap {
             let Ok(row) = core.inbox.try_recv() else {
@@ -964,20 +964,16 @@ struct ConnWriter<S> {
 
 impl<S: Transport> ConnWriter<S> {
     /// Append `resp`'s frame to the tail.
-    fn push(&mut self, resp: &Response, proto: WireProtocol) -> std::io::Result<()> {
-        match proto {
-            WireProtocol::Binary => encode_binary_frame(resp, &mut self.scratch),
-            WireProtocol::Json => encode_json_frame(resp, &mut self.scratch)?,
-        }
+    fn push(&mut self, resp: &Response) {
+        encode_binary_frame(resp, &mut self.scratch);
         self.tail.extend_from_slice(&self.scratch);
-        Ok(())
     }
 
     /// The writer thread: the tail, then every reply of `msgs`, in one
     /// write that blocks until the socket takes it.
     fn write(&mut self, msgs: impl Iterator<Item = WriterMsg>) -> std::io::Result<()> {
-        for (resp, proto) in msgs.flatten() {
-            self.push(&resp, proto)?;
+        for resp in msgs.flatten() {
+            self.push(&resp);
         }
         self.stream.write_all(&self.tail)?;
         self.tail.clear();
@@ -987,11 +983,9 @@ impl<S: Transport> ConnWriter<S> {
     /// The connection thread, with no tail pending: write `answers` in
     /// one send that never blocks. Returns `true` when the socket did not
     /// take them all and the writer thread must be woken for the tail.
-    fn write_nowait(&mut self, answers: impl Iterator<Item = (Response, WireProtocol)>) -> bool {
-        for (resp, proto) in answers {
-            // An unencodable reply is dropped, as the writer thread's
-            // error would drop it with the connection.
-            let _ = self.push(&resp, proto);
+    fn write_nowait(&mut self, answers: impl Iterator<Item = Response>) -> bool {
+        for resp in answers {
+            self.push(&resp);
         }
         // An error (a dead client) leaves every frame to the writer
         // thread, whose blocking write reports it and ends the thread.
@@ -1019,28 +1013,27 @@ impl<S: Transport> ConnOut<S> {
     /// `Metrics` frame first queues the run, so what it reports counts
     /// those rows, and is answered through the writer thread, as is a
     /// snapshot that cannot be scored.
-    fn admit(&self, req: Request, proto: WireProtocol, run: &mut Run) {
+    fn admit(&self, req: Request, run: &mut Run) {
         let id = req.id();
         let snapshot = match req {
             Request::Stats { .. } => {
                 run.flush(self, false);
                 let stats = self.shared.stats();
-                return send_reply(&self.tx, Response::Stats { id, stats }, proto);
+                return send_reply(&self.tx, Response::Stats { id, stats });
             }
             Request::Metrics { .. } => {
                 run.flush(self, false);
                 let metrics = self.shared.registry.snapshot();
-                return send_reply(&self.tx, Response::Metrics { id, metrics }, proto);
+                return send_reply(&self.tx, Response::Metrics { id, metrics });
             }
             Request::Score { snapshot, .. } => snapshot,
         };
         if let Some(message) = snapshot_error(&snapshot) {
-            return send_reply(&self.tx, Response::Error { id, message }, proto);
+            return send_reply(&self.tx, Response::Error { id, message });
         }
         let row = Row {
             id,
             snapshot,
-            proto,
             enqueued: Instant::now(),
             reply: None,
         };
@@ -1061,7 +1054,7 @@ impl<S: Transport> ConnOut<S> {
         {
             depth.add(-1.0);
             let resp = self.shared.fallback_response(shard, &row);
-            send_reply(&self.tx, resp, row.proto);
+            send_reply(&self.tx, resp);
         }
     }
 
@@ -1083,14 +1076,14 @@ impl<S: Transport> ConnOut<S> {
     /// blocks, when the write half is free and no earlier tail is
     /// pending; otherwise the writer thread writes them after what it
     /// holds.
-    fn write_inline(&self, answers: impl Iterator<Item = (Response, WireProtocol)>) {
+    fn write_inline(&self, answers: impl Iterator<Item = Response>) {
         match self.writer.try_lock() {
             Ok(mut w) if w.tail.is_empty() => {
                 if w.write_nowait(answers) {
                     let _ = self.tx.send(None);
                 }
             }
-            _ => answers.for_each(|(resp, proto)| send_reply(&self.tx, resp, proto)),
+            _ => answers.for_each(|resp| send_reply(&self.tx, resp)),
         }
     }
 }
@@ -1167,7 +1160,8 @@ impl Run {
                 )
             });
             m.inline.add(model.count() as u64);
-            out.write_inline(answers.drain(..).zip(rows.drain(..).map(|row| row.proto)));
+            rows.clear();
+            out.write_inline(answers.drain(..));
             match restart {
                 Some(after) => restarts.push((shard, core, after)),
                 None => shared.release(shard, core),
@@ -1242,35 +1236,31 @@ fn connection_loop<S: Transport>(stream: S, shared: Arc<Shared>) {
         stream,
         out: Rc::clone(&out),
     });
-    // Per-connection frame scratch, reused across frames: the binary
-    // payload buffer and the JSON line buffer. (The decoded request's
-    // snapshot may move on to an inbox, so it is owned per request.)
+    // Per-connection payload scratch, reused across frames. (The decoded
+    // request's snapshot may move on to an inbox, so it is owned per
+    // request.)
     let mut payload = Vec::new();
-    let mut line = String::new();
-    // The format of the last frame that decoded: what a frame too
-    // malformed to have a format of its own is answered in.
-    let mut proto = WireProtocol::Json;
 
     while !shared.shutdown.load(Ordering::Acquire) {
-        match read_frame_any(&mut reader, &mut payload, &mut line) {
-            Ok(Some((req, got))) => {
-                proto = got;
-                out.admit(req, proto, &mut run);
-            }
+        match read_frame(&mut reader, &mut payload) {
+            Ok(Some(req)) => out.admit(req, &mut run),
             Ok(None) => break, // clean EOF
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Malformed frame: report and resync at the next frame
-                // boundary (the next line, or — since a binary frame's
-                // declared length is consumed before its payload is
-                // judged — the next binary header).
                 let message = format!("bad frame: {e}");
-                send_reply(&out.tx, Response::Error { id: 0, message }, proto);
+                send_reply(&out.tx, Response::Error { id: 0, message });
+                // A damaged frame's declared length was consumed, so the
+                // next frame starts here. A byte that is not a header was
+                // left unread, and nothing marks where a frame begins
+                // behind it: close.
+                if reader.buffer().first().is_some_and(|&b| b != BINARY_MAGIC) {
+                    break;
+                }
             }
             Err(_) => break,
         }
         // No frame buffered behind this one: the run can grow no more
         // before the client sends again, so idle shards score it here.
-        if holds_no_frame(reader.buffer()) {
+        if reader.buffer().is_empty() {
             run.flush(&out, true);
         } else if run.len == cap {
             run.flush(&out, false);
@@ -1285,15 +1275,6 @@ fn connection_loop<S: Transport>(stream: S, shared: Arc<Shared>) {
     }
     // Release this connection's shutdown hook (and its fd).
     shared.hooks().remove(&conn_id);
-}
-
-/// Whether `buf` holds no part of a frame: nothing, or only the blank
-/// keep-alive lines that `read_frame_any` skips. A reader that blocks for
-/// more bytes behind such a buffer would hold its run until the client
-/// sends again.
-fn holds_no_frame(buf: &[u8]) -> bool {
-    buf.iter()
-        .all(|&b| b.is_ascii() && char::from(b).is_whitespace())
 }
 
 /// Why a snapshot from outside the program cannot be scored, if it

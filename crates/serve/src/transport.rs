@@ -8,9 +8,8 @@
 //! [`ServerAddr`] is what a bound server publishes (port 0 resolved,
 //! socket path settled) and what [`AnyStream::dial`] redials.
 //!
-//! `ServeConfig::default()` binds a free loopback TCP port, and a
-//! `ServeClient` speaks binary frames. [`ListenAddr::unix_temp`] and
-//! `ServeClient::with_protocol` pick the other arms explicitly.
+//! `ServeConfig::default()` binds a free loopback TCP port;
+//! [`ListenAddr::unix_temp`] picks a Unix socket instead.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

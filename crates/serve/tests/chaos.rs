@@ -5,8 +5,9 @@
 //! failure sequence replays identically — and asserts the fault-model
 //! invariants end to end over a live listener. `chaos_config` binds a
 //! Unix socket and clients connect through `ServerHandle::connect`, so
-//! most of the suite runs binary frames over UDS; tests that write JSON
-//! on a raw `TcpStream` pin TCP explicitly and cover that corner.
+//! most of the suite runs binary-layout frames over UDS; tests that write
+//! JSON-bodied frames on a raw `TcpStream` pin TCP explicitly and cover
+//! that corner.
 //!
 //! The invariants:
 //!
@@ -28,15 +29,17 @@
 
 mod common;
 
+use common::{recv, send_body, send_json};
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rlsched_rl::PpoConfig;
 use rlsched_sched::{select_parts, HeuristicKind, PriorityScheduler};
-use rlsched_serve::protocol::{encode_json_frame, read_frame_any, Request, Response};
+use rlsched_serve::protocol::{encode_binary_frame, read_frame, Request, Response};
 use rlsched_serve::{
     ClientConfig, ClientError, FaultPlan, ListenAddr, ProposeError, RemotePolicy, ServeClient,
-    ServeConfig, ServedBy, Server, ServerHandle, ShardState, Transport, WireFrame, WireProtocol,
+    ServeConfig, ServedBy, Server, ServerHandle, ShardState, Transport,
 };
 use rlsched_sim::{run_episode, EpisodeError, MetricKind, Policy, SimConfig, StreamSession};
 use rlsched_swf::{Job, JobTrace};
@@ -44,22 +47,6 @@ use rlscheduler::{
     build_policy, Agent, AgentConfig, CanaryBatch, CanaryError, ObsConfig, PolicyKind,
     QueueSnapshot, ScorerSnapshot, SnapshotJob,
 };
-
-/// Write `frame` as one JSON line, as a raw `nc`-style peer would.
-fn send_json<T: serde::Serialize>(w: &mut impl std::io::Write, frame: &T) {
-    let mut line = Vec::new();
-    encode_json_frame(frame, &mut line).unwrap();
-    w.write_all(&line).unwrap();
-}
-
-/// Read the next frame, asserting the peer spoke JSON.
-fn recv_json<T: WireFrame>(r: &mut impl std::io::BufRead) -> T {
-    let (frame, proto) = read_frame_any(r, &mut Vec::new(), &mut String::new())
-        .unwrap()
-        .expect("a frame");
-    assert_eq!(proto, WireProtocol::Json);
-    frame
-}
 
 fn agent_for(window: usize, seed: u64) -> Agent {
     Agent::new(AgentConfig {
@@ -154,7 +141,7 @@ fn shard_panic_recovers_with_zero_lost_requests() {
     let mut model = 0u64;
     let mut fallback = 0u64;
     for _ in 0..N {
-        match recv_json::<Response>(&mut reader) {
+        match recv::<Response>(&mut reader) {
             Response::Action {
                 id,
                 action,
@@ -501,7 +488,7 @@ fn slow_shard_stall_expires_deadlines_into_fallback() {
     let mut seen = vec![false; N as usize];
     let (mut model, mut fallback) = (0u64, 0u64);
     let held = common::held_answer(&mut holder);
-    let queued = (1..N).map(|_| recv_json::<Response>(&mut reader));
+    let queued = (1..N).map(|_| recv::<Response>(&mut reader));
     for reply in std::iter::once(held).chain(queued) {
         match reply {
             Response::Action {
@@ -557,7 +544,7 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
     let fake = std::thread::spawn(move || {
         let (conn1, _) = listener.accept().unwrap();
         let mut reader = std::io::BufReader::new(conn1.try_clone().unwrap());
-        let req: Request = recv_json(&mut reader);
+        let req: Request = recv(&mut reader);
         let mut w = conn1.try_clone().unwrap();
         write_torn_frame(
             &mut w,
@@ -567,32 +554,28 @@ fn client_reconnects_through_a_connection_drop_mid_response() {
                 shard: 0,
                 served_by: ServedBy::Model,
             },
-            9, // half a frame, no newline
+            9, // the header and 3 of 25 payload bytes
         )
         .unwrap();
         drop((reader, w, conn1)); // mid-response drop
 
         let (conn2, _) = listener.accept().unwrap();
         let mut reader = std::io::BufReader::new(conn2.try_clone().unwrap());
-        let req: Request = recv_json(&mut reader);
-        let mut w = conn2.try_clone().unwrap();
-        send_json(
-            &mut w,
-            &Response::Action {
-                id: req.id(),
-                action: 2,
-                shard: 0,
-                served_by: ServedBy::Model,
-            },
-        );
+        let req: Request = recv(&mut reader);
+        let mut frame = Vec::new();
+        let answer = Response::Action {
+            id: req.id(),
+            action: 2,
+            shard: 0,
+            served_by: ServedBy::Model,
+        };
+        encode_binary_frame(&answer, &mut frame);
+        std::io::Write::write_all(&mut conn2.try_clone().unwrap(), &frame).unwrap();
         req.id()
     });
 
-    // The scripted fake above speaks newline-JSON: pin the protocol
-    // (clients default to binary frames).
     let mut client = ServeClient::connect(addr)
         .unwrap()
-        .with_protocol(rlsched_serve::WireProtocol::Json)
         .with_config(ClientConfig {
             deadline: Some(Duration::from_secs(5)),
             max_retries: 3,
@@ -671,18 +654,21 @@ fn torn_request_frames_leave_the_server_serving() {
     let handle =
         Server::spawn(agent.scorer_snapshot(), *agent.encoder(), cfg).expect("server spawns");
 
-    // Die mid-frame: the server sees a truncated line and EOF.
+    // Die mid-frame: the server sees a truncated payload and EOF.
     let mut torn = std::net::TcpStream::connect(handle.addr()).unwrap();
     write_torn_frame(&mut torn, &score_request(&canary, 1), 20).unwrap();
     drop(torn);
 
-    // Garbage with a newline: the server reports and resyncs.
+    // A garbage body behind a valid header: the server reports it and
+    // reads the next frame.
     let mut noisy = std::net::TcpStream::connect(handle.addr()).unwrap();
-    use std::io::Write;
-    noisy.write_all(b"{\"Score\":{\"id\":oops\n").unwrap();
+    send_body(&mut noisy, b"{\"Score\":{\"id\":oops");
+    send_json(&mut noisy, &Request::Stats { id: 3 });
     let mut reader = std::io::BufReader::new(noisy.try_clone().unwrap());
-    let resp: Response = recv_json(&mut reader);
+    let resp: Response = recv(&mut reader);
     assert!(matches!(resp, Response::Error { id: 0, .. }), "{resp:?}");
+    let resp: Response = recv(&mut reader);
+    assert!(matches!(resp, Response::Stats { id: 3, .. }), "{resp:?}");
 
     // Bystanders are unaffected, bits intact.
     let mut client = handle.connect().unwrap();
@@ -964,7 +950,6 @@ fn exhausting_the_budget_through_lone_frames_parks_the_shard_until_a_validated_s
 /// and the respawned shard scores the next burst inline.
 #[test]
 fn a_panic_in_an_inline_batch_answers_its_rows_by_fallback_before_the_backoff() {
-    use rlsched_serve::protocol::encode_binary_frame;
     use rlsched_serve::AnyStream;
     use std::io::{BufReader, Write};
 
@@ -986,7 +971,7 @@ fn a_panic_in_an_inline_batch_answers_its_rows_by_fallback_before_the_backoff() 
     let stream = AnyStream::dial(handle.server_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     // One write of `N` binary frames: one run, read whole.
     let mut send_burst = |base: u64| {
         let (mut burst, mut frame) = (Vec::new(), Vec::new());
@@ -998,7 +983,7 @@ fn a_panic_in_an_inline_batch_answers_its_rows_by_fallback_before_the_backoff() 
         writer.write_all(&burst).unwrap();
     };
     let mut recv = || {
-        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        let resp = read_frame::<Response, _>(&mut reader, &mut payload)
             .unwrap()
             .expect("a reply per frame");
         let Response::Action {

@@ -3,9 +3,29 @@
 use std::io::{BufReader, Write};
 use std::time::Duration;
 
-use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
-use rlsched_serve::{AnyStream, FaultPlan, ServerHandle, Transport};
+use rlsched_serve::protocol::{
+    encode_binary_frame, read_frame, Request, Response, BINARY_MAGIC, BINARY_VERSION,
+};
+use rlsched_serve::{AnyStream, FaultPlan, ServerHandle, Transport, WireFrame};
 use rlscheduler::QueueSnapshot;
+
+/// Write one frame whose payload is `body`: the header, then the bytes.
+pub fn send_body(w: &mut impl Write, body: &[u8]) {
+    w.write_all(&[BINARY_MAGIC, BINARY_VERSION]).unwrap();
+    w.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    w.write_all(body).unwrap();
+}
+
+/// Write `frame` as a JSON-bodied frame, as a hand-written client would:
+/// the header, then its `serde_json` text.
+pub fn send_json<T: serde::Serialize>(w: &mut impl Write, frame: &T) {
+    send_body(w, serde_json::to_string(frame).unwrap().as_bytes());
+}
+
+/// Read the next frame.
+pub fn recv<T: WireFrame>(r: &mut impl std::io::BufRead) -> T {
+    read_frame(r, &mut Vec::new()).unwrap().expect("a frame")
+}
 
 /// Hold a one-shard tier's core in a scripted stall, so that frames from
 /// other connections queue behind it. A new connection sends `Score`
@@ -38,9 +58,9 @@ pub fn hold_the_core(
 /// The held connection's answer to its `Score` frame, once the stall
 /// is over (its `Stats` reply is passed over).
 pub fn held_answer(holder: &mut BufReader<AnyStream>) -> Response {
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     loop {
-        let (resp, _) = read_frame_any::<Response, _>(holder, &mut payload, &mut line)
+        let resp = read_frame::<Response, _>(holder, &mut payload)
             .expect("the holder is answered")
             .expect("a reply before the end");
         if !matches!(resp, Response::Stats { .. }) {

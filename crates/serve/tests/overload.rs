@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rlsched_rl::PpoConfig;
-use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+use rlsched_serve::protocol::{encode_binary_frame, read_frame, Request, Response};
 use rlsched_serve::{FaultPlan, ListenAddr, ServeConfig, ServedBy, Server};
 use rlsched_sim::MetricKind;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob};
@@ -132,11 +132,9 @@ fn drive(
 /// its id and who answered.
 fn collect(stream: TcpStream, got: &AtomicU64) -> Vec<(Instant, u64, Option<ServedBy>)> {
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     let mut replies = Vec::new();
-    while let Some((resp, _)) =
-        read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line).expect("a reply")
-    {
+    while let Some(resp) = read_frame::<Response, _>(&mut reader, &mut payload).expect("a reply") {
         let (id, by) = match resp {
             Response::Action { id, served_by, .. } => (id, Some(served_by)),
             Response::Shed { id } => (id, None),

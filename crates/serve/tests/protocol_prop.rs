@@ -4,8 +4,9 @@
 //! properties pin the frame layer for *all* payloads: every request and
 //! response variant — `served_by` tags, fallback actions, error
 //! messages with hostile characters — survives a write/read round trip
-//! bit-exactly, frames never collide across a stream, damaged binary
-//! frames fail with a typed error and never panic, and the
+//! bit-exactly as a JSON body and in the binary layout, frames never
+//! collide across a stream, damaged frames fail with a typed error and
+//! never panic, and the
 //! shard-histogram merge is associative and commutative (so the stats
 //! endpoint's fold order can never change a reported quantile).
 
@@ -14,29 +15,25 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
 use rlsched_serve::protocol::{
-    encode_binary_frame, encode_json_frame, read_frame_any, read_frame_any_into, BINARY_MAGIC,
+    encode_binary_frame, read_frame, read_frame_into, BINARY_MAGIC, BINARY_VERSION,
 };
 use rlsched_serve::{
     LatencyHistogram, Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame,
-    WireProtocol,
 };
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
-/// Append `frame` to `buf` as one JSON line.
+/// Append `frame` to `buf` as a JSON-bodied frame, as a hand-written
+/// client builds one: the header, then the `serde_json` text.
 fn write_json<T: serde::Serialize>(buf: &mut Vec<u8>, frame: &T) {
-    let mut line = Vec::new();
-    encode_json_frame(frame, &mut line).unwrap();
-    buf.extend_from_slice(&line);
+    let text = serde_json::to_string(frame).unwrap();
+    buf.extend_from_slice(&[BINARY_MAGIC, BINARY_VERSION]);
+    buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    buf.extend_from_slice(text.as_bytes());
 }
 
-/// Read the next frame off `r`, asserting it arrived as JSON.
+/// Read the next frame off `r`.
 fn read_json_frame<T: WireFrame, R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<T>> {
-    Ok(
-        read_frame_any(r, &mut Vec::new(), &mut String::new())?.map(|(v, proto)| {
-            assert_eq!(proto, WireProtocol::Json);
-            v
-        }),
-    )
+    read_frame(r, &mut Vec::new())
 }
 
 /// Awkward-but-finite floats for a snapshot's waits and time bounds:
@@ -58,8 +55,8 @@ fn any_f64() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0f64), Just(1.0 / 3.0), (0.0f64..1.0e12).boxed()]
 }
 
-/// Error messages with characters that must be escaped on the wire —
-/// an unescaped newline would tear the framing itself.
+/// Error messages with characters that must be escaped in a JSON body,
+/// and one that spells a whole frame.
 fn any_message() -> impl Strategy<Value = String> {
     prop_oneof![
         Just(String::new()),
@@ -331,8 +328,8 @@ fn damaged_frame_fails_cleanly<T: WireFrame + std::fmt::Debug + PartialEq>(
     encode_binary_frame(follow, &mut next);
     let stream = [frame, &next[..]].concat();
     let mut rd = &stream[..];
-    let (mut payload, mut line) = (Vec::new(), String::new());
-    let kind = read_frame_any::<T, _>(&mut rd, &mut payload, &mut line)
+    let mut payload = Vec::new();
+    let kind = read_frame::<T, _>(&mut rd, &mut payload)
         .err()
         .map(|e| e.kind());
     prop_assert!(
@@ -350,12 +347,12 @@ fn damaged_frame_fails_cleanly<T: WireFrame + std::fmt::Debug + PartialEq>(
         );
         let spliced = [&stream[..declared_end], &next[..]].concat();
         let mut rd = &spliced[..];
-        let _ = read_frame_any::<T, _>(&mut rd, &mut payload, &mut line);
-        let got = read_frame_any::<T, _>(&mut rd, &mut payload, &mut line);
+        let _ = read_frame::<T, _>(&mut rd, &mut payload);
+        let got = read_frame::<T, _>(&mut rd, &mut payload);
         prop_assert!(
-            matches!(&got, Ok(Some((v, WireProtocol::Binary))) if v == follow),
+            matches!(&got, Ok(Some(v)) if v == follow),
             "the frame after a consumed damaged one must decode: {:?}",
-            got.map(|g| g.map(|(v, _)| v))
+            got
         );
     }
     Ok(())
@@ -389,9 +386,9 @@ proptest! {
         damaged_frame_fails_cleanly(&frame, &resp)?;
     }
 
-    /// Every request variant survives the wire bit-exactly, and a
-    /// snapshot's floats compare by bits, not by value (−0.0 vs 0.0, ulp
-    /// neighbors).
+    /// Every request variant survives the wire as a JSON body
+    /// bit-exactly, and a snapshot's floats compare by bits, not by value
+    /// (−0.0 vs 0.0, ulp neighbors).
     #[test]
     fn requests_round_trip_bit_exactly(reqs in prop::collection::vec(any_request(), 1..8)) {
         let mut buf = Vec::new();
@@ -408,35 +405,34 @@ proptest! {
     }
 
     /// Every response variant — `served_by` tags, shard health states,
-    /// hostile error messages — round-trips exactly, and a message
-    /// containing newlines or embedded frames never corrupts framing
-    /// for the frames that follow it.
+    /// hostile error messages — round-trips exactly as a JSON body, and
+    /// a message containing newlines or embedded frames never corrupts
+    /// framing for the frames that follow it: the stream ends exactly
+    /// where the last frame does.
     #[test]
     fn responses_round_trip_and_framing_survives(resps in prop::collection::vec(any_response(), 1..8)) {
         let mut buf = Vec::new();
         for r in &resps {
             write_json(&mut buf, r);
         }
-        // One frame per line: framing is intact regardless of payload.
-        let text = std::str::from_utf8(&buf).unwrap();
-        prop_assert_eq!(text.lines().count(), resps.len());
         let mut reader = std::io::BufReader::new(&buf[..]);
         for want in &resps {
             let got: Response = read_json_frame(&mut reader).unwrap().expect("frame present");
             prop_assert_eq!(&got, want);
         }
+        prop_assert!(read_json_frame::<Response, _>(&mut reader).unwrap().is_none());
     }
 
-    /// Truncating any frame anywhere strictly inside it yields the
-    /// transport error (`UnexpectedEof`), never a protocol error and
-    /// never a silently wrong frame — the distinction the client's
-    /// retry logic rides on.
+    /// Truncating a JSON-bodied frame anywhere strictly inside it yields
+    /// the transport error (`UnexpectedEof`), never a protocol error and
+    /// never a silently wrong frame — the distinction the client's retry
+    /// logic rides on.
     #[test]
     fn torn_frames_are_transport_errors(resp in any_response(), cut in any::<prop::sample::Index>()) {
         let mut buf = Vec::new();
         write_json(&mut buf, &resp);
-        // Cut strictly inside the line: keep at least 1 byte, lose at
-        // least the newline.
+        // Cut strictly inside the frame: keep at least 1 byte, lose at
+        // least the last.
         let keep = 1 + cut.index(buf.len() - 1);
         let torn = &buf[..keep];
         let err = read_json_frame::<Response, _>(&mut std::io::BufReader::new(torn))
@@ -444,9 +440,8 @@ proptest! {
         prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
-    /// Every request variant survives the *binary* wire bit-exactly —
-    /// same payload space as the JSON property, decoded through the
-    /// format-sniffing reader.
+    /// Every request variant survives the *binary* layout bit-exactly —
+    /// same payload space as the JSON-body property.
     #[test]
     fn binary_requests_round_trip_bit_exactly(reqs in prop::collection::vec(any_request(), 1..8)) {
         let mut buf = Vec::new();
@@ -456,21 +451,15 @@ proptest! {
             buf.extend_from_slice(&frame);
         }
         let mut reader = std::io::BufReader::new(&buf[..]);
-        let (mut payload, mut line) = (Vec::new(), String::new());
+        let mut payload = Vec::new();
         for want in &reqs {
-            let (got, proto): (Request, _) =
-                read_frame_any(&mut reader, &mut payload, &mut line)
-                    .unwrap()
-                    .expect("frame present");
-            prop_assert_eq!(proto, WireProtocol::Binary);
+            let got: Request = read_frame(&mut reader, &mut payload)
+                .unwrap()
+                .expect("frame present");
             prop_assert_eq!(&got, want);
             prop_assert_eq!(float_bits(&got), float_bits(want));
         }
-        prop_assert!(
-            read_frame_any::<Request, _>(&mut reader, &mut payload, &mut line)
-                .unwrap()
-                .is_none()
-        );
+        prop_assert!(read_frame::<Request, _>(&mut reader, &mut payload).unwrap().is_none());
     }
 
     /// Every response variant round-trips through the binary format,
@@ -486,27 +475,23 @@ proptest! {
         for want in &resps {
             encode_binary_frame(want, &mut frame);
             let mut reader = std::io::BufReader::new(&frame[..]);
-            let (mut payload, mut line) = (Vec::new(), String::new());
-            let (owned, proto): (Response, _) =
-                read_frame_any(&mut reader, &mut payload, &mut line)
-                    .unwrap()
-                    .expect("frame present");
-            prop_assert_eq!(proto, WireProtocol::Binary);
+            let mut payload = Vec::new();
+            let owned: Response = read_frame(&mut reader, &mut payload)
+                .unwrap()
+                .expect("frame present");
             prop_assert_eq!(&owned, want);
             // decode_into against a scratch carrying the *previous*
             // iteration's value: stale state must be fully overwritten.
             let mut reader = std::io::BufReader::new(&frame[..]);
-            read_frame_any_into(&mut reader, &mut payload, &mut line, &mut scratch)
-                .unwrap()
-                .expect("frame present");
+            prop_assert!(read_frame_into(&mut reader, &mut payload, &mut scratch).unwrap());
             prop_assert_eq!(&scratch, want);
         }
     }
 
-    /// JSON and binary encodings of the same value decode to the same
-    /// value, and a stream interleaving the two formats sniffs each
-    /// frame correctly — the per-connection negotiation is per *frame*,
-    /// so a client may switch formats mid-connection.
+    /// A JSON body and the binary layout of the same value decode to
+    /// the same value, bit for bit, and a stream interleaving the two
+    /// payloads decodes each frame correctly — the payload's tag byte
+    /// decides, so a client may mix them on one connection.
     #[test]
     fn json_and_binary_cross_decode_equivalently(
         reqs in prop::collection::vec(any_request(), 1..6),
@@ -514,34 +499,28 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         let mut frame = Vec::new();
-        let protos: Vec<WireProtocol> = reqs
-            .iter()
-            .zip(&flips)
-            .map(|(r, &binary)| {
-                if binary {
-                    encode_binary_frame(r, &mut frame);
-                } else {
-                    encode_json_frame(r, &mut frame).unwrap();
-                }
+        for (r, &binary) in reqs.iter().zip(&flips) {
+            if binary {
+                encode_binary_frame(r, &mut frame);
                 buf.extend_from_slice(&frame);
-                if binary { WireProtocol::Binary } else { WireProtocol::Json }
-            })
-            .collect();
+            } else {
+                write_json(&mut buf, r);
+            }
+        }
         let mut reader = std::io::BufReader::new(&buf[..]);
-        let (mut payload, mut line) = (Vec::new(), String::new());
-        for (want, want_proto) in reqs.iter().zip(&protos) {
-            let (got, proto): (Request, _) =
-                read_frame_any(&mut reader, &mut payload, &mut line)
-                    .unwrap()
-                    .expect("frame present");
-            prop_assert_eq!(proto, *want_proto);
+        let mut payload = Vec::new();
+        for want in &reqs {
+            let got: Request = read_frame(&mut reader, &mut payload)
+                .unwrap()
+                .expect("frame present");
             prop_assert_eq!(&got, want);
+            prop_assert_eq!(float_bits(&got), float_bits(want));
         }
     }
 
-    /// Truncating a binary frame anywhere strictly inside it yields the
-    /// transport error (`UnexpectedEof`), never `InvalidData` — torn
-    /// binary frames must stay retryable exactly like torn JSON lines.
+    /// Truncating a binary-layout frame anywhere strictly inside it yields
+    /// the transport error (`UnexpectedEof`), never `InvalidData` — torn
+    /// frames must stay retryable whatever their payload.
     #[test]
     fn torn_binary_frames_are_transport_errors(
         resp in any_response(),
@@ -551,13 +530,8 @@ proptest! {
         encode_binary_frame(&resp, &mut buf);
         let keep = 1 + cut.index(buf.len() - 1);
         let torn = &buf[..keep];
-        let (mut payload, mut line) = (Vec::new(), String::new());
-        let err = read_frame_any::<Response, _>(
-            &mut std::io::BufReader::new(torn),
-            &mut payload,
-            &mut line,
-        )
-        .expect_err("a torn frame must not parse");
+        let err = read_frame::<Response, _>(&mut std::io::BufReader::new(torn), &mut Vec::new())
+            .expect_err("a torn frame must not parse");
         prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 

@@ -5,8 +5,9 @@
 //! composition.
 //!
 //! The guarantee composes from: shared snapshot/view encoding, exact
-//! float round-trips through both wire formats (JSON via
-//! shortest-round-trip formatting, binary via `to_le_bytes` verbatim),
+//! float round-trips through both payloads (the binary layout via
+//! `to_le_bytes` verbatim, a JSON body via shortest-round-trip
+//! formatting),
 //! `ScorerSnapshot` scoring through the network and forward `as_policy`
 //! runs, and the forward kernels' row-count invariance. Equal
 //! `EpisodeMetrics` is the strongest possible check here: a single
@@ -14,11 +15,14 @@
 //! schedules and metrics.
 //!
 //! Most tests bind the default loopback TCP port and connect through
-//! `ServerHandle::connect`, which speaks binary frames; tests that write
-//! JSON on a raw `TcpStream` cover that corner, and the matrix test
-//! below pins every {JSON, binary} × {TCP, UDS} combination explicitly.
+//! `ServerHandle::connect`, whose frames carry the binary layout; tests
+//! that write JSON-bodied frames on a raw `TcpStream` cover the other
+//! payload, and the matrix test below pins every {binary layout, JSON
+//! body} × {TCP, UDS} combination explicitly.
 
 mod common;
+
+use common::{recv, send_body, send_json};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,30 +31,13 @@ use std::time::Duration;
 use rlsched_rl::PpoConfig;
 use rlsched_serve::{
     ClientError, FaultPlan, ListenAddr, RemotePolicy, ServeClient, ServeConfig, ServedBy, Server,
-    ServerAddr, WireFrame, WireProtocol,
+    ServerAddr,
 };
 use rlsched_sim::{run_episode, MetricKind, SimConfig};
 use rlsched_swf::{Job, JobTrace};
 use rlscheduler::{
     Agent, AgentConfig, CanaryBatch, ObsConfig, PolicyKind, QueueSnapshot, SnapshotJob,
 };
-
-/// Write `frame` as one JSON line, as a raw `nc`-style client would.
-fn send_json<T: serde::Serialize>(w: &mut impl std::io::Write, frame: &T) {
-    let mut line = Vec::new();
-    rlsched_serve::protocol::encode_json_frame(frame, &mut line).unwrap();
-    w.write_all(&line).unwrap();
-}
-
-/// Read the next frame, asserting the server answered in JSON.
-fn recv_json<T: WireFrame>(r: &mut impl std::io::BufRead) -> T {
-    let (frame, proto) =
-        rlsched_serve::protocol::read_frame_any(r, &mut Vec::new(), &mut String::new())
-            .unwrap()
-            .expect("a frame");
-    assert_eq!(proto, WireProtocol::Json);
-    frame
-}
 
 /// A toy trace with enough queue contention that policies differ.
 fn toy_trace() -> JobTrace {
@@ -307,7 +294,7 @@ fn full_inboxes_shed_and_every_request_is_answered() {
     let mut sheds = 0u64;
     let mut seen = vec![false; N as usize];
     for _ in 0..N {
-        match recv_json::<Response>(&mut reader) {
+        match recv::<Response>(&mut reader) {
             Response::Action { id, action, .. } => {
                 actions += 1;
                 assert_eq!(action, 0, "single-job queue has one valid action");
@@ -373,7 +360,7 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
 
     let mut seen = [false; N];
     let held = common::held_answer(&mut holder);
-    let queued = (1..N).map(|_| recv_json::<Response>(&mut reader));
+    let queued = (1..N).map(|_| recv::<Response>(&mut reader));
     for reply in std::iter::once(held).chain(queued) {
         match reply {
             Response::Action {
@@ -402,16 +389,16 @@ fn a_backlog_is_scored_in_capped_batches_with_no_timer() {
     assert_eq!(stats.batches, 4, "1 + 4 + 4 + 1: the backlog was stacked");
 }
 
-/// Protocol robustness, over JSON and binary frames on one raw
-/// connection: garbage and the retired client-encoded row request
-/// (`{"ScoreRaw":…}`, binary tag 2) are reported as unparseable (id 0);
-/// a snapshot the encoder cannot read is rejected with the request's id
-/// instead of being scored; and after all of it the same connection
-/// still scores.
+/// Protocol robustness, over both payloads on one raw connection: a
+/// body that is no request and the retired client-encoded row request
+/// (`{"ScoreRaw":…}` as a JSON body, binary tag 2) are reported as
+/// unparseable (id 0); a snapshot the encoder cannot read is rejected
+/// with the request's id instead of being scored; and after all of it the
+/// same connection still scores.
 #[test]
 fn malformed_frames_report_errors_and_resync() {
     use rlsched_serve::protocol::{
-        encode_binary_frame, read_frame_any, Request, Response, BINARY_MAGIC, BINARY_VERSION,
+        encode_binary_frame, read_frame, Request, Response, BINARY_MAGIC, BINARY_VERSION,
     };
     use std::io::{BufReader, Write};
 
@@ -429,14 +416,11 @@ fn malformed_frames_report_errors_and_resync() {
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
-    // Replies come back in their request's format (a frame that does
-    // not decode is answered in the last good frame's), so read either.
+    let mut payload = Vec::new();
     let mut reply = || -> Response {
-        read_frame_any(&mut reader, &mut payload, &mut line)
+        read_frame(&mut reader, &mut payload)
             .unwrap()
             .expect("a reply")
-            .0
     };
     let assert_error = |resp: Response, want_id: u64, what: &str| {
         assert!(
@@ -445,13 +429,14 @@ fn malformed_frames_report_errors_and_resync() {
         );
     };
 
-    writer.write_all(b"this is not json\n").unwrap();
-    assert_error(reply(), 0, "garbage line");
+    send_body(&mut writer, b"this is not json");
+    assert_error(reply(), 0, "garbage body");
 
-    // The retired request, in both formats: unknown, so unparseable.
-    writer
-        .write_all(b"{\"ScoreRaw\":{\"id\":5,\"obs\":[0.5],\"mask\":[0.0],\"queue_len\":1}}\n")
-        .unwrap();
+    // The retired request, in both payloads: unknown, so unparseable.
+    send_body(
+        &mut writer,
+        b"{\"ScoreRaw\":{\"id\":5,\"obs\":[0.5],\"mask\":[0.0],\"queue_len\":1}}",
+    );
     assert_error(reply(), 0, "retired JSON request");
     let mut retired = vec![BINARY_MAGIC, BINARY_VERSION];
     retired.extend_from_slice(&9u32.to_le_bytes());
@@ -488,7 +473,7 @@ fn malformed_frames_report_errors_and_resync() {
         let mut snapshot = small_snapshot(2);
         edit(&mut snapshot);
         // JSON has no non-finite numbers: the shim writes them as `null`,
-        // which does not parse, so over JSON those report id 0.
+        // which does not parse, so in a JSON body those report id 0.
         let finite = snapshot
             .jobs
             .iter()
@@ -500,7 +485,7 @@ fn malformed_frames_report_errors_and_resync() {
         }
     }
 
-    // The same connection still scores, in both formats, with the
+    // The same connection still scores, in both payloads, with the
     // in-process agent's action.
     let snapshot = small_snapshot(3);
     let (mut obs, mut mask) = (Vec::new(), Vec::new());
@@ -524,15 +509,12 @@ fn malformed_frames_report_errors_and_resync() {
     handle.shutdown();
 }
 
-/// A line nested far past the JSON depth cap, which once overflowed
-/// the connection thread's stack and aborted the whole server, is a
-/// reported bad frame in either format, and the same connection still
-/// scores afterwards.
+/// A body nested far past the JSON depth cap, which once overflowed the
+/// connection thread's stack and aborted the whole server, is a reported
+/// bad frame, and the same connection still scores afterwards.
 #[test]
 fn deeply_nested_frames_are_errors_and_the_connection_still_scores() {
-    use rlsched_serve::protocol::{
-        encode_binary_frame, read_frame_any, Request, Response, BINARY_MAGIC, BINARY_VERSION,
-    };
+    use rlsched_serve::protocol::{encode_binary_frame, read_frame, Request, Response};
     use std::io::{BufReader, Write};
 
     const DEPTH: usize = 100_000;
@@ -546,29 +528,18 @@ fn deeply_nested_frames_are_errors_and_the_connection_still_scores() {
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
 
-    let mut deep_line = "[".repeat(DEPTH).into_bytes();
-    deep_line.push(b'\n');
-    writer.write_all(&deep_line).unwrap();
     let mut body = b"{\"Stats\":".to_vec();
     body.extend_from_slice("[".repeat(DEPTH).as_bytes());
-    let mut deep_frame = vec![BINARY_MAGIC, BINARY_VERSION];
-    deep_frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    deep_frame.extend_from_slice(&body);
-    writer.write_all(&deep_frame).unwrap();
-    for what in [
-        "100 000-deep JSON line",
-        "binary frame with a 100 000-deep body",
-    ] {
-        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
-            .unwrap()
-            .expect("a reply");
-        assert!(
-            matches!(resp, Response::Error { id: 0, .. }),
-            "{what}: {resp:?}"
-        );
-    }
+    send_body(&mut writer, &body);
+    let resp = read_frame::<Response, _>(&mut reader, &mut payload)
+        .unwrap()
+        .expect("a reply");
+    assert!(
+        matches!(resp, Response::Error { id: 0, .. }),
+        "a frame with a 100 000-deep body: {resp:?}"
+    );
 
     let snapshot = small_snapshot(3);
     let (mut obs, mut mask) = (Vec::new(), Vec::new());
@@ -579,31 +550,92 @@ fn deeply_nested_frames_are_errors_and_the_connection_still_scores() {
     let mut frame = Vec::new();
     encode_binary_frame(&Request::Score { id: 7, snapshot }, &mut frame);
     writer.write_all(&frame).unwrap();
-    match read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+    match read_frame::<Response, _>(&mut reader, &mut payload)
         .unwrap()
         .expect("a reply")
     {
-        (
-            Response::Action {
-                id,
-                action,
-                served_by,
-                ..
-            },
-            WireProtocol::Binary,
-        ) => assert_eq!((id, action, served_by), (7, expected, ServedBy::Model)),
+        Response::Action {
+            id,
+            action,
+            served_by,
+            ..
+        } => assert_eq!((id, action, served_by), (7, expected, ServedBy::Model)),
         other => panic!("the connection must still score: {other:?}"),
     }
     handle.shutdown();
 }
 
-/// Each reply leaves in its own request's format. A binary `Score`
-/// queued behind a shard that stalls on another connection's thread is
-/// overtaken by a JSON `Stats` on the same connection, and its `Action`
-/// still comes back binary.
+/// A stream that does not open with a frame header has no frame boundary
+/// to resync to: a newline-JSON request, a bare newline and plain text
+/// each get exactly one `Error { id: 0 }`, and then the server closes the
+/// connection. A bystander on its own connection keeps scoring with the
+/// in-process bits.
 #[test]
-fn each_reply_goes_out_in_its_requests_format() {
-    use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+fn a_stream_not_opening_with_a_header_gets_one_error_then_eof() {
+    use rlsched_serve::protocol::{read_frame, Request, Response};
+    use std::io::{BufReader, Write};
+
+    let agent = agent_for(PolicyKind::Kernel, 117);
+    let canary = CanaryBatch::probe(&agent, 3, 119);
+    let handle = Server::spawn(
+        agent.scorer_snapshot(),
+        *agent.encoder(),
+        ServeConfig {
+            // Raw TcpStream below: pin TCP.
+            addr: ListenAddr::Tcp("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server spawns");
+    let mut bystander = handle.connect().expect("bystander connects");
+    let mut json_line = serde_json::to_string(&Request::Score {
+        id: 1,
+        snapshot: small_snapshot(2),
+    })
+    .unwrap()
+    .into_bytes();
+    json_line.push(b'\n');
+    let openings: [(&str, &[u8]); 3] = [
+        ("a newline-JSON request", &json_line),
+        ("a bare newline", b"\n"),
+        ("plain text", b"this is not json\n"),
+    ];
+    for (i, (what, bytes)) in openings.into_iter().enumerate() {
+        let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.try_clone().unwrap().write_all(bytes).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut payload = Vec::new();
+        let first = read_frame::<Response, _>(&mut reader, &mut payload)
+            .unwrap()
+            .expect("a reply before the close");
+        assert!(
+            matches!(first, Response::Error { id: 0, .. }),
+            "{what}: {first:?}"
+        );
+        let next = read_frame::<Response, _>(&mut reader, &mut payload);
+        assert!(
+            matches!(next, Ok(None)),
+            "{what}: the server closes after one error, got {next:?}"
+        );
+
+        let (snap, expected) = canary.row(i);
+        let d = bystander.score_snapshot(snap).unwrap();
+        assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
+    }
+    assert_eq!(handle.shutdown().served, 3);
+}
+
+/// A reply's payload is its frame's, whatever its request's body was. A
+/// JSON-bodied `Score` queued behind a shard that stalls on another
+/// connection's thread is overtaken by a JSON-bodied `Stats` on the same
+/// connection: the `Stats` comes back as a JSON body, and the `Action`
+/// after it in the binary layout.
+#[test]
+fn a_json_bodied_score_is_answered_in_the_binary_layout() {
+    use rlsched_serve::protocol::{read_frame, Request, Response};
     use std::io::{BufReader, Write};
 
     let agent = agent_for(PolicyKind::Kernel, 47);
@@ -625,32 +657,32 @@ fn each_reply_goes_out_in_its_requests_format() {
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let mut frame = Vec::new();
-    let snapshot = small_snapshot(3);
     // One write: the `Stats` cuts the `Score`'s run, so the `Score`
     // queues behind the stalled batch instead of scoring inline.
-    encode_binary_frame(&Request::Score { id: 1, snapshot }, &mut frame);
-    send_json(&mut frame, &Request::Stats { id: 2 });
-    writer.write_all(&frame).unwrap();
+    let mut frames = Vec::new();
+    let snapshot = small_snapshot(3);
+    send_json(&mut frames, &Request::Score { id: 1, snapshot });
+    send_json(&mut frames, &Request::Stats { id: 2 });
+    writer.write_all(&frames).unwrap();
 
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     let mut read = || {
-        read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        let resp = read_frame::<Response, _>(&mut reader, &mut payload)
             .unwrap()
-            .expect("a reply")
+            .expect("a reply");
+        (resp, payload[0])
     };
-    let (stats, stats_proto) = read();
+    let (stats, stats_tag) = read();
     assert!(matches!(stats, Response::Stats { id: 2, .. }), "{stats:?}");
-    assert_eq!(stats_proto, WireProtocol::Json);
-    let (action, action_proto) = read();
+    assert_eq!(stats_tag, b'{', "a stats reply is a JSON body");
+    let (action, action_tag) = read();
     assert!(
         matches!(action, Response::Action { id: 1, .. }),
         "{action:?}"
     );
     assert_eq!(
-        action_proto,
-        WireProtocol::Binary,
-        "a binary request's reply is binary, whatever came after it"
+        action_tag, 1,
+        "an action is sent in its binary layout, whatever its request's body"
     );
     handle.shutdown();
 }
@@ -684,15 +716,24 @@ fn stats_are_queryable_over_the_wire() {
 }
 
 /// The headline invariant of the wire-format work: served decisions are
-/// bit-identical across {JSON, binary} × {TCP, UDS} × shard count. The
-/// transport moves bytes and the format arranges them; neither may
-/// change a single decision. Every cell replays the same episode and
-/// must equal the in-process `as_policy` metrics exactly.
+/// bit-identical across {binary layout, JSON body} × {TCP, UDS} × shard
+/// count. The transport moves bytes and the payload arranges them;
+/// neither may change a single decision. In every cell a `ServeClient`
+/// (binary layout) replays the same episode, which must equal the
+/// in-process `as_policy` metrics exactly, and a raw connection sends
+/// canary snapshots as JSON-bodied `Score` frames in one write, each of
+/// whose actions must be the in-process one.
 #[test]
 fn decisions_are_identical_across_protocols_and_transports() {
+    use rlsched_serve::protocol::{Request, Response};
+    use rlsched_serve::{AnyStream, Transport};
+    use std::io::{BufReader, Write};
+
+    const ROWS: usize = 24;
     let trace = toy_trace();
     let agent = agent_for(PolicyKind::Kernel, 61);
     let expected = run_episode(&trace, SimConfig::with_backfill(), &mut agent.as_policy()).unwrap();
+    let canary = CanaryBatch::probe(&agent, ROWS, 67);
 
     type ListenerArm = (&'static str, fn() -> ListenAddr);
     let listeners: Vec<ListenerArm> = vec![
@@ -712,23 +753,48 @@ fn decisions_are_identical_across_protocols_and_transports() {
                 },
             )
             .expect("server spawns");
-            for proto in [WireProtocol::Json, WireProtocol::Binary] {
-                let client = handle
-                    .connect()
-                    .expect("client connects")
-                    .with_protocol(proto)
-                    // Distinct id streams per cell perturb shard routing.
-                    .with_id_base(1000 * shards as u64);
-                let mut policy = RemotePolicy::new(client, agent.encoder().cfg.max_obsv);
-                let remote = run_episode(&trace, SimConfig::with_backfill(), &mut policy).unwrap();
-                assert_eq!(
-                    expected,
-                    remote,
-                    "{}/{transport}/{shards}-shard episode diverged",
-                    proto.name()
+            let cell = format!("{transport}/{shards}-shard");
+            let client = handle
+                .connect()
+                .expect("client connects")
+                // Distinct id streams per cell perturb shard routing.
+                .with_id_base(1000 * shards as u64);
+            let mut policy = RemotePolicy::new(client, agent.encoder().cfg.max_obsv);
+            let remote = run_episode(&trace, SimConfig::with_backfill(), &mut policy).unwrap();
+            assert_eq!(expected, remote, "binary/{cell} episode diverged");
+            assert_eq!(policy.remote_fallbacks(), 0);
+            assert_eq!(policy.sheds(), 0);
+
+            let stream = AnyStream::dial(handle.server_addr()).unwrap();
+            let mut burst = Vec::new();
+            for row in 0..ROWS {
+                let id = (1000 * shards + row) as u64;
+                let snapshot = canary.row(row).0.clone();
+                send_json(&mut burst, &Request::Score { id, snapshot });
+            }
+            stream.try_clone().unwrap().write_all(&burst).unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut seen = [false; ROWS];
+            for _ in 0..ROWS {
+                let Response::Action {
+                    id,
+                    action,
+                    served_by,
+                    ..
+                } = recv::<Response>(&mut reader)
+                else {
+                    panic!("json/{cell}: every row is scored");
+                };
+                let row = (id - 1000 * shards as u64) as usize;
+                assert!(
+                    !std::mem::replace(&mut seen[row], true),
+                    "json/{cell}: row {row} twice"
                 );
-                assert_eq!(policy.remote_fallbacks(), 0);
-                assert_eq!(policy.sheds(), 0);
+                assert_eq!(
+                    (action as usize, served_by),
+                    (canary.row(row).1, ServedBy::Model),
+                    "json/{cell}: row {row} diverged"
+                );
             }
             handle.shutdown();
         }
@@ -798,7 +864,7 @@ fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
     }
     writer.write_all(&burst).unwrap();
     let held = common::held_answer(&mut holder);
-    let queued = (1..N).map(|_| recv_json::<Response>(&mut reader));
+    let queued = (1..N).map(|_| recv::<Response>(&mut reader));
     for resp in std::iter::once(held).chain(queued) {
         assert!(
             matches!(
@@ -832,7 +898,7 @@ fn lone_frames_score_inline_and_a_backlog_scores_on_the_shard_thread() {
 /// buffers of a set size.)
 #[test]
 fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
-    use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+    use rlsched_serve::protocol::{encode_binary_frame, read_frame, Request, Response};
     use rlsched_serve::{AnyStream, Transport};
     use std::io::{BufReader, Write};
 
@@ -872,15 +938,14 @@ fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
         .write_all(&burst)
         .expect("the server reads the whole burst before the client reads a reply");
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     let mut seen = vec![false; N as usize];
     let mut fallbacks = 0;
     let held = common::held_answer(&mut holder);
     let queued = (1..N).map(|_| {
-        read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        read_frame::<Response, _>(&mut reader, &mut payload)
             .unwrap()
             .expect("a reply per frame")
-            .0
     });
     for resp in std::iter::once(held).chain(queued) {
         let Response::Action { id, served_by, .. } = resp else {
@@ -908,7 +973,7 @@ fn a_burst_larger_than_the_socket_buffers_is_read_before_any_reply_is() {
 /// keeps reading.
 #[test]
 fn unread_inline_replies_never_stall_the_connection_thread() {
-    use rlsched_serve::protocol::{encode_binary_frame, read_frame_any, Request, Response};
+    use rlsched_serve::protocol::{encode_binary_frame, read_frame, Request, Response};
     use rlsched_serve::{AnyStream, Transport};
     use std::io::{BufReader, Write};
 
@@ -943,10 +1008,10 @@ fn unread_inline_replies_never_stall_the_connection_thread() {
         std::thread::sleep(Duration::from_micros(200));
     }
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     let mut seen = vec![false; N as usize];
     for _ in 0..N {
-        let (resp, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        let resp = read_frame::<Response, _>(&mut reader, &mut payload)
             .unwrap()
             .expect("a reply per frame");
         let Response::Action { id, served_by, .. } = resp else {
@@ -993,21 +1058,20 @@ fn score_burst(
     burst: &[u8],
     n: usize,
 ) -> Vec<u64> {
-    use rlsched_serve::protocol::{read_frame_any, Response};
+    use rlsched_serve::protocol::{read_frame, Response};
     use rlsched_serve::{AnyStream, Transport};
     use std::io::{BufReader, Write};
 
     let stream = AnyStream::dial(handle.server_addr()).unwrap();
     stream.try_clone().unwrap().write_all(burst).unwrap();
     let mut reader = BufReader::new(stream);
-    let (mut payload, mut line) = (Vec::new(), String::new());
+    let mut payload = Vec::new();
     let mut on_shard = vec![0u64; handle.stats().shards.len()];
     let mut seen = vec![false; n];
     while seen.iter().any(|&s| !s) {
-        let (resp, proto) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        let resp = read_frame::<Response, _>(&mut reader, &mut payload)
             .unwrap()
             .expect("a reply per frame");
-        assert_eq!(proto, WireProtocol::Binary);
         let Response::Action {
             id,
             action,
@@ -1115,51 +1179,4 @@ fn runs_cut_by_batch_cap_or_a_stats_frame_are_queued() {
     );
     let stats = handle.shutdown();
     assert_eq!(stats.served, (N + CAP - 1) as u64);
-}
-
-/// A blank keep-alive line behind a `Score` frame is no frame: the
-/// connection thread must answer the `Score` before it blocks for the
-/// client's next bytes, or a closed-loop client that ends its frames
-/// with an extra newline waits for an answer that never comes.
-#[test]
-fn a_frame_with_blank_lines_behind_it_is_answered_at_once() {
-    use rlsched_serve::protocol::{Request, Response};
-    use std::io::{BufReader, Write};
-
-    let agent = agent_for(PolicyKind::Kernel, 113);
-    let handle = Server::spawn(
-        agent.scorer_snapshot(),
-        *agent.encoder(),
-        ServeConfig {
-            // Raw TcpStream below: pin TCP.
-            addr: ListenAddr::Tcp("127.0.0.1:0".into()),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server spawns");
-    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    for (id, blank) in [(1u64, "\n"), (2, "\n \t\r\n\n"), (3, "  ")] {
-        let mut frame = Vec::new();
-        let snapshot = small_snapshot(id as usize);
-        send_json(&mut frame, &Request::Score { id, snapshot });
-        frame.extend_from_slice(blank.as_bytes());
-        writer.write_all(&frame).unwrap();
-        match recv_json::<Response>(&mut reader) {
-            Response::Action {
-                id: got, served_by, ..
-            } => {
-                assert_eq!(got, id);
-                assert_eq!(served_by, ServedBy::Model);
-            }
-            other => panic!("expected an action for frame {id}, got {other:?}"),
-        }
-    }
-    drop(writer);
-    let stats = handle.shutdown();
-    assert_eq!(stats.served, 3);
 }

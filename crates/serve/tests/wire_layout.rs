@@ -5,23 +5,16 @@
 //! `InvalidData` without desynchronising the stream.
 
 use rlsched_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
-use rlsched_serve::protocol::{
-    encode_binary_frame, encode_json_frame, read_frame_any, BINARY_MAGIC, BINARY_VERSION,
-};
-use rlsched_serve::{
-    Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame, WireProtocol,
-};
+use rlsched_serve::protocol::{encode_binary_frame, read_frame, BINARY_MAGIC, BINARY_VERSION};
+use rlsched_serve::{Request, Response, ServeStats, ServedBy, ShardHealth, ShardState, WireFrame};
 use rlscheduler::{QueueSnapshot, SnapshotJob};
 
 /// Binary frame header: magic, version, `u32` LE payload length.
 const HEADER: usize = 6;
 
-/// Decode one complete binary frame, asserting it is binary.
+/// Decode one complete frame.
 fn read_binary<T: WireFrame>(wire: &[u8]) -> std::io::Result<T> {
-    let (v, proto) = read_frame_any(&mut &wire[..], &mut Vec::new(), &mut String::new())?
-        .expect("frame present");
-    assert_eq!(proto, WireProtocol::Binary);
-    Ok(v)
+    Ok(read_frame(&mut &wire[..], &mut Vec::new())?.expect("frame present"))
 }
 
 fn metrics_response() -> Response {
@@ -79,16 +72,16 @@ fn stats_response() -> Response {
     }
 }
 
-/// The binary payload of every JSON-bodied frame is its JSON frame's
-/// bytes without the trailing `\n`.
+/// The payload of every JSON-bodied frame is the frame's `serde_json`
+/// text.
 #[test]
 fn json_bodied_payloads_are_the_json_frame_text() {
     fn pin<T: WireFrame + std::fmt::Debug + PartialEq>(frame: &T) {
-        let (mut binary, mut json) = (Vec::new(), Vec::new());
+        let mut binary = Vec::new();
         encode_binary_frame(frame, &mut binary);
-        encode_json_frame(frame, &mut json).unwrap();
+        let json = serde_json::to_string(frame).unwrap();
         assert_eq!(binary[HEADER], b'{', "the body's `{{` is its tag");
-        assert_eq!(&binary[HEADER..], &json[..json.len() - 1], "{frame:?}");
+        assert_eq!(&binary[HEADER..], json.as_bytes(), "{frame:?}");
         assert_eq!(&read_binary::<T>(&binary).unwrap(), frame);
     }
     pin(&Request::Stats { id: 9 });
@@ -215,11 +208,10 @@ fn damaged_metrics_json_bodies_are_invalid_data() {
     ] {
         let stream = [damaged, next_frame.clone()].concat();
         let mut reader = &stream[..];
-        let (mut payload, mut line) = (Vec::new(), String::new());
-        let err =
-            read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line).expect_err(name);
+        let mut payload = Vec::new();
+        let err = read_frame::<Response, _>(&mut reader, &mut payload).expect_err(name);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
-        let (got, _) = read_frame_any::<Response, _>(&mut reader, &mut payload, &mut line)
+        let got = read_frame::<Response, _>(&mut reader, &mut payload)
             .unwrap()
             .expect("the next frame is intact");
         assert_eq!(got, next, "{name}");

@@ -19,17 +19,17 @@
 //!
 //! With `--serve`, the trained agent is additionally stood up behind the
 //! sharded `rlsched-serve` tier and every held-out window is scheduled
-//! by a concurrent remote client — first as newline-JSON over TCP, then
-//! again as binary frames over a unix domain socket. A lone decision on
-//! an idle shard is scored on the connection thread that read it, and a
-//! backlog coalesces into batches on the shards; either way it must come
-//! back bit-identical to in-process scoring on both wire stacks.
+//! by a concurrent remote client — first over TCP, then again over a
+//! unix domain socket. A lone decision on an idle shard is scored on the
+//! connection thread that read it, and a backlog coalesces into batches
+//! on the shards; either way it must come back bit-identical to
+//! in-process scoring on both transports.
 
 use rlsched_repro::core::prelude::*;
 use rlsched_repro::core::{build_policy, CanaryBatch, ScorerSnapshot};
 use rlsched_repro::sched::{HeuristicKind, PriorityScheduler};
 use rlsched_repro::serve::{
-    ListenAddr, RemotePolicy, ServeClient, ServeConfig, Server, ServerAddr, WireProtocol,
+    ListenAddr, RemotePolicy, ServeClient, ServeConfig, Server, ServerAddr,
 };
 use rlsched_repro::workload::NamedWorkload;
 
@@ -166,12 +166,12 @@ fn main() {
 
     // 6. (--serve) Stand the trained agent up behind the sharded,
     //    request-coalescing serving tier and schedule every held-out
-    //    window through a concurrent remote client — once per wire
-    //    stack. The decisions cross the wire as queue snapshots, are
+    //    window through a concurrent remote client — once per
+    //    transport. The decisions cross the wire as queue snapshots, are
     //    scored inline or coalesced into batches on the shards, and must
-    //    match in-process scoring bit for bit on both stacks.
+    //    match in-process scoring bit for bit on both transports.
     if serve {
-        // JSON over TCP: the `nc`-able, greppable stack.
+        // The default client over TCP.
         let handle = Server::spawn(
             agent.scorer_snapshot(),
             *agent.encoder(),
@@ -183,8 +183,8 @@ fn main() {
         )
         .expect("serving tier binds a local port");
         println!(
-            "\nserving tier up on tcp:{} (JSON frames, 2 shards, {} held-out windows as \
-             concurrent clients)…",
+            "\nserving tier up on tcp:{} (2 shards, {} held-out windows as concurrent \
+             clients)…",
             handle.addr(),
             windows.len()
         );
@@ -198,7 +198,6 @@ fn main() {
                     s.spawn(move || {
                         let client = ServeClient::connect(addr)
                             .expect("client connects")
-                            .with_protocol(WireProtocol::Json)
                             .with_id_base(1 + 10_000 * i as u64);
                         let mut policy = RemotePolicy::new(client, window);
                         let m = evaluate_policy(
@@ -263,9 +262,9 @@ fn main() {
             "every model-served decision carries one latency sample"
         );
 
-        // Binary frames over a unix domain socket: the zero-copy stack
-        // the load benches prefer. Same weights, same coalescing tier —
-        // the decisions (and therefore the metrics) must be identical.
+        // A unix domain socket, the transport the closed-loop bench row
+        // uses. Same weights, same coalescing tier — the decisions (and
+        // therefore the metrics) must be identical.
         #[cfg(unix)]
         {
             let uds = Server::spawn(
@@ -281,10 +280,7 @@ fn main() {
             let ServerAddr::Unix(path) = uds.server_addr().clone() else {
                 unreachable!("a unix listener binds a unix address")
             };
-            println!(
-                "serving tier up on unix:{} (binary frames)…",
-                path.display()
-            );
+            println!("serving tier up on unix:{}…", path.display());
             let uds_results: Vec<_> = std::thread::scope(|s| {
                 let handles: Vec<_> = windows
                     .iter()
@@ -294,7 +290,6 @@ fn main() {
                         s.spawn(move || {
                             let client = ServeClient::connect_uds(&path)
                                 .expect("client connects over UDS")
-                                .with_protocol(WireProtocol::Binary)
                                 .with_id_base(1 + 10_000 * i as u64);
                             let mut policy = RemotePolicy::new(client, window);
                             let m = evaluate_policy(
@@ -316,9 +311,9 @@ fn main() {
             assert_eq!(
                 mean_metric(&results, MetricKind::BoundedSlowdown),
                 mean_metric(&uds_results, MetricKind::BoundedSlowdown),
-                "binary-over-UDS decisions must match in-process scoring"
+                "UDS decisions must match in-process scoring"
             );
-            println!("binary-UDS remote scheduling matches in-process scoring too");
+            println!("UDS remote scheduling matches in-process scoring too");
         }
         // Checkpoint lifecycle: propose → validate → commit. The canary
         // probe carries expected decisions from in-process scoring, so
